@@ -1,69 +1,9 @@
-"""Numerical laboratory for the singular Moser-Trudinger functional on S^2."""
+"""Numerical laboratory for the singular Moser-Trudinger functional on S^2.
 
-from .sphere_grid import (
-    FOUR_PI,
-    BandLimitError,
-    ScalarField,
-    SHCoefficients,
-    SphereGrid,
-    build_grid,
-    dirichlet_energy,
-    geodesic_distance,
-    integrate,
-    sh_analysis,
-    sh_synthesis,
-    synthesis_at_points,
-)
-from .singular_geometry import (
-    REGULAR_PART,
-    SingularEvaluationError,
-    SingularPoint,
-    SingularWeight,
-    bubble_constant,
-    green,
-    regular_part,
-    weight_at,
-)
-from .mt_functional import (
-    FunctionalParams,
-    SingularCapRule,
-    UnnormalizedBlowupError,
-    el_residual,
-    eval_J,
-    exp_integral,
-    troyanov_gap,
-)
-from .closed_forms import (
-    ConcentrationParams,
-    ExtremalParams,
-    concentration_field,
-    concentration_sweep,
-    conformal_pullback,
-    extremal_u,
-    extremal_value,
-    extremal_weight,
-    planar_bubble,
-    stereographic,
-    stereographic_inverse,
-)
-from .subcritical_solver import (
-    BlowupDiagnostics,
-    MinimizerState,
-    SolverConfig,
-    diagnose,
-    epsilon_sweep,
-    gradient_singularity_exponent,
-    minimize,
-)
-from .identity_checks import (
-    KazdanWarnerReport,
-    NonexistenceWitness,
-    RegimeError,
-    SharpConstantReport,
-    blowup_infimum,
-    kazdan_warner_residual,
-    nonexistence_witness,
-    sphere_sharp_constant,
-)
+The API lives in the submodules (``sol_lab.sphere_grid``,
+``sol_lab.mt_functional``, ...).  This package module imports none of them,
+so ``import sol_lab.cli`` does not load numpy before the CLI has set the
+BLAS thread count.
+"""
 
 __version__ = "0.1.0"

@@ -260,22 +260,6 @@ def _build_weight(config):
         [(p["position"], p["order"]) for p in section["points"]], K)
 
 
-def _random_band_limited(grid, rng, l_max=None, amplitude=2.0, decay=2.0):
-    import numpy as np
-    from .sphere_grid import SHCoefficients, sh_synthesis
-
-    L = l_max if l_max is not None else grid.band_limit
-    coeffs = SHCoefficients.zeros(grid.band_limit)
-    for l in range(1, L + 1):
-        coeffs.values[l, grid.band_limit - l:grid.band_limit + l + 1] = \
-            rng.normal(size=2 * l + 1) / (1.0 + l) ** decay
-    field = sh_synthesis(coeffs, grid)
-    peak = float(np.max(np.abs(field.values)))
-    if peak > 0:
-        field = field * (amplitude / peak)
-    return field
-
-
 def _check(checks, name, value, tolerance, ok):
     checks.append({"name": name, "value": value, "tolerance": tolerance,
                    "passed": bool(ok)})
@@ -317,7 +301,6 @@ def _grid_for(config):
 
 
 def _run_constants(config, report):
-    import numpy as np
     from .identity_checks import (RegimeError, blowup_infimum,
                                   sphere_sharp_constant)
 
@@ -381,7 +364,7 @@ def _run_inequality_sample(config, report):
     import numpy as np
     from .closed_forms import conformal_pullback
     from .mt_functional import troyanov_gap
-    from .sphere_grid import ScalarField
+    from .sphere_grid import ScalarField, random_band_limited
 
     exp = config["experiment"]
     w = _build_weight(config)
@@ -392,7 +375,7 @@ def _run_inequality_sample(config, report):
     rng = np.random.default_rng(config["seed"])
     worst = np.inf
     for i in range(n_samples):
-        u = _random_band_limited(grid, rng)
+        u = random_band_limited(grid, rng)
         gap = troyanov_gap(u, w, constant)
         report["records"].append({"sample": i, "gap": gap})
         worst = min(worst, gap)
@@ -426,7 +409,6 @@ def _solver_config(exp, schedule):
 
 
 def _run_minimize(config, report):
-    import numpy as np
     from .mt_functional import FunctionalParams
     from .sphere_grid import ScalarField
     from .subcritical_solver import diagnose, minimize
@@ -458,7 +440,6 @@ def _run_minimize(config, report):
 
 
 def _sweep_common(config, report):
-    import numpy as np
     from .identity_checks import blowup_infimum
     from .subcritical_solver import epsilon_sweep
 
@@ -479,8 +460,6 @@ def _sweep_common(config, report):
 
 
 def _run_sweep(config, report):
-    import numpy as np
-
     exp = config["experiment"]
     w, sweep, target = _sweep_common(config, report)
     checks = report["checks"]
@@ -519,7 +498,6 @@ def _run_profile_collapse(config, report):
         d = entry.diagnostics
         c_p = w.bubble_constant(d.center) if w.alpha < 0 else 1.0
         radii = np.linspace(0.0, 5.0, 26)[1:] * d.t_eps
-        t = np.cos(radii) * d.center[2]
         u_axis = synthesis_at_angles(state.coeffs, np.cos(radii),
                                      np.zeros_like(radii))
         for r, uv in zip(radii, u_axis):
@@ -531,7 +509,6 @@ def _run_profile_collapse(config, report):
 
 
 def _run_kw_check(config, report):
-    import numpy as np
     from .closed_forms import ExtremalParams, extremal_u
     from .identity_checks import kazdan_warner_residual
     from .mt_functional import FunctionalParams
@@ -686,8 +663,10 @@ def main(argv=None) -> int:
                "quiet": logging.ERROR}.get(level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s")
 
+    # numpy (and its BLAS pool) is first loaded after this point, so an
+    # inherited environment value cannot win over --threads
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(args.threads))
+        os.environ[var] = str(args.threads)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

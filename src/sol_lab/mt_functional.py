@@ -42,6 +42,8 @@ from .sphere_grid import (
     ScalarField,
     SHCoefficients,
     SphereGrid,
+    _legendre_orders,
+    cap_points,
     dirichlet_energy,
     sh_analysis,
     synthesis_at_angles,
@@ -153,19 +155,11 @@ def _smooth_cutoff(r: np.ndarray, radius: float) -> np.ndarray:
     return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
 
 
-def _orthonormal_frame(p: np.ndarray):
-    helper = np.eye(3)[np.argmin(np.abs(p))]
-    e1 = np.cross(helper, p)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(p, e1)
-
-
 class _ProductBlock:
     """Product-rule piece (custom t nodes x the grid's phi set).
 
     ``cap`` marks a polar cap block: (center index into the weight's point
-    list, exact radial distances), used to evaluate the cap's own singular
-    factor without the catastrophic cancellation of 1 - cos(r) at tiny r.
+    list, exact radial distances), passed to ``SingularWeight.log_weight``.
     """
 
     def __init__(self, grid: SphereGrid, t: np.ndarray, t_weights: np.ndarray,
@@ -191,49 +185,39 @@ class _ProductBlock:
 
 
 class _GridBlock(_ProductBlock):
-    """The grid itself as a quadrature block (reuses its transform)."""
+    """The grid itself as a quadrature block (reuses its transform).
+
+    Blocks hold the grid's transform, never the grid: the grid caches its
+    integrators, so a reference back would make each grid a reference cycle
+    that only the cyclic garbage collector can free.
+    """
 
     def __init__(self, grid: SphereGrid, extra: np.ndarray | None = None):
-        self.grid = grid
-        self.extra = extra
+        self.transform = grid.transform
         self.cap = None
         self.weights = grid.weights if extra is None else grid.weights * extra
         self.points = grid.nodes
-        self._scaled: ProductTransform | None = None
+        self._scaled = self.transform
         if extra is not None:
             self._scaled = ProductTransform(
                 grid.band_limit, grid.t, grid.phi,
                 grid.t_weights[:, None] / grid.n_phi * extra)
 
-    def synthesis(self, coeffs: SHCoefficients) -> np.ndarray:
-        return self.grid.transform.synthesis_values(coeffs)
-
     def analysis(self, values: np.ndarray) -> SHCoefficients:
-        if self._scaled is not None:
-            return self._scaled.analysis_coeffs(values)
-        return self.grid.transform.analysis_coeffs(values)
+        return self._scaled.analysis_coeffs(values)
 
 
 class _ScatterBlock:
-    """Scattered polar cap around an off-axis singular point."""
+    """Polar cap with a smooth cutoff around an off-axis singular point."""
 
     def __init__(self, grid: SphereGrid, center: np.ndarray, alpha: float,
-                 rule: SingularCapRule, cutoff: bool,
-                 cap_index: int | None = None):
+                 rule: SingularCapRule, cap_index: int):
         r, wr = cap_radial_rule(alpha, rule.cap_radius, rule.n_radial)
-        psi = 2.0 * np.pi * np.arange(rule.n_angular) / rule.n_angular
-        e1, e2 = _orthonormal_frame(center)
-        rr, pp = np.meshgrid(r, psi, indexing="ij")
-        pts = (np.sin(rr)[..., None] * (np.cos(pp)[..., None] * e1
-                                        + np.sin(pp)[..., None] * e2)
-               + np.cos(rr)[..., None] * center)
-        w = np.broadcast_to((wr * 2.0 * np.pi / rule.n_angular)[:, None],
-                            rr.shape).copy()
-        if cutoff:
-            w *= _smooth_cutoff(rr, rule.cap_radius)
-        self.points = pts.reshape(-1, 3)
-        self.weights = w.reshape(-1)
-        self.cap = None if cap_index is None else (cap_index, rr.reshape(-1))
+        w = (wr * 2.0 * np.pi / rule.n_angular
+             * _smooth_cutoff(r, rule.cap_radius))
+        self.points = cap_points(center, r, rule.n_angular).reshape(-1, 3)
+        self.weights = np.repeat(w, rule.n_angular)
+        self.cap = (cap_index, np.repeat(r, rule.n_angular))
         self._t = np.clip(self.points[:, 2], -1.0, 1.0)
         self._phi = np.arctan2(self.points[:, 1], self.points[:, 0])
         self.band_limit = grid.band_limit
@@ -245,30 +229,13 @@ class _ScatterBlock:
         L = self.band_limit
         out = SHCoefficients.zeros(L)
         wv = self.weights * values
-        t, phi = self._t, self._phi
-        sq = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-        pmm = np.full_like(t, 1.0 / np.sqrt(FOUR_PI))
-        for m in range(L + 1):
-            amp = np.sqrt(2.0) if m > 0 else 1.0
-            cosv = np.cos(m * phi) * wv
-            sinv = np.sin(m * phi) * wv if m > 0 else None
-            p_prev2 = pmm
-            rows = [(m, p_prev2)]
-            if m < L:
-                p_prev = np.sqrt(2 * m + 3.0) * t * pmm
-                rows.append((m + 1, p_prev))
-                for l in range(m + 2, L + 1):
-                    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                    b = -np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
-                                 / ((2.0 * l - 3.0) * (l * l - m * m)))
-                    p_next = a * t * p_prev + b * p_prev2
-                    p_prev2, p_prev = p_prev, p_next
-                    rows.append((l, p_prev))
-                pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
-            for l, pr in rows:
-                out.values[l, L + m] = amp * np.dot(pr, cosv)
-                if m > 0:
-                    out.values[l, L - m] = amp * np.dot(pr, sinv)
+        phi, amp = self._phi, np.sqrt(2.0)
+        for m, block in _legendre_orders(L, self._t):
+            if m == 0:
+                out.values[:, L] = block @ wv
+            else:
+                out.values[m:, L + m] = amp * (block @ (np.cos(m * phi) * wv))
+                out.values[m:, L - m] = amp * (block @ (np.sin(m * phi) * wv))
         return out
 
 
@@ -277,29 +244,13 @@ class SingularIntegrator:
 
     def __init__(self, grid: SphereGrid, weight: SingularWeight,
                  rule: SingularCapRule | None = None):
-        self.grid = grid
+        self.band_limit = grid.band_limit
         self.weight = weight
         self.rule = rule or SingularCapRule()
         self._validate_caps()
-        self.blocks = self._build_blocks()
-        self.log_h = [self._stable_log_h(b) for b in self.blocks]
-
-    def _stable_log_h(self, block) -> np.ndarray:
-        """log h at block points; a cap's own factor uses 1 - cos r = 2 sin^2(r/2)."""
-        x = block.points
-        w = self.weight
-        out = np.log(w.smooth_factor(x))
-        cap_idx, cap_r = (block.cap if getattr(block, "cap", None) else (None, None))
-        for i, sp in enumerate(w.points):
-            if i == cap_idx:
-                one_minus_dot = 2.0 * np.sin(0.5 * cap_r) ** 2
-                if one_minus_dot.shape != x.shape[:-1]:
-                    one_minus_dot = np.broadcast_to(
-                        one_minus_dot[:, None], x.shape[:-1])
-            else:
-                one_minus_dot = 1.0 - x @ sp.position
-            out = out + sp.order * (np.log(one_minus_dot) + 1.0 - np.log(2.0))
-        return out
+        self.blocks = self._build_blocks(grid)
+        self.log_h = [weight.log_weight(b.points, cap=b.cap)
+                      for b in self.blocks]
 
     def _validate_caps(self):
         pos = self.weight.positions
@@ -311,8 +262,8 @@ class SingularIntegrator:
                         "singular caps overlap; reduce cap_radius or "
                         "separate the singular points")
 
-    def _build_blocks(self):
-        grid, rule, w = self.grid, self.rule, self.weight
+    def _build_blocks(self, grid: SphereGrid):
+        rule, w = self.rule, self.weight
         if not w.points:
             return [_GridBlock(grid)]
         if w.is_axis_aligned():
@@ -328,13 +279,13 @@ class SingularIntegrator:
                 r, wr = cap_radial_rule(north[1].order, rule.cap_radius,
                                         rule.n_radial)
                 blocks.append(_ProductBlock(grid, np.cos(r), wr,
-                                            cap=(north[0], r)))
+                                            cap=(north[0], r[:, None])))
                 t_hi = np.cos(rule.cap_radius)
             if south is not None:
                 r, wr = cap_radial_rule(south[1].order, rule.cap_radius,
                                         rule.n_radial)
                 blocks.append(_ProductBlock(grid, -np.cos(r), wr,
-                                            cap=(south[0], r)))
+                                            cap=(south[0], r[:, None])))
                 t_lo = -np.cos(rule.cap_radius)
             t, tw = band_panels(t_lo, t_hi, south is not None,
                                 north is not None, grid.band_limit)
@@ -346,8 +297,7 @@ class SingularIntegrator:
         for i, sp in enumerate(w.points):
             d = np.arccos(np.clip(grid.nodes @ sp.position, -1.0, 1.0))
             extra *= 1.0 - _smooth_cutoff(d, rule.cap_radius)
-            blocks.append(_ScatterBlock(grid, sp.position, sp.order, rule,
-                                        cutoff=True, cap_index=i))
+            blocks.append(_ScatterBlock(grid, sp.position, sp.order, rule, i))
         blocks.append(_GridBlock(grid, extra))
         return blocks
 
@@ -374,7 +324,7 @@ class SingularIntegrator:
         scale cancels in the Euler-Lagrange term.
         """
         dens, shift = self.density_values(coeffs)
-        total = SHCoefficients.zeros(self.grid.band_limit)
+        total = SHCoefficients.zeros(self.band_limit)
         for b, d in zip(self.blocks, dens):
             total.values += b.analysis(d).values
         return total, self.integral_of(dens), shift
@@ -382,13 +332,6 @@ class SingularIntegrator:
     def field_peak(self, coeffs: SHCoefficients) -> float:
         """max of the synthesized field over all quadrature points."""
         return max(float(np.max(b.synthesis(coeffs))) for b in self.blocks)
-
-    def normalized_moment(self, coeffs: SHCoefficients, fn) -> float:
-        """int h e^u fn(x) / int h e^u for a pointwise factor fn."""
-        dens, _ = self.density_values(coeffs)
-        num = sum(np.sum(b.weights * d * fn(b.points))
-                  for b, d in zip(self.blocks, dens))
-        return float(num / self.integral_of(dens))
 
     def smooth_integral(self, values_fn) -> float:
         """Quadrature of a pointwise closed-form integrand (no density)."""

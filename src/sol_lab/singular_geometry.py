@@ -58,6 +58,11 @@ def green(p, x):
     return float(val) if val.ndim == 0 else val
 
 
+def green_radial(r):
+    """G_p at geodesic distance r from p, with 1 - cos r = 2 sin^2(r/2)."""
+    return -np.log(2.0 * np.sin(0.5 * r) ** 2) / FOUR_PI - _GREEN_CONST
+
+
 def regular_part(p=None) -> float:
     """Value A(p) of the regular part of G_p at p (constant on S^2)."""
     return REGULAR_PART
@@ -141,11 +146,21 @@ class SingularWeight:
             return np.ones(np.asarray(x).shape[:-1])
         return np.asarray(self.K(x), dtype=float)
 
-    def log_weight(self, x, guard: bool = True):
-        """log h(x); accepts (..., 3) arrays.  Stable for strong orders."""
+    def log_weight(self, x, guard: bool = True, cap: tuple | None = None):
+        """log h(x); accepts (..., 3) arrays.  Stable for strong orders.
+
+        ``cap = (i, r)`` gives the exact geodesic distances r of the nodes x
+        from point i (broadcastable to x.shape[:-1]; i may be None).  That
+        factor then uses 1 - <p_i, x> = 2 sin^2(r/2), which keeps full
+        relative accuracy where 1 - <p_i, x> cancels (caps reach r ~ 1e-19).
+        """
         x = np.asarray(x, dtype=float)
         out = np.log(self.smooth_factor(x))
-        for sp in self.points:
+        for i, sp in enumerate(self.points):
+            if cap is not None and i == cap[0]:
+                one_minus = 2.0 * np.sin(0.5 * cap[1]) ** 2
+                out = out + sp.order * (np.log(one_minus) + 1.0 - np.log(2.0))
+                continue
             dot = np.clip(x @ sp.position, -1.0, 1.0)
             near = dot > 1.0 - _COINCIDENCE_TOL
             if np.any(near):

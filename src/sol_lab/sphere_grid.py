@@ -50,6 +50,28 @@ def geodesic_distance(p, q) -> float:
     return float(np.arccos(np.clip(dot, -1.0, 1.0)))
 
 
+def _orthonormal_frame(p: np.ndarray):
+    helper = np.eye(3)[np.argmin(np.abs(p))]
+    e1 = np.cross(helper, p)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(p, e1)
+
+
+def cap_points(center, r: np.ndarray, n_angular: int) -> np.ndarray:
+    """Geodesic polar nodes around ``center``, shape (len(r), n_angular, 3).
+
+    Node (i, k) lies at distance r_i from the center along the bearing
+    psi_k = 2 pi k / n_angular: sin r (cos psi e1 + sin psi e2) + cos r p.
+    """
+    p = np.asarray(center, dtype=float)
+    e1, e2 = _orthonormal_frame(p)
+    psi = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    rr, pp = np.meshgrid(r, psi, indexing="ij")
+    return (np.sin(rr)[..., None] * (np.cos(pp)[..., None] * e1
+                                     + np.sin(pp)[..., None] * e2)
+            + np.cos(rr)[..., None] * p)
+
+
 def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
     """Scale Gauss-Legendre weights so their compensated sum is exactly 4 pi.
 
@@ -67,17 +89,16 @@ def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def normalized_legendre(band_limit: int, t: np.ndarray) -> list[np.ndarray]:
-    """Fully normalized associated Legendre functions Pbar_{l,m}(t).
+def _legendre_orders(band_limit: int, t: np.ndarray):
+    """Yield (m, Pbar block) for m = 0..band_limit, one order at a time.
 
-    Returns one array per order m (0 <= m <= band_limit) of shape
-    (band_limit + 1 - m, len(t)); row k holds degree l = m + k.  The
-    normalization is the orthonormal spherical-harmonic one, so values stay
-    O(sqrt(l)) and the three-term recurrence is stable far beyond L = 256.
+    The block has shape (band_limit + 1 - m, len(t)); row k holds degree
+    l = m + k.  The normalization is the orthonormal spherical-harmonic one,
+    so values stay O(sqrt(l)) and the three-term recurrence is stable far
+    beyond L = 256.  Only the current block and the sectoral seed are held.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     sq = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-    blocks: list[np.ndarray] = []
     pmm = np.full_like(t, 1.0 / np.sqrt(FOUR_PI))
     for m in range(band_limit + 1):
         block = np.empty((band_limit + 1 - m, t.size))
@@ -92,10 +113,17 @@ def normalized_legendre(band_limit: int, t: np.ndarray) -> list[np.ndarray]:
                 / ((2.0 * l - 3.0) * (l * l - m * m))
             )
             block[l - m] = a * t * block[l - m - 1] + b * block[l - m - 2]
-        blocks.append(block)
-        if m < band_limit:
-            pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
-    return blocks
+        yield m, block
+        pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
+
+
+def normalized_legendre(band_limit: int, t: np.ndarray) -> list[np.ndarray]:
+    """Fully normalized associated Legendre functions Pbar_{l,m}(t).
+
+    Returns one array per order m (0 <= m <= band_limit) of shape
+    (band_limit + 1 - m, len(t)); row k holds degree l = m + k.
+    """
+    return [block for _, block in _legendre_orders(band_limit, t)]
 
 
 @dataclass
@@ -332,6 +360,25 @@ def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:
     return ScalarField(grid.transform.synthesis_values(c), grid)
 
 
+def random_band_limited(grid: SphereGrid, rng, l_max=None, amplitude=2.0,
+                        decay=2.0) -> ScalarField:
+    """Seeded random field with coefficients ~ N(0, (1+l)^(-2 decay)).
+
+    Degrees 1..l_max (default the grid's band limit) are drawn in order,
+    2l + 1 normals each; the field is then scaled to max |u| = amplitude.
+    """
+    L = grid.band_limit if l_max is None else l_max
+    coeffs = SHCoefficients.zeros(grid.band_limit)
+    for l in range(1, L + 1):
+        coeffs.values[l, grid.band_limit - l:grid.band_limit + l + 1] = \
+            rng.normal(size=2 * l + 1) / (1.0 + l) ** decay
+    field = sh_synthesis(coeffs, grid)
+    peak = float(np.max(np.abs(field.values)))
+    if peak > 0.0:
+        field = field * (amplitude / peak)
+    return field
+
+
 def dirichlet_energy(c: SHCoefficients) -> float:
     """int |grad u|^2 = sum_{l,m} l(l+1) a_{l,m}^2 for band-limited u."""
     lw = _degree_weights(c.band_limit)
@@ -344,26 +391,6 @@ def dirichlet_pairing(a: SHCoefficients, b: SHCoefficients) -> float:
         raise BandLimitError("band limits differ")
     lw = _degree_weights(a.band_limit)
     return float(np.sum(lw[:, None] * a.values * b.values))
-
-
-def coefficient_pairing(a: SHCoefficients, b: SHCoefficients) -> float:
-    """L^2 inner product int u v of two band-limited fields (Parseval)."""
-    if a.band_limit != b.band_limit:
-        raise BandLimitError("band limits differ")
-    return float(np.sum(a.values * b.values))
-
-
-def laplacian(c: SHCoefficients) -> SHCoefficients:
-    lw = _degree_weights(c.band_limit)
-    return SHCoefficients(-lw[:, None] * c.values)
-
-
-def solve_poisson(rhs: SHCoefficients) -> SHCoefficients:
-    """Mean-free solution of -Delta w = rhs (the l = 0 mode is dropped)."""
-    lw = _degree_weights(rhs.band_limit)
-    out = np.zeros_like(rhs.values)
-    out[1:] = rhs.values[1:] / lw[1:, None]
-    return SHCoefficients(out)
 
 
 def l2_norm(c: SHCoefficients) -> float:
@@ -387,9 +414,10 @@ def phi_derivative(c: SHCoefficients) -> SHCoefficients:
 def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
     """Evaluate a band-limited field at arbitrary unit vectors.
 
-    Streams the Legendre recurrence per order, so memory stays O(len(points))
-    and no table is stored; exact for band-limited fields.  Accepts any
-    leading shape (..., 3).
+    Runs the Legendre recurrence one order at a time, so no table over all
+    orders is stored: memory is O((L+1) * len(points)) for the current
+    order's block.  Exact for band-limited fields.  Accepts any leading
+    shape (..., 3).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.clip(pts[..., 2], -1.0, 1.0)
@@ -400,36 +428,17 @@ def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
 def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
                         phi: np.ndarray) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if t.ndim > 1:
-        shape = t.shape
-        return synthesis_at_angles(c, t.ravel(), phi.ravel()).reshape(shape)
+    phi = np.ravel(phi)
     L = c.band_limit
     cv = c.values
-    sq = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-    out = np.zeros_like(t)
-    pmm = np.full_like(t, 1.0 / np.sqrt(FOUR_PI))
-    for m in range(L + 1):
-        amp = np.sqrt(2.0) if m > 0 else 1.0
-        if m > 0:
-            trig = amp * (cv[:, L + m][:, None] * np.cos(m * phi)[None, :]
-                          + cv[:, L - m][:, None] * np.sin(m * phi)[None, :])
+    out = np.zeros(t.size)
+    for m, block in _legendre_orders(L, t.ravel()):
+        if m == 0:
+            out += cv[:, L] @ block
         else:
-            trig = cv[:, L][:, None] * np.ones_like(phi)[None, :]
-        p_prev2 = pmm
-        out += trig[m] * p_prev2
-        if m < L:
-            p_prev = np.sqrt(2 * m + 3.0) * t * pmm
-            out += trig[m + 1] * p_prev
-            for l in range(m + 2, L + 1):
-                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = -np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
-                             / ((2.0 * l - 3.0) * (l * l - m * m)))
-                p_next = a * t * p_prev + b * p_prev2
-                p_prev2, p_prev = p_prev, p_next
-                out += trig[l] * p_prev
-            pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
-    return out
+            out += np.sqrt(2.0) * ((cv[m:, L + m] @ block) * np.cos(m * phi)
+                                   + (cv[m:, L - m] @ block) * np.sin(m * phi))
+    return out.reshape(t.shape)
 
 
 def gradient_at_angles(c: SHCoefficients, t: np.ndarray, phi: np.ndarray,

@@ -29,18 +29,19 @@ from typing import Optional
 import numpy as np
 
 from .sphere_grid import (
-    FOUR_PI,
     ProductTransform,
     ScalarField,
     SHCoefficients,
     SphereGrid,
+    cap_points,
+    geodesic_distance,
     gradient_at_angles,
     integrate,
     phi_derivative,
     sh_analysis,
-    synthesis_at_angles,
+    synthesis_at_points,
 )
-from .singular_geometry import SingularWeight
+from .singular_geometry import SingularWeight, green_radial
 from .mt_functional import (
     DEFAULT_CEILING,
     FunctionalParams,
@@ -49,7 +50,6 @@ from .mt_functional import (
     cap_radial_rule,
     eval_J_coeffs,
     integrator_for,
-    _orthonormal_frame,
 )
 from .closed_forms import (ConcentrationParams, concentration_field,
                            planar_bubble)
@@ -188,25 +188,11 @@ def cap_density_integral(state: MinimizerState, center: np.ndarray,
     alpha_c = w.beta(center)
     n_radial = n_radial or max(48, int(radius * grid.band_limit) + 16)
     r, wr = cap_radial_rule(alpha_c, radius, n_radial)
-    psi = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    e1, e2 = _orthonormal_frame(np.asarray(center, dtype=float))
-    rr, pp = np.meshgrid(r, psi, indexing="ij")
-    pts = (np.sin(rr)[..., None] * (np.cos(pp)[..., None] * e1
-                                    + np.sin(pp)[..., None] * e2)
-           + np.cos(rr)[..., None] * np.asarray(center, dtype=float))
-    log_h = np.zeros(rr.shape)
-    for sp in w.points:
-        d = float(np.arccos(np.clip(sp.position @ np.asarray(center), -1, 1)))
-        if d < 1.0e-12:
-            one_minus = 2.0 * np.sin(0.5 * rr) ** 2
-        else:
-            one_minus = 1.0 - pts @ sp.position
-        log_h += sp.order * (np.log(one_minus) + 1.0 - np.log(2.0))
-    if w.K is not None:
-        log_h += np.log(w.smooth_factor(pts))
-    t = np.clip(pts[..., 2], -1.0, 1.0).reshape(-1)
-    ph = np.arctan2(pts[..., 1], pts[..., 0]).reshape(-1)
-    u_vals = synthesis_at_angles(state.coeffs, t, ph).reshape(rr.shape)
+    pts = cap_points(center, r, n_angular)
+    own = [i for i, sp in enumerate(w.points)
+           if geodesic_distance(sp.position, center) < 1.0e-12]
+    log_h = w.log_weight(pts, cap=(own[0] if own else None, r[:, None]))
+    u_vals = synthesis_at_points(state.coeffs, pts)
     wgt = (wr * 2.0 * np.pi / n_angular)[:, None]
     return float(np.sum(wgt * np.exp(log_h + u_vals)))
 
@@ -224,9 +210,6 @@ class BlowupDiagnostics:
     grad_l15: float
     compact_case: bool
     under_resolved: bool
-
-    def cap_mass_fraction(self, radius_key) -> float:
-        return self.cap_masses[radius_key]
 
 
 def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid,
@@ -256,10 +239,7 @@ def diagnose(state: MinimizerState, w: SingularWeight,
     lam = float(vals[idx])
     p_eps = grid.nodes[idx]
     for sp in w.minimal_points():
-        v = float(synthesis_at_angles(state.coeffs,
-                                      np.array([sp.position[2]]),
-                                      np.array([np.arctan2(sp.position[1],
-                                                           sp.position[0])]))[0])
+        v = float(synthesis_at_points(state.coeffs, sp.position)[0])
         if v > lam:
             lam, p_eps = v, sp.position
 
@@ -296,23 +276,15 @@ def diagnose(state: MinimizerState, w: SingularWeight,
         c_p = w.bubble_constant(center) if alpha < 0.0 else \
             float(w.weight(center[None, :])[0])
         radii = np.linspace(0.0, profile_R, 25)[1:] * t_eps
-        psi = 2.0 * np.pi * np.arange(8) / 8.0
-        e1, e2 = _orthonormal_frame(np.asarray(center, dtype=float))
-        rr, pp = np.meshgrid(radii, psi, indexing="ij")
-        pts = (np.sin(rr)[..., None] * (np.cos(pp)[..., None] * e1
-                                        + np.sin(pp)[..., None] * e2)
-               + np.cos(rr)[..., None] * center)
-        t = np.clip(pts[..., 2], -1.0, 1.0).reshape(-1)
-        ph = np.arctan2(pts[..., 1], pts[..., 0]).reshape(-1)
-        u_vals = synthesis_at_angles(state.coeffs, t, ph)
-        bubble = planar_bubble(rr.reshape(-1) / t_eps, c_p, alpha)
+        u_vals = synthesis_at_points(state.coeffs,
+                                     cap_points(center, radii, 8))
+        bubble = planar_bubble(radii / t_eps, c_p, alpha)[:, None]
         profile_err = float(np.max(np.abs(u_vals - lam - bubble)))
 
     # far field against the Green's function of the concentration point
     d = np.arccos(np.clip(grid.nodes @ center, -1.0, 1.0))
     mask = d >= farfield_delta
-    gvals = (-np.log(2.0 * np.sin(0.5 * d[mask]) ** 2) / FOUR_PI
-             - np.log(np.e / 2.0) / FOUR_PI)
+    gvals = green_radial(d[mask])
     ubar = state.coeffs.mean
     farfield = float(np.max(np.abs(vals[mask] - ubar - w.rho_bar * gvals)))
 
@@ -463,15 +435,10 @@ def gradient_singularity_exponent(state: MinimizerState, p_i,
             f"fit annulus [{d_min:.3g}, {d_max:.3g}] is empty; "
             "increase the grid resolution")
     radii = np.geomspace(d_min, d_max, n_radii)
-    psi = 2.0 * np.pi * np.arange(8) / 8.0
-    e1, e2 = _orthonormal_frame(p_i)
-    rr, pp = np.meshgrid(radii, psi, indexing="ij")
-    pts = (np.sin(rr)[..., None] * (np.cos(pp)[..., None] * e1
-                                    + np.sin(pp)[..., None] * e2)
-           + np.cos(rr)[..., None] * p_i)
+    pts = cap_points(p_i, radii, 8)
     t = np.clip(pts[..., 2], -1.0, 1.0).reshape(-1)
     ph = np.arctan2(pts[..., 1], pts[..., 0]).reshape(-1)
-    gmag = gradient_at_angles(state.coeffs, t, ph).reshape(rr.shape)
+    gmag = gradient_at_angles(state.coeffs, t, ph).reshape(pts.shape[:-1])
     avg = gmag.mean(axis=1)
     slope, intercept = np.polyfit(np.log(radii), np.log(avg), 1)
     return {

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sol_lab.sphere_grid import SHCoefficients, ScalarField, build_grid, sh_synthesis
+# random_band_limited is re-exported for "from conftest import random_band_limited"
+from sol_lab.sphere_grid import build_grid, random_band_limited  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -24,20 +25,6 @@ def grid128():
 @pytest.fixture(scope="session")
 def grid192():
     return build_grid(193, 386)
-
-
-def random_band_limited(grid, rng, l_max=None, amplitude=2.0, decay=2.0):
-    """Seeded random field with coefficients ~ N(0, (1+l)^(-2 decay))."""
-    L = grid.band_limit if l_max is None else l_max
-    coeffs = SHCoefficients.zeros(grid.band_limit)
-    for l in range(1, L + 1):
-        coeffs.values[l, grid.band_limit - l:grid.band_limit + l + 1] = \
-            rng.normal(size=2 * l + 1) / (1.0 + l) ** decay
-    field = sh_synthesis(coeffs, grid)
-    peak = float(np.max(np.abs(field.values)))
-    if peak > 0.0:
-        field = field * (amplitude / peak)
-    return field
 
 
 @pytest.fixture

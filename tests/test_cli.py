@@ -1,10 +1,14 @@
 """Config validation, experiment dispatch, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sol_lab
 from sol_lab.cli import main, run, serialize, validate
 
 
@@ -220,3 +224,27 @@ class TestMainEntry:
         from sol_lab.identity_checks import RegimeError, sphere_sharp_constant
         with pytest.raises(RegimeError):
             sphere_sharp_constant(-0.5, 0.5, antipodal=False)
+
+
+class TestThreads:
+    def test_threads_flag_overrides_environment(self, tmp_path):
+        """numpy stays unloaded until main() has set the BLAS variables."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text())
+        script = (
+            "import os, sys\n"
+            "import sol_lab.cli as cli\n"
+            "print('numpy' in sys.modules)\n"
+            f"code = cli.main(['constants', '--config', {str(cfg)!r}, "
+            "'--threads', '3'])\n"
+            "print(code, os.environ['OPENBLAS_NUM_THREADS'])\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sol_lab.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True).stdout.splitlines()
+        assert out[0] == "False"
+        assert out[-1] == "0 3"

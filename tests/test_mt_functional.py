@@ -1,5 +1,8 @@
 """Functional evaluation, singular quadrature, residuals, inequality gaps."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -22,6 +25,7 @@ from sol_lab.singular_geometry import SingularWeight
 from sol_lab.sphere_grid import (
     FOUR_PI,
     ScalarField,
+    build_grid,
     integrate,
     l2_norm,
     sh_analysis,
@@ -177,10 +181,20 @@ class TestElResidual:
         assert el_residual_norm(u, params) == pytest.approx(by_quadrature,
                                                             rel=1e-9)
 
-    def test_gradient_consistency(self, grid64, rng):
-        """dJ(u)[v] against central differences, smooth configuration."""
-        params = FunctionalParams(rho=8.0 * np.pi - 2.0,
-                                  weight=SingularWeight())
+    @pytest.mark.parametrize("case", ["smooth", "axis", "off-axis"])
+    def test_gradient_consistency(self, grid64, rng, case):
+        """dJ(u)[v] against central differences.
+
+        The off-axis weight runs the scattered-cap analysis, which only the
+        gradient exercises.
+        """
+        if case == "smooth":
+            params = FunctionalParams(rho=8.0 * np.pi - 2.0,
+                                      weight=SingularWeight())
+        else:
+            pole = NORTH if case == "axis" else (0.48, -0.36, 0.8)
+            w = SingularWeight.from_orders([(pole, -0.5)])
+            params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         u = random_band_limited(grid64, rng)
         step = 1e-5
         for _ in range(5):
@@ -237,3 +251,19 @@ class TestIntegratorExactness:
         by_grid = integrate(ScalarField(np.exp(u.values), grid64))
         assert exp_integral(u, SingularWeight()) == pytest.approx(
             by_grid, rel=1e-13)
+
+
+class TestIntegratorCache:
+    @pytest.mark.parametrize("pole", [None, NORTH, (0.6, 0.0, 0.8)])
+    def test_grid_freed_without_cycle_collector(self, pole):
+        """A cached integrator must not keep its grid (and tables) alive."""
+        w = SingularWeight.from_orders([] if pole is None else [(pole, -0.5)])
+        gc.disable()
+        try:
+            grid = build_grid(17, 34)
+            integrator_for(grid, w)
+            ref = weakref.ref(grid)
+            del grid
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -13,6 +13,7 @@ from sol_lab.mt_functional import (
 )
 from sol_lab.singular_geometry import SingularWeight
 from sol_lab.sphere_grid import (
+    SHCoefficients,
     ScalarField,
     dirichlet_energy,
     sh_analysis,
@@ -155,6 +156,28 @@ class TestDiagnose:
             val = cap_density_integral(state, center, r)
             # u = -log(4 pi): the density is 1/(4 pi), mass = cap area frac
             assert val == pytest.approx((1.0 - np.cos(r)) / 2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5])
+    def test_cap_density_integral_on_singular_point(self, grid16, alpha):
+        """Cap centred on the singularity, u = 0, against the closed form.
+
+        At alpha = -0.9 the radial nodes reach r ~ 1e-19, where
+        1 - <p, x> rounds to 0 unless it is taken as 2 sin^2(r/2).
+        """
+        from sol_lab.subcritical_solver import MinimizerState
+        w = SingularWeight.from_orders([(NORTH, alpha)])
+        state = MinimizerState(
+            u=ScalarField.constant(grid16, 0.0),
+            coeffs=SHCoefficients.zeros(grid16.band_limit),
+            params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w),
+            epsilon=0.5, J=0.0, residual_norm=0.0, iterations=0,
+            converged=True)
+        for r in (1e-3, 0.3, 1.0):
+            exact = (2.0 * np.pi * (np.e / 2.0) ** alpha
+                     * (2.0 * np.sin(0.5 * r) ** 2) ** (1.0 + alpha)
+                     / (1.0 + alpha))
+            val = cap_density_integral(state, np.array(NORTH), r)
+            assert val == pytest.approx(exact, rel=1e-12)
 
 
 class TestSweep:
