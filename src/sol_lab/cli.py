@@ -168,21 +168,12 @@ def validate(raw_text: str):
         errors.append(f"experiment.kind: expected one of {', '.join(KINDS)}; "
                       f"got {kind!r}")
 
-    def antipodal_axis() -> bool:
-        if not parsed_points or len(parsed_points) > 2:
-            return False
-        for p in parsed_points:
-            if abs(abs(p["position"][2]) - 1.0) > 1.0e-10:
-                return False
-        if len(parsed_points) == 2:
-            z0 = parsed_points[0]["position"][2]
-            z1 = parsed_points[1]["position"][2]
-            if z0 * z1 > 0:
-                return False
-        return True
-
+    # one pole, or both poles, of the grid axis
+    z = [p["position"][2] for p in parsed_points]
+    antipodal_axis = ((len(z) == 1 or (len(z) == 2 and z[0] * z[1] <= 0))
+                      and all(abs(abs(v) - 1.0) <= 1.0e-10 for v in z))
     if kind == "kw-check" and not experiment.get("use_extremal", False):
-        if not antipodal_axis():
+        if not antipodal_axis:
             errors.append(
                 "experiment: kw-check requires singularities at antipodal "
                 "points on the grid axis (the identity only holds in the "
@@ -408,19 +399,29 @@ def _solver_config(exp, schedule):
     )
 
 
-def _run_minimize(config, report):
+def _solve_from_zero(exp, w, grid, default_epsilon):
+    """Minimize J at rho_bar - epsilon from u = 0; raises unless converged."""
     from .mt_functional import FunctionalParams
     from .sphere_grid import ScalarField
-    from .subcritical_solver import diagnose, minimize
+    from .subcritical_solver import NonConvergedError, minimize
+
+    eps = float(exp.get("epsilon", default_epsilon))
+    cfg = _solver_config(exp, [eps])
+    params = FunctionalParams(rho=w.rho_bar - eps, weight=w)
+    state = minimize(params, cfg, ScalarField.constant(grid, 0.0), grid)
+    if not state.converged:
+        raise NonConvergedError(
+            f"residual {state.residual_norm:.3e} after "
+            f"{state.iterations} iterations")
+    return eps, cfg, params, state
+
+
+def _run_minimize(config, report):
+    from .subcritical_solver import diagnose
 
     exp = config["experiment"]
     w = _build_weight(config)
-    grid = _grid_for(config)
-    eps = float(exp.get("epsilon", 0.1))
-    cfg = _solver_config(exp, [eps])
-    cfg.init = exp.get("init", "zero")
-    params = FunctionalParams(rho=w.rho_bar - eps, weight=w)
-    state = minimize(params, cfg, ScalarField.constant(grid, 0.0), grid)
+    eps, cfg, params, state = _solve_from_zero(exp, w, _grid_for(config), 0.1)
     diag = diagnose(state, w)
     report["records"] = [dict(r) for r in state.trace]
     report["summary"] = {
@@ -430,11 +431,6 @@ def _run_minimize(config, report):
         "t_eps": diag.t_eps, "compact_case": diag.compact_case,
         "under_resolved": diag.under_resolved,
     }
-    from .subcritical_solver import NonConvergedError
-    if not state.converged:
-        raise NonConvergedError(
-            f"residual {state.residual_norm:.3e} after "
-            f"{state.iterations} iterations")
     _check(report["checks"], "converged", state.residual_norm,
            cfg.tol_factor * params.rho, state.converged)
 
@@ -509,32 +505,21 @@ def _run_profile_collapse(config, report):
 
 
 def _run_kw_check(config, report):
-    from .closed_forms import ExtremalParams, extremal_u
+    from .closed_forms import ExtremalParams, extremal_u, extremal_weight
     from .identity_checks import kazdan_warner_residual
-    from .mt_functional import FunctionalParams
-    from .sphere_grid import ScalarField
-    from .subcritical_solver import NonConvergedError, minimize
 
     exp = config["experiment"]
     w = _build_weight(config)
     grid = _grid_for(config)
     if exp.get("use_extremal", False):
         alpha = float(exp.get("alpha", -0.5))
-        from .closed_forms import extremal_weight
         w = extremal_weight(alpha)
         u = extremal_u(ExtremalParams(alpha=alpha), grid)
         rho = w.rho_bar
         tol = float(exp.get("residual_tol", 1.0e-6))
     else:
-        eps = float(exp.get("epsilon", 0.3))
-        rho = w.rho_bar - eps
-        cfg = _solver_config(exp, [eps])
-        cfg.init = exp.get("init", "zero")
-        params = FunctionalParams(rho=rho, weight=w)
-        state = minimize(params, cfg, ScalarField.constant(grid, 0.0), grid)
-        if not state.converged:
-            raise NonConvergedError("kw-check state did not converge")
-        u = state.u
+        _, _, params, state = _solve_from_zero(exp, w, grid, 0.3)
+        u, rho = state.u, params.rho
         tol = float(exp.get("residual_tol", 1.0e-3))
     rep = kazdan_warner_residual(u, rho, w)
     report["summary"] = {
@@ -550,7 +535,7 @@ def _run_test_function_sweep(config, report):
     import numpy as np
     from .closed_forms import concentration_sweep
     from .identity_checks import blowup_infimum
-    from .singular_geometry import REGULAR_PART
+    from .singular_geometry import REGULAR_PART, green
     from .sphere_grid import FOUR_PI
 
     exp = config["experiment"]
@@ -579,7 +564,6 @@ def _run_test_function_sweep(config, report):
         for sp in w.points:
             d = np.arccos(np.clip(sp.position @ p0, -1.0, 1.0))
             if d > 1.0e-12:
-                from .singular_geometry import green
                 h_tilde *= np.exp(-FOUR_PI * sp.order * green(sp.position, p0))
         limit = (np.pi * h_tilde * np.exp(-FOUR_PI * alpha * REGULAR_PART)
                  / (1.0 + alpha))
@@ -622,16 +606,13 @@ def write_traces(report: dict, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(keys) + "\n")
         for r in records:
-            row = []
-            for k in keys:
-                v = r.get(k, "")
-                if isinstance(v, bool):
-                    row.append(str(int(v)))
-                elif isinstance(v, float):
-                    row.append("%.17g" % v)
-                else:
-                    row.append(str(v))
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(_csv_cell(r.get(k, "")) for k in keys) + "\n")
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return str(int(v))
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------

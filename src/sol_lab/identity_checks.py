@@ -248,19 +248,17 @@ def kazdan_warner_residual(u: ScalarField, rho: float, w: SingularWeight,
                            rule: SingularCapRule | None = None) -> KazdanWarnerReport:
     """Residual of alpha2 - alpha1 = (2 - rho/4pi + a1 + a2) int h e^u x3.
 
-    ``u`` is normalized internally so that int h e^u = 1.  Also evaluates the
+    The moment is the ratio int h e^u x3 / int h e^u, so ``u`` need not be
+    normalized; one synthesis per quadrature block.  Also evaluates the
     vector form int grad h . grad x3 e^u - (2 - rho/4pi) int h e^u x3 with
     the same singular-cap quadrature (grad h . grad x3 has the closed form
     (a2 - a1) h - (a1 + a2) h x3 for the antipodal layout).
     """
     a1, a2 = _axis_orders(w)
     integ = integrator_for(u.grid, w, rule)
-    coeffs = sh_analysis(u)
-    coeffs = coeffs.shifted(-integ.log_exp_integral(coeffs))
-    dens, _ = integ.density_values(coeffs)
-    total = integ.integral_of(dens)
+    dens = integ.density(sh_analysis(u))
     moment = float(sum(np.sum(b.weights * d * b.points[..., 2])
-                       for b, d in zip(integ.blocks, dens)) / total)
+                       for b, d in zip(integ.blocks, dens.values)) / dens.total)
     prefactor = 2.0 - rho / FOUR_PI + a1 + a2
     poho = (a2 - a1) - prefactor * moment
     # vector form, normalized by int h e^u = 1

@@ -42,15 +42,18 @@ from .sphere_grid import (
     ScalarField,
     SHCoefficients,
     SphereGrid,
+    _degree_weights,
     _legendre_orders,
     cap_points,
     dirichlet_energy,
+    ring_points,
     sh_analysis,
     synthesis_at_angles,
 )
 from .singular_geometry import SingularWeight
 
 DEFAULT_CEILING = 700.0
+INTEGRATOR_CACHE_SIZE = 4
 
 
 class UnnormalizedBlowupError(RuntimeError):
@@ -163,19 +166,13 @@ class _ProductBlock:
     """
 
     def __init__(self, grid: SphereGrid, t: np.ndarray, t_weights: np.ndarray,
-                 extra: np.ndarray | None = None, cap: tuple | None = None):
-        w2d = (t_weights[:, None] / grid.n_phi * (2.0 * np.pi)
-               * np.ones(grid.n_phi))
-        if extra is not None:
-            w2d = w2d * extra
-        self.transform = ProductTransform(grid.band_limit, t, grid.phi, w2d)
-        self.weights = w2d
+                 cap: tuple | None = None):
+        self.weights = (t_weights[:, None] / grid.n_phi * (2.0 * np.pi)
+                        * np.ones(grid.n_phi))
+        self.transform = ProductTransform(grid.band_limit, t, grid.phi,
+                                          self.weights)
         self.cap = cap
-        st = np.sqrt(np.maximum(1.0 - t**2, 0.0))
-        self.points = np.stack(
-            [st[:, None] * np.cos(grid.phi)[None, :],
-             st[:, None] * np.sin(grid.phi)[None, :],
-             np.broadcast_to(t[:, None], w2d.shape)], axis=-1)
+        self.points = ring_points(t, grid.phi)
 
     def synthesis(self, coeffs: SHCoefficients) -> np.ndarray:
         return self.transform.synthesis_values(coeffs)
@@ -189,22 +186,17 @@ class _GridBlock(_ProductBlock):
 
     Blocks hold the grid's transform, never the grid: the grid caches its
     integrators, so a reference back would make each grid a reference cycle
-    that only the cyclic garbage collector can free.
+    that only the cyclic garbage collector can free.  Off-axis weights pass
+    a cutoff ``extra``, folded into the values analysed on the grid's rule.
     """
 
-    def __init__(self, grid: SphereGrid, extra: np.ndarray | None = None):
-        self.transform = grid.transform
-        self.cap = None
-        self.weights = grid.weights if extra is None else grid.weights * extra
-        self.points = grid.nodes
-        self._scaled = self.transform
-        if extra is not None:
-            self._scaled = ProductTransform(
-                grid.band_limit, grid.t, grid.phi,
-                grid.t_weights[:, None] / grid.n_phi * extra)
+    def __init__(self, grid: SphereGrid, extra: np.ndarray | float = 1.0):
+        self.transform, self.cap, self.points = grid.transform, None, grid.nodes
+        self.extra = extra
+        self.weights = grid.weights * extra
 
     def analysis(self, values: np.ndarray) -> SHCoefficients:
-        return self._scaled.analysis_coeffs(values)
+        return self.transform.analysis_coeffs(values * self.extra)
 
 
 class _ScatterBlock:
@@ -239,6 +231,29 @@ class _ScatterBlock:
         return out
 
 
+@dataclass(frozen=True)
+class Density:
+    """h e^u on the composite rule, from one synthesis of u per block.
+
+    ``values[b]`` is h e^{u - shift} on block b, ``total`` their weighted
+    sum (int h e^u = e^shift total) and ``peak`` max u over all nodes.
+    """
+
+    values: list
+    shift: float
+    total: float
+    peak: float
+
+    @property
+    def log_integral(self) -> float:
+        return self.shift + float(np.log(self.total))
+
+    def shifted(self, constant: float) -> Density:
+        """The record of u + constant; h e^{u - shift} is unchanged."""
+        return Density(self.values, self.shift + constant, self.total,
+                       self.peak + constant)
+
+
 class SingularIntegrator:
     """Composite quadrature for densities h e^u and their SH analysis."""
 
@@ -268,27 +283,16 @@ class SingularIntegrator:
             return [_GridBlock(grid)]
         if w.is_axis_aligned():
             blocks = []
-            north = south = None
-            for i, sp in enumerate(w.points):
-                if sp.position[2] > 0:
-                    north = (i, sp)
-                else:
-                    south = (i, sp)
-            t_hi, t_lo = 1.0, -1.0
-            if north is not None:
-                r, wr = cap_radial_rule(north[1].order, rule.cap_radius,
-                                        rule.n_radial)
-                blocks.append(_ProductBlock(grid, np.cos(r), wr,
-                                            cap=(north[0], r[:, None])))
-                t_hi = np.cos(rule.cap_radius)
-            if south is not None:
-                r, wr = cap_radial_rule(south[1].order, rule.cap_radius,
-                                        rule.n_radial)
-                blocks.append(_ProductBlock(grid, -np.cos(r), wr,
-                                            cap=(south[0], r[:, None])))
-                t_lo = -np.cos(rule.cap_radius)
-            t, tw = band_panels(t_lo, t_hi, south is not None,
-                                north is not None, grid.band_limit)
+            ends = {1.0: 1.0, -1.0: -1.0}  # band ends: the poles or cap edges
+            for i, sp in sorted(enumerate(w.points),
+                                key=lambda e: -e[1].position[2]):  # north first
+                pole = 1.0 if sp.position[2] > 0 else -1.0
+                r, wr = cap_radial_rule(sp.order, rule.cap_radius, rule.n_radial)
+                blocks.append(_ProductBlock(grid, pole * np.cos(r), wr,
+                                            cap=(i, r[:, None])))
+                ends[pole] = pole * np.cos(rule.cap_radius)
+            t, tw = band_panels(ends[-1.0], ends[1.0], ends[-1.0] != -1.0,
+                                ends[1.0] != 1.0, grid.band_limit)
             blocks.append(_ProductBlock(grid, t, tw))
             return blocks
         # general positions: smooth-cutoff splitting (documented lower accuracy)
@@ -303,35 +307,36 @@ class SingularIntegrator:
 
     # -- density machinery --------------------------------------------------
 
-    def density_values(self, coeffs: SHCoefficients):
-        """(dens_b, shift): dens_b = h e^{u - shift} per block, stable."""
-        z = [lh + b.synthesis(coeffs) for lh, b in zip(self.log_h, self.blocks)]
+    def density(self, coeffs: SHCoefficients) -> Density:
+        """h e^u on every block from one synthesis per block (see Density)."""
+        z, peak = [], -np.inf
+        for lh, b in zip(self.log_h, self.blocks):
+            u = b.synthesis(coeffs)
+            peak = max(peak, float(np.max(u)))
+            z.append(lh + u)
         shift = max(float(np.max(zb)) for zb in z)
-        return [np.exp(zb - shift) for zb in z], shift
-
-    def integral_of(self, dens) -> float:
-        return float(sum(np.sum(b.weights * d)
-                         for b, d in zip(self.blocks, dens)))
+        values = [np.exp(zb - shift) for zb in z]
+        total = float(sum(np.sum(b.weights * d)
+                          for b, d in zip(self.blocks, values)))
+        return Density(values, shift, total, peak)
 
     def log_exp_integral(self, coeffs: SHCoefficients) -> float:
-        dens, shift = self.density_values(coeffs)
-        return shift + float(np.log(self.integral_of(dens)))
+        return self.density(coeffs).log_integral
 
-    def density_projection(self, coeffs: SHCoefficients):
-        """Coefficients of h e^u and its integral, both scaled by e^{-shift}.
+    def density_projection(self, dens: Density) -> SHCoefficients:
+        """Coefficients of h e^{u - shift}: one analysis per block.
 
-        Only the ratio coeffs/integral is meaningful to callers; the common
-        scale cancels in the Euler-Lagrange term.
+        Only the ratio to ``dens.total`` is meaningful to callers; the common
+        scale e^{-shift} cancels in the Euler-Lagrange term.
         """
-        dens, shift = self.density_values(coeffs)
         total = SHCoefficients.zeros(self.band_limit)
-        for b, d in zip(self.blocks, dens):
+        for b, d in zip(self.blocks, dens.values):
             total.values += b.analysis(d).values
-        return total, self.integral_of(dens), shift
+        return total
 
-    def field_peak(self, coeffs: SHCoefficients) -> float:
+    def field_peak(self, dens: Density) -> float:
         """max of the synthesized field over all quadrature points."""
-        return max(float(np.max(b.synthesis(coeffs))) for b in self.blocks)
+        return dens.peak
 
     def smooth_integral(self, values_fn) -> float:
         """Quadrature of a pointwise closed-form integrand (no density)."""
@@ -341,12 +346,19 @@ class SingularIntegrator:
 
 def integrator_for(grid: SphereGrid, weight: SingularWeight,
                    rule: SingularCapRule | None = None) -> SingularIntegrator:
+    """The grid's integrator for (weight, rule), from a per-grid LRU cache.
+
+    Each integrator holds its blocks' Legendre tables (~200 MB at L = 256).
+    """
     rule = rule or SingularCapRule()
     key = (weight.cache_key(), rule)
-    cached = grid._integrator_cache.get(key)
+    cache = grid._integrator_cache
+    cached = cache.pop(key, None)
     if cached is None:
         cached = SingularIntegrator(grid, weight, rule)
-        grid._integrator_cache[key] = cached
+    cache[key] = cached  # the most recently used entry is last
+    if len(cache) > INTEGRATOR_CACHE_SIZE:
+        cache.popitem(last=False)
     return cached
 
 
@@ -366,9 +378,7 @@ def exp_integral(u: ScalarField, w: SingularWeight,
                  rule: SingularCapRule | None = None,
                  ceiling: float = DEFAULT_CEILING) -> float:
     """int_{S^2} h e^u with singular-cap corrected quadrature."""
-    _check_ceiling(u.values, ceiling)
-    integ = integrator_for(u.grid, w, rule)
-    return float(np.exp(integ.log_exp_integral(sh_analysis(u))))
+    return float(np.exp(log_exp_integral(u, w, rule, ceiling)))
 
 
 def log_exp_integral(u: ScalarField, w: SingularWeight,
@@ -384,33 +394,37 @@ def eval_J(u: ScalarField, params: FunctionalParams,
     """J_rho(u); invariant under u -> u + const."""
     _check_ceiling(u.values, ceiling)
     coeffs = sh_analysis(u)
-    return eval_J_coeffs(coeffs, params, u.grid)
+    integ = integrator_for(u.grid, params.weight, params.rule)
+    return eval_J_coeffs(coeffs, integ.density(coeffs), params)
 
 
-def eval_J_coeffs(coeffs: SHCoefficients, params: FunctionalParams,
-                  grid: SphereGrid) -> float:
-    integ = integrator_for(grid, params.weight, params.rule)
-    log_e = integ.log_exp_integral(coeffs)
+def eval_J_coeffs(coeffs: SHCoefficients, dens: Density,
+                  params: FunctionalParams) -> float:
+    """J_rho of the field with these coefficients and density record."""
     return (0.5 * dirichlet_energy(coeffs)
             + params.rho * coeffs.mean
-            - params.rho * (log_e - np.log(FOUR_PI)))
+            - params.rho * (dens.log_integral - np.log(FOUR_PI)))
+
+
+def density_residual(coeffs: SHCoefficients, dens: Density,
+                     integ: SingularIntegrator, rho: float) -> SHCoefficients:
+    """Spectral Euler-Lagrange residual -Delta u - rho(h e^u/E - 1/4pi).
+
+    ``dens`` may be the record of u + c for any constant c: e^c cancels.
+    """
+    proj = integ.density_projection(dens)
+    out = (_degree_weights(coeffs.band_limit)[:, None] * coeffs.values
+           - (rho / dens.total) * proj.values)
+    out[0, :] = 0.0
+    return SHCoefficients(out)
 
 
 def residual_coeffs(coeffs: SHCoefficients, params: FunctionalParams,
                     grid: SphereGrid) -> SHCoefficients:
-    """Spectral Euler-Lagrange residual -Delta u - rho(h e^u/E - 1/4pi).
-
-    The density is projected with the same composite rule that defines
-    int h e^u, so the result is the exact gradient of the discrete J and is
-    mean-free by construction.
-    """
+    """Euler-Lagrange residual of u, projected with the composite rule
+    that defines int h e^u: the exact gradient of the discrete J."""
     integ = integrator_for(grid, params.weight, params.rule)
-    proj, total, _ = integ.density_projection(coeffs)
-    L = coeffs.band_limit
-    l = np.arange(L + 1, dtype=float)
-    out = (l * (l + 1.0))[:, None] * coeffs.values - (params.rho / total) * proj.values
-    out[0, :] = 0.0
-    return SHCoefficients(out)
+    return density_residual(coeffs, integ.density(coeffs), integ, params.rho)
 
 
 def el_residual(u: ScalarField, params: FunctionalParams,

@@ -25,6 +25,7 @@ fine at desk scale (L <= 256).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,13 @@ def cap_points(center, r: np.ndarray, n_angular: int) -> np.ndarray:
     return (np.sin(rr)[..., None] * (np.cos(pp)[..., None] * e1
                                      + np.sin(pp)[..., None] * e2)
             + np.cos(rr)[..., None] * p)
+
+
+def ring_points(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit vectors at (cos theta = t_i, phi_j), shape (len(t), len(phi), 3)."""
+    st = np.sqrt(np.maximum(1.0 - t * t, 0.0))[:, None]
+    return np.stack([st * np.cos(phi), st * np.sin(phi),
+                     np.broadcast_to(t[:, None], (t.size, phi.size))], axis=-1)
 
 
 def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
@@ -185,15 +193,14 @@ class ProductTransform:
             raise BandLimitError(
                 f"coefficients have L={coeffs.band_limit}, transform expects {L}"
             )
-        Lc = coeffs.band_limit
         cc = np.zeros((L + 1, self.t.size))
         cs = np.zeros((L + 1, self.t.size))
         for m in range(L + 1):
             block = self.plm[m]
             amp = np.sqrt(2.0) if m > 0 else 1.0
-            cc[m] = amp * (c[m:, Lc + m] @ block)
+            cc[m] = amp * (c[m:, L + m] @ block)
             if m > 0:
-                cs[m] = amp * (c[m:, Lc - m] @ block)
+                cs[m] = amp * (c[m:, L - m] @ block)
         return cc.T @ self.cos_m + cs.T @ self.sin_m
 
     def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
@@ -231,7 +238,7 @@ class SphereGrid:
         self.t_weights = _colatitude_weights(tw)
         self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         self._transform: ProductTransform | None = None
-        self._integrator_cache: dict = {}
+        self._integrator_cache: OrderedDict = OrderedDict()  # see integrator_for
 
     # -- geometry -----------------------------------------------------------
 
@@ -248,11 +255,7 @@ class SphereGrid:
     @property
     def nodes(self) -> np.ndarray:
         """Unit vectors per node, shape (n_theta, n_phi, 3)."""
-        st = np.sqrt(1.0 - self.t**2)
-        x = st[:, None] * np.cos(self.phi)[None, :]
-        y = st[:, None] * np.sin(self.phi)[None, :]
-        z = np.broadcast_to(self.t[:, None], x.shape)
-        return np.stack([x, y, z], axis=-1)
+        return ring_points(self.t, self.phi)
 
     @property
     def axis(self) -> np.ndarray:
@@ -267,10 +270,8 @@ class SphereGrid:
     @property
     def transform(self) -> ProductTransform:
         if self._transform is None:
-            w2d = self.t_weights[:, None] / self.n_phi * np.ones(self.n_phi)
             self._transform = ProductTransform(
-                self.band_limit, self.t, self.phi, w2d
-            )
+                self.band_limit, self.t, self.phi, self.weights)
         return self._transform
 
     def __repr__(self) -> str:
@@ -441,20 +442,29 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
     return out.reshape(t.shape)
 
 
-def gradient_at_angles(c: SHCoefficients, t: np.ndarray, phi: np.ndarray,
-                       fd_step: float = 1.0e-5) -> np.ndarray:
-    """|grad u| at arbitrary points (t = cos colatitude, longitude phi).
+def gradient_magnitude(c: SHCoefficients, synthesis, t: np.ndarray) -> np.ndarray:
+    """|grad u| at nodes with cos theta = t, from their synthesizer S.
 
-    The longitude derivative is spectral (exact); the colatitude derivative
-    uses a central difference of the exact synthesis, which is accurate to
-    O(fd_step^2) with no sampling noise.
+    Exact: d/dphi is spectral, and sin theta dPbar_{l,m}/dtheta =
+    l t Pbar_{l,m} - N_{l,m} Pbar_{l-1,m} with N_{l,m}^2 = (2l+1)(l^2-m^2)/(2l-1)
+    gives sin theta du/dtheta = t S[l a_{l,m}] - S[N_{l+1,m} a_{l+1,m}].
     """
+    L = c.band_limit
+    l = np.arange(L + 1, dtype=float)[:, None]
+    m = np.arange(-L, L + 1, dtype=float)
+    lowered = np.zeros_like(c.values)
+    lowered[:-1] = np.sqrt((2.0 * l[1:] + 1.0) / (2.0 * l[1:] - 1.0)
+                           * np.maximum(l[1:] ** 2 - m * m, 0.0)) * c.values[1:]
+    sin_dtheta = (t * synthesis(SHCoefficients(l * c.values))
+                  - synthesis(SHCoefficients(lowered)))
+    sin2 = np.maximum(1.0 - t * t, 1.0e-300)
+    return np.sqrt((sin_dtheta**2 + synthesis(phi_derivative(c)) ** 2) / sin2)
+
+
+def gradient_at_angles(c: SHCoefficients, t: np.ndarray,
+                       phi: np.ndarray) -> np.ndarray:
+    """|grad u| at arbitrary points (t = cos colatitude, longitude phi)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    theta = np.arccos(np.clip(t, -1.0, 1.0))
-    up = synthesis_at_angles(c, np.cos(theta + fd_step), phi)
-    dn = synthesis_at_angles(c, np.cos(theta - fd_step), phi)
-    du_dtheta = (up - dn) / (2.0 * fd_step)
-    dphi = synthesis_at_angles(phi_derivative(c), t, phi)
-    sin_theta = np.sqrt(np.maximum(1.0 - t * t, 1.0e-300))
-    return np.sqrt(du_dtheta**2 + (dphi / sin_theta) ** 2)
+    return gradient_magnitude(
+        c, lambda x: synthesis_at_angles(x, t, phi), t)

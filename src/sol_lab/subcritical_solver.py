@@ -12,6 +12,14 @@ The fixed point solves the Euler-Lagrange equation; the residual used for
 the stopping test is the exact gradient of the discrete functional, so the
 backtracking line search always finds descent away from the minimizer.
 
+Each line-search trial synthesizes the candidate once per quadrature block
+(``SingularIntegrator.density``) and evaluates J from that record; J is
+shift invariant, so the candidate need not be normalized first.  The
+accepted candidate is normalized by shifting its mean, and its record is
+reused for the next step's peak and residual, which costs one analysis per
+block.  An accepted step therefore costs blocks x trials syntheses and
+blocks analyses.
+
 As eps decreases with a singular weight of negative minimal order, the
 minimizers concentrate: lambda_eps = max u grows, the concentration scale
 t_eps = exp(-lambda_eps/(2(1+alpha))) shrinks, the rescaled profile
@@ -29,15 +37,15 @@ from typing import Optional
 import numpy as np
 
 from .sphere_grid import (
-    ProductTransform,
     ScalarField,
     SHCoefficients,
     SphereGrid,
+    _degree_weights,
     cap_points,
     geodesic_distance,
     gradient_at_angles,
+    gradient_magnitude,
     integrate,
-    phi_derivative,
     sh_analysis,
     synthesis_at_points,
 )
@@ -48,6 +56,7 @@ from .mt_functional import (
     SingularCapRule,
     UnnormalizedBlowupError,
     cap_radial_rule,
+    density_residual,
     eval_J_coeffs,
     integrator_for,
 )
@@ -97,16 +106,6 @@ class MinimizerState:
     converged: bool
     trace: list = field(default_factory=list)
 
-    @property
-    def rho(self) -> float:
-        return self.params.rho
-
-
-def _normalize(coeffs: SHCoefficients, integ) -> SHCoefficients:
-    """Shift by a constant so that int h e^u = 1."""
-    log_e = integ.log_exp_integral(coeffs)
-    return coeffs.shifted(-log_e)
-
 
 def minimize(params: FunctionalParams, config: SolverConfig,
              init: ScalarField, grid: Optional[SphereGrid] = None) -> MinimizerState:
@@ -118,13 +117,18 @@ def minimize(params: FunctionalParams, config: SolverConfig,
             "out of scope")
     grid = grid or init.grid
     integ = integrator_for(grid, params.weight, params.rule)
-    L = grid.band_limit
-    lw = np.arange(L + 1, dtype=float)
-    lw = lw * (lw + 1.0)
+    lw = _degree_weights(grid.band_limit)[1:, None]
     tol = config.tol_factor * params.rho
 
-    a = _normalize(sh_analysis(init), integ)
-    J = eval_J_coeffs(a, params, grid)
+    def normalized(coeffs, dens):
+        """Shift by a constant so that int h e^u = 1."""
+        c = -dens.log_integral
+        return coeffs.shifted(c), dens.shifted(c)
+
+    a = sh_analysis(init)
+    dens = integ.density(a)
+    J = eval_J_coeffs(a, dens, params)
+    a, dens = normalized(a, dens)
     trace = []
     converged = False
     iterations = 0
@@ -133,13 +137,11 @@ def minimize(params: FunctionalParams, config: SolverConfig,
     tau = config.damping
     for it in range(config.max_iterations):
         iterations = it
-        lam = integ.field_peak(a)
+        lam = integ.field_peak(dens)
         if lam > config.ceiling:
             raise UnnormalizedBlowupError(
                 f"max(u) = {lam:.3g} exceeded the ceiling during minimization")
-        proj, total, _ = integ.density_projection(a)
-        resid = lw[:, None] * a.values - (params.rho / total) * proj.values
-        resid[0, :] = 0.0
+        resid = density_residual(a, dens, integ, params.rho).values
         rnorm = float(np.sqrt(np.sum(resid * resid)))
         trace.append({"iteration": it, "J": J, "residual": rnorm, "lambda": lam})
         if rnorm <= tol:
@@ -147,17 +149,17 @@ def minimize(params: FunctionalParams, config: SolverConfig,
             break
 
         # preconditioned direction: w solves -Delta w = rho(h e^u/E - 1/4pi)
-        direction = np.zeros_like(a.values)
-        direction[1:] = (params.rho / total) * proj.values[1:] / lw[1:, None] \
-            - a.values[1:]
+        direction = np.zeros_like(resid)
+        direction[1:] = -resid[1:] / lw
         step = tau
         accepted = False
         for _ in range(config.backtrack_max):
             cand = SHCoefficients(a.values + step * direction)
-            cand = _normalize(cand, integ)
-            J_cand = eval_J_coeffs(cand, params, grid)
+            cand_dens = integ.density(cand)
+            # J is shift invariant: the unnormalized candidate has the same J
+            J_cand = eval_J_coeffs(cand, cand_dens, params)
             if J_cand <= J + 1.0e-12:
-                a, J = cand, J_cand
+                (a, dens), J = normalized(cand, cand_dens), J_cand
                 accepted = True
                 break
             step *= 0.5
@@ -212,18 +214,10 @@ class BlowupDiagnostics:
     under_resolved: bool
 
 
-def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid,
-                            fd_step: float = 1.0e-5) -> np.ndarray:
-    """|grad u| on the grid nodes (spectral phi derivative, FD in theta)."""
-    theta = np.arccos(grid.t)
-    up = ProductTransform(grid.band_limit, np.cos(theta + fd_step), grid.phi,
-                          None).synthesis_values(coeffs)
-    dn = ProductTransform(grid.band_limit, np.cos(theta - fd_step), grid.phi,
-                          None).synthesis_values(coeffs)
-    du_dtheta = (up - dn) / (2.0 * fd_step)
-    dphi = grid.transform.synthesis_values(phi_derivative(coeffs))
-    sin_theta = np.sqrt(1.0 - grid.t**2)[:, None]
-    return np.sqrt(du_dtheta**2 + (dphi / sin_theta) ** 2)
+def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid) -> np.ndarray:
+    """|grad u| on the grid nodes (exact, see ``gradient_magnitude``)."""
+    return gradient_magnitude(coeffs, grid.transform.synthesis_values,
+                              grid.t[:, None])
 
 
 def diagnose(state: MinimizerState, w: SingularWeight,

@@ -30,3 +30,21 @@ def grid192():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def transform_counts(monkeypatch):
+    """Counts of ProductTransform syntheses and analyses made during a test."""
+    from sol_lab.sphere_grid import ProductTransform
+
+    counts = {"synthesis": 0, "analysis": 0}
+    for key, name in (("synthesis", "synthesis_values"),
+                      ("analysis", "analysis_coeffs")):
+        original = getattr(ProductTransform, name)
+
+        def counted(self, *args, _key=key, _original=original):
+            counts[_key] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ProductTransform, name, counted)
+    return counts

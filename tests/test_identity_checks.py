@@ -11,7 +11,7 @@ from sol_lab.identity_checks import (
     nonexistence_witness,
     sphere_sharp_constant,
 )
-from sol_lab.mt_functional import FunctionalParams, eval_J
+from sol_lab.mt_functional import FunctionalParams, eval_J, integrator_for
 from sol_lab.singular_geometry import SingularWeight
 from sol_lab.sphere_grid import ScalarField
 
@@ -124,12 +124,20 @@ class TestKazdanWarner:
         assert rep.prefactor == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_shift_invariance(self, grid64, rng):
-        """Internal normalization removes any additive constant."""
+        """The moment is a ratio, so any additive constant cancels."""
         w = SingularWeight.from_orders([(NORTH, -0.25)])
         u = random_band_limited(grid64, rng, amplitude=1.0)
         r1 = kazdan_warner_residual(u, w.rho_bar - 0.3, w)
         r2 = kazdan_warner_residual(u + 5.0, w.rho_bar - 0.3, w)
         assert r1.poho_residual == pytest.approx(r2.poho_residual, abs=1e-12)
+
+    def test_one_synthesis_per_block(self, grid64, rng, transform_counts):
+        w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, 0.5)])
+        u = random_band_limited(grid64, rng, amplitude=1.0)
+        blocks = len(integrator_for(grid64, w).blocks)
+        before = dict(transform_counts)
+        kazdan_warner_residual(u, w.rho_bar - 0.3, w)
+        assert transform_counts["synthesis"] - before["synthesis"] == blocks
 
     def test_converged_solution_mild_order(self, grid128):
         """Subcritical solution at alpha = -1/4: the identity holds to 1e-3."""

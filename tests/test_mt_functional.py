@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
 from sol_lab.mt_functional import (
+    INTEGRATOR_CACHE_SIZE,
     FunctionalParams,
     SingularCapRule,
     UnnormalizedBlowupError,
@@ -267,3 +268,18 @@ class TestIntegratorCache:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_cache_is_lru(self):
+        """k + 1 distinct weights keep k entries; a hit becomes most recent."""
+        grid = build_grid(17, 34)
+        k = INTEGRATOR_CACHE_SIZE
+        weights = [SingularWeight.from_orders([(NORTH, -0.05 * (i + 1))])
+                   for i in range(k + 1)]
+        first = [integrator_for(grid, w) for w in weights[:k]]
+        assert integrator_for(grid, weights[0]) is first[0]
+        integrator_for(grid, weights[k])
+        assert len(grid._integrator_cache) == k
+        assert integrator_for(grid, weights[0]) is first[0]
+        assert all(integrator_for(grid, w) is f
+                   for w, f in zip(weights[2:k], first[2:]))
+        assert integrator_for(grid, weights[1]) is not first[1]

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from sol_lab import subcritical_solver
 from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
 from sol_lab.mt_functional import (
     FunctionalParams,
+    SingularIntegrator,
     UnnormalizedBlowupError,
     eval_J,
     exp_integral,
@@ -40,6 +42,44 @@ def quick_config(*eps, **kw):
     defaults = dict(max_iterations=3000, init="zero")
     defaults.update(kw)
     return SolverConfig(epsilon_schedule=eps or (0.1,), **defaults)
+
+
+class TestTransformWork:
+    def test_one_synthesis_per_block_per_trial(self, grid64, transform_counts,
+                                               monkeypatch):
+        """A step synthesizes each line-search trial once per block and
+        analyses the accepted density once per block, nothing more."""
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
+        blocks = len(integrator_for(grid64, w).blocks)
+        marks = []  # per loop iteration: [syntheses, analyses, trials]
+        peak = SingularIntegrator.field_peak
+        J = subcritical_solver.eval_J_coeffs
+
+        def field_peak(self, *args):
+            marks.append([transform_counts["synthesis"],
+                          transform_counts["analysis"], 0])
+            return peak(self, *args)
+
+        def eval_J_coeffs(*args):
+            if not marks:
+                return J(*args)
+            marks[-1][2] += 1
+            # the solver never backtracks this early: force two rejections
+            if len(marks) in (3, 6) and marks[-1][2] <= 2:
+                return np.inf
+            return J(*args)
+
+        monkeypatch.setattr(SingularIntegrator, "field_peak", field_peak)
+        monkeypatch.setattr(subcritical_solver, "eval_J_coeffs", eval_J_coeffs)
+        state = minimize(params, quick_config(0.3, max_iterations=12),
+                         ScalarField.constant(grid64, 0.0), grid64)
+        assert state.iterations == 11 and len(marks) == 12
+        steps = [(nxt[0] - cur[0], nxt[1] - cur[1], cur[2])
+                 for cur, nxt in zip(marks, marks[1:])]
+        assert [trials for _, _, trials in steps].count(3) == 2
+        for syn, ana, trials in steps:
+            assert (syn, ana) == (blocks * trials, blocks)
 
 
 class TestMinimize:

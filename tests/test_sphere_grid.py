@@ -13,12 +13,15 @@ from sol_lab.sphere_grid import (
     build_grid,
     dirichlet_energy,
     geodesic_distance,
+    gradient_at_angles,
     integrate,
     normalized_legendre,
     sh_analysis,
     sh_synthesis,
     synthesis_at_points,
 )
+
+from sol_lab.subcritical_solver import gradient_magnitude_grid
 
 from conftest import random_band_limited
 
@@ -216,3 +219,44 @@ class TestGeodesicDistance:
         assert d == pytest.approx(geodesic_distance(q, p))
         # stays finite for nearly-parallel unit vectors with roundoff > 1
         assert geodesic_distance(p, p * (1.0 + 1e-16)) >= 0.0
+
+
+class TestGradient:
+    """|grad u| of a degree-5 polynomial field against its closed form."""
+
+    A = np.array([0.3, -0.5, 0.8])
+    B = np.array([0.9, 0.1, -0.2])
+    C = np.array([0.0, 0.6, 0.4])
+
+    def field(self, x):
+        return ((x @ self.A) ** 3 + (x @ self.B) * (x @ self.C)
+                + x[..., 2] ** 5 + x[..., 0] * x[..., 1] ** 3 * x[..., 2])
+
+    def exact_gradient(self, x):
+        X, Y, Z = x[..., 0], x[..., 1], x[..., 2]
+        g = (3.0 * (x @ self.A)[..., None] ** 2 * self.A
+             + (x @ self.C)[..., None] * self.B
+             + (x @ self.B)[..., None] * self.C
+             + np.stack([Y**3 * Z, 3.0 * X * Y**2 * Z,
+                         5.0 * Z**4 + X * Y**3], axis=-1))
+        tangent = g - np.sum(g * x, axis=-1)[..., None] * x
+        return np.linalg.norm(tangent, axis=-1)
+
+    def coeffs(self, grid):
+        c = sh_analysis(ScalarField.from_function(grid, self.field))
+        c.values[6:] = 0.0  # exactly degree 5: drop the analysis roundoff
+        return c
+
+    def test_grid(self, grid64):
+        exact = self.exact_gradient(grid64.nodes)
+        grad = gradient_magnitude_grid(self.coeffs(grid64), grid64)
+        assert np.max(np.abs(grad - exact)) <= 1e-12 * np.max(exact)
+
+    def test_angles(self, grid64, rng):
+        t = rng.uniform(-1.0, 1.0, 200)
+        phi = rng.uniform(0.0, 2.0 * np.pi, 200)
+        st_ = np.sqrt(1.0 - t * t)
+        pts = np.stack([st_ * np.cos(phi), st_ * np.sin(phi), t], axis=-1)
+        exact = self.exact_gradient(pts)
+        grad = gradient_at_angles(self.coeffs(grid64), t, phi)
+        assert np.max(np.abs(grad - exact)) <= 1e-12 * np.max(exact)
