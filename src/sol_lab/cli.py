@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -54,6 +55,9 @@ class ConfigError(ValueError):
 def _check_number(errors, obj, path, lo=None, hi=None, integer=False):
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         errors.append(f"{path}: expected a number, got {type(obj).__name__}")
+        return None
+    if isinstance(obj, float) and not math.isfinite(obj):
+        errors.append(f"{path}: expected a finite number, got {obj}")
         return None
     if integer and int(obj) != obj:
         errors.append(f"{path}: expected an integer")
@@ -108,11 +112,14 @@ def validate(raw_text: str):
             errors.append(f"{path}: expected an object")
             continue
         pos = entry.get("position")
-        if (not isinstance(pos, list) or len(pos) != 3
-                or not all(isinstance(v, (int, float)) for v in pos)):
+        if not isinstance(pos, list) or len(pos) != 3:
             errors.append(f"{path}.position: expected a 3-vector")
             continue
-        norm = sum(float(v) ** 2 for v in pos) ** 0.5
+        pos = [_check_number(errors, v, f"{path}.position[{k}]")
+               for k, v in enumerate(pos)]
+        if None in pos:
+            continue
+        norm = sum(v ** 2 for v in pos) ** 0.5
         if norm < 1.0e-12:
             errors.append(f"{path}.position: zero vector")
             continue
@@ -125,7 +132,7 @@ def validate(raw_text: str):
         if order == 0.0:
             errors.append(f"{path}.order: order must be nonzero")
             continue
-        parsed_points.append({"position": [float(v) / norm for v in pos],
+        parsed_points.append({"position": [v / norm for v in pos],
                               "order": order})
     for i in range(len(parsed_points)):
         for j in range(i + 1, len(parsed_points)):

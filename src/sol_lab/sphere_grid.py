@@ -97,41 +97,87 @@ def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def _legendre_orders(band_limit: int, t: np.ndarray):
-    """Yield (m, Pbar block) for m = 0..band_limit, one order at a time.
+# Values per degree row of a streamed group of orders.  A group has
+# max(1, LEGENDRE_BUDGET // len(t)) orders, so its three work rows take
+# 3 x 32 KiB and its blocks at most LEGENDRE_BUDGET (L + 1) values (4.2 MB at
+# L = 128).  Measured at L = 128 and 256 with one BLAS thread: rows of 8k-16k
+# values are fastest, but such a group adds 6-9 MiB to the peak RSS of an
+# L = 128 sweep (2.3 MiB at 4096).  Above 2048 points a group is one
+# order, which runs within about 15 % of a plain per-order loop.
+LEGENDRE_BUDGET = 4096
+
+
+def _legendre_orders(band_limit: int, t: np.ndarray, group: int | None = None):
+    """Yield (m, Pbar block) for m = 0..band_limit.
 
     The block has shape (band_limit + 1 - m, len(t)); row k holds degree
     l = m + k.  The normalization is the orthonormal spherical-harmonic one,
     so values stay O(sqrt(l)) and the three-term recurrence is stable far
-    beyond L = 256.  Only the current block and the sectoral seed are held.
+    beyond L = 256.
+
+    Orders are computed in groups of ``group`` consecutive orders (default
+    max(1, LEGENDRE_BUDGET // len(t))): after the sectoral seeds Pbar_{m,m}
+    and Pbar_{m+1,m}, one vectorized update per degree l advances every
+    order of the group with m <= l - 2 (Schaeffer, G^3 14, 2013).  A group's
+    blocks are views into one packed order-major array, allocated afresh per
+    group, so a streaming caller holds at most two groups.  Each entry is the
+    same float expression as in a one-order-at-a-time loop, so the values do
+    not depend on the grouping.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float).ravel()
+    L, n = band_limit, t.size
+    if group is None:
+        group = max(1, LEGENDRE_BUDGET // max(n, 1))
+    # a[l, m], b[l, m] of Pbar_{l,m} = a t Pbar_{l-1,m} + b Pbar_{l-2,m}, read
+    # where m <= l - 2: exact integer ratios, one rounded division and sqrt
+    ll, mm = np.arange(L + 1)[:, None], np.arange(L + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm * mm))
+        b = -np.sqrt((2.0 * ll + 1.0) * ((ll - 1.0) ** 2 - mm * mm)
+                     / ((2.0 * ll - 3.0) * (ll * ll - mm * mm)))
     sq = np.sqrt(np.maximum(1.0 - t * t, 0.0))
     pmm = np.full_like(t, 1.0 / np.sqrt(FOUR_PI))
-    for m in range(band_limit + 1):
-        block = np.empty((band_limit + 1 - m, t.size))
-        block[0] = pmm
-        if m < band_limit:
-            block[1] = np.sqrt(2 * m + 3.0) * t * pmm
-        for l in range(m + 2, band_limit + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = -np.sqrt(
-                (2.0 * l + 1.0)
-                * ((l - 1.0) ** 2 - m * m)
-                / ((2.0 * l - 3.0) * (l * l - m * m))
-            )
-            block[l - m] = a * t * block[l - m - 1] + b * block[l - m - 2]
-        yield m, block
-        pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
+    for m0 in range(0, L + 1, group):
+        orders = range(m0, min(m0 + group, L + 1))
+        k = len(orders)
+        sizes = [L + 1 - m for m in orders]
+        offsets = np.cumsum([0] + sizes[:-1])
+        packed = np.empty((sum(sizes), n))
+        for m, off in zip(orders, offsets):
+            packed[off] = pmm
+            if m < L:
+                packed[off + 1] = np.sqrt(2 * m + 3.0) * t * pmm
+            pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
+        # degree l - 2 and l - 1 rows of the orders already started
+        prev, cur, work = (np.empty((k, n)) for _ in range(3))
+        # rows[l, i]: packed row of (l, m0 + i)
+        rows = offsets - np.arange(m0, m0 + k) + np.arange(L + 1)[:, None]
+        for l in range(m0 + 2, L + 1):
+            j = min(k, l - 1 - m0)  # orders m0 .. m0 + j - 1 have m <= l - 2
+            if l - 2 < m0 + k:  # order l - 2 starts from its seeds
+                prev[j - 1] = packed[offsets[j - 1]]
+                cur[j - 1] = packed[offsets[j - 1] + 1]
+            w, c, p = work[:j], cur[:j], prev[:j]
+            np.multiply(a[l, m0:m0 + j, None], t, out=w)
+            np.multiply(w, c, out=w)
+            np.multiply(b[l, m0:m0 + j, None], p, out=p)
+            np.add(w, p, out=p)  # Pbar_{l,m}, in the degree l - 2 rows
+            packed[rows[l, :j]] = p
+            prev, cur = cur, prev
+        for m, off, size in zip(orders, offsets, sizes):
+            yield m, packed[off:off + size]
 
 
 def normalized_legendre(band_limit: int, t: np.ndarray) -> list[np.ndarray]:
     """Fully normalized associated Legendre functions Pbar_{l,m}(t).
 
     Returns one array per order m (0 <= m <= band_limit) of shape
-    (band_limit + 1 - m, len(t)); row k holds degree l = m + k.
+    (band_limit + 1 - m, len(t)); row k holds degree l = m + k.  The whole
+    table is kept, so all orders are advanced as one group: the blocks are
+    views into one packed array of (L+1)(L+2)/2 rows.
     """
-    return [block for _, block in _legendre_orders(band_limit, t)]
+    return [block for _, block in
+            _legendre_orders(band_limit, t, group=band_limit + 1)]
 
 
 @dataclass
@@ -415,10 +461,10 @@ def phi_derivative(c: SHCoefficients) -> SHCoefficients:
 def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
     """Evaluate a band-limited field at arbitrary unit vectors.
 
-    Runs the Legendre recurrence one order at a time, so no table over all
-    orders is stored: memory is O((L+1) * len(points)) for the current
-    order's block.  Exact for band-limited fields.  Accepts any leading
-    shape (..., 3).
+    Streams the Legendre recurrence in groups of orders, so no table over
+    all orders is stored: memory is O((L+1) * max(len(points),
+    LEGENDRE_BUDGET)) for the current groups' blocks.  Exact for
+    band-limited fields.  Accepts any leading shape (..., 3).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.clip(pts[..., 2], -1.0, 1.0)

@@ -110,6 +110,46 @@ class TestRun:
         assert g1[0] != g2[0]
 
 
+def _point(position, order=-0.5):
+    return {"weight": {"points": [{"position": position, "order": order}]}}
+
+
+# json.loads accepts NaN and Infinity; each must be a config error (exit 2),
+# neither a traceback nor a silently accepted value
+NON_FINITE = {
+    "n_theta-inf": ("grid.n_theta",
+                    {"grid": {"n_theta": float("inf"), "n_phi": 66}}),
+    "n_theta-nan": ("grid.n_theta",
+                    {"grid": {"n_theta": float("nan"), "n_phi": 66}}),
+    "seed-inf": ("seed", {"seed": float("inf")}),
+    "order-nan": ("weight.points[0].order",
+                  _point([0, 0, 1], order=float("nan"))),
+    "position-nan": ("weight.points[0].position[1]",
+                     _point([0, float("nan"), 1])),
+    "position-inf": ("weight.points[0].position[2]",
+                     _point([0, 0, float("-inf")])),
+}
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("path, override", NON_FINITE.values(),
+                             ids=NON_FINITE.keys())
+    def test_validate_rejects(self, path, override):
+        config, errors = validate(config_text(**override))
+        assert config is None
+        assert any(e.startswith(f"{path}: expected a finite number")
+                   for e in errors), errors
+
+    @pytest.mark.parametrize("path, override", NON_FINITE.values(),
+                             ids=NON_FINITE.keys())
+    def test_main_exits_2(self, path, override, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text(**override))
+        assert main(["constants", "--config", str(cfg)]) == 2
+        assert f"config error: {path}: expected a finite number" in \
+            capsys.readouterr().err
+
+
 class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,12 +1,17 @@
 """Grid construction, quadrature exactness, and transform round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import sph_legendre_p
+
 from sol_lab.sphere_grid import (
     FOUR_PI,
+    LEGENDRE_BUDGET,
     BandLimitError,
     SHCoefficients,
     ScalarField,
@@ -18,7 +23,9 @@ from sol_lab.sphere_grid import (
     normalized_legendre,
     sh_analysis,
     sh_synthesis,
+    synthesis_at_angles,
     synthesis_at_points,
+    _legendre_orders,
 )
 
 from sol_lab.subcritical_solver import gradient_magnitude_grid
@@ -173,6 +180,73 @@ class TestLegendreStability:
                 # integral of 2 cos^2(m phi) (m > 0) equals that of 1 (m = 0)
                 norm = 2.0 * np.pi * np.sum(w * row * row)
                 assert norm == pytest.approx(1.0, rel=1e-11)
+
+
+def reference_legendre_orders(band_limit, t):
+    """The one-order-at-a-time recurrence: the reference for the grouped one."""
+    sq = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    pmm = np.full_like(t, 1.0 / np.sqrt(FOUR_PI))
+    for m in range(band_limit + 1):
+        block = np.empty((band_limit + 1 - m, t.size))
+        block[0] = pmm
+        if m < band_limit:
+            block[1] = np.sqrt(2 * m + 3.0) * t * pmm
+        for l in range(m + 2, band_limit + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = -np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
+                         / ((2.0 * l - 3.0) * (l * l - m * m)))
+            block[l - m] = a * t * block[l - m - 1] + b * block[l - m - 2]
+        yield m, block
+        pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
+
+
+class TestGroupedLegendre:
+    """The recurrence advanced over groups of orders, degree by degree."""
+
+    def test_matches_scipy(self):
+        """Independent oracle: Pbar_{l,m} = (-1)^m sph_legendre_p(l, m, theta)."""
+        theta = np.linspace(0.0, np.pi, 50)
+        table = normalized_legendre(64, np.cos(theta))
+        for m, block in enumerate(table):
+            l = np.arange(m, 65)[:, None]
+            expected = (-1.0) ** m * sph_legendre_p(l, m, theta)
+            assert np.max(np.abs(block - expected)) <= 1e-12, m
+
+    # point counts giving several orders per group, every order in one
+    # group, and one order per group
+    @pytest.mark.parametrize("n_points", [LEGENDRE_BUDGET // 5, 3,
+                                          LEGENDRE_BUDGET + 1])
+    @pytest.mark.parametrize("band_limit", [0, 1, 2, 33])
+    def test_bit_identical_to_per_order_loop(self, band_limit, n_points):
+        t = np.random.default_rng(band_limit).uniform(-1.0, 1.0, n_points)
+        t[:3] = [-1.0, 0.0, 1.0]
+        expected = list(reference_legendre_orders(band_limit, t))
+        for got in (list(_legendre_orders(band_limit, t)),
+                    list(enumerate(normalized_legendre(band_limit, t)))):
+            assert [m for m, _ in got] == list(range(band_limit + 1))
+            for (_, want), (_, block) in zip(expected, got):
+                assert np.array_equal(block, want)
+
+    def test_large_point_sets_stream(self):
+        """Memory stays O((L+1) len(t)): at most two groups are alive.
+
+        A group holds at most max(1, LEGENDRE_BUDGET // n) orders, so at most
+        max(LEGENDRE_BUDGET, n) (L + 1) values; the full triangle at L = 128
+        on 50,000 points would be 3.4 GB.
+        """
+        L, n = 128, 50_000
+        rng = np.random.default_rng(3)
+        c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
+        t = rng.uniform(-1.0, 1.0, n)
+        phi = rng.uniform(0.0, 2.0 * np.pi, n)
+        group_bytes = max(LEGENDRE_BUDGET, n) * (L + 1) * 8
+        tracemalloc.start()
+        try:
+            synthesis_at_angles(c, t, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * group_bytes + 32 * n * 8, peak
 
 
 class TestDirichletEnergy:
