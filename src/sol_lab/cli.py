@@ -52,7 +52,12 @@ class ConfigError(ValueError):
 # validation
 # ---------------------------------------------------------------------------
 
-def _check_number(errors, obj, path, lo=None, hi=None, integer=False):
+def _check_number(errors, obj, path, lo=None, hi=None, integer=False,
+                  gt=None, lt=None):
+    """The number at ``path`` if it lies in range, else None and an error.
+
+    ``lo`` and ``hi`` are inclusive bounds, ``gt`` and ``lt`` strict ones.
+    """
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         errors.append(f"{path}: expected a number, got {type(obj).__name__}")
         return None
@@ -68,7 +73,47 @@ def _check_number(errors, obj, path, lo=None, hi=None, integer=False):
     if hi is not None and obj > hi:
         errors.append(f"{path}: must be <= {hi}, got {obj}")
         return None
+    if gt is not None and not obj > gt:
+        errors.append(f"{path}: must be > {gt}, got {obj}")
+        return None
+    if lt is not None and not obj < lt:
+        errors.append(f"{path}: must be < {lt:.6g}, got {obj}")
+        return None
     return int(obj) if integer else float(obj)
+
+
+def _experiment_numbers(rho_bar: float) -> dict:
+    """kind -> {name: range} for every number its runner reads from the
+    "experiment" section, as keyword arguments of ``_check_number``;
+    ``list`` marks a list of such numbers.  A number left out takes its
+    default, which lies in range.  ``epsilon`` keeps rho = rho_bar - epsilon
+    positive."""
+    tol = {"lo": 0.0}
+    eps = {"gt": 0.0, "lt": rho_bar}
+    solver = {"max_iterations": {"lo": 1, "integer": True},
+              "damping": {"gt": 0.0, "hi": 1.0},
+              "tol_factor": {"gt": 0.0},
+              "init_epsilon": {"gt": 0.0, "lt": 1.0}}
+    extremal_alpha = {"gt": -1.0, "lt": 0.0}
+    return {
+        "constants": {"consistency_tol": tol},
+        "verify-extremal": {"alpha": extremal_alpha, "lambda": {"gt": 0.0},
+                            "c": {}, "rel_tol": tol, "invariance_tol": tol},
+        "inequality-sample": {"samples": {"lo": 1, "integer": True},
+                              "constant": {}, "gap_floor": {},
+                              "family_dilations": {"gt": 0.0, "list": True},
+                              "family_tol": tol},
+        "minimize": {"epsilon": eps, **solver},
+        "sweep": {"epsilons": {**eps, "list": True}, **solver,
+                  "cap_mass_rel_tol": tol, "extrapolation_rel_tol": tol},
+        "kw-check": {"alpha": extremal_alpha, "epsilon": eps, **solver,
+                     "residual_tol": tol},
+        "profile-collapse": {"epsilons": {**eps, "list": True}, **solver,
+                             "noise": {"lo": 0.0}},
+        "test-function-sweep": {"epsilons": {"gt": 0.0, "lt": 1.0,
+                                             "list": True},
+                                "upper_gap_tol": tol, "exp_tol": tol},
+    }
 
 
 def validate(raw_text: str):
@@ -119,7 +164,7 @@ def validate(raw_text: str):
                for k, v in enumerate(pos)]
         if None in pos:
             continue
-        norm = sum(v ** 2 for v in pos) ** 0.5
+        norm = math.hypot(*pos)
         if norm < 1.0e-12:
             errors.append(f"{path}.position: zero vector")
             continue
@@ -185,24 +230,24 @@ def validate(raw_text: str):
                 "experiment: kw-check requires singularities at antipodal "
                 "points on the grid axis (the identity only holds in the "
                 "axis direction for antipodal pairs)")
-    if kind in ("sweep", "profile-collapse", "minimize"):
-        rho_bar = 8.0 * 3.141592653589793 * (
-            1.0 + min(0.0, min((p["order"] for p in parsed_points),
-                               default=0.0)))
-        for i, e in enumerate(experiment.get("epsilons", [])):
-            v = _check_number(errors, e, f"experiment.epsilons[{i}]", lo=0.0)
-            if v is not None and v >= rho_bar:
-                errors.append(f"experiment.epsilons[{i}]: must be below "
-                              f"rho_bar = {rho_bar:.6g}")
+    rho_bar = 8.0 * math.pi * (1.0 + min(
+        0.0, min((p["order"] for p in parsed_points), default=0.0)))
+    for name, spec in _experiment_numbers(rho_bar).get(kind, {}).items():
+        if name not in experiment:
+            continue
+        path, value, spec = f"experiment.{name}", experiment[name], dict(spec)
+        if not spec.pop("list", False):
+            _check_number(errors, value, path, **spec)
+        elif not isinstance(value, list):
+            errors.append(f"{path}: expected a list")
+        else:
+            for i, v in enumerate(value):
+                _check_number(errors, v, f"{path}[{i}]", **spec)
+    if kind in ("sweep", "profile-collapse"):
         eps_list = [e for e in experiment.get("epsilons", [])
                     if isinstance(e, (int, float))]
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             errors.append("experiment.epsilons: must be strictly decreasing")
-    if kind == "verify-extremal":
-        a = experiment.get("alpha", -0.5)
-        v = _check_number(errors, a, "experiment.alpha")
-        if v is not None and not (-1.0 < v < 0.0):
-            errors.append("experiment.alpha: must lie in (-1, 0)")
 
     seed = _check_number(errors, data.get("seed", 0), "seed", integer=True)
 

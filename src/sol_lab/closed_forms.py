@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .sphere_grid import (
     FOUR_PI,
@@ -202,6 +201,7 @@ def planar_bubble(r, c_p: float, alpha: float):
 
 def planar_bubble_mass(c_p: float, alpha: float) -> float:
     """int_{R^2} c_p |x|^{2 alpha} e^{phi0} dx by radial quadrature (= 1)."""
+    from scipy.integrate import quad
     beta = np.pi * c_p / (1.0 + alpha)
     r_star = beta ** (-1.0 / (2.0 * (1.0 + alpha)))
 
@@ -250,6 +250,7 @@ def planar_liouville_residual(r_values, c_p: float, alpha: float) -> np.ndarray:
 
 def log_one_plus_s_integral() -> float:
     """int_0^infty log(1+s)/(1+s)^2 ds by adaptive quadrature (= 1)."""
+    from scipy.integrate import quad
     val, _ = quad(lambda s: np.log1p(s) / (1.0 + s) ** 2, 0.0, np.inf,
                   **_QUAD_OPTS)
     return val
@@ -356,6 +357,8 @@ def concentration_functional(params: ConcentrationParams) -> dict:
     the concentration point, which makes all three terms of the functional
     zonal.  Accurate at any epsilon, far beyond grid resolution.
     """
+    from scipy.integrate import quad
+
     w = params.weight
     a = params.alpha
     eps = params.epsilon

@@ -43,7 +43,7 @@ from .singular_geometry import (
     SingularWeight,
     green,
 )
-from .mt_functional import SingularCapRule, integrator_for
+from .mt_functional import SingularCapRule, integrator_for, is_zonal
 
 _ANTIPODAL_TOL = 1.0e-10
 
@@ -252,10 +252,11 @@ def kazdan_warner_residual(u: ScalarField, rho: float, w: SingularWeight,
     normalized; one synthesis per quadrature block.  Also evaluates the
     vector form int grad h . grad x3 e^u - (2 - rho/4pi) int h e^u x3 with
     the same singular-cap quadrature (grad h . grad x3 has the closed form
-    (a2 - a1) h - (a1 + a2) h x3 for the antipodal layout).
+    (a2 - a1) h - (a1 + a2) h x3 for the antipodal layout).  An ``is_zonal``
+    field and weight use the zonal integrator.
     """
     a1, a2 = _axis_orders(w)
-    integ = integrator_for(u.grid, w, rule)
+    integ = integrator_for(u.grid, w, rule, is_zonal(u.grid, w, u.values))
     dens = integ.density(sh_analysis(u))
     moment = float(sum(np.sum(b.weights * d * b.points[..., 2])
                        for b, d in zip(integ.blocks, dens.values)) / dens.total)

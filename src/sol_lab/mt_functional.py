@@ -26,6 +26,11 @@ transform.  Off-axis points fall back to a smooth-cutoff variant whose
 accuracy is limited by the grid resolution of the cutoff (roughly 1e-4);
 all sharp-constant paths use the axis-aligned configuration.
 
+When ``is_zonal`` finds h e^u exactly invariant under rotation about the
+grid axis, the same blocks are built as zonal product rules: orders m = 0
+only and one longitude per ring carrying the ring's whole weight, so a
+transform costs O(L n_t) instead of O(L^2 n_t + L n_t n_phi).
+
 Everything is evaluated through log h + u, with a global shift before
 exponentiation, so strongly concentrated fields cannot overflow.
 """
@@ -163,16 +168,19 @@ class _ProductBlock:
 
     ``cap`` marks a polar cap block: (center index into the weight's point
     list, exact radial distances), passed to ``SingularWeight.log_weight``.
+    A ``zonal`` block transforms order m = 0 only, on one longitude that
+    carries the whole ring weight 2 pi t_weights.
     """
 
     def __init__(self, grid: SphereGrid, t: np.ndarray, t_weights: np.ndarray,
-                 cap: tuple | None = None):
-        self.weights = (t_weights[:, None] / grid.n_phi * (2.0 * np.pi)
-                        * np.ones(grid.n_phi))
-        self.transform = ProductTransform(grid.band_limit, t, grid.phi,
-                                          self.weights)
+                 cap: tuple | None = None, zonal: bool = False):
+        phi = np.zeros(1) if zonal else grid.phi
+        self.weights = (t_weights[:, None] / phi.size * (2.0 * np.pi)
+                        * np.ones(phi.size))
+        self.transform = ProductTransform(grid.band_limit, t, phi,
+                                          self.weights, 0 if zonal else None)
         self.cap = cap
-        self.points = ring_points(t, grid.phi)
+        self.points = ring_points(t, phi)
 
     def synthesis(self, coeffs: SHCoefficients) -> np.ndarray:
         return self.transform.synthesis_values(coeffs)
@@ -255,13 +263,22 @@ class Density:
 
 
 class SingularIntegrator:
-    """Composite quadrature for densities h e^u and their SH analysis."""
+    """Composite quadrature for densities h e^u and their SH analysis.
+
+    A ``zonal`` integrator (axis-aligned weights only) synthesizes and
+    analyses the m = 0 column alone: exact for fields and weights that are
+    invariant under rotation about the grid axis (see ``is_zonal``).
+    """
 
     def __init__(self, grid: SphereGrid, weight: SingularWeight,
-                 rule: SingularCapRule | None = None):
+                 rule: SingularCapRule | None = None, zonal: bool = False):
         self.band_limit = grid.band_limit
         self.weight = weight
         self.rule = rule or SingularCapRule()
+        self.zonal = zonal
+        if zonal and not weight.is_axis_aligned():
+            raise ValueError("a zonal integrator needs singular points on "
+                             "the grid axis")
         self._validate_caps()
         self.blocks = self._build_blocks(grid)
         self.log_h = [weight.log_weight(b.points, cap=b.cap)
@@ -278,8 +295,11 @@ class SingularIntegrator:
                         "separate the singular points")
 
     def _build_blocks(self, grid: SphereGrid):
-        rule, w = self.rule, self.weight
+        rule, w, zonal = self.rule, self.weight, self.zonal
         if not w.points:
+            if zonal:  # the grid's own ring rule, on one longitude
+                ring = grid.t_weights / (2.0 * np.pi)
+                return [_ProductBlock(grid, grid.t, ring, zonal=True)]
             return [_GridBlock(grid)]
         if w.is_axis_aligned():
             blocks = []
@@ -289,11 +309,11 @@ class SingularIntegrator:
                 pole = 1.0 if sp.position[2] > 0 else -1.0
                 r, wr = cap_radial_rule(sp.order, rule.cap_radius, rule.n_radial)
                 blocks.append(_ProductBlock(grid, pole * np.cos(r), wr,
-                                            cap=(i, r[:, None])))
+                                            cap=(i, r[:, None]), zonal=zonal))
                 ends[pole] = pole * np.cos(rule.cap_radius)
             t, tw = band_panels(ends[-1.0], ends[1.0], ends[-1.0] != -1.0,
                                 ends[1.0] != 1.0, grid.band_limit)
-            blocks.append(_ProductBlock(grid, t, tw))
+            blocks.append(_ProductBlock(grid, t, tw, zonal=zonal))
             return blocks
         # general positions: smooth-cutoff splitting (documented lower accuracy)
         extra = np.ones((grid.n_theta, grid.n_phi))
@@ -345,21 +365,40 @@ class SingularIntegrator:
 
 
 def integrator_for(grid: SphereGrid, weight: SingularWeight,
-                   rule: SingularCapRule | None = None) -> SingularIntegrator:
-    """The grid's integrator for (weight, rule), from a per-grid LRU cache.
+                   rule: SingularCapRule | None = None,
+                   zonal: bool = False) -> SingularIntegrator:
+    """The grid's integrator for (weight, rule, zonal), from a per-grid LRU
+    cache.
 
-    Each integrator holds its blocks' Legendre tables (~200 MB at L = 256).
+    Each integrator holds its blocks' Legendre tables (~200 MB at L = 256;
+    a zonal one holds the m = 0 rows only).
     """
     rule = rule or SingularCapRule()
-    key = (weight.cache_key(), rule)
+    key = (weight.cache_key(), rule, zonal)
     cache = grid._integrator_cache
     cached = cache.pop(key, None)
     if cached is None:
-        cached = SingularIntegrator(grid, weight, rule)
+        cached = SingularIntegrator(grid, weight, rule, zonal)
     cache[key] = cached  # the most recently used entry is last
     if len(cache) > INTEGRATOR_CACHE_SIZE:
         cache.popitem(last=False)
     return cached
+
+
+def is_zonal(grid: SphereGrid, weight: SingularWeight,
+             values: np.ndarray) -> bool:
+    """True when h e^u on the grid is exactly invariant about the grid axis.
+
+    Decided from what is observed, never assumed: the singular points lie
+    on the axis, the field values (shape (n_theta, n_phi)) are exactly
+    constant along every grid ring, and so is log h on the grid nodes (true
+    for K == 1 and for a zonal K, false for a point 1e-6 off the pole).
+    Then J_rho, its gradient and the moments about the axis live in the
+    m = 0 subspace, and a zonal integrator computes them exactly.
+    """
+    return (weight.is_axis_aligned()
+            and not np.ptp(values, axis=1).any()
+            and not np.ptp(weight.log_weight(grid.nodes), axis=1).any())
 
 
 # ---------------------------------------------------------------------------

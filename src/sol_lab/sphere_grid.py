@@ -20,10 +20,18 @@ The real harmonic convention is orthonormal on the sphere:
 where Pbar includes the full normalization (Pbar_{0,0} = 1/sqrt(4 pi)).
 Transforms are dense per-order matrix products, O(L^3) overall, which is
 fine at desk scale (L <= 256).
+
+A ``ProductTransform`` may stop at an order limit m_max.  The zonal path
+uses m_max = 0 on one longitude per ring: a synthesis or analysis is then
+one (L+1) x n_t matrix-vector product, O(L n_t) instead of the
+O(L^2 n_t + L n_t n_phi) of all orders and the Fourier step.  It is taken
+only where ``mt_functional.is_zonal`` observes exact symmetry about the
+grid axis.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -168,16 +176,19 @@ def _legendre_orders(band_limit: int, t: np.ndarray, group: int | None = None):
             yield m, packed[off:off + size]
 
 
-def normalized_legendre(band_limit: int, t: np.ndarray) -> list[np.ndarray]:
+def normalized_legendre(band_limit: int, t: np.ndarray,
+                        m_max: int | None = None) -> list[np.ndarray]:
     """Fully normalized associated Legendre functions Pbar_{l,m}(t).
 
-    Returns one array per order m (0 <= m <= band_limit) of shape
-    (band_limit + 1 - m, len(t)); row k holds degree l = m + k.  The whole
-    table is kept, so all orders are advanced as one group: the blocks are
-    views into one packed array of (L+1)(L+2)/2 rows.
+    Returns one array per order m (0 <= m <= m_max, default band_limit) of
+    shape (band_limit + 1 - m, len(t)); row k holds degree l = m + k.  The
+    whole table is kept, so its orders are advanced as one group, the first
+    group of the recurrence: the blocks are views into one packed array, of
+    (L+1)(L+2)/2 rows when m_max = L and L+1 rows when m_max = 0.
     """
-    return [block for _, block in
-            _legendre_orders(band_limit, t, group=band_limit + 1)]
+    m_max = band_limit if m_max is None else m_max
+    orders = _legendre_orders(band_limit, t, group=m_max + 1)
+    return [block for _, block in itertools.islice(orders, m_max + 1)]
 
 
 @dataclass
@@ -202,6 +213,12 @@ class SHCoefficients:
         """Mean of the synthesized field: a_{0,0} / sqrt(4 pi)."""
         return float(self.values[0, self.band_limit] / np.sqrt(FOUR_PI))
 
+    def zonal_part(self) -> "SHCoefficients":
+        """The m = 0 column alone: the field's average about the grid axis."""
+        out = SHCoefficients.zeros(self.band_limit)
+        out.values[:, self.band_limit] = self.values[:, self.band_limit]
+        return out
+
     def shifted(self, constant: float) -> "SHCoefficients":
         out = self.copy()
         out.values[0, self.band_limit] += constant * np.sqrt(FOUR_PI)
@@ -216,32 +233,38 @@ def _degree_weights(band_limit: int) -> np.ndarray:
 class ProductTransform:
     """Spherical-harmonic analysis/synthesis on a product node set.
 
-    The node set is {(t_i, phi_j)} with arbitrary colatitude nodes t and the
-    uniform longitude set of the parent grid.  ``weights`` are the full
-    steradian weights per node (may include pointwise cutoff factors).
+    The node set is {(t_i, phi_j)} with arbitrary colatitude nodes t and
+    uniform longitudes phi.  ``weights`` are the full steradian weights per
+    node (may include pointwise cutoff factors).
+
+    Only orders m <= ``m_max`` (default the band limit) are transformed:
+    synthesis reads, and analysis writes, those columns alone.  With
+    m_max = 0 the transform is exact for zonal fields, and one longitude
+    carrying the whole ring weight is then a complete longitude rule.
     """
 
     def __init__(self, band_limit: int, t: np.ndarray, phi: np.ndarray,
-                 weights_2d: np.ndarray | None):
+                 weights_2d: np.ndarray | None, m_max: int | None = None):
         self.band_limit = band_limit
+        self.m_max = band_limit if m_max is None else m_max
         self.t = np.asarray(t, dtype=float)
         self.phi = np.asarray(phi, dtype=float)
         self.weights = weights_2d
-        self.plm = normalized_legendre(band_limit, self.t)
-        m = np.arange(band_limit + 1)[:, None]
+        self.plm = normalized_legendre(band_limit, self.t, self.m_max)
+        m = np.arange(self.m_max + 1)[:, None]
         self.cos_m = np.cos(m * self.phi[None, :])
         self.sin_m = np.sin(m * self.phi[None, :])
 
     def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
-        L = self.band_limit
+        L, M = self.band_limit, self.m_max
         c = coeffs.values
         if coeffs.band_limit != L:
             raise BandLimitError(
                 f"coefficients have L={coeffs.band_limit}, transform expects {L}"
             )
-        cc = np.zeros((L + 1, self.t.size))
-        cs = np.zeros((L + 1, self.t.size))
-        for m in range(L + 1):
+        cc = np.zeros((M + 1, self.t.size))
+        cs = np.zeros((M + 1, self.t.size))
+        for m in range(M + 1):
             block = self.plm[m]
             amp = np.sqrt(2.0) if m > 0 else 1.0
             cc[m] = amp * (c[m:, L + m] @ block)
@@ -258,7 +281,7 @@ class ProductTransform:
         fc = w @ self.cos_m.T
         fs = w @ self.sin_m.T
         out = np.zeros((L + 1, 2 * L + 1))
-        for m in range(L + 1):
+        for m in range(self.m_max + 1):
             block = self.plm[m]
             amp = np.sqrt(2.0) if m > 0 else 1.0
             out[m:, L + m] = amp * (block @ fc[:, m])

@@ -20,6 +20,16 @@ reused for the next step's peak and residual, which costs one analysis per
 block.  An accepted step therefore costs blocks x trials syntheses and
 blocks analyses.
 
+Axis-symmetric problems are solved in the m = 0 subspace.  When
+``is_zonal`` holds for the initial field -- every singular point on the
+grid axis, log h exactly constant along every grid ring, and the field
+exactly ring-constant -- J and its gradient commute with rotations about
+the axis, so every iterate stays zonal.  The solver then drops the m != 0
+analysis roundoff of its initial coefficients and uses the zonal
+integrator: each transform is one (L+1) x n_t product per block, O(L n_t),
+against O(L^2 n_t + L n_t n_phi) for all orders.  Any other input takes the
+full path, unchanged.
+
 As eps decreases with a singular weight of negative minimal order, the
 minimizers concentrate: lambda_eps = max u grows, the concentration scale
 t_eps = exp(-lambda_eps/(2(1+alpha))) shrinks, the rescaled profile
@@ -59,6 +69,7 @@ from .mt_functional import (
     density_residual,
     eval_J_coeffs,
     integrator_for,
+    is_zonal,
 )
 from .closed_forms import (ConcentrationParams, concentration_field,
                            planar_bubble)
@@ -116,7 +127,8 @@ def minimize(params: FunctionalParams, config: SolverConfig,
             f"{params.weight.rho_bar:.6g}; supercritical minimization is "
             "out of scope")
     grid = grid or init.grid
-    integ = integrator_for(grid, params.weight, params.rule)
+    zonal = is_zonal(grid, params.weight, init.values)
+    integ = integrator_for(grid, params.weight, params.rule, zonal)
     lw = _degree_weights(grid.band_limit)[1:, None]
     tol = config.tol_factor * params.rho
 
@@ -126,6 +138,8 @@ def minimize(params: FunctionalParams, config: SolverConfig,
         return coeffs.shifted(c), dens.shifted(c)
 
     a = sh_analysis(init)
+    if zonal:  # its m != 0 columns hold analysis roundoff only
+        a = a.zonal_part()
     dens = integ.density(a)
     J = eval_J_coeffs(a, dens, params)
     a, dens = normalized(a, dens)
@@ -260,7 +274,8 @@ def diagnose(state: MinimizerState, w: SingularWeight,
                 state, center, key)
         else:
             # the "cap" covers the sphere: mass is rho * int h e^u
-            integ = integrator_for(grid, w, state.params.rule)
+            integ = integrator_for(grid, w, state.params.rule,
+                                   is_zonal(grid, w, vals))
             cap_masses[key] = state.params.rho * float(
                 np.exp(integ.log_exp_integral(state.coeffs)))
 

@@ -150,6 +150,52 @@ class TestNonFinite:
             capsys.readouterr().err
 
 
+NAN = float("nan")
+
+# numbers the runners read from the experiment section, out of range:
+# (kind, experiment fields, expected error); each must exit 2
+BAD_NUMBERS = {
+    "samples-nan": ("inequality-sample", {"samples": NAN},
+                    "experiment.samples: expected a finite number"),
+    "constant-nan": ("inequality-sample", {"samples": 2, "constant": NAN},
+                     "experiment.constant: expected a finite number"),
+    "gap_floor-nan": ("inequality-sample", {"samples": 2, "gap_floor": NAN},
+                      "experiment.gap_floor: expected a finite number"),
+    "max_iterations-fraction": ("minimize", {"max_iterations": 2.5},
+                                "experiment.max_iterations: expected an "
+                                "integer"),
+    "damping-zero": ("minimize", {"damping": 0.0},
+                     "experiment.damping: must be > 0.0"),
+    "epsilon-above-rho_bar": ("minimize", {"epsilon": 20.0},
+                              "experiment.epsilon: must be < 12.5664"),
+    "epsilons-zero": ("sweep", {"epsilons": [0.5, 0.0]},
+                      "experiment.epsilons[1]: must be > 0.0"),
+    "residual_tol-nan": ("kw-check", {"epsilon": 0.5, "residual_tol": NAN},
+                         "experiment.residual_tol: expected a finite number"),
+    "lambda-negative": ("verify-extremal", {"lambda": -1.0},
+                        "experiment.lambda: must be > 0.0"),
+    "test-function-epsilons": ("test-function-sweep",
+                               {"epsilons": [1e-2, 2.0]},
+                               "experiment.epsilons[1]: must be < 1"),
+}
+
+
+class TestExperimentNumbers:
+    @pytest.mark.parametrize("kind, fields, message", BAD_NUMBERS.values(),
+                             ids=BAD_NUMBERS.keys())
+    def test_main_exits_2(self, kind, fields, message, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text(experiment={"kind": kind, **fields}))
+        assert main([kind, "--config", str(cfg)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_large_position_normalizes(self):
+        """A finite position of any size normalizes without overflow."""
+        config, errors = validate(config_text(**_point([0, 0, 1e200])))
+        assert not errors
+        assert config["weight"]["points"][0]["position"] == [0.0, 0.0, 1.0]
+
+
 class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,10 +1,15 @@
 """Stereographic projection, extremal family, bubble, test functions."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sol_lab
 from sol_lab.closed_forms import (
     ExtremalParams,
     conformal_pullback,
@@ -254,3 +259,22 @@ class TestTestFunctions:
 def test_fine_integral_oracle():
     """int_0^inf log(1+s)/(1+s)^2 ds = 1 underpins the extremal value."""
     assert log_one_plus_s_integral() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestLazyScipy:
+    def test_solver_modules_load_no_scipy(self):
+        """scipy.integrate loads inside the quadratures that call it, so a
+        solve that never integrates radially does not pay its import."""
+        script = ("import sys\n"
+                  "import sol_lab.cli, sol_lab.closed_forms, "
+                  "sol_lab.identity_checks, sol_lab.subcritical_solver\n"
+                  "print(sorted(m for m in sys.modules if "
+                  "m.split('.')[0] == 'scipy'))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sol_lab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True).stdout.splitlines()
+        assert out == ["[]"]

@@ -3,20 +3,23 @@
 import numpy as np
 import pytest
 
-from sol_lab import subcritical_solver
+from sol_lab import identity_checks, subcritical_solver
 from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
 from sol_lab.mt_functional import (
     FunctionalParams,
     SingularIntegrator,
     UnnormalizedBlowupError,
     eval_J,
+    eval_J_coeffs,
     exp_integral,
     integrator_for,
 )
-from sol_lab.singular_geometry import SingularWeight
+from sol_lab.identity_checks import kazdan_warner_residual
+from sol_lab.singular_geometry import SingularPoint, SingularWeight
 from sol_lab.sphere_grid import (
     SHCoefficients,
     ScalarField,
+    build_grid,
     dirichlet_energy,
     sh_analysis,
     sh_synthesis,
@@ -36,6 +39,7 @@ from sol_lab.subcritical_solver import (
 from conftest import random_band_limited
 
 NORTH = (0.0, 0.0, 1.0)
+SOUTH = (0.0, 0.0, -1.0)
 
 
 def quick_config(*eps, **kw):
@@ -44,14 +48,33 @@ def quick_config(*eps, **kw):
     return SolverConfig(epsilon_schedule=eps or (0.1,), **defaults)
 
 
+def zonal_flags(grid):
+    """The zonal flag of every integrator the grid has cached."""
+    return [key[-1] for key in grid._integrator_cache]
+
+
 class TestTransformWork:
-    def test_one_synthesis_per_block_per_trial(self, grid64, transform_counts,
+    def test_one_synthesis_per_block_per_trial(self, transform_counts,
                                                monkeypatch):
         """A step synthesizes each line-search trial once per block and
-        analyses the accepted density once per block, nothing more."""
+        analyses the accepted density once per block, nothing more.  The
+        zero start takes the zonal path."""
+        init = ScalarField.constant(build_grid(65, 130), 0.0)
+        self.check_step_work(init, True, transform_counts, monkeypatch)
+
+    def test_one_synthesis_per_block_per_trial_full_path(
+            self, transform_counts, monkeypatch):
+        """The same counts on the full path, from a non-zonal start."""
+        init = ScalarField.from_function(build_grid(65, 130),
+                                         lambda x: 0.1 * x[..., 0])
+        self.check_step_work(init, False, transform_counts, monkeypatch)
+
+    @staticmethod
+    def check_step_work(init, zonal, transform_counts, monkeypatch):
+        grid = init.grid
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        blocks = len(integrator_for(grid64, w).blocks)
+        blocks = len(integrator_for(grid, w, zonal=zonal).blocks)
         marks = []  # per loop iteration: [syntheses, analyses, trials]
         peak = SingularIntegrator.field_peak
         J = subcritical_solver.eval_J_coeffs
@@ -73,13 +96,105 @@ class TestTransformWork:
         monkeypatch.setattr(SingularIntegrator, "field_peak", field_peak)
         monkeypatch.setattr(subcritical_solver, "eval_J_coeffs", eval_J_coeffs)
         state = minimize(params, quick_config(0.3, max_iterations=12),
-                         ScalarField.constant(grid64, 0.0), grid64)
+                         init, grid)
+        assert zonal_flags(grid) == [zonal]
         assert state.iterations == 11 and len(marks) == 12
         steps = [(nxt[0] - cur[0], nxt[1] - cur[1], cur[2])
                  for cur, nxt in zip(marks, marks[1:])]
         assert [trials for _, _, trials in steps].count(3) == 2
         for syn, ana, trials in steps:
             assert (syn, ana) == (blocks * trials, blocks)
+
+
+def zonal_and_full_J(grid, params, coeffs):
+    """J of the same coefficients through the zonal and the full integrator."""
+    return tuple(
+        eval_J_coeffs(coeffs, integ.density(coeffs), params)
+        for integ in (integrator_for(grid, params.weight, zonal=True),
+                      integrator_for(grid, params.weight)))
+
+
+# (pole, K, init) -> zonal path expected; the last three break the symmetry
+PATH_CASES = {
+    "zero-init": (NORTH, None, lambda x: 0.0 * x[..., 2], True),
+    "zonal-K": (NORTH, lambda x: 1.0 + 0.1 * x[..., 2],
+                lambda x: 0.0 * x[..., 2], True),
+    "non-zonal-init": (NORTH, None, lambda x: 0.1 * x[..., 1], False),
+    "off-pole-weight": ((1.0e-6, 0.0, 1.0), None,
+                        lambda x: 0.0 * x[..., 2], False),
+    "non-zonal-K": (NORTH, lambda x: 1.0 + 0.1 * x[..., 0],
+                    lambda x: 0.0 * x[..., 2], False),
+}
+
+
+class TestZonalPath:
+    @pytest.mark.parametrize("L", [64, 128])
+    def test_solve_config_matches_full(self, L):
+        """The solve config (alpha = -1/4 north, -1/10 south, eps = 0.3)
+        takes the zonal path, and its J is the full integrator's J."""
+        grid = build_grid(L + 1, 2 * L + 2)
+        w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
+        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
+        state = minimize(params, quick_config(0.3),
+                         ScalarField.constant(grid, 0.0), grid)
+        assert state.converged and zonal_flags(grid) == [True]
+        J_zonal, J_full = zonal_and_full_J(grid, params, state.coeffs)
+        assert J_zonal == pytest.approx(J_full, rel=1e-12)
+        assert state.J == pytest.approx(J_full, rel=1e-12)
+
+    @pytest.mark.parametrize("L", [64, 128])
+    def test_sweep_config_matches_full(self, L):
+        """The sweep config (alpha = -1/2 north, test-function start, warm
+        starts down to eps = 0.05): every solve and diagnosis is zonal."""
+        grid = build_grid(L + 1, 2 * L + 2)
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        cfg = SolverConfig(epsilon_schedule=(0.5, 0.2, 0.1, 0.05))
+        report = epsilon_sweep(w, grid, cfg, keep_states=True)
+        assert zonal_flags(grid) == [True]
+        for state in report.states:
+            J_zonal, J_full = zonal_and_full_J(grid, state.params,
+                                               state.coeffs)
+            assert J_zonal == pytest.approx(J_full, rel=1e-12)
+            assert state.J == pytest.approx(J_full, rel=1e-12)
+
+    def test_same_iterates_as_full_path(self, monkeypatch):
+        """Forced onto the full path, the solve config takes the same steps."""
+        grid = build_grid(65, 130)
+        w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
+        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
+        zero = ScalarField.constant(grid, 0.0)
+        zonal = minimize(params, quick_config(0.3), zero, grid)
+        monkeypatch.setattr(subcritical_solver, "is_zonal", lambda *a: False)
+        full = minimize(params, quick_config(0.3), zero, grid)
+        assert zonal_flags(grid) == [True, False]
+        assert zonal.iterations == full.iterations
+        assert zonal.J == pytest.approx(full.J, rel=1e-12)
+        assert np.max(np.abs(zonal.coeffs.values - full.coeffs.values)) < 1e-12
+
+    def test_off_axis_weight_has_no_zonal_integrator(self, grid16):
+        w = SingularWeight.from_orders([((1.0, 0.0, 0.0), -0.5)])
+        with pytest.raises(ValueError, match="grid axis"):
+            SingularIntegrator(grid16, w, zonal=True)
+
+    @pytest.mark.parametrize("pole, K, init, zonal", PATH_CASES.values(),
+                             ids=PATH_CASES.keys())
+    def test_path_selection(self, pole, K, init, zonal, monkeypatch):
+        """minimize and kazdan_warner_residual take the zonal path exactly
+        when the weight, log h and the field are invariant about the axis."""
+        w = SingularWeight([SingularPoint(np.asarray(pole), -0.5)], K)
+        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
+        grid = build_grid(17, 34)
+        minimize(params, quick_config(0.3, max_iterations=3),
+                 ScalarField.from_function(grid, init), grid)
+        assert zonal_flags(grid) == [zonal]
+        grid = build_grid(17, 34)
+        u = ScalarField.from_function(grid, init) + ScalarField.from_function(
+            grid, lambda x: 0.5 * x[..., 2] ** 2)
+        rep = kazdan_warner_residual(u, params.rho, w)
+        assert zonal_flags(grid) == [zonal]
+        monkeypatch.setattr(identity_checks, "is_zonal", lambda *a: False)
+        full = kazdan_warner_residual(u, params.rho, w)
+        assert rep.moment == pytest.approx(full.moment, rel=1e-12)
 
 
 class TestMinimize:

@@ -13,6 +13,7 @@ from sol_lab.sphere_grid import (
     FOUR_PI,
     LEGENDRE_BUDGET,
     BandLimitError,
+    ProductTransform,
     SHCoefficients,
     ScalarField,
     build_grid,
@@ -247,6 +248,41 @@ class TestGroupedLegendre:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * group_bytes + 32 * n * 8, peak
+
+
+class TestOrderLimit:
+    """ProductTransform and its Legendre table restricted to m <= m_max."""
+
+    @pytest.mark.parametrize("m_max", [0, 1, 16])
+    def test_table_is_leading_orders(self, m_max):
+        t = np.random.default_rng(m_max).uniform(-1.0, 1.0, 40)
+        full = normalized_legendre(33, t)
+        table = normalized_legendre(33, t, m_max)
+        assert len(table) == m_max + 1
+        for block, want in zip(table, full):
+            assert np.array_equal(block, want)
+
+    @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
+    def test_zonal_transform_matches_full(self, grid_name, request, rng):
+        """On zonal coefficients, m_max = 0 synthesis and analysis equal the
+        full transform's, on the grid's longitudes and on one longitude
+        carrying the ring weight."""
+        g = request.getfixturevalue(grid_name)
+        L = g.band_limit
+        c = SHCoefficients.zeros(L)
+        c.values[:, L] = rng.normal(size=L + 1) / (1.0 + np.arange(L + 1))
+        values = g.transform.synthesis_values(c)
+        coeffs = g.transform.analysis_coeffs(values).values
+        for tr in (ProductTransform(L, g.t, g.phi, g.weights, m_max=0),
+                   ProductTransform(L, g.t, np.zeros(1), g.t_weights[:, None],
+                                    m_max=0)):
+            ring = values[:, :tr.phi.size]
+            syn = tr.synthesis_values(c)
+            assert syn.shape == ring.shape
+            assert np.max(np.abs(syn - ring)) <= 1e-14 * np.max(np.abs(ring))
+            ana = tr.analysis_coeffs(ring).values
+            scale = np.max(np.abs(coeffs))
+            assert np.max(np.abs(ana - coeffs)) <= 1e-14 * scale
 
 
 class TestDirichletEnergy:
