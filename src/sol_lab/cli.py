@@ -224,12 +224,15 @@ def validate(raw_text: str):
     z = [p["position"][2] for p in parsed_points]
     antipodal_axis = ((len(z) == 1 or (len(z) == 2 and z[0] * z[1] <= 0))
                       and all(abs(abs(v) - 1.0) <= 1.0e-10 for v in z))
-    if kind == "kw-check" and not experiment.get("use_extremal", False):
-        if not antipodal_axis:
-            errors.append(
-                "experiment: kw-check requires singularities at antipodal "
-                "points on the grid axis (the identity only holds in the "
-                "axis direction for antipodal pairs)")
+    use_extremal = experiment.get("use_extremal", False)
+    if kind == "kw-check" and not isinstance(use_extremal, bool):
+        errors.append("experiment.use_extremal: expected true or false, "
+                      f"got {use_extremal!r}")
+    elif kind == "kw-check" and not use_extremal and not antipodal_axis:
+        errors.append(
+            "experiment: kw-check requires singularities at antipodal "
+            "points on the grid axis (the identity only holds in the "
+            "axis direction for antipodal pairs)")
     rho_bar = 8.0 * math.pi * (1.0 + min(
         0.0, min((p["order"] for p in parsed_points), default=0.0)))
     for name, spec in _experiment_numbers(rho_bar).get(kind, {}).items():
@@ -243,6 +246,11 @@ def validate(raw_text: str):
         else:
             for i, v in enumerate(value):
                 _check_number(errors, v, f"{path}[{i}]", **spec)
+    init = experiment.get("init", "test-function")  # SolverConfig.init
+    if (kind in ("minimize", "sweep", "kw-check", "profile-collapse")
+            and init not in ("zero", "test-function")):
+        errors.append("experiment.init: expected one of zero, "
+                      f"test-function; got {init!r}")
     if kind in ("sweep", "profile-collapse"):
         eps_list = [e for e in experiment.get("epsilons", [])
                     if isinstance(e, (int, float))]
@@ -496,7 +504,7 @@ def _sweep_common(config, report):
     grid = _grid_for(config)
     schedule = exp.get("epsilons", [0.5, 0.2, 0.1, 0.05])
     cfg = _solver_config(exp, schedule)
-    sweep = epsilon_sweep(w, grid, cfg, keep_states=True)
+    sweep = epsilon_sweep(w, grid, cfg)
     target = blowup_infimum(w, grid).inf_J
     report["records"] = [e.row() for e in sweep.entries]
     report["summary"] = {

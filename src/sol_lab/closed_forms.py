@@ -395,28 +395,24 @@ def concentration_functional(params: ConcentrationParams) -> dict:
         eta_prime = _cutoff_eta_prime(r, r_eps)
         return rho_bar * (g_prime - eta_prime * _sigma(r) - eta * sigma_prime)
 
-    pts_in = [r_eps * f for f in (1e-6, 1e-4, 1e-2, 0.5)]
-    dirichlet_in, _ = quad(lambda r: grad_inner(r) ** 2 * np.sin(r),
-                           0.0, r_eps, points=pts_in, **_QUAD_OPTS)
-    dirichlet_out, _ = quad(lambda r: grad_outer(r) ** 2 * np.sin(r),
-                            r_eps, np.pi, points=[2.0 * r_eps, 0.5], **_QUAD_OPTS)
-    dirichlet = 2.0 * np.pi * (dirichlet_in + dirichlet_out)
+    def radial(f_in, f_out):
+        """2 pi int_0^pi f sin r dr: f_in inside the cap, f_out outside."""
+        inner, _ = quad(lambda r: f_in(r) * np.sin(r), 0.0, r_eps,
+                        points=[r_eps * f for f in (1e-6, 1e-4, 1e-2, 0.5)],
+                        **_QUAD_OPTS)
+        outer, _ = quad(lambda r: f_out(r) * np.sin(r), r_eps, np.pi,
+                        points=[2.0 * r_eps, 0.5], **_QUAD_OPTS)
+        return 2.0 * np.pi * (inner + outer)
 
-    mean_in, _ = quad(lambda r: profile(r) * np.sin(r), 0.0, r_eps,
-                      points=pts_in, **_QUAD_OPTS)
-    mean_out, _ = quad(lambda r: profile(r) * np.sin(r), r_eps, np.pi,
-                       points=[2.0 * r_eps, 0.5], **_QUAD_OPTS)
-    mean = 2.0 * np.pi * (mean_in + mean_out) / FOUR_PI
-
+    dirichlet = radial(lambda r: grad_inner(r) ** 2,
+                       lambda r: grad_outer(r) ** 2)
+    mean = radial(profile, profile) / FOUR_PI
     shift = -np.log(eps)  # phi_eps(0) = -log eps is the peak scale
 
     def dens(r):
-        return np.exp(log_h(r) + profile(r) - shift) * np.sin(r)
+        return np.exp(log_h(r) + profile(r) - shift)
 
-    exp_in, _ = quad(dens, 0.0, r_eps, points=pts_in, **_QUAD_OPTS)
-    exp_out, _ = quad(dens, r_eps, np.pi, points=[2.0 * r_eps, 0.5],
-                      **_QUAD_OPTS)
-    log_exp = shift + np.log(2.0 * np.pi * (exp_in + exp_out))
+    log_exp = shift + np.log(radial(dens, dens))
 
     J = (0.5 * dirichlet + rho_bar * mean
          - rho_bar * (log_exp - np.log(FOUR_PI)))

@@ -43,7 +43,7 @@ from .singular_geometry import (
     SingularWeight,
     green,
 )
-from .mt_functional import SingularCapRule, integrator_for, is_zonal
+from .mt_functional import SingularCapRule, integrator_for
 
 _ANTIPODAL_TOL = 1.0e-10
 
@@ -100,8 +100,8 @@ def _golden_section(f, a: float, b: float, tol: float = 1.0e-10) -> float:
     return 0.5 * (a + b)
 
 
-def blowup_infimum(w: SingularWeight, grid: Optional[SphereGrid] = None,
-                   rule: SingularCapRule | None = None) -> SharpConstantReport:
+def blowup_infimum(w: SingularWeight,
+                   grid: Optional[SphereGrid] = None) -> SharpConstantReport:
     """Blow-up value of the infimum from the general closed-form formula.
 
     alpha < 0: exact maximization over the finite set of minimal-order
@@ -134,7 +134,7 @@ def blowup_infimum(w: SingularWeight, grid: Optional[SphereGrid] = None,
 
     if grid is None:
         raise ValueError("the alpha = 0 branch needs a grid to maximize over")
-    rule = rule or SingularCapRule()
+    cap_radius = SingularCapRule().cap_radius
 
     def maximand(points):
         return FOUR_PI * REGULAR_PART + w.log_weight(points)
@@ -142,7 +142,7 @@ def blowup_infimum(w: SingularWeight, grid: Optional[SphereGrid] = None,
     vals = maximand(grid.nodes)
     for sp in w.points:
         d = np.arccos(np.clip(grid.nodes @ sp.position, -1.0, 1.0))
-        vals = np.where(d < rule.cap_radius, -np.inf, vals)
+        vals = np.where(d < cap_radius, -np.inf, vals)
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     best_p = grid.nodes[idx]
 
@@ -155,7 +155,7 @@ def blowup_infimum(w: SingularWeight, grid: Optional[SphereGrid] = None,
         pt = np.array([np.sin(theta) * np.cos(phi),
                        np.sin(theta) * np.sin(phi), np.cos(theta)])
         for sp in w.points:
-            if float(pt @ sp.position) > np.cos(rule.cap_radius):
+            if float(pt @ sp.position) > np.cos(cap_radius):
                 return -np.inf
         return float(maximand(pt[None, :])[0])
 
@@ -244,20 +244,21 @@ class KazdanWarnerReport:
     orders: tuple
 
 
-def kazdan_warner_residual(u: ScalarField, rho: float, w: SingularWeight,
-                           rule: SingularCapRule | None = None) -> KazdanWarnerReport:
+def kazdan_warner_residual(u: ScalarField, rho: float,
+                           w: SingularWeight) -> KazdanWarnerReport:
     """Residual of alpha2 - alpha1 = (2 - rho/4pi + a1 + a2) int h e^u x3.
 
     The moment is the ratio int h e^u x3 / int h e^u, so ``u`` need not be
     normalized; one synthesis per quadrature block.  Also evaluates the
     vector form int grad h . grad x3 e^u - (2 - rho/4pi) int h e^u x3 with
     the same singular-cap quadrature (grad h . grad x3 has the closed form
-    (a2 - a1) h - (a1 + a2) h x3 for the antipodal layout).  An ``is_zonal``
-    field and weight use the zonal integrator.
+    (a2 - a1) h - (a1 + a2) h x3 for the antipodal layout).
+    ``integrator_for`` chooses the integrator from u's coefficients.
     """
     a1, a2 = _axis_orders(w)
-    integ = integrator_for(u.grid, w, rule, is_zonal(u.grid, w, u.values))
-    dens = integ.density(sh_analysis(u))
+    coeffs = sh_analysis(u)
+    integ = integrator_for(u.grid, w, coeffs)
+    dens = integ.density(coeffs)
     moment = float(sum(np.sum(b.weights * d * b.points[..., 2])
                        for b, d in zip(integ.blocks, dens.values)) / dens.total)
     prefactor = 2.0 - rho / FOUR_PI + a1 + a2
@@ -278,8 +279,7 @@ class NonexistenceWitness:
     message: str
 
 
-def nonexistence_witness(w: SingularWeight,
-                         grid: Optional[SphereGrid] = None) -> NonexistenceWitness:
+def nonexistence_witness(w: SingularWeight) -> NonexistenceWitness:
     """Forced value of int h e^u x3 at rho = rho_bar and its infeasibility.
 
     A solution would need the moment of the probability density h e^u to

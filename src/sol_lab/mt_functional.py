@@ -26,10 +26,11 @@ transform.  Off-axis points fall back to a smooth-cutoff variant whose
 accuracy is limited by the grid resolution of the cutoff (roughly 1e-4);
 all sharp-constant paths use the axis-aligned configuration.
 
-When ``is_zonal`` finds h e^u exactly invariant under rotation about the
-grid axis, the same blocks are built as zonal product rules: orders m = 0
-only and one longitude per ring carrying the ring's whole weight, so a
-transform costs O(L n_t) instead of O(L^2 n_t + L n_t n_phi).
+``integrator_for`` is the one way library code gets an integrator.  For
+zonal coefficients and a weight that ``is_zonal`` accepts it builds the same
+blocks as zonal product rules: orders m = 0 only and one longitude per ring
+carrying the ring's whole weight, so a transform costs O(L n_t) instead of
+O(L^2 n_t + L n_t n_phi).
 
 Everything is evaluated through log h + u, with a global shift before
 exponentiation, so strongly concentrated fields cannot overflow.
@@ -37,7 +38,8 @@ exponentiation, so strongly concentrated fields cannot overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +53,10 @@ from .sphere_grid import (
     _legendre_orders,
     cap_points,
     dirichlet_energy,
+    geodesic_distance,
     ring_points,
     sh_analysis,
+    sh_synthesis,
     synthesis_at_angles,
 )
 from .singular_geometry import SingularWeight
@@ -89,7 +93,6 @@ class SingularCapRule:
 class FunctionalParams:
     rho: float
     weight: SingularWeight
-    rule: SingularCapRule = field(default_factory=SingularCapRule)
 
     def __post_init__(self):
         if self.rho <= 0.0:
@@ -190,7 +193,8 @@ class _ProductBlock:
 
 
 class _GridBlock(_ProductBlock):
-    """The grid itself as a quadrature block (reuses its transform).
+    """The grid itself as a quadrature block (reuses its transform, or with
+    ``zonal`` its m = 0 transform).
 
     Blocks hold the grid's transform, never the grid: the grid caches its
     integrators, so a reference back would make each grid a reference cycle
@@ -198,10 +202,12 @@ class _GridBlock(_ProductBlock):
     a cutoff ``extra``, folded into the values analysed on the grid's rule.
     """
 
-    def __init__(self, grid: SphereGrid, extra: np.ndarray | float = 1.0):
-        self.transform, self.cap, self.points = grid.transform, None, grid.nodes
-        self.extra = extra
-        self.weights = grid.weights * extra
+    def __init__(self, grid: SphereGrid, extra: np.ndarray | float = 1.0,
+                 zonal: bool = False):
+        self.transform = grid.zonal_transform if zonal else grid.transform
+        self.cap, self.extra = None, extra
+        self.points = ring_points(grid.t, self.transform.phi)
+        self.weights = self.transform.weights * extra
 
     def analysis(self, values: np.ndarray) -> SHCoefficients:
         return self.transform.analysis_coeffs(values * self.extra)
@@ -285,22 +291,15 @@ class SingularIntegrator:
                       for b in self.blocks]
 
     def _validate_caps(self):
-        pos = self.weight.positions
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                d = np.arccos(np.clip(pos[i] @ pos[j], -1, 1))
-                if d <= 2.0 * self.rule.cap_radius:
-                    raise ValueError(
-                        "singular caps overlap; reduce cap_radius or "
-                        "separate the singular points")
+        for p, q in itertools.combinations(self.weight.positions, 2):
+            if geodesic_distance(p, q) <= 2.0 * self.rule.cap_radius:
+                raise ValueError("singular caps overlap; reduce cap_radius "
+                                 "or separate the singular points")
 
     def _build_blocks(self, grid: SphereGrid):
         rule, w, zonal = self.rule, self.weight, self.zonal
         if not w.points:
-            if zonal:  # the grid's own ring rule, on one longitude
-                ring = grid.t_weights / (2.0 * np.pi)
-                return [_ProductBlock(grid, grid.t, ring, zonal=True)]
-            return [_GridBlock(grid)]
+            return [_GridBlock(grid, zonal=zonal)]
         if w.is_axis_aligned():
             blocks = []
             ends = {1.0: 1.0, -1.0: -1.0}  # band ends: the poles or cap edges
@@ -365,39 +364,38 @@ class SingularIntegrator:
 
 
 def integrator_for(grid: SphereGrid, weight: SingularWeight,
-                   rule: SingularCapRule | None = None,
-                   zonal: bool = False) -> SingularIntegrator:
-    """The grid's integrator for (weight, rule, zonal), from a per-grid LRU
-    cache.
+                   coeffs: SHCoefficients) -> SingularIntegrator:
+    """The grid's integrator for ``weight`` and a field with these
+    coefficients, from a per-grid LRU cache.
 
-    Each integrator holds its blocks' Legendre tables (~200 MB at L = 256;
-    a zonal one holds the m = 0 rows only).
+    It is zonal when the coefficients are (``SHCoefficients.is_zonal``) and
+    ``is_zonal`` holds for the weight.  Each integrator holds its blocks'
+    Legendre tables (~200 MB at L = 256; a zonal one holds the m = 0 rows
+    only).
     """
-    rule = rule or SingularCapRule()
-    key = (weight.cache_key(), rule, zonal)
+    zonal = coeffs.is_zonal and is_zonal(grid, weight)
+    key = (weight.cache_key(), zonal)
     cache = grid._integrator_cache
     cached = cache.pop(key, None)
     if cached is None:
-        cached = SingularIntegrator(grid, weight, rule, zonal)
+        cached = SingularIntegrator(grid, weight, zonal=zonal)
     cache[key] = cached  # the most recently used entry is last
     if len(cache) > INTEGRATOR_CACHE_SIZE:
         cache.popitem(last=False)
     return cached
 
 
-def is_zonal(grid: SphereGrid, weight: SingularWeight,
-             values: np.ndarray) -> bool:
-    """True when h e^u on the grid is exactly invariant about the grid axis.
+def is_zonal(grid: SphereGrid, weight: SingularWeight) -> bool:
+    """True when h is exactly invariant about the grid axis.
 
     Decided from what is observed, never assumed: the singular points lie
-    on the axis, the field values (shape (n_theta, n_phi)) are exactly
-    constant along every grid ring, and so is log h on the grid nodes (true
-    for K == 1 and for a zonal K, false for a point 1e-6 off the pole).
-    Then J_rho, its gradient and the moments about the axis live in the
-    m = 0 subspace, and a zonal integrator computes them exactly.
+    on the axis and log h on the grid nodes is exactly constant along every
+    grid ring (true for K == 1 and for a zonal K, false for a point 1e-6 off
+    the pole).  For such a weight and zonal coefficients, J_rho, its
+    gradient and the moments about the axis live in the m = 0 subspace, and
+    a zonal integrator computes them exactly.
     """
     return (weight.is_axis_aligned()
-            and not np.ptp(values, axis=1).any()
             and not np.ptp(weight.log_weight(grid.nodes), axis=1).any())
 
 
@@ -405,35 +403,31 @@ def is_zonal(grid: SphereGrid, weight: SingularWeight,
 # operations
 # ---------------------------------------------------------------------------
 
-def _check_ceiling(u_values: np.ndarray, ceiling: float):
+def _check_ceiling(u_values: np.ndarray):
     peak = float(np.max(u_values))
-    if peak > ceiling:
+    if peak > DEFAULT_CEILING:
         raise UnnormalizedBlowupError(
-            f"max(u) = {peak:.3g} exceeds the overflow ceiling {ceiling:.3g}; "
-            "the iterate has blown up beyond what the evaluation can follow")
+            f"max(u) = {peak:.3g} exceeds the overflow ceiling "
+            f"{DEFAULT_CEILING:.3g}; the iterate has blown up beyond what the "
+            "evaluation can follow")
 
 
-def exp_integral(u: ScalarField, w: SingularWeight,
-                 rule: SingularCapRule | None = None,
-                 ceiling: float = DEFAULT_CEILING) -> float:
+def exp_integral(u: ScalarField, w: SingularWeight) -> float:
     """int_{S^2} h e^u with singular-cap corrected quadrature."""
-    return float(np.exp(log_exp_integral(u, w, rule, ceiling)))
+    return float(np.exp(log_exp_integral(u, w)))
 
 
-def log_exp_integral(u: ScalarField, w: SingularWeight,
-                     rule: SingularCapRule | None = None,
-                     ceiling: float = DEFAULT_CEILING) -> float:
-    _check_ceiling(u.values, ceiling)
-    integ = integrator_for(u.grid, w, rule)
-    return integ.log_exp_integral(sh_analysis(u))
-
-
-def eval_J(u: ScalarField, params: FunctionalParams,
-           ceiling: float = DEFAULT_CEILING) -> float:
-    """J_rho(u); invariant under u -> u + const."""
-    _check_ceiling(u.values, ceiling)
+def log_exp_integral(u: ScalarField, w: SingularWeight) -> float:
+    _check_ceiling(u.values)
     coeffs = sh_analysis(u)
-    integ = integrator_for(u.grid, params.weight, params.rule)
+    return integrator_for(u.grid, w, coeffs).log_exp_integral(coeffs)
+
+
+def eval_J(u: ScalarField, params: FunctionalParams) -> float:
+    """J_rho(u); invariant under u -> u + const."""
+    _check_ceiling(u.values)
+    coeffs = sh_analysis(u)
+    integ = integrator_for(u.grid, params.weight, coeffs)
     return eval_J_coeffs(coeffs, integ.density(coeffs), params)
 
 
@@ -462,21 +456,18 @@ def residual_coeffs(coeffs: SHCoefficients, params: FunctionalParams,
                     grid: SphereGrid) -> SHCoefficients:
     """Euler-Lagrange residual of u, projected with the composite rule
     that defines int h e^u: the exact gradient of the discrete J."""
-    integ = integrator_for(grid, params.weight, params.rule)
+    integ = integrator_for(grid, params.weight, coeffs)
     return density_residual(coeffs, integ.density(coeffs), integ, params.rho)
 
 
-def el_residual(u: ScalarField, params: FunctionalParams,
-                ceiling: float = DEFAULT_CEILING) -> ScalarField:
-    _check_ceiling(u.values, ceiling)
-    r = residual_coeffs(sh_analysis(u), params, u.grid)
-    return ScalarField(u.grid.transform.synthesis_values(r), u.grid)
+def el_residual(u: ScalarField, params: FunctionalParams) -> ScalarField:
+    _check_ceiling(u.values)
+    return sh_synthesis(residual_coeffs(sh_analysis(u), params, u.grid), u.grid)
 
 
-def el_residual_norm(u: ScalarField, params: FunctionalParams,
-                     ceiling: float = DEFAULT_CEILING) -> float:
+def el_residual_norm(u: ScalarField, params: FunctionalParams) -> float:
     """L^2 norm of the Euler-Lagrange residual (spectral, by Parseval)."""
-    _check_ceiling(u.values, ceiling)
+    _check_ceiling(u.values)
     r = residual_coeffs(sh_analysis(u), params, u.grid)
     return float(np.sqrt(np.sum(r.values**2)))
 
@@ -488,15 +479,13 @@ def gradient_pairing(u: ScalarField, params: FunctionalParams,
     return float(np.sum(r.values * sh_analysis(v).values))
 
 
-def troyanov_gap(u: ScalarField, w: SingularWeight, C: float,
-                 rule: SingularCapRule | None = None) -> float:
+def troyanov_gap(u: ScalarField, w: SingularWeight, C: float) -> float:
     """RHS - LHS of the sharp exponential inequality with constant C.
 
     Equals J_{rho_bar}(u)/rho_bar + C; nonnegative iff the inequality holds
     at u with this constant.
     """
     coeffs = sh_analysis(u)
-    integ = integrator_for(u.grid, w, rule)
-    log_e = integ.log_exp_integral(coeffs)
+    log_e = integrator_for(u.grid, w, coeffs).log_exp_integral(coeffs)
     return (dirichlet_energy(coeffs) / (16.0 * np.pi * (1.0 + w.alpha))
             + C - (log_e - coeffs.mean - np.log(FOUR_PI)))

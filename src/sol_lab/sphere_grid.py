@@ -21,12 +21,13 @@ where Pbar includes the full normalization (Pbar_{0,0} = 1/sqrt(4 pi)).
 Transforms are dense per-order matrix products, O(L^3) overall, which is
 fine at desk scale (L <= 256).
 
-A ``ProductTransform`` may stop at an order limit m_max.  The zonal path
-uses m_max = 0 on one longitude per ring: a synthesis or analysis is then
-one (L+1) x n_t matrix-vector product, O(L n_t) instead of the
-O(L^2 n_t + L n_t n_phi) of all orders and the Fourier step.  It is taken
-only where ``mt_functional.is_zonal`` observes exact symmetry about the
-grid axis.
+A ``ProductTransform`` may stop at an order limit m_max.  With m_max = 0
+on one longitude per ring, a synthesis or analysis is one (L+1) x n_t
+matrix-vector product, O(L n_t) instead of the O(L^2 n_t + L n_t n_phi) of
+all orders and the Fourier step.  The grid analyses a ring-constant field,
+and synthesizes zonal coefficients (``SHCoefficients.is_zonal``), with such
+a transform; ``mt_functional.is_zonal`` decides when the integrators may do
+the same.
 """
 
 from __future__ import annotations
@@ -213,11 +214,11 @@ class SHCoefficients:
         """Mean of the synthesized field: a_{0,0} / sqrt(4 pi)."""
         return float(self.values[0, self.band_limit] / np.sqrt(FOUR_PI))
 
-    def zonal_part(self) -> "SHCoefficients":
-        """The m = 0 column alone: the field's average about the grid axis."""
-        out = SHCoefficients.zeros(self.band_limit)
-        out.values[:, self.band_limit] = self.values[:, self.band_limit]
-        return out
+    @property
+    def is_zonal(self) -> bool:
+        """True when every m != 0 column is exactly zero."""
+        L = self.band_limit
+        return not (self.values[:, :L].any() or self.values[:, L + 1:].any())
 
     def shifted(self, constant: float) -> "SHCoefficients":
         out = self.copy()
@@ -307,6 +308,7 @@ class SphereGrid:
         self.t_weights = _colatitude_weights(tw)
         self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         self._transform: ProductTransform | None = None
+        self._zonal_transform: ProductTransform | None = None
         self._integrator_cache: OrderedDict = OrderedDict()  # see integrator_for
 
     # -- geometry -----------------------------------------------------------
@@ -326,10 +328,6 @@ class SphereGrid:
         """Unit vectors per node, shape (n_theta, n_phi, 3)."""
         return ring_points(self.t, self.phi)
 
-    @property
-    def axis(self) -> np.ndarray:
-        return np.array([0.0, 0.0, 1.0])
-
     def node_spacing(self) -> float:
         """Typical colatitude spacing, pi / n_theta."""
         return np.pi / self.n_theta
@@ -342,6 +340,15 @@ class SphereGrid:
             self._transform = ProductTransform(
                 self.band_limit, self.t, self.phi, self.weights)
         return self._transform
+
+    @property
+    def zonal_transform(self) -> ProductTransform:
+        """Orders m = 0 only, on one longitude carrying each ring's weight."""
+        if self._zonal_transform is None:
+            self._zonal_transform = ProductTransform(
+                self.band_limit, self.t, np.zeros(1), self.t_weights[:, None],
+                m_max=0)
+        return self._zonal_transform
 
     def __repr__(self) -> str:
         return (f"SphereGrid(n_theta={self.n_theta}, n_phi={self.n_phi}, "
@@ -414,7 +421,10 @@ def integrate(f: ScalarField) -> float:
 
 
 def sh_analysis(f: ScalarField) -> SHCoefficients:
-    return f.grid.transform.analysis_coeffs(f.values)
+    """Coefficients of f; exactly zonal for a ring-constant f (m = 0 pass)."""
+    if np.ptp(f.values, axis=1).any():
+        return f.grid.transform.analysis_coeffs(f.values)
+    return f.grid.zonal_transform.analysis_coeffs(f.values[:, :1])
 
 
 def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:
@@ -427,6 +437,9 @@ def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:
         L, Lc = grid.band_limit, c.band_limit
         padded.values[: Lc + 1, L - Lc : L + Lc + 1] = c.values
         c = padded
+    if c.is_zonal:  # one ring value, repeated over the longitudes
+        ring = grid.zonal_transform.synthesis_values(c)
+        return ScalarField(np.repeat(ring, grid.n_phi, axis=1), grid)
     return ScalarField(grid.transform.synthesis_values(c), grid)
 
 
@@ -486,8 +499,9 @@ def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
 
     Streams the Legendre recurrence in groups of orders, so no table over
     all orders is stored: memory is O((L+1) * max(len(points),
-    LEGENDRE_BUDGET)) for the current groups' blocks.  Exact for
-    band-limited fields.  Accepts any leading shape (..., 3).
+    LEGENDRE_BUDGET)) for the current groups' blocks.  Zonal coefficients
+    need the m = 0 block alone.  Exact for band-limited fields.  Accepts any
+    leading shape (..., 3).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.clip(pts[..., 2], -1.0, 1.0)
@@ -501,6 +515,9 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
     phi = np.ravel(phi)
     L = c.band_limit
     cv = c.values
+    if c.is_zonal:
+        _, block = next(_legendre_orders(L, t.ravel(), group=1))
+        return (cv[:, L] @ block).reshape(t.shape)
     out = np.zeros(t.size)
     for m, block in _legendre_orders(L, t.ravel()):
         if m == 0:

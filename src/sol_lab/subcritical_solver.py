@@ -20,15 +20,14 @@ reused for the next step's peak and residual, which costs one analysis per
 block.  An accepted step therefore costs blocks x trials syntheses and
 blocks analyses.
 
-Axis-symmetric problems are solved in the m = 0 subspace.  When
-``is_zonal`` holds for the initial field -- every singular point on the
-grid axis, log h exactly constant along every grid ring, and the field
-exactly ring-constant -- J and its gradient commute with rotations about
-the axis, so every iterate stays zonal.  The solver then drops the m != 0
-analysis roundoff of its initial coefficients and uses the zonal
-integrator: each transform is one (L+1) x n_t product per block, O(L n_t),
-against O(L^2 n_t + L n_t n_phi) for all orders.  Any other input takes the
-full path, unchanged.
+Axis-symmetric problems are solved in the m = 0 subspace.  A ring-constant
+initial field has exactly zonal coefficients, and when the weight passes
+``mt_functional.is_zonal`` as well, ``integrator_for`` returns the zonal
+integrator.  J and its gradient then commute with rotations about the axis,
+so every iterate stays zonal, each transform is one (L+1) x n_t product per
+block, O(L n_t), against O(L^2 n_t + L n_t n_phi) for all orders, and the
+final state and the diagnostics' gradients are synthesized on the grid's
+m = 0 transform.  Any other input takes the full path, unchanged.
 
 As eps decreases with a singular weight of negative minimal order, the
 minimizers concentrate: lambda_eps = max u grows, the concentration scale
@@ -57,19 +56,18 @@ from .sphere_grid import (
     gradient_magnitude,
     integrate,
     sh_analysis,
+    sh_synthesis,
     synthesis_at_points,
 )
 from .singular_geometry import SingularWeight, green_radial
 from .mt_functional import (
     DEFAULT_CEILING,
     FunctionalParams,
-    SingularCapRule,
     UnnormalizedBlowupError,
     cap_radial_rule,
     density_residual,
     eval_J_coeffs,
     integrator_for,
-    is_zonal,
 )
 from .closed_forms import (ConcentrationParams, concentration_field,
                            planar_bubble)
@@ -83,14 +81,15 @@ class InsufficientAnnulusError(ValueError):
     """The gradient-exponent fit annulus contains no usable radii."""
 
 
+BACKTRACK_MAX = 40  # step halvings per line search before the solve stalls
+
+
 @dataclass
 class SolverConfig:
     epsilon_schedule: tuple = (0.5, 0.2, 0.1, 0.05)
     max_iterations: int = 4000
     damping: float = 0.5
     tol_factor: float = 1.0e-6     # convergence at ||residual|| <= tol_factor*rho
-    ceiling: float = DEFAULT_CEILING
-    backtrack_max: int = 40
     init: str = "test-function"    # first sweep entry: "zero" | "test-function"
     init_epsilon: float = 0.01     # epsilon of the seeding test function
 
@@ -102,6 +101,9 @@ class SolverConfig:
             raise ValueError("epsilon schedule must be positive")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
+        if self.init not in ("zero", "test-function"):
+            raise ValueError("init must be 'zero' or 'test-function', "
+                             f"got {self.init!r}")
         self.epsilon_schedule = eps
 
 
@@ -127,8 +129,8 @@ def minimize(params: FunctionalParams, config: SolverConfig,
             f"{params.weight.rho_bar:.6g}; supercritical minimization is "
             "out of scope")
     grid = grid or init.grid
-    zonal = is_zonal(grid, params.weight, init.values)
-    integ = integrator_for(grid, params.weight, params.rule, zonal)
+    a = sh_analysis(init)
+    integ = integrator_for(grid, params.weight, a)
     lw = _degree_weights(grid.band_limit)[1:, None]
     tol = config.tol_factor * params.rho
 
@@ -137,9 +139,6 @@ def minimize(params: FunctionalParams, config: SolverConfig,
         c = -dens.log_integral
         return coeffs.shifted(c), dens.shifted(c)
 
-    a = sh_analysis(init)
-    if zonal:  # its m != 0 columns hold analysis roundoff only
-        a = a.zonal_part()
     dens = integ.density(a)
     J = eval_J_coeffs(a, dens, params)
     a, dens = normalized(a, dens)
@@ -152,7 +151,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
     for it in range(config.max_iterations):
         iterations = it
         lam = integ.field_peak(dens)
-        if lam > config.ceiling:
+        if lam > DEFAULT_CEILING:
             raise UnnormalizedBlowupError(
                 f"max(u) = {lam:.3g} exceeded the ceiling during minimization")
         resid = density_residual(a, dens, integ, params.rho).values
@@ -167,7 +166,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
         direction[1:] = -resid[1:] / lw
         step = tau
         accepted = False
-        for _ in range(config.backtrack_max):
+        for _ in range(BACKTRACK_MAX):
             cand = SHCoefficients(a.values + step * direction)
             cand_dens = integ.density(cand)
             # J is shift invariant: the unnormalized candidate has the same J
@@ -182,8 +181,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
         # adapt the damping: grow on clean acceptance, shrink after backtracks
         tau = min(1.0, 1.25 * step) if step == tau else max(step, 0.05)
 
-    u = ScalarField(grid.transform.synthesis_values(a), grid)
-    return MinimizerState(u=u, coeffs=a, params=params,
+    return MinimizerState(u=sh_synthesis(a, grid), coeffs=a, params=params,
                           epsilon=params.weight.rho_bar - params.rho,
                           J=J, residual_norm=rnorm, iterations=iterations,
                           converged=converged, trace=trace)
@@ -230,7 +228,7 @@ class BlowupDiagnostics:
 
 def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid) -> np.ndarray:
     """|grad u| on the grid nodes (exact, see ``gradient_magnitude``)."""
-    return gradient_magnitude(coeffs, grid.transform.synthesis_values,
+    return gradient_magnitude(coeffs, lambda c: sh_synthesis(c, grid).values,
                               grid.t[:, None])
 
 
@@ -252,13 +250,9 @@ def diagnose(state: MinimizerState, w: SingularWeight,
             lam, p_eps = v, sp.position
 
     # scaling center: nearest minimal-order singular point when alpha < 0
-    if alpha < 0.0:
-        minimal = w.minimal_points()
-        dists = [np.arccos(np.clip(p_eps @ sp.position, -1, 1))
-                 for sp in minimal]
-        center = minimal[int(np.argmin(dists))].position
-    else:
-        center = p_eps
+    center = p_eps if alpha >= 0.0 else min(
+        w.minimal_points(),
+        key=lambda sp: geodesic_distance(p_eps, sp.position)).position
 
     t_eps = float(np.exp(-lam / (2.0 * (1.0 + alpha))))
     compact = lam < 1.0
@@ -274,8 +268,7 @@ def diagnose(state: MinimizerState, w: SingularWeight,
                 state, center, key)
         else:
             # the "cap" covers the sphere: mass is rho * int h e^u
-            integ = integrator_for(grid, w, state.params.rule,
-                                   is_zonal(grid, w, vals))
+            integ = integrator_for(grid, w, state.coeffs)
             cap_masses[key] = state.params.rho * float(
                 np.exp(integ.log_exp_integral(state.coeffs)))
 
@@ -375,19 +368,16 @@ def richardson_extrapolate(eps: np.ndarray, J: np.ndarray):
 
 
 def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
-                  config: SolverConfig,
-                  rule: SingularCapRule | None = None,
-                  keep_states: bool = False) -> SweepReport:
+                  config: SolverConfig) -> SweepReport:
     """Warm-started minimization along the epsilon schedule."""
     rho_bar = weight.rho_bar
-    rule = rule or SingularCapRule()
     entries = []
     states = []
     current: ScalarField | None = None
     for eps in config.epsilon_schedule:
         if eps >= rho_bar:
             raise ValueError(f"epsilon {eps} is not below rho_bar {rho_bar}")
-        params = FunctionalParams(rho=rho_bar - eps, weight=weight, rule=rule)
+        params = FunctionalParams(rho=rho_bar - eps, weight=weight)
         if current is None:
             if config.init == "test-function" and weight.alpha < 0.0:
                 p0 = weight.minimal_points()[0].position
@@ -407,8 +397,7 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
                                   residual_norm=state.residual_norm,
                                   iterations=state.iterations,
                                   diagnostics=diag))
-        if keep_states:
-            states.append(state)
+        states.append(state)
         current = state.u
     eps_arr = np.array([e.epsilon for e in entries])
     J_arr = np.array([e.J for e in entries])

@@ -62,7 +62,7 @@ def blowup_sweep(grid128):
     cfg = SolverConfig(epsilon_schedule=(0.5, 0.2, 0.1, 0.05),
                        max_iterations=4000)
     t0 = time.monotonic()
-    rep = epsilon_sweep(w, grid128, cfg, keep_states=True)
+    rep = epsilon_sweep(w, grid128, cfg)
     return w, rep, time.monotonic() - t0
 
 

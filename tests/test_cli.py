@@ -180,12 +180,36 @@ BAD_NUMBERS = {
 }
 
 
+# strings and flags the runners read, out of their sets; each must exit 2
+BAD_CHOICES = {
+    f"init-{kind}": (kind, {"init": "test_function"},
+                     "experiment.init: expected one of zero, test-function; "
+                     "got 'test_function'")
+    for kind in ("minimize", "sweep", "kw-check", "profile-collapse")
+}
+BAD_CHOICES["use_extremal-string"] = (
+    "kw-check", {"use_extremal": "no"},
+    "experiment.use_extremal: expected true or false, got 'no'")
+
+
 class TestExperimentNumbers:
     @pytest.mark.parametrize("kind, fields, message", BAD_NUMBERS.values(),
                              ids=BAD_NUMBERS.keys())
     def test_main_exits_2(self, kind, fields, message, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(config_text(experiment={"kind": kind, **fields}))
+        assert main([kind, "--config", str(cfg)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, fields, message", BAD_CHOICES.values(),
+                             ids=BAD_CHOICES.keys())
+    def test_bad_choice_exits_2(self, kind, fields, message, tmp_path,
+                                capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text(
+            weight={"points": [{"position": [0, 0, 1], "order": -0.5},
+                               {"position": [0, 0, -1], "order": -0.5}]},
+            experiment={"kind": kind, **fields}))
         assert main([kind, "--config", str(cfg)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 

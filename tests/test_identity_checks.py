@@ -11,7 +11,7 @@ from sol_lab.identity_checks import (
     nonexistence_witness,
     sphere_sharp_constant,
 )
-from sol_lab.mt_functional import FunctionalParams, eval_J, integrator_for
+from sol_lab.mt_functional import FunctionalParams, SingularIntegrator, eval_J
 from sol_lab.singular_geometry import SingularWeight
 from sol_lab.sphere_grid import ScalarField
 
@@ -134,7 +134,7 @@ class TestKazdanWarner:
     def test_one_synthesis_per_block(self, grid64, rng, transform_counts):
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, 0.5)])
         u = random_band_limited(grid64, rng, amplitude=1.0)
-        blocks = len(integrator_for(grid64, w).blocks)
+        blocks = len(SingularIntegrator(grid64, w).blocks)
         before = dict(transform_counts)
         kazdan_warner_residual(u, w.rho_bar - 0.3, w)
         assert transform_counts["synthesis"] - before["synthesis"] == blocks

@@ -12,6 +12,7 @@ from sol_lab.mt_functional import (
     INTEGRATOR_CACHE_SIZE,
     FunctionalParams,
     SingularCapRule,
+    SingularIntegrator,
     UnnormalizedBlowupError,
     el_residual,
     el_residual_norm,
@@ -25,6 +26,7 @@ from sol_lab.mt_functional import (
 from sol_lab.singular_geometry import SingularWeight
 from sol_lab.sphere_grid import (
     FOUR_PI,
+    SHCoefficients,
     ScalarField,
     build_grid,
     integrate,
@@ -41,6 +43,14 @@ SOUTH = (0.0, 0.0, -1.0)
 
 def single_weight(alpha):
     return SingularWeight.from_orders([(NORTH, alpha)])
+
+
+def full_path_coeffs(grid):
+    """Coefficients with an m = 1 term, for which integrator_for returns
+    the full integrator."""
+    c = SHCoefficients.zeros(grid.band_limit)
+    c.values[1, grid.band_limit + 1] = 1.0
+    return c
 
 
 class TestExpIntegral:
@@ -91,7 +101,9 @@ class TestExpIntegral:
         """Refining the radial rule converges monotonically (to FP floor)."""
         w = single_weight(-0.75)
         u0 = ScalarField.constant(grid64, 0.0)
-        vals = [exp_integral(u0, w, SingularCapRule(n_radial=n))
+        vals = [float(np.exp(SingularIntegrator(
+                    grid64, w, SingularCapRule(n_radial=n)).log_exp_integral(
+                        sh_analysis(u0))))
                 for n in (2, 4, 8, 16)]
         diffs = [abs(a - b) for a, b in zip(vals, vals[1:])]
         for d1, d2 in zip(diffs, diffs[1:]):
@@ -242,7 +254,7 @@ class TestTroyanovGap:
 
 class TestIntegratorExactness:
     def test_smooth_integrand_through_caps(self, grid128):
-        integ = integrator_for(grid128, single_weight(-0.5))
+        integ = SingularIntegrator(grid128, single_weight(-0.5))
         val = integ.smooth_integral(lambda pts: pts[..., 2] ** 2)
         assert val == pytest.approx(FOUR_PI / 3.0, abs=1e-11)
 
@@ -262,7 +274,7 @@ class TestIntegratorCache:
         gc.disable()
         try:
             grid = build_grid(17, 34)
-            integrator_for(grid, w)
+            integrator_for(grid, w, full_path_coeffs(grid))
             ref = weakref.ref(grid)
             del grid
             assert ref() is None
@@ -275,11 +287,12 @@ class TestIntegratorCache:
         k = INTEGRATOR_CACHE_SIZE
         weights = [SingularWeight.from_orders([(NORTH, -0.05 * (i + 1))])
                    for i in range(k + 1)]
-        first = [integrator_for(grid, w) for w in weights[:k]]
-        assert integrator_for(grid, weights[0]) is first[0]
-        integrator_for(grid, weights[k])
+        c = full_path_coeffs(grid)
+        first = [integrator_for(grid, w, c) for w in weights[:k]]
+        assert integrator_for(grid, weights[0], c) is first[0]
+        integrator_for(grid, weights[k], c)
         assert len(grid._integrator_cache) == k
-        assert integrator_for(grid, weights[0]) is first[0]
-        assert all(integrator_for(grid, w) is f
+        assert integrator_for(grid, weights[0], c) is first[0]
+        assert all(integrator_for(grid, w, c) is f
                    for w, f in zip(weights[2:k], first[2:]))
-        assert integrator_for(grid, weights[1]) is not first[1]
+        assert integrator_for(grid, weights[1], c) is not first[1]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sol_lab import identity_checks, subcritical_solver
+from sol_lab import mt_functional, subcritical_solver
 from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
 from sol_lab.mt_functional import (
     FunctionalParams,
@@ -12,7 +12,8 @@ from sol_lab.mt_functional import (
     eval_J,
     eval_J_coeffs,
     exp_integral,
-    integrator_for,
+    log_exp_integral,
+    troyanov_gap,
 )
 from sol_lab.identity_checks import kazdan_warner_residual
 from sol_lab.singular_geometry import SingularPoint, SingularWeight
@@ -74,7 +75,7 @@ class TestTransformWork:
         grid = init.grid
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        blocks = len(integrator_for(grid, w, zonal=zonal).blocks)
+        blocks = len(SingularIntegrator(grid, w, zonal=zonal).blocks)
         marks = []  # per loop iteration: [syntheses, analyses, trials]
         peak = SingularIntegrator.field_peak
         J = subcritical_solver.eval_J_coeffs
@@ -110,8 +111,8 @@ def zonal_and_full_J(grid, params, coeffs):
     """J of the same coefficients through the zonal and the full integrator."""
     return tuple(
         eval_J_coeffs(coeffs, integ.density(coeffs), params)
-        for integ in (integrator_for(grid, params.weight, zonal=True),
-                      integrator_for(grid, params.weight)))
+        for integ in (SingularIntegrator(grid, params.weight, zonal=True),
+                      SingularIntegrator(grid, params.weight)))
 
 
 # (pole, K, init) -> zonal path expected; the last three break the symmetry
@@ -149,7 +150,7 @@ class TestZonalPath:
         grid = build_grid(L + 1, 2 * L + 2)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         cfg = SolverConfig(epsilon_schedule=(0.5, 0.2, 0.1, 0.05))
-        report = epsilon_sweep(w, grid, cfg, keep_states=True)
+        report = epsilon_sweep(w, grid, cfg)
         assert zonal_flags(grid) == [True]
         for state in report.states:
             J_zonal, J_full = zonal_and_full_J(grid, state.params,
@@ -164,7 +165,7 @@ class TestZonalPath:
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         zero = ScalarField.constant(grid, 0.0)
         zonal = minimize(params, quick_config(0.3), zero, grid)
-        monkeypatch.setattr(subcritical_solver, "is_zonal", lambda *a: False)
+        monkeypatch.setattr(mt_functional, "is_zonal", lambda *a: False)
         full = minimize(params, quick_config(0.3), zero, grid)
         assert zonal_flags(grid) == [True, False]
         assert zonal.iterations == full.iterations
@@ -192,9 +193,41 @@ class TestZonalPath:
             grid, lambda x: 0.5 * x[..., 2] ** 2)
         rep = kazdan_warner_residual(u, params.rho, w)
         assert zonal_flags(grid) == [zonal]
-        monkeypatch.setattr(identity_checks, "is_zonal", lambda *a: False)
+        monkeypatch.setattr(mt_functional, "is_zonal", lambda *a: False)
         full = kazdan_warner_residual(u, params.rho, w)
         assert rep.moment == pytest.approx(full.moment, rel=1e-12)
+
+    @pytest.mark.parametrize("L", [64, 128])
+    def test_extremal_field_evaluations(self, L):
+        """eval_J, troyanov_gap and log_exp_integral take the zonal
+        integrator on the extremal field and agree with the full one."""
+        grid = build_grid(L + 1, 2 * L + 2)
+        w = extremal_weight(-0.5)
+        params = FunctionalParams(rho=w.rho_bar, weight=w)
+        u = extremal_u(ExtremalParams(alpha=-0.5), grid)
+        coeffs = sh_analysis(u)
+        dens = SingularIntegrator(grid, w).density(coeffs)
+        J_full = eval_J_coeffs(coeffs, dens, params)
+        assert eval_J(u, params) == pytest.approx(J_full, rel=1e-12)
+        assert troyanov_gap(u, w, 0.0) == pytest.approx(J_full / w.rho_bar,
+                                                        rel=1e-12)
+        assert log_exp_integral(u, w) == pytest.approx(dens.log_integral,
+                                                       rel=1e-12)
+        assert zonal_flags(grid) == [True]
+
+    def test_zonal_ops_skip_the_full_grid_transform(self):
+        """A zonal solve, the axis identity on its state and its diagnosis
+        (whole-sphere mass included) never build the grid's full-order
+        transform."""
+        grid = build_grid(65, 130)
+        w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
+        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
+        state = minimize(params, quick_config(0.3),
+                         ScalarField.constant(grid, 0.0), grid)
+        kazdan_warner_residual(state.u, params.rho, w)
+        diagnose(state, w, cap_radii=(0.5, 3.5))
+        assert zonal_flags(grid) == [True]
+        assert grid._transform is None
 
 
 class TestMinimize:
@@ -260,12 +293,13 @@ class TestMinimize:
             minimize(params, quick_config(0.1),
                      ScalarField.constant(grid16, 0.0), grid16)
 
-    def test_overflow_signalled(self, grid16):
+    def test_overflow_signalled(self, grid16, monkeypatch):
         # the normalized peak of 12 x3 is ~0.65; a ceiling below it trips
         w = SingularWeight()
         params = FunctionalParams(rho=8.0 * np.pi - 1.0, weight=w)
+        monkeypatch.setattr(subcritical_solver, "DEFAULT_CEILING", 0.5)
         with pytest.raises(UnnormalizedBlowupError):
-            minimize(params, quick_config(1.0, ceiling=0.5),
+            minimize(params, quick_config(1.0),
                      ScalarField.from_function(grid16,
                                                lambda x: 12.0 * x[..., 2]),
                      grid16)
@@ -365,6 +399,11 @@ class TestSweep:
                            init="zero")
         with pytest.raises(NonConvergedError):
             epsilon_sweep(w, grid64, cfg)
+
+    def test_unknown_init_rejected(self):
+        """A misspelt start is an error, not a silent start from zero."""
+        with pytest.raises(ValueError, match="init"):
+            SolverConfig(init="test_function")
 
     def test_richardson_recovers_power_law(self):
         eps = np.array([0.5, 0.2, 0.1, 0.05])

@@ -284,6 +284,28 @@ class TestOrderLimit:
             scale = np.max(np.abs(coeffs))
             assert np.max(np.abs(ana - coeffs)) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
+    def test_grid_transforms_zonal_input_on_m0(self, grid_name, request,
+                                               rng):
+        """sh_synthesis of zonal coefficients, sh_analysis of a ring-constant
+        field and synthesis_at_angles of zonal coefficients match the
+        full-order results; the analysis has exactly zero m != 0 columns."""
+        g = request.getfixturevalue(grid_name)
+        L = g.band_limit
+        c = SHCoefficients.zeros(L)
+        c.values[:, L] = rng.normal(size=L + 1) / (1.0 + np.arange(L + 1))
+        full_values = g.transform.synthesis_values(c)
+        field = sh_synthesis(c, g)
+        scale = np.max(np.abs(full_values))
+        assert np.max(np.abs(field.values - full_values)) <= 1e-14 * scale
+        at_angles = synthesis_at_angles(c, g.t, np.zeros(g.t.size))
+        assert np.max(np.abs(at_angles - full_values[:, 0])) <= 1e-14 * scale
+        coeffs = sh_analysis(field)
+        assert coeffs.is_zonal
+        full = g.transform.analysis_coeffs(field.values).values
+        assert np.max(np.abs(coeffs.values - full)) <= \
+            1e-14 * np.max(np.abs(full))
+
 
 class TestDirichletEnergy:
     def test_constant_is_zero(self, grid64):
