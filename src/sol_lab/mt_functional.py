@@ -39,7 +39,7 @@ exponentiation, so strongly concentrated fields cannot overflow.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,18 +172,24 @@ class _ProductBlock:
     ``cap`` marks a polar cap block: (center index into the weight's point
     list, exact radial distances), passed to ``SingularWeight.log_weight``.
     A ``zonal`` block transforms order m = 0 only, on one longitude that
-    carries the whole ring weight 2 pi t_weights.
+    carries the whole ring weight 2 pi t_weights.  Its node vectors are
+    computed when asked for (``points``), not kept.
     """
 
     def __init__(self, grid: SphereGrid, t: np.ndarray, t_weights: np.ndarray,
                  cap: tuple | None = None, zonal: bool = False):
         phi = np.zeros(1) if zonal else grid.phi
-        self.weights = (t_weights[:, None] / phi.size * (2.0 * np.pi)
-                        * np.ones(phi.size))
-        self.transform = ProductTransform(grid.band_limit, t, phi,
-                                          self.weights, 0 if zonal else None)
+        # ring-constant: one column, broadcast (read-only) over the longitudes
+        self.weights = np.broadcast_to(
+            t_weights[:, None] / phi.size * (2.0 * np.pi), (t.size, phi.size))
+        self.transform = ProductTransform(
+            grid.band_limit, t, phi, self.weights, 0 if zonal else None,
+            fourier=None if zonal else grid.fourier)
         self.cap = cap
-        self.points = ring_points(t, phi)
+
+    @property
+    def points(self) -> np.ndarray:
+        return ring_points(self.transform.t, self.transform.phi)
 
     def synthesis(self, coeffs: SHCoefficients) -> np.ndarray:
         return self.transform.synthesis_values(coeffs)
@@ -206,7 +212,6 @@ class _GridBlock(_ProductBlock):
                  zonal: bool = False):
         self.transform = grid.zonal_transform if zonal else grid.transform
         self.cap, self.extra = None, extra
-        self.points = ring_points(grid.t, self.transform.phi)
         self.weights = self.transform.weights * extra
 
     def analysis(self, values: np.ndarray) -> SHCoefficients:
@@ -245,22 +250,32 @@ class _ScatterBlock:
         return out
 
 
+def _ring_column(log_h: np.ndarray) -> np.ndarray:
+    """log h on a block, as one column when it is constant along every ring
+    of a product block (it broadcasts back over the longitudes)."""
+    if log_h.ndim == 2 and not np.ptp(log_h, axis=1).any():
+        return log_h[:, :1].copy()
+    return log_h
+
+
 @dataclass(frozen=True)
 class Density:
     """h e^u on the composite rule, from one synthesis of u per block.
 
     ``values[b]`` is h e^{u - shift} on block b, ``total`` their weighted
-    sum (int h e^u = e^shift total) and ``peak`` max u over all nodes.
+    sum (int h e^u = e^shift total) and ``peak`` max u over all nodes.  For
+    a stack of fields ``values[b]`` has the batch axes first, and ``shift``,
+    ``total`` and ``peak`` are arrays over them; otherwise they are floats.
     """
 
     values: list
-    shift: float
-    total: float
-    peak: float
+    shift: float | np.ndarray
+    total: float | np.ndarray
+    peak: float | np.ndarray
 
     @property
-    def log_integral(self) -> float:
-        return self.shift + float(np.log(self.total))
+    def log_integral(self) -> float | np.ndarray:
+        return self.shift + np.log(self.total)
 
     def shifted(self, constant: float) -> Density:
         """The record of u + constant; h e^{u - shift} is unchanged."""
@@ -287,7 +302,7 @@ class SingularIntegrator:
                              "the grid axis")
         self._validate_caps()
         self.blocks = self._build_blocks(grid)
-        self.log_h = [weight.log_weight(b.points, cap=b.cap)
+        self.log_h = [_ring_column(weight.log_weight(b.points, cap=b.cap))
                       for b in self.blocks]
 
     def _validate_caps(self):
@@ -327,17 +342,33 @@ class SingularIntegrator:
     # -- density machinery --------------------------------------------------
 
     def density(self, coeffs: SHCoefficients) -> Density:
-        """h e^u on every block from one synthesis per block (see Density)."""
-        z, peak = [], -np.inf
+        """h e^u on every block from one synthesis per block (see Density).
+
+        A stack of coefficients (leading batch axes) is synthesized in one
+        pass per block, and each field gets its own shift.  The density is
+        formed in place in the synthesized arrays, so about one array per
+        block and field is live.
+        """
+        batch = coeffs.values.shape[:-2]
+        z, peak, shift = [], -np.inf, -np.inf
         for lh, b in zip(self.log_h, self.blocks):
             u = b.synthesis(coeffs)
-            peak = max(peak, float(np.max(u)))
-            z.append(lh + u)
-        shift = max(float(np.max(zb)) for zb in z)
-        values = [np.exp(zb - shift) for zb in z]
-        total = float(sum(np.sum(b.weights * d)
-                          for b, d in zip(self.blocks, values)))
-        return Density(values, shift, total, peak)
+            flat = u.reshape(*batch, -1)
+            peak = np.maximum(peak, flat.max(axis=-1))
+            u += lh
+            shift = np.maximum(shift, flat.max(axis=-1))
+            z.append(u)
+        total = 0.0
+        for b, zb in zip(self.blocks, z):
+            flat = zb.reshape(*batch, -1)
+            flat -= shift[..., None]
+            np.exp(flat, out=flat)
+            sums = [np.sum(b.weights * d)  # field by field, as unbatched
+                    for d in zb.reshape(-1, *b.weights.shape)]
+            total = total + np.reshape(sums, batch)
+        if not batch:
+            return Density(z, float(shift), float(total), float(peak))
+        return Density(z, shift, total, peak)
 
     def log_exp_integral(self, coeffs: SHCoefficients) -> float:
         return self.density(coeffs).log_integral
@@ -363,26 +394,41 @@ class SingularIntegrator:
                          for b in self.blocks))
 
 
+@dataclass
+class _CacheEntry:
+    """One weight's integrators, by zonality, and whether ``is_zonal`` holds
+    for it (None until asked).  The entry keeps the weight alive, so the
+    ids in its cache key stay valid while the memo does."""
+
+    weight: SingularWeight
+    zonal_weight: bool | None = None
+    integrators: dict = field(default_factory=dict)
+
+
 def integrator_for(grid: SphereGrid, weight: SingularWeight,
                    coeffs: SHCoefficients) -> SingularIntegrator:
     """The grid's integrator for ``weight`` and a field with these
-    coefficients, from a per-grid LRU cache.
+    coefficients, from a per-grid LRU cache of INTEGRATOR_CACHE_SIZE weights.
 
     It is zonal when the coefficients are (``SHCoefficients.is_zonal``) and
-    ``is_zonal`` holds for the weight.  Each integrator holds its blocks'
-    Legendre tables (~200 MB at L = 256; a zonal one holds the m = 0 rows
-    only).
+    ``is_zonal`` holds for the weight, decided once per cached weight.  Each
+    integrator holds its blocks' Legendre tables (~200 MB at L = 256; a
+    zonal one holds the m = 0 rows only).
     """
-    zonal = coeffs.is_zonal and is_zonal(grid, weight)
-    key = (weight.cache_key(), zonal)
+    key = weight.cache_key()
     cache = grid._integrator_cache
-    cached = cache.pop(key, None)
-    if cached is None:
-        cached = SingularIntegrator(grid, weight, zonal=zonal)
-    cache[key] = cached  # the most recently used entry is last
+    entry = cache.pop(key, None) or _CacheEntry(weight)
+    cache[key] = entry  # the most recently used entry is last
     if len(cache) > INTEGRATOR_CACHE_SIZE:
         cache.popitem(last=False)
-    return cached
+    zonal = coeffs.is_zonal
+    if zonal:
+        if entry.zonal_weight is None:
+            entry.zonal_weight = is_zonal(grid, weight)
+        zonal = entry.zonal_weight
+    if zonal not in entry.integrators:
+        entry.integrators[zonal] = SingularIntegrator(grid, weight, zonal=zonal)
+    return entry.integrators[zonal]
 
 
 def is_zonal(grid: SphereGrid, weight: SingularWeight) -> bool:
@@ -485,7 +531,14 @@ def troyanov_gap(u: ScalarField, w: SingularWeight, C: float) -> float:
     Equals J_{rho_bar}(u)/rho_bar + C; nonnegative iff the inequality holds
     at u with this constant.
     """
-    coeffs = sh_analysis(u)
-    log_e = integrator_for(u.grid, w, coeffs).log_exp_integral(coeffs)
+    return float(troyanov_gap_coeffs(sh_analysis(u), u.grid, w, C))
+
+
+def troyanov_gap_coeffs(coeffs: SHCoefficients, grid: SphereGrid,
+                        w: SingularWeight, C: float):
+    """``troyanov_gap`` of the field with these coefficients; for a stack
+    of coefficients, the gap of each field (one synthesis per quadrature
+    block for the whole stack)."""
+    log_e = integrator_for(grid, w, coeffs).log_exp_integral(coeffs)
     return (dirichlet_energy(coeffs) / (16.0 * np.pi * (1.0 + w.alpha))
             + C - (log_e - coeffs.mean - np.log(FOUR_PI)))

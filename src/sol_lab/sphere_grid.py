@@ -28,6 +28,15 @@ all orders and the Fourier step.  The grid analyses a ring-constant field,
 and synthesizes zonal coefficients (``SHCoefficients.is_zonal``), with such
 a transform; ``mt_functional.is_zonal`` decides when the integrators may do
 the same.
+
+Coefficients and values may carry leading batch axes: a stack of K fields,
+coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
+one (K x (L+1-m)) by ((L+1-m) x n_t) matrix product per order and trig
+part, so the K fields share one pass over each Pbar block instead of
+reading it K times.  One field gives bit for bit the unbatched results.
+Stacks cost memory per field on top of the shared tables, so callers that
+batch independent samples take ``batch_size(grid)`` fields at a time, from
+the byte budget ``BATCH_BUDGET``.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FOUR_PI = 4.0 * np.pi
+SQRT2 = np.sqrt(2.0)
 
 
 class BandLimitError(ValueError):
@@ -114,6 +124,26 @@ def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
 # L = 128 sweep (2.3 MiB at 4096).  Above 2048 points a group is one
 # order, which runs within about 15 % of a plain per-order loop.
 LEGENDRE_BUDGET = 4096
+
+# Bytes of grid values in one stack of sampled fields that a batched
+# evaluation takes at once (``batch_size``): 4 fields at L = 256.  There a
+# stack adds about 4 MiB of traced allocations per field (its coefficients
+# and its synthesized band block) to 253 MB of shared Legendre tables.
+# Measured on an L = 256 inequality-sample with one BLAS thread: 4 fields
+# per stack cut its transform time by about half and its peak RSS stays
+# below the one-field-at-a-time code; 5 fields raise the peak by 7 MiB.
+BATCH_BUDGET = 9 << 19  # 4.5 MiB
+
+
+def batch_size(grid: SphereGrid) -> int:
+    """Fields per stack on this grid: BATCH_BUDGET over one field's bytes."""
+    return max(1, BATCH_BUDGET // (8 * grid.n_theta * grid.n_phi))
+
+
+def fourier_tables(m_max: int, phi: np.ndarray):
+    """(cos m phi, sin m phi) for m = 0..m_max, each (m_max + 1, len(phi))."""
+    m = np.arange(m_max + 1)[:, None]
+    return np.cos(m * phi[None, :]), np.sin(m * phi[None, :])
 
 
 def _legendre_orders(band_limit: int, t: np.ndarray, group: int | None = None):
@@ -194,13 +224,17 @@ def normalized_legendre(band_limit: int, t: np.ndarray,
 
 @dataclass
 class SHCoefficients:
-    """Real spherical-harmonic coefficients, entry [l, L + m] for a_{l,m}."""
+    """Real spherical-harmonic coefficients, entry [l, L + m] for a_{l,m}.
+
+    ``values`` may carry leading batch axes, shape (..., L+1, 2L+1): a stack
+    of fields that the transforms handle in one pass.
+    """
 
     values: np.ndarray
 
     @property
     def band_limit(self) -> int:
-        return self.values.shape[0] - 1
+        return self.values.shape[-2] - 1
 
     def copy(self) -> "SHCoefficients":
         return SHCoefficients(self.values.copy())
@@ -210,19 +244,21 @@ class SHCoefficients:
         return cls(np.zeros((band_limit + 1, 2 * band_limit + 1)))
 
     @property
-    def mean(self) -> float:
-        """Mean of the synthesized field: a_{0,0} / sqrt(4 pi)."""
-        return float(self.values[0, self.band_limit] / np.sqrt(FOUR_PI))
+    def mean(self):
+        """Mean of the synthesized field: a_{0,0} / sqrt(4 pi), a float (an
+        array over the batch axes for a stack)."""
+        mean = self.values[..., 0, self.band_limit] / np.sqrt(FOUR_PI)
+        return float(mean) if mean.ndim == 0 else mean
 
     @property
     def is_zonal(self) -> bool:
-        """True when every m != 0 column is exactly zero."""
+        """True when every m != 0 column (of every field) is exactly zero."""
         L = self.band_limit
-        return not (self.values[:, :L].any() or self.values[:, L + 1:].any())
+        return not (self.values[..., :L].any() or self.values[..., L + 1:].any())
 
     def shifted(self, constant: float) -> "SHCoefficients":
         out = self.copy()
-        out.values[0, self.band_limit] += constant * np.sqrt(FOUR_PI)
+        out.values[..., 0, self.band_limit] += constant * np.sqrt(FOUR_PI)
         return out
 
 
@@ -242,53 +278,90 @@ class ProductTransform:
     synthesis reads, and analysis writes, those columns alone.  With
     m_max = 0 the transform is exact for zonal fields, and one longitude
     carrying the whole ring weight is then a complete longitude rule.
+
+    ``fourier`` may pass the (cos m phi, sin m phi) tables, at least m_max + 1
+    rows on these longitudes, to share them with other transforms
+    (``SphereGrid.fourier``).
     """
 
     def __init__(self, band_limit: int, t: np.ndarray, phi: np.ndarray,
-                 weights_2d: np.ndarray | None, m_max: int | None = None):
+                 weights_2d: np.ndarray | None, m_max: int | None = None,
+                 fourier: tuple | None = None):
         self.band_limit = band_limit
         self.m_max = band_limit if m_max is None else m_max
         self.t = np.asarray(t, dtype=float)
         self.phi = np.asarray(phi, dtype=float)
         self.weights = weights_2d
         self.plm = normalized_legendre(band_limit, self.t, self.m_max)
-        m = np.arange(self.m_max + 1)[:, None]
-        self.cos_m = np.cos(m * self.phi[None, :])
-        self.sin_m = np.sin(m * self.phi[None, :])
+        cos_m, sin_m = fourier or fourier_tables(self.m_max, self.phi)
+        self.cos_m, self.sin_m = cos_m[:self.m_max + 1], sin_m[:self.m_max + 1]
 
     def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
+        """Values on the node set, shape (..., n_t, n_phi) for coefficients
+        of shape (..., L+1, 2L+1).
+
+        Each order is one product of the batch's coefficient rows with its
+        Pbar block, so each table entry is read once per batch.
+        """
         L, M = self.band_limit, self.m_max
-        c = coeffs.values
         if coeffs.band_limit != L:
             raise BandLimitError(
                 f"coefficients have L={coeffs.band_limit}, transform expects {L}"
             )
-        cc = np.zeros((M + 1, self.t.size))
-        cs = np.zeros((M + 1, self.t.size))
+        batch = coeffs.values.shape[:-2]
+        # batch axis last: c[m:, L + m].T is a (K, L+1-m) matrix that BLAS
+        # reads in place, and for K = 1 the strided vector of one field
+        c = coeffs.values.reshape(-1, L + 1, 2 * L + 1).transpose(1, 2, 0)
+        c = np.ascontiguousarray(c)
+        k, n_t, n_phi = c.shape[-1], self.t.size, self.phi.size
+        out = np.empty((k, n_t, n_phi))
+        # a field's cos and sin rows fill the start of its own output slot
+        # when they fit (2 (M + 1) <= n_phi); its Fourier step overwrites them
+        if 2 * (M + 1) <= n_phi:
+            rows = out.reshape(k, -1)[:, :2 * (M + 1) * n_t]
+        else:
+            rows = np.empty((k, 2 * (M + 1) * n_t))
+        rows = rows.reshape(k, 2, M + 1, n_t)
+        cc, cs = rows[:, 0], rows[:, 1]
+        cs[:, 0] = 0.0  # multiplies sin 0 phi = 0; the buffer is uninitialized
         for m in range(M + 1):
             block = self.plm[m]
-            amp = np.sqrt(2.0) if m > 0 else 1.0
-            cc[m] = amp * (c[m:, L + m] @ block)
+            amp = SQRT2 if m > 0 else 1.0
+            cc[:, m] = amp * (c[m:, L + m].T @ block)
             if m > 0:
-                cs[m] = amp * (c[m:, L - m] @ block)
-        return cc.T @ self.cos_m + cs.T @ self.sin_m
+                cs[:, m] = amp * (c[m:, L - m].T @ block)
+        for i in range(k):  # the Fourier step, field by field
+            field = cc[i].T @ self.cos_m
+            if M > 0:  # sin 0 phi = 0
+                field += cs[i].T @ self.sin_m
+            out[i] = field
+        return out.reshape(batch + out.shape[1:])
 
     def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
-        """<values, Y_{l,m}> under this node set's quadrature weights."""
+        """<values, Y_{l,m}> under this node set's quadrature weights, for
+        values of shape (..., n_t, n_phi)."""
         if self.weights is None:
             raise ValueError("transform was built without quadrature weights")
-        L = self.band_limit
-        w = self.weights * values
-        fc = w @ self.cos_m.T
-        fs = w @ self.sin_m.T
-        out = np.zeros((L + 1, 2 * L + 1))
-        for m in range(self.m_max + 1):
+        L, M, n_t = self.band_limit, self.m_max, self.t.size
+        batch = values.shape[:-2]
+        w = (self.weights * values).reshape(-1, self.phi.size)
+        k = w.shape[0] // n_t
+
+        def by_order(trig):  # (n_t, M + 1, K): batch axis last, as synthesized
+            return np.ascontiguousarray(
+                (w @ trig.T).reshape(k, n_t, M + 1).transpose(1, 2, 0))
+
+        fc = by_order(self.cos_m)
+        fs = by_order(self.sin_m) if M > 0 else None  # sin 0 phi = 0
+        # batch axis last, the layout synthesis_values reads without a copy
+        out = np.zeros((L + 1, 2 * L + 1, k))
+        for m in range(M + 1):
             block = self.plm[m]
-            amp = np.sqrt(2.0) if m > 0 else 1.0
+            amp = SQRT2 if m > 0 else 1.0
             out[m:, L + m] = amp * (block @ fc[:, m])
             if m > 0:
                 out[m:, L - m] = amp * (block @ fs[:, m])
-        return SHCoefficients(out)
+        return SHCoefficients(out.transpose(2, 0, 1).reshape(batch + out.shape[:2]))
 
 
 class SphereGrid:
@@ -307,6 +380,7 @@ class SphereGrid:
         # steradian weight per latitude ring; math.fsum gives exactly FOUR_PI
         self.t_weights = _colatitude_weights(tw)
         self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
+        self._fourier: tuple | None = None
         self._transform: ProductTransform | None = None
         self._zonal_transform: ProductTransform | None = None
         self._integrator_cache: OrderedDict = OrderedDict()  # see integrator_for
@@ -335,10 +409,19 @@ class SphereGrid:
     # -- transforms ---------------------------------------------------------
 
     @property
+    def fourier(self) -> tuple:
+        """``fourier_tables`` of the grid longitudes up to the band limit,
+        shared by every full-order transform on them."""
+        if self._fourier is None:
+            self._fourier = fourier_tables(self.band_limit, self.phi)
+        return self._fourier
+
+    @property
     def transform(self) -> ProductTransform:
         if self._transform is None:
             self._transform = ProductTransform(
-                self.band_limit, self.t, self.phi, self.weights)
+                self.band_limit, self.t, self.phi, self.weights,
+                fourier=self.fourier)
         return self._transform
 
     @property
@@ -445,27 +528,47 @@ def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:
 
 def random_band_limited(grid: SphereGrid, rng, l_max=None, amplitude=2.0,
                         decay=2.0) -> ScalarField:
-    """Seeded random field with coefficients ~ N(0, (1+l)^(-2 decay)).
+    """Seeded random field: ``random_band_limited_batch`` of one field."""
+    return ScalarField(random_band_limited_batch(
+        grid, rng, 1, l_max, amplitude, decay)[0], grid)
 
-    Degrees 1..l_max (default the grid's band limit) are drawn in order,
-    2l + 1 normals each; the field is then scaled to max |u| = amplitude.
+
+def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
+                              amplitude=2.0, decay=2.0) -> np.ndarray:
+    """Values of ``count`` seeded random fields, shape (count, n_theta, n_phi).
+
+    A field's coefficients ~ N(0, (1+l)^(-2 decay)) for degrees 1..l_max
+    (default the grid's band limit) are one draw of (l_max + 1)^2 - 1
+    normals, in order of degree and then of m; each field is then scaled to
+    max |u| = amplitude.  The fields are drawn one after another, so the
+    stream does not depend on how the samples are split into batches, and
+    they are synthesized in one pass.
     """
-    L = grid.band_limit if l_max is None else l_max
-    coeffs = SHCoefficients.zeros(grid.band_limit)
-    for l in range(1, L + 1):
-        coeffs.values[l, grid.band_limit - l:grid.band_limit + l + 1] = \
-            rng.normal(size=2 * l + 1) / (1.0 + l) ** decay
-    field = sh_synthesis(coeffs, grid)
-    peak = float(np.max(np.abs(field.values)))
-    if peak > 0.0:
-        field = field * (amplitude / peak)
-    return field
+    G = grid.band_limit
+    L = G if l_max is None else l_max
+    l = np.arange(G + 1)[:, None]
+    drawn = (np.abs(np.arange(-G, G + 1)) <= l) & (l >= 1) & (l <= L)
+    degrees = np.arange(1, L + 1)
+    scale = np.repeat([(1.0 + d) ** decay for d in range(1, L + 1)],
+                      2 * degrees + 1)
+    coeffs = np.zeros((count, G + 1, 2 * G + 1))
+    for c in coeffs:
+        c[drawn] = rng.normal(size=scale.size) / scale
+    values = grid.transform.synthesis_values(SHCoefficients(coeffs))
+    for v in values:
+        peak = float(np.max(np.abs(v)))
+        if peak > 0.0:
+            v *= amplitude / peak
+    return values
 
 
-def dirichlet_energy(c: SHCoefficients) -> float:
-    """int |grad u|^2 = sum_{l,m} l(l+1) a_{l,m}^2 for band-limited u."""
+def dirichlet_energy(c: SHCoefficients):
+    """int |grad u|^2 = sum_{l,m} l(l+1) a_{l,m}^2 for band-limited u (an
+    array over the batch axes for a stack)."""
     lw = _degree_weights(c.band_limit)
-    return float(np.sum(lw[:, None] * c.values**2))
+    terms = lw[:, None] * c.values**2
+    energy = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def dirichlet_pairing(a: SHCoefficients, b: SHCoefficients) -> float:
@@ -511,21 +614,24 @@ def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
 
 def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
                         phi: np.ndarray) -> np.ndarray:
+    """Values at (cos colatitude t, longitude phi); a stack of coefficients
+    gives its batch axes first."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     phi = np.ravel(phi)
     L = c.band_limit
     cv = c.values
+    shape = cv.shape[:-2] + t.shape
     if c.is_zonal:
         _, block = next(_legendre_orders(L, t.ravel(), group=1))
-        return (cv[:, L] @ block).reshape(t.shape)
-    out = np.zeros(t.size)
+        return (cv[..., L] @ block).reshape(shape)
+    out = np.zeros(cv.shape[:-2] + (t.size,))
     for m, block in _legendre_orders(L, t.ravel()):
         if m == 0:
-            out += cv[:, L] @ block
+            out += cv[..., L] @ block
         else:
-            out += np.sqrt(2.0) * ((cv[m:, L + m] @ block) * np.cos(m * phi)
-                                   + (cv[m:, L - m] @ block) * np.sin(m * phi))
-    return out.reshape(t.shape)
+            out += np.sqrt(2.0) * ((cv[..., m:, L + m] @ block) * np.cos(m * phi)
+                                   + (cv[..., m:, L - m] @ block) * np.sin(m * phi))
+    return out.reshape(shape)
 
 
 def gradient_magnitude(c: SHCoefficients, synthesis, t: np.ndarray) -> np.ndarray:

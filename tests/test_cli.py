@@ -100,6 +100,37 @@ class TestRun:
         r1.pop("wall_clock_s"), r2.pop("wall_clock_s")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_samples_share_transforms(self, monkeypatch, transform_counts):
+        """20 samples in stacks of K = 8 make ceil(20 / 8) = 3 syntheses
+        per integrator block (and per grid draw) instead of 20, and give
+        the gaps of a per-sample troyanov_gap loop."""
+        from sol_lab import sphere_grid
+        from sol_lab.mt_functional import integrator_for, troyanov_gap
+        from sol_lab.singular_geometry import SingularWeight
+
+        grid = {"n_theta": 33, "n_phi": 66}
+        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 8 * 8 * 33 * 66)
+        orders = [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)]
+        config, _ = validate(config_text(
+            experiment={"kind": "inequality-sample", "samples": 20},
+            weight={"points": [{"position": p, "order": a}
+                               for p, a in orders]},
+            grid=grid, seed=5))
+        report = run(config)
+        g = sphere_grid.build_grid(grid["n_theta"], grid["n_phi"])
+        assert sphere_grid.batch_size(g) == 8
+        w = SingularWeight.from_orders(orders)
+        blocks = len(integrator_for(g, w, sphere_grid.SHCoefficients(
+            np.ones((g.band_limit + 1, 2 * g.band_limit + 1)))).blocks)
+        assert transform_counts["synthesis"] == 3 * (1 + blocks)
+        assert transform_counts["analysis"] == 3
+        rng = np.random.default_rng(5)
+        want = [troyanov_gap(sphere_grid.random_band_limited(g, rng), w, 0.0)
+                for _ in range(20)]
+        got = [r["gap"] for r in report["records"]]
+        assert [r["sample"] for r in report["records"]] == list(range(20))
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
     def test_seed_changes_samples(self):
         base = dict(experiment={"kind": "inequality-sample", "samples": 2},
                     weight={"points": []}, grid={"n_theta": 17, "n_phi": 34})

@@ -148,6 +148,33 @@ class TestConformalPullback:
             u = conformal_pullback(ScalarField.constant(grid64, 0.0), t, 0.0)
             assert abs(eval_J(u, params)) < 1e-5
 
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+    def test_zonal_field_matches_full_synthesis(self, grid64, axis,
+                                                monkeypatch):
+        """A zonal u is resampled by the m = 0 synthesis on one longitude;
+        it matches the full-order synthesis at the dilated colatitudes."""
+        from sol_lab import sphere_grid
+        u = extremal_u(ExtremalParams(alpha=-0.4), grid64)
+        assert sphere_grid.sh_analysis(u).is_zonal
+        orders = []
+        table = sphere_grid.normalized_legendre
+
+        def recorded(band_limit, t, m_max=None):
+            orders.append(m_max)
+            return table(band_limit, t, m_max)
+
+        monkeypatch.setattr(sphere_grid, "normalized_legendre", recorded)
+        pulled = conformal_pullback(u, 3.0, -0.4, axis=axis)
+        assert orders == [0]
+        sign = axis[2]
+        dot = sign * grid64.t
+        full = sphere_grid.ProductTransform(
+            grid64.band_limit, sign * dilated_dot(3.0, dot), grid64.phi, None)
+        want = (full.synthesis_values(sphere_grid.sh_analysis(u))
+                + 0.6 * log_det_dilation(3.0, dot)[:, None])
+        assert np.max(np.abs(pulled.values - want)) <= \
+            1e-13 * np.max(np.abs(want))
+
     def test_extremal_invariance(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)

@@ -252,6 +252,30 @@ class TestTroyanovGap:
                                     rel=1e-10)
 
 
+class TestDensityStack:
+    @pytest.mark.parametrize("points", [
+        [(NORTH, -0.5), (SOUTH, 0.3)],
+        [((0.6, 0.0, 0.8), -0.5)],  # off axis: smooth-cutoff scatter caps
+    ])
+    def test_stack_matches_per_field(self, grid64, rng, points):
+        """A stack of fields gives each field's density record, with its
+        own shift, in one synthesis per block."""
+        w = SingularWeight.from_orders(points)
+        fields = [random_band_limited(grid64, rng) * s for s in (1.0, 6.0, 0.2)]
+        stack = SHCoefficients(np.stack([sh_analysis(f).values
+                                         for f in fields]))
+        integ = integrator_for(grid64, w, stack)
+        dens = integ.density(stack)
+        for i, f in enumerate(fields):
+            one = integ.density(SHCoefficients(stack.values[i]))
+            assert dens.shift[i] == pytest.approx(one.shift, rel=1e-14)
+            assert dens.peak[i] == pytest.approx(one.peak, rel=1e-14)
+            assert dens.log_integral[i] == pytest.approx(one.log_integral,
+                                                         rel=1e-14)
+            for got, want in zip(dens.values, one.values):
+                assert np.max(np.abs(got[i] - want)) <= 1e-14 * np.max(want)
+
+
 class TestIntegratorExactness:
     def test_smooth_integrand_through_caps(self, grid128):
         integ = SingularIntegrator(grid128, single_weight(-0.5))
@@ -280,6 +304,31 @@ class TestIntegratorCache:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_zonality_decided_once_per_weight(self, monkeypatch):
+        """is_zonal evaluates log h on the grid nodes once per cached
+        weight, however often the integrator is asked for."""
+        grid = build_grid(17, 34)
+        nodes = grid.nodes
+        on_nodes = []
+        log_weight = SingularWeight.log_weight
+
+        def recorded(self, x, *args, **kwargs):
+            if np.shape(x) == nodes.shape and np.array_equal(x, nodes):
+                on_nodes.append(self)
+            return log_weight(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(SingularWeight, "log_weight", recorded)
+        zonal = SHCoefficients.zeros(grid.band_limit)
+        weights = [single_weight(-0.5), single_weight(-0.25)]
+        for w in weights:
+            first = integrator_for(grid, w, zonal)
+            assert first.zonal
+            full = integrator_for(grid, w, full_path_coeffs(grid))
+            assert not full.zonal
+            for _ in range(3):
+                assert integrator_for(grid, w, zonal) is first
+        assert on_nodes == weights
 
     def test_cache_is_lru(self):
         """k + 1 distinct weights keep k entries; a hit becomes most recent."""

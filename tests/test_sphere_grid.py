@@ -27,6 +27,7 @@ from sol_lab.sphere_grid import (
     synthesis_at_angles,
     synthesis_at_points,
     _legendre_orders,
+    random_band_limited_batch,
 )
 
 from sol_lab.subcritical_solver import gradient_magnitude_grid
@@ -305,6 +306,117 @@ class TestOrderLimit:
         full = g.transform.analysis_coeffs(field.values).values
         assert np.max(np.abs(coeffs.values - full)) <= \
             1e-14 * np.max(np.abs(full))
+
+
+def reference_synthesis(tr, c):
+    """One matrix-vector product per order and trig part (the unbatched
+    transform's arithmetic, operation for operation)."""
+    L, M = tr.band_limit, tr.m_max
+    cc = np.zeros((M + 1, tr.t.size))
+    cs = np.zeros((M + 1, tr.t.size))
+    for m in range(M + 1):
+        amp = np.sqrt(2.0) if m > 0 else 1.0
+        cc[m] = amp * (c[m:, L + m] @ tr.plm[m])
+        if m > 0:
+            cs[m] = amp * (c[m:, L - m] @ tr.plm[m])
+    return cc.T @ tr.cos_m + cs.T @ tr.sin_m
+
+
+def reference_analysis(tr, values):
+    L = tr.band_limit
+    w = tr.weights * values
+    fc, fs = w @ tr.cos_m.T, w @ tr.sin_m.T
+    out = np.zeros((L + 1, 2 * L + 1))
+    for m in range(tr.m_max + 1):
+        amp = np.sqrt(2.0) if m > 0 else 1.0
+        out[m:, L + m] = amp * (tr.plm[m] @ fc[:, m])
+        if m > 0:
+            out[m:, L - m] = amp * (tr.plm[m] @ fs[:, m])
+    return out
+
+
+def transform_cases(g):
+    """The grid transform, its m = 0 transform and a product block on
+    custom colatitudes."""
+    t = np.random.default_rng(3).uniform(-1.0, 1.0, 45)
+    block = ProductTransform(g.band_limit, t, g.phi,
+                             np.full((t.size, g.n_phi), 0.01))
+    return {"grid": g.transform, "zonal": g.zonal_transform, "block": block}
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestBatchAxis:
+    """Transforms over leading batch axes: the fields of a stack share one
+    pass over each Legendre block."""
+
+    @pytest.mark.parametrize("name", ["grid", "zonal", "block"])
+    def test_batch_matches_per_field_loop(self, grid64, rng, name):
+        tr = transform_cases(grid64)[name]
+        L = tr.band_limit
+        c = rng.normal(size=(2, 3, L + 1, 2 * L + 1))
+        values = tr.synthesis_values(SHCoefficients(c))
+        loop = np.array([[tr.synthesis_values(SHCoefficients(ci))
+                          for ci in row] for row in c])
+        assert values.shape == (2, 3, tr.t.size, tr.phi.size)
+        assert max_rel(values, loop) <= 1e-14
+        coeffs = tr.analysis_coeffs(values).values
+        loop = np.array([[tr.analysis_coeffs(v).values for v in row]
+                         for row in values])
+        assert coeffs.shape == c.shape
+        assert max_rel(coeffs, loop) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["grid", "zonal", "block"])
+    def test_unbatched_is_per_order_arithmetic(self, grid64, rng, name):
+        """One field, alone or as a stack of one, gives bit for bit the
+        per-order matrix-vector results."""
+        tr = transform_cases(grid64)[name]
+        L = tr.band_limit
+        c = rng.normal(size=(L + 1, 2 * L + 1))
+        values = tr.synthesis_values(SHCoefficients(c))
+        assert np.array_equal(values, reference_synthesis(tr, c))
+        assert np.array_equal(
+            tr.synthesis_values(SHCoefficients(c[None]))[0], values)
+        coeffs = tr.analysis_coeffs(values).values
+        assert np.array_equal(coeffs, reference_analysis(tr, values))
+        assert np.array_equal(tr.analysis_coeffs(values[None]).values[0],
+                              coeffs)
+
+    def test_coefficient_properties_read_last_axes(self, grid16, rng):
+        L = grid16.band_limit
+        c = SHCoefficients.zeros(L)
+        c.values[:, L] = rng.normal(size=L + 1)
+        stack = SHCoefficients(np.stack([c.values, 2.0 * c.values]))
+        assert stack.band_limit == L
+        assert stack.is_zonal
+        assert np.array_equal(stack.mean, [c.mean, 2.0 * c.mean])
+        stack.values[1, 3, L - 2] = 1.0
+        assert not stack.is_zonal
+        assert dirichlet_energy(stack)[1] == pytest.approx(
+            dirichlet_energy(SHCoefficients(stack.values[1])), rel=1e-15)
+
+    def test_random_fields_are_one_draw_per_sample(self, grid16):
+        """Each field's coefficients are one normal draw in the order of a
+        per-degree loop, so the stream does not depend on the batching."""
+        g, L = grid16, grid16.band_limit
+        rng = np.random.default_rng(11)
+        fields = random_band_limited_batch(g, rng, 3)
+        ref = np.random.default_rng(11)
+        for field in fields:
+            c = SHCoefficients.zeros(L)
+            for l in range(1, L + 1):
+                c.values[l, L - l:L + l + 1] = \
+                    ref.normal(size=2 * l + 1) / (1.0 + l) ** 2.0
+            want = sh_synthesis(c, g).values
+            want *= 2.0 / np.max(np.abs(want))
+            assert max_rel(field, want) <= 1e-14
+        assert rng.normal() == ref.normal()
+        one = random_band_limited(g, np.random.default_rng(11))
+        assert np.array_equal(
+            one.values,
+            random_band_limited_batch(g, np.random.default_rng(11), 1)[0])
 
 
 class TestDirichletEnergy:
