@@ -167,8 +167,7 @@ def conformal_pullback(u: ScalarField, t: float, alpha: float,
 
     The dilation maps latitude circles to latitude circles, so the resampling
     is a product-grid synthesis at shifted colatitudes (spectrally exact for
-    band-limited u).  Zonal u needs the m = 0 synthesis on one longitude,
-    repeated around each ring.
+    band-limited u); a zonal u gives one column, repeated around each ring.
     """
     axis = normalized(np.asarray(axis, dtype=float))
     if abs(axis[2]) < 1.0 - 1.0e-12:
@@ -179,15 +178,8 @@ def conformal_pullback(u: ScalarField, t: float, alpha: float,
     sign = np.sign(axis[2])
     dot = sign * grid.t
     new_dot = dilated_dot(t, dot)
-    coeffs = sh_analysis(u)
-    if coeffs.is_zonal:
-        tr = ProductTransform(grid.band_limit, sign * new_dot, np.zeros(1),
-                              None, m_max=0)
-        pulled = np.repeat(tr.synthesis_values(coeffs), grid.n_phi, axis=1)
-    else:
-        tr = ProductTransform(grid.band_limit, sign * new_dot, grid.phi, None,
-                              fourier=grid.fourier)
-        pulled = tr.synthesis_values(coeffs)
+    tr = ProductTransform(grid.band_limit, sign * new_dot, grid.n_phi)
+    pulled = tr.synthesis_values(sh_analysis(u))
     return ScalarField(
         pulled + (1.0 + alpha) * log_det_dilation(t, dot)[:, None], grid)
 

@@ -253,14 +253,19 @@ def kazdan_warner_residual(u: ScalarField, rho: float,
     vector form int grad h . grad x3 e^u - (2 - rho/4pi) int h e^u x3 with
     the same singular-cap quadrature (grad h . grad x3 has the closed form
     (a2 - a1) h - (a1 + a2) h x3 for the antipodal layout).
-    ``integrator_for`` chooses the integrator from u's coefficients.
+    A ring-constant (one column) density is summed on one longitude per
+    ring, carrying the ring's whole weight.
     """
     a1, a2 = _axis_orders(w)
     coeffs = sh_analysis(u)
-    integ = integrator_for(u.grid, w, coeffs)
+    integ = integrator_for(u.grid, w)
     dens = integ.density(coeffs)
-    moment = float(sum(np.sum(b.weights * d * b.points[..., 2])
-                       for b, d in zip(integ.blocks, dens.values)) / dens.total)
+    parts = []
+    for b, d in zip(integ.blocks, dens.values):
+        wb, x = ((b.transform.ring_weights, b.ring_nodes) if d.shape[-1] == 1
+                 else (b.weights, b.points))
+        parts.append(np.sum(wb * d * x[..., 2]))
+    moment = float(sum(parts) / dens.total)
     prefactor = 2.0 - rho / FOUR_PI + a1 + a2
     poho = (a2 - a1) - prefactor * moment
     # vector form, normalized by int h e^u = 1

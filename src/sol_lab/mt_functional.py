@@ -26,11 +26,12 @@ transform.  Off-axis points fall back to a smooth-cutoff variant whose
 accuracy is limited by the grid resolution of the cutoff (roughly 1e-4);
 all sharp-constant paths use the axis-aligned configuration.
 
-``integrator_for`` is the one way library code gets an integrator.  For
-zonal coefficients and a weight that ``is_zonal`` accepts it builds the same
-blocks as zonal product rules: orders m = 0 only and one longitude per ring
-carrying the ring's whole weight, so a transform costs O(L n_t) instead of
-O(L^2 n_t + L n_t n_phi).
+``integrator_for`` is the one way library code gets an integrator, one per
+weight.  Zonality follows the data, by the one rule of ``sphere_grid``:
+one-column data is zonal.  A weight invariant about the grid axis keeps
+log h as one column per product block, so zonal coefficients give a
+ring-constant density, one column per block, and each of its transforms
+is an m = 0 pass, O(L n_t) instead of O(L^2 n_t + L n_t n_phi).
 
 Everything is evaluated through log h + u, with a global shift before
 exponentiation, so strongly concentrated fields cannot overflow.
@@ -39,7 +40,7 @@ exponentiation, so strongly concentrated fields cannot overflow.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,25 +172,27 @@ class _ProductBlock:
 
     ``cap`` marks a polar cap block: (center index into the weight's point
     list, exact radial distances), passed to ``SingularWeight.log_weight``.
-    A ``zonal`` block transforms order m = 0 only, on one longitude that
-    carries the whole ring weight 2 pi t_weights.  Its node vectors are
-    computed when asked for (``points``), not kept.
+    ``weights`` and ``points`` cover every longitude; ring-constant (one
+    column) data use ``transform.ring_weights`` and ``ring_nodes``: one
+    longitude carrying each ring's whole weight.  Node vectors are computed
+    when asked for, not kept.
     """
 
     def __init__(self, grid: SphereGrid, t: np.ndarray, t_weights: np.ndarray,
-                 cap: tuple | None = None, zonal: bool = False):
-        phi = np.zeros(1) if zonal else grid.phi
-        # ring-constant: one column, broadcast (read-only) over the longitudes
-        self.weights = np.broadcast_to(
-            t_weights[:, None] / phi.size * (2.0 * np.pi), (t.size, phi.size))
-        self.transform = ProductTransform(
-            grid.band_limit, t, phi, self.weights, 0 if zonal else None,
-            fourier=None if zonal else grid.fourier)
+                 cap: tuple | None = None):
+        self.transform = ProductTransform(grid.band_limit, t, grid.n_phi,
+                                          t_weights * (2.0 * np.pi))
+        self.weights = np.broadcast_to(self.transform.weights,
+                                       (t.size, grid.n_phi))
         self.cap = cap
 
     @property
     def points(self) -> np.ndarray:
         return ring_points(self.transform.t, self.transform.phi)
+
+    @property
+    def ring_nodes(self) -> np.ndarray:
+        return ring_points(self.transform.t, self.transform.phi[:1])
 
     def synthesis(self, coeffs: SHCoefficients) -> np.ndarray:
         return self.transform.synthesis_values(coeffs)
@@ -199,20 +202,19 @@ class _ProductBlock:
 
 
 class _GridBlock(_ProductBlock):
-    """The grid itself as a quadrature block (reuses its transform, or with
-    ``zonal`` its m = 0 transform).
+    """The grid itself as a quadrature block (reuses its transform).
 
     Blocks hold the grid's transform, never the grid: the grid caches its
     integrators, so a reference back would make each grid a reference cycle
     that only the cyclic garbage collector can free.  Off-axis weights pass
-    a cutoff ``extra``, folded into the values analysed on the grid's rule.
+    a cutoff ``extra``, folded into the values analysed on the grid's rule;
+    their densities are never ring-constant.
     """
 
-    def __init__(self, grid: SphereGrid, extra: np.ndarray | float = 1.0,
-                 zonal: bool = False):
-        self.transform = grid.zonal_transform if zonal else grid.transform
+    def __init__(self, grid: SphereGrid, extra: np.ndarray | float = 1.0):
+        self.transform = grid.transform
         self.cap, self.extra = None, extra
-        self.weights = self.transform.weights * extra
+        self.weights = grid.weights * extra
 
     def analysis(self, values: np.ndarray) -> SHCoefficients:
         return self.transform.analysis_coeffs(values * self.extra)
@@ -250,14 +252,6 @@ class _ScatterBlock:
         return out
 
 
-def _ring_column(log_h: np.ndarray) -> np.ndarray:
-    """log h on a block, as one column when it is constant along every ring
-    of a product block (it broadcasts back over the longitudes)."""
-    if log_h.ndim == 2 and not np.ptp(log_h, axis=1).any():
-        return log_h[:, :1].copy()
-    return log_h
-
-
 @dataclass(frozen=True)
 class Density:
     """h e^u on the composite rule, from one synthesis of u per block.
@@ -286,24 +280,27 @@ class Density:
 class SingularIntegrator:
     """Composite quadrature for densities h e^u and their SH analysis.
 
-    A ``zonal`` integrator (axis-aligned weights only) synthesizes and
-    analyses the m = 0 column alone: exact for fields and weights that are
-    invariant under rotation about the grid axis (see ``is_zonal``).
+    The build observes the weight once: h is invariant about the grid axis
+    when its singular points lie on the axis and log h on the grid nodes is
+    exactly constant along every ring (true for K == 1 and for a zonal K,
+    false for a point 1e-6 off the pole).  Such a weight keeps log h as one
+    column per block, evaluated on one longitude.  For zonal coefficients
+    J_rho, its gradient and the moments about the axis then live in the
+    m = 0 subspace, and the density computes them there exactly.
     """
 
     def __init__(self, grid: SphereGrid, weight: SingularWeight,
-                 rule: SingularCapRule | None = None, zonal: bool = False):
+                 rule: SingularCapRule | None = None):
         self.band_limit = grid.band_limit
         self.weight = weight
         self.rule = rule or SingularCapRule()
-        self.zonal = zonal
-        if zonal and not weight.is_axis_aligned():
-            raise ValueError("a zonal integrator needs singular points on "
-                             "the grid axis")
         self._validate_caps()
         self.blocks = self._build_blocks(grid)
-        self.log_h = [_ring_column(weight.log_weight(b.points, cap=b.cap))
-                      for b in self.blocks]
+        invariant = (weight.is_axis_aligned() and not np.ptp(
+            weight.log_weight(grid.nodes), axis=1).any())
+        self.log_h = [
+            weight.log_weight(b.ring_nodes if invariant else b.points, cap=b.cap)
+            for b in self.blocks]
 
     def _validate_caps(self):
         for p, q in itertools.combinations(self.weight.positions, 2):
@@ -312,9 +309,9 @@ class SingularIntegrator:
                                  "or separate the singular points")
 
     def _build_blocks(self, grid: SphereGrid):
-        rule, w, zonal = self.rule, self.weight, self.zonal
+        rule, w = self.rule, self.weight
         if not w.points:
-            return [_GridBlock(grid, zonal=zonal)]
+            return [_GridBlock(grid)]
         if w.is_axis_aligned():
             blocks = []
             ends = {1.0: 1.0, -1.0: -1.0}  # band ends: the poles or cap edges
@@ -323,11 +320,11 @@ class SingularIntegrator:
                 pole = 1.0 if sp.position[2] > 0 else -1.0
                 r, wr = cap_radial_rule(sp.order, rule.cap_radius, rule.n_radial)
                 blocks.append(_ProductBlock(grid, pole * np.cos(r), wr,
-                                            cap=(i, r[:, None]), zonal=zonal))
+                                            cap=(i, r[:, None])))
                 ends[pole] = pole * np.cos(rule.cap_radius)
             t, tw = band_panels(ends[-1.0], ends[1.0], ends[-1.0] != -1.0,
                                 ends[1.0] != 1.0, grid.band_limit)
-            blocks.append(_ProductBlock(grid, t, tw, zonal=zonal))
+            blocks.append(_ProductBlock(grid, t, tw))
             return blocks
         # general positions: smooth-cutoff splitting (documented lower accuracy)
         extra = np.ones((grid.n_theta, grid.n_phi))
@@ -347,24 +344,31 @@ class SingularIntegrator:
         A stack of coefficients (leading batch axes) is synthesized in one
         pass per block, and each field gets its own shift.  The density is
         formed in place in the synthesized arrays, so about one array per
-        block and field is live.
+        block and field is live.  Zonal coefficients synthesize to one
+        column per product block; with log h one column too, so is the
+        density.
         """
         batch = coeffs.values.shape[:-2]
+        if coeffs.is_zonal:  # checked once, not by each block's transform
+            coeffs = coeffs.zonal_column
         z, peak, shift = [], -np.inf, -np.inf
         for lh, b in zip(self.log_h, self.blocks):
             u = b.synthesis(coeffs)
-            flat = u.reshape(*batch, -1)
-            peak = np.maximum(peak, flat.max(axis=-1))
-            u += lh
-            shift = np.maximum(shift, flat.max(axis=-1))
+            peak = np.maximum(peak, u.reshape(*batch, -1).max(axis=-1))
+            if u.shape[-1] < lh.shape[-1]:  # zonal u, h not invariant
+                u = u + lh
+            else:
+                u += lh
+            shift = np.maximum(shift, u.reshape(*batch, -1).max(axis=-1))
             z.append(u)
         total = 0.0
         for b, zb in zip(self.blocks, z):
             flat = zb.reshape(*batch, -1)
             flat -= shift[..., None]
             np.exp(flat, out=flat)
-            sums = [np.sum(b.weights * d)  # field by field, as unbatched
-                    for d in zb.reshape(-1, *b.weights.shape)]
+            w = b.transform.ring_weights if zb.shape[-1] == 1 else b.weights
+            sums = [np.sum(w * d)  # field by field, as unbatched
+                    for d in zb.reshape(-1, *w.shape)]
             total = total + np.reshape(sums, batch)
         if not batch:
             return Density(z, float(shift), float(total), float(peak))
@@ -388,61 +392,23 @@ class SingularIntegrator:
         """max of the synthesized field over all quadrature points."""
         return dens.peak
 
-    def smooth_integral(self, values_fn) -> float:
-        """Quadrature of a pointwise closed-form integrand (no density)."""
-        return float(sum(np.sum(b.weights * values_fn(b.points))
-                         for b in self.blocks))
 
+def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrator:
+    """The grid's integrator for ``weight``, from a per-grid LRU cache of
+    INTEGRATOR_CACHE_SIZE integrators.
 
-@dataclass
-class _CacheEntry:
-    """One weight's integrators, by zonality, and whether ``is_zonal`` holds
-    for it (None until asked).  The entry keeps the weight alive, so the
-    ids in its cache key stay valid while the memo does."""
-
-    weight: SingularWeight
-    zonal_weight: bool | None = None
-    integrators: dict = field(default_factory=dict)
-
-
-def integrator_for(grid: SphereGrid, weight: SingularWeight,
-                   coeffs: SHCoefficients) -> SingularIntegrator:
-    """The grid's integrator for ``weight`` and a field with these
-    coefficients, from a per-grid LRU cache of INTEGRATOR_CACHE_SIZE weights.
-
-    It is zonal when the coefficients are (``SHCoefficients.is_zonal``) and
-    ``is_zonal`` holds for the weight, decided once per cached weight.  Each
-    integrator holds its blocks' Legendre tables (~200 MB at L = 256; a
-    zonal one holds the m = 0 rows only).
+    The integrator keeps its weight alive, so the ids in its cache key stay
+    valid while it is cached.  Each holds its blocks' Legendre tables (the
+    m = 0 blocks until a non-zonal field needs every order: ~200 MB at
+    L = 256).
     """
     key = weight.cache_key()
     cache = grid._integrator_cache
-    entry = cache.pop(key, None) or _CacheEntry(weight)
-    cache[key] = entry  # the most recently used entry is last
+    integ = cache.pop(key, None) or SingularIntegrator(grid, weight)
+    cache[key] = integ  # the most recently used integrator is last
     if len(cache) > INTEGRATOR_CACHE_SIZE:
         cache.popitem(last=False)
-    zonal = coeffs.is_zonal
-    if zonal:
-        if entry.zonal_weight is None:
-            entry.zonal_weight = is_zonal(grid, weight)
-        zonal = entry.zonal_weight
-    if zonal not in entry.integrators:
-        entry.integrators[zonal] = SingularIntegrator(grid, weight, zonal=zonal)
-    return entry.integrators[zonal]
-
-
-def is_zonal(grid: SphereGrid, weight: SingularWeight) -> bool:
-    """True when h is exactly invariant about the grid axis.
-
-    Decided from what is observed, never assumed: the singular points lie
-    on the axis and log h on the grid nodes is exactly constant along every
-    grid ring (true for K == 1 and for a zonal K, false for a point 1e-6 off
-    the pole).  For such a weight and zonal coefficients, J_rho, its
-    gradient and the moments about the axis live in the m = 0 subspace, and
-    a zonal integrator computes them exactly.
-    """
-    return (weight.is_axis_aligned()
-            and not np.ptp(weight.log_weight(grid.nodes), axis=1).any())
+    return integ
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +432,14 @@ def exp_integral(u: ScalarField, w: SingularWeight) -> float:
 def log_exp_integral(u: ScalarField, w: SingularWeight) -> float:
     _check_ceiling(u.values)
     coeffs = sh_analysis(u)
-    return integrator_for(u.grid, w, coeffs).log_exp_integral(coeffs)
+    return integrator_for(u.grid, w).log_exp_integral(coeffs)
 
 
 def eval_J(u: ScalarField, params: FunctionalParams) -> float:
     """J_rho(u); invariant under u -> u + const."""
     _check_ceiling(u.values)
     coeffs = sh_analysis(u)
-    integ = integrator_for(u.grid, params.weight, coeffs)
+    integ = integrator_for(u.grid, params.weight)
     return eval_J_coeffs(coeffs, integ.density(coeffs), params)
 
 
@@ -502,7 +468,7 @@ def residual_coeffs(coeffs: SHCoefficients, params: FunctionalParams,
                     grid: SphereGrid) -> SHCoefficients:
     """Euler-Lagrange residual of u, projected with the composite rule
     that defines int h e^u: the exact gradient of the discrete J."""
-    integ = integrator_for(grid, params.weight, coeffs)
+    integ = integrator_for(grid, params.weight)
     return density_residual(coeffs, integ.density(coeffs), integ, params.rho)
 
 
@@ -539,6 +505,6 @@ def troyanov_gap_coeffs(coeffs: SHCoefficients, grid: SphereGrid,
     """``troyanov_gap`` of the field with these coefficients; for a stack
     of coefficients, the gap of each field (one synthesis per quadrature
     block for the whole stack)."""
-    log_e = integrator_for(grid, w, coeffs).log_exp_integral(coeffs)
+    log_e = integrator_for(grid, w).log_exp_integral(coeffs)
     return (dirichlet_energy(coeffs) / (16.0 * np.pi * (1.0 + w.alpha))
             + C - (log_e - coeffs.mean - np.log(FOUR_PI)))

@@ -133,7 +133,8 @@ class SingularWeight:
         return 0.0
 
     def minimal_points(self) -> list[SingularPoint]:
-        """Singular points of minimal order (empty when alpha = 0 and m > 0... )."""
+        """Singular points of order alpha = min(0, min_i alpha_i): empty
+        when every order is positive."""
         a = self.alpha
         return [sp for sp in self.points if sp.order == a]
 

@@ -21,13 +21,14 @@ where Pbar includes the full normalization (Pbar_{0,0} = 1/sqrt(4 pi)).
 Transforms are dense per-order matrix products, O(L^3) overall, which is
 fine at desk scale (L <= 256).
 
-A ``ProductTransform`` may stop at an order limit m_max.  With m_max = 0
-on one longitude per ring, a synthesis or analysis is one (L+1) x n_t
-matrix-vector product, O(L n_t) instead of the O(L^2 n_t + L n_t n_phi) of
-all orders and the Fourier step.  The grid analyses a ring-constant field,
-and synthesizes zonal coefficients (``SHCoefficients.is_zonal``), with such
-a transform; ``mt_functional.is_zonal`` decides when the integrators may do
-the same.
+Zonal data is one column.  Values of shape (..., n_t, 1) are a ring-constant
+field: a ``ProductTransform`` analyses them on the m = 0 Legendre block
+alone, one longitude carrying each ring's whole weight, into exactly zonal
+coefficients.  Zonal coefficients (``SHCoefficients.is_zonal``) synthesize
+to such a column.  A zonal pass is one (L+1) x n_t matrix product, O(L n_t),
+against O(L^2 n_t + L n_t n_phi) over all orders and the Fourier step; a
+transform builds its all-order Legendre table and its cos/sin tables on
+the first pass that needs them.
 
 Coefficients and values may carry leading batch axes: a stack of K fields,
 coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -140,10 +142,9 @@ def batch_size(grid: SphereGrid) -> int:
     return max(1, BATCH_BUDGET // (8 * grid.n_theta * grid.n_phi))
 
 
-def fourier_tables(m_max: int, phi: np.ndarray):
-    """(cos m phi, sin m phi) for m = 0..m_max, each (m_max + 1, len(phi))."""
-    m = np.arange(m_max + 1)[:, None]
-    return np.cos(m * phi[None, :]), np.sin(m * phi[None, :])
+# (cos m phi, sin m phi) stacked, by (band limit, n_phi): one array shared by
+# every live transform on those longitudes, freed with the last of them
+_FOURIER = weakref.WeakValueDictionary()
 
 
 def _legendre_orders(band_limit: int, t: np.ndarray, group: int | None = None):
@@ -227,7 +228,9 @@ class SHCoefficients:
     """Real spherical-harmonic coefficients, entry [l, L + m] for a_{l,m}.
 
     ``values`` may carry leading batch axes, shape (..., L+1, 2L+1): a stack
-    of fields that the transforms handle in one pass.
+    of fields that the transforms handle in one pass.  Zonal coefficients
+    may also be held as their m = 0 column alone, shape (..., L+1, 1)
+    (``zonal_column``).
     """
 
     values: np.ndarray
@@ -235,6 +238,11 @@ class SHCoefficients:
     @property
     def band_limit(self) -> int:
         return self.values.shape[-2] - 1
+
+    @property
+    def _m0(self) -> int:
+        """Column of the m = 0 coefficients."""
+        return self.values.shape[-1] // 2
 
     def copy(self) -> "SHCoefficients":
         return SHCoefficients(self.values.copy())
@@ -247,18 +255,28 @@ class SHCoefficients:
     def mean(self):
         """Mean of the synthesized field: a_{0,0} / sqrt(4 pi), a float (an
         array over the batch axes for a stack)."""
-        mean = self.values[..., 0, self.band_limit] / np.sqrt(FOUR_PI)
+        mean = self.values[..., 0, self._m0] / np.sqrt(FOUR_PI)
         return float(mean) if mean.ndim == 0 else mean
 
     @property
     def is_zonal(self) -> bool:
         """True when every m != 0 column (of every field) is exactly zero."""
-        L = self.band_limit
-        return not (self.values[..., :L].any() or self.values[..., L + 1:].any())
+        m0 = self._m0
+        return not (self.values[..., :m0].any() or self.values[..., m0 + 1:].any())
+
+    @property
+    def zonal_column(self) -> "SHCoefficients":
+        """The m = 0 column alone: these coefficients when they are zonal.
+
+        Its ``is_zonal`` costs nothing, so a caller that has checked a
+        field once can hand the column to several transforms.
+        """
+        m0 = self._m0
+        return SHCoefficients(self.values[..., m0:m0 + 1])
 
     def shifted(self, constant: float) -> "SHCoefficients":
         out = self.copy()
-        out.values[..., 0, self.band_limit] += constant * np.sqrt(FOUR_PI)
+        out.values[..., 0, self._m0] += constant * np.sqrt(FOUR_PI)
         return out
 
 
@@ -270,97 +288,119 @@ def _degree_weights(band_limit: int) -> np.ndarray:
 class ProductTransform:
     """Spherical-harmonic analysis/synthesis on a product node set.
 
-    The node set is {(t_i, phi_j)} with arbitrary colatitude nodes t and
-    uniform longitudes phi.  ``weights`` are the full steradian weights per
-    node (may include pointwise cutoff factors).
+    The node set is {(t_i, phi_j)}: arbitrary colatitude nodes t and n_phi
+    uniform longitudes phi_j = 2 pi j / n_phi.  ``ring_weights`` are the
+    steradian weights per ring (may include cutoff factors; None for a
+    synthesis-only transform); a node carries its ring's weight / n_phi.
 
-    Only orders m <= ``m_max`` (default the band limit) are transformed:
-    synthesis reads, and analysis writes, those columns alone.  With
-    m_max = 0 the transform is exact for zonal fields, and one longitude
-    carrying the whole ring weight is then a complete longitude rule.
-
-    ``fourier`` may pass the (cos m phi, sin m phi) tables, at least m_max + 1
-    rows on these longitudes, to share them with other transforms
-    (``SphereGrid.fourier``).
+    One-column data is zonal (see the module docstring): zonal coefficients
+    synthesize to values of shape (..., n_t, 1), and such values analyse,
+    on the m = 0 block alone, to exactly zonal coefficients.  The Legendre
+    table holds the m = 0 block until a pass needs every order.
     """
 
-    def __init__(self, band_limit: int, t: np.ndarray, phi: np.ndarray,
-                 weights_2d: np.ndarray | None, m_max: int | None = None,
-                 fourier: tuple | None = None):
+    def __init__(self, band_limit: int, t: np.ndarray, n_phi: int,
+                 ring_weights: np.ndarray | None = None):
         self.band_limit = band_limit
-        self.m_max = band_limit if m_max is None else m_max
         self.t = np.asarray(t, dtype=float)
-        self.phi = np.asarray(phi, dtype=float)
-        self.weights = weights_2d
-        self.plm = normalized_legendre(band_limit, self.t, self.m_max)
-        cos_m, sin_m = fourier or fourier_tables(self.m_max, self.phi)
-        self.cos_m, self.sin_m = cos_m[:self.m_max + 1], sin_m[:self.m_max + 1]
+        self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        self.ring_weights = self.weights = None
+        if ring_weights is not None:
+            self.ring_weights = np.reshape(ring_weights, (-1, 1))
+            self.weights = self.ring_weights / n_phi  # per node, by ring
+        self._plm: list = []
+        self._fourier = None
+
+    def _legendre(self, orders: int) -> list:
+        """Pbar blocks of orders 0..orders - 1, built on first need."""
+        if len(self._plm) < orders:
+            self._plm = normalized_legendre(self.band_limit, self.t, orders - 1)
+        return self._plm
+
+    def _trig(self) -> np.ndarray:
+        """cos m phi and sin m phi for m = 0..L, shape (2, L+1, n_phi)."""
+        if self._fourier is None:
+            key = (self.band_limit, self.phi.size)
+            self._fourier = _FOURIER.get(key)
+            if self._fourier is None:
+                m = np.arange(self.band_limit + 1)[:, None]
+                self._fourier = _FOURIER[key] = np.stack(
+                    [np.cos(m * self.phi), np.sin(m * self.phi)])
+                self._fourier.flags.writeable = False  # shared
+        return self._fourier
 
     def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
         """Values on the node set, shape (..., n_t, n_phi) for coefficients
-        of shape (..., L+1, 2L+1).
+        of shape (..., L+1, 2L+1), and (..., n_t, 1) for zonal ones.
 
         Each order is one product of the batch's coefficient rows with its
         Pbar block, so each table entry is read once per batch.
         """
-        L, M = self.band_limit, self.m_max
+        L = self.band_limit
         if coeffs.band_limit != L:
             raise BandLimitError(
                 f"coefficients have L={coeffs.band_limit}, transform expects {L}"
             )
-        batch = coeffs.values.shape[:-2]
+        if coeffs.is_zonal:
+            coeffs = coeffs.zonal_column
+        v = coeffs.values
+        batch = v.shape[:-2]
         # batch axis last: c[m:, L + m].T is a (K, L+1-m) matrix that BLAS
         # reads in place, and for K = 1 the strided vector of one field
-        c = coeffs.values.reshape(-1, L + 1, 2 * L + 1).transpose(1, 2, 0)
+        c = v.reshape(-1, L + 1, v.shape[-1]).transpose(1, 2, 0)
         c = np.ascontiguousarray(c)
         k, n_t, n_phi = c.shape[-1], self.t.size, self.phi.size
+        if v.shape[-1] == 1:  # zonal: the m = 0 sums are the ring values
+            return (c[:, 0].T @ self._legendre(1)[0]).reshape(batch + (n_t, 1))
+        plm, (cos_m, sin_m) = self._legendre(L + 1), self._trig()
         out = np.empty((k, n_t, n_phi))
         # a field's cos and sin rows fill the start of its own output slot
-        # when they fit (2 (M + 1) <= n_phi); its Fourier step overwrites them
-        if 2 * (M + 1) <= n_phi:
-            rows = out.reshape(k, -1)[:, :2 * (M + 1) * n_t]
+        # when they fit (2 (L + 1) <= n_phi); its Fourier step overwrites them
+        if 2 * (L + 1) <= n_phi:
+            rows = out.reshape(k, -1)[:, :2 * (L + 1) * n_t]
         else:
-            rows = np.empty((k, 2 * (M + 1) * n_t))
-        rows = rows.reshape(k, 2, M + 1, n_t)
+            rows = np.empty((k, 2 * (L + 1) * n_t))
+        rows = rows.reshape(k, 2, L + 1, n_t)
         cc, cs = rows[:, 0], rows[:, 1]
         cs[:, 0] = 0.0  # multiplies sin 0 phi = 0; the buffer is uninitialized
-        for m in range(M + 1):
-            block = self.plm[m]
+        for m in range(L + 1):
+            block = plm[m]
             amp = SQRT2 if m > 0 else 1.0
             cc[:, m] = amp * (c[m:, L + m].T @ block)
             if m > 0:
                 cs[:, m] = amp * (c[m:, L - m].T @ block)
         for i in range(k):  # the Fourier step, field by field
-            field = cc[i].T @ self.cos_m
-            if M > 0:  # sin 0 phi = 0
-                field += cs[i].T @ self.sin_m
+            field = cc[i].T @ cos_m
+            field += cs[i].T @ sin_m
             out[i] = field
         return out.reshape(batch + out.shape[1:])
 
     def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
         """<values, Y_{l,m}> under this node set's quadrature weights, for
-        values of shape (..., n_t, n_phi)."""
-        if self.weights is None:
+        values of shape (..., n_t, n_phi) or a ring-constant (..., n_t, 1)."""
+        if self.ring_weights is None:
             raise ValueError("transform was built without quadrature weights")
-        L, M, n_t = self.band_limit, self.m_max, self.t.size
+        L, n_t, n_phi = self.band_limit, self.t.size, values.shape[-1]
         batch = values.shape[:-2]
-        w = (self.weights * values).reshape(-1, self.phi.size)
+        weights = self.ring_weights if n_phi == 1 else self.weights
+        w = (weights * values).reshape(-1, n_phi)
         k = w.shape[0] // n_t
-
-        def by_order(trig):  # (n_t, M + 1, K): batch axis last, as synthesized
-            return np.ascontiguousarray(
-                (w @ trig.T).reshape(k, n_t, M + 1).transpose(1, 2, 0))
-
-        fc = by_order(self.cos_m)
-        fs = by_order(self.sin_m) if M > 0 else None  # sin 0 phi = 0
         # batch axis last, the layout synthesis_values reads without a copy
         out = np.zeros((L + 1, 2 * L + 1, k))
-        for m in range(M + 1):
-            block = self.plm[m]
-            amp = SQRT2 if m > 0 else 1.0
-            out[m:, L + m] = amp * (block @ fc[:, m])
-            if m > 0:
-                out[m:, L - m] = amp * (block @ fs[:, m])
+        if n_phi == 1:  # cos 0 phi = 1 on the one longitude
+            out[:, L] = self._legendre(1)[0] @ np.ascontiguousarray(
+                w.reshape(k, n_t).T)
+        else:
+            plm = self._legendre(L + 1)
+            # per trig part (n_t, L + 1, K): batch axis last, as synthesized
+            fc, fs = (np.ascontiguousarray(
+                (w @ trig.T).reshape(k, n_t, L + 1).transpose(1, 2, 0))
+                for trig in self._trig())
+            for m in range(L + 1):
+                amp = SQRT2 if m > 0 else 1.0
+                out[m:, L + m] = amp * (plm[m] @ fc[:, m])
+                if m > 0:
+                    out[m:, L - m] = amp * (plm[m] @ fs[:, m])
         return SHCoefficients(out.transpose(2, 0, 1).reshape(batch + out.shape[:2]))
 
 
@@ -379,10 +419,9 @@ class SphereGrid:
         self.t = t
         # steradian weight per latitude ring; math.fsum gives exactly FOUR_PI
         self.t_weights = _colatitude_weights(tw)
-        self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
-        self._fourier: tuple | None = None
-        self._transform: ProductTransform | None = None
-        self._zonal_transform: ProductTransform | None = None
+        self.transform = ProductTransform(self.band_limit, t, self.n_phi,
+                                          self.t_weights)
+        self.phi = self.transform.phi
         self._integrator_cache: OrderedDict = OrderedDict()  # see integrator_for
 
     # -- geometry -----------------------------------------------------------
@@ -406,33 +445,6 @@ class SphereGrid:
         """Typical colatitude spacing, pi / n_theta."""
         return np.pi / self.n_theta
 
-    # -- transforms ---------------------------------------------------------
-
-    @property
-    def fourier(self) -> tuple:
-        """``fourier_tables`` of the grid longitudes up to the band limit,
-        shared by every full-order transform on them."""
-        if self._fourier is None:
-            self._fourier = fourier_tables(self.band_limit, self.phi)
-        return self._fourier
-
-    @property
-    def transform(self) -> ProductTransform:
-        if self._transform is None:
-            self._transform = ProductTransform(
-                self.band_limit, self.t, self.phi, self.weights,
-                fourier=self.fourier)
-        return self._transform
-
-    @property
-    def zonal_transform(self) -> ProductTransform:
-        """Orders m = 0 only, on one longitude carrying each ring's weight."""
-        if self._zonal_transform is None:
-            self._zonal_transform = ProductTransform(
-                self.band_limit, self.t, np.zeros(1), self.t_weights[:, None],
-                m_max=0)
-        return self._zonal_transform
-
     def __repr__(self) -> str:
         return (f"SphereGrid(n_theta={self.n_theta}, n_phi={self.n_phi}, "
                 f"L={self.band_limit})")
@@ -440,7 +452,11 @@ class SphereGrid:
 
 @dataclass
 class ScalarField:
-    """Real-valued field sampled on the nodes of a SphereGrid."""
+    """Real-valued field sampled on the nodes of a SphereGrid.
+
+    Values of shape (n_theta, 1) are a ring-constant field, one column that
+    is repeated over the longitudes.
+    """
 
     values: np.ndarray
     grid: SphereGrid
@@ -448,6 +464,8 @@ class ScalarField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         expected = (self.grid.n_theta, self.grid.n_phi)
+        if self.values.shape == (expected[0], 1):
+            self.values = np.repeat(self.values, expected[1], axis=1)
         if self.values.shape != expected:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid {expected}"
@@ -504,10 +522,12 @@ def integrate(f: ScalarField) -> float:
 
 
 def sh_analysis(f: ScalarField) -> SHCoefficients:
-    """Coefficients of f; exactly zonal for a ring-constant f (m = 0 pass)."""
-    if np.ptp(f.values, axis=1).any():
-        return f.grid.transform.analysis_coeffs(f.values)
-    return f.grid.zonal_transform.analysis_coeffs(f.values[:, :1])
+    """Coefficients of f; a ring-constant f is analysed as one column, so
+    its coefficients are exactly zonal."""
+    values = f.values
+    if not np.ptp(values, axis=1).any():
+        values = values[:, :1]
+    return f.grid.transform.analysis_coeffs(values)
 
 
 def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:
@@ -520,9 +540,6 @@ def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:
         L, Lc = grid.band_limit, c.band_limit
         padded.values[: Lc + 1, L - Lc : L + Lc + 1] = c.values
         c = padded
-    if c.is_zonal:  # one ring value, repeated over the longitudes
-        ring = grid.zonal_transform.synthesis_values(c)
-        return ScalarField(np.repeat(ring, grid.n_phi, axis=1), grid)
     return ScalarField(grid.transform.synthesis_values(c), grid)
 
 
@@ -546,6 +563,8 @@ def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
     """
     G = grid.band_limit
     L = G if l_max is None else l_max
+    if L > G:
+        raise BandLimitError(f"l_max={L} exceeds the grid band limit {G}")
     l = np.arange(G + 1)[:, None]
     drawn = (np.abs(np.arange(-G, G + 1)) <= l) & (l >= 1) & (l <= L)
     degrees = np.arange(1, L + 1)
@@ -555,6 +574,8 @@ def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
     for c in coeffs:
         c[drawn] = rng.normal(size=scale.size) / scale
     values = grid.transform.synthesis_values(SHCoefficients(coeffs))
+    if values.shape[-1] == 1:  # l_max = 0: zero fields, one column each
+        values = np.repeat(values, grid.n_phi, axis=-1)
     for v in values:
         peak = float(np.max(np.abs(v)))
         if peak > 0.0:
@@ -623,7 +644,7 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
     shape = cv.shape[:-2] + t.shape
     if c.is_zonal:
         _, block = next(_legendre_orders(L, t.ravel(), group=1))
-        return (cv[..., L] @ block).reshape(shape)
+        return (c.zonal_column.values[..., 0] @ block).reshape(shape)
     out = np.zeros(cv.shape[:-2] + (t.size,))
     for m, block in _legendre_orders(L, t.ravel()):
         if m == 0:

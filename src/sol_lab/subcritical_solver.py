@@ -20,14 +20,15 @@ reused for the next step's peak and residual, which costs one analysis per
 block.  An accepted step therefore costs blocks x trials syntheses and
 blocks analyses.
 
-Axis-symmetric problems are solved in the m = 0 subspace.  A ring-constant
-initial field has exactly zonal coefficients, and when the weight passes
-``mt_functional.is_zonal`` as well, ``integrator_for`` returns the zonal
-integrator.  J and its gradient then commute with rotations about the axis,
-so every iterate stays zonal, each transform is one (L+1) x n_t product per
-block, O(L n_t), against O(L^2 n_t + L n_t n_phi) for all orders, and the
-final state and the diagnostics' gradients are synthesized on the grid's
-m = 0 transform.  Any other input takes the full path, unchanged.
+Axis-symmetric problems are solved in the m = 0 subspace, by the one rule
+of ``sphere_grid``: one-column data is zonal.  A ring-constant initial
+field has exactly zonal coefficients; when the weight is invariant about
+the axis as well (``SingularIntegrator``), J and its gradient commute with
+rotations about the axis, so every iterate stays zonal, every density is
+one column per block and each transform is one (L+1) x n_t product per
+block, O(L n_t), against O(L^2 n_t + L n_t n_phi) for all orders.  The
+final state and the diagnostics' gradients are synthesized as one column
+too.  Any other input takes the full path, unchanged.
 
 As eps decreases with a singular weight of negative minimal order, the
 minimizers concentrate: lambda_eps = max u grows, the concentration scale
@@ -130,7 +131,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
             "out of scope")
     grid = grid or init.grid
     a = sh_analysis(init)
-    integ = integrator_for(grid, params.weight, a)
+    integ = integrator_for(grid, params.weight)
     lw = _degree_weights(grid.band_limit)[1:, None]
     tol = config.tol_factor * params.rho
 
@@ -227,8 +228,9 @@ class BlowupDiagnostics:
 
 
 def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid) -> np.ndarray:
-    """|grad u| on the grid nodes (exact, see ``gradient_magnitude``)."""
-    return gradient_magnitude(coeffs, lambda c: sh_synthesis(c, grid).values,
+    """|grad u| on the grid nodes (exact, see ``gradient_magnitude``); one
+    column for zonal coefficients."""
+    return gradient_magnitude(coeffs, grid.transform.synthesis_values,
                               grid.t[:, None])
 
 
@@ -268,7 +270,7 @@ def diagnose(state: MinimizerState, w: SingularWeight,
                 state, center, key)
         else:
             # the "cap" covers the sphere: mass is rho * int h e^u
-            integ = integrator_for(grid, w, state.coeffs)
+            integ = integrator_for(grid, w)
             cap_masses[key] = state.params.rho * float(
                 np.exp(integ.log_exp_integral(state.coeffs)))
 

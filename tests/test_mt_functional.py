@@ -46,8 +46,7 @@ def single_weight(alpha):
 
 
 def full_path_coeffs(grid):
-    """Coefficients with an m = 1 term, for which integrator_for returns
-    the full integrator."""
+    """Coefficients with an m = 1 term: their densities need every order."""
     c = SHCoefficients.zeros(grid.band_limit)
     c.values[1, grid.band_limit + 1] = 1.0
     return c
@@ -264,7 +263,7 @@ class TestDensityStack:
         fields = [random_band_limited(grid64, rng) * s for s in (1.0, 6.0, 0.2)]
         stack = SHCoefficients(np.stack([sh_analysis(f).values
                                          for f in fields]))
-        integ = integrator_for(grid64, w, stack)
+        integ = integrator_for(grid64, w)
         dens = integ.density(stack)
         for i, f in enumerate(fields):
             one = integ.density(SHCoefficients(stack.values[i]))
@@ -279,7 +278,8 @@ class TestDensityStack:
 class TestIntegratorExactness:
     def test_smooth_integrand_through_caps(self, grid128):
         integ = SingularIntegrator(grid128, single_weight(-0.5))
-        val = integ.smooth_integral(lambda pts: pts[..., 2] ** 2)
+        val = sum(np.sum(b.weights * b.points[..., 2] ** 2)
+                  for b in integ.blocks)
         assert val == pytest.approx(FOUR_PI / 3.0, abs=1e-11)
 
     def test_band_limited_exp_smooth_weight(self, grid64, rng):
@@ -298,7 +298,7 @@ class TestIntegratorCache:
         gc.disable()
         try:
             grid = build_grid(17, 34)
-            integrator_for(grid, w, full_path_coeffs(grid))
+            integrator_for(grid, w).density(full_path_coeffs(grid))
             ref = weakref.ref(grid)
             del grid
             assert ref() is None
@@ -306,8 +306,9 @@ class TestIntegratorCache:
             gc.enable()
 
     def test_zonality_decided_once_per_weight(self, monkeypatch):
-        """is_zonal evaluates log h on the grid nodes once per cached
-        weight, however often the integrator is asked for."""
+        """One integrator serves zonal and non-zonal fields; its build
+        evaluates log h on the grid nodes once, however often it is asked
+        for.  Zonal fields get one-column densities."""
         grid = build_grid(17, 34)
         nodes = grid.nodes
         on_nodes = []
@@ -322,12 +323,11 @@ class TestIntegratorCache:
         zonal = SHCoefficients.zeros(grid.band_limit)
         weights = [single_weight(-0.5), single_weight(-0.25)]
         for w in weights:
-            first = integrator_for(grid, w, zonal)
-            assert first.zonal
-            full = integrator_for(grid, w, full_path_coeffs(grid))
-            assert not full.zonal
-            for _ in range(3):
-                assert integrator_for(grid, w, zonal) is first
+            first = integrator_for(grid, w)
+            for c in (zonal, full_path_coeffs(grid), zonal):
+                assert integrator_for(grid, w) is first
+                widths = {d.shape[-1] for d in first.density(c).values}
+                assert widths == ({1} if c is zonal else {grid.n_phi})
         assert on_nodes == weights
 
     def test_cache_is_lru(self):
@@ -336,12 +336,11 @@ class TestIntegratorCache:
         k = INTEGRATOR_CACHE_SIZE
         weights = [SingularWeight.from_orders([(NORTH, -0.05 * (i + 1))])
                    for i in range(k + 1)]
-        c = full_path_coeffs(grid)
-        first = [integrator_for(grid, w, c) for w in weights[:k]]
-        assert integrator_for(grid, weights[0], c) is first[0]
-        integrator_for(grid, weights[k], c)
+        first = [integrator_for(grid, w) for w in weights[:k]]
+        assert integrator_for(grid, weights[0]) is first[0]
+        integrator_for(grid, weights[k])
         assert len(grid._integrator_cache) == k
-        assert integrator_for(grid, weights[0], c) is first[0]
-        assert all(integrator_for(grid, w, c) is f
+        assert integrator_for(grid, weights[0]) is first[0]
+        assert all(integrator_for(grid, w) is f
                    for w, f in zip(weights[2:k], first[2:]))
-        assert integrator_for(grid, weights[1], c) is not first[1]
+        assert integrator_for(grid, weights[1]) is not first[1]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sol_lab import mt_functional, subcritical_solver
+from sol_lab import subcritical_solver
 from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
 from sol_lab.mt_functional import (
     FunctionalParams,
@@ -12,6 +12,7 @@ from sol_lab.mt_functional import (
     eval_J,
     eval_J_coeffs,
     exp_integral,
+    integrator_for,
     log_exp_integral,
     troyanov_gap,
 )
@@ -49,10 +50,21 @@ def quick_config(*eps, **kw):
     return SolverConfig(epsilon_schedule=eps or (0.1,), **defaults)
 
 
-def zonal_flags(grid):
-    """The zonal flag of every integrator the grid has cached."""
-    return [zonal for entry in grid._integrator_cache.values()
-            for zonal in entry.integrators]
+def on_zonal_path(grid):
+    """True when the grid has cached one integrator and neither it nor the
+    grid transform has built more than the m = 0 Legendre block: only
+    one-column passes have run."""
+    integs = list(grid._integrator_cache.values())
+    transforms = [grid.transform] + [b.transform for integ in integs
+                                     for b in integ.blocks
+                                     if hasattr(b, "transform")]
+    return len(integs) == 1 and all(len(tr._plm) <= 1 for tr in transforms)
+
+
+def column_densities(grid, w, u):
+    """True when every block density of u is one column."""
+    dens = integrator_for(grid, w).density(sh_analysis(u))
+    return all(d.shape[-1] == 1 for d in dens.values)
 
 
 class TestTransformWork:
@@ -76,7 +88,7 @@ class TestTransformWork:
         grid = init.grid
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        blocks = len(SingularIntegrator(grid, w, zonal=zonal).blocks)
+        blocks = len(SingularIntegrator(grid, w).blocks)
         marks = []  # per loop iteration: [syntheses, analyses, trials]
         peak = SingularIntegrator.field_peak
         J = subcritical_solver.eval_J_coeffs
@@ -99,7 +111,7 @@ class TestTransformWork:
         monkeypatch.setattr(subcritical_solver, "eval_J_coeffs", eval_J_coeffs)
         state = minimize(params, quick_config(0.3, max_iterations=12),
                          init, grid)
-        assert zonal_flags(grid) == [zonal]
+        assert on_zonal_path(grid) == zonal
         assert state.iterations == 11 and len(marks) == 12
         steps = [(nxt[0] - cur[0], nxt[1] - cur[1], cur[2])
                  for cur, nxt in zip(marks, marks[1:])]
@@ -108,12 +120,15 @@ class TestTransformWork:
             assert (syn, ana) == (blocks * trials, blocks)
 
 
-def zonal_and_full_J(grid, params, coeffs):
-    """J of the same coefficients through the zonal and the full integrator."""
-    return tuple(
-        eval_J_coeffs(coeffs, integ.density(coeffs), params)
-        for integ in (SingularIntegrator(grid, params.weight, zonal=True),
-                      SingularIntegrator(grid, params.weight)))
+def zonal_and_full_J(grid, params, coeffs, monkeypatch):
+    """J of the same coefficients on the zonal path and, with their
+    zonality hidden, on the full path."""
+    integ = SingularIntegrator(grid, params.weight)
+    J_zonal = eval_J_coeffs(coeffs, integ.density(coeffs), params)
+    with monkeypatch.context() as patch:
+        patch.setattr(SHCoefficients, "is_zonal", False)
+        J_full = eval_J_coeffs(coeffs, integ.density(coeffs), params)
+    return J_zonal, J_full
 
 
 # (pole, K, init) -> zonal path expected; the last three break the symmetry
@@ -131,7 +146,7 @@ PATH_CASES = {
 
 class TestZonalPath:
     @pytest.mark.parametrize("L", [64, 128])
-    def test_solve_config_matches_full(self, L):
+    def test_solve_config_matches_full(self, L, monkeypatch):
         """The solve config (alpha = -1/4 north, -1/10 south, eps = 0.3)
         takes the zonal path, and its J is the full integrator's J."""
         grid = build_grid(L + 1, 2 * L + 2)
@@ -139,23 +154,24 @@ class TestZonalPath:
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         state = minimize(params, quick_config(0.3),
                          ScalarField.constant(grid, 0.0), grid)
-        assert state.converged and zonal_flags(grid) == [True]
-        J_zonal, J_full = zonal_and_full_J(grid, params, state.coeffs)
+        assert state.converged and on_zonal_path(grid)
+        J_zonal, J_full = zonal_and_full_J(grid, params, state.coeffs,
+                                           monkeypatch)
         assert J_zonal == pytest.approx(J_full, rel=1e-12)
         assert state.J == pytest.approx(J_full, rel=1e-12)
 
     @pytest.mark.parametrize("L", [64, 128])
-    def test_sweep_config_matches_full(self, L):
+    def test_sweep_config_matches_full(self, L, monkeypatch):
         """The sweep config (alpha = -1/2 north, test-function start, warm
         starts down to eps = 0.05): every solve and diagnosis is zonal."""
         grid = build_grid(L + 1, 2 * L + 2)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         cfg = SolverConfig(epsilon_schedule=(0.5, 0.2, 0.1, 0.05))
         report = epsilon_sweep(w, grid, cfg)
-        assert zonal_flags(grid) == [True]
+        assert on_zonal_path(grid)
         for state in report.states:
             J_zonal, J_full = zonal_and_full_J(grid, state.params,
-                                               state.coeffs)
+                                               state.coeffs, monkeypatch)
             assert J_zonal == pytest.approx(J_full, rel=1e-12)
             assert state.J == pytest.approx(J_full, rel=1e-12)
 
@@ -166,20 +182,20 @@ class TestZonalPath:
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         zero = ScalarField.constant(grid, 0.0)
         zonal = minimize(params, quick_config(0.3), zero, grid)
-        assert zonal_flags(grid) == [True]
-        # the zonality of a cached weight is decided once: forget it
-        grid._integrator_cache.clear()
-        monkeypatch.setattr(mt_functional, "is_zonal", lambda *a: False)
+        assert on_zonal_path(grid)
+        monkeypatch.setattr(SHCoefficients, "is_zonal", False)
         full = minimize(params, quick_config(0.3), zero, grid)
-        assert zonal_flags(grid) == [False]
+        assert not on_zonal_path(grid)
         assert zonal.iterations == full.iterations
         assert zonal.J == pytest.approx(full.J, rel=1e-12)
         assert np.max(np.abs(zonal.coeffs.values - full.coeffs.values)) < 1e-12
 
     def test_off_axis_weight_has_no_zonal_integrator(self, grid16):
-        w = SingularWeight.from_orders([((1.0, 0.0, 0.0), -0.5)])
-        with pytest.raises(ValueError, match="grid axis"):
-            SingularIntegrator(grid16, w, zonal=True)
+        """log h of an off-axis weight covers every longitude, so even a
+        zonal field has no one-column density."""
+        w = SingularWeight.from_orders([((0.6, 0.0, 0.8), -0.5)])
+        assert not column_densities(grid16, w,
+                                    ScalarField.constant(grid16, 0.0))
 
     @pytest.mark.parametrize("pole, K, init, zonal", PATH_CASES.values(),
                              ids=PATH_CASES.keys())
@@ -189,42 +205,45 @@ class TestZonalPath:
         w = SingularWeight([SingularPoint(np.asarray(pole), -0.5)], K)
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         grid = build_grid(17, 34)
-        minimize(params, quick_config(0.3, max_iterations=3),
-                 ScalarField.from_function(grid, init), grid)
-        assert zonal_flags(grid) == [zonal]
+        state = minimize(params, quick_config(0.3, max_iterations=3),
+                         ScalarField.from_function(grid, init), grid)
+        assert on_zonal_path(grid) == zonal
+        assert column_densities(grid, w, state.u) == zonal
         grid = build_grid(17, 34)
         u = ScalarField.from_function(grid, init) + ScalarField.from_function(
             grid, lambda x: 0.5 * x[..., 2] ** 2)
         rep = kazdan_warner_residual(u, params.rho, w)
-        assert zonal_flags(grid) == [zonal]
-        grid._integrator_cache.clear()
-        monkeypatch.setattr(mt_functional, "is_zonal", lambda *a: False)
+        assert column_densities(grid, w, u) == zonal
+        monkeypatch.setattr(SHCoefficients, "is_zonal", False)
         full = kazdan_warner_residual(u, params.rho, w)
-        assert zonal_flags(grid) == [False]
+        assert not on_zonal_path(grid)
         assert rep.moment == pytest.approx(full.moment, rel=1e-12)
 
     @pytest.mark.parametrize("L", [64, 128])
-    def test_extremal_field_evaluations(self, L):
-        """eval_J, troyanov_gap and log_exp_integral take the zonal
-        integrator on the extremal field and agree with the full one."""
+    def test_extremal_field_evaluations(self, L, monkeypatch):
+        """eval_J, troyanov_gap and log_exp_integral take the zonal path
+        on the extremal field and agree with the full path."""
         grid = build_grid(L + 1, 2 * L + 2)
         w = extremal_weight(-0.5)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = extremal_u(ExtremalParams(alpha=-0.5), grid)
         coeffs = sh_analysis(u)
-        dens = SingularIntegrator(grid, w).density(coeffs)
+        with monkeypatch.context() as patch:
+            patch.setattr(SHCoefficients, "is_zonal", False)
+            dens = SingularIntegrator(grid, w).density(coeffs)
         J_full = eval_J_coeffs(coeffs, dens, params)
         assert eval_J(u, params) == pytest.approx(J_full, rel=1e-12)
         assert troyanov_gap(u, w, 0.0) == pytest.approx(J_full / w.rho_bar,
                                                         rel=1e-12)
         assert log_exp_integral(u, w) == pytest.approx(dens.log_integral,
                                                        rel=1e-12)
-        assert zonal_flags(grid) == [True]
+        assert on_zonal_path(grid)
 
     def test_zonal_ops_skip_the_full_grid_transform(self):
         """A zonal solve, the axis identity on its state and its diagnosis
-        (whole-sphere mass included) never build the grid's full-order
-        transform."""
+        (whole-sphere mass included) never build a Legendre table of every
+        order, for the grid or for the integrator; the first non-zonal
+        density builds the integrator's."""
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
@@ -232,8 +251,14 @@ class TestZonalPath:
                          ScalarField.constant(grid, 0.0), grid)
         kazdan_warner_residual(state.u, params.rho, w)
         diagnose(state, w, cap_radii=(0.5, 3.5))
-        assert zonal_flags(grid) == [True]
-        assert grid._transform is None
+        assert on_zonal_path(grid)
+        integ = integrator_for(grid, w)
+        c = state.coeffs.copy()
+        c.values[1, grid.band_limit + 1] = 1.0e-3
+        integ.density(c)
+        assert [len(b.transform._plm) for b in integ.blocks] == \
+            [grid.band_limit + 1] * len(integ.blocks)
+        assert len(grid.transform._plm) == 1
 
 
 class TestMinimize:

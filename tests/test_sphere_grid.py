@@ -252,7 +252,9 @@ class TestGroupedLegendre:
 
 
 class TestOrderLimit:
-    """ProductTransform and its Legendre table restricted to m <= m_max."""
+    """The orders a pass reads: one-column data is zonal.  Ring-constant
+    values (..., n_t, 1) analyse on the m = 0 block alone, and zonal
+    coefficients synthesize to such a column."""
 
     @pytest.mark.parametrize("m_max", [0, 1, 16])
     def test_table_is_leading_orders(self, m_max):
@@ -264,30 +266,36 @@ class TestOrderLimit:
             assert np.array_equal(block, want)
 
     @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
-    def test_zonal_transform_matches_full(self, grid_name, request, rng):
-        """On zonal coefficients, m_max = 0 synthesis and analysis equal the
-        full transform's, on the grid's longitudes and on one longitude
-        carrying the ring weight."""
+    def test_zonal_transform_matches_full(self, grid_name, request, rng,
+                                          monkeypatch):
+        """Alone and batched, zonal coefficients synthesize to (..., n_t, 1),
+        equal to the full-order synthesis on every longitude; a column
+        analyses to exactly zonal coefficients that match the full analysis
+        of the field repeated over the longitudes."""
         g = request.getfixturevalue(grid_name)
         L = g.band_limit
-        c = SHCoefficients.zeros(L)
-        c.values[:, L] = rng.normal(size=L + 1) / (1.0 + np.arange(L + 1))
-        values = g.transform.synthesis_values(c)
-        coeffs = g.transform.analysis_coeffs(values).values
-        for tr in (ProductTransform(L, g.t, g.phi, g.weights, m_max=0),
-                   ProductTransform(L, g.t, np.zeros(1), g.t_weights[:, None],
-                                    m_max=0)):
-            ring = values[:, :tr.phi.size]
-            syn = tr.synthesis_values(c)
-            assert syn.shape == ring.shape
-            assert np.max(np.abs(syn - ring)) <= 1e-14 * np.max(np.abs(ring))
-            ana = tr.analysis_coeffs(ring).values
-            scale = np.max(np.abs(coeffs))
-            assert np.max(np.abs(ana - coeffs)) <= 1e-14 * scale
+        c = np.zeros((2, 3, L + 1, 2 * L + 1))
+        c[..., L] = rng.normal(size=(2, 3, L + 1)) / (1.0 + np.arange(L + 1))
+        stacks = (SHCoefficients(c[0, 0]), SHCoefficients(c))
+        columns = [g.transform.synthesis_values(s) for s in stacks]
+        values = rng.normal(size=(2, g.n_theta, 1))
+        coeffs = g.transform.analysis_coeffs(values)
+        monkeypatch.setattr(SHCoefficients, "is_zonal", False)  # full path
+        for col, stack in zip(columns, stacks):
+            assert col.shape == stack.values.shape[:-2] + (g.n_theta, 1)
+            full = g.transform.synthesis_values(stack)
+            assert full.shape[-1] == g.n_phi
+            assert np.max(np.abs(col - full)) <= 1e-14 * np.max(np.abs(full))
+        monkeypatch.undo()
+        assert coeffs.values.shape == (2, L + 1, 2 * L + 1)
+        assert coeffs.is_zonal
+        full = g.transform.analysis_coeffs(np.repeat(values, g.n_phi, axis=-1))
+        assert np.max(np.abs(coeffs.values - full.values)) <= \
+            1e-14 * np.max(np.abs(full.values))
 
     @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
     def test_grid_transforms_zonal_input_on_m0(self, grid_name, request,
-                                               rng):
+                                               rng, monkeypatch):
         """sh_synthesis of zonal coefficients, sh_analysis of a ring-constant
         field and synthesis_at_angles of zonal coefficients match the
         full-order results; the analysis has exactly zero m != 0 columns."""
@@ -295,53 +303,100 @@ class TestOrderLimit:
         L = g.band_limit
         c = SHCoefficients.zeros(L)
         c.values[:, L] = rng.normal(size=L + 1) / (1.0 + np.arange(L + 1))
-        full_values = g.transform.synthesis_values(c)
         field = sh_synthesis(c, g)
-        scale = np.max(np.abs(full_values))
-        assert np.max(np.abs(field.values - full_values)) <= 1e-14 * scale
         at_angles = synthesis_at_angles(c, g.t, np.zeros(g.t.size))
-        assert np.max(np.abs(at_angles - full_values[:, 0])) <= 1e-14 * scale
         coeffs = sh_analysis(field)
         assert coeffs.is_zonal
+        monkeypatch.setattr(SHCoefficients, "is_zonal", False)  # full path
+        full_values = g.transform.synthesis_values(c)
+        scale = np.max(np.abs(full_values))
+        assert np.max(np.abs(field.values - full_values)) <= 1e-14 * scale
+        assert np.max(np.abs(at_angles - full_values[:, 0])) <= 1e-14 * scale
         full = g.transform.analysis_coeffs(field.values).values
         assert np.max(np.abs(coeffs.values - full)) <= \
             1e-14 * np.max(np.abs(full))
+
+    def test_tables_built_on_first_need(self, grid16, monkeypatch):
+        """A zonal pass builds the m = 0 block alone, the first full pass
+        every order; the cos/sin tables are shared by (L, n_phi)."""
+        from sol_lab import sphere_grid
+        orders = []
+        table = sphere_grid.normalized_legendre
+
+        def recorded(band_limit, t, m_max=None):
+            orders.append(m_max)
+            return table(band_limit, t, m_max)
+
+        monkeypatch.setattr(sphere_grid, "normalized_legendre", recorded)
+        L, n_phi = grid16.band_limit, grid16.n_phi
+        a, b = (ProductTransform(L, t, n_phi, np.ones(t.size))
+                for t in (grid16.t, np.linspace(-0.9, 0.9, 7)))
+        zonal = SHCoefficients.zeros(L)
+        zonal.values[3, L] = 1.0
+        a.synthesis_values(zonal)
+        a.analysis_coeffs(np.ones((grid16.n_theta, 1)))
+        assert orders == [0]
+        full = zonal.copy()
+        full.values[3, L + 2] = 1.0
+        a.synthesis_values(full)
+        b.analysis_coeffs(np.ones((7, n_phi)))
+        assert orders == [0, L, L]
+        assert a._trig() is b._trig()
+
+
+def reference_tables(tr):
+    """Every order's Pbar block and the cos/sin tables of tr's nodes."""
+    m = np.arange(tr.band_limit + 1)[:, None]
+    return (normalized_legendre(tr.band_limit, tr.t),
+            np.cos(m * tr.phi), np.sin(m * tr.phi))
 
 
 def reference_synthesis(tr, c):
     """One matrix-vector product per order and trig part (the unbatched
     transform's arithmetic, operation for operation)."""
-    L, M = tr.band_limit, tr.m_max
-    cc = np.zeros((M + 1, tr.t.size))
-    cs = np.zeros((M + 1, tr.t.size))
-    for m in range(M + 1):
+    L = tr.band_limit
+    plm, cos_m, sin_m = reference_tables(tr)
+    if SHCoefficients(c).is_zonal:  # one column: the m = 0 sums
+        return (c[:, L] @ plm[0])[:, None]
+    cc = np.zeros((L + 1, tr.t.size))
+    cs = np.zeros((L + 1, tr.t.size))
+    for m in range(L + 1):
         amp = np.sqrt(2.0) if m > 0 else 1.0
-        cc[m] = amp * (c[m:, L + m] @ tr.plm[m])
+        cc[m] = amp * (c[m:, L + m] @ plm[m])
         if m > 0:
-            cs[m] = amp * (c[m:, L - m] @ tr.plm[m])
-    return cc.T @ tr.cos_m + cs.T @ tr.sin_m
+            cs[m] = amp * (c[m:, L - m] @ plm[m])
+    return cc.T @ cos_m + cs.T @ sin_m
 
 
 def reference_analysis(tr, values):
     L = tr.band_limit
-    w = tr.weights * values
-    fc, fs = w @ tr.cos_m.T, w @ tr.sin_m.T
+    plm, cos_m, sin_m = reference_tables(tr)
     out = np.zeros((L + 1, 2 * L + 1))
-    for m in range(tr.m_max + 1):
+    if values.shape[-1] == 1:  # one longitude carrying the ring weight
+        out[:, L] = plm[0] @ (tr.ring_weights * values)[:, 0]
+        return out
+    w = tr.weights * values
+    fc, fs = w @ cos_m.T, w @ sin_m.T
+    for m in range(L + 1):
         amp = np.sqrt(2.0) if m > 0 else 1.0
-        out[m:, L + m] = amp * (tr.plm[m] @ fc[:, m])
+        out[m:, L + m] = amp * (plm[m] @ fc[:, m])
         if m > 0:
-            out[m:, L - m] = amp * (tr.plm[m] @ fs[:, m])
+            out[m:, L - m] = amp * (plm[m] @ fs[:, m])
     return out
 
 
-def transform_cases(g):
-    """The grid transform, its m = 0 transform and a product block on
-    custom colatitudes."""
+def transform_cases(g, rng):
+    """(transform, coefficients): the grid transform on random and on zonal
+    coefficients (one-column values), and a product block on custom
+    colatitudes."""
+    L = g.band_limit
     t = np.random.default_rng(3).uniform(-1.0, 1.0, 45)
-    block = ProductTransform(g.band_limit, t, g.phi,
-                             np.full((t.size, g.n_phi), 0.01))
-    return {"grid": g.transform, "zonal": g.zonal_transform, "block": block}
+    block = ProductTransform(L, t, g.n_phi, np.full(t.size, 0.01 * g.n_phi))
+    c = rng.normal(size=(2, 3, L + 1, 2 * L + 1))
+    zonal = np.zeros_like(c)
+    zonal[..., L] = c[..., L]
+    return {"grid": (g.transform, c), "zonal": (g.transform, zonal),
+            "block": (block, c)}
 
 
 def max_rel(a, b):
@@ -354,13 +409,12 @@ class TestBatchAxis:
 
     @pytest.mark.parametrize("name", ["grid", "zonal", "block"])
     def test_batch_matches_per_field_loop(self, grid64, rng, name):
-        tr = transform_cases(grid64)[name]
-        L = tr.band_limit
-        c = rng.normal(size=(2, 3, L + 1, 2 * L + 1))
+        tr, c = transform_cases(grid64, rng)[name]
         values = tr.synthesis_values(SHCoefficients(c))
         loop = np.array([[tr.synthesis_values(SHCoefficients(ci))
                           for ci in row] for row in c])
-        assert values.shape == (2, 3, tr.t.size, tr.phi.size)
+        n_phi = 1 if name == "zonal" else tr.phi.size
+        assert values.shape == (2, 3, tr.t.size, n_phi)
         assert max_rel(values, loop) <= 1e-14
         coeffs = tr.analysis_coeffs(values).values
         loop = np.array([[tr.analysis_coeffs(v).values for v in row]
@@ -372,9 +426,8 @@ class TestBatchAxis:
     def test_unbatched_is_per_order_arithmetic(self, grid64, rng, name):
         """One field, alone or as a stack of one, gives bit for bit the
         per-order matrix-vector results."""
-        tr = transform_cases(grid64)[name]
-        L = tr.band_limit
-        c = rng.normal(size=(L + 1, 2 * L + 1))
+        tr, c = transform_cases(grid64, rng)[name]
+        c = c[0, 0]
         values = tr.synthesis_values(SHCoefficients(c))
         assert np.array_equal(values, reference_synthesis(tr, c))
         assert np.array_equal(
@@ -504,3 +557,12 @@ class TestGradient:
         exact = self.exact_gradient(pts)
         grad = gradient_at_angles(self.coeffs(grid64), t, phi)
         assert np.max(np.abs(grad - exact)) <= 1e-12 * np.max(exact)
+
+
+def test_random_fields_above_the_band_limit(grid16):
+    """l_max above the grid's band limit names both limits."""
+    with pytest.raises(BandLimitError, match="l_max=20 .* 16"):
+        random_band_limited(grid16, np.random.default_rng(0), l_max=20)
+    with pytest.raises(BandLimitError, match="l_max=20 .* 16"):
+        random_band_limited_batch(grid16, np.random.default_rng(0), 2,
+                                  l_max=20)
