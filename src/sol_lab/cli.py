@@ -85,9 +85,10 @@ def _check_number(errors, obj, path, lo=None, hi=None, integer=False,
 def _experiment_numbers(rho_bar: float) -> dict:
     """kind -> {name: range} for every number its runner reads from the
     "experiment" section, as keyword arguments of ``_check_number``;
-    ``list`` marks a list of such numbers.  A number left out takes its
-    default, which lies in range.  ``epsilon`` keeps rho = rho_bar - epsilon
-    positive."""
+    ``list`` marks a list of such numbers and gives its fewest entries.  A
+    number left out takes its default, which lies in range.  ``epsilon``
+    keeps rho = rho_bar - epsilon positive; a schedule of ``epsilons`` needs
+    two values, since its checks compare consecutive entries."""
     tol = {"lo": 0.0}
     eps = {"gt": 0.0, "lt": rho_bar}
     solver = {"max_iterations": {"lo": 1, "integer": True},
@@ -101,17 +102,17 @@ def _experiment_numbers(rho_bar: float) -> dict:
                             "c": {}, "rel_tol": tol, "invariance_tol": tol},
         "inequality-sample": {"samples": {"lo": 1, "integer": True},
                               "constant": {}, "gap_floor": {},
-                              "family_dilations": {"gt": 0.0, "list": True},
+                              "family_dilations": {"gt": 0.0, "list": 0},
                               "family_tol": tol},
         "minimize": {"epsilon": eps, **solver},
-        "sweep": {"epsilons": {**eps, "list": True}, **solver,
+        "sweep": {"epsilons": {**eps, "list": 2}, **solver,
                   "cap_mass_rel_tol": tol, "extrapolation_rel_tol": tol},
         "kw-check": {"alpha": extremal_alpha, "epsilon": eps, **solver,
                      "residual_tol": tol},
-        "profile-collapse": {"epsilons": {**eps, "list": True}, **solver,
+        "profile-collapse": {"epsilons": {**eps, "list": 2}, **solver,
                              "noise": {"lo": 0.0}},
         "test-function-sweep": {"epsilons": {"gt": 0.0, "lt": 1.0,
-                                             "list": True},
+                                             "list": 2},
                                 "upper_gap_tol": tol, "exp_tol": tol},
     }
 
@@ -239,10 +240,14 @@ def validate(raw_text: str):
         if name not in experiment:
             continue
         path, value, spec = f"experiment.{name}", experiment[name], dict(spec)
-        if not spec.pop("list", False):
+        fewest = spec.pop("list", None)
+        if fewest is None:
             _check_number(errors, value, path, **spec)
         elif not isinstance(value, list):
             errors.append(f"{path}: expected a list")
+        elif len(value) < fewest:
+            errors.append(f"{path}: expected at least {fewest} values, "
+                          f"got {len(value)}")
         else:
             for i, v in enumerate(value):
                 _check_number(errors, v, f"{path}[{i}]", **spec)
@@ -427,9 +432,8 @@ def _run_inequality_sample(config, report):
     worst = np.inf
     chunk = batch_size(grid)
     for start in range(0, n_samples, chunk):
-        # a sample is the analysis of its field on the grid
-        coeffs = grid.transform.analysis_coeffs(random_band_limited_batch(
-            grid, rng, min(chunk, n_samples - start)))
+        coeffs = random_band_limited_batch(grid, rng,
+                                           min(chunk, n_samples - start))
         gaps = troyanov_gap_coeffs(coeffs, grid, w, constant)
         for i, gap in enumerate(gaps, start):
             report["records"].append({"sample": i, "gap": float(gap)})

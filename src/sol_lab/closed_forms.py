@@ -35,6 +35,7 @@ from .sphere_grid import (
     ProductTransform,
     ScalarField,
     SphereGrid,
+    _orthonormal_frame,
     geodesic_distance,
     normalized,
     sh_analysis,
@@ -53,14 +54,9 @@ _QUAD_OPTS = dict(limit=400, epsabs=1.0e-12, epsrel=1.0e-12)
 # ---------------------------------------------------------------------------
 
 def _frame(p_pole: np.ndarray):
+    """(e1, e2, p): the chart's axes and the projection pole."""
     p = normalized(p_pole)
-    if abs(p[2]) > 1.0 - 1.0e-12:
-        sign = 1.0 if p[2] > 0 else -1.0
-        return np.array([1.0, 0.0, 0.0]), np.array([0.0, sign, 0.0]), p
-    helper = np.eye(3)[np.argmin(np.abs(p))]
-    e1 = np.cross(helper, p)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(p, e1), p
+    return (*_orthonormal_frame(p), p)
 
 
 def stereographic(p_pole, x) -> np.ndarray:

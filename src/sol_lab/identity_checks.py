@@ -43,7 +43,7 @@ from .singular_geometry import (
     SingularWeight,
     green,
 )
-from .mt_functional import SingularCapRule, integrator_for
+from .mt_functional import CAP_RADIUS, integrator_for
 
 _ANTIPODAL_TOL = 1.0e-10
 
@@ -134,7 +134,6 @@ def blowup_infimum(w: SingularWeight,
 
     if grid is None:
         raise ValueError("the alpha = 0 branch needs a grid to maximize over")
-    cap_radius = SingularCapRule().cap_radius
 
     def maximand(points):
         return FOUR_PI * REGULAR_PART + w.log_weight(points)
@@ -142,7 +141,7 @@ def blowup_infimum(w: SingularWeight,
     vals = maximand(grid.nodes)
     for sp in w.points:
         d = np.arccos(np.clip(grid.nodes @ sp.position, -1.0, 1.0))
-        vals = np.where(d < cap_radius, -np.inf, vals)
+        vals = np.where(d < CAP_RADIUS, -np.inf, vals)
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     best_p = grid.nodes[idx]
 
@@ -155,7 +154,7 @@ def blowup_infimum(w: SingularWeight,
         pt = np.array([np.sin(theta) * np.cos(phi),
                        np.sin(theta) * np.sin(phi), np.cos(theta)])
         for sp in w.points:
-            if float(pt @ sp.position) > np.cos(cap_radius):
+            if float(pt @ sp.position) > np.cos(CAP_RADIUS):
                 return -np.inf
         return float(maximand(pt[None, :])[0])
 
@@ -249,23 +248,19 @@ def kazdan_warner_residual(u: ScalarField, rho: float,
     """Residual of alpha2 - alpha1 = (2 - rho/4pi + a1 + a2) int h e^u x3.
 
     The moment is the ratio int h e^u x3 / int h e^u, so ``u`` need not be
-    normalized; one synthesis per quadrature block.  Also evaluates the
-    vector form int grad h . grad x3 e^u - (2 - rho/4pi) int h e^u x3 with
-    the same singular-cap quadrature (grad h . grad x3 has the closed form
+    normalized.  With x3 = sqrt(4 pi / 3) Y_{1,0}, int h e^u x3 is read from
+    the density's projection: one synthesis and one analysis per
+    quadrature block.  Also evaluates the vector form
+    int grad h . grad x3 e^u - (2 - rho/4pi) int h e^u x3 with the same
+    singular-cap quadrature (grad h . grad x3 has the closed form
     (a2 - a1) h - (a1 + a2) h x3 for the antipodal layout).
-    A ring-constant (one column) density is summed on one longitude per
-    ring, carrying the ring's whole weight.
     """
     a1, a2 = _axis_orders(w)
-    coeffs = sh_analysis(u)
     integ = integrator_for(u.grid, w)
-    dens = integ.density(coeffs)
-    parts = []
-    for b, d in zip(integ.blocks, dens.values):
-        wb, x = ((b.transform.ring_weights, b.ring_nodes) if d.shape[-1] == 1
-                 else (b.weights, b.points))
-        parts.append(np.sum(wb * d * x[..., 2]))
-    moment = float(sum(parts) / dens.total)
+    dens = integ.density(sh_analysis(u))
+    proj = integ.density_projection(dens)
+    moment = float(np.sqrt(FOUR_PI / 3.0) * proj.values[1, proj.band_limit]
+                   / dens.total)
     prefactor = 2.0 - rho / FOUR_PI + a1 + a2
     poho = (a2 - a1) - prefactor * moment
     # vector form, normalized by int h e^u = 1

@@ -20,11 +20,14 @@ composite rule used here splits the sphere into
   but its derivatives grow toward the poles), times the uniform phi rule.
 
 For singular points on the grid axis (the default configuration) every
-piece is a product rule in (t, phi), so spherical-harmonic analysis of the
-density h e^u against the composite rule costs the same O(L^3) as a grid
-transform.  Off-axis points fall back to a smooth-cutoff variant whose
-accuracy is limited by the grid resolution of the cutoff (roughly 1e-4);
-all sharp-constant paths use the axis-aligned configuration.
+piece is a product rule in (t, phi), so the whole composite rule is one:
+one ``ProductTransform`` over the north cap, band and south cap
+colatitude nodes.  A density then costs one synthesis and its
+spherical-harmonic analysis one analysis, O(L^3) like a grid transform.
+Off-axis points fall back to a smooth-cutoff variant whose accuracy is
+limited by the grid resolution of the cutoff (roughly 1e-4): scattered
+caps plus the grid itself, with the cutoff folded into log h on the grid.
+All sharp-constant paths use the axis-aligned configuration.
 
 ``integrator_for`` is the one way library code gets an integrator, one per
 weight.  Zonality follows the data, by the one rule of ``sphere_grid``:
@@ -64,30 +67,17 @@ from .singular_geometry import SingularWeight
 
 DEFAULT_CEILING = 700.0
 INTEGRATOR_CACHE_SIZE = 4
+# the singular caps: geodesic radius, Gauss-Legendre nodes in
+# s = r^{2(1+alpha)}, and bearings of an off-axis (scattered) cap; caps on
+# the grid axis use the grid's longitudes, so the density analysis is
+# alias-free to the same order as the grid itself
+CAP_RADIUS = 0.1
+CAP_RADIAL_NODES = 32
+CAP_ANGULAR_NODES = 16
 
 
 class UnnormalizedBlowupError(RuntimeError):
     """max(u) exceeded the overflow ceiling; the iterate is not normalized."""
-
-
-@dataclass(frozen=True)
-class SingularCapRule:
-    """Quadrature layout for the singular caps.
-
-    ``n_angular`` applies to scattered (off-axis) caps and diagnostics; caps
-    on the grid axis reuse the grid's full longitude set so that the density
-    analysis is alias-free to the same order as the grid itself.
-    """
-
-    cap_radius: float = 0.1
-    n_radial: int = 32
-    n_angular: int = 16
-
-    def __post_init__(self):
-        if not (0.0 < self.cap_radius <= 0.3):
-            raise ValueError("cap_radius must lie in (0, 0.3]")
-        if self.n_radial < 2 or self.n_angular < 4:
-            raise ValueError("cap rule too coarse")
 
 
 @dataclass
@@ -168,31 +158,25 @@ def _smooth_cutoff(r: np.ndarray, radius: float) -> np.ndarray:
 
 
 class _ProductBlock:
-    """Product-rule piece (custom t nodes x the grid's phi set).
+    """Product-rule piece: a transform's colatitude nodes x the grid's
+    longitudes, with the transform's ring weights.
 
-    ``cap`` marks a polar cap block: (center index into the weight's point
-    list, exact radial distances), passed to ``SingularWeight.log_weight``.
-    ``weights`` and ``points`` cover every longitude; ring-constant (one
-    column) data use ``transform.ring_weights`` and ``ring_nodes``: one
-    longitude carrying each ring's whole weight.  Node vectors are computed
-    when asked for, not kept.
+    ``weights`` cover every longitude; ring-constant (one column) data use
+    ``transform.ring_weights``: one longitude carrying each ring's whole
+    weight.  Blocks hold a transform, never the grid: the grid caches its
+    integrators, so a reference back would make each grid a reference
+    cycle that only the cyclic garbage collector can free.  Node vectors
+    are computed when asked for, not kept.
     """
 
-    def __init__(self, grid: SphereGrid, t: np.ndarray, t_weights: np.ndarray,
-                 cap: tuple | None = None):
-        self.transform = ProductTransform(grid.band_limit, t, grid.n_phi,
-                                          t_weights * (2.0 * np.pi))
-        self.weights = np.broadcast_to(self.transform.weights,
-                                       (t.size, grid.n_phi))
-        self.cap = cap
+    def __init__(self, transform: ProductTransform):
+        self.transform = transform
+        self.weights = np.broadcast_to(transform.weights,
+                                       (transform.t.size, transform.phi.size))
 
     @property
     def points(self) -> np.ndarray:
         return ring_points(self.transform.t, self.transform.phi)
-
-    @property
-    def ring_nodes(self) -> np.ndarray:
-        return ring_points(self.transform.t, self.transform.phi[:1])
 
     def synthesis(self, coeffs: SHCoefficients) -> np.ndarray:
         return self.transform.synthesis_values(coeffs)
@@ -201,36 +185,16 @@ class _ProductBlock:
         return self.transform.analysis_coeffs(values)
 
 
-class _GridBlock(_ProductBlock):
-    """The grid itself as a quadrature block (reuses its transform).
-
-    Blocks hold the grid's transform, never the grid: the grid caches its
-    integrators, so a reference back would make each grid a reference cycle
-    that only the cyclic garbage collector can free.  Off-axis weights pass
-    a cutoff ``extra``, folded into the values analysed on the grid's rule;
-    their densities are never ring-constant.
-    """
-
-    def __init__(self, grid: SphereGrid, extra: np.ndarray | float = 1.0):
-        self.transform = grid.transform
-        self.cap, self.extra = None, extra
-        self.weights = grid.weights * extra
-
-    def analysis(self, values: np.ndarray) -> SHCoefficients:
-        return self.transform.analysis_coeffs(values * self.extra)
-
-
 class _ScatterBlock:
-    """Polar cap with a smooth cutoff around an off-axis singular point."""
+    """Polar cap with a smooth cutoff around an off-axis singular point,
+    on the radial rule (r, wr) of ``cap_radial_rule``."""
 
-    def __init__(self, grid: SphereGrid, center: np.ndarray, alpha: float,
-                 rule: SingularCapRule, cap_index: int):
-        r, wr = cap_radial_rule(alpha, rule.cap_radius, rule.n_radial)
-        w = (wr * 2.0 * np.pi / rule.n_angular
-             * _smooth_cutoff(r, rule.cap_radius))
-        self.points = cap_points(center, r, rule.n_angular).reshape(-1, 3)
-        self.weights = np.repeat(w, rule.n_angular)
-        self.cap = (cap_index, np.repeat(r, rule.n_angular))
+    def __init__(self, grid: SphereGrid, center: np.ndarray, r: np.ndarray,
+                 wr: np.ndarray):
+        w = (wr * 2.0 * np.pi / CAP_ANGULAR_NODES
+             * _smooth_cutoff(r, CAP_RADIUS))
+        self.points = cap_points(center, r, CAP_ANGULAR_NODES).reshape(-1, 3)
+        self.weights = np.repeat(w, CAP_ANGULAR_NODES)
         self._t = np.clip(self.points[:, 2], -1.0, 1.0)
         self._phi = np.arctan2(self.points[:, 1], self.points[:, 0])
         self.band_limit = grid.band_limit
@@ -289,52 +253,64 @@ class SingularIntegrator:
     m = 0 subspace, and the density computes them there exactly.
     """
 
-    def __init__(self, grid: SphereGrid, weight: SingularWeight,
-                 rule: SingularCapRule | None = None):
+    def __init__(self, grid: SphereGrid, weight: SingularWeight):
         self.band_limit = grid.band_limit
         self.weight = weight
-        self.rule = rule or SingularCapRule()
         self._validate_caps()
-        self.blocks = self._build_blocks(grid)
         invariant = (weight.is_axis_aligned() and not np.ptp(
             weight.log_weight(grid.nodes), axis=1).any())
-        self.log_h = [
-            weight.log_weight(b.ring_nodes if invariant else b.points, cap=b.cap)
-            for b in self.blocks]
+        self.blocks, self.log_h = self._build_blocks(
+            grid, grid.phi[:1] if invariant else grid.phi)
 
     def _validate_caps(self):
         for p, q in itertools.combinations(self.weight.positions, 2):
-            if geodesic_distance(p, q) <= 2.0 * self.rule.cap_radius:
-                raise ValueError("singular caps overlap; reduce cap_radius "
-                                 "or separate the singular points")
+            if geodesic_distance(p, q) <= 2.0 * CAP_RADIUS:
+                raise ValueError("singular caps overlap; separate the "
+                                 "singular points")
 
-    def _build_blocks(self, grid: SphereGrid):
-        rule, w = self.rule, self.weight
+    def _build_blocks(self, grid: SphereGrid, phi: np.ndarray):
+        """The blocks and log h on each, on the longitudes ``phi``."""
+        w = self.weight
         if not w.points:
-            return [_GridBlock(grid)]
+            return ([_ProductBlock(grid.transform)],
+                    [w.log_weight(ring_points(grid.t, phi))])
         if w.is_axis_aligned():
-            blocks = []
-            ends = {1.0: 1.0, -1.0: -1.0}  # band ends: the poles or cap edges
-            for i, sp in sorted(enumerate(w.points),
-                                key=lambda e: -e[1].position[2]):  # north first
+            # (sort key, t, t weights, cap) per piece: caps at their pole,
+            # the band between the cap edges (or the poles) in the middle
+            pieces = []
+            ends = {1.0: 1.0, -1.0: -1.0}
+            for i, sp in enumerate(w.points):
                 pole = 1.0 if sp.position[2] > 0 else -1.0
-                r, wr = cap_radial_rule(sp.order, rule.cap_radius, rule.n_radial)
-                blocks.append(_ProductBlock(grid, pole * np.cos(r), wr,
-                                            cap=(i, r[:, None])))
-                ends[pole] = pole * np.cos(rule.cap_radius)
+                r, wr = cap_radial_rule(sp.order, CAP_RADIUS, CAP_RADIAL_NODES)
+                pieces.append((pole, pole * np.cos(r), wr, (i, r[:, None])))
+                ends[pole] = pole * np.cos(CAP_RADIUS)
             t, tw = band_panels(ends[-1.0], ends[1.0], ends[-1.0] != -1.0,
                                 ends[1.0] != 1.0, grid.band_limit)
-            blocks.append(_ProductBlock(grid, t, tw))
-            return blocks
-        # general positions: smooth-cutoff splitting (documented lower accuracy)
+            pieces.append((0.0, t, tw, None))
+            pieces.sort(key=lambda piece: -piece[0])  # north cap first
+            _, ts, tws, caps = zip(*pieces)
+            transform = ProductTransform(grid.band_limit, np.concatenate(ts),
+                                         grid.n_phi,
+                                         np.concatenate(tws) * (2.0 * np.pi))
+            log_h = np.concatenate([w.log_weight(ring_points(t, phi), cap=cap)
+                                    for t, cap in zip(ts, caps)])
+            return [_ProductBlock(transform)], [log_h]
+        # general positions: smooth-cutoff splitting (documented lower
+        # accuracy); the grid keeps the cutoff complement in its log h
         extra = np.ones((grid.n_theta, grid.n_phi))
-        blocks = []
+        blocks, log_h = [], []
         for i, sp in enumerate(w.points):
             d = np.arccos(np.clip(grid.nodes @ sp.position, -1.0, 1.0))
-            extra *= 1.0 - _smooth_cutoff(d, rule.cap_radius)
-            blocks.append(_ScatterBlock(grid, sp.position, sp.order, rule, i))
-        blocks.append(_GridBlock(grid, extra))
-        return blocks
+            extra *= 1.0 - _smooth_cutoff(d, CAP_RADIUS)
+            r, wr = cap_radial_rule(sp.order, CAP_RADIUS, CAP_RADIAL_NODES)
+            blocks.append(_ScatterBlock(grid, sp.position, r, wr))
+            log_h.append(w.log_weight(
+                blocks[-1].points, cap=(i, np.repeat(r, CAP_ANGULAR_NODES))))
+        blocks.append(_ProductBlock(grid.transform))
+        with np.errstate(divide="ignore"):  # log 0 = -inf inside the caps
+            log_h.append(w.log_weight(ring_points(grid.t, phi))
+                         + np.log(extra))
+        return blocks, log_h
 
     # -- density machinery --------------------------------------------------
 
@@ -505,6 +481,6 @@ def troyanov_gap_coeffs(coeffs: SHCoefficients, grid: SphereGrid,
     """``troyanov_gap`` of the field with these coefficients; for a stack
     of coefficients, the gap of each field (one synthesis per quadrature
     block for the whole stack)."""
-    log_e = integrator_for(grid, w).log_exp_integral(coeffs)
-    return (dirichlet_energy(coeffs) / (16.0 * np.pi * (1.0 + w.alpha))
-            + C - (log_e - coeffs.mean - np.log(FOUR_PI)))
+    params = FunctionalParams(rho=w.rho_bar, weight=w)
+    dens = integrator_for(grid, w).density(coeffs)
+    return eval_J_coeffs(coeffs, dens, params) / w.rho_bar + C

@@ -546,20 +546,22 @@ def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:
 def random_band_limited(grid: SphereGrid, rng, l_max=None, amplitude=2.0,
                         decay=2.0) -> ScalarField:
     """Seeded random field: ``random_band_limited_batch`` of one field."""
-    return ScalarField(random_band_limited_batch(
-        grid, rng, 1, l_max, amplitude, decay)[0], grid)
+    coeffs = random_band_limited_batch(grid, rng, 1, l_max, amplitude, decay)
+    return sh_synthesis(SHCoefficients(coeffs.values[0]), grid)
 
 
 def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
-                              amplitude=2.0, decay=2.0) -> np.ndarray:
-    """Values of ``count`` seeded random fields, shape (count, n_theta, n_phi).
+                              amplitude=2.0, decay=2.0) -> SHCoefficients:
+    """Coefficients of ``count`` seeded random fields, a stack of shape
+    (count, L+1, 2L+1) at the grid's band limit L.
 
     A field's coefficients ~ N(0, (1+l)^(-2 decay)) for degrees 1..l_max
     (default the grid's band limit) are one draw of (l_max + 1)^2 - 1
-    normals, in order of degree and then of m; each field is then scaled to
-    max |u| = amplitude.  The fields are drawn one after another, so the
-    stream does not depend on how the samples are split into batches, and
-    they are synthesized in one pass.
+    normals, in order of degree and then of m; each field is then scaled so
+    that max |u| over the grid nodes is ``amplitude``.  The fields are
+    drawn one after another, so the stream does not depend on how the
+    samples are split into batches, and their peaks come from one
+    synthesis of the stack.
     """
     G = grid.band_limit
     L = G if l_max is None else l_max
@@ -574,13 +576,11 @@ def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
     for c in coeffs:
         c[drawn] = rng.normal(size=scale.size) / scale
     values = grid.transform.synthesis_values(SHCoefficients(coeffs))
-    if values.shape[-1] == 1:  # l_max = 0: zero fields, one column each
-        values = np.repeat(values, grid.n_phi, axis=-1)
-    for v in values:
+    for c, v in zip(coeffs, values):
         peak = float(np.max(np.abs(v)))
-        if peak > 0.0:
-            v *= amplitude / peak
-    return values
+        if peak > 0.0:  # l_max = 0: a zero field
+            c *= amplitude / peak
+    return SHCoefficients(coeffs)
 
 
 def dirichlet_energy(c: SHCoefficients):
@@ -605,13 +605,10 @@ def l2_norm(c: SHCoefficients) -> float:
 
 
 def phi_derivative(c: SHCoefficients) -> SHCoefficients:
-    """Coefficients of du/dphi (cos <-> sin blocks swap, scaled by m)."""
-    L = c.band_limit
-    out = np.zeros_like(c.values)
-    for m in range(1, L + 1):
-        out[:, L + m] = m * c.values[:, L - m]
-        out[:, L - m] = -m * c.values[:, L + m]
-    return SHCoefficients(out)
+    """Coefficients of du/dphi: a_{l,m} -> m a_{l,-m} (cos <-> sin columns
+    swap, scaled by m); zero for a zonal column."""
+    m = np.arange(c.values.shape[-1]) - c._m0
+    return SHCoefficients(m * c.values[..., ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -656,22 +653,27 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
 
 
 def gradient_magnitude(c: SHCoefficients, synthesis, t: np.ndarray) -> np.ndarray:
-    """|grad u| at nodes with cos theta = t, from their synthesizer S.
+    """|grad u| at nodes with cos theta = t, from their synthesizer S,
+    which takes a stack of coefficients (batch axis first).
 
     Exact: d/dphi is spectral, and sin theta dPbar_{l,m}/dtheta =
     l t Pbar_{l,m} - N_{l,m} Pbar_{l-1,m} with N_{l,m}^2 = (2l+1)(l^2-m^2)/(2l-1)
     gives sin theta du/dtheta = t S[l a_{l,m}] - S[N_{l+1,m} a_{l+1,m}].
+    The three coefficient sets are synthesized as one stack, in one pass;
+    for zonal coefficients as m = 0 columns.
     """
-    L = c.band_limit
-    l = np.arange(L + 1, dtype=float)[:, None]
-    m = np.arange(-L, L + 1, dtype=float)
-    lowered = np.zeros_like(c.values)
-    lowered[:-1] = np.sqrt((2.0 * l[1:] + 1.0) / (2.0 * l[1:] - 1.0)
-                           * np.maximum(l[1:] ** 2 - m * m, 0.0)) * c.values[1:]
-    sin_dtheta = (t * synthesis(SHCoefficients(l * c.values))
-                  - synthesis(SHCoefficients(lowered)))
+    if c.is_zonal:
+        c = c.zonal_column
+    l = np.arange(c.band_limit + 1, dtype=float)[:, None]
+    m = np.arange(c.values.shape[-1]) - c._m0
+    parts = np.zeros((3,) + c.values.shape)
+    parts[0] = l * c.values
+    parts[1, :-1] = np.sqrt((2.0 * l[1:] + 1.0) / (2.0 * l[1:] - 1.0)
+                            * np.maximum(l[1:] ** 2 - m * m, 0.0)) * c.values[1:]
+    parts[2] = phi_derivative(c).values
+    by_degree, lowered, dphi = synthesis(SHCoefficients(parts))
     sin2 = np.maximum(1.0 - t * t, 1.0e-300)
-    return np.sqrt((sin_dtheta**2 + synthesis(phi_derivative(c)) ** 2) / sin2)
+    return np.sqrt(((t * by_degree - lowered) ** 2 + dphi**2) / sin2)
 
 
 def gradient_at_angles(c: SHCoefficients, t: np.ndarray,

@@ -18,7 +18,8 @@ shift invariant, so the candidate need not be normalized first.  The
 accepted candidate is normalized by shifting its mean, and its record is
 reused for the next step's peak and residual, which costs one analysis per
 block.  An accepted step therefore costs blocks x trials syntheses and
-blocks analyses.
+blocks analyses; a weight with its singular points on the grid axis has
+one block (``SingularIntegrator``), so trials syntheses and one analysis.
 
 Axis-symmetric problems are solved in the m = 0 subspace, by the one rule
 of ``sphere_grid``: one-column data is zonal.  A ring-constant initial

@@ -102,8 +102,9 @@ class TestRun:
 
     def test_samples_share_transforms(self, monkeypatch, transform_counts):
         """20 samples in stacks of K = 8 make ceil(20 / 8) = 3 syntheses
-        per integrator block (and per grid draw) instead of 20, and give
-        the gaps of a per-sample troyanov_gap loop."""
+        per integrator block (and per grid draw) instead of 20, analyse
+        nothing (the draws are coefficients), and give the gaps of a
+        per-sample troyanov_gap loop."""
         from sol_lab import sphere_grid
         from sol_lab.mt_functional import integrator_for, troyanov_gap
         from sol_lab.singular_geometry import SingularWeight
@@ -120,9 +121,9 @@ class TestRun:
         g = sphere_grid.build_grid(grid["n_theta"], grid["n_phi"])
         assert sphere_grid.batch_size(g) == 8
         w = SingularWeight.from_orders(orders)
-        blocks = len(integrator_for(g, w).blocks)
-        assert transform_counts["synthesis"] == 3 * (1 + blocks)
-        assert transform_counts["analysis"] == 3
+        assert len(integrator_for(g, w).blocks) == 1
+        assert transform_counts["synthesis"] == 3 * 2
+        assert transform_counts["analysis"] == 0
         rng = np.random.default_rng(5)
         want = [troyanov_gap(sphere_grid.random_band_limited(g, rng), w, 0.0)
                 for _ in range(20)]
@@ -208,6 +209,14 @@ BAD_NUMBERS = {
                                {"epsilons": [1e-2, 2.0]},
                                "experiment.epsilons[1]: must be < 1"),
 }
+
+# schedules compare consecutive entries: fewer than two must exit 2
+BAD_NUMBERS.update({
+    f"epsilons-{n}-{kind}": (kind, {"epsilons": [0.1][:n]},
+                             f"experiment.epsilons: expected at least 2 "
+                             f"values, got {n}")
+    for kind in ("sweep", "profile-collapse", "test-function-sweep")
+    for n in (0, 1)})
 
 
 # strings and flags the runners read, out of their sets; each must exit 2

@@ -11,9 +11,10 @@ from sol_lab.identity_checks import (
     nonexistence_witness,
     sphere_sharp_constant,
 )
-from sol_lab.mt_functional import FunctionalParams, SingularIntegrator, eval_J
+from sol_lab.mt_functional import (FunctionalParams, SingularIntegrator,
+                                   eval_J, integrator_for)
 from sol_lab.singular_geometry import SingularWeight
-from sol_lab.sphere_grid import ScalarField
+from sol_lab.sphere_grid import ScalarField, sh_analysis
 
 from conftest import random_band_limited
 
@@ -132,12 +133,31 @@ class TestKazdanWarner:
         assert r1.poho_residual == pytest.approx(r2.poho_residual, abs=1e-12)
 
     def test_one_synthesis_per_block(self, grid64, rng, transform_counts):
+        """One synthesis of the density on the one axis block; two
+        analyses, of u and of the density."""
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, 0.5)])
         u = random_band_limited(grid64, rng, amplitude=1.0)
-        blocks = len(SingularIntegrator(grid64, w).blocks)
+        assert len(SingularIntegrator(grid64, w).blocks) == 1
         before = dict(transform_counts)
         kazdan_warner_residual(u, w.rho_bar - 0.3, w)
-        assert transform_counts["synthesis"] - before["synthesis"] == blocks
+        assert transform_counts["synthesis"] - before["synthesis"] == 1
+        assert transform_counts["analysis"] - before["analysis"] == 2
+
+    @pytest.mark.parametrize("zonal", [True, False])
+    def test_moment_is_the_density_quadrature(self, grid64, rng, zonal):
+        """The moment read from the density projection equals the
+        composite quadrature of h e^u x3 over int h e^u."""
+        w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, 0.5)])
+        u = (ScalarField.from_function(grid64, lambda x: 0.7 * x[..., 2] ** 3)
+             if zonal else random_band_limited(grid64, rng, amplitude=1.0))
+        integ = integrator_for(grid64, w)
+        dens = integ.density(sh_analysis(u))
+        (block,), (d,) = integ.blocks, dens.values
+        assert (d.shape[-1] == 1) == zonal
+        x3 = block.points[..., 2]
+        want = np.sum(block.weights * d * x3) / dens.total
+        rep = kazdan_warner_residual(u, w.rho_bar - 0.3, w)
+        assert rep.moment == pytest.approx(want, rel=1e-14)
 
     def test_converged_solution_mild_order(self, grid128):
         """Subcritical solution at alpha = -1/4: the identity holds to 1e-3."""

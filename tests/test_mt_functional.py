@@ -9,11 +9,13 @@ from scipy.integrate import quad
 
 from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
 from sol_lab.mt_functional import (
+    CAP_RADIAL_NODES,
+    CAP_RADIUS,
     INTEGRATOR_CACHE_SIZE,
     FunctionalParams,
-    SingularCapRule,
     SingularIntegrator,
     UnnormalizedBlowupError,
+    cap_radial_rule,
     el_residual,
     el_residual_norm,
     eval_J,
@@ -96,17 +98,20 @@ class TestExpIntegral:
         with pytest.raises(UnnormalizedBlowupError):
             exp_integral(u, SingularWeight())
 
-    def test_cap_rule_convergence(self, grid64):
-        """Refining the radial rule converges monotonically (to FP floor)."""
-        w = single_weight(-0.75)
-        u0 = ScalarField.constant(grid64, 0.0)
-        vals = [float(np.exp(SingularIntegrator(
-                    grid64, w, SingularCapRule(n_radial=n)).log_exp_integral(
-                        sh_analysis(u0))))
-                for n in (2, 4, 8, 16)]
-        diffs = [abs(a - b) for a, b in zip(vals, vals[1:])]
-        for d1, d2 in zip(diffs, diffs[1:]):
-            assert d2 <= d1 or d2 < 1e-12
+    def test_cap_rule_convergence(self):
+        """The radial cap rule against the closed form
+        int_0^R (2 sin^2(r/2))^alpha sin r dr = (2 sin^2(R/2))^(alpha+1)
+        / (alpha+1): to the rounding floor from 8 nodes on."""
+        for alpha in (-0.75, -0.5):
+            exact = (2.0 * np.sin(0.5 * CAP_RADIUS) ** 2) ** (alpha + 1.0) \
+                / (alpha + 1.0)
+            errors = []
+            for n in (2, 4, 8, 16, CAP_RADIAL_NODES):
+                r, w = cap_radial_rule(alpha, CAP_RADIUS, n)
+                approx = np.sum(w * (2.0 * np.sin(0.5 * r) ** 2) ** alpha)
+                errors.append(abs(approx - exact) / exact)
+            assert errors[0] > errors[1]
+            assert max(errors[2:]) <= 2.1e-16
 
     def test_off_axis_matches_axis(self, grid128, rng):
         """Rotation invariance ties the cutoff path to the aligned one.
@@ -276,6 +281,34 @@ class TestDensityStack:
 
 
 class TestIntegratorExactness:
+    @pytest.mark.parametrize("points", [
+        [], [(NORTH, -0.5)], [(SOUTH, 0.5)], [(NORTH, -0.25), (SOUTH, 0.5)]])
+    def test_axis_rule_is_one_product_block(self, grid64, points):
+        """On the axis the composite rule is one product block: one
+        transform over the north cap, band and south cap colatitudes; with
+        no singular point it is the grid's own transform."""
+        w = SingularWeight.from_orders(points)
+        (block,) = integrator_for(grid64, w).blocks
+        t = block.transform.t
+        if not points:
+            assert block.transform is grid64.transform
+        for pole, _ in points:
+            in_cap = pole[2] * t > np.cos(CAP_RADIUS)
+            assert in_cap.sum() == CAP_RADIAL_NODES
+        assert block.weights.shape == (t.size, grid64.n_phi)
+
+    def test_off_axis_grid_keeps_its_weights(self, grid64):
+        """Off the axis: one scattered cap per point, then the grid with
+        its own weights; the cutoff lives in log h, -inf at the point."""
+        w = SingularWeight.from_orders([((0.6, 0.0, 0.8), -0.5)])
+        integ = integrator_for(grid64, w)
+        assert len(integ.blocks) == 2
+        grid_block = integ.blocks[-1]
+        assert grid_block.transform is grid64.transform
+        assert np.array_equal(grid_block.weights, grid64.weights)
+        assert np.isneginf(integ.log_h[-1]).any()
+        assert np.isfinite(integ.log_h[-1]).any()
+
     def test_smooth_integrand_through_caps(self, grid128):
         integ = SingularIntegrator(grid128, single_weight(-0.5))
         val = sum(np.sum(b.weights * b.points[..., 2] ** 2)

@@ -70,9 +70,9 @@ def column_densities(grid, w, u):
 class TestTransformWork:
     def test_one_synthesis_per_block_per_trial(self, transform_counts,
                                                monkeypatch):
-        """A step synthesizes each line-search trial once per block and
-        analyses the accepted density once per block, nothing more.  The
-        zero start takes the zonal path."""
+        """A step synthesizes each line-search trial once and analyses the
+        accepted density once, nothing more: the axis rule is one block.
+        The zero start takes the zonal path."""
         init = ScalarField.constant(build_grid(65, 130), 0.0)
         self.check_step_work(init, True, transform_counts, monkeypatch)
 
@@ -88,7 +88,7 @@ class TestTransformWork:
         grid = init.grid
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        blocks = len(SingularIntegrator(grid, w).blocks)
+        assert len(SingularIntegrator(grid, w).blocks) == 1
         marks = []  # per loop iteration: [syntheses, analyses, trials]
         peak = SingularIntegrator.field_peak
         J = subcritical_solver.eval_J_coeffs
@@ -117,7 +117,7 @@ class TestTransformWork:
                  for cur, nxt in zip(marks, marks[1:])]
         assert [trials for _, _, trials in steps].count(3) == 2
         for syn, ana, trials in steps:
-            assert (syn, ana) == (blocks * trials, blocks)
+            assert (syn, ana) == (trials, 1)
 
 
 def zonal_and_full_J(grid, params, coeffs, monkeypatch):

@@ -452,24 +452,27 @@ class TestBatchAxis:
 
     def test_random_fields_are_one_draw_per_sample(self, grid16):
         """Each field's coefficients are one normal draw in the order of a
-        per-degree loop, so the stream does not depend on the batching."""
+        per-degree loop, so the stream does not depend on the batching;
+        each is scaled to max |u| = 2 on the grid."""
         g, L = grid16, grid16.band_limit
         rng = np.random.default_rng(11)
         fields = random_band_limited_batch(g, rng, 3)
+        assert fields.values.shape == (3, L + 1, 2 * L + 1)
         ref = np.random.default_rng(11)
-        for field in fields:
+        for field in fields.values:
             c = SHCoefficients.zeros(L)
             for l in range(1, L + 1):
                 c.values[l, L - l:L + l + 1] = \
                     ref.normal(size=2 * l + 1) / (1.0 + l) ** 2.0
             want = sh_synthesis(c, g).values
             want *= 2.0 / np.max(np.abs(want))
-            assert max_rel(field, want) <= 1e-14
+            got = sh_synthesis(SHCoefficients(field), g).values
+            assert max_rel(got, want) <= 1e-14
         assert rng.normal() == ref.normal()
         one = random_band_limited(g, np.random.default_rng(11))
+        first = random_band_limited_batch(g, np.random.default_rng(11), 1)
         assert np.array_equal(
-            one.values,
-            random_band_limited_batch(g, np.random.default_rng(11), 1)[0])
+            one.values, sh_synthesis(SHCoefficients(first.values[0]), g).values)
 
 
 class TestDirichletEnergy:
