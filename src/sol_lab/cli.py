@@ -302,10 +302,9 @@ def _build_weight(config):
         base = float(section["K"].get("base", 1.0))
         harmonics = section["K"].get("harmonics", [])
         if harmonics:
-            L = max(int(t["l"]) for t in harmonics)
-            coeffs = SHCoefficients.zeros(L)
+            coeffs = SHCoefficients.zeros(max(int(t["l"]) for t in harmonics))
             for t in harmonics:
-                coeffs.values[int(t["l"]), L + int(t["m"])] = float(t["coeff"])
+                coeffs.order(int(t["m"]))[int(t["l"])] = float(t["coeff"])
 
             def K(points, _c=coeffs, _b=base):
                 return _b + synthesis_at_points(_c, points)
@@ -575,6 +574,7 @@ def _run_profile_collapse(config, report):
 def _run_kw_check(config, report):
     from .closed_forms import ExtremalParams, extremal_u, extremal_weight
     from .identity_checks import kazdan_warner_residual
+    from .sphere_grid import sh_analysis
 
     exp = config["experiment"]
     w = _build_weight(config)
@@ -582,14 +582,14 @@ def _run_kw_check(config, report):
     if exp.get("use_extremal", False):
         alpha = float(exp.get("alpha", -0.5))
         w = extremal_weight(alpha)
-        u = extremal_u(ExtremalParams(alpha=alpha), grid)
+        coeffs = sh_analysis(extremal_u(ExtremalParams(alpha=alpha), grid))
         rho = w.rho_bar
         tol = float(exp.get("residual_tol", 1.0e-6))
     else:
         _, _, params, state = _solve_from_zero(exp, w, grid, 0.3)
-        u, rho = state.u, params.rho
+        coeffs, rho = state.coeffs, params.rho
         tol = float(exp.get("residual_tol", 1.0e-3))
-    rep = kazdan_warner_residual(u, rho, w)
+    rep = kazdan_warner_residual(coeffs, grid, rho, w)
     report["summary"] = {
         "moment": rep.moment, "poho_residual": rep.poho_residual,
         "kw_vector_residual": rep.kw_vector_residual,

@@ -32,12 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sphere_grid import (
-    FOUR_PI,
-    ScalarField,
-    SphereGrid,
-    sh_analysis,
-)
+from .sphere_grid import FOUR_PI, SHCoefficients, SphereGrid
 from .singular_geometry import (
     REGULAR_PART,
     SingularWeight,
@@ -243,11 +238,12 @@ class KazdanWarnerReport:
     orders: tuple
 
 
-def kazdan_warner_residual(u: ScalarField, rho: float,
-                           w: SingularWeight) -> KazdanWarnerReport:
-    """Residual of alpha2 - alpha1 = (2 - rho/4pi + a1 + a2) int h e^u x3.
+def kazdan_warner_residual(coeffs: SHCoefficients, grid: SphereGrid,
+                           rho: float, w: SingularWeight) -> KazdanWarnerReport:
+    """Residual of alpha2 - alpha1 = (2 - rho/4pi + a1 + a2) int h e^u x3
+    for the field u with coefficients ``coeffs`` on ``grid``.
 
-    The moment is the ratio int h e^u x3 / int h e^u, so ``u`` need not be
+    The moment is the ratio int h e^u x3 / int h e^u, so u need not be
     normalized.  With x3 = sqrt(4 pi / 3) Y_{1,0}, int h e^u x3 is read from
     the density's projection: one synthesis and one analysis per
     quadrature block.  Also evaluates the vector form
@@ -256,11 +252,10 @@ def kazdan_warner_residual(u: ScalarField, rho: float,
     (a2 - a1) h - (a1 + a2) h x3 for the antipodal layout).
     """
     a1, a2 = _axis_orders(w)
-    integ = integrator_for(u.grid, w)
-    dens = integ.density(sh_analysis(u))
+    integ = integrator_for(grid, w)
+    dens = integ.density(coeffs)
     proj = integ.density_projection(dens)
-    moment = float(np.sqrt(FOUR_PI / 3.0) * proj.values[1, proj.band_limit]
-                   / dens.total)
+    moment = float(np.sqrt(FOUR_PI / 3.0) * proj.order(0)[1] / dens.total)
     prefactor = 2.0 - rho / FOUR_PI + a1 + a2
     poho = (a2 - a1) - prefactor * moment
     # vector form, normalized by int h e^u = 1

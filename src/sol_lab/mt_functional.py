@@ -32,9 +32,10 @@ All sharp-constant paths use the axis-aligned configuration.
 ``integrator_for`` is the one way library code gets an integrator, one per
 weight.  Zonality follows the data, by the one rule of ``sphere_grid``:
 one-column data is zonal.  A weight invariant about the grid axis keeps
-log h as one column per product block, so zonal coefficients give a
-ring-constant density, one column per block, and each of its transforms
-is an m = 0 pass, O(L n_t) instead of O(L^2 n_t + L n_t n_phi).
+log h as one column per product block, so a zonal column of
+coefficients gives a ring-constant density, one column per block, and
+each of its transforms is an m = 0 pass, O(L n_t) instead of
+O(L^2 n_t + L n_t n_phi).
 
 Everything is evaluated through log h + u, with a global shift before
 exponentiation, so strongly concentrated fields cannot overflow.
@@ -203,16 +204,15 @@ class _ScatterBlock:
         return synthesis_at_angles(coeffs, self._t, self._phi)
 
     def analysis(self, values: np.ndarray) -> SHCoefficients:
-        L = self.band_limit
-        out = SHCoefficients.zeros(L)
+        out = SHCoefficients.zeros(self.band_limit)
         wv = self.weights * values
         phi, amp = self._phi, np.sqrt(2.0)
-        for m, block in _legendre_orders(L, self._t):
+        for m, block in _legendre_orders(self.band_limit, self._t):
             if m == 0:
-                out.values[:, L] = block @ wv
+                out.order(0)[:] = block @ wv
             else:
-                out.values[m:, L + m] = amp * (block @ (np.cos(m * phi) * wv))
-                out.values[m:, L - m] = amp * (block @ (np.sin(m * phi) * wv))
+                out.order(m)[m:] = amp * (block @ (np.cos(m * phi) * wv))
+                out.order(-m)[m:] = amp * (block @ (np.sin(m * phi) * wv))
         return out
 
 
@@ -248,9 +248,10 @@ class SingularIntegrator:
     when its singular points lie on the axis and log h on the grid nodes is
     exactly constant along every ring (true for K == 1 and for a zonal K,
     false for a point 1e-6 off the pole).  Such a weight keeps log h as one
-    column per block, evaluated on one longitude.  For zonal coefficients
-    J_rho, its gradient and the moments about the axis then live in the
-    m = 0 subspace, and the density computes them there exactly.
+    column per block, evaluated on one longitude.  For a zonal column of
+    coefficients J_rho, its gradient and the moments about the axis then
+    live in the m = 0 subspace, and the density computes them there
+    exactly, as one column per block.
     """
 
     def __init__(self, grid: SphereGrid, weight: SingularWeight):
@@ -320,13 +321,11 @@ class SingularIntegrator:
         A stack of coefficients (leading batch axes) is synthesized in one
         pass per block, and each field gets its own shift.  The density is
         formed in place in the synthesized arrays, so about one array per
-        block and field is live.  Zonal coefficients synthesize to one
-        column per product block; with log h one column too, so is the
-        density.
+        block and field is live.  A zonal column of coefficients
+        synthesizes to one column per product block; with log h one column
+        too, so is the density; otherwise u + log h covers every longitude.
         """
         batch = coeffs.values.shape[:-2]
-        if coeffs.is_zonal:  # checked once, not by each block's transform
-            coeffs = coeffs.zonal_column
         z, peak, shift = [], -np.inf, -np.inf
         for lh, b in zip(self.log_h, self.blocks):
             u = b.synthesis(coeffs)
@@ -354,15 +353,14 @@ class SingularIntegrator:
         return self.density(coeffs).log_integral
 
     def density_projection(self, dens: Density) -> SHCoefficients:
-        """Coefficients of h e^{u - shift}: one analysis per block.
+        """Coefficients of h e^{u - shift}: the sum of one analysis per
+        block, a zonal column when every block density is one column.
 
         Only the ratio to ``dens.total`` is meaningful to callers; the common
         scale e^{-shift} cancels in the Euler-Lagrange term.
         """
-        total = SHCoefficients.zeros(self.band_limit)
-        for b, d in zip(self.blocks, dens.values):
-            total.values += b.analysis(d).values
-        return total
+        parts = [b.analysis(d).values for b, d in zip(self.blocks, dens.values)]
+        return SHCoefficients(sum(parts[1:], parts[0]))
 
     def field_peak(self, dens: Density) -> float:
         """max of the synthesized field over all quadrature points."""
@@ -432,8 +430,12 @@ def density_residual(coeffs: SHCoefficients, dens: Density,
     """Spectral Euler-Lagrange residual -Delta u - rho(h e^u/E - 1/4pi).
 
     ``dens`` may be the record of u + c for any constant c: e^c cancels.
+    The residual has the projection's width: a zonal column of u is
+    widened when h is not invariant about the axis.
     """
     proj = integ.density_projection(dens)
+    if proj.values.shape[-1] != coeffs.values.shape[-1]:
+        coeffs = coeffs.widened()
     out = (_degree_weights(coeffs.band_limit)[:, None] * coeffs.values
            - (rho / dens.total) * proj.values)
     out[0, :] = 0.0
@@ -464,7 +466,10 @@ def gradient_pairing(u: ScalarField, params: FunctionalParams,
                      v: ScalarField) -> float:
     """Directional derivative dJ(u)[v] in the discrete setting."""
     r = residual_coeffs(sh_analysis(u), params, u.grid)
-    return float(np.sum(r.values * sh_analysis(v).values))
+    dv = sh_analysis(v)
+    if r.values.shape[-1] != dv.values.shape[-1]:  # a zonal column
+        r, dv = r.widened(), dv.widened()
+    return float(np.sum(r.values * dv.values))
 
 
 def troyanov_gap(u: ScalarField, w: SingularWeight, C: float) -> float:

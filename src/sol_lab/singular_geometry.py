@@ -63,11 +63,6 @@ def green_radial(r):
     return -np.log(2.0 * np.sin(0.5 * r) ** 2) / FOUR_PI - _GREEN_CONST
 
 
-def regular_part(p=None) -> float:
-    """Value A(p) of the regular part of G_p at p (constant on S^2)."""
-    return REGULAR_PART
-
-
 @dataclass(frozen=True)
 class SingularPoint:
     position: np.ndarray
@@ -209,12 +204,3 @@ class SingularWeight:
         pts = ", ".join(f"(order={sp.order:+.3g})" for sp in self.points)
         return f"SingularWeight([{pts}], K={'custom' if self.K else '1'})"
 
-
-def weight_at(w: SingularWeight, x) -> float:
-    """Pointwise value h(x); errors at negative-order singular points."""
-    val = w.weight(np.asarray(x, dtype=float))
-    return float(val) if np.ndim(val) == 0 else val
-
-
-def bubble_constant(w: SingularWeight, p) -> float:
-    return w.bubble_constant(p)

@@ -21,14 +21,17 @@ where Pbar includes the full normalization (Pbar_{0,0} = 1/sqrt(4 pi)).
 Transforms are dense per-order matrix products, O(L^3) overall, which is
 fine at desk scale (L <= 256).
 
-Zonal data is one column.  Values of shape (..., n_t, 1) are a ring-constant
-field: a ``ProductTransform`` analyses them on the m = 0 Legendre block
-alone, one longitude carrying each ring's whole weight, into exactly zonal
-coefficients.  Zonal coefficients (``SHCoefficients.is_zonal``) synthesize
-to such a column.  A zonal pass is one (L+1) x n_t matrix product, O(L n_t),
-against O(L^2 n_t + L n_t n_phi) over all orders and the Fourier step; a
-transform builds its all-order Legendre table and its cos/sin tables on
-the first pass that needs them.
+Zonal data is one column, for values and coefficients alike.  Values of
+shape (..., n_t, 1) are a ring-constant field: a ``ProductTransform``
+analyses them on the m = 0 Legendre block alone, one longitude carrying
+each ring's whole weight, into the m = 0 column of coefficients, shape
+(..., L+1, 1).  Such a column synthesizes back to one column of values.
+Every consumer picks its path from the last axis; a column meets
+full-width coefficients only through ``SHCoefficients.widened``, never
+through broadcasting, which would add it to every order.  A zonal pass is
+one (L+1) x n_t matrix product, O(L n_t), against O(L^2 n_t + L n_t n_phi)
+over all orders and the Fourier step; a transform builds its all-order
+Legendre table and its cos/sin tables on the first pass that needs them.
 
 Coefficients and values may carry leading batch axes: a stack of K fields,
 coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
@@ -225,12 +228,14 @@ def normalized_legendre(band_limit: int, t: np.ndarray,
 
 @dataclass
 class SHCoefficients:
-    """Real spherical-harmonic coefficients, entry [l, L + m] for a_{l,m}.
+    """Real spherical-harmonic coefficients a_{l,m}, a row per degree l.
 
-    ``values`` may carry leading batch axes, shape (..., L+1, 2L+1): a stack
-    of fields that the transforms handle in one pass.  Zonal coefficients
-    may also be held as their m = 0 column alone, shape (..., L+1, 1)
-    (``zonal_column``).
+    ``values`` has shape (..., L+1, 2L+1), entry [l, L + m] for a_{l,m}, or
+    (..., L+1, 1) for zonal coefficients: the m = 0 column alone.  The shape
+    is the rule; a column is never scanned for zeros and never broadcast
+    against every order (``widened``).  Leading batch axes hold a stack of
+    fields that the transforms handle in one pass.  Callers outside this
+    module read and write a_{l,m} through ``order``.
     """
 
     values: np.ndarray
@@ -251,28 +256,33 @@ class SHCoefficients:
     def zeros(cls, band_limit: int) -> "SHCoefficients":
         return cls(np.zeros((band_limit + 1, 2 * band_limit + 1)))
 
+    def order(self, m: int) -> np.ndarray:
+        """a_{l,m} for l = 0..L (zero for l < |m|), a writable view; a
+        zonal column has order 0 alone."""
+        if abs(m) > self._m0:
+            raise IndexError(f"order {m} is not held by coefficients of "
+                             f"width {self.values.shape[-1]}")
+        return self.values[..., self._m0 + m]
+
+    def widened(self, band_limit: int | None = None) -> "SHCoefficients":
+        """These coefficients over every order of band limit L (default
+        their own), shape (..., L+1, 2L+1), zero where they hold no entry:
+        a column meets full-width coefficients only through this.  Returns
+        self when it already has that shape."""
+        L = self.band_limit if band_limit is None else band_limit
+        Lc, half = self.band_limit, self._m0
+        if (L, half) == (Lc, Lc):
+            return self
+        out = np.zeros(self.values.shape[:-2] + (L + 1, 2 * L + 1))
+        out[..., :Lc + 1, L - half:L + half + 1] = self.values
+        return SHCoefficients(out)
+
     @property
     def mean(self):
         """Mean of the synthesized field: a_{0,0} / sqrt(4 pi), a float (an
         array over the batch axes for a stack)."""
         mean = self.values[..., 0, self._m0] / np.sqrt(FOUR_PI)
         return float(mean) if mean.ndim == 0 else mean
-
-    @property
-    def is_zonal(self) -> bool:
-        """True when every m != 0 column (of every field) is exactly zero."""
-        m0 = self._m0
-        return not (self.values[..., :m0].any() or self.values[..., m0 + 1:].any())
-
-    @property
-    def zonal_column(self) -> "SHCoefficients":
-        """The m = 0 column alone: these coefficients when they are zonal.
-
-        Its ``is_zonal`` costs nothing, so a caller that has checked a
-        field once can hand the column to several transforms.
-        """
-        m0 = self._m0
-        return SHCoefficients(self.values[..., m0:m0 + 1])
 
     def shifted(self, constant: float) -> "SHCoefficients":
         out = self.copy()
@@ -293,10 +303,11 @@ class ProductTransform:
     steradian weights per ring (may include cutoff factors; None for a
     synthesis-only transform); a node carries its ring's weight / n_phi.
 
-    One-column data is zonal (see the module docstring): zonal coefficients
-    synthesize to values of shape (..., n_t, 1), and such values analyse,
-    on the m = 0 block alone, to exactly zonal coefficients.  The Legendre
-    table holds the m = 0 block until a pass needs every order.
+    One-column data is zonal (see the module docstring): coefficients of
+    shape (..., L+1, 1) synthesize to values of shape (..., n_t, 1), and
+    such values analyse, on the m = 0 block alone, to such coefficients.
+    The Legendre table holds the m = 0 block until a pass needs every
+    order.
     """
 
     def __init__(self, band_limit: int, t: np.ndarray, n_phi: int,
@@ -331,7 +342,7 @@ class ProductTransform:
 
     def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
         """Values on the node set, shape (..., n_t, n_phi) for coefficients
-        of shape (..., L+1, 2L+1), and (..., n_t, 1) for zonal ones.
+        of shape (..., L+1, 2L+1), and (..., n_t, 1) for a zonal column.
 
         Each order is one product of the batch's coefficient rows with its
         Pbar block, so each table entry is read once per batch.
@@ -341,8 +352,6 @@ class ProductTransform:
             raise BandLimitError(
                 f"coefficients have L={coeffs.band_limit}, transform expects {L}"
             )
-        if coeffs.is_zonal:
-            coeffs = coeffs.zonal_column
         v = coeffs.values
         batch = v.shape[:-2]
         # batch axis last: c[m:, L + m].T is a (K, L+1-m) matrix that BLAS
@@ -376,8 +385,9 @@ class ProductTransform:
         return out.reshape(batch + out.shape[1:])
 
     def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
-        """<values, Y_{l,m}> under this node set's quadrature weights, for
-        values of shape (..., n_t, n_phi) or a ring-constant (..., n_t, 1)."""
+        """<values, Y_{l,m}> under this node set's quadrature weights:
+        shape (..., L+1, 2L+1) for values of shape (..., n_t, n_phi), and
+        the m = 0 column (..., L+1, 1) for ring-constant (..., n_t, 1)."""
         if self.ring_weights is None:
             raise ValueError("transform was built without quadrature weights")
         L, n_t, n_phi = self.band_limit, self.t.size, values.shape[-1]
@@ -386,11 +396,11 @@ class ProductTransform:
         w = (weights * values).reshape(-1, n_phi)
         k = w.shape[0] // n_t
         # batch axis last, the layout synthesis_values reads without a copy
-        out = np.zeros((L + 1, 2 * L + 1, k))
         if n_phi == 1:  # cos 0 phi = 1 on the one longitude
-            out[:, L] = self._legendre(1)[0] @ np.ascontiguousarray(
-                w.reshape(k, n_t).T)
+            out = (self._legendre(1)[0] @ np.ascontiguousarray(
+                w.reshape(k, n_t).T))[:, None]
         else:
+            out = np.zeros((L + 1, 2 * L + 1, k))
             plm = self._legendre(L + 1)
             # per trig part (n_t, L + 1, K): batch axis last, as synthesized
             fc, fs = (np.ascontiguousarray(
@@ -522,8 +532,8 @@ def integrate(f: ScalarField) -> float:
 
 
 def sh_analysis(f: ScalarField) -> SHCoefficients:
-    """Coefficients of f; a ring-constant f is analysed as one column, so
-    its coefficients are exactly zonal."""
+    """Coefficients of f; a ring-constant f is analysed as one column, into
+    the zonal column (L+1, 1)."""
     values = f.values
     if not np.ptp(values, axis=1).any():
         values = values[:, :1]
@@ -536,10 +546,7 @@ def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:
             f"coefficients have L={c.band_limit}, grid supports {grid.band_limit}"
         )
     if c.band_limit < grid.band_limit:
-        padded = SHCoefficients.zeros(grid.band_limit)
-        L, Lc = grid.band_limit, c.band_limit
-        padded.values[: Lc + 1, L - Lc : L + Lc + 1] = c.values
-        c = padded
+        c = c.widened(grid.band_limit)
     return ScalarField(grid.transform.synthesis_values(c), grid)
 
 
@@ -596,12 +603,10 @@ def dirichlet_pairing(a: SHCoefficients, b: SHCoefficients) -> float:
     """int grad u . grad v in spectral form."""
     if a.band_limit != b.band_limit:
         raise BandLimitError("band limits differ")
+    if a.values.shape[-1] != b.values.shape[-1]:  # a zonal column
+        a, b = a.widened(), b.widened()
     lw = _degree_weights(a.band_limit)
     return float(np.sum(lw[:, None] * a.values * b.values))
-
-
-def l2_norm(c: SHCoefficients) -> float:
-    return float(np.sqrt(np.sum(c.values**2)))
 
 
 def phi_derivative(c: SHCoefficients) -> SHCoefficients:
@@ -620,8 +625,8 @@ def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
 
     Streams the Legendre recurrence in groups of orders, so no table over
     all orders is stored: memory is O((L+1) * max(len(points),
-    LEGENDRE_BUDGET)) for the current groups' blocks.  Zonal coefficients
-    need the m = 0 block alone.  Exact for band-limited fields.  Accepts any
+    LEGENDRE_BUDGET)) for the current groups' blocks.  A zonal column
+    needs the m = 0 block alone.  Exact for band-limited fields.  Accepts any
     leading shape (..., 3).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -639,9 +644,9 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
     L = c.band_limit
     cv = c.values
     shape = cv.shape[:-2] + t.shape
-    if c.is_zonal:
+    if cv.shape[-1] == 1:  # zonal: the m = 0 block alone
         _, block = next(_legendre_orders(L, t.ravel(), group=1))
-        return (c.zonal_column.values[..., 0] @ block).reshape(shape)
+        return (cv[..., 0] @ block).reshape(shape)
     out = np.zeros(cv.shape[:-2] + (t.size,))
     for m, block in _legendre_orders(L, t.ravel()):
         if m == 0:
@@ -660,10 +665,8 @@ def gradient_magnitude(c: SHCoefficients, synthesis, t: np.ndarray) -> np.ndarra
     l t Pbar_{l,m} - N_{l,m} Pbar_{l-1,m} with N_{l,m}^2 = (2l+1)(l^2-m^2)/(2l-1)
     gives sin theta du/dtheta = t S[l a_{l,m}] - S[N_{l+1,m} a_{l+1,m}].
     The three coefficient sets are synthesized as one stack, in one pass;
-    for zonal coefficients as m = 0 columns.
+    for a zonal column as m = 0 columns.
     """
-    if c.is_zonal:
-        c = c.zonal_column
     l = np.arange(c.band_limit + 1, dtype=float)[:, None]
     m = np.arange(c.values.shape[-1]) - c._m0
     parts = np.zeros((3,) + c.values.shape)

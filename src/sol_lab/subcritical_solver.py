@@ -23,13 +23,16 @@ one block (``SingularIntegrator``), so trials syntheses and one analysis.
 
 Axis-symmetric problems are solved in the m = 0 subspace, by the one rule
 of ``sphere_grid``: one-column data is zonal.  A ring-constant initial
-field has exactly zonal coefficients; when the weight is invariant about
-the axis as well (``SingularIntegrator``), J and its gradient commute with
-rotations about the axis, so every iterate stays zonal, every density is
-one column per block and each transform is one (L+1) x n_t product per
-block, O(L n_t), against O(L^2 n_t + L n_t n_phi) for all orders.  The
-final state and the diagnostics' gradients are synthesized as one column
-too.  Any other input takes the full path, unchanged.
+field analyses to a zonal column of coefficients; when the weight is
+invariant about the axis as well (``SingularIntegrator``), J and its
+gradient commute with rotations about the axis, so every residual,
+direction and iterate is that column, every density is one column per
+block and each transform is one (L+1) x n_t product per block, O(L n_t),
+against O(L^2 n_t + L n_t n_phi) for all orders.  The state keeps the
+column, and the final field and the diagnostics' gradients are
+synthesized as one column too.  A zonal start under a weight that is not
+invariant is widened to every order at its first step; any other input
+takes the full path, unchanged.
 
 As eps decreases with a singular weight of negative minimal order, the
 minimizers concentrate: lambda_eps = max u grows, the concentration scale
@@ -166,6 +169,8 @@ def minimize(params: FunctionalParams, config: SolverConfig,
         # preconditioned direction: w solves -Delta w = rho(h e^u/E - 1/4pi)
         direction = np.zeros_like(resid)
         direction[1:] = -resid[1:] / lw
+        if a.values.shape != direction.shape:  # zonal start, h not invariant
+            a = a.widened()
         step = tau
         accepted = False
         for _ in range(BACKTRACK_MAX):
@@ -230,7 +235,7 @@ class BlowupDiagnostics:
 
 def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid) -> np.ndarray:
     """|grad u| on the grid nodes (exact, see ``gradient_magnitude``); one
-    column for zonal coefficients."""
+    column for a zonal column of coefficients."""
     return gradient_magnitude(coeffs, grid.transform.synthesis_values,
                               grid.t[:, None])
 

@@ -80,8 +80,10 @@ def test_criterion_1_onofri_baseline(grid64):
         worst_family = max(worst_family, abs(troyanov_gap(u, w, 0.0)))
     elapsed = time.monotonic() - t0
     ok = worst >= -1e-6 and worst_family < 1e-5 and elapsed < 30.0
+    # the family gap is a rounding residual (~6e-15): print the gate, not
+    # digits that move with the order of the gap arithmetic
     report(1, ok, f"Onofri baseline: worst sampled gap {worst:.3e} >= -1e-6, "
-                  f"conformal family |gap| {worst_family:.3e} < 1e-5 "
+                  "conformal family |gap| < 1e-5 "
                   f"({elapsed:.1f}s < 30s)")
 
 
@@ -175,19 +177,21 @@ def test_criterion_6_kazdan_warner(grid128):
     params = FunctionalParams(rho=w2.rho_bar - 0.3, weight=w2)
     st = minimize(params, cfg, ScalarField.constant(grid128, 0.0), grid128)
     assert st.converged
-    r2 = abs(kazdan_warner_residual(st.u, params.rho, w2).poho_residual)
+    r2 = abs(kazdan_warner_residual(st.coeffs, grid128, params.rho,
+                                    w2).poho_residual)
     results.append(("one-singularity", r2, 1e-3))
     # mixed antipodal regime: distinct orders, negative minimum
     w3 = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
     params3 = FunctionalParams(rho=w3.rho_bar - 0.3, weight=w3)
     st3 = minimize(params3, cfg, ScalarField.constant(grid128, 0.0), grid128)
     assert st3.converged
-    r3 = abs(kazdan_warner_residual(st3.u, params3.rho, w3).poho_residual)
+    r3 = abs(kazdan_warner_residual(st3.coeffs, grid128, params3.rho,
+                                    w3).poho_residual)
     results.append(("mixed-antipodal", r3, 1e-3))
     # equal antipodal pair: the extremal makes both sides vanish
     w4 = extremal_weight(-0.5)
     u4 = extremal_u(ExtremalParams(alpha=-0.5), grid128)
-    rep4 = kazdan_warner_residual(u4, w4.rho_bar, w4)
+    rep4 = kazdan_warner_residual(sh_analysis(u4), grid128, w4.rho_bar, w4)
     r4 = max(abs(rep4.poho_residual), abs(rep4.kw_vector_residual))
     results.append(("equal-pair extremal", r4, 1e-6))
     ok = all(v < tol for _, v, tol in results)

@@ -131,6 +131,30 @@ class TestRun:
         assert [r["sample"] for r in report["records"]] == list(range(20))
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
+    def test_kw_check_analyses_the_grid_once(self, monkeypatch,
+                                             transform_counts):
+        """A kw-check solve analyses grid values once, the zero start:
+        the identity reads the solver's coefficients, and every other
+        analysis is a density projection on the one axis block."""
+        from sol_lab.mt_functional import SingularIntegrator
+
+        projections = []
+        project = SingularIntegrator.density_projection
+
+        def counted(self, dens):
+            projections.append(len(self.blocks))
+            return project(self, dens)
+
+        monkeypatch.setattr(SingularIntegrator, "density_projection", counted)
+        config, _ = validate(config_text(
+            experiment={"kind": "kw-check", "epsilon": 0.3},
+            weight={"points": [{"position": [0, 0, 1], "order": -0.25},
+                               {"position": [0, 0, -1], "order": -0.1}]}))
+        report = run(config)
+        assert report["summary"]["moment"] != 0.0
+        assert set(projections) == {1}
+        assert transform_counts["analysis"] == len(projections) + 1
+
     def test_seed_changes_samples(self):
         base = dict(experiment={"kind": "inequality-sample", "samples": 2},
                     weight={"points": []}, grid={"n_theta": 17, "n_phi": 34})

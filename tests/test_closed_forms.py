@@ -152,10 +152,11 @@ class TestConformalPullback:
     def test_zonal_field_matches_full_synthesis(self, grid64, axis,
                                                 monkeypatch):
         """A zonal u is resampled by the m = 0 synthesis, one column; it
-        matches the full-order synthesis at the dilated colatitudes."""
+        matches the full-order synthesis of its widened coefficients at
+        the dilated colatitudes."""
         from sol_lab import sphere_grid
         u = extremal_u(ExtremalParams(alpha=-0.4), grid64)
-        assert sphere_grid.sh_analysis(u).is_zonal
+        assert sphere_grid.sh_analysis(u).values.shape[-1] == 1
         orders = []
         table = sphere_grid.normalized_legendre
 
@@ -170,8 +171,7 @@ class TestConformalPullback:
         dot = sign * grid64.t
         full = sphere_grid.ProductTransform(
             grid64.band_limit, sign * dilated_dot(3.0, dot), grid64.n_phi)
-        coeffs = sphere_grid.sh_analysis(u)
-        monkeypatch.setattr(sphere_grid.SHCoefficients, "is_zonal", False)
+        coeffs = sphere_grid.sh_analysis(u).widened()
         want = (full.synthesis_values(coeffs)
                 + 0.6 * log_det_dilation(3.0, dot)[:, None])
         assert np.max(np.abs(pulled.values - want)) <= \

@@ -32,7 +32,6 @@ from sol_lab.sphere_grid import (
     ScalarField,
     build_grid,
     integrate,
-    l2_norm,
     sh_analysis,
     sh_synthesis,
 )
@@ -50,7 +49,7 @@ def single_weight(alpha):
 def full_path_coeffs(grid):
     """Coefficients with an m = 1 term: their densities need every order."""
     c = SHCoefficients.zeros(grid.band_limit)
-    c.values[1, grid.band_limit + 1] = 1.0
+    c.order(1)[1] = 1.0
     return c
 
 
@@ -187,7 +186,7 @@ class TestElResidual:
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         r = residual_coeffs(sh_analysis(u), params, grid128)
-        assert l2_norm(r) < 0.05
+        assert np.sqrt(np.sum(r.values**2)) < 0.05
 
     def test_reported_norm_matches_field(self, grid64, rng):
         w = single_weight(-0.5)
@@ -198,21 +197,28 @@ class TestElResidual:
         assert el_residual_norm(u, params) == pytest.approx(by_quadrature,
                                                             rel=1e-9)
 
-    @pytest.mark.parametrize("case", ["smooth", "axis", "off-axis"])
+    @pytest.mark.parametrize("case", ["smooth", "axis", "off-axis",
+                                      "zonal-u"])
     def test_gradient_consistency(self, grid64, rng, case):
         """dJ(u)[v] against central differences.
 
         The off-axis weight runs the scattered-cap analysis, which only the
-        gradient exercises.
+        gradient exercises.  A ring-constant u has a zonal column of
+        coefficients, and so has its residual under an axis weight; paired
+        with a v over every order, the column must be widened, not
+        broadcast against each order of v.
         """
         if case == "smooth":
             params = FunctionalParams(rho=8.0 * np.pi - 2.0,
                                       weight=SingularWeight())
         else:
-            pole = NORTH if case == "axis" else (0.48, -0.36, 0.8)
+            pole = (0.48, -0.36, 0.8) if case == "off-axis" else NORTH
             w = SingularWeight.from_orders([(pole, -0.5)])
             params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         u = random_band_limited(grid64, rng)
+        if case == "zonal-u":  # the ring means: the m = 0 part of u
+            u = ScalarField(u.values.mean(axis=1, keepdims=True), grid64)
+            assert sh_analysis(u).values.shape[-1] == 1
         step = 1e-5
         for _ in range(5):
             v = random_band_limited(grid64, rng, amplitude=1.0)
@@ -353,7 +359,7 @@ class TestIntegratorCache:
             return log_weight(self, x, *args, **kwargs)
 
         monkeypatch.setattr(SingularWeight, "log_weight", recorded)
-        zonal = SHCoefficients.zeros(grid.band_limit)
+        zonal = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
         weights = [single_weight(-0.5), single_weight(-0.25)]
         for w in weights:
             first = integrator_for(grid, w)

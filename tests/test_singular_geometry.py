@@ -9,15 +9,13 @@ from sol_lab.singular_geometry import (
     SingularEvaluationError,
     SingularPoint,
     SingularWeight,
-    bubble_constant,
     green,
-    regular_part,
-    weight_at,
 )
 from sol_lab.sphere_grid import (
     FOUR_PI,
     ScalarField,
     SHCoefficients,
+    cap_points,
     dirichlet_pairing,
     integrate,
     sh_analysis,
@@ -92,11 +90,18 @@ class TestGreen:
 
 class TestRegularPart:
     def test_constant_value(self):
-        assert regular_part(NORTH) == pytest.approx(
+        assert REGULAR_PART == pytest.approx(
             (2.0 * np.log(2.0) - 1.0) / FOUR_PI, rel=1e-15)
 
     def test_two_points_identical(self, rng):
-        assert regular_part(random_pole(rng)) == regular_part(random_pole(rng))
+        """G_p + log(d)/(2 pi) at the same small distance d from two random
+        poles: the regular part does not depend on the point (up to the
+        roundoff of 1 - <p, x> ~ 5e-7, a few 1e-11 here)."""
+        d = 1e-3
+        limits = [green(p, cap_points(p, np.array([d]), 1)[0, 0])
+                  + np.log(d) / (2.0 * np.pi)
+                  for p in (random_pole(rng), random_pole(rng))]
+        assert limits[0] == pytest.approx(limits[1], abs=1e-9)
 
     def test_numerical_limit(self):
         """G_p(x) + log(d)/(2 pi) -> A as d -> 0 (limit oracle)."""
@@ -128,29 +133,29 @@ class TestSingularWeight:
 
     def test_empty_weight_is_one(self, rng):
         w = SingularWeight()
-        assert weight_at(w, random_pole(rng)) == 1.0
+        assert w.weight(random_pole(rng)) == 1.0
 
     def test_single_pole_at_antipode(self):
         # h(-p) = (e/2)^a * 2^a = e^a
         for a in [-0.5, 0.25, 1.0]:
             w = SingularWeight.from_orders([(NORTH, a)])
-            assert weight_at(w, SOUTH) == pytest.approx(np.exp(a), rel=1e-12)
+            assert w.weight(SOUTH) == pytest.approx(np.exp(a), rel=1e-12)
 
     def test_antipodal_pair_on_equator(self):
         a = -0.3
         w = SingularWeight.from_orders([(NORTH, a), (SOUTH, a)])
         x = np.array([0.0, 1.0, 0.0])
-        assert weight_at(w, x) == pytest.approx((np.e / 2.0) ** (2 * a),
-                                                rel=1e-12)
+        assert w.weight(x) == pytest.approx((np.e / 2.0) ** (2 * a),
+                                            rel=1e-12)
 
     def test_negative_order_evaluation_rejected(self):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         with pytest.raises(SingularEvaluationError):
-            weight_at(w, NORTH)
+            w.weight(NORTH)
 
     def test_positive_order_zero_limit(self):
         w = SingularWeight.from_orders([(NORTH, 0.5)])
-        assert weight_at(w, NORTH) == 0.0
+        assert w.weight(NORTH) == 0.0
 
     def test_local_power_behavior(self):
         """log h(x) ~ 2 alpha_i log d near p_i, slope within 1%."""
@@ -170,23 +175,23 @@ class TestSingularWeight:
 
 class TestBubbleConstant:
     def test_no_singularities(self):
-        assert bubble_constant(SingularWeight(), NORTH) == pytest.approx(1.0)
+        assert SingularWeight().bubble_constant(NORTH) == pytest.approx(1.0)
 
     def test_single_negative_order(self):
         # c = exp(-4 pi a A) = exp((1 - 2 log 2) a); a = -1/2 gives 2/sqrt(e)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        assert bubble_constant(w, NORTH) == pytest.approx(
+        assert w.bubble_constant(NORTH) == pytest.approx(
             2.0 * np.exp(-0.5), rel=1e-12)
 
     def test_antipodal_pair(self):
         a = -0.5
         w = SingularWeight.from_orders([(NORTH, a), (SOUTH, a)])
         expected = np.exp(-FOUR_PI * a * REGULAR_PART) * np.exp(a)
-        assert bubble_constant(w, NORTH) == pytest.approx(expected, rel=1e-12)
+        assert w.bubble_constant(NORTH) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_non_minimal_point(self):
         w = SingularWeight.from_orders([(NORTH, -0.5), (SOUTH, 0.25)])
         with pytest.raises(ValueError):
-            bubble_constant(w, SOUTH)
+            w.bubble_constant(SOUTH)
         with pytest.raises(ValueError):
-            bubble_constant(w, np.array([1.0, 0.0, 0.0]))
+            w.bubble_constant(np.array([1.0, 0.0, 0.0]))

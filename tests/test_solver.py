@@ -120,14 +120,14 @@ class TestTransformWork:
             assert (syn, ana) == (trials, 1)
 
 
-def zonal_and_full_J(grid, params, coeffs, monkeypatch):
-    """J of the same coefficients on the zonal path and, with their
-    zonality hidden, on the full path."""
+def zonal_and_full_J(grid, params, coeffs):
+    """J of a zonal column of coefficients on the zonal path and, widened
+    to every order, on the full path."""
     integ = SingularIntegrator(grid, params.weight)
+    assert coeffs.values.shape[-1] == 1
     J_zonal = eval_J_coeffs(coeffs, integ.density(coeffs), params)
-    with monkeypatch.context() as patch:
-        patch.setattr(SHCoefficients, "is_zonal", False)
-        J_full = eval_J_coeffs(coeffs, integ.density(coeffs), params)
+    full = coeffs.widened()
+    J_full = eval_J_coeffs(full, integ.density(full), params)
     return J_zonal, J_full
 
 
@@ -146,7 +146,7 @@ PATH_CASES = {
 
 class TestZonalPath:
     @pytest.mark.parametrize("L", [64, 128])
-    def test_solve_config_matches_full(self, L, monkeypatch):
+    def test_solve_config_matches_full(self, L):
         """The solve config (alpha = -1/4 north, -1/10 south, eps = 0.3)
         takes the zonal path, and its J is the full integrator's J."""
         grid = build_grid(L + 1, 2 * L + 2)
@@ -155,13 +155,12 @@ class TestZonalPath:
         state = minimize(params, quick_config(0.3),
                          ScalarField.constant(grid, 0.0), grid)
         assert state.converged and on_zonal_path(grid)
-        J_zonal, J_full = zonal_and_full_J(grid, params, state.coeffs,
-                                           monkeypatch)
+        J_zonal, J_full = zonal_and_full_J(grid, params, state.coeffs)
         assert J_zonal == pytest.approx(J_full, rel=1e-12)
         assert state.J == pytest.approx(J_full, rel=1e-12)
 
     @pytest.mark.parametrize("L", [64, 128])
-    def test_sweep_config_matches_full(self, L, monkeypatch):
+    def test_sweep_config_matches_full(self, L):
         """The sweep config (alpha = -1/2 north, test-function start, warm
         starts down to eps = 0.05): every solve and diagnosis is zonal."""
         grid = build_grid(L + 1, 2 * L + 2)
@@ -171,24 +170,28 @@ class TestZonalPath:
         assert on_zonal_path(grid)
         for state in report.states:
             J_zonal, J_full = zonal_and_full_J(grid, state.params,
-                                               state.coeffs, monkeypatch)
+                                               state.coeffs)
             assert J_zonal == pytest.approx(J_full, rel=1e-12)
             assert state.J == pytest.approx(J_full, rel=1e-12)
 
     def test_same_iterates_as_full_path(self, monkeypatch):
-        """Forced onto the full path, the solve config takes the same steps."""
+        """Forced onto the full path (the start analysed to every order),
+        the solve config takes the same steps."""
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         zero = ScalarField.constant(grid, 0.0)
         zonal = minimize(params, quick_config(0.3), zero, grid)
         assert on_zonal_path(grid)
-        monkeypatch.setattr(SHCoefficients, "is_zonal", False)
+        monkeypatch.setattr(subcritical_solver, "sh_analysis",
+                            lambda f: sh_analysis(f).widened())
         full = minimize(params, quick_config(0.3), zero, grid)
         assert not on_zonal_path(grid)
+        assert full.coeffs.values.shape[-1] == 2 * grid.band_limit + 1
         assert zonal.iterations == full.iterations
         assert zonal.J == pytest.approx(full.J, rel=1e-12)
-        assert np.max(np.abs(zonal.coeffs.values - full.coeffs.values)) < 1e-12
+        assert np.max(np.abs(zonal.coeffs.widened().values
+                             - full.coeffs.values)) < 1e-12
 
     def test_off_axis_weight_has_no_zonal_integrator(self, grid16):
         """log h of an off-axis weight covers every longitude, so even a
@@ -199,7 +202,7 @@ class TestZonalPath:
 
     @pytest.mark.parametrize("pole, K, init, zonal", PATH_CASES.values(),
                              ids=PATH_CASES.keys())
-    def test_path_selection(self, pole, K, init, zonal, monkeypatch):
+    def test_path_selection(self, pole, K, init, zonal):
         """minimize and kazdan_warner_residual take the zonal path exactly
         when the weight, log h and the field are invariant about the axis."""
         w = SingularWeight([SingularPoint(np.asarray(pole), -0.5)], K)
@@ -212,25 +215,23 @@ class TestZonalPath:
         grid = build_grid(17, 34)
         u = ScalarField.from_function(grid, init) + ScalarField.from_function(
             grid, lambda x: 0.5 * x[..., 2] ** 2)
-        rep = kazdan_warner_residual(u, params.rho, w)
+        coeffs = sh_analysis(u)
+        rep = kazdan_warner_residual(coeffs, grid, params.rho, w)
         assert column_densities(grid, w, u) == zonal
-        monkeypatch.setattr(SHCoefficients, "is_zonal", False)
-        full = kazdan_warner_residual(u, params.rho, w)
+        full = kazdan_warner_residual(coeffs.widened(), grid, params.rho, w)
         assert not on_zonal_path(grid)
         assert rep.moment == pytest.approx(full.moment, rel=1e-12)
 
     @pytest.mark.parametrize("L", [64, 128])
-    def test_extremal_field_evaluations(self, L, monkeypatch):
+    def test_extremal_field_evaluations(self, L):
         """eval_J, troyanov_gap and log_exp_integral take the zonal path
         on the extremal field and agree with the full path."""
         grid = build_grid(L + 1, 2 * L + 2)
         w = extremal_weight(-0.5)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = extremal_u(ExtremalParams(alpha=-0.5), grid)
-        coeffs = sh_analysis(u)
-        with monkeypatch.context() as patch:
-            patch.setattr(SHCoefficients, "is_zonal", False)
-            dens = SingularIntegrator(grid, w).density(coeffs)
+        coeffs = sh_analysis(u).widened()
+        dens = SingularIntegrator(grid, w).density(coeffs)
         J_full = eval_J_coeffs(coeffs, dens, params)
         assert eval_J(u, params) == pytest.approx(J_full, rel=1e-12)
         assert troyanov_gap(u, w, 0.0) == pytest.approx(J_full / w.rho_bar,
@@ -249,12 +250,12 @@ class TestZonalPath:
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         state = minimize(params, quick_config(0.3),
                          ScalarField.constant(grid, 0.0), grid)
-        kazdan_warner_residual(state.u, params.rho, w)
+        kazdan_warner_residual(state.coeffs, grid, params.rho, w)
         diagnose(state, w, cap_radii=(0.5, 3.5))
         assert on_zonal_path(grid)
         integ = integrator_for(grid, w)
-        c = state.coeffs.copy()
-        c.values[1, grid.band_limit + 1] = 1.0e-3
+        c = state.coeffs.widened()
+        c.order(1)[1] = 1.0e-3
         integ.density(c)
         assert [len(b.transform._plm) for b in integ.blocks] == \
             [grid.band_limit + 1] * len(integ.blocks)

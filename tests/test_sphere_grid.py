@@ -97,12 +97,11 @@ class TestTransforms:
     def test_x3_single_coefficient(self, grid64):
         f = ScalarField.from_function(grid64, lambda x: x[..., 2])
         c = sh_analysis(f)
-        L = c.band_limit
-        a10 = c.values[1, L]
+        a10 = c.order(0)[1]
         assert abs(a10**2 - FOUR_PI / 3.0) < 1e-10
-        rest = c.values.copy()
-        rest[1, L] = 0.0
-        assert np.abs(rest).max() < 1e-10
+        rest = c.copy()
+        rest.order(0)[1] = 0.0
+        assert np.abs(rest.values).max() < 1e-10
 
     def test_round_trip(self, grid64, rng):
         f = random_band_limited(grid64, rng)
@@ -266,54 +265,51 @@ class TestOrderLimit:
             assert np.array_equal(block, want)
 
     @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
-    def test_zonal_transform_matches_full(self, grid_name, request, rng,
-                                          monkeypatch):
-        """Alone and batched, zonal coefficients synthesize to (..., n_t, 1),
-        equal to the full-order synthesis on every longitude; a column
-        analyses to exactly zonal coefficients that match the full analysis
-        of the field repeated over the longitudes."""
+    def test_zonal_transform_matches_full(self, grid_name, request, rng):
+        """Alone and batched, zonal columns of coefficients synthesize to
+        (..., n_t, 1), equal to the full-order synthesis of the widened
+        coefficients on every longitude; a column of values analyses to a
+        column of coefficients that matches the full analysis of the field
+        repeated over the longitudes."""
         g = request.getfixturevalue(grid_name)
         L = g.band_limit
-        c = np.zeros((2, 3, L + 1, 2 * L + 1))
-        c[..., L] = rng.normal(size=(2, 3, L + 1)) / (1.0 + np.arange(L + 1))
+        c = (rng.normal(size=(2, 3, L + 1))
+             / (1.0 + np.arange(L + 1)))[..., None]
         stacks = (SHCoefficients(c[0, 0]), SHCoefficients(c))
         columns = [g.transform.synthesis_values(s) for s in stacks]
         values = rng.normal(size=(2, g.n_theta, 1))
         coeffs = g.transform.analysis_coeffs(values)
-        monkeypatch.setattr(SHCoefficients, "is_zonal", False)  # full path
         for col, stack in zip(columns, stacks):
             assert col.shape == stack.values.shape[:-2] + (g.n_theta, 1)
-            full = g.transform.synthesis_values(stack)
+            full = g.transform.synthesis_values(stack.widened())
             assert full.shape[-1] == g.n_phi
             assert np.max(np.abs(col - full)) <= 1e-14 * np.max(np.abs(full))
-        monkeypatch.undo()
-        assert coeffs.values.shape == (2, L + 1, 2 * L + 1)
-        assert coeffs.is_zonal
+        assert coeffs.values.shape == (2, L + 1, 1)
         full = g.transform.analysis_coeffs(np.repeat(values, g.n_phi, axis=-1))
-        assert np.max(np.abs(coeffs.values - full.values)) <= \
+        assert np.max(np.abs(coeffs.widened().values - full.values)) <= \
             1e-14 * np.max(np.abs(full.values))
 
     @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
     def test_grid_transforms_zonal_input_on_m0(self, grid_name, request,
-                                               rng, monkeypatch):
-        """sh_synthesis of zonal coefficients, sh_analysis of a ring-constant
-        field and synthesis_at_angles of zonal coefficients match the
-        full-order results; the analysis has exactly zero m != 0 columns."""
+                                               rng):
+        """sh_synthesis of a zonal column, sh_analysis of a ring-constant
+        field and synthesis_at_angles of a zonal column match the
+        full-order results; the analysis is a column, with no m != 0
+        entries at all."""
         g = request.getfixturevalue(grid_name)
         L = g.band_limit
-        c = SHCoefficients.zeros(L)
-        c.values[:, L] = rng.normal(size=L + 1) / (1.0 + np.arange(L + 1))
+        c = SHCoefficients((rng.normal(size=L + 1)
+                            / (1.0 + np.arange(L + 1)))[:, None])
         field = sh_synthesis(c, g)
         at_angles = synthesis_at_angles(c, g.t, np.zeros(g.t.size))
         coeffs = sh_analysis(field)
-        assert coeffs.is_zonal
-        monkeypatch.setattr(SHCoefficients, "is_zonal", False)  # full path
-        full_values = g.transform.synthesis_values(c)
+        assert coeffs.values.shape == (L + 1, 1)
+        full_values = g.transform.synthesis_values(c.widened())
         scale = np.max(np.abs(full_values))
         assert np.max(np.abs(field.values - full_values)) <= 1e-14 * scale
         assert np.max(np.abs(at_angles - full_values[:, 0])) <= 1e-14 * scale
         full = g.transform.analysis_coeffs(field.values).values
-        assert np.max(np.abs(coeffs.values - full)) <= \
+        assert np.max(np.abs(coeffs.widened().values - full)) <= \
             1e-14 * np.max(np.abs(full))
 
     def test_tables_built_on_first_need(self, grid16, monkeypatch):
@@ -331,13 +327,13 @@ class TestOrderLimit:
         L, n_phi = grid16.band_limit, grid16.n_phi
         a, b = (ProductTransform(L, t, n_phi, np.ones(t.size))
                 for t in (grid16.t, np.linspace(-0.9, 0.9, 7)))
-        zonal = SHCoefficients.zeros(L)
-        zonal.values[3, L] = 1.0
+        zonal = SHCoefficients(np.zeros((L + 1, 1)))
+        zonal.order(0)[3] = 1.0
         a.synthesis_values(zonal)
         a.analysis_coeffs(np.ones((grid16.n_theta, 1)))
         assert orders == [0]
-        full = zonal.copy()
-        full.values[3, L + 2] = 1.0
+        full = zonal.widened()
+        full.order(2)[3] = 1.0
         a.synthesis_values(full)
         b.analysis_coeffs(np.ones((7, n_phi)))
         assert orders == [0, L, L]
@@ -356,8 +352,8 @@ def reference_synthesis(tr, c):
     transform's arithmetic, operation for operation)."""
     L = tr.band_limit
     plm, cos_m, sin_m = reference_tables(tr)
-    if SHCoefficients(c).is_zonal:  # one column: the m = 0 sums
-        return (c[:, L] @ plm[0])[:, None]
+    if c.shape[-1] == 1:  # one column: the m = 0 sums
+        return (c[:, 0] @ plm[0])[:, None]
     cc = np.zeros((L + 1, tr.t.size))
     cs = np.zeros((L + 1, tr.t.size))
     for m in range(L + 1):
@@ -371,10 +367,9 @@ def reference_synthesis(tr, c):
 def reference_analysis(tr, values):
     L = tr.band_limit
     plm, cos_m, sin_m = reference_tables(tr)
-    out = np.zeros((L + 1, 2 * L + 1))
     if values.shape[-1] == 1:  # one longitude carrying the ring weight
-        out[:, L] = plm[0] @ (tr.ring_weights * values)[:, 0]
-        return out
+        return (plm[0] @ (tr.ring_weights * values)[:, 0])[:, None]
+    out = np.zeros((L + 1, 2 * L + 1))
     w = tr.weights * values
     fc, fs = w @ cos_m.T, w @ sin_m.T
     for m in range(L + 1):
@@ -386,16 +381,14 @@ def reference_analysis(tr, values):
 
 
 def transform_cases(g, rng):
-    """(transform, coefficients): the grid transform on random and on zonal
-    coefficients (one-column values), and a product block on custom
-    colatitudes."""
+    """(transform, coefficients): the grid transform on random coefficients
+    and on their m = 0 column (one-column values), and a product block on
+    custom colatitudes."""
     L = g.band_limit
     t = np.random.default_rng(3).uniform(-1.0, 1.0, 45)
     block = ProductTransform(L, t, g.n_phi, np.full(t.size, 0.01 * g.n_phi))
     c = rng.normal(size=(2, 3, L + 1, 2 * L + 1))
-    zonal = np.zeros_like(c)
-    zonal[..., L] = c[..., L]
-    return {"grid": (g.transform, c), "zonal": (g.transform, zonal),
+    return {"grid": (g.transform, c), "zonal": (g.transform, c[..., L:L + 1]),
             "block": (block, c)}
 
 
@@ -439,16 +432,36 @@ class TestBatchAxis:
 
     def test_coefficient_properties_read_last_axes(self, grid16, rng):
         L = grid16.band_limit
-        c = SHCoefficients.zeros(L)
-        c.values[:, L] = rng.normal(size=L + 1)
+        c = SHCoefficients(rng.normal(size=(L + 1, 1)))
         stack = SHCoefficients(np.stack([c.values, 2.0 * c.values]))
         assert stack.band_limit == L
-        assert stack.is_zonal
+        assert np.array_equal(stack.order(0), [c.order(0), 2.0 * c.order(0)])
         assert np.array_equal(stack.mean, [c.mean, 2.0 * c.mean])
-        stack.values[1, 3, L - 2] = 1.0
-        assert not stack.is_zonal
+        stack = stack.widened()
+        stack.order(-2)[1, 3] = 1.0
+        assert stack.values[1, 3, L - 2] == 1.0
+        assert np.array_equal(stack.mean, [c.mean, 2.0 * c.mean])
         assert dirichlet_energy(stack)[1] == pytest.approx(
             dirichlet_energy(SHCoefficients(stack.values[1])), rel=1e-15)
+
+    def test_widened_column(self, rng):
+        """A column widens to every order with zeros off m = 0, at its own
+        or a higher band limit; full-width coefficients are returned as
+        they are, and a column holds no order but 0."""
+        c = SHCoefficients(rng.normal(size=(2, 5, 1)))
+        wide = c.widened()
+        assert wide.values.shape == (2, 5, 9)
+        assert np.array_equal(wide.order(0), c.order(0))
+        assert not np.delete(wide.values, 4, axis=-1).any()
+        assert wide.widened() is wide
+        higher = wide.widened(7)
+        assert higher.values.shape == (2, 8, 15)
+        assert np.array_equal(higher.order(0)[:, :5], c.order(0))
+        assert np.array_equal(c.widened(7).values, higher.values)
+        assert not higher.values[:, 5:].any()
+        for m in (1, -1):
+            with pytest.raises(IndexError):
+                c.order(m)
 
     def test_random_fields_are_one_draw_per_sample(self, grid16):
         """Each field's coefficients are one normal draw in the order of a
