@@ -44,6 +44,7 @@ exponentiation, so strongly concentrated fields cannot overflow.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,11 @@ from .singular_geometry import SingularWeight
 
 DEFAULT_CEILING = 700.0
 INTEGRATOR_CACHE_SIZE = 4
-# the singular caps: geodesic radius, Gauss-Legendre nodes in
-# s = r^{2(1+alpha)}, and bearings of an off-axis (scattered) cap; caps on
-# the grid axis use the grid's longitudes, so the density analysis is
-# alias-free to the same order as the grid itself
+# the singular caps: geodesic radius, the least number of Gauss-Legendre
+# nodes in s = r^{2(1+alpha)} (see cap_radial_nodes), and bearings of an
+# off-axis (scattered) cap; caps on the grid axis use the grid's
+# longitudes, so the density analysis is alias-free to the same order as
+# the grid itself
 CAP_RADIUS = 0.1
 CAP_RADIAL_NODES = 32
 CAP_ANGULAR_NODES = 16
@@ -104,6 +106,21 @@ def cap_radial_rule(alpha: float, radius: float, n: int):
     w = 0.5 * s_hi * s_weights
     r = s ** (1.0 / power)
     return r, w * r / (power * s) * np.sin(r)
+
+
+def cap_radial_nodes(alpha: float, band_limit: int) -> int:
+    """Radial nodes of a cap of order alpha at band limit L:
+    max(CAP_RADIAL_NODES, ceil(1.25 L R / (2 (1 + alpha)))).
+
+    A cap of radius R holds about L R / pi oscillations of a degree-L
+    harmonic, and the substitution s = r^{2(1+alpha)} spaces the nodes
+    near the cap edge 1 / (2 (1 + alpha)) times wider than a rule uniform
+    in r.  The count agrees with twice as many nodes to about 1e-14 in
+    log int h e^u (alpha = -1/2 and -0.9, L = 512 and 1024); it is the
+    floor of 32 wherever alpha >= -1/2 and L <= 256.
+    """
+    edge = 1.25 * band_limit * CAP_RADIUS / (2.0 * (1.0 + alpha))
+    return max(CAP_RADIAL_NODES, math.ceil(edge))
 
 
 def _graded_edges(dist0: float, dist_max: float, ratio: float = 2.0):
@@ -282,7 +299,8 @@ class SingularIntegrator:
             ends = {1.0: 1.0, -1.0: -1.0}
             for i, sp in enumerate(w.points):
                 pole = 1.0 if sp.position[2] > 0 else -1.0
-                r, wr = cap_radial_rule(sp.order, CAP_RADIUS, CAP_RADIAL_NODES)
+                n = cap_radial_nodes(sp.order, grid.band_limit)
+                r, wr = cap_radial_rule(sp.order, CAP_RADIUS, n)
                 pieces.append((pole, pole * np.cos(r), wr, (i, r[:, None])))
                 ends[pole] = pole * np.cos(CAP_RADIUS)
             t, tw = band_panels(ends[-1.0], ends[1.0], ends[-1.0] != -1.0,
@@ -303,7 +321,8 @@ class SingularIntegrator:
         for i, sp in enumerate(w.points):
             d = np.arccos(np.clip(grid.nodes @ sp.position, -1.0, 1.0))
             extra *= 1.0 - _smooth_cutoff(d, CAP_RADIUS)
-            r, wr = cap_radial_rule(sp.order, CAP_RADIUS, CAP_RADIAL_NODES)
+            n = cap_radial_nodes(sp.order, grid.band_limit)
+            r, wr = cap_radial_rule(sp.order, CAP_RADIUS, n)
             blocks.append(_ScatterBlock(grid, sp.position, r, wr))
             log_h.append(w.log_weight(
                 blocks[-1].points, cap=(i, np.repeat(r, CAP_ANGULAR_NODES))))
@@ -373,8 +392,8 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
 
     The integrator keeps its weight alive, so the ids in its cache key stay
     valid while it is cached.  Each holds its blocks' Legendre tables (the
-    m = 0 blocks until a non-zonal field needs every order: ~200 MB at
-    L = 256).
+    m = 0 blocks until a non-zonal field needs every order: ~100 MB for
+    two caps at L = 256).
     """
     key = weight.cache_key()
     cache = grid._integrator_cache

@@ -19,7 +19,11 @@ The real harmonic convention is orthonormal on the sphere:
 
 where Pbar includes the full normalization (Pbar_{0,0} = 1/sqrt(4 pi)).
 Transforms are dense per-order matrix products, O(L^3) overall, which is
-fine at desk scale (L <= 256).
+fine at desk scale (L <= 256).  They take rings in mirror pairs: by
+Pbar_{l,m}(-t) = (-1)^{l+m} Pbar_{l,m}(t), a ring t and its exact mirror
+-t read one Legendre table column, through its rows of even and of odd
+l - m, so a symmetric node set (every Gauss-Legendre grid) needs half a
+table and half the per-order work (see ``ProductTransform``).
 
 Zonal data is one column, for values and coefficients alike.  Values of
 shape (..., n_t, 1) are a ring-constant field: a ``ProductTransform``
@@ -133,10 +137,12 @@ LEGENDRE_BUDGET = 4096
 # Bytes of grid values in one stack of sampled fields that a batched
 # evaluation takes at once (``batch_size``): 4 fields at L = 256.  There a
 # stack adds about 4 MiB of traced allocations per field (its coefficients
-# and its synthesized band block) to 253 MB of shared Legendre tables.
-# Measured on an L = 256 inequality-sample with one BLAS thread: 4 fields
-# per stack cut its transform time by about half and its peak RSS stays
-# below the one-field-at-a-time code; 5 fields raise the peak by 7 MiB.
+# and its synthesized band block) to 136 MB of shared Legendre tables
+# (253 MB before mirror rings shared a table column).  Measured on an
+# L = 256 inequality-sample with one BLAS thread, before that sharing:
+# 4 fields per stack cut its transform time by about half and its peak
+# RSS stays below the one-field-at-a-time code; 5 fields raise the peak by
+# 7 MiB.
 BATCH_BUDGET = 9 << 19  # 4.5 MiB
 
 
@@ -295,6 +301,30 @@ def _degree_weights(band_limit: int) -> np.ndarray:
     return l * (l + 1.0)
 
 
+def _ring_order(t: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Rings of a paired transform in table order: (order, pairs, reps).
+
+    ``order`` lists the representative rings first, the t > 0 ring of each
+    exact mirror pair (t_j == -t_i, to the bit), then the solo rings (the
+    equator, rings with no mirror), then the mirror of each of the
+    ``pairs`` representatives in turn; the table spans its first ``reps``.
+    A ring takes part in at most one pair.
+    """
+    unmatched: dict = {}
+    for j in np.flatnonzero(t < 0.0):
+        unmatched.setdefault(-t[j], []).append(j)
+    reps, mirrors = [], []
+    for i in np.flatnonzero(t > 0.0):
+        if unmatched.get(t[i]):
+            reps.append(i)
+            mirrors.append(unmatched[t[i]].pop(0))
+    solo = np.ones(t.size, dtype=bool)
+    solo[reps + mirrors] = False
+    solo = np.flatnonzero(solo)
+    order = np.concatenate([reps, solo, mirrors]).astype(np.intp)
+    return order, len(reps), len(reps) + solo.size
+
+
 class ProductTransform:
     """Spherical-harmonic analysis/synthesis on a product node set.
 
@@ -302,6 +332,22 @@ class ProductTransform:
     uniform longitudes phi_j = 2 pi j / n_phi.  ``ring_weights`` are the
     steradian weights per ring (may include cutoff factors; None for a
     synthesis-only transform); a node carries its ring's weight / n_phi.
+
+    Rings are evaluated in mirror pairs (Schaeffer, G^3 14, 2013): by
+    Pbar_{l,m}(-t) = (-1)^{l+m} Pbar_{l,m}(t), the rows of even l - m see
+    both rings of a pair (t, -t) alike and the rows of odd l - m with
+    opposite signs.  The build observes which rings have an exact mirror;
+    every other ring (the equator, cap rings, every ring of an asymmetric
+    node set) is solo.  One Legendre table covers the representative
+    rings, the t > 0 ring of each pair and the solo rings, and a pass reads
+    its even and odd rows apart.  Synthesis forms E = c_even Pbar_even and
+    O = c_odd Pbar_odd per order, one product per parity for the cos and
+    sin coefficients of the whole batch: a representative ring gets E + O,
+    its mirror E - O.  Analysis weights the values, takes the Fourier step
+    and folds each pair into S = f(t) + f(-t) and D = f(t) - f(-t), which
+    the even and odd rows read; a solo ring is its own S and D.  On the
+    grid and on a two-cap band every ring but the equator is paired, which
+    halves the table and the per-order work.
 
     One-column data is zonal (see the module docstring): coefficients of
     shape (..., L+1, 1) synthesize to values of shape (..., n_t, 1), and
@@ -319,13 +365,18 @@ class ProductTransform:
         if ring_weights is not None:
             self.ring_weights = np.reshape(ring_weights, (-1, 1))
             self.weights = self.ring_weights / n_phi  # per node, by ring
+        self._order, self._pairs, self._reps = _ring_order(self.t)
         self._plm: list = []
         self._fourier = None
 
     def _legendre(self, orders: int) -> list:
-        """Pbar blocks of orders 0..orders - 1, built on first need."""
+        """(even, odd) rows of the Pbar blocks of orders 0..orders - 1 over
+        the representative rings, built on first need: views of l - m even
+        and odd into one block per order."""
         if len(self._plm) < orders:
-            self._plm = normalized_legendre(self.band_limit, self.t, orders - 1)
+            t = self.t[self._order[:self._reps]]
+            self._plm = [(block[0::2], block[1::2]) for block in
+                         normalized_legendre(self.band_limit, t, orders - 1)]
         return self._plm
 
     def _trig(self) -> np.ndarray:
@@ -340,12 +391,33 @@ class ProductTransform:
                 self._fourier.flags.writeable = False  # shared
         return self._fourier
 
+    def _unfold(self, even: np.ndarray, odd: np.ndarray, out: np.ndarray):
+        """Ring values in table order into ``out`` (..., n_t) from the even
+        and odd sums (rows by batch entry, columns by representative)."""
+        even = even.reshape(out.shape[:-1] + (-1,))
+        odd = odd.reshape(even.shape)
+        pairs, reps = self._pairs, self._reps
+        np.add(even, odd, out=out[..., :reps])
+        np.subtract(even[..., :pairs], odd[..., :pairs], out=out[..., reps:])
+
+    def _fold(self, f: np.ndarray):
+        """(S, D) over the representative rings from ring-major f: f(t) +
+        f(-t) and f(t) - f(-t) for a pair, f itself for a solo ring."""
+        g = f[self._order]
+        pairs, reps = self._pairs, self._reps
+        even = g[:reps].copy()
+        even[:pairs] += g[reps:]
+        odd = g[:reps]
+        odd[:pairs] -= g[reps:]
+        return even, odd
+
     def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
         """Values on the node set, shape (..., n_t, n_phi) for coefficients
         of shape (..., L+1, 2L+1), and (..., n_t, 1) for a zonal column.
 
-        Each order is one product of the batch's coefficient rows with its
-        Pbar block, so each table entry is read once per batch.
+        Each order is one product per parity of the batch's cos and sin
+        coefficient rows with its Pbar rows, so each table entry is read
+        once per batch.
         """
         L = self.band_limit
         if coeffs.band_limit != L:
@@ -354,34 +426,40 @@ class ProductTransform:
             )
         v = coeffs.values
         batch = v.shape[:-2]
-        # batch axis last: c[m:, L + m].T is a (K, L+1-m) matrix that BLAS
-        # reads in place, and for K = 1 the strided vector of one field
-        c = v.reshape(-1, L + 1, v.shape[-1]).transpose(1, 2, 0)
-        c = np.ascontiguousarray(c)
-        k, n_t, n_phi = c.shape[-1], self.t.size, self.phi.size
+        v = v.reshape((-1,) + v.shape[-2:])
+        k, n_t, n_phi = v.shape[0], self.t.size, self.phi.size
         if v.shape[-1] == 1:  # zonal: the m = 0 sums are the ring values
-            return (c[:, 0].T @ self._legendre(1)[0]).reshape(batch + (n_t, 1))
-        plm, (cos_m, sin_m) = self._legendre(L + 1), self._trig()
+            (even, odd), = self._legendre(1)[:1]
+            rows = np.empty((k, n_t))
+            self._unfold(v[:, 0::2, 0] @ even, v[:, 1::2, 0] @ odd, rows)
+            out = np.empty((k, n_t, 1))
+            out[:, self._order, 0] = rows
+            return out.reshape(batch + (n_t, 1))
+        # c[l, m]: a_{l,m} and a_{l,-m} of each field, one row of 2K per
+        # (l, m) with the sqrt 2 of m > 0 folded in; sin 0 phi = 0 takes no
+        # sine part
+        c = np.zeros((L + 1, L + 1, k, 2))
+        c[..., 0] = v[..., L:].transpose(1, 2, 0)
+        c[:, 1:, :, 1] = v[..., L - 1::-1].transpose(1, 2, 0)
+        c[:, 1:] *= SQRT2
+        c = c.reshape(L + 1, L + 1, 2 * k)
         out = np.empty((k, n_t, n_phi))
-        # a field's cos and sin rows fill the start of its own output slot
-        # when they fit (2 (L + 1) <= n_phi); its Fourier step overwrites them
+        # a field's cos and sin rows, in table order, fill the start of its
+        # own output slot when they fit (2 (L + 1) <= n_phi); its Fourier
+        # step overwrites them
         if 2 * (L + 1) <= n_phi:
             rows = out.reshape(k, -1)[:, :2 * (L + 1) * n_t]
         else:
             rows = np.empty((k, 2 * (L + 1) * n_t))
         rows = rows.reshape(k, 2, L + 1, n_t)
-        cc, cs = rows[:, 0], rows[:, 1]
-        cs[:, 0] = 0.0  # multiplies sin 0 phi = 0; the buffer is uninitialized
-        for m in range(L + 1):
-            block = plm[m]
-            amp = SQRT2 if m > 0 else 1.0
-            cc[:, m] = amp * (c[m:, L + m].T @ block)
-            if m > 0:
-                cs[:, m] = amp * (c[m:, L - m].T @ block)
+        for m, (even, odd) in enumerate(self._legendre(L + 1)):
+            self._unfold(c[m::2, m].T @ even, c[m + 1::2, m].T @ odd,
+                         rows[:, :, m])
+        cos_m, sin_m = self._trig()
         for i in range(k):  # the Fourier step, field by field
-            field = cc[i].T @ cos_m
-            field += cs[i].T @ sin_m
-            out[i] = field
+            field = rows[i, 0].T @ cos_m
+            field += rows[i, 1].T @ sin_m
+            out[i, self._order] = field
         return out.reshape(batch + out.shape[1:])
 
     def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
@@ -394,24 +472,27 @@ class ProductTransform:
         batch = values.shape[:-2]
         weights = self.ring_weights if n_phi == 1 else self.weights
         w = (weights * values).reshape(-1, n_phi)
-        k = w.shape[0] // n_t
-        # batch axis last, the layout synthesis_values reads without a copy
+        k, reps = w.shape[0] // n_t, self._reps
         if n_phi == 1:  # cos 0 phi = 1 on the one longitude
-            out = (self._legendre(1)[0] @ np.ascontiguousarray(
-                w.reshape(k, n_t).T))[:, None]
-        else:
-            out = np.zeros((L + 1, 2 * L + 1, k))
-            plm = self._legendre(L + 1)
-            # per trig part (n_t, L + 1, K): batch axis last, as synthesized
-            fc, fs = (np.ascontiguousarray(
-                (w @ trig.T).reshape(k, n_t, L + 1).transpose(1, 2, 0))
-                for trig in self._trig())
-            for m in range(L + 1):
-                amp = SQRT2 if m > 0 else 1.0
-                out[m:, L + m] = amp * (plm[m] @ fc[:, m])
-                if m > 0:
-                    out[m:, L - m] = amp * (plm[m] @ fs[:, m])
-        return SHCoefficients(out.transpose(2, 0, 1).reshape(batch + out.shape[:2]))
+            (even, odd), = self._legendre(1)[:1]
+            s, d = self._fold(w.reshape(k, n_t).T)
+            out = np.empty((k, L + 1, 1))
+            out[:, 0::2, 0] = (even @ s).T
+            out[:, 1::2, 0] = (odd @ d).T
+            return SHCoefficients(out.reshape(batch + (L + 1, 1)))
+        # f[ring, m]: the cos and sin sums of order m of each field, a row
+        f = (w @ self._trig().reshape(-1, n_phi).T).reshape(k, n_t, 2, L + 1)
+        s, d = self._fold(f.transpose(1, 3, 0, 2))
+        c = np.zeros((L + 1, L + 1, 2 * k))
+        for m, (even, odd) in enumerate(self._legendre(L + 1)):
+            c[m::2, m] = even @ s[:, m].reshape(reps, -1)
+            c[m + 1::2, m] = odd @ d[:, m].reshape(reps, -1)
+        c = c.reshape(L + 1, L + 1, k, 2).transpose(2, 0, 1, 3)
+        c[:, :, 1:] *= SQRT2
+        out = np.empty((k, L + 1, 2 * L + 1))
+        out[..., L:] = c[..., 0]
+        out[..., :L] = c[:, :, :0:-1, 1]
+        return SHCoefficients(out.reshape(batch + out.shape[1:]))
 
 
 class SphereGrid:

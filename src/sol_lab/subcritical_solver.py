@@ -353,9 +353,29 @@ class SweepReport:
         return [e.row()[key] for e in self.entries]
 
 
+def _bracketed_root(f, lo: float, hi: float, xtol: float):
+    """Root of f in [lo, hi]: bisection down to a bracket of width xtol,
+    then the secant of that bracket; None when f(lo) and f(hi) have no
+    sign change."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if not f_lo * f_hi < 0.0:  # no sign change, or a nan
+        return None
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
+
+
 def richardson_extrapolate(eps: np.ndarray, J: np.ndarray):
     """Fit J(eps) = J0 + c eps^p on the last three points and return (J0, p)."""
-    from scipy.optimize import brentq
     e1, e2, e3 = eps[-3], eps[-2], eps[-1]
     j1, j2, j3 = J[-3], J[-2], J[-1]
     denom = j2 - j3
@@ -365,14 +385,13 @@ def richardson_extrapolate(eps: np.ndarray, J: np.ndarray):
     def mismatch(p):
         return (j1 - j2) / denom - (e1**p - e2**p) / (e2**p - e3**p)
 
-    try:
-        p = brentq(mismatch, 0.05, 4.0, xtol=1.0e-10)
-        c = (j2 - j3) / (e2**p - e3**p)
-        return float(j3 - c * e3**p), float(p)
-    except ValueError:
+    p = _bracketed_root(mismatch, 0.05, 4.0, xtol=1.0e-10)
+    if p is None:
         # no sign change: fall back to linear extrapolation in eps
         slope = (j2 - j3) / (e2 - e3)
         return float(j3 - slope * e3), 1.0
+    c = (j2 - j3) / (e2**p - e3**p)
+    return float(j3 - c * e3**p), float(p)
 
 
 def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,

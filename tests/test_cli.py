@@ -421,3 +421,28 @@ class TestThreads:
                              check=True).stdout.splitlines()
         assert out[0] == "False"
         assert out[-1] == "0 3"
+
+    def test_sweep_leaves_scipy_optimize_unloaded(self, tmp_path):
+        """A sweep run, Richardson extrapolation included, imports no
+        scipy.optimize: that import alone costs about 0.5 s cold.  (This
+        coarse grid fails the blow-up check, exit code 1, but reports.)"""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text(
+            grid={"n_theta": 17, "n_phi": 34},
+            experiment={"kind": "sweep", "epsilons": [0.5, 0.3, 0.2, 0.1]},
+            output={"report": str(tmp_path / "r.json")}))
+        script = (
+            "import sys\n"
+            "import sol_lab.cli as cli\n"
+            f"code = cli.main(['sweep', '--config', {str(cfg)!r}])\n"
+            "print('scipy.optimize' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sol_lab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True).stdout.splitlines()
+        assert out[-1] == "False"
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert np.isfinite(report["summary"]["extrapolated_J"])

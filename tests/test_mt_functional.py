@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sol_lab import mt_functional
 from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
 from sol_lab.mt_functional import (
     CAP_RADIAL_NODES,
@@ -15,6 +16,7 @@ from sol_lab.mt_functional import (
     FunctionalParams,
     SingularIntegrator,
     UnnormalizedBlowupError,
+    cap_radial_nodes,
     cap_radial_rule,
     el_residual,
     el_residual_norm,
@@ -111,6 +113,35 @@ class TestExpIntegral:
                 errors.append(abs(approx - exact) / exact)
             assert errors[0] > errors[1]
             assert max(errors[2:]) <= 2.1e-16
+
+    @pytest.mark.parametrize("band_limit", [512, 1024])
+    @pytest.mark.parametrize("alpha", [-0.5, -0.9])
+    def test_cap_rule_resolves_the_band_limit(self, band_limit, alpha,
+                                              monkeypatch):
+        """n = cap_radial_nodes and 2n radial nodes give the same log int
+        h e^u of a random zonal field (coefficients ~ N(0, 1) / (1 + l)) to
+        1e-13; 32 and 64 nodes differ by 4e-8 to 2e-3 here."""
+        grid = build_grid(band_limit + 1, 2 * band_limit + 2)
+        rng = np.random.default_rng(band_limit)
+        l = np.arange(band_limit + 1)
+        c = SHCoefficients((rng.normal(size=l.size) / (1.0 + l))[:, None])
+        w = single_weight(alpha)
+        rule = SingularIntegrator(grid, w).log_exp_integral(c)
+        monkeypatch.setattr(mt_functional, "cap_radial_nodes",
+                            lambda a, L: 2 * cap_radial_nodes(a, L))
+        doubled = SingularIntegrator(grid, w).log_exp_integral(c)
+        assert abs(rule - doubled) <= 1e-13
+
+    def test_cap_rule_floor(self):
+        """The benchmark's solve and sweep orders at L = 128, its seed-0
+        evaluate orders at L = 256 and alpha >= -1/2 up to L = 256 keep 32
+        nodes; stronger singularities and larger L take more."""
+        for alpha, band_limit in [(-0.25, 128), (-0.1, 128), (-0.5, 128),
+                                  (-0.224, 256), (1.095, 256), (-0.5, 256),
+                                  (2.0, 256)]:
+            assert cap_radial_nodes(alpha, band_limit) == CAP_RADIAL_NODES
+        assert cap_radial_nodes(-0.5, 512) == 64
+        assert cap_radial_nodes(-0.9, 256) >= 160  # 1 + alpha rounds below 0.1
 
     def test_off_axis_matches_axis(self, grid128, rng):
         """Rotation invariance ties the cutoff path to the aligned one.

@@ -30,6 +30,8 @@ from sol_lab.sphere_grid import (
     random_band_limited_batch,
 )
 
+from sol_lab.mt_functional import integrator_for
+from sol_lab.singular_geometry import SingularWeight
 from sol_lab.subcritical_solver import gradient_magnitude_grid
 
 from conftest import random_band_limited
@@ -314,13 +316,15 @@ class TestOrderLimit:
 
     def test_tables_built_on_first_need(self, grid16, monkeypatch):
         """A zonal pass builds the m = 0 block alone, the first full pass
-        every order; the cos/sin tables are shared by (L, n_phi)."""
+        every order, over the representative rings alone; the cos/sin
+        tables are shared by (L, n_phi)."""
         from sol_lab import sphere_grid
-        orders = []
+        orders, rings = [], []
         table = sphere_grid.normalized_legendre
 
         def recorded(band_limit, t, m_max=None):
             orders.append(m_max)
+            rings.append(len(t))
             return table(band_limit, t, m_max)
 
         monkeypatch.setattr(sphere_grid, "normalized_legendre", recorded)
@@ -337,6 +341,10 @@ class TestOrderLimit:
         a.synthesis_values(full)
         b.analysis_coeffs(np.ones((7, n_phi)))
         assert orders == [0, L, L]
+        # the tables span the representative rings: 8 pairs and the
+        # equator of 17 Gauss nodes; the pair +-0.9 and 5 solo rings of 7
+        assert rings == [9, 9, 6]
+        assert [len(tr._plm) for tr in (a, b)] == [L + 1] * 2
         assert a._trig() is b._trig()
 
 
@@ -348,8 +356,8 @@ def reference_tables(tr):
 
 
 def reference_synthesis(tr, c):
-    """One matrix-vector product per order and trig part (the unbatched
-    transform's arithmetic, operation for operation)."""
+    """The unpaired transform: one matrix-vector product per order and trig
+    part over every ring."""
     L = tr.band_limit
     plm, cos_m, sin_m = reference_tables(tr)
     if c.shape[-1] == 1:  # one column: the m = 0 sums
@@ -377,6 +385,81 @@ def reference_analysis(tr, values):
         out[m:, L + m] = amp * (plm[m] @ fc[:, m])
         if m > 0:
             out[m:, L - m] = amp * (plm[m] @ fs[:, m])
+    return out
+
+
+def mirror_rings(t):
+    """(representatives, solo rings, mirrors), by a scan over all rings:
+    each t > 0 ring pairs with the first unpaired ring at exactly -t."""
+    reps, mirrors = [], []
+    for i in range(t.size):
+        for j in range(t.size):
+            if t[i] > 0.0 and t[j] == -t[i] and j not in mirrors:
+                reps.append(i)
+                mirrors.append(j)
+                break
+    solo = [i for i in range(t.size) if i not in reps + mirrors]
+    return reps, solo, mirrors
+
+
+def paired_synthesis(tr, c):
+    """The paired transform of one field, order by order: the cos and sin
+    rows of each parity in one product with the table's even or odd rows;
+    E + O on a representative ring, E - O on its mirror.  Operands have the
+    transform's memory layouts, since BLAS rounds by layout."""
+    L = tr.band_limit
+    reps, solo, mirrors = mirror_rings(tr.t)
+    plm = normalized_legendre(L, tr.t[reps + solo])
+    # a[l, m]: the cos and sin coefficients of (l, m), sqrt 2 folded in
+    if c.shape[-1] == 1:
+        a = np.ascontiguousarray(c[:, :, None])
+    else:
+        a = np.stack([c[:, L:], np.pad(c[:, L - 1::-1], ((0, 0), (1, 0)))],
+                     axis=-1)
+        a[:, 1:] *= np.sqrt(2.0)
+    n = len(reps)
+    rows = np.zeros(a.shape[1:] + (tr.t.size,))
+    for m in range(a.shape[1]):
+        even = a[m::2, m].T @ plm[m][0::2]
+        odd = a[m + 1::2, m].T @ plm[m][1::2]
+        rows[m] = np.concatenate([even + odd, even[:, :n] - odd[:, :n]],
+                                 axis=1)
+    if c.shape[-1] == 1:
+        values = rows[0].T
+    else:  # the Fourier step in table order
+        cos_m, sin_m = reference_tables(tr)[1:]
+        values = rows[:, 0].T @ cos_m + rows[:, 1].T @ sin_m
+    out = np.empty_like(values)
+    out[reps + solo + mirrors] = values
+    return out
+
+
+def paired_analysis(tr, values):
+    """The paired analysis of one field, order by order: the weighted
+    Fourier sums folded into S = f(t) + f(-t) and D = f(t) - f(-t), which
+    the even and odd rows read (a solo ring is its own S and D)."""
+    L = tr.band_limit
+    reps, solo, mirrors = mirror_rings(tr.t)
+    plm = normalized_legendre(L, tr.t[reps + solo])
+    if values.shape[-1] == 1:
+        f = (tr.ring_weights * values)[:, None, :]
+    else:  # f[ring, m]: the cos and sin sums of order m
+        trig = np.concatenate(reference_tables(tr)[1:])
+        f = ((tr.weights * values) @ trig.T).reshape(-1, 2, L + 1)
+        f = np.ascontiguousarray(f.transpose(0, 2, 1))
+    s, d = f[reps + solo], f[reps + solo]
+    s[:len(reps)] += f[mirrors]
+    d[:len(reps)] -= f[mirrors]
+    orders = f.shape[1]
+    out = np.zeros((L + 1, 2 * orders - 1))
+    for m in range(orders):
+        amp = np.sqrt(2.0) if m > 0 else 1.0
+        part = np.zeros((L + 1 - m, f.shape[-1]))
+        part[0::2] = plm[m][0::2] @ s[:, m]
+        part[1::2] = plm[m][1::2] @ d[:, m]
+        out[m:, orders - 1 + m] = amp * part[:, 0]
+        if m > 0:
+            out[m:, orders - 1 - m] = amp * part[:, 1]
     return out
 
 
@@ -418,15 +501,15 @@ class TestBatchAxis:
     @pytest.mark.parametrize("name", ["grid", "zonal", "block"])
     def test_unbatched_is_per_order_arithmetic(self, grid64, rng, name):
         """One field, alone or as a stack of one, gives bit for bit the
-        per-order matrix-vector results."""
+        paired arithmetic, order by order."""
         tr, c = transform_cases(grid64, rng)[name]
         c = c[0, 0]
         values = tr.synthesis_values(SHCoefficients(c))
-        assert np.array_equal(values, reference_synthesis(tr, c))
+        assert np.array_equal(values, paired_synthesis(tr, c))
         assert np.array_equal(
             tr.synthesis_values(SHCoefficients(c[None]))[0], values)
         coeffs = tr.analysis_coeffs(values).values
-        assert np.array_equal(coeffs, reference_analysis(tr, values))
+        assert np.array_equal(coeffs, paired_analysis(tr, values))
         assert np.array_equal(tr.analysis_coeffs(values[None]).values[0],
                               coeffs)
 
@@ -486,6 +569,70 @@ class TestBatchAxis:
         first = random_band_limited_batch(g, np.random.default_rng(11), 1)
         assert np.array_equal(
             one.values, sh_synthesis(SHCoefficients(first.values[0]), g).values)
+
+
+def pairing_cases():
+    """name -> transform at L = 32: Gauss grids of odd n_theta (an equator
+    ring) and even n_theta, the axis block of two caps of unequal orders,
+    and random colatitudes with no mirror pair."""
+    grid = build_grid(33, 66)
+    w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5),
+                                    ((0.0, 0.0, -1.0), 0.3)])
+    t = np.random.default_rng(7).uniform(-1.0, 1.0, 40)
+    return {"odd": grid.transform, "even": build_grid(34, 66).transform,
+            "axis": integrator_for(grid, w).blocks[0].transform,
+            "no pairs": ProductTransform(32, t, 66, np.full(t.size, 0.3))}
+
+
+class TestRingPairs:
+    """Mirror rings (t, -t) share one Legendre table row by parity."""
+
+    def test_parity_at_minus_t(self):
+        """Pbar_{l,m}(-t) = (-1)^{l+m} Pbar_{l,m}(t): bit for bit from the
+        recurrence, and to 1e-12 against scipy at pi - theta."""
+        theta = np.linspace(0.0, 0.5 * np.pi, 40)
+        t = np.cos(theta)
+        table, flipped = normalized_legendre(64, t), normalized_legendre(64, -t)
+        for m, (block, mirror) in enumerate(zip(table, flipped)):
+            l = np.arange(m, 65)[:, None]
+            assert np.array_equal(mirror, (-1.0) ** (l + m) * block), m
+            expected = (-1.0) ** m * sph_legendre_p(l, m, np.pi - theta)
+            assert np.max(np.abs(mirror - expected)) <= 1e-12, m
+
+    def test_pairs_observed(self):
+        """Every grid ring but the equator has its exact mirror, and so
+        does every band ring of a two-cap block; cap rings and random
+        colatitudes are solo.  The table spans one ring of each pair and
+        the solo rings."""
+        cases = pairing_cases()
+        counts = {}
+        for name, tr in cases.items():
+            reps, solo, mirrors = mirror_rings(tr.t)
+            counts[name] = (len(reps), len(solo))
+            even, odd = tr._legendre(1)[0]
+            assert even.shape[1] == odd.shape[1] == len(reps) + len(solo)
+        n_axis = cases["axis"].t.size
+        assert counts == {"odd": (16, 1), "even": (17, 0),
+                          "axis": ((n_axis - 64) // 2, 64),
+                          "no pairs": (0, 40)}
+
+    @pytest.mark.parametrize("name", ["odd", "even", "axis", "no pairs"])
+    def test_matches_unpaired_reference(self, name, rng):
+        """A batch of K = 4 fields, full and as zonal columns, synthesizes
+        and analyses as the unpaired per-order transform does, to 1e-14
+        relative."""
+        tr = pairing_cases()[name]
+        L = tr.band_limit
+        c = rng.normal(size=(4, L + 1, 2 * L + 1))
+        for coeffs in (c, c[..., L:L + 1]):
+            values = tr.synthesis_values(SHCoefficients(coeffs))
+            want = np.array([reference_synthesis(tr, ci) for ci in coeffs])
+            assert values.shape == want.shape
+            assert max_rel(values, want) <= 1e-14
+            got = tr.analysis_coeffs(values).values
+            want = np.array([reference_analysis(tr, v) for v in values])
+            assert got.shape == coeffs.shape
+            assert max_rel(got, want) <= 1e-14
 
 
 class TestDirichletEnergy:
