@@ -92,7 +92,6 @@ def _experiment_numbers(rho_bar: float) -> dict:
     tol = {"lo": 0.0}
     eps = {"gt": 0.0, "lt": rho_bar}
     solver = {"max_iterations": {"lo": 1, "integer": True},
-              "damping": {"gt": 0.0, "hi": 1.0},
               "tol_factor": {"gt": 0.0},
               "init_epsilon": {"gt": 0.0, "lt": 1.0}}
     extremal_alpha = {"gt": -1.0, "lt": 0.0}
@@ -459,7 +458,6 @@ def _solver_config(exp, schedule):
     return SolverConfig(
         epsilon_schedule=tuple(schedule),
         max_iterations=int(exp.get("max_iterations", 4000)),
-        damping=float(exp.get("damping", 0.5)),
         tol_factor=float(exp.get("tol_factor", 1.0e-6)),
         init=exp.get("init", "test-function"),
         init_epsilon=float(exp.get("init_epsilon", 0.01)),

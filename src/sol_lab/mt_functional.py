@@ -59,6 +59,7 @@ from .sphere_grid import (
     _legendre_orders,
     cap_points,
     dirichlet_energy,
+    gauss_legendre,
     geodesic_distance,
     ring_points,
     sh_analysis,
@@ -100,7 +101,7 @@ def cap_radial_rule(alpha: float, radius: float, n: int):
     integral is sum_k w_k f(r_k) with the sin(r) jacobian already folded in.
     """
     power = 2.0 * (1.0 + alpha)
-    s_nodes, s_weights = np.polynomial.legendre.leggauss(n)
+    s_nodes, s_weights = gauss_legendre(n)
     s_hi = radius**power
     s = 0.5 * s_hi * (s_nodes + 1.0)
     w = 0.5 * s_hi * s_weights
@@ -156,14 +157,10 @@ def band_panels(t_lo: float, t_hi: float, sing_lo: bool, sing_hi: bool,
         for k in range(1, pieces + 1):
             refined.append(refined[-1] + width / pieces if k < pieces else b)
     nodes, weights = [], []
-    base_x, base_w = np.polynomial.legendre.leggauss(12)
     for a, b in zip(refined[:-1], refined[1:]):
         dtheta = abs(np.arccos(np.clip(b, -1, 1)) - np.arccos(np.clip(a, -1, 1)))
         n = max(12, int(np.ceil(0.6 * (band_limit + 1) * dtheta)) + 8)
-        if n == 12:
-            x, w = base_x, base_w
-        else:
-            x, w = np.polynomial.legendre.leggauss(n)
+        x, w = gauss_legendre(n)
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
         weights.append(0.5 * (b - a) * w)
     return np.concatenate(nodes), np.concatenate(weights)
@@ -445,14 +442,15 @@ def eval_J_coeffs(coeffs: SHCoefficients, dens: Density,
 
 
 def density_residual(coeffs: SHCoefficients, dens: Density,
-                     integ: SingularIntegrator, rho: float) -> SHCoefficients:
-    """Spectral Euler-Lagrange residual -Delta u - rho(h e^u/E - 1/4pi).
+                     proj: SHCoefficients, rho: float) -> SHCoefficients:
+    """Spectral Euler-Lagrange residual -Delta u - rho(h e^u/E - 1/4pi),
+    from the density record of u and its projection ``proj``
+    (``SingularIntegrator.density_projection``).
 
     ``dens`` may be the record of u + c for any constant c: e^c cancels.
     The residual has the projection's width: a zonal column of u is
     widened when h is not invariant about the axis.
     """
-    proj = integ.density_projection(dens)
     if proj.values.shape[-1] != coeffs.values.shape[-1]:
         coeffs = coeffs.widened()
     out = (_degree_weights(coeffs.band_limit)[:, None] * coeffs.values
@@ -461,12 +459,40 @@ def density_residual(coeffs: SHCoefficients, dens: Density,
     return SHCoefficients(out)
 
 
+def hessian_product(v: np.ndarray, dens: Density, proj: SHCoefficients,
+                    integ: SingularIntegrator, rho: float) -> np.ndarray:
+    """The exact Hessian of the discrete J at u applied to v, an array of
+    coefficients in the layout of ``SHCoefficients.values``:
+
+        Hv = Lambda v - (rho/E) P(h e^u v) + (rho/E^2) p <p, v>,
+
+    with Lambda = diag(l(l+1)), P(f) the sum over blocks of the analysis
+    of f on the block (so P(h e^u v) costs one synthesis of v and one
+    analysis per block), p = P(h e^u) the projection ``proj`` and
+    E = int h e^u, all from the density record ``dens`` of u (its scale
+    e^{-shift} cancels).  v and Hv have the width of ``proj``: a zonal
+    column when every block density is one.  J is shift invariant: a
+    constant v is in the kernel, and the l = 0 row of Hv is zero.
+    """
+    coeffs = SHCoefficients(v)
+    parts = [b.analysis(d * b.synthesis(coeffs)).values
+             for b, d in zip(integ.blocks, dens.values)]
+    scale = rho / dens.total
+    out = (_degree_weights(coeffs.band_limit)[:, None] * v
+           - scale * sum(parts[1:], parts[0])
+           + (scale / dens.total * np.sum(proj.values * v)) * proj.values)
+    out[0, :] = 0.0
+    return out
+
+
 def residual_coeffs(coeffs: SHCoefficients, params: FunctionalParams,
                     grid: SphereGrid) -> SHCoefficients:
     """Euler-Lagrange residual of u, projected with the composite rule
     that defines int h e^u: the exact gradient of the discrete J."""
     integ = integrator_for(grid, params.weight)
-    return density_residual(coeffs, integ.density(coeffs), integ, params.rho)
+    dens = integ.density(coeffs)
+    return density_residual(coeffs, dens, integ.density_projection(dens),
+                            params.rho)
 
 
 def el_residual(u: ScalarField, params: FunctionalParams) -> ScalarField:

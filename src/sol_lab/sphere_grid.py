@@ -49,6 +49,7 @@ the byte budget ``BATCH_BUDGET``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -106,6 +107,22 @@ def ring_points(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     st = np.sqrt(np.maximum(1.0 - t * t, 0.0))[:, None]
     return np.stack([st * np.cos(phi), st * np.sin(phi),
                      np.broadcast_to(t[:, None], (t.size, phi.size))], axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], (nodes, weights), as
+    ``np.polynomial.legendre.leggauss`` gives it.
+
+    Every grid, band panel and cap radial rule of a given size reads the
+    same rule, so it is computed once per n (for the 64 sizes used last,
+    a few band limits' worth); the arrays are shared between callers and
+    read-only.
+    """
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
@@ -506,7 +523,7 @@ class SphereGrid:
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
         self.band_limit = min(n_theta - 1, (n_phi - 1) // 2)
-        t, tw = np.polynomial.legendre.leggauss(self.n_theta)
+        t, tw = gauss_legendre(self.n_theta)
         self.t = t
         # steradian weight per latitude ring; math.fsum gives exactly FOUR_PI
         self.t_weights = _colatitude_weights(tw)

@@ -1,25 +1,40 @@
 """Minimization of the subcritical functional and blow-up diagnostics.
 
 For rho = rho_bar - eps the functional is coercive and has a minimizer.
-The iteration is a damped, spectrally preconditioned fixed point: with the
-current normalized iterate u,
+The solver is inexact Newton on the coefficients of u: with the current
+normalized iterate u, its residual r (the exact gradient of the discrete
+functional, ``density_residual``) and the exact discrete Hessian H
+(``hessian_product``),
 
-    solve  -Delta w = rho (h e^u / int h e^u - 1/4pi)   (spectral inverse),
-    step   u <- u + tau (w + mean(u) - u),  backtracking on J,
+    solve  H s = -r  by truncated PCG (Steihaug, SIAM J. Numer. Anal. 20,
+           1983), preconditioned by the inverse Laplacian on l >= 1, to
+           the forcing tolerance ||H s + r|| <= min(1/2, sqrt(||r||/rho))
+           ||r|| (Eisenstat-Walker, SIAM J. Sci. Comput. 17, 1996), or
+           until CG_MAX products or a direction of negative curvature,
+    step   u <- u + tau s, tau = 1, 1/2, 1/4, ... backtracking on J,
     renormalize so that int h e^u = 1.
 
-The fixed point solves the Euler-Lagrange equation; the residual used for
-the stopping test is the exact gradient of the discrete functional, so the
-backtracking line search always finds descent away from the minimizer.
+The first PCG iterate is a multiple of (-Delta)^{-1} r, the preconditioned
+descent direction, and a negative curvature met on the first iteration
+returns that direction itself, so every step is a descent step.  The
+forcing term tightens as the residual falls, which makes the outer
+convergence superlinear: a handful of steps reach the stopping test
+||r|| <= tol_factor rho, and the last one usually passes it by orders of
+magnitude.
 
-Each line-search trial synthesizes the candidate once per quadrature block
-(``SingularIntegrator.density``) and evaluates J from that record; J is
-shift invariant, so the candidate need not be normalized first.  The
-accepted candidate is normalized by shifting its mean, and its record is
-reused for the next step's peak and residual, which costs one analysis per
-block.  An accepted step therefore costs blocks x trials syntheses and
-blocks analyses; a weight with its singular points on the grid axis has
-one block (``SingularIntegrator``), so trials syntheses and one analysis.
+Each Hessian product synthesizes its vector once and analyses the product
+with the density once per quadrature block; each line-search trial
+synthesizes the candidate once per block (``SingularIntegrator.density``)
+and evaluates J from that record; J is shift invariant, so the candidate
+need not be normalized first.  The accepted candidate is normalized by
+shifting its mean, and its record is reused for the next step's peak,
+residual and Hessian, so the residual costs one analysis per block.  An
+outer step therefore costs blocks x (1 + CG iterations) analyses and
+blocks x (CG iterations + trials) syntheses; a weight with its singular
+points on the grid axis has one block (``SingularIntegrator``).
+
+The logger ``sol_lab.solver`` writes one debug line per outer step and
+one info line per solve.
 
 Axis-symmetric problems are solved in the m = 0 subspace, by the one rule
 of ``sphere_grid``: one-column data is zonal.  A ring-constant initial
@@ -45,6 +60,7 @@ warm-started schedule and Richardson-extrapolates the functional values.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,6 +88,7 @@ from .mt_functional import (
     cap_radial_rule,
     density_residual,
     eval_J_coeffs,
+    hessian_product,
     integrator_for,
 )
 from .closed_forms import (ConcentrationParams, concentration_field,
@@ -87,13 +104,15 @@ class InsufficientAnnulusError(ValueError):
 
 
 BACKTRACK_MAX = 40  # step halvings per line search before the solve stalls
+CG_MAX = 20  # Hessian products per Newton step (the solves here take <= 5)
+
+log = logging.getLogger("sol_lab.solver")
 
 
 @dataclass
 class SolverConfig:
     epsilon_schedule: tuple = (0.5, 0.2, 0.1, 0.05)
     max_iterations: int = 4000
-    damping: float = 0.5
     tol_factor: float = 1.0e-6     # convergence at ||residual|| <= tol_factor*rho
     init: str = "test-function"    # first sweep entry: "zero" | "test-function"
     init_epsilon: float = 0.01     # epsilon of the seeding test function
@@ -104,8 +123,6 @@ class SolverConfig:
             raise ValueError("epsilon schedule must be strictly decreasing")
         if any(e <= 0.0 for e in eps):
             raise ValueError("epsilon schedule must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
         if self.init not in ("zero", "test-function"):
             raise ValueError("init must be 'zero' or 'test-function', "
                              f"got {self.init!r}")
@@ -125,9 +142,48 @@ class MinimizerState:
     trace: list = field(default_factory=list)
 
 
+def _truncated_cg(resid: np.ndarray, hess, precond: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, int]:
+    """Steihaug's truncated PCG for H s = -r, r = ``resid``: returns (s,
+    Hessian products).
+
+    ``hess`` applies H, ``precond`` is the diagonal of the preconditioner's
+    inverse.  Stops when ||H s + r|| <= tol, after CG_MAX products, or on
+    a direction of non-positive curvature, returning the last iterate; on
+    the first product that iterate would be zero, so it returns the
+    preconditioned descent direction -precond r instead.
+    """
+    s = np.zeros_like(resid)
+    r = resid.copy()
+    z = precond * r
+    d = -z
+    rz = np.sum(r * z)
+    for k in range(1, CG_MAX + 1):
+        hd = hess(d)
+        curvature = np.sum(d * hd)
+        if curvature <= 0.0:
+            return (d if k == 1 else s), k
+        alpha = rz / curvature
+        s += alpha * d
+        r += alpha * hd
+        if np.sqrt(np.sum(r * r)) <= tol:
+            break
+        z = precond * r
+        rz, rz_old = np.sum(r * z), rz
+        d = (rz / rz_old) * d - z
+    return s, k
+
+
 def minimize(params: FunctionalParams, config: SolverConfig,
              init: ScalarField, grid: Optional[SphereGrid] = None) -> MinimizerState:
-    """Minimize J_rho by preconditioned descent; returns a normalized state."""
+    """Minimize J_rho by inexact Newton (truncated PCG on the exact discrete
+    Hessian, backtracking on J); returns a normalized state.
+
+    ``iterations`` counts outer (Newton) steps; each trace record holds
+    the step's J, residual and peak lambda at its start, and the step
+    length taken, its halvings and its Hessian products (all zero on the
+    converged record).
+    """
     if params.rho > params.weight.rho_bar + 1.0e-12:
         raise ValueError(
             f"rho = {params.rho:.6g} exceeds the critical value "
@@ -136,7 +192,8 @@ def minimize(params: FunctionalParams, config: SolverConfig,
     grid = grid or init.grid
     a = sh_analysis(init)
     integ = integrator_for(grid, params.weight)
-    lw = _degree_weights(grid.band_limit)[1:, None]
+    precond = np.zeros((grid.band_limit + 1, 1))  # inverse Laplacian, l >= 1
+    precond[1:, 0] = 1.0 / _degree_weights(grid.band_limit)[1:]
     tol = config.tol_factor * params.rho
 
     def normalized(coeffs, dens):
@@ -152,28 +209,30 @@ def minimize(params: FunctionalParams, config: SolverConfig,
     iterations = 0
     rnorm = np.inf
 
-    tau = config.damping
     for it in range(config.max_iterations):
         iterations = it
         lam = integ.field_peak(dens)
         if lam > DEFAULT_CEILING:
             raise UnnormalizedBlowupError(
                 f"max(u) = {lam:.3g} exceeded the ceiling during minimization")
-        resid = density_residual(a, dens, integ, params.rho).values
+        proj = integ.density_projection(dens)
+        resid = density_residual(a, dens, proj, params.rho).values
         rnorm = float(np.sqrt(np.sum(resid * resid)))
-        trace.append({"iteration": it, "J": J, "residual": rnorm, "lambda": lam})
+        record = {"iteration": it, "J": J, "residual": rnorm, "lambda": lam,
+                  "step": 0.0, "backtracks": 0, "cg_iterations": 0}
+        trace.append(record)
         if rnorm <= tol:
             converged = True
             break
 
-        # preconditioned direction: w solves -Delta w = rho(h e^u/E - 1/4pi)
-        direction = np.zeros_like(resid)
-        direction[1:] = -resid[1:] / lw
+        forcing = min(0.5, np.sqrt(rnorm / params.rho)) * rnorm
+        direction, products = _truncated_cg(
+            resid, lambda v: hessian_product(v, dens, proj, integ, params.rho),
+            precond, forcing)
         if a.values.shape != direction.shape:  # zonal start, h not invariant
             a = a.widened()
-        step = tau
-        accepted = False
-        for _ in range(BACKTRACK_MAX):
+        step, accepted = 1.0, False
+        for backtracks in range(BACKTRACK_MAX):
             cand = SHCoefficients(a.values + step * direction)
             cand_dens = integ.density(cand)
             # J is shift invariant: the unnormalized candidate has the same J
@@ -183,11 +242,19 @@ def minimize(params: FunctionalParams, config: SolverConfig,
                 accepted = True
                 break
             step *= 0.5
+        record.update(step=step if accepted else 0.0,
+                      backtracks=backtracks if accepted else BACKTRACK_MAX,
+                      cg_iterations=products)
+        log.debug("step %d: J=%.15g |r|=%.3e lambda=%.6g step=%g "
+                  "backtracks=%d cg=%d", it, record["J"], rnorm, lam,
+                  record["step"], record["backtracks"], products)
         if not accepted:
             break  # stalled: J can no longer decrease along the direction
-        # adapt the damping: grow on clean acceptance, shrink after backtracks
-        tau = min(1.0, 1.25 * step) if step == tau else max(step, 0.05)
 
+    log.info("minimize rho=%.6g: %s after %d steps (%d Hessian products), "
+             "J=%.15g |r|=%.3e", params.rho,
+             "converged" if converged else "not converged", iterations,
+             sum(rec["cg_iterations"] for rec in trace), J, rnorm)
     return MinimizerState(u=sh_synthesis(a, grid), coeffs=a, params=params,
                           epsilon=params.weight.rho_bar - params.rho,
                           J=J, residual_norm=rnorm, iterations=iterations,

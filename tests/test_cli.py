@@ -135,25 +135,35 @@ class TestRun:
                                              transform_counts):
         """A kw-check solve analyses grid values once, the zero start:
         the identity reads the solver's coefficients, and every other
-        analysis is a density projection on the one axis block."""
+        analysis is a density projection or a Hessian product on the one
+        axis block."""
+        from sol_lab import subcritical_solver
         from sol_lab.mt_functional import SingularIntegrator
 
-        projections = []
+        projections, products = [], []
         project = SingularIntegrator.density_projection
+        hessian = subcritical_solver.hessian_product
 
         def counted(self, dens):
             projections.append(len(self.blocks))
             return project(self, dens)
 
+        def counted_product(v, dens, proj, integ, rho):
+            products.append(len(integ.blocks))
+            return hessian(v, dens, proj, integ, rho)
+
         monkeypatch.setattr(SingularIntegrator, "density_projection", counted)
+        monkeypatch.setattr(subcritical_solver, "hessian_product",
+                            counted_product)
         config, _ = validate(config_text(
             experiment={"kind": "kw-check", "epsilon": 0.3},
             weight={"points": [{"position": [0, 0, 1], "order": -0.25},
                                {"position": [0, 0, -1], "order": -0.1}]}))
         report = run(config)
         assert report["summary"]["moment"] != 0.0
-        assert set(projections) == {1}
-        assert transform_counts["analysis"] == len(projections) + 1
+        assert set(projections) == set(products) == {1}
+        assert transform_counts["analysis"] == \
+            len(projections) + len(products) + 1
 
     def test_seed_changes_samples(self):
         base = dict(experiment={"kind": "inequality-sample", "samples": 2},
@@ -219,8 +229,6 @@ BAD_NUMBERS = {
     "max_iterations-fraction": ("minimize", {"max_iterations": 2.5},
                                 "experiment.max_iterations: expected an "
                                 "integer"),
-    "damping-zero": ("minimize", {"damping": 0.0},
-                     "experiment.damping: must be > 0.0"),
     "epsilon-above-rho_bar": ("minimize", {"epsilon": 20.0},
                               "experiment.epsilon: must be < 12.5664"),
     "epsilons-zero": ("sweep", {"epsilons": [0.5, 0.0]},
@@ -335,7 +343,8 @@ class TestMainEntry:
         assert main(["minimize", "--config", str(cfg)]) == 0
         header, first = trace.read_text().splitlines()[:2]
         assert set(header.split(",")) == {"iteration", "J", "residual",
-                                          "lambda"}
+                                          "lambda", "step", "backtracks",
+                                          "cg_iterations"}
         # 17 significant digits on float columns
         j_field = first.split(",")[header.split(",").index("J")]
         assert len(j_field.replace("-", "").replace(".", "")

@@ -18,11 +18,13 @@ from sol_lab.mt_functional import (
     UnnormalizedBlowupError,
     cap_radial_nodes,
     cap_radial_rule,
+    density_residual,
     el_residual,
     el_residual_norm,
     eval_J,
     exp_integral,
     gradient_pairing,
+    hessian_product,
     integrator_for,
     residual_coeffs,
     troyanov_gap,
@@ -32,6 +34,7 @@ from sol_lab.sphere_grid import (
     FOUR_PI,
     SHCoefficients,
     ScalarField,
+    _degree_weights,
     build_grid,
     integrate,
     sh_analysis,
@@ -257,6 +260,46 @@ class TestElResidual:
                   - eval_J(u - v * step, params)) / (2.0 * step)
             pairing = gradient_pairing(u, params, v)
             assert fd == pytest.approx(pairing, rel=1e-5)
+
+    @pytest.mark.parametrize("case", ["zonal", "full", "off-axis"])
+    def test_hessian_product(self, grid64, rng, case):
+        """Hv against central differences of the residual, on the zonal
+        path (one-column densities and vectors), the full path and the
+        scattered-cap blocks of an off-axis weight."""
+        pole = (0.48, -0.36, 0.8) if case == "off-axis" else NORTH
+        w = SingularWeight.from_orders([(pole, -0.5)])
+        rho = w.rho_bar - 0.3
+        integ = SingularIntegrator(grid64, w)
+        assert (len(integ.blocks) > 1) == (case == "off-axis")
+        u = random_band_limited(grid64, rng)
+        if case == "zonal":  # the ring means: the m = 0 part of u
+            u = ScalarField(u.values.mean(axis=1, keepdims=True), grid64)
+        a = sh_analysis(u)
+
+        def residual(coeffs):
+            dens = integ.density(coeffs)
+            proj = integ.density_projection(dens)
+            return density_residual(coeffs, dens, proj, rho), dens, proj
+
+        _, dens, proj = residual(a)
+        assert (proj.values.shape[-1] == 1) == (case == "zonal")
+        if case != "zonal":
+            a = a.widened()
+        step = 1e-5
+        for _ in range(3):
+            v = sh_analysis(random_band_limited(grid64, rng, amplitude=1.0))
+            v = SHCoefficients(v.order(0)[:, None]) if case == "zonal" \
+                else v.widened()
+            hv = hessian_product(v.values, dens, proj, integ, rho)
+            plus, minus = (residual(SHCoefficients(a.values + s * v.values))[0]
+                           for s in (step, -step))
+            fd = (plus.values - minus.values) / (2.0 * step)
+            assert hv.shape == fd.shape == proj.values.shape
+            # against the density terms alone: Lambda v is exact
+            density_part = hv - (_degree_weights(grid64.band_limit)[:, None]
+                                 * v.values)
+            assert np.linalg.norm(hv - fd) <= \
+                1e-6 * np.linalg.norm(density_part)
 
 
 class TestTroyanovGap:

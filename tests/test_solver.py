@@ -1,5 +1,7 @@
 """Subcritical minimization, diagnostics, sweeps, gradient exponents."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -70,9 +72,10 @@ def column_densities(grid, w, u):
 class TestTransformWork:
     def test_one_synthesis_per_block_per_trial(self, transform_counts,
                                                monkeypatch):
-        """A step synthesizes each line-search trial once and analyses the
-        accepted density once, nothing more: the axis rule is one block.
-        The zero start takes the zonal path."""
+        """Per outer step: one analysis per block for the residual, one
+        synthesis and one analysis per block for each Hessian product and
+        one synthesis per block for each line-search trial, nothing more:
+        the axis rule is one block.  The zero start takes the zonal path."""
         init = ScalarField.constant(build_grid(65, 130), 0.0)
         self.check_step_work(init, True, transform_counts, monkeypatch)
 
@@ -89,35 +92,51 @@ class TestTransformWork:
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         assert len(SingularIntegrator(grid, w).blocks) == 1
-        marks = []  # per loop iteration: [syntheses, analyses, trials]
+        # per outer step: [syntheses, analyses, trials, Hessian products]
+        marks = []
         peak = SingularIntegrator.field_peak
         J = subcritical_solver.eval_J_coeffs
+        hessian = subcritical_solver.hessian_product
 
         def field_peak(self, *args):
             marks.append([transform_counts["synthesis"],
-                          transform_counts["analysis"], 0])
+                          transform_counts["analysis"], 0, 0])
             return peak(self, *args)
 
         def eval_J_coeffs(*args):
             if not marks:
                 return J(*args)
             marks[-1][2] += 1
-            # the solver never backtracks this early: force two rejections
-            if len(marks) in (3, 6) and marks[-1][2] <= 2:
+            # Newton steps are accepted at full length: force two rejections
+            if len(marks) in (2, 4) and marks[-1][2] <= 2:
                 return np.inf
             return J(*args)
 
+        def hessian_product(*args):
+            marks[-1][3] += 1
+            return hessian(*args)
+
         monkeypatch.setattr(SingularIntegrator, "field_peak", field_peak)
         monkeypatch.setattr(subcritical_solver, "eval_J_coeffs", eval_J_coeffs)
+        monkeypatch.setattr(subcritical_solver, "hessian_product",
+                            hessian_product)
         state = minimize(params, quick_config(0.3, max_iterations=12),
                          init, grid)
         assert on_zonal_path(grid) == zonal
-        assert state.iterations == 11 and len(marks) == 12
-        steps = [(nxt[0] - cur[0], nxt[1] - cur[1], cur[2])
+        assert state.converged and len(marks) == state.iterations + 1
+        steps = [(nxt[0] - cur[0], nxt[1] - cur[1], cur[2], cur[3])
                  for cur, nxt in zip(marks, marks[1:])]
-        assert [trials for _, _, trials in steps].count(3) == 2
-        for syn, ana, trials in steps:
-            assert (syn, ana) == (trials, 1)
+        assert [trials for _, _, trials, _ in steps].count(3) == 2
+        assert max(products for *_, products in steps) > 1
+        for (syn, ana, trials, products), rec in zip(steps, state.trace):
+            assert (syn, ana) == (products + trials, 1 + products)
+            assert (rec["cg_iterations"], rec["backtracks"]) == \
+                (products, trials - 1)
+            assert rec["step"] == 0.5 ** (trials - 1)
+        assert marks[-1][2:] == [0, 0]
+        last = state.trace[-1]
+        assert (last["step"], last["backtracks"], last["cg_iterations"]) == \
+            (0.0, 0, 0)
 
 
 def zonal_and_full_J(grid, params, coeffs):
@@ -155,6 +174,7 @@ class TestZonalPath:
         state = minimize(params, quick_config(0.3),
                          ScalarField.constant(grid, 0.0), grid)
         assert state.converged and on_zonal_path(grid)
+        assert state.iterations <= 15
         J_zonal, J_full = zonal_and_full_J(grid, params, state.coeffs)
         assert J_zonal == pytest.approx(J_full, rel=1e-12)
         assert state.J == pytest.approx(J_full, rel=1e-12)
@@ -169,6 +189,7 @@ class TestZonalPath:
         report = epsilon_sweep(w, grid, cfg)
         assert on_zonal_path(grid)
         for state in report.states:
+            assert state.iterations <= 15
             J_zonal, J_full = zonal_and_full_J(grid, state.params,
                                                state.coeffs)
             assert J_zonal == pytest.approx(J_full, rel=1e-12)
@@ -308,6 +329,57 @@ class TestMinimize:
             v = v * (1.0 / h1)
             for s in (1e-3, -1e-3):
                 assert eval_J(state.u + v * s, params) >= state.J - 1e-6
+
+    def test_negative_curvature_falls_back_to_descent(self, grid64,
+                                                      monkeypatch):
+        """A Hessian of negative curvature stops CG at its first product,
+        and the direction is the preconditioned descent direction
+        -(-Delta)^{-1} r: on l >= 1 the iterate moves by the accepted step
+        length times it."""
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
+        seen = []  # (coefficients, residual) at the start of each step
+        residual = subcritical_solver.density_residual
+
+        def density_residual(coeffs, *args):
+            r = residual(coeffs, *args)
+            seen.append((coeffs.values, r.values))
+            return r
+
+        monkeypatch.setattr(subcritical_solver, "density_residual",
+                            density_residual)
+        monkeypatch.setattr(subcritical_solver, "hessian_product",
+                            lambda v, *args: -v)
+        state = minimize(params, quick_config(0.2, max_iterations=3),
+                         ScalarField.constant(grid64, 0.0), grid64)
+        assert [rec["cg_iterations"] for rec in state.trace] == [1, 1, 1]
+        assert state.trace[-1]["J"] < state.trace[0]["J"]
+        l = np.arange(grid64.band_limit + 1)[1:, None]
+        for rec, (a0, r0), (a1, _) in zip(state.trace, seen, seen[1:]):
+            descent = -r0[1:] / (l * (l + 1.0))
+            assert np.abs(a1[1:] - a0[1:] - rec["step"] * descent).max() \
+                <= 1e-12 * np.abs(descent).max()
+
+    def test_solver_logging(self, grid64, caplog):
+        """The sol_lab.solver logger writes one debug line per outer step,
+        matching its trace record, and one info line per solve."""
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
+        with caplog.at_level(logging.DEBUG, logger="sol_lab.solver"):
+            state = minimize(params, quick_config(0.2),
+                             ScalarField.constant(grid64, 0.0), grid64)
+        lines = [r for r in caplog.records if r.name == "sol_lab.solver"]
+        debug = [r.getMessage() for r in lines if r.levelno == logging.DEBUG]
+        info = [r.getMessage() for r in lines if r.levelno == logging.INFO]
+        assert state.converged and len(debug) == state.iterations > 1
+        for rec, msg in zip(state.trace, debug):
+            assert msg.startswith(f"step {rec['iteration']}: J={rec['J']:.15g}")
+            assert f"backtracks={rec['backtracks']} " \
+                f"cg={rec['cg_iterations']}" in msg
+        products = sum(rec["cg_iterations"] for rec in state.trace)
+        assert len(info) == 1 and info[0].startswith("minimize rho=")
+        assert f"converged after {state.iterations} steps ({products} " \
+            "Hessian products)" in info[0]
 
     def test_nonconverged_flagged(self, grid64):
         w = SingularWeight.from_orders([(NORTH, -0.5)])

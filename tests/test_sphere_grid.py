@@ -18,6 +18,7 @@ from sol_lab.sphere_grid import (
     ScalarField,
     build_grid,
     dirichlet_energy,
+    gauss_legendre,
     geodesic_distance,
     gradient_at_angles,
     integrate,
@@ -65,6 +66,20 @@ class TestBuildGrid:
     def test_nodes_are_unit(self, grid64):
         norms = np.linalg.norm(grid64.nodes, axis=-1)
         assert np.abs(norms - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 12, 65, 161])
+    def test_gauss_legendre_rule_is_cached(self, n):
+        """The cached rule is leggauss's bit for bit, the same arrays on
+        every call, and read-only, so no caller can change another's."""
+        nodes, weights = gauss_legendre(n)
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, x) and np.array_equal(weights, w)
+        again = gauss_legendre(n)
+        assert again[0] is nodes and again[1] is weights
+        for a in (nodes, weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert build_grid(n + 1, 2 * n + 2).t is gauss_legendre(n + 1)[0]
 
 
 class TestIntegrate:
