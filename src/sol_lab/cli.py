@@ -52,11 +52,11 @@ class ConfigError(ValueError):
 # validation
 # ---------------------------------------------------------------------------
 
-def _check_number(errors, obj, path, lo=None, hi=None, integer=False,
-                  gt=None, lt=None):
+def _check_number(errors, obj, path, lo=None, integer=False, gt=None,
+                  lt=None):
     """The number at ``path`` if it lies in range, else None and an error.
 
-    ``lo`` and ``hi`` are inclusive bounds, ``gt`` and ``lt`` strict ones.
+    ``lo`` is an inclusive bound, ``gt`` and ``lt`` are strict ones.
     """
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         errors.append(f"{path}: expected a number, got {type(obj).__name__}")
@@ -70,9 +70,6 @@ def _check_number(errors, obj, path, lo=None, hi=None, integer=False,
     if lo is not None and obj < lo:
         errors.append(f"{path}: must be >= {lo}, got {obj}")
         return None
-    if hi is not None and obj > hi:
-        errors.append(f"{path}: must be <= {hi}, got {obj}")
-        return None
     if gt is not None and not obj > gt:
         errors.append(f"{path}: must be > {gt}, got {obj}")
         return None
@@ -82,204 +79,238 @@ def _check_number(errors, obj, path, lo=None, hi=None, integer=False,
     return int(obj) if integer else float(obj)
 
 
-def _experiment_numbers(rho_bar: float) -> dict:
-    """kind -> {name: range} for every number its runner reads from the
-    "experiment" section, as keyword arguments of ``_check_number``;
-    ``list`` marks a list of such numbers and gives its fewest entries.  A
-    number left out takes its default, which lies in range.  ``epsilon``
-    keeps rho = rho_bar - epsilon positive; a schedule of ``epsilons`` needs
-    two values, since its checks compare consecutive entries."""
-    tol = {"lo": 0.0}
-    eps = {"gt": 0.0, "lt": rho_bar}
-    solver = {"max_iterations": {"lo": 1, "integer": True},
-              "tol_factor": {"gt": 0.0},
-              "init_epsilon": {"gt": 0.0, "lt": 1.0}}
-    extremal_alpha = {"gt": -1.0, "lt": 0.0}
+# A check takes (errors, value, path) and returns the value typed, or None
+# after appending an error for each fault.
+
+def _number(**bounds):
+    """A number in range, bounds as keyword arguments of ``_check_number``."""
+    return lambda errors, v, path: _check_number(errors, v, path, **bounds)
+
+
+def _any(errors, v, path):
+    """Any value: a file path, or a value checked by the caller."""
+    return v
+
+
+def _flag(errors, v, path):
+    if isinstance(v, bool):
+        return v
+    errors.append(f"{path}: expected true or false, got {v!r}")
+    return None
+
+
+def _choice(*options):
+    """One of the strings ``options``."""
+    def check(errors, v, path):
+        if v in options:
+            return v
+        errors.append(f"{path}: expected one of {', '.join(options)}; "
+                      f"got {v!r}")
+        return None
+    return check
+
+
+def _each(item, fewest=0, decreasing=False):
+    """A list of at least ``fewest`` values, each checked by ``item``, and
+    strictly decreasing if ``decreasing``."""
+    def check(errors, v, path):
+        if not isinstance(v, list):
+            errors.append(f"{path}: expected a list")
+            return None
+        if len(v) < fewest:
+            errors.append(f"{path}: expected at least {fewest} values, "
+                          f"got {len(v)}")
+            return None
+        v = [item(errors, e, f"{path}[{i}]") for i, e in enumerate(v)]
+        if decreasing and None not in v and any(
+                b >= a for a, b in zip(v, v[1:])):
+            errors.append(f"{path}: must be strictly decreasing")
+            return None
+        return v
+    return check
+
+
+def _section(schema, expected="an object"):
+    """A JSON object with the keys of ``schema`` = {name: (default, check)}.
+
+    A key outside ``schema`` is an error; a missing key takes its default
+    (a callable default is computed from the keys checked before it), which
+    goes through the same check as a given value.
+    """
+    def check(errors, obj, path):
+        if not isinstance(obj, dict):
+            errors.append(f"{path}: expected {expected}")
+            return None
+        prefix = f"{path}." if path else ""
+        errors.extend(f"{prefix}{k}: unknown key; expected one of "
+                      f"{', '.join(schema)}" for k in obj if k not in schema)
+        out = {}
+        for name, (default, item) in schema.items():
+            if callable(default):
+                default = default(out)
+            out[name] = item(errors, obj.get(name, default), prefix + name)
+        return out
+    return check
+
+
+def _position(errors, v, path):
+    """A nonzero 3-vector, normalized."""
+    if not isinstance(v, list) or len(v) != 3:
+        errors.append(f"{path}: expected a 3-vector")
+        return None
+    v = [_check_number(errors, x, f"{path}[{k}]") for k, x in enumerate(v)]
+    if None in v:
+        return None
+    norm = math.hypot(*v)
+    if norm < 1.0e-12:
+        errors.append(f"{path}: zero vector")
+        return None
+    return [x / norm for x in v]
+
+
+def _order(errors, v, path):
+    """A conical order: above -1 and nonzero."""
+    order = _check_number(errors, v, path)
+    if order is not None and order <= -1.0:
+        errors.append(f"{path}: order must exceed -1, got {order}")
+        return None
+    if order == 0.0:
+        errors.append(f"{path}: order must be nonzero")
+        return None
+    return order
+
+
+def _harmonic(errors, v, path):
+    """One term {l, m, coeff} of the smooth factor K, |m| <= l."""
+    term = _section({"l": (None, _number(lo=0, integer=True)),
+                     "m": (None, _number(integer=True)),
+                     "coeff": (None, _number())})(errors, v, path)
+    if term and None not in term.values() and abs(term["m"]) > term["l"]:
+        errors.append(f"{path}: |m| must not exceed l")
+    return term
+
+
+_K = _section({"base": (1.0, _number()), "harmonics": ([], _each(_harmonic))},
+              "an object or null")
+# every key of a config but the experiment's, which depend on its kind
+_CONFIG = _section({
+    "schema_version": (SCHEMA_VERSION, _any),
+    "grid": ({}, _section({"n_theta": (65, _number(lo=2, integer=True)),
+                           "n_phi": (130, _number(lo=4, integer=True))})),
+    "weight": ({}, _section({
+        "points": ([], _each(_section({"position": (None, _position),
+                                       "order": (None, _order)}))),
+        "K": (None, lambda errors, v, path:
+              None if v is None else _K(errors, v, path))})),
+    "experiment": ({}, _any),
+    "seed": (0, _number(integer=True)),
+    "output": ({}, _section({"report": (None, _any),
+                             "traces": (None, _any)})),
+})
+# the SolverConfig fields of the experiments that solve
+_SOLVER = {"max_iterations": (4000, _number(lo=1, integer=True)),
+           "tol_factor": (1.0e-6, _number(gt=0.0)),
+           "init": ("test-function", _choice("zero", "test-function")),
+           "init_epsilon": (0.01, _number(gt=0.0, lt=1.0))}
+
+
+def _experiment_schema(alpha: float) -> dict:
+    """kind -> {name: (default, check)}: the one place that names a key of
+    the "experiment" section besides "kind", its default and its range.
+
+    ``alpha`` is min(0, orders): an ``epsilon`` keeps rho = 8 pi (1 +
+    alpha) - epsilon positive, and a schedule of ``epsilons`` decreases
+    strictly and needs two values, since its checks compare consecutive
+    entries.
+    """
+    tol = _number(lo=0.0)
+    eps = {"gt": 0.0, "lt": 8.0 * math.pi * (1.0 + alpha)}
+    epsilons = ([0.5, 0.2, 0.1, 0.05], _each(_number(**eps), 2, True))
+    extremal_alpha = (-0.5, _number(gt=-1.0, lt=0.0))
     return {
-        "constants": {"consistency_tol": tol},
-        "verify-extremal": {"alpha": extremal_alpha, "lambda": {"gt": 0.0},
-                            "c": {}, "rel_tol": tol, "invariance_tol": tol},
-        "inequality-sample": {"samples": {"lo": 1, "integer": True},
-                              "constant": {}, "gap_floor": {},
-                              "family_dilations": {"gt": 0.0, "list": 0},
-                              "family_tol": tol},
-        "minimize": {"epsilon": eps, **solver},
-        "sweep": {"epsilons": {**eps, "list": 2}, **solver,
-                  "cap_mass_rel_tol": tol, "extrapolation_rel_tol": tol},
-        "kw-check": {"alpha": extremal_alpha, "epsilon": eps, **solver,
-                     "residual_tol": tol},
-        "profile-collapse": {"epsilons": {**eps, "list": 2}, **solver,
-                             "noise": {"lo": 0.0}},
-        "test-function-sweep": {"epsilons": {"gt": 0.0, "lt": 1.0,
-                                             "list": 2},
-                                "upper_gap_tol": tol, "exp_tol": tol},
+        "constants": {"consistency_tol": (1.0e-12 if alpha < 0.0 else 1.0e-3,
+                                          tol)},
+        "verify-extremal": {"alpha": extremal_alpha,
+                            "lambda": (2.0, _number(gt=0.0)),
+                            "c": (3.0, _number()), "rel_tol": (0.005, tol),
+                            "invariance_tol": (1.0e-3, tol)},
+        "inequality-sample": {"samples": (20, _number(lo=1, integer=True)),
+                              "constant": (0.0, _number()),
+                              "gap_floor": (-1.0e-6, _number()),
+                              "family_dilations": ([1.0, 2.0, 4.0],
+                                                   _each(_number(gt=0.0))),
+                              "family_tol": (1.0e-5, tol)},
+        "minimize": {"epsilon": (0.1, _number(**eps)), **_SOLVER},
+        "sweep": {"epsilons": epsilons, **_SOLVER,
+                  "cap_mass_rel_tol": (0.15, tol),
+                  "extrapolation_rel_tol": (0.05, tol)},
+        "kw-check": {"use_extremal": (False, _flag), "alpha": extremal_alpha,
+                     "epsilon": (0.3, _number(**eps)), **_SOLVER,
+                     "residual_tol": (lambda exp: 1.0e-6 if exp["use_extremal"]
+                                      else 1.0e-3, tol)},
+        "profile-collapse": {"epsilons": epsilons, **_SOLVER,
+                             "noise": (0.02, _number(lo=0.0))},
+        "test-function-sweep": {"epsilons": ([1.0e-2, 1.0e-3, 1.0e-4],
+                                             _each(_number(gt=0.0, lt=1.0),
+                                                   2, True)),
+                                "upper_gap_tol": (0.10, tol),
+                                "exp_tol": (0.05, tol)},
     }
 
 
 def validate(raw_text: str):
     """Parse and validate a JSON config; returns (config dict, error list).
 
-    Error messages carry JSON-path (and for parse errors, line) references.
+    A key outside the schema is an error at every level.  The config
+    returned has every key filled in and typed, so a report records the
+    values its run used.  Error messages carry JSON-path (and for parse
+    errors, line) references.
     """
-    errors: list[str] = []
     try:
         data = json.loads(raw_text)
     except json.JSONDecodeError as exc:
         return None, [f"line {exc.lineno}, column {exc.colno}: {exc.msg}"]
     if not isinstance(data, dict):
         return None, ["top level: expected a JSON object"]
+    errors: list[str] = []
+    config = _CONFIG(errors, data, "")
+    if config["schema_version"] != SCHEMA_VERSION:
+        errors.append(f"schema_version: expected {SCHEMA_VERSION}, "
+                      f"got {config['schema_version']}")
 
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        errors.append(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-
-    grid = data.get("grid", {})
-    if not isinstance(grid, dict):
-        errors.append("grid: expected an object")
-        grid = {}
-    n_theta = _check_number(errors, grid.get("n_theta", 65), "grid.n_theta",
-                            lo=2, integer=True)
-    n_phi = _check_number(errors, grid.get("n_phi", 130), "grid.n_phi",
-                          lo=4, integer=True)
-
-    weight = data.get("weight", {"points": []})
-    if not isinstance(weight, dict):
-        errors.append("weight: expected an object")
-        weight = {"points": []}
-    points = weight.get("points", [])
-    if not isinstance(points, list):
-        errors.append("weight.points: expected a list")
-        points = []
-    parsed_points = []
-    for i, entry in enumerate(points):
-        path = f"weight.points[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{path}: expected an object")
-            continue
-        pos = entry.get("position")
-        if not isinstance(pos, list) or len(pos) != 3:
-            errors.append(f"{path}.position: expected a 3-vector")
-            continue
-        pos = [_check_number(errors, v, f"{path}.position[{k}]")
-               for k, v in enumerate(pos)]
-        if None in pos:
-            continue
-        norm = math.hypot(*pos)
-        if norm < 1.0e-12:
-            errors.append(f"{path}.position: zero vector")
-            continue
-        order = _check_number(errors, entry.get("order"), f"{path}.order")
-        if order is None:
-            continue
-        if order <= -1.0:
-            errors.append(f"{path}.order: order must exceed -1, got {order}")
-            continue
-        if order == 0.0:
-            errors.append(f"{path}.order: order must be nonzero")
-            continue
-        parsed_points.append({"position": [v / norm for v in pos],
-                              "order": order})
-    for i in range(len(parsed_points)):
-        for j in range(i + 1, len(parsed_points)):
-            pi, pj = parsed_points[i]["position"], parsed_points[j]["position"]
+    points = [p for p in (config["weight"] or {}).get("points") or ()
+              if p and None not in p.values()]
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            pi, pj = points[i]["position"], points[j]["position"]
             if sum((a - b) ** 2 for a, b in zip(pi, pj)) < 1.0e-20:
                 errors.append(
                     f"weight.points[{j}]: coincides with weight.points[{i}]; "
                     "singular points must be pairwise distinct")
 
-    k_spec = weight.get("K")
-    if k_spec is not None:
-        if not isinstance(k_spec, dict):
-            errors.append("weight.K: expected an object or null")
-            k_spec = None
-        else:
-            _check_number(errors, k_spec.get("base", 1.0), "weight.K.base")
-            harmonics = k_spec.get("harmonics", [])
-            if not isinstance(harmonics, list):
-                errors.append("weight.K.harmonics: expected a list")
-            else:
-                for i, term in enumerate(harmonics):
-                    pth = f"weight.K.harmonics[{i}]"
-                    if not isinstance(term, dict):
-                        errors.append(f"{pth}: expected an object")
-                        continue
-                    l = _check_number(errors, term.get("l"), f"{pth}.l",
-                                      lo=0, integer=True)
-                    m = _check_number(errors, term.get("m"), f"{pth}.m",
-                                      integer=True)
-                    _check_number(errors, term.get("coeff"), f"{pth}.coeff")
-                    if l is not None and m is not None and abs(m) > l:
-                        errors.append(f"{pth}: |m| must not exceed l")
-
-    experiment = data.get("experiment", {})
-    if not isinstance(experiment, dict):
-        errors.append("experiment: expected an object")
-        experiment = {}
-    kind = experiment.get("kind")
-    if kind not in KINDS:
-        errors.append(f"experiment.kind: expected one of {', '.join(KINDS)}; "
-                      f"got {kind!r}")
+    experiment = config["experiment"]
+    kind = experiment.get("kind") if isinstance(experiment, dict) else None
+    if kind in KINDS:
+        alpha = min(0.0, min((p["order"] for p in points), default=0.0))
+        config["experiment"] = exp = _section(
+            {"kind": (kind, _any), **_experiment_schema(alpha)[kind]})(
+                errors, experiment, "experiment")
+    else:
+        if not isinstance(experiment, dict):
+            errors.append("experiment: expected an object")
+        _choice(*KINDS)(errors, kind, "experiment.kind")
 
     # one pole, or both poles, of the grid axis
-    z = [p["position"][2] for p in parsed_points]
+    z = [p["position"][2] for p in points]
     antipodal_axis = ((len(z) == 1 or (len(z) == 2 and z[0] * z[1] <= 0))
                       and all(abs(abs(v) - 1.0) <= 1.0e-10 for v in z))
-    use_extremal = experiment.get("use_extremal", False)
-    if kind == "kw-check" and not isinstance(use_extremal, bool):
-        errors.append("experiment.use_extremal: expected true or false, "
-                      f"got {use_extremal!r}")
-    elif kind == "kw-check" and not use_extremal and not antipodal_axis:
+    if kind == "kw-check" and exp["use_extremal"] is False \
+            and not antipodal_axis:
         errors.append(
             "experiment: kw-check requires singularities at antipodal "
             "points on the grid axis (the identity only holds in the "
             "axis direction for antipodal pairs)")
-    rho_bar = 8.0 * math.pi * (1.0 + min(
-        0.0, min((p["order"] for p in parsed_points), default=0.0)))
-    for name, spec in _experiment_numbers(rho_bar).get(kind, {}).items():
-        if name not in experiment:
-            continue
-        path, value, spec = f"experiment.{name}", experiment[name], dict(spec)
-        fewest = spec.pop("list", None)
-        if fewest is None:
-            _check_number(errors, value, path, **spec)
-        elif not isinstance(value, list):
-            errors.append(f"{path}: expected a list")
-        elif len(value) < fewest:
-            errors.append(f"{path}: expected at least {fewest} values, "
-                          f"got {len(value)}")
-        else:
-            for i, v in enumerate(value):
-                _check_number(errors, v, f"{path}[{i}]", **spec)
-    init = experiment.get("init", "test-function")  # SolverConfig.init
-    if (kind in ("minimize", "sweep", "kw-check", "profile-collapse")
-            and init not in ("zero", "test-function")):
-        errors.append("experiment.init: expected one of zero, "
-                      f"test-function; got {init!r}")
-    if kind in ("sweep", "profile-collapse"):
-        eps_list = [e for e in experiment.get("epsilons", [])
-                    if isinstance(e, (int, float))]
-        if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-            errors.append("experiment.epsilons: must be strictly decreasing")
-
-    seed = _check_number(errors, data.get("seed", 0), "seed", integer=True)
-
-    output = data.get("output", {})
-    if not isinstance(output, dict):
-        errors.append("output: expected an object")
-        output = {}
-
-    if errors:
-        return None, errors
-    config = {
-        "schema_version": SCHEMA_VERSION,
-        "grid": {"n_theta": n_theta, "n_phi": n_phi},
-        "weight": {"points": parsed_points, "K": k_spec},
-        "experiment": experiment,
-        "seed": seed,
-        "output": {"report": output.get("report"),
-                   "traces": output.get("traces")},
-    }
-    return config, []
+    return (None, errors) if errors else (config, [])
 
 
 def serialize(config: dict) -> str:
@@ -291,25 +322,20 @@ def serialize(config: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _build_weight(config):
-    import numpy as np
     from .singular_geometry import SingularWeight
     from .sphere_grid import SHCoefficients, synthesis_at_points
 
     section = config["weight"]
     K = None
-    if section.get("K") is not None:
-        base = float(section["K"].get("base", 1.0))
-        harmonics = section["K"].get("harmonics", [])
-        if harmonics:
-            coeffs = SHCoefficients.zeros(max(int(t["l"]) for t in harmonics))
-            for t in harmonics:
-                coeffs.order(int(t["m"]))[int(t["l"])] = float(t["coeff"])
+    if section["K"] is not None:
+        harmonics = section["K"]["harmonics"]
+        coeffs = SHCoefficients.zeros(max((t["l"] for t in harmonics),
+                                          default=0))
+        for t in harmonics:
+            coeffs.order(t["m"])[t["l"]] = t["coeff"]
 
-            def K(points, _c=coeffs, _b=base):
-                return _b + synthesis_at_points(_c, points)
-        else:
-            def K(points, _b=base):
-                return _b * np.ones(np.asarray(points).shape[:-1])
+        def K(points, _c=coeffs, _b=section["K"]["base"]):
+            return _b + synthesis_at_points(_c, points)
     return SingularWeight.from_orders(
         [(p["position"], p["order"]) for p in section["points"]], K)
 
@@ -326,7 +352,7 @@ def run(config: dict) -> dict:
     import numpy as np
 
     t_start = time.time()
-    if config["weight"].get("K") is not None:
+    if config["weight"]["K"] is not None:
         # the smooth factor must be positive; probe it on a coarse grid
         from .sphere_grid import build_grid
         probe = _build_weight(config).smooth_factor(build_grid(33, 66).nodes)
@@ -362,7 +388,6 @@ def _run_constants(config, report):
     grid = _grid_for(config) if w.alpha == 0.0 else None
     rep = blowup_infimum(w, grid)
     report["summary"] = rep.to_dict()
-    exp = config["experiment"]
     checks = report["checks"]
     orders = [p["order"] for p in config["weight"]["points"]]
     antipodal = True
@@ -379,8 +404,7 @@ def _run_constants(config, report):
                 antipodal=len(orders) == 2)
             report["summary"]["closed_form_C"] = closed.C
             report["summary"]["closed_form_theorem"] = closed.theorem
-            tol = float(exp.get("consistency_tol",
-                                1.0e-12 if w.alpha < 0.0 else 1.0e-3))
+            tol = config["experiment"]["consistency_tol"]
             _check(checks, "closed-form consistency", abs(rep.C - closed.C),
                    tol, abs(rep.C - closed.C) <= tol)
         except RegimeError as exc:
@@ -394,21 +418,19 @@ def _run_verify_extremal(config, report):
     from .mt_functional import FunctionalParams, eval_J
 
     exp = config["experiment"]
-    alpha = float(exp.get("alpha", -0.5))
-    lam = float(exp.get("lambda", 2.0))
-    c = float(exp.get("c", 3.0))
+    alpha = exp["alpha"]
     grid = _grid_for(config)
     w = extremal_weight(alpha)
     params = FunctionalParams(rho=w.rho_bar, weight=w)
     J_10 = eval_J(extremal_u(ExtremalParams(alpha=alpha), grid), params)
-    J_lc = eval_J(extremal_u(ExtremalParams(lam=lam, c=c, alpha=alpha), grid),
-                  params)
+    J_lc = eval_J(extremal_u(ExtremalParams(lam=exp["lambda"], c=exp["c"],
+                                            alpha=alpha), grid), params)
     exact = 8.0 * np.pi * (1.0 + alpha) * (np.log1p(alpha) - alpha)
     report["summary"] = {"alpha": alpha, "J_extremal": J_10,
                          "J_shifted": J_lc, "closed_form": exact}
     rel = abs(J_10 - exact) / abs(exact)
-    rel_tol = float(exp.get("rel_tol", 0.005))
-    inv_tol = float(exp.get("invariance_tol", 1.0e-3))
+    rel_tol = exp["rel_tol"]
+    inv_tol = exp["invariance_tol"]
     _check(report["checks"], "extremal value", rel, rel_tol, rel <= rel_tol)
     _check(report["checks"], "lambda-c invariance", abs(J_lc - J_10), inv_tol,
            abs(J_lc - J_10) <= inv_tol)
@@ -423,62 +445,52 @@ def _run_inequality_sample(config, report):
     exp = config["experiment"]
     w = _build_weight(config)
     grid = _grid_for(config)
-    n_samples = int(exp.get("samples", 20))
-    constant = float(exp.get("constant", 0.0))
-    gap_floor = float(exp.get("gap_floor", -1.0e-6))
+    n_samples = exp["samples"]
     rng = np.random.default_rng(config["seed"])
     worst = np.inf
     chunk = batch_size(grid)
     for start in range(0, n_samples, chunk):
         coeffs = random_band_limited_batch(grid, rng,
                                            min(chunk, n_samples - start))
-        gaps = troyanov_gap_coeffs(coeffs, grid, w, constant)
+        gaps = troyanov_gap_coeffs(coeffs, grid, w, exp["constant"])
         for i, gap in enumerate(gaps, start):
             report["records"].append({"sample": i, "gap": float(gap)})
             worst = min(worst, float(gap))
     report["summary"] = {"samples": n_samples, "worst_gap": worst}
-    _check(report["checks"], "inequality gap floor", worst, gap_floor,
-           worst >= gap_floor)
+    _check(report["checks"], "inequality gap floor", worst, exp["gap_floor"],
+           worst >= exp["gap_floor"])
     if not w.points and w.K is None:
-        family_tol = float(exp.get("family_tol", 1.0e-5))
         worst_fam = 0.0
-        for t in exp.get("family_dilations", [1.0, 2.0, 4.0]):
-            u = conformal_pullback(ScalarField.constant(grid, 0.0), float(t),
-                                   0.0)
-            gap = troyanov_gap(u, w, constant)
+        for t in exp["family_dilations"]:
+            u = conformal_pullback(ScalarField.constant(grid, 0.0), t, 0.0)
+            gap = troyanov_gap(u, w, exp["constant"])
             report["records"].append({"dilation": t, "gap": gap})
             worst_fam = max(worst_fam, abs(gap))
         report["summary"]["worst_family_gap"] = worst_fam
         _check(report["checks"], "conformal family equality", worst_fam,
-               family_tol, worst_fam <= family_tol)
+               exp["family_tol"], worst_fam <= exp["family_tol"])
 
 
 def _solver_config(exp, schedule):
     from .subcritical_solver import SolverConfig
-    return SolverConfig(
-        epsilon_schedule=tuple(schedule),
-        max_iterations=int(exp.get("max_iterations", 4000)),
-        tol_factor=float(exp.get("tol_factor", 1.0e-6)),
-        init=exp.get("init", "test-function"),
-        init_epsilon=float(exp.get("init_epsilon", 0.01)),
-    )
+    return SolverConfig(epsilon_schedule=tuple(schedule),
+                        **{name: exp[name] for name in _SOLVER})
 
 
-def _solve_from_zero(exp, w, grid, default_epsilon):
+def _solve_from_zero(exp, w, grid):
     """Minimize J at rho_bar - epsilon from u = 0; raises unless converged."""
     from .mt_functional import FunctionalParams
     from .sphere_grid import ScalarField
     from .subcritical_solver import NonConvergedError, minimize
 
-    eps = float(exp.get("epsilon", default_epsilon))
-    cfg = _solver_config(exp, [eps])
-    params = FunctionalParams(rho=w.rho_bar - eps, weight=w)
-    state = minimize(params, cfg, ScalarField.constant(grid, 0.0), grid)
+    params = FunctionalParams(rho=w.rho_bar - exp["epsilon"], weight=w)
+    state = minimize(params, _solver_config(exp, [exp["epsilon"]]),
+                     ScalarField.constant(grid, 0.0), grid)
     if not state.converged:
         raise NonConvergedError(
             f"residual {state.residual_norm:.3e} after "
             f"{state.iterations} iterations")
-    return eps, cfg, params, state
+    return state
 
 
 def _run_minimize(config, report):
@@ -486,18 +498,18 @@ def _run_minimize(config, report):
 
     exp = config["experiment"]
     w = _build_weight(config)
-    eps, cfg, params, state = _solve_from_zero(exp, w, _grid_for(config), 0.1)
+    state = _solve_from_zero(exp, w, _grid_for(config))
     diag = diagnose(state, w)
     report["records"] = [dict(r) for r in state.trace]
     report["summary"] = {
-        "epsilon": eps, "rho": params.rho, "J": state.J,
+        "epsilon": exp["epsilon"], "rho": state.params.rho, "J": state.J,
         "residual": state.residual_norm, "iterations": state.iterations,
         "converged": state.converged, "lambda": diag.lambda_eps,
         "t_eps": diag.t_eps, "compact_case": diag.compact_case,
         "under_resolved": diag.under_resolved,
     }
     _check(report["checks"], "converged", state.residual_norm,
-           cfg.tol_factor * params.rho, state.converged)
+           exp["tol_factor"] * state.params.rho, state.converged)
 
 
 def _sweep_common(config, report):
@@ -507,9 +519,7 @@ def _sweep_common(config, report):
     exp = config["experiment"]
     w = _build_weight(config)
     grid = _grid_for(config)
-    schedule = exp.get("epsilons", [0.5, 0.2, 0.1, 0.05])
-    cfg = _solver_config(exp, schedule)
-    sweep = epsilon_sweep(w, grid, cfg)
+    sweep = epsilon_sweep(w, grid, _solver_config(exp, exp["epsilons"]))
     target = blowup_infimum(w, grid).inf_J
     report["records"] = [e.row() for e in sweep.entries]
     report["summary"] = {
@@ -533,11 +543,11 @@ def _run_sweep(config, report):
         b - a for a, b in zip(decay, decay[1:])), 0.0,
         all(b < a for a, b in zip(decay, decay[1:])))
     mass_frac = sweep.column("cap_mass_10t")[-1] / w.rho_bar
-    mass_tol = float(exp.get("cap_mass_rel_tol", 0.15))
+    mass_tol = exp["cap_mass_rel_tol"]
     _check(checks, "cap mass fraction at 10 t_eps", abs(mass_frac - 1.0),
            mass_tol, abs(mass_frac - 1.0) <= mass_tol)
     rel = abs(sweep.extrapolated_J - target) / abs(target)
-    rel_tol = float(exp.get("extrapolation_rel_tol", 0.05))
+    rel_tol = exp["extrapolation_rel_tol"]
     _check(checks, "extrapolated J vs blow-up value", rel, rel_tol,
            rel <= rel_tol)
 
@@ -545,23 +555,22 @@ def _run_sweep(config, report):
 def _run_profile_collapse(config, report):
     import numpy as np
 
-    exp = config["experiment"]
-    w, sweep, target = _sweep_common(config, report)
-    noise = float(exp.get("noise", 0.02))
+    w, sweep, _ = _sweep_common(config, report)
+    noise = config["experiment"]["noise"]
     errs = sweep.column("profile_error")
     ok = all(b < a + noise for a, b in zip(errs, errs[1:]))
     _check(report["checks"], "profile collapse monotone", max(
         b - a for a, b in zip(errs, errs[1:])), noise, ok)
     # radial profile traces for plotting
     from .closed_forms import planar_bubble
-    from .sphere_grid import synthesis_at_angles
+    from .sphere_grid import cap_points, synthesis_at_points
     for entry, state in zip(sweep.entries, sweep.states):
         d = entry.diagnostics
-        c_p = w.bubble_constant(d.center) if w.alpha < 0 else 1.0
+        c_p = w.bubble_constant(d.center)
         radii = np.linspace(0.0, 5.0, 26)[1:] * d.t_eps
-        u_axis = synthesis_at_angles(state.coeffs, np.cos(radii),
-                                     np.zeros_like(radii))
-        for r, uv in zip(radii, u_axis):
+        u_ray = synthesis_at_points(state.coeffs,
+                                    cap_points(d.center, radii, 1))[:, 0]
+        for r, uv in zip(radii, u_ray):
             report["records"].append({
                 "epsilon": entry.epsilon, "r": float(r),
                 "u_minus_lambda": float(uv - d.lambda_eps),
@@ -577,16 +586,15 @@ def _run_kw_check(config, report):
     exp = config["experiment"]
     w = _build_weight(config)
     grid = _grid_for(config)
-    if exp.get("use_extremal", False):
-        alpha = float(exp.get("alpha", -0.5))
-        w = extremal_weight(alpha)
-        coeffs = sh_analysis(extremal_u(ExtremalParams(alpha=alpha), grid))
+    if exp["use_extremal"]:
+        w = extremal_weight(exp["alpha"])
+        coeffs = sh_analysis(extremal_u(ExtremalParams(alpha=exp["alpha"]),
+                                        grid))
         rho = w.rho_bar
-        tol = float(exp.get("residual_tol", 1.0e-6))
     else:
-        _, _, params, state = _solve_from_zero(exp, w, grid, 0.3)
-        coeffs, rho = state.coeffs, params.rho
-        tol = float(exp.get("residual_tol", 1.0e-3))
+        state = _solve_from_zero(exp, w, grid)
+        coeffs, rho = state.coeffs, state.params.rho
+    tol = exp["residual_tol"]
     rep = kazdan_warner_residual(coeffs, grid, rho, w)
     report["summary"] = {
         "moment": rep.moment, "poho_residual": rep.poho_residual,
@@ -601,15 +609,12 @@ def _run_test_function_sweep(config, report):
     import numpy as np
     from .closed_forms import concentration_sweep
     from .identity_checks import blowup_infimum
-    from .singular_geometry import REGULAR_PART, green
-    from .sphere_grid import FOUR_PI
 
     exp = config["experiment"]
     w = _build_weight(config)
-    epsilons = exp.get("epsilons", [1.0e-2, 1.0e-3, 1.0e-4])
     p0 = w.minimal_points()[0].position if w.alpha < 0.0 else \
         np.array([0.0, 0.0, 1.0])
-    records = concentration_sweep(w, epsilons, p0)
+    records = concentration_sweep(w, exp["epsilons"], p0)
     target = blowup_infimum(w).inf_J if w.alpha < 0.0 else None
     for rec in records:
         report["records"].append(
@@ -621,20 +626,13 @@ def _run_test_function_sweep(config, report):
         all(b < a for a, b in zip(Js, Js[1:])))
     if target is not None:
         gap = (Js[-1] - target) / abs(target)
-        gap_tol = float(exp.get("upper_gap_tol", 0.10))
+        gap_tol = exp["upper_gap_tol"]
         _check(checks, "upper bound above blow-up value", gap, gap_tol,
                0.0 <= gap <= gap_tol)
         # limit of the exponential integral at the smallest epsilon
-        alpha = w.alpha
-        h_tilde = 1.0
-        for sp in w.points:
-            d = np.arccos(np.clip(sp.position @ p0, -1.0, 1.0))
-            if d > 1.0e-12:
-                h_tilde *= np.exp(-FOUR_PI * sp.order * green(sp.position, p0))
-        limit = (np.pi * h_tilde * np.exp(-FOUR_PI * alpha * REGULAR_PART)
-                 / (1.0 + alpha))
+        limit = np.pi * w.bubble_constant(p0) / (1.0 + w.alpha)
         rel = abs(records[-1]["exp_integral"] - limit) / limit
-        exp_tol = float(exp.get("exp_tol", 0.05))
+        exp_tol = exp["exp_tol"]
         report["summary"] = {"target": target, "exp_limit": limit,
                              "final_J": Js[-1]}
         _check(checks, "exponential integral limit", rel, exp_tol,

@@ -142,7 +142,7 @@ class SingularWeight:
             return np.ones(np.asarray(x).shape[:-1])
         return np.asarray(self.K(x), dtype=float)
 
-    def log_weight(self, x, guard: bool = True, cap: tuple | None = None):
+    def log_weight(self, x, cap: tuple | None = None):
         """log h(x); accepts (..., 3) arrays.  Stable for strong orders.
 
         ``cap = (i, r)`` gives the exact geodesic distances r of the nodes x
@@ -160,7 +160,7 @@ class SingularWeight:
             dot = np.clip(x @ sp.position, -1.0, 1.0)
             near = dot > 1.0 - _COINCIDENCE_TOL
             if np.any(near):
-                if guard and sp.order < 0.0:
+                if sp.order < 0.0:
                     raise SingularEvaluationError(
                         "weight evaluated at a negative-order singular point"
                     )
@@ -181,7 +181,8 @@ class SingularWeight:
         return ScalarField(self.weight(grid.nodes), grid)
 
     def bubble_constant(self, p) -> float:
-        """Concentration density constant c(p) at a minimal-order point."""
+        """Concentration density constant c(p) at a minimal-order point
+        (at a regular point when alpha = 0, where it is h(p))."""
         p = normalized(p)
         if self.beta(p) != self.alpha:
             raise ValueError(

@@ -350,8 +350,7 @@ def diagnose(state: MinimizerState, w: SingularWeight,
     # profile collapse onto the planar bubble
     profile_err = np.nan
     if alpha < 0.0 or not compact:
-        c_p = w.bubble_constant(center) if alpha < 0.0 else \
-            float(w.weight(center[None, :])[0])
+        c_p = w.bubble_constant(center)
         radii = np.linspace(0.0, profile_R, 25)[1:] * t_eps
         u_vals = synthesis_at_points(state.coeffs,
                                      cap_points(center, radii, 8))

@@ -2,14 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sol_lab
-from sol_lab.cli import main, run, serialize, validate
+from sol_lab.cli import (KINDS, _experiment_schema, main, run, serialize,
+                         validate)
 
 
 def config_text(**overrides):
@@ -79,6 +82,30 @@ class TestValidate:
         assert not errors2
         assert config2 == config
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_defaults_filled(self, kind):
+        """The validated experiment holds every schema key, a missing one
+        at its default."""
+        config, errors = validate(config_text(
+            weight={"points": [{"position": [0, 0, 1], "order": -0.5},
+                               {"position": [0, 0, -1], "order": -0.5}]},
+            experiment={"kind": kind}))
+        assert not errors
+        exp = config["experiment"]
+        schema = _experiment_schema(-0.5)[kind]
+        assert list(exp) == ["kind", *schema]
+        for name, (default, _) in schema.items():
+            assert exp[name] == (default(exp) if callable(default)
+                                 else default), name
+
+    def test_readme_example_validates(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"Example config:\s*```json\n(.*?)```", readme,
+                            re.S).group(1)
+        config, errors = validate(example)
+        assert not errors
+        assert config["experiment"]["kind"] == "sweep"
+
 
 class TestRun:
     def test_constants_report(self):
@@ -89,6 +116,36 @@ class TestRun:
                                                        abs=1e-12)
         assert report["summary"]["inf_J"] == pytest.approx(
             -4.0 * np.pi * np.log(2.0), rel=1e-12)
+
+    def test_report_echoes_defaults(self):
+        """config.experiment records the values the run used."""
+        report = run(validate(config_text())[0])
+        assert report["config"]["experiment"] == {"kind": "constants",
+                                                  "consistency_tol": 1e-12}
+        pair = {"points": [{"position": [0, 0, 1], "order": -0.5},
+                           {"position": [0, 0, -1], "order": -0.5}]}
+        for use_extremal, tol in ((False, 1e-3), (True, 1e-6)):
+            config, _ = validate(config_text(weight=pair, experiment={
+                "kind": "kw-check", "use_extremal": use_extremal}))
+            assert config["experiment"]["residual_tol"] == tol
+
+    def test_profile_collapse_samples_around_the_center(self):
+        """The profile records sample u on a ray from the concentration
+        point, so a south-pole run records what its mirror image at the
+        north pole records."""
+        records = {}
+        for z in (1, -1):
+            config, _ = validate(config_text(
+                grid={"n_theta": 65, "n_phi": 130},
+                weight={"points": [{"position": [0, 0, z], "order": -0.5}]},
+                experiment={"kind": "profile-collapse",
+                            "epsilons": [0.5, 0.2, 0.1]}))
+            records[z] = [(r["r"], r["u_minus_lambda"], r["bubble"])
+                          for r in run(config)["records"]
+                          if "u_minus_lambda" in r]
+        assert len(records[1]) == 3 * 25
+        np.testing.assert_allclose(records[-1], records[1], rtol=0,
+                                   atol=1e-12)
 
     def test_determinism(self):
         config, _ = validate(config_text(
@@ -240,6 +297,11 @@ BAD_NUMBERS = {
     "test-function-epsilons": ("test-function-sweep",
                                {"epsilons": [1e-2, 2.0]},
                                "experiment.epsilons[1]: must be < 1"),
+    # keys no runner reads: a deleted option and a misspelled one
+    "damping-unknown": ("minimize", {"damping": 0.7},
+                        "experiment.damping: unknown key"),
+    "tol_factr-unknown": ("minimize", {"tol_factr": 1e-12},
+                          "experiment.tol_factr: unknown key"),
 }
 
 # schedules compare consecutive entries: fewer than two must exit 2
@@ -263,6 +325,36 @@ BAD_CHOICES["use_extremal-string"] = (
     "experiment.use_extremal: expected true or false, got 'no'")
 
 
+_POINT = {"position": [0, 0, 1], "order": -0.5}
+
+# whole configs with a key outside the schema at each level, or a default
+# out of range for the weight: (kind, config fields, expected error)
+BAD_CONFIGS = {
+    "top-level": ("constants", {"outputs": {}}, "outputs: unknown key"),
+    "grid-n_thetta": ("constants", {"grid": {"n_thetta": 129}},
+                      "grid.n_thetta: unknown key"),
+    "weight-extra": ("constants", {"weight": {"points": [], "k": None}},
+                     "weight.k: unknown key"),
+    "point-extra": ("constants", {"weight": {"points": [
+        {**_POINT, "alpha": -0.5}]}}, "weight.points[0].alpha: unknown key"),
+    "K-extra": ("constants", {"weight": {"points": [], "K": {"bas": 2.0}}},
+                "weight.K.bas: unknown key"),
+    "harmonic-extra": ("constants", {"weight": {"points": [], "K": {
+        "harmonics": [{"l": 1, "m": 0, "coeff": 0.1, "n": 2}]}}},
+        "weight.K.harmonics[0].n: unknown key"),
+    "output-extra": ("constants", {"output": {"trace": "t.csv"}},
+                     "output.trace: unknown key"),
+    # rho_bar = 8 pi (1 - 0.999) lies below the default epsilon 0.1
+    "minimize-default-epsilon": (
+        "minimize", _point([0, 0, 1], order=-0.999),
+        "experiment.epsilon: must be < 0.0251327, got 0.1"),
+    # rho_bar = 8 pi (1 - 0.99) lies below the default schedule's 0.5
+    "sweep-default-epsilons": (
+        "sweep", _point([0, 0, 1], order=-0.99),
+        "experiment.epsilons[0]: must be < 0.251327, got 0.5"),
+}
+
+
 class TestExperimentNumbers:
     @pytest.mark.parametrize("kind, fields, message", BAD_NUMBERS.values(),
                              ids=BAD_NUMBERS.keys())
@@ -281,6 +373,15 @@ class TestExperimentNumbers:
             weight={"points": [{"position": [0, 0, 1], "order": -0.5},
                                {"position": [0, 0, -1], "order": -0.5}]},
             experiment={"kind": kind, **fields}))
+        assert main([kind, "--config", str(cfg)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, fields, message", BAD_CONFIGS.values(),
+                             ids=BAD_CONFIGS.keys())
+    def test_bad_config_exits_2(self, kind, fields, message, tmp_path,
+                                capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text(experiment={"kind": kind}, **fields))
         assert main([kind, "--config", str(cfg)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
