@@ -310,6 +310,10 @@ def validate(raw_text: str):
             "experiment: kw-check requires singularities at antipodal "
             "points on the grid axis (the identity only holds in the "
             "axis direction for antipodal pairs)")
+    if kind == "test-function-sweep" and (config["weight"] or {}).get("K"):
+        errors.append(
+            "weight.K: test-function-sweep evaluates J by the radial "
+            "formula, which holds for K == 1 only; remove weight.K")
     return (None, errors) if errors else (config, [])
 
 

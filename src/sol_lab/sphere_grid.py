@@ -23,7 +23,11 @@ fine at desk scale (L <= 256).  They take rings in mirror pairs: by
 Pbar_{l,m}(-t) = (-1)^{l+m} Pbar_{l,m}(t), a ring t and its exact mirror
 -t read one Legendre table column, through its rows of even and of odd
 l - m, so a symmetric node set (every Gauss-Legendre grid) needs half a
-table and half the per-order work (see ``ProductTransform``).
+table and half the per-order work.  They take longitudes in pairs too:
+cos m phi is even and sin m phi odd under phi_j -> phi_{n-j} = -phi_j,
+and for even n_phi the half turn phi_j -> phi_j + pi multiplies order m
+by (-1)^m, so the Fourier step runs over the longitudes j <= n_phi / 4
+alone, a quarter of its matrix work (see ``ProductTransform``).
 
 Zonal data is one column, for values and coefficients alike.  Values of
 shape (..., n_t, 1) are a ring-constant field: a ``ProductTransform``
@@ -35,7 +39,7 @@ full-width coefficients only through ``SHCoefficients.widened``, never
 through broadcasting, which would add it to every order.  A zonal pass is
 one (L+1) x n_t matrix product, O(L n_t), against O(L^2 n_t + L n_t n_phi)
 over all orders and the Fourier step; a transform builds its all-order
-Legendre table and its cos/sin tables on the first pass that needs them.
+Legendre table and its cos/sin table on the first pass that needs them.
 
 Coefficients and values may carry leading batch axes: a stack of K fields,
 coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
@@ -155,11 +159,14 @@ LEGENDRE_BUDGET = 4096
 # evaluation takes at once (``batch_size``): 4 fields at L = 256.  There a
 # stack adds about 4 MiB of traced allocations per field (its coefficients
 # and its synthesized band block) to 136 MB of shared Legendre tables
-# (253 MB before mirror rings shared a table column).  Measured on an
-# L = 256 inequality-sample with one BLAS thread, before that sharing:
-# 4 fields per stack cut its transform time by about half and its peak
-# RSS stays below the one-field-at-a-time code; 5 fields raise the peak by
-# 7 MiB.
+# (253 MB before mirror rings shared a table column).  A 4-field synthesis
+# on the 696-ring two-cap block takes about 30 ms in its Legendre stage
+# and 13-20 ms in its Fourier step (31-42 ms before longitudes were paired),
+# on the 257-ring grid about 11 and 5-10 ms (13-15 ms before); one BLAS
+# thread on a shared 2-core x86 VM.  Measured before the ring sharing:
+# 4 fields per stack cut the transform time of an L = 256
+# inequality-sample by about half and its peak RSS stays below the
+# one-field-at-a-time code; 5 fields raise the peak by 7 MiB.
 BATCH_BUDGET = 9 << 19  # 4.5 MiB
 
 
@@ -342,6 +349,36 @@ def _ring_order(t: np.ndarray) -> tuple[np.ndarray, int, int]:
     return order, len(reps), len(reps) + solo.size
 
 
+def _ring_runs(order: np.ndarray) -> list:
+    """(table slice, ring slice) pairs that cover ``order`` by its maximal
+    runs of consecutive rings, ascending or descending, so that a pass
+    writes table-order rows to ring order one block per run (two on a
+    Gauss grid, five on a two-cap block)."""
+    runs, start = [], 0
+    for end in range(1, order.size + 1):
+        if end < order.size:
+            step = order[end] - order[end - 1]
+            if abs(step) == 1 and (end - start == 1
+                                   or step == order[start + 1] - order[start]):
+                continue
+        first, last = int(order[start]), int(order[end - 1])
+        step = -1 if last < first else 1
+        stop = last + step
+        runs.append((slice(start, end),
+                     slice(first, None if stop < 0 else stop, step)))
+        start = end
+    return runs
+
+
+def _turn_sums(parts: list) -> list:
+    """[p_0 + p_1, p_0 - p_1] for two parts, one part as it is: a
+    synthesis sums the even- and odd-m parts into the images at j and
+    n/2 + j, an analysis those images into the parts (the map is its own
+    adjoint)."""
+    return parts if len(parts) == 1 else [parts[0] + parts[1],
+                                          parts[0] - parts[1]]
+
+
 class ProductTransform:
     """Spherical-harmonic analysis/synthesis on a product node set.
 
@@ -366,6 +403,22 @@ class ProductTransform:
     grid and on a two-cap band every ring but the equator is paired, which
     halves the table and the per-order work.
 
+    Longitudes are evaluated in pairs the same way.  Under the reflection
+    phi_j -> phi_{n-j} = -phi_j, cos m phi is even and sin m phi odd; for
+    even n_phi the half turn phi_j -> phi_{n/2+j} = phi_j + pi multiplies
+    order m by (-1)^m.  The build finds the representative longitudes
+    j <= period / 2 (period n_phi / 2 for even n_phi, n_phi for odd: the
+    reflection alone) and their images o + j and o - j, o = 0 or n_phi / 2;
+    the one cos/sin table spans the representatives.  Synthesis forms,
+    per field, one product per trig part and parity of m over the
+    representatives: the parities' sum is the cos (sin) sum at j, their
+    difference at n/2 + j, and cos + sin is the value at o + j, cos - sin
+    at o - j.  The images are written straight into ring order by runs of
+    consecutive rings.  Analysis folds the weighted values onto the
+    representatives by the same images (the adjoint) before one product
+    per trig part and parity.  Each Fourier product is a quarter of the
+    all-longitude one (half for odd n_phi).
+
     One-column data is zonal (see the module docstring): coefficients of
     shape (..., L+1, 1) synthesize to values of shape (..., n_t, 1), and
     such values analyse, on the m = 0 block alone, to such coefficients.
@@ -383,6 +436,20 @@ class ProductTransform:
             self.ring_weights = np.reshape(ring_weights, (-1, 1))
             self.weights = self.ring_weights / n_phi  # per node, by ring
         self._order, self._pairs, self._reps = _ring_order(self.t)
+        self._runs = _ring_runs(self._order)
+        # longitude pairs: phi_{n-j} = -phi_j and, for even n, phi_{n/2+j}
+        # = phi_j + pi, which splits the orders by the parity of m
+        turns = 2 if n_phi % 2 == 0 else 1
+        period = n_phi // turns
+        self._phi_reps, self._phi_pairs = period // 2 + 1, (period - 1) // 2
+        self._parities = [slice(p, None, turns) for p in range(turns)]
+        # per half-turn image o: the columns o + j (j < reps) and, reversed,
+        # o - j modulo n_phi (1 <= j <= pairs); together every longitude once
+        self._images = []
+        for o in range(0, n_phi, period):
+            end = (o or n_phi) - 1
+            self._images.append((slice(o, o + self._phi_reps),
+                                 slice(end, end - self._phi_pairs, -1)))
         self._plm: list = []
         self._fourier = None
 
@@ -397,14 +464,20 @@ class ProductTransform:
         return self._plm
 
     def _trig(self) -> np.ndarray:
-        """cos m phi and sin m phi for m = 0..L, shape (2, L+1, n_phi)."""
+        """cos m phi and sin m phi for m = 0..L over the representative
+        longitudes, shape (2, L+1, period // 2 + 1).  The angle m phi_j is
+        reduced modulo 2 pi in integers, 2 pi ((m j) mod n) / n, so every
+        entry comes from an angle in [0, 2 pi) rounded once (the float
+        product m * phi_j is off by about m ulps of phi_j)."""
         if self._fourier is None:
-            key = (self.band_limit, self.phi.size)
+            n = self.phi.size
+            key = (self.band_limit, n)
             self._fourier = _FOURIER.get(key)
             if self._fourier is None:
                 m = np.arange(self.band_limit + 1)[:, None]
+                angle = 2.0 * np.pi * (m * np.arange(self._phi_reps) % n) / n
                 self._fourier = _FOURIER[key] = np.stack(
-                    [np.cos(m * self.phi), np.sin(m * self.phi)])
+                    [np.cos(angle), np.sin(angle)])
                 self._fourier.flags.writeable = False  # shared
         return self._fourier
 
@@ -434,7 +507,8 @@ class ProductTransform:
 
         Each order is one product per parity of the batch's cos and sin
         coefficient rows with its Pbar rows, so each table entry is read
-        once per batch.
+        once per batch; the Fourier step runs field by field over the
+        representative longitudes.
         """
         L = self.band_limit
         if coeffs.band_limit != L:
@@ -472,11 +546,16 @@ class ProductTransform:
         for m, (even, odd) in enumerate(self._legendre(L + 1)):
             self._unfold(c[m::2, m].T @ even, c[m + 1::2, m].T @ odd,
                          rows[:, :, m])
-        cos_m, sin_m = self._trig()
+        trig, pairs = self._trig(), self._phi_pairs
         for i in range(k):  # the Fourier step, field by field
-            field = rows[i, 0].T @ cos_m
-            field += rows[i, 1].T @ sin_m
-            out[i, self._order] = field
+            cos, sin = (_turn_sums([rows[i, part, p].T @ trig[part, p]
+                                    for p in self._parities])
+                        for part in (0, 1))
+            for (ahead, behind), cj, sj in zip(self._images, cos, sin):
+                for table, ring in self._runs:
+                    np.add(cj[table], sj[table], out=out[i, ring, ahead])
+                    np.subtract(cj[table, 1:pairs + 1], sj[table, 1:pairs + 1],
+                                out=out[i, ring, behind])
         return out.reshape(batch + out.shape[1:])
 
     def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
@@ -486,6 +565,9 @@ class ProductTransform:
         if self.ring_weights is None:
             raise ValueError("transform was built without quadrature weights")
         L, n_t, n_phi = self.band_limit, self.t.size, values.shape[-1]
+        if n_phi not in (1, self.phi.size):
+            raise ValueError(f"values have {n_phi} longitudes, transform "
+                             f"expects {self.phi.size} or 1")
         batch = values.shape[:-2]
         weights = self.ring_weights if n_phi == 1 else self.weights
         w = (weights * values).reshape(-1, n_phi)
@@ -497,13 +579,29 @@ class ProductTransform:
             out[:, 0::2, 0] = (even @ s).T
             out[:, 1::2, 0] = (odd @ d).T
             return SHCoefficients(out.reshape(batch + (L + 1, 1)))
-        # f[ring, m]: the cos and sin sums of order m of each field, a row
-        f = (w @ self._trig().reshape(-1, n_phi).T).reshape(k, n_t, 2, L + 1)
-        s, d = self._fold(f.transpose(1, 3, 0, 2))
+        # f[field and ring, part, column]: the cos and sin sums, from the
+        # weighted values folded onto the representative longitudes (w is
+        # this pass's own array, so its views fold in place); a parity's
+        # orders m = p, p + turns, ... take consecutive columns
+        trig, pairs, turns = self._trig(), self._phi_pairs, len(self._images)
+        ahead = _turn_sums([w[:, a] for a, _ in self._images])
+        behind = _turn_sums([w[:, b] for _, b in self._images])
+        f = np.empty((k * n_t, 2, L + 1))
+        start = 0
+        for p, cos, mirror in zip(self._parities, ahead, behind):
+            sin = cos.copy()
+            sin[:, 1:pairs + 1] -= mirror
+            cos[:, 1:pairs + 1] += mirror
+            columns = slice(start, start + trig[0, p].shape[0])
+            np.matmul(cos, trig[0, p].T, out=f[:, 0, columns])
+            np.matmul(sin, trig[1, p].T, out=f[:, 1, columns])
+            start = columns.stop
+        s, d = self._fold(f.reshape(k, n_t, 2, L + 1).transpose(1, 3, 0, 2))
         c = np.zeros((L + 1, L + 1, 2 * k))
         for m, (even, odd) in enumerate(self._legendre(L + 1)):
-            c[m::2, m] = even @ s[:, m].reshape(reps, -1)
-            c[m + 1::2, m] = odd @ d[:, m].reshape(reps, -1)
+            col = m // turns + m % turns * (L // turns + 1)
+            c[m::2, m] = even @ s[:, col].reshape(reps, -1)
+            c[m + 1::2, m] = odd @ d[:, col].reshape(reps, -1)
         c = c.reshape(L + 1, L + 1, k, 2).transpose(2, 0, 1, 3)
         c[:, :, 1:] *= SQRT2
         out = np.empty((k, L + 1, 2 * L + 1))

@@ -502,6 +502,23 @@ class TestMainEntry:
         assert rep["summary"]["target"] == pytest.approx(
             -4.0 * np.pi * np.log(2.0), rel=1e-12)
 
+    def test_test_function_sweep_rejects_smooth_factor(self, tmp_path,
+                                                       capsys):
+        """The radial J of the test functions holds for K == 1 only, so a
+        smooth factor is a config error (exit 2), found by validate."""
+        text = config_text(
+            weight={"points": [{"position": [0, 0, 1], "order": -0.5}],
+                    "K": {"base": 2.0}},
+            experiment={"kind": "test-function-sweep",
+                        "epsilons": [1e-2, 1e-3]})
+        _, errors = validate(text)
+        assert [e for e in errors if e.startswith("weight.K:")] == errors
+        assert errors and "K == 1" in errors[0]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["test-function-sweep", "--config", str(cfg)]) == 2
+        assert "weight.K" in capsys.readouterr().err
+
     def test_nonexistence_rejects_non_antipodal_pair(self):
         """Sharp-constant requests for tilted pairs carry no closed form."""
         from sol_lab.identity_checks import RegimeError, sphere_sharp_constant

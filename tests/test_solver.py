@@ -283,6 +283,51 @@ class TestZonalPath:
         assert len(grid.transform._plm) == 1
 
 
+class TestTruncatedCG:
+    """Steihaug's truncated PCG of the Newton step, on synthetic operators:
+    the cap CG_MAX and the curvature exit, which the benchmark solves
+    (at most 5 products a step) never reach."""
+
+    @staticmethod
+    def counted(apply):
+        calls = []
+
+        def hess(d):
+            calls.append(1)
+            return apply(d)
+        return hess, calls
+
+    def test_stops_at_the_cap_with_a_descent_direction(self):
+        """A diagonal SPD operator with 200 distinct eigenvalues over
+        [1, 1e4] needs far more than CG_MAX products for a residual of
+        1e-12, so the step stops after exactly CG_MAX, at a descent
+        direction."""
+        n = 200
+        spectrum = np.geomspace(1.0, 1.0e4, n)
+        resid = np.random.default_rng(4).normal(size=n)
+        hess, calls = self.counted(lambda d: spectrum * d)
+        s, products = subcritical_solver._truncated_cg(
+            resid, hess, np.ones(n), 1.0e-12 * np.linalg.norm(resid))
+        assert products == len(calls) == subcritical_solver.CG_MAX
+        assert np.linalg.norm(spectrum * s + resid) > \
+            1.0e-12 * np.linalg.norm(resid)
+        assert float(np.dot(s, resid)) < 0.0
+
+    @pytest.mark.parametrize("sign", [-1.0, 0.0])
+    def test_non_positive_curvature_returns_preconditioned_residual(
+            self, sign):
+        """Non-positive curvature on the first product: the iterate would
+        be zero, so the step is -precond r, after one product."""
+        n = 12
+        resid = np.random.default_rng(5).normal(size=n)
+        precond = 1.0 / (1.0 + np.arange(n))
+        hess, calls = self.counted(lambda d: sign * d)
+        s, products = subcritical_solver._truncated_cg(resid, hess, precond,
+                                                       1.0e-12)
+        assert products == len(calls) == 1
+        assert np.array_equal(s, -precond * resid)
+
+
 class TestMinimize:
     def test_regular_case_constants(self, grid64):
         """m = 0: constants solve the equation, J = 0, immediate stop."""

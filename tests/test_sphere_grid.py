@@ -28,6 +28,7 @@ from sol_lab.sphere_grid import (
     synthesis_at_angles,
     synthesis_at_points,
     _legendre_orders,
+    _ring_runs,
     random_band_limited_batch,
 )
 
@@ -364,10 +365,15 @@ class TestOrderLimit:
 
 
 def reference_tables(tr):
-    """Every order's Pbar block and the cos/sin tables of tr's nodes."""
-    m = np.arange(tr.band_limit + 1)[:, None]
-    return (normalized_legendre(tr.band_limit, tr.t),
-            np.cos(m * tr.phi), np.sin(m * tr.phi))
+    """Every order's Pbar block and the cos/sin tables of tr's nodes.  The
+    angle m phi_j is reduced modulo 2 pi in integers, 2 pi ((m j) mod n) /
+    n: the float product m * phi_j is off by about m ulps of phi_j, which
+    at L = 32 moves a synthesis by 1e-14 relative."""
+    n = tr.phi.size
+    m, j = np.arange(tr.band_limit + 1)[:, None], np.arange(n)
+    angle = 2.0 * np.pi * (m * j % n) / n
+    return (normalized_legendre(tr.band_limit, tr.t), np.cos(angle),
+            np.sin(angle))
 
 
 def reference_synthesis(tr, c):
@@ -417,12 +423,30 @@ def mirror_rings(t):
     return reps, solo, mirrors
 
 
+def mirror_longitudes(tr):
+    """(turns, period, reps, pairs, trig) of tr's n uniform longitudes:
+    phi_{n-j} = -phi_j and, for even n, phi_{n/2+j} = phi_j + pi, so the
+    longitudes j < reps stand for every longitude as o + j and (for
+    1 <= j <= pairs) o - j, o = 0 or n/2.  trig is the cos/sin table over
+    them, laid out (part, m, j) as the transform's."""
+    n = tr.phi.size
+    turns = 2 if n % 2 == 0 else 1
+    period = n // turns
+    reps, pairs = period // 2 + 1, (period - 1) // 2
+    trig = np.stack(reference_tables(tr)[1:])[:, :, :reps].copy()
+    return turns, period, reps, pairs, trig
+
+
 def paired_synthesis(tr, c):
     """The paired transform of one field, order by order: the cos and sin
-    rows of each parity in one product with the table's even or odd rows;
-    E + O on a representative ring, E - O on its mirror.  Operands have the
-    transform's memory layouts, since BLAS rounds by layout."""
-    L = tr.band_limit
+    rows of each parity of l - m in one product with the table's even or
+    odd rows, E + O on a representative ring and E - O on its mirror.
+    Then the longitude step: per parity of m one product with the table
+    over the representative longitudes j; the parities' sum and difference
+    are the sums at j and n/2 + j, cos plus sin there, cos minus sin at
+    n - j and n/2 - j.  Operands have the transform's memory layouts,
+    since BLAS rounds by layout."""
+    L, n = tr.band_limit, tr.phi.size
     reps, solo, mirrors = mirror_rings(tr.t)
     plm = normalized_legendre(L, tr.t[reps + solo])
     # a[l, m]: the cos and sin coefficients of (l, m), sqrt 2 folded in
@@ -432,18 +456,31 @@ def paired_synthesis(tr, c):
         a = np.stack([c[:, L:], np.pad(c[:, L - 1::-1], ((0, 0), (1, 0)))],
                      axis=-1)
         a[:, 1:] *= np.sqrt(2.0)
-    n = len(reps)
-    rows = np.zeros(a.shape[1:] + (tr.t.size,))
+    k = len(reps)
+    rows = np.zeros((a.shape[2], a.shape[1], tr.t.size))  # [part, m, ring]
     for m in range(a.shape[1]):
         even = a[m::2, m].T @ plm[m][0::2]
         odd = a[m + 1::2, m].T @ plm[m][1::2]
-        rows[m] = np.concatenate([even + odd, even[:, :n] - odd[:, :n]],
-                                 axis=1)
+        rows[:, m] = np.concatenate([even + odd, even[:, :k] - odd[:, :k]],
+                                    axis=1)
     if c.shape[-1] == 1:
-        values = rows[0].T
+        values = rows[:, 0].T
     else:  # the Fourier step in table order
-        cos_m, sin_m = reference_tables(tr)[1:]
-        values = rows[:, 0].T @ cos_m + rows[:, 1].T @ sin_m
+        turns, period, n_reps, pairs, trig = mirror_longitudes(tr)
+        sums = []
+        for part in (0, 1):
+            by_parity = [rows[part, p::turns].T @ trig[part, p::turns]
+                         for p in range(turns)]
+            sums.append(by_parity if turns == 1 else
+                        [by_parity[0] + by_parity[1],
+                         by_parity[0] - by_parity[1]])
+        values = np.empty((tr.t.size, n))
+        for turn, (cos, sin) in enumerate(zip(*sums)):
+            o = turn * period
+            for j in range(n_reps):
+                values[:, (o + j) % n] = cos[:, j] + sin[:, j]
+            for j in range(1, pairs + 1):
+                values[:, (o - j) % n] = cos[:, j] - sin[:, j]
     out = np.empty_like(values)
     out[reps + solo + mirrors] = values
     return out
@@ -451,27 +488,45 @@ def paired_synthesis(tr, c):
 
 def paired_analysis(tr, values):
     """The paired analysis of one field, order by order: the weighted
-    Fourier sums folded into S = f(t) + f(-t) and D = f(t) - f(-t), which
+    values folded onto the representative longitudes (the adjoint of the
+    synthesis' images), per parity of m one product with the table there,
+    then the sums folded into S = f(t) + f(-t) and D = f(t) - f(-t), which
     the even and odd rows read (a solo ring is its own S and D)."""
-    L = tr.band_limit
+    L, n = tr.band_limit, values.shape[-1]
     reps, solo, mirrors = mirror_rings(tr.t)
     plm = normalized_legendre(L, tr.t[reps + solo])
-    if values.shape[-1] == 1:
-        f = (tr.ring_weights * values)[:, None, :]
-    else:  # f[ring, m]: the cos and sin sums of order m
-        trig = np.concatenate(reference_tables(tr)[1:])
-        f = ((tr.weights * values) @ trig.T).reshape(-1, 2, L + 1)
-        f = np.ascontiguousarray(f.transpose(0, 2, 1))
-    s, d = f[reps + solo], f[reps + solo]
-    s[:len(reps)] += f[mirrors]
+    if n == 1:
+        f = (tr.ring_weights * values)[:, :, None]
+    else:  # f[ring, part, m]: the cos and sin sums of order m
+        turns, period, n_reps, pairs, trig = mirror_longitudes(tr)
+        w = tr.weights * values
+        ahead = [w[:, o:o + n_reps] for o in range(0, n, period)]
+        behind = [w[:, [(o - j) % n for j in range(1, pairs + 1)]]
+                  for o in range(0, n, period)]
+        if turns == 2:
+            ahead = [ahead[0] + ahead[1], ahead[0] - ahead[1]]
+            behind = [behind[0] + behind[1], behind[0] - behind[1]]
+        f = np.empty((tr.t.size, 2, L + 1))
+        for p in range(turns):
+            sin = ahead[p].copy()
+            sin[:, 1:pairs + 1] -= behind[p]
+            cos = ahead[p]
+            cos[:, 1:pairs + 1] += behind[p]
+            f[:, 0, p::turns] = cos @ trig[0, p::turns].T
+            f[:, 1, p::turns] = sin @ trig[1, p::turns].T
+    # S is a fresh array, (ring, m, part), and D the gathered sums,
+    # (ring, part, m), as in the transform
+    s = np.ascontiguousarray(f[reps + solo].transpose(0, 2, 1))
+    d = f[reps + solo]
+    s[:len(reps)] += f[mirrors].transpose(0, 2, 1)
     d[:len(reps)] -= f[mirrors]
-    orders = f.shape[1]
+    orders = f.shape[2]
     out = np.zeros((L + 1, 2 * orders - 1))
     for m in range(orders):
         amp = np.sqrt(2.0) if m > 0 else 1.0
-        part = np.zeros((L + 1 - m, f.shape[-1]))
+        part = np.zeros((L + 1 - m, f.shape[1]))
         part[0::2] = plm[m][0::2] @ s[:, m]
-        part[1::2] = plm[m][1::2] @ d[:, m]
+        part[1::2] = plm[m][1::2] @ d[:, :, m]
         out[m:, orders - 1 + m] = amp * part[:, 0]
         if m > 0:
             out[m:, orders - 1 - m] = amp * part[:, 1]
@@ -648,6 +703,79 @@ class TestRingPairs:
             want = np.array([reference_analysis(tr, v) for v in values])
             assert got.shape == coeffs.shape
             assert max_rel(got, want) <= 1e-14
+
+
+    def test_runs_cover_the_ring_order(self):
+        """A pass writes its table-order rows to ring order by runs of
+        consecutive rings; the runs cover the table order exactly, for the
+        grids and the block (2, 2, 5 runs), no pairs (1) and any order."""
+        orders = [tr._order for tr in pairing_cases().values()]
+        assert [len(_ring_runs(order)) for order in orders] == [2, 2, 5, 1]
+        rng = np.random.default_rng(5)
+        orders += [rng.permutation(50), np.arange(9)[::-1], np.array([0])]
+        for order in orders:
+            rings = np.full(order.size, -1)
+            for table, ring in _ring_runs(order):
+                rings[table] = np.arange(order.size)[ring]
+            assert np.array_equal(rings, order)
+
+
+class TestLongitudePairs:
+    """Uniform longitudes phi_j = 2 pi j / n in mirror pairs: phi_{n-j} =
+    -phi_j, and for even n phi_{n/2+j} = phi_j + pi.  These sizes take n/2
+    odd and even, n odd, and the L = 256 grid's n = 514."""
+
+    @pytest.mark.parametrize("n_phi", [4, 34, 64, 129, 514])
+    def test_images_cover_every_longitude_once(self, n_phi):
+        tr = ProductTransform(8, np.array([0.5]), n_phi)
+        phi = np.arange(n_phi)
+        images = tr._images
+        columns = np.concatenate([phi[s] for image in images for s in image])
+        assert np.array_equal(np.sort(columns), phi)
+        # o + j and o - j: the image of the representative longitude j
+        for o, (ahead, behind) in zip((0, n_phi // 2), images):
+            j = np.arange(phi[ahead].size)
+            assert np.array_equal(phi[ahead], o + j)
+            assert np.array_equal(phi[behind], (o - j[1:phi[behind].size + 1])
+                                  % n_phi)
+
+    @pytest.mark.parametrize("n_phi", [4, 34, 64, 129, 514])
+    def test_matches_unpaired_reference(self, n_phi, rng):
+        """A K = 4 stack on the two-cap block (ring pairs and solo cap
+        rings) synthesizes and analyses as the unpaired per-order transform
+        does, and as its per-field loop, to 1e-14 relative."""
+        block = pairing_cases()["axis"]
+        tr = ProductTransform(block.band_limit, block.t, n_phi,
+                              block.ring_weights)
+        L = tr.band_limit
+        c = rng.normal(size=(4, L + 1, 2 * L + 1))
+        values = tr.synthesis_values(SHCoefficients(c))
+        want = np.array([reference_synthesis(tr, ci) for ci in c])
+        assert values.shape == want.shape == (4, tr.t.size, n_phi)
+        assert max_rel(values, want) <= 1e-14
+        loop = np.array([tr.synthesis_values(SHCoefficients(ci)) for ci in c])
+        assert max_rel(values, loop) <= 1e-14
+        got = tr.analysis_coeffs(values).values
+        want = np.array([reference_analysis(tr, v) for v in values])
+        assert max_rel(got, want) <= 1e-14
+        loop = np.array([tr.analysis_coeffs(v).values for v in values])
+        assert max_rel(got, loop) <= 1e-14
+
+    @pytest.mark.parametrize("n_phi", [4, 34, 64, 129, 514])
+    def test_round_trip_on_gauss_grid(self, n_phi, rng):
+        """Analysis after synthesis returns band-limited coefficients: the
+        33 Gauss rings and n_phi > 2L longitudes integrate every product
+        of two harmonics of degree <= L exactly."""
+        g = build_grid(33, n_phi)
+        L = g.band_limit
+        c = rng.normal(size=(3, L + 1, 2 * L + 1))
+        c[:, np.abs(np.arange(-L, L + 1)) > np.arange(L + 1)[:, None]] = 0.0
+        values = g.transform.synthesis_values(SHCoefficients(c))
+        assert max_rel(g.transform.analysis_coeffs(values).values, c) <= 1e-13
+
+    def test_analysis_rejects_other_longitudes(self, grid16):
+        with pytest.raises(ValueError, match="longitudes"):
+            grid16.transform.analysis_coeffs(np.ones((grid16.n_theta, 33)))
 
 
 class TestDirichletEnergy:
