@@ -420,15 +420,17 @@ def _run_verify_extremal(config, report):
     import numpy as np
     from .closed_forms import ExtremalParams, extremal_u, extremal_weight
     from .mt_functional import FunctionalParams, eval_J
+    from .sphere_grid import sh_analysis
 
     exp = config["experiment"]
     alpha = exp["alpha"]
     grid = _grid_for(config)
     w = extremal_weight(alpha)
     params = FunctionalParams(rho=w.rho_bar, weight=w)
-    J_10 = eval_J(extremal_u(ExtremalParams(alpha=alpha), grid), params)
-    J_lc = eval_J(extremal_u(ExtremalParams(lam=exp["lambda"], c=exp["c"],
-                                            alpha=alpha), grid), params)
+    J_10, J_lc = (eval_J(sh_analysis(extremal_u(p, grid)), grid, params)
+                  for p in (ExtremalParams(alpha=alpha),
+                            ExtremalParams(lam=exp["lambda"], c=exp["c"],
+                                           alpha=alpha)))
     exact = 8.0 * np.pi * (1.0 + alpha) * (np.log1p(alpha) - alpha)
     report["summary"] = {"alpha": alpha, "J_extremal": J_10,
                          "J_shifted": J_lc, "closed_form": exact}
@@ -443,8 +445,9 @@ def _run_verify_extremal(config, report):
 def _run_inequality_sample(config, report):
     import numpy as np
     from .closed_forms import conformal_pullback
-    from .mt_functional import troyanov_gap, troyanov_gap_coeffs
-    from .sphere_grid import ScalarField, batch_size, random_band_limited_batch
+    from .mt_functional import troyanov_gap
+    from .sphere_grid import (ScalarField, batch_size,
+                              random_band_limited_batch, sh_analysis)
 
     exp = config["experiment"]
     w = _build_weight(config)
@@ -456,7 +459,7 @@ def _run_inequality_sample(config, report):
     for start in range(0, n_samples, chunk):
         coeffs = random_band_limited_batch(grid, rng,
                                            min(chunk, n_samples - start))
-        gaps = troyanov_gap_coeffs(coeffs, grid, w, exp["constant"])
+        gaps = troyanov_gap(coeffs, grid, w, exp["constant"])
         for i, gap in enumerate(gaps, start):
             report["records"].append({"sample": i, "gap": float(gap)})
             worst = min(worst, float(gap))
@@ -467,7 +470,8 @@ def _run_inequality_sample(config, report):
         worst_fam = 0.0
         for t in exp["family_dilations"]:
             u = conformal_pullback(ScalarField.constant(grid, 0.0), t, 0.0)
-            gap = troyanov_gap(u, w, exp["constant"])
+            gap = float(troyanov_gap(sh_analysis(u), grid, w,
+                                     exp["constant"]))
             report["records"].append({"dilation": t, "gap": gap})
             worst_fam = max(worst_fam, abs(gap))
         report["summary"]["worst_family_gap"] = worst_fam
@@ -483,13 +487,15 @@ def _solver_config(exp, schedule):
 
 def _solve_from_zero(exp, w, grid):
     """Minimize J at rho_bar - epsilon from u = 0; raises unless converged."""
+    import numpy as np
     from .mt_functional import FunctionalParams
-    from .sphere_grid import ScalarField
+    from .sphere_grid import SHCoefficients
     from .subcritical_solver import NonConvergedError, minimize
 
     params = FunctionalParams(rho=w.rho_bar - exp["epsilon"], weight=w)
-    state = minimize(params, _solver_config(exp, [exp["epsilon"]]),
-                     ScalarField.constant(grid, 0.0), grid)
+    zero = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))  # zonal column
+    state = minimize(params, _solver_config(exp, [exp["epsilon"]]), zero,
+                     grid)
     if not state.converged:
         raise NonConvergedError(
             f"residual {state.residual_norm:.3e} after "

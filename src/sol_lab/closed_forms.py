@@ -38,6 +38,8 @@ from .sphere_grid import (
     _orthonormal_frame,
     geodesic_distance,
     normalized,
+    on_axis,
+    ring_points,
     sh_analysis,
 )
 from .singular_geometry import (
@@ -122,8 +124,9 @@ def extremal_value(params: ExtremalParams, x) -> np.ndarray:
 
 
 def extremal_u(params: ExtremalParams, grid: SphereGrid) -> ScalarField:
-    """u_{lambda,c} sampled on the grid (grid axis aligned with params.axis)."""
-    return ScalarField(extremal_value(params, grid.nodes), grid)
+    """u_{lambda,c} sampled on the grid: one column when the axis is +-e3."""
+    phi = grid.phi[:1] if on_axis(params.axis) else grid.phi
+    return ScalarField(extremal_value(params, ring_points(grid.t, phi)), grid)
 
 
 def extremal_weight(alpha: float, axis=(0.0, 0.0, 1.0)) -> SingularWeight:
@@ -163,7 +166,7 @@ def conformal_pullback(u: ScalarField, t: float, alpha: float,
 
     The dilation maps latitude circles to latitude circles, so the resampling
     is a product-grid synthesis at shifted colatitudes (spectrally exact for
-    band-limited u); a zonal u gives one column, repeated around each ring.
+    band-limited u); a zonal u gives one column.
     """
     axis = normalized(np.asarray(axis, dtype=float))
     if abs(axis[2]) < 1.0 - 1.0e-12:
@@ -339,9 +342,11 @@ def concentration_profile(params: ConcentrationParams):
 
 
 def concentration_field(params: ConcentrationParams, grid: SphereGrid) -> ScalarField:
-    """The two-branch concentration field sampled on the grid."""
+    """The two-branch concentration field sampled on the grid: one column
+    when p is +-e3."""
     profile = concentration_profile(params)
-    d = np.arccos(np.clip(grid.nodes @ params.p, -1.0, 1.0))
+    phi = grid.phi[:1] if on_axis(params.p) else grid.phi
+    d = np.arccos(np.clip(ring_points(grid.t, phi) @ params.p, -1.0, 1.0))
     return ScalarField(profile(d), grid)
 
 

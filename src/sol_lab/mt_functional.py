@@ -51,8 +51,8 @@ import numpy as np
 
 from .sphere_grid import (
     FOUR_PI,
+    LEGENDRE_BUDGET,
     ProductTransform,
-    ScalarField,
     SHCoefficients,
     SphereGrid,
     _degree_weights,
@@ -62,8 +62,6 @@ from .sphere_grid import (
     gauss_legendre,
     geodesic_distance,
     ring_points,
-    sh_analysis,
-    sh_synthesis,
     synthesis_at_angles,
 )
 from .singular_geometry import SingularWeight
@@ -258,24 +256,20 @@ class Density:
 class SingularIntegrator:
     """Composite quadrature for densities h e^u and their SH analysis.
 
-    The build observes the weight once: h is invariant about the grid axis
-    when its singular points lie on the axis and log h on the grid nodes is
-    exactly constant along every ring (true for K == 1 and for a zonal K,
-    false for a point 1e-6 off the pole).  Such a weight keeps log h as one
-    column per block, evaluated on one longitude.  For a zonal column of
-    coefficients J_rho, its gradient and the moments about the axis then
-    live in the m = 0 subspace, and the density computes them there
-    exactly, as one column per block.
+    The build observes the weight once (``_axis_invariant``): an h
+    invariant about the grid axis keeps log h as one column per block,
+    evaluated on one longitude.  For a zonal column of coefficients J_rho,
+    its gradient and the moments about the axis then live in the m = 0
+    subspace, and the density computes them there exactly, as one column
+    per block.
     """
 
     def __init__(self, grid: SphereGrid, weight: SingularWeight):
         self.band_limit = grid.band_limit
         self.weight = weight
         self._validate_caps()
-        invariant = (weight.is_axis_aligned() and not np.ptp(
-            weight.log_weight(grid.nodes), axis=1).any())
         self.blocks, self.log_h = self._build_blocks(
-            grid, grid.phi[:1] if invariant else grid.phi)
+            grid, grid.phi[:1] if _axis_invariant(weight, grid) else grid.phi)
 
     def _validate_caps(self):
         for p, q in itertools.combinations(self.weight.positions, 2):
@@ -383,6 +377,20 @@ class SingularIntegrator:
         return dens.peak
 
 
+def _axis_invariant(weight: SingularWeight, grid: SphereGrid) -> bool:
+    """True when h is invariant about the grid axis: its singular points lie
+    on the axis and log h is exactly constant along every grid ring (true
+    for K == 1 and a zonal K, false for a point 1e-6 off the pole), checked
+    LEGENDRE_BUDGET nodes at a time, never on the whole grid at once."""
+    if not weight.is_axis_aligned():
+        return False
+    rings = max(1, LEGENDRE_BUDGET // grid.n_phi)
+    return not any(
+        np.ptp(weight.log_weight(ring_points(grid.t[i:i + rings], grid.phi)),
+               axis=1).any()
+        for i in range(0, grid.n_theta, rings))
+
+
 def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrator:
     """The grid's integrator for ``weight``, from a per-grid LRU cache of
     INTEGRATOR_CACHE_SIZE integrators.
@@ -405,32 +413,19 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
 # operations
 # ---------------------------------------------------------------------------
 
-def _check_ceiling(u_values: np.ndarray):
-    peak = float(np.max(u_values))
+def eval_J(coeffs: SHCoefficients, grid: SphereGrid,
+           params: FunctionalParams):
+    """J_rho of the field with these coefficients (of each field of a
+    stack), invariant under u -> u + const; raises UnnormalizedBlowupError
+    when max u over the quadrature nodes exceeds DEFAULT_CEILING."""
+    dens = integrator_for(grid, params.weight).density(coeffs)
+    peak = float(np.max(dens.peak))
     if peak > DEFAULT_CEILING:
         raise UnnormalizedBlowupError(
             f"max(u) = {peak:.3g} exceeds the overflow ceiling "
             f"{DEFAULT_CEILING:.3g}; the iterate has blown up beyond what the "
             "evaluation can follow")
-
-
-def exp_integral(u: ScalarField, w: SingularWeight) -> float:
-    """int_{S^2} h e^u with singular-cap corrected quadrature."""
-    return float(np.exp(log_exp_integral(u, w)))
-
-
-def log_exp_integral(u: ScalarField, w: SingularWeight) -> float:
-    _check_ceiling(u.values)
-    coeffs = sh_analysis(u)
-    return integrator_for(u.grid, w).log_exp_integral(coeffs)
-
-
-def eval_J(u: ScalarField, params: FunctionalParams) -> float:
-    """J_rho(u); invariant under u -> u + const."""
-    _check_ceiling(u.values)
-    coeffs = sh_analysis(u)
-    integ = integrator_for(u.grid, params.weight)
-    return eval_J_coeffs(coeffs, integ.density(coeffs), params)
+    return eval_J_coeffs(coeffs, dens, params)
 
 
 def eval_J_coeffs(coeffs: SHCoefficients, dens: Density,
@@ -495,42 +490,11 @@ def residual_coeffs(coeffs: SHCoefficients, params: FunctionalParams,
                             params.rho)
 
 
-def el_residual(u: ScalarField, params: FunctionalParams) -> ScalarField:
-    _check_ceiling(u.values)
-    return sh_synthesis(residual_coeffs(sh_analysis(u), params, u.grid), u.grid)
-
-
-def el_residual_norm(u: ScalarField, params: FunctionalParams) -> float:
-    """L^2 norm of the Euler-Lagrange residual (spectral, by Parseval)."""
-    _check_ceiling(u.values)
-    r = residual_coeffs(sh_analysis(u), params, u.grid)
-    return float(np.sqrt(np.sum(r.values**2)))
-
-
-def gradient_pairing(u: ScalarField, params: FunctionalParams,
-                     v: ScalarField) -> float:
-    """Directional derivative dJ(u)[v] in the discrete setting."""
-    r = residual_coeffs(sh_analysis(u), params, u.grid)
-    dv = sh_analysis(v)
-    if r.values.shape[-1] != dv.values.shape[-1]:  # a zonal column
-        r, dv = r.widened(), dv.widened()
-    return float(np.sum(r.values * dv.values))
-
-
-def troyanov_gap(u: ScalarField, w: SingularWeight, C: float) -> float:
-    """RHS - LHS of the sharp exponential inequality with constant C.
-
-    Equals J_{rho_bar}(u)/rho_bar + C; nonnegative iff the inequality holds
-    at u with this constant.
+def troyanov_gap(coeffs: SHCoefficients, grid: SphereGrid,
+                 w: SingularWeight, C: float):
+    """RHS - LHS of the sharp exponential inequality with constant C, of
+    the field with these coefficients (of each field of a stack): equals
+    J_{rho_bar}(u)/rho_bar + C, nonnegative iff the inequality holds at u.
     """
-    return float(troyanov_gap_coeffs(sh_analysis(u), u.grid, w, C))
-
-
-def troyanov_gap_coeffs(coeffs: SHCoefficients, grid: SphereGrid,
-                        w: SingularWeight, C: float):
-    """``troyanov_gap`` of the field with these coefficients; for a stack
-    of coefficients, the gap of each field (one synthesis per quadrature
-    block for the whole stack)."""
     params = FunctionalParams(rho=w.rho_bar, weight=w)
-    dens = integrator_for(grid, w).density(coeffs)
-    return eval_J_coeffs(coeffs, dens, params) / w.rho_bar + C
+    return eval_J(coeffs, grid, params) / w.rho_bar + C

@@ -7,7 +7,8 @@ sit on the poles, which is where singular weights will be placed later.
 
 Fields live in two equivalent representations:
 
-* ``ScalarField``   -- values on the (n_theta, n_phi) node array;
+* ``ScalarField``   -- values on the (n_theta, n_phi) node array, or one
+                       (n_theta, 1) column for a ring-constant field;
 * ``SHCoefficients``-- real spherical-harmonic coefficients a_{l,m},
                        0 <= l <= L, -l <= m <= l.
 
@@ -104,6 +105,12 @@ def cap_points(center, r: np.ndarray, n_angular: int) -> np.ndarray:
     return (np.sin(rr)[..., None] * (np.cos(pp)[..., None] * e1
                                      + np.sin(pp)[..., None] * e2)
             + np.cos(rr)[..., None] * p)
+
+
+def on_axis(p) -> bool:
+    """True when the unit vector p is +-e3 exactly: a field radial about p
+    is then one column of values, bit for bit."""
+    return p[0] == 0.0 and p[1] == 0.0
 
 
 def ring_points(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -660,8 +667,8 @@ class SphereGrid:
 class ScalarField:
     """Real-valued field sampled on the nodes of a SphereGrid.
 
-    Values of shape (n_theta, 1) are a ring-constant field, one column that
-    is repeated over the longitudes.
+    Values of shape (n_theta, 1) are a ring-constant field, kept as that one
+    column (the one zonality rule of the module docstring).
     """
 
     values: np.ndarray
@@ -669,13 +676,10 @@ class ScalarField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        expected = (self.grid.n_theta, self.grid.n_phi)
-        if self.values.shape == (expected[0], 1):
-            self.values = np.repeat(self.values, expected[1], axis=1)
-        if self.values.shape != expected:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {expected}"
-            )
+        n_theta, n_phi = self.grid.n_theta, self.grid.n_phi
+        if self.values.shape not in ((n_theta, 1), (n_theta, n_phi)):
+            raise ValueError(f"field shape {self.values.shape} does not match "
+                             f"grid {(n_theta, n_phi)} or its column")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite at every node")
 
@@ -686,7 +690,7 @@ class ScalarField:
 
     @classmethod
     def constant(cls, grid: SphereGrid, value: float) -> "ScalarField":
-        return cls(np.full((grid.n_theta, grid.n_phi), float(value)), grid)
+        return cls(np.full((grid.n_theta, 1), float(value)), grid)
 
     @property
     def mean(self) -> float:
@@ -717,23 +721,20 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
 
 
 def integrate(f: ScalarField) -> float:
-    """Quadrature of f over the whole sphere: sum over rings of w_i * mean_i.
+    """Quadrature of f over the whole sphere: sum over rings of w_i * mean_i,
+    each ring's mean taken over the last axis (a column is its own mean).
 
     The ring weights times the ring means are summed with ``math.fsum``
     (compensated, correctly rounded), so with the normalized ring weights the
     constant field 1 integrates to exactly ``FOUR_PI`` on every grid.
     """
-    ring_means = np.sum(f.values, axis=1) / f.grid.n_phi
-    return math.fsum(f.grid.t_weights * ring_means)
+    return math.fsum(f.grid.t_weights * np.mean(f.values, axis=-1))
 
 
 def sh_analysis(f: ScalarField) -> SHCoefficients:
-    """Coefficients of f; a ring-constant f is analysed as one column, into
-    the zonal column (L+1, 1)."""
-    values = f.values
-    if not np.ptp(values, axis=1).any():
-        values = values[:, :1]
-    return f.grid.transform.analysis_coeffs(values)
+    """Coefficients of f, analysed as given: a column into the zonal column
+    (L+1, 1), full-width values into every order."""
+    return f.grid.transform.analysis_coeffs(f.values)
 
 
 def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:

@@ -36,18 +36,19 @@ points on the grid axis has one block (``SingularIntegrator``).
 The logger ``sol_lab.solver`` writes one debug line per outer step and
 one info line per solve.
 
-Axis-symmetric problems are solved in the m = 0 subspace, by the one rule
-of ``sphere_grid``: one-column data is zonal.  A ring-constant initial
-field analyses to a zonal column of coefficients; when the weight is
-invariant about the axis as well (``SingularIntegrator``), J and its
-gradient commute with rotations about the axis, so every residual,
-direction and iterate is that column, every density is one column per
-block and each transform is one (L+1) x n_t product per block, O(L n_t),
-against O(L^2 n_t + L n_t n_phi) for all orders.  The state keeps the
-column, and the final field and the diagnostics' gradients are
-synthesized as one column too.  A zonal start under a weight that is not
-invariant is widened to every order at its first step; any other input
-takes the full path, unchanged.
+The state is the coefficients: a solve starts from coefficients and
+returns them with the grid, and a caller that needs values synthesizes
+them.  Axis-symmetric problems are solved in the m = 0 subspace, by the
+one rule of ``sphere_grid``: one-column data is zonal.  From a zonal
+column of coefficients under a weight invariant about the axis
+(``SingularIntegrator``), J and its gradient commute with rotations about
+the axis, so every residual, direction and iterate is that column, every
+density is one column per block and each transform is one (L+1) x n_t
+product per block, O(L n_t), against O(L^2 n_t + L n_t n_phi) for all
+orders.  The diagnostics read such a state on one longitude: its peak,
+far field and gradients are one column of values.  A zonal start under a
+weight that is not invariant is widened to every order at its first
+step; any other input takes the full path, unchanged.
 
 As eps decreases with a singular weight of negative minimal order, the
 minimizers concentrate: lambda_eps = max u grows, the concentration scale
@@ -55,14 +56,14 @@ t_eps = exp(-lambda_eps/(2(1+alpha))) shrinks, the rescaled profile
 collapses onto the planar bubble, and the mass rho_eps h e^u concentrates
 at the minimal-order point while u - mean(u) approaches rho_bar G_p away
 from it.  ``diagnose`` measures all of this; ``epsilon_sweep`` drives a
-warm-started schedule and Richardson-extrapolates the functional values.
+schedule, each entry started from the previous one's coefficients, and
+Richardson-extrapolates the functional values.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -76,8 +77,9 @@ from .sphere_grid import (
     gradient_at_angles,
     gradient_magnitude,
     integrate,
+    on_axis,
+    ring_points,
     sh_analysis,
-    sh_synthesis,
     synthesis_at_points,
 )
 from .singular_geometry import SingularWeight, green_radial
@@ -131,8 +133,8 @@ class SolverConfig:
 
 @dataclass
 class MinimizerState:
-    u: ScalarField
     coeffs: SHCoefficients
+    grid: SphereGrid
     params: FunctionalParams
     epsilon: float
     J: float
@@ -175,9 +177,10 @@ def _truncated_cg(resid: np.ndarray, hess, precond: np.ndarray,
 
 
 def minimize(params: FunctionalParams, config: SolverConfig,
-             init: ScalarField, grid: Optional[SphereGrid] = None) -> MinimizerState:
+             init: SHCoefficients, grid: SphereGrid) -> MinimizerState:
     """Minimize J_rho by inexact Newton (truncated PCG on the exact discrete
-    Hessian, backtracking on J); returns a normalized state.
+    Hessian, backtracking on J) from the coefficients ``init``; returns a
+    normalized state.
 
     ``iterations`` counts outer (Newton) steps; each trace record holds
     the step's J, residual and peak lambda at its start, and the step
@@ -189,8 +192,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
             f"rho = {params.rho:.6g} exceeds the critical value "
             f"{params.weight.rho_bar:.6g}; supercritical minimization is "
             "out of scope")
-    grid = grid or init.grid
-    a = sh_analysis(init)
+    a = init
     integ = integrator_for(grid, params.weight)
     precond = np.zeros((grid.band_limit + 1, 1))  # inverse Laplacian, l >= 1
     precond[1:, 0] = 1.0 / _degree_weights(grid.band_limit)[1:]
@@ -255,7 +257,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
              "J=%.15g |r|=%.3e", params.rho,
              "converged" if converged else "not converged", iterations,
              sum(rec["cg_iterations"] for rec in trace), J, rnorm)
-    return MinimizerState(u=sh_synthesis(a, grid), coeffs=a, params=params,
+    return MinimizerState(coeffs=a, grid=grid, params=params,
                           epsilon=params.weight.rho_bar - params.rho,
                           J=J, residual_norm=rnorm, iterations=iterations,
                           converged=converged, trace=trace)
@@ -268,9 +270,10 @@ def minimize(params: FunctionalParams, config: SolverConfig,
 def cap_density_integral(state: MinimizerState, center: np.ndarray,
                          radius: float, n_radial: int | None = None,
                          n_angular: int = 32) -> float:
-    """int_{B_radius(center)} h e^u by polar quadrature (u normalized)."""
+    """int_{B_radius(center)} h e^u by polar quadrature (u normalized); a
+    zonal state about a centre on the axis is synthesized on one bearing."""
     w = state.params.weight
-    grid = state.u.grid
+    grid = state.grid
     if radius >= np.pi - 0.2:
         raise ValueError("cap radius too large for the polar rule")
     alpha_c = w.beta(center)
@@ -280,7 +283,8 @@ def cap_density_integral(state: MinimizerState, center: np.ndarray,
     own = [i for i, sp in enumerate(w.points)
            if geodesic_distance(sp.position, center) < 1.0e-12]
     log_h = w.log_weight(pts, cap=(own[0] if own else None, r[:, None]))
-    u_vals = synthesis_at_points(state.coeffs, pts)
+    zonal = state.coeffs.values.shape[-1] == 1 and on_axis(center)
+    u_vals = synthesis_at_points(state.coeffs, pts[:, :1] if zonal else pts)
     wgt = (wr * 2.0 * np.pi / n_angular)[:, None]
     return float(np.sum(wgt * np.exp(log_h + u_vals)))
 
@@ -310,15 +314,17 @@ def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid) -> np.ndar
 def diagnose(state: MinimizerState, w: SingularWeight,
              profile_R: float = 5.0, farfield_delta: float = 1.0,
              cap_radii: tuple = ()) -> BlowupDiagnostics:
-    """Populate the concentration diagnostics of a converged state."""
-    grid = state.u.grid
+    """Populate the concentration diagnostics of a converged state, from
+    its grid values: one column, on the first longitude, when zonal."""
+    grid = state.grid
     alpha = w.alpha
 
     # peak over grid nodes and the singular points themselves
-    vals = state.u.values
+    vals = grid.transform.synthesis_values(state.coeffs)
+    nodes = ring_points(grid.t, grid.phi[:vals.shape[-1]])
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     lam = float(vals[idx])
-    p_eps = grid.nodes[idx]
+    p_eps = nodes[idx]
     for sp in w.minimal_points():
         v = float(synthesis_at_points(state.coeffs, sp.position)[0])
         if v > lam:
@@ -357,8 +363,12 @@ def diagnose(state: MinimizerState, w: SingularWeight,
         bubble = planar_bubble(radii / t_eps, c_p, alpha)[:, None]
         profile_err = float(np.max(np.abs(u_vals - lam - bubble)))
 
-    # far field against the Green's function of the concentration point
-    d = np.arccos(np.clip(grid.nodes @ center, -1.0, 1.0))
+    # far field against the Green's function of the concentration point;
+    # about a centre off the axis, a zonal state needs every longitude
+    if not on_axis(center):
+        nodes = grid.nodes
+        vals = np.broadcast_to(vals, nodes.shape[:-1])
+    d = np.arccos(np.clip(nodes @ center, -1.0, 1.0))
     mask = d >= farfield_delta
     gvals = green_radial(d[mask])
     ubar = state.coeffs.mean
@@ -462,11 +472,12 @@ def richardson_extrapolate(eps: np.ndarray, J: np.ndarray):
 
 def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
                   config: SolverConfig) -> SweepReport:
-    """Warm-started minimization along the epsilon schedule."""
+    """Minimization along the epsilon schedule, each entry warm-started
+    from the previous state's coefficients."""
     rho_bar = weight.rho_bar
     entries = []
     states = []
-    current: ScalarField | None = None
+    current: SHCoefficients | None = None
     for eps in config.epsilon_schedule:
         if eps >= rho_bar:
             raise ValueError(f"epsilon {eps} is not below rho_bar {rho_bar}")
@@ -476,9 +487,9 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
                 p0 = weight.minimal_points()[0].position
                 tf = ConcentrationParams(epsilon=config.init_epsilon,
                                          weight=weight, p=p0)
-                current = concentration_field(tf, grid)
+                current = sh_analysis(concentration_field(tf, grid))
             else:
-                current = ScalarField.constant(grid, 0.0)
+                current = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
         state = minimize(params, config, current, grid)
         if not state.converged:
             raise NonConvergedError(
@@ -491,7 +502,7 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
                                   iterations=state.iterations,
                                   diagnostics=diag))
         states.append(state)
-        current = state.u
+        current = state.coeffs
     eps_arr = np.array([e.epsilon for e in entries])
     J_arr = np.array([e.J for e in entries])
     if len(entries) >= 3:
@@ -515,7 +526,7 @@ def gradient_singularity_exponent(state: MinimizerState, p_i,
     too coarse for the annulus to exist.  The reported bound is the
     gradient-growth exponent min(2 alpha_i + 1, 0).
     """
-    grid = state.u.grid
+    grid = state.grid
     p_i = np.asarray(p_i, dtype=float)
     alpha_i = state.params.weight.beta(p_i)
     if alpha_i >= 0.0:

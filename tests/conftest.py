@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 # random_band_limited is re-exported for "from conftest import random_band_limited"
-from sol_lab.sphere_grid import build_grid, random_band_limited  # noqa: F401
+from sol_lab.sphere_grid import (SHCoefficients, build_grid,  # noqa: F401
+                                 random_band_limited)
+
+
+def zero(grid):
+    """The zero field on the grid as a zonal column of coefficients, the
+    start of a solve from u = 0."""
+    return SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
 
 
 @pytest.fixture(scope="session")

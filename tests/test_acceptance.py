@@ -30,7 +30,7 @@ from sol_lab.identity_checks import (
 from sol_lab.mt_functional import (
     FunctionalParams,
     eval_J,
-    gradient_pairing,
+    residual_coeffs,
     troyanov_gap,
 )
 from sol_lab.singular_geometry import REGULAR_PART, SingularWeight
@@ -44,7 +44,7 @@ from sol_lab.sphere_grid import (
 )
 from sol_lab.subcritical_solver import SolverConfig, epsilon_sweep, minimize
 
-from conftest import random_band_limited
+from conftest import random_band_limited, zero
 
 NORTH = (0.0, 0.0, 1.0)
 SOUTH = (0.0, 0.0, -1.0)
@@ -73,11 +73,12 @@ def test_criterion_1_onofri_baseline(grid64):
     worst = np.inf
     for _ in range(20):
         u = random_band_limited(grid64, rng)
-        worst = min(worst, troyanov_gap(u, w, 0.0))
+        worst = min(worst, troyanov_gap(sh_analysis(u), grid64, w, 0.0))
     worst_family = 0.0
     for t in (1.0, 2.0, 4.0):
         u = conformal_pullback(ScalarField.constant(grid64, 0.0), t, 0.0)
-        worst_family = max(worst_family, abs(troyanov_gap(u, w, 0.0)))
+        worst_family = max(worst_family, abs(
+            troyanov_gap(sh_analysis(u), grid64, w, 0.0)))
     elapsed = time.monotonic() - t0
     ok = worst >= -1e-6 and worst_family < 1e-5 and elapsed < 30.0
     # the family gap is a rounding residual (~6e-15): print the gate, not
@@ -94,12 +95,14 @@ def test_criterion_2_attained_minimum(grid128):
         w = extremal_weight(alpha)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         exact = 8.0 * np.pi * (1 + alpha) * (np.log1p(alpha) - alpha)
-        J10 = eval_J(extremal_u(ExtremalParams(alpha=alpha), grid128), params)
+        def J_of(extremal):
+            return eval_J(sh_analysis(extremal_u(extremal, grid128)), grid128,
+                          params)
+
+        J10 = J_of(ExtremalParams(alpha=alpha))
         rel = abs(J10 - exact) / abs(exact)
-        inv = max(
-            abs(eval_J(extremal_u(ExtremalParams(lam=lam, c=c, alpha=alpha),
-                                  grid128), params) - J10)
-            for lam, c in ((2.0, 3.0), (0.5, -1.0)))
+        inv = max(abs(J_of(ExtremalParams(lam=lam, c=c, alpha=alpha)) - J10)
+                  for lam, c in ((2.0, 3.0), (0.5, -1.0)))
         ok = ok and rel < 0.005 and inv < 1e-3
         lines.append(f"alpha={alpha}: rel {rel:.2e} < 0.5%, "
                      f"invariance {inv:.2e} < 1e-3")
@@ -175,7 +178,7 @@ def test_criterion_6_kazdan_warner(grid128):
     cfg = SolverConfig(epsilon_schedule=(0.3,), max_iterations=4000,
                        init="zero")
     params = FunctionalParams(rho=w2.rho_bar - 0.3, weight=w2)
-    st = minimize(params, cfg, ScalarField.constant(grid128, 0.0), grid128)
+    st = minimize(params, cfg, zero(grid128), grid128)
     assert st.converged
     r2 = abs(kazdan_warner_residual(st.coeffs, grid128, params.rho,
                                     w2).poho_residual)
@@ -183,7 +186,7 @@ def test_criterion_6_kazdan_warner(grid128):
     # mixed antipodal regime: distinct orders, negative minimum
     w3 = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
     params3 = FunctionalParams(rho=w3.rho_bar - 0.3, weight=w3)
-    st3 = minimize(params3, cfg, ScalarField.constant(grid128, 0.0), grid128)
+    st3 = minimize(params3, cfg, zero(grid128), grid128)
     assert st3.converged
     r3 = abs(kazdan_warner_residual(st3.coeffs, grid128, params3.rho,
                                     w3).poho_residual)
@@ -241,9 +244,11 @@ def test_criterion_9_numerical_hygiene(grid64):
     for _ in range(5):
         v = random_band_limited(grid64, rng, amplitude=1.0)
         step = 1e-5
-        fd = (eval_J(u + v * step, params)
-              - eval_J(u - v * step, params)) / (2 * step)
-        pairing = gradient_pairing(u, params, v)
+        fd = (eval_J(sh_analysis(u + v * step), grid64, params)
+              - eval_J(sh_analysis(u - v * step), grid64, params)) / (2 * step)
+        pairing = float(np.sum(
+            residual_coeffs(sh_analysis(u), params, grid64).values
+            * sh_analysis(v).values))
         worst_grad = max(worst_grad, abs(fd - pairing) / abs(pairing))
     # transform round trip
     f = random_band_limited(grid64, rng)

@@ -182,18 +182,19 @@ class TestRun:
         assert transform_counts["synthesis"] == 3 * 2
         assert transform_counts["analysis"] == 0
         rng = np.random.default_rng(5)
-        want = [troyanov_gap(sphere_grid.random_band_limited(g, rng), w, 0.0)
-                for _ in range(20)]
+        want = [troyanov_gap(sphere_grid.sh_analysis(
+            sphere_grid.random_band_limited(g, rng)), g, w, 0.0)
+            for _ in range(20)]
         got = [r["gap"] for r in report["records"]]
         assert [r["sample"] for r in report["records"]] == list(range(20))
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
-    def test_kw_check_analyses_the_grid_once(self, monkeypatch,
-                                             transform_counts):
-        """A kw-check solve analyses grid values once, the zero start:
-        the identity reads the solver's coefficients, and every other
-        analysis is a density projection or a Hessian product on the one
-        axis block."""
+    def test_kw_check_analyses_no_grid_values(self, monkeypatch,
+                                              transform_counts):
+        """A kw-check solve analyses no grid values: it starts from a zero
+        column of coefficients, the identity reads the solver's
+        coefficients, and every analysis is a density projection or a
+        Hessian product on the one axis block."""
         from sol_lab import subcritical_solver
         from sol_lab.mt_functional import SingularIntegrator
 
@@ -220,7 +221,7 @@ class TestRun:
         assert report["summary"]["moment"] != 0.0
         assert set(projections) == set(products) == {1}
         assert transform_counts["analysis"] == \
-            len(projections) + len(products) + 1
+            len(projections) + len(products)
 
     def test_seed_changes_samples(self):
         base = dict(experiment={"kind": "inequality-sample", "samples": 2},

@@ -16,7 +16,7 @@ from sol_lab.mt_functional import (FunctionalParams, SingularIntegrator,
 from sol_lab.singular_geometry import SingularWeight
 from sol_lab.sphere_grid import ScalarField, sh_analysis
 
-from conftest import random_band_limited
+from conftest import random_band_limited, zero
 
 NORTH = (0.0, 0.0, 1.0)
 SOUTH = (0.0, 0.0, -1.0)
@@ -97,7 +97,7 @@ class TestBlowupInfimumPipeline:
         rep = sphere_sharp_constant(alpha, alpha, antipodal=True)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
-        assert abs(eval_J(u, params) - rep.inf_J) < 1e-3
+        assert abs(eval_J(sh_analysis(u), grid128, params) - rep.inf_J) < 1e-3
 
     def test_smooth_factor_enters(self, grid64):
         """K with a maximum at the minimal-order point shifts C by log K."""
@@ -149,7 +149,7 @@ class TestKazdanWarner:
         """The moment read from the density projection equals the
         composite quadrature of h e^u x3 over int h e^u."""
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, 0.5)])
-        u = (ScalarField.from_function(grid64, lambda x: 0.7 * x[..., 2] ** 3)
+        u = (ScalarField(0.7 * grid64.t[:, None] ** 3, grid64)  # one column
              if zonal else random_band_limited(grid64, rng, amplitude=1.0))
         integ = integrator_for(grid64, w)
         dens = integ.density(sh_analysis(u))
@@ -169,8 +169,7 @@ class TestKazdanWarner:
         params = FunctionalParams(rho=w.rho_bar - eps, weight=w)
         cfg = SolverConfig(epsilon_schedule=(eps,), max_iterations=3000,
                            init="zero")
-        state = minimize(params, cfg, ScalarField.constant(grid128, 0.0),
-                         grid128)
+        state = minimize(params, cfg, zero(grid128), grid128)
         assert state.converged
         rep = kazdan_warner_residual(state.coeffs, grid128, params.rho, w)
         assert abs(rep.poho_residual) < 1e-3
@@ -188,8 +187,7 @@ class TestKazdanWarner:
         params = FunctionalParams(rho=w.rho_bar - eps, weight=w)
         cfg = SolverConfig(epsilon_schedule=(eps,), max_iterations=3000,
                            init="zero")
-        state = minimize(params, cfg, ScalarField.constant(grid128, 0.0),
-                         grid128)
+        state = minimize(params, cfg, zero(grid128), grid128)
         assert state.converged
         rep = kazdan_warner_residual(state.coeffs, grid128, params.rho, w)
         assert abs(rep.poho_residual) < 1e-3

@@ -19,11 +19,7 @@ from sol_lab.mt_functional import (
     cap_radial_nodes,
     cap_radial_rule,
     density_residual,
-    el_residual,
-    el_residual_norm,
     eval_J,
-    exp_integral,
-    gradient_pairing,
     hessian_product,
     integrator_for,
     residual_coeffs,
@@ -41,7 +37,7 @@ from sol_lab.sphere_grid import (
     sh_synthesis,
 )
 
-from conftest import random_band_limited
+from conftest import random_band_limited, zero
 
 NORTH = (0.0, 0.0, 1.0)
 SOUTH = (0.0, 0.0, -1.0)
@@ -49,6 +45,17 @@ SOUTH = (0.0, 0.0, -1.0)
 
 def single_weight(alpha):
     return SingularWeight.from_orders([(NORTH, alpha)])
+
+
+def exp_integral(coeffs, grid, w):
+    """int h e^u of the field with these coefficients."""
+    return float(np.exp(integrator_for(grid, w).log_exp_integral(coeffs)))
+
+
+def residual_field(coeffs, params, grid):
+    """The Euler-Lagrange residual of the field with these coefficients,
+    synthesized on the grid."""
+    return sh_synthesis(residual_coeffs(coeffs, params, grid), grid)
 
 
 def full_path_coeffs(grid):
@@ -60,21 +67,18 @@ def full_path_coeffs(grid):
 
 class TestExpIntegral:
     def test_smooth_case(self, grid64):
-        u0 = ScalarField.constant(grid64, 0.0)
-        assert exp_integral(u0, SingularWeight()) == pytest.approx(
-            FOUR_PI, rel=1e-12)
+        val = exp_integral(zero(grid64), grid64, SingularWeight())
+        assert val == pytest.approx(FOUR_PI, rel=1e-12)
 
     def test_half_order_analytic(self, grid64):
         # int (e/2)^(-1/2) (1 - x3)^(-1/2) dv = 8 pi / sqrt(e)
-        u0 = ScalarField.constant(grid64, 0.0)
-        val = exp_integral(u0, single_weight(-0.5))
+        val = exp_integral(zero(grid64), grid64, single_weight(-0.5))
         assert val == pytest.approx(8.0 * np.pi / np.sqrt(np.e), rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [-0.9, -0.75, -0.25, 0.5, 2.0])
     def test_one_dimensional_oracle(self, grid64, alpha):
         # analytic: 2 pi (e/2)^a int (1-t)^a dt = 2 pi (e/2)^a 2^(1+a)/(1+a)
-        u0 = ScalarField.constant(grid64, 0.0)
-        val = exp_integral(u0, single_weight(alpha))
+        val = exp_integral(zero(grid64), grid64, single_weight(alpha))
         exact = 2.0 * np.pi * (np.e / 2.0) ** alpha * 2.0 ** (1 + alpha) \
             / (1.0 + alpha)
         assert val == pytest.approx(exact, rel=1e-6)
@@ -85,22 +89,25 @@ class TestExpIntegral:
         w = extremal_weight(alpha)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         exact = 4.0 * np.exp(2 * alpha) * np.pi / (1.0 + alpha)
-        assert exp_integral(u, w) == pytest.approx(exact, rel=1e-3)
+        assert exp_integral(sh_analysis(u), grid128, w) == pytest.approx(
+            exact, rel=1e-3)
 
     def test_nonconstant_field_oracle(self, grid64):
         # zonal integrand: h e^{x3} against adaptive 1-d quadrature
         alpha = -0.5
         w = single_weight(alpha)
-        u = ScalarField.from_function(grid64, lambda x: x[..., 2])
+        u = ScalarField(grid64.t[:, None], grid64)  # x3, one column
         oracle, _ = quad(
             lambda t: 2.0 * np.pi * (np.e / 2.0) ** alpha
             * (1.0 - t) ** alpha * np.exp(t), -1.0, 1.0, limit=200)
-        assert exp_integral(u, w) == pytest.approx(oracle, rel=1e-6)
+        assert exp_integral(sh_analysis(u), grid64, w) == pytest.approx(
+            oracle, rel=1e-6)
 
     def test_overflow_guard(self, grid64):
-        u = ScalarField.constant(grid64, 800.0)
+        c = zero(grid64).shifted(800.0)
+        params = FunctionalParams(rho=8.0 * np.pi, weight=SingularWeight())
         with pytest.raises(UnnormalizedBlowupError):
-            exp_integral(u, SingularWeight())
+            eval_J(c, grid64, params)
 
     def test_cap_rule_convergence(self):
         """The radial cap rule against the closed form
@@ -152,33 +159,34 @@ class TestExpIntegral:
         The smooth-cutoff fallback is grid-resolution limited; its measured
         accuracy is ~3e-6 at L = 128.
         """
-        u0 = ScalarField.constant(grid128, 0.0)
-        axis_val = exp_integral(u0, single_weight(-0.5))
+        u0 = zero(grid128)
+        axis_val = exp_integral(u0, grid128, single_weight(-0.5))
         q = rng.normal(size=3)
         q /= np.linalg.norm(q)
-        off_val = exp_integral(u0, SingularWeight.from_orders([(q, -0.5)]))
+        off_val = exp_integral(u0, grid128,
+                               SingularWeight.from_orders([(q, -0.5)]))
         assert off_val == pytest.approx(axis_val, rel=1e-4)
 
     def test_caps_must_be_disjoint(self, grid64):
         w = SingularWeight.from_orders([(NORTH, -0.5),
                                         ((np.sin(0.15), 0, np.cos(0.15)), 0.5)])
-        u0 = ScalarField.constant(grid64, 0.0)
         with pytest.raises(ValueError):
-            exp_integral(u0, w)
+            exp_integral(zero(grid64), grid64, w)
 
 
 class TestEvalJ:
     def test_zero_at_zero(self, grid64):
         params = FunctionalParams(rho=8.0 * np.pi, weight=SingularWeight())
-        assert abs(eval_J(ScalarField.constant(grid64, 0.0), params)) < 1e-12
+        assert abs(eval_J(zero(grid64), grid64, params)) < 1e-12
 
     def test_constant_invariance(self, grid64, rng):
         w = SingularWeight.from_orders([(NORTH, -0.5), (SOUTH, 0.25)])
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = random_band_limited(grid64, rng)
-        base = eval_J(u, params)
+        base = eval_J(sh_analysis(u), grid64, params)
         for c in (-10.0, -1.0, 0.3, 10.0):
-            assert abs(eval_J(u + c, params) - base) < 1e-9
+            J = eval_J(sh_analysis(u + c), grid64, params)
+            assert abs(J - base) < 1e-9
 
     def test_extremal_value(self, grid128):
         alpha = -0.5
@@ -186,7 +194,8 @@ class TestEvalJ:
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         exact = 8.0 * np.pi * (1 + alpha) * (np.log1p(alpha) - alpha)
-        assert eval_J(u, params) == pytest.approx(exact, rel=5e-3)
+        assert eval_J(sh_analysis(u), grid128, params) == pytest.approx(
+            exact, rel=5e-3)
         assert exact == pytest.approx(4.0 * np.pi * (0.5 - np.log(2.0)))
 
 
@@ -194,16 +203,19 @@ class TestElResidual:
     def test_constants_solve_regular_equation(self, grid16, grid64):
         params = FunctionalParams(rho=8.0 * np.pi - 1.0,
                                   weight=SingularWeight())
-        r = el_residual(ScalarField.constant(grid16, 0.4), params)
+        r = residual_field(sh_analysis(ScalarField.constant(grid16, 0.4)),
+                           params, grid16)
         assert np.abs(r.values).max() < 1e-10
         # roundoff grows ~ L^3 through the l(l+1) factor; stays tiny at L = 64
-        r64 = el_residual(ScalarField.constant(grid64, 0.4), params)
+        r64 = residual_field(sh_analysis(ScalarField.constant(grid64, 0.4)),
+                             params, grid64)
         assert np.abs(r64.values).max() < 1e-9
 
     def test_zero_mean(self, grid64, rng):
         w = single_weight(-0.5)
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        r = el_residual(random_band_limited(grid64, rng), params)
+        r = residual_field(sh_analysis(random_band_limited(grid64, rng)),
+                           params, grid64)
         assert abs(r.mean) < 1e-8
 
     @pytest.mark.xfail(
@@ -226,10 +238,11 @@ class TestElResidual:
         w = single_weight(-0.5)
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         u = random_band_limited(grid64, rng)
-        r = el_residual(u, params)
+        a = sh_analysis(u)
+        r = residual_field(a, params, grid64)
         by_quadrature = np.sqrt(integrate(ScalarField(r.values**2, grid64)))
-        assert el_residual_norm(u, params) == pytest.approx(by_quadrature,
-                                                            rel=1e-9)
+        norm = np.sqrt(np.sum(residual_coeffs(a, params, grid64).values**2))
+        assert norm == pytest.approx(by_quadrature, rel=1e-9)
 
     @pytest.mark.parametrize("case", ["smooth", "axis", "off-axis",
                                       "zonal-u"])
@@ -252,13 +265,17 @@ class TestElResidual:
         u = random_band_limited(grid64, rng)
         if case == "zonal-u":  # the ring means: the m = 0 part of u
             u = ScalarField(u.values.mean(axis=1, keepdims=True), grid64)
-            assert sh_analysis(u).values.shape[-1] == 1
+        c = sh_analysis(u)
+        assert (c.values.shape[-1] == 1) == (case == "zonal-u")
+        a = c.widened().values
+        r = residual_coeffs(c, params, grid64).widened()
         step = 1e-5
         for _ in range(5):
-            v = random_band_limited(grid64, rng, amplitude=1.0)
-            fd = (eval_J(u + v * step, params)
-                  - eval_J(u - v * step, params)) / (2.0 * step)
-            pairing = gradient_pairing(u, params, v)
+            v = sh_analysis(random_band_limited(grid64, rng, amplitude=1.0))
+            fd = (eval_J(SHCoefficients(a + step * v.values), grid64, params)
+                  - eval_J(SHCoefficients(a - step * v.values), grid64, params)
+                  ) / (2.0 * step)
+            pairing = np.sum(r.values * v.values)
             assert fd == pytest.approx(pairing, rel=1e-5)
 
     @pytest.mark.parametrize("case", ["zonal", "full", "off-axis"])
@@ -309,7 +326,7 @@ class TestTroyanovGap:
         worst = np.inf
         for _ in range(20):
             u = random_band_limited(grid64, rng)
-            worst = min(worst, troyanov_gap(u, w, 0.0))
+            worst = min(worst, troyanov_gap(sh_analysis(u), grid64, w, 0.0))
         assert worst >= -1e-6
 
     def test_conformal_family_equality(self, grid64):
@@ -317,7 +334,7 @@ class TestTroyanovGap:
         w = SingularWeight()
         for t in (1.0, 2.0, 4.0):
             u = conformal_pullback(ScalarField.constant(grid64, 0.0), t, 0.0)
-            assert abs(troyanov_gap(u, w, 0.0)) < 1e-6
+            assert abs(troyanov_gap(sh_analysis(u), grid64, w, 0.0)) < 1e-6
 
     def test_attained_constant_antipodal(self, grid128):
         alpha = -0.5
@@ -325,15 +342,15 @@ class TestTroyanovGap:
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         C = alpha - np.log1p(alpha)
         assert C == pytest.approx(-0.5 + np.log(2.0))
-        assert abs(troyanov_gap(u, w, C)) < 1e-3
+        assert abs(troyanov_gap(sh_analysis(u), grid128, w, C)) < 1e-3
 
     def test_matches_functional(self, grid64, rng):
         w = single_weight(-0.5)
         u = random_band_limited(grid64, rng)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
-        gap = troyanov_gap(u, w, 0.7)
-        assert gap == pytest.approx(eval_J(u, params) / w.rho_bar + 0.7,
-                                    rel=1e-10)
+        gap = troyanov_gap(sh_analysis(u), grid64, w, 0.7)
+        J = eval_J(sh_analysis(u), grid64, params)
+        assert gap == pytest.approx(J / w.rho_bar + 0.7, rel=1e-10)
 
 
 class TestDensityStack:
@@ -399,8 +416,8 @@ class TestIntegratorExactness:
         """No singularities: composite rule reduces to the plain grid."""
         u = random_band_limited(grid64, rng, amplitude=1.0)
         by_grid = integrate(ScalarField(np.exp(u.values), grid64))
-        assert exp_integral(u, SingularWeight()) == pytest.approx(
-            by_grid, rel=1e-13)
+        assert exp_integral(sh_analysis(u), grid64, SingularWeight()) == \
+            pytest.approx(by_grid, rel=1e-13)
 
 
 class TestIntegratorCache:
@@ -420,28 +437,42 @@ class TestIntegratorCache:
 
     def test_zonality_decided_once_per_weight(self, monkeypatch):
         """One integrator serves zonal and non-zonal fields; its build
-        evaluates log h on the grid nodes once, however often it is asked
-        for.  Zonal fields get one-column densities."""
+        decides axis invariance once, however often it is asked for, and
+        reaches the decision of log h over the whole grid at once: the
+        weight on the axis with log h exactly constant along every ring.
+        Zonal fields under an invariant weight get one-column densities."""
         grid = build_grid(17, 34)
-        nodes = grid.nodes
-        on_nodes = []
-        log_weight = SingularWeight.log_weight
+        decided = []
+        decide = mt_functional._axis_invariant
 
-        def recorded(self, x, *args, **kwargs):
-            if np.shape(x) == nodes.shape and np.array_equal(x, nodes):
-                on_nodes.append(self)
-            return log_weight(self, x, *args, **kwargs)
+        def recorded(weight, *args):
+            decided.append(weight)
+            return decide(weight, *args)
 
-        monkeypatch.setattr(SingularWeight, "log_weight", recorded)
+        monkeypatch.setattr(mt_functional, "_axis_invariant", recorded)
         zonal = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
-        weights = [single_weight(-0.5), single_weight(-0.25)]
-        for w in weights:
+        cases = {  # weight -> today's decision
+            single_weight(-0.5): True,  # K = 1 on the axis
+            single_weight(-0.25): True,
+            SingularWeight.from_orders(  # a zonal K
+                [(NORTH, -0.5)], K=lambda x: 1.0 + 0.1 * x[..., 2]): True,
+            SingularWeight.from_orders([((1.0e-6, 0.0, 1.0), -0.5)]): False,
+            SingularWeight.from_orders(  # a non-zonal K
+                [(NORTH, -0.5)], K=lambda x: 1.0 + 0.1 * x[..., 0]): False,
+            SingularWeight.from_orders(  # both poles
+                [(NORTH, -0.5), (SOUTH, -0.25)]): True,
+        }
+        for w, invariant in cases.items():
+            whole_grid = (w.is_axis_aligned() and not np.ptp(
+                w.log_weight(grid.nodes), axis=1).any())
+            assert whole_grid == invariant
             first = integrator_for(grid, w)
+            assert (first.log_h[-1].shape[-1] == 1) == invariant
             for c in (zonal, full_path_coeffs(grid), zonal):
                 assert integrator_for(grid, w) is first
                 widths = {d.shape[-1] for d in first.density(c).values}
-                assert widths == ({1} if c is zonal else {grid.n_phi})
-        assert on_nodes == weights
+                assert (widths == {1}) == (c is zonal and invariant)
+        assert decided == list(cases)
 
     def test_cache_is_lru(self):
         """k + 1 distinct weights keep k entries; a hit becomes most recent."""

@@ -1,5 +1,7 @@
 """Subcritical minimization, diagnostics, sweeps, gradient exponents."""
 
+import dataclasses
+import itertools
 import logging
 
 import numpy as np
@@ -13,9 +15,7 @@ from sol_lab.mt_functional import (
     UnnormalizedBlowupError,
     eval_J,
     eval_J_coeffs,
-    exp_integral,
     integrator_for,
-    log_exp_integral,
     troyanov_gap,
 )
 from sol_lab.identity_checks import kazdan_warner_residual
@@ -26,7 +26,6 @@ from sol_lab.sphere_grid import (
     build_grid,
     dirichlet_energy,
     sh_analysis,
-    sh_synthesis,
 )
 from sol_lab.subcritical_solver import (
     InsufficientAnnulusError,
@@ -40,7 +39,7 @@ from sol_lab.subcritical_solver import (
     richardson_extrapolate,
 )
 
-from conftest import random_band_limited
+from conftest import random_band_limited, zero
 
 NORTH = (0.0, 0.0, 1.0)
 SOUTH = (0.0, 0.0, -1.0)
@@ -63,9 +62,9 @@ def on_zonal_path(grid):
     return len(integs) == 1 and all(len(tr._plm) <= 1 for tr in transforms)
 
 
-def column_densities(grid, w, u):
-    """True when every block density of u is one column."""
-    dens = integrator_for(grid, w).density(sh_analysis(u))
+def column_densities(grid, w, coeffs):
+    """True when every block density of the field is one column."""
+    dens = integrator_for(grid, w).density(coeffs)
     return all(d.shape[-1] == 1 for d in dens.values)
 
 
@@ -76,19 +75,20 @@ class TestTransformWork:
         synthesis and one analysis per block for each Hessian product and
         one synthesis per block for each line-search trial, nothing more:
         the axis rule is one block.  The zero start takes the zonal path."""
-        init = ScalarField.constant(build_grid(65, 130), 0.0)
-        self.check_step_work(init, True, transform_counts, monkeypatch)
+        grid = build_grid(65, 130)
+        self.check_step_work(grid, zero(grid), True, transform_counts,
+                             monkeypatch)
 
     def test_one_synthesis_per_block_per_trial_full_path(
             self, transform_counts, monkeypatch):
         """The same counts on the full path, from a non-zonal start."""
-        init = ScalarField.from_function(build_grid(65, 130),
-                                         lambda x: 0.1 * x[..., 0])
-        self.check_step_work(init, False, transform_counts, monkeypatch)
+        grid = build_grid(65, 130)
+        init = sh_analysis(
+            ScalarField.from_function(grid, lambda x: 0.1 * x[..., 0]))
+        self.check_step_work(grid, init, False, transform_counts, monkeypatch)
 
     @staticmethod
-    def check_step_work(init, zonal, transform_counts, monkeypatch):
-        grid = init.grid
+    def check_step_work(grid, init, zonal, transform_counts, monkeypatch):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         assert len(SingularIntegrator(grid, w).blocks) == 1
@@ -150,16 +150,14 @@ def zonal_and_full_J(grid, params, coeffs):
     return J_zonal, J_full
 
 
-# (pole, K, init) -> zonal path expected; the last three break the symmetry
+# (pole, K, init) -> zonal path expected, init None for the zero column;
+# the last three break the symmetry
 PATH_CASES = {
-    "zero-init": (NORTH, None, lambda x: 0.0 * x[..., 2], True),
-    "zonal-K": (NORTH, lambda x: 1.0 + 0.1 * x[..., 2],
-                lambda x: 0.0 * x[..., 2], True),
+    "zero-init": (NORTH, None, None, True),
+    "zonal-K": (NORTH, lambda x: 1.0 + 0.1 * x[..., 2], None, True),
     "non-zonal-init": (NORTH, None, lambda x: 0.1 * x[..., 1], False),
-    "off-pole-weight": ((1.0e-6, 0.0, 1.0), None,
-                        lambda x: 0.0 * x[..., 2], False),
-    "non-zonal-K": (NORTH, lambda x: 1.0 + 0.1 * x[..., 0],
-                    lambda x: 0.0 * x[..., 2], False),
+    "off-pole-weight": ((1.0e-6, 0.0, 1.0), None, None, False),
+    "non-zonal-K": (NORTH, lambda x: 1.0 + 0.1 * x[..., 0], None, False),
 }
 
 
@@ -171,8 +169,7 @@ class TestZonalPath:
         grid = build_grid(L + 1, 2 * L + 2)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        state = minimize(params, quick_config(0.3),
-                         ScalarField.constant(grid, 0.0), grid)
+        state = minimize(params, quick_config(0.3), zero(grid), grid)
         assert state.converged and on_zonal_path(grid)
         assert state.iterations <= 15
         J_zonal, J_full = zonal_and_full_J(grid, params, state.coeffs)
@@ -195,18 +192,15 @@ class TestZonalPath:
             assert J_zonal == pytest.approx(J_full, rel=1e-12)
             assert state.J == pytest.approx(J_full, rel=1e-12)
 
-    def test_same_iterates_as_full_path(self, monkeypatch):
-        """Forced onto the full path (the start analysed to every order),
+    def test_same_iterates_as_full_path(self):
+        """Forced onto the full path (the start widened to every order),
         the solve config takes the same steps."""
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        zero = ScalarField.constant(grid, 0.0)
-        zonal = minimize(params, quick_config(0.3), zero, grid)
+        zonal = minimize(params, quick_config(0.3), zero(grid), grid)
         assert on_zonal_path(grid)
-        monkeypatch.setattr(subcritical_solver, "sh_analysis",
-                            lambda f: sh_analysis(f).widened())
-        full = minimize(params, quick_config(0.3), zero, grid)
+        full = minimize(params, quick_config(0.3), zero(grid).widened(), grid)
         assert not on_zonal_path(grid)
         assert full.coeffs.values.shape[-1] == 2 * grid.band_limit + 1
         assert zonal.iterations == full.iterations
@@ -218,8 +212,7 @@ class TestZonalPath:
         """log h of an off-axis weight covers every longitude, so even a
         zonal field has no one-column density."""
         w = SingularWeight.from_orders([((0.6, 0.0, 0.8), -0.5)])
-        assert not column_densities(grid16, w,
-                                    ScalarField.constant(grid16, 0.0))
+        assert not column_densities(grid16, w, zero(grid16))
 
     @pytest.mark.parametrize("pole, K, init, zonal", PATH_CASES.values(),
                              ids=PATH_CASES.keys())
@@ -229,16 +222,21 @@ class TestZonalPath:
         w = SingularWeight([SingularPoint(np.asarray(pole), -0.5)], K)
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         grid = build_grid(17, 34)
-        state = minimize(params, quick_config(0.3, max_iterations=3),
-                         ScalarField.from_function(grid, init), grid)
+        start = zero(grid) if init is None else sh_analysis(
+            ScalarField.from_function(grid, init))
+        state = minimize(params, quick_config(0.3, max_iterations=3), start,
+                         grid)
         assert on_zonal_path(grid) == zonal
-        assert column_densities(grid, w, state.u) == zonal
+        assert column_densities(grid, w, state.coeffs) == zonal
         grid = build_grid(17, 34)
-        u = ScalarField.from_function(grid, init) + ScalarField.from_function(
-            grid, lambda x: 0.5 * x[..., 2] ** 2)
+        if init is None:  # 0.5 x3^2, one column
+            u = ScalarField(0.5 * grid.t[:, None] ** 2, grid)
+        else:
+            u = ScalarField.from_function(
+                grid, lambda x: init(x) + 0.5 * x[..., 2] ** 2)
         coeffs = sh_analysis(u)
         rep = kazdan_warner_residual(coeffs, grid, params.rho, w)
-        assert column_densities(grid, w, u) == zonal
+        assert column_densities(grid, w, coeffs) == zonal
         full = kazdan_warner_residual(coeffs.widened(), grid, params.rho, w)
         assert not on_zonal_path(grid)
         assert rep.moment == pytest.approx(full.moment, rel=1e-12)
@@ -250,15 +248,15 @@ class TestZonalPath:
         grid = build_grid(L + 1, 2 * L + 2)
         w = extremal_weight(-0.5)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
-        u = extremal_u(ExtremalParams(alpha=-0.5), grid)
-        coeffs = sh_analysis(u).widened()
+        zonal = sh_analysis(extremal_u(ExtremalParams(alpha=-0.5), grid))
+        coeffs = zonal.widened()
         dens = SingularIntegrator(grid, w).density(coeffs)
         J_full = eval_J_coeffs(coeffs, dens, params)
-        assert eval_J(u, params) == pytest.approx(J_full, rel=1e-12)
-        assert troyanov_gap(u, w, 0.0) == pytest.approx(J_full / w.rho_bar,
-                                                        rel=1e-12)
-        assert log_exp_integral(u, w) == pytest.approx(dens.log_integral,
-                                                       rel=1e-12)
+        assert eval_J(zonal, grid, params) == pytest.approx(J_full, rel=1e-12)
+        assert troyanov_gap(zonal, grid, w, 0.0) == pytest.approx(
+            J_full / w.rho_bar, rel=1e-12)
+        assert integrator_for(grid, w).log_exp_integral(zonal) == \
+            pytest.approx(dens.log_integral, rel=1e-12)
         assert on_zonal_path(grid)
 
     def test_zonal_ops_skip_the_full_grid_transform(self):
@@ -269,11 +267,16 @@ class TestZonalPath:
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        state = minimize(params, quick_config(0.3),
-                         ScalarField.constant(grid, 0.0), grid)
+        state = minimize(params, quick_config(0.3), zero(grid), grid)
         kazdan_warner_residual(state.coeffs, grid, params.rho, w)
         diagnose(state, w, cap_radii=(0.5, 3.5))
         assert on_zonal_path(grid)
+        # a cap about an axis point reads the zonal state on one bearing
+        full = dataclasses.replace(state, coeffs=state.coeffs.widened())
+        for centre, r in itertools.product((NORTH, SOUTH), (0.05, 0.5)):
+            one_bearing = cap_density_integral(state, np.array(centre), r)
+            assert one_bearing == pytest.approx(
+                cap_density_integral(full, np.array(centre), r), rel=1e-14)
         integ = integrator_for(grid, w)
         c = state.coeffs.widened()
         c.order(1)[1] = 1.0e-3
@@ -281,6 +284,36 @@ class TestZonalPath:
         assert [len(b.transform._plm) for b in integ.blocks] == \
             [grid.band_limit + 1] * len(integ.blocks)
         assert len(grid.transform._plm) == 1
+
+
+class TestMemory:
+    def test_zonal_solve_stays_off_the_full_grid(self):
+        """A zonal solve (alpha = -1/2, eps = 0.05, zero start) at L = 512:
+        the first integrator build traces at most 8 MiB (28.6 MiB when axis
+        invariance read log h over the whole grid at once) and diagnose at
+        most 16 MiB above its entry (136.9 MiB when the state kept its
+        field on the full grid)."""
+        import tracemalloc
+
+        grid = build_grid(513, 1026)
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        params = FunctionalParams(rho=w.rho_bar - 0.05, weight=w)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            integrator_for(grid, w)
+            build = tracemalloc.get_traced_memory()[1] - entry
+            tracemalloc.stop()  # the solve itself runs untraced
+            state = minimize(params, quick_config(0.05), zero(grid), grid)
+            assert state.converged
+            tracemalloc.start()
+            entry = tracemalloc.get_traced_memory()[0]
+            diagnose(state, w)
+            diagnosis = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert build <= 8 << 20
+        assert diagnosis <= 16 << 20
 
 
 class TestTruncatedCG:
@@ -333,11 +366,10 @@ class TestMinimize:
         """m = 0: constants solve the equation, J = 0, immediate stop."""
         params = FunctionalParams(rho=8.0 * np.pi - 1.0,
                                   weight=SingularWeight())
-        state = minimize(params, quick_config(1.0),
-                         ScalarField.constant(grid64, 0.0), grid64)
+        state = minimize(params, quick_config(1.0), zero(grid64), grid64)
         assert state.converged
         assert abs(state.J) < 1e-8
-        assert np.ptp(state.u.values) < 1e-8
+        assert np.abs(state.coeffs.values[1:]).max() < 1e-8
 
     def test_beats_extremal_competitor(self, grid64):
         """The attained minimum beats the critical family at rho < rho_bar."""
@@ -345,35 +377,38 @@ class TestMinimize:
         w = extremal_weight(alpha)
         params = FunctionalParams(rho=w.rho_bar - 0.1, weight=w)
         state = minimize(params, quick_config(0.1),
-                         ScalarField.constant(grid64, 0.0), grid64)
+                         zero(grid64), grid64)
         assert state.converged
-        competitor = eval_J(extremal_u(ExtremalParams(alpha=alpha), grid64),
-                            params)
+        competitor = eval_J(
+            sh_analysis(extremal_u(ExtremalParams(alpha=alpha), grid64)),
+            grid64, params)
         assert state.J <= competitor + 1e-6
 
     def test_descent_and_normalization(self, grid64):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
         state = minimize(params, quick_config(0.2),
-                         ScalarField.constant(grid64, 0.0), grid64)
+                         zero(grid64), grid64)
         assert state.converged
         js = [rec["J"] for rec in state.trace]
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
-        assert abs(exp_integral(state.u, w) - 1.0) < 1e-8
+        log_E = integrator_for(grid64, w).log_exp_integral(state.coeffs)
+        assert abs(np.exp(log_E) - 1.0) < 1e-8
 
     def test_second_order_optimality(self, grid64, rng):
         """J(u + s v) >= J(u) - 1e-6 for small H^1-normalized probes."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
         state = minimize(params, quick_config(0.2),
-                         ScalarField.constant(grid64, 0.0), grid64)
+                         zero(grid64), grid64)
+        a = state.coeffs.widened().values
         for _ in range(5):
-            v = random_band_limited(grid64, rng, amplitude=1.0)
-            c = sh_analysis(v)
+            c = sh_analysis(random_band_limited(grid64, rng, amplitude=1.0))
             h1 = np.sqrt(dirichlet_energy(c) + np.sum(c.values**2))
-            v = v * (1.0 / h1)
+            v = c.values * (1.0 / h1)
             for s in (1e-3, -1e-3):
-                assert eval_J(state.u + v * s, params) >= state.J - 1e-6
+                probe = SHCoefficients(a + v * s)
+                assert eval_J(probe, grid64, params) >= state.J - 1e-6
 
     def test_negative_curvature_falls_back_to_descent(self, grid64,
                                                       monkeypatch):
@@ -396,7 +431,7 @@ class TestMinimize:
         monkeypatch.setattr(subcritical_solver, "hessian_product",
                             lambda v, *args: -v)
         state = minimize(params, quick_config(0.2, max_iterations=3),
-                         ScalarField.constant(grid64, 0.0), grid64)
+                         zero(grid64), grid64)
         assert [rec["cg_iterations"] for rec in state.trace] == [1, 1, 1]
         assert state.trace[-1]["J"] < state.trace[0]["J"]
         l = np.arange(grid64.band_limit + 1)[1:, None]
@@ -412,7 +447,7 @@ class TestMinimize:
         params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
         with caplog.at_level(logging.DEBUG, logger="sol_lab.solver"):
             state = minimize(params, quick_config(0.2),
-                             ScalarField.constant(grid64, 0.0), grid64)
+                             zero(grid64), grid64)
         lines = [r for r in caplog.records if r.name == "sol_lab.solver"]
         debug = [r.getMessage() for r in lines if r.levelno == logging.DEBUG]
         info = [r.getMessage() for r in lines if r.levelno == logging.INFO]
@@ -430,7 +465,7 @@ class TestMinimize:
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
         cfg = quick_config(0.2, max_iterations=3)
-        state = minimize(params, cfg, ScalarField.constant(grid64, 0.0),
+        state = minimize(params, cfg, zero(grid64),
                          grid64)
         assert not state.converged
         assert state.residual_norm > cfg.tol_factor * params.rho
@@ -440,7 +475,7 @@ class TestMinimize:
         params = FunctionalParams(rho=w.rho_bar + 1.0, weight=w)
         with pytest.raises(ValueError):
             minimize(params, quick_config(0.1),
-                     ScalarField.constant(grid16, 0.0), grid16)
+                     zero(grid16), grid16)
 
     def test_overflow_signalled(self, grid16, monkeypatch):
         # the normalized peak of 12 x3 is ~0.65; a ceiling below it trips
@@ -448,10 +483,9 @@ class TestMinimize:
         params = FunctionalParams(rho=8.0 * np.pi - 1.0, weight=w)
         monkeypatch.setattr(subcritical_solver, "DEFAULT_CEILING", 0.5)
         with pytest.raises(UnnormalizedBlowupError):
-            minimize(params, quick_config(1.0),
-                     ScalarField.from_function(grid16,
-                                               lambda x: 12.0 * x[..., 2]),
-                     grid16)
+            minimize(params, quick_config(1.0),  # 12 x3, one column
+                     sh_analysis(ScalarField(12.0 * grid16.t[:, None],
+                                             grid16)), grid16)
 
 
 class TestDiagnose:
@@ -460,7 +494,7 @@ class TestDiagnose:
         params = FunctionalParams(rho=8.0 * np.pi - 1.0,
                                   weight=SingularWeight())
         state = minimize(params, quick_config(1.0),
-                         ScalarField.constant(grid64, 0.0), grid64)
+                         zero(grid64), grid64)
         diag = diagnose(state, params.weight, cap_radii=(0.5,))
         assert diag.compact_case
         expected = params.rho * (1.0 - np.cos(0.5)) / 2.0
@@ -472,11 +506,10 @@ class TestDiagnose:
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         state = minimize(params, quick_config(0.5),
-                         ScalarField.constant(grid16, 0.0), grid16)
+                         zero(grid16), grid16)
         assert not diagnose(state, w).under_resolved  # mild peak, resolved
-        spiky = ScalarField.from_function(
-            grid16, lambda x: 6.0 * x[..., 2] - 3.0)
-        fake = MinimizerState(u=spiky, coeffs=sh_analysis(spiky),
+        spiky = ScalarField(6.0 * grid16.t[:, None] - 3.0, grid16)  # 6 x3 - 3
+        fake = MinimizerState(coeffs=sh_analysis(spiky), grid=grid16,
                               params=params, epsilon=0.5, J=0.0,
                               residual_norm=0.0, iterations=0, converged=True)
         diag = diagnose(fake, w)  # t_eps = e^{-3} < 4 pi / 16
@@ -488,7 +521,7 @@ class TestDiagnose:
         params = FunctionalParams(rho=8.0 * np.pi - 1.0,
                                   weight=SingularWeight())
         state = minimize(params, quick_config(1.0),
-                         ScalarField.constant(grid64, 0.0), grid64)
+                         zero(grid64), grid64)
         center = np.array([0.0, 0.3, np.sqrt(1.0 - 0.09)])
         for r in (0.3, 1.0):
             val = cap_density_integral(state, center, r)
@@ -505,8 +538,7 @@ class TestDiagnose:
         from sol_lab.subcritical_solver import MinimizerState
         w = SingularWeight.from_orders([(NORTH, alpha)])
         state = MinimizerState(
-            u=ScalarField.constant(grid16, 0.0),
-            coeffs=SHCoefficients.zeros(grid16.band_limit),
+            coeffs=SHCoefficients.zeros(grid16.band_limit), grid=grid16,
             params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w),
             epsilon=0.5, J=0.0, residual_norm=0.0, iterations=0,
             converged=True)
@@ -607,7 +639,7 @@ class TestGradientExponent:
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         state = minimize(params, quick_config(0.5),
-                         ScalarField.constant(grid64, 0.0), grid64)
+                         zero(grid64), grid64)
         with pytest.raises(InsufficientAnnulusError):
             gradient_singularity_exponent(state, NORTH)
 
@@ -615,7 +647,7 @@ class TestGradientExponent:
         w = SingularWeight.from_orders([(NORTH, 0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         cfg = quick_config(0.5, tol_factor=1e-4, max_iterations=1500)
-        state = minimize(params, cfg, ScalarField.constant(grid192, 0.0),
+        state = minimize(params, cfg, zero(grid192),
                          grid192)
         with pytest.raises(ValueError):
             gradient_singularity_exponent(state, NORTH)
@@ -626,7 +658,7 @@ class TestGradientExponent:
         w = SingularWeight.from_orders([(NORTH, -0.25)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         cfg = quick_config(0.5, tol_factor=1e-5, max_iterations=2000)
-        state = minimize(params, cfg, ScalarField.constant(grid192, 0.0),
+        state = minimize(params, cfg, zero(grid192),
                          grid192)
         fit = gradient_singularity_exponent(state, NORTH)
         assert fit["slope"] >= -0.05
@@ -642,7 +674,7 @@ class TestGradientExponent:
         w = SingularWeight.from_orders([(NORTH, -0.75)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         cfg = quick_config(0.5, tol_factor=1e-5, max_iterations=2000)
-        state = minimize(params, cfg, ScalarField.constant(grid192, 0.0),
+        state = minimize(params, cfg, zero(grid192),
                          grid192)
         fit = gradient_singularity_exponent(state, NORTH)
         assert fit["bound"] == pytest.approx(-0.5)
@@ -653,7 +685,7 @@ class TestGradientExponent:
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         cfg = quick_config(0.5, tol_factor=1e-5, max_iterations=2000)
-        state = minimize(params, cfg, ScalarField.constant(grid192, 0.0),
+        state = minimize(params, cfg, zero(grid192),
                          grid192)
         fit = gradient_singularity_exponent(state, NORTH)
         assert np.isfinite(fit["slope"])

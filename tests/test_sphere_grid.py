@@ -310,10 +310,10 @@ class TestOrderLimit:
     @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
     def test_grid_transforms_zonal_input_on_m0(self, grid_name, request,
                                                rng):
-        """sh_synthesis of a zonal column, sh_analysis of a ring-constant
-        field and synthesis_at_angles of a zonal column match the
-        full-order results; the analysis is a column, with no m != 0
-        entries at all."""
+        """sh_synthesis of a zonal column (one column of values),
+        sh_analysis of that field and synthesis_at_angles of a zonal column
+        match the full-order results; the analysis is a column, with no
+        m != 0 entries at all."""
         g = request.getfixturevalue(grid_name)
         L = g.band_limit
         c = SHCoefficients((rng.normal(size=L + 1)
@@ -326,7 +326,9 @@ class TestOrderLimit:
         scale = np.max(np.abs(full_values))
         assert np.max(np.abs(field.values - full_values)) <= 1e-14 * scale
         assert np.max(np.abs(at_angles - full_values[:, 0])) <= 1e-14 * scale
-        full = g.transform.analysis_coeffs(field.values).values
+        assert field.values.shape == (g.n_theta, 1)
+        full = g.transform.analysis_coeffs(
+            np.repeat(field.values, g.n_phi, axis=1)).values
         assert np.max(np.abs(coeffs.widened().values - full)) <= \
             1e-14 * np.max(np.abs(full))
 
