@@ -445,7 +445,7 @@ def _run_verify_extremal(config, report):
 def _run_inequality_sample(config, report):
     import numpy as np
     from .closed_forms import conformal_pullback
-    from .mt_functional import troyanov_gap
+    from .mt_functional import sample_gaps, troyanov_gap
     from .sphere_grid import (ScalarField, batch_size,
                               random_band_limited_batch, sh_analysis)
 
@@ -459,7 +459,7 @@ def _run_inequality_sample(config, report):
     for start in range(0, n_samples, chunk):
         coeffs = random_band_limited_batch(grid, rng,
                                            min(chunk, n_samples - start))
-        gaps = troyanov_gap(coeffs, grid, w, exp["constant"])
+        gaps = sample_gaps(coeffs, grid, w, exp["constant"])
         for i, gap in enumerate(gaps, start):
             report["records"].append({"sample": i, "gap": float(gap)})
             worst = min(worst, float(gap))

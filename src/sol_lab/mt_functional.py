@@ -326,26 +326,29 @@ class SingularIntegrator:
     # -- density machinery --------------------------------------------------
 
     def density(self, coeffs: SHCoefficients) -> Density:
-        """h e^u on every block from one synthesis per block (see Density).
+        """h e^u on every block from one synthesis per block (see Density)."""
+        return self.density_of(self.synthesis(coeffs))
 
-        A stack of coefficients (leading batch axes) is synthesized in one
-        pass per block, and each field gets its own shift.  The density is
-        formed in place in the synthesized arrays, so about one array per
-        block and field is live.  A zonal column of coefficients
-        synthesizes to one column per product block; with log h one column
-        too, so is the density; otherwise u + log h covers every longitude.
+    def synthesis(self, coeffs: SHCoefficients) -> list:
+        """u on every block, one pass per block for a stack too."""
+        return [b.synthesis(coeffs) for b in self.blocks]
+
+    def density_of(self, u: list) -> Density:
+        """h e^u on every block from u on every block (``synthesis``),
+        formed in place in the arrays of ``u``, with a shift per field of a
+        stack.  A zonal u is one column per product block; with log h one
+        column too, so is the density; else u + log h covers every longitude.
         """
-        batch = coeffs.values.shape[:-2]
+        batch = u[0].shape[:u[0].ndim - self.log_h[0].ndim]
         z, peak, shift = [], -np.inf, -np.inf
-        for lh, b in zip(self.log_h, self.blocks):
-            u = b.synthesis(coeffs)
-            peak = np.maximum(peak, u.reshape(*batch, -1).max(axis=-1))
-            if u.shape[-1] < lh.shape[-1]:  # zonal u, h not invariant
-                u = u + lh
+        for lh, ub in zip(self.log_h, u):
+            peak = np.maximum(peak, ub.reshape(*batch, -1).max(axis=-1))
+            if ub.shape[-1] < lh.shape[-1]:  # zonal u, h not invariant
+                ub = ub + lh
             else:
-                u += lh
-            shift = np.maximum(shift, u.reshape(*batch, -1).max(axis=-1))
-            z.append(u)
+                ub += lh
+            shift = np.maximum(shift, ub.reshape(*batch, -1).max(axis=-1))
+            z.append(ub)
         total = 0.0
         for b, zb in zip(self.blocks, z):
             flat = zb.reshape(*batch, -1)
@@ -418,7 +421,11 @@ def eval_J(coeffs: SHCoefficients, grid: SphereGrid,
     """J_rho of the field with these coefficients (of each field of a
     stack), invariant under u -> u + const; raises UnnormalizedBlowupError
     when max u over the quadrature nodes exceeds DEFAULT_CEILING."""
-    dens = integrator_for(grid, params.weight).density(coeffs)
+    return _J_below_ceiling(
+        coeffs, integrator_for(grid, params.weight).density(coeffs), params)
+
+
+def _J_below_ceiling(coeffs, dens, params):
     peak = float(np.max(dens.peak))
     if peak > DEFAULT_CEILING:
         raise UnnormalizedBlowupError(
@@ -498,3 +505,20 @@ def troyanov_gap(coeffs: SHCoefficients, grid: SphereGrid,
     """
     params = FunctionalParams(rho=w.rho_bar, weight=w)
     return eval_J(coeffs, grid, params) / w.rho_bar + C
+
+
+def sample_gaps(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
+                C: float) -> np.ndarray:
+    """``troyanov_gap`` of each raw draw of a stack scaled to max |u| = 2
+    over the quadrature nodes: u is scaled on its one synthesis per block,
+    before log h is added, and its coefficients by the same factor."""
+    integ = integrator_for(grid, w)
+    u = integ.synthesis(coeffs)
+    flat = [ub.reshape(*coeffs.values.shape[:-2], -1) for ub in u]
+    scale = 2.0 / np.max(
+        [np.maximum(f.max(axis=-1), -f.min(axis=-1)) for f in flat], axis=0)
+    for ub in u:  # batch axes first, then one or two node axes
+        ub *= scale.reshape(scale.shape + (1,) * (ub.ndim - scale.ndim))
+    scaled = SHCoefficients(coeffs.values * scale[..., None, None])
+    params = FunctionalParams(rho=w.rho_bar, weight=w)
+    return _J_below_ceiling(scaled, integ.density_of(u), params) / w.rho_bar + C

@@ -165,15 +165,11 @@ LEGENDRE_BUDGET = 4096
 # Bytes of grid values in one stack of sampled fields that a batched
 # evaluation takes at once (``batch_size``): 4 fields at L = 256.  There a
 # stack adds about 4 MiB of traced allocations per field (its coefficients
-# and its synthesized band block) to 136 MB of shared Legendre tables
-# (253 MB before mirror rings shared a table column).  A 4-field synthesis
-# on the 696-ring two-cap block takes about 30 ms in its Legendre stage
-# and 13-20 ms in its Fourier step (31-42 ms before longitudes were paired),
-# on the 257-ring grid about 11 and 5-10 ms (13-15 ms before); one BLAS
-# thread on a shared 2-core x86 VM.  Measured before the ring sharing:
-# 4 fields per stack cut the transform time of an L = 256
-# inequality-sample by about half and its peak RSS stays below the
-# one-field-at-a-time code; 5 fields raise the peak by 7 MiB.
+# and its synthesized band block) to 102 MB of shared Legendre tables.  A
+# 4-field synthesis on the 696-ring two-cap block takes about 30 ms in its
+# Legendre stage and 13-20 ms in its Fourier step (one BLAS thread, shared
+# 2-core x86 VM); 11 and 22 fields per stack were no faster and peaked 37
+# and 91 MiB higher (measured while samples were also scaled on the grid).
 BATCH_BUDGET = 9 << 19  # 4.5 MiB
 
 
@@ -749,23 +745,27 @@ def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:
 
 def random_band_limited(grid: SphereGrid, rng, l_max=None, amplitude=2.0,
                         decay=2.0) -> ScalarField:
-    """Seeded random field: ``random_band_limited_batch`` of one field."""
-    coeffs = random_band_limited_batch(grid, rng, 1, l_max, amplitude, decay)
-    return sh_synthesis(SHCoefficients(coeffs.values[0]), grid)
+    """Seeded random field: one draw of ``random_band_limited_batch``,
+    synthesized on the grid and scaled so that max |u| over the grid nodes
+    is ``amplitude`` (a zero draw, l_max = 0, stays zero)."""
+    coeffs = random_band_limited_batch(grid, rng, 1, l_max, decay)
+    u = sh_synthesis(SHCoefficients(coeffs.values[0]), grid)
+    peak = float(np.max(np.abs(u.values)))
+    return u * (amplitude / peak) if peak > 0.0 else u
 
 
 def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
-                              amplitude=2.0, decay=2.0) -> SHCoefficients:
+                              decay=2.0) -> SHCoefficients:
     """Coefficients of ``count`` seeded random fields, a stack of shape
-    (count, L+1, 2L+1) at the grid's band limit L.
+    (count, L+1, 2L+1) at the grid's band limit L, as drawn: unscaled.
 
     A field's coefficients ~ N(0, (1+l)^(-2 decay)) for degrees 1..l_max
     (default the grid's band limit) are one draw of (l_max + 1)^2 - 1
-    normals, in order of degree and then of m; each field is then scaled so
-    that max |u| over the grid nodes is ``amplitude``.  The fields are
-    drawn one after another, so the stream does not depend on how the
-    samples are split into batches, and their peaks come from one
-    synthesis of the stack.
+    normals, in order of degree and then of m.  The fields are drawn one
+    after another, so the stream does not depend on how the samples are
+    split into batches.  Callers scale each field on the nodes they
+    evaluate it on: ``random_band_limited`` on the grid,
+    ``mt_functional.sample_gaps`` on the quadrature nodes.
     """
     G = grid.band_limit
     L = G if l_max is None else l_max
@@ -779,11 +779,6 @@ def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
     coeffs = np.zeros((count, G + 1, 2 * G + 1))
     for c in coeffs:
         c[drawn] = rng.normal(size=scale.size) / scale
-    values = grid.transform.synthesis_values(SHCoefficients(coeffs))
-    for c, v in zip(coeffs, values):
-        peak = float(np.max(np.abs(v)))
-        if peak > 0.0:  # l_max = 0: a zero field
-            c *= amplitude / peak
     return SHCoefficients(coeffs)
 
 

@@ -159,9 +159,10 @@ class TestRun:
 
     def test_samples_share_transforms(self, monkeypatch, transform_counts):
         """20 samples in stacks of K = 8 make ceil(20 / 8) = 3 syntheses
-        per integrator block (and per grid draw) instead of 20, analyse
-        nothing (the draws are coefficients), and give the gaps of a
-        per-sample troyanov_gap loop."""
+        on the one integrator block instead of 20, none on the grid and no
+        analysis (the draws are coefficients), and give the gaps of a
+        per-sample troyanov_gap loop with each draw scaled to max |u| = 2
+        over the quadrature nodes."""
         from sol_lab import sphere_grid
         from sol_lab.mt_functional import integrator_for, troyanov_gap
         from sol_lab.singular_geometry import SingularWeight
@@ -178,16 +179,67 @@ class TestRun:
         g = sphere_grid.build_grid(grid["n_theta"], grid["n_phi"])
         assert sphere_grid.batch_size(g) == 8
         w = SingularWeight.from_orders(orders)
-        assert len(integrator_for(g, w).blocks) == 1
-        assert transform_counts["synthesis"] == 3 * 2
+        (block,) = integrator_for(g, w).blocks
+        assert transform_counts["synthesis"] == 3
         assert transform_counts["analysis"] == 0
         rng = np.random.default_rng(5)
-        want = [troyanov_gap(sphere_grid.sh_analysis(
-            sphere_grid.random_band_limited(g, rng)), g, w, 0.0)
-            for _ in range(20)]
+        want = []
+        for _ in range(20):
+            c = sphere_grid.random_band_limited_batch(g, rng, 1).values[0]
+            peak = np.max(np.abs(block.synthesis(sphere_grid.SHCoefficients(c))))
+            want.append(troyanov_gap(sphere_grid.SHCoefficients(c * (2.0 / peak)),
+                                     g, w, 0.0))
         got = [r["gap"] for r in report["records"]]
         assert [r["sample"] for r in report["records"]] == list(range(20))
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+    def test_samples_scaled_on_quadrature_nodes(self, monkeypatch):
+        """Two axis caps at L = 32, 7 samples in stacks of 3: each sample
+        reaches max |u| = 2 over the integrator's nodes, the density is
+        formed from those scaled values, and each stack is synthesized once
+        on the block and never on the grid."""
+        from sol_lab import mt_functional, sphere_grid
+        from sol_lab.sphere_grid import ProductTransform, SHCoefficients
+
+        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 3 * 8 * 33 * 66)
+        grids, passes, evaluated = [], [], []
+        build, synthesis = sphere_grid.build_grid, ProductTransform.synthesis_values
+        J = mt_functional.eval_J_coeffs
+
+        def build_grid(*args):
+            grids.append(build(*args))
+            return grids[-1]
+
+        def synthesis_values(self, *args):
+            passes.append(self)
+            return synthesis(self, *args)
+
+        def eval_J_coeffs(coeffs, dens, params):
+            evaluated.append((coeffs, dens))
+            return J(coeffs, dens, params)
+
+        monkeypatch.setattr(sphere_grid, "build_grid", build_grid)
+        monkeypatch.setattr(ProductTransform, "synthesis_values",
+                            synthesis_values)
+        monkeypatch.setattr(mt_functional, "eval_J_coeffs", eval_J_coeffs)
+        config, _ = validate(config_text(
+            experiment={"kind": "inequality-sample", "samples": 7},
+            weight={"points": [{"position": [0, 0, 1], "order": -0.5},
+                               {"position": [0, 0, -1], "order": 0.3}]},
+            grid={"n_theta": 33, "n_phi": 66}, seed=3))
+        report = run(config)
+        (grid,) = grids
+        (integ,) = grid._integrator_cache.values()
+        (block,) = integ.blocks
+        assert [tr is block.transform for tr in passes] == [True] * 3
+        assert [c.values.shape[0] for c, _ in evaluated] == [3, 3, 1]
+        for coeffs, dens in evaluated:
+            for i, c in enumerate(coeffs.values):
+                u = np.stack([b.synthesis(SHCoefficients(c)).ravel()
+                              for b in integ.blocks])
+                assert np.max(np.abs(u)) == pytest.approx(2.0, rel=1e-14)
+                assert abs(dens.peak[i] - np.max(u)) <= 1e-14
+        assert len(report["records"]) == 7
 
     def test_kw_check_analyses_no_grid_values(self, monkeypatch,
                                               transform_counts):

@@ -501,13 +501,18 @@ class TestDiagnose:
         assert diag.cap_masses[0.5] == pytest.approx(expected, rel=1e-6)
 
     def test_under_resolved_flag(self, grid16):
-        """A bubble scale below 4 pi/L must raise the resolution flag."""
+        """A bubble scale below 4 pi/L must raise the resolution flag; the
+        constant minimizer of the problem without singular points is
+        resolved on any grid."""
         from sol_lab.subcritical_solver import MinimizerState
+        flat = SingularWeight()
+        state = minimize(FunctionalParams(rho=8.0 * np.pi - 1.0, weight=flat),
+                         quick_config(1.0), zero(grid16), grid16)
+        diag = diagnose(state, flat)  # u = -log 4 pi, t_eps = sqrt(4 pi)
+        assert diag.lambda_eps == pytest.approx(-np.log(4.0 * np.pi))
+        assert not diag.under_resolved
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-        state = minimize(params, quick_config(0.5),
-                         zero(grid16), grid16)
-        assert not diagnose(state, w).under_resolved  # mild peak, resolved
         spiky = ScalarField(6.0 * grid16.t[:, None] - 3.0, grid16)  # 6 x3 - 3
         fake = MinimizerState(coeffs=sh_analysis(spiky), grid=grid16,
                               params=params, epsilon=0.5, J=0.0,

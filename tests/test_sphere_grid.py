@@ -620,8 +620,9 @@ class TestBatchAxis:
 
     def test_random_fields_are_one_draw_per_sample(self, grid16):
         """Each field's coefficients are one normal draw in the order of a
-        per-degree loop, so the stream does not depend on the batching;
-        each is scaled to max |u| = 2 on the grid."""
+        per-degree loop, returned as drawn, so the stream does not depend on
+        the batching; random_band_limited scales its one draw to
+        max |u| = 2 on the grid."""
         g, L = grid16, grid16.band_limit
         rng = np.random.default_rng(11)
         fields = random_band_limited_batch(g, rng, 3)
@@ -632,15 +633,14 @@ class TestBatchAxis:
             for l in range(1, L + 1):
                 c.values[l, L - l:L + l + 1] = \
                     ref.normal(size=2 * l + 1) / (1.0 + l) ** 2.0
-            want = sh_synthesis(c, g).values
-            want *= 2.0 / np.max(np.abs(want))
-            got = sh_synthesis(SHCoefficients(field), g).values
-            assert max_rel(got, want) <= 1e-14
+            assert np.array_equal(field, c.values)
         assert rng.normal() == ref.normal()
         one = random_band_limited(g, np.random.default_rng(11))
         first = random_band_limited_batch(g, np.random.default_rng(11), 1)
-        assert np.array_equal(
-            one.values, sh_synthesis(SHCoefficients(first.values[0]), g).values)
+        want = sh_synthesis(SHCoefficients(first.values[0]), g).values
+        want *= 2.0 / np.max(np.abs(want))
+        assert np.array_equal(one.values, want)
+        assert np.max(np.abs(one.values)) == pytest.approx(2.0, rel=1e-15)
 
 
 def pairing_cases():
