@@ -445,7 +445,7 @@ def _run_verify_extremal(config, report):
 def _run_inequality_sample(config, report):
     import numpy as np
     from .closed_forms import conformal_pullback
-    from .mt_functional import sample_gaps, troyanov_gap
+    from .mt_functional import integrator_for, sample_gaps, troyanov_gap
     from .sphere_grid import (ScalarField, batch_size,
                               random_band_limited_batch, sh_analysis)
 
@@ -455,11 +455,11 @@ def _run_inequality_sample(config, report):
     n_samples = exp["samples"]
     rng = np.random.default_rng(config["seed"])
     worst = np.inf
-    chunk = batch_size(grid)
-    for start in range(0, n_samples, chunk):
-        coeffs = random_band_limited_batch(grid, rng,
-                                           min(chunk, n_samples - start))
-        gaps = sample_gaps(coeffs, grid, w, exp["constant"])
+    chunk = batch_size(integrator_for(grid, w).nodes)
+    for start in range(0, n_samples, chunk):  # one stack alive at a time
+        gaps = sample_gaps(random_band_limited_batch(
+            grid, rng, min(chunk, n_samples - start)), grid, w,
+            exp["constant"])
         for i, gap in enumerate(gaps, start):
             report["records"].append({"sample": i, "gap": float(gap)})
             worst = min(worst, float(gap))

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -271,6 +271,12 @@ class SingularIntegrator:
         self.blocks, self.log_h = self._build_blocks(
             grid, grid.phi[:1] if _axis_invariant(weight, grid) else grid.phi)
 
+    @property
+    def nodes(self) -> int:
+        """Quadrature nodes over every block: the values of one field that
+        is not zonal."""
+        return sum(b.weights.size for b in self.blocks)
+
     def _validate_caps(self):
         for p, q in itertools.combinations(self.weight.positions, 2):
             if geodesic_distance(p, q) <= 2.0 * CAP_RADIUS:
@@ -400,8 +406,8 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
 
     The integrator keeps its weight alive, so the ids in its cache key stay
     valid while it is cached.  Each holds its blocks' Legendre tables (the
-    m = 0 blocks until a non-zonal field needs every order: ~100 MB for
-    two caps at L = 256).
+    m = 0 blocks until a non-zonal field needs every order: ~80 MB for
+    two caps at L = 256, with each order's polar rings trimmed).
     """
     key = weight.cache_key()
     cache = grid._integrator_cache
@@ -513,12 +519,21 @@ def sample_gaps(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
     over the quadrature nodes: u is scaled on its one synthesis per block,
     before log h is added, and its coefficients by the same factor."""
     integ = integrator_for(grid, w)
+    scale, dens = _scaled_density(integ, coeffs)
+    scaled = SHCoefficients(coeffs.values * scale[..., None, None])
+    params = FunctionalParams(rho=w.rho_bar, weight=w)
+    return _J_below_ceiling(scaled, dens, params) / w.rho_bar + C
+
+
+def _scaled_density(integ: SingularIntegrator, coeffs: SHCoefficients):
+    """(scale, density) of a stack scaled to max |u| = 2 over the
+    quadrature nodes.  The density keeps its shift, total and peak but not
+    its values, which die here: a stack holds its values or its scaled
+    coefficients, never both."""
     u = integ.synthesis(coeffs)
     flat = [ub.reshape(*coeffs.values.shape[:-2], -1) for ub in u]
     scale = 2.0 / np.max(
         [np.maximum(f.max(axis=-1), -f.min(axis=-1)) for f in flat], axis=0)
     for ub in u:  # batch axes first, then one or two node axes
         ub *= scale.reshape(scale.shape + (1,) * (ub.ndim - scale.ndim))
-    scaled = SHCoefficients(coeffs.values * scale[..., None, None])
-    params = FunctionalParams(rho=w.rho_bar, weight=w)
-    return _J_below_ceiling(scaled, integ.density_of(u), params) / w.rho_bar + C
+    return scale, replace(integ.density_of(u), values=[])

@@ -24,7 +24,12 @@ fine at desk scale (L <= 256).  They take rings in mirror pairs: by
 Pbar_{l,m}(-t) = (-1)^{l+m} Pbar_{l,m}(t), a ring t and its exact mirror
 -t read one Legendre table column, through its rows of even and of odd
 l - m, so a symmetric node set (every Gauss-Legendre grid) needs half a
-table and half the per-order work.  They take longitudes in pairs too:
+table and half the per-order work.  Each order's table drops the polar
+rings on which its Pbar_{l,m} are below LEGENDRE_FLOOR at every degree
+(the "polar optimization" of Schaeffer, G^3 14, 2013 and of Reinecke &
+Seljebotn, A&A 554, 2013): the rings are kept polar-first, so an order
+reads a suffix of them, and a pass skips the dropped columns (a fifth of
+the L = 256 two-cap table).  They take longitudes in pairs too:
 cos m phi is even and sin m phi odd under phi_j -> phi_{n-j} = -phi_j,
 and for even n_phi the half turn phi_j -> phi_j + pi multiplies order m
 by (-1)^m, so the Fourier step runs over the longitudes j <= n_phi / 4
@@ -44,12 +49,14 @@ Legendre table and its cos/sin table on the first pass that needs them.
 
 Coefficients and values may carry leading batch axes: a stack of K fields,
 coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
-one (K x (L+1-m)) by ((L+1-m) x n_t) matrix product per order and trig
-part, so the K fields share one pass over each Pbar block instead of
-reading it K times.  One field gives bit for bit the unbatched results.
+one (2K x (L+1-m)/2) by ((L+1-m)/2 x kept rings) matrix product per
+order and parity of l - m, so the K fields share one pass over each Pbar
+block instead of reading it K times.  One field gives bit for bit the
+unbatched results.
 Stacks cost memory per field on top of the shared tables, so callers that
-batch independent samples take ``batch_size(grid)`` fields at a time, from
-the byte budget ``BATCH_BUDGET``.
+batch independent samples take ``batch_size(nodes)`` fields at a time: as
+many as the byte budget ``BATCH_BUDGET`` holds of one field's values on the
+quadrature nodes the stack is synthesized on.
 """
 
 from __future__ import annotations
@@ -162,25 +169,97 @@ def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
 # order, which runs within about 15 % of a plain per-order loop.
 LEGENDRE_BUDGET = 4096
 
-# Bytes of grid values in one stack of sampled fields that a batched
-# evaluation takes at once (``batch_size``): 4 fields at L = 256.  There a
-# stack adds about 4 MiB of traced allocations per field (its coefficients
-# and its synthesized band block) to 102 MB of shared Legendre tables.  A
-# 4-field synthesis on the 696-ring two-cap block takes about 30 ms in its
-# Legendre stage and 13-20 ms in its Fourier step (one BLAS thread, shared
-# 2-core x86 VM); 11 and 22 fields per stack were no faster and peaked 37
-# and 91 MiB higher (measured while samples were also scaled on the grid).
-BATCH_BUDGET = 9 << 19  # 4.5 MiB
+# Orders per group of a table (``normalized_legendre``), each group computed
+# on the rings its previous order kept.  Building the trimmed L = 256
+# two-cap table (380 representative rings) in groups of 8, 16, 24, 32, 48
+# and 64 orders took 90, 78, 74, 68, 66 and 69 ms at best of 11 (one BLAS
+# thread, shared 2-core x86 VM), against 75 ms for the untrimmed table in
+# one group; smaller groups pay more numpy calls per degree, larger ones
+# compute more of the dropped rings and touch more memory past the table.
+TABLE_GROUP = 32
+
+# Values of Pbar below which a ProductTransform drops a ring from an order's
+# table (see ``normalized_legendre``): a synthesized value misses at most
+# sqrt 2 LEGENDRE_FLOOR times the 1-norm of the coefficients, an analysed
+# coefficient as much times the weighted 1-norm of the values, both far
+# below double precision.
+LEGENDRE_FLOOR = 1e-20
+
+# Bytes of values in one stack of sampled fields that a batched evaluation
+# synthesizes at once (``batch_size``), counted on every quadrature node the
+# stack is synthesized on: 10 fields on the 696 x 514 two-cap block at
+# L = 256 (2.86 MB a field), so 20 samples take 2 stacks.  There a field
+# adds about 3.7 MiB to the peak RSS (its values and its coefficients) on
+# top of 80 MB of trimmed Legendre tables: 9 evaluate ops of the benchmark
+# with stacks of 7, 10 and 11 fields peaked at 150, 161 and 165 MiB,
+# against 164 MiB for stacks of 4 on the untrimmed tables (one BLAS
+# thread, shared 2-core x86 VM).
+BATCH_BUDGET = 29 << 20  # 29 MiB
 
 
-def batch_size(grid: SphereGrid) -> int:
-    """Fields per stack on this grid: BATCH_BUDGET over one field's bytes."""
-    return max(1, BATCH_BUDGET // (8 * grid.n_theta * grid.n_phi))
+def batch_size(nodes: int) -> int:
+    """Fields per stack whose values on ``nodes`` quadrature nodes (every
+    block a stack is synthesized on) fit BATCH_BUDGET; at least one."""
+    return max(1, BATCH_BUDGET // (8 * nodes))
 
 
 # (cos m phi, sin m phi) stacked, by (band limit, n_phi): one array shared by
 # every live transform on those longitudes, freed with the last of them
 _FOURIER = weakref.WeakValueDictionary()
+
+
+def _legendre_group(L: int, m0: int, k: int, t: np.ndarray, sq: np.ndarray,
+                    pmm: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """Fill ``packed`` with the Pbar blocks of orders m0 .. m0 + k - 1 on
+    the rings t, order-major (the L + 1 - m rows of each order in turn),
+    from the sectoral seed pmm = Pbar_{m0,m0} (sq = sqrt(1 - t^2)); returns
+    the seed of order m0 + k.
+
+    After the seeds Pbar_{m,m} and Pbar_{m+1,m}, one vectorized update per
+    degree l advances every order of the group with m <= l - 2 (Schaeffer,
+    G^3 14, 2013).  Each entry is the same float expression as in a
+    one-order-at-a-time loop, so the values do not depend on the grouping
+    or on the rings.
+    """
+    orders = range(m0, m0 + k)
+    offsets = np.cumsum([0] + [L + 1 - m for m in orders][:-1])
+    # a[l, i], b[l, i] of Pbar_{l,m} = a t Pbar_{l-1,m} + b Pbar_{l-2,m}
+    # for m = m0 + i, read where m <= l - 2: exact integer ratios, one
+    # rounded division and sqrt
+    ll, mm = np.arange(L + 1)[:, None], np.arange(m0, m0 + k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm * mm))
+        b = -np.sqrt((2.0 * ll + 1.0) * ((ll - 1.0) ** 2 - mm * mm)
+                     / ((2.0 * ll - 3.0) * (ll * ll - mm * mm)))
+    for m, off in zip(orders, offsets):
+        packed[off] = pmm
+        if m < L:
+            packed[off + 1] = np.sqrt(2 * m + 3.0) * t * pmm
+        pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
+    # degree l - 2 and l - 1 rows of the orders already started
+    prev, cur, work = (np.empty((k, t.size)) for _ in range(3))
+    # rows[l, i]: packed row of (l, m0 + i)
+    rows = offsets - np.arange(m0, m0 + k) + np.arange(L + 1)[:, None]
+    for l in range(m0 + 2, L + 1):
+        j = min(k, l - 1 - m0)  # orders m0 .. m0 + j - 1 have m <= l - 2
+        if l - 2 < m0 + k:  # order l - 2 starts from its seeds
+            prev[j - 1] = packed[offsets[j - 1]]
+            cur[j - 1] = packed[offsets[j - 1] + 1]
+        w, c, p = work[:j], cur[:j], prev[:j]
+        np.multiply(a[l, :j, None], t, out=w)
+        np.multiply(w, c, out=w)
+        np.multiply(b[l, :j, None], p, out=p)
+        np.add(w, p, out=p)  # Pbar_{l,m}, in the degree l - 2 rows
+        packed[rows[l, :j]] = p
+        prev, cur = cur, prev
+    return pmm
+
+
+def _seeds(t: np.ndarray):
+    """(t, sqrt(1 - t^2), Pbar_{0,0}) on the rings t, flattened."""
+    t = np.asarray(t, dtype=float).ravel()
+    return (t, np.sqrt(np.maximum(1.0 - t * t, 0.0)),
+            np.full_like(t, 1.0 / np.sqrt(FOUR_PI)))
 
 
 def _legendre_orders(band_limit: int, t: np.ndarray, group: int | None = None):
@@ -192,71 +271,72 @@ def _legendre_orders(band_limit: int, t: np.ndarray, group: int | None = None):
     beyond L = 256.
 
     Orders are computed in groups of ``group`` consecutive orders (default
-    max(1, LEGENDRE_BUDGET // len(t))): after the sectoral seeds Pbar_{m,m}
-    and Pbar_{m+1,m}, one vectorized update per degree l advances every
-    order of the group with m <= l - 2 (Schaeffer, G^3 14, 2013).  A group's
-    blocks are views into one packed order-major array, allocated afresh per
-    group, so a streaming caller holds at most two groups.  Each entry is the
-    same float expression as in a one-order-at-a-time loop, so the values do
-    not depend on the grouping.
+    max(1, LEGENDRE_BUDGET // len(t))) by ``_legendre_group``.  A group's
+    blocks are views into one packed order-major array, allocated afresh
+    per group, so a streaming caller holds at most two groups.
     """
-    t = np.asarray(t, dtype=float).ravel()
-    L, n = band_limit, t.size
+    t, sq, pmm = _seeds(t)
+    L = band_limit
     if group is None:
-        group = max(1, LEGENDRE_BUDGET // max(n, 1))
-    # a[l, m], b[l, m] of Pbar_{l,m} = a t Pbar_{l-1,m} + b Pbar_{l-2,m}, read
-    # where m <= l - 2: exact integer ratios, one rounded division and sqrt
-    ll, mm = np.arange(L + 1)[:, None], np.arange(L + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm * mm))
-        b = -np.sqrt((2.0 * ll + 1.0) * ((ll - 1.0) ** 2 - mm * mm)
-                     / ((2.0 * ll - 3.0) * (ll * ll - mm * mm)))
-    sq = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-    pmm = np.full_like(t, 1.0 / np.sqrt(FOUR_PI))
+        group = max(1, LEGENDRE_BUDGET // max(t.size, 1))
     for m0 in range(0, L + 1, group):
-        orders = range(m0, min(m0 + group, L + 1))
-        k = len(orders)
-        sizes = [L + 1 - m for m in orders]
-        offsets = np.cumsum([0] + sizes[:-1])
-        packed = np.empty((sum(sizes), n))
-        for m, off in zip(orders, offsets):
-            packed[off] = pmm
-            if m < L:
-                packed[off + 1] = np.sqrt(2 * m + 3.0) * t * pmm
-            pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
-        # degree l - 2 and l - 1 rows of the orders already started
-        prev, cur, work = (np.empty((k, n)) for _ in range(3))
-        # rows[l, i]: packed row of (l, m0 + i)
-        rows = offsets - np.arange(m0, m0 + k) + np.arange(L + 1)[:, None]
-        for l in range(m0 + 2, L + 1):
-            j = min(k, l - 1 - m0)  # orders m0 .. m0 + j - 1 have m <= l - 2
-            if l - 2 < m0 + k:  # order l - 2 starts from its seeds
-                prev[j - 1] = packed[offsets[j - 1]]
-                cur[j - 1] = packed[offsets[j - 1] + 1]
-            w, c, p = work[:j], cur[:j], prev[:j]
-            np.multiply(a[l, m0:m0 + j, None], t, out=w)
-            np.multiply(w, c, out=w)
-            np.multiply(b[l, m0:m0 + j, None], p, out=p)
-            np.add(w, p, out=p)  # Pbar_{l,m}, in the degree l - 2 rows
-            packed[rows[l, :j]] = p
-            prev, cur = cur, prev
-        for m, off, size in zip(orders, offsets, sizes):
+        sizes = [L + 1 - m for m in range(m0, min(m0 + group, L + 1))]
+        packed = np.empty((sum(sizes), t.size))
+        pmm = _legendre_group(L, m0, len(sizes), t, sq, pmm, packed)
+        for m, off, size in zip(itertools.count(m0),
+                                np.cumsum([0] + sizes[:-1]), sizes):
             yield m, packed[off:off + size]
 
 
 def normalized_legendre(band_limit: int, t: np.ndarray,
-                        m_max: int | None = None) -> list[np.ndarray]:
+                        m_max: int | None = None,
+                        floor: float = 0.0) -> list[np.ndarray]:
     """Fully normalized associated Legendre functions Pbar_{l,m}(t).
 
-    Returns one array per order m (0 <= m <= m_max, default band_limit) of
-    shape (band_limit + 1 - m, len(t)); row k holds degree l = m + k.  The
-    whole table is kept, so its orders are advanced as one group, the first
-    group of the recurrence: the blocks are views into one packed array, of
-    (L+1)(L+2)/2 rows when m_max = L and L+1 rows when m_max = 0.
+    Returns one array per order m (0 <= m <= m_max, default band_limit);
+    row k holds degree l = m + k.  Without a ``floor`` the array spans every
+    ring, shape (band_limit + 1 - m, len(t)).  With one, order m spans the
+    rings t[s_m:] alone, s_m the first ring from s_{m-1} on (s_0 = 0) where
+    some |Pbar_{l,m}| >= floor: for rings in polar-first order (|t|
+    falling) it drops the polar rings on which the order is below the
+    floor at every degree, and a product over the rest misses at most
+    floor * sum_l |c_l| of each value.  Order 0 is never trimmed.
+
+    The blocks are views into one array.  It is built TABLE_GROUP orders at
+    a time, each group computed by ``_legendre_group`` on the rings its
+    previous order kept, straight after the kept blocks of the orders
+    before it; each of its blocks is then moved down to its kept columns,
+    and the array is cut to the kept entries at the end.  So the table
+    holds the kept entries alone, in one allocation, and leaves no group
+    arrays behind.
     """
-    m_max = band_limit if m_max is None else m_max
-    orders = _legendre_orders(band_limit, t, group=m_max + 1)
-    return [block for _, block in itertools.islice(orders, m_max + 1)]
+    t, sq, pmm = _seeds(t)
+    L, n = band_limit, t.size
+    m_max = L if m_max is None else m_max
+    sizes = [L + 1 - m for m in range(m_max + 1)]
+    table = np.empty(sum(sizes) * n)  # the untrimmed size: room for a group
+    shapes, end, start = [], 0, 0     # (offset, rows, rings) of each block
+    for m0 in range(0, m_max + 1, TABLE_GROUP):
+        group, lo = sizes[m0:m0 + TABLE_GROUP], start
+        packed = table[end:end + sum(group) * (n - lo)]
+        packed = packed.reshape(sum(group), n - lo)
+        pmm = _legendre_group(L, m0, len(group), t[lo:], sq[lo:],
+                              pmm[pmm.size - (n - lo):], packed)
+        for m, off, size in zip(itertools.count(m0),
+                                np.cumsum([0] + group[:-1]), group):
+            block = packed[off:off + size]
+            if floor and m:
+                while start < n and np.abs(block[:, start - lo]).max() < floor:
+                    start += 1
+            kept = table[end:end + size * (n - start)].reshape(size, n - start)
+            if start > lo or kept.ctypes.data != block.ctypes.data:
+                kept[...] = block[:, start - lo:]  # moves down; may overlap
+            shapes.append((end, size, n - start))
+            end += kept.size
+    del packed, block, kept
+    table.resize(end)
+    return [table[off:off + size * rings].reshape(size, rings)
+            for off, size, rings in shapes]
 
 
 @dataclass
@@ -328,35 +408,50 @@ def _degree_weights(band_limit: int) -> np.ndarray:
     return l * (l + 1.0)
 
 
-def _ring_order(t: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Rings of a paired transform in table order: (order, pairs, reps).
+def _ring_order(t: np.ndarray) -> tuple[np.ndarray, slice, int]:
+    """Rings of a paired transform in table order: (order, paired, reps).
 
-    ``order`` lists the representative rings first, the t > 0 ring of each
-    exact mirror pair (t_j == -t_i, to the bit), then the solo rings (the
-    equator, rings with no mirror), then the mirror of each of the
-    ``pairs`` representatives in turn; the table spans its first ``reps``.
-    A ring takes part in at most one pair.
+    ``order`` lists the ``reps`` representative rings the table spans,
+    then the mirror of each paired one in turn.  A pair is a t > 0 ring
+    and a ring at exactly -t (to the bit); a ring takes part in at most
+    one pair, and the rest are solo.  The representatives are polar-first,
+    so that the rings an order keeps (``normalized_legendre``) are a
+    suffix: one segment per cap, the solo rings of t > 0 and of t < 0, each
+    from its pole outward, the segment nearer its pole first; then the
+    t > 0 rings of the pairs, ``order[paired]``, from the pole to the
+    equator; then the solo rings at t = 0.  The caps are not interleaved,
+    so a pass writes few runs (``_ring_runs``); the price is that an order
+    whose cut falls in the first cap keeps all of the second.
     """
     unmatched: dict = {}
     for j in np.flatnonzero(t < 0.0):
         unmatched.setdefault(-t[j], []).append(j)
+    # later t > 0 rings take the earlier mirrors, so that rings of equal t
+    # (a graded band's nodes at a cap edge) keep runs of the ring order
     reps, mirrors = [], []
-    for i in np.flatnonzero(t > 0.0):
+    for i in np.flatnonzero(t > 0.0)[::-1]:
         if unmatched.get(t[i]):
             reps.append(i)
             mirrors.append(unmatched[t[i]].pop(0))
     solo = np.ones(t.size, dtype=bool)
     solo[reps + mirrors] = False
     solo = np.flatnonzero(solo)
-    order = np.concatenate([reps, solo, mirrors]).astype(np.intp)
-    return order, len(reps), len(reps) + solo.size
+    caps = [solo[t[solo] > 0.0], solo[t[solo] < 0.0]]
+    caps = [cap[np.argsort(-np.abs(t[cap]), kind="stable")] for cap in caps]
+    caps.sort(key=lambda cap: -abs(t[cap[0]]) if cap.size else 0.0)
+    by_t = np.argsort(-t[reps], kind="stable")
+    reps, mirrors = np.asarray(reps)[by_t], np.asarray(mirrors)[by_t]
+    first = sum(cap.size for cap in caps)
+    order = np.concatenate([*caps, reps, solo[t[solo] == 0.0], mirrors])
+    return (order.astype(np.intp), slice(first, first + reps.size),
+            order.size - mirrors.size)
 
 
 def _ring_runs(order: np.ndarray) -> list:
     """(table slice, ring slice) pairs that cover ``order`` by its maximal
     runs of consecutive rings, ascending or descending, so that a pass
     writes table-order rows to ring order one block per run (two on a
-    Gauss grid, five on a two-cap block)."""
+    Gauss grid, four on a two-cap block)."""
     runs, start = [], 0
     for end in range(1, order.size + 1):
         if end < order.size:
@@ -374,12 +469,14 @@ def _ring_runs(order: np.ndarray) -> list:
 
 
 def _turn_sums(parts: list) -> list:
-    """[p_0 + p_1, p_0 - p_1] for two parts, one part as it is: a
-    synthesis sums the even- and odd-m parts into the images at j and
-    n/2 + j, an analysis those images into the parts (the map is its own
-    adjoint)."""
-    return parts if len(parts) == 1 else [parts[0] + parts[1],
-                                          parts[0] - parts[1]]
+    """[p_0 + p_1, p_0 - p_1] for two parts, the difference written over
+    p_1; one part as it is: a synthesis sums the even- and odd-m parts into
+    the images at j and n/2 + j, an analysis those images into the parts
+    (the map is its own adjoint)."""
+    if len(parts) == 1:
+        return parts
+    total = parts[0] + parts[1]
+    return [total, np.subtract(parts[0], parts[1], out=parts[1])]
 
 
 class ProductTransform:
@@ -397,7 +494,13 @@ class ProductTransform:
     every other ring (the equator, cap rings, every ring of an asymmetric
     node set) is solo.  One Legendre table covers the representative
     rings, the t > 0 ring of each pair and the solo rings, and a pass reads
-    its even and odd rows apart.  Synthesis forms E = c_even Pbar_even and
+    its even and odd rows apart.  The representatives are in polar-first
+    order (``_ring_order``: one segment per cap, then the pairs), and each
+    order m > 0 keeps the suffix of them from the first ring where some
+    |Pbar_{l,m}| >= LEGENDRE_FLOOR (``normalized_legendre``): synthesis
+    multiplies over that suffix and writes exact zeros to the dropped rings
+    and their mirrors, analysis skips their columns.  The m = 0 block spans
+    every ring.  Synthesis forms E = c_even Pbar_even and
     O = c_odd Pbar_odd per order, one product per parity for the cos and
     sin coefficients of the whole batch: a representative ring gets E + O,
     its mirror E - O.  Analysis weights the values, takes the Fourier step
@@ -438,7 +541,7 @@ class ProductTransform:
         if ring_weights is not None:
             self.ring_weights = np.reshape(ring_weights, (-1, 1))
             self.weights = self.ring_weights / n_phi  # per node, by ring
-        self._order, self._pairs, self._reps = _ring_order(self.t)
+        self._order, self._paired, self._reps = _ring_order(self.t)
         self._runs = _ring_runs(self._order)
         # longitude pairs: phi_{n-j} = -phi_j and, for even n, phi_{n/2+j}
         # = phi_j + pi, which splits the orders by the parity of m
@@ -457,13 +560,15 @@ class ProductTransform:
         self._fourier = None
 
     def _legendre(self, orders: int) -> list:
-        """(even, odd) rows of the Pbar blocks of orders 0..orders - 1 over
-        the representative rings, built on first need: views of l - m even
-        and odd into one block per order."""
+        """(s, even, odd) per order 0..orders - 1, built on first need: the
+        first representative ring s the order keeps (0 for m = 0) and the
+        rows of l - m even and odd of its Pbar block over the kept rings,
+        views into one array per order."""
         if len(self._plm) < orders:
             t = self.t[self._order[:self._reps]]
-            self._plm = [(block[0::2], block[1::2]) for block in
-                         normalized_legendre(self.band_limit, t, orders - 1)]
+            self._plm = [(t.size - block.shape[1], block[0::2], block[1::2])
+                         for block in normalized_legendre(
+                             self.band_limit, t, orders - 1, LEGENDRE_FLOOR)]
         return self._plm
 
     def _trig(self) -> np.ndarray:
@@ -484,24 +589,33 @@ class ProductTransform:
                 self._fourier.flags.writeable = False  # shared
         return self._fourier
 
-    def _unfold(self, even: np.ndarray, odd: np.ndarray, out: np.ndarray):
+    def _unfold(self, even: np.ndarray, odd: np.ndarray, out: np.ndarray,
+                start: int = 0):
         """Ring values in table order into ``out`` (..., n_t) from the even
-        and odd sums (rows by batch entry, columns by representative)."""
+        and odd sums (rows by batch entry, columns by representative from
+        ``start`` on); the rings an order dropped get exact zeros."""
         even = even.reshape(out.shape[:-1] + (-1,))
         odd = odd.reshape(even.shape)
-        pairs, reps = self._pairs, self._reps
-        np.add(even, odd, out=out[..., :reps])
-        np.subtract(even[..., :pairs], odd[..., :pairs], out=out[..., reps:])
+        reps, paired = self._reps, self._paired
+        # the mirrors follow the paired rings: the first ``gone`` of them
+        # mirror dropped rings, the rest the kept columns ``kept``
+        gone = min(max(start - paired.start, 0), paired.stop - paired.start)
+        kept = slice(paired.start + gone - start, paired.stop - start)
+        out[..., :start] = 0.0
+        out[..., reps:reps + gone] = 0.0
+        np.add(even, odd, out=out[..., start:reps])
+        np.subtract(even[..., kept], odd[..., kept],
+                    out=out[..., reps + gone:])
 
     def _fold(self, f: np.ndarray):
         """(S, D) over the representative rings from ring-major f: f(t) +
         f(-t) and f(t) - f(-t) for a pair, f itself for a solo ring."""
         g = f[self._order]
-        pairs, reps = self._pairs, self._reps
+        reps, paired = self._reps, self._paired
         even = g[:reps].copy()
-        even[:pairs] += g[reps:]
+        even[paired] += g[reps:]
         odd = g[:reps]
-        odd[:pairs] -= g[reps:]
+        odd[paired] -= g[reps:]
         return even, odd
 
     def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
@@ -523,20 +637,12 @@ class ProductTransform:
         v = v.reshape((-1,) + v.shape[-2:])
         k, n_t, n_phi = v.shape[0], self.t.size, self.phi.size
         if v.shape[-1] == 1:  # zonal: the m = 0 sums are the ring values
-            (even, odd), = self._legendre(1)[:1]
+            (_, even, odd), = self._legendre(1)[:1]
             rows = np.empty((k, n_t))
             self._unfold(v[:, 0::2, 0] @ even, v[:, 1::2, 0] @ odd, rows)
             out = np.empty((k, n_t, 1))
             out[:, self._order, 0] = rows
             return out.reshape(batch + (n_t, 1))
-        # c[l, m]: a_{l,m} and a_{l,-m} of each field, one row of 2K per
-        # (l, m) with the sqrt 2 of m > 0 folded in; sin 0 phi = 0 takes no
-        # sine part
-        c = np.zeros((L + 1, L + 1, k, 2))
-        c[..., 0] = v[..., L:].transpose(1, 2, 0)
-        c[:, 1:, :, 1] = v[..., L - 1::-1].transpose(1, 2, 0)
-        c[:, 1:] *= SQRT2
-        c = c.reshape(L + 1, L + 1, 2 * k)
         out = np.empty((k, n_t, n_phi))
         # a field's cos and sin rows, in table order, fill the start of its
         # own output slot when they fit (2 (L + 1) <= n_phi); its Fourier
@@ -546,20 +652,35 @@ class ProductTransform:
         else:
             rows = np.empty((k, 2 * (L + 1) * n_t))
         rows = rows.reshape(k, 2, L + 1, n_t)
-        for m, (even, odd) in enumerate(self._legendre(L + 1)):
-            self._unfold(c[m::2, m].T @ even, c[m + 1::2, m].T @ odd,
-                         rows[:, :, m])
-        trig, pairs = self._trig(), self._phi_pairs
+        # c[l - m]: a_{l,m} and a_{l,-m} of each field for one order m, one
+        # row of 2K per degree with the sqrt 2 of m > 0 folded in; sin 0 phi
+        # = 0 takes no sine part
+        cs = np.empty((L + 1, k, 2))
+        for m, (start, even, odd) in enumerate(self._legendre(L + 1)):
+            c = cs[m:]
+            c[..., 0] = v[:, m:, L + m].T
+            c[..., 1] = v[:, m:, L - m].T if m else 0.0
+            if m:
+                c *= SQRT2
+            c = c.reshape(L + 1 - m, 2 * k)
+            self._unfold(c[0::2].T @ even, c[1::2].T @ odd, rows[:, :, m],
+                         start)
         for i in range(k):  # the Fourier step, field by field
-            cos, sin = (_turn_sums([rows[i, part, p].T @ trig[part, p]
-                                    for p in self._parities])
-                        for part in (0, 1))
-            for (ahead, behind), cj, sj in zip(self._images, cos, sin):
-                for table, ring in self._runs:
-                    np.add(cj[table], sj[table], out=out[i, ring, ahead])
-                    np.subtract(cj[table, 1:pairs + 1], sj[table, 1:pairs + 1],
-                                out=out[i, ring, behind])
+            self._longitudes(rows[i], out[i])
         return out.reshape(batch + out.shape[1:])
+
+    def _longitudes(self, rows: np.ndarray, out: np.ndarray):
+        """One field's values (n_t, n_phi) into ``out`` from its cos and sin
+        rows (2, L+1, n_t) in table order, which may lie in ``out``: every
+        product is formed before the first write."""
+        trig, pairs = self._trig(), self._phi_pairs
+        cos, sin = (_turn_sums([rows[part, p].T @ trig[part, p]
+                                for p in self._parities]) for part in (0, 1))
+        for (ahead, behind), cj, sj in zip(self._images, cos, sin):
+            for table, ring in self._runs:
+                np.add(cj[table], sj[table], out=out[ring, ahead])
+                np.subtract(cj[table, 1:pairs + 1], sj[table, 1:pairs + 1],
+                            out=out[ring, behind])
 
     def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
         """<values, Y_{l,m}> under this node set's quadrature weights:
@@ -576,7 +697,7 @@ class ProductTransform:
         w = (weights * values).reshape(-1, n_phi)
         k, reps = w.shape[0] // n_t, self._reps
         if n_phi == 1:  # cos 0 phi = 1 on the one longitude
-            (even, odd), = self._legendre(1)[:1]
+            (_, even, odd), = self._legendre(1)[:1]
             s, d = self._fold(w.reshape(k, n_t).T)
             out = np.empty((k, L + 1, 1))
             out[:, 0::2, 0] = (even @ s).T
@@ -601,10 +722,11 @@ class ProductTransform:
             start = columns.stop
         s, d = self._fold(f.reshape(k, n_t, 2, L + 1).transpose(1, 3, 0, 2))
         c = np.zeros((L + 1, L + 1, 2 * k))
-        for m, (even, odd) in enumerate(self._legendre(L + 1)):
+        for m, (start, even, odd) in enumerate(self._legendre(L + 1)):
             col = m // turns + m % turns * (L // turns + 1)
-            c[m::2, m] = even @ s[:, col].reshape(reps, -1)
-            c[m + 1::2, m] = odd @ d[:, col].reshape(reps, -1)
+            kept = (reps - start, 2 * k)
+            c[m::2, m] = even @ s[start:, col].reshape(kept)
+            c[m + 1::2, m] = odd @ d[start:, col].reshape(kept)
         c = c.reshape(L + 1, L + 1, k, 2).transpose(2, 0, 1, 3)
         c[:, :, 1:] *= SQRT2
         out = np.empty((k, L + 1, 2 * L + 1))
@@ -784,10 +906,12 @@ def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
 
 def dirichlet_energy(c: SHCoefficients):
     """int |grad u|^2 = sum_{l,m} l(l+1) a_{l,m}^2 for band-limited u (an
-    array over the batch axes for a stack)."""
-    lw = _degree_weights(c.band_limit)
-    terms = lw[:, None] * c.values**2
-    energy = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
+    array over the batch axes for a stack, summed field by field, so a stack
+    takes the scratch of one field)."""
+    lw = _degree_weights(c.band_limit)[:, None]
+    fields = c.values.reshape(-1, *c.values.shape[-2:])
+    energy = np.reshape([(lw * f**2).sum() for f in fields],
+                        c.values.shape[:-2])
     return float(energy) if energy.ndim == 0 else energy
 
 

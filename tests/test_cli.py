@@ -168,18 +168,20 @@ class TestRun:
         from sol_lab.singular_geometry import SingularWeight
 
         grid = {"n_theta": 33, "n_phi": 66}
-        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 8 * 8 * 33 * 66)
         orders = [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)]
+        g = sphere_grid.build_grid(grid["n_theta"], grid["n_phi"])
+        w = SingularWeight.from_orders(orders)
+        (block,) = integrator_for(g, w).blocks
+        # the budget holds the values of 8 fields on the block's nodes
+        nodes = block.weights.size
+        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 8 * 8 * nodes)
+        assert sphere_grid.batch_size(nodes) == 8
         config, _ = validate(config_text(
             experiment={"kind": "inequality-sample", "samples": 20},
             weight={"points": [{"position": p, "order": a}
                                for p, a in orders]},
             grid=grid, seed=5))
         report = run(config)
-        g = sphere_grid.build_grid(grid["n_theta"], grid["n_phi"])
-        assert sphere_grid.batch_size(g) == 8
-        w = SingularWeight.from_orders(orders)
-        (block,) = integrator_for(g, w).blocks
         assert transform_counts["synthesis"] == 3
         assert transform_counts["analysis"] == 0
         rng = np.random.default_rng(5)
@@ -201,7 +203,11 @@ class TestRun:
         from sol_lab import mt_functional, sphere_grid
         from sol_lab.sphere_grid import ProductTransform, SHCoefficients
 
-        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 3 * 8 * 33 * 66)
+        from sol_lab.singular_geometry import SingularWeight
+        w = SingularWeight.from_orders([((0, 0, 1), -0.5), ((0, 0, -1), 0.3)])
+        nodes = mt_functional.integrator_for(
+            sphere_grid.build_grid(33, 66), w).nodes
+        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 3 * 8 * nodes + 7)
         grids, passes, evaluated = [], [], []
         build, synthesis = sphere_grid.build_grid, ProductTransform.synthesis_values
         J = mt_functional.eval_J_coeffs

@@ -162,9 +162,9 @@ class TestConformalPullback:
         orders = []
         table = sphere_grid.normalized_legendre
 
-        def recorded(band_limit, t, m_max=None):
+        def recorded(band_limit, t, m_max=None, floor=0.0):
             orders.append(m_max)
-            return table(band_limit, t, m_max)
+            return table(band_limit, t, m_max, floor)
 
         monkeypatch.setattr(sphere_grid, "normalized_legendre", recorded)
         pulled = conformal_pullback(u, 3.0, -0.4, axis=axis)

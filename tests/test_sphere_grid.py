@@ -12,6 +12,7 @@ from scipy.special import sph_legendre_p
 from sol_lab.sphere_grid import (
     FOUR_PI,
     LEGENDRE_BUDGET,
+    LEGENDRE_FLOOR,
     BandLimitError,
     ProductTransform,
     SHCoefficients,
@@ -334,16 +335,17 @@ class TestOrderLimit:
 
     def test_tables_built_on_first_need(self, grid16, monkeypatch):
         """A zonal pass builds the m = 0 block alone, the first full pass
-        every order, over the representative rings alone; the cos/sin
-        tables are shared by (L, n_phi)."""
+        every order, over the representative rings alone and trimmed at
+        LEGENDRE_FLOOR; the cos/sin tables are shared by (L, n_phi)."""
         from sol_lab import sphere_grid
-        orders, rings = [], []
+        orders, rings, floors = [], [], []
         table = sphere_grid.normalized_legendre
 
-        def recorded(band_limit, t, m_max=None):
+        def recorded(band_limit, t, m_max=None, floor=0.0):
             orders.append(m_max)
             rings.append(len(t))
-            return table(band_limit, t, m_max)
+            floors.append(floor)
+            return table(band_limit, t, m_max, floor)
 
         monkeypatch.setattr(sphere_grid, "normalized_legendre", recorded)
         L, n_phi = grid16.band_limit, grid16.n_phi
@@ -362,7 +364,10 @@ class TestOrderLimit:
         # the tables span the representative rings: 8 pairs and the
         # equator of 17 Gauss nodes; the pair +-0.9 and 5 solo rings of 7
         assert rings == [9, 9, 6]
+        assert floors == [LEGENDRE_FLOOR] * 3
         assert [len(tr._plm) for tr in (a, b)] == [L + 1] * 2
+        # the m = 0 block spans every representative ring
+        assert [tr._plm[0][0] for tr in (a, b)] == [0, 0]
         assert a._trig() is b._trig()
 
 
@@ -413,9 +418,10 @@ def reference_analysis(tr, values):
 
 def mirror_rings(t):
     """(representatives, solo rings, mirrors), by a scan over all rings:
-    each t > 0 ring pairs with the first unpaired ring at exactly -t."""
+    each t > 0 ring, from the last, pairs with the first unpaired ring at
+    exactly -t."""
     reps, mirrors = [], []
-    for i in range(t.size):
+    for i in reversed(range(t.size)):
         for j in range(t.size):
             if t[i] > 0.0 and t[j] == -t[i] and j not in mirrors:
                 reps.append(i)
@@ -423,6 +429,24 @@ def mirror_rings(t):
                 break
     solo = [i for i in range(t.size) if i not in reps + mirrors]
     return reps, solo, mirrors
+
+
+def table_rings(t):
+    """(table, paired, mirrors): the representative rings in polar-first
+    table order, the positions of the paired ones in it and their mirrors
+    in the same order.  Each cap segment (solo rings of t > 0 and of
+    t < 0) runs from its pole outward, the segment with the ring nearest a
+    pole first; then the pairs from the pole to the equator, then the solo
+    rings at t = 0."""
+    reps, solo, mirrors = mirror_rings(t)
+    caps = [sorted((i for i in solo if t[i] > 0.0), key=lambda i: -t[i]),
+            sorted((i for i in solo if t[i] < 0.0), key=lambda i: t[i])]
+    caps.sort(key=lambda cap: -abs(t[cap[0]]) if cap else 0.0)
+    pairs = sorted(zip(reps, mirrors), key=lambda pair: -t[pair[0]])
+    first = len(caps[0]) + len(caps[1])
+    table = (caps[0] + caps[1] + [i for i, _ in pairs]
+             + [i for i in solo if t[i] == 0.0])
+    return table, slice(first, first + len(pairs)), [j for _, j in pairs]
 
 
 def mirror_longitudes(tr):
@@ -440,17 +464,19 @@ def mirror_longitudes(tr):
 
 
 def paired_synthesis(tr, c):
-    """The paired transform of one field, order by order: the cos and sin
-    rows of each parity of l - m in one product with the table's even or
-    odd rows, E + O on a representative ring and E - O on its mirror.
-    Then the longitude step: per parity of m one product with the table
-    over the representative longitudes j; the parities' sum and difference
-    are the sums at j and n/2 + j, cos plus sin there, cos minus sin at
-    n - j and n/2 - j.  Operands have the transform's memory layouts,
-    since BLAS rounds by layout."""
+    """The paired transform of one field, order by order, on the table
+    trimmed at LEGENDRE_FLOOR: the cos and sin rows of each parity of
+    l - m in one product with the table's even or odd rows over the rings
+    the order keeps, E + O on a representative ring and E - O on its
+    mirror, exact zeros on the rings it drops.  Then the longitude step:
+    per parity of m one product with the table over the representative
+    longitudes j; the parities' sum and difference are the sums at j and
+    n/2 + j, cos plus sin there, cos minus sin at n - j and n/2 - j.
+    Operands have the transform's memory layouts, since BLAS rounds by
+    layout."""
     L, n = tr.band_limit, tr.phi.size
-    reps, solo, mirrors = mirror_rings(tr.t)
-    plm = normalized_legendre(L, tr.t[reps + solo])
+    table, paired, mirrors = table_rings(tr.t)
+    plm = normalized_legendre(L, tr.t[table], floor=LEGENDRE_FLOOR)
     # a[l, m]: the cos and sin coefficients of (l, m), sqrt 2 folded in
     if c.shape[-1] == 1:
         a = np.ascontiguousarray(c[:, :, None])
@@ -458,13 +484,16 @@ def paired_synthesis(tr, c):
         a = np.stack([c[:, L:], np.pad(c[:, L - 1::-1], ((0, 0), (1, 0)))],
                      axis=-1)
         a[:, 1:] *= np.sqrt(2.0)
-    k = len(reps)
+    k = len(table)
     rows = np.zeros((a.shape[2], a.shape[1], tr.t.size))  # [part, m, ring]
     for m in range(a.shape[1]):
+        start = k - plm[m].shape[1]
         even = a[m::2, m].T @ plm[m][0::2]
         odd = a[m + 1::2, m].T @ plm[m][1::2]
-        rows[:, m] = np.concatenate([even + odd, even[:, :k] - odd[:, :k]],
-                                    axis=1)
+        sums = np.zeros((2, a.shape[2], k))
+        sums[0, :, start:] = even + odd
+        sums[1, :, start:] = even - odd
+        rows[:, m] = np.concatenate([sums[0], sums[1][:, paired]], axis=1)
     if c.shape[-1] == 1:
         values = rows[:, 0].T
     else:  # the Fourier step in table order
@@ -484,7 +513,7 @@ def paired_synthesis(tr, c):
             for j in range(1, pairs + 1):
                 values[:, (o - j) % n] = cos[:, j] - sin[:, j]
     out = np.empty_like(values)
-    out[reps + solo + mirrors] = values
+    out[table + mirrors] = values
     return out
 
 
@@ -493,10 +522,11 @@ def paired_analysis(tr, values):
     values folded onto the representative longitudes (the adjoint of the
     synthesis' images), per parity of m one product with the table there,
     then the sums folded into S = f(t) + f(-t) and D = f(t) - f(-t), which
-    the even and odd rows read (a solo ring is its own S and D)."""
+    the even and odd rows read over the rings each order keeps (a solo
+    ring is its own S and D)."""
     L, n = tr.band_limit, values.shape[-1]
-    reps, solo, mirrors = mirror_rings(tr.t)
-    plm = normalized_legendre(L, tr.t[reps + solo])
+    table, paired, mirrors = table_rings(tr.t)
+    plm = normalized_legendre(L, tr.t[table], floor=LEGENDRE_FLOOR)
     if n == 1:
         f = (tr.ring_weights * values)[:, :, None]
     else:  # f[ring, part, m]: the cos and sin sums of order m
@@ -518,17 +548,18 @@ def paired_analysis(tr, values):
             f[:, 1, p::turns] = sin @ trig[1, p::turns].T
     # S is a fresh array, (ring, m, part), and D the gathered sums,
     # (ring, part, m), as in the transform
-    s = np.ascontiguousarray(f[reps + solo].transpose(0, 2, 1))
-    d = f[reps + solo]
-    s[:len(reps)] += f[mirrors].transpose(0, 2, 1)
-    d[:len(reps)] -= f[mirrors]
+    s = np.ascontiguousarray(f[table].transpose(0, 2, 1))
+    d = f[table]
+    s[paired] += f[mirrors].transpose(0, 2, 1)
+    d[paired] -= f[mirrors]
     orders = f.shape[2]
     out = np.zeros((L + 1, 2 * orders - 1))
     for m in range(orders):
+        start = len(table) - plm[m].shape[1]
         amp = np.sqrt(2.0) if m > 0 else 1.0
         part = np.zeros((L + 1 - m, f.shape[1]))
-        part[0::2] = plm[m][0::2] @ s[:, m]
-        part[1::2] = plm[m][1::2] @ d[:, :, m]
+        part[0::2] = plm[m][0::2] @ s[start:, m]
+        part[1::2] = plm[m][1::2] @ d[start:, :, m]
         out[m:, orders - 1 + m] = amp * part[:, 0]
         if m > 0:
             out[m:, orders - 1 - m] = amp * part[:, 1]
@@ -681,7 +712,8 @@ class TestRingPairs:
         for name, tr in cases.items():
             reps, solo, mirrors = mirror_rings(tr.t)
             counts[name] = (len(reps), len(solo))
-            even, odd = tr._legendre(1)[0]
+            start, even, odd = tr._legendre(1)[0]
+            assert start == 0
             assert even.shape[1] == odd.shape[1] == len(reps) + len(solo)
         n_axis = cases["axis"].t.size
         assert counts == {"odd": (16, 1), "even": (17, 0),
@@ -707,12 +739,23 @@ class TestRingPairs:
             assert max_rel(got, want) <= 1e-14
 
 
+    @pytest.mark.parametrize("name", ["odd", "even", "axis", "no pairs"])
+    def test_table_order_is_polar_first(self, name):
+        """The transform's ring order is the scan's: the representatives
+        in polar-first segments, then the mirrors of the paired ones."""
+        tr = pairing_cases()[name]
+        table, paired, mirrors = table_rings(tr.t)
+        assert np.array_equal(tr._order, table + mirrors)
+        assert (tr._paired, tr._reps) == (paired, len(table))
+
     def test_runs_cover_the_ring_order(self):
         """A pass writes its table-order rows to ring order by runs of
         consecutive rings; the runs cover the table order exactly, for the
-        grids and the block (2, 2, 5 runs), no pairs (1) and any order."""
+        grids and the block (2, 2 and 4 runs: the caps, the pairs and their
+        mirrors), random colatitudes sorted from the poles (37) and any
+        order."""
         orders = [tr._order for tr in pairing_cases().values()]
-        assert [len(_ring_runs(order)) for order in orders] == [2, 2, 5, 1]
+        assert [len(_ring_runs(order)) for order in orders] == [2, 2, 4, 37]
         rng = np.random.default_rng(5)
         orders += [rng.permutation(50), np.arange(9)[::-1], np.array([0])]
         for order in orders:
@@ -721,6 +764,101 @@ class TestRingPairs:
                 rings[table] = np.arange(order.size)[ring]
             assert np.array_equal(rings, order)
 
+
+def trim_cases():
+    """name -> transform at L = 64 whose table drops polar rings: a Gauss
+    grid, the axis block of two caps, the axis block of one cap (a band
+    with no mirror pairs), random asymmetric colatitudes, and rings so near
+    the poles, one pair among them, that the high orders keep none."""
+    grid = build_grid(65, 130)
+    two = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5),
+                                      ((0.0, 0.0, -1.0), 0.3)])
+    one = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5)])
+    theta = np.random.default_rng(9).uniform(0.0, np.pi, 70)
+    return {"gauss": grid.transform,
+            "two caps": integrator_for(grid, two).blocks[0].transform,
+            "one cap": integrator_for(grid, one).blocks[0].transform,
+            "random": ProductTransform(64, np.cos(theta), 130,
+                                       np.full(theta.size, 0.2)),
+            "polar": ProductTransform(64, np.array([0.9999, -0.9999, 0.99995,
+                                                    -0.9998]), 130,
+                                      np.full(4, 0.5))}
+
+
+class TestPolarTrim:
+    """Each order's table keeps the suffix of the polar-first rings from
+    the first ring where some |Pbar_{l,m}| reaches LEGENDRE_FLOOR."""
+
+    @pytest.mark.parametrize("name", ["gauss", "two caps", "one cap",
+                                      "random", "polar"])
+    def test_omitted_columns_below_floor(self, name):
+        """Against scipy: every dropped (m, ring) column is below the floor
+        at every degree, m = 0 drops nothing, the kept suffixes shrink with
+        m, and the trim drops something on every node set."""
+        tr = trim_cases()[name]
+        L = tr.band_limit
+        t = tr.t[tr._order[:tr._reps]]
+        starts = [start for start, _, _ in tr._legendre(L + 1)]
+        assert starts[0] == 0 and sum(starts) > 0
+        assert starts == sorted(starts)
+        assert LEGENDRE_FLOOR <= 1e-20
+        for m, start in enumerate(starts):
+            if start:
+                l = np.arange(m, L + 1)[:, None]
+                dropped = sph_legendre_p(l, m, np.arccos(t[:start]))
+                assert np.max(np.abs(dropped)) < LEGENDRE_FLOOR, m
+
+    @pytest.mark.parametrize("name", ["gauss", "two caps", "one cap",
+                                      "random", "polar"])
+    def test_matches_untrimmed_reference(self, name, rng):
+        """One field, a K = 4 stack and zonal columns synthesize and
+        analyse as the untrimmed per-order transform does, to 1e-14
+        relative; the rings an order drops are written as exact zeros, so
+        a field of one order vanishes there."""
+        tr = trim_cases()[name]
+        L = tr.band_limit
+        c = rng.normal(size=(4, L + 1, 2 * L + 1))
+        for coeffs in (c[0], c, c[..., L:L + 1]):
+            values = tr.synthesis_values(SHCoefficients(coeffs))
+            want = np.array([reference_synthesis(tr, ci)
+                             for ci in coeffs.reshape((-1,) + c.shape[1:2]
+                                                      + coeffs.shape[-1:])])
+            assert max_rel(values, want.reshape(values.shape)) <= 1e-14
+            got = tr.analysis_coeffs(values).values
+            want = np.array([reference_analysis(tr, v) for v in
+                             values.reshape((-1,) + values.shape[-2:])])
+            assert max_rel(got, want.reshape(got.shape)) <= 1e-14
+        start, _, _ = tr._legendre(L + 1)[L]
+        one = SHCoefficients.zeros(L)
+        one.order(L)[L] = 1.0
+        values = tr.synthesis_values(one)
+        dropped = tr._order[:start]
+        dropped = np.concatenate(
+            [dropped, tr._order[tr._reps:][:max(0, start - tr._paired.start)]])
+        assert start > 0 and not values[dropped].any()
+
+
+    @pytest.mark.parametrize("orders", [(-0.5, 0.3), (0.3, -0.5),
+                                        (-0.22, 1.09)])
+    def test_two_cap_table_and_stack_memory(self, grid128, orders, rng):
+        """At L = 128 the two-cap table holds at most 0.82 of the entries
+        of the untrimmed one, whichever cap is nearer its pole, and a
+        batch_size stack's values on the integrator's blocks fit
+        BATCH_BUDGET, with no room for one field more."""
+        from sol_lab import sphere_grid
+        L = grid128.band_limit
+        w = SingularWeight.from_orders([((0.0, 0.0, 1.0), orders[0]),
+                                        ((0.0, 0.0, -1.0), orders[1])])
+        integ = integrator_for(grid128, w)
+        (block,) = integ.blocks
+        tr = block.transform
+        kept = sum(even.size + odd.size for _, even, odd in tr._legendre(L + 1))
+        assert kept <= 0.82 * tr._reps * (L + 1) * (L + 2) // 2
+        k = sphere_grid.batch_size(integ.nodes)
+        assert integ.nodes == block.weights.size
+        assert 8 * (k + 1) * integ.nodes > sphere_grid.BATCH_BUDGET
+        values = integ.synthesis(random_band_limited_batch(grid128, rng, k))
+        assert sum(v.nbytes for v in values) <= sphere_grid.BATCH_BUDGET
 
 class TestLongitudePairs:
     """Uniform longitudes phi_j = 2 pi j / n in mirror pairs: phi_{n-j} =
