@@ -455,14 +455,16 @@ def _run_inequality_sample(config, report):
     n_samples = exp["samples"]
     rng = np.random.default_rng(config["seed"])
     worst = np.inf
-    chunk = batch_size(integrator_for(grid, w).nodes)
-    for start in range(0, n_samples, chunk):  # one stack alive at a time
-        gaps = sample_gaps(random_band_limited_batch(
-            grid, rng, min(chunk, n_samples - start)), grid, w,
-            exp["constant"])
+    integ, start = integrator_for(grid, w), 0
+    while start < n_samples:  # one stack alive at a time
+        count = min(batch_size(integ.nodes, integ.table_surplus),
+                    n_samples - start)
+        gaps = sample_gaps(random_band_limited_batch(grid, rng, count), grid,
+                           w, exp["constant"])
         for i, gap in enumerate(gaps, start):
             report["records"].append({"sample": i, "gap": float(gap)})
             worst = min(worst, float(gap))
+        start += count
     report["summary"] = {"samples": n_samples, "worst_gap": worst}
     _check(report["checks"], "inequality gap floor", worst, exp["gap_floor"],
            worst >= exp["gap_floor"])

@@ -277,6 +277,12 @@ class SingularIntegrator:
         is not zonal."""
         return sum(b.weights.size for b in self.blocks)
 
+    @property
+    def table_surplus(self) -> int:
+        """``ProductTransform.table_surplus`` over the product blocks."""
+        return sum(b.transform.table_surplus for b in self.blocks
+                   if isinstance(b, _ProductBlock))
+
     def _validate_caps(self):
         for p, q in itertools.combinations(self.weight.positions, 2):
             if geodesic_distance(p, q) <= 2.0 * CAP_RADIUS:
@@ -406,7 +412,7 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
 
     The integrator keeps its weight alive, so the ids in its cache key stay
     valid while it is cached.  Each holds its blocks' Legendre tables (the
-    m = 0 blocks until a non-zonal field needs every order: ~80 MB for
+    m = 0 blocks until a block's second pass over every order: ~80 MB for
     two caps at L = 256, with each order's polar rings trimmed).
     """
     key = weight.cache_key()

@@ -44,8 +44,13 @@ Every consumer picks its path from the last axis; a column meets
 full-width coefficients only through ``SHCoefficients.widened``, never
 through broadcasting, which would add it to every order.  A zonal pass is
 one (L+1) x n_t matrix product, O(L n_t), against O(L^2 n_t + L n_t n_phi)
-over all orders and the Fourier step; a transform builds its all-order
-Legendre table and its cos/sin table on the first pass that needs them.
+over all orders and the Fourier step.  A transform builds its cos/sin
+table on the first pass that needs it and its m = 0 Legendre block on its
+first zonal pass.  Its first pass over every order streams the Legendre
+blocks from the recurrence, and it keeps the table of every order from
+its second such pass on (Schaeffer, G^3 14, 2013 and Reinecke & Seljebotn,
+A&A 554, 2013 run the recurrence inside every pass), so a transform that
+makes one such pass never holds that table.
 
 Coefficients and values may carry leading batch axes: a stack of K fields,
 coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
@@ -54,9 +59,10 @@ order and parity of l - m, so the K fields share one pass over each Pbar
 block instead of reading it K times.  One field gives bit for bit the
 unbatched results.
 Stacks cost memory per field on top of the shared tables, so callers that
-batch independent samples take ``batch_size(nodes)`` fields at a time: as
-many as the byte budget ``BATCH_BUDGET`` holds of one field's values on the
-quadrature nodes the stack is synthesized on.
+batch independent samples take ``batch_size(nodes, held)`` fields at a
+time: as many as the byte budget ``BATCH_BUDGET`` holds of one field's
+values on the quadrature nodes the stack is synthesized on, less the
+surplus of the kept Legendre tables over one streamed group of orders.
 """
 
 from __future__ import annotations
@@ -169,13 +175,14 @@ def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
 # order, which runs within about 15 % of a plain per-order loop.
 LEGENDRE_BUDGET = 4096
 
-# Orders per group of a table (``normalized_legendre``), each group computed
-# on the rings its previous order kept.  Building the trimmed L = 256
-# two-cap table (380 representative rings) in groups of 8, 16, 24, 32, 48
-# and 64 orders took 90, 78, 74, 68, 66 and 69 ms at best of 11 (one BLAS
-# thread, shared 2-core x86 VM), against 75 ms for the untrimmed table in
-# one group; smaller groups pay more numpy calls per degree, larger ones
-# compute more of the dropped rings and touch more memory past the table.
+# Orders per group of a table (``normalized_legendre``) and of a streamed
+# pass, each group computed on the rings its previous order kept.  Building
+# the trimmed L = 256 two-cap table (380 representative rings) in groups of
+# 8, 16, 24, 32, 48 and 64 orders took 90, 78, 74, 68, 66 and 69 ms at best
+# of 11 (one BLAS thread, shared 2-core x86 VM), against 75 ms for the
+# untrimmed table in one group; smaller groups pay more numpy calls per
+# degree, larger ones compute more of the dropped rings and touch more
+# memory past the table.
 TABLE_GROUP = 32
 
 # Values of Pbar below which a ProductTransform drops a ring from an order's
@@ -187,20 +194,20 @@ LEGENDRE_FLOOR = 1e-20
 
 # Bytes of values in one stack of sampled fields that a batched evaluation
 # synthesizes at once (``batch_size``), counted on every quadrature node the
-# stack is synthesized on: 10 fields on the 696 x 514 two-cap block at
-# L = 256 (2.86 MB a field), so 20 samples take 2 stacks.  There a field
-# adds about 3.7 MiB to the peak RSS (its values and its coefficients) on
-# top of 80 MB of trimmed Legendre tables: 9 evaluate ops of the benchmark
-# with stacks of 7, 10 and 11 fields peaked at 150, 161 and 165 MiB,
-# against 164 MiB for stacks of 4 on the untrimmed tables (one BLAS
-# thread, shared 2-core x86 VM).
-BATCH_BUDGET = 29 << 20  # 29 MiB
+# stack is synthesized on: 23 fields on the 696 x 514 two-cap block at
+# L = 256 (2.86 MB a field), so 20 samples take one stack.  The first stack
+# is the block's first pass over every order, which streams its Legendre
+# blocks; a later one reads the kept table (81 MB there) and gives up the
+# table's surplus over one streamed group (58 MB: it takes 3 fields), so
+# no later pass holds more than the first.
+BATCH_BUDGET = 64 << 20  # 64 MiB
 
 
-def batch_size(nodes: int) -> int:
+def batch_size(nodes: int, held: int = 0) -> int:
     """Fields per stack whose values on ``nodes`` quadrature nodes (every
-    block a stack is synthesized on) fit BATCH_BUDGET; at least one."""
-    return max(1, BATCH_BUDGET // (8 * nodes))
+    block a stack is synthesized on) fit BATCH_BUDGET less ``held`` bytes
+    (the blocks' ``table_surplus``); at least one."""
+    return max(1, (BATCH_BUDGET - held) // (8 * nodes))
 
 
 # (cos m phi, sin m phi) stacked, by (band limit, n_phi): one array shared by
@@ -262,81 +269,81 @@ def _seeds(t: np.ndarray):
             np.full_like(t, 1.0 / np.sqrt(FOUR_PI)))
 
 
-def _legendre_orders(band_limit: int, t: np.ndarray, group: int | None = None):
-    """Yield (m, Pbar block) for m = 0..band_limit.
+def _legendre_orders(band_limit: int, t: np.ndarray, m_max: int | None = None,
+                     floor: float = 0.0, group: int | None = None):
+    """Yield (m, Pbar block) for m = 0..m_max (default band_limit).
 
-    The block has shape (band_limit + 1 - m, len(t)); row k holds degree
-    l = m + k.  The normalization is the orthonormal spherical-harmonic one,
-    so values stay O(sqrt(l)) and the three-term recurrence is stable far
-    beyond L = 256.
+    Row k of a block holds degree l = m + k.  The normalization is the
+    orthonormal spherical-harmonic one, so values stay O(sqrt(l)) and the
+    three-term recurrence is stable far beyond L = 256.  Without a
+    ``floor`` a block spans every ring, shape (band_limit + 1 - m, len(t)).
+    With one, order m spans the rings t[s_m:] alone, s_m the first ring
+    from s_{m-1} on (s_0 = 0) where some |Pbar_{l,m}| >= floor: for rings in
+    polar-first order (|t| falling) it drops the polar rings on which the
+    order is below the floor at every degree, and a product over the rest
+    misses at most floor * sum_l |c_l| of each value.  Order 0 is never
+    trimmed.
 
-    Orders are computed in groups of ``group`` consecutive orders (default
-    max(1, LEGENDRE_BUDGET // len(t))) by ``_legendre_group``.  A group's
-    blocks are views into one packed order-major array, allocated afresh
-    per group, so a streaming caller holds at most two groups.
+    Orders are computed ``group`` at a time (default max(1,
+    LEGENDRE_BUDGET // len(t))) by ``_legendre_group``, each group on the
+    rings its previous order kept, into one scratch array that every group
+    reuses: a block is a view that the next group overwrites, so a caller
+    uses each block before it asks for the next group, or copies it.
     """
     t, sq, pmm = _seeds(t)
-    L = band_limit
+    L, n = band_limit, t.size
+    m_max = L if m_max is None else m_max
     if group is None:
-        group = max(1, LEGENDRE_BUDGET // max(t.size, 1))
-    for m0 in range(0, L + 1, group):
-        sizes = [L + 1 - m for m in range(m0, min(m0 + group, L + 1))]
-        packed = np.empty((sum(sizes), t.size))
-        pmm = _legendre_group(L, m0, len(sizes), t, sq, pmm, packed)
+        group = max(1, LEGENDRE_BUDGET // max(n, 1))
+    sizes = [L + 1 - m for m in range(m_max + 1)]
+    scratch = np.empty(sum(sizes[:group]) * n)  # the first group is largest
+    start = 0
+    for m0 in range(0, m_max + 1, group):
+        rows, lo = sizes[m0:m0 + group], start
+        packed = scratch[:sum(rows) * (n - lo)].reshape(sum(rows), n - lo)
+        pmm = _legendre_group(L, m0, len(rows), t[lo:], sq[lo:],
+                              pmm[pmm.size - (n - lo):], packed)
         for m, off, size in zip(itertools.count(m0),
-                                np.cumsum([0] + sizes[:-1]), sizes):
-            yield m, packed[off:off + size]
+                                np.cumsum([0] + rows[:-1]), rows):
+            block = packed[off:off + size]
+            if floor and m:
+                while start < n and np.abs(block[:, start - lo]).max() < floor:
+                    start += 1
+            yield m, block[:, start - lo:]
 
 
 def normalized_legendre(band_limit: int, t: np.ndarray,
                         m_max: int | None = None,
                         floor: float = 0.0) -> list[np.ndarray]:
-    """Fully normalized associated Legendre functions Pbar_{l,m}(t).
+    """Fully normalized associated Legendre functions Pbar_{l,m}(t): the
+    blocks of ``_legendre_orders`` for m = 0..m_max (default band_limit),
+    trimmed at ``floor``, one block per order.
 
-    Returns one array per order m (0 <= m <= m_max, default band_limit);
-    row k holds degree l = m + k.  Without a ``floor`` the array spans every
-    ring, shape (band_limit + 1 - m, len(t)).  With one, order m spans the
-    rings t[s_m:] alone, s_m the first ring from s_{m-1} on (s_0 = 0) where
-    some |Pbar_{l,m}| >= floor: for rings in polar-first order (|t|
-    falling) it drops the polar rings on which the order is below the
-    floor at every degree, and a product over the rest misses at most
-    floor * sum_l |c_l| of each value.  Order 0 is never trimmed.
-
-    The blocks are views into one array.  It is built TABLE_GROUP orders at
-    a time, each group computed by ``_legendre_group`` on the rings its
-    previous order kept, straight after the kept blocks of the orders
-    before it; each of its blocks is then moved down to its kept columns,
-    and the array is cut to the kept entries at the end.  So the table
-    holds the kept entries alone, in one allocation, and leaves no group
-    arrays behind.
+    The recurrence runs TABLE_GROUP orders at a time, and the kept blocks
+    of each group are copied out of its scratch into one array before the
+    next group is computed, so the table holds the kept entries alone and
+    leaves no group arrays behind.  One allocation per group, not per
+    order: the L = 256 two-cap table took 74-88 ms so and 95-115 ms in 257
+    allocations (one BLAS thread, shared 2-core x86 VM).  The m = 0 block
+    alone is its whole scratch, which no later group reuses, so it is
+    kept as it is.
     """
-    t, sq, pmm = _seeds(t)
-    L, n = band_limit, t.size
-    m_max = L if m_max is None else m_max
-    sizes = [L + 1 - m for m in range(m_max + 1)]
-    table = np.empty(sum(sizes) * n)  # the untrimmed size: room for a group
-    shapes, end, start = [], 0, 0     # (offset, rows, rings) of each block
-    for m0 in range(0, m_max + 1, TABLE_GROUP):
-        group, lo = sizes[m0:m0 + TABLE_GROUP], start
-        packed = table[end:end + sum(group) * (n - lo)]
-        packed = packed.reshape(sum(group), n - lo)
-        pmm = _legendre_group(L, m0, len(group), t[lo:], sq[lo:],
-                              pmm[pmm.size - (n - lo):], packed)
-        for m, off, size in zip(itertools.count(m0),
-                                np.cumsum([0] + group[:-1]), group):
-            block = packed[off:off + size]
-            if floor and m:
-                while start < n and np.abs(block[:, start - lo]).max() < floor:
-                    start += 1
-            kept = table[end:end + size * (n - start)].reshape(size, n - start)
-            if start > lo or kept.ctypes.data != block.ctypes.data:
-                kept[...] = block[:, start - lo:]  # moves down; may overlap
-            shapes.append((end, size, n - start))
-            end += kept.size
-    del packed, block, kept
-    table.resize(end)
-    return [table[off:off + size * rings].reshape(size, rings)
-            for off, size, rings in shapes]
+    m_max = band_limit if m_max is None else m_max
+    orders = _legendre_orders(band_limit, t, m_max, floor, TABLE_GROUP)
+    if m_max == 0:
+        return [block for _, block in orders]
+    table, group = [], []
+    for m, block in orders:
+        group.append(block)
+        if (m + 1) % TABLE_GROUP and m < m_max:
+            continue  # the next order is in the same scratch
+        packed, end = np.empty(sum(b.size for b in group)), 0
+        for b in group:
+            table.append(packed[end:end + b.size].reshape(b.shape))
+            table[-1][...] = b
+            end += b.size
+        group = []
+    return table
 
 
 @dataclass
@@ -528,8 +535,8 @@ class ProductTransform:
     One-column data is zonal (see the module docstring): coefficients of
     shape (..., L+1, 1) synthesize to values of shape (..., n_t, 1), and
     such values analyse, on the m = 0 block alone, to such coefficients.
-    The Legendre table holds the m = 0 block until a pass needs every
-    order.
+    The Legendre table holds the m = 0 block until the second pass over
+    every order; the first streams them (``_legendre``).
     """
 
     def __init__(self, band_limit: int, t: np.ndarray, n_phi: int,
@@ -557,19 +564,53 @@ class ProductTransform:
             self._images.append((slice(o, o + self._phi_reps),
                                  slice(end, end - self._phi_pairs, -1)))
         self._plm: list = []
+        self._table_bytes = None  # of every order, once a pass streamed them
         self._fourier = None
 
-    def _legendre(self, orders: int) -> list:
-        """(s, even, odd) per order 0..orders - 1, built on first need: the
-        first representative ring s the order keeps (0 for m = 0) and the
-        rows of l - m even and odd of its Pbar block over the kept rings,
-        views into one array per order."""
-        if len(self._plm) < orders:
-            t = self.t[self._order[:self._reps]]
-            self._plm = [(t.size - block.shape[1], block[0::2], block[1::2])
-                         for block in normalized_legendre(
-                             self.band_limit, t, orders - 1, LEGENDRE_FLOOR)]
+    def _legendre(self, orders: int):
+        """(s, even, odd) per order 0..orders - 1: the first representative
+        ring s the order keeps (0 for m = 0) and the rows of l - m even and
+        odd of its Pbar block over the kept rings.
+
+        The m = 0 block is kept from its first need.  The first pass over
+        every order streams the blocks from the recurrence, TABLE_GROUP
+        orders at a time; the table of every order is kept from the second
+        such pass on, so a transform that makes one full-width pass never
+        holds it.
+        """
+        if len(self._plm) >= orders:
+            return self._plm
+        t = self.t[self._order[:self._reps]]
+        if orders > 1 and self._table_bytes is None:
+            return self._stream(t)
+        self._plm = [(t.size - block.shape[1], block[0::2], block[1::2])
+                     for block in normalized_legendre(
+                         self.band_limit, t, orders - 1, LEGENDRE_FLOOR)]
         return self._plm
+
+    def _stream(self, t: np.ndarray):
+        """The (s, even, odd) of every order from the recurrence, TABLE_GROUP
+        orders at a time; once drained, records the bytes of the table that
+        the next pass keeps."""
+        kept = 0
+        for _, block in _legendre_orders(self.band_limit, t,
+                                         floor=LEGENDRE_FLOOR,
+                                         group=TABLE_GROUP):
+            kept += block.nbytes
+            yield t.size - block.shape[1], block[0::2], block[1::2]
+        self._table_bytes = kept
+
+    @property
+    def table_surplus(self) -> int:
+        """Bytes by which the Legendre blocks that the next pass over every
+        order holds exceed one streamed group of TABLE_GROUP orders: 0
+        until a pass has streamed them, then the kept table less that
+        group (``batch_size``)."""
+        if self._table_bytes is None:
+            return 0
+        L = self.band_limit
+        group = sum(L + 1 - m for m in range(min(TABLE_GROUP, L + 1)))
+        return max(0, self._table_bytes - 8 * group * self._reps)
 
     def _trig(self) -> np.ndarray:
         """cos m phi and sin m phi for m = 0..L over the representative
@@ -973,26 +1014,32 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
     return out.reshape(shape)
 
 
-def gradient_magnitude(c: SHCoefficients, synthesis, t: np.ndarray) -> np.ndarray:
+def gradient_magnitude(c: SHCoefficients, synthesis, t: np.ndarray,
+                       values: bool = False):
     """|grad u| at nodes with cos theta = t, from their synthesizer S,
-    which takes a stack of coefficients (batch axis first).
+    which takes a stack of coefficients (batch axis first); with
+    ``values``, (u, |grad u|) from the same pass.
 
     Exact: d/dphi is spectral, and sin theta dPbar_{l,m}/dtheta =
     l t Pbar_{l,m} - N_{l,m} Pbar_{l-1,m} with N_{l,m}^2 = (2l+1)(l^2-m^2)/(2l-1)
     gives sin theta du/dtheta = t S[l a_{l,m}] - S[N_{l+1,m} a_{l+1,m}].
-    The three coefficient sets are synthesized as one stack, in one pass;
-    for a zonal column as m = 0 columns.
+    The three coefficient sets, after u's own, are synthesized as one
+    stack, in one pass; for a zonal column as m = 0 columns.
     """
     l = np.arange(c.band_limit + 1, dtype=float)[:, None]
     m = np.arange(c.values.shape[-1]) - c._m0
-    parts = np.zeros((3,) + c.values.shape)
-    parts[0] = l * c.values
-    parts[1, :-1] = np.sqrt((2.0 * l[1:] + 1.0) / (2.0 * l[1:] - 1.0)
-                            * np.maximum(l[1:] ** 2 - m * m, 0.0)) * c.values[1:]
-    parts[2] = phi_derivative(c).values
-    by_degree, lowered, dphi = synthesis(SHCoefficients(parts))
+    parts = np.zeros((3 + values,) + c.values.shape)
+    if values:
+        parts[0] = c.values
+    parts[-3] = l * c.values
+    parts[-2, :-1] = np.sqrt((2.0 * l[1:] + 1.0) / (2.0 * l[1:] - 1.0)
+                             * np.maximum(l[1:] ** 2 - m * m, 0.0)) * c.values[1:]
+    parts[-1] = phi_derivative(c).values
+    *u, by_degree, lowered, dphi = synthesis(SHCoefficients(parts))
     sin2 = np.maximum(1.0 - t * t, 1.0e-300)
-    return np.sqrt(((t * by_degree - lowered) ** 2 + dphi**2) / sin2)
+    grad = np.sqrt(((t * by_degree - lowered) ** 2 + dphi**2) / sin2)
+    # u copied out of the stack, which then dies with the three sets
+    return (u[0].copy(), grad) if values else grad
 
 
 def gradient_at_angles(c: SHCoefficients, t: np.ndarray,

@@ -304,23 +304,35 @@ class BlowupDiagnostics:
     under_resolved: bool
 
 
-def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid) -> np.ndarray:
+def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid,
+                            values: bool = False):
     """|grad u| on the grid nodes (exact, see ``gradient_magnitude``); one
-    column for a zonal column of coefficients."""
+    column for a zonal column of coefficients.  With ``values``, (u,
+    |grad u|) from one grid pass."""
     return gradient_magnitude(coeffs, grid.transform.synthesis_values,
-                              grid.t[:, None])
+                              grid.t[:, None], values)
 
 
 def diagnose(state: MinimizerState, w: SingularWeight,
              profile_R: float = 5.0, farfield_delta: float = 1.0,
              cap_radii: tuple = ()) -> BlowupDiagnostics:
     """Populate the concentration diagnostics of a converged state, from
-    its grid values: one column, on the first longitude, when zonal."""
+    its grid values and gradient: one column, on the first longitude, when
+    zonal."""
     grid = state.grid
     alpha = w.alpha
 
+    # u and the three coefficient sets of |grad u| in one grid pass; a
+    # zonal column's values take their own m = 0 pass, one matrix-vector
+    # product per parity that rounds as the solver's do (a stacked product
+    # rounds differently)
+    if state.coeffs.values.shape[-1] == 1:
+        vals = grid.transform.synthesis_values(state.coeffs)
+        grad = gradient_magnitude_grid(state.coeffs, grid)
+    else:
+        vals, grad = gradient_magnitude_grid(state.coeffs, grid, values=True)
+
     # peak over grid nodes and the singular points themselves
-    vals = grid.transform.synthesis_values(state.coeffs)
     nodes = ring_points(grid.t, grid.phi[:vals.shape[-1]])
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     lam = float(vals[idx])
@@ -374,7 +386,6 @@ def diagnose(state: MinimizerState, w: SingularWeight,
     ubar = state.coeffs.mean
     farfield = float(np.max(np.abs(vals[mask] - ubar - w.rho_bar * gvals)))
 
-    grad = gradient_magnitude_grid(state.coeffs, grid)
     grad_l15 = float(integrate(ScalarField(grad**1.5, grid)) ** (1.0 / 1.5))
 
     return BlowupDiagnostics(

@@ -247,6 +247,48 @@ class TestRun:
                 assert abs(dens.peak[i] - np.max(u)) <= 1e-14
         assert len(report["records"]) == 7
 
+    def test_later_stacks_give_up_the_table_surplus(self, monkeypatch):
+        """Two axis caps at L = 64, 20 samples, a budget of 10 fields: the
+        first stack streams the block's Legendre blocks and takes 10
+        fields; the block keeps its table from the second pass on, so the
+        later stacks give up the table's surplus over one streamed group
+        (``table_surplus``), and the gaps do not depend on the stacks."""
+        from sol_lab import sphere_grid
+        from sol_lab.mt_functional import integrator_for
+        from sol_lab.singular_geometry import SingularWeight
+
+        orders = [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)]
+        integ = integrator_for(sphere_grid.build_grid(65, 130),
+                               SingularWeight.from_orders(orders))
+        (block,) = integ.blocks
+        for _ in block.transform._legendre(64 + 1):  # one streamed pass
+            pass
+        surplus = integ.table_surplus
+        assert surplus > 0
+        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 10 * 8 * integ.nodes)
+        later = sphere_grid.batch_size(integ.nodes, surplus)
+        assert 1 < later < 10
+        sizes = []
+        draw = sphere_grid.random_band_limited_batch
+
+        def recorded(grid, rng, count, *args):
+            sizes.append(count)
+            return draw(grid, rng, count, *args)
+
+        monkeypatch.setattr(sphere_grid, "random_band_limited_batch",
+                            recorded)
+        config, _ = validate(config_text(
+            experiment={"kind": "inequality-sample", "samples": 20},
+            weight={"points": [{"position": p, "order": a}
+                               for p, a in orders]},
+            grid={"n_theta": 65, "n_phi": 130}, seed=2))
+        gaps = [r["gap"] for r in run(config)["records"]]
+        assert sizes == [10, later, 20 - 10 - later]
+        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 20 * 8 * integ.nodes)
+        sizes.clear()
+        assert [r["gap"] for r in run(config)["records"]] == gaps
+        assert sizes == [20]
+
     def test_kw_check_analyses_no_grid_values(self, monkeypatch,
                                               transform_counts):
         """A kw-check solve analyses no grid values: it starts from a zero

@@ -263,7 +263,8 @@ class TestZonalPath:
         """A zonal solve, the axis identity on its state and its diagnosis
         (whole-sphere mass included) never build a Legendre table of every
         order, for the grid or for the integrator; the first non-zonal
-        density builds the integrator's."""
+        density streams the integrator's orders and keeps none of them, the
+        second keeps every order."""
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
@@ -280,6 +281,9 @@ class TestZonalPath:
         integ = integrator_for(grid, w)
         c = state.coeffs.widened()
         c.order(1)[1] = 1.0e-3
+        integ.density(c)
+        assert [len(b.transform._plm) for b in integ.blocks] == \
+            [1] * len(integ.blocks)
         integ.density(c)
         assert [len(b.transform._plm) for b in integ.blocks] == \
             [grid.band_limit + 1] * len(integ.blocks)
@@ -520,6 +524,33 @@ class TestDiagnose:
         diag = diagnose(fake, w)  # t_eps = e^{-3} < 4 pi / 16
         assert diag.t_eps < 4.0 * np.pi / grid16.band_limit
         assert diag.under_resolved
+
+    def test_non_zonal_diagnosis_is_one_grid_pass(self):
+        """A non-zonal state's grid values and the three coefficient sets
+        of its gradient are synthesized as one stack: the grid transform
+        makes one pass over every order, which streams its Legendre blocks
+        and keeps none, and the values and gradient are bit for bit those
+        of separate passes."""
+        from sol_lab.sphere_grid import random_band_limited_batch
+        from sol_lab.subcritical_solver import (MinimizerState,
+                                                gradient_magnitude_grid)
+        grid = build_grid(33, 66)
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        coeffs = random_band_limited_batch(grid, np.random.default_rng(4), 1)
+        state = MinimizerState(
+            coeffs=SHCoefficients(coeffs.values[0]), grid=grid,
+            params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w),
+            epsilon=0.5, J=0.0, residual_norm=0.0, iterations=0,
+            converged=True)
+        diag = diagnose(state, w, cap_radii=(0.5, 3.5))
+        assert len(grid.transform._plm) <= 1
+        assert grid.transform._table_bytes is not None  # it has streamed
+        vals, grad = gradient_magnitude_grid(state.coeffs, grid, values=True)
+        assert np.array_equal(vals,
+                              grid.transform.synthesis_values(state.coeffs))
+        assert np.array_equal(grad, gradient_magnitude_grid(state.coeffs, grid))
+        assert diag.lambda_eps >= np.max(
+            grid.transform.synthesis_values(state.coeffs))
 
     def test_cap_density_integral_constant(self, grid64):
         """Against the closed form for h = 1, u = const."""

@@ -1,5 +1,7 @@
 """Grid construction, quadrature exactness, and transform round trips."""
 
+import cProfile
+import sys
 import tracemalloc
 
 import numpy as np
@@ -241,7 +243,8 @@ class TestGroupedLegendre:
         t = np.random.default_rng(band_limit).uniform(-1.0, 1.0, n_points)
         t[:3] = [-1.0, 0.0, 1.0]
         expected = list(reference_legendre_orders(band_limit, t))
-        for got in (list(_legendre_orders(band_limit, t)),
+        # the generator's blocks are views that its next group overwrites
+        for got in ([(m, b.copy()) for m, b in _legendre_orders(band_limit, t)],
                     list(enumerate(normalized_legendre(band_limit, t)))):
             assert [m for m, _ in got] == list(range(band_limit + 1))
             for (_, want), (_, block) in zip(expected, got):
@@ -334,9 +337,11 @@ class TestOrderLimit:
             1e-14 * np.max(np.abs(full))
 
     def test_tables_built_on_first_need(self, grid16, monkeypatch):
-        """A zonal pass builds the m = 0 block alone, the first full pass
-        every order, over the representative rings alone and trimmed at
-        LEGENDRE_FLOOR; the cos/sin tables are shared by (L, n_phi)."""
+        """A zonal pass builds the m = 0 block alone; the first full pass
+        streams every order and keeps none, the second builds and keeps
+        them, over the representative rings alone and trimmed at
+        LEGENDRE_FLOOR, with the size the first pass recorded; the cos/sin
+        tables are shared by (L, n_phi)."""
         from sol_lab import sphere_grid
         orders, rings, floors = [], [], []
         table = sphere_grid.normalized_legendre
@@ -360,6 +365,10 @@ class TestOrderLimit:
         full.order(2)[3] = 1.0
         a.synthesis_values(full)
         b.analysis_coeffs(np.ones((7, n_phi)))
+        assert orders == [0]
+        assert [len(tr._plm) for tr in (a, b)] == [1, 0]
+        a.synthesis_values(full)
+        b.analysis_coeffs(np.ones((7, n_phi)))
         assert orders == [0, L, L]
         # the tables span the representative rings: 8 pairs and the
         # equator of 17 Gauss nodes; the pair +-0.9 and 5 solo rings of 7
@@ -368,6 +377,9 @@ class TestOrderLimit:
         assert [len(tr._plm) for tr in (a, b)] == [L + 1] * 2
         # the m = 0 block spans every representative ring
         assert [tr._plm[0][0] for tr in (a, b)] == [0, 0]
+        assert [tr._table_bytes for tr in (a, b)] == [
+            sum(even.nbytes + odd.nbytes for _, even, odd in tr._plm)
+            for tr in (a, b)]
         assert a._trig() is b._trig()
 
 
@@ -859,6 +871,66 @@ class TestPolarTrim:
         assert 8 * (k + 1) * integ.nodes > sphere_grid.BATCH_BUDGET
         values = integ.synthesis(random_band_limited_batch(grid128, rng, k))
         assert sum(v.nbytes for v in values) <= sphere_grid.BATCH_BUDGET
+
+class TestStreamedPass:
+    """A transform streams its Legendre blocks through its first pass over
+    every order and keeps them from its second, so a transform that makes
+    one full-width pass never holds its table."""
+
+    @pytest.mark.parametrize("name", ["gauss", "one cap", "two caps"])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_streamed_pass_is_the_kept_pass(self, name, batch, rng):
+        """Synthesis and analysis, of one field and of a stack, give bit
+        for bit on the first (streamed) pass what they give on the second
+        (on the kept table), on a Gauss grid, a one-cap and a two-cap
+        block; the first pass keeps no block, the second every order, and
+        the trim drops rings, so the streamed blocks are views into the
+        group arrays."""
+        synthesis, analysis = (trim_cases()[name] for _ in range(2))
+        L = synthesis.band_limit
+        c = SHCoefficients(rng.normal(size=batch + (L + 1, 2 * L + 1)))
+        streamed = synthesis.synthesis_values(c)
+        assert synthesis._plm == []
+        assert np.array_equal(streamed, synthesis.synthesis_values(c))
+        assert len(synthesis._plm) == L + 1
+        assert any(start for start, _, _ in synthesis._plm)
+        streamed = analysis.analysis_coeffs(streamed).values
+        assert analysis._plm == []
+        kept = analysis.analysis_coeffs(synthesis.synthesis_values(c)).values
+        assert np.array_equal(streamed, kept)
+        assert len(analysis._plm) == L + 1
+
+
+class TestLegendreUnderTracers:
+    """Tracers and profilers hold references to a frame's locals (a
+    sys.settrace hook, as coverage.py and pdb install, and cProfile);
+    building a trimmed table must not depend on there being none."""
+
+    def build(self):
+        t = np.cos(np.linspace(0.01, 1.5, 60))  # polar-first rings
+        return normalized_legendre(64, t, floor=LEGENDRE_FLOOR)
+
+    def check(self, table):
+        want = self.build()
+        assert table[-1].shape[1] < table[0].shape[1]  # trimmed
+        assert [b.shape for b in table] == [b.shape for b in want]
+        assert all(np.array_equal(a, b) for a, b in zip(table, want))
+
+    def test_under_settrace(self):
+        def tracer(frame, event, arg):
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            table = self.build()
+        finally:
+            sys.settrace(previous)
+        self.check(table)
+
+    def test_under_cprofile(self):
+        self.check(cProfile.Profile().runcall(self.build))
+
 
 class TestLongitudePairs:
     """Uniform longitudes phi_j = 2 pi j / n in mirror pairs: phi_{n-j} =
