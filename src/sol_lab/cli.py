@@ -207,11 +207,12 @@ _CONFIG = _section({
     "output": ({}, _section({"report": (None, _any),
                              "traces": (None, _any)})),
 })
-# the SolverConfig fields of the experiments that solve
+# the SolverConfig fields of the experiments that solve; a solve from
+# zero (minimize, kw-check) takes no start, a sweep its first entry's
 _SOLVER = {"max_iterations": (4000, _number(lo=1, integer=True)),
-           "tol_factor": (1.0e-6, _number(gt=0.0)),
-           "init": ("test-function", _choice("zero", "test-function")),
-           "init_epsilon": (0.01, _number(gt=0.0, lt=1.0))}
+           "tol_factor": (1.0e-6, _number(gt=0.0))}
+_START = {"init": ("test-function", _choice("zero", "test-function")),
+          "init_epsilon": (0.01, _number(gt=0.0, lt=1.0))}
 
 
 def _experiment_schema(alpha: float) -> dict:
@@ -241,14 +242,14 @@ def _experiment_schema(alpha: float) -> dict:
                                                    _each(_number(gt=0.0))),
                               "family_tol": (1.0e-5, tol)},
         "minimize": {"epsilon": (0.1, _number(**eps)), **_SOLVER},
-        "sweep": {"epsilons": epsilons, **_SOLVER,
+        "sweep": {"epsilons": epsilons, **_SOLVER, **_START,
                   "cap_mass_rel_tol": (0.15, tol),
                   "extrapolation_rel_tol": (0.05, tol)},
         "kw-check": {"use_extremal": (False, _flag), "alpha": extremal_alpha,
                      "epsilon": (0.3, _number(**eps)), **_SOLVER,
                      "residual_tol": (lambda exp: 1.0e-6 if exp["use_extremal"]
                                       else 1.0e-3, tol)},
-        "profile-collapse": {"epsilons": epsilons, **_SOLVER,
+        "profile-collapse": {"epsilons": epsilons, **_SOLVER, **_START,
                              "noise": (0.02, _number(lo=0.0))},
         "test-function-sweep": {"epsilons": ([1.0e-2, 1.0e-3, 1.0e-4],
                                              _each(_number(gt=0.0, lt=1.0),
@@ -300,12 +301,12 @@ def validate(raw_text: str):
             errors.append("experiment: expected an object")
         _choice(*KINDS)(errors, kind, "experiment.kind")
 
-    # one pole, or both poles, of the grid axis
+    # one pole, or both poles, of the grid axis, by the integrator's rule
+    from .sphere_grid import axis_aligned
     z = [p["position"][2] for p in points]
-    antipodal_axis = ((len(z) == 1 or (len(z) == 2 and z[0] * z[1] <= 0))
-                      and all(abs(abs(v) - 1.0) <= 1.0e-10 for v in z))
-    if kind == "kw-check" and exp["use_extremal"] is False \
-            and not antipodal_axis:
+    if kind == "kw-check" and exp["use_extremal"] is False and not (
+            (len(z) == 1 or (len(z) == 2 and z[0] * z[1] <= 0))
+            and all(axis_aligned(p["position"]) for p in points)):
         errors.append(
             "experiment: kw-check requires singularities at antipodal "
             "points on the grid axis (the identity only holds in the "
@@ -326,20 +327,23 @@ def serialize(config: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _build_weight(config):
+    """The config's weight; K is the coefficients of base + the harmonics
+    (base folded into a_00 as a shift), a zonal column when every harmonic
+    has m = 0."""
+    import numpy as np
     from .singular_geometry import SingularWeight
-    from .sphere_grid import SHCoefficients, synthesis_at_points
+    from .sphere_grid import SHCoefficients
 
     section = config["weight"]
     K = None
     if section["K"] is not None:
         harmonics = section["K"]["harmonics"]
-        coeffs = SHCoefficients.zeros(max((t["l"] for t in harmonics),
-                                          default=0))
+        L = max((t["l"] for t in harmonics), default=0)
+        zonal = all(t["m"] == 0 for t in harmonics)
+        K = SHCoefficients(np.zeros((L + 1, 1 if zonal else 2 * L + 1)))
         for t in harmonics:
-            coeffs.order(t["m"])[t["l"]] = t["coeff"]
-
-        def K(points, _c=coeffs, _b=section["K"]["base"]):
-            return _b + synthesis_at_points(_c, points)
+            K.order(t["m"])[t["l"]] = t["coeff"]
+        K = K.shifted(section["K"]["base"])
     return SingularWeight.from_orders(
         [(p["position"], p["order"]) for p in section["points"]], K)
 
@@ -420,14 +424,13 @@ def _run_verify_extremal(config, report):
     import numpy as np
     from .closed_forms import ExtremalParams, extremal_u, extremal_weight
     from .mt_functional import FunctionalParams, eval_J
-    from .sphere_grid import sh_analysis
 
     exp = config["experiment"]
     alpha = exp["alpha"]
     grid = _grid_for(config)
     w = extremal_weight(alpha)
     params = FunctionalParams(rho=w.rho_bar, weight=w)
-    J_10, J_lc = (eval_J(sh_analysis(extremal_u(p, grid)), grid, params)
+    J_10, J_lc = (eval_J(extremal_u(p, grid), grid, params)
                   for p in (ExtremalParams(alpha=alpha),
                             ExtremalParams(lam=exp["lambda"], c=exp["c"],
                                            alpha=alpha)))
@@ -446,8 +449,8 @@ def _run_inequality_sample(config, report):
     import numpy as np
     from .closed_forms import conformal_pullback
     from .mt_functional import integrator_for, sample_gaps, troyanov_gap
-    from .sphere_grid import (ScalarField, batch_size,
-                              random_band_limited_batch, sh_analysis)
+    from .sphere_grid import (SHCoefficients, batch_size,
+                              random_band_limited_batch)
 
     exp = config["experiment"]
     w = _build_weight(config)
@@ -470,10 +473,10 @@ def _run_inequality_sample(config, report):
            worst >= exp["gap_floor"])
     if not w.points and w.K is None:
         worst_fam = 0.0
+        zero = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
         for t in exp["family_dilations"]:
-            u = conformal_pullback(ScalarField.constant(grid, 0.0), t, 0.0)
-            gap = float(troyanov_gap(sh_analysis(u), grid, w,
-                                     exp["constant"]))
+            u = conformal_pullback(zero, grid, t, 0.0)
+            gap = float(troyanov_gap(u, grid, w, exp["constant"]))
             report["records"].append({"dilation": t, "gap": gap})
             worst_fam = max(worst_fam, abs(gap))
         report["summary"]["worst_family_gap"] = worst_fam
@@ -484,7 +487,8 @@ def _run_inequality_sample(config, report):
 def _solver_config(exp, schedule):
     from .subcritical_solver import SolverConfig
     return SolverConfig(epsilon_schedule=tuple(schedule),
-                        **{name: exp[name] for name in _SOLVER})
+                        **{name: exp[name] for name in {**_SOLVER, **_START}
+                           if name in exp})
 
 
 def _solve_from_zero(exp, w, grid):
@@ -593,15 +597,13 @@ def _run_profile_collapse(config, report):
 def _run_kw_check(config, report):
     from .closed_forms import ExtremalParams, extremal_u, extremal_weight
     from .identity_checks import kazdan_warner_residual
-    from .sphere_grid import sh_analysis
 
     exp = config["experiment"]
     w = _build_weight(config)
     grid = _grid_for(config)
     if exp["use_extremal"]:
         w = extremal_weight(exp["alpha"])
-        coeffs = sh_analysis(extremal_u(ExtremalParams(alpha=exp["alpha"]),
-                                        grid))
+        coeffs = extremal_u(ExtremalParams(alpha=exp["alpha"]), grid)
         rho = w.rho_bar
     else:
         state = _solve_from_zero(exp, w, grid)

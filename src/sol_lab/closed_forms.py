@@ -33,14 +33,13 @@ import numpy as np
 from .sphere_grid import (
     FOUR_PI,
     ProductTransform,
-    ScalarField,
+    SHCoefficients,
     SphereGrid,
     _orthonormal_frame,
     geodesic_distance,
     normalized,
     on_axis,
     ring_points,
-    sh_analysis,
 )
 from .singular_geometry import (
     REGULAR_PART,
@@ -123,10 +122,12 @@ def extremal_value(params: ExtremalParams, x) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def extremal_u(params: ExtremalParams, grid: SphereGrid) -> ScalarField:
-    """u_{lambda,c} sampled on the grid: one column when the axis is +-e3."""
+def extremal_u(params: ExtremalParams, grid: SphereGrid) -> SHCoefficients:
+    """Coefficients of u_{lambda,c} sampled on the grid: a zonal column
+    when the axis is +-e3."""
     phi = grid.phi[:1] if on_axis(params.axis) else grid.phi
-    return ScalarField(extremal_value(params, ring_points(grid.t, phi)), grid)
+    return grid.transform.analysis_coeffs(
+        extremal_value(params, ring_points(grid.t, phi)))
 
 
 def extremal_weight(alpha: float, axis=(0.0, 0.0, 1.0)) -> SingularWeight:
@@ -160,27 +161,27 @@ def dilated_dot(t: float, dot_axis: np.ndarray) -> np.ndarray:
     return np.tanh(0.5 * q)
 
 
-def conformal_pullback(u: ScalarField, t: float, alpha: float,
-                       axis=(0.0, 0.0, 1.0)) -> ScalarField:
-    """u o phi_t + (1+alpha) log |det d phi_t| resampled on u's grid.
+def conformal_pullback(coeffs: SHCoefficients, grid: SphereGrid, t: float,
+                       alpha: float, axis=(0.0, 0.0, 1.0)) -> SHCoefficients:
+    """Coefficients of u o phi_t + (1+alpha) log |det d phi_t| sampled on
+    the grid, for u with coefficients ``coeffs``.
 
-    The dilation maps latitude circles to latitude circles, so the resampling
+    The dilation maps latitude circles to latitude circles, so the sampling
     is a product-grid synthesis at shifted colatitudes (spectrally exact for
-    band-limited u); a zonal u gives one column.
+    band-limited u); a zonal column gives a zonal column.
     """
     axis = normalized(np.asarray(axis, dtype=float))
     if abs(axis[2]) < 1.0 - 1.0e-12:
         raise ValueError("conformal_pullback requires the grid axis")
     if t <= 0.0:
         raise ValueError("dilation parameter must be positive")
-    grid = u.grid
     sign = np.sign(axis[2])
     dot = sign * grid.t
     new_dot = dilated_dot(t, dot)
     tr = ProductTransform(grid.band_limit, sign * new_dot, grid.n_phi)
-    pulled = tr.synthesis_values(sh_analysis(u))
-    return ScalarField(
-        pulled + (1.0 + alpha) * log_det_dilation(t, dot)[:, None], grid)
+    pulled = tr.synthesis_values(coeffs)
+    return grid.transform.analysis_coeffs(
+        pulled + (1.0 + alpha) * log_det_dilation(t, dot)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +342,14 @@ def concentration_profile(params: ConcentrationParams):
     return profile
 
 
-def concentration_field(params: ConcentrationParams, grid: SphereGrid) -> ScalarField:
-    """The two-branch concentration field sampled on the grid: one column
-    when p is +-e3."""
+def concentration_field(params: ConcentrationParams,
+                        grid: SphereGrid) -> SHCoefficients:
+    """Coefficients of the two-branch concentration field sampled on the
+    grid: a zonal column when p is +-e3."""
     profile = concentration_profile(params)
     phi = grid.phi[:1] if on_axis(params.p) else grid.phi
     d = np.arccos(np.clip(ring_points(grid.t, phi) @ params.p, -1.0, 1.0))
-    return ScalarField(profile(d), grid)
+    return grid.transform.analysis_coeffs(profile(d))
 
 
 def concentration_functional(params: ConcentrationParams) -> dict:

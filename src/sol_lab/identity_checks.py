@@ -40,8 +40,6 @@ from .singular_geometry import (
 )
 from .mt_functional import CAP_RADIUS, integrator_for
 
-_ANTIPODAL_TOL = 1.0e-10
-
 
 class RegimeError(ValueError):
     """The requested configuration has no closed form in scope."""
@@ -215,17 +213,18 @@ def sphere_sharp_constant(alpha1: float, alpha2: Optional[float] = None,
 # ---------------------------------------------------------------------------
 
 def _axis_orders(w: SingularWeight) -> tuple[float, float]:
-    """(order at +e3, order at -e3); requires an axis-antipodal layout."""
+    """(order at +e3, order at -e3); requires an axis-antipodal layout
+    (``SingularWeight.is_axis_aligned``)."""
+    if not w.is_axis_aligned():
+        raise RegimeError(
+            "the axis identity needs singularities at antipodal points "
+            "on the grid axis")
     a1 = a2 = 0.0
     for sp in w.points:
-        if abs(sp.position[2] - 1.0) < _ANTIPODAL_TOL:
+        if sp.position[2] > 0.0:
             a1 = sp.order
-        elif abs(sp.position[2] + 1.0) < _ANTIPODAL_TOL:
-            a2 = sp.order
         else:
-            raise RegimeError(
-                "the axis identity needs singularities at antipodal points "
-                "on the grid axis")
+            a2 = sp.order
     return a1, a2
 
 

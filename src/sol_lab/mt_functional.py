@@ -25,14 +25,17 @@ one ``ProductTransform`` over the north cap, band and south cap
 colatitude nodes.  A density then costs one synthesis and its
 spherical-harmonic analysis one analysis, O(L^3) like a grid transform.
 Off-axis points fall back to a smooth-cutoff variant whose accuracy is
-limited by the grid resolution of the cutoff (roughly 1e-4): scattered
-caps plus the grid itself, with the cutoff folded into log h on the grid.
+limited by the grid resolution of the cutoff (log int h off by 2e-4 to
+3e-3 at L = 64 and 2e-6 to 1e-4 at L = 128, most near the poles):
+scattered caps plus the grid itself, with the cutoff folded into log h on
+the grid.
 All sharp-constant paths use the axis-aligned configuration.
 
 ``integrator_for`` is the one way library code gets an integrator, one per
 weight.  Zonality follows the data, by the one rule of ``sphere_grid``:
-one-column data is zonal.  A weight invariant about the grid axis keeps
-log h as one column per product block, so a zonal column of
+one-column data is zonal, and the weight's data says whether h is
+invariant about the grid axis (``SingularWeight.axis_invariant``).  Such
+a weight keeps log h as one column per product block, so a zonal column of
 coefficients gives a ring-constant density, one column per block, and
 each of its transforms is an m = 0 pass, O(L n_t) instead of
 O(L^2 n_t + L n_t n_phi).
@@ -51,7 +54,6 @@ import numpy as np
 
 from .sphere_grid import (
     FOUR_PI,
-    LEGENDRE_BUDGET,
     ProductTransform,
     SHCoefficients,
     SphereGrid,
@@ -256,12 +258,13 @@ class Density:
 class SingularIntegrator:
     """Composite quadrature for densities h e^u and their SH analysis.
 
-    The build observes the weight once (``_axis_invariant``): an h
-    invariant about the grid axis keeps log h as one column per block,
-    evaluated on one longitude.  For a zonal column of coefficients J_rho,
-    its gradient and the moments about the axis then live in the m = 0
-    subspace, and the density computes them there exactly, as one column
-    per block.
+    The build reads the weight's data once
+    (``SingularWeight.axis_invariant``) and evaluates log h on the block
+    nodes alone: an h invariant about the grid axis keeps log h as one
+    column per block, evaluated on one longitude.  For a zonal column of
+    coefficients J_rho, its gradient and the moments about the axis then
+    live in the m = 0 subspace, and the density computes them there
+    exactly, as one column per block.
     """
 
     def __init__(self, grid: SphereGrid, weight: SingularWeight):
@@ -269,7 +272,7 @@ class SingularIntegrator:
         self.weight = weight
         self._validate_caps()
         self.blocks, self.log_h = self._build_blocks(
-            grid, grid.phi[:1] if _axis_invariant(weight, grid) else grid.phi)
+            grid, grid.phi[:1] if weight.axis_invariant else grid.phi)
 
     @property
     def nodes(self) -> int:
@@ -318,7 +321,9 @@ class SingularIntegrator:
                                     for t, cap in zip(ts, caps)])
             return [_ProductBlock(transform)], [log_h]
         # general positions: smooth-cutoff splitting (documented lower
-        # accuracy); the grid keeps the cutoff complement in its log h
+        # accuracy); the grid keeps the cutoff complement in its log h, -inf
+        # where the complement is 0 (log h is not evaluated there: a grid
+        # node may be a negative-order point)
         extra = np.ones((grid.n_theta, grid.n_phi))
         blocks, log_h = [], []
         for i, sp in enumerate(w.points):
@@ -330,9 +335,10 @@ class SingularIntegrator:
             log_h.append(w.log_weight(
                 blocks[-1].points, cap=(i, np.repeat(r, CAP_ANGULAR_NODES))))
         blocks.append(_ProductBlock(grid.transform))
-        with np.errstate(divide="ignore"):  # log 0 = -inf inside the caps
-            log_h.append(w.log_weight(ring_points(grid.t, phi))
-                         + np.log(extra))
+        outside = extra > 0.0
+        log_h.append(np.full(extra.shape, -np.inf))
+        log_h[-1][outside] = (w.log_weight(ring_points(grid.t, phi)[outside])
+                              + np.log(extra[outside]))
         return blocks, log_h
 
     # -- density machinery --------------------------------------------------
@@ -392,28 +398,15 @@ class SingularIntegrator:
         return dens.peak
 
 
-def _axis_invariant(weight: SingularWeight, grid: SphereGrid) -> bool:
-    """True when h is invariant about the grid axis: its singular points lie
-    on the axis and log h is exactly constant along every grid ring (true
-    for K == 1 and a zonal K, false for a point 1e-6 off the pole), checked
-    LEGENDRE_BUDGET nodes at a time, never on the whole grid at once."""
-    if not weight.is_axis_aligned():
-        return False
-    rings = max(1, LEGENDRE_BUDGET // grid.n_phi)
-    return not any(
-        np.ptp(weight.log_weight(ring_points(grid.t[i:i + rings], grid.phi)),
-               axis=1).any()
-        for i in range(0, grid.n_theta, rings))
-
-
 def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrator:
     """The grid's integrator for ``weight``, from a per-grid LRU cache of
     INTEGRATOR_CACHE_SIZE integrators.
 
-    The integrator keeps its weight alive, so the ids in its cache key stay
-    valid while it is cached.  Each holds its blocks' Legendre tables (the
-    m = 0 blocks until a block's second pass over every order: ~80 MB for
-    two caps at L = 256, with each order's polar rings trimmed).
+    The key is the weight's data (``SingularWeight.cache_key``): positions,
+    orders and the coefficients of K.  Each integrator holds its blocks'
+    Legendre tables (the m = 0 blocks until a block's second pass over
+    every order: ~80 MB for two caps at L = 256, with each order's polar
+    rings trimmed).
     """
     key = weight.cache_key()
     cache = grid._integrator_cache

@@ -26,12 +26,14 @@ point p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .sphere_grid import FOUR_PI, ScalarField, SphereGrid, geodesic_distance, normalized
+from .sphere_grid import (FOUR_PI, SHCoefficients, axis_aligned,
+                          geodesic_distance, normalized, on_axis,
+                          synthesis_at_points)
 
 # Regular part of the sphere Green's function, constant by symmetry.
 REGULAR_PART = (2.0 * np.log(2.0) - 1.0) / FOUR_PI
@@ -79,12 +81,16 @@ class SingularPoint:
 class SingularWeight:
     """Weight h = K prod_i exp(-4 pi alpha_i G_{p_i}) with its bookkeeping.
 
-    ``K`` is an optional smooth positive factor given as a callable on unit
-    vectors (shape (..., 3) -> (...)); the default is K == 1.
+    ``K`` is an optional smooth positive factor, the band-limited function
+    with these coefficients (a zonal column when it is invariant about the
+    grid axis); the default is K == 1.
     """
 
     def __init__(self, points: Sequence[SingularPoint] = (),
-                 K: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+                 K: Optional[SHCoefficients] = None):
+        if K is not None and not isinstance(K, SHCoefficients):
+            raise TypeError("K must be SHCoefficients or None, got "
+                            f"{type(K).__name__}")
         self.points = list(points)
         self.K = K
         for i, a in enumerate(self.points):
@@ -133,14 +139,25 @@ class SingularWeight:
         a = self.alpha
         return [sp for sp in self.points if sp.order == a]
 
-    def is_axis_aligned(self, tol: float = 1.0e-12) -> bool:
-        """True when every singular point sits on the grid axis +-e3."""
-        return all(abs(abs(sp.position[2]) - 1.0) <= tol for sp in self.points)
+    def is_axis_aligned(self) -> bool:
+        """True when every singular point sits on the grid axis +-e3
+        (``axis_aligned``)."""
+        return all(axis_aligned(sp.position) for sp in self.points)
+
+    @property
+    def axis_invariant(self) -> bool:
+        """True when h is invariant about the grid axis, read from the
+        weight's data: every point exactly +-e3 (``on_axis``) and K == 1 or
+        a zonal column.  log h is then exactly constant along every ring."""
+        return (all(on_axis(sp.position) for sp in self.points)
+                and (self.K is None or self.K.values.shape[-1] == 1))
 
     def smooth_factor(self, x: np.ndarray) -> np.ndarray:
+        """K at unit vectors x of shape (..., 3), synthesized from its
+        coefficients."""
         if self.K is None:
             return np.ones(np.asarray(x).shape[:-1])
-        return np.asarray(self.K(x), dtype=float)
+        return synthesis_at_points(self.K, x)
 
     def log_weight(self, x, cap: tuple | None = None):
         """log h(x); accepts (..., 3) arrays.  Stable for strong orders.
@@ -177,9 +194,6 @@ class SingularWeight:
         """h(x) = K(x) prod_i (e/2)^{alpha_i} (1 - <p_i, x>)^{alpha_i}."""
         return np.exp(self.log_weight(x))
 
-    def sample(self, grid: SphereGrid) -> ScalarField:
-        return ScalarField(self.weight(grid.nodes), grid)
-
     def bubble_constant(self, p) -> float:
         """Concentration density constant c(p) at a minimal-order point
         (at a regular point when alpha = 0, where it is h(p))."""
@@ -199,7 +213,9 @@ class SingularWeight:
 
     def cache_key(self) -> tuple:
         pts = tuple((tuple(sp.position), sp.order) for sp in self.points)
-        return (pts, id(self.K))
+        if self.K is None:
+            return (pts, None)
+        return (pts, self.K.values.shape, self.K.values.tobytes())
 
     def __repr__(self) -> str:
         pts = ", ".join(f"(order={sp.order:+.3g})" for sp in self.points)

@@ -5,12 +5,11 @@ uniformly spaced longitudes.  This combination integrates every spherical
 harmonic of degree <= 2L exactly (L the band limit), and none of the nodes
 sit on the poles, which is where singular weights will be placed later.
 
-Fields live in two equivalent representations:
-
-* ``ScalarField``   -- values on the (n_theta, n_phi) node array, or one
-                       (n_theta, 1) column for a ring-constant field;
-* ``SHCoefficients``-- real spherical-harmonic coefficients a_{l,m},
-                       0 <= l <= L, -l <= m <= l.
+A band-limited function -- a field, or the smooth factor K of a weight --
+is one ``SHCoefficients``: real spherical-harmonic coefficients a_{l,m},
+0 <= l <= L, -l <= m <= l.  Values on the (n_theta, n_phi) nodes, or one
+(n_theta, 1) column for a ring-constant field, are plain arrays that
+convert to and from coefficients through the grid's ``transform`` alone.
 
 The real harmonic convention is orthonormal on the sphere:
 
@@ -124,6 +123,13 @@ def on_axis(p) -> bool:
     """True when the unit vector p is +-e3 exactly: a field radial about p
     is then one column of values, bit for bit."""
     return p[0] == 0.0 and p[1] == 0.0
+
+
+def axis_aligned(p) -> bool:
+    """True when the unit vector p is within about 1.4e-6 rad of +-e3 (|z|
+    within 1e-12 of 1): the one axis-layout rule, under which a singular
+    point gets the exact axis quadrature and the axis identity."""
+    return abs(abs(p[2]) - 1.0) <= 1.0e-12
 
 
 def ring_points(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -799,19 +805,15 @@ class SphereGrid:
     # -- geometry -----------------------------------------------------------
 
     @property
-    def weights(self) -> np.ndarray:
-        """Steradian weight per node, shape (n_theta, n_phi).
-
-        Each ring weight is split evenly over the n_phi longitudes.  The ring
-        weights are normalized so that their compensated sum is exactly
-        4 pi; a plain ``np.sum`` of this array matches 4 pi up to rounding.
-        """
-        return np.repeat(self.t_weights[:, None] / self.n_phi, self.n_phi, axis=1)
-
-    @property
     def nodes(self) -> np.ndarray:
         """Unit vectors per node, shape (n_theta, n_phi, 3)."""
         return ring_points(self.t, self.phi)
+
+    def integral(self, values) -> float:
+        """The grid rule on values at the nodes (or a ring-constant column):
+        ring weights times ring means, summed with ``math.fsum``, so the
+        constant 1 integrates to exactly ``FOUR_PI`` on every grid."""
+        return math.fsum(self.t_weights * np.mean(values, axis=-1))
 
     def node_spacing(self) -> float:
         """Typical colatitude spacing, pi / n_theta."""
@@ -822,99 +824,12 @@ class SphereGrid:
                 f"L={self.band_limit})")
 
 
-@dataclass
-class ScalarField:
-    """Real-valued field sampled on the nodes of a SphereGrid.
-
-    Values of shape (n_theta, 1) are a ring-constant field, kept as that one
-    column (the one zonality rule of the module docstring).
-    """
-
-    values: np.ndarray
-    grid: SphereGrid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        n_theta, n_phi = self.grid.n_theta, self.grid.n_phi
-        if self.values.shape not in ((n_theta, 1), (n_theta, n_phi)):
-            raise ValueError(f"field shape {self.values.shape} does not match "
-                             f"grid {(n_theta, n_phi)} or its column")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite at every node")
-
-    @classmethod
-    def from_function(cls, grid: SphereGrid, fn) -> "ScalarField":
-        """Sample ``fn`` (mapping (..., 3) unit vectors to reals) on the grid."""
-        return cls(np.asarray(fn(grid.nodes), dtype=float), grid)
-
-    @classmethod
-    def constant(cls, grid: SphereGrid, value: float) -> "ScalarField":
-        return cls(np.full((grid.n_theta, 1), float(value)), grid)
-
-    @property
-    def mean(self) -> float:
-        return integrate(self) / FOUR_PI
-
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.values + other.values, self.grid)
-        return ScalarField(self.values + other, self.grid)
-
-    def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.values - other.values, self.grid)
-        return ScalarField(self.values - other, self.grid)
-
-    def __mul__(self, scalar: float):
-        return ScalarField(self.values * scalar, self.grid)
-
-    __rmul__ = __mul__
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
 def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
     return SphereGrid(n_theta, n_phi)
-
-
-def integrate(f: ScalarField) -> float:
-    """Quadrature of f over the whole sphere: sum over rings of w_i * mean_i,
-    each ring's mean taken over the last axis (a column is its own mean).
-
-    The ring weights times the ring means are summed with ``math.fsum``
-    (compensated, correctly rounded), so with the normalized ring weights the
-    constant field 1 integrates to exactly ``FOUR_PI`` on every grid.
-    """
-    return math.fsum(f.grid.t_weights * np.mean(f.values, axis=-1))
-
-
-def sh_analysis(f: ScalarField) -> SHCoefficients:
-    """Coefficients of f, analysed as given: a column into the zonal column
-    (L+1, 1), full-width values into every order."""
-    return f.grid.transform.analysis_coeffs(f.values)
-
-
-def sh_synthesis(c: SHCoefficients, grid: SphereGrid) -> ScalarField:
-    if c.band_limit > grid.band_limit:
-        raise BandLimitError(
-            f"coefficients have L={c.band_limit}, grid supports {grid.band_limit}"
-        )
-    if c.band_limit < grid.band_limit:
-        c = c.widened(grid.band_limit)
-    return ScalarField(grid.transform.synthesis_values(c), grid)
-
-
-def random_band_limited(grid: SphereGrid, rng, l_max=None, amplitude=2.0,
-                        decay=2.0) -> ScalarField:
-    """Seeded random field: one draw of ``random_band_limited_batch``,
-    synthesized on the grid and scaled so that max |u| over the grid nodes
-    is ``amplitude`` (a zero draw, l_max = 0, stays zero)."""
-    coeffs = random_band_limited_batch(grid, rng, 1, l_max, decay)
-    u = sh_synthesis(SHCoefficients(coeffs.values[0]), grid)
-    peak = float(np.max(np.abs(u.values)))
-    return u * (amplitude / peak) if peak > 0.0 else u
 
 
 def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
@@ -927,8 +842,7 @@ def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
     normals, in order of degree and then of m.  The fields are drawn one
     after another, so the stream does not depend on how the samples are
     split into batches.  Callers scale each field on the nodes they
-    evaluate it on: ``random_band_limited`` on the grid,
-    ``mt_functional.sample_gaps`` on the quadrature nodes.
+    evaluate it on (``mt_functional.sample_gaps``: the quadrature nodes).
     """
     G = grid.band_limit
     L = G if l_max is None else l_max

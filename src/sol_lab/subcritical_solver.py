@@ -68,7 +68,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sphere_grid import (
-    ScalarField,
     SHCoefficients,
     SphereGrid,
     _degree_weights,
@@ -76,10 +75,8 @@ from .sphere_grid import (
     geodesic_distance,
     gradient_at_angles,
     gradient_magnitude,
-    integrate,
     on_axis,
     ring_points,
-    sh_analysis,
     synthesis_at_points,
 )
 from .singular_geometry import SingularWeight, green_radial
@@ -386,7 +383,7 @@ def diagnose(state: MinimizerState, w: SingularWeight,
     ubar = state.coeffs.mean
     farfield = float(np.max(np.abs(vals[mask] - ubar - w.rho_bar * gvals)))
 
-    grad_l15 = float(integrate(ScalarField(grad**1.5, grid)) ** (1.0 / 1.5))
+    grad_l15 = grid.integral(grad**1.5) ** (1.0 / 1.5)
 
     return BlowupDiagnostics(
         lambda_eps=lam, p_eps=np.asarray(p_eps), center=np.asarray(center),
@@ -498,7 +495,7 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
                 p0 = weight.minimal_points()[0].position
                 tf = ConcentrationParams(epsilon=config.init_epsilon,
                                          weight=weight, p=p0)
-                current = sh_analysis(concentration_field(tf, grid))
+                current = concentration_field(tf, grid)
             else:
                 current = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
         state = minimize(params, config, current, grid)

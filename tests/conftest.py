@@ -3,9 +3,28 @@
 import numpy as np
 import pytest
 
-# random_band_limited is re-exported for "from conftest import random_band_limited"
-from sol_lab.sphere_grid import (SHCoefficients, build_grid,  # noqa: F401
-                                 random_band_limited)
+from sol_lab.sphere_grid import (SHCoefficients, build_grid,
+                                 random_band_limited_batch)
+
+
+def random_band_limited(grid, rng, l_max=None, amplitude=2.0, decay=2.0):
+    """Values on the grid nodes of one seeded random field: one draw of
+    ``random_band_limited_batch``, synthesized on the grid and scaled so
+    that max |u| over the grid nodes is ``amplitude`` (a zero draw, l_max =
+    0, stays zero)."""
+    coeffs = random_band_limited_batch(grid, rng, 1, l_max, decay)
+    u = grid.transform.synthesis_values(SHCoefficients(coeffs.values[0]))
+    peak = float(np.max(np.abs(u)))
+    return u * (amplitude / peak) if peak > 0.0 else u
+
+
+def affine_K(m, amplitude=0.1):
+    """Coefficients of a smooth factor K = 1 + amplitude x3 (m = 0, a zonal
+    column) or 1 + amplitude x1 (m = 1): x3 = sqrt(4 pi / 3) Y_10 and x1
+    likewise Y_11."""
+    K = SHCoefficients(np.zeros((2, 1 if m == 0 else 3)))
+    K.order(m)[1] = amplitude * np.sqrt(4.0 * np.pi / 3.0)
+    return K.shifted(1.0)
 
 
 def zero(grid):

@@ -36,11 +36,8 @@ from sol_lab.mt_functional import (
 from sol_lab.singular_geometry import REGULAR_PART, SingularWeight
 from sol_lab.sphere_grid import (
     FOUR_PI,
-    ScalarField,
     build_grid,
     normalized_legendre,
-    sh_analysis,
-    sh_synthesis,
 )
 from sol_lab.subcritical_solver import SolverConfig, epsilon_sweep, minimize
 
@@ -72,13 +69,12 @@ def test_criterion_1_onofri_baseline(grid64):
     rng = np.random.default_rng(7)
     worst = np.inf
     for _ in range(20):
-        u = random_band_limited(grid64, rng)
-        worst = min(worst, troyanov_gap(sh_analysis(u), grid64, w, 0.0))
+        u = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
+        worst = min(worst, troyanov_gap(u, grid64, w, 0.0))
     worst_family = 0.0
     for t in (1.0, 2.0, 4.0):
-        u = conformal_pullback(ScalarField.constant(grid64, 0.0), t, 0.0)
-        worst_family = max(worst_family, abs(
-            troyanov_gap(sh_analysis(u), grid64, w, 0.0)))
+        u = conformal_pullback(zero(grid64), grid64, t, 0.0)
+        worst_family = max(worst_family, abs(troyanov_gap(u, grid64, w, 0.0)))
     elapsed = time.monotonic() - t0
     ok = worst >= -1e-6 and worst_family < 1e-5 and elapsed < 30.0
     # the family gap is a rounding residual (~6e-15): print the gate, not
@@ -96,8 +92,7 @@ def test_criterion_2_attained_minimum(grid128):
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         exact = 8.0 * np.pi * (1 + alpha) * (np.log1p(alpha) - alpha)
         def J_of(extremal):
-            return eval_J(sh_analysis(extremal_u(extremal, grid128)), grid128,
-                          params)
+            return eval_J(extremal_u(extremal, grid128), grid128, params)
 
         J10 = J_of(ExtremalParams(alpha=alpha))
         rel = abs(J10 - exact) / abs(exact)
@@ -194,7 +189,7 @@ def test_criterion_6_kazdan_warner(grid128):
     # equal antipodal pair: the extremal makes both sides vanish
     w4 = extremal_weight(-0.5)
     u4 = extremal_u(ExtremalParams(alpha=-0.5), grid128)
-    rep4 = kazdan_warner_residual(sh_analysis(u4), grid128, w4.rho_bar, w4)
+    rep4 = kazdan_warner_residual(u4, grid128, w4.rho_bar, w4)
     r4 = max(abs(rep4.poho_residual), abs(rep4.kw_vector_residual))
     results.append(("equal-pair extremal", r4, 1e-6))
     ok = all(v < tol for _, v, tol in results)
@@ -244,16 +239,17 @@ def test_criterion_9_numerical_hygiene(grid64):
     for _ in range(5):
         v = random_band_limited(grid64, rng, amplitude=1.0)
         step = 1e-5
-        fd = (eval_J(sh_analysis(u + v * step), grid64, params)
-              - eval_J(sh_analysis(u - v * step), grid64, params)) / (2 * step)
+        analysis = grid64.transform.analysis_coeffs
+        fd = (eval_J(analysis(u + v * step), grid64, params)
+              - eval_J(analysis(u - v * step), grid64, params)) / (2 * step)
         pairing = float(np.sum(
-            residual_coeffs(sh_analysis(u), params, grid64).values
-            * sh_analysis(v).values))
+            residual_coeffs(analysis(u), params, grid64).values
+            * analysis(v).values))
         worst_grad = max(worst_grad, abs(fd - pairing) / abs(pairing))
     # transform round trip
     f = random_band_limited(grid64, rng)
-    c = sh_analysis(f)
-    rt = np.abs(sh_synthesis(c, grid64).values - f.values).max()
+    c = grid64.transform.analysis_coeffs(f)
+    rt = np.abs(grid64.transform.synthesis_values(c) - f).max()
     # quadrature of spherical harmonics up to 2L
     L2 = 2 * grid64.band_limit
     table = normalized_legendre(L2, grid64.t)

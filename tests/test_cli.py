@@ -1,6 +1,7 @@
 """Config validation, experiment dispatch, determinism, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -63,6 +64,27 @@ class TestValidate:
             experiment={"kind": "kw-check"})
         _, errors = validate(text)
         assert any("antipodal" in e for e in errors)
+
+    @pytest.mark.parametrize("delta, valid", [(1.0e-6, True),
+                                              (5.0e-6, False)])
+    def test_kw_check_axis_rule_is_the_integrators(self, tmp_path, delta,
+                                                   valid):
+        """kw-check accepts a point near the pole exactly when the
+        integrator runs it on the axis rule: 5e-6 rad off the pole would
+        run on the scattered caps and fail the identity, so it exits 2."""
+        from sol_lab.singular_geometry import SingularWeight
+        pos = [math.sin(delta), 0.0, math.cos(delta)]
+        text = config_text(
+            weight={"points": [{"position": pos, "order": -0.25}]},
+            experiment={"kind": "kw-check", "epsilon": 0.3})
+        _, errors = validate(text)
+        assert bool(errors) != valid
+        assert SingularWeight.from_orders([(pos, -0.25)]).is_axis_aligned() \
+            == valid
+        if not valid:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(text)
+            assert main(["kw-check", "--config", str(cfg)]) == 2
 
     def test_unknown_kind(self):
         text = config_text(experiment={"kind": "explode"})
@@ -414,12 +436,21 @@ BAD_NUMBERS.update({
     for n in (0, 1)})
 
 
+# a solve from zero (minimize, kw-check) reads no start: its init keys are
+# unknown, not defaulted and recorded
+BAD_NUMBERS.update({
+    f"{key}-{kind}-unknown": (kind, {key: value},
+                              f"experiment.{key}: unknown key")
+    for key, value in (("init", "zero"), ("init_epsilon", 0.01))
+    for kind in ("minimize", "kw-check")})
+
+
 # strings and flags the runners read, out of their sets; each must exit 2
 BAD_CHOICES = {
     f"init-{kind}": (kind, {"init": "test_function"},
                      "experiment.init: expected one of zero, test-function; "
                      "got 'test_function'")
-    for kind in ("minimize", "sweep", "kw-check", "profile-collapse")
+    for kind in ("sweep", "profile-collapse")
 }
 BAD_CHOICES["use_extremal-string"] = (
     "kw-check", {"use_extremal": "no"},
@@ -575,6 +606,34 @@ class TestMainEntry:
             experiment={"kind": "kw-check", "use_extremal": True,
                         "alpha": -0.5}))
         assert main(["kw-check", "--config", str(cfg)]) == 0
+
+    def test_negative_point_on_a_grid_node(self, tmp_path):
+        """An off-axis negative-order point on a grid node, (1, 0, 0) on
+        the equator ring of an odd Gauss grid, solves and exits 0."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text(
+            grid={"n_theta": 65, "n_phi": 130},
+            weight={"points": [{"position": [1, 0, 0], "order": -0.5}]},
+            experiment={"kind": "minimize", "epsilon": 0.5}))
+        assert main(["minimize", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("m, width", [(0, 1), (1, 5)])
+    def test_smooth_factor_is_coefficients(self, m, width):
+        """weight.K is the coefficients of base + harmonics, base in
+        a_00: a zonal column when every harmonic has m = 0."""
+        from sol_lab.cli import _build_weight
+        config, _ = validate(config_text(weight={
+            "points": [{"position": [0, 0, 1], "order": -0.5}],
+            "K": {"base": 1.5, "harmonics": [{"l": 2, "m": m,
+                                              "coeff": 0.2}]}}))
+        w = _build_weight(config)
+        assert w.K.values.shape == (3, width)
+        assert w.axis_invariant == (m == 0)
+        x = np.array([[0.6, 0.0, 0.8], [0.0, 0.0, -1.0]])
+        y2m = {0: np.sqrt(5.0 / (16.0 * np.pi)) * (3.0 * x[:, 2] ** 2 - 1.0),
+               1: np.sqrt(15.0 / (4.0 * np.pi)) * x[:, 0] * x[:, 2]}[m]
+        assert w.smooth_factor(x) == pytest.approx(1.5 + 0.2 * y2m,
+                                                   rel=1e-14)
 
     def test_negative_smooth_factor_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -35,8 +35,7 @@ from sol_lab.closed_forms import (
 )
 from sol_lab.mt_functional import FunctionalParams, eval_J
 from sol_lab.singular_geometry import REGULAR_PART, SingularWeight
-from sol_lab.sphere_grid import (FOUR_PI, ScalarField, geodesic_distance,
-                                 sh_analysis)
+from sol_lab.sphere_grid import FOUR_PI
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -109,7 +108,7 @@ class TestExtremalFamily:
         w = extremal_weight(alpha)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         J_10, J_23 = (
-            eval_J(sh_analysis(extremal_u(p, grid128)), grid128, params)
+            eval_J(extremal_u(p, grid128), grid128, params)
             for p in (ExtremalParams(alpha=alpha),
                       ExtremalParams(lam=2.0, c=3.0, alpha=alpha)))
         assert abs(J_23 - J_10) < 1e-3
@@ -138,27 +137,28 @@ class TestExtremalFamily:
 class TestConformalPullback:
     def test_identity_at_t1(self, grid64, rng):
         from conftest import random_band_limited
-        u = random_band_limited(grid64, rng)
-        pulled = conformal_pullback(u, 1.0, -0.3)
+        u = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
+        pulled = conformal_pullback(u, grid64, 1.0, -0.3)
         assert np.abs(pulled.values - u.values).max() < 1e-10
 
     def test_onofri_equality_family(self, grid64):
         """u = log |det d phi_t| gives J_{8 pi} = 0 (smooth equality case)."""
         w = SingularWeight()
         params = FunctionalParams(rho=8.0 * np.pi, weight=w)
+        from conftest import zero
         for t in (2.0, 4.0):
-            u = conformal_pullback(ScalarField.constant(grid64, 0.0), t, 0.0)
-            assert abs(eval_J(sh_analysis(u), grid64, params)) < 1e-5
+            u = conformal_pullback(zero(grid64), grid64, t, 0.0)
+            assert abs(eval_J(u, grid64, params)) < 1e-5
 
     @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
     def test_zonal_field_matches_full_synthesis(self, grid64, axis,
                                                 monkeypatch):
-        """A zonal u is resampled by the m = 0 synthesis, one column; it
-        matches the full-order synthesis of its widened coefficients at
-        the dilated colatitudes."""
+        """A zonal u is resampled by the m = 0 synthesis and analysed as
+        one column, into a column; it matches the full-order synthesis of
+        its widened coefficients at the dilated colatitudes."""
         from sol_lab import sphere_grid
         u = extremal_u(ExtremalParams(alpha=-0.4), grid64)
-        assert sphere_grid.sh_analysis(u).values.shape[-1] == 1
+        assert u.values.shape[-1] == 1
         orders = []
         table = sphere_grid.normalized_legendre
 
@@ -167,26 +167,26 @@ class TestConformalPullback:
             return table(band_limit, t, m_max, floor)
 
         monkeypatch.setattr(sphere_grid, "normalized_legendre", recorded)
-        pulled = conformal_pullback(u, 3.0, -0.4, axis=axis)
+        pulled = conformal_pullback(u, grid64, 3.0, -0.4, axis=axis)
         assert orders == [0]
+        assert pulled.values.shape[-1] == 1
         sign = axis[2]
         dot = sign * grid64.t
         full = sphere_grid.ProductTransform(
             grid64.band_limit, sign * dilated_dot(3.0, dot), grid64.n_phi)
-        coeffs = sphere_grid.sh_analysis(u).widened()
-        want = (full.synthesis_values(coeffs)
-                + 0.6 * log_det_dilation(3.0, dot)[:, None])
-        assert np.max(np.abs(pulled.values - want)) <= \
-            1e-13 * np.max(np.abs(want))
+        want = grid64.transform.analysis_coeffs(
+            full.synthesis_values(u.widened())
+            + 0.6 * log_det_dilation(3.0, dot)[:, None])
+        assert np.max(np.abs(pulled.widened().values - want.values)) <= \
+            1e-13 * np.max(np.abs(want.values))
 
     def test_extremal_invariance(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
-        pulled = conformal_pullback(u, 2.0, alpha)
-        J_pulled, J_u = (eval_J(sh_analysis(f), grid128, params)
-                         for f in (pulled, u))
+        pulled = conformal_pullback(u, grid128, 2.0, alpha)
+        J_pulled, J_u = (eval_J(f, grid128, params) for f in (pulled, u))
         assert abs(J_pulled - J_u) < 1e-3
 
 
@@ -255,9 +255,11 @@ class TestTestFunctions:
         w = SingularWeight.from_orders([(tuple(NORTH), -0.5)])
         params = ConcentrationParams(epsilon=1e-2, weight=w)
         field = concentration_field(params, grid64)
+        assert field.values.shape[-1] == 1  # p on the axis: a zonal column
         profile = concentration_profile(params)
         d = np.arccos(np.clip(grid64.nodes @ NORTH, -1, 1))
-        assert np.abs(field.values - profile(d)).max() < 1e-12
+        want = grid64.transform.analysis_coeffs(profile(d)).values
+        assert np.abs(field.widened().values - want).max() < 1e-12
 
     def test_upper_bound_sweep(self):
         """J(phi_eps) decreases toward the blow-up value from above."""

@@ -14,7 +14,7 @@ from sol_lab.identity_checks import (
 from sol_lab.mt_functional import (FunctionalParams, SingularIntegrator,
                                    eval_J, integrator_for)
 from sol_lab.singular_geometry import SingularWeight
-from sol_lab.sphere_grid import ScalarField, sh_analysis
+from sol_lab.sphere_grid import FOUR_PI, SHCoefficients
 
 from conftest import random_band_limited, zero
 
@@ -97,17 +97,16 @@ class TestBlowupInfimumPipeline:
         rep = sphere_sharp_constant(alpha, alpha, antipodal=True)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
-        assert abs(eval_J(sh_analysis(u), grid128, params) - rep.inf_J) < 1e-3
+        assert abs(eval_J(u, grid128, params) - rep.inf_J) < 1e-3
 
     def test_smooth_factor_enters(self, grid64):
         """K with a maximum at the minimal-order point shifts C by log K."""
         a1 = -0.5
         boost = 0.4
 
-        def K(points):
-            return 1.0 + boost * np.asarray(points)[..., 2]
-
-        w = SingularWeight.from_orders([(NORTH, a1)], K=K)
+        K = SHCoefficients(np.zeros((2, 1)))  # 1 + boost x3
+        K.order(0)[1] = boost * np.sqrt(FOUR_PI / 3.0)
+        w = SingularWeight.from_orders([(NORTH, a1)], K=K.shifted(1.0))
         rep = blowup_infimum(w)
         expected = -np.log1p(a1) + np.log1p(boost)
         assert rep.C == pytest.approx(expected, rel=1e-12)
@@ -119,7 +118,7 @@ class TestKazdanWarner:
         alpha = -0.5
         w = extremal_weight(alpha)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
-        rep = kazdan_warner_residual(sh_analysis(u), grid128, w.rho_bar, w)
+        rep = kazdan_warner_residual(u, grid128, w.rho_bar, w)
         assert abs(rep.poho_residual) < 1e-6
         assert abs(rep.kw_vector_residual) < 1e-6
         assert rep.prefactor == pytest.approx(0.0, abs=1e-14)
@@ -128,16 +127,17 @@ class TestKazdanWarner:
         """The moment is a ratio, so any additive constant cancels."""
         w = SingularWeight.from_orders([(NORTH, -0.25)])
         u = random_band_limited(grid64, rng, amplitude=1.0)
-        r1 = kazdan_warner_residual(sh_analysis(u), grid64, w.rho_bar - 0.3, w)
-        r2 = kazdan_warner_residual(sh_analysis(u + 5.0), grid64,
-                                    w.rho_bar - 0.3, w)
+        r1, r2 = (kazdan_warner_residual(grid64.transform.analysis_coeffs(v),
+                                         grid64, w.rho_bar - 0.3, w)
+                  for v in (u, u + 5.0))
         assert r1.poho_residual == pytest.approx(r2.poho_residual, abs=1e-12)
 
     def test_one_synthesis_per_block(self, grid64, rng, transform_counts):
         """One synthesis of the density on the one axis block and one
         analysis, of the density: the identity takes coefficients."""
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, 0.5)])
-        coeffs = sh_analysis(random_band_limited(grid64, rng, amplitude=1.0))
+        coeffs = grid64.transform.analysis_coeffs(
+            random_band_limited(grid64, rng, amplitude=1.0))
         assert len(SingularIntegrator(grid64, w).blocks) == 1
         before = dict(transform_counts)
         kazdan_warner_residual(coeffs, grid64, w.rho_bar - 0.3, w)
@@ -149,16 +149,16 @@ class TestKazdanWarner:
         """The moment read from the density projection equals the
         composite quadrature of h e^u x3 over int h e^u."""
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, 0.5)])
-        u = (ScalarField(0.7 * grid64.t[:, None] ** 3, grid64)  # one column
-             if zonal else random_band_limited(grid64, rng, amplitude=1.0))
+        u = grid64.transform.analysis_coeffs(
+            0.7 * grid64.t[:, None] ** 3  # one column
+            if zonal else random_band_limited(grid64, rng, amplitude=1.0))
         integ = integrator_for(grid64, w)
-        dens = integ.density(sh_analysis(u))
+        dens = integ.density(u)
         (block,), (d,) = integ.blocks, dens.values
         assert (d.shape[-1] == 1) == zonal
         x3 = block.points[..., 2]
         want = np.sum(block.weights * d * x3) / dens.total
-        rep = kazdan_warner_residual(sh_analysis(u), grid64, w.rho_bar - 0.3,
-                                     w)
+        rep = kazdan_warner_residual(u, grid64, w.rho_bar - 0.3, w)
         assert rep.moment == pytest.approx(want, rel=1e-14)
 
     def test_converged_solution_mild_order(self, grid128):
@@ -194,9 +194,8 @@ class TestKazdanWarner:
 
     def test_non_antipodal_rejected(self, grid64):
         w = SingularWeight.from_orders([((1.0, 0.0, 0.0), -0.5)])
-        coeffs = sh_analysis(ScalarField.constant(grid64, 0.0))
         with pytest.raises(RegimeError):
-            kazdan_warner_residual(coeffs, grid64, w.rho_bar, w)
+            kazdan_warner_residual(zero(grid64), grid64, w.rho_bar, w)
 
 
 class TestNonexistenceWitness:
@@ -228,3 +227,19 @@ class TestNonexistenceWitness:
     def test_no_singularities_vacuous(self):
         with pytest.raises(RegimeError):
             nonexistence_witness(SingularWeight())
+
+    @pytest.mark.parametrize("delta, aligned", [(1.0e-6, True),
+                                                (5.0e-6, False)])
+    def test_axis_layout_is_the_integrators(self, grid64, delta, aligned):
+        """The identity accepts a point near the pole exactly when the
+        integrator takes it onto the axis rule (``is_axis_aligned``):
+        1e-6 rad off the pole, not 5e-6."""
+        w = SingularWeight.from_orders(
+            [((np.sin(delta), 0.0, np.cos(delta)), -0.25)])
+        assert w.is_axis_aligned() == aligned
+        assert (len(integrator_for(grid64, w).blocks) == 1) == aligned
+        if aligned:
+            kazdan_warner_residual(zero(grid64), grid64, w.rho_bar - 0.3, w)
+        else:
+            with pytest.raises(RegimeError):
+                kazdan_warner_residual(zero(grid64), grid64, w.rho_bar, w)

@@ -29,15 +29,11 @@ from sol_lab.singular_geometry import SingularWeight
 from sol_lab.sphere_grid import (
     FOUR_PI,
     SHCoefficients,
-    ScalarField,
     _degree_weights,
     build_grid,
-    integrate,
-    sh_analysis,
-    sh_synthesis,
 )
 
-from conftest import random_band_limited, zero
+from conftest import affine_K, random_band_limited, zero
 
 NORTH = (0.0, 0.0, 1.0)
 SOUTH = (0.0, 0.0, -1.0)
@@ -55,7 +51,8 @@ def exp_integral(coeffs, grid, w):
 def residual_field(coeffs, params, grid):
     """The Euler-Lagrange residual of the field with these coefficients,
     synthesized on the grid."""
-    return sh_synthesis(residual_coeffs(coeffs, params, grid), grid)
+    return grid.transform.synthesis_values(residual_coeffs(coeffs, params,
+                                                           grid))
 
 
 def full_path_coeffs(grid):
@@ -89,19 +86,47 @@ class TestExpIntegral:
         w = extremal_weight(alpha)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         exact = 4.0 * np.exp(2 * alpha) * np.pi / (1.0 + alpha)
-        assert exp_integral(sh_analysis(u), grid128, w) == pytest.approx(
-            exact, rel=1e-3)
+        assert exp_integral(u, grid128, w) == pytest.approx(exact, rel=1e-3)
 
     def test_nonconstant_field_oracle(self, grid64):
         # zonal integrand: h e^{x3} against adaptive 1-d quadrature
         alpha = -0.5
         w = single_weight(alpha)
-        u = ScalarField(grid64.t[:, None], grid64)  # x3, one column
+        u = grid64.transform.analysis_coeffs(grid64.t[:, None])  # x3, a column
         oracle, _ = quad(
             lambda t: 2.0 * np.pi * (np.e / 2.0) ** alpha
             * (1.0 - t) ** alpha * np.exp(t), -1.0, 1.0, limit=200)
-        assert exp_integral(sh_analysis(u), grid64, w) == pytest.approx(
-            oracle, rel=1e-6)
+        assert exp_integral(u, grid64, w) == pytest.approx(oracle, rel=1e-6)
+
+    # |log int h - log exact| of one point of order -1/2 at distance delta
+    # from the pole, u = 0: the smooth-cutoff rule off the axis is worst
+    # near the pole; within 1.4e-6 rad the point takes the axis rule.
+    # Bounds sit just above the measured errors, so a worse rule fails.
+    OFF_AXIS_BOUNDS = {  # (L, delta) -> bound
+        (64, 1.0e-6): 2e-12, (128, 1.0e-6): 2e-12,
+        (64, 2.0e-6): 3.0e-3, (128, 2.0e-6): 1.15e-4,
+        (64, 1.0e-3): 3.0e-3, (128, 1.0e-3): 1.15e-4,
+        (64, 0.05): 8.0e-4, (128, 0.05): 2.4e-5,
+        (64, 0.6435): 1.9e-4, (128, 0.6435): 2.0e-6,
+        (64, np.pi / 2): 9.0e-4, (128, np.pi / 2): 1.5e-5,
+    }
+
+    @pytest.mark.parametrize("L, delta", OFF_AXIS_BOUNDS)
+    def test_off_axis_oracle(self, request, L, delta):
+        """int h = (e/2)^a 2 pi 2^(a+1)/(a+1) wherever the point lies.  At
+        delta = pi/2 the point is (1, 0, 0), a node of the grid's equator
+        ring, where the cutoff complement vanishes and log h is not
+        evaluated."""
+        grid = request.getfixturevalue(f"grid{L}")
+        alpha = -0.5
+        pole = ((1.0, 0.0, 0.0) if delta == np.pi / 2
+                else (np.sin(delta), 0.0, np.cos(delta)))
+        w = SingularWeight.from_orders([(pole, alpha)])
+        assert w.is_axis_aligned() == (delta < 1.4e-6)
+        exact = np.log(2.0 * np.pi * (np.e / 2.0) ** alpha
+                       * 2.0 ** (alpha + 1.0) / (alpha + 1.0))
+        err = integrator_for(grid, w).log_exp_integral(zero(grid)) - exact
+        assert abs(err) <= self.OFF_AXIS_BOUNDS[L, delta]
 
     def test_overflow_guard(self, grid64):
         c = zero(grid64).shifted(800.0)
@@ -183,9 +208,9 @@ class TestEvalJ:
         w = SingularWeight.from_orders([(NORTH, -0.5), (SOUTH, 0.25)])
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = random_band_limited(grid64, rng)
-        base = eval_J(sh_analysis(u), grid64, params)
+        base = eval_J(grid64.transform.analysis_coeffs(u), grid64, params)
         for c in (-10.0, -1.0, 0.3, 10.0):
-            J = eval_J(sh_analysis(u + c), grid64, params)
+            J = eval_J(grid64.transform.analysis_coeffs(u + c), grid64, params)
             assert abs(J - base) < 1e-9
 
     def test_extremal_value(self, grid128):
@@ -194,8 +219,7 @@ class TestEvalJ:
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         exact = 8.0 * np.pi * (1 + alpha) * (np.log1p(alpha) - alpha)
-        assert eval_J(sh_analysis(u), grid128, params) == pytest.approx(
-            exact, rel=5e-3)
+        assert eval_J(u, grid128, params) == pytest.approx(exact, rel=5e-3)
         assert exact == pytest.approx(4.0 * np.pi * (0.5 - np.log(2.0)))
 
 
@@ -203,20 +227,18 @@ class TestElResidual:
     def test_constants_solve_regular_equation(self, grid16, grid64):
         params = FunctionalParams(rho=8.0 * np.pi - 1.0,
                                   weight=SingularWeight())
-        r = residual_field(sh_analysis(ScalarField.constant(grid16, 0.4)),
-                           params, grid16)
-        assert np.abs(r.values).max() < 1e-10
+        r = residual_field(zero(grid16).shifted(0.4), params, grid16)
+        assert np.abs(r).max() < 1e-10
         # roundoff grows ~ L^3 through the l(l+1) factor; stays tiny at L = 64
-        r64 = residual_field(sh_analysis(ScalarField.constant(grid64, 0.4)),
-                             params, grid64)
-        assert np.abs(r64.values).max() < 1e-9
+        r64 = residual_field(zero(grid64).shifted(0.4), params, grid64)
+        assert np.abs(r64).max() < 1e-9
 
     def test_zero_mean(self, grid64, rng):
         w = single_weight(-0.5)
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        r = residual_field(sh_analysis(random_band_limited(grid64, rng)),
-                           params, grid64)
-        assert abs(r.mean) < 1e-8
+        u = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
+        r = residual_field(u, params, grid64)
+        assert abs(grid64.integral(r) / FOUR_PI) < 1e-8
 
     @pytest.mark.xfail(
         strict=True,
@@ -231,16 +253,15 @@ class TestElResidual:
         w = extremal_weight(alpha)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
-        r = residual_coeffs(sh_analysis(u), params, grid128)
+        r = residual_coeffs(u, params, grid128)
         assert np.sqrt(np.sum(r.values**2)) < 0.05
 
     def test_reported_norm_matches_field(self, grid64, rng):
         w = single_weight(-0.5)
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        u = random_band_limited(grid64, rng)
-        a = sh_analysis(u)
+        a = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
         r = residual_field(a, params, grid64)
-        by_quadrature = np.sqrt(integrate(ScalarField(r.values**2, grid64)))
+        by_quadrature = np.sqrt(grid64.integral(r**2))
         norm = np.sqrt(np.sum(residual_coeffs(a, params, grid64).values**2))
         assert norm == pytest.approx(by_quadrature, rel=1e-9)
 
@@ -264,14 +285,15 @@ class TestElResidual:
             params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         u = random_band_limited(grid64, rng)
         if case == "zonal-u":  # the ring means: the m = 0 part of u
-            u = ScalarField(u.values.mean(axis=1, keepdims=True), grid64)
-        c = sh_analysis(u)
+            u = u.mean(axis=1, keepdims=True)
+        c = grid64.transform.analysis_coeffs(u)
         assert (c.values.shape[-1] == 1) == (case == "zonal-u")
         a = c.widened().values
         r = residual_coeffs(c, params, grid64).widened()
         step = 1e-5
         for _ in range(5):
-            v = sh_analysis(random_band_limited(grid64, rng, amplitude=1.0))
+            v = grid64.transform.analysis_coeffs(
+                random_band_limited(grid64, rng, amplitude=1.0))
             fd = (eval_J(SHCoefficients(a + step * v.values), grid64, params)
                   - eval_J(SHCoefficients(a - step * v.values), grid64, params)
                   ) / (2.0 * step)
@@ -290,8 +312,8 @@ class TestElResidual:
         assert (len(integ.blocks) > 1) == (case == "off-axis")
         u = random_band_limited(grid64, rng)
         if case == "zonal":  # the ring means: the m = 0 part of u
-            u = ScalarField(u.values.mean(axis=1, keepdims=True), grid64)
-        a = sh_analysis(u)
+            u = u.mean(axis=1, keepdims=True)
+        a = grid64.transform.analysis_coeffs(u)
 
         def residual(coeffs):
             dens = integ.density(coeffs)
@@ -304,7 +326,8 @@ class TestElResidual:
             a = a.widened()
         step = 1e-5
         for _ in range(3):
-            v = sh_analysis(random_band_limited(grid64, rng, amplitude=1.0))
+            v = grid64.transform.analysis_coeffs(
+                random_band_limited(grid64, rng, amplitude=1.0))
             v = SHCoefficients(v.order(0)[:, None]) if case == "zonal" \
                 else v.widened()
             hv = hessian_product(v.values, dens, proj, integ, rho)
@@ -325,16 +348,17 @@ class TestTroyanovGap:
         w = SingularWeight()
         worst = np.inf
         for _ in range(20):
-            u = random_band_limited(grid64, rng)
-            worst = min(worst, troyanov_gap(sh_analysis(u), grid64, w, 0.0))
+            u = grid64.transform.analysis_coeffs(
+                random_band_limited(grid64, rng))
+            worst = min(worst, troyanov_gap(u, grid64, w, 0.0))
         assert worst >= -1e-6
 
     def test_conformal_family_equality(self, grid64):
         from sol_lab.closed_forms import conformal_pullback
         w = SingularWeight()
         for t in (1.0, 2.0, 4.0):
-            u = conformal_pullback(ScalarField.constant(grid64, 0.0), t, 0.0)
-            assert abs(troyanov_gap(sh_analysis(u), grid64, w, 0.0)) < 1e-6
+            u = conformal_pullback(zero(grid64), grid64, t, 0.0)
+            assert abs(troyanov_gap(u, grid64, w, 0.0)) < 1e-6
 
     def test_attained_constant_antipodal(self, grid128):
         alpha = -0.5
@@ -342,14 +366,14 @@ class TestTroyanovGap:
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         C = alpha - np.log1p(alpha)
         assert C == pytest.approx(-0.5 + np.log(2.0))
-        assert abs(troyanov_gap(sh_analysis(u), grid128, w, C)) < 1e-3
+        assert abs(troyanov_gap(u, grid128, w, C)) < 1e-3
 
     def test_matches_functional(self, grid64, rng):
         w = single_weight(-0.5)
-        u = random_band_limited(grid64, rng)
+        u = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
         params = FunctionalParams(rho=w.rho_bar, weight=w)
-        gap = troyanov_gap(sh_analysis(u), grid64, w, 0.7)
-        J = eval_J(sh_analysis(u), grid64, params)
+        gap = troyanov_gap(u, grid64, w, 0.7)
+        J = eval_J(u, grid64, params)
         assert gap == pytest.approx(J / w.rho_bar + 0.7, rel=1e-10)
 
 
@@ -363,8 +387,8 @@ class TestDensityStack:
         own shift, in one synthesis per block."""
         w = SingularWeight.from_orders(points)
         fields = [random_band_limited(grid64, rng) * s for s in (1.0, 6.0, 0.2)]
-        stack = SHCoefficients(np.stack([sh_analysis(f).values
-                                         for f in fields]))
+        stack = SHCoefficients(np.stack(
+            [grid64.transform.analysis_coeffs(f).values for f in fields]))
         integ = integrator_for(grid64, w)
         dens = integ.density(stack)
         for i, f in enumerate(fields):
@@ -402,7 +426,8 @@ class TestIntegratorExactness:
         assert len(integ.blocks) == 2
         grid_block = integ.blocks[-1]
         assert grid_block.transform is grid64.transform
-        assert np.array_equal(grid_block.weights, grid64.weights)
+        assert np.array_equal(grid_block.weights, np.broadcast_to(
+            grid64.t_weights[:, None] / grid64.n_phi, grid_block.weights.shape))
         assert np.isneginf(integ.log_h[-1]).any()
         assert np.isfinite(integ.log_h[-1]).any()
 
@@ -415,9 +440,10 @@ class TestIntegratorExactness:
     def test_band_limited_exp_smooth_weight(self, grid64, rng):
         """No singularities: composite rule reduces to the plain grid."""
         u = random_band_limited(grid64, rng, amplitude=1.0)
-        by_grid = integrate(ScalarField(np.exp(u.values), grid64))
-        assert exp_integral(sh_analysis(u), grid64, SingularWeight()) == \
-            pytest.approx(by_grid, rel=1e-13)
+        by_grid = grid64.integral(np.exp(u))
+        assert exp_integral(grid64.transform.analysis_coeffs(u), grid64,
+                            SingularWeight()) == pytest.approx(by_grid,
+                                                               rel=1e-13)
 
 
 class TestIntegratorCache:
@@ -437,28 +463,30 @@ class TestIntegratorCache:
 
     def test_zonality_decided_once_per_weight(self, monkeypatch):
         """One integrator serves zonal and non-zonal fields; its build
-        decides axis invariance once, however often it is asked for, and
-        reaches the decision of log h over the whole grid at once: the
-        weight on the axis with log h exactly constant along every ring.
-        Zonal fields under an invariant weight get one-column densities."""
+        decides axis invariance once, however often it is asked for, from
+        the weight's data alone, and reaches the decision of log h over the
+        whole grid: the weight on the axis with log h exactly constant
+        along every ring.  Zonal fields under an invariant weight get
+        one-column densities."""
         grid = build_grid(17, 34)
         decided = []
-        decide = mt_functional._axis_invariant
+        decide = SingularWeight.axis_invariant.fget
 
-        def recorded(weight, *args):
+        def recorded(weight):
             decided.append(weight)
-            return decide(weight, *args)
+            return decide(weight)
 
-        monkeypatch.setattr(mt_functional, "_axis_invariant", recorded)
+        monkeypatch.setattr(SingularWeight, "axis_invariant",
+                            property(recorded))
         zonal = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
         cases = {  # weight -> today's decision
             single_weight(-0.5): True,  # K = 1 on the axis
             single_weight(-0.25): True,
-            SingularWeight.from_orders(  # a zonal K
-                [(NORTH, -0.5)], K=lambda x: 1.0 + 0.1 * x[..., 2]): True,
+            SingularWeight.from_orders(  # a zonal K, 1 + 0.1 x3
+                [(NORTH, -0.5)], K=affine_K(0)): True,
             SingularWeight.from_orders([((1.0e-6, 0.0, 1.0), -0.5)]): False,
-            SingularWeight.from_orders(  # a non-zonal K
-                [(NORTH, -0.5)], K=lambda x: 1.0 + 0.1 * x[..., 0]): False,
+            SingularWeight.from_orders(  # a non-zonal K, 1 + 0.1 x1
+                [(NORTH, -0.5)], K=affine_K(1)): False,
             SingularWeight.from_orders(  # both poles
                 [(NORTH, -0.5), (SOUTH, -0.25)]): True,
         }
@@ -473,6 +501,18 @@ class TestIntegratorCache:
                 widths = {d.shape[-1] for d in first.density(c).values}
                 assert (widths == {1}) == (c is zonal and invariant)
         assert decided == list(cases)
+
+    def test_cache_keys_K_by_its_values(self):
+        """Weights with equal data share an integrator; a K with other
+        values, or another width, gets its own."""
+        grid = build_grid(17, 34)
+        first = integrator_for(grid, SingularWeight.from_orders(
+            [(NORTH, -0.5)], K=affine_K(0)))
+        assert integrator_for(grid, SingularWeight.from_orders(
+            [(NORTH, -0.5)], K=affine_K(0))) is first
+        for K in (affine_K(0, 0.2), affine_K(0).widened(), None):
+            assert integrator_for(grid, SingularWeight.from_orders(
+                [(NORTH, -0.5)], K=K)) is not first
 
     def test_cache_is_lru(self):
         """k + 1 distinct weights keep k entries; a hit becomes most recent."""

@@ -13,12 +13,9 @@ from sol_lab.singular_geometry import (
 )
 from sol_lab.sphere_grid import (
     FOUR_PI,
-    ScalarField,
     SHCoefficients,
     cap_points,
     dirichlet_pairing,
-    integrate,
-    sh_analysis,
     synthesis_at_points,
 )
 
@@ -73,16 +70,16 @@ class TestGreen:
         worst = 0.0
         for _ in range(5):
             p = random_pole(rng)
-            f = ScalarField(green(p, grid64.nodes), grid64)
-            worst = max(worst, abs(integrate(f)))
+            worst = max(worst, abs(grid64.integral(green(p, grid64.nodes))))
         assert worst < 1e-8
 
     def test_distributional_identity(self, grid64, rng):
         """<grad G_p, grad v> = v(p) - mean(v) for band-limited v."""
         for _ in range(3):
             p = random_pole(rng)
-            gp = sh_analysis(ScalarField(green(p, grid64.nodes), grid64))
-            v = sh_analysis(random_band_limited(grid64, rng, decay=3.0))
+            gp = grid64.transform.analysis_coeffs(green(p, grid64.nodes))
+            v = grid64.transform.analysis_coeffs(
+                random_band_limited(grid64, rng, decay=3.0))
             lhs = dirichlet_pairing(gp, v)
             rhs = synthesis_at_points(v, p[None, :])[0] - v.mean
             assert abs(lhs - rhs) < 1e-3
@@ -167,10 +164,18 @@ class TestSingularWeight:
             assert abs(slope - 2 * a) < 0.01 * abs(2 * a)
 
     def test_smooth_factor(self, grid64):
-        w = SingularWeight(K=lambda x: 2.0 + x[..., 2])
-        f = w.sample(grid64)
+        """K = 2 + x3 from its coefficients, a zonal column or the same
+        entries over every order; a callable K is refused."""
+        column = SHCoefficients(np.zeros((2, 1))).shifted(2.0)
+        column.order(0)[1] = np.sqrt(FOUR_PI / 3.0)  # x3 = sqrt(4pi/3) Y_10
         expected = 2.0 + grid64.nodes[..., 2]
-        assert np.abs(f.values - expected).max() < 1e-14
+        for K in (column, column.widened()):
+            w = SingularWeight(K=K)
+            assert w.axis_invariant == (K is column)
+            assert np.abs(w.smooth_factor(grid64.nodes)
+                          - expected).max() < 1e-14
+        with pytest.raises(TypeError, match="SHCoefficients"):
+            SingularWeight(K=lambda x: 2.0 + x[..., 2])
 
 
 class TestBubbleConstant:

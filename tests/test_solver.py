@@ -22,10 +22,8 @@ from sol_lab.identity_checks import kazdan_warner_residual
 from sol_lab.singular_geometry import SingularPoint, SingularWeight
 from sol_lab.sphere_grid import (
     SHCoefficients,
-    ScalarField,
     build_grid,
     dirichlet_energy,
-    sh_analysis,
 )
 from sol_lab.subcritical_solver import (
     InsufficientAnnulusError,
@@ -39,7 +37,7 @@ from sol_lab.subcritical_solver import (
     richardson_extrapolate,
 )
 
-from conftest import random_band_limited, zero
+from conftest import affine_K, random_band_limited, zero
 
 NORTH = (0.0, 0.0, 1.0)
 SOUTH = (0.0, 0.0, -1.0)
@@ -83,8 +81,7 @@ class TestTransformWork:
             self, transform_counts, monkeypatch):
         """The same counts on the full path, from a non-zonal start."""
         grid = build_grid(65, 130)
-        init = sh_analysis(
-            ScalarField.from_function(grid, lambda x: 0.1 * x[..., 0]))
+        init = grid.transform.analysis_coeffs(0.1 * grid.nodes[..., 0])
         self.check_step_work(grid, init, False, transform_counts, monkeypatch)
 
     @staticmethod
@@ -154,10 +151,10 @@ def zonal_and_full_J(grid, params, coeffs):
 # the last three break the symmetry
 PATH_CASES = {
     "zero-init": (NORTH, None, None, True),
-    "zonal-K": (NORTH, lambda x: 1.0 + 0.1 * x[..., 2], None, True),
+    "zonal-K": (NORTH, affine_K(0), None, True),
     "non-zonal-init": (NORTH, None, lambda x: 0.1 * x[..., 1], False),
     "off-pole-weight": ((1.0e-6, 0.0, 1.0), None, None, False),
-    "non-zonal-K": (NORTH, lambda x: 1.0 + 0.1 * x[..., 0], None, False),
+    "non-zonal-K": (NORTH, affine_K(1), None, False),
 }
 
 
@@ -222,19 +219,18 @@ class TestZonalPath:
         w = SingularWeight([SingularPoint(np.asarray(pole), -0.5)], K)
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         grid = build_grid(17, 34)
-        start = zero(grid) if init is None else sh_analysis(
-            ScalarField.from_function(grid, init))
+        start = zero(grid) if init is None else \
+            grid.transform.analysis_coeffs(init(grid.nodes))
         state = minimize(params, quick_config(0.3, max_iterations=3), start,
                          grid)
         assert on_zonal_path(grid) == zonal
         assert column_densities(grid, w, state.coeffs) == zonal
         grid = build_grid(17, 34)
         if init is None:  # 0.5 x3^2, one column
-            u = ScalarField(0.5 * grid.t[:, None] ** 2, grid)
+            u = 0.5 * grid.t[:, None] ** 2
         else:
-            u = ScalarField.from_function(
-                grid, lambda x: init(x) + 0.5 * x[..., 2] ** 2)
-        coeffs = sh_analysis(u)
+            u = init(grid.nodes) + 0.5 * grid.nodes[..., 2] ** 2
+        coeffs = grid.transform.analysis_coeffs(u)
         rep = kazdan_warner_residual(coeffs, grid, params.rho, w)
         assert column_densities(grid, w, coeffs) == zonal
         full = kazdan_warner_residual(coeffs.widened(), grid, params.rho, w)
@@ -248,7 +244,7 @@ class TestZonalPath:
         grid = build_grid(L + 1, 2 * L + 2)
         w = extremal_weight(-0.5)
         params = FunctionalParams(rho=w.rho_bar, weight=w)
-        zonal = sh_analysis(extremal_u(ExtremalParams(alpha=-0.5), grid))
+        zonal = extremal_u(ExtremalParams(alpha=-0.5), grid)
         coeffs = zonal.widened()
         dens = SingularIntegrator(grid, w).density(coeffs)
         J_full = eval_J_coeffs(coeffs, dens, params)
@@ -383,9 +379,8 @@ class TestMinimize:
         state = minimize(params, quick_config(0.1),
                          zero(grid64), grid64)
         assert state.converged
-        competitor = eval_J(
-            sh_analysis(extremal_u(ExtremalParams(alpha=alpha), grid64)),
-            grid64, params)
+        competitor = eval_J(extremal_u(ExtremalParams(alpha=alpha), grid64),
+                            grid64, params)
         assert state.J <= competitor + 1e-6
 
     def test_descent_and_normalization(self, grid64):
@@ -407,7 +402,8 @@ class TestMinimize:
                          zero(grid64), grid64)
         a = state.coeffs.widened().values
         for _ in range(5):
-            c = sh_analysis(random_band_limited(grid64, rng, amplitude=1.0))
+            c = grid64.transform.analysis_coeffs(
+                random_band_limited(grid64, rng, amplitude=1.0))
             h1 = np.sqrt(dirichlet_energy(c) + np.sum(c.values**2))
             v = c.values * (1.0 / h1)
             for s in (1e-3, -1e-3):
@@ -488,8 +484,8 @@ class TestMinimize:
         monkeypatch.setattr(subcritical_solver, "DEFAULT_CEILING", 0.5)
         with pytest.raises(UnnormalizedBlowupError):
             minimize(params, quick_config(1.0),  # 12 x3, one column
-                     sh_analysis(ScalarField(12.0 * grid16.t[:, None],
-                                             grid16)), grid16)
+                     grid16.transform.analysis_coeffs(
+                         12.0 * grid16.t[:, None]), grid16)
 
 
 class TestDiagnose:
@@ -517,8 +513,9 @@ class TestDiagnose:
         assert not diag.under_resolved
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-        spiky = ScalarField(6.0 * grid16.t[:, None] - 3.0, grid16)  # 6 x3 - 3
-        fake = MinimizerState(coeffs=sh_analysis(spiky), grid=grid16,
+        spiky = grid16.transform.analysis_coeffs(  # 6 x3 - 3, one column
+            6.0 * grid16.t[:, None] - 3.0)
+        fake = MinimizerState(coeffs=spiky, grid=grid16,
                               params=params, epsilon=0.5, J=0.0,
                               residual_norm=0.0, iterations=0, converged=True)
         diag = diagnose(fake, w)  # t_eps = e^{-3} < 4 pi / 16

@@ -18,16 +18,12 @@ from sol_lab.sphere_grid import (
     BandLimitError,
     ProductTransform,
     SHCoefficients,
-    ScalarField,
     build_grid,
     dirichlet_energy,
     gauss_legendre,
     geodesic_distance,
     gradient_at_angles,
-    integrate,
     normalized_legendre,
-    sh_analysis,
-    sh_synthesis,
     synthesis_at_angles,
     synthesis_at_points,
     _legendre_orders,
@@ -46,7 +42,7 @@ class TestBuildGrid:
     def test_minimal_grid(self):
         g = build_grid(2, 4)
         assert g.n_theta * g.n_phi == 8
-        total = float(np.sum(g.weights))
+        total = float(np.sum(g.t_weights))
         assert abs(total - FOUR_PI) < 1e-10 * FOUR_PI
 
     def test_band_limit_formula(self):
@@ -56,7 +52,7 @@ class TestBuildGrid:
 
     def test_constant_integral(self):
         g = build_grid(64, 128)
-        assert abs(integrate(ScalarField.constant(g, 1.0)) - FOUR_PI) < 1e-12
+        assert abs(g.integral(np.ones((g.n_theta, 1))) - FOUR_PI) < 1e-12
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -88,7 +84,8 @@ class TestBuildGrid:
 
 class TestIntegrate:
     def test_constant(self, grid64):
-        assert abs(integrate(ScalarField.constant(grid64, 1.0)) - FOUR_PI) == 0.0
+        assert abs(grid64.integral(np.ones((grid64.n_theta, 1)))
+                   - FOUR_PI) == 0.0
 
     def test_constant_exact_for_every_size(self, grid16, grid64, grid128,
                                            grid192):
@@ -96,28 +93,26 @@ class TestIntegrate:
         grids = [build_grid(n, 2 * n) for n in range(2, 257)]
         grids += [grid16, grid64, grid128, grid192]
         for g in grids:
-            assert integrate(ScalarField.constant(g, 1.0)) == FOUR_PI, g
+            assert g.integral(np.ones((g.n_theta, 1))) == FOUR_PI, g
 
     def test_odd_function(self, grid64):
-        f = ScalarField.from_function(grid64, lambda x: x[..., 2])
-        assert abs(integrate(f)) < 1e-12
+        assert abs(grid64.integral(grid64.nodes[..., 2])) < 1e-12
 
     def test_x3_squared(self, grid64):
         # 2 pi int_-1^1 t^2 dt = 4 pi / 3
-        f = ScalarField.from_function(grid64, lambda x: x[..., 2] ** 2)
-        assert abs(integrate(f) - FOUR_PI / 3.0) < 1e-12
+        f = grid64.nodes[..., 2] ** 2
+        assert abs(grid64.integral(f) - FOUR_PI / 3.0) < 1e-12
 
 
 class TestTransforms:
     def test_constant_from_a00(self, grid64):
         c = SHCoefficients.zeros(grid64.band_limit)
         c.values[0, grid64.band_limit] = np.sqrt(FOUR_PI)
-        f = sh_synthesis(c, grid64)
-        assert np.abs(f.values - 1.0).max() < 1e-12
+        f = grid64.transform.synthesis_values(c)
+        assert np.abs(f - 1.0).max() < 1e-12
 
     def test_x3_single_coefficient(self, grid64):
-        f = ScalarField.from_function(grid64, lambda x: x[..., 2])
-        c = sh_analysis(f)
+        c = grid64.transform.analysis_coeffs(grid64.nodes[..., 2])
         a10 = c.order(0)[1]
         assert abs(a10**2 - FOUR_PI / 3.0) < 1e-10
         rest = c.copy()
@@ -126,48 +121,47 @@ class TestTransforms:
 
     def test_round_trip(self, grid64, rng):
         f = random_band_limited(grid64, rng)
-        c = sh_analysis(f)
-        f2 = sh_synthesis(c, grid64)
-        assert np.abs(f2.values - f.values).max() < 1e-10
-        c2 = sh_analysis(f2)
+        c = grid64.transform.analysis_coeffs(f)
+        f2 = grid64.transform.synthesis_values(c)
+        assert np.abs(f2 - f).max() < 1e-10
+        c2 = grid64.transform.analysis_coeffs(f2)
         assert np.abs(c2.values - c.values).max() < 1e-10
 
     def test_band_limit_mismatch_rejected(self, grid16, grid64):
         c = SHCoefficients.zeros(grid64.band_limit)
         with pytest.raises(BandLimitError):
-            sh_synthesis(c, grid16)
+            grid16.transform.synthesis_values(c)
 
     def test_lower_band_limit_padded(self, grid64):
         c = SHCoefficients.zeros(4)
         c.values[1, 4] = 1.0
-        f = sh_synthesis(c, grid64)
-        expected = ScalarField.from_function(
-            grid64, lambda x: np.sqrt(3.0 / FOUR_PI) * x[..., 2])
-        assert np.abs(f.values - expected.values).max() < 1e-12
+        f = grid64.transform.synthesis_values(c.widened(grid64.band_limit))
+        expected = np.sqrt(3.0 / FOUR_PI) * grid64.nodes[..., 2]
+        assert np.abs(f - expected).max() < 1e-12
 
     def test_mean_is_a00(self, grid64, rng):
         f = random_band_limited(grid64, rng)
-        c = sh_analysis(f)
-        assert abs(f.mean - c.mean) < 1e-10
+        c = grid64.transform.analysis_coeffs(f)
+        assert abs(grid64.integral(f) / FOUR_PI - c.mean) < 1e-10
 
     def test_parseval(self, grid64, rng):
         f = random_band_limited(grid64, rng)
-        c = sh_analysis(f)
-        lhs = integrate(ScalarField(f.values**2, grid64))
+        c = grid64.transform.analysis_coeffs(f)
+        lhs = grid64.integral(f**2)
         rhs = float(np.sum(c.values**2))
         assert abs(lhs - rhs) < 1e-9 * abs(rhs)
 
     def test_synthesis_at_points_matches_grid(self, grid64, rng):
         f = random_band_limited(grid64, rng)
-        c = sh_analysis(f)
+        c = grid64.transform.analysis_coeffs(f)
         pts = grid64.nodes[7, [3, 50]]
         vals = synthesis_at_points(c, pts)
-        assert np.abs(vals - f.values[7, [3, 50]]).max() < 1e-10
+        assert np.abs(vals - f[7, [3, 50]]).max() < 1e-10
 
 
 class TestQuadratureExactness:
     def test_all_harmonics_to_2L(self, grid16):
-        """integrate(Y_lm) = 0 for every 1 <= l <= 2L."""
+        """The grid integral of Y_lm is 0 for every 1 <= l <= 2L."""
         g = grid16
         L2 = 2 * g.band_limit
         table = normalized_legendre(L2, g.t)
@@ -314,25 +308,25 @@ class TestOrderLimit:
     @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
     def test_grid_transforms_zonal_input_on_m0(self, grid_name, request,
                                                rng):
-        """sh_synthesis of a zonal column (one column of values),
-        sh_analysis of that field and synthesis_at_angles of a zonal column
+        """The grid synthesis of a zonal column (one column of values),
+        the analysis of those values and synthesis_at_angles of a zonal column
         match the full-order results; the analysis is a column, with no
         m != 0 entries at all."""
         g = request.getfixturevalue(grid_name)
         L = g.band_limit
         c = SHCoefficients((rng.normal(size=L + 1)
                             / (1.0 + np.arange(L + 1)))[:, None])
-        field = sh_synthesis(c, g)
+        field = g.transform.synthesis_values(c)
         at_angles = synthesis_at_angles(c, g.t, np.zeros(g.t.size))
-        coeffs = sh_analysis(field)
+        coeffs = g.transform.analysis_coeffs(field)
         assert coeffs.values.shape == (L + 1, 1)
         full_values = g.transform.synthesis_values(c.widened())
         scale = np.max(np.abs(full_values))
-        assert np.max(np.abs(field.values - full_values)) <= 1e-14 * scale
+        assert np.max(np.abs(field - full_values)) <= 1e-14 * scale
         assert np.max(np.abs(at_angles - full_values[:, 0])) <= 1e-14 * scale
-        assert field.values.shape == (g.n_theta, 1)
+        assert field.shape == (g.n_theta, 1)
         full = g.transform.analysis_coeffs(
-            np.repeat(field.values, g.n_phi, axis=1)).values
+            np.repeat(field, g.n_phi, axis=1)).values
         assert np.max(np.abs(coeffs.widened().values - full)) <= \
             1e-14 * np.max(np.abs(full))
 
@@ -680,10 +674,10 @@ class TestBatchAxis:
         assert rng.normal() == ref.normal()
         one = random_band_limited(g, np.random.default_rng(11))
         first = random_band_limited_batch(g, np.random.default_rng(11), 1)
-        want = sh_synthesis(SHCoefficients(first.values[0]), g).values
+        want = g.transform.synthesis_values(SHCoefficients(first.values[0]))
         want *= 2.0 / np.max(np.abs(want))
-        assert np.array_equal(one.values, want)
-        assert np.max(np.abs(one.values)) == pytest.approx(2.0, rel=1e-15)
+        assert np.array_equal(one, want)
+        assert np.max(np.abs(one)) == pytest.approx(2.0, rel=1e-15)
 
 
 def pairing_cases():
@@ -992,21 +986,20 @@ class TestLongitudePairs:
 
 class TestDirichletEnergy:
     def test_constant_is_zero(self, grid64):
-        c = sh_analysis(ScalarField.constant(grid64, 3.7))
+        c = grid64.transform.analysis_coeffs(np.full((grid64.n_theta, 1), 3.7))
         assert dirichlet_energy(c) < 1e-20
 
     def test_x3(self, grid64):
         # -Delta x3 = 2 x3, so the energy is 2 * int x3^2 = 8 pi / 3
-        c = sh_analysis(ScalarField.from_function(grid64, lambda x: x[..., 2]))
+        c = grid64.transform.analysis_coeffs(grid64.nodes[..., 2])
         assert abs(dirichlet_energy(c) - 8.0 * np.pi / 3.0) < 1e-10
 
     def test_x1_by_symmetry(self, grid64):
-        c = sh_analysis(ScalarField.from_function(grid64, lambda x: x[..., 0]))
+        c = grid64.transform.analysis_coeffs(grid64.nodes[..., 0])
         assert abs(dirichlet_energy(c) - 8.0 * np.pi / 3.0) < 1e-10
 
     def test_shift_invariance_is_exact(self, grid64, rng):
-        f = random_band_limited(grid64, rng)
-        c = sh_analysis(f)
+        c = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
         assert dirichlet_energy(c) == dirichlet_energy(c.shifted(17.3))
 
 
@@ -1058,7 +1051,7 @@ class TestGradient:
         return np.linalg.norm(tangent, axis=-1)
 
     def coeffs(self, grid):
-        c = sh_analysis(ScalarField.from_function(grid, self.field))
+        c = grid.transform.analysis_coeffs(self.field(grid.nodes))
         c.values[6:] = 0.0  # exactly degree 5: drop the analysis roundoff
         return c
 
