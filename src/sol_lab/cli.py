@@ -10,7 +10,8 @@ are sorted and floats use full repr; the only nondeterministic field is
 "wall_clock_s".  CSV traces use 17 significant digits.
 
 Exit codes: 0 all checks passed, 1 a tolerance check failed, 2 invalid
-configuration, 3 numerical failure (non-convergence or overflow).
+configuration, 3 numerical failure (non-convergence, overflow or out of
+memory).
 
 The environment variable SOL_LAB_LOG ("debug", "info", "quiet") controls
 logging verbosity.
@@ -264,8 +265,9 @@ def validate(raw_text: str):
 
     A key outside the schema is an error at every level.  The config
     returned has every key filled in and typed, so a report records the
-    values its run used.  Error messages carry JSON-path (and for parse
-    errors, line) references.
+    values its run used, and a config that a rule of the run would refuse
+    is an error too (``_rule_errors``).  Error messages carry JSON-path (and
+    for parse errors, line) references.
     """
     try:
         data = json.loads(raw_text)
@@ -315,7 +317,41 @@ def validate(raw_text: str):
         errors.append(
             "weight.K: test-function-sweep evaluates J by the radial "
             "formula, which holds for K == 1 only; remove weight.K")
+    if not errors:
+        errors = _rule_errors(config)
     return (None, errors) if errors else (config, [])
+
+
+def _rule_errors(config) -> list:
+    """What the run would refuse of a valid config, by the rules' own
+    checks, each naming its key: overlapping singular caps, for the kinds
+    that integrate the weight (``mt_functional.overlapping_caps``), and a
+    test function's epsilon, for the kinds that build one
+    (``ConcentrationParams``)."""
+    from .closed_forms import ConcentrationParams
+    from .mt_functional import overlapping_caps
+
+    exp, w = config["experiment"], _build_weight(config)
+    errors = []
+    integrates = exp["kind"] not in ("constants", "verify-extremal",
+                                     "test-function-sweep")
+    if integrates and not exp.get("use_extremal"):
+        errors += [f"weight.points[{j}]: its singular cap overlaps that of "
+                   f"weight.points[{i}]; separate the singular points"
+                   for i, j in overlapping_caps(w)]
+    seeds = []
+    if exp["kind"] == "test-function-sweep":
+        seeds = [(f"experiment.epsilons[{i}]", e)
+                 for i, e in enumerate(exp["epsilons"])]
+    elif exp.get("init") == "test-function" and w.alpha < 0.0:
+        seeds = [("experiment.init_epsilon", exp["init_epsilon"])]
+    for path, epsilon in seeds:
+        try:
+            ConcentrationParams(epsilon=epsilon, weight=w,
+                                p=_test_function_point(w))
+        except ValueError as exc:
+            errors.append(f"{path}: {exc}")
+    return errors
 
 
 def serialize(config: dict) -> str:
@@ -346,6 +382,14 @@ def _build_weight(config):
         K = K.shifted(section["K"]["base"])
     return SingularWeight.from_orders(
         [(p["position"], p["order"]) for p in section["points"]], K)
+
+
+def _test_function_point(w):
+    """Where test functions concentrate: the first minimal-order point, or
+    the north pole when every order is positive."""
+    import numpy as np
+    return (w.minimal_points()[0].position if w.alpha < 0.0
+            else np.array([0.0, 0.0, 1.0]))
 
 
 def _check(checks, name, value, tolerance, ok):
@@ -626,8 +670,7 @@ def _run_test_function_sweep(config, report):
 
     exp = config["experiment"]
     w = _build_weight(config)
-    p0 = w.minimal_points()[0].position if w.alpha < 0.0 else \
-        np.array([0.0, 0.0, 1.0])
+    p0 = _test_function_point(w)
     records = concentration_sweep(w, exp["epsilons"], p0)
     target = blowup_infimum(w).inf_J if w.alpha < 0.0 else None
     for rec in records:
@@ -757,6 +800,10 @@ def main(argv=None) -> int:
         return 2
     except (NonConvergedError, UnnormalizedBlowupError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory ({exc or 'no detail'}); "
+              "try a smaller grid", file=sys.stderr)
         return 3
 
     out_path = args.out or config["output"].get("report")

@@ -172,37 +172,12 @@ def _smooth_cutoff(r: np.ndarray, radius: float) -> np.ndarray:
     return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
 
 
-class _ProductBlock:
-    """Product-rule piece: a transform's colatitude nodes x the grid's
-    longitudes, with the transform's ring weights.
-
-    ``weights`` cover every longitude; ring-constant (one column) data use
-    ``transform.ring_weights``: one longitude carrying each ring's whole
-    weight.  Blocks hold a transform, never the grid: the grid caches its
-    integrators, so a reference back would make each grid a reference
-    cycle that only the cyclic garbage collector can free.  Node vectors
-    are computed when asked for, not kept.
-    """
-
-    def __init__(self, transform: ProductTransform):
-        self.transform = transform
-        self.weights = np.broadcast_to(transform.weights,
-                                       (transform.t.size, transform.phi.size))
-
-    @property
-    def points(self) -> np.ndarray:
-        return ring_points(self.transform.t, self.transform.phi)
-
-    def synthesis(self, coeffs: SHCoefficients) -> np.ndarray:
-        return self.transform.synthesis_values(coeffs)
-
-    def analysis(self, values: np.ndarray) -> SHCoefficients:
-        return self.transform.analysis_coeffs(values)
-
-
 class _ScatterBlock:
     """Polar cap with a smooth cutoff around an off-axis singular point,
-    on the radial rule (r, wr) of ``cap_radial_rule``."""
+    on the radial rule (r, wr) of ``cap_radial_rule``: a block like a
+    ``ProductTransform``, with a weight per node and no kept table."""
+
+    table_surplus = 0
 
     def __init__(self, grid: SphereGrid, center: np.ndarray, r: np.ndarray,
                  wr: np.ndarray):
@@ -214,10 +189,10 @@ class _ScatterBlock:
         self._phi = np.arctan2(self.points[:, 1], self.points[:, 0])
         self.band_limit = grid.band_limit
 
-    def synthesis(self, coeffs: SHCoefficients) -> np.ndarray:
+    def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
         return synthesis_at_angles(coeffs, self._t, self._phi)
 
-    def analysis(self, values: np.ndarray) -> SHCoefficients:
+    def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
         out = SHCoefficients.zeros(self.band_limit)
         wv = self.weights * values
         phi, amp = self._phi, np.sqrt(2.0)
@@ -255,8 +230,21 @@ class Density:
                        self.peak + constant)
 
 
+def overlapping_caps(weight: SingularWeight) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, of singular points whose caps of radius
+    CAP_RADIUS overlap; ``SingularIntegrator`` refuses such a weight."""
+    return [(i, j) for (i, p), (j, q)
+            in itertools.combinations(enumerate(weight.positions), 2)
+            if geodesic_distance(p, q) <= 2.0 * CAP_RADIUS]
+
+
 class SingularIntegrator:
     """Composite quadrature for densities h e^u and their SH analysis.
+
+    ``blocks`` are ``ProductTransform``s and, off the axis, one
+    ``_ScatterBlock`` per point, alike in ``synthesis_values``,
+    ``analysis_coeffs``, ``weights`` (per node) and ``table_surplus``.
+    They hold no reference to the grid, which caches its integrators.
 
     The build reads the weight's data once
     (``SingularWeight.axis_invariant``) and evaluates log h on the block
@@ -268,9 +256,10 @@ class SingularIntegrator:
     """
 
     def __init__(self, grid: SphereGrid, weight: SingularWeight):
-        self.band_limit = grid.band_limit
         self.weight = weight
-        self._validate_caps()
+        if overlapping_caps(weight):
+            raise ValueError("singular caps overlap; separate the "
+                             "singular points")
         self.blocks, self.log_h = self._build_blocks(
             grid, grid.phi[:1] if weight.axis_invariant else grid.phi)
 
@@ -282,22 +271,14 @@ class SingularIntegrator:
 
     @property
     def table_surplus(self) -> int:
-        """``ProductTransform.table_surplus`` over the product blocks."""
-        return sum(b.transform.table_surplus for b in self.blocks
-                   if isinstance(b, _ProductBlock))
-
-    def _validate_caps(self):
-        for p, q in itertools.combinations(self.weight.positions, 2):
-            if geodesic_distance(p, q) <= 2.0 * CAP_RADIUS:
-                raise ValueError("singular caps overlap; separate the "
-                                 "singular points")
+        """``ProductTransform.table_surplus`` over the blocks."""
+        return sum(b.table_surplus for b in self.blocks)
 
     def _build_blocks(self, grid: SphereGrid, phi: np.ndarray):
         """The blocks and log h on each, on the longitudes ``phi``."""
         w = self.weight
         if not w.points:
-            return ([_ProductBlock(grid.transform)],
-                    [w.log_weight(ring_points(grid.t, phi))])
+            return [grid.transform], [w.log_weight(ring_points(grid.t, phi))]
         if w.is_axis_aligned():
             # (sort key, t, t weights, cap) per piece: caps at their pole,
             # the band between the cap edges (or the poles) in the middle
@@ -319,7 +300,7 @@ class SingularIntegrator:
                                          np.concatenate(tws) * (2.0 * np.pi))
             log_h = np.concatenate([w.log_weight(ring_points(t, phi), cap=cap)
                                     for t, cap in zip(ts, caps)])
-            return [_ProductBlock(transform)], [log_h]
+            return [transform], [log_h]
         # general positions: smooth-cutoff splitting (documented lower
         # accuracy); the grid keeps the cutoff complement in its log h, -inf
         # where the complement is 0 (log h is not evaluated there: a grid
@@ -334,7 +315,7 @@ class SingularIntegrator:
             blocks.append(_ScatterBlock(grid, sp.position, r, wr))
             log_h.append(w.log_weight(
                 blocks[-1].points, cap=(i, np.repeat(r, CAP_ANGULAR_NODES))))
-        blocks.append(_ProductBlock(grid.transform))
+        blocks.append(grid.transform)
         outside = extra > 0.0
         log_h.append(np.full(extra.shape, -np.inf))
         log_h[-1][outside] = (w.log_weight(ring_points(grid.t, phi)[outside])
@@ -349,7 +330,7 @@ class SingularIntegrator:
 
     def synthesis(self, coeffs: SHCoefficients) -> list:
         """u on every block, one pass per block for a stack too."""
-        return [b.synthesis(coeffs) for b in self.blocks]
+        return [b.synthesis_values(coeffs) for b in self.blocks]
 
     def density_of(self, u: list) -> Density:
         """h e^u on every block from u on every block (``synthesis``),
@@ -372,7 +353,7 @@ class SingularIntegrator:
             flat = zb.reshape(*batch, -1)
             flat -= shift[..., None]
             np.exp(flat, out=flat)
-            w = b.transform.ring_weights if zb.shape[-1] == 1 else b.weights
+            w = b.ring_weights if zb.shape[-1] == 1 else b.weights
             sums = [np.sum(w * d)  # field by field, as unbatched
                     for d in zb.reshape(-1, *w.shape)]
             total = total + np.reshape(sums, batch)
@@ -390,7 +371,8 @@ class SingularIntegrator:
         Only the ratio to ``dens.total`` is meaningful to callers; the common
         scale e^{-shift} cancels in the Euler-Lagrange term.
         """
-        parts = [b.analysis(d).values for b, d in zip(self.blocks, dens.values)]
+        parts = [b.analysis_coeffs(d).values
+                 for b, d in zip(self.blocks, dens.values)]
         return SHCoefficients(sum(parts[1:], parts[0]))
 
     def field_peak(self, dens: Density) -> float:
@@ -482,7 +464,7 @@ def hessian_product(v: np.ndarray, dens: Density, proj: SHCoefficients,
     constant v is in the kernel, and the l = 0 row of Hv is zero.
     """
     coeffs = SHCoefficients(v)
-    parts = [b.analysis(d * b.synthesis(coeffs)).values
+    parts = [b.analysis_coeffs(d * b.synthesis_values(coeffs)).values
              for b, d in zip(integ.blocks, dens.values)]
     scale = rho / dens.total
     out = (_degree_weights(coeffs.band_limit)[:, None] * v

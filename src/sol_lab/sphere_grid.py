@@ -172,24 +172,19 @@ def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
     return w
 
 
-# Values per degree row of a streamed group of orders.  A group has
-# max(1, LEGENDRE_BUDGET // len(t)) orders, so its three work rows take
-# 3 x 32 KiB and its blocks at most LEGENDRE_BUDGET (L + 1) values (4.2 MB at
-# L = 128).  Measured at L = 128 and 256 with one BLAS thread: rows of 8k-16k
-# values are fastest, but such a group adds 6-9 MiB to the peak RSS of an
-# L = 128 sweep (2.3 MiB at 4096).  Above 2048 points a group is one
-# order, which runs within about 15 % of a plain per-order loop.
-LEGENDRE_BUDGET = 4096
-
-# Orders per group of a table (``normalized_legendre``) and of a streamed
-# pass, each group computed on the rings its previous order kept.  Building
-# the trimmed L = 256 two-cap table (380 representative rings) in groups of
-# 8, 16, 24, 32, 48 and 64 orders took 90, 78, 74, 68, 66 and 69 ms at best
-# of 11 (one BLAS thread, shared 2-core x86 VM), against 75 ms for the
-# untrimmed table in one group; smaller groups pay more numpy calls per
-# degree, larger ones compute more of the dropped rings and touch more
-# memory past the table.
-TABLE_GROUP = 32
+# Bytes of Pbar blocks in one group of orders of the Legendre recurrence
+# (``_legendre_groups``), for tables, streamed passes and point syntheses
+# alike: a group over n rings takes max(1, LEGENDRE_BYTES // (8 (L + 1) n))
+# orders, the most whose blocks fit at L + 1 rows an order (Schaeffer,
+# G^3 14, 2013 sizes his on-the-fly recurrence the same way), so scratch
+# stays within max(LEGENDRE_BYTES, one order).  The L = 256 two-cap block
+# (380 representative rings) takes 32 orders, 23.5 MB: building its trimmed
+# table in groups of 8, 16, 24, 32, 48 and 64 orders took 90, 78, 74, 68,
+# 66 and 69 ms at best of 11 (one BLAS thread, shared 2-core x86 VM);
+# smaller groups pay more numpy calls per degree, larger ones compute more
+# of the dropped rings.  A full-width L = 4096 grid pass takes one order
+# (67 MB) a group.
+LEGENDRE_BYTES = 24 << 20  # 24 MiB
 
 # Values of Pbar below which a ProductTransform drops a ring from an order's
 # table (see ``normalized_legendre``): a synthesized value misses at most
@@ -276,7 +271,7 @@ def _seeds(t: np.ndarray):
 
 
 def _legendre_orders(band_limit: int, t: np.ndarray, m_max: int | None = None,
-                     floor: float = 0.0, group: int | None = None):
+                     floor: float = 0.0):
     """Yield (m, Pbar block) for m = 0..m_max (default band_limit).
 
     Row k of a block holds degree l = m + k.  The normalization is the
@@ -290,17 +285,23 @@ def _legendre_orders(band_limit: int, t: np.ndarray, m_max: int | None = None,
     misses at most floor * sum_l |c_l| of each value.  Order 0 is never
     trimmed.
 
-    Orders are computed ``group`` at a time (default max(1,
-    LEGENDRE_BUDGET // len(t))) by ``_legendre_group``, each group on the
-    rings its previous order kept, into one scratch array that every group
-    reuses: a block is a view that the next group overwrites, so a caller
-    uses each block before it asks for the next group, or copies it.
+    The blocks come a group at a time from ``_legendre_groups``: a block is
+    a view that the next group overwrites, so a caller uses each block
+    before it asks for the next group, or copies it.
     """
+    for group in _legendre_groups(band_limit, t, m_max, floor):
+        yield from group
+
+
+def _legendre_groups(L: int, t: np.ndarray, m_max: int | None, floor: float):
+    """The (m, Pbar block) of ``_legendre_orders``, one list per group of
+    orders: over n rings a group takes max(1, LEGENDRE_BYTES // (8 (L + 1)
+    n)) orders, computed by ``_legendre_group`` on the rings its previous
+    order kept into one scratch array that every group reuses."""
     t, sq, pmm = _seeds(t)
-    L, n = band_limit, t.size
+    n = t.size
     m_max = L if m_max is None else m_max
-    if group is None:
-        group = max(1, LEGENDRE_BUDGET // max(n, 1))
+    group = max(1, LEGENDRE_BYTES // (8 * (L + 1) * max(n, 1)))
     sizes = [L + 1 - m for m in range(m_max + 1)]
     scratch = np.empty(sum(sizes[:group]) * n)  # the first group is largest
     start = 0
@@ -309,13 +310,15 @@ def _legendre_orders(band_limit: int, t: np.ndarray, m_max: int | None = None,
         packed = scratch[:sum(rows) * (n - lo)].reshape(sum(rows), n - lo)
         pmm = _legendre_group(L, m0, len(rows), t[lo:], sq[lo:],
                               pmm[pmm.size - (n - lo):], packed)
+        blocks = []
         for m, off, size in zip(itertools.count(m0),
                                 np.cumsum([0] + rows[:-1]), rows):
             block = packed[off:off + size]
             if floor and m:
                 while start < n and np.abs(block[:, start - lo]).max() < floor:
                     start += 1
-            yield m, block[:, start - lo:]
+            blocks.append((m, block[:, start - lo:]))
+        yield blocks
 
 
 def normalized_legendre(band_limit: int, t: np.ndarray,
@@ -325,30 +328,24 @@ def normalized_legendre(band_limit: int, t: np.ndarray,
     blocks of ``_legendre_orders`` for m = 0..m_max (default band_limit),
     trimmed at ``floor``, one block per order.
 
-    The recurrence runs TABLE_GROUP orders at a time, and the kept blocks
-    of each group are copied out of its scratch into one array before the
-    next group is computed, so the table holds the kept entries alone and
-    leaves no group arrays behind.  One allocation per group, not per
-    order: the L = 256 two-cap table took 74-88 ms so and 95-115 ms in 257
-    allocations (one BLAS thread, shared 2-core x86 VM).  The m = 0 block
-    alone is its whole scratch, which no later group reuses, so it is
-    kept as it is.
+    The kept blocks of each group are copied out of its scratch into one
+    array before the next group is computed, so the table holds the kept
+    entries alone and leaves no group arrays behind.  One allocation per
+    group, not per order: the L = 256 two-cap table took 74-88 ms so and
+    95-115 ms in 257 allocations (one BLAS thread, shared 2-core x86 VM).
+    The m = 0 block alone is its whole scratch, which no later group
+    reuses, so it is kept as it is.
     """
-    m_max = band_limit if m_max is None else m_max
-    orders = _legendre_orders(band_limit, t, m_max, floor, TABLE_GROUP)
+    groups = _legendre_groups(band_limit, t, m_max, floor)
     if m_max == 0:
-        return [block for _, block in orders]
-    table, group = [], []
-    for m, block in orders:
-        group.append(block)
-        if (m + 1) % TABLE_GROUP and m < m_max:
-            continue  # the next order is in the same scratch
-        packed, end = np.empty(sum(b.size for b in group)), 0
-        for b in group:
+        return [block for _, block in next(groups)]
+    table = []
+    for group in groups:
+        packed, end = np.empty(sum(b.size for _, b in group)), 0
+        for _, b in group:
             table.append(packed[end:end + b.size].reshape(b.shape))
             table[-1][...] = b
             end += b.size
-        group = []
     return table
 
 
@@ -498,7 +495,8 @@ class ProductTransform:
     The node set is {(t_i, phi_j)}: arbitrary colatitude nodes t and n_phi
     uniform longitudes phi_j = 2 pi j / n_phi.  ``ring_weights`` are the
     steradian weights per ring (may include cutoff factors; None for a
-    synthesis-only transform); a node carries its ring's weight / n_phi.
+    synthesis-only transform); a node carries its ring's weight / n_phi
+    (``weights``, per node over every longitude).
 
     Rings are evaluated in mirror pairs (Schaeffer, G^3 14, 2013): by
     Pbar_{l,m}(-t) = (-1)^{l+m} Pbar_{l,m}(t), the rows of even l - m see
@@ -553,7 +551,8 @@ class ProductTransform:
         self.ring_weights = self.weights = None
         if ring_weights is not None:
             self.ring_weights = np.reshape(ring_weights, (-1, 1))
-            self.weights = self.ring_weights / n_phi  # per node, by ring
+            self.weights = np.broadcast_to(self.ring_weights / n_phi,
+                                           (self.t.size, n_phi))
         self._order, self._paired, self._reps = _ring_order(self.t)
         self._runs = _ring_runs(self._order)
         # longitude pairs: phi_{n-j} = -phi_j and, for even n, phi_{n/2+j}
@@ -570,7 +569,7 @@ class ProductTransform:
             self._images.append((slice(o, o + self._phi_reps),
                                  slice(end, end - self._phi_pairs, -1)))
         self._plm: list = []
-        self._table_bytes = None  # of every order, once a pass streamed them
+        self._surplus = None  # see table_surplus, once a pass streamed
         self._fourier = None
 
     def _legendre(self, orders: int):
@@ -579,15 +578,15 @@ class ProductTransform:
         odd of its Pbar block over the kept rings.
 
         The m = 0 block is kept from its first need.  The first pass over
-        every order streams the blocks from the recurrence, TABLE_GROUP
-        orders at a time; the table of every order is kept from the second
-        such pass on, so a transform that makes one full-width pass never
-        holds it.
+        every order streams the blocks from the recurrence, one group of
+        ``_legendre_orders`` at a time; the table of every order is kept
+        from the second such pass on, so a transform that makes one
+        full-width pass never holds it.
         """
         if len(self._plm) >= orders:
             return self._plm
         t = self.t[self._order[:self._reps]]
-        if orders > 1 and self._table_bytes is None:
+        if orders > 1 and self._surplus is None:
             return self._stream(t)
         self._plm = [(t.size - block.shape[1], block[0::2], block[1::2])
                      for block in normalized_legendre(
@@ -595,28 +594,24 @@ class ProductTransform:
         return self._plm
 
     def _stream(self, t: np.ndarray):
-        """The (s, even, odd) of every order from the recurrence, TABLE_GROUP
-        orders at a time; once drained, records the bytes of the table that
-        the next pass keeps."""
+        """The (s, even, odd) of every order from the recurrence, a group
+        at a time; once drained, records by how many bytes the table that
+        the next pass keeps exceeds the scratch of the groups (the base
+        array of every block)."""
         kept = 0
         for _, block in _legendre_orders(self.band_limit, t,
-                                         floor=LEGENDRE_FLOOR,
-                                         group=TABLE_GROUP):
+                                         floor=LEGENDRE_FLOOR):
             kept += block.nbytes
             yield t.size - block.shape[1], block[0::2], block[1::2]
-        self._table_bytes = kept
+        self._surplus = kept - block.base.nbytes
 
     @property
     def table_surplus(self) -> int:
         """Bytes by which the Legendre blocks that the next pass over every
-        order holds exceed one streamed group of TABLE_GROUP orders: 0
-        until a pass has streamed them, then the kept table less that
-        group (``batch_size``)."""
-        if self._table_bytes is None:
-            return 0
-        L = self.band_limit
-        group = sum(L + 1 - m for m in range(min(TABLE_GROUP, L + 1)))
-        return max(0, self._table_bytes - 8 * group * self._reps)
+        order holds exceed one streamed group of orders: 0 until a pass has
+        streamed them, then the kept table less that group's scratch
+        (``batch_size``)."""
+        return max(0, self._surplus or 0)
 
     def _trig(self) -> np.ndarray:
         """cos m phi and sin m phi for m = 0..L over the representative
@@ -895,10 +890,9 @@ def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
     """Evaluate a band-limited field at arbitrary unit vectors.
 
     Streams the Legendre recurrence in groups of orders, so no table over
-    all orders is stored: memory is O((L+1) * max(len(points),
-    LEGENDRE_BUDGET)) for the current groups' blocks.  A zonal column
-    needs the m = 0 block alone.  Exact for band-limited fields.  Accepts any
-    leading shape (..., 3).
+    all orders is stored: a group's blocks take at most max(LEGENDRE_BYTES,
+    one order).  A zonal column needs the m = 0 block alone.  Exact for
+    band-limited fields.  Accepts any leading shape (..., 3).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.clip(pts[..., 2], -1.0, 1.0)
@@ -912,20 +906,15 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
     gives its batch axes first."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     phi = np.ravel(phi)
-    L = c.band_limit
-    cv = c.values
-    shape = cv.shape[:-2] + t.shape
-    if cv.shape[-1] == 1:  # zonal: the m = 0 block alone
-        _, block = next(_legendre_orders(L, t.ravel(), group=1))
-        return (cv[..., 0] @ block).reshape(shape)
+    cv, m0 = c.values, c._m0  # a zonal column holds the m = 0 block alone
     out = np.zeros(cv.shape[:-2] + (t.size,))
-    for m, block in _legendre_orders(L, t.ravel()):
+    for m, block in _legendre_orders(c.band_limit, t.ravel(), m0):
         if m == 0:
-            out += cv[..., L] @ block
+            out += cv[..., m0] @ block
         else:
-            out += np.sqrt(2.0) * ((cv[..., m:, L + m] @ block) * np.cos(m * phi)
-                                   + (cv[..., m:, L - m] @ block) * np.sin(m * phi))
-    return out.reshape(shape)
+            out += np.sqrt(2.0) * ((cv[..., m:, m0 + m] @ block) * np.cos(m * phi)
+                                   + (cv[..., m:, m0 - m] @ block) * np.sin(m * phi))
+    return out.reshape(cv.shape[:-2] + t.shape)
 
 
 def gradient_magnitude(c: SHCoefficients, synthesis, t: np.ndarray,

@@ -265,16 +265,16 @@ def minimize(params: FunctionalParams, config: SolverConfig,
 # ---------------------------------------------------------------------------
 
 def cap_density_integral(state: MinimizerState, center: np.ndarray,
-                         radius: float, n_radial: int | None = None,
-                         n_angular: int = 32) -> float:
-    """int_{B_radius(center)} h e^u by polar quadrature (u normalized); a
-    zonal state about a centre on the axis is synthesized on one bearing."""
+                         radius: float) -> float:
+    """int_{B_radius(center)} h e^u by polar quadrature (u normalized), on
+    max(48, radius L + 16) radii and 32 bearings; a zonal state about a
+    centre on the axis is synthesized on one bearing."""
     w = state.params.weight
     grid = state.grid
     if radius >= np.pi - 0.2:
         raise ValueError("cap radius too large for the polar rule")
     alpha_c = w.beta(center)
-    n_radial = n_radial or max(48, int(radius * grid.band_limit) + 16)
+    n_radial, n_angular = max(48, int(radius * grid.band_limit) + 16), 32
     r, wr = cap_radial_rule(alpha_c, radius, n_radial)
     pts = cap_points(center, r, n_angular)
     own = [i for i, sp in enumerate(w.points)
@@ -311,11 +311,11 @@ def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid,
 
 
 def diagnose(state: MinimizerState, w: SingularWeight,
-             profile_R: float = 5.0, farfield_delta: float = 1.0,
              cap_radii: tuple = ()) -> BlowupDiagnostics:
     """Populate the concentration diagnostics of a converged state, from
     its grid values and gradient: one column, on the first longitude, when
-    zonal."""
+    zonal.  The profile is compared with the bubble out to 5 t_eps, the far
+    field with the Green's function at distance >= 1 from the centre."""
     grid = state.grid
     alpha = w.alpha
 
@@ -366,7 +366,7 @@ def diagnose(state: MinimizerState, w: SingularWeight,
     profile_err = np.nan
     if alpha < 0.0 or not compact:
         c_p = w.bubble_constant(center)
-        radii = np.linspace(0.0, profile_R, 25)[1:] * t_eps
+        radii = np.linspace(0.0, 5.0, 25)[1:] * t_eps
         u_vals = synthesis_at_points(state.coeffs,
                                      cap_points(center, radii, 8))
         bubble = planar_bubble(radii / t_eps, c_p, alpha)[:, None]
@@ -378,7 +378,7 @@ def diagnose(state: MinimizerState, w: SingularWeight,
         nodes = grid.nodes
         vals = np.broadcast_to(vals, nodes.shape[:-1])
     d = np.arccos(np.clip(nodes @ center, -1.0, 1.0))
-    mask = d >= farfield_delta
+    mask = d >= 1.0
     gvals = green_radial(d[mask])
     ubar = state.coeffs.mean
     farfield = float(np.max(np.abs(vals[mask] - ubar - w.rho_bar * gvals)))
@@ -525,26 +525,24 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
 # gradient exponent near a singular point
 # ---------------------------------------------------------------------------
 
-def gradient_singularity_exponent(state: MinimizerState, p_i,
-                                  d_max: float = 0.1,
-                                  n_radii: int = 12) -> dict:
+def gradient_singularity_exponent(state: MinimizerState, p_i) -> dict:
     """Least-squares slope of log |grad u| vs log d near a singular point.
 
-    The fit annulus is [5 * grid spacing, d_max]; raises when the grid is
-    too coarse for the annulus to exist.  The reported bound is the
-    gradient-growth exponent min(2 alpha_i + 1, 0).
+    The fit annulus is [5 * grid spacing, 0.1], at 12 radii; raises when
+    the grid is too coarse for the annulus to exist.  The reported bound
+    is the gradient-growth exponent min(2 alpha_i + 1, 0).
     """
     grid = state.grid
     p_i = np.asarray(p_i, dtype=float)
     alpha_i = state.params.weight.beta(p_i)
     if alpha_i >= 0.0:
         raise ValueError("the exponent fit targets negative-order points")
-    d_min = 5.0 * grid.node_spacing()
+    d_min, d_max = 5.0 * grid.node_spacing(), 0.1
     if d_min >= d_max:
         raise InsufficientAnnulusError(
             f"fit annulus [{d_min:.3g}, {d_max:.3g}] is empty; "
             "increase the grid resolution")
-    radii = np.geomspace(d_min, d_max, n_radii)
+    radii = np.geomspace(d_min, d_max, 12)
     pts = cap_points(p_i, radii, 8)
     t = np.clip(pts[..., 2], -1.0, 1.0).reshape(-1)
     ph = np.arctan2(pts[..., 1], pts[..., 0]).reshape(-1)

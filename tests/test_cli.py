@@ -210,7 +210,8 @@ class TestRun:
         want = []
         for _ in range(20):
             c = sphere_grid.random_band_limited_batch(g, rng, 1).values[0]
-            peak = np.max(np.abs(block.synthesis(sphere_grid.SHCoefficients(c))))
+            peak = np.max(np.abs(block.synthesis_values(
+                sphere_grid.SHCoefficients(c))))
             want.append(troyanov_gap(sphere_grid.SHCoefficients(c * (2.0 / peak)),
                                      g, w, 0.0))
         got = [r["gap"] for r in report["records"]]
@@ -259,11 +260,11 @@ class TestRun:
         (grid,) = grids
         (integ,) = grid._integrator_cache.values()
         (block,) = integ.blocks
-        assert [tr is block.transform for tr in passes] == [True] * 3
+        assert [tr is block for tr in passes] == [True] * 3
         assert [c.values.shape[0] for c, _ in evaluated] == [3, 3, 1]
         for coeffs, dens in evaluated:
             for i, c in enumerate(coeffs.values):
-                u = np.stack([b.synthesis(SHCoefficients(c)).ravel()
+                u = np.stack([b.synthesis_values(SHCoefficients(c)).ravel()
                               for b in integ.blocks])
                 assert np.max(np.abs(u)) == pytest.approx(2.0, rel=1e-14)
                 assert abs(dens.peak[i] - np.max(u)) <= 1e-14
@@ -271,10 +272,11 @@ class TestRun:
 
     def test_later_stacks_give_up_the_table_surplus(self, monkeypatch):
         """Two axis caps at L = 64, 20 samples, a budget of 10 fields: the
-        first stack streams the block's Legendre blocks and takes 10
-        fields; the block keeps its table from the second pass on, so the
-        later stacks give up the table's surplus over one streamed group
-        (``table_surplus``), and the gaps do not depend on the stacks."""
+        first stack streams the block's Legendre blocks, 32 orders a group,
+        and takes 10 fields; the block keeps its table from the second pass
+        on, so the later stacks give up the table's surplus over one
+        streamed group (``table_surplus``), and the gaps do not depend on
+        the stacks."""
         from sol_lab import sphere_grid
         from sol_lab.mt_functional import integrator_for
         from sol_lab.singular_geometry import SingularWeight
@@ -283,7 +285,11 @@ class TestRun:
         integ = integrator_for(sphere_grid.build_grid(65, 130),
                                SingularWeight.from_orders(orders))
         (block,) = integ.blocks
-        for _ in block.transform._legendre(64 + 1):  # one streamed pass
+        # a Legendre budget of 32 orders a group; the default takes the
+        # block's every order in one group, which leaves no surplus
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
+                            32 * 8 * (64 + 1) * block._reps)
+        for _ in block._legendre(64 + 1):  # one streamed pass
             pass
         surplus = integ.table_surplus
         assert surplus > 0
@@ -487,7 +493,58 @@ BAD_CONFIGS = {
 }
 
 
+# valid configs whose run a rule of the program refuses: caps that overlap
+# (the integrator's own test) and a test function's epsilon too large for
+# its point (ConcentrationParams); (kind, config fields, expected error)
+BAD_BY_RULE = {
+    "caps-overlap": ("minimize", {"weight": {"points": [
+        {"position": [0, 0, 1], "order": -0.5},
+        {"position": [0.1, 0, 1], "order": -0.3}]},
+        "experiment": {"kind": "minimize", "epsilon": 0.5}},
+        "weight.points[1]: its singular cap overlaps that of "
+        "weight.points[0]"),
+    "init_epsilon-safe-scale": (
+        "sweep", {**_point([0, 0, 1], order=-0.1),
+                  "experiment": {"kind": "sweep", "init_epsilon": 0.3}},
+        "experiment.init_epsilon: epsilon too large: cap exceeds the safe "
+        "scale"),
+    "init_epsilon-reaches-point": (
+        "sweep", {"weight": {"points": [
+            {"position": [0, 0, 1], "order": -0.5},
+            {"position": [0, 0.3, 1], "order": 0.5}]},
+            "experiment": {"kind": "sweep", "init_epsilon": 0.5}},
+        "experiment.init_epsilon: epsilon too large: cap reaches another "
+        "singular point"),
+    "test-function-epsilons": (
+        "test-function-sweep",
+        {**_point([0, 0, 1], order=-0.1),
+         "experiment": {"kind": "test-function-sweep",
+                        "epsilons": [0.5, 0.3]}},
+        "experiment.epsilons[0]: epsilon too large: cap exceeds the safe "
+        "scale"),
+}
+
+
 class TestExperimentNumbers:
+    @pytest.mark.parametrize("kind, fields, message", BAD_BY_RULE.values(),
+                             ids=BAD_BY_RULE.keys())
+    def test_refused_by_a_rule_exits_2(self, kind, fields, message, tmp_path,
+                                       capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text(**fields))
+        assert main([kind, "--config", str(cfg)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_rules_apply_to_the_kinds_that_use_them(self):
+        """Overlapping caps are no error for the closed-form constants, and
+        an init_epsilon no error for a sweep that starts from zero."""
+        overlap = BAD_BY_RULE["caps-overlap"][1]
+        assert not validate(config_text(**{
+            **overlap, "experiment": {"kind": "constants"}}))[1]
+        scale = BAD_BY_RULE["init_epsilon-safe-scale"][1]
+        assert not validate(config_text(**{**scale, "experiment": {
+            **scale["experiment"], "init": "zero"}}))[1]
+
     @pytest.mark.parametrize("kind, fields, message", BAD_NUMBERS.values(),
                              ids=BAD_NUMBERS.keys())
     def test_main_exits_2(self, kind, fields, message, tmp_path, capsys):
@@ -564,6 +621,21 @@ class TestMainEntry:
             experiment={"kind": "minimize", "epsilon": 0.2,
                         "max_iterations": 2}))
         assert main(["minimize", "--config", str(cfg)]) == 3
+
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+        """A run that runs out of memory is a numerical failure (exit 3)
+        with one line, not a traceback."""
+        from sol_lab import cli
+
+        def runner(config, report):
+            raise MemoryError("Unable to allocate 2.1 GiB")
+
+        monkeypatch.setitem(cli._RUNNERS, "constants", runner)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text())
+        assert main(["constants", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: out of memory (Unable to allocate 2.1 GiB)")
 
     def test_traces_written(self, tmp_path):
         cfg = tmp_path / "c.json"

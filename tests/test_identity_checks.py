@@ -156,7 +156,7 @@ class TestKazdanWarner:
         dens = integ.density(u)
         (block,), (d,) = integ.blocks, dens.values
         assert (d.shape[-1] == 1) == zonal
-        x3 = block.points[..., 2]
+        x3 = block.t[:, None]
         want = np.sum(block.weights * d * x3) / dens.total
         rep = kazdan_warner_residual(u, grid64, w.rho_bar - 0.3, w)
         assert rep.moment == pytest.approx(want, rel=1e-14)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from scipy.special import sph_legendre_p
 
+from sol_lab import sphere_grid
 from sol_lab.sphere_grid import (
     FOUR_PI,
-    LEGENDRE_BUDGET,
     LEGENDRE_FLOOR,
     BandLimitError,
     ProductTransform,
@@ -228,12 +228,14 @@ class TestGroupedLegendre:
             expected = (-1.0) ** m * sph_legendre_p(l, m, theta)
             assert np.max(np.abs(block - expected)) <= 1e-12, m
 
-    # point counts giving several orders per group, every order in one
-    # group, and one order per group
-    @pytest.mark.parametrize("n_points", [LEGENDRE_BUDGET // 5, 3,
-                                          LEGENDRE_BUDGET + 1])
+    # under a budget of 4096 (L + 1) values, point counts giving several
+    # orders per group, every order in one group, and one order per group
+    @pytest.mark.parametrize("n_points", [819, 3, 4097])
     @pytest.mark.parametrize("band_limit", [0, 1, 2, 33])
-    def test_bit_identical_to_per_order_loop(self, band_limit, n_points):
+    def test_bit_identical_to_per_order_loop(self, band_limit, n_points,
+                                             monkeypatch):
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
+                            8 * 4096 * (band_limit + 1))
         t = np.random.default_rng(band_limit).uniform(-1.0, 1.0, n_points)
         t[:3] = [-1.0, 0.0, 1.0]
         expected = list(reference_legendre_orders(band_limit, t))
@@ -247,16 +249,16 @@ class TestGroupedLegendre:
     def test_large_point_sets_stream(self):
         """Memory stays O((L+1) len(t)): at most two groups are alive.
 
-        A group holds at most max(1, LEGENDRE_BUDGET // n) orders, so at most
-        max(LEGENDRE_BUDGET, n) (L + 1) values; the full triangle at L = 128
-        on 50,000 points would be 3.4 GB.
+        A group's blocks take at most max(LEGENDRE_BYTES, one order of
+        8 (L + 1) n bytes); the full triangle at L = 128 on 50,000 points
+        would be 3.4 GB.
         """
         L, n = 128, 50_000
         rng = np.random.default_rng(3)
         c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
         t = rng.uniform(-1.0, 1.0, n)
         phi = rng.uniform(0.0, 2.0 * np.pi, n)
-        group_bytes = max(LEGENDRE_BUDGET, n) * (L + 1) * 8
+        group_bytes = max(sphere_grid.LEGENDRE_BYTES, 8 * (L + 1) * n)
         tracemalloc.start()
         try:
             synthesis_at_angles(c, t, phi)
@@ -264,6 +266,47 @@ class TestGroupedLegendre:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * group_bytes + 32 * n * 8, peak
+
+    @pytest.mark.parametrize("per_group", [1, 3, 33])
+    def test_one_budget_sizes_every_group(self, per_group, monkeypatch, rng):
+        """LEGENDRE_BYTES sizes every group of the recurrence.  At one
+        order, three and the whole L = 32 table a group, the grouped
+        recurrence, a table, a streamed pass of a ProductTransform and a
+        point synthesis give the values of the default budget bit for bit,
+        and a group's scratch holds its orders' blocks alone (so within
+        max(budget, one order); test_large_point_sets_stream takes a budget
+        below one order)."""
+        L = 32
+        g = build_grid(L + 1, 2 * L + 2)
+        c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
+        t, phi = rng.uniform(-1.0, 1.0, 40), rng.uniform(0.0, 7.0, 40)
+
+        def budget(n):
+            """The budget of ``per_group`` orders over n rings."""
+            monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
+                                per_group * 8 * (L + 1) * n)
+
+        def run(size):
+            size(t.size)
+            blocks = [b.copy() for _, b in _legendre_orders(L, t)]
+            table = normalized_legendre(L, t)
+            points = synthesis_at_angles(c, t, phi)
+            tr = ProductTransform(L, g.t, g.n_phi, g.t_weights)
+            size(tr._reps)
+            values = tr.synthesis_values(c)
+            assert tr._plm == []  # the pass streamed its blocks
+            coeffs = ProductTransform(L, g.t, g.n_phi, g.t_weights
+                                      ).analysis_coeffs(values)
+            return blocks + table + [points, values, coeffs.values]
+
+        want = run(lambda n: None)
+        got = run(budget)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        budget(t.size)
+        rows = sum(L + 1 - m for m in range(min(per_group, L + 1)))
+        for _, block in _legendre_orders(L, t):
+            assert block.base.nbytes == 8 * rows * t.size
 
 
 class TestOrderLimit:
@@ -371,9 +414,11 @@ class TestOrderLimit:
         assert [len(tr._plm) for tr in (a, b)] == [L + 1] * 2
         # the m = 0 block spans every representative ring
         assert [tr._plm[0][0] for tr in (a, b)] == [0, 0]
-        assert [tr._table_bytes for tr in (a, b)] == [
+        # the surplus of the kept table over the one group of 17 orders
+        # that streamed it
+        assert [tr._surplus for tr in (a, b)] == [
             sum(even.nbytes + odd.nbytes for _, even, odd in tr._plm)
-            for tr in (a, b)]
+            - 8 * tr._reps * (L + 1) * (L + 2) // 2 for tr in (a, b)]
         assert a._trig() is b._trig()
 
 
@@ -689,7 +734,7 @@ def pairing_cases():
                                     ((0.0, 0.0, -1.0), 0.3)])
     t = np.random.default_rng(7).uniform(-1.0, 1.0, 40)
     return {"odd": grid.transform, "even": build_grid(34, 66).transform,
-            "axis": integrator_for(grid, w).blocks[0].transform,
+            "axis": integrator_for(grid, w).blocks[0],
             "no pairs": ProductTransform(32, t, 66, np.full(t.size, 0.3))}
 
 
@@ -782,8 +827,8 @@ def trim_cases():
     one = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5)])
     theta = np.random.default_rng(9).uniform(0.0, np.pi, 70)
     return {"gauss": grid.transform,
-            "two caps": integrator_for(grid, two).blocks[0].transform,
-            "one cap": integrator_for(grid, one).blocks[0].transform,
+            "two caps": integrator_for(grid, two).blocks[0],
+            "one cap": integrator_for(grid, one).blocks[0],
             "random": ProductTransform(64, np.cos(theta), 130,
                                        np.full(theta.size, 0.2)),
             "polar": ProductTransform(64, np.array([0.9999, -0.9999, 0.99995,
@@ -856,12 +901,11 @@ class TestPolarTrim:
         w = SingularWeight.from_orders([((0.0, 0.0, 1.0), orders[0]),
                                         ((0.0, 0.0, -1.0), orders[1])])
         integ = integrator_for(grid128, w)
-        (block,) = integ.blocks
-        tr = block.transform
+        (tr,) = integ.blocks
         kept = sum(even.size + odd.size for _, even, odd in tr._legendre(L + 1))
         assert kept <= 0.82 * tr._reps * (L + 1) * (L + 2) // 2
         k = sphere_grid.batch_size(integ.nodes)
-        assert integ.nodes == block.weights.size
+        assert integ.nodes == tr.weights.size
         assert 8 * (k + 1) * integ.nodes > sphere_grid.BATCH_BUDGET
         values = integ.synthesis(random_band_limited_batch(grid128, rng, k))
         assert sum(v.nbytes for v in values) <= sphere_grid.BATCH_BUDGET
