@@ -43,12 +43,6 @@ KINDS = (
 SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -283,72 +277,73 @@ def validate(raw_text: str):
 
     points = [p for p in (config["weight"] or {}).get("points") or ()
               if p and None not in p.values()]
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            pi, pj = points[i]["position"], points[j]["position"]
-            if sum((a - b) ** 2 for a, b in zip(pi, pj)) < 1.0e-20:
-                errors.append(
-                    f"weight.points[{j}]: coincides with weight.points[{i}]; "
-                    "singular points must be pairwise distinct")
-
     experiment = config["experiment"]
     kind = experiment.get("kind") if isinstance(experiment, dict) else None
     if kind in KINDS:
         alpha = min(0.0, min((p["order"] for p in points), default=0.0))
-        config["experiment"] = exp = _section(
+        config["experiment"] = _section(
             {"kind": (kind, _any), **_experiment_schema(alpha)[kind]})(
                 errors, experiment, "experiment")
     else:
         if not isinstance(experiment, dict):
             errors.append("experiment: expected an object")
         _choice(*KINDS)(errors, kind, "experiment.kind")
-
-    # one pole, or both poles, of the grid axis, by the integrator's rule
-    from .sphere_grid import axis_aligned
-    z = [p["position"][2] for p in points]
-    if kind == "kw-check" and exp["use_extremal"] is False and not (
-            (len(z) == 1 or (len(z) == 2 and z[0] * z[1] <= 0))
-            and all(axis_aligned(p["position"]) for p in points)):
-        errors.append(
-            "experiment: kw-check requires singularities at antipodal "
-            "points on the grid axis (the identity only holds in the "
-            "axis direction for antipodal pairs)")
-    if kind == "test-function-sweep" and (config["weight"] or {}).get("K"):
-        errors.append(
-            "weight.K: test-function-sweep evaluates J by the radial "
-            "formula, which holds for K == 1 only; remove weight.K")
     if not errors:
         errors = _rule_errors(config)
     return (None, errors) if errors else (config, [])
 
 
 def _rule_errors(config) -> list:
-    """What the run would refuse of a valid config, by the rules' own
-    checks, each naming its key: overlapping singular caps, for the kinds
-    that integrate the weight (``mt_functional.overlapping_caps``), and a
-    test function's epsilon, for the kinds that build one
-    (``ConcentrationParams``)."""
-    from .closed_forms import ConcentrationParams
+    """What the run would refuse of a valid config, by each rule's own
+    check, each error naming its key: coincident points, a K that is not
+    positive, overlapping caps, a kw-check layout off the axis identity's,
+    and for the kinds that build test functions a weight the radial J
+    cannot evaluate, a singular test-function point or an epsilon too
+    large for its point."""
+    import numpy as np
+    from .closed_forms import ConcentrationParams, radial_faults
+    from .identity_checks import RegimeError, _axis_orders
     from .mt_functional import overlapping_caps
+    from .singular_geometry import coincident_points
+    from .sphere_grid import build_grid, normalized
 
-    exp, w = config["experiment"], _build_weight(config)
-    errors = []
+    exp = config["experiment"]
+    positions = [normalized(p["position"]) for p in config["weight"]["points"]]
+    errors = [f"weight.points[{j}]: coincides with weight.points[{i}]; "
+              "singular points must be pairwise distinct"
+              for i, j in coincident_points(positions)]
+    if errors:  # no weight to ask the other rules
+        return errors
+    w = _build_weight(config)
+    if w.K is not None and np.min(
+            w.smooth_factor(build_grid(33, 66).nodes)) <= 0.0:
+        errors.append("weight.K: the smooth factor must be positive on the "
+                      "sphere")
     integrates = exp["kind"] not in ("constants", "verify-extremal",
                                      "test-function-sweep")
     if integrates and not exp.get("use_extremal"):
         errors += [f"weight.points[{j}]: its singular cap overlaps that of "
                    f"weight.points[{i}]; separate the singular points"
                    for i, j in overlapping_caps(w)]
-    seeds = []
+    if exp["kind"] == "kw-check" and not exp["use_extremal"]:
+        try:
+            _axis_orders(w)
+        except RegimeError as exc:
+            errors.append(f"weight.points: kw-check: {exc}")
+    p, seeds = _test_function_point(w), []
     if exp["kind"] == "test-function-sweep":
+        errors += [f"weight.{key}: {why}" for key, why in radial_faults(w, p)]
         seeds = [(f"experiment.epsilons[{i}]", e)
                  for i, e in enumerate(exp["epsilons"])]
     elif exp.get("init") == "test-function" and w.alpha < 0.0:
         seeds = [("experiment.init_epsilon", exp["init_epsilon"])]
+    if seeds and w.beta(p) != w.alpha:  # every order positive, one at p
+        return errors + [f"weight.points[{w.index_at(p)}]: test functions "
+                         "concentrate at the north pole when every order is "
+                         "positive; it must not be a singular point"]
     for path, epsilon in seeds:
         try:
-            ConcentrationParams(epsilon=epsilon, weight=w,
-                                p=_test_function_point(w))
+            ConcentrationParams(epsilon=epsilon, weight=w, p=p)
         except ValueError as exc:
             errors.append(f"{path}: {exc}")
     return errors
@@ -401,16 +396,7 @@ def _check(checks, name, value, tolerance, ok):
 
 def run(config: dict) -> dict:
     """Dispatch a validated config and return the report dictionary."""
-    import numpy as np
-
     t_start = time.time()
-    if config["weight"]["K"] is not None:
-        # the smooth factor must be positive; probe it on a coarse grid
-        from .sphere_grid import build_grid
-        probe = _build_weight(config).smooth_factor(build_grid(33, 66).nodes)
-        if float(np.min(probe)) <= 0.0:
-            raise ConfigError(["weight.K: the smooth factor must be "
-                               "positive on the sphere"])
     kind = config["experiment"]["kind"]
     runner = _RUNNERS[kind]
     report = {
@@ -435,6 +421,7 @@ def _grid_for(config):
 def _run_constants(config, report):
     from .identity_checks import (RegimeError, blowup_infimum,
                                   sphere_sharp_constant)
+    from .singular_geometry import antipodal
 
     w = _build_weight(config)
     grid = _grid_for(config) if w.alpha == 0.0 else None
@@ -442,14 +429,11 @@ def _run_constants(config, report):
     report["summary"] = rep.to_dict()
     checks = report["checks"]
     orders = [p["order"] for p in config["weight"]["points"]]
-    antipodal = True
-    if len(orders) == 2:
-        p0 = config["weight"]["points"][0]["position"]
-        p1 = config["weight"]["points"][1]["position"]
-        antipodal = abs(sum(a * b for a, b in zip(p0, p1)) + 1.0) < 1.0e-10
     if config["weight"]["K"] is None and len(orders) == 0:
         _check(checks, "onofri constant", rep.C, 1.0e-9, abs(rep.C) <= 1.0e-9)
-    elif config["weight"]["K"] is None and len(orders) <= 2 and antipodal:
+    elif config["weight"]["K"] is None and (
+            len(orders) == 1
+            or len(orders) == 2 and antipodal(*w.positions)):
         try:
             closed = sphere_sharp_constant(
                 *sorted(orders),
@@ -504,8 +488,7 @@ def _run_inequality_sample(config, report):
     worst = np.inf
     integ, start = integrator_for(grid, w), 0
     while start < n_samples:  # one stack alive at a time
-        count = min(batch_size(integ.nodes, integ.table_surplus),
-                    n_samples - start)
+        count = min(batch_size(integ.nodes), n_samples - start)
         gaps = sample_gaps(random_band_limited_batch(grid, rng, count), grid,
                            w, exp["constant"])
         for i, gap in enumerate(gaps, start):
@@ -794,10 +777,6 @@ def main(argv=None) -> int:
 
     try:
         report = run(config)
-    except ConfigError as exc:
-        for e in exc.errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 2
     except (NonConvergedError, UnnormalizedBlowupError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

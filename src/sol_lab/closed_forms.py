@@ -36,6 +36,7 @@ from .sphere_grid import (
     SHCoefficients,
     SphereGrid,
     _orthonormal_frame,
+    axis_aligned,
     geodesic_distance,
     normalized,
     on_axis,
@@ -44,7 +45,9 @@ from .sphere_grid import (
 from .singular_geometry import (
     REGULAR_PART,
     SingularWeight,
+    antipodal,
     green_radial,
+    same_point,
 )
 
 _QUAD_OPTS = dict(limit=400, epsabs=1.0e-12, epsrel=1.0e-12)
@@ -64,10 +67,9 @@ def stereographic(p_pole, x) -> np.ndarray:
     """Project x in S^2 \\ {p_pole} to the plane; -p_pole -> origin."""
     e1, e2, p = _frame(p_pole)
     x = np.asarray(x, dtype=float)
-    dot = x @ p
-    if np.any(dot > 1.0 - 1.0e-14):
+    if np.any(same_point(p, x)):
         raise ValueError("stereographic projection is undefined at its pole")
-    denom = 1.0 - dot
+    denom = 1.0 - x @ p
     return np.stack([(x @ e1) / denom, (x @ e2) / denom], axis=-1)
 
 
@@ -171,7 +173,7 @@ def conformal_pullback(coeffs: SHCoefficients, grid: SphereGrid, t: float,
     band-limited u); a zonal column gives a zonal column.
     """
     axis = normalized(np.asarray(axis, dtype=float))
-    if abs(axis[2]) < 1.0 - 1.0e-12:
+    if not axis_aligned(axis):
         raise ValueError("conformal_pullback requires the grid axis")
     if t <= 0.0:
         raise ValueError("dilation parameter must be positive")
@@ -281,7 +283,7 @@ class ConcentrationParams:
         if 2.0 * self.r_eps >= np.pi / 4.0:
             raise ValueError("epsilon too large: cap exceeds the safe scale")
         for sp in self.weight.points:
-            if geodesic_distance(self.p, sp.position) > 1.0e-12 and \
+            if not same_point(self.p, sp.position) and \
                     geodesic_distance(self.p, sp.position) <= 2.0 * self.r_eps:
                 raise ValueError("epsilon too large: cap reaches another "
                                  "singular point")
@@ -352,12 +354,24 @@ def concentration_field(params: ConcentrationParams,
     return grid.transform.analysis_coeffs(profile(d))
 
 
-def concentration_functional(params: ConcentrationParams) -> dict:
-    """J_{rho_bar}(phi_eps) by 1-d radial quadrature (axisymmetric weights).
+def radial_faults(w: SingularWeight, p) -> list[tuple[str, str]]:
+    """(attribute of ``w``, fault) for each reason that J about p is not a
+    1-d radial integral (``concentration_functional``): K must be 1, and
+    every singular point the same point as p or as -p, on the axis through
+    p, so that all three terms of the functional are zonal about p."""
+    faults = [] if w.K is None else [("K", "radial evaluation supports "
+                                      "K == 1 only")]
+    return faults + [
+        (f"points[{i}]", "radial evaluation needs every singular point on "
+         "the axis through the test-function point")
+        for i, sp in enumerate(w.points)
+        if not (same_point(p, sp.position) or antipodal(p, sp.position))]
 
-    Requires every singular point of the weight to lie on the axis through
-    the concentration point, which makes all three terms of the functional
-    zonal.  Accurate at any epsilon, far beyond grid resolution.
+
+def concentration_functional(params: ConcentrationParams) -> dict:
+    """J_{rho_bar}(phi_eps) by 1-d radial quadrature (axisymmetric weights,
+    ``radial_faults``).  Accurate at any epsilon, far beyond grid
+    resolution.
     """
     from scipy.integrate import quad
 
@@ -367,15 +381,13 @@ def concentration_functional(params: ConcentrationParams) -> dict:
     r_eps = params.r_eps
     rho_bar = w.rho_bar
     p = params.p
-    for sp in w.points:
-        if abs(abs(float(sp.position @ p)) - 1.0) > 1.0e-12:
-            raise ValueError("radial evaluation needs an axisymmetric weight")
-    if w.K is not None:
-        raise ValueError("radial evaluation supports K == 1 only")
+    faults = radial_faults(w, p)
+    if faults:
+        raise ValueError("; ".join(f"{key}: {why}" for key, why in faults))
 
     profile = concentration_profile(params)
     far_order = sum(sp.order for sp in w.points
-                    if geodesic_distance(sp.position, p) > 1.0e-12)
+                    if not same_point(p, sp.position))
     near_order = w.beta(p)
 
     def log_h(r):

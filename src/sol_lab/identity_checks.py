@@ -213,11 +213,12 @@ def sphere_sharp_constant(alpha1: float, alpha2: Optional[float] = None,
 # ---------------------------------------------------------------------------
 
 def _axis_orders(w: SingularWeight) -> tuple[float, float]:
-    """(order at +e3, order at -e3); requires an axis-antipodal layout
-    (``SingularWeight.is_axis_aligned``)."""
-    if not w.is_axis_aligned():
+    """(order at +e3, order at -e3); requires one singular point, or one on
+    each pole, on the grid axis (``SingularWeight.is_axis_aligned``)."""
+    poles = {sp.position[2] > 0.0 for sp in w.points}
+    if not (w.is_axis_aligned() and 0 < len(w.points) == len(poles)):
         raise RegimeError(
-            "the axis identity needs singularities at antipodal points "
+            "the axis identity needs one singularity, or an antipodal pair, "
             "on the grid axis")
     a1 = a2 = 0.0
     for sp in w.points:
@@ -282,10 +283,7 @@ def nonexistence_witness(w: SingularWeight) -> NonexistenceWitness:
     is zero in every in-scope regime, a boundary contradiction.
     """
     a1, a2 = _axis_orders(w)
-    m = len(w.points)
-    if m == 0:
-        raise RegimeError("no singularities: the identity is vacuous")
-    if m == 1:
+    if len(w.points) == 1:
         a = w.points[0].order
         denom = a - 2.0 * min(0.0, a)
         forced = -a / denom

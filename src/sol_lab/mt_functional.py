@@ -177,8 +177,6 @@ class _ScatterBlock:
     on the radial rule (r, wr) of ``cap_radial_rule``: a block like a
     ``ProductTransform``, with a weight per node and no kept table."""
 
-    table_surplus = 0
-
     def __init__(self, grid: SphereGrid, center: np.ndarray, r: np.ndarray,
                  wr: np.ndarray):
         w = (wr * 2.0 * np.pi / CAP_ANGULAR_NODES
@@ -243,7 +241,7 @@ class SingularIntegrator:
 
     ``blocks`` are ``ProductTransform``s and, off the axis, one
     ``_ScatterBlock`` per point, alike in ``synthesis_values``,
-    ``analysis_coeffs``, ``weights`` (per node) and ``table_surplus``.
+    ``analysis_coeffs`` and ``weights`` (per node).
     They hold no reference to the grid, which caches its integrators.
 
     The build reads the weight's data once
@@ -268,11 +266,6 @@ class SingularIntegrator:
         """Quadrature nodes over every block: the values of one field that
         is not zonal."""
         return sum(b.weights.size for b in self.blocks)
-
-    @property
-    def table_surplus(self) -> int:
-        """``ProductTransform.table_surplus`` over the blocks."""
-        return sum(b.table_surplus for b in self.blocks)
 
     def _build_blocks(self, grid: SphereGrid, phi: np.ndarray):
         """The blocks and log h on each, on the longitudes ``phi``."""
@@ -386,9 +379,9 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
 
     The key is the weight's data (``SingularWeight.cache_key``): positions,
     orders and the coefficients of K.  Each integrator holds its blocks'
-    Legendre tables (the m = 0 blocks until a block's second pass over
-    every order: ~80 MB for two caps at L = 256, with each order's polar
-    rings trimmed).
+    Legendre tables (the m = 0 blocks until a one-field pass over every
+    order after a block's first: ~80 MB for two caps at L = 256, with each
+    order's polar rings trimmed).
     """
     key = weight.cache_key()
     cache = grid._integrator_cache

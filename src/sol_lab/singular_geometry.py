@@ -26,14 +26,14 @@ point p.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .sphere_grid import (FOUR_PI, SHCoefficients, axis_aligned,
-                          geodesic_distance, normalized, on_axis,
-                          synthesis_at_points)
+from .sphere_grid import (FOUR_PI, SHCoefficients, axis_aligned, normalized,
+                          on_axis, synthesis_at_points)
 
 # Regular part of the sphere Green's function, constant by symmetry.
 REGULAR_PART = (2.0 * np.log(2.0) - 1.0) / FOUR_PI
@@ -46,6 +46,26 @@ class SingularEvaluationError(ValueError):
     """Evaluation requested at (or too close to) a singular point."""
 
 
+def same_point(p, q):
+    """True where the unit vectors p and q (q may be (..., 3)) are one
+    point: <p, q> > 1 - _COINCIDENCE_TOL, within about 1.4e-7 rad.  The one
+    coincidence rule: ``green`` and ``log_weight`` refuse to evaluate there,
+    and a weight refuses two such singular points."""
+    return np.asarray(q, dtype=float) @ p > 1.0 - _COINCIDENCE_TOL
+
+
+def antipodal(p, q) -> bool:
+    """True when p is the same point as -q."""
+    return same_point(p, -np.asarray(q, dtype=float))
+
+
+def coincident_points(positions) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, of the unit vectors ``positions`` that are the
+    same point (``same_point``); ``SingularWeight`` refuses such points."""
+    return [(i, j) for (i, p), (j, q) in itertools.combinations(
+        enumerate(positions), 2) if same_point(p, q)]
+
+
 def green(p, x):
     """Mean-zero Green's function G_p(x) of -Delta on the round sphere.
 
@@ -53,10 +73,9 @@ def green(p, x):
     """
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
-    dot = x @ p
-    if np.any(dot > 1.0 - _COINCIDENCE_TOL):
+    if np.any(same_point(p, x)):
         raise SingularEvaluationError("green(p, x) evaluated at x = p")
-    val = -np.log(1.0 - dot) / FOUR_PI - _GREEN_CONST
+    val = -np.log(1.0 - x @ p) / FOUR_PI - _GREEN_CONST
     return float(val) if val.ndim == 0 else val
 
 
@@ -93,10 +112,8 @@ class SingularWeight:
                             f"{type(K).__name__}")
         self.points = list(points)
         self.K = K
-        for i, a in enumerate(self.points):
-            for b in self.points[i + 1:]:
-                if geodesic_distance(a.position, b.position) < 1.0e-12:
-                    raise ValueError("singular points must be pairwise distinct")
+        if coincident_points(self.positions):
+            raise ValueError("singular points must be pairwise distinct")
 
     @classmethod
     def from_orders(cls, entries: Sequence[tuple], K=None) -> "SingularWeight":
@@ -125,13 +142,17 @@ class SingularWeight:
         """Critical parameter 8 pi (1 + alpha)."""
         return 8.0 * np.pi * (1.0 + self.alpha)
 
+    def index_at(self, p) -> Optional[int]:
+        """Index of the singular point that is the same point as p
+        (``same_point``), or None."""
+        p = normalized(p)
+        return next((i for i, sp in enumerate(self.points)
+                     if same_point(p, sp.position)), None)
+
     def beta(self, p) -> float:
         """Singularity index: alpha_i at p_i, zero elsewhere."""
-        p = normalized(p)
-        for sp in self.points:
-            if geodesic_distance(p, sp.position) < 1.0e-12:
-                return sp.order
-        return 0.0
+        i = self.index_at(p)
+        return 0.0 if i is None else self.points[i].order
 
     def minimal_points(self) -> list[SingularPoint]:
         """Singular points of order alpha = min(0, min_i alpha_i): empty
@@ -175,7 +196,7 @@ class SingularWeight:
                 out = out + sp.order * (np.log(one_minus) + 1.0 - np.log(2.0))
                 continue
             dot = np.clip(x @ sp.position, -1.0, 1.0)
-            near = dot > 1.0 - _COINCIDENCE_TOL
+            near = same_point(sp.position, x)
             if np.any(near):
                 if sp.order < 0.0:
                     raise SingularEvaluationError(
@@ -206,9 +227,8 @@ class SingularWeight:
         log_c = float(np.log(self.smooth_factor(p[None, :])[0]))
         log_c += -FOUR_PI * self.alpha * REGULAR_PART
         for sp in self.points:
-            if geodesic_distance(p, sp.position) < 1.0e-12:
-                continue
-            log_c += -FOUR_PI * sp.order * green(sp.position, p)
+            if not same_point(p, sp.position):
+                log_c += -FOUR_PI * sp.order * green(sp.position, p)
         return float(np.exp(log_c))
 
     def cache_key(self) -> tuple:

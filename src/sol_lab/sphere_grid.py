@@ -45,11 +45,12 @@ through broadcasting, which would add it to every order.  A zonal pass is
 one (L+1) x n_t matrix product, O(L n_t), against O(L^2 n_t + L n_t n_phi)
 over all orders and the Fourier step.  A transform builds its cos/sin
 table on the first pass that needs it and its m = 0 Legendre block on its
-first zonal pass.  Its first pass over every order streams the Legendre
-blocks from the recurrence, and it keeps the table of every order from
-its second such pass on (Schaeffer, G^3 14, 2013 and Reinecke & Seljebotn,
-A&A 554, 2013 run the recurrence inside every pass), so a transform that
-makes one such pass never holds that table.
+first zonal pass.  Its first pass over every order, and every stack of
+fields until then, streams the Legendre blocks from the recurrence
+(Schaeffer, G^3 14, 2013 and Reinecke & Seljebotn, A&A 554, 2013 run the
+recurrence inside every pass); a later one-field pass keeps the table of
+every order.  So a stack never builds that table, and a transform that
+makes one such pass never holds it.
 
 Coefficients and values may carry leading batch axes: a stack of K fields,
 coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
@@ -57,11 +58,10 @@ one (2K x (L+1-m)/2) by ((L+1-m)/2 x kept rings) matrix product per
 order and parity of l - m, so the K fields share one pass over each Pbar
 block instead of reading it K times.  One field gives bit for bit the
 unbatched results.
-Stacks cost memory per field on top of the shared tables, so callers that
-batch independent samples take ``batch_size(nodes, held)`` fields at a
-time: as many as the byte budget ``BATCH_BUDGET`` holds of one field's
-values on the quadrature nodes the stack is synthesized on, less the
-surplus of the kept Legendre tables over one streamed group of orders.
+Stacks cost memory per field, so callers that batch independent samples
+take ``batch_size(nodes)`` fields at a time: as many as the byte budget
+``BATCH_BUDGET`` holds of one field's values on the quadrature nodes the
+stack is synthesized on.
 """
 
 from __future__ import annotations
@@ -196,19 +196,16 @@ LEGENDRE_FLOOR = 1e-20
 # Bytes of values in one stack of sampled fields that a batched evaluation
 # synthesizes at once (``batch_size``), counted on every quadrature node the
 # stack is synthesized on: 23 fields on the 696 x 514 two-cap block at
-# L = 256 (2.86 MB a field), so 20 samples take one stack.  The first stack
-# is the block's first pass over every order, which streams its Legendre
-# blocks; a later one reads the kept table (81 MB there) and gives up the
-# table's surplus over one streamed group (58 MB: it takes 3 fields), so
-# no later pass holds more than the first.
+# L = 256 (2.86 MB a field), so 20 samples take one stack.  A stack on a
+# block that has not kept its table (81 MB there) streams its Legendre
+# blocks, one group (23.5 MB) at a time, and does not build it.
 BATCH_BUDGET = 64 << 20  # 64 MiB
 
 
-def batch_size(nodes: int, held: int = 0) -> int:
+def batch_size(nodes: int) -> int:
     """Fields per stack whose values on ``nodes`` quadrature nodes (every
-    block a stack is synthesized on) fit BATCH_BUDGET less ``held`` bytes
-    (the blocks' ``table_surplus``); at least one."""
-    return max(1, (BATCH_BUDGET - held) // (8 * nodes))
+    block a stack is synthesized on) fit BATCH_BUDGET; at least one."""
+    return max(1, BATCH_BUDGET // (8 * nodes))
 
 
 # (cos m phi, sin m phi) stacked, by (band limit, n_phi): one array shared by
@@ -539,8 +536,9 @@ class ProductTransform:
     One-column data is zonal (see the module docstring): coefficients of
     shape (..., L+1, 1) synthesize to values of shape (..., n_t, 1), and
     such values analyse, on the m = 0 block alone, to such coefficients.
-    The Legendre table holds the m = 0 block until the second pass over
-    every order; the first streams them (``_legendre``).
+    The Legendre table holds the m = 0 block until a one-field pass over
+    every order after the first; the first and stacks stream them
+    (``_legendre``).
     """
 
     def __init__(self, band_limit: int, t: np.ndarray, n_phi: int,
@@ -569,49 +567,34 @@ class ProductTransform:
             self._images.append((slice(o, o + self._phi_reps),
                                  slice(end, end - self._phi_pairs, -1)))
         self._plm: list = []
-        self._surplus = None  # see table_surplus, once a pass streamed
+        self._streamed = False  # a pass over every order has streamed
         self._fourier = None
 
-    def _legendre(self, orders: int):
+    def _legendre(self, orders: int, fields: int = 1):
         """(s, even, odd) per order 0..orders - 1: the first representative
         ring s the order keeps (0 for m = 0) and the rows of l - m even and
         odd of its Pbar block over the kept rings.
 
-        The m = 0 block is kept from its first need.  The first pass over
-        every order streams the blocks from the recurrence, one group of
-        ``_legendre_orders`` at a time; the table of every order is kept
-        from the second such pass on, so a transform that makes one
-        full-width pass never holds it.
+        The m = 0 block is kept from its first need.  Until the table of
+        every order is kept, a pass over every order streams the blocks
+        from the recurrence, one group of ``_legendre_orders`` at a time,
+        if it is a stack of ``fields`` >= 2 or the transform's first such
+        pass; a later one-field pass keeps the table.  So a stack never
+        builds the table, and a transform that makes one full-width pass
+        never holds it.
         """
         if len(self._plm) >= orders:
             return self._plm
         t = self.t[self._order[:self._reps]]
-        if orders > 1 and self._surplus is None:
-            return self._stream(t)
+        if orders > 1 and (fields > 1 or not self._streamed):
+            self._streamed = True
+            return ((t.size - block.shape[1], block[0::2], block[1::2])
+                    for _, block in _legendre_orders(self.band_limit, t,
+                                                     floor=LEGENDRE_FLOOR))
         self._plm = [(t.size - block.shape[1], block[0::2], block[1::2])
                      for block in normalized_legendre(
                          self.band_limit, t, orders - 1, LEGENDRE_FLOOR)]
         return self._plm
-
-    def _stream(self, t: np.ndarray):
-        """The (s, even, odd) of every order from the recurrence, a group
-        at a time; once drained, records by how many bytes the table that
-        the next pass keeps exceeds the scratch of the groups (the base
-        array of every block)."""
-        kept = 0
-        for _, block in _legendre_orders(self.band_limit, t,
-                                         floor=LEGENDRE_FLOOR):
-            kept += block.nbytes
-            yield t.size - block.shape[1], block[0::2], block[1::2]
-        self._surplus = kept - block.base.nbytes
-
-    @property
-    def table_surplus(self) -> int:
-        """Bytes by which the Legendre blocks that the next pass over every
-        order holds exceed one streamed group of orders: 0 until a pass has
-        streamed them, then the kept table less that group's scratch
-        (``batch_size``)."""
-        return max(0, self._surplus or 0)
 
     def _trig(self) -> np.ndarray:
         """cos m phi and sin m phi for m = 0..L over the representative
@@ -698,7 +681,7 @@ class ProductTransform:
         # row of 2K per degree with the sqrt 2 of m > 0 folded in; sin 0 phi
         # = 0 takes no sine part
         cs = np.empty((L + 1, k, 2))
-        for m, (start, even, odd) in enumerate(self._legendre(L + 1)):
+        for m, (start, even, odd) in enumerate(self._legendre(L + 1, k)):
             c = cs[m:]
             c[..., 0] = v[:, m:, L + m].T
             c[..., 1] = v[:, m:, L - m].T if m else 0.0
@@ -764,7 +747,7 @@ class ProductTransform:
             start = columns.stop
         s, d = self._fold(f.reshape(k, n_t, 2, L + 1).transpose(1, 3, 0, 2))
         c = np.zeros((L + 1, L + 1, 2 * k))
-        for m, (start, even, odd) in enumerate(self._legendre(L + 1)):
+        for m, (start, even, odd) in enumerate(self._legendre(L + 1, k)):
             col = m // turns + m % turns * (L // turns + 1)
             kept = (reps - start, 2 * k)
             c[m::2, m] = even @ s[start:, col].reshape(kept)

@@ -277,9 +277,7 @@ def cap_density_integral(state: MinimizerState, center: np.ndarray,
     n_radial, n_angular = max(48, int(radius * grid.band_limit) + 16), 32
     r, wr = cap_radial_rule(alpha_c, radius, n_radial)
     pts = cap_points(center, r, n_angular)
-    own = [i for i, sp in enumerate(w.points)
-           if geodesic_distance(sp.position, center) < 1.0e-12]
-    log_h = w.log_weight(pts, cap=(own[0] if own else None, r[:, None]))
+    log_h = w.log_weight(pts, cap=(w.index_at(center), r[:, None]))
     zonal = state.coeffs.values.shape[-1] == 1 and on_axis(center)
     u_vals = synthesis_at_points(state.coeffs, pts[:, :1] if zonal else pts)
     wgt = (wr * 2.0 * np.pi / n_angular)[:, None]
@@ -421,6 +419,7 @@ class SweepEntry:
                 min(d.cap_masses, key=lambda k: abs(k - 10.0 * d.t_eps)),
                 np.nan) if d.cap_masses else np.nan,
             "profile_error": d.profile_error,
+            "farfield_error": d.farfield_error,
             "grad_l15": d.grad_l15,
             "under_resolved": d.under_resolved,
         }

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sol_lab
 from sol_lab.cli import (KINDS, _experiment_schema, main, run, serialize,
@@ -270,13 +272,11 @@ class TestRun:
                 assert abs(dens.peak[i] - np.max(u)) <= 1e-14
         assert len(report["records"]) == 7
 
-    def test_later_stacks_give_up_the_table_surplus(self, monkeypatch):
-        """Two axis caps at L = 64, 20 samples, a budget of 10 fields: the
-        first stack streams the block's Legendre blocks, 32 orders a group,
-        and takes 10 fields; the block keeps its table from the second pass
-        on, so the later stacks give up the table's surplus over one
-        streamed group (``table_surplus``), and the gaps do not depend on
-        the stacks."""
+    def test_every_stack_streams(self, monkeypatch):
+        """Two axis caps at L = 64, 20 samples, a budget of 10 fields: both
+        stacks take 10 fields and stream the block's Legendre blocks, 32
+        orders a group, so no table of every order is ever built, and the
+        gaps do not depend on the stacks."""
         from sol_lab import sphere_grid
         from sol_lab.mt_functional import integrator_for
         from sol_lab.singular_geometry import SingularWeight
@@ -286,32 +286,33 @@ class TestRun:
                                SingularWeight.from_orders(orders))
         (block,) = integ.blocks
         # a Legendre budget of 32 orders a group; the default takes the
-        # block's every order in one group, which leaves no surplus
+        # block's every order in one group
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
                             32 * 8 * (64 + 1) * block._reps)
-        for _ in block._legendre(64 + 1):  # one streamed pass
-            pass
-        surplus = integ.table_surplus
-        assert surplus > 0
         monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 10 * 8 * integ.nodes)
-        later = sphere_grid.batch_size(integ.nodes, surplus)
-        assert 1 < later < 10
-        sizes = []
+        sizes, tables = [], []
         draw = sphere_grid.random_band_limited_batch
+        table = sphere_grid.normalized_legendre
 
         def recorded(grid, rng, count, *args):
             sizes.append(count)
             return draw(grid, rng, count, *args)
 
+        def built(band_limit, t, m_max=None, floor=0.0):
+            tables.append(m_max)
+            return table(band_limit, t, m_max, floor)
+
         monkeypatch.setattr(sphere_grid, "random_band_limited_batch",
                             recorded)
+        monkeypatch.setattr(sphere_grid, "normalized_legendre", built)
         config, _ = validate(config_text(
             experiment={"kind": "inequality-sample", "samples": 20},
             weight={"points": [{"position": p, "order": a}
                                for p, a in orders]},
             grid={"n_theta": 65, "n_phi": 130}, seed=2))
         gaps = [r["gap"] for r in run(config)["records"]]
-        assert sizes == [10, later, 20 - 10 - later]
+        assert sizes == [10, 10]
+        assert set(tables) <= {0}
         monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 20 * 8 * integ.nodes)
         sizes.clear()
         assert [r["gap"] for r in run(config)["records"]] == gaps
@@ -523,6 +524,72 @@ BAD_BY_RULE = {
         "experiment.epsilons[0]: epsilon too large: cap exceeds the safe "
         "scale"),
 }
+
+
+# configs that fall between the relations "same point" (1.4e-7 rad),
+# "antipodal" and "on the axis" of the singular geometry: (kind, config
+# fields, expected error, or None for a run that passes)
+POINT_RULES = {
+    "minimize-points-5e-9-apart": (
+        "minimize", [([0, 0, 1], -0.5), ([5e-9, 0, 1], -0.3)],
+        "weight.points[1]: coincides with weight.points[0]"),
+    "constants-points-1e-7-apart": (
+        "constants", [([0, 0, 1], -0.5), ([1e-7, 0, 1], -0.3)],
+        "weight.points[1]: coincides with weight.points[0]"),
+    "test-function-sweep-off-axis": (
+        "test-function-sweep", [([0, 0, 1], -0.5), ([1, 0, 0], 0.5)],
+        "weight.points[1]: radial evaluation needs every singular point on "
+        "the axis"),
+    "test-function-sweep-positive-pole": (
+        "test-function-sweep", [([0, 0, 1], 0.5)],
+        "weight.points[0]: test functions concentrate at the north pole"),
+    "constants-pair-1e-5-off-antipodal": (
+        "constants", [([0, 0, 1], -0.5),
+                      ([math.sin(1e-5), 0, -math.cos(1e-5)], 0.3)], None),
+}
+
+
+class TestPointRules:
+    @pytest.mark.parametrize("kind, points, message", POINT_RULES.values(),
+                             ids=POINT_RULES.keys())
+    def test_exit_code(self, kind, points, message, tmp_path, capsys):
+        """Two points closer than the same-point rule, a weight the radial
+        J cannot evaluate and a singular test-function point exit 2 naming
+        the point; a pair 1e-5 rad from antipodal runs with no closed form
+        (it is not antipodal)."""
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfg.write_text(config_text(
+            weight={"points": [{"position": p, "order": a}
+                               for p, a in points]},
+            experiment={"kind": kind}))
+        code = main([kind, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if message is None:
+            assert code == 0
+            assert "closed_form_C" not in json.loads(out.read_text())["summary"]
+        else:
+            assert code == 2
+            (line,) = err.splitlines()
+            assert line.startswith(f"config error: {message}")
+
+    @settings(max_examples=40, deadline=None)
+    @given(delta=st.floats(1.0e-12, 1.0e-3),
+           orders=st.sampled_from([(-0.5, -0.3), (-0.5, 0.3), (0.5, 0.2)]))
+    def test_near_points_are_refused_or_run(self, delta, orders):
+        """Two points delta rad apart: validate refuses them naming
+        weight.points[1], or the constants run does not raise."""
+        config, errors = validate(config_text(weight={"points": [
+            {"position": [0, 0, 1], "order": orders[0]},
+            {"position": [math.sin(delta), 0, math.cos(delta)],
+             "order": orders[1]}]}))
+        if errors:
+            assert errors == ["weight.points[1]: coincides with "
+                              "weight.points[0]; singular points must be "
+                              "pairwise distinct"]
+        else:
+            assert delta > 1.0e-7
+            run(config)
 
 
 class TestExperimentNumbers:

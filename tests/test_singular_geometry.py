@@ -10,6 +10,7 @@ from sol_lab.singular_geometry import (
     SingularPoint,
     SingularWeight,
     green,
+    same_point,
 )
 from sol_lab.sphere_grid import (
     FOUR_PI,
@@ -44,6 +45,25 @@ class TestGreen:
     def test_singularity_signalled(self):
         with pytest.raises(SingularEvaluationError):
             green(NORTH, NORTH)
+
+    def test_raises_exactly_at_the_same_point(self):
+        """green(p, q) raises where same_point(p, q) holds and nowhere
+        else, across the rule's 1.4e-7 rad, point by point and on an array
+        of points."""
+        d = np.geomspace(1.0e-8, 1.0e-6, 201)
+        q = np.stack([np.sin(d), np.zeros_like(d), np.cos(d)], axis=-1)
+        same = [bool(same_point(NORTH, x)) for x in q]
+        assert any(same) and not all(same)
+        for x, coincide in zip(q, same):
+            try:
+                green(NORTH, x)
+                raised = False
+            except SingularEvaluationError:
+                raised = True
+            assert raised == coincide
+        with pytest.raises(SingularEvaluationError):
+            green(NORTH, q)
+        assert np.isfinite(green(NORTH, q[~np.array(same)])).all()
 
     def test_mean_zero_analytic(self, rng):
         """Mean-zero by rotation-invariant 1-d quadrature of green() itself."""

@@ -526,9 +526,9 @@ class TestDiagnose:
     def test_non_zonal_diagnosis_is_one_grid_pass(self):
         """A non-zonal state's grid values and the three coefficient sets
         of its gradient are synthesized as one stack: the grid transform
-        makes one pass over every order, which streams its Legendre blocks
-        and keeps none, and the values and gradient are bit for bit those
-        of separate passes."""
+        makes one pass over every order, a stack, which streams its
+        Legendre blocks and keeps none, and the values and gradient are bit
+        for bit those of separate passes."""
         from sol_lab.sphere_grid import random_band_limited_batch
         from sol_lab.subcritical_solver import (MinimizerState,
                                                 gradient_magnitude_grid)
@@ -542,7 +542,7 @@ class TestDiagnose:
             converged=True)
         diag = diagnose(state, w, cap_radii=(0.5, 3.5))
         assert len(grid.transform._plm) <= 1
-        assert grid.transform._surplus is not None  # it has streamed
+        assert grid.transform._streamed
         vals, grad = gradient_magnitude_grid(state.coeffs, grid, values=True)
         assert np.array_equal(vals,
                               grid.transform.synthesis_values(state.coeffs))
@@ -598,6 +598,17 @@ class TestSweep:
         assert errs[1] < errs[0] + 0.02
         fracs = [e.row()["cap_mass_10t"] / w.rho_bar for e in report.entries]
         assert fracs[1] > fracs[0] - 0.02  # mass quantization trend
+
+    def test_rows_report_the_farfield_error(self, grid64):
+        """Each sweep row holds the far-field error that diagnose computes
+        for its state."""
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        report = epsilon_sweep(w, grid64, SolverConfig(
+            epsilon_schedule=(0.4, 0.2), max_iterations=3000))
+        rows = report.column("farfield_error")
+        assert rows == [diagnose(state, w).farfield_error
+                        for state in report.states]
+        assert all(np.isfinite(rows))
 
     def test_regular_sweep_stays_bounded(self, grid64):
         """m = 0: constants minimize at every epsilon and J stays 0."""

@@ -377,7 +377,8 @@ class TestOrderLimit:
         """A zonal pass builds the m = 0 block alone; the first full pass
         streams every order and keeps none, the second builds and keeps
         them, over the representative rings alone and trimmed at
-        LEGENDRE_FLOOR, with the size the first pass recorded; the cos/sin
+        LEGENDRE_FLOOR, unless it is a stack, which streams until a
+        one-field pass keeps the table and then reads it; the cos/sin
         tables are shared by (L, n_phi)."""
         from sol_lab import sphere_grid
         orders, rings, floors = [], [], []
@@ -414,11 +415,14 @@ class TestOrderLimit:
         assert [len(tr._plm) for tr in (a, b)] == [L + 1] * 2
         # the m = 0 block spans every representative ring
         assert [tr._plm[0][0] for tr in (a, b)] == [0, 0]
-        # the surplus of the kept table over the one group of 17 orders
-        # that streamed it
-        assert [tr._surplus for tr in (a, b)] == [
-            sum(even.nbytes + odd.nbytes for _, even, odd in tr._plm)
-            - 8 * tr._reps * (L + 1) * (L + 2) // 2 for tr in (a, b)]
+        # stacks stream and build nothing, then read the kept table
+        stack = SHCoefficients(np.stack([full.values] * 2))
+        c = ProductTransform(L, grid16.t, n_phi, np.ones(grid16.n_theta))
+        for tr in (c, c, a):
+            tr.synthesis_values(stack)
+        assert orders == [0, L, L] and c._plm == []
+        c.synthesis_values(full)
+        assert orders == [0, L, L, L]
         assert a._trig() is b._trig()
 
 
@@ -912,30 +916,36 @@ class TestPolarTrim:
 
 class TestStreamedPass:
     """A transform streams its Legendre blocks through its first pass over
-    every order and keeps them from its second, so a transform that makes
-    one full-width pass never holds its table."""
+    every order, and through every stack until it keeps them, which a later
+    one-field pass does; so a transform that makes one full-width pass, or
+    stacks alone, never holds its table."""
 
     @pytest.mark.parametrize("name", ["gauss", "one cap", "two caps"])
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_streamed_pass_is_the_kept_pass(self, name, batch, rng):
         """Synthesis and analysis, of one field and of a stack, give bit
-        for bit on the first (streamed) pass what they give on the second
-        (on the kept table), on a Gauss grid, a one-cap and a two-cap
-        block; the first pass keeps no block, the second every order, and
-        the trim drops rings, so the streamed blocks are views into the
-        group arrays."""
+        for bit on the first (streamed) pass what they give on the kept
+        table, on a Gauss grid, a one-cap and a two-cap block; the first
+        pass keeps no block, a one-field pass after it every order (the
+        second pass, or one between two passes of a stack), and the trim
+        drops rings, so the streamed blocks are views into the group
+        arrays."""
         synthesis, analysis = (trim_cases()[name] for _ in range(2))
         L = synthesis.band_limit
         c = SHCoefficients(rng.normal(size=batch + (L + 1, 2 * L + 1)))
         streamed = synthesis.synthesis_values(c)
         assert synthesis._plm == []
+        if batch:  # one field keeps the table
+            synthesis.synthesis_values(SHCoefficients(c.values[0]))
         assert np.array_equal(streamed, synthesis.synthesis_values(c))
         assert len(synthesis._plm) == L + 1
         assert any(start for start, _, _ in synthesis._plm)
         streamed = analysis.analysis_coeffs(streamed).values
         assert analysis._plm == []
-        kept = analysis.analysis_coeffs(synthesis.synthesis_values(c)).values
-        assert np.array_equal(streamed, kept)
+        values = synthesis.synthesis_values(c)
+        if batch:
+            analysis.analysis_coeffs(values[0])
+        assert np.array_equal(streamed, analysis.analysis_coeffs(values).values)
         assert len(analysis._plm) == L + 1
 
 
