@@ -13,8 +13,9 @@ respects the d^{2 alpha} behaviour of h at each singular point.  The
 composite rule used here splits the sphere into
 
 * small geodesic caps around each singular point, integrated in polar
-  coordinates with the radial substitution s = r^{2(1+alpha_i)} (the
-  substitution absorbs the algebraic singularity), and
+  coordinates by the Gauss-Jacobi rule in r for the weight r^{2 alpha_i + 1}
+  (the rule's weight is the algebraic singularity, so what it integrates is
+  smooth in r), and
 * the remainder, integrated with Gauss-Legendre panels in t = cos(theta)
   geometrically graded toward the cap edges (the weight is analytic there
   but its derivatives grow toward the poles), times the uniform phi rule.
@@ -61,7 +62,7 @@ from .sphere_grid import (
     _legendre_orders,
     cap_points,
     dirichlet_energy,
-    gauss_legendre,
+    gauss_jacobi,
     geodesic_distance,
     ring_points,
     synthesis_at_angles,
@@ -70,11 +71,10 @@ from .singular_geometry import SingularWeight
 
 DEFAULT_CEILING = 700.0
 INTEGRATOR_CACHE_SIZE = 4
-# the singular caps: geodesic radius, the least number of Gauss-Legendre
-# nodes in s = r^{2(1+alpha)} (see cap_radial_nodes), and bearings of an
-# off-axis (scattered) cap; caps on the grid axis use the grid's
-# longitudes, so the density analysis is alias-free to the same order as
-# the grid itself
+# the singular caps: geodesic radius, the least number of Gauss-Jacobi
+# nodes in r (see cap_radial_nodes), and bearings of an off-axis
+# (scattered) cap; caps on the grid axis use the grid's longitudes, so the
+# density analysis is alias-free to the same order as the grid itself
 CAP_RADIUS = 0.1
 CAP_RADIAL_NODES = 32
 CAP_ANGULAR_NODES = 16
@@ -97,31 +97,32 @@ class FunctionalParams:
 def cap_radial_rule(alpha: float, radius: float, n: int):
     """Nodes/weights for int_0^radius f(r) sin(r) dr with f ~ r^{2 alpha}.
 
-    Gauss-Legendre in s = r^{2(1+alpha)}; returns (r_k, w_k) such that the
-    integral is sum_k w_k f(r_k) with the sin(r) jacobian already folded in.
+    The n-point Gauss-Jacobi rule in r on [0, radius] for the weight
+    r^{2 alpha + 1} (``gauss_jacobi`` with b = 2 alpha + 1); returns
+    (r_k, w_k) such that the integral is sum_k w_k f(r_k), with the sin(r)
+    jacobian and the weight's r^{-(2 alpha + 1)} folded in.  It is exact
+    when f(r) sin r is r^{2 alpha + 1} times a polynomial of degree < 2n in
+    r, so the point's factor (2 sin^2(r/2))^alpha sin r costs nothing and
+    the rule converges geometrically in the smooth rest at every alpha.  At
+    alpha = -1/2 it is Gauss-Legendre in r.
     """
-    power = 2.0 * (1.0 + alpha)
-    s_nodes, s_weights = gauss_legendre(n)
-    s_hi = radius**power
-    s = 0.5 * s_hi * (s_nodes + 1.0)
-    w = 0.5 * s_hi * s_weights
-    r = s ** (1.0 / power)
-    return r, w * r / (power * s) * np.sin(r)
+    x, w = gauss_jacobi(n, 2.0 * alpha + 1.0)
+    r = 0.5 * radius * (1.0 + x)
+    return r, 0.5 * radius * w * np.sin(r) / (1.0 + x) ** (2.0 * alpha + 1.0)
 
 
-def cap_radial_nodes(alpha: float, band_limit: int) -> int:
-    """Radial nodes of a cap of order alpha at band limit L:
-    max(CAP_RADIAL_NODES, ceil(1.25 L R / (2 (1 + alpha)))).
+def cap_radial_nodes(band_limit: int) -> int:
+    """Radial nodes of a cap at band limit L, whatever its order:
+    max(CAP_RADIAL_NODES, ceil(1.25 L R)).
 
     A cap of radius R holds about L R / pi oscillations of a degree-L
-    harmonic, and the substitution s = r^{2(1+alpha)} spaces the nodes
-    near the cap edge 1 / (2 (1 + alpha)) times wider than a rule uniform
-    in r.  The count agrees with twice as many nodes to about 1e-14 in
-    log int h e^u (alpha = -1/2 and -0.9, L = 512 and 1024); it is the
-    floor of 32 wherever alpha >= -1/2 and L <= 256.
+    harmonic, which Gauss-Jacobi nodes in r resolve as Gauss-Legendre nodes
+    do: the order enters the rule's weight (``cap_radial_rule``), not the
+    node count.  The count agrees with twice as many nodes to within 1e-13
+    in log int h e^u (L = 256, 512 and 1024; alpha = -0.9, -0.5, -0.25 and
+    1.095); it is the floor of 32 up to L = 256.
     """
-    edge = 1.25 * band_limit * CAP_RADIUS / (2.0 * (1.0 + alpha))
-    return max(CAP_RADIAL_NODES, math.ceil(edge))
+    return max(CAP_RADIAL_NODES, math.ceil(1.25 * band_limit * CAP_RADIUS))
 
 
 def _graded_edges(dist0: float, dist_max: float, ratio: float = 2.0):
@@ -160,7 +161,7 @@ def band_panels(t_lo: float, t_hi: float, sing_lo: bool, sing_hi: bool,
     for a, b in zip(refined[:-1], refined[1:]):
         dtheta = abs(np.arccos(np.clip(b, -1, 1)) - np.arccos(np.clip(a, -1, 1)))
         n = max(12, int(np.ceil(0.6 * (band_limit + 1) * dtheta)) + 8)
-        x, w = gauss_legendre(n)
+        x, w = gauss_jacobi(n)
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
         weights.append(0.5 * (b - a) * w)
     return np.concatenate(nodes), np.concatenate(weights)
@@ -279,7 +280,7 @@ class SingularIntegrator:
             ends = {1.0: 1.0, -1.0: -1.0}
             for i, sp in enumerate(w.points):
                 pole = 1.0 if sp.position[2] > 0 else -1.0
-                n = cap_radial_nodes(sp.order, grid.band_limit)
+                n = cap_radial_nodes(grid.band_limit)
                 r, wr = cap_radial_rule(sp.order, CAP_RADIUS, n)
                 pieces.append((pole, pole * np.cos(r), wr, (i, r[:, None])))
                 ends[pole] = pole * np.cos(CAP_RADIUS)
@@ -303,7 +304,7 @@ class SingularIntegrator:
         for i, sp in enumerate(w.points):
             d = np.arccos(np.clip(grid.nodes @ sp.position, -1.0, 1.0))
             extra *= 1.0 - _smooth_cutoff(d, CAP_RADIUS)
-            n = cap_radial_nodes(sp.order, grid.band_limit)
+            n = cap_radial_nodes(grid.band_limit)
             r, wr = cap_radial_rule(sp.order, CAP_RADIUS, n)
             blocks.append(_ScatterBlock(grid, sp.position, r, wr))
             log_h.append(w.log_weight(

@@ -45,12 +45,12 @@ through broadcasting, which would add it to every order.  A zonal pass is
 one (L+1) x n_t matrix product, O(L n_t), against O(L^2 n_t + L n_t n_phi)
 over all orders and the Fourier step.  A transform builds its cos/sin
 table on the first pass that needs it and its m = 0 Legendre block on its
-first zonal pass.  Its first pass over every order, and every stack of
-fields until then, streams the Legendre blocks from the recurrence
+first zonal pass.  A table of every order that fits LEGENDRE_BYTES is
+kept from its first need; a larger one is streamed from the recurrence
 (Schaeffer, G^3 14, 2013 and Reinecke & Seljebotn, A&A 554, 2013 run the
-recurrence inside every pass); a later one-field pass keeps the table of
-every order.  So a stack never builds that table, and a transform that
-makes one such pass never holds it.
+recurrence inside every pass) through the first pass over every order
+and every stack of fields, and kept by a later one-field pass.  So a
+transform that makes one such pass never holds a large table.
 
 Coefficients and values may carry leading batch axes: a stack of K fields,
 coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
@@ -139,33 +139,98 @@ def ring_points(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
                      np.broadcast_to(t[:, None], (t.size, phi.size))], axis=-1)
 
 
-@functools.lru_cache(maxsize=64)
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [-1, 1], (nodes, weights), as
-    ``np.polynomial.legendre.leggauss`` gives it.
+def _jacobi_polish(n: int, a, b, diag, off, y):
+    """Nodes and weights of the n-point Gauss-Jacobi rule, a or b zero,
+    from estimates of its nodes x in [0, 1) (nearer to +1 than to -1) given
+    as y = 1 - x, with diag and off the recurrence of ``gauss_jacobi``.
 
-    Every grid, band panel and cap radial rule of a given size reads the
-    same rule, so it is computed once per n (for the 64 sizes used last,
-    a few band limits' worth); the arrays are shared between callers and
-    read-only.
+    The recurrence runs in y, in ``np.longdouble`` and in Reinsch's
+    difference form e_k = p_k - p_{k-1}, with the small coefficients c_k =
+    1 - diag[k] - off[k] - off[k+1]: in x the roots of the recurrence merge
+    near x = 1, where its rounding grows like n^2 eps.  By (1 - x^2) p_k' =
+    k ((a - b) / s - x) p_k + off[k] (s + 1) p_{k-1}, s = 2k + a + b, one
+    Newton step moves y to the root and p_{n-1} follows to first order; the
+    weight is the Christoffel number mu_0 (1 - x^2) / (off[n]^2 (s + 1)
+    p_{n-1}^2) with p_0 = 1 and mu_0 = 2^(a+b+1) / (a + b + 1).
     """
-    rule = np.polynomial.legendre.leggauss(n)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    y = np.asarray(y, dtype=np.longdouble)
+    inv = 1 / off[1:]
+    c, r = (1 - diag[:n] - off[:n] - off[1:]) * inv, off[:n] * inv
+    lower, p, e = np.zeros_like(y), np.ones_like(y), np.ones_like(y)
+    for k in range(n):
+        e = r[k] * e + (c[k] - y * inv[k]) * p
+        older, lower, p = lower, p, p + e
+
+    def slope(k, pk, pk1):  # (1 - x^2) p_k'(x); s = 0 only where k = 0
+        s = 2 * k + a + b
+        return ((k * (a - b) / (s or 1) - k * (1 - y)) * pk
+                + off[k] * (s + 1) * pk1)
+
+    sides = y * (2 - y)
+    step = sides * p / slope(n, p, lower)  # to the root: y* - y
+    lower -= step / sides * slope(n - 1, lower, older)
+    y += step
+    w = 2 ** (a + b + 1) / (a + b + 1) * y * (2 - y) / (
+        off[n] ** 2 * (2 * n + a + b + 1) * lower ** 2)
+    return (1 - y).astype(float), w.astype(float)
+
+
+@functools.lru_cache(maxsize=64)
+def gauss_jacobi(n: int, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Jacobi rule on [-1, 1] for the weight (1 + x)^b,
+    b > -1: (nodes ascending, weights).  b = 0 is Gauss-Legendre, the rule
+    of every grid and band panel; the caps take b = 2 alpha + 1
+    (``mt_functional.cap_radial_rule``).
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the Jacobi matrix of the orthonormal recurrence off[k+1] p_{k+1} = (x -
+    diag[k]) p_k - off[k] p_{k-1}, one dense n x n array as ``leggauss``'s
+    companion matrix; ``_jacobi_polish`` then polishes each node and weighs
+    it from the end it is nearer to (x -> -x takes the weight to (1 -
+    x)^b).  For b = 0 the nodes x >= 0 are mirrored, so mirror rings pair.
+    On 80-bit longdouble (x86) the Gauss-Legendre weights lie within
+    1.3e-16 relative of a 30-digit reference at n = 32, 129 and 257
+    (``leggauss``: 5.8e-14, 1.3e-11 and 1.5e-10).  Every grid, band panel
+    and cap of a given size reads the same arrays, computed once per (n, b)
+    (for the 64 used last), shared and read-only.
+    """
+    b = np.longdouble(b)
+    k = np.arange(n + 1, dtype=np.longdouble)
+    s = 2 * k + b
+    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0
+        diag = b * b / (s * (s + 2))
+        off = 2 * k * (k + b) / (s * np.sqrt(s * s - 1))
+    diag[0], off[0] = b / (b + 2), 0
+    jacobi = np.zeros((n, n))
+    jacobi[range(n), range(n)] = diag[:n]
+    jacobi[range(1, n), range(n - 1)] = off[1:n]
+    x = np.linalg.eigvalsh(jacobi)
+    k = np.searchsorted(x, 0.0) if b else n // 2
+    nodes, weights = np.empty(n), np.empty(n)
+    nodes[k:], weights[k:] = _jacobi_polish(n, 0, b, diag, off, 1 - x[k:])
+    if b:
+        nodes[:k], weights[:k] = _jacobi_polish(n, b, 0, -diag, off, 1 + x[:k])
+        nodes[:k] *= -1.0
+    else:
+        if n % 2:
+            nodes[k] = 0.0
+        nodes[:k], weights[:k] = -nodes[:n - k - 1:-1], weights[:n - k - 1:-1]
+    for v in (nodes, weights):
+        v.flags.writeable = False
+    return nodes, weights
 
 
 def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
     """Scale Gauss-Legendre weights so their compensated sum is exactly 4 pi.
 
-    ``leggauss`` weights carry their own roundoff (at 129 nodes their exact
-    sum is 2 - 4.4e-16), so they are rescaled by 4 pi / fsum(w) and the
-    remaining residual is added to the middle weight.  That one step is
-    enough: the middle weight is at most about 2 pi < 8, so rounding it costs at most
-    a quarter ulp of 4 pi, and ``math.fsum`` of the result rounds to
-    ``FOUR_PI``.  For odd node counts the middle node is the equator, so the
-    t -> -t symmetry is kept.  No weight moves by more than about 1e-13
-    relative.
+    Each weight of ``gauss_jacobi`` is rounded on its own, so their exact
+    sum misses 2 (at 129 nodes by -2.7e-17): they are rescaled by 4 pi /
+    fsum(w) and the remaining residual is added to the middle weight.  That
+    one step is enough: the middle weight is at most about 2 pi < 8, so
+    rounding it costs at most a quarter ulp of 4 pi, and ``math.fsum`` of
+    the result rounds to ``FOUR_PI``.  For odd node counts the middle node
+    is the equator, so the t -> -t symmetry is kept.  No weight moves by
+    more than 3.6e-15 relative (n < 300).
     """
     w = t_weights * (FOUR_PI / math.fsum(t_weights))
     w[w.size // 2] += math.fsum([FOUR_PI, *(-w)])
@@ -536,9 +601,10 @@ class ProductTransform:
     One-column data is zonal (see the module docstring): coefficients of
     shape (..., L+1, 1) synthesize to values of shape (..., n_t, 1), and
     such values analyse, on the m = 0 block alone, to such coefficients.
-    The Legendre table holds the m = 0 block until a one-field pass over
-    every order after the first; the first and stacks stream them
-    (``_legendre``).
+    The Legendre table holds the m = 0 block until the first pass over
+    every order if the table fits LEGENDRE_BYTES; a larger one is streamed
+    through the first such pass and every stack, and kept by a later
+    one-field pass (``_legendre``).
     """
 
     def __init__(self, band_limit: int, t: np.ndarray, n_phi: int,
@@ -575,18 +641,21 @@ class ProductTransform:
         ring s the order keeps (0 for m = 0) and the rows of l - m even and
         odd of its Pbar block over the kept rings.
 
-        The m = 0 block is kept from its first need.  Until the table of
-        every order is kept, a pass over every order streams the blocks
+        The m = 0 block is kept from its first need, and so is the table
+        of every order if its bound, (L + 1)(L + 2) / 2 entries per
+        representative ring, fits LEGENDRE_BYTES (4.4 MB on the L = 128
+        grid, whose table ``diagnose`` then builds once for a whole sweep).
+        A larger table (101 MB on the L = 256 two-cap block) is streamed
         from the recurrence, one group of ``_legendre_orders`` at a time,
-        if it is a stack of ``fields`` >= 2 or the transform's first such
-        pass; a later one-field pass keeps the table.  So a stack never
-        builds the table, and a transform that makes one full-width pass
-        never holds it.
+        through the transform's first pass over every order and every
+        stack of ``fields`` >= 2, and kept by a later one-field pass.
         """
         if len(self._plm) >= orders:
             return self._plm
         t = self.t[self._order[:self._reps]]
-        if orders > 1 and (fields > 1 or not self._streamed):
+        L = self.band_limit
+        small = 8 * (L + 1) * (L + 2) // 2 * t.size <= LEGENDRE_BYTES
+        if orders > 1 and not small and (fields > 1 or not self._streamed):
             self._streamed = True
             return ((t.size - block.shape[1], block[0::2], block[1::2])
                     for _, block in _legendre_orders(self.band_limit, t,
@@ -771,7 +840,7 @@ class SphereGrid:
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
         self.band_limit = min(n_theta - 1, (n_phi - 1) // 2)
-        t, tw = gauss_legendre(self.n_theta)
+        t, tw = gauss_jacobi(self.n_theta)
         self.t = t
         # steradian weight per latitude ring; math.fsum gives exactly FOUR_PI
         self.t_weights = _colatitude_weights(tw)

@@ -317,15 +317,8 @@ def diagnose(state: MinimizerState, w: SingularWeight,
     grid = state.grid
     alpha = w.alpha
 
-    # u and the three coefficient sets of |grad u| in one grid pass; a
-    # zonal column's values take their own m = 0 pass, one matrix-vector
-    # product per parity that rounds as the solver's do (a stacked product
-    # rounds differently)
-    if state.coeffs.values.shape[-1] == 1:
-        vals = grid.transform.synthesis_values(state.coeffs)
-        grad = gradient_magnitude_grid(state.coeffs, grid)
-    else:
-        vals, grad = gradient_magnitude_grid(state.coeffs, grid, values=True)
+    # u and the three coefficient sets of |grad u| in one grid pass
+    vals, grad = gradient_magnitude_grid(state.coeffs, grid, values=True)
 
     # peak over grid nodes and the singular points themselves
     nodes = ring_points(grid.t, grid.phi[:vals.shape[-1]])

@@ -26,6 +26,7 @@ from sol_lab.mt_functional import (
     troyanov_gap,
 )
 from sol_lab.singular_geometry import SingularWeight
+from sol_lab.subcritical_solver import SolverConfig, minimize
 from sol_lab.sphere_grid import (
     FOUR_PI,
     SHCoefficients,
@@ -137,20 +138,25 @@ class TestExpIntegral:
     def test_cap_rule_convergence(self):
         """The radial cap rule against the closed form
         int_0^R (2 sin^2(r/2))^alpha sin r dr = (2 sin^2(R/2))^(alpha+1)
-        / (alpha+1): to the rounding floor from 8 nodes on."""
-        for alpha in (-0.75, -0.5):
-            exact = (2.0 * np.sin(0.5 * CAP_RADIUS) ** 2) ** (alpha + 1.0) \
-                / (alpha + 1.0)
+        / (alpha+1): to the rounding floor from 8 nodes on.  The closed form
+        is taken in 30 digits: in floats its power alone is off by 1.2e-15
+        at alpha = 1.095."""
+        mp = pytest.importorskip("mpmath")
+        for alpha in (-0.75, -0.5, -0.25, 1.095):
+            with mp.workdps(30):
+                a = mp.mpf(alpha)
+                exact = (2 * mp.sin(mp.mpf(CAP_RADIUS) / 2) ** 2) ** (a + 1) \
+                    / (a + 1)
             errors = []
             for n in (2, 4, 8, 16, CAP_RADIAL_NODES):
                 r, w = cap_radial_rule(alpha, CAP_RADIUS, n)
                 approx = np.sum(w * (2.0 * np.sin(0.5 * r) ** 2) ** alpha)
-                errors.append(abs(approx - exact) / exact)
+                errors.append(float(abs(approx - exact) / exact))
             assert errors[0] > errors[1]
             assert max(errors[2:]) <= 2.1e-16
 
     @pytest.mark.parametrize("band_limit", [512, 1024])
-    @pytest.mark.parametrize("alpha", [-0.5, -0.9])
+    @pytest.mark.parametrize("alpha", [-0.5, -0.9, -0.25, 1.095])
     def test_cap_rule_resolves_the_band_limit(self, band_limit, alpha,
                                               monkeypatch):
         """n = cap_radial_nodes and 2n radial nodes give the same log int
@@ -163,20 +169,18 @@ class TestExpIntegral:
         w = single_weight(alpha)
         rule = SingularIntegrator(grid, w).log_exp_integral(c)
         monkeypatch.setattr(mt_functional, "cap_radial_nodes",
-                            lambda a, L: 2 * cap_radial_nodes(a, L))
+                            lambda L: 2 * cap_radial_nodes(L))
         doubled = SingularIntegrator(grid, w).log_exp_integral(c)
         assert abs(rule - doubled) <= 1e-13
 
     def test_cap_rule_floor(self):
-        """The benchmark's solve and sweep orders at L = 128, its seed-0
-        evaluate orders at L = 256 and alpha >= -1/2 up to L = 256 keep 32
-        nodes; stronger singularities and larger L take more."""
-        for alpha, band_limit in [(-0.25, 128), (-0.1, 128), (-0.5, 128),
-                                  (-0.224, 256), (1.095, 256), (-0.5, 256),
-                                  (2.0, 256)]:
-            assert cap_radial_nodes(alpha, band_limit) == CAP_RADIAL_NODES
-        assert cap_radial_nodes(-0.5, 512) == 64
-        assert cap_radial_nodes(-0.9, 256) >= 160  # 1 + alpha rounds below 0.1
+        """Every cap keeps 32 nodes up to L = 256, whatever its order (the
+        benchmark's solve and sweep caps at L = 128 and its evaluate caps
+        at L = 256 among them); larger L takes more, in proportion."""
+        for band_limit in (64, 128, 256):
+            assert cap_radial_nodes(band_limit) == CAP_RADIAL_NODES
+        assert cap_radial_nodes(512) == 64
+        assert cap_radial_nodes(1024) == 128
 
     def test_off_axis_matches_axis(self, grid128, rng):
         """Rotation invariance ties the cutoff path to the aligned one.
@@ -197,6 +201,74 @@ class TestExpIntegral:
                                         ((np.sin(0.15), 0, np.cos(0.15)), 0.5)])
         with pytest.raises(ValueError):
             exp_integral(zero(grid64), grid64, w)
+
+
+def log_exp_reference(coeffs, north, south):
+    """log int h e^u by mpmath's tanh-sinh quadrature, for a zonal column
+    of coefficients and h = (e/2)^(a + b) (1 - t)^a (1 + t)^b, a = north
+    and b = south the orders at the poles (0 for no point).  On each end
+    piece the singular factor is taken analytically, v = (1 -+ t)^(1 +
+    order), so what is left to integrate is continuous; e^u is summed by
+    numpy's own Legendre series."""
+    mp = pytest.importorskip("mpmath")
+    L = coeffs.band_limit
+    a = coeffs.values[:, 0] * np.sqrt((2.0 * np.arange(L + 1) + 1.0)
+                                      / (4.0 * np.pi))
+
+    def smooth(t):
+        return float(np.exp(np.polynomial.legendre.legval(float(t), a)))
+
+    def end(order, other, sign):  # int over t = sign (1 - v^(1/(1+order)))
+        def f(v):
+            t = sign * (1 - v ** (1 / (1 + order)))
+            return (1 + sign * t) ** other * smooth(t)
+        return mp.quad(f, [0, 0.5 ** (1 + order)]) / (1 + order)
+
+    middle = mp.quad(lambda t: (1 - t) ** north * (1 + t) ** south
+                     * smooth(t), [-0.5, 0, 0.5])
+    return float(mp.log(2 * mp.pi * (mp.e / 2) ** (north + south) * (
+        end(north, south, 1) + end(south, north, -1) + middle)))
+
+
+class TestCapOracle:
+    """The Gauss-Jacobi caps against mpmath."""
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, -0.25, -0.1, 0.5, 1.0947])
+    @pytest.mark.parametrize("beta", [3.0, -40.0])
+    def test_cap_integral(self, alpha, beta):
+        """int_0^R (2 sin^2(r/2))^alpha e^(beta cos r) sin r dr = e^beta
+        sum_k (-beta)^k V^(alpha+k+1) / (k! (alpha+k+1)), V = 2 sin^2(R/2),
+        to 1e-15 on the 32-node rule (the rule in s = r^(2(1+alpha)) was
+        off by up to 6.2e-7 at alpha = 1.0947)."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            a, V = mp.mpf(alpha), 2 * mp.sin(mp.mpf(CAP_RADIUS) / 2) ** 2
+            exact = mp.exp(beta) * mp.nsum(
+                lambda k: (-beta) ** k * V ** (a + k + 1)
+                / (mp.factorial(k) * (a + k + 1)), [0, mp.inf])
+        r, w = cap_radial_rule(alpha, CAP_RADIUS, CAP_RADIAL_NODES)
+        approx = np.sum(w * (2.0 * np.sin(0.5 * r) ** 2) ** alpha
+                        * np.exp(beta * np.cos(r)))
+        assert float(abs(approx - exact) / exact) <= 1.0e-15
+
+    @pytest.mark.parametrize("north, south, epsilon, bound", [
+        (-0.25, -0.1, 0.3, 1.0e-13),      # the benchmark's solve orders
+        (-0.2245, 1.0947, 0.3, 1.0e-13),  # an evaluate-like pair
+        (-0.5, 0.0, 0.05, 2.0e-14),       # the sweep's last entry
+    ])
+    def test_log_exp_integral_of_converged_states(self, grid128, north,
+                                                  south, epsilon, bound):
+        """log int h e^u of converged L = 128 zonal states: 2e-15, 0 and
+        6e-15 off (1.65e-9, 7.8e-8 and 1.1e-14 with the rule in s =
+        r^(2(1+alpha)))."""
+        points = [(NORTH, north)] + ([(SOUTH, south)] if south else [])
+        w = SingularWeight.from_orders(points)
+        params = FunctionalParams(rho=w.rho_bar - epsilon, weight=w)
+        state = minimize(params, SolverConfig(), zero(grid128), grid128)
+        assert state.converged
+        got = integrator_for(grid128, w).log_exp_integral(state.coeffs)
+        assert abs(got - log_exp_reference(state.coeffs, north, south)) \
+            <= bound
 
 
 class TestEvalJ:

@@ -260,8 +260,8 @@ class TestZonalPath:
         """A zonal solve, the axis identity on its state and its diagnosis
         (whole-sphere mass included) never build a Legendre table of every
         order, for the grid or for the integrator; the first non-zonal
-        density streams the integrator's orders and keeps none of them, the
-        second keeps every order."""
+        density keeps the integrator's table of every order, which fits
+        LEGENDRE_BYTES at L = 64, and the grid's stays the m = 0 block."""
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
@@ -278,9 +278,6 @@ class TestZonalPath:
         integ = integrator_for(grid, w)
         c = state.coeffs.widened()
         c.order(1)[1] = 1.0e-3
-        integ.density(c)
-        assert [len(b._plm) for b in integ.blocks] == \
-            [1] * len(integ.blocks)
         integ.density(c)
         assert [len(b._plm) for b in integ.blocks] == \
             [grid.band_limit + 1] * len(integ.blocks)
@@ -526,9 +523,9 @@ class TestDiagnose:
     def test_non_zonal_diagnosis_is_one_grid_pass(self):
         """A non-zonal state's grid values and the three coefficient sets
         of its gradient are synthesized as one stack: the grid transform
-        makes one pass over every order, a stack, which streams its
-        Legendre blocks and keeps none, and the values and gradient are bit
-        for bit those of separate passes."""
+        makes one pass over every order, a stack, whose table fits
+        LEGENDRE_BYTES and is kept from that pass, and the values and
+        gradient are bit for bit those of separate passes."""
         from sol_lab.sphere_grid import random_band_limited_batch
         from sol_lab.subcritical_solver import (MinimizerState,
                                                 gradient_magnitude_grid)
@@ -541,14 +538,38 @@ class TestDiagnose:
             epsilon=0.5, J=0.0, residual_norm=0.0, iterations=0,
             converged=True)
         diag = diagnose(state, w, cap_radii=(0.5, 3.5))
-        assert len(grid.transform._plm) <= 1
-        assert grid.transform._streamed
+        assert len(grid.transform._plm) == grid.band_limit + 1
+        assert not grid.transform._streamed
         vals, grad = gradient_magnitude_grid(state.coeffs, grid, values=True)
         assert np.array_equal(vals,
                               grid.transform.synthesis_values(state.coeffs))
         assert np.array_equal(grad, gradient_magnitude_grid(state.coeffs, grid))
         assert diag.lambda_eps >= np.max(
             grid.transform.synthesis_values(state.coeffs))
+
+    def test_non_zonal_sweep_runs_the_grid_recurrence_once(self,
+                                                           monkeypatch):
+        """The stack of each entry's ``diagnose`` keeps the grid's table
+        (it fits LEGENDRE_BYTES), so the Legendre recurrence runs over the
+        grid's rings once in a sweep, not once per entry."""
+        from sol_lab import sphere_grid
+        grid = build_grid(33, 66)
+        tr = grid.transform
+        rings = tr.t[tr._order[:tr._reps]]
+        runs = []
+        groups = sphere_grid._legendre_groups
+
+        def recorded(L, t, m_max, floor):
+            if np.array_equal(t, rings):
+                runs.append(m_max)
+            return groups(L, t, m_max, floor)
+
+        monkeypatch.setattr(sphere_grid, "_legendre_groups", recorded)
+        w = SingularWeight.from_orders([(NORTH, -0.5)], K=affine_K(1))
+        report = epsilon_sweep(w, grid, quick_config(0.5, 0.3, 0.2))
+        assert len(report.entries) == 3
+        assert all(s.coeffs.values.shape[-1] > 1 for s in report.states)
+        assert runs == [grid.band_limit]
 
     def test_cap_density_integral_constant(self, grid64):
         """Against the closed form for h = 1, u = const."""

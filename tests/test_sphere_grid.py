@@ -20,7 +20,7 @@ from sol_lab.sphere_grid import (
     SHCoefficients,
     build_grid,
     dirichlet_energy,
-    gauss_legendre,
+    gauss_jacobi,
     geodesic_distance,
     gradient_at_angles,
     normalized_legendre,
@@ -69,17 +69,127 @@ class TestBuildGrid:
 
     @pytest.mark.parametrize("n", [1, 12, 65, 161])
     def test_gauss_legendre_rule_is_cached(self, n):
-        """The cached rule is leggauss's bit for bit, the same arrays on
-        every call, and read-only, so no caller can change another's."""
-        nodes, weights = gauss_legendre(n)
-        x, w = np.polynomial.legendre.leggauss(n)
-        assert np.array_equal(nodes, x) and np.array_equal(weights, w)
-        again = gauss_legendre(n)
+        """The cached rule is exactly symmetric, agrees with leggauss's
+        nodes to an ulp, is the same arrays on every call, and read-only,
+        so no caller can change another's."""
+        nodes, weights = gauss_jacobi(n)
+        x, _ = np.polynomial.legendre.leggauss(n)
+        assert np.abs(nodes - x).max() <= 1.2e-16
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        again = gauss_jacobi(n)
         assert again[0] is nodes and again[1] is weights
         for a in (nodes, weights):
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        assert build_grid(n + 1, 2 * n + 2).t is gauss_legendre(n + 1)[0]
+        assert build_grid(n + 1, 2 * n + 2).t is gauss_jacobi(n + 1)[0]
+
+
+# the rule polishes its nodes in 80-bit longdouble (x86); where longdouble
+# is double its weights are only about as good as leggauss's
+extended = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                              reason="longdouble is not extended precision")
+
+
+def legendre_reference(n, start):
+    """30-digit Gauss-Legendre nodes and weights by one Newton step from
+    ``start`` on P_n's own recurrence, w = 2 / ((1 - x^2) P_n'(x)^2)."""
+    mp = pytest.importorskip("mpmath")
+    nodes, weights = [], []
+    with mp.workdps(30):
+        for x in map(mp.mpf, start):
+            for newton in (True, False):
+                p0, p1 = 1, x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                d = n * (p0 - x * p1) / (1 - x * x)
+                if newton:
+                    x -= p1 / d
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * d * d))
+    return nodes, weights
+
+
+def jacobi_reference(n, a, b, start):
+    """30-digit Gauss-Jacobi nodes and weights for (1 - x)^a (1 + x)^b by
+    one Newton step from ``start`` on the classical recurrence of
+    P_n^(a,b), with the classical weight Gamma(n+a+1) Gamma(n+b+1)
+    2^(a+b+1) / (Gamma(n+a+b+1) n! (1 - x^2) P_n'(x)^2)."""
+    mp = pytest.importorskip("mpmath")
+    nodes, weights = [], []
+    with mp.workdps(30):
+        a, b = mp.mpf(a), mp.mpf(b)
+        c = (2 ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
+             / (mp.gamma(n + a + b + 1) * mp.factorial(n)))
+        s = 2 * n + a + b
+        for x in map(mp.mpf, start):
+            for newton in (True, False):
+                p0, p1 = mp.mpf(1), (a + 1) + (a + b + 2) * (x - 1) / 2
+                for k in range(2, n + 1):
+                    t = 2 * k + a + b
+                    p0, p1 = p1, (
+                        (t - 1) * (t * (t - 2) * x + a * a - b * b) * p1
+                        - 2 * (k + a - 1) * (k + b - 1) * t * p0
+                    ) / (2 * k * (k + a + b) * (t - 2))
+                d = (n * (a - b - s * x) * p1
+                     + 2 * (n + a) * (n + b) * p0) / (s * (1 - x * x))
+                if newton:
+                    x -= p1 / d
+            nodes.append(x)
+            weights.append(c / ((1 - x * x) * d * d))
+    return nodes, weights
+
+
+def worst_errors(rule, reference):
+    """(max node error, max relative weight error) of a float rule."""
+    (x, w), (xr, wr) = rule, reference
+    return (max(abs(float(a - b)) for a, b in zip(x, xr)),
+            max(abs(float((a - b) / b)) for a, b in zip(w, wr)))
+
+
+class TestGaussJacobi:
+    @extended
+    @pytest.mark.parametrize("n", [32, 129, 257])
+    def test_legendre_against_30_digits(self, n):
+        """Nodes within an ulp of 1 and weights within 1e-14 relative of a
+        30-digit reference (leggauss's weights are off by 1.3e-11 and
+        1.5e-10 at n = 129 and 257; these by 1.3e-16)."""
+        x, w = gauss_jacobi(n)
+        half = slice(n // 2, None)  # the rule is symmetric
+        node_err, weight_err = worst_errors(
+            (x[half], w[half]), legendre_reference(n, x[half]))
+        assert node_err <= 1.2e-16
+        assert weight_err <= 1.0e-14
+
+    @extended
+    @pytest.mark.parametrize("n, b", [(32, -0.8), (32, 0.0), (32, 0.5),
+                                      (32, 3.1894), (7, -0.4), (1, 0.2)])
+    def test_jacobi_against_30_digits(self, n, b):
+        """The cap rules, b = 2 alpha + 1."""
+        x, w = gauss_jacobi(n, b)
+        node_err, weight_err = worst_errors(
+            (x, w), jacobi_reference(n, 0.0, b, x))
+        assert node_err <= 1.2e-16
+        assert weight_err <= 1.0e-14
+        assert np.all(np.diff(x) > 0.0)
+
+    @pytest.mark.parametrize("n, b", [(12, 0.0), (12, -0.8), (12, 3.1894),
+                                      (9, -0.4)])
+    def test_exact_to_degree_2n_minus_1(self, n, b):
+        """sum w x^k = int (1 + x)^b x^k for k < 2n: with x = 2u - 1 a sum
+        of Beta integrals, in 30 digits."""
+        mp = pytest.importorskip("mpmath")
+        x, w = gauss_jacobi(n, b)
+        with mp.workdps(30):
+            b = mp.mpf(b)
+
+            def moment(k):
+                return 2 ** (b + 1) * mp.fsum(
+                    mp.binomial(k, j) * 2 ** j * (-1) ** (k - j)
+                    * mp.beta(b + j + 1, 1) for j in range(k + 1))
+            mass = moment(0)
+            for k in range(2 * n):
+                assert abs(np.sum(w * x ** k) - moment(k)) <= 2e-15 * mass
 
 
 class TestIntegrate:
@@ -271,7 +381,8 @@ class TestGroupedLegendre:
     def test_one_budget_sizes_every_group(self, per_group, monkeypatch, rng):
         """LEGENDRE_BYTES sizes every group of the recurrence.  At one
         order, three and the whole L = 32 table a group, the grouped
-        recurrence, a table, a streamed pass of a ProductTransform and a
+        recurrence, a table, a pass of a ProductTransform (streamed at one
+        and three orders a group, whose budgets the table outgrows) and a
         point synthesis give the values of the default budget bit for bit,
         and a group's scratch holds its orders' blocks alone (so within
         max(budget, one order); test_large_point_sets_stream takes a budget
@@ -294,7 +405,7 @@ class TestGroupedLegendre:
             tr = ProductTransform(L, g.t, g.n_phi, g.t_weights)
             size(tr._reps)
             values = tr.synthesis_values(c)
-            assert tr._plm == []  # the pass streamed its blocks
+            assert (tr._plm == []) == (size is budget and per_group < 33)
             coeffs = ProductTransform(L, g.t, g.n_phi, g.t_weights
                                       ).analysis_coeffs(values)
             return blocks + table + [points, values, coeffs.values]
@@ -374,11 +485,12 @@ class TestOrderLimit:
             1e-14 * np.max(np.abs(full))
 
     def test_tables_built_on_first_need(self, grid16, monkeypatch):
-        """A zonal pass builds the m = 0 block alone; the first full pass
-        streams every order and keeps none, the second builds and keeps
-        them, over the representative rings alone and trimmed at
-        LEGENDRE_FLOOR, unless it is a stack, which streams until a
-        one-field pass keeps the table and then reads it; the cos/sin
+        """A zonal pass builds the m = 0 block alone.  Under a budget below
+        the tables' bounds (11016 B and 7344 B) the first full pass streams
+        every order and keeps none, and so do stacks; a later one-field
+        pass builds and keeps them, over the representative rings alone
+        and trimmed at LEGENDRE_FLOOR.  A table that fits LEGENDRE_BYTES
+        is kept by the first full pass, one field or a stack.  The cos/sin
         tables are shared by (L, n_phi)."""
         from sol_lab import sphere_grid
         orders, rings, floors = [], [], []
@@ -401,6 +513,8 @@ class TestOrderLimit:
         assert orders == [0]
         full = zonal.widened()
         full.order(2)[3] = 1.0
+        budget = sphere_grid.LEGENDRE_BYTES
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 7000)
         a.synthesis_values(full)
         b.analysis_coeffs(np.ones((7, n_phi)))
         assert orders == [0]
@@ -417,12 +531,18 @@ class TestOrderLimit:
         assert [tr._plm[0][0] for tr in (a, b)] == [0, 0]
         # stacks stream and build nothing, then read the kept table
         stack = SHCoefficients(np.stack([full.values] * 2))
-        c = ProductTransform(L, grid16.t, n_phi, np.ones(grid16.n_theta))
+        c, d, e = (ProductTransform(L, grid16.t, n_phi,
+                                    np.ones(grid16.n_theta)) for _ in range(3))
         for tr in (c, c, a):
             tr.synthesis_values(stack)
         assert orders == [0, L, L] and c._plm == []
         c.synthesis_values(full)
         assert orders == [0, L, L, L]
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
+        d.synthesis_values(stack)
+        e.synthesis_values(full)
+        assert orders == [0, L, L, L, L, L]
+        assert [len(tr._plm) for tr in (d, e)] == [L + 1] * 2
         assert a._trig() is b._trig()
 
 
@@ -915,21 +1035,25 @@ class TestPolarTrim:
         assert sum(v.nbytes for v in values) <= sphere_grid.BATCH_BUDGET
 
 class TestStreamedPass:
-    """A transform streams its Legendre blocks through its first pass over
-    every order, and through every stack until it keeps them, which a later
-    one-field pass does; so a transform that makes one full-width pass, or
-    stacks alone, never holds its table."""
+    """A transform whose Legendre table could outgrow LEGENDRE_BYTES
+    streams its blocks through its first pass over every order and every
+    stack until it keeps them, which a later one-field pass does; so a
+    transform that makes one full-width pass, or stacks alone, never holds
+    a large table."""
 
     @pytest.mark.parametrize("name", ["gauss", "one cap", "two caps"])
     @pytest.mark.parametrize("batch", [(), (3,)])
-    def test_streamed_pass_is_the_kept_pass(self, name, batch, rng):
+    def test_streamed_pass_is_the_kept_pass(self, name, batch, rng,
+                                            monkeypatch):
         """Synthesis and analysis, of one field and of a stack, give bit
         for bit on the first (streamed) pass what they give on the kept
         table, on a Gauss grid, a one-cap and a two-cap block; the first
         pass keeps no block, a one-field pass after it every order (the
         second pass, or one between two passes of a stack), and the trim
         drops rings, so the streamed blocks are views into the group
-        arrays."""
+        arrays.  The budget is cut to 64 KiB, below these L = 64 tables'
+        bounds, so that they stream."""
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 1 << 16)
         synthesis, analysis = (trim_cases()[name] for _ in range(2))
         L = synthesis.band_limit
         c = SHCoefficients(rng.normal(size=batch + (L + 1, 2 * L + 1)))
