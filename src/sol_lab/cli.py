@@ -639,7 +639,6 @@ def _run_kw_check(config, report):
     rep = kazdan_warner_residual(coeffs, grid, rho, w)
     report["summary"] = {
         "moment": rep.moment, "poho_residual": rep.poho_residual,
-        "kw_vector_residual": rep.kw_vector_residual,
         "prefactor": rep.prefactor, "orders": list(rep.orders), "rho": rho,
     }
     _check(report["checks"], "axis identity residual",

@@ -33,12 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .sphere_grid import FOUR_PI, SHCoefficients, SphereGrid
-from .singular_geometry import (
-    REGULAR_PART,
-    SingularWeight,
-    green,
-)
-from .mt_functional import CAP_RADIUS, integrator_for
+from .singular_geometry import REGULAR_PART, SingularWeight
+from .mt_functional import integrator_for
 
 
 class RegimeError(ValueError):
@@ -98,10 +94,12 @@ def blowup_infimum(w: SingularWeight,
     """Blow-up value of the infimum from the general closed-form formula.
 
     alpha < 0: exact maximization over the finite set of minimal-order
-    points.  alpha = 0 (all orders positive, or no singularities): the
-    maximand 4 pi A + log h is maximized over grid nodes outside the
-    singular caps, then refined by golden-section sweeps in colatitude and
-    longitude around the best node.
+    points p of log c(p) + 4 pi A (1 + alpha) - log(1 + alpha), with c(p)
+    the weight's ``bubble_constant``.  alpha = 0 (all orders positive, or
+    no singularities): the maximand 4 pi A + log h is maximized over the
+    grid nodes, then refined by golden-section sweeps in colatitude and
+    longitude around the best node; h vanishes at each singular point, so
+    no point needs excluding.
     """
     alpha = w.alpha
     rho_bar = w.rho_bar
@@ -110,14 +108,9 @@ def blowup_infimum(w: SingularWeight,
         best = -np.inf
         best_p = None
         for sp in w.minimal_points():
-            val = (FOUR_PI * REGULAR_PART
-                   + np.log(w.smooth_factor(sp.position[None, :])[0])
+            val = (np.log(w.bubble_constant(sp.position))
+                   + FOUR_PI * REGULAR_PART * (1.0 + alpha)
                    - np.log(1.0 + alpha))
-            for other in w.points:
-                if other is sp:
-                    continue
-                val += -FOUR_PI * other.order * green(other.position,
-                                                      sp.position)
             if val > best:
                 best, best_p = val, sp.position
         return SharpConstantReport(
@@ -132,9 +125,6 @@ def blowup_infimum(w: SingularWeight,
         return FOUR_PI * REGULAR_PART + w.log_weight(points)
 
     vals = maximand(grid.nodes)
-    for sp in w.points:
-        d = np.arccos(np.clip(grid.nodes @ sp.position, -1.0, 1.0))
-        vals = np.where(d < CAP_RADIUS, -np.inf, vals)
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     best_p = grid.nodes[idx]
 
@@ -146,9 +136,6 @@ def blowup_infimum(w: SingularWeight,
     def at(theta, phi):
         pt = np.array([np.sin(theta) * np.cos(phi),
                        np.sin(theta) * np.sin(phi), np.cos(theta)])
-        for sp in w.points:
-            if float(pt @ sp.position) > np.cos(CAP_RADIUS):
-                return -np.inf
         return float(maximand(pt[None, :])[0])
 
     for _ in range(2):
@@ -233,7 +220,6 @@ def _axis_orders(w: SingularWeight) -> tuple[float, float]:
 class KazdanWarnerReport:
     moment: float
     poho_residual: float
-    kw_vector_residual: float
     prefactor: float
     orders: tuple
 
@@ -246,10 +232,7 @@ def kazdan_warner_residual(coeffs: SHCoefficients, grid: SphereGrid,
     The moment is the ratio int h e^u x3 / int h e^u, so u need not be
     normalized.  With x3 = sqrt(4 pi / 3) Y_{1,0}, int h e^u x3 is read from
     the density's projection: one synthesis and one analysis per
-    quadrature block.  Also evaluates the vector form
-    int grad h . grad x3 e^u - (2 - rho/4pi) int h e^u x3 with the same
-    singular-cap quadrature (grad h . grad x3 has the closed form
-    (a2 - a1) h - (a1 + a2) h x3 for the antipodal layout).
+    quadrature block.
     """
     a1, a2 = _axis_orders(w)
     integ = integrator_for(grid, w)
@@ -258,10 +241,7 @@ def kazdan_warner_residual(coeffs: SHCoefficients, grid: SphereGrid,
     moment = float(np.sqrt(FOUR_PI / 3.0) * proj.order(0)[1] / dens.total)
     prefactor = 2.0 - rho / FOUR_PI + a1 + a2
     poho = (a2 - a1) - prefactor * moment
-    # vector form, normalized by int h e^u = 1
-    kw_vec = ((a2 - a1) - (a1 + a2) * moment) - (2.0 - rho / FOUR_PI) * moment
     return KazdanWarnerReport(moment=moment, poho_residual=float(poho),
-                              kw_vector_residual=float(kw_vec),
                               prefactor=float(prefactor), orders=(a1, a2))
 
 

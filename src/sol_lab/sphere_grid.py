@@ -179,20 +179,24 @@ def _jacobi_polish(n: int, a, b, diag, off, y):
 def gauss_jacobi(n: int, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Jacobi rule on [-1, 1] for the weight (1 + x)^b,
     b > -1: (nodes ascending, weights).  b = 0 is Gauss-Legendre, the rule
-    of every grid and band panel; the caps take b = 2 alpha + 1
-    (``mt_functional.cap_radial_rule``).
+    of the grid, the band and the alpha = -1/2 caps; the caps take
+    b = 2 alpha + 1 (``mt_functional.cap_radial_rule``).
 
-    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
-    the Jacobi matrix of the orthonormal recurrence off[k+1] p_{k+1} = (x -
-    diag[k]) p_k - off[k] p_{k-1}, one dense n x n array as ``leggauss``'s
-    companion matrix; ``_jacobi_polish`` then polishes each node and weighs
-    it from the end it is nearer to (x -> -x takes the weight to (1 -
-    x)^b).  For b = 0 the nodes x >= 0 are mirrored, so mirror rings pair.
-    On 80-bit longdouble (x86) the Gauss-Legendre weights lie within
-    1.3e-16 relative of a 30-digit reference at n = 32, 129 and 257
-    (``leggauss``: 5.8e-14, 1.3e-11 and 1.5e-10).  Every grid, band panel
-    and cap of a given size reads the same arrays, computed once per (n, b)
-    (for the 64 used last), shared and read-only.
+    ``_jacobi_polish`` polishes estimates of the nodes on the orthonormal
+    recurrence off[k+1] p_{k+1} = (x - diag[k]) p_k - off[k] p_{k-1} and
+    weighs each from the end it is nearer to (x -> -x takes the weight to
+    (1 - x)^b).  For b = 0 the estimates are Tricomi's asymptotic nodes
+    (Tricomi, Ann. Mat. Pura Appl. 31, 1950), three polishing steps take
+    them to the roots, and the nodes x >= 0 are mirrored, so mirror rings
+    pair: O(n^2), with no matrix.  For b != 0 they are the eigenvalues of
+    the recurrence's Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
+    one dense n x n array, polished once; only caps take it, with n in the
+    tens.  On 80-bit longdouble (x86) the Gauss-Legendre weights lie within
+    1.3e-16 relative of a 30-digit reference at n = 32, 129 and 257 and
+    within 5.8e-16 at n = 1025 (``leggauss``: 5.8e-14, 1.3e-11 and 1.5e-10
+    at the first three).  Every
+    grid, band and cap of a given size reads the same arrays, computed once
+    per (n, b) (for the 64 used last), shared and read-only.
     """
     b = np.longdouble(b)
     k = np.arange(n + 1, dtype=np.longdouble)
@@ -201,17 +205,24 @@ def gauss_jacobi(n: int, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         diag = b * b / (s * (s + 2))
         off = 2 * k * (k + b) / (s * np.sqrt(s * s - 1))
     diag[0], off[0] = b / (b + 2), 0
-    jacobi = np.zeros((n, n))
-    jacobi[range(n), range(n)] = diag[:n]
-    jacobi[range(1, n), range(n - 1)] = off[1:n]
-    x = np.linalg.eigvalsh(jacobi)
-    k = np.searchsorted(x, 0.0) if b else n // 2
     nodes, weights = np.empty(n), np.empty(n)
-    nodes[k:], weights[k:] = _jacobi_polish(n, 0, b, diag, off, 1 - x[k:])
     if b:
+        jacobi = np.zeros((n, n))
+        jacobi[range(n), range(n)] = diag[:n]
+        jacobi[range(1, n), range(n - 1)] = off[1:n]
+        x = np.linalg.eigvalsh(jacobi)
+        k = np.searchsorted(x, 0.0)
+        nodes[k:], weights[k:] = _jacobi_polish(n, 0, b, diag, off, 1 - x[k:])
         nodes[:k], weights[:k] = _jacobi_polish(n, b, 0, -diag, off, 1 + x[:k])
         nodes[:k] *= -1.0
     else:
+        k = n // 2
+        theta = np.pi * (4 * np.arange(n - k, 0, -1) - 1) / (4 * n + 2)
+        x = (1 - (n - 1) / (8 * n ** 3) - (39 - 28 / np.sin(theta) ** 2)
+             / (384 * n ** 4)) * np.cos(theta)
+        for _ in range(3):
+            x, w = _jacobi_polish(n, 0, 0, diag, off, 1 - x)
+        nodes[k:], weights[k:] = x, w
         if n % 2:
             nodes[k] = 0.0
         nodes[:k], weights[:k] = -nodes[:n - k - 1:-1], weights[:n - k - 1:-1]
@@ -243,9 +254,10 @@ def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
 # orders, the most whose blocks fit at L + 1 rows an order (Schaeffer,
 # G^3 14, 2013 sizes his on-the-fly recurrence the same way), so scratch
 # stays within max(LEGENDRE_BYTES, one order).  The L = 256 two-cap block
-# (380 representative rings) takes 32 orders, 23.5 MB: building its trimmed
-# table in groups of 8, 16, 24, 32, 48 and 64 orders took 90, 78, 74, 68,
-# 66 and 69 ms at best of 11 (one BLAS thread, shared 2-core x86 VM);
+# (354 representative rings) takes 34 orders, 24.7 MB; on the 380 rings
+# it had with graded band panels, building its trimmed table in groups of
+# 8, 16, 24, 32, 48 and 64 orders took 90, 78, 74, 68, 66 and 69 ms at
+# best of 11 (one BLAS thread, shared 2-core x86 VM);
 # smaller groups pay more numpy calls per degree, larger ones compute more
 # of the dropped rings.  A full-width L = 4096 grid pass takes one order
 # (67 MB) a group.
@@ -260,10 +272,10 @@ LEGENDRE_FLOOR = 1e-20
 
 # Bytes of values in one stack of sampled fields that a batched evaluation
 # synthesizes at once (``batch_size``), counted on every quadrature node the
-# stack is synthesized on: 23 fields on the 696 x 514 two-cap block at
-# L = 256 (2.86 MB a field), so 20 samples take one stack.  A stack on a
-# block that has not kept its table (81 MB there) streams its Legendre
-# blocks, one group (23.5 MB) at a time, and does not build it.
+# stack is synthesized on: 25 fields on the 643 x 514 two-cap block at
+# L = 256 (2.64 MB a field), so 20 samples take one stack.  A stack on a
+# block that has not kept its table (75 MB there) streams its Legendre
+# blocks, one group (24.7 MB) at a time, and does not build it.
 BATCH_BUDGET = 64 << 20  # 64 MiB
 
 
@@ -499,7 +511,7 @@ def _ring_order(t: np.ndarray) -> tuple[np.ndarray, slice, int]:
     for j in np.flatnonzero(t < 0.0):
         unmatched.setdefault(-t[j], []).append(j)
     # later t > 0 rings take the earlier mirrors, so that rings of equal t
-    # (a graded band's nodes at a cap edge) keep runs of the ring order
+    # keep runs of the ring order
     reps, mirrors = [], []
     for i in np.flatnonzero(t > 0.0)[::-1]:
         if unmatched.get(t[i]):
@@ -645,7 +657,7 @@ class ProductTransform:
         of every order if its bound, (L + 1)(L + 2) / 2 entries per
         representative ring, fits LEGENDRE_BYTES (4.4 MB on the L = 128
         grid, whose table ``diagnose`` then builds once for a whole sweep).
-        A larger table (101 MB on the L = 256 two-cap block) is streamed
+        A larger table (94 MB on the L = 256 two-cap block) is streamed
         from the recurrence, one group of ``_legendre_orders`` at a time,
         through the transform's first pass over every order and every
         stack of ``fields`` >= 2, and kept by a later one-field pass.

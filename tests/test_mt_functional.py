@@ -209,9 +209,12 @@ def log_exp_reference(coeffs, north, south):
     and b = south the orders at the poles (0 for no point).  On each end
     piece the singular factor is taken analytically, v = (1 -+ t)^(1 +
     order), so what is left to integrate is continuous; e^u is summed by
-    numpy's own Legendre series."""
+    numpy's own Legendre series.  Each piece is split into subintervals that
+    hold a few of the field's oscillations (16 for the middle at L = 128;
+    the three pieces whole read 3e-11 off for a rough L = 128 field)."""
     mp = pytest.importorskip("mpmath")
     L = coeffs.band_limit
+    splits = max(2, L // 8)
     a = coeffs.values[:, 0] * np.sqrt((2.0 * np.arange(L + 1) + 1.0)
                                       / (4.0 * np.pi))
 
@@ -222,10 +225,11 @@ def log_exp_reference(coeffs, north, south):
         def f(v):
             t = sign * (1 - v ** (1 / (1 + order)))
             return (1 + sign * t) ** other * smooth(t)
-        return mp.quad(f, [0, 0.5 ** (1 + order)]) / (1 + order)
+        top = mp.mpf(0.5) ** (1 + order)
+        return mp.quad(f, mp.linspace(0, top, splits // 2 + 1)) / (1 + order)
 
     middle = mp.quad(lambda t: (1 - t) ** north * (1 + t) ** south
-                     * smooth(t), [-0.5, 0, 0.5])
+                     * smooth(t), mp.linspace(-0.5, 0.5, splits + 1))
     return float(mp.log(2 * mp.pi * (mp.e / 2) ** (north + south) * (
         end(north, south, 1) + end(south, north, -1) + middle)))
 
@@ -258,9 +262,9 @@ class TestCapOracle:
     ])
     def test_log_exp_integral_of_converged_states(self, grid128, north,
                                                   south, epsilon, bound):
-        """log int h e^u of converged L = 128 zonal states: 2e-15, 0 and
-        6e-15 off (1.65e-9, 7.8e-8 and 1.1e-14 with the rule in s =
-        r^(2(1+alpha)))."""
+        """log int h e^u of converged L = 128 zonal states: 2.9e-15,
+        4.4e-16 and 4.3e-15 off (1.65e-9, 7.8e-8 and 1.1e-14 with the cap
+        rule in s = r^(2(1+alpha)))."""
         points = [(NORTH, north)] + ([(SOUTH, south)] if south else [])
         w = SingularWeight.from_orders(points)
         params = FunctionalParams(rho=w.rho_bar - epsilon, weight=w)
@@ -269,6 +273,20 @@ class TestCapOracle:
         got = integrator_for(grid128, w).log_exp_integral(state.coeffs)
         assert abs(got - log_exp_reference(state.coeffs, north, south)) \
             <= bound
+
+    @pytest.mark.parametrize("north, south", [(-0.5, 0.0), (-0.25, -0.1)])
+    def test_log_exp_integral_of_a_rough_field(self, grid128, rng, north,
+                                               south):
+        """log int h e^u of a rough L = 128 zonal column, coefficients
+        N(0, 1) / (1 + l): the band's one Gauss-Legendre rule is 5.6e-13
+        and 5.7e-13 off (graded panels: 4.9e-9 and 3.5e-9)."""
+        L = grid128.band_limit
+        coeffs = SHCoefficients((rng.standard_normal(L + 1)
+                                 / (1.0 + np.arange(L + 1)))[:, None])
+        points = [(NORTH, north)] + ([(SOUTH, south)] if south else [])
+        w = SingularWeight.from_orders(points)
+        got = integrator_for(grid128, w).log_exp_integral(coeffs)
+        assert abs(got - log_exp_reference(coeffs, north, south)) <= 1.0e-11
 
 
 class TestEvalJ:
@@ -479,15 +497,24 @@ class TestIntegratorExactness:
     def test_axis_rule_is_one_product_block(self, grid64, points):
         """On the axis the composite rule is one product block: one
         transform over the north cap, band and south cap colatitudes; with
-        no singular point it is the grid's own transform."""
+        no singular point it is the grid's own transform.  The band is one
+        Gauss-Legendre rule of max(ceil(9 (L + 1) / 4), 20 / CAP_RADIUS)
+        nodes, and between two caps each of its rings has its mirror."""
         w = SingularWeight.from_orders(points)
         (block,) = integrator_for(grid64, w).blocks
         t = block.t
         if not points:
             assert block is grid64.transform
+        in_band = np.ones(t.size, dtype=bool)
         for pole, _ in points:
             in_cap = pole[2] * t > np.cos(CAP_RADIUS)
             assert in_cap.sum() == CAP_RADIAL_NODES
+            in_band &= ~in_cap
+        if points:
+            assert in_band.sum() == 200
+        if len(points) == 2:
+            band = np.sort(t[in_band])
+            assert np.array_equal(band, -band[::-1])
         assert block.weights.shape == (t.size, grid64.n_phi)
 
     def test_off_axis_grid_keeps_its_weights(self, grid64):

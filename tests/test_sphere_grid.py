@@ -149,17 +149,32 @@ def worst_errors(rule, reference):
 
 class TestGaussJacobi:
     @extended
-    @pytest.mark.parametrize("n", [32, 129, 257])
+    @pytest.mark.parametrize("n", [32, 129, 257, 1025])
     def test_legendre_against_30_digits(self, n):
-        """Nodes within an ulp of 1 and weights within 1e-14 relative of a
+        """Nodes within an ulp of 1 and weights within 1e-15 relative of a
         30-digit reference (leggauss's weights are off by 1.3e-11 and
-        1.5e-10 at n = 129 and 257; these by 1.3e-16)."""
+        1.5e-10 at n = 129 and 257; these by 1.3e-16, and by 5.8e-16 at
+        n = 1025, at the node nearest 1).  The rule is symmetric, so half
+        of it is checked; at n = 1025 every eighth node from the end."""
         x, w = gauss_jacobi(n)
-        half = slice(n // 2, None)  # the rule is symmetric
+        half = slice(n - 1, n // 2 - 1, -1 if n < 1000 else -8)
         node_err, weight_err = worst_errors(
             (x[half], w[half]), legendre_reference(n, x[half]))
         assert node_err <= 1.2e-16
-        assert weight_err <= 1.0e-14
+        assert weight_err <= 1.0e-15
+
+    @extended
+    def test_legendre_small_n_against_30_digits(self):
+        """Every n in 2 ... 40, where Tricomi's start is least accurate,
+        within 1e-15 of the 30-digit reference (leggauss's weights are off
+        by 5.8e-14 at n = 32)."""
+        for n in range(2, 41):
+            x, w = gauss_jacobi(n)
+            half = slice(n // 2, None)
+            node_err, weight_err = worst_errors(
+                (x[half], w[half]), legendre_reference(n, x[half]))
+            assert node_err <= 1.2e-16, n
+            assert weight_err <= 1.0e-15, n
 
     @extended
     @pytest.mark.parametrize("n, b", [(32, -0.8), (32, 0.0), (32, 0.5),
