@@ -23,8 +23,9 @@ composite rule used here splits the sphere into
 For singular points on the grid axis (the default configuration) every
 piece is a product rule in (t, phi), so the whole composite rule is one:
 one ``ProductTransform`` over the north cap, band and south cap
-colatitude nodes.  A density then costs one synthesis and its
-spherical-harmonic analysis one analysis, O(L^3) like a grid transform.
+colatitude nodes, for every axis weight: an empty pole's cap has order 0.
+A density then costs one synthesis and its spherical-harmonic analysis
+one analysis, O(L^3) like a grid transform.
 Off-axis points fall back to a smooth-cutoff variant whose accuracy is
 limited by the grid resolution of the cutoff (log int h off by 2e-4 to
 3e-3 at L = 64 and 2e-6 to 1e-4 at L = 128, most near the poles):
@@ -125,25 +126,25 @@ def cap_radial_nodes(band_limit: int) -> int:
     return max(CAP_RADIAL_NODES, math.ceil(1.25 * band_limit * CAP_RADIUS))
 
 
-def band_rule(t_lo: float, t_hi: float, band_limit: int):
-    """The Gauss-Legendre rule in t = cos(theta) on [t_lo, t_hi], with
-    max(ceil(9 (L + 1) / 4), ceil(20 / CAP_RADIUS)) nodes.
+def band_rule(band_limit: int):
+    """The Gauss-Legendre rule in t = cos(theta) on the band between the
+    caps, with max(ceil(9 (L + 1) / 4), ceil(20 / CAP_RADIUS)) nodes.
 
     Between the cap edges the integrand is analytic: its nearest
-    singularity is a singular point, CAP_RADIUS beyond an end, so one rule
+    singularity lies at a pole, CAP_RADIUS beyond an end, so one rule
     converges geometrically, with error ~ (1 + CAP_RADIUS)^(-2n)
     (Trefethen, SIAM Rev. 50, 2008), below 1e-16 at 20 / CAP_RADIUS nodes.
     The rule is exact to degree 4.5 L + 3 in t, which takes in e^u of a
     degree-L field to about 1e-11: over 20 rough zonal fields at L = 128
     (coefficients N(0, 1) / (1 + l)) log int h e^u is off by 7e-13 in the
-    median and 1.6e-11 at worst (2 (L + 1) nodes: 8e-12 and 3e-10).  A
-    band between two caps has centre 0 and half-width cos CAP_RADIUS
-    exactly, so its nodes pair with their mirrors.
+    median and 1.6e-11 at worst (2 (L + 1) nodes: 8e-12 and 3e-10).  Every
+    axis block has a cap at both poles, so the band is always symmetric,
+    [-cos CAP_RADIUS, cos CAP_RADIUS], and its nodes pair with their mirrors.
     """
     x, w = gauss_jacobi(max(math.ceil(2.25 * (band_limit + 1)),
                             math.ceil(20.0 / CAP_RADIUS)))
-    half = 0.5 * (t_hi - t_lo)
-    return half * x + 0.5 * (t_hi + t_lo), half * w
+    half = np.cos(CAP_RADIUS)
+    return half * x, half * w
 
 
 def _smooth_cutoff(r: np.ndarray, radius: float) -> np.ndarray:
@@ -253,20 +254,16 @@ class SingularIntegrator:
         if not w.points:
             return [grid.transform], [w.log_weight(ring_points(grid.t, phi))]
         if w.is_axis_aligned():
-            # (sort key, t, t weights, cap) per piece: caps at their pole,
-            # the band between the cap edges (or the poles) in the middle
-            pieces = []
-            ends = {1.0: 1.0, -1.0: -1.0}
-            for i, sp in enumerate(w.points):
-                pole = 1.0 if sp.position[2] > 0 else -1.0
-                n = cap_radial_nodes(grid.band_limit)
-                r, wr = cap_radial_rule(sp.order, CAP_RADIUS, n)
-                pieces.append((pole, pole * np.cos(r), wr, (i, r[:, None])))
-                ends[pole] = pole * np.cos(CAP_RADIUS)
-            t, tw = band_rule(ends[-1.0], ends[1.0], grid.band_limit)
-            pieces.append((0.0, t, tw, None))
-            pieces.sort(key=lambda piece: -piece[0])  # north cap first
-            _, ts, tws, caps = zip(*pieces)
+            # (t, t weights, cap) per piece; an empty pole's cap has order 0
+            at = {np.sign(sp.position[2]): i for i, sp in enumerate(w.points)}
+            n, caps = cap_radial_nodes(grid.band_limit), []
+            for pole in (1.0, -1.0):
+                i = at.get(pole)
+                r, wr = cap_radial_rule(
+                    0.0 if i is None else w.points[i].order, CAP_RADIUS, n)
+                caps.append((pole * np.cos(r), wr, (i, r[:, None])))
+            ts, tws, caps = zip(caps[0], (*band_rule(grid.band_limit), None),
+                                caps[1])
             transform = ProductTransform(grid.band_limit, np.concatenate(ts),
                                          grid.n_phi,
                                          np.concatenate(tws) * (2.0 * np.pi))

@@ -591,8 +591,8 @@ class ProductTransform:
     its mirror E - O.  Analysis weights the values, takes the Fourier step
     and folds each pair into S = f(t) + f(-t) and D = f(t) - f(-t), which
     the even and odd rows read; a solo ring is its own S and D.  On the
-    grid and on a two-cap band every ring but the equator is paired, which
-    halves the table and the per-order work.
+    grid and on the band of every axis block every ring but the equator is
+    paired, which halves the table and the per-order work.
 
     Longitudes are evaluated in pairs the same way.  Under the reflection
     phi_j -> phi_{n-j} = -phi_j, cos m phi is even and sin m phi odd; for
@@ -953,10 +953,11 @@ def phi_derivative(c: SHCoefficients) -> SHCoefficients:
 def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
     """Evaluate a band-limited field at arbitrary unit vectors.
 
-    Streams the Legendre recurrence in groups of orders, so no table over
-    all orders is stored: a group's blocks take at most max(LEGENDRE_BYTES,
-    one order).  A zonal column needs the m = 0 block alone.  Exact for
-    band-limited fields.  Accepts any leading shape (..., 3).
+    Streams the Legendre recurrence in groups of orders over groups of
+    points (``synthesis_at_angles``), so no table over all orders is
+    stored: a group's blocks take at most LEGENDRE_BYTES.  A zonal column
+    needs the m = 0 block alone.  Exact for band-limited fields.  Accepts
+    any leading shape (..., 3).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.clip(pts[..., 2], -1.0, 1.0)
@@ -967,17 +968,23 @@ def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
 def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
                         phi: np.ndarray) -> np.ndarray:
     """Values at (cos colatitude t, longitude phi); a stack of coefficients
-    gives its batch axes first."""
+    gives its batch axes first.  The points go in groups of at most
+    max(1, LEGENDRE_BYTES // (8 (L + 1))), so that no one-order block of
+    the recurrence outgrows the byte budget."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    phi = np.ravel(phi)
+    flat, phi = t.ravel(), np.ravel(phi)
     cv, m0 = c.values, c._m0  # a zonal column holds the m = 0 block alone
     out = np.zeros(cv.shape[:-2] + (t.size,))
-    for m, block in _legendre_orders(c.band_limit, t.ravel(), m0):
-        if m == 0:
-            out += cv[..., m0] @ block
-        else:
-            out += np.sqrt(2.0) * ((cv[..., m:, m0 + m] @ block) * np.cos(m * phi)
-                                   + (cv[..., m:, m0 - m] @ block) * np.sin(m * phi))
+    size = max(1, LEGENDRE_BYTES // (8 * (c.band_limit + 1)))
+    for s in range(0, t.size, size):
+        o, ph = out[..., s:s + size], phi[s:s + size]
+        for m, block in _legendre_orders(c.band_limit, flat[s:s + size], m0):
+            if m == 0:
+                o += cv[..., m0] @ block
+            else:
+                o += np.sqrt(2.0) * (
+                    (cv[..., m:, m0 + m] @ block) * np.cos(m * ph)
+                    + (cv[..., m:, m0 - m] @ block) * np.sin(m * ph))
     return out.reshape(cv.shape[:-2] + t.shape)
 
 

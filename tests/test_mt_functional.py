@@ -274,12 +274,16 @@ class TestCapOracle:
         assert abs(got - log_exp_reference(state.coeffs, north, south)) \
             <= bound
 
-    @pytest.mark.parametrize("north, south", [(-0.5, 0.0), (-0.25, -0.1)])
+    @pytest.mark.parametrize("north, south", [
+        (-0.5, 0.0), (-0.25, -0.1), (0.5, 0.0), (1.0947, 0.0)])
     def test_log_exp_integral_of_a_rough_field(self, grid128, rng, north,
                                                south):
         """log int h e^u of a rough L = 128 zonal column, coefficients
-        N(0, 1) / (1 + l): the band's one Gauss-Legendre rule is 5.6e-13
-        and 5.7e-13 off (graded panels: 4.9e-9 and 3.5e-9)."""
+        N(0, 1) / (1 + l): the band's one Gauss-Legendre rule is 2.0e-13,
+        5.7e-13, 1.6e-12 and 2.2e-12 off (graded panels: 4.9e-9 and 3.5e-9
+        at the first two).  A single point takes an order-0 cap at the
+        south pole (the band run to the bare pole: 5.6e-13, 2.5e-12 and
+        4.1e-12)."""
         L = grid128.band_limit
         coeffs = SHCoefficients((rng.standard_normal(L + 1)
                                  / (1.0 + np.arange(L + 1)))[:, None])
@@ -496,26 +500,28 @@ class TestIntegratorExactness:
         [], [(NORTH, -0.5)], [(SOUTH, 0.5)], [(NORTH, -0.25), (SOUTH, 0.5)]])
     def test_axis_rule_is_one_product_block(self, grid64, points):
         """On the axis the composite rule is one product block: one
-        transform over the north cap, band and south cap colatitudes; with
-        no singular point it is the grid's own transform.  The band is one
-        Gauss-Legendre rule of max(ceil(9 (L + 1) / 4), 20 / CAP_RADIUS)
-        nodes, and between two caps each of its rings has its mirror."""
+        transform over the north cap, band and south cap colatitudes, a
+        pole with no point taking a cap of order 0; with no singular point
+        it is the grid's own transform.  The band is one Gauss-Legendre
+        rule of max(ceil(9 (L + 1) / 4), 20 / CAP_RADIUS) nodes, between
+        two caps for one point too, so each of its rings has its mirror
+        and the table spans 32 + 32 + 100 representative rings."""
         w = SingularWeight.from_orders(points)
         (block,) = integrator_for(grid64, w).blocks
         t = block.t
+        assert block.weights.shape == (t.size, grid64.n_phi)
         if not points:
             assert block is grid64.transform
+            return
         in_band = np.ones(t.size, dtype=bool)
-        for pole, _ in points:
-            in_cap = pole[2] * t > np.cos(CAP_RADIUS)
+        for pole in (1.0, -1.0):
+            in_cap = pole * t > np.cos(CAP_RADIUS)
             assert in_cap.sum() == CAP_RADIAL_NODES
             in_band &= ~in_cap
-        if points:
-            assert in_band.sum() == 200
-        if len(points) == 2:
-            band = np.sort(t[in_band])
-            assert np.array_equal(band, -band[::-1])
-        assert block.weights.shape == (t.size, grid64.n_phi)
+        assert in_band.sum() == 200
+        band = np.sort(t[in_band])
+        assert np.array_equal(band, -band[::-1])
+        assert block._reps == 2 * CAP_RADIAL_NODES + 100
 
     def test_off_axis_grid_keeps_its_weights(self, grid64):
         """Off the axis: one scattered cap per point, then the grid with

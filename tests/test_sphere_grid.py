@@ -372,18 +372,17 @@ class TestGroupedLegendre:
                 assert np.array_equal(block, want)
 
     def test_large_point_sets_stream(self):
-        """Memory stays O((L+1) len(t)): at most two groups are alive.
-
-        A group's blocks take at most max(LEGENDRE_BYTES, one order of
-        8 (L + 1) n bytes); the full triangle at L = 128 on 50,000 points
-        would be 3.4 GB.
+        """Memory stays within the byte budget: at most two groups are
+        alive, and since the points go in groups, a group's blocks take at
+        most LEGENDRE_BYTES (one order over all 50,000 points at L = 128
+        would be 52 MB, the full triangle 3.4 GB).
         """
         L, n = 128, 50_000
         rng = np.random.default_rng(3)
         c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
         t = rng.uniform(-1.0, 1.0, n)
         phi = rng.uniform(0.0, 2.0 * np.pi, n)
-        group_bytes = max(sphere_grid.LEGENDRE_BYTES, 8 * (L + 1) * n)
+        group_bytes = sphere_grid.LEGENDRE_BYTES
         tracemalloc.start()
         try:
             synthesis_at_angles(c, t, phi)
@@ -400,8 +399,7 @@ class TestGroupedLegendre:
         and three orders a group, whose budgets the table outgrows) and a
         point synthesis give the values of the default budget bit for bit,
         and a group's scratch holds its orders' blocks alone (so within
-        max(budget, one order); test_large_point_sets_stream takes a budget
-        below one order)."""
+        max(budget, one order))."""
         L = 32
         g = build_grid(L + 1, 2 * L + 2)
         c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
@@ -433,6 +431,32 @@ class TestGroupedLegendre:
         rows = sum(L + 1 - m for m in range(min(per_group, L + 1)))
         for _, block in _legendre_orders(L, t):
             assert block.base.nbytes == 8 * rows * t.size
+
+    def test_point_synthesis_splits_its_points(self, monkeypatch, rng):
+        """A point synthesis takes its points in groups of at most
+        max(1, LEGENDRE_BYTES // (8 (L + 1))), so no one-order block
+        outgrows the budget: with 64 points a group, 200 points take four
+        groups, and zonal and full-width stacks match one group to 1e-15
+        relative."""
+        L, n = 32, 200
+        c = rng.normal(size=(3, L + 1, 2 * L + 1))
+        t, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 7.0, n)
+        stacks = [SHCoefficients(c), SHCoefficients(c[..., L:L + 1])]
+        want = [synthesis_at_angles(s, t, phi) for s in stacks]
+        seen = []
+
+        def recorded(band_limit, points, *args):
+            seen.append(points.size)
+            return _legendre_orders(band_limit, points, *args)
+
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 64 * 8 * (L + 1))
+        monkeypatch.setattr(sphere_grid, "_legendre_orders", recorded)
+        for stack, values in zip(stacks, want):
+            seen.clear()
+            got = synthesis_at_angles(stack, t, phi)
+            assert len(seen) >= 3 and max(seen) <= 64 and sum(seen) == n
+            assert got.shape == values.shape == (3, n)
+            assert max_rel(got, values) <= 1e-15
 
 
 class TestOrderLimit:
