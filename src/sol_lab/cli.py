@@ -295,15 +295,14 @@ def validate(raw_text: str):
 
 def _rule_errors(config) -> list:
     """What the run would refuse of a valid config, by each rule's own
-    check, each error naming its key: coincident points, a K that is not
-    positive, overlapping caps, a kw-check layout off the axis identity's,
-    and for the kinds that build test functions a weight the radial J
-    cannot evaluate, a singular test-function point or an epsilon too
-    large for its point."""
+    check, each error naming its key: coincident points, a weight that no
+    rotation puts on the axis for a kind that integrates it, a K that is
+    not positive, a kw-check layout off the axis identity's, and for the
+    kinds that build test functions a weight the radial J cannot evaluate,
+    a singular test-function point or an epsilon too large for its point."""
     import numpy as np
     from .closed_forms import ConcentrationParams, radial_faults
     from .identity_checks import RegimeError, _axis_orders
-    from .mt_functional import overlapping_caps
     from .singular_geometry import coincident_points
     from .sphere_grid import build_grid, normalized
 
@@ -314,17 +313,14 @@ def _rule_errors(config) -> list:
               for i, j in coincident_points(positions)]
     if errors:  # no weight to ask the other rules
         return errors
-    w = _build_weight(config)
+    try:
+        w = _build_weight(config)
+    except ValueError as exc:  # no axis frame
+        return [f"weight.points: {exc}"]
     if w.K is not None and np.min(
             w.smooth_factor(build_grid(33, 66).nodes)) <= 0.0:
         errors.append("weight.K: the smooth factor must be positive on the "
                       "sphere")
-    integrates = exp["kind"] not in ("constants", "verify-extremal",
-                                     "test-function-sweep")
-    if integrates and not exp.get("use_extremal"):
-        errors += [f"weight.points[{j}]: its singular cap overlaps that of "
-                   f"weight.points[{i}]; separate the singular points"
-                   for i, j in overlapping_caps(w)]
     if exp["kind"] == "kw-check" and not exp["use_extremal"]:
         try:
             _axis_orders(w)
@@ -360,9 +356,9 @@ def serialize(config: dict) -> str:
 def _build_weight(config):
     """The config's weight; K is the coefficients of base + the harmonics
     (base folded into a_00 as a shift), a zonal column when every harmonic
-    has m = 0."""
+    has m = 0; in its ``axis_frame`` for a kind that integrates it."""
     import numpy as np
-    from .singular_geometry import SingularWeight
+    from .singular_geometry import SingularWeight, axis_frame
     from .sphere_grid import SHCoefficients
 
     section = config["weight"]
@@ -375,8 +371,11 @@ def _build_weight(config):
         for t in harmonics:
             K.order(t["m"])[t["l"]] = t["coeff"]
         K = K.shifted(section["K"]["base"])
-    return SingularWeight.from_orders(
+    w = SingularWeight.from_orders(
         [(p["position"], p["order"]) for p in section["points"]], K)
+    exp = config["experiment"]
+    keep = exp["kind"] in ("constants", "verify-extremal", "test-function-sweep")
+    return w if keep or exp.get("use_extremal") else axis_frame(w)
 
 
 def _test_function_point(w):

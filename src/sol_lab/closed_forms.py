@@ -36,7 +36,6 @@ from .sphere_grid import (
     SHCoefficients,
     SphereGrid,
     _orthonormal_frame,
-    axis_aligned,
     geodesic_distance,
     normalized,
     on_axis,
@@ -173,7 +172,7 @@ def conformal_pullback(coeffs: SHCoefficients, grid: SphereGrid, t: float,
     band-limited u); a zonal column gives a zonal column.
     """
     axis = normalized(np.asarray(axis, dtype=float))
-    if not axis_aligned(axis):
+    if not on_axis(axis):
         raise ValueError("conformal_pullback requires the grid axis")
     if t <= 0.0:
         raise ValueError("dilation parameter must be positive")

@@ -201,7 +201,8 @@ def sphere_sharp_constant(alpha1: float, alpha2: Optional[float] = None,
 
 def _axis_orders(w: SingularWeight) -> tuple[float, float]:
     """(order at +e3, order at -e3); requires one singular point, or one on
-    each pole, on the grid axis (``SingularWeight.is_axis_aligned``)."""
+    each pole, exactly on the grid axis (``SingularWeight.is_axis_aligned``;
+    ``axis_frame`` puts one point or an antipodal pair there)."""
     poles = {sp.position[2] > 0.0 for sp in w.points}
     if not (w.is_axis_aligned() and 0 < len(w.points) == len(poles)):
         raise RegimeError(

@@ -20,18 +20,14 @@ composite rule used here splits the sphere into
   t = cos(theta) (the weight is analytic there, its nearest singularity
   a cap radius beyond each end), times the uniform phi rule.
 
-For singular points on the grid axis (the default configuration) every
-piece is a product rule in (t, phi), so the whole composite rule is one:
-one ``ProductTransform`` over the north cap, band and south cap
-colatitude nodes, for every axis weight: an empty pole's cap has order 0.
-A density then costs one synthesis and its spherical-harmonic analysis
-one analysis, O(L^3) like a grid transform.
-Off-axis points fall back to a smooth-cutoff variant whose accuracy is
-limited by the grid resolution of the cutoff (log int h off by 2e-4 to
-3e-3 at L = 64 and 2e-6 to 1e-4 at L = 128, most near the poles):
-scattered caps plus the grid itself, with the cutoff folded into log h on
-the grid.
-All sharp-constant paths use the axis-aligned configuration.
+The singular points lie exactly on the grid axis, so every piece is a
+product rule in (t, phi) and the whole composite rule is one: one
+``ProductTransform`` over the north cap, band and south cap colatitude
+nodes, an empty pole's cap having order 0.  A density then costs one
+synthesis and its spherical-harmonic analysis one analysis, O(L^3) like a
+grid transform.  One point or an antipodal pair anywhere is the axis case
+by rotation (``singular_geometry.axis_frame``); the integrator refuses a
+weight off the axis.
 
 ``integrator_for`` is the one way library code gets an integrator, one per
 weight.  Zonality follows the data, by the one rule of ``sphere_grid``:
@@ -48,7 +44,6 @@ exponentiation, so strongly concentrated fields cannot overflow.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -60,25 +55,19 @@ from .sphere_grid import (
     SHCoefficients,
     SphereGrid,
     _degree_weights,
-    _legendre_orders,
-    cap_points,
     dirichlet_energy,
     gauss_jacobi,
-    geodesic_distance,
     ring_points,
-    synthesis_at_angles,
 )
 from .singular_geometry import SingularWeight
 
 DEFAULT_CEILING = 700.0
 INTEGRATOR_CACHE_SIZE = 4
-# the singular caps: geodesic radius, the least number of Gauss-Jacobi
-# nodes in r (see cap_radial_nodes), and bearings of an off-axis
-# (scattered) cap; caps on the grid axis use the grid's longitudes, so the
-# density analysis is alias-free to the same order as the grid itself
+# the singular caps: geodesic radius and the least number of Gauss-Jacobi
+# nodes in r (see cap_radial_nodes); a cap takes the grid's longitudes, so
+# the density analysis is alias-free to the same order as the grid itself
 CAP_RADIUS = 0.1
 CAP_RADIAL_NODES = 32
-CAP_ANGULAR_NODES = 16
 
 
 class UnnormalizedBlowupError(RuntimeError):
@@ -147,43 +136,6 @@ def band_rule(band_limit: int):
     return half * x, half * w
 
 
-def _smooth_cutoff(r: np.ndarray, radius: float) -> np.ndarray:
-    """C^2 ramp: 1 for r <= radius/2, 0 for r >= radius."""
-    s = np.clip((r - 0.5 * radius) / (0.5 * radius), 0.0, 1.0)
-    return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-
-
-class _ScatterBlock:
-    """Polar cap with a smooth cutoff around an off-axis singular point,
-    on the radial rule (r, wr) of ``cap_radial_rule``: a block like a
-    ``ProductTransform``, with a weight per node and no kept table."""
-
-    def __init__(self, grid: SphereGrid, center: np.ndarray, r: np.ndarray,
-                 wr: np.ndarray):
-        w = (wr * 2.0 * np.pi / CAP_ANGULAR_NODES
-             * _smooth_cutoff(r, CAP_RADIUS))
-        self.points = cap_points(center, r, CAP_ANGULAR_NODES).reshape(-1, 3)
-        self.weights = np.repeat(w, CAP_ANGULAR_NODES)
-        self._t = np.clip(self.points[:, 2], -1.0, 1.0)
-        self._phi = np.arctan2(self.points[:, 1], self.points[:, 0])
-        self.band_limit = grid.band_limit
-
-    def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
-        return synthesis_at_angles(coeffs, self._t, self._phi)
-
-    def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
-        out = SHCoefficients.zeros(self.band_limit)
-        wv = self.weights * values
-        phi, amp = self._phi, np.sqrt(2.0)
-        for m, block in _legendre_orders(self.band_limit, self._t):
-            if m == 0:
-                out.order(0)[:] = block @ wv
-            else:
-                out.order(m)[m:] = amp * (block @ (np.cos(m * phi) * wv))
-                out.order(-m)[m:] = amp * (block @ (np.sin(m * phi) * wv))
-        return out
-
-
 @dataclass(frozen=True)
 class Density:
     """h e^u on the composite rule, from one synthesis of u per block.
@@ -209,21 +161,13 @@ class Density:
                        self.peak + constant)
 
 
-def overlapping_caps(weight: SingularWeight) -> list[tuple[int, int]]:
-    """Pairs (i, j), i < j, of singular points whose caps of radius
-    CAP_RADIUS overlap; ``SingularIntegrator`` refuses such a weight."""
-    return [(i, j) for (i, p), (j, q)
-            in itertools.combinations(enumerate(weight.positions), 2)
-            if geodesic_distance(p, q) <= 2.0 * CAP_RADIUS]
-
-
 class SingularIntegrator:
     """Composite quadrature for densities h e^u and their SH analysis.
 
-    ``blocks`` are ``ProductTransform``s and, off the axis, one
-    ``_ScatterBlock`` per point, alike in ``synthesis_values``,
-    ``analysis_coeffs`` and ``weights`` (per node).
-    They hold no reference to the grid, which caches its integrators.
+    ``blocks`` is a list of one ``ProductTransform``, which holds no
+    reference to the grid, which caches its integrators.  The weight's
+    singular points must lie exactly on the grid axis
+    (``SingularWeight.is_axis_aligned``; see ``axis_frame``).
 
     The build reads the weight's data once
     (``SingularWeight.axis_invariant``) and evaluates log h on the block
@@ -236,9 +180,9 @@ class SingularIntegrator:
 
     def __init__(self, grid: SphereGrid, weight: SingularWeight):
         self.weight = weight
-        if overlapping_caps(weight):
-            raise ValueError("singular caps overlap; separate the "
-                             "singular points")
+        if not weight.is_axis_aligned():
+            raise ValueError("singular points off the grid axis; rotate the "
+                             "weight onto it (axis_frame)")
         self.blocks, self.log_h = self._build_blocks(
             grid, grid.phi[:1] if weight.axis_invariant else grid.phi)
 
@@ -253,43 +197,22 @@ class SingularIntegrator:
         w = self.weight
         if not w.points:
             return [grid.transform], [w.log_weight(ring_points(grid.t, phi))]
-        if w.is_axis_aligned():
-            # (t, t weights, cap) per piece; an empty pole's cap has order 0
-            at = {np.sign(sp.position[2]): i for i, sp in enumerate(w.points)}
-            n, caps = cap_radial_nodes(grid.band_limit), []
-            for pole in (1.0, -1.0):
-                i = at.get(pole)
-                r, wr = cap_radial_rule(
-                    0.0 if i is None else w.points[i].order, CAP_RADIUS, n)
-                caps.append((pole * np.cos(r), wr, (i, r[:, None])))
-            ts, tws, caps = zip(caps[0], (*band_rule(grid.band_limit), None),
-                                caps[1])
-            transform = ProductTransform(grid.band_limit, np.concatenate(ts),
-                                         grid.n_phi,
-                                         np.concatenate(tws) * (2.0 * np.pi))
-            log_h = np.concatenate([w.log_weight(ring_points(t, phi), cap=cap)
-                                    for t, cap in zip(ts, caps)])
-            return [transform], [log_h]
-        # general positions: smooth-cutoff splitting (documented lower
-        # accuracy); the grid keeps the cutoff complement in its log h, -inf
-        # where the complement is 0 (log h is not evaluated there: a grid
-        # node may be a negative-order point)
-        extra = np.ones((grid.n_theta, grid.n_phi))
-        blocks, log_h = [], []
-        for i, sp in enumerate(w.points):
-            d = np.arccos(np.clip(grid.nodes @ sp.position, -1.0, 1.0))
-            extra *= 1.0 - _smooth_cutoff(d, CAP_RADIUS)
-            n = cap_radial_nodes(grid.band_limit)
-            r, wr = cap_radial_rule(sp.order, CAP_RADIUS, n)
-            blocks.append(_ScatterBlock(grid, sp.position, r, wr))
-            log_h.append(w.log_weight(
-                blocks[-1].points, cap=(i, np.repeat(r, CAP_ANGULAR_NODES))))
-        blocks.append(grid.transform)
-        outside = extra > 0.0
-        log_h.append(np.full(extra.shape, -np.inf))
-        log_h[-1][outside] = (w.log_weight(ring_points(grid.t, phi)[outside])
-                              + np.log(extra[outside]))
-        return blocks, log_h
+        # (t, t weights, cap) per piece; an empty pole's cap has order 0
+        at = {np.sign(sp.position[2]): i for i, sp in enumerate(w.points)}
+        n, caps = cap_radial_nodes(grid.band_limit), []
+        for pole in (1.0, -1.0):
+            i = at.get(pole)
+            r, wr = cap_radial_rule(
+                0.0 if i is None else w.points[i].order, CAP_RADIUS, n)
+            caps.append((pole * np.cos(r), wr, (i, r[:, None])))
+        ts, tws, caps = zip(caps[0], (*band_rule(grid.band_limit), None),
+                            caps[1])
+        transform = ProductTransform(grid.band_limit, np.concatenate(ts),
+                                     grid.n_phi,
+                                     np.concatenate(tws) * (2.0 * np.pi))
+        log_h = np.concatenate([w.log_weight(ring_points(t, phi), cap=cap)
+                                for t, cap in zip(ts, caps)])
+        return [transform], [log_h]
 
     # -- density machinery --------------------------------------------------
 

@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .sphere_grid import (FOUR_PI, SHCoefficients, axis_aligned, normalized,
-                          on_axis, synthesis_at_points)
+from .sphere_grid import (FOUR_PI, SHCoefficients, _orthonormal_frame,
+                          build_grid, normalized, on_axis, synthesis_at_points)
 
 # Regular part of the sphere Green's function, constant by symmetry.
 REGULAR_PART = (2.0 * np.log(2.0) - 1.0) / FOUR_PI
@@ -161,17 +161,17 @@ class SingularWeight:
         return [sp for sp in self.points if sp.order == a]
 
     def is_axis_aligned(self) -> bool:
-        """True when every singular point sits on the grid axis +-e3
-        (``axis_aligned``)."""
-        return all(axis_aligned(sp.position) for sp in self.points)
+        """True when every singular point is exactly +-e3 (``on_axis``): the
+        integrator's and the axis identity's layout (see ``axis_frame``)."""
+        return all(on_axis(sp.position) for sp in self.points)
 
     @property
     def axis_invariant(self) -> bool:
         """True when h is invariant about the grid axis, read from the
         weight's data: every point exactly +-e3 (``on_axis``) and K == 1 or
         a zonal column.  log h is then exactly constant along every ring."""
-        return (all(on_axis(sp.position) for sp in self.points)
-                and (self.K is None or self.K.values.shape[-1] == 1))
+        return self.is_axis_aligned() and (self.K is None
+                                           or self.K.values.shape[-1] == 1)
 
     def smooth_factor(self, x: np.ndarray) -> np.ndarray:
         """K at unit vectors x of shape (..., 3), synthesized from its
@@ -242,3 +242,35 @@ class SingularWeight:
         pts = ", ".join(f"(order={sp.order:+.3g})" for sp in self.points)
         return f"SingularWeight([{pts}], K={'custom' if self.K else '1'})"
 
+
+def axis_frame(w: SingularWeight) -> SingularWeight:
+    """``w`` rotated onto the grid axis: h_R(R x) = h(x) for the rotation R
+    with R p = e3, p the weight's one singular point or the first of an
+    antipodal pair (rows e1, e2, p, ``_orthonormal_frame``).
+
+    The framed positions are exactly +-e3 (``on_axis``), the second point
+    of a pair by the ``antipodal`` rule within 1.4e-7 rad.  K is resampled
+    exactly: a rotation keeps the degree, so K synthesized at the rotated
+    nodes of a Gauss grid at K's band limit and analysed there is the
+    rotated K, over every order (a constant K is kept as it is).  A weight
+    already on the axis (``is_axis_aligned``) is returned itself.  J, the
+    density's moments about the axis, cap masses and profiles are rotation
+    invariant; positions derived from the framed weight are in its frame.
+
+    Raises ValueError when no rotation puts the points on the axis: two
+    points that are not antipodal, or three or more.
+    """
+    if w.is_axis_aligned():
+        return w
+    p = w.positions
+    if len(p) > 2 or (len(p) == 2 and not antipodal(*p)):
+        raise ValueError(f"no rotation puts these {len(p)} singular points "
+                         "on the axis; the integrating kinds take one point "
+                         "or an antipodal pair")
+    R, K = np.stack([*_orthonormal_frame(p[0]), p[0]]), w.K
+    if K is not None and K.band_limit > 0:
+        grid = build_grid(K.band_limit + 1, 2 * K.band_limit + 2)
+        K = grid.transform.analysis_coeffs(
+            synthesis_at_points(K, grid.nodes @ R))
+    return SingularWeight([SingularPoint(np.array([0.0, 0.0, z]), sp.order)
+                           for z, sp in zip((1.0, -1.0), w.points)], K)

@@ -121,15 +121,10 @@ def cap_points(center, r: np.ndarray, n_angular: int) -> np.ndarray:
 
 def on_axis(p) -> bool:
     """True when the unit vector p is +-e3 exactly: a field radial about p
-    is then one column of values, bit for bit."""
+    is then one column of values, bit for bit.  The one axis rule: the
+    integrator, the axis identity and ``conformal_pullback`` take such
+    points alone (``singular_geometry.axis_frame`` rotates a weight there)."""
     return p[0] == 0.0 and p[1] == 0.0
-
-
-def axis_aligned(p) -> bool:
-    """True when the unit vector p is within about 1.4e-6 rad of +-e3 (|z|
-    within 1e-12 of 1): the one axis-layout rule, under which a singular
-    point gets the exact axis quadrature and the axis identity."""
-    return abs(abs(p[2]) - 1.0) <= 1.0e-12
 
 
 def ring_points(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -568,8 +563,8 @@ class ProductTransform:
 
     The node set is {(t_i, phi_j)}: arbitrary colatitude nodes t and n_phi
     uniform longitudes phi_j = 2 pi j / n_phi.  ``ring_weights`` are the
-    steradian weights per ring (may include cutoff factors; None for a
-    synthesis-only transform); a node carries its ring's weight / n_phi
+    steradian weights per ring (None for a synthesis-only transform); a
+    node carries its ring's weight / n_phi
     (``weights``, per node over every longitude).
 
     Rings are evaluated in mirror pairs (Schaeffer, G^3 14, 2013): by
@@ -985,6 +980,7 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
                 o += np.sqrt(2.0) * (
                     (cv[..., m:, m0 + m] @ block) * np.cos(m * ph)
                     + (cv[..., m:, m0 - m] @ block) * np.sin(m * ph))
+        del block  # a view of this group's scratch: let it go before the next
     return out.reshape(cv.shape[:-2] + t.shape)
 
 

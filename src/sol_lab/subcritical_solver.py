@@ -30,8 +30,8 @@ need not be normalized first.  The accepted candidate is normalized by
 shifting its mean, and its record is reused for the next step's peak,
 residual and Hessian, so the residual costs one analysis per block.  An
 outer step therefore costs blocks x (1 + CG iterations) analyses and
-blocks x (CG iterations + trials) syntheses; a weight with its singular
-points on the grid axis has one block (``SingularIntegrator``).
+blocks x (CG iterations + trials) syntheses, and the integrator is one
+block (``SingularIntegrator``).
 
 The logger ``sol_lab.solver`` writes one debug line per outer step and
 one info line per solve.

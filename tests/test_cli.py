@@ -62,31 +62,46 @@ class TestValidate:
 
     def test_kw_check_requires_antipodal(self):
         text = config_text(
-            weight={"points": [{"position": [1, 0, 0], "order": -0.5}]},
+            weight={"points": [{"position": [1, 0, 0], "order": -0.5},
+                               {"position": [0, 0, 1], "order": -0.25}]},
             experiment={"kind": "kw-check"})
         _, errors = validate(text)
         assert any("antipodal" in e for e in errors)
 
-    @pytest.mark.parametrize("delta, valid", [(1.0e-6, True),
-                                              (5.0e-6, False)])
-    def test_kw_check_axis_rule_is_the_integrators(self, tmp_path, delta,
-                                                   valid):
-        """kw-check accepts a point near the pole exactly when the
-        integrator runs it on the axis rule: 5e-6 rad off the pole would
-        run on the scattered caps and fail the identity, so it exits 2."""
-        from sol_lab.singular_geometry import SingularWeight
-        pos = [math.sin(delta), 0.0, math.cos(delta)]
-        text = config_text(
-            weight={"points": [{"position": pos, "order": -0.25}]},
-            experiment={"kind": "kw-check", "epsilon": 0.3})
-        _, errors = validate(text)
-        assert bool(errors) != valid
-        assert SingularWeight.from_orders([(pos, -0.25)]).is_axis_aligned() \
-            == valid
-        if not valid:
-            cfg = tmp_path / "c.json"
+    @pytest.mark.parametrize("delta", [1.0e-6, 5.0e-6])
+    def test_kw_check_axis_rule_is_the_integrators(self, tmp_path, delta):
+        """kw-check runs a point near the pole in its axis frame, where the
+        integrator runs it: its report is its pole twin's, bit for bit."""
+        reports = []
+        for pos in ([math.sin(delta), 0.0, math.cos(delta)], [0, 0, 1]):
+            text = config_text(
+                grid={"n_theta": 65, "n_phi": 130},
+                weight={"points": [{"position": pos, "order": -0.25}]},
+                experiment={"kind": "kw-check", "epsilon": 0.3})
+            cfg, out = tmp_path / "c.json", tmp_path / "r.json"
             cfg.write_text(text)
-            assert main(["kw-check", "--config", str(cfg)]) == 2
+            assert main(["kw-check", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["summary"])
+        assert reports[0] == reports[1]
+
+    def test_kw_check_runs_an_antipodal_pair_in_its_frame(self):
+        """An antipodal pair along (1, 1, 1)/sqrt 3, orders -1/4 and -1/10,
+        at L = 64: the axis identity holds in its frame with its axis
+        twin's residual (the pole first)."""
+        summaries = []
+        for p in ([1, 1, 1], [0, 0, 1]):
+            config, errors = validate(config_text(
+                grid={"n_theta": 65, "n_phi": 130},
+                weight={"points": [
+                    {"position": p, "order": -0.25},
+                    {"position": [-x for x in p], "order": -0.1}]},
+                experiment={"kind": "kw-check", "epsilon": 0.3}))
+            assert not errors
+            report = run(config)
+            assert report["passed"]
+            summaries.append(report["summary"])
+        assert summaries[0] == summaries[1]
 
     def test_unknown_kind(self):
         text = config_text(experiment={"kind": "explode"})
@@ -494,16 +509,17 @@ BAD_CONFIGS = {
 }
 
 
-# valid configs whose run a rule of the program refuses: caps that overlap
-# (the integrator's own test) and a test function's epsilon too large for
-# its point (ConcentrationParams); (kind, config fields, expected error)
+# valid configs whose run a rule of the program refuses: a weight no
+# rotation puts on the axis, for a kind that integrates it (axis_frame),
+# and a test function's epsilon too large for its point
+# (ConcentrationParams); (kind, config fields, expected error)
+NO_AXIS_FRAME = ("weight.points: no rotation puts these 2 singular points "
+                 "on the axis")
 BAD_BY_RULE = {
     "caps-overlap": ("minimize", {"weight": {"points": [
         {"position": [0, 0, 1], "order": -0.5},
         {"position": [0.1, 0, 1], "order": -0.3}]},
-        "experiment": {"kind": "minimize", "epsilon": 0.5}},
-        "weight.points[1]: its singular cap overlaps that of "
-        "weight.points[0]"),
+        "experiment": {"kind": "minimize", "epsilon": 0.5}}, NO_AXIS_FRAME),
     "init_epsilon-safe-scale": (
         "sweep", {**_point([0, 0, 1], order=-0.1),
                   "experiment": {"kind": "sweep", "init_epsilon": 0.3}},
@@ -514,8 +530,7 @@ BAD_BY_RULE = {
             {"position": [0, 0, 1], "order": -0.5},
             {"position": [0, 0.3, 1], "order": 0.5}]},
             "experiment": {"kind": "sweep", "init_epsilon": 0.5}},
-        "experiment.init_epsilon: epsilon too large: cap reaches another "
-        "singular point"),
+        NO_AXIS_FRAME),
     "test-function-epsilons": (
         "test-function-sweep",
         {**_point([0, 0, 1], order=-0.1),
@@ -546,6 +561,16 @@ POINT_RULES = {
     "constants-pair-1e-5-off-antipodal": (
         "constants", [([0, 0, 1], -0.5),
                       ([math.sin(1e-5), 0, -math.cos(1e-5)], 0.3)], None),
+    "minimize-pair-1e-5-off-antipodal": (
+        "minimize", [([0, 0, 1], -0.5),
+                     ([math.sin(1e-5), 0, -math.cos(1e-5)], 0.3)],
+        NO_AXIS_FRAME),
+    **{f"{kind}-three-points": (
+        kind, [([0, 0, 1], -0.5), ([1, 0, 0], 0.5), ([0, 1, 0], 0.3)],
+        None if kind == "constants" else
+        "weight.points: no rotation puts these 3 singular points on the axis")
+       for kind in ("constants", "minimize", "sweep", "kw-check",
+                    "profile-collapse", "inequality-sample")},
 }
 
 
@@ -554,9 +579,10 @@ class TestPointRules:
                              ids=POINT_RULES.keys())
     def test_exit_code(self, kind, points, message, tmp_path, capsys):
         """Two points closer than the same-point rule, a weight the radial
-        J cannot evaluate and a singular test-function point exit 2 naming
-        the point; a pair 1e-5 rad from antipodal runs with no closed form
-        (it is not antipodal)."""
+        J cannot evaluate, a singular test-function point and, for the
+        kinds that integrate it, a weight no rotation puts on the axis exit
+        2 with one line naming the point; a pair 1e-5 rad from antipodal and
+        three points run the constants with no closed form."""
         cfg, out = tmp_path / "c.json", tmp_path / "r.json"
         cfg.write_text(config_text(
             weight={"points": [{"position": p, "order": a}
@@ -600,11 +626,15 @@ class TestExperimentNumbers:
         cfg = tmp_path / "c.json"
         cfg.write_text(config_text(**fields))
         assert main([kind, "--config", str(cfg)]) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        if message == NO_AXIS_FRAME:  # the rule returns before the others
+            assert len(err.splitlines()) == 1
 
     def test_rules_apply_to_the_kinds_that_use_them(self):
-        """Overlapping caps are no error for the closed-form constants, and
-        an init_epsilon no error for a sweep that starts from zero."""
+        """A pair that no rotation puts on the axis is no error for the
+        closed-form constants, and an init_epsilon no error for a sweep
+        that starts from zero."""
         overlap = BAD_BY_RULE["caps-overlap"][1]
         assert not validate(config_text(**{
             **overlap, "experiment": {"kind": "constants"}}))[1]
@@ -748,7 +778,8 @@ class TestMainEntry:
 
     def test_negative_point_on_a_grid_node(self, tmp_path):
         """An off-axis negative-order point on a grid node, (1, 0, 0) on
-        the equator ring of an odd Gauss grid, solves and exits 0."""
+        the equator ring of an odd Gauss grid, solves in its axis frame and
+        exits 0."""
         cfg = tmp_path / "c.json"
         cfg.write_text(config_text(
             grid={"n_theta": 65, "n_phi": 130},

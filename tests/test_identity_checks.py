@@ -14,7 +14,7 @@ from sol_lab.identity_checks import (
 )
 from sol_lab.mt_functional import (FunctionalParams, SingularIntegrator,
                                    eval_J, integrator_for)
-from sol_lab.singular_geometry import REGULAR_PART, SingularWeight
+from sol_lab.singular_geometry import REGULAR_PART, SingularWeight, axis_frame
 from sol_lab.sphere_grid import FOUR_PI, SHCoefficients
 
 from conftest import random_band_limited, zero
@@ -250,18 +250,21 @@ class TestNonexistenceWitness:
         with pytest.raises(RegimeError):
             nonexistence_witness(SingularWeight())
 
-    @pytest.mark.parametrize("delta, aligned", [(1.0e-6, True),
-                                                (5.0e-6, False)])
-    def test_axis_layout_is_the_integrators(self, grid64, delta, aligned):
-        """The identity accepts a point near the pole exactly when the
-        integrator takes it onto the axis rule (``is_axis_aligned``):
-        1e-6 rad off the pole, not 5e-6."""
+    @pytest.mark.parametrize("delta", [1.0e-6, 5.0e-6])
+    def test_axis_layout_is_the_integrators(self, grid64, delta):
+        """The identity and the integrator take the same layout, singular
+        points exactly on the axis (``is_axis_aligned``): a point near the
+        pole is refused by both as it is, and in its axis frame it is its
+        pole twin, with the same residual."""
         w = SingularWeight.from_orders(
             [((np.sin(delta), 0.0, np.cos(delta)), -0.25)])
-        assert w.is_axis_aligned() == aligned
-        assert (len(integrator_for(grid64, w).blocks) == 1) == aligned
-        if aligned:
-            kazdan_warner_residual(zero(grid64), grid64, w.rho_bar - 0.3, w)
-        else:
-            with pytest.raises(RegimeError):
-                kazdan_warner_residual(zero(grid64), grid64, w.rho_bar, w)
+        assert not w.is_axis_aligned()
+        with pytest.raises(ValueError, match="off the grid axis"):
+            integrator_for(grid64, w)
+        with pytest.raises(RegimeError):
+            kazdan_warner_residual(zero(grid64), grid64, w.rho_bar, w)
+        u = grid64.transform.analysis_coeffs(0.5 * grid64.t[:, None] ** 2)
+        framed, twin = (kazdan_warner_residual(u, grid64, w.rho_bar - 0.3, v)
+                        for v in (axis_frame(w),
+                                  SingularWeight.from_orders([(NORTH, -0.25)])))
+        assert framed == twin

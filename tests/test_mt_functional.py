@@ -25,7 +25,7 @@ from sol_lab.mt_functional import (
     residual_coeffs,
     troyanov_gap,
 )
-from sol_lab.singular_geometry import SingularWeight
+from sol_lab.singular_geometry import SingularWeight, axis_frame
 from sol_lab.subcritical_solver import SolverConfig, minimize
 from sol_lab.sphere_grid import (
     FOUR_PI,
@@ -42,6 +42,13 @@ SOUTH = (0.0, 0.0, -1.0)
 
 def single_weight(alpha):
     return SingularWeight.from_orders([(NORTH, alpha)])
+
+
+def off_axis_weight(position=(0.48, -0.36, 0.8)):
+    """One point of order -1/2 off the axis with K = 1 + 0.1 x1, in its
+    axis frame: K rotated to every order."""
+    return axis_frame(SingularWeight.from_orders([(position, -0.5)],
+                                                 K=affine_K(1)))
 
 
 def exp_integral(coeffs, grid, w):
@@ -99,35 +106,25 @@ class TestExpIntegral:
             * (1.0 - t) ** alpha * np.exp(t), -1.0, 1.0, limit=200)
         assert exp_integral(u, grid64, w) == pytest.approx(oracle, rel=1e-6)
 
-    # |log int h - log exact| of one point of order -1/2 at distance delta
-    # from the pole, u = 0: the smooth-cutoff rule off the axis is worst
-    # near the pole; within 1.4e-6 rad the point takes the axis rule.
-    # Bounds sit just above the measured errors, so a worse rule fails.
-    OFF_AXIS_BOUNDS = {  # (L, delta) -> bound
-        (64, 1.0e-6): 2e-12, (128, 1.0e-6): 2e-12,
-        (64, 2.0e-6): 3.0e-3, (128, 2.0e-6): 1.15e-4,
-        (64, 1.0e-3): 3.0e-3, (128, 1.0e-3): 1.15e-4,
-        (64, 0.05): 8.0e-4, (128, 0.05): 2.4e-5,
-        (64, 0.6435): 1.9e-4, (128, 0.6435): 2.0e-6,
-        (64, np.pi / 2): 9.0e-4, (128, np.pi / 2): 1.5e-5,
-    }
-
-    @pytest.mark.parametrize("L, delta", OFF_AXIS_BOUNDS)
+    @pytest.mark.parametrize("delta", [1.0e-6, 2.0e-6, 1.0e-3, 0.05, 0.6435,
+                                       np.pi / 2])
+    @pytest.mark.parametrize("L", [64, 128])
     def test_off_axis_oracle(self, request, L, delta):
-        """int h = (e/2)^a 2 pi 2^(a+1)/(a+1) wherever the point lies.  At
-        delta = pi/2 the point is (1, 0, 0), a node of the grid's equator
-        ring, where the cutoff complement vanishes and log h is not
-        evaluated."""
+        """int h = (e/2)^a 2 pi 2^(a+1)/(a+1) wherever the point lies: one
+        point of order -1/2 at distance delta from the pole, in its axis
+        frame, is its pole twin, with the axis rule's error: the rounding
+        of log int h.  At delta = pi/2 the point is (1, 0, 0), a node of
+        the grid's equator ring."""
         grid = request.getfixturevalue(f"grid{L}")
         alpha = -0.5
         pole = ((1.0, 0.0, 0.0) if delta == np.pi / 2
                 else (np.sin(delta), 0.0, np.cos(delta)))
-        w = SingularWeight.from_orders([(pole, alpha)])
-        assert w.is_axis_aligned() == (delta < 1.4e-6)
+        w = axis_frame(SingularWeight.from_orders([(pole, alpha)]))
+        assert w.is_axis_aligned()
         exact = np.log(2.0 * np.pi * (np.e / 2.0) ** alpha
                        * 2.0 ** (alpha + 1.0) / (alpha + 1.0))
         err = integrator_for(grid, w).log_exp_integral(zero(grid)) - exact
-        assert abs(err) <= self.OFF_AXIS_BOUNDS[L, delta]
+        assert abs(err) <= 1e-15
 
     def test_overflow_guard(self, grid64):
         c = zero(grid64).shifted(800.0)
@@ -183,23 +180,25 @@ class TestExpIntegral:
         assert cap_radial_nodes(1024) == 128
 
     def test_off_axis_matches_axis(self, grid128, rng):
-        """Rotation invariance ties the cutoff path to the aligned one.
-
-        The smooth-cutoff fallback is grid-resolution limited; its measured
-        accuracy is ~3e-6 at L = 128.
-        """
+        """Rotation invariance: a point anywhere is, in its axis frame,
+        its pole twin bit for bit; off the axis it is refused."""
         u0 = zero(grid128)
         axis_val = exp_integral(u0, grid128, single_weight(-0.5))
         q = rng.normal(size=3)
-        q /= np.linalg.norm(q)
-        off_val = exp_integral(u0, grid128,
-                               SingularWeight.from_orders([(q, -0.5)]))
-        assert off_val == pytest.approx(axis_val, rel=1e-4)
+        off = SingularWeight.from_orders([(q, -0.5)])
+        assert exp_integral(u0, grid128, axis_frame(off)) == axis_val
+        with pytest.raises(ValueError, match="off the grid axis"):
+            exp_integral(u0, grid128, off)
 
     def test_caps_must_be_disjoint(self, grid64):
+        """Caps on one axis cannot overlap; two points whose caps would,
+        here 0.15 rad apart, are no antipodal pair: no rotation puts them
+        on the axis, and the integrator refuses them."""
         w = SingularWeight.from_orders([(NORTH, -0.5),
                                         ((np.sin(0.15), 0, np.cos(0.15)), 0.5)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no rotation"):
+            axis_frame(w)
+        with pytest.raises(ValueError, match="off the grid axis"):
             exp_integral(zero(grid64), grid64, w)
 
 
@@ -364,18 +363,17 @@ class TestElResidual:
     def test_gradient_consistency(self, grid64, rng, case):
         """dJ(u)[v] against central differences.
 
-        The off-axis weight runs the scattered-cap analysis, which only the
-        gradient exercises.  A ring-constant u has a zonal column of
-        coefficients, and so has its residual under an axis weight; paired
-        with a v over every order, the column must be widened, not
-        broadcast against each order of v.
+        The off-axis weight, with a K that its axis frame rotates to every
+        order, runs the full-width log h.  A ring-constant u has a zonal
+        column of coefficients, and so has its residual under an axis
+        weight; paired with a v over every order, the column must be
+        widened, not broadcast against each order of v.
         """
         if case == "smooth":
             params = FunctionalParams(rho=8.0 * np.pi - 2.0,
                                       weight=SingularWeight())
         else:
-            pole = (0.48, -0.36, 0.8) if case == "off-axis" else NORTH
-            w = SingularWeight.from_orders([(pole, -0.5)])
+            w = off_axis_weight() if case == "off-axis" else single_weight(-0.5)
             params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         u = random_band_limited(grid64, rng)
         if case == "zonal-u":  # the ring means: the m = 0 part of u
@@ -398,12 +396,12 @@ class TestElResidual:
     def test_hessian_product(self, grid64, rng, case):
         """Hv against central differences of the residual, on the zonal
         path (one-column densities and vectors), the full path and the
-        scattered-cap blocks of an off-axis weight."""
-        pole = (0.48, -0.36, 0.8) if case == "off-axis" else NORTH
-        w = SingularWeight.from_orders([(pole, -0.5)])
+        full-width log h of an off-axis weight with a K, in its frame."""
+        w = off_axis_weight() if case == "off-axis" else single_weight(-0.5)
         rho = w.rho_bar - 0.3
         integ = SingularIntegrator(grid64, w)
-        assert (len(integ.blocks) > 1) == (case == "off-axis")
+        assert len(integ.blocks) == 1
+        assert (integ.log_h[0].shape[-1] > 1) == (case == "off-axis")
         u = random_band_limited(grid64, rng)
         if case == "zonal":  # the ring means: the m = 0 part of u
             u = u.mean(axis=1, keepdims=True)
@@ -474,12 +472,13 @@ class TestTroyanovGap:
 class TestDensityStack:
     @pytest.mark.parametrize("points", [
         [(NORTH, -0.5), (SOUTH, 0.3)],
-        [((0.6, 0.0, 0.8), -0.5)],  # off axis: smooth-cutoff scatter caps
+        [((0.6, 0.0, 0.8), -0.5)],  # off axis, framed with a rotated K
     ])
     def test_stack_matches_per_field(self, grid64, rng, points):
         """A stack of fields gives each field's density record, with its
         own shift, in one synthesis per block."""
-        w = SingularWeight.from_orders(points)
+        w = (SingularWeight.from_orders(points) if len(points) == 2
+             else off_axis_weight(points[0][0]))
         fields = [random_band_limited(grid64, rng) * s for s in (1.0, 6.0, 0.2)]
         stack = SHCoefficients(np.stack(
             [grid64.transform.analysis_coeffs(f).values for f in fields]))
@@ -523,19 +522,6 @@ class TestIntegratorExactness:
         assert np.array_equal(band, -band[::-1])
         assert block._reps == 2 * CAP_RADIAL_NODES + 100
 
-    def test_off_axis_grid_keeps_its_weights(self, grid64):
-        """Off the axis: one scattered cap per point, then the grid with
-        its own weights; the cutoff lives in log h, -inf at the point."""
-        w = SingularWeight.from_orders([((0.6, 0.0, 0.8), -0.5)])
-        integ = integrator_for(grid64, w)
-        assert len(integ.blocks) == 2
-        grid_block = integ.blocks[-1]
-        assert grid_block is grid64.transform
-        assert np.array_equal(grid_block.weights, np.broadcast_to(
-            grid64.t_weights[:, None] / grid64.n_phi, grid_block.weights.shape))
-        assert np.isneginf(integ.log_h[-1]).any()
-        assert np.isfinite(integ.log_h[-1]).any()
-
     def test_smooth_integrand_through_caps(self, grid128):
         integ = SingularIntegrator(grid128, single_weight(-0.5))
         val = sum(np.sum(b.weights * b.t[:, None] ** 2)
@@ -552,7 +538,7 @@ class TestIntegratorExactness:
 
 
 class TestIntegratorCache:
-    @pytest.mark.parametrize("pole", [None, NORTH, (0.6, 0.0, 0.8)])
+    @pytest.mark.parametrize("pole", [None, NORTH])
     def test_grid_freed_without_cycle_collector(self, pole):
         """A cached integrator must not keep its grid (and tables) alive."""
         w = SingularWeight.from_orders([] if pole is None else [(pole, -0.5)])
@@ -589,7 +575,8 @@ class TestIntegratorCache:
             single_weight(-0.25): True,
             SingularWeight.from_orders(  # a zonal K, 1 + 0.1 x3
                 [(NORTH, -0.5)], K=affine_K(0)): True,
-            SingularWeight.from_orders([((1.0e-6, 0.0, 1.0), -0.5)]): False,
+            axis_frame(SingularWeight.from_orders(  # framed: the pole
+                [((1.0e-6, 0.0, 1.0), -0.75)])): True,
             SingularWeight.from_orders(  # a non-zonal K, 1 + 0.1 x1
                 [(NORTH, -0.5)], K=affine_K(1)): False,
             SingularWeight.from_orders(  # both poles

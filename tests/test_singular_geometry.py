@@ -1,4 +1,5 @@
-"""Green's function, regular part, singular weightsders and c(p)."""
+"""Green's function, regular part, singular weights, their axis frame
+and c(p)."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from sol_lab.singular_geometry import (
     SingularEvaluationError,
     SingularPoint,
     SingularWeight,
+    axis_frame,
     green,
     same_point,
 )
 from sol_lab.sphere_grid import (
     FOUR_PI,
     SHCoefficients,
+    _orthonormal_frame,
     cap_points,
     dirichlet_pairing,
     synthesis_at_points,
@@ -196,6 +199,65 @@ class TestSingularWeight:
                           - expected).max() < 1e-14
         with pytest.raises(TypeError, match="SHCoefficients"):
             SingularWeight(K=lambda x: 2.0 + x[..., 2])
+
+
+def skew_K():
+    """K = 1 + 0.1 Y_{1,1} + 0.05 Y_{2,-1}, invariant about no axis."""
+    K = SHCoefficients.zeros(2).shifted(1.0)
+    K.order(1)[1], K.order(-1)[2] = 0.1, 0.05
+    return K
+
+
+class TestAxisFrame:
+    @pytest.mark.parametrize("points", [
+        [], [(NORTH, -0.5)], [(SOUTH, 0.5)], [(NORTH, -0.25), (SOUTH, -0.1)]])
+    def test_weight_on_the_axis_is_itself(self, points):
+        """No rotation and no resampling for a weight already on the axis."""
+        w = SingularWeight.from_orders(points, K=skew_K())
+        assert axis_frame(w) is w
+
+    @pytest.mark.parametrize("points", [
+        [((0.3, 0.5, 0.81), -0.5)],
+        [((1.0, 1.0, 1.0), -0.25), ((-1.0, -1.0, -1.0), -0.1)],
+        [((1.0e-6, 0.0, 1.0), 0.5)],
+    ])
+    def test_K_resampled_exactly(self, grid64, rng, points):
+        """The framed weight at R x is the weight at x, R p = e3 for the
+        first point, to 1e-13 with a non-zonal K; its points are exactly
+        +-e3 in order, its K covers every order and stays positive."""
+        w = SingularWeight.from_orders(points, K=skew_K())
+        framed = axis_frame(w)
+        p = w.positions[0]
+        R = np.stack([*_orthonormal_frame(p), p])
+        assert framed.positions.tolist() == [[0.0, 0.0, 1.0],
+                                             [0.0, 0.0, -1.0]][:len(points)]
+        assert np.array_equal(framed.orders, w.orders)
+        assert framed.K.values.shape == (3, 5)
+        x = rng.normal(size=(500, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        assert np.abs(framed.log_weight(x @ R.T)
+                      - w.log_weight(x)).max() <= 1e-13
+        assert framed.smooth_factor(grid64.nodes).min() > 0.0
+
+    def test_K_one_stays_none(self):
+        """K == 1 stays None; the second point of a pair antipodal within
+        the same-point rule is set to -e3 as well."""
+        w = axis_frame(SingularWeight.from_orders([((1.0, 2.0, 3.0), -0.5)]))
+        assert w.K is None and w.positions.tolist() == [[0.0, 0.0, 1.0]]
+        w = axis_frame(SingularWeight.from_orders(
+            [(NORTH, -0.5), ((1.0e-9, 0.0, -1.0), 0.3)]))
+        assert w.K is None and w.positions.tolist() == [[0.0, 0.0, 1.0],
+                                                        [0.0, 0.0, -1.0]]
+
+    @pytest.mark.parametrize("points", [
+        [(NORTH, -0.5), ((1.0, 0.0, 0.0), 0.5)],
+        [(NORTH, -0.5), ((1.0e-5, 0.0, -1.0), 0.5)],
+        [(NORTH, -0.5), (SOUTH, 0.5), ((1.0, 0.0, 0.0), 0.3)],
+    ])
+    def test_no_rotation_puts_these_on_the_axis(self, points):
+        """Two points that are not antipodal, or three: no frame."""
+        with pytest.raises(ValueError, match="no rotation puts these"):
+            axis_frame(SingularWeight.from_orders(points))
 
 
 class TestBubbleConstant:

@@ -19,9 +19,9 @@ from sol_lab.mt_functional import (
     troyanov_gap,
 )
 from sol_lab.identity_checks import kazdan_warner_residual
-from sol_lab.singular_geometry import SingularPoint, SingularWeight
+from sol_lab.singular_geometry import (SingularPoint, SingularWeight,
+                                       axis_frame)
 from sol_lab.sphere_grid import (
-    ProductTransform,
     SHCoefficients,
     build_grid,
     dirichlet_energy,
@@ -56,8 +56,7 @@ def on_zonal_path(grid):
     one-column passes have run."""
     integs = list(grid._integrator_cache.values())
     transforms = [grid.transform] + [b for integ in integs
-                                     for b in integ.blocks
-                                     if isinstance(b, ProductTransform)]
+                                     for b in integ.blocks]
     return len(integs) == 1 and all(len(tr._plm) <= 1 for tr in transforms)
 
 
@@ -149,12 +148,13 @@ def zonal_and_full_J(grid, params, coeffs):
 
 
 # (pole, K, init) -> zonal path expected, init None for the zero column;
-# the last three break the symmetry
+# the weight is taken in its axis frame, so a point off the pole is the
+# pole; the last two break the symmetry
 PATH_CASES = {
     "zero-init": (NORTH, None, None, True),
     "zonal-K": (NORTH, affine_K(0), None, True),
+    "off-pole-weight": ((1.0e-6, 0.0, 1.0), None, None, True),
     "non-zonal-init": (NORTH, None, lambda x: 0.1 * x[..., 1], False),
-    "off-pole-weight": ((1.0e-6, 0.0, 1.0), None, None, False),
     "non-zonal-K": (NORTH, affine_K(1), None, False),
 }
 
@@ -206,18 +206,30 @@ class TestZonalPath:
         assert np.max(np.abs(zonal.coeffs.widened().values
                              - full.coeffs.values)) < 1e-12
 
-    def test_off_axis_weight_has_no_zonal_integrator(self, grid16):
-        """log h of an off-axis weight covers every longitude, so even a
-        zonal field has no one-column density."""
-        w = SingularWeight.from_orders([((0.6, 0.0, 0.8), -0.5)])
-        assert not column_densities(grid16, w, zero(grid16))
+    def test_off_axis_solve_is_its_axis_twin(self, grid128):
+        """One point of order -1/2 at (0.3, 0.5, 0.81), L = 128, rho_bar -
+        0.5, zero start, solved in its axis frame: the zonal path, with its
+        pole twin's 7 steps and J bit for bit."""
+        states = []
+        for pole in ((0.3, 0.5, 0.81), NORTH):
+            w = axis_frame(SingularWeight.from_orders([(pole, -0.5)]))
+            params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
+            states.append(minimize(params, quick_config(0.5), zero(grid128),
+                                   grid128))
+        framed, twin = states
+        assert framed.coeffs.values.shape[-1] == 1
+        assert framed.iterations == twin.iterations == 7
+        assert framed.J == twin.J
+        assert framed.J == pytest.approx(-6.984572772030, abs=5e-13)
 
     @pytest.mark.parametrize("pole, K, init, zonal", PATH_CASES.values(),
                              ids=PATH_CASES.keys())
     def test_path_selection(self, pole, K, init, zonal):
         """minimize and kazdan_warner_residual take the zonal path exactly
-        when the weight, log h and the field are invariant about the axis."""
-        w = SingularWeight([SingularPoint(np.asarray(pole), -0.5)], K)
+        when the framed weight, log h and the field are invariant about the
+        axis."""
+        w = axis_frame(SingularWeight([SingularPoint(np.asarray(pole), -0.5)],
+                                      K))
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         grid = build_grid(17, 34)
         start = zero(grid) if init is None else \
