@@ -232,8 +232,7 @@ def kazdan_warner_residual(coeffs: SHCoefficients, grid: SphereGrid,
 
     The moment is the ratio int h e^u x3 / int h e^u, so u need not be
     normalized.  With x3 = sqrt(4 pi / 3) Y_{1,0}, int h e^u x3 is read from
-    the density's projection: one synthesis and one analysis per
-    quadrature block.
+    the density's projection: one synthesis and one analysis.
     """
     a1, a2 = _axis_orders(w)
     integ = integrator_for(grid, w)

@@ -33,10 +33,9 @@ weight off the axis.
 weight.  Zonality follows the data, by the one rule of ``sphere_grid``:
 one-column data is zonal, and the weight's data says whether h is
 invariant about the grid axis (``SingularWeight.axis_invariant``).  Such
-a weight keeps log h as one column per product block, so a zonal column of
-coefficients gives a ring-constant density, one column per block, and
-each of its transforms is an m = 0 pass, O(L n_t) instead of
-O(L^2 n_t + L n_t n_phi).
+a weight keeps log h as one column, so a zonal column of coefficients
+gives a ring-constant density, one column, and each of its transforms is
+an m = 0 pass, O(L n_t) instead of O(L^2 n_t + L n_t n_phi).
 
 Everything is evaluated through log h + u, with a global shift before
 exponentiation, so strongly concentrated fields cannot overflow.
@@ -127,7 +126,7 @@ def band_rule(band_limit: int):
     degree-L field to about 1e-11: over 20 rough zonal fields at L = 128
     (coefficients N(0, 1) / (1 + l)) log int h e^u is off by 7e-13 in the
     median and 1.6e-11 at worst (2 (L + 1) nodes: 8e-12 and 3e-10).  Every
-    axis block has a cap at both poles, so the band is always symmetric,
+    axis rule has a cap at both poles, so the band is always symmetric,
     [-cos CAP_RADIUS, cos CAP_RADIUS], and its nodes pair with their mirrors.
     """
     x, w = gauss_jacobi(max(math.ceil(2.25 * (band_limit + 1)),
@@ -138,15 +137,16 @@ def band_rule(band_limit: int):
 
 @dataclass(frozen=True)
 class Density:
-    """h e^u on the composite rule, from one synthesis of u per block.
+    """h e^u on the composite rule, from one synthesis of u.
 
-    ``values[b]`` is h e^{u - shift} on block b, ``total`` their weighted
-    sum (int h e^u = e^shift total) and ``peak`` max u over all nodes.  For
-    a stack of fields ``values[b]`` has the batch axes first, and ``shift``,
-    ``total`` and ``peak`` are arrays over them; otherwise they are floats.
+    ``values`` is h e^{u - shift} on the rule's nodes, ``total`` its
+    weighted sum (int h e^u = e^shift total) and ``peak`` max u over the
+    nodes.  For a stack of fields ``values`` has the batch axes first, and
+    ``shift``, ``total`` and ``peak`` are arrays over them; otherwise they
+    are floats.  ``sample_gaps`` drops the values (None).
     """
 
-    values: list
+    values: np.ndarray | None
     shift: float | np.ndarray
     total: float | np.ndarray
     peak: float | np.ndarray
@@ -164,18 +164,18 @@ class Density:
 class SingularIntegrator:
     """Composite quadrature for densities h e^u and their SH analysis.
 
-    ``blocks`` is a list of one ``ProductTransform``, which holds no
-    reference to the grid, which caches its integrators.  The weight's
-    singular points must lie exactly on the grid axis
+    ``transform`` is the one ``ProductTransform`` of the composite rule,
+    which holds no reference to the grid, which caches its integrators.
+    The weight's singular points must lie exactly on the grid axis
     (``SingularWeight.is_axis_aligned``; see ``axis_frame``).
 
     The build reads the weight's data once
-    (``SingularWeight.axis_invariant``) and evaluates log h on the block
+    (``SingularWeight.axis_invariant``) and evaluates log h on the rule's
     nodes alone: an h invariant about the grid axis keeps log h as one
-    column per block, evaluated on one longitude.  For a zonal column of
+    column, evaluated on one longitude.  For a zonal column of
     coefficients J_rho, its gradient and the moments about the axis then
     live in the m = 0 subspace, and the density computes them there
-    exactly, as one column per block.
+    exactly, as one column.
     """
 
     def __init__(self, grid: SphereGrid, weight: SingularWeight):
@@ -183,20 +183,26 @@ class SingularIntegrator:
         if not weight.is_axis_aligned():
             raise ValueError("singular points off the grid axis; rotate the "
                              "weight onto it (axis_frame)")
-        self.blocks, self.log_h = self._build_blocks(
+        self.transform, self.log_h = self._build(
             grid, grid.phi[:1] if weight.axis_invariant else grid.phi)
 
     @property
-    def nodes(self) -> int:
-        """Quadrature nodes over every block: the values of one field that
-        is not zonal."""
-        return sum(b.weights.size for b in self.blocks)
+    def blocks(self) -> tuple:
+        """``(transform,)``: perfbench's tracer sums its blocks'
+        ``weights.size`` and counts them (``perfbench/tracer.py``)."""
+        return (self.transform,)
 
-    def _build_blocks(self, grid: SphereGrid, phi: np.ndarray):
-        """The blocks and log h on each, on the longitudes ``phi``."""
+    @property
+    def nodes(self) -> int:
+        """Quadrature nodes: the values of one field that is not zonal."""
+        return self.transform.weights.size
+
+    def _build(self, grid: SphereGrid, phi: np.ndarray):
+        """The product rule and log h on its nodes, on the longitudes
+        ``phi``."""
         w = self.weight
         if not w.points:
-            return [grid.transform], [w.log_weight(ring_points(grid.t, phi))]
+            return grid.transform, w.log_weight(ring_points(grid.t, phi))
         # (t, t weights, cap) per piece; an empty pole's cap has order 0
         at = {np.sign(sp.position[2]): i for i, sp in enumerate(w.points)}
         n, caps = cap_radial_nodes(grid.band_limit), []
@@ -212,60 +218,49 @@ class SingularIntegrator:
                                      np.concatenate(tws) * (2.0 * np.pi))
         log_h = np.concatenate([w.log_weight(ring_points(t, phi), cap=cap)
                                 for t, cap in zip(ts, caps)])
-        return [transform], [log_h]
+        return transform, log_h
 
     # -- density machinery --------------------------------------------------
 
     def density(self, coeffs: SHCoefficients) -> Density:
-        """h e^u on every block from one synthesis per block (see Density)."""
-        return self.density_of(self.synthesis(coeffs))
+        """h e^u from one synthesis of u (see Density)."""
+        return self.density_of(self.transform.synthesis_values(coeffs))
 
-    def synthesis(self, coeffs: SHCoefficients) -> list:
-        """u on every block, one pass per block for a stack too."""
-        return [b.synthesis_values(coeffs) for b in self.blocks]
-
-    def density_of(self, u: list) -> Density:
-        """h e^u on every block from u on every block (``synthesis``),
-        formed in place in the arrays of ``u``, with a shift per field of a
-        stack.  A zonal u is one column per product block; with log h one
-        column too, so is the density; else u + log h covers every longitude.
+    def density_of(self, u: np.ndarray) -> Density:
+        """h e^u from u on the rule's nodes (``transform.synthesis_values``),
+        formed in place in ``u``, with a shift per field of a stack.  A
+        zonal u is one column; with log h one column too, so is the
+        density; else u + log h covers every longitude.
         """
-        batch = u[0].shape[:u[0].ndim - self.log_h[0].ndim]
-        z, peak, shift = [], -np.inf, -np.inf
-        for lh, ub in zip(self.log_h, u):
-            peak = np.maximum(peak, ub.reshape(*batch, -1).max(axis=-1))
-            if ub.shape[-1] < lh.shape[-1]:  # zonal u, h not invariant
-                ub = ub + lh
-            else:
-                ub += lh
-            shift = np.maximum(shift, ub.reshape(*batch, -1).max(axis=-1))
-            z.append(ub)
-        total = 0.0
-        for b, zb in zip(self.blocks, z):
-            flat = zb.reshape(*batch, -1)
-            flat -= shift[..., None]
-            np.exp(flat, out=flat)
-            w = b.ring_weights if zb.shape[-1] == 1 else b.weights
-            sums = [np.sum(w * d)  # field by field, as unbatched
-                    for d in zb.reshape(-1, *w.shape)]
-            total = total + np.reshape(sums, batch)
+        batch = u.shape[:u.ndim - self.log_h.ndim]
+        peak = u.reshape(*batch, -1).max(axis=-1)
+        if u.shape[-1] < self.log_h.shape[-1]:  # zonal u, h not invariant
+            u = u + self.log_h
+        else:
+            u += self.log_h
+        flat = u.reshape(*batch, -1)
+        shift = flat.max(axis=-1)
+        flat -= shift[..., None]
+        np.exp(flat, out=flat)
+        t = self.transform
+        w = t.ring_weights if u.shape[-1] == 1 else t.weights
+        total = np.reshape([np.sum(w * d)  # field by field, as unbatched
+                            for d in u.reshape(-1, *w.shape)], batch)
         if not batch:
-            return Density(z, float(shift), float(total), float(peak))
-        return Density(z, shift, total, peak)
+            return Density(u, float(shift), float(total), float(peak))
+        return Density(u, shift, total, peak)
 
     def log_exp_integral(self, coeffs: SHCoefficients) -> float:
         return self.density(coeffs).log_integral
 
     def density_projection(self, dens: Density) -> SHCoefficients:
-        """Coefficients of h e^{u - shift}: the sum of one analysis per
-        block, a zonal column when every block density is one column.
+        """Coefficients of h e^{u - shift}, one analysis, a zonal column
+        when the density is one column.
 
         Only the ratio to ``dens.total`` is meaningful to callers; the common
         scale e^{-shift} cancels in the Euler-Lagrange term.
         """
-        parts = [b.analysis_coeffs(d).values
-                 for b, d in zip(self.blocks, dens.values)]
-        return SHCoefficients(sum(parts[1:], parts[0]))
+        return self.transform.analysis_coeffs(dens.values)
 
     def field_peak(self, dens: Density) -> float:
         """max of the synthesized field over all quadrature points."""
@@ -277,10 +272,10 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
     INTEGRATOR_CACHE_SIZE integrators.
 
     The key is the weight's data (``SingularWeight.cache_key``): positions,
-    orders and the coefficients of K.  Each integrator holds its blocks'
-    Legendre tables (the m = 0 blocks until a one-field pass over every
-    order after a block's first: ~75 MB for two caps at L = 256, with each
-    order's polar rings trimmed).
+    orders and the coefficients of K.  Each integrator holds its
+    transform's Legendre tables (the m = 0 block until a one-field pass
+    over every order after the transform's first: ~75 MB for two caps at
+    L = 256, with each order's polar rings trimmed).
     """
     key = weight.cache_key()
     cache = grid._integrator_cache
@@ -347,20 +342,19 @@ def hessian_product(v: np.ndarray, dens: Density, proj: SHCoefficients,
 
         Hv = Lambda v - (rho/E) P(h e^u v) + (rho/E^2) p <p, v>,
 
-    with Lambda = diag(l(l+1)), P(f) the sum over blocks of the analysis
-    of f on the block (so P(h e^u v) costs one synthesis of v and one
-    analysis per block), p = P(h e^u) the projection ``proj`` and
-    E = int h e^u, all from the density record ``dens`` of u (its scale
-    e^{-shift} cancels).  v and Hv have the width of ``proj``: a zonal
-    column when every block density is one.  J is shift invariant: a
-    constant v is in the kernel, and the l = 0 row of Hv is zero.
+    with Lambda = diag(l(l+1)), P(f) the analysis of f on the composite
+    rule (so P(h e^u v) costs one synthesis of v and one analysis),
+    p = P(h e^u) the projection ``proj`` and E = int h e^u, all from the
+    density record ``dens`` of u (its scale e^{-shift} cancels).  v and Hv
+    have the width of ``proj``: a zonal column when the density is one.
+    J is shift invariant: a constant v is in the kernel, and the l = 0 row
+    of Hv is zero.
     """
-    coeffs = SHCoefficients(v)
-    parts = [b.analysis_coeffs(d * b.synthesis_values(coeffs)).values
-             for b, d in zip(integ.blocks, dens.values)]
+    coeffs, t = SHCoefficients(v), integ.transform
+    hv = t.analysis_coeffs(dens.values * t.synthesis_values(coeffs)).values
     scale = rho / dens.total
     out = (_degree_weights(coeffs.band_limit)[:, None] * v
-           - scale * sum(parts[1:], parts[0])
+           - scale * hv
            + (scale / dens.total * np.sum(proj.values * v)) * proj.values)
     out[0, :] = 0.0
     return out
@@ -389,24 +383,18 @@ def troyanov_gap(coeffs: SHCoefficients, grid: SphereGrid,
 def sample_gaps(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
                 C: float) -> np.ndarray:
     """``troyanov_gap`` of each raw draw of a stack scaled to max |u| = 2
-    over the quadrature nodes: u is scaled on its one synthesis per block,
-    before log h is added, and its coefficients by the same factor."""
+    over the quadrature nodes: u is scaled on its one synthesis, before
+    log h is added, and its coefficients by the same factor.  The density
+    keeps its shift, total and peak but not its values, which die before
+    the scaled coefficients are formed: a stack holds one or the other,
+    never both."""
     integ = integrator_for(grid, w)
-    scale, dens = _scaled_density(integ, coeffs)
+    u = integ.transform.synthesis_values(coeffs)
+    flat = u.reshape(*coeffs.values.shape[:-2], -1)
+    scale = 2.0 / np.maximum(flat.max(axis=-1), -flat.min(axis=-1))
+    u *= scale[..., None, None]  # batch axes first, then two node axes
+    dens = replace(integ.density_of(u), values=None)
+    del u, flat
     scaled = SHCoefficients(coeffs.values * scale[..., None, None])
     params = FunctionalParams(rho=w.rho_bar, weight=w)
     return _J_below_ceiling(scaled, dens, params) / w.rho_bar + C
-
-
-def _scaled_density(integ: SingularIntegrator, coeffs: SHCoefficients):
-    """(scale, density) of a stack scaled to max |u| = 2 over the
-    quadrature nodes.  The density keeps its shift, total and peak but not
-    its values, which die here: a stack holds its values or its scaled
-    coefficients, never both."""
-    u = integ.synthesis(coeffs)
-    flat = [ub.reshape(*coeffs.values.shape[:-2], -1) for ub in u]
-    scale = 2.0 / np.max(
-        [np.maximum(f.max(axis=-1), -f.min(axis=-1)) for f in flat], axis=0)
-    for ub in u:  # batch axes first, then one or two node axes
-        ub *= scale.reshape(scale.shape + (1,) * (ub.ndim - scale.ndim))
-    return scale, replace(integ.density_of(u), values=[])

@@ -243,12 +243,14 @@ def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
     return w
 
 
-# Bytes of Pbar blocks in one group of orders of the Legendre recurrence
-# (``_legendre_groups``), for tables, streamed passes and point syntheses
-# alike: a group over n rings takes max(1, LEGENDRE_BYTES // (8 (L + 1) n))
-# orders, the most whose blocks fit at L + 1 rows an order (Schaeffer,
-# G^3 14, 2013 sizes his on-the-fly recurrence the same way), so scratch
-# stays within max(LEGENDRE_BYTES, one order).  The L = 256 two-cap block
+# Bytes of Pbar blocks and recurrence rows in one group of orders of the
+# Legendre recurrence (``_legendre_groups``), for tables, streamed passes
+# and point syntheses alike: a group over n rings takes
+# max(1, LEGENDRE_BYTES // (8 (L + 4) n)) orders, the most whose blocks fit
+# at L + 1 rows an order and 3 recurrence rows (Schaeffer, G^3 14, 2013
+# sizes his on-the-fly recurrence the same way), so its work stays within
+# max(LEGENDRE_BYTES, one order); a point synthesis counts its other work
+# vectors too (``synthesis_at_angles``).  The L = 256 two-cap block
 # (354 representative rings) takes 34 orders, 24.7 MB; on the 380 rings
 # it had with graded band panels, building its trimmed table in groups of
 # 8, 16, 24, 32, 48 and 64 orders took 90, 78, 74, 68, 66 and 69 ms at
@@ -340,7 +342,7 @@ def _seeds(t: np.ndarray):
 
 
 def _legendre_orders(band_limit: int, t: np.ndarray, m_max: int | None = None,
-                     floor: float = 0.0):
+                     floor: float = 0.0, work: int = 0):
     """Yield (m, Pbar block) for m = 0..m_max (default band_limit).
 
     Row k of a block holds degree l = m + k.  The normalization is the
@@ -356,21 +358,24 @@ def _legendre_orders(band_limit: int, t: np.ndarray, m_max: int | None = None,
 
     The blocks come a group at a time from ``_legendre_groups``: a block is
     a view that the next group overwrites, so a caller uses each block
-    before it asks for the next group, or copies it.
+    before it asks for the next group, or copies it.  A caller that holds
+    ``work`` vectors a ring beside a group has them counted in its budget.
     """
-    for group in _legendre_groups(band_limit, t, m_max, floor):
+    for group in _legendre_groups(band_limit, t, m_max, floor, work):
         yield from group
 
 
-def _legendre_groups(L: int, t: np.ndarray, m_max: int | None, floor: float):
+def _legendre_groups(L: int, t: np.ndarray, m_max: int | None, floor: float,
+                     work: int = 0):
     """The (m, Pbar block) of ``_legendre_orders``, one list per group of
-    orders: over n rings a group takes max(1, LEGENDRE_BYTES // (8 (L + 1)
-    n)) orders, computed by ``_legendre_group`` on the rings its previous
-    order kept into one scratch array that every group reuses."""
+    orders: over n rings a group takes max(1, (LEGENDRE_BYTES // (8 n) -
+    work) // (L + 4)) orders, computed by ``_legendre_group`` on the rings
+    its previous order kept into one scratch array that every group
+    reuses."""
     t, sq, pmm = _seeds(t)
     n = t.size
     m_max = L if m_max is None else m_max
-    group = max(1, LEGENDRE_BYTES // (8 * (L + 1) * max(n, 1)))
+    group = max(1, (LEGENDRE_BYTES // (8 * max(n, 1)) - work) // (L + 4))
     sizes = [L + 1 - m for m in range(m_max + 1)]
     scratch = np.empty(sum(sizes[:group]) * n)  # the first group is largest
     start = 0
@@ -962,18 +967,22 @@ def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
 
 def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
                         phi: np.ndarray) -> np.ndarray:
-    """Values at (cos colatitude t, longitude phi); a stack of coefficients
+    """Values at (cos colatitude t, longitude phi); a stack of K fields
     gives its batch axes first.  The points go in groups of at most
-    max(1, LEGENDRE_BYTES // (8 (L + 1))), so that no one-order block of
-    the recurrence outgrows the byte budget."""
+    max(1, LEGENDRE_BYTES // (8 (L + 8 + 3 K))), so that one order of the
+    recurrence (L + 4 rows a point, see LEGENDRE_BYTES) and 4 + 3 K work
+    vectors a point (the seeds, cos/sin and the products) fit the budget;
+    numpy's own buffers, about 0.1 MB whatever the group, come on top."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     flat, phi = t.ravel(), np.ravel(phi)
     cv, m0 = c.values, c._m0  # a zonal column holds the m = 0 block alone
     out = np.zeros(cv.shape[:-2] + (t.size,))
-    size = max(1, LEGENDRE_BYTES // (8 * (c.band_limit + 1)))
+    work = 4 + 3 * math.prod(cv.shape[:-2])
+    size = max(1, LEGENDRE_BYTES // (8 * (c.band_limit + 4 + work)))
     for s in range(0, t.size, size):
         o, ph = out[..., s:s + size], phi[s:s + size]
-        for m, block in _legendre_orders(c.band_limit, flat[s:s + size], m0):
+        for m, block in _legendre_orders(c.band_limit, flat[s:s + size], m0,
+                                         work=work):
             if m == 0:
                 o += cv[..., m0] @ block
             else:

@@ -23,15 +23,14 @@ convergence superlinear: a handful of steps reach the stopping test
 magnitude.
 
 Each Hessian product synthesizes its vector once and analyses the product
-with the density once per quadrature block; each line-search trial
-synthesizes the candidate once per block (``SingularIntegrator.density``)
-and evaluates J from that record; J is shift invariant, so the candidate
-need not be normalized first.  The accepted candidate is normalized by
-shifting its mean, and its record is reused for the next step's peak,
-residual and Hessian, so the residual costs one analysis per block.  An
-outer step therefore costs blocks x (1 + CG iterations) analyses and
-blocks x (CG iterations + trials) syntheses, and the integrator is one
-block (``SingularIntegrator``).
+with the density once, on the integrator's one product rule
+(``SingularIntegrator``); each line-search trial synthesizes the
+candidate once (``SingularIntegrator.density``) and evaluates J from that
+record; J is shift invariant, so the candidate need not be normalized
+first.  The accepted candidate is normalized by shifting its mean, and
+its record is reused for the next step's peak, residual and Hessian, so
+the residual costs one analysis.  An outer step therefore costs
+1 + CG iterations analyses and CG iterations + trials syntheses.
 
 The logger ``sol_lab.solver`` writes one debug line per outer step and
 one info line per solve.
@@ -43,10 +42,10 @@ one rule of ``sphere_grid``: one-column data is zonal.  From a zonal
 column of coefficients under a weight invariant about the axis
 (``SingularIntegrator``), J and its gradient commute with rotations about
 the axis, so every residual, direction and iterate is that column, every
-density is one column per block and each transform is one (L+1) x n_t
-product per block, O(L n_t), against O(L^2 n_t + L n_t n_phi) for all
-orders.  The diagnostics read such a state on one longitude: its peak,
-far field and gradients are one column of values.  A zonal start under a
+density is one column and each transform is one (L+1) x n_t product,
+O(L n_t), against O(L^2 n_t + L n_t n_phi) for all orders.  The
+diagnostics read such a state on one longitude: its peak, far field and
+gradients are one column of values.  A zonal start under a
 weight that is not invariant is widened to every order at its first
 step; any other input takes the full path, unchanged.
 

@@ -187,18 +187,25 @@ class TestRun:
                                    atol=1e-12)
 
     def test_determinism(self):
-        config, _ = validate(config_text(
-            experiment={"kind": "inequality-sample", "samples": 3},
-            weight={"points": []},
-            grid={"n_theta": 17, "n_phi": 34},
-        ))
-        r1, r2 = run(config), run(config)
-        r1.pop("wall_clock_s"), r2.pop("wall_clock_s")
-        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+        """Two runs give one report, with no point and on the two-cap
+        layout of the evaluate workload (an antipodal pair, whose samples
+        are one stack on the axis rule)."""
+        pair = [{"position": [0, 0, 1], "order": -0.5},
+                {"position": [0, 0, -1], "order": 0.7}]
+        for points in ([], pair):
+            config, _ = validate(config_text(
+                experiment={"kind": "inequality-sample", "samples": 3},
+                weight={"points": points},
+                grid={"n_theta": 17, "n_phi": 34},
+            ))
+            r1, r2 = run(config), run(config)
+            r1.pop("wall_clock_s"), r2.pop("wall_clock_s")
+            assert json.dumps(r1, sort_keys=True) == \
+                json.dumps(r2, sort_keys=True)
 
     def test_samples_share_transforms(self, monkeypatch, transform_counts):
         """20 samples in stacks of K = 8 make ceil(20 / 8) = 3 syntheses
-        on the one integrator block instead of 20, none on the grid and no
+        on the integrator's one transform instead of 20, none on the grid and no
         analysis (the draws are coefficients), and give the gaps of a
         per-sample troyanov_gap loop with each draw scaled to max |u| = 2
         over the quadrature nodes."""
@@ -210,8 +217,8 @@ class TestRun:
         orders = [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)]
         g = sphere_grid.build_grid(grid["n_theta"], grid["n_phi"])
         w = SingularWeight.from_orders(orders)
-        (block,) = integrator_for(g, w).blocks
-        # the budget holds the values of 8 fields on the block's nodes
+        block = integrator_for(g, w).transform
+        # the budget holds the values of 8 fields on the rule's nodes
         nodes = block.weights.size
         monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 8 * 8 * nodes)
         assert sphere_grid.batch_size(nodes) == 8
@@ -276,20 +283,18 @@ class TestRun:
         report = run(config)
         (grid,) = grids
         (integ,) = grid._integrator_cache.values()
-        (block,) = integ.blocks
-        assert [tr is block for tr in passes] == [True] * 3
+        assert [tr is integ.transform for tr in passes] == [True] * 3
         assert [c.values.shape[0] for c, _ in evaluated] == [3, 3, 1]
         for coeffs, dens in evaluated:
             for i, c in enumerate(coeffs.values):
-                u = np.stack([b.synthesis_values(SHCoefficients(c)).ravel()
-                              for b in integ.blocks])
+                u = integ.transform.synthesis_values(SHCoefficients(c))
                 assert np.max(np.abs(u)) == pytest.approx(2.0, rel=1e-14)
                 assert abs(dens.peak[i] - np.max(u)) <= 1e-14
         assert len(report["records"]) == 7
 
     def test_every_stack_streams(self, monkeypatch):
         """Two axis caps at L = 64, 20 samples, a budget of 10 fields: both
-        stacks take 10 fields and stream the block's Legendre blocks, 32
+        stacks take 10 fields and stream the block's Legendre blocks, 31
         orders a group, so no table of every order is ever built, and the
         gaps do not depend on the stacks."""
         from sol_lab import sphere_grid
@@ -299,11 +304,11 @@ class TestRun:
         orders = [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)]
         integ = integrator_for(sphere_grid.build_grid(65, 130),
                                SingularWeight.from_orders(orders))
-        (block,) = integ.blocks
-        # a Legendre budget of 32 orders a group; the default takes the
-        # block's every order in one group
+        block = integ.transform
+        # a Legendre budget of 31 orders a group (32 would fit the table);
+        # the default takes the block's every order in one group
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
-                            32 * 8 * (64 + 1) * block._reps)
+                            31 * 8 * (64 + 4) * block._reps)
         monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 10 * 8 * integ.nodes)
         sizes, tables = [], []
         draw = sphere_grid.random_band_limited_batch
@@ -338,7 +343,7 @@ class TestRun:
         """A kw-check solve analyses no grid values: it starts from a zero
         column of coefficients, the identity reads the solver's
         coefficients, and every analysis is a density projection or a
-        Hessian product on the one axis block."""
+        Hessian product on the axis rule's one transform."""
         from sol_lab import subcritical_solver
         from sol_lab.mt_functional import SingularIntegrator
 
@@ -347,11 +352,11 @@ class TestRun:
         hessian = subcritical_solver.hessian_product
 
         def counted(self, dens):
-            projections.append(len(self.blocks))
+            projections.append(self.transform)
             return project(self, dens)
 
         def counted_product(v, dens, proj, integ, rho):
-            products.append(len(integ.blocks))
+            products.append(integ.transform)
             return hessian(v, dens, proj, integ, rho)
 
         monkeypatch.setattr(SingularIntegrator, "density_projection", counted)
@@ -363,7 +368,8 @@ class TestRun:
                                {"position": [0, 0, -1], "order": -0.1}]}))
         report = run(config)
         assert report["summary"]["moment"] != 0.0
-        assert set(projections) == set(products) == {1}
+        # every analysis runs on the axis rule's one transform
+        assert len({id(t) for t in projections + products}) == 1
         assert transform_counts["analysis"] == \
             len(projections) + len(products)
 

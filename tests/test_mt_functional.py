@@ -400,8 +400,9 @@ class TestElResidual:
         w = off_axis_weight() if case == "off-axis" else single_weight(-0.5)
         rho = w.rho_bar - 0.3
         integ = SingularIntegrator(grid64, w)
-        assert len(integ.blocks) == 1
-        assert (integ.log_h[0].shape[-1] > 1) == (case == "off-axis")
+        # the blocks perfbench's tracer reads: the one transform
+        assert integ.blocks == (integ.transform,)
+        assert (integ.log_h.shape[-1] > 1) == (case == "off-axis")
         u = random_band_limited(grid64, rng)
         if case == "zonal":  # the ring means: the m = 0 part of u
             u = u.mean(axis=1, keepdims=True)
@@ -476,7 +477,7 @@ class TestDensityStack:
     ])
     def test_stack_matches_per_field(self, grid64, rng, points):
         """A stack of fields gives each field's density record, with its
-        own shift, in one synthesis per block."""
+        own shift, in one synthesis."""
         w = (SingularWeight.from_orders(points) if len(points) == 2
              else off_axis_weight(points[0][0]))
         fields = [random_band_limited(grid64, rng) * s for s in (1.0, 6.0, 0.2)]
@@ -490,8 +491,8 @@ class TestDensityStack:
             assert dens.peak[i] == pytest.approx(one.peak, rel=1e-14)
             assert dens.log_integral[i] == pytest.approx(one.log_integral,
                                                          rel=1e-14)
-            for got, want in zip(dens.values, one.values):
-                assert np.max(np.abs(got[i] - want)) <= 1e-14 * np.max(want)
+            assert np.max(np.abs(dens.values[i] - one.values)) \
+                <= 1e-14 * np.max(one.values)
 
 
 class TestIntegratorExactness:
@@ -506,7 +507,7 @@ class TestIntegratorExactness:
         two caps for one point too, so each of its rings has its mirror
         and the table spans 32 + 32 + 100 representative rings."""
         w = SingularWeight.from_orders(points)
-        (block,) = integrator_for(grid64, w).blocks
+        block = integrator_for(grid64, w).transform
         t = block.t
         assert block.weights.shape == (t.size, grid64.n_phi)
         if not points:
@@ -524,8 +525,8 @@ class TestIntegratorExactness:
 
     def test_smooth_integrand_through_caps(self, grid128):
         integ = SingularIntegrator(grid128, single_weight(-0.5))
-        val = sum(np.sum(b.weights * b.t[:, None] ** 2)
-                  for b in integ.blocks)
+        t = integ.transform
+        val = np.sum(t.weights * t.t[:, None] ** 2)
         assert val == pytest.approx(FOUR_PI / 3.0, abs=1e-11)
 
     def test_band_limited_exp_smooth_weight(self, grid64, rng):
@@ -587,11 +588,11 @@ class TestIntegratorCache:
                 w.log_weight(grid.nodes), axis=1).any())
             assert whole_grid == invariant
             first = integrator_for(grid, w)
-            assert (first.log_h[-1].shape[-1] == 1) == invariant
+            assert (first.log_h.shape[-1] == 1) == invariant
             for c in (zonal, full_path_coeffs(grid), zonal):
                 assert integrator_for(grid, w) is first
-                widths = {d.shape[-1] for d in first.density(c).values}
-                assert (widths == {1}) == (c is zonal and invariant)
+                width = first.density(c).values.shape[-1]
+                assert (width == 1) == (c is zonal and invariant)
         assert decided == list(cases)
 
     def test_cache_keys_K_by_its_values(self):

@@ -55,24 +55,22 @@ def on_zonal_path(grid):
     grid transform has built more than the m = 0 Legendre block: only
     one-column passes have run."""
     integs = list(grid._integrator_cache.values())
-    transforms = [grid.transform] + [b for integ in integs
-                                     for b in integ.blocks]
+    transforms = [grid.transform] + [integ.transform for integ in integs]
     return len(integs) == 1 and all(len(tr._plm) <= 1 for tr in transforms)
 
 
 def column_densities(grid, w, coeffs):
-    """True when every block density of the field is one column."""
-    dens = integrator_for(grid, w).density(coeffs)
-    return all(d.shape[-1] == 1 for d in dens.values)
+    """True when the density of the field is one column."""
+    return integrator_for(grid, w).density(coeffs).values.shape[-1] == 1
 
 
 class TestTransformWork:
     def test_one_synthesis_per_block_per_trial(self, transform_counts,
                                                monkeypatch):
-        """Per outer step: one analysis per block for the residual, one
-        synthesis and one analysis per block for each Hessian product and
-        one synthesis per block for each line-search trial, nothing more:
-        the axis rule is one block.  The zero start takes the zonal path."""
+        """Per outer step: one analysis for the residual, one synthesis and
+        one analysis for each Hessian product and one synthesis for each
+        line-search trial, nothing more: the axis rule is one transform.
+        The zero start takes the zonal path."""
         grid = build_grid(65, 130)
         self.check_step_work(grid, zero(grid), True, transform_counts,
                              monkeypatch)
@@ -88,7 +86,6 @@ class TestTransformWork:
     def check_step_work(grid, init, zonal, transform_counts, monkeypatch):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        assert len(SingularIntegrator(grid, w).blocks) == 1
         # per outer step: [syntheses, analyses, trials, Hessian products]
         marks = []
         peak = SingularIntegrator.field_peak
@@ -291,8 +288,7 @@ class TestZonalPath:
         c = state.coeffs.widened()
         c.order(1)[1] = 1.0e-3
         integ.density(c)
-        assert [len(b._plm) for b in integ.blocks] == \
-            [grid.band_limit + 1] * len(integ.blocks)
+        assert len(integ.transform._plm) == grid.band_limit + 1
         assert len(grid.transform._plm) == 1
 
 
@@ -571,10 +567,10 @@ class TestDiagnose:
         runs = []
         groups = sphere_grid._legendre_groups
 
-        def recorded(L, t, m_max, floor):
+        def recorded(L, t, m_max, floor, work=0):
             if np.array_equal(t, rings):
                 runs.append(m_max)
-            return groups(L, t, m_max, floor)
+            return groups(L, t, m_max, floor, work)
 
         monkeypatch.setattr(sphere_grid, "_legendre_groups", recorded)
         w = SingularWeight.from_orders([(NORTH, -0.5)], K=affine_K(1))

@@ -341,6 +341,18 @@ def reference_legendre_orders(band_limit, t):
         pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
 
 
+def assert_within_budget(synthesis):
+    """The traced peak of a point synthesis is at most LEGENDRE_BYTES and
+    its output."""
+    tracemalloc.start()
+    try:
+        out = synthesis()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sphere_grid.LEGENDRE_BYTES + out.nbytes, peak
+
+
 class TestGroupedLegendre:
     """The recurrence advanced over groups of orders, degree by degree."""
 
@@ -353,14 +365,14 @@ class TestGroupedLegendre:
             expected = (-1.0) ** m * sph_legendre_p(l, m, theta)
             assert np.max(np.abs(block - expected)) <= 1e-12, m
 
-    # under a budget of 4096 (L + 1) values, point counts giving several
+    # under a budget of 4096 (L + 4) values, point counts giving several
     # orders per group, every order in one group, and one order per group
     @pytest.mark.parametrize("n_points", [819, 3, 4097])
     @pytest.mark.parametrize("band_limit", [0, 1, 2, 33])
     def test_bit_identical_to_per_order_loop(self, band_limit, n_points,
                                              monkeypatch):
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
-                            8 * 4096 * (band_limit + 1))
+                            8 * 4096 * (band_limit + 4))
         t = np.random.default_rng(band_limit).uniform(-1.0, 1.0, n_points)
         t[:3] = [-1.0, 0.0, 1.0]
         expected = list(reference_legendre_orders(band_limit, t))
@@ -373,50 +385,62 @@ class TestGroupedLegendre:
 
     def test_large_point_sets_stream(self):
         """Memory stays within the byte budget: one group is alive at a
-        time, and since the points go in groups, a group's blocks take at
-        most LEGENDRE_BYTES (one order over all 50,000 points at L = 128
-        would be 52 MB, the full triangle 3.4 GB).  Beside them the peak
-        holds the output and a few work vectors over one group's points.
-        """
+        time, and since the points go in groups, a group's blocks and work
+        vectors take at most LEGENDRE_BYTES (one order over all 50,000
+        points at L = 128 would be 52 MB, the full triangle 3.4 GB), so
+        the peak holds that and the output alone."""
         L, n = 128, 50_000
         rng = np.random.default_rng(3)
         c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
         t = rng.uniform(-1.0, 1.0, n)
         phi = rng.uniform(0.0, 2.0 * np.pi, n)
         group_bytes = sphere_grid.LEGENDRE_BYTES
-        group_points = group_bytes // (8 * (L + 1))
+        group_points = group_bytes // (8 * (L + 11))
         assert n > 2 * group_points  # three groups
-        tracemalloc.start()
-        try:
-            out = synthesis_at_angles(c, t, phi)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= group_bytes + out.nbytes + 8 * group_points * 8, peak
+        assert_within_budget(lambda: synthesis_at_angles(c, t, phi))
+
+    @pytest.mark.parametrize("zonal", [False, True])
+    def test_split_stack_stays_within_budget(self, zonal, monkeypatch, rng):
+        """A stack of 4 fields counts its product temporaries a field, in
+        its groups of points and of orders: at L = 32 under a 4 MiB budget
+        its 27,346 points take groups of 10,082, 10,082 and 7,182, the
+        last of which has room for one order and its work vectors, not
+        two, and the peak holds LEGENDRE_BYTES and the output alone."""
+        L, n = 32, 27_346
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 4 << 20)
+        c = rng.normal(size=(4, L + 1, 2 * L + 1))
+        c = SHCoefficients(c[..., L:L + 1] if zonal else c)
+        t, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 7.0, n)
+        assert (4 << 20) // (8 * (L + 8 + 3 * 4)) == 10_082
+        assert_within_budget(lambda: synthesis_at_angles(c, t, phi))
 
     @pytest.mark.parametrize("per_group", [1, 3, 33])
     def test_one_budget_sizes_every_group(self, per_group, monkeypatch, rng):
-        """LEGENDRE_BYTES sizes every group of the recurrence.  At one
+        """LEGENDRE_BYTES sizes every group of the recurrence, at L + 4
+        rows an order (its block and three recurrence rows).  At one
         order, three and the whole L = 32 table a group, the grouped
         recurrence, a table, a pass of a ProductTransform (streamed at one
         and three orders a group, whose budgets the table outgrows) and a
-        point synthesis give the values of the default budget bit for bit,
-        and a group's scratch holds its orders' blocks alone (so within
-        max(budget, one order))."""
+        point synthesis (whose budget adds its 7 work vectors a point)
+        give the values of the default budget bit for bit, and a group's
+        scratch holds its orders' blocks alone (so within max(budget, one
+        order))."""
         L = 32
         g = build_grid(L + 1, 2 * L + 2)
         c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
         t, phi = rng.uniform(-1.0, 1.0, 40), rng.uniform(0.0, 7.0, 40)
 
-        def budget(n):
-            """The budget of ``per_group`` orders over n rings."""
+        def budget(n, work=0):
+            """The budget of ``per_group`` orders over n rings, beside
+            ``work`` vectors a ring."""
             monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
-                                per_group * 8 * (L + 1) * n)
+                                8 * (per_group * (L + 4) + work) * n)
 
         def run(size):
             size(t.size)
             blocks = [b.copy() for _, b in _legendre_orders(L, t)]
             table = normalized_legendre(L, t)
+            size(t.size, 7)  # one group of points
             points = synthesis_at_angles(c, t, phi)
             tr = ProductTransform(L, g.t, g.n_phi, g.t_weights)
             size(tr._reps)
@@ -426,7 +450,7 @@ class TestGroupedLegendre:
                                       ).analysis_coeffs(values)
             return blocks + table + [points, values, coeffs.values]
 
-        want = run(lambda n: None)
+        want = run(lambda n, work=0: None)
         got = run(budget)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -436,11 +460,11 @@ class TestGroupedLegendre:
             assert block.base.nbytes == 8 * rows * t.size
 
     def test_point_synthesis_splits_its_points(self, monkeypatch, rng):
-        """A point synthesis takes its points in groups of at most
-        max(1, LEGENDRE_BYTES // (8 (L + 1))), so no one-order block
-        outgrows the budget: with 64 points a group, 200 points take four
-        groups, and zonal and full-width stacks match one group to 1e-15
-        relative."""
+        """A point synthesis of K fields takes its points in groups of at
+        most max(1, LEGENDRE_BYTES // (8 (L + 8 + 3 K))), so no one-order
+        block outgrows the budget: with 43 points a group at K = 3, 200
+        points take five groups, and zonal and full-width stacks match one
+        group to 1e-15 relative."""
         L, n = 32, 200
         c = rng.normal(size=(3, L + 1, 2 * L + 1))
         t, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 7.0, n)
@@ -448,16 +472,16 @@ class TestGroupedLegendre:
         want = [synthesis_at_angles(s, t, phi) for s in stacks]
         seen = []
 
-        def recorded(band_limit, points, *args):
+        def recorded(band_limit, points, *args, **kwargs):
             seen.append(points.size)
-            return _legendre_orders(band_limit, points, *args)
+            return _legendre_orders(band_limit, points, *args, **kwargs)
 
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 64 * 8 * (L + 1))
         monkeypatch.setattr(sphere_grid, "_legendre_orders", recorded)
         for stack, values in zip(stacks, want):
             seen.clear()
             got = synthesis_at_angles(stack, t, phi)
-            assert len(seen) >= 3 and max(seen) <= 64 and sum(seen) == n
+            assert seen == [43] * 4 + [28]
             assert got.shape == values.shape == (3, n)
             assert max_rel(got, values) <= 1e-15
 
@@ -900,7 +924,7 @@ def pairing_cases():
                                     ((0.0, 0.0, -1.0), 0.3)])
     t = np.random.default_rng(7).uniform(-1.0, 1.0, 40)
     return {"odd": grid.transform, "even": build_grid(34, 66).transform,
-            "axis": integrator_for(grid, w).blocks[0],
+            "axis": integrator_for(grid, w).transform,
             "no pairs": ProductTransform(32, t, 66, np.full(t.size, 0.3))}
 
 
@@ -993,8 +1017,8 @@ def trim_cases():
     one = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5)])
     theta = np.random.default_rng(9).uniform(0.0, np.pi, 70)
     return {"gauss": grid.transform,
-            "two caps": integrator_for(grid, two).blocks[0],
-            "one cap": integrator_for(grid, one).blocks[0],
+            "two caps": integrator_for(grid, two).transform,
+            "one cap": integrator_for(grid, one).transform,
             "random": ProductTransform(64, np.cos(theta), 130,
                                        np.full(theta.size, 0.2)),
             "polar": ProductTransform(64, np.array([0.9999, -0.9999, 0.99995,
@@ -1060,21 +1084,21 @@ class TestPolarTrim:
     def test_two_cap_table_and_stack_memory(self, grid128, orders, rng):
         """At L = 128 the two-cap table holds at most 0.82 of the entries
         of the untrimmed one, whichever cap is nearer its pole, and a
-        batch_size stack's values on the integrator's blocks fit
+        batch_size stack's values on the integrator's nodes fit
         BATCH_BUDGET, with no room for one field more."""
         from sol_lab import sphere_grid
         L = grid128.band_limit
         w = SingularWeight.from_orders([((0.0, 0.0, 1.0), orders[0]),
                                         ((0.0, 0.0, -1.0), orders[1])])
         integ = integrator_for(grid128, w)
-        (tr,) = integ.blocks
+        tr = integ.transform
         kept = sum(even.size + odd.size for _, even, odd in tr._legendre(L + 1))
         assert kept <= 0.82 * tr._reps * (L + 1) * (L + 2) // 2
         k = sphere_grid.batch_size(integ.nodes)
         assert integ.nodes == tr.weights.size
         assert 8 * (k + 1) * integ.nodes > sphere_grid.BATCH_BUDGET
-        values = integ.synthesis(random_band_limited_batch(grid128, rng, k))
-        assert sum(v.nbytes for v in values) <= sphere_grid.BATCH_BUDGET
+        values = tr.synthesis_values(random_band_limited_batch(grid128, rng, k))
+        assert values.nbytes <= sphere_grid.BATCH_BUDGET
 
 class TestStreamedPass:
     """A transform whose Legendre table could outgrow LEGENDRE_BYTES
