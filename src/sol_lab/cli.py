@@ -317,8 +317,11 @@ def _rule_errors(config) -> list:
         w = _build_weight(config)
     except ValueError as exc:  # no axis frame
         return [f"weight.points: {exc}"]
-    if w.K is not None and np.min(
-            w.smooth_factor(build_grid(33, 66).nodes)) <= 0.0:
+    # K on a Gauss grid, which has no node at a pole, and at +-e3 of the
+    # weight the run integrates, where its caps' rings crowd
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    if w.K is not None and min(np.min(w.smooth_factor(x)) for x in
+                               (build_grid(33, 66).nodes, poles)) <= 0.0:
         errors.append("weight.K: the smooth factor must be positive on the "
                       "sphere")
     if exp["kind"] == "kw-check" and not exp["use_extremal"]:
@@ -541,7 +544,7 @@ def _run_minimize(config, report):
     exp = config["experiment"]
     w = _build_weight(config)
     state = _solve_from_zero(exp, w, _grid_for(config))
-    diag = diagnose(state, w)
+    diag = diagnose(state)
     report["records"] = [dict(r) for r in state.trace]
     report["summary"] = {
         "epsilon": exp["epsilon"], "rho": state.params.rho, "J": state.J,

@@ -88,27 +88,25 @@ def stereographic_inverse(p_pole, y) -> np.ndarray:
 
 @dataclass
 class ExtremalParams:
-    """Parameters of the critical family for an equal antipodal pair."""
+    """Parameters of the critical family for the equal pair at +-e3."""
 
     lam: float = 1.0
     c: float = 0.0
     alpha: float = -0.5
-    axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
         if self.lam <= 0.0:
             raise ValueError("lambda must be positive")
         if not (-1.0 < self.alpha < 0.0):
             raise ValueError("alpha must lie in (-1, 0)")
-        self.axis = normalized(self.axis)
 
 
 def extremal_value(params: ExtremalParams, x) -> np.ndarray:
-    """Pointwise u_{lambda,c}; finite at both poles of the axis."""
+    """Pointwise u_{lambda,c}; finite at both poles +-e3."""
     x = np.asarray(x, dtype=float)
-    dot = np.clip(x @ params.axis, -1.0, 1.0)
+    dot = np.clip(x[..., 2], -1.0, 1.0)
     a = params.alpha
-    # |y|^2 = (1+dot)/(1-dot) for projection from the axis pole
+    # |y|^2 = (1+dot)/(1-dot) for projection from the pole e3
     at_pole = dot > 1.0 - 1.0e-15
     safe = np.where(at_pole, 0.0, dot)
     with np.errstate(divide="ignore"):
@@ -124,17 +122,16 @@ def extremal_value(params: ExtremalParams, x) -> np.ndarray:
 
 
 def extremal_u(params: ExtremalParams, grid: SphereGrid) -> SHCoefficients:
-    """Coefficients of u_{lambda,c} sampled on the grid: a zonal column
-    when the axis is +-e3."""
-    phi = grid.phi[:1] if on_axis(params.axis) else grid.phi
+    """Coefficients of u_{lambda,c} sampled on the grid's first longitude:
+    a zonal column."""
     return grid.transform.analysis_coeffs(
-        extremal_value(params, ring_points(grid.t, phi)))
+        extremal_value(params, ring_points(grid.t, grid.phi[:1])))
 
 
-def extremal_weight(alpha: float, axis=(0.0, 0.0, 1.0)) -> SingularWeight:
-    """The equal antipodal pair of orders alpha on the given axis."""
-    axis = normalized(np.asarray(axis, dtype=float))
-    return SingularWeight.from_orders([(axis, alpha), (-axis, alpha)])
+def extremal_weight(alpha: float) -> SingularWeight:
+    """The equal pair of orders alpha at +-e3."""
+    e3 = np.array([0.0, 0.0, 1.0])
+    return SingularWeight.from_orders([(e3, alpha), (-e3, alpha)])
 
 
 # ---------------------------------------------------------------------------

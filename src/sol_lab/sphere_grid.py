@@ -43,14 +43,13 @@ Every consumer picks its path from the last axis; a column meets
 full-width coefficients only through ``SHCoefficients.widened``, never
 through broadcasting, which would add it to every order.  A zonal pass is
 one (L+1) x n_t matrix product, O(L n_t), against O(L^2 n_t + L n_t n_phi)
-over all orders and the Fourier step.  A transform builds its cos/sin
-table on the first pass that needs it and its m = 0 Legendre block on its
-first zonal pass.  A table of every order that fits LEGENDRE_BYTES is
-kept from its first need; a larger one is streamed from the recurrence
+over all orders and the Fourier step.  A transform builds and keeps each
+table on its first need: its cos/sin table and its Legendre table of every
+order on its first pass over every order, its m = 0 block on its first
+zonal pass.  One exception: a stack of two or more fields on a table
+whose bound exceeds LEGENDRE_BYTES streams its blocks from the recurrence
 (Schaeffer, G^3 14, 2013 and Reinecke & Seljebotn, A&A 554, 2013 run the
-recurrence inside every pass) through the first pass over every order
-and every stack of fields, and kept by a later one-field pass.  So a
-transform that makes one such pass never holds a large table.
+recurrence inside every pass) and keeps nothing.
 
 Coefficients and values may carry leading batch axes: a stack of K fields,
 coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
@@ -69,7 +68,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -282,11 +280,6 @@ def batch_size(nodes: int) -> int:
     return max(1, BATCH_BUDGET // (8 * nodes))
 
 
-# (cos m phi, sin m phi) stacked, by (band limit, n_phi): one array shared by
-# every live transform on those longitudes, freed with the last of them
-_FOURIER = weakref.WeakValueDictionary()
-
-
 def _legendre_group(L: int, m0: int, k: int, t: np.ndarray, sq: np.ndarray,
                     pmm: np.ndarray, packed: np.ndarray) -> np.ndarray:
     """Fill ``packed`` with the Pbar blocks of orders m0 .. m0 + k - 1 on
@@ -334,45 +327,32 @@ def _legendre_group(L: int, m0: int, k: int, t: np.ndarray, sq: np.ndarray,
     return pmm
 
 
-def _seeds(t: np.ndarray):
-    """(t, sqrt(1 - t^2), Pbar_{0,0}) on the rings t, flattened."""
-    t = np.asarray(t, dtype=float).ravel()
-    return (t, np.sqrt(np.maximum(1.0 - t * t, 0.0)),
-            np.full_like(t, 1.0 / np.sqrt(FOUR_PI)))
-
-
-def _legendre_orders(band_limit: int, t: np.ndarray, m_max: int | None = None,
-                     floor: float = 0.0, work: int = 0):
-    """Yield (m, Pbar block) for m = 0..m_max (default band_limit).
+def _legendre_groups(L: int, t: np.ndarray, m_max: int | None, floor: float,
+                     work: int = 0):
+    """Yield (m, Pbar block) for m = 0..m_max (default L), one list per
+    group of orders.
 
     Row k of a block holds degree l = m + k.  The normalization is the
     orthonormal spherical-harmonic one, so values stay O(sqrt(l)) and the
     three-term recurrence is stable far beyond L = 256.  Without a
-    ``floor`` a block spans every ring, shape (band_limit + 1 - m, len(t)).
-    With one, order m spans the rings t[s_m:] alone, s_m the first ring
-    from s_{m-1} on (s_0 = 0) where some |Pbar_{l,m}| >= floor: for rings in
+    ``floor`` a block spans every ring, shape (L + 1 - m, len(t)).  With
+    one, order m spans the rings t[s_m:] alone, s_m the first ring from
+    s_{m-1} on (s_0 = 0) where some |Pbar_{l,m}| >= floor: for rings in
     polar-first order (|t| falling) it drops the polar rings on which the
     order is below the floor at every degree, and a product over the rest
     misses at most floor * sum_l |c_l| of each value.  Order 0 is never
     trimmed.
 
-    The blocks come a group at a time from ``_legendre_groups``: a block is
-    a view that the next group overwrites, so a caller uses each block
-    before it asks for the next group, or copies it.  A caller that holds
+    Over n rings a group takes max(1, (LEGENDRE_BYTES // (8 n) - work) //
+    (L + 4)) orders, computed by ``_legendre_group`` on the rings its
+    previous order kept into one scratch array that every group reuses: a
+    block is a view that the next group overwrites, so a caller uses a
+    group before it asks for the next, or copies it.  A caller that holds
     ``work`` vectors a ring beside a group has them counted in its budget.
     """
-    for group in _legendre_groups(band_limit, t, m_max, floor, work):
-        yield from group
-
-
-def _legendre_groups(L: int, t: np.ndarray, m_max: int | None, floor: float,
-                     work: int = 0):
-    """The (m, Pbar block) of ``_legendre_orders``, one list per group of
-    orders: over n rings a group takes max(1, (LEGENDRE_BYTES // (8 n) -
-    work) // (L + 4)) orders, computed by ``_legendre_group`` on the rings
-    its previous order kept into one scratch array that every group
-    reuses."""
-    t, sq, pmm = _seeds(t)
+    t = np.asarray(t, dtype=float).ravel()
+    sq = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    pmm = np.full_like(t, 1.0 / np.sqrt(FOUR_PI))
     n = t.size
     m_max = L if m_max is None else m_max
     group = max(1, (LEGENDRE_BYTES // (8 * max(n, 1)) - work) // (L + 4))
@@ -399,7 +379,7 @@ def normalized_legendre(band_limit: int, t: np.ndarray,
                         m_max: int | None = None,
                         floor: float = 0.0) -> list[np.ndarray]:
     """Fully normalized associated Legendre functions Pbar_{l,m}(t): the
-    blocks of ``_legendre_orders`` for m = 0..m_max (default band_limit),
+    blocks of ``_legendre_groups`` for m = 0..m_max (default band_limit),
     trimmed at ``floor``, one block per order.
 
     The kept blocks of each group are copied out of its scratch into one
@@ -614,9 +594,8 @@ class ProductTransform:
     shape (..., L+1, 1) synthesize to values of shape (..., n_t, 1), and
     such values analyse, on the m = 0 block alone, to such coefficients.
     The Legendre table holds the m = 0 block until the first pass over
-    every order if the table fits LEGENDRE_BYTES; a larger one is streamed
-    through the first such pass and every stack, and kept by a later
-    one-field pass (``_legendre``).
+    every order, which keeps every order, unless that pass is a stack on
+    a table larger than LEGENDRE_BYTES, which streams (``_legendre``).
     """
 
     def __init__(self, band_limit: int, t: np.ndarray, n_phi: int,
@@ -645,7 +624,6 @@ class ProductTransform:
             self._images.append((slice(o, o + self._phi_reps),
                                  slice(end, end - self._phi_pairs, -1)))
         self._plm: list = []
-        self._streamed = False  # a pass over every order has streamed
         self._fourier = None
 
     def _legendre(self, orders: int, fields: int = 1):
@@ -653,28 +631,27 @@ class ProductTransform:
         ring s the order keeps (0 for m = 0) and the rows of l - m even and
         odd of its Pbar block over the kept rings.
 
-        The m = 0 block is kept from its first need, and so is the table
-        of every order if its bound, (L + 1)(L + 2) / 2 entries per
-        representative ring, fits LEGENDRE_BYTES (4.4 MB on the L = 128
-        grid, whose table ``diagnose`` then builds once for a whole sweep).
-        A larger table (94 MB on the L = 256 two-cap block) is streamed
-        from the recurrence, one group of ``_legendre_orders`` at a time,
-        through the transform's first pass over every order and every
-        stack of ``fields`` >= 2, and kept by a later one-field pass.
+        A table is kept from its first need, the m = 0 block and the
+        table of every order alike, with one exception: a stack of
+        ``fields`` >= 2 on a table whose bound, (L + 1)(L + 2) / 2 entries
+        per representative ring, exceeds LEGENDRE_BYTES (94 MB on the
+        L = 256 two-cap block, against 4.4 MB on the L = 128 grid, whose
+        table ``diagnose`` builds once for a whole sweep) streams its
+        blocks from the recurrence, one group of ``_legendre_groups`` at a
+        time, and keeps nothing.
         """
         if len(self._plm) >= orders:
             return self._plm
         t = self.t[self._order[:self._reps]]
         L = self.band_limit
-        small = 8 * (L + 1) * (L + 2) // 2 * t.size <= LEGENDRE_BYTES
-        if orders > 1 and not small and (fields > 1 or not self._streamed):
-            self._streamed = True
+        if (orders > 1 and fields > 1
+                and 8 * (L + 1) * (L + 2) // 2 * t.size > LEGENDRE_BYTES):
             return ((t.size - block.shape[1], block[0::2], block[1::2])
-                    for _, block in _legendre_orders(self.band_limit, t,
-                                                     floor=LEGENDRE_FLOOR))
+                    for group in _legendre_groups(L, t, L, LEGENDRE_FLOOR)
+                    for _, block in group)
         self._plm = [(t.size - block.shape[1], block[0::2], block[1::2])
-                     for block in normalized_legendre(
-                         self.band_limit, t, orders - 1, LEGENDRE_FLOOR)]
+                     for block in normalized_legendre(L, t, orders - 1,
+                                                      LEGENDRE_FLOOR)]
         return self._plm
 
     def _trig(self) -> np.ndarray:
@@ -682,17 +659,13 @@ class ProductTransform:
         longitudes, shape (2, L+1, period // 2 + 1).  The angle m phi_j is
         reduced modulo 2 pi in integers, 2 pi ((m j) mod n) / n, so every
         entry comes from an angle in [0, 2 pi) rounded once (the float
-        product m * phi_j is off by about m ulps of phi_j)."""
+        product m * phi_j is off by about m ulps of phi_j).  Built on the
+        first pass over every order and kept."""
         if self._fourier is None:
             n = self.phi.size
-            key = (self.band_limit, n)
-            self._fourier = _FOURIER.get(key)
-            if self._fourier is None:
-                m = np.arange(self.band_limit + 1)[:, None]
-                angle = 2.0 * np.pi * (m * np.arange(self._phi_reps) % n) / n
-                self._fourier = _FOURIER[key] = np.stack(
-                    [np.cos(angle), np.sin(angle)])
-                self._fourier.flags.writeable = False  # shared
+            m = np.arange(self.band_limit + 1)[:, None]
+            angle = 2.0 * np.pi * (m * np.arange(self._phi_reps) % n) / n
+            self._fourier = np.stack([np.cos(angle), np.sin(angle)])
         return self._fourier
 
     def _unfold(self, even: np.ndarray, odd: np.ndarray, out: np.ndarray,
@@ -981,15 +954,17 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
     size = max(1, LEGENDRE_BYTES // (8 * (c.band_limit + 4 + work)))
     for s in range(0, t.size, size):
         o, ph = out[..., s:s + size], phi[s:s + size]
-        for m, block in _legendre_orders(c.band_limit, flat[s:s + size], m0,
-                                         work=work):
-            if m == 0:
-                o += cv[..., m0] @ block
-            else:
-                o += np.sqrt(2.0) * (
-                    (cv[..., m:, m0 + m] @ block) * np.cos(m * ph)
-                    + (cv[..., m:, m0 - m] @ block) * np.sin(m * ph))
-        del block  # a view of this group's scratch: let it go before the next
+        for group in _legendre_groups(c.band_limit, flat[s:s + size], m0, 0.0,
+                                      work):
+            for m, block in group:
+                if m == 0:
+                    o += cv[..., m0] @ block
+                else:
+                    o += np.sqrt(2.0) * (
+                        (cv[..., m:, m0 + m] @ block) * np.cos(m * ph)
+                        + (cv[..., m:, m0 - m] @ block) * np.sin(m * ph))
+        # views of this group of points' scratch: let it go before the next
+        del group, block
     return out.reshape(cv.shape[:-2] + t.shape)
 
 

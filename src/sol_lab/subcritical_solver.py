@@ -307,13 +307,14 @@ def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid,
                               grid.t[:, None], values)
 
 
-def diagnose(state: MinimizerState, w: SingularWeight,
+def diagnose(state: MinimizerState,
              cap_radii: tuple = ()) -> BlowupDiagnostics:
     """Populate the concentration diagnostics of a converged state, from
-    its grid values and gradient: one column, on the first longitude, when
-    zonal.  The profile is compared with the bubble out to 5 t_eps, the far
-    field with the Green's function at distance >= 1 from the centre."""
-    grid = state.grid
+    its grid values and gradient (one column, on the first longitude, when
+    zonal) and its own weight.  The profile is compared with the bubble out
+    to 5 t_eps, the far field with the Green's function at distance >= 1
+    from the centre."""
+    grid, w = state.grid, state.params.weight
     alpha = w.alpha
 
     # u and the three coefficient sets of |grad u| in one grid pass
@@ -495,7 +496,7 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
                 f"entry at epsilon = {eps} did not converge "
                 f"(residual {state.residual_norm:.3e} after "
                 f"{state.iterations} iterations)")
-        diag = diagnose(state, weight)
+        diag = diagnose(state)
         entries.append(SweepEntry(epsilon=eps, rho=params.rho, J=state.J,
                                   residual_norm=state.residual_norm,
                                   iterations=state.iterations,

@@ -820,6 +820,27 @@ class TestMainEntry:
         assert main(["constants", "--config", str(cfg)]) == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_smooth_factor_negative_at_a_pole_rejected(self, tmp_path, capsys,
+                                                       recwarn):
+        """K = 0.488 + Y_10 is +7.2e-4 at the 33-node Gauss ring nearest
+        -e3 and -6.0e-4 at -e3, where the cap rings of the integrated
+        weight crowd: it is a config error (exit 2) with one keyed line,
+        not a nan residual (exit 3) after a log of a negative K."""
+        text = config_text(
+            weight={"points": [{"position": [0, 0, 1], "order": -0.5}],
+                    "K": {"base": 0.488,
+                          "harmonics": [{"l": 1, "m": 0, "coeff": 1.0}]}},
+            experiment={"kind": "minimize", "epsilon": 0.5})
+        assert validate(text)[1] == [
+            "weight.K: the smooth factor must be positive on the sphere"]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["minimize", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: weight.K: the smooth factor must be "
+                       "positive on the sphere\n")
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
     def test_log_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SOL_LAB_LOG", "info")
         cfg = tmp_path / "c.json"

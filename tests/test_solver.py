@@ -276,7 +276,7 @@ class TestZonalPath:
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         state = minimize(params, quick_config(0.3), zero(grid), grid)
         kazdan_warner_residual(state.coeffs, grid, params.rho, w)
-        diagnose(state, w, cap_radii=(0.5, 3.5))
+        diagnose(state, cap_radii=(0.5, 3.5))
         assert on_zonal_path(grid)
         # a cap about an axis point reads the zonal state on one bearing
         full = dataclasses.replace(state, coeffs=state.coeffs.widened())
@@ -314,7 +314,7 @@ class TestMemory:
             assert state.converged
             tracemalloc.start()
             entry = tracemalloc.get_traced_memory()[0]
-            diagnose(state, w)
+            diagnose(state)
             diagnosis = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
@@ -501,7 +501,7 @@ class TestDiagnose:
                                   weight=SingularWeight())
         state = minimize(params, quick_config(1.0),
                          zero(grid64), grid64)
-        diag = diagnose(state, params.weight, cap_radii=(0.5,))
+        diag = diagnose(state, cap_radii=(0.5,))
         assert diag.compact_case
         expected = params.rho * (1.0 - np.cos(0.5)) / 2.0
         assert diag.cap_masses[0.5] == pytest.approx(expected, rel=1e-6)
@@ -514,7 +514,7 @@ class TestDiagnose:
         flat = SingularWeight()
         state = minimize(FunctionalParams(rho=8.0 * np.pi - 1.0, weight=flat),
                          quick_config(1.0), zero(grid16), grid16)
-        diag = diagnose(state, flat)  # u = -log 4 pi, t_eps = sqrt(4 pi)
+        diag = diagnose(state)  # u = -log 4 pi, t_eps = sqrt(4 pi)
         assert diag.lambda_eps == pytest.approx(-np.log(4.0 * np.pi))
         assert not diag.under_resolved
         w = SingularWeight.from_orders([(NORTH, -0.5)])
@@ -524,7 +524,7 @@ class TestDiagnose:
         fake = MinimizerState(coeffs=spiky, grid=grid16,
                               params=params, epsilon=0.5, J=0.0,
                               residual_norm=0.0, iterations=0, converged=True)
-        diag = diagnose(fake, w)  # t_eps = e^{-3} < 4 pi / 16
+        diag = diagnose(fake)  # t_eps = e^{-3} < 4 pi / 16
         assert diag.t_eps < 4.0 * np.pi / grid16.band_limit
         assert diag.under_resolved
 
@@ -545,9 +545,8 @@ class TestDiagnose:
             params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w),
             epsilon=0.5, J=0.0, residual_norm=0.0, iterations=0,
             converged=True)
-        diag = diagnose(state, w, cap_radii=(0.5, 3.5))
+        diag = diagnose(state, cap_radii=(0.5, 3.5))
         assert len(grid.transform._plm) == grid.band_limit + 1
-        assert not grid.transform._streamed
         vals, grad = gradient_magnitude_grid(state.coeffs, grid, values=True)
         assert np.array_equal(vals,
                               grid.transform.synthesis_values(state.coeffs))
@@ -635,7 +634,7 @@ class TestSweep:
         report = epsilon_sweep(w, grid64, SolverConfig(
             epsilon_schedule=(0.4, 0.2), max_iterations=3000))
         rows = report.column("farfield_error")
-        assert rows == [diagnose(state, w).farfield_error
+        assert rows == [diagnose(state).farfield_error
                         for state in report.states]
         assert all(np.isfinite(rows))
 

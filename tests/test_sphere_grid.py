@@ -26,7 +26,7 @@ from sol_lab.sphere_grid import (
     normalized_legendre,
     synthesis_at_angles,
     synthesis_at_points,
-    _legendre_orders,
+    _legendre_groups,
     _ring_runs,
     random_band_limited_batch,
 )
@@ -377,7 +377,8 @@ class TestGroupedLegendre:
         t[:3] = [-1.0, 0.0, 1.0]
         expected = list(reference_legendre_orders(band_limit, t))
         # the generator's blocks are views that its next group overwrites
-        for got in ([(m, b.copy()) for m, b in _legendre_orders(band_limit, t)],
+        for got in ([(m, b.copy()) for group in _legendre_groups(
+                         band_limit, t, None, 0.0) for m, b in group],
                     list(enumerate(normalized_legendre(band_limit, t)))):
             assert [m for m, _ in got] == list(range(band_limit + 1))
             for (_, want), (_, block) in zip(expected, got):
@@ -419,12 +420,12 @@ class TestGroupedLegendre:
         """LEGENDRE_BYTES sizes every group of the recurrence, at L + 4
         rows an order (its block and three recurrence rows).  At one
         order, three and the whole L = 32 table a group, the grouped
-        recurrence, a table, a pass of a ProductTransform (streamed at one
-        and three orders a group, whose budgets the table outgrows) and a
-        point synthesis (whose budget adds its 7 work vectors a point)
-        give the values of the default budget bit for bit, and a group's
-        scratch holds its orders' blocks alone (so within max(budget, one
-        order))."""
+        recurrence, a table, the passes of a ProductTransform (a field's
+        keeps its table; a stack's streams at one and three orders a group,
+        whose budgets the table outgrows) and a point synthesis (whose
+        budget adds its 7 work vectors a point) give the values of the
+        default budget bit for bit, and a group's scratch holds its
+        orders' blocks alone (so within max(budget, one order))."""
         L = 32
         g = build_grid(L + 1, 2 * L + 2)
         c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
@@ -438,17 +439,22 @@ class TestGroupedLegendre:
 
         def run(size):
             size(t.size)
-            blocks = [b.copy() for _, b in _legendre_orders(L, t)]
+            blocks = [b.copy() for group in _legendre_groups(L, t, None, 0.0)
+                      for _, b in group]
             table = normalized_legendre(L, t)
             size(t.size, 7)  # one group of points
-            points = synthesis_at_angles(c, t, phi)
-            tr = ProductTransform(L, g.t, g.n_phi, g.t_weights)
-            size(tr._reps)
-            values = tr.synthesis_values(c)
-            assert (tr._plm == []) == (size is budget and per_group < 33)
-            coeffs = ProductTransform(L, g.t, g.n_phi, g.t_weights
-                                      ).analysis_coeffs(values)
-            return blocks + table + [points, values, coeffs.values]
+            passes = [synthesis_at_angles(c, t, phi)]
+            streams = size is budget and per_group < 33
+            for fields in (c, SHCoefficients(np.stack([c.values] * 2))):
+                synthesis, analysis = (ProductTransform(
+                    L, g.t, g.n_phi, g.t_weights) for _ in range(2))
+                size(synthesis._reps)
+                passes.append(synthesis.synthesis_values(fields))
+                passes.append(analysis.analysis_coeffs(passes[-1]).values)
+                kept = fields is c or not streams
+                assert [len(tr._plm) for tr in (synthesis, analysis)] == \
+                    [(L + 1) * kept] * 2
+            return blocks + table + passes
 
         want = run(lambda n, work=0: None)
         got = run(budget)
@@ -456,8 +462,9 @@ class TestGroupedLegendre:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         budget(t.size)
         rows = sum(L + 1 - m for m in range(min(per_group, L + 1)))
-        for _, block in _legendre_orders(L, t):
-            assert block.base.nbytes == 8 * rows * t.size
+        for group in _legendre_groups(L, t, None, 0.0):
+            for _, block in group:
+                assert block.base.nbytes == 8 * rows * t.size
 
     def test_point_synthesis_splits_its_points(self, monkeypatch, rng):
         """A point synthesis of K fields takes its points in groups of at
@@ -474,10 +481,10 @@ class TestGroupedLegendre:
 
         def recorded(band_limit, points, *args, **kwargs):
             seen.append(points.size)
-            return _legendre_orders(band_limit, points, *args, **kwargs)
+            return _legendre_groups(band_limit, points, *args, **kwargs)
 
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 64 * 8 * (L + 1))
-        monkeypatch.setattr(sphere_grid, "_legendre_orders", recorded)
+        monkeypatch.setattr(sphere_grid, "_legendre_groups", recorded)
         for stack, values in zip(stacks, want):
             seen.clear()
             got = synthesis_at_angles(stack, t, phi)
@@ -551,13 +558,14 @@ class TestOrderLimit:
             1e-14 * np.max(np.abs(full))
 
     def test_tables_built_on_first_need(self, grid16, monkeypatch):
-        """A zonal pass builds the m = 0 block alone.  Under a budget below
-        the tables' bounds (11016 B and 7344 B) the first full pass streams
-        every order and keeps none, and so do stacks; a later one-field
-        pass builds and keeps them, over the representative rings alone
-        and trimmed at LEGENDRE_FLOOR.  A table that fits LEGENDRE_BYTES
-        is kept by the first full pass, one field or a stack.  The cos/sin
-        tables are shared by (L, n_phi)."""
+        """A zonal pass builds the m = 0 block alone.  The first full pass
+        of one field builds and keeps the table of every order, over the
+        representative rings alone and trimmed at LEGENDRE_FLOOR, under a
+        budget below the tables' bounds (11016 B and 7344 B) too; under
+        that budget a stack streams every order and keeps none, until a
+        one-field pass keeps them.  A table that fits LEGENDRE_BYTES is
+        kept by the first full pass, one field or a stack.  Each transform
+        builds its own cos/sin table, equal for equal (L, n_phi)."""
         from sol_lab import sphere_grid
         orders, rings, floors = [], [], []
         table = sphere_grid.normalized_legendre
@@ -583,9 +591,8 @@ class TestOrderLimit:
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 7000)
         a.synthesis_values(full)
         b.analysis_coeffs(np.ones((7, n_phi)))
-        assert orders == [0]
-        assert [len(tr._plm) for tr in (a, b)] == [1, 0]
-        a.synthesis_values(full)
+        assert orders == [0, L, L]
+        a.synthesis_values(full)  # read the kept tables
         b.analysis_coeffs(np.ones((7, n_phi)))
         assert orders == [0, L, L]
         # the tables span the representative rings: 8 pairs and the
@@ -609,7 +616,8 @@ class TestOrderLimit:
         e.synthesis_values(full)
         assert orders == [0, L, L, L, L, L]
         assert [len(tr._plm) for tr in (d, e)] == [L + 1] * 2
-        assert a._trig() is b._trig()
+        assert a._trig() is not b._trig()
+        assert np.array_equal(a._trig(), b._trig())
 
 
 def reference_tables(tr):
@@ -1101,42 +1109,47 @@ class TestPolarTrim:
         assert values.nbytes <= sphere_grid.BATCH_BUDGET
 
 class TestStreamedPass:
-    """A transform whose Legendre table could outgrow LEGENDRE_BYTES
-    streams its blocks through its first pass over every order and every
-    stack until it keeps them, which a later one-field pass does; so a
-    transform that makes one full-width pass, or stacks alone, never holds
-    a large table."""
+    """One keep rule: a transform keeps a table from its first need, except
+    that a stack of two or more fields on a table whose bound exceeds
+    LEGENDRE_BYTES streams its blocks and keeps nothing; so a transform
+    that makes stacks alone never holds a large table."""
 
     @pytest.mark.parametrize("name", ["gauss", "one cap", "two caps"])
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_streamed_pass_is_the_kept_pass(self, name, batch, rng,
                                             monkeypatch):
-        """Synthesis and analysis, of one field and of a stack, give bit
-        for bit on the first (streamed) pass what they give on the kept
-        table, on a Gauss grid, a one-cap and a two-cap block; the first
-        pass keeps no block, a one-field pass after it every order (the
-        second pass, or one between two passes of a stack), and the trim
-        drops rings, so the streamed blocks are views into the group
-        arrays.  The budget is cut to 64 KiB, below these L = 64 tables'
-        bounds, so that they stream."""
-        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 1 << 16)
-        synthesis, analysis = (trim_cases()[name] for _ in range(2))
-        L = synthesis.band_limit
+        """Under a budget cut to 64 KiB, below these L = 64 tables' bounds,
+        on a Gauss grid, a one-cap and a two-cap block: the first pass of
+        one field keeps every order, and gives bit for bit what a table
+        kept under the default budget gives; the first pass of a stack, on
+        a fresh transform, keeps no block, and gives bit for bit what the
+        table a one-field pass keeps after it gives.  Synthesis and
+        analysis alike; the trim drops rings, so the streamed blocks are
+        views into the group arrays."""
+        def passes(budget):
+            monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
+            synthesis, analysis = (trim_cases()[name] for _ in range(2))
+            values = synthesis.synthesis_values(c)
+            coeffs = analysis.analysis_coeffs(values).values
+            assert [len(tr._plm) for tr in (synthesis, analysis)] == \
+                [0 if batch else L + 1] * 2
+            if batch:  # one field keeps the tables
+                synthesis.synthesis_values(SHCoefficients(c.values[0]))
+                analysis.analysis_coeffs(values[0])
+                assert np.array_equal(values, synthesis.synthesis_values(c))
+                assert np.array_equal(
+                    coeffs, analysis.analysis_coeffs(values).values)
+            assert [len(tr._plm) for tr in (synthesis, analysis)] == \
+                [L + 1] * 2
+            assert any(start for start, _, _ in synthesis._plm)
+            return values, coeffs
+
+        L, default = 64, sphere_grid.LEGENDRE_BYTES
         c = SHCoefficients(rng.normal(size=batch + (L + 1, 2 * L + 1)))
-        streamed = synthesis.synthesis_values(c)
-        assert synthesis._plm == []
-        if batch:  # one field keeps the table
-            synthesis.synthesis_values(SHCoefficients(c.values[0]))
-        assert np.array_equal(streamed, synthesis.synthesis_values(c))
-        assert len(synthesis._plm) == L + 1
-        assert any(start for start, _, _ in synthesis._plm)
-        streamed = analysis.analysis_coeffs(streamed).values
-        assert analysis._plm == []
-        values = synthesis.synthesis_values(c)
-        if batch:
-            analysis.analysis_coeffs(values[0])
-        assert np.array_equal(streamed, analysis.analysis_coeffs(values).values)
-        assert len(analysis._plm) == L + 1
+        cut = passes(1 << 16)
+        if not batch:
+            kept = passes(default)
+            assert all(np.array_equal(a, b) for a, b in zip(cut, kept))
 
 
 class TestLegendreUnderTracers:
