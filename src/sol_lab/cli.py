@@ -296,10 +296,11 @@ def validate(raw_text: str):
 def _rule_errors(config) -> list:
     """What the run would refuse of a valid config, by each rule's own
     check, each error naming its key: coincident points, a weight that no
-    rotation puts on the axis for a kind that integrates it, a K that is
-    not positive, a kw-check layout off the axis identity's, and for the
-    kinds that build test functions a weight the radial J cannot evaluate,
-    a singular test-function point or an epsilon too large for its point."""
+    rotation puts on the axis for a kind that integrates it, a K not
+    positive where sampled (a sampling rule, not a proof), a kw-check
+    layout off the axis identity's, and for the kinds that build test
+    functions a weight the radial J cannot evaluate, a singular
+    test-function point or an epsilon too large for its point."""
     import numpy as np
     from .closed_forms import ConcentrationParams, radial_faults
     from .identity_checks import RegimeError, _axis_orders
@@ -317,13 +318,16 @@ def _rule_errors(config) -> list:
         w = _build_weight(config)
     except ValueError as exc:  # no axis frame
         return [f"weight.points: {exc}"]
-    # K on a Gauss grid, which has no node at a pole, and at +-e3 of the
-    # weight the run integrates, where its caps' rings crowd
-    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    if w.K is not None and min(np.min(w.smooth_factor(x)) for x in
-                               (build_grid(33, 66).nodes, poles)) <= 0.0:
-        errors.append("weight.K: the smooth factor must be positive on the "
-                      "sphere")
+    # K on a Gauss grid twice as fine each way as K's own (never below
+    # 33 x 66) and at +-e3 of the weight the run integrates, where its
+    # caps' rings crowd and a Gauss grid has no node
+    if w.K is not None:
+        n = max(33, 2 * (w.K.band_limit + 1))
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        if min(np.min(w.smooth_factor(x)) for x in
+               (build_grid(n, 2 * n).nodes, poles)) <= 0.0:
+            errors.append("weight.K: the smooth factor must be positive on "
+                          "the sphere")
     if exp["kind"] == "kw-check" and not exp["use_extremal"]:
         try:
             _axis_orders(w)
@@ -598,28 +602,22 @@ def _run_sweep(config, report):
 
 
 def _run_profile_collapse(config, report):
-    import numpy as np
-
     w, sweep, _ = _sweep_common(config, report)
     noise = config["experiment"]["noise"]
     errs = sweep.column("profile_error")
     ok = all(b < a + noise for a, b in zip(errs, errs[1:]))
     _check(report["checks"], "profile collapse monotone", max(
         b - a for a, b in zip(errs, errs[1:])), noise, ok)
-    # radial profile traces for plotting
+    # radial profile traces for plotting: the ray diagnose measured
     from .closed_forms import planar_bubble
-    from .sphere_grid import cap_points, synthesis_at_points
-    for entry, state in zip(sweep.entries, sweep.states):
+    for entry in sweep.entries:
         d = entry.diagnostics
-        c_p = w.bubble_constant(d.center)
-        radii = np.linspace(0.0, 5.0, 26)[1:] * d.t_eps
-        u_ray = synthesis_at_points(state.coeffs,
-                                    cap_points(d.center, radii, 1))[:, 0]
-        for r, uv in zip(radii, u_ray):
+        bubble = planar_bubble(d.profile_radii / d.t_eps,
+                               w.bubble_constant(d.center), w.alpha)
+        for r, uv, b in zip(d.profile_radii, d.profile, bubble):
             report["records"].append({
                 "epsilon": entry.epsilon, "r": float(r),
-                "u_minus_lambda": float(uv - d.lambda_eps),
-                "bubble": float(planar_bubble(r / d.t_eps, c_p, w.alpha)),
+                "u_minus_lambda": float(uv), "bubble": float(b),
             })
 
 

@@ -140,10 +140,10 @@ class Density:
     """h e^u on the composite rule, from one synthesis of u.
 
     ``values`` is h e^{u - shift} on the rule's nodes, ``total`` its
-    weighted sum (int h e^u = e^shift total) and ``peak`` max u over the
-    nodes.  For a stack of fields ``values`` has the batch axes first, and
-    ``shift``, ``total`` and ``peak`` are arrays over them; otherwise they
-    are floats.  ``sample_gaps`` drops the values (None).
+    integral under the rule (int h e^u = e^shift total) and ``peak`` max
+    u over the nodes.  For a stack of fields ``values`` has the batch axes
+    first, and ``shift``, ``total`` and ``peak`` are arrays over them;
+    otherwise they are floats.  ``sample_gaps`` drops the values (None).
     """
 
     values: np.ndarray | None
@@ -242,13 +242,9 @@ class SingularIntegrator:
         shift = flat.max(axis=-1)
         flat -= shift[..., None]
         np.exp(flat, out=flat)
-        t = self.transform
-        w = t.ring_weights if u.shape[-1] == 1 else t.weights
-        total = np.reshape([np.sum(w * d)  # field by field, as unbatched
-                            for d in u.reshape(-1, *w.shape)], batch)
         if not batch:
-            return Density(u, float(shift), float(total), float(peak))
-        return Density(u, shift, total, peak)
+            shift, peak = float(shift), float(peak)
+        return Density(u, shift, self.transform.integral(u), peak)
 
     def log_exp_integral(self, coeffs: SHCoefficients) -> float:
         return self.density(coeffs).log_integral

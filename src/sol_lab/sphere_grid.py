@@ -635,8 +635,8 @@ class ProductTransform:
         table of every order alike, with one exception: a stack of
         ``fields`` >= 2 on a table whose bound, (L + 1)(L + 2) / 2 entries
         per representative ring, exceeds LEGENDRE_BYTES (94 MB on the
-        L = 256 two-cap block, against 4.4 MB on the L = 128 grid, whose
-        table ``diagnose`` builds once for a whole sweep) streams its
+        L = 256 two-cap block, against 14 MB on the L = 128 one-point
+        block, whose table a non-zonal sweep builds once) streams its
         blocks from the recurrence, one group of ``_legendre_groups`` at a
         time, and keeps nothing.
         """
@@ -761,6 +761,16 @@ class ProductTransform:
                 np.subtract(cj[table, 1:pairs + 1], sj[table, 1:pairs + 1],
                             out=out[ring, behind])
 
+    def integral(self, values: np.ndarray):
+        """The rule on values (..., n_t, n_phi) or ring-constant (..., n_t,
+        1): ring weights times ring means, summed with ``math.fsum`` field
+        by field, a float or an array over a stack's batch axes; on the
+        grid 1 integrates to exactly ``FOUR_PI``."""
+        terms = self.ring_weights[:, 0] * np.mean(values, axis=-1)
+        totals = [math.fsum(f) for f in terms.reshape(-1, self.t.size)]
+        return totals[0] if terms.ndim == 1 else np.reshape(
+            totals, terms.shape[:-1])
+
     def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
         """<values, Y_{l,m}> under this node set's quadrature weights:
         shape (..., L+1, 2L+1) for values of shape (..., n_t, n_phi), and
@@ -840,12 +850,6 @@ class SphereGrid:
     def nodes(self) -> np.ndarray:
         """Unit vectors per node, shape (n_theta, n_phi, 3)."""
         return ring_points(self.t, self.phi)
-
-    def integral(self, values) -> float:
-        """The grid rule on values at the nodes (or a ring-constant column):
-        ring weights times ring means, summed with ``math.fsum``, so the
-        constant 1 integrates to exactly ``FOUR_PI`` on every grid."""
-        return math.fsum(self.t_weights * np.mean(values, axis=-1))
 
     def node_spacing(self) -> float:
         """Typical colatitude spacing, pi / n_theta."""

@@ -44,10 +44,11 @@ column of coefficients under a weight invariant about the axis
 the axis, so every residual, direction and iterate is that column, every
 density is one column and each transform is one (L+1) x n_t product,
 O(L n_t), against O(L^2 n_t + L n_t n_phi) for all orders.  The
-diagnostics read such a state on one longitude: its peak, far field and
-gradients are one column of values.  A zonal start under a
-weight that is not invariant is widened to every order at its first
-step; any other input takes the full path, unchanged.
+diagnostics read a state on the integrator's rule it was solved on, a
+zonal state on one longitude: its peak, far field and gradients are one
+column of values.  A zonal start under a weight that is not invariant is
+widened to every order at its first step; any other input takes the
+full path, unchanged.
 
 As eps decreases with a singular weight of negative minimal order, the
 minimizers concentrate: lambda_eps = max u grows, the concentration scale
@@ -296,32 +297,30 @@ class BlowupDiagnostics:
     grad_l15: float
     compact_case: bool
     under_resolved: bool
-
-
-def gradient_magnitude_grid(coeffs: SHCoefficients, grid: SphereGrid,
-                            values: bool = False):
-    """|grad u| on the grid nodes (exact, see ``gradient_magnitude``); one
-    column for a zonal column of coefficients.  With ``values``, (u,
-    |grad u|) from one grid pass."""
-    return gradient_magnitude(coeffs, grid.transform.synthesis_values,
-                              grid.t[:, None], values)
+    # u - lambda_eps on bearing 0 out to 5 t_eps; empty without a profile
+    profile_radii: np.ndarray
+    profile: np.ndarray
 
 
 def diagnose(state: MinimizerState,
              cap_radii: tuple = ()) -> BlowupDiagnostics:
     """Populate the concentration diagnostics of a converged state, from
-    its grid values and gradient (one column, on the first longitude, when
-    zonal) and its own weight.  The profile is compared with the bubble out
-    to 5 t_eps, the far field with the Green's function at distance >= 1
-    from the centre."""
+    its values and gradient on the rule it was solved on (the integrator's
+    transform; one column, on the first longitude, when zonal) and its own
+    weight.  The profile is compared with the bubble out to 5 t_eps, the
+    far field with the Green's function at distance >= 1 from the
+    centre."""
     grid, w = state.grid, state.params.weight
     alpha = w.alpha
+    integ = integrator_for(grid, w)
+    tr = integ.transform
 
-    # u and the three coefficient sets of |grad u| in one grid pass
-    vals, grad = gradient_magnitude_grid(state.coeffs, grid, values=True)
+    # u and the three coefficient sets of |grad u| in one pass on the rule
+    vals, grad = gradient_magnitude(state.coeffs, tr.synthesis_values,
+                                    tr.t[:, None], values=True)
 
-    # peak over grid nodes and the singular points themselves
-    nodes = ring_points(grid.t, grid.phi[:vals.shape[-1]])
+    # peak over the rule's nodes and the singular points themselves
+    nodes = ring_points(tr.t, tr.phi[:vals.shape[-1]])
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     lam = float(vals[idx])
     p_eps = nodes[idx]
@@ -349,12 +348,11 @@ def diagnose(state: MinimizerState,
                 state, center, key)
         else:
             # the "cap" covers the sphere: mass is rho * int h e^u
-            integ = integrator_for(grid, w)
             cap_masses[key] = state.params.rho * float(
                 np.exp(integ.log_exp_integral(state.coeffs)))
 
     # profile collapse onto the planar bubble
-    profile_err = np.nan
+    profile_err, radii, profile = np.nan, np.empty(0), np.empty(0)
     if alpha < 0.0 or not compact:
         c_p = w.bubble_constant(center)
         radii = np.linspace(0.0, 5.0, 25)[1:] * t_eps
@@ -362,11 +360,12 @@ def diagnose(state: MinimizerState,
                                      cap_points(center, radii, 8))
         bubble = planar_bubble(radii / t_eps, c_p, alpha)[:, None]
         profile_err = float(np.max(np.abs(u_vals - lam - bubble)))
+        profile = u_vals[:, 0] - lam
 
     # far field against the Green's function of the concentration point;
     # about a centre off the axis, a zonal state needs every longitude
     if not on_axis(center):
-        nodes = grid.nodes
+        nodes = ring_points(tr.t, tr.phi)
         vals = np.broadcast_to(vals, nodes.shape[:-1])
     d = np.arccos(np.clip(nodes @ center, -1.0, 1.0))
     mask = d >= 1.0
@@ -374,14 +373,15 @@ def diagnose(state: MinimizerState,
     ubar = state.coeffs.mean
     farfield = float(np.max(np.abs(vals[mask] - ubar - w.rho_bar * gvals)))
 
-    grad_l15 = grid.integral(grad**1.5) ** (1.0 / 1.5)
+    grad_l15 = tr.integral(grad**1.5) ** (1.0 / 1.5)
 
+    # copies: a node is a view of the whole node array
     return BlowupDiagnostics(
-        lambda_eps=lam, p_eps=np.asarray(p_eps), center=np.asarray(center),
+        lambda_eps=lam, p_eps=np.array(p_eps), center=np.array(center),
         t_eps=t_eps, cap_masses=cap_masses, profile_error=profile_err,
         farfield_error=farfield, mean_decay=t_eps**2 * ubar,
         grad_l15=grad_l15, compact_case=compact,
-        under_resolved=under_resolved)
+        under_resolved=under_resolved, profile_radii=radii, profile=profile)
 
 
 # ---------------------------------------------------------------------------

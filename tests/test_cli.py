@@ -182,7 +182,7 @@ class TestRun:
             records[z] = [(r["r"], r["u_minus_lambda"], r["bubble"])
                           for r in run(config)["records"]
                           if "u_minus_lambda" in r]
-        assert len(records[1]) == 3 * 25
+        assert len(records[1]) == 3 * 24  # diagnose's radii
         np.testing.assert_allclose(records[-1], records[1], rtol=0,
                                    atol=1e-12)
 
@@ -839,6 +839,29 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err == ("config error: weight.K: the smooth factor must be "
                        "positive on the sphere\n")
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    def test_smooth_factor_negative_between_coarse_rings_rejected(
+            self, tmp_path, capsys, recwarn):
+        """K = 0.8174 + Y_40,0 dips to -0.206 near the poles between the
+        rings of a Gauss grid at K's band limit (its least node value is
+        +0.50 on 41 rings): a grid twice as fine in each direction finds
+        it, so the config is an error (exit 2) with one keyed line, not a
+        nan residual (exit 3)."""
+        text = config_text(
+            grid={"n_theta": 65, "n_phi": 130},
+            weight={"points": [{"position": [0, 0, 1], "order": -0.5}],
+                    "K": {"base": 0.8174,
+                          "harmonics": [{"l": 40, "m": 0, "coeff": 1.0}]}},
+            experiment={"kind": "minimize"})
+        assert validate(text)[1] == [
+            "weight.K: the smooth factor must be positive on the sphere"]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["minimize", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: weight.K: the smooth factor must be positive on "
+            "the sphere\n")
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_log_env_var(self, tmp_path, monkeypatch, capsys):

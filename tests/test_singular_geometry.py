@@ -93,7 +93,8 @@ class TestGreen:
         worst = 0.0
         for _ in range(5):
             p = random_pole(rng)
-            worst = max(worst, abs(grid64.integral(green(p, grid64.nodes))))
+            worst = max(worst, abs(grid64.transform.integral(
+                green(p, grid64.nodes))))
         assert worst < 1e-8
 
     def test_distributional_identity(self, grid64, rng):

@@ -268,9 +268,10 @@ class TestZonalPath:
     def test_zonal_ops_skip_the_full_grid_transform(self):
         """A zonal solve, the axis identity on its state and its diagnosis
         (whole-sphere mass included) never build a Legendre table of every
-        order, for the grid or for the integrator; the first non-zonal
-        density keeps the integrator's table of every order, which fits
-        LEGENDRE_BYTES at L = 64, and the grid's stays the m = 0 block."""
+        order, for the grid or for the integrator, and the grid's
+        transform, which a weight with a singular point never reads,
+        builds none; the first non-zonal density keeps the integrator's
+        table of every order, which fits LEGENDRE_BYTES at L = 64."""
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
@@ -278,6 +279,7 @@ class TestZonalPath:
         kazdan_warner_residual(state.coeffs, grid, params.rho, w)
         diagnose(state, cap_radii=(0.5, 3.5))
         assert on_zonal_path(grid)
+        assert grid.transform._plm == []
         # a cap about an axis point reads the zonal state on one bearing
         full = dataclasses.replace(state, coeffs=state.coeffs.widened())
         for centre, r in itertools.product((NORTH, SOUTH), (0.05, 0.5)):
@@ -289,7 +291,7 @@ class TestZonalPath:
         c.order(1)[1] = 1.0e-3
         integ.density(c)
         assert len(integ.transform._plm) == grid.band_limit + 1
-        assert len(grid.transform._plm) == 1
+        assert grid.transform._plm == []
 
 
 class TestMemory:
@@ -298,7 +300,8 @@ class TestMemory:
         the first integrator build traces at most 8 MiB (28.6 MiB when axis
         invariance read log h over the whole grid at once) and diagnose at
         most 16 MiB above its entry (136.9 MiB when the state kept its
-        field on the full grid)."""
+        field on the full grid), and the grid holds no Legendre table
+        after it (diagnose reads the integrator's rule)."""
         import tracemalloc
 
         grid = build_grid(513, 1026)
@@ -320,6 +323,7 @@ class TestMemory:
             tracemalloc.stop()
         assert build <= 8 << 20
         assert diagnosis <= 16 << 20
+        assert grid.transform._plm == []
 
 
 class TestTruncatedCG:
@@ -506,6 +510,22 @@ class TestDiagnose:
         expected = params.rho * (1.0 - np.cos(0.5)) / 2.0
         assert diag.cap_masses[0.5] == pytest.approx(expected, rel=1e-6)
 
+    def test_peak_position_owns_its_data(self, grid16):
+        """A peak on a node is a copy, not a view that keeps the whole
+        node array of the rule alive: with no point, and with one of
+        positive order, where the centre is the peak itself."""
+        from sol_lab.subcritical_solver import MinimizerState
+        for w in (SingularWeight(),
+                  SingularWeight.from_orders([(NORTH, 0.5)])):
+            state = MinimizerState(
+                coeffs=grid16.transform.analysis_coeffs(grid16.nodes[..., 0]),
+                grid=grid16, params=FunctionalParams(rho=1.0, weight=w),
+                epsilon=0.5, J=0.0, residual_norm=0.0, iterations=0,
+                converged=True)
+            diag = diagnose(state)
+            assert diag.p_eps[0] > 0.9  # on a node, near +e1
+            assert diag.p_eps.base is None and diag.center.base is None
+
     def test_under_resolved_flag(self, grid16):
         """A bubble scale below 4 pi/L must raise the resolution flag; the
         constant minimizer of the problem without singular points is
@@ -528,15 +548,18 @@ class TestDiagnose:
         assert diag.t_eps < 4.0 * np.pi / grid16.band_limit
         assert diag.under_resolved
 
-    def test_non_zonal_diagnosis_is_one_grid_pass(self):
-        """A non-zonal state's grid values and the three coefficient sets
-        of its gradient are synthesized as one stack: the grid transform
-        makes one pass over every order, a stack, whose table fits
-        LEGENDRE_BYTES and is kept from that pass, and the values and
-        gradient are bit for bit those of separate passes."""
-        from sol_lab.sphere_grid import random_band_limited_batch
-        from sol_lab.subcritical_solver import (MinimizerState,
-                                                gradient_magnitude_grid)
+    def test_non_zonal_diagnosis_is_one_pass_on_the_rule(self,
+                                                         monkeypatch):
+        """A non-zonal state's values and the three coefficient sets of
+        its gradient are synthesized as one stack on the integrator's
+        transform, whose table fits LEGENDRE_BYTES and is kept from that
+        pass; the grid's transform makes no pass, and no other pass is a
+        stack.  The values and gradient
+        are bit for bit those of separate passes."""
+        from sol_lab import sphere_grid
+        from sol_lab.sphere_grid import (gradient_magnitude,
+                                         random_band_limited_batch)
+        from sol_lab.subcritical_solver import MinimizerState
         grid = build_grid(33, 66)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         coeffs = random_band_limited_batch(grid, np.random.default_rng(4), 1)
@@ -545,38 +568,56 @@ class TestDiagnose:
             params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w),
             epsilon=0.5, J=0.0, residual_norm=0.0, iterations=0,
             converged=True)
-        diag = diagnose(state, cap_radii=(0.5, 3.5))
-        assert len(grid.transform._plm) == grid.band_limit + 1
-        vals, grad = gradient_magnitude_grid(state.coeffs, grid, values=True)
-        assert np.array_equal(vals,
-                              grid.transform.synthesis_values(state.coeffs))
-        assert np.array_equal(grad, gradient_magnitude_grid(state.coeffs, grid))
-        assert diag.lambda_eps >= np.max(
-            grid.transform.synthesis_values(state.coeffs))
+        tr = integrator_for(grid, w).transform
+        passes = []
+        synthesis = sphere_grid.ProductTransform.synthesis_values
 
-    def test_non_zonal_sweep_runs_the_grid_recurrence_once(self,
+        def recorded(self, c):
+            passes.append((self, c.values.shape))
+            return synthesis(self, c)
+
+        monkeypatch.setattr(sphere_grid.ProductTransform, "synthesis_values",
+                            recorded)
+        diag = diagnose(state, cap_radii=(0.5, 3.5))
+        monkeypatch.undo()
+        # the one stack, beside the whole-sphere mass's one-field passes
+        assert [p for p in passes if len(p[1]) == 3] == [
+            (tr, (4,) + state.coeffs.values.shape)]
+        assert all(t is tr for t, _ in passes)
+        assert len(tr._plm) == grid.band_limit + 1
+        assert grid.transform._plm == []
+        vals, grad = gradient_magnitude(state.coeffs, tr.synthesis_values,
+                                        tr.t[:, None], values=True)
+        assert np.array_equal(vals, tr.synthesis_values(state.coeffs))
+        assert np.array_equal(grad, gradient_magnitude(
+            state.coeffs, tr.synthesis_values, tr.t[:, None]))
+        assert diag.lambda_eps >= np.max(vals)
+
+    def test_non_zonal_sweep_runs_the_rule_recurrence_once(self,
                                                            monkeypatch):
-        """The stack of each entry's ``diagnose`` keeps the grid's table
-        (it fits LEGENDRE_BYTES), so the Legendre recurrence runs over the
-        grid's rings once in a sweep, not once per entry."""
+        """A non-zonal sweep solves and diagnoses every entry on the
+        integrator's rule, whose table of every order is kept (it fits
+        LEGENDRE_BYTES): the Legendre recurrence runs over its rings once
+        in a sweep, and over the grid's rings never."""
         from sol_lab import sphere_grid
         grid = build_grid(33, 66)
-        tr = grid.transform
-        rings = tr.t[tr._order[:tr._reps]]
+        w = SingularWeight.from_orders([(NORTH, -0.5)], K=affine_K(1))
+        tr = integrator_for(grid, w).transform
+        rings = {name: t.t[t._order[:t._reps]]
+                 for name, t in (("rule", tr), ("grid", grid.transform))}
         runs = []
         groups = sphere_grid._legendre_groups
 
         def recorded(L, t, m_max, floor, work=0):
-            if np.array_equal(t, rings):
-                runs.append(m_max)
+            runs.extend((name, m_max) for name, r in rings.items()
+                        if np.array_equal(t, r))
             return groups(L, t, m_max, floor, work)
 
         monkeypatch.setattr(sphere_grid, "_legendre_groups", recorded)
-        w = SingularWeight.from_orders([(NORTH, -0.5)], K=affine_K(1))
         report = epsilon_sweep(w, grid, quick_config(0.5, 0.3, 0.2))
         assert len(report.entries) == 3
         assert all(s.coeffs.values.shape[-1] > 1 for s in report.states)
-        assert runs == [grid.band_limit]
+        assert runs == [("rule", 0), ("rule", grid.band_limit)]
 
     def test_cap_density_integral_constant(self, grid64):
         """Against the closed form for h = 1, u = const."""

@@ -23,6 +23,7 @@ from sol_lab.sphere_grid import (
     gauss_jacobi,
     geodesic_distance,
     gradient_at_angles,
+    gradient_magnitude,
     normalized_legendre,
     synthesis_at_angles,
     synthesis_at_points,
@@ -33,7 +34,6 @@ from sol_lab.sphere_grid import (
 
 from sol_lab.mt_functional import integrator_for
 from sol_lab.singular_geometry import SingularWeight
-from sol_lab.subcritical_solver import gradient_magnitude_grid
 
 from conftest import random_band_limited
 
@@ -52,7 +52,8 @@ class TestBuildGrid:
 
     def test_constant_integral(self):
         g = build_grid(64, 128)
-        assert abs(g.integral(np.ones((g.n_theta, 1))) - FOUR_PI) < 1e-12
+        assert abs(g.transform.integral(np.ones((g.n_theta, 1)))
+                   - FOUR_PI) < 1e-12
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -209,7 +210,7 @@ class TestGaussJacobi:
 
 class TestIntegrate:
     def test_constant(self, grid64):
-        assert abs(grid64.integral(np.ones((grid64.n_theta, 1)))
+        assert abs(grid64.transform.integral(np.ones((grid64.n_theta, 1)))
                    - FOUR_PI) == 0.0
 
     def test_constant_exact_for_every_size(self, grid16, grid64, grid128,
@@ -218,15 +219,28 @@ class TestIntegrate:
         grids = [build_grid(n, 2 * n) for n in range(2, 257)]
         grids += [grid16, grid64, grid128, grid192]
         for g in grids:
-            assert g.integral(np.ones((g.n_theta, 1))) == FOUR_PI, g
+            assert g.transform.integral(np.ones((g.n_theta, 1))) == FOUR_PI, g
 
     def test_odd_function(self, grid64):
-        assert abs(grid64.integral(grid64.nodes[..., 2])) < 1e-12
+        assert abs(grid64.transform.integral(grid64.nodes[..., 2])) < 1e-12
+
+    def test_stack_totals_are_those_of_each_field(self, grid16, rng):
+        """On the two-cap rule a stack integrates field by field, as
+        unbatched: full width and one column, bit for bit."""
+        w = SingularWeight.from_orders([([0, 0, 1], -0.5), ([0, 0, -1], 0.7)])
+        tr = integrator_for(grid16, w).transform
+        for width in (grid16.n_phi, 1):
+            values = np.exp(rng.normal(size=(3, 2, tr.t.size, width)))
+            totals = tr.integral(values)
+            assert totals.shape == (3, 2)
+            for i in np.ndindex(3, 2):
+                alone = tr.integral(values[i].copy())
+                assert type(alone) is float and totals[i] == alone
 
     def test_x3_squared(self, grid64):
         # 2 pi int_-1^1 t^2 dt = 4 pi / 3
         f = grid64.nodes[..., 2] ** 2
-        assert abs(grid64.integral(f) - FOUR_PI / 3.0) < 1e-12
+        assert abs(grid64.transform.integral(f) - FOUR_PI / 3.0) < 1e-12
 
 
 class TestTransforms:
@@ -267,12 +281,12 @@ class TestTransforms:
     def test_mean_is_a00(self, grid64, rng):
         f = random_band_limited(grid64, rng)
         c = grid64.transform.analysis_coeffs(f)
-        assert abs(grid64.integral(f) / FOUR_PI - c.mean) < 1e-10
+        assert abs(grid64.transform.integral(f) / FOUR_PI - c.mean) < 1e-10
 
     def test_parseval(self, grid64, rng):
         f = random_band_limited(grid64, rng)
         c = grid64.transform.analysis_coeffs(f)
-        lhs = grid64.integral(f**2)
+        lhs = grid64.transform.integral(f**2)
         rhs = float(np.sum(c.values**2))
         assert abs(lhs - rhs) < 1e-9 * abs(rhs)
 
@@ -1314,7 +1328,9 @@ class TestGradient:
 
     def test_grid(self, grid64):
         exact = self.exact_gradient(grid64.nodes)
-        grad = gradient_magnitude_grid(self.coeffs(grid64), grid64)
+        grad = gradient_magnitude(self.coeffs(grid64),
+                                  grid64.transform.synthesis_values,
+                                  grid64.t[:, None])
         assert np.max(np.abs(grad - exact)) <= 1e-12 * np.max(exact)
 
     def test_angles(self, grid64, rng):
