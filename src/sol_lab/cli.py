@@ -608,7 +608,7 @@ def _run_profile_collapse(config, report):
     ok = all(b < a + noise for a, b in zip(errs, errs[1:]))
     _check(report["checks"], "profile collapse monotone", max(
         b - a for a, b in zip(errs, errs[1:])), noise, ok)
-    # radial profile traces for plotting: the ray diagnose measured
+    # radial profile traces for plotting: the meridian diagnose measured
     from .closed_forms import planar_bubble
     for entry in sweep.entries:
         d = entry.diagnostics

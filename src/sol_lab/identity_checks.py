@@ -1,4 +1,4 @@
-"""Sharp constants, the axis Pohozaev identity, and non-existence witnesses.
+"""Sharp constants, the blow-up infimum and the axis Pohozaev identity.
 
 On the round sphere with weight h = K prod exp(-4 pi alpha_i G_{p_i}), the
 sharp constant of the exponential inequality is C = -inf J_{rho_bar} / rho_bar.
@@ -243,44 +243,3 @@ def kazdan_warner_residual(coeffs: SHCoefficients, grid: SphereGrid,
     poho = (a2 - a1) - prefactor * moment
     return KazdanWarnerReport(moment=moment, poho_residual=float(poho),
                               prefactor=float(prefactor), orders=(a1, a2))
-
-
-@dataclass
-class NonexistenceWitness:
-    regime: str
-    forced_moment: float
-    margin: float
-    certified: bool
-    message: str
-
-
-def nonexistence_witness(w: SingularWeight) -> NonexistenceWitness:
-    """Forced value of int h e^u x3 at rho = rho_bar and its infeasibility.
-
-    A solution would need the moment of the probability density h e^u to
-    equal a value of modulus one, which |x3| < 1 a.e. forbids.  The margin
-    is the distance of the forced moment from the open interval (-1, 1); it
-    is zero in every in-scope regime, a boundary contradiction.
-    """
-    a1, a2 = _axis_orders(w)
-    if len(w.points) == 1:
-        a = w.points[0].order
-        denom = a - 2.0 * min(0.0, a)
-        forced = -a / denom
-        regime = "one-singularity"
-    else:
-        lo, hi = min(a1, a2), max(a1, a2)
-        if a1 == a2:
-            raise RegimeError(
-                "equal antipodal orders: identity gives no useful condition")
-        if lo >= 0.0:
-            raise RegimeError("the pair regime needs a negative minimal order")
-        forced = 1.0
-        regime = "mixed-antipodal"
-    margin = abs(forced) - 1.0
-    certified = margin >= 0.0
-    return NonexistenceWitness(
-        regime=regime, forced_moment=float(forced), margin=float(margin),
-        certified=certified,
-        message=(f"forced |moment| = {abs(forced):g}, impossible for a "
-                 "nonconstant probability density with |x3| < 1 a.e."))

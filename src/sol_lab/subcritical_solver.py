@@ -44,11 +44,11 @@ column of coefficients under a weight invariant about the axis
 the axis, so every residual, direction and iterate is that column, every
 density is one column and each transform is one (L+1) x n_t product,
 O(L n_t), against O(L^2 n_t + L n_t n_phi) for all orders.  The
-diagnostics read a state on the integrator's rule it was solved on, a
-zonal state on one longitude: its peak, far field and gradients are one
-column of values.  A zonal start under a weight that is not invariant is
-widened to every order at its first step; any other input takes the
-full path, unchanged.
+diagnostics read a state on the integrator's rule it was solved on, in
+one pass, a zonal state on one longitude: its peak, profile, far field,
+gradients and whole-sphere mass are one column of values.  A zonal start
+under a weight that is not invariant is widened to every order at its
+first step; any other input takes the full path, unchanged.
 
 As eps decreases with a singular weight of negative minimal order, the
 minimizers concentrate: lambda_eps = max u grows, the concentration scale
@@ -56,8 +56,9 @@ t_eps = exp(-lambda_eps/(2(1+alpha))) shrinks, the rescaled profile
 collapses onto the planar bubble, and the mass rho_eps h e^u concentrates
 at the minimal-order point while u - mean(u) approaches rho_bar G_p away
 from it.  ``diagnose`` measures all of this; ``epsilon_sweep`` drives a
-schedule, each entry started from the previous one's coefficients, and
-Richardson-extrapolates the functional values.
+schedule, each entry (its epsilon, state and diagnosis) started from the
+previous one's coefficients, and Richardson-extrapolates the functional
+values.
 """
 
 from __future__ import annotations
@@ -133,7 +134,6 @@ class MinimizerState:
     coeffs: SHCoefficients
     grid: SphereGrid
     params: FunctionalParams
-    epsilon: float
     J: float
     residual_norm: float
     iterations: int
@@ -254,9 +254,8 @@ def minimize(params: FunctionalParams, config: SolverConfig,
              "J=%.15g |r|=%.3e", params.rho,
              "converged" if converged else "not converged", iterations,
              sum(rec["cg_iterations"] for rec in trace), J, rnorm)
-    return MinimizerState(coeffs=a, grid=grid, params=params,
-                          epsilon=params.weight.rho_bar - params.rho,
-                          J=J, residual_norm=rnorm, iterations=iterations,
+    return MinimizerState(coeffs=a, grid=grid, params=params, J=J,
+                          residual_norm=rnorm, iterations=iterations,
                           converged=converged, trace=trace)
 
 
@@ -290,26 +289,27 @@ class BlowupDiagnostics:
     p_eps: np.ndarray
     center: np.ndarray
     t_eps: float
-    cap_masses: dict
+    cap_mass: float  # rho int h e^u over B(center, 10 t_eps)
     profile_error: float
     farfield_error: float
     mean_decay: float
     grad_l15: float
     compact_case: bool
     under_resolved: bool
-    # u - lambda_eps on bearing 0 out to 5 t_eps; empty without a profile
+    # u - lambda_eps at the rule's nodes within 5 t_eps of the centre on
+    # the peak's meridian, by distance; empty without a profile
     profile_radii: np.ndarray
     profile: np.ndarray
 
 
-def diagnose(state: MinimizerState,
-             cap_radii: tuple = ()) -> BlowupDiagnostics:
+def diagnose(state: MinimizerState) -> BlowupDiagnostics:
     """Populate the concentration diagnostics of a converged state, from
     its values and gradient on the rule it was solved on (the integrator's
     transform; one column, on the first longitude, when zonal) and its own
-    weight.  The profile is compared with the bubble out to 5 t_eps, the
-    far field with the Green's function at distance >= 1 from the
-    centre."""
+    weight.  Both radial models are compared at the rule's nodes by their
+    distance d from the centre: the bubble at d <= 5 t_eps, the Green's
+    function at d >= 1.  The cap mass at 10 t_eps is a polar quadrature,
+    or the same nodes' integral when the cap covers the sphere."""
     grid, w = state.grid, state.params.weight
     alpha = w.alpha
     integ = integrator_for(grid, w)
@@ -338,47 +338,43 @@ def diagnose(state: MinimizerState,
     compact = lam < 1.0
     under_resolved = t_eps < 4.0 * np.pi / grid.band_limit
 
-    cap_masses = {}
-    for r in tuple(cap_radii) + (10.0 * t_eps,):
-        key = float(r)
-        if key <= 0.0:
-            continue
-        if key < np.pi - 0.2:
-            cap_masses[key] = state.params.rho * cap_density_integral(
-                state, center, key)
-        else:
-            # the "cap" covers the sphere: mass is rho * int h e^u
-            cap_masses[key] = state.params.rho * float(
-                np.exp(integ.log_exp_integral(state.coeffs)))
+    if 10.0 * t_eps < np.pi - 0.2:
+        cap_mass = cap_density_integral(state, center, 10.0 * t_eps)
+    else:  # the "cap" covers the sphere: int h e^u on the rule's nodes
+        cap_mass = float(np.exp(integ.density_of(vals.copy()).log_integral))
+    cap_mass *= state.params.rho
 
-    # profile collapse onto the planar bubble
-    profile_err, radii, profile = np.nan, np.empty(0), np.empty(0)
-    if alpha < 0.0 or not compact:
-        c_p = w.bubble_constant(center)
-        radii = np.linspace(0.0, 5.0, 25)[1:] * t_eps
-        u_vals = synthesis_at_points(state.coeffs,
-                                     cap_points(center, radii, 8))
-        bubble = planar_bubble(radii / t_eps, c_p, alpha)[:, None]
-        profile_err = float(np.max(np.abs(u_vals - lam - bubble)))
-        profile = u_vals[:, 0] - lam
-
-    # far field against the Green's function of the concentration point;
-    # about a centre off the axis, a zonal state needs every longitude
+    # distance of each node from the centre; about a centre off the axis,
+    # a zonal state needs every longitude
     if not on_axis(center):
         nodes = ring_points(tr.t, tr.phi)
         vals = np.broadcast_to(vals, nodes.shape[:-1])
     d = np.arccos(np.clip(nodes @ center, -1.0, 1.0))
-    mask = d >= 1.0
-    gvals = green_radial(d[mask])
+
+    # profile collapse onto the planar bubble; the peak's longitude is a
+    # meridian through the centre (any one for a centre on the axis)
+    profile_err, radii, profile = np.nan, np.empty(0), np.empty(0)
+    near = d <= 5.0 * t_eps
+    if (alpha < 0.0 or not compact) and near.any():
+        bubble = planar_bubble(d[near] / t_eps, w.bubble_constant(center),
+                               alpha)
+        profile_err = float(np.max(np.abs(vals[near] - lam - bubble)))
+        ring = np.flatnonzero(near[:, idx[1]])
+        ring = ring[np.argsort(d[ring, idx[1]], kind="stable")]
+        radii, profile = d[ring, idx[1]], vals[ring, idx[1]] - lam
+
+    # far field against the Green's function of the concentration point
+    far = d >= 1.0
     ubar = state.coeffs.mean
-    farfield = float(np.max(np.abs(vals[mask] - ubar - w.rho_bar * gvals)))
+    farfield = float(np.max(np.abs(vals[far] - ubar
+                                   - w.rho_bar * green_radial(d[far]))))
 
     grad_l15 = tr.integral(grad**1.5) ** (1.0 / 1.5)
 
     # copies: a node is a view of the whole node array
     return BlowupDiagnostics(
         lambda_eps=lam, p_eps=np.array(p_eps), center=np.array(center),
-        t_eps=t_eps, cap_masses=cap_masses, profile_error=profile_err,
+        t_eps=t_eps, cap_mass=cap_mass, profile_error=profile_err,
         farfield_error=farfield, mean_decay=t_eps**2 * ubar,
         grad_l15=grad_l15, compact_case=compact,
         under_resolved=under_resolved, profile_radii=radii, profile=profile)
@@ -390,27 +386,22 @@ def diagnose(state: MinimizerState,
 
 @dataclass
 class SweepEntry:
-    epsilon: float
-    rho: float
-    J: float
-    residual_norm: float
-    iterations: int
+    epsilon: float  # the schedule's, not rho_bar - rho re-rounded
+    state: MinimizerState
     diagnostics: BlowupDiagnostics
 
     def row(self) -> dict:
-        d = self.diagnostics
+        s, d = self.state, self.diagnostics
         return {
             "epsilon": self.epsilon,
-            "rho": self.rho,
-            "J": self.J,
-            "residual": self.residual_norm,
-            "iterations": self.iterations,
+            "rho": s.params.rho,
+            "J": s.J,
+            "residual": s.residual_norm,
+            "iterations": s.iterations,
             "lambda": d.lambda_eps,
             "t_eps": d.t_eps,
             "mean_decay": d.mean_decay,
-            "cap_mass_10t": d.cap_masses.get(
-                min(d.cap_masses, key=lambda k: abs(k - 10.0 * d.t_eps)),
-                np.nan) if d.cap_masses else np.nan,
+            "cap_mass_10t": d.cap_mass,
             "profile_error": d.profile_error,
             "farfield_error": d.farfield_error,
             "grad_l15": d.grad_l15,
@@ -423,7 +414,6 @@ class SweepReport:
     entries: list
     extrapolated_J: float
     extrapolation_exponent: float
-    states: list = field(default_factory=list)
 
     def column(self, key: str) -> list:
         return [e.row()[key] for e in self.entries]
@@ -476,7 +466,6 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
     from the previous state's coefficients."""
     rho_bar = weight.rho_bar
     entries = []
-    states = []
     current: SHCoefficients | None = None
     for eps in config.epsilon_schedule:
         if eps >= rho_bar:
@@ -496,21 +485,16 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
                 f"entry at epsilon = {eps} did not converge "
                 f"(residual {state.residual_norm:.3e} after "
                 f"{state.iterations} iterations)")
-        diag = diagnose(state)
-        entries.append(SweepEntry(epsilon=eps, rho=params.rho, J=state.J,
-                                  residual_norm=state.residual_norm,
-                                  iterations=state.iterations,
-                                  diagnostics=diag))
-        states.append(state)
+        entries.append(SweepEntry(eps, state, diagnose(state)))
         current = state.coeffs
     eps_arr = np.array([e.epsilon for e in entries])
-    J_arr = np.array([e.J for e in entries])
+    J_arr = np.array([e.state.J for e in entries])
     if len(entries) >= 3:
         J0, p = richardson_extrapolate(eps_arr, J_arr)
     else:
         J0, p = float(J_arr[-1]), np.nan
     return SweepReport(entries=entries, extrapolated_J=J0,
-                       extrapolation_exponent=p, states=states)
+                       extrapolation_exponent=p)
 
 
 # ---------------------------------------------------------------------------

@@ -169,20 +169,30 @@ class TestRun:
             assert config["experiment"]["residual_tol"] == tol
 
     def test_profile_collapse_samples_around_the_center(self):
-        """The profile records sample u on a ray from the concentration
-        point, so a south-pole run records what its mirror image at the
-        north pole records."""
-        records = {}
+        """The profile records sample u at the rule's rings within 5 t_eps
+        of the concentration point, each at a distance r <= pi, so a
+        south-pole run records what its mirror image at the north pole
+        records."""
+        from sol_lab.mt_functional import integrator_for
+        from sol_lab.singular_geometry import SingularWeight
+        from sol_lab.sphere_grid import build_grid
+
+        records, t_eps = {}, {}
         for z in (1, -1):
             config, _ = validate(config_text(
                 grid={"n_theta": 65, "n_phi": 130},
                 weight={"points": [{"position": [0, 0, z], "order": -0.5}]},
                 experiment={"kind": "profile-collapse",
                             "epsilons": [0.5, 0.2, 0.1]}))
+            rep = run(config)["records"]
             records[z] = [(r["r"], r["u_minus_lambda"], r["bubble"])
-                          for r in run(config)["records"]
-                          if "u_minus_lambda" in r]
-        assert len(records[1]) == 3 * 24  # diagnose's radii
+                          for r in rep if "u_minus_lambda" in r]
+            t_eps[z] = [r["t_eps"] for r in rep if "t_eps" in r]
+        w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5)])
+        rings = np.arccos(integrator_for(build_grid(65, 130), w).transform.t)
+        assert len(records[1]) == sum(np.count_nonzero(rings <= 5.0 * t)
+                                      for t in t_eps[1])
+        assert all(r <= np.pi for r, _, _ in records[1] + records[-1])
         np.testing.assert_allclose(records[-1], records[1], rtol=0,
                                    atol=1e-12)
 

@@ -1,4 +1,4 @@
-"""Sharp constants, pipeline consistency, axis identity, non-existence."""
+"""Sharp constants, pipeline consistency, the axis identity and its layout."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from sol_lab.identity_checks import (
     RegimeError,
     kazdan_warner_residual,
     blowup_infimum,
-    nonexistence_witness,
     sphere_sharp_constant,
 )
 from sol_lab.mt_functional import FunctionalParams, eval_J, integrator_for
@@ -218,36 +217,7 @@ class TestKazdanWarner:
             kazdan_warner_residual(zero(grid64), grid64, w.rho_bar, w)
 
 
-class TestNonexistenceWitness:
-    def test_single_negative(self):
-        w = SingularWeight.from_orders([(NORTH, -0.5)])
-        rep = nonexistence_witness(w)
-        assert rep.forced_moment == pytest.approx(1.0)
-        assert rep.margin == 0.0
-        assert rep.certified
-        assert "impossible" in rep.message
-
-    def test_single_positive(self):
-        w = SingularWeight.from_orders([(NORTH, 1.0)])
-        rep = nonexistence_witness(w)
-        assert abs(rep.forced_moment) == pytest.approx(1.0)
-        assert rep.certified
-
-    def test_mixed_antipodal(self):
-        w = SingularWeight.from_orders([(NORTH, -0.5), (SOUTH, 0.25)])
-        rep = nonexistence_witness(w)
-        assert rep.forced_moment == pytest.approx(1.0)
-        assert rep.certified
-
-    def test_equal_orders_vacuous(self):
-        w = extremal_weight(-0.5)
-        with pytest.raises(RegimeError):
-            nonexistence_witness(w)
-
-    def test_no_singularities_vacuous(self):
-        with pytest.raises(RegimeError):
-            nonexistence_witness(SingularWeight())
-
+class TestAxisLayout:
     @pytest.mark.parametrize("delta", [1.0e-6, 5.0e-6])
     def test_axis_layout_is_the_integrators(self, grid64, delta):
         """The identity and the integrator take the same layout, singular

@@ -180,7 +180,7 @@ class TestZonalPath:
         cfg = SolverConfig(epsilon_schedule=(0.5, 0.2, 0.1, 0.05))
         report = epsilon_sweep(w, grid, cfg)
         assert on_zonal_path(grid)
-        for state in report.states:
+        for state in [e.state for e in report.entries]:
             assert state.iterations <= 15
             J_zonal, J_full = zonal_and_full_J(grid, state.params,
                                                state.coeffs)
@@ -277,7 +277,7 @@ class TestZonalPath:
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         state = minimize(params, quick_config(0.3), zero(grid), grid)
         kazdan_warner_residual(state.coeffs, grid, params.rho, w)
-        diagnose(state, cap_radii=(0.5, 3.5))
+        diagnose(state)
         assert on_zonal_path(grid)
         assert grid.transform._plm == []
         # a cap about an axis point reads the zonal state on one bearing
@@ -499,16 +499,26 @@ class TestMinimize:
 
 
 class TestDiagnose:
+    @staticmethod
+    def unsolved(coeffs, grid, w):
+        """A state of these coefficients at rho = rho_bar - 0.5."""
+        from sol_lab.subcritical_solver import MinimizerState
+        return MinimizerState(
+            coeffs=coeffs, grid=grid,
+            params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w),
+            J=0.0, residual_norm=0.0, iterations=0, converged=True)
+
     def test_compact_case(self, grid64):
         """m = 0 run: bounded, flagged compact, cap mass = area fraction."""
         params = FunctionalParams(rho=8.0 * np.pi - 1.0,
                                   weight=SingularWeight())
         state = minimize(params, quick_config(1.0),
                          zero(grid64), grid64)
-        diag = diagnose(state, cap_radii=(0.5,))
+        diag = diagnose(state)
         assert diag.compact_case
-        expected = params.rho * (1.0 - np.cos(0.5)) / 2.0
-        assert diag.cap_masses[0.5] == pytest.approx(expected, rel=1e-6)
+        expected = (1.0 - np.cos(0.5)) / 2.0
+        assert cap_density_integral(state, diag.center, 0.5) == \
+            pytest.approx(expected, rel=1e-6)
 
     def test_peak_position_owns_its_data(self, grid16):
         """A peak on a node is a copy, not a view that keeps the whole
@@ -520,8 +530,7 @@ class TestDiagnose:
             state = MinimizerState(
                 coeffs=grid16.transform.analysis_coeffs(grid16.nodes[..., 0]),
                 grid=grid16, params=FunctionalParams(rho=1.0, weight=w),
-                epsilon=0.5, J=0.0, residual_norm=0.0, iterations=0,
-                converged=True)
+                J=0.0, residual_norm=0.0, iterations=0, converged=True)
             diag = diagnose(state)
             assert diag.p_eps[0] > 0.9  # on a node, near +e1
             assert diag.p_eps.base is None and diag.center.base is None
@@ -530,7 +539,6 @@ class TestDiagnose:
         """A bubble scale below 4 pi/L must raise the resolution flag; the
         constant minimizer of the problem without singular points is
         resolved on any grid."""
-        from sol_lab.subcritical_solver import MinimizerState
         flat = SingularWeight()
         state = minimize(FunctionalParams(rho=8.0 * np.pi - 1.0, weight=flat),
                          quick_config(1.0), zero(grid16), grid16)
@@ -538,13 +546,9 @@ class TestDiagnose:
         assert diag.lambda_eps == pytest.approx(-np.log(4.0 * np.pi))
         assert not diag.under_resolved
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         spiky = grid16.transform.analysis_coeffs(  # 6 x3 - 3, one column
             6.0 * grid16.t[:, None] - 3.0)
-        fake = MinimizerState(coeffs=spiky, grid=grid16,
-                              params=params, epsilon=0.5, J=0.0,
-                              residual_norm=0.0, iterations=0, converged=True)
-        diag = diagnose(fake)  # t_eps = e^{-3} < 4 pi / 16
+        diag = diagnose(self.unsolved(spiky, grid16, w))  # t_eps = e^{-3}
         assert diag.t_eps < 4.0 * np.pi / grid16.band_limit
         assert diag.under_resolved
 
@@ -553,21 +557,17 @@ class TestDiagnose:
         """A non-zonal state's values and the three coefficient sets of
         its gradient are synthesized as one stack on the integrator's
         transform, whose table fits LEGENDRE_BYTES and is kept from that
-        pass; the grid's transform makes no pass, and no other pass is a
-        stack.  The values and gradient
+        pass, and that stack is the only pass: the grid's transform makes
+        none, and the whole-sphere mass (t_eps = 0.68, so 10 t_eps covers
+        the sphere) reads the stack's values.  The values and gradient
         are bit for bit those of separate passes."""
         from sol_lab import sphere_grid
         from sol_lab.sphere_grid import (gradient_magnitude,
                                          random_band_limited_batch)
-        from sol_lab.subcritical_solver import MinimizerState
         grid = build_grid(33, 66)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         coeffs = random_band_limited_batch(grid, np.random.default_rng(4), 1)
-        state = MinimizerState(
-            coeffs=SHCoefficients(coeffs.values[0]), grid=grid,
-            params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w),
-            epsilon=0.5, J=0.0, residual_norm=0.0, iterations=0,
-            converged=True)
+        state = self.unsolved(SHCoefficients(coeffs.values[0]), grid, w)
         tr = integrator_for(grid, w).transform
         passes = []
         synthesis = sphere_grid.ProductTransform.synthesis_values
@@ -578,12 +578,10 @@ class TestDiagnose:
 
         monkeypatch.setattr(sphere_grid.ProductTransform, "synthesis_values",
                             recorded)
-        diag = diagnose(state, cap_radii=(0.5, 3.5))
+        diag = diagnose(state)
         monkeypatch.undo()
-        # the one stack, beside the whole-sphere mass's one-field passes
-        assert [p for p in passes if len(p[1]) == 3] == [
-            (tr, (4,) + state.coeffs.values.shape)]
-        assert all(t is tr for t, _ in passes)
+        assert 10.0 * diag.t_eps >= np.pi - 0.2
+        assert passes == [(tr, (4,) + state.coeffs.values.shape)]
         assert len(tr._plm) == grid.band_limit + 1
         assert grid.transform._plm == []
         vals, grad = gradient_magnitude(state.coeffs, tr.synthesis_values,
@@ -592,6 +590,88 @@ class TestDiagnose:
         assert np.array_equal(grad, gradient_magnitude(
             state.coeffs, tr.synthesis_values, tr.t[:, None]))
         assert diag.lambda_eps >= np.max(vals)
+
+    def test_wide_profile_stays_on_the_sphere(self):
+        """The profile is u - lambda at the rule's nodes on a meridian
+        through the centre, ascending in true distance within [0, pi],
+        also for a state wider than pi/5, where 5 t_eps passes the
+        antipode."""
+        from sol_lab.sphere_grid import random_band_limited_batch
+        grid = build_grid(33, 66)
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        wide = random_band_limited_batch(grid, np.random.default_rng(4), 1)
+        diag = diagnose(self.unsolved(SHCoefficients(wide.values[0]), grid,
+                                      w))
+        assert 5.0 * diag.t_eps > np.pi
+        r = diag.profile_radii
+        assert r.size > 0 and np.all(np.diff(r) >= 0.0)
+        assert 0.0 <= r[0] and r[-1] <= np.pi
+
+    @pytest.mark.parametrize("orders", [[], [(NORTH, 0.5)]],
+                             ids=["no-point", "positive-order"])
+    def test_off_axis_profile_starts_at_the_center(self, orders):
+        """About a centre off the axis (a spiky state peaking near +e2,
+        with no point or one of positive order, so the centre is the peak
+        node) the profile runs along the peak's meridian from the centre
+        itself, up to arccos's resolution at 1 (2.6e-8 on this grid), to
+        5 t_eps."""
+        grid = build_grid(33, 66)
+        spiky = grid.transform.analysis_coeffs(  # 6 x2 + 2 x3
+            6.0 * grid.nodes[..., 1] + 2.0 * grid.nodes[..., 2])
+        diag = diagnose(self.unsolved(spiky, grid,
+                                      SingularWeight.from_orders(orders)))
+        assert not diag.compact_case and diag.center[1] > 0.9
+        r = diag.profile_radii
+        assert r.size > 1 and np.all(np.diff(r) >= 0.0)
+        assert r[0] < 3.0e-8 and diag.profile[0] == 0.0
+        assert r[-1] <= 5.0 * diag.t_eps
+
+    def test_profile_error_is_a_max_over_the_rule_nodes(self):
+        """profile_error is the largest |u - lambda - bubble(d / t_eps)|
+        over every node of the rule within 5 t_eps of the centre (a
+        spiky zonal state, t_eps = e^-3), here from a separate one-field
+        pass (a zonal pass alone rounds other last bits than the stack)."""
+        from sol_lab.closed_forms import planar_bubble
+        from sol_lab.sphere_grid import ring_points
+        grid = build_grid(33, 66)
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        state = self.unsolved(grid.transform.analysis_coeffs(
+            6.0 * grid.t[:, None] - 3.0), grid, w)
+        diag = diagnose(state)
+        assert diag.t_eps == pytest.approx(np.exp(-3.0))
+        tr = integrator_for(grid, w).transform
+        nodes = ring_points(tr.t, tr.phi)
+        u = np.broadcast_to(tr.synthesis_values(state.coeffs),
+                            nodes.shape[:-1])
+        d = np.arccos(np.clip(nodes @ diag.center, -1.0, 1.0))
+        near = d <= 5.0 * diag.t_eps
+        bubble = planar_bubble(d[near] / diag.t_eps,
+                               w.bubble_constant(diag.center), w.alpha)
+        assert diag.profile_error == pytest.approx(
+            np.max(np.abs(u[near] - diag.lambda_eps - bubble)), rel=1e-12)
+
+    def test_zonal_point_syntheses(self, monkeypatch):
+        """A zonal alpha = -1/2 state is synthesized at points only at the
+        singular point and, when 10 t_eps < pi - 0.2, on the cap's polar
+        rule: once for the flat state (t_eps = 1) and twice for a spiky
+        one (t_eps = e^-3)."""
+        from sol_lab import sphere_grid
+        grid = build_grid(33, 66)
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        calls = []
+        at_angles = sphere_grid.synthesis_at_angles
+
+        def recorded(c, t, phi):
+            calls.append(c.values.shape[-1])
+            return at_angles(c, t, phi)
+
+        monkeypatch.setattr(sphere_grid, "synthesis_at_angles", recorded)
+        for coeffs, count in ((zero(grid), 1), (
+                grid.transform.analysis_coeffs(6.0 * grid.t[:, None] - 3.0),
+                2)):
+            calls.clear()
+            diagnose(self.unsolved(coeffs, grid, w))
+            assert calls == [1] * count
 
     def test_non_zonal_sweep_runs_the_rule_recurrence_once(self,
                                                            monkeypatch):
@@ -616,7 +696,8 @@ class TestDiagnose:
         monkeypatch.setattr(sphere_grid, "_legendre_groups", recorded)
         report = epsilon_sweep(w, grid, quick_config(0.5, 0.3, 0.2))
         assert len(report.entries) == 3
-        assert all(s.coeffs.values.shape[-1] > 1 for s in report.states)
+        assert all(e.state.coeffs.values.shape[-1] > 1
+                   for e in report.entries)
         assert runs == [("rule", 0), ("rule", grid.band_limit)]
 
     def test_cap_density_integral_constant(self, grid64):
@@ -638,13 +719,9 @@ class TestDiagnose:
         At alpha = -0.9 the radial nodes reach r ~ 1e-19, where
         1 - <p, x> rounds to 0 unless it is taken as 2 sin^2(r/2).
         """
-        from sol_lab.subcritical_solver import MinimizerState
         w = SingularWeight.from_orders([(NORTH, alpha)])
-        state = MinimizerState(
-            coeffs=SHCoefficients.zeros(grid16.band_limit), grid=grid16,
-            params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w),
-            epsilon=0.5, J=0.0, residual_norm=0.0, iterations=0,
-            converged=True)
+        state = self.unsolved(SHCoefficients.zeros(grid16.band_limit),
+                              grid16, w)
         for r in (1e-3, 0.3, 1.0):
             exact = (2.0 * np.pi * (np.e / 2.0) ** alpha
                      * (2.0 * np.sin(0.5 * r) ** 2) ** (1.0 + alpha)
@@ -675,8 +752,8 @@ class TestSweep:
         report = epsilon_sweep(w, grid64, SolverConfig(
             epsilon_schedule=(0.4, 0.2), max_iterations=3000))
         rows = report.column("farfield_error")
-        assert rows == [diagnose(state).farfield_error
-                        for state in report.states]
+        assert rows == [diagnose(e.state).farfield_error
+                        for e in report.entries]
         assert all(np.isfinite(rows))
 
     def test_regular_sweep_stays_bounded(self, grid64):
