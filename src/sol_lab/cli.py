@@ -483,8 +483,7 @@ def _run_inequality_sample(config, report):
     import numpy as np
     from .closed_forms import conformal_pullback
     from .mt_functional import integrator_for, sample_gaps, troyanov_gap
-    from .sphere_grid import (SHCoefficients, batch_size,
-                              random_band_limited_batch)
+    from .sphere_grid import SHCoefficients, batch_size
 
     exp = config["experiment"]
     w = _build_weight(config)
@@ -495,8 +494,7 @@ def _run_inequality_sample(config, report):
     integ, start = integrator_for(grid, w), 0
     while start < n_samples:  # one stack alive at a time
         count = min(batch_size(integ.nodes), n_samples - start)
-        gaps = sample_gaps(random_band_limited_batch(grid, rng, count), grid,
-                           w, exp["constant"])
+        gaps = sample_gaps(grid, rng, count, w, exp["constant"])
         for i, gap in enumerate(gaps, start):
             report["records"].append({"sample": i, "gap": float(gap)})
             worst = min(worst, float(gap))

@@ -346,7 +346,7 @@ def concentration_field(params: ConcentrationParams,
     grid: a zonal column when p is +-e3."""
     profile = concentration_profile(params)
     phi = grid.phi[:1] if on_axis(params.p) else grid.phi
-    d = np.arccos(np.clip(ring_points(grid.t, phi) @ params.p, -1.0, 1.0))
+    d = geodesic_distance(params.p, ring_points(grid.t, phi))
     return grid.transform.analysis_coeffs(profile(d))
 
 

@@ -44,10 +44,11 @@ exponentiation, so strongly concentrated fields cannot overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import sphere_grid
 from .sphere_grid import (
     FOUR_PI,
     ProductTransform,
@@ -143,10 +144,10 @@ class Density:
     integral under the rule (int h e^u = e^shift total) and ``peak`` max
     u over the nodes.  For a stack of fields ``values`` has the batch axes
     first, and ``shift``, ``total`` and ``peak`` are arrays over them;
-    otherwise they are floats.  ``sample_gaps`` drops the values (None).
+    otherwise they are floats.
     """
 
-    values: np.ndarray | None
+    values: np.ndarray
     shift: float | np.ndarray
     total: float | np.ndarray
     peak: float | np.ndarray
@@ -154,11 +155,6 @@ class Density:
     @property
     def log_integral(self) -> float | np.ndarray:
         return self.shift + np.log(self.total)
-
-    def shifted(self, constant: float) -> Density:
-        """The record of u + constant; h e^{u - shift} is unchanged."""
-        return Density(self.values, self.shift + constant, self.total,
-                       self.peak + constant)
 
 
 class SingularIntegrator:
@@ -291,11 +287,7 @@ def eval_J(coeffs: SHCoefficients, grid: SphereGrid,
     """J_rho of the field with these coefficients (of each field of a
     stack), invariant under u -> u + const; raises UnnormalizedBlowupError
     when max u over the quadrature nodes exceeds DEFAULT_CEILING."""
-    return _J_below_ceiling(
-        coeffs, integrator_for(grid, params.weight).density(coeffs), params)
-
-
-def _J_below_ceiling(coeffs, dens, params):
+    dens = integrator_for(grid, params.weight).density(coeffs)
     peak = float(np.max(dens.peak))
     if peak > DEFAULT_CEILING:
         raise UnnormalizedBlowupError(
@@ -376,21 +368,16 @@ def troyanov_gap(coeffs: SHCoefficients, grid: SphereGrid,
     return eval_J(coeffs, grid, params) / w.rho_bar + C
 
 
-def sample_gaps(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
+def sample_gaps(grid: SphereGrid, rng, count: int, w: SingularWeight,
                 C: float) -> np.ndarray:
-    """``troyanov_gap`` of each raw draw of a stack scaled to max |u| = 2
-    over the quadrature nodes: u is scaled on its one synthesis, before
-    log h is added, and its coefficients by the same factor.  The density
-    keeps its shift, total and peak but not its values, which die before
-    the scaled coefficients are formed: a stack holds one or the other,
-    never both."""
-    integ = integrator_for(grid, w)
-    u = integ.transform.synthesis_values(coeffs)
-    flat = u.reshape(*coeffs.values.shape[:-2], -1)
-    scale = 2.0 / np.maximum(flat.max(axis=-1), -flat.min(axis=-1))
-    u *= scale[..., None, None]  # batch axes first, then two node axes
-    dens = replace(integ.density_of(u), values=None)
-    del u, flat
-    scaled = SHCoefficients(coeffs.values * scale[..., None, None])
-    params = FunctionalParams(rho=w.rho_bar, weight=w)
-    return _J_below_ceiling(scaled, dens, params) / w.rho_bar + C
+    """``troyanov_gap`` of ``count`` seeded draws
+    (``sphere_grid.random_band_limited_batch``), each scaled by its
+    coefficients to RMS 0.7 over the sphere, sqrt(sum a_lm^2 / 4 pi), before
+    its density is formed: a sample depends on the seed alone, not on the
+    quadrature rule.  Over 20 draws max |u| / RMS is about 2-4 at L = 32
+    to 256, so the samples reach about max |u| = 2."""
+    draws = sphere_grid.random_band_limited_batch(grid, rng, count)
+    v = draws.values
+    rms = np.sqrt(np.einsum("...lm,...lm->...", v, v) / FOUR_PI)
+    v *= (0.7 / rms)[..., None, None]  # batch axes first, then (l, m)
+    return troyanov_gap(draws, grid, w, C)

@@ -89,10 +89,14 @@ def normalized(v) -> np.ndarray:
     return v / n
 
 
-def geodesic_distance(p, q) -> float:
-    """Great-circle distance arccos<p,q>, clamped against roundoff."""
-    dot = float(np.dot(np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
-    return float(np.arccos(np.clip(dot, -1.0, 1.0)))
+def geodesic_distance(p, x):
+    """Great-circle distance from the unit vector p to x, a unit vector or
+    an array of them of shape (..., 3): arctan2(|x cross p|, x . p), exact
+    at 0 and pi, where arccos of the dot resolves only sqrt(2 ulp); a float
+    for one point."""
+    p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
+    d = np.arctan2(np.linalg.norm(np.cross(x, p), axis=-1), x @ p)
+    return float(d) if d.ndim == 0 else d
 
 
 def _orthonormal_frame(p: np.ndarray):
@@ -877,8 +881,8 @@ def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
     (default the grid's band limit) are one draw of (l_max + 1)^2 - 1
     normals, in order of degree and then of m.  The fields are drawn one
     after another, so the stream does not depend on how the samples are
-    split into batches.  Callers scale each field on the nodes they
-    evaluate it on (``mt_functional.sample_gaps``: the quadrature nodes).
+    split into batches.  Callers scale each field by its coefficients
+    (``mt_functional.sample_gaps``: to an RMS over the sphere).
     """
     G = grid.band_limit
     L = G if l_max is None else l_max

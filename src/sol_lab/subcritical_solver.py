@@ -2,7 +2,7 @@
 
 For rho = rho_bar - eps the functional is coercive and has a minimizer.
 The solver is inexact Newton on the coefficients of u: with the current
-normalized iterate u, its residual r (the exact gradient of the discrete
+iterate u, its residual r (the exact gradient of the discrete
 functional, ``density_residual``) and the exact discrete Hessian H
 (``hessian_product``),
 
@@ -11,8 +11,7 @@ functional, ``density_residual``) and the exact discrete Hessian H
            the forcing tolerance ||H s + r|| <= min(1/2, sqrt(||r||/rho))
            ||r|| (Eisenstat-Walker, SIAM J. Sci. Comput. 17, 1996), or
            until CG_MAX products or a direction of negative curvature,
-    step   u <- u + tau s, tau = 1, 1/2, 1/4, ... backtracking on J,
-    renormalize so that int h e^u = 1.
+    step   u <- u + tau s, tau = 1, 1/2, 1/4, ... backtracking on J.
 
 The first PCG iterate is a multiple of (-Delta)^{-1} r, the preconditioned
 descent direction, and a negative curvature met on the first iteration
@@ -26,11 +25,14 @@ Each Hessian product synthesizes its vector once and analyses the product
 with the density once, on the integrator's one product rule
 (``SingularIntegrator``); each line-search trial synthesizes the
 candidate once (``SingularIntegrator.density``) and evaluates J from that
-record; J is shift invariant, so the candidate need not be normalized
-first.  The accepted candidate is normalized by shifting its mean, and
-its record is reused for the next step's peak, residual and Hessian, so
-the residual costs one analysis.  An outer step therefore costs
-1 + CG iterations analyses and CG iterations + trials syntheses.
+record, and the accepted candidate's record is reused for the next step's
+peak, residual and Hessian, so the residual costs one analysis.  J, its
+gradient and its Hessian are shift invariant and the l = 0 row of every
+residual and direction is zero, so the iterate keeps its start's mean and
+is never renormalized: the peak is read normalized, max u - log int h
+e^u, and only the returned state is shifted to int h e^u = 1.  An outer
+step therefore costs 1 + CG iterations analyses and CG iterations +
+trials syntheses.
 
 The logger ``sol_lab.solver`` writes one debug line per outer step and
 one info line per solve.
@@ -177,12 +179,12 @@ def minimize(params: FunctionalParams, config: SolverConfig,
              init: SHCoefficients, grid: SphereGrid) -> MinimizerState:
     """Minimize J_rho by inexact Newton (truncated PCG on the exact discrete
     Hessian, backtracking on J) from the coefficients ``init``; returns a
-    normalized state.
+    normalized state, the iterate shifted once, at the end.
 
     ``iterations`` counts outer (Newton) steps; each trace record holds
-    the step's J, residual and peak lambda at its start, and the step
-    length taken, its halvings and its Hessian products (all zero on the
-    converged record).
+    the step's J, residual and normalized peak lambda (max u - log int
+    h e^u) at its start, and the step length taken, its halvings and its
+    Hessian products (all zero on the converged record).
     """
     if params.rho > params.weight.rho_bar + 1.0e-12:
         raise ValueError(
@@ -195,14 +197,8 @@ def minimize(params: FunctionalParams, config: SolverConfig,
     precond[1:, 0] = 1.0 / _degree_weights(grid.band_limit)[1:]
     tol = config.tol_factor * params.rho
 
-    def normalized(coeffs, dens):
-        """Shift by a constant so that int h e^u = 1."""
-        c = -dens.log_integral
-        return coeffs.shifted(c), dens.shifted(c)
-
     dens = integ.density(a)
     J = eval_J_coeffs(a, dens, params)
-    a, dens = normalized(a, dens)
     trace = []
     converged = False
     iterations = 0
@@ -210,7 +206,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
 
     for it in range(config.max_iterations):
         iterations = it
-        lam = integ.field_peak(dens)
+        lam = integ.field_peak(dens) - dens.log_integral  # normalized peak
         if lam > DEFAULT_CEILING:
             raise UnnormalizedBlowupError(
                 f"max(u) = {lam:.3g} exceeded the ceiling during minimization")
@@ -234,10 +230,9 @@ def minimize(params: FunctionalParams, config: SolverConfig,
         for backtracks in range(BACKTRACK_MAX):
             cand = SHCoefficients(a.values + step * direction)
             cand_dens = integ.density(cand)
-            # J is shift invariant: the unnormalized candidate has the same J
             J_cand = eval_J_coeffs(cand, cand_dens, params)
             if J_cand <= J + 1.0e-12:
-                (a, dens), J = normalized(cand, cand_dens), J_cand
+                a, dens, J = cand, cand_dens, J_cand
                 accepted = True
                 break
             step *= 0.5
@@ -254,9 +249,10 @@ def minimize(params: FunctionalParams, config: SolverConfig,
              "J=%.15g |r|=%.3e", params.rho,
              "converged" if converged else "not converged", iterations,
              sum(rec["cg_iterations"] for rec in trace), J, rnorm)
-    return MinimizerState(coeffs=a, grid=grid, params=params, J=J,
-                          residual_norm=rnorm, iterations=iterations,
-                          converged=converged, trace=trace)
+    return MinimizerState(coeffs=a.shifted(-dens.log_integral), grid=grid,
+                          params=params, J=J, residual_norm=rnorm,
+                          iterations=iterations, converged=converged,
+                          trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +345,7 @@ def diagnose(state: MinimizerState) -> BlowupDiagnostics:
     if not on_axis(center):
         nodes = ring_points(tr.t, tr.phi)
         vals = np.broadcast_to(vals, nodes.shape[:-1])
-    d = np.arccos(np.clip(nodes @ center, -1.0, 1.0))
+    d = geodesic_distance(center, nodes)
 
     # profile collapse onto the planar bubble; the peak's longitude is a
     # meridian through the centre (any one for a centre on the axis)

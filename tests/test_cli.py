@@ -217,8 +217,8 @@ class TestRun:
         """20 samples in stacks of K = 8 make ceil(20 / 8) = 3 syntheses
         on the integrator's one transform instead of 20, none on the grid and no
         analysis (the draws are coefficients), and give the gaps of a
-        per-sample troyanov_gap loop with each draw scaled to max |u| = 2
-        over the quadrature nodes."""
+        per-sample troyanov_gap loop with each draw scaled to RMS 0.7 by
+        its coefficients."""
         from sol_lab import sphere_grid
         from sol_lab.mt_functional import integrator_for, troyanov_gap
         from sol_lab.singular_geometry import SingularWeight
@@ -244,19 +244,38 @@ class TestRun:
         want = []
         for _ in range(20):
             c = sphere_grid.random_band_limited_batch(g, rng, 1).values[0]
-            peak = np.max(np.abs(block.synthesis_values(
-                sphere_grid.SHCoefficients(c))))
-            want.append(troyanov_gap(sphere_grid.SHCoefficients(c * (2.0 / peak)),
+            rms = np.sqrt(np.sum(c * c) / (4.0 * np.pi))
+            want.append(troyanov_gap(sphere_grid.SHCoefficients(c * (0.7 / rms)),
                                      g, w, 0.0))
         got = [r["gap"] for r in report["records"]]
         assert [r["sample"] for r in report["records"]] == list(range(20))
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
-    def test_samples_scaled_on_quadrature_nodes(self, monkeypatch):
+    @staticmethod
+    def evaluated_stacks(monkeypatch, points, samples, seed):
+        """(coefficients, density) of each stack an inequality-sample run
+        hands to eval_J_coeffs, and the run's report."""
+        from sol_lab import mt_functional
+
+        evaluated, J = [], mt_functional.eval_J_coeffs
+
+        def eval_J_coeffs(coeffs, dens, params):
+            evaluated.append((coeffs, dens))
+            return J(coeffs, dens, params)
+
+        monkeypatch.setattr(mt_functional, "eval_J_coeffs", eval_J_coeffs)
+        config, _ = validate(config_text(
+            experiment={"kind": "inequality-sample", "samples": samples},
+            weight={"points": [{"position": p, "order": a}
+                               for p, a in points]},
+            grid={"n_theta": 33, "n_phi": 66}, seed=seed))
+        return evaluated, run(config)
+
+    def test_samples_scaled_by_their_coefficients(self, monkeypatch):
         """Two axis caps at L = 32, 7 samples in stacks of 3: each sample
-        reaches max |u| = 2 over the integrator's nodes, the density is
-        formed from those scaled values, and each stack is synthesized once
-        on the block and never on the grid."""
+        has RMS 0.7 over the sphere by its coefficients, the density is
+        formed from those scaled coefficients, and each stack is
+        synthesized once on the block and never on the grid."""
         from sol_lab import mt_functional, sphere_grid
         from sol_lab.sphere_grid import ProductTransform, SHCoefficients
 
@@ -265,9 +284,8 @@ class TestRun:
         nodes = mt_functional.integrator_for(
             sphere_grid.build_grid(33, 66), w).nodes
         monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 3 * 8 * nodes + 7)
-        grids, passes, evaluated = [], [], []
+        grids, passes = [], []
         build, synthesis = sphere_grid.build_grid, ProductTransform.synthesis_values
-        J = mt_functional.eval_J_coeffs
 
         def build_grid(*args):
             grids.append(build(*args))
@@ -277,30 +295,57 @@ class TestRun:
             passes.append(self)
             return synthesis(self, *args)
 
-        def eval_J_coeffs(coeffs, dens, params):
-            evaluated.append((coeffs, dens))
-            return J(coeffs, dens, params)
-
         monkeypatch.setattr(sphere_grid, "build_grid", build_grid)
         monkeypatch.setattr(ProductTransform, "synthesis_values",
                             synthesis_values)
-        monkeypatch.setattr(mt_functional, "eval_J_coeffs", eval_J_coeffs)
-        config, _ = validate(config_text(
-            experiment={"kind": "inequality-sample", "samples": 7},
-            weight={"points": [{"position": [0, 0, 1], "order": -0.5},
-                               {"position": [0, 0, -1], "order": 0.3}]},
-            grid={"n_theta": 33, "n_phi": 66}, seed=3))
-        report = run(config)
+        evaluated, report = self.evaluated_stacks(
+            monkeypatch, [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)], 7, 3)
         (grid,) = grids
         (integ,) = grid._integrator_cache.values()
         assert [tr is integ.transform for tr in passes] == [True] * 3
         assert [c.values.shape[0] for c, _ in evaluated] == [3, 3, 1]
         for coeffs, dens in evaluated:
             for i, c in enumerate(coeffs.values):
+                assert np.sqrt(np.sum(c * c) / (4.0 * np.pi)) == \
+                    pytest.approx(0.7, rel=1e-14)
                 u = integ.transform.synthesis_values(SHCoefficients(c))
-                assert np.max(np.abs(u)) == pytest.approx(2.0, rel=1e-14)
                 assert abs(dens.peak[i] - np.max(u)) <= 1e-14
         assert len(report["records"]) == 7
+
+    def test_samples_do_not_depend_on_the_rule(self, monkeypatch):
+        """One seed under two weights whose quadrature rules differ (an
+        order -1/2 point alone, and the pair -1/2 / 0.3, whose south caps
+        have other nodes) hands eval_J_coeffs the same scaled draws.  Seed
+        6's second draw takes its largest |u| on either rule in the south
+        cap, so a scale read off the rule's nodes would differ."""
+        stacks = [np.concatenate([c.values for c, _ in self.evaluated_stacks(
+            monkeypatch, points, 3, 6)[0]])
+            for points in ([([0, 0, 1], -0.5)],
+                           [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)])]
+        assert stacks[0].shape[0] == 3
+        assert np.array_equal(stacks[0], stacks[1])
+
+    def test_onofri_family(self, tmp_path):
+        """With no singular point the samples are followed by the
+        conformal family u_t: one dilation record per t, whose gaps vanish
+        to rounding (8.8e-14 at t = 4 on 33 x 66), and a family tolerance
+        of 0 fails the check, exit 1."""
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+        for tol, code in ((1.0e-5, 0), (0.0, 1)):  # the default, and 0
+            cfg.write_text(config_text(weight={"points": []}, experiment={
+                "kind": "inequality-sample", "samples": 3,
+                "family_tol": tol}))
+            assert main(["inequality-sample", "--config", str(cfg),
+                         "--out", str(out)]) == code
+            report = json.loads(out.read_text())
+            family = [r for r in report["records"] if "dilation" in r]
+            assert [r["dilation"] for r in family] == [1.0, 2.0, 4.0]
+            assert len(report["records"]) == 6
+            (check,) = [c for c in report["checks"]
+                        if c["name"] == "conformal family equality"]
+            assert check["value"] == max(abs(r["gap"]) for r in family)
+            assert check["value"] <= 1e-12
+            assert check["passed"] is (code == 0)
 
     def test_every_stack_streams(self, monkeypatch):
         """Two axis caps at L = 64, 20 samples, a budget of 10 fields: both

@@ -393,16 +393,42 @@ class TestMinimize:
                             grid64, params)
         assert state.J <= competitor + 1e-6
 
-    def test_descent_and_normalization(self, grid64):
+    def test_descent_and_normalization(self, grid64, monkeypatch):
+        """J decreases, and the state is normalized once, at the return:
+        every iterate and candidate keeps the start's a_00 (here that of
+        u = 3), each step's lambda is its record's normalized peak, and
+        the returned state has int h e^u = 1."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
-        state = minimize(params, quick_config(0.2),
-                         zero(grid64), grid64)
+        iterates, candidates = [], []
+        residual = subcritical_solver.density_residual
+        J = subcritical_solver.eval_J_coeffs
+
+        def density_residual(coeffs, dens, *args):
+            iterates.append((coeffs.order(0)[0], dens))
+            return residual(coeffs, dens, *args)
+
+        def eval_J_coeffs(coeffs, *args):
+            candidates.append(coeffs.order(0)[0])
+            return J(coeffs, *args)
+
+        monkeypatch.setattr(subcritical_solver, "density_residual",
+                            density_residual)
+        monkeypatch.setattr(subcritical_solver, "eval_J_coeffs",
+                            eval_J_coeffs)
+        start = zero(grid64).shifted(3.0)
+        state = minimize(params, quick_config(0.2), start, grid64)
         assert state.converged
         js = [rec["J"] for rec in state.trace]
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
+        a00 = start.order(0)[0]
+        assert len(candidates) >= len(iterates) == len(state.trace) > 1
+        assert all(c == a00 for c in candidates)
+        for rec, (c, dens) in zip(state.trace, iterates):
+            assert c == a00
+            assert rec["lambda"] == dens.peak - dens.log_integral
         log_E = integrator_for(grid64, w).log_exp_integral(state.coeffs)
-        assert abs(np.exp(log_E) - 1.0) < 1e-8
+        assert abs(log_E) <= 1e-14
 
     def test_second_order_optimality(self, grid64, rng):
         """J(u + s v) >= J(u) - 1e-6 for small H^1-normalized probes."""
@@ -613,8 +639,9 @@ class TestDiagnose:
         """About a centre off the axis (a spiky state peaking near +e2,
         with no point or one of positive order, so the centre is the peak
         node) the profile runs along the peak's meridian from the centre
-        itself, up to arccos's resolution at 1 (2.6e-8 on this grid), to
-        5 t_eps."""
+        itself, at distance exactly 0 (arccos of the dot would read up to
+        2.6e-8 on this grid, where the node's squared norm rounds below 1),
+        to 5 t_eps."""
         grid = build_grid(33, 66)
         spiky = grid.transform.analysis_coeffs(  # 6 x2 + 2 x3
             6.0 * grid.nodes[..., 1] + 2.0 * grid.nodes[..., 2])
@@ -623,7 +650,7 @@ class TestDiagnose:
         assert not diag.compact_case and diag.center[1] > 0.9
         r = diag.profile_radii
         assert r.size > 1 and np.all(np.diff(r) >= 0.0)
-        assert r[0] < 3.0e-8 and diag.profile[0] == 0.0
+        assert r[0] == 0.0 and diag.profile[0] == 0.0
         assert r[-1] <= 5.0 * diag.t_eps
 
     def test_profile_error_is_a_max_over_the_rule_nodes(self):

@@ -1299,6 +1299,29 @@ class TestGeodesicDistance:
         # stays finite for nearly-parallel unit vectors with roundoff > 1
         assert geodesic_distance(p, p * (1.0 + 1e-16)) >= 0.0
 
+    def test_array_of_points(self):
+        """x of shape (..., 3) gives an array of that batch shape, point
+        by point the one-point distance."""
+        p = np.array([0.0, 0.6, 0.8])
+        x = sphere_grid.ring_points(np.array([0.9, 0.0, -0.5]),
+                                    np.array([0.0, 1.0]))
+        d = geodesic_distance(p, x)
+        assert d.shape == (3, 2)
+        want = [[geodesic_distance(p, q) for q in row] for row in x]
+        assert np.array_equal(d, want)
+        np.testing.assert_allclose(np.cos(d), x @ p, rtol=0, atol=1e-15)
+
+    def test_centre_with_norm_below_one(self):
+        """A unit vector whose squared norm rounds below 1 is at distance
+        exactly 0 from itself (arccos of the dot reads about 1.5e-8) and
+        exactly pi from its antipode."""
+        p = sphere_grid.ring_points(np.array([0.2]), np.array([2.0]))[0, 0]
+        assert p @ p < 1.0
+        assert np.arccos(p @ p) > 1e-8
+        assert geodesic_distance(p, p) == 0.0
+        assert geodesic_distance(p, p[None, :])[0] == 0.0
+        assert geodesic_distance(p, -p) == np.pi
+
 
 class TestGradient:
     """|grad u| of a degree-5 polynomial field against its closed form."""
