@@ -267,7 +267,9 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
     orders and the coefficients of K.  Each integrator holds its
     transform's Legendre tables (the m = 0 block until a one-field pass
     over every order after the transform's first: ~75 MB for two caps at
-    L = 256, with each order's polar rings trimmed).
+    L = 256, with each order's polar rings trimmed).  A stack's first pass
+    over every order on a table larger than ``sphere_grid.LEGENDRE_BYTES``
+    keeps none: it streams the recurrence, 8.0 MB a group on that block.
     """
     key = weight.cache_key()
     cache = grid._integrator_cache

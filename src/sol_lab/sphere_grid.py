@@ -47,9 +47,10 @@ over all orders and the Fourier step.  A transform builds and keeps each
 table on its first need: its cos/sin table and its Legendre table of every
 order on its first pass over every order, its m = 0 block on its first
 zonal pass.  One exception: a stack of two or more fields on a table
-whose bound exceeds LEGENDRE_BYTES streams its blocks from the recurrence
-(Schaeffer, G^3 14, 2013 and Reinecke & Seljebotn, A&A 554, 2013 run the
-recurrence inside every pass) and keeps nothing.
+whose bound exceeds LEGENDRE_BYTES streams its blocks from the recurrence,
+computed in place a small group of orders at a time (Schaeffer, G^3 14,
+2013 and Reinecke & Seljebotn, A&A 554, 2013 run the recurrence inside
+every pass), and keeps nothing.
 
 Coefficients and values may carry leading batch axes: a stack of K fields,
 coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
@@ -66,7 +67,6 @@ stack is synthesized on.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -245,22 +245,22 @@ def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
     return w
 
 
-# Bytes of Pbar blocks and recurrence rows in one group of orders of the
-# Legendre recurrence (``_legendre_groups``), for tables, streamed passes
-# and point syntheses alike: a group over n rings takes
-# max(1, LEGENDRE_BYTES // (8 (L + 4) n)) orders, the most whose blocks fit
-# at L + 1 rows an order and 3 recurrence rows (Schaeffer, G^3 14, 2013
-# sizes his on-the-fly recurrence the same way), so its work stays within
-# max(LEGENDRE_BYTES, one order); a point synthesis counts its other work
-# vectors too (``synthesis_at_angles``).  The L = 256 two-cap block
-# (354 representative rings) takes 34 orders, 24.7 MB; on the 380 rings
-# it had with graded band panels, building its trimmed table in groups of
-# 8, 16, 24, 32, 48 and 64 orders took 90, 78, 74, 68, 66 and 69 ms at
-# best of 11 (one BLAS thread, shared 2-core x86 VM);
-# smaller groups pay more numpy calls per degree, larger ones compute more
-# of the dropped rings.  A full-width L = 4096 grid pass takes one order
-# (67 MB) a group.
-LEGENDRE_BYTES = 24 << 20  # 24 MiB
+# Bytes of Pbar rows in one group of orders of the Legendre recurrence
+# (``_legendre_groups``), for tables, streamed passes and point syntheses
+# alike: a group over n rings takes max(1, LEGENDRE_BYTES // (8 (L + 4) n))
+# orders, counted at L + 4 rows an order (Schaeffer, G^3 14, 2013 sizes his
+# on-the-fly recurrence the same way): the L + 1 degree rows of its
+# in-place scratch and one work row, two rows to spare, so its work stays
+# within max(LEGENDRE_BYTES, one order); a point synthesis counts its
+# other work vectors too (``synthesis_at_angles``).  The L = 256 two-cap
+# block (354 representative rings) takes 11 orders, 8.0 MB.  Streaming the
+# recurrence over its rings, trimmed, in groups of 4, 8, 11, 16, 24, 34,
+# 48 and 64 orders took 82, 61, 61, 49, 53, 52, 52 and 56 ms at best of 11
+# (one BLAS thread, shared 2-core x86 VM): smaller groups pay more numpy
+# calls per degree, larger ones compute more of the dropped rings and hold
+# more memory (24.7 MB at 34 orders).  A full-width L = 4096 grid pass
+# takes one order (67 MB) a group.
+LEGENDRE_BYTES = 8 << 20  # 8 MiB
 
 # Values of Pbar below which a ProductTransform drops a ring from an order's
 # table (see ``normalized_legendre``): a synthesized value misses at most
@@ -274,7 +274,7 @@ LEGENDRE_FLOOR = 1e-20
 # stack is synthesized on: 25 fields on the 643 x 514 two-cap block at
 # L = 256 (2.64 MB a field), so 20 samples take one stack.  A stack on a
 # block that has not kept its table (75 MB there) streams its Legendre
-# blocks, one group (24.7 MB) at a time, and does not build it.
+# blocks, one group (8.0 MB) at a time, and does not build it.
 BATCH_BUDGET = 64 << 20  # 64 MiB
 
 
@@ -284,21 +284,22 @@ def batch_size(nodes: int) -> int:
     return max(1, BATCH_BUDGET // (8 * nodes))
 
 
-def _legendre_group(L: int, m0: int, k: int, t: np.ndarray, sq: np.ndarray,
+def _legendre_group(L: int, m0: int, t: np.ndarray, sq: np.ndarray,
                     pmm: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """Fill ``packed`` with the Pbar blocks of orders m0 .. m0 + k - 1 on
-    the rings t, order-major (the L + 1 - m rows of each order in turn),
-    from the sectoral seed pmm = Pbar_{m0,m0} (sq = sqrt(1 - t^2)); returns
-    the seed of order m0 + k.
+    """Fill ``packed``, shape (L + 1, k, len(t)), with the Pbar of orders
+    m0 .. m0 + k - 1 on the rings t, degree-major and in place:
+    packed[l, i] is Pbar_{l, m0 + i}, and the rows l < m of order m are
+    never written.  Starts from the sectoral seed pmm = Pbar_{m0,m0}
+    (sq = sqrt(1 - t^2)); returns the seed of order m0 + k.
 
     After the seeds Pbar_{m,m} and Pbar_{m+1,m}, one vectorized update per
-    degree l advances every order of the group with m <= l - 2 (Schaeffer,
-    G^3 14, 2013).  Each entry is the same float expression as in a
+    degree l writes row l of every order of the group with m <= l - 2 from
+    its rows l - 1 and l - 2 (Schaeffer, G^3 14, 2013), in one work row an
+    order.  Each entry is the same float expression as in a
     one-order-at-a-time loop, so the values do not depend on the grouping
     or on the rings.
     """
-    orders = range(m0, m0 + k)
-    offsets = np.cumsum([0] + [L + 1 - m for m in orders][:-1])
+    k = packed.shape[1]
     # a[l, i], b[l, i] of Pbar_{l,m} = a t Pbar_{l-1,m} + b Pbar_{l-2,m}
     # for m = m0 + i, read where m <= l - 2: exact integer ratios, one
     # rounded division and sqrt
@@ -307,27 +308,19 @@ def _legendre_group(L: int, m0: int, k: int, t: np.ndarray, sq: np.ndarray,
         a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm * mm))
         b = -np.sqrt((2.0 * ll + 1.0) * ((ll - 1.0) ** 2 - mm * mm)
                      / ((2.0 * ll - 3.0) * (ll * ll - mm * mm)))
-    for m, off in zip(orders, offsets):
-        packed[off] = pmm
+    for i, m in enumerate(range(m0, m0 + k)):
+        packed[m, i] = pmm
         if m < L:
-            packed[off + 1] = np.sqrt(2 * m + 3.0) * t * pmm
+            packed[m + 1, i] = np.sqrt(2 * m + 3.0) * t * pmm
         pmm = np.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * sq * pmm
-    # degree l - 2 and l - 1 rows of the orders already started
-    prev, cur, work = (np.empty((k, t.size)) for _ in range(3))
-    # rows[l, i]: packed row of (l, m0 + i)
-    rows = offsets - np.arange(m0, m0 + k) + np.arange(L + 1)[:, None]
+    work = np.empty((k, t.size))
     for l in range(m0 + 2, L + 1):
         j = min(k, l - 1 - m0)  # orders m0 .. m0 + j - 1 have m <= l - 2
-        if l - 2 < m0 + k:  # order l - 2 starts from its seeds
-            prev[j - 1] = packed[offsets[j - 1]]
-            cur[j - 1] = packed[offsets[j - 1] + 1]
-        w, c, p = work[:j], cur[:j], prev[:j]
+        w, p = work[:j], packed[l, :j]
         np.multiply(a[l, :j, None], t, out=w)
-        np.multiply(w, c, out=w)
-        np.multiply(b[l, :j, None], p, out=p)
-        np.add(w, p, out=p)  # Pbar_{l,m}, in the degree l - 2 rows
-        packed[rows[l, :j]] = p
-        prev, cur = cur, prev
+        np.multiply(w, packed[l - 1, :j], out=w)
+        np.multiply(b[l, :j, None], packed[l - 2, :j], out=p)
+        np.add(w, p, out=p)
     return pmm
 
 
@@ -347,31 +340,32 @@ def _legendre_groups(L: int, t: np.ndarray, m_max: int | None, floor: float,
     misses at most floor * sum_l |c_l| of each value.  Order 0 is never
     trimmed.
 
-    Over n rings a group takes max(1, (LEGENDRE_BYTES // (8 n) - work) //
-    (L + 4)) orders, computed by ``_legendre_group`` on the rings its
-    previous order kept into one scratch array that every group reuses: a
-    block is a view that the next group overwrites, so a caller uses a
-    group before it asks for the next, or copies it.  A caller that holds
-    ``work`` vectors a ring beside a group has them counted in its budget.
+    Over n rings a group of k = max(1, (LEGENDRE_BYTES // (8 n) - work) //
+    (L + 4)) orders is computed in place by ``_legendre_group`` on the
+    rings its previous order kept, degree-major into one (L + 1, k, n)
+    scratch array that every group reuses: order m0 + i's block is the
+    strided view packed[m0 + i:, i], which the next group overwrites, so a
+    caller uses a group before it asks for the next, or copies it.  A
+    caller that holds ``work`` vectors a ring beside a group has them
+    counted in its budget.
     """
     t = np.asarray(t, dtype=float).ravel()
     sq = np.sqrt(np.maximum(1.0 - t * t, 0.0))
     pmm = np.full_like(t, 1.0 / np.sqrt(FOUR_PI))
     n = t.size
     m_max = L if m_max is None else m_max
-    group = max(1, (LEGENDRE_BYTES // (8 * max(n, 1)) - work) // (L + 4))
-    sizes = [L + 1 - m for m in range(m_max + 1)]
-    scratch = np.empty(sum(sizes[:group]) * n)  # the first group is largest
+    group = min(m_max + 1, max(
+        1, (LEGENDRE_BYTES // (8 * max(n, 1)) - work) // (L + 4)))
+    scratch = np.empty((L + 1) * group * n)
     start = 0
     for m0 in range(0, m_max + 1, group):
-        rows, lo = sizes[m0:m0 + group], start
-        packed = scratch[:sum(rows) * (n - lo)].reshape(sum(rows), n - lo)
-        pmm = _legendre_group(L, m0, len(rows), t[lo:], sq[lo:],
+        k, lo = min(group, m_max + 1 - m0), start
+        packed = scratch[:(L + 1) * k * (n - lo)].reshape(L + 1, k, n - lo)
+        pmm = _legendre_group(L, m0, t[lo:], sq[lo:],
                               pmm[pmm.size - (n - lo):], packed)
         blocks = []
-        for m, off, size in zip(itertools.count(m0),
-                                np.cumsum([0] + rows[:-1]), rows):
-            block = packed[off:off + size]
+        for i, m in enumerate(range(m0, m0 + k)):
+            block = packed[m:, i]
             if floor and m:
                 while start < n and np.abs(block[:, start - lo]).max() < floor:
                     start += 1
@@ -386,13 +380,14 @@ def normalized_legendre(band_limit: int, t: np.ndarray,
     blocks of ``_legendre_groups`` for m = 0..m_max (default band_limit),
     trimmed at ``floor``, one block per order.
 
-    The kept blocks of each group are copied out of its scratch into one
-    array before the next group is computed, so the table holds the kept
-    entries alone and leaves no group arrays behind.  One allocation per
-    group, not per order: the L = 256 two-cap table took 74-88 ms so and
-    95-115 ms in 257 allocations (one BLAS thread, shared 2-core x86 VM).
-    The m = 0 block alone is its whole scratch, which no later group
-    reuses, so it is kept as it is.
+    The kept blocks of each group, strided views of its degree-major
+    scratch, are copied out into one contiguous array before the next
+    group is computed, so the table holds the kept entries alone and
+    leaves no group arrays behind.  One allocation per group, not per
+    order: the L = 256 two-cap table, 11 orders a group, takes 90-100 ms
+    (one BLAS thread, shared 2-core x86 VM).  The m = 0 block alone is its
+    whole scratch (one order, so contiguous), which no later group reuses,
+    so it is kept as it is.
     """
     groups = _legendre_groups(band_limit, t, m_max, floor)
     if m_max == 0:
@@ -639,10 +634,12 @@ class ProductTransform:
         table of every order alike, with one exception: a stack of
         ``fields`` >= 2 on a table whose bound, (L + 1)(L + 2) / 2 entries
         per representative ring, exceeds LEGENDRE_BYTES (94 MB on the
-        L = 256 two-cap block, against 14 MB on the L = 128 one-point
-        block, whose table a non-zonal sweep builds once) streams its
-        blocks from the recurrence, one group of ``_legendre_groups`` at a
-        time, and keeps nothing.
+        L = 256 two-cap block, 14 MB on the L = 128 one-point block, whose
+        table a non-zonal sweep keeps from its solver's one-field passes)
+        streams its blocks from the recurrence, one group of
+        ``_legendre_groups`` at a time, and keeps nothing.  A streamed
+        block is a strided view of its group's degree-major scratch, and
+        so are its even and odd rows; BLAS reads them as they are.
         """
         if len(self._plm) >= orders:
             return self._plm
@@ -748,6 +745,9 @@ class ProductTransform:
             c = c.reshape(L + 1 - m, 2 * k)
             self._unfold(c[0::2].T @ even, c[1::2].T @ odd, rows[:, :, m],
                          start)
+        # views of a streamed pass's last group: let its scratch go before
+        # the Fourier step
+        del even, odd
         for i in range(k):  # the Fourier step, field by field
             self._longitudes(rows[i], out[i])
         return out.reshape(batch + out.shape[1:])
@@ -946,14 +946,27 @@ def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
     return synthesis_at_angles(c, t, phi)
 
 
+def axis_values(c: SHCoefficients):
+    """(u(+e3), u(-e3)) from the m = 0 column alone: every order m != 0
+    vanishes on the axis, and Pbar_{l,0}(+-1) = (+-1)^l sqrt((2l + 1) /
+    4 pi), so each pole is one weighted sum and no recurrence runs.  Floats
+    for one field, arrays over a stack's batch axes."""
+    l = np.arange(c.band_limit + 1)
+    north = np.sqrt((2.0 * l + 1.0) / FOUR_PI)
+    a = c.order(0)
+    return a @ north, a @ np.where(l % 2, -north, north)
+
+
 def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
                         phi: np.ndarray) -> np.ndarray:
     """Values at (cos colatitude t, longitude phi); a stack of K fields
     gives its batch axes first.  The points go in groups of at most
     max(1, LEGENDRE_BYTES // (8 (L + 8 + 3 K))), so that one order of the
-    recurrence (L + 4 rows a point, see LEGENDRE_BYTES) and 4 + 3 K work
-    vectors a point (the seeds, cos/sin and the products) fit the budget;
-    numpy's own buffers, about 0.1 MB whatever the group, come on top."""
+    recurrence (counted at L + 4 rows a point: its L + 1 degree rows and
+    one work row, see LEGENDRE_BYTES) and 4 + 3 K work vectors a point (the
+    seeds, cos/sin and the products) fit the budget; numpy's own buffers,
+    about 0.1 MB whatever the group, come on top.  The blocks are strided
+    views of the group's degree-major scratch, multiplied as they are."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     flat, phi = t.ravel(), np.ravel(phi)
     cv, m0 = c.values, c._m0  # a zonal column holds the m = 0 block alone

@@ -74,6 +74,7 @@ from .sphere_grid import (
     SHCoefficients,
     SphereGrid,
     _degree_weights,
+    axis_values,
     cap_points,
     geodesic_distance,
     gradient_at_angles,
@@ -320,8 +321,10 @@ def diagnose(state: MinimizerState) -> BlowupDiagnostics:
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     lam = float(vals[idx])
     p_eps = nodes[idx]
+    # the integrator takes singular points on the axis alone, at +-e3
+    poles = axis_values(state.coeffs)
     for sp in w.minimal_points():
-        v = float(synthesis_at_points(state.coeffs, sp.position)[0])
+        v = poles[0] if sp.position[2] > 0.0 else poles[1]
         if v > lam:
             lam, p_eps = v, sp.position
 

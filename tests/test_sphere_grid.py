@@ -18,6 +18,7 @@ from sol_lab.sphere_grid import (
     BandLimitError,
     ProductTransform,
     SHCoefficients,
+    axis_values,
     build_grid,
     dirichlet_energy,
     gauss_jacobi,
@@ -411,7 +412,7 @@ class TestGroupedLegendre:
         phi = rng.uniform(0.0, 2.0 * np.pi, n)
         group_bytes = sphere_grid.LEGENDRE_BYTES
         group_points = group_bytes // (8 * (L + 11))
-        assert n > 2 * group_points  # three groups
+        assert n > 2 * group_points  # at least three groups (seven)
         assert_within_budget(lambda: synthesis_at_angles(c, t, phi))
 
     @pytest.mark.parametrize("zonal", [False, True])
@@ -432,14 +433,15 @@ class TestGroupedLegendre:
     @pytest.mark.parametrize("per_group", [1, 3, 33])
     def test_one_budget_sizes_every_group(self, per_group, monkeypatch, rng):
         """LEGENDRE_BYTES sizes every group of the recurrence, at L + 4
-        rows an order (its block and three recurrence rows).  At one
+        rows an order (its L + 1 degree rows and one work row).  At one
         order, three and the whole L = 32 table a group, the grouped
         recurrence, a table, the passes of a ProductTransform (a field's
         keeps its table; a stack's streams at one and three orders a group,
         whose budgets the table outgrows) and a point synthesis (whose
         budget adds its 7 work vectors a point) give the values of the
         default budget bit for bit, and a group's scratch holds its
-        orders' blocks alone (so within max(budget, one order))."""
+        orders' L + 1 degree rows, degree-major, alone (so within
+        max(budget, one order))."""
         L = 32
         g = build_grid(L + 1, 2 * L + 2)
         c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
@@ -475,10 +477,11 @@ class TestGroupedLegendre:
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         budget(t.size)
-        rows = sum(L + 1 - m for m in range(min(per_group, L + 1)))
+        scratch = 8 * (L + 1) * min(per_group, L + 1) * t.size
+        assert scratch <= sphere_grid.LEGENDRE_BYTES
         for group in _legendre_groups(L, t, None, 0.0):
             for _, block in group:
-                assert block.base.nbytes == 8 * rows * t.size
+                assert block.base.nbytes == scratch
 
     def test_point_synthesis_splits_its_points(self, monkeypatch, rng):
         """A point synthesis of K fields takes its points in groups of at
@@ -505,6 +508,33 @@ class TestGroupedLegendre:
             assert seen == [43] * 4 + [28]
             assert got.shape == values.shape == (3, n)
             assert max_rel(got, values) <= 1e-15
+
+
+class TestAxisValues:
+    """u(+e3) and u(-e3) read from the m = 0 column alone."""
+
+    @pytest.mark.parametrize("zonal", [False, True])
+    @pytest.mark.parametrize("band_limit", [16, 128, 256])
+    def test_matches_point_synthesis(self, band_limit, zonal, rng):
+        """Random zonal and full-width fields, alone and as a stack of 3,
+        match ``synthesis_at_points`` at both poles to 1e-13 of the sum of
+        the terms' magnitudes, sum_l |a_{l,0}| sqrt((2l + 1) / 4 pi) (at
+        most 7.4e-15 seen at L = 256): a value near zero cancels its terms,
+        and both sums round on that scale."""
+        L = band_limit
+        c = rng.normal(size=(3, L + 1, 2 * L + 1)) / (1.0 + np.arange(
+            L + 1))[:, None]
+        c = c[..., L:L + 1] if zonal else c
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        l = np.arange(L + 1)
+        for stack in (SHCoefficients(c), SHCoefficients(c[0])):
+            want = synthesis_at_points(stack, poles)
+            scale = np.abs(stack.order(0)) @ np.sqrt((2 * l + 1.0) / FOUR_PI)
+            got = axis_values(stack)
+            for v, w in zip(got, np.moveaxis(want, -1, 0)):
+                assert np.shape(v) == np.shape(w)
+                assert np.all(np.abs(v - w) <= 1e-13 * scale)
+        assert all(isinstance(v, float) for v in axis_values(stack))
 
 
 class TestOrderLimit:
@@ -1164,6 +1194,31 @@ class TestStreamedPass:
         if not batch:
             kept = passes(default)
             assert all(np.array_equal(a, b) for a, b in zip(cut, kept))
+
+
+    def test_streamed_stack_stays_within_budget(self, rng, monkeypatch):
+        """A stack of K = 8 full-width fields on the L = 64 two-cap block
+        (164 representative rings) under a 512 KiB budget streams 13 groups
+        of 5 orders, and its traced peak holds its values, LEGENDRE_BYTES
+        and the two per-order even and odd products, 2 * 8 * 2K * reps
+        bytes: one group is alive at a time, and the last one is let go
+        before the Fourier step, whose temporaries (about 0.37 MB a field
+        here) the budget then covers."""
+        L, K, budget = 64, 8, 1 << 19
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
+        tr = trim_cases()["two caps"]
+        assert budget // (8 * tr._reps) // (L + 4) == 5
+        c = SHCoefficients(rng.normal(size=(K, L + 1, 2 * L + 1)))
+        tr._trig()  # kept from the first pass; not this pass's memory
+        tracemalloc.start()
+        try:
+            values = tr.synthesis_values(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tr._plm == []
+        assert peak <= values.nbytes + budget + 2 * 8 * 2 * K * tr._reps, \
+            peak
 
 
 class TestLegendreUnderTracers:
