@@ -352,10 +352,6 @@ def _rule_errors(config) -> list:
     return errors
 
 
-def serialize(config: dict) -> str:
-    return json.dumps(config, sort_keys=True, indent=2)
-
-
 # ---------------------------------------------------------------------------
 # experiment execution
 # ---------------------------------------------------------------------------

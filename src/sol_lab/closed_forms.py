@@ -1,9 +1,11 @@
-"""Closed-form families: stereographic projection, extremal fields,
-the planar concentration bubble, and concentrating test functions.
+"""Closed-form families: extremal fields and conformal dilations in the
+stereographic chart, the planar concentration bubble, and concentrating
+test functions.
 
-Stereographic projection is normalized from the projection pole p: the
-antipode maps to the origin and the equator to the unit circle, so that
-G_p composed with the inverse projection is (1/4pi) log(1+|y|^2) - 1/4pi.
+The stereographic chart projects from the pole e3: -e3 maps to the origin
+and the equator to the unit circle, so that G_{e3} composed with the
+inverse projection is (1/4pi) log(1+|y|^2) - 1/4pi.  Every closed form
+here is zonal, so the chart enters only through |y|^2 (``_chart``).
 
 With two antipodal singularities of equal order alpha < 0 on the axis of
 projection, the critical points of the functional at the critical parameter
@@ -35,7 +37,6 @@ from .sphere_grid import (
     ProductTransform,
     SHCoefficients,
     SphereGrid,
-    _orthonormal_frame,
     geodesic_distance,
     normalized,
     on_axis,
@@ -46,40 +47,18 @@ from .singular_geometry import (
     SingularWeight,
     antipodal,
     green_radial,
+    log_factor,
     same_point,
 )
 
 _QUAD_OPTS = dict(limit=400, epsabs=1.0e-12, epsrel=1.0e-12)
 
 
-# ---------------------------------------------------------------------------
-# stereographic projection
-# ---------------------------------------------------------------------------
-
-def _frame(p_pole: np.ndarray):
-    """(e1, e2, p): the chart's axes and the projection pole."""
-    p = normalized(p_pole)
-    return (*_orthonormal_frame(p), p)
-
-
-def stereographic(p_pole, x) -> np.ndarray:
-    """Project x in S^2 \\ {p_pole} to the plane; -p_pole -> origin."""
-    e1, e2, p = _frame(p_pole)
-    x = np.asarray(x, dtype=float)
-    if np.any(same_point(p, x)):
-        raise ValueError("stereographic projection is undefined at its pole")
-    denom = 1.0 - x @ p
-    return np.stack([(x @ e1) / denom, (x @ e2) / denom], axis=-1)
-
-
-def stereographic_inverse(p_pole, y) -> np.ndarray:
-    e1, e2, p = _frame(p_pole)
-    y = np.asarray(y, dtype=float)
-    r2 = np.sum(y * y, axis=-1)
-    denom = 1.0 + r2
-    return ((2.0 * y[..., 0] / denom)[..., None] * e1
-            + (2.0 * y[..., 1] / denom)[..., None] * e2
-            + ((r2 - 1.0) / denom)[..., None] * p)
+def _chart(dot):
+    """(log |y|^2, log(1 + |y|^2)) in the stereographic chart from the pole
+    e3, at points with <e3, x> = dot: |y|^2 = (1 + dot)/(1 - dot)."""
+    dot = np.clip(dot, -1.0, 1.0)
+    return (np.log1p(dot) - np.log1p(-dot), np.log(2.0) - np.log1p(-dot))
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +82,13 @@ class ExtremalParams:
 
 def extremal_value(params: ExtremalParams, x) -> np.ndarray:
     """Pointwise u_{lambda,c}; finite at both poles +-e3."""
-    x = np.asarray(x, dtype=float)
-    dot = np.clip(x[..., 2], -1.0, 1.0)
+    dot = np.asarray(x, dtype=float)[..., 2]
     a = params.alpha
-    # |y|^2 = (1+dot)/(1-dot) for projection from the pole e3
     at_pole = dot > 1.0 - 1.0e-15
     safe = np.where(at_pole, 0.0, dot)
     with np.errstate(divide="ignore"):
         # log1p(-1) = -inf at the antipode flows to the right limit
-        log_1py2 = np.log(2.0) - np.log1p(-safe)      # log(1+|y|^2)
-        log_y2 = np.log1p(safe) - np.log1p(-safe)     # log(|y|^2)
+        log_y2, log_1py2 = _chart(safe)
     val = (2.0 * (1.0 + a) * log_1py2
            - 2.0 * np.logaddexp(0.0, np.log(params.lam) + (1.0 + a) * log_y2)
            + params.c)
@@ -144,18 +120,14 @@ def log_det_dilation(t: float, dot_axis: np.ndarray) -> np.ndarray:
     phi_t is the conformal dilation fixing +-axis, y -> t y in the
     stereographic chart from the axis pole.
     """
-    dot = np.clip(dot_axis, -1.0, 1.0)
-    log_y2 = np.log1p(dot) - np.log1p(-dot)
-    log_1py2 = np.log(2.0) - np.log1p(-dot)
+    log_y2, log_1py2 = _chart(dot_axis)
     log_1pt2y2 = np.logaddexp(0.0, 2.0 * np.log(t) + log_y2)
     return 2.0 * (np.log(t) + log_1py2 - log_1pt2y2)
 
 
 def dilated_dot(t: float, dot_axis: np.ndarray) -> np.ndarray:
     """<axis, phi_t(x)> as a function of <axis, x> (the map is zonal)."""
-    dot = np.clip(dot_axis, -1.0, 1.0)
-    log_y2 = np.log1p(dot) - np.log1p(-dot)
-    q = 2.0 * np.log(t) + log_y2          # log(t^2 |y|^2)
+    q = 2.0 * np.log(t) + _chart(dot_axis)[0]     # log(t^2 |y|^2)
     return np.tanh(0.5 * q)
 
 
@@ -388,10 +360,9 @@ def concentration_functional(params: ConcentrationParams) -> dict:
 
     def log_h(r):
         # orders at distance r and pi - r from the concentration point
-        val = near_order * (np.log(2.0 * np.sin(0.5 * r) ** 2) + 1.0 - np.log(2.0))
+        val = near_order * log_factor(2.0 * np.sin(0.5 * r) ** 2)
         if far_order != 0.0:
-            val = val + far_order * (np.log(2.0 * np.cos(0.5 * r) ** 2)
-                                     + 1.0 - np.log(2.0))
+            val = val + far_order * log_factor(2.0 * np.cos(0.5 * r) ** 2)
         return val
 
     def grad_inner(r):

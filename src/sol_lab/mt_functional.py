@@ -71,7 +71,9 @@ CAP_RADIAL_NODES = 32
 
 
 class UnnormalizedBlowupError(RuntimeError):
-    """max(u) exceeded the overflow ceiling; the iterate is not normalized."""
+    """The normalized peak max(u) - log int h e^u of a ``minimize``
+    iterate exceeded DEFAULT_CEILING: it has blown up beyond what the
+    solver follows."""
 
 
 @dataclass
@@ -287,15 +289,10 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
 def eval_J(coeffs: SHCoefficients, grid: SphereGrid,
            params: FunctionalParams):
     """J_rho of the field with these coefficients (of each field of a
-    stack), invariant under u -> u + const; raises UnnormalizedBlowupError
-    when max u over the quadrature nodes exceeds DEFAULT_CEILING."""
+    stack), invariant under u -> u + const: the density subtracts
+    max(u + log h) before it exponentiates, so a raw peak of any size
+    evaluates."""
     dens = integrator_for(grid, params.weight).density(coeffs)
-    peak = float(np.max(dens.peak))
-    if peak > DEFAULT_CEILING:
-        raise UnnormalizedBlowupError(
-            f"max(u) = {peak:.3g} exceeds the overflow ceiling "
-            f"{DEFAULT_CEILING:.3g}; the iterate has blown up beyond what the "
-            "evaluation can follow")
     return eval_J_coeffs(coeffs, dens, params)
 
 

@@ -38,7 +38,6 @@ from .sphere_grid import (FOUR_PI, SHCoefficients, _orthonormal_frame,
 # Regular part of the sphere Green's function, constant by symmetry.
 REGULAR_PART = (2.0 * np.log(2.0) - 1.0) / FOUR_PI
 
-_GREEN_CONST = np.log(np.e / 2.0) / FOUR_PI
 _COINCIDENCE_TOL = 1.0e-14
 
 
@@ -66,6 +65,12 @@ def coincident_points(positions) -> list[tuple[int, int]]:
         enumerate(positions), 2) if same_point(p, q)]
 
 
+def log_factor(one_minus):
+    """-4 pi G_p = log((e/2)(1 - <p, x>)) from ``one_minus`` = 1 - <p, x>:
+    one point's factor of log h per unit order, and the Green's function."""
+    return np.log(one_minus) + 1.0 - np.log(2.0)
+
+
 def green(p, x):
     """Mean-zero Green's function G_p(x) of -Delta on the round sphere.
 
@@ -75,13 +80,13 @@ def green(p, x):
     x = np.asarray(x, dtype=float)
     if np.any(same_point(p, x)):
         raise SingularEvaluationError("green(p, x) evaluated at x = p")
-    val = -np.log(1.0 - x @ p) / FOUR_PI - _GREEN_CONST
+    val = -log_factor(1.0 - x @ p) / FOUR_PI
     return float(val) if val.ndim == 0 else val
 
 
 def green_radial(r):
     """G_p at geodesic distance r from p, with 1 - cos r = 2 sin^2(r/2)."""
-    return -np.log(2.0 * np.sin(0.5 * r) ** 2) / FOUR_PI - _GREEN_CONST
+    return -log_factor(2.0 * np.sin(0.5 * r) ** 2) / FOUR_PI
 
 
 @dataclass(frozen=True)
@@ -194,22 +199,14 @@ class SingularWeight:
         for i, sp in enumerate(self.points):
             if cap is not None and i == cap[0]:
                 one_minus = 2.0 * np.sin(0.5 * cap[1]) ** 2
-                out = out + sp.order * (np.log(one_minus) + 1.0 - np.log(2.0))
-                continue
-            dot = np.clip(x @ sp.position, -1.0, 1.0)
-            near = same_point(sp.position, x)
-            if np.any(near):
-                if sp.order < 0.0:
-                    raise SingularEvaluationError(
-                        "weight evaluated at a negative-order singular point"
-                    )
-                # positive order: h has a genuine zero, log -> -inf limit
-                safe = np.where(near, 0.0, dot)
-                out = out + np.where(
-                    near, -np.inf, sp.order * (np.log1p(-safe) + 1.0 - np.log(2.0))
-                )
+            elif sp.order < 0.0 and np.any(same_point(sp.position, x)):
+                raise SingularEvaluationError(
+                    "weight evaluated at a negative-order singular point")
             else:
-                out = out + sp.order * (np.log1p(-dot) + 1.0 - np.log(2.0))
+                one_minus = 1.0 - np.clip(x @ sp.position, -1.0, 1.0)
+            # a positive order's own point gives log 0 = -inf: h has a zero
+            with np.errstate(divide="ignore"):
+                out = out + sp.order * log_factor(one_minus)
         return out
 
     def weight(self, x):

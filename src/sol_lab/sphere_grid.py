@@ -187,13 +187,17 @@ def gauss_jacobi(n: int, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     them to the roots, and the nodes x >= 0 are mirrored, so mirror rings
     pair: O(n^2), with no matrix.  For b != 0 they are the eigenvalues of
     the recurrence's Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
-    one dense n x n array, polished once; only caps take it, with n in the
-    tens.  On 80-bit longdouble (x86) the Gauss-Legendre weights lie within
-    1.3e-16 relative of a 30-digit reference at n = 32, 129 and 257 and
-    within 5.8e-16 at n = 1025 (``leggauss``: 5.8e-14, 1.3e-11 and 1.5e-10
-    at the first three).  Every
-    grid, band and cap of a given size reads the same arrays, computed once
-    per (n, b) (for the 64 used last), shared and read-only.
+    one dense n x n array, polished once; only caps take it, but n is not
+    small: an integrator cap takes max(32, ceil(L R / 8)) nodes, 512 at
+    L = 4096, and ``cap_density_integral`` max(48, floor(R L) + 16) radii
+    at its R = 10 t_eps, 3130 at L = 4096 and epsilon = 0.05 (the
+    ``FOUND:`` on ``cap_density_integral`` in CHANGES.md).  On 80-bit
+    longdouble (x86) the Gauss-Legendre weights lie within 1.3e-16 relative
+    of a 30-digit reference at n = 32, 129 and 257 and within 5.8e-16 at
+    n = 1025 (``leggauss``: 5.8e-14, 1.3e-11 and 1.5e-10 at the first
+    three).  Every grid, band and cap of a given size reads the same
+    arrays, computed once per (n, b) (for the 64 used last), shared and
+    read-only.
     """
     b = np.longdouble(b)
     k = np.arange(n + 1, dtype=np.longdouble)
@@ -954,7 +958,8 @@ def axis_values(c: SHCoefficients):
     l = np.arange(c.band_limit + 1)
     north = np.sqrt((2.0 * l + 1.0) / FOUR_PI)
     a = c.order(0)
-    return a @ north, a @ np.where(l % 2, -north, north)
+    poles = a @ north, a @ np.where(l % 2, -north, north)
+    return tuple(map(float, poles)) if a.ndim == 1 else poles
 
 
 def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,

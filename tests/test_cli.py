@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sol_lab
-from sol_lab.cli import (KINDS, _experiment_schema, main, run, serialize,
-                         validate)
+from sol_lab.cli import KINDS, _experiment_schema, main, run, validate
 
 
 def config_text(**overrides):
@@ -117,7 +116,7 @@ class TestValidate:
     def test_round_trip(self):
         config, errors = validate(config_text())
         assert not errors
-        config2, errors2 = validate(serialize(config))
+        config2, errors2 = validate(json.dumps(config, sort_keys=True, indent=2))
         assert not errors2
         assert config2 == config
 
@@ -827,6 +826,25 @@ class TestMainEntry:
         assert rep["summary"]["closed_form"] == pytest.approx(
             4 * np.pi * (0.5 - np.log(2.0)))
 
+    def test_verify_extremal_past_overflow(self, tmp_path):
+        """c = 800 puts the raw peak of u_{lambda,c} past exp's overflow at
+        709.8.  J is shift invariant and the density is formed shifted, so
+        the run passes with c = 3's J to 1e-9 (1.9e-11 seen) and the same
+        check values."""
+        reports = []
+        for c in (3.0, 800.0):
+            cfg, out = tmp_path / f"c{c}.json", tmp_path / f"r{c}.json"
+            cfg.write_text(config_text(
+                grid={"n_theta": 129, "n_phi": 258}, weight={"points": []},
+                experiment={"kind": "verify-extremal", "c": c}))
+            assert main(["verify-extremal", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        near, far = (r["summary"]["J_shifted"] for r in reports)
+        assert abs(far - near) <= 1e-9
+        assert [ch["value"] for ch in reports[1]["checks"]] == pytest.approx(
+            [ch["value"] for ch in reports[0]["checks"]], rel=1e-6)
+
     def test_kw_check_extremal_kind(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(config_text(
@@ -840,13 +858,20 @@ class TestMainEntry:
     def test_negative_point_on_a_grid_node(self, tmp_path):
         """An off-axis negative-order point on a grid node, (1, 0, 0) on
         the equator ring of an odd Gauss grid, solves in its axis frame and
-        exits 0."""
-        cfg = tmp_path / "c.json"
+        exits 0, and its report is written: lambda is the singular point's
+        value there, read from the axis, and the summary holds plain JSON
+        types."""
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
         cfg.write_text(config_text(
             grid={"n_theta": 65, "n_phi": 130},
             weight={"points": [{"position": [1, 0, 0], "order": -0.5}]},
             experiment={"kind": "minimize", "epsilon": 0.5}))
-        assert main(["minimize", "--config", str(cfg)]) == 0
+        assert main(["minimize", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert all(type(summary[k]) is bool for k in
+                   ("converged", "compact_case", "under_resolved"))
+        assert all(type(summary[k]) is float for k in ("lambda", "t_eps"))
 
     @pytest.mark.parametrize("m, width", [(0, 1), (1, 5)])
     def test_smooth_factor_is_coefficients(self, m, width):
@@ -961,50 +986,74 @@ class TestMainEntry:
             sphere_sharp_constant(-0.5, 0.5, antipodal=False)
 
 
+def fresh_interpreter(script, **env):
+    """Stdout lines of ``script`` run in a new interpreter that imports
+    sol_lab from this source tree, with ``env`` added to the environment."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sol_lab.__file__)))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True).stdout.splitlines()
+
+
+def scipy_modules_after(kind, cfg):
+    """The scipy modules loaded by one in-process ``kind`` run of ``cfg``
+    (its exit code is not checked)."""
+    return fresh_interpreter(
+        "import sys\n"
+        "import sol_lab.cli as cli\n"
+        f"code = cli.main([{kind!r}, '--config', {str(cfg)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )[-1]
+
+
 class TestThreads:
     def test_threads_flag_overrides_environment(self, tmp_path):
         """numpy stays unloaded until main() has set the BLAS variables."""
         cfg = tmp_path / "c.json"
         cfg.write_text(config_text())
-        script = (
+        out = fresh_interpreter(
             "import os, sys\n"
             "import sol_lab.cli as cli\n"
             "print('numpy' in sys.modules)\n"
             f"code = cli.main(['constants', '--config', {str(cfg)!r}, "
             "'--threads', '3'])\n"
-            "print(code, os.environ['OPENBLAS_NUM_THREADS'])\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(
-            sol_lab.__file__)))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120,
-                             check=True).stdout.splitlines()
+            "print(code, os.environ['OPENBLAS_NUM_THREADS'])\n",
+            OPENBLAS_NUM_THREADS="1")
         assert out[0] == "False"
         assert out[-1] == "0 3"
 
     def test_sweep_leaves_scipy_optimize_unloaded(self, tmp_path):
-        """A sweep run, Richardson extrapolation included, imports no
-        scipy.optimize: that import alone costs about 0.5 s cold.  (This
-        coarse grid fails the blow-up check, exit code 1, but reports.)"""
+        """A sweep run, Richardson extrapolation included, imports no scipy
+        module: scipy.optimize alone costs about 0.4 s cold.  (This coarse
+        grid fails the blow-up check, exit code 1, but reports.)"""
         cfg = tmp_path / "c.json"
         cfg.write_text(config_text(
             grid={"n_theta": 17, "n_phi": 34},
             experiment={"kind": "sweep", "epsilons": [0.5, 0.3, 0.2, 0.1]},
             output={"report": str(tmp_path / "r.json")}))
-        script = (
-            "import sys\n"
-            "import sol_lab.cli as cli\n"
-            f"code = cli.main(['sweep', '--config', {str(cfg)!r}])\n"
-            "print('scipy.optimize' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(
-            sol_lab.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120,
-                             check=True).stdout.splitlines()
-        assert out[-1] == "False"
+        assert scipy_modules_after("sweep", cfg) == "[]"
         report = json.loads((tmp_path / "r.json").read_text())
         assert np.isfinite(report["summary"]["extrapolated_J"])
+
+    @pytest.mark.parametrize("kind, points, experiment", [
+        ("kw-check", [([0, 0, 1], -0.25), ([0, 0, -1], -0.1)],
+         {"epsilon": 0.3}),
+        ("inequality-sample", [([0, 0, 1], -0.5), ([0, 0, -1], 0.5)],
+         {"samples": 3}),
+        ("verify-extremal", [], {}),
+    ], ids=["kw-check", "inequality-sample", "verify-extremal"])
+    def test_benchmark_kinds_leave_scipy_unloaded(self, tmp_path, kind,
+                                                  points, experiment):
+        """The benchmark's other kinds import no scipy module either:
+        cold, scipy.integrate takes about 0.6 s, scipy.optimize 0.4 s and
+        scipy.linalg 0.2 s, more than a seed-0 ``solve`` op."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text(
+            weight={"points": [{"position": p, "order": a}
+                               for p, a in points]},
+            experiment={"kind": kind, **experiment},
+            output={"report": str(tmp_path / "r.json")}))
+        assert scipy_modules_after(kind, cfg) == "[]"
+        assert json.loads((tmp_path / "r.json").read_text())["summary"]

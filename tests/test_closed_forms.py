@@ -1,4 +1,4 @@
-"""Stereographic projection, extremal family, bubble, test functions."""
+"""Stereographic chart, extremal family, bubble, test functions."""
 
 import os
 import subprocess
@@ -6,8 +6,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import sol_lab
 from sol_lab.closed_forms import (
@@ -23,8 +21,6 @@ from sol_lab.closed_forms import (
     planar_bubble_mass,
     planar_liouville_residual,
     planar_liouville_total_mass,
-    stereographic,
-    stereographic_inverse,
 )
 from sol_lab.closed_forms import (
     ConcentrationParams,
@@ -42,35 +38,14 @@ SOUTH = np.array([0.0, 0.0, -1.0])
 
 
 class TestStereographic:
-    def test_antipode_to_origin(self):
-        y = stereographic(NORTH, SOUTH)
-        assert np.abs(y).max() < 1e-15
-
-    def test_equator_to_unit_circle(self):
-        y = stereographic(NORTH, np.array([1.0, 0.0, 0.0]))
-        assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-14)
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            stereographic(NORTH, NORTH)
-
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**32 - 1))
-    def test_round_trip(self, seed):
-        r = np.random.default_rng(seed)
-        pole = r.normal(size=3)
-        pole /= np.linalg.norm(pole)
-        xs = r.normal(size=(100, 3))
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        xs = xs[xs @ pole < 0.9]
-        back = stereographic_inverse(pole, stereographic(pole, xs))
-        assert np.abs(back - xs).max() < 1e-12
-
     def test_green_transfer(self):
-        """G_p o pi^{-1}(y) = log(1 + |y|^2)/(4 pi) - 1/(4 pi)."""
+        """G_p o pi^{-1}(y) = log(1 + |y|^2)/(4 pi) - 1/(4 pi), the
+        normalization ``extremal_value`` relies on; pi^{-1}(y) from the pole
+        e3 is (2y, |y|^2 - 1)/(1 + |y|^2)."""
         from sol_lab.singular_geometry import green
         for radius in (0.3, 1.0, 2.7):
-            x = stereographic_inverse(NORTH, np.array([radius, 0.0]))
+            x = (np.array([2.0 * radius, 0.0, radius**2 - 1.0])
+                 / (1.0 + radius**2))
             expected = np.log1p(radius**2) / FOUR_PI - 1.0 / FOUR_PI
             assert green(NORTH, x) == pytest.approx(expected, rel=1e-12)
 

@@ -15,7 +15,6 @@ from sol_lab.mt_functional import (
     INTEGRATOR_CACHE_SIZE,
     FunctionalParams,
     SingularIntegrator,
-    UnnormalizedBlowupError,
     cap_radial_nodes,
     cap_radial_rule,
     density_residual,
@@ -126,11 +125,15 @@ class TestExpIntegral:
         err = integrator_for(grid, w).log_exp_integral(zero(grid)) - exact
         assert abs(err) <= 1e-15
 
-    def test_overflow_guard(self, grid64):
-        c = zero(grid64).shifted(800.0)
-        params = FunctionalParams(rho=8.0 * np.pi, weight=SingularWeight())
-        with pytest.raises(UnnormalizedBlowupError):
-            eval_J(c, grid64, params)
+    def test_overflow_guard(self, grid64, rng):
+        """J is shift invariant at any raw peak: the density subtracts
+        max(u + log h) before it exponentiates, so u +- 800, past exp's
+        overflow at 709.8, evaluates to J(u) within 1e-10."""
+        c = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
+        params = FunctionalParams(rho=3.0 * np.pi, weight=single_weight(-0.5))
+        J = eval_J(c, grid64, params)
+        for shift in (800.0, -800.0):
+            assert abs(eval_J(c.shifted(shift), grid64, params) - J) <= 1e-10
 
     def test_cap_rule_convergence(self):
         """The radial cap rule against the closed form

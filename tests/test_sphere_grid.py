@@ -534,7 +534,8 @@ class TestAxisValues:
             for v, w in zip(got, np.moveaxis(want, -1, 0)):
                 assert np.shape(v) == np.shape(w)
                 assert np.all(np.abs(v - w) <= 1e-13 * scale)
-        assert all(isinstance(v, float) for v in axis_values(stack))
+        # Python floats, not numpy scalars: a report's JSON takes them
+        assert all(type(v) is float for v in axis_values(stack))
 
 
 class TestOrderLimit:
