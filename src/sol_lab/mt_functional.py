@@ -43,6 +43,7 @@ exponentiation, so strongly concentrated fields cannot overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -232,20 +233,46 @@ class SingularIntegrator:
         """
         batch = u.shape[:u.ndim - self.log_h.ndim]
         peak = u.reshape(*batch, -1).max(axis=-1)
-        if u.shape[-1] < self.log_h.shape[-1]:  # zonal u, h not invariant
-            u = u + self.log_h
-        else:
-            u += self.log_h
-        flat = u.reshape(*batch, -1)
-        shift = flat.max(axis=-1)
-        flat -= shift[..., None]
-        np.exp(flat, out=flat)
+        u, shift = _shifted_exp(u, self.log_h)
         if not batch:
             shift, peak = float(shift), float(peak)
         return Density(u, shift, self.transform.integral(u), peak)
 
-    def log_exp_integral(self, coeffs: SHCoefficients) -> float:
-        return self.density(coeffs).log_integral
+    @functools.cached_property
+    def _ring_groups(self) -> list:
+        """(transform, log h) per ring group of the rule
+        (``ProductTransform.ring_groups``): the fewest whose values on a
+        stack take at most the bytes of its coefficients, at most
+        (L + 1)(2L + 1) / n_phi rings a group; 3 on the L = 256 two-cap
+        block.  Built on the first stack and kept; not in ``blocks``."""
+        tr, L = self.transform, self.transform.band_limit
+        return [(group, self.log_h[rings]) for rings, group in
+                tr.ring_groups((L + 1) * (2 * L + 1) // tr.phi.size)]
+
+    def _group_terms(self, coeffs: SHCoefficients, transform, log_h):
+        """(shift, integral) per field of the stack's h e^{u - shift} on
+        one ring group, whose values die on return."""
+        u, shift = _shifted_exp(transform.synthesis_values(coeffs), log_h)
+        return shift, transform.integral(u)
+
+    def log_exp_integral(self, coeffs: SHCoefficients):
+        """log int h e^u of the field (of each field of a stack), as
+        ``density(coeffs).log_integral`` gives it, but without the values
+        of a stack: a stack of two or more full-width fields is
+        synthesized one ring group at a time (``_ring_groups``), each
+        reduced in place to a shift s_g and an integral T_g per field, and
+        log I = S + log sum_g T_g e^(s_g - S), S = max_g s_g.  So it holds
+        the coefficients, one group's values and one Legendre group; a rule
+        of one group gives the density's arithmetic, bit for bit.  One
+        field and a zonal column take the density."""
+        v = coeffs.values
+        if v[..., 0, 0].size < 2 or v.shape[-1] == 1:
+            return self.density(coeffs).log_integral
+        shifts, totals = zip(*(self._group_terms(coeffs, *group)
+                               for group in self._ring_groups))
+        top = np.max(shifts, axis=0)
+        return top + np.log(sum(total * np.exp(shift - top)
+                                for shift, total in zip(shifts, totals)))
 
     def density_projection(self, dens: Density) -> SHCoefficients:
         """Coefficients of h e^{u - shift}, one analysis, a zonal column
@@ -261,6 +288,21 @@ class SingularIntegrator:
         return dens.peak
 
 
+def _shifted_exp(u: np.ndarray, log_h: np.ndarray):
+    """(h e^{u - shift}, shift) with shift = max(u + log h) per field of a
+    stack, formed in place in u unless u is a zonal column and log h is
+    not."""
+    if u.shape[-1] < log_h.shape[-1]:  # zonal u, h not invariant
+        u = u + log_h
+    else:
+        u += log_h
+    flat = u.reshape(*u.shape[:u.ndim - log_h.ndim], -1)
+    shift = flat.max(axis=-1)
+    flat -= shift[..., None]
+    np.exp(flat, out=flat)
+    return u, shift
+
+
 def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrator:
     """The grid's integrator for ``weight``, from a per-grid LRU cache of
     INTEGRATOR_CACHE_SIZE integrators.
@@ -271,7 +313,10 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
     over every order after the transform's first: ~75 MB for two caps at
     L = 256, with each order's polar rings trimmed).  A stack's first pass
     over every order on a table larger than ``sphere_grid.LEGENDRE_BYTES``
-    keeps none: it streams the recurrence, 8.0 MB a group on that block.
+    keeps none: it streams the recurrence, 8 MiB a group of orders.  From
+    its first stacked log integral it also holds its ring groups' transforms
+    (``log_exp_integral``), which keep no Legendre table that the whole
+    transform would not and share its cos/sin table.
     """
     key = weight.cache_key()
     cache = grid._integrator_cache
@@ -289,19 +334,21 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
 def eval_J(coeffs: SHCoefficients, grid: SphereGrid,
            params: FunctionalParams):
     """J_rho of the field with these coefficients (of each field of a
-    stack), invariant under u -> u + const: the density subtracts
-    max(u + log h) before it exponentiates, so a raw peak of any size
-    evaluates."""
-    dens = integrator_for(grid, params.weight).density(coeffs)
-    return eval_J_coeffs(coeffs, dens, params)
+    stack), invariant under u -> u + const: ``log_exp_integral``
+    subtracts max(u + log h) before it exponentiates, so a raw peak of any
+    size evaluates."""
+    log_integral = integrator_for(grid, params.weight).log_exp_integral(coeffs)
+    return eval_J_coeffs(coeffs, log_integral, params)
 
 
-def eval_J_coeffs(coeffs: SHCoefficients, dens: Density,
+def eval_J_coeffs(coeffs: SHCoefficients, log_integral,
                   params: FunctionalParams) -> float:
-    """J_rho of the field with these coefficients and density record."""
+    """J_rho of the field with these coefficients and log int h e^u (of
+    each field of a stack): ``Density.log_integral`` or
+    ``SingularIntegrator.log_exp_integral``."""
     return (0.5 * dirichlet_energy(coeffs)
             + params.rho * coeffs.mean
-            - params.rho * (dens.log_integral - np.log(FOUR_PI)))
+            - params.rho * (log_integral - np.log(FOUR_PI)))
 
 
 def density_residual(coeffs: SHCoefficients, dens: Density,

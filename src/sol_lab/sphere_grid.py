@@ -60,8 +60,12 @@ block instead of reading it K times.  One field gives bit for bit the
 unbatched results.
 Stacks cost memory per field, so callers that batch independent samples
 take ``batch_size(nodes)`` fields at a time: as many as the byte budget
-``BATCH_BUDGET`` holds of one field's values on the quadrature nodes the
-stack is synthesized on.
+``BATCH_BUDGET`` would hold of one field's values on the quadrature nodes
+of the stack's rule.  A caller that needs a reduction of the values
+alone need not hold them: ``ProductTransform.ring_groups`` splits the
+rings into mirror-closed groups, each a transform of its own, and a stack
+synthesized one group at a time holds one group's values
+(``mt_functional.SingularIntegrator.log_exp_integral``).
 """
 
 from __future__ import annotations
@@ -273,12 +277,14 @@ LEGENDRE_BYTES = 8 << 20  # 8 MiB
 # below double precision.
 LEGENDRE_FLOOR = 1e-20
 
-# Bytes of values in one stack of sampled fields that a batched evaluation
-# synthesizes at once (``batch_size``), counted on every quadrature node the
-# stack is synthesized on: 25 fields on the 643 x 514 two-cap block at
-# L = 256 (2.64 MB a field), so 20 samples take one stack.  A stack on a
-# block that has not kept its table (75 MB there) streams its Legendre
-# blocks, one group (8.0 MB) at a time, and does not build it.
+# Bytes of values that one stack of sampled fields would take on every
+# quadrature node of its rule (``batch_size``): 25 fields on the 643 x 514
+# two-cap block at L = 256 (2.64 MB a field), so 20 samples take one
+# stack.  The stack's log integral is synthesized one ring group at a time
+# (``ProductTransform.ring_groups``), so it holds one group's values, at
+# most the bytes of its coefficients (16.9 MiB of 20 fields' 50.4 MiB
+# there), and each group streams its Legendre blocks, 8 MiB a group of
+# orders, and builds no table (75 MB for the whole block).
 BATCH_BUDGET = 64 << 20  # 64 MiB
 
 
@@ -613,6 +619,11 @@ class ProductTransform:
                                            (self.t.size, n_phi))
         self._order, self._paired, self._reps = _ring_order(self.t)
         self._runs = _ring_runs(self._order)
+        self._mirror_runs = _ring_runs(self._order[self._reps:])
+        # representative rings of the table whose bound decides whether a
+        # stack streams (``_legendre``): a ring group's counts its whole
+        # node set's (``ring_groups``)
+        self._table_reps = self._reps
         # longitude pairs: phi_{n-j} = -phi_j and, for even n, phi_{n/2+j}
         # = phi_j + pi, which splits the orders by the parity of m
         turns = 2 if n_phi % 2 == 0 else 1
@@ -650,7 +661,8 @@ class ProductTransform:
         t = self.t[self._order[:self._reps]]
         L = self.band_limit
         if (orders > 1 and fields > 1
-                and 8 * (L + 1) * (L + 2) // 2 * t.size > LEGENDRE_BYTES):
+                and 8 * (L + 1) * (L + 2) // 2 * self._table_reps
+                > LEGENDRE_BYTES):
             return ((t.size - block.shape[1], block[0::2], block[1::2])
                     for group in _legendre_groups(L, t, L, LEGENDRE_FLOOR)
                     for _, block in group)
@@ -658,6 +670,43 @@ class ProductTransform:
                      for block in normalized_legendre(L, t, orders - 1,
                                                       LEGENDRE_FLOOR)]
         return self._plm
+
+    def ring_groups(self, most: int) -> list:
+        """(rings, transform) per group of the fewest mirror-closed groups
+        of at most ``most`` rings (two at least): a group is a run of the
+        representative rings in table order (polar-first) with the mirrors
+        of its paired rings, the runs as equal in rings as the pairs
+        allow.  ``rings`` lists the group's ring indices ascending; its
+        transform, over those rings and their weights, streams a stack's
+        Legendre blocks whenever this one would, so a group keeps no table
+        that its node set would not, and reads this one's cos/sin table.
+        One group is this transform."""
+        reps, paired, order = self._reps, self._paired, self._order
+        n, most = self.t.size, max(most, 2)
+        ends = np.ones(reps + 1, dtype=int)
+        ends[0], ends[1 + paired.start:1 + paired.stop] = 0, 2
+        ends = np.cumsum(ends)  # rings of the first i representatives
+        for count in range(-(-n // most), reps + 1):
+            bounds = np.searchsorted(ends, n * np.arange(count + 1) / count,
+                                     side="right") - 1
+            sizes = np.diff(ends[bounds])
+            if sizes.min() > 0 and sizes.max() <= most:
+                break
+        else:  # one representative a group
+            count, bounds = reps, np.arange(reps + 1)
+        if count == 1:
+            return [(np.arange(n), self)]
+        groups = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            mirrors = order[reps + max(a, paired.start) - paired.start:
+                            reps + max(b, paired.start) - paired.start]
+            rings = np.sort(np.concatenate([order[a:b], mirrors]))
+            group = ProductTransform(
+                self.band_limit, self.t[rings], self.phi.size,
+                None if self.ring_weights is None else self.ring_weights[rings])
+            group._table_reps, group._fourier = self._table_reps, self._trig()
+            groups.append((rings, group))
+        return groups
 
     def _trig(self) -> np.ndarray:
         """cos m phi and sin m phi for m = 0..L over the representative
@@ -693,13 +742,19 @@ class ProductTransform:
 
     def _fold(self, f: np.ndarray):
         """(S, D) over the representative rings from ring-major f: f(t) +
-        f(-t) and f(t) - f(-t) for a pair, f itself for a solo ring."""
-        g = f[self._order]
-        reps, paired = self._reps, self._paired
-        even = g[:reps].copy()
-        even[paired] += g[reps:]
-        odd = g[:reps]
-        odd[paired] -= g[reps:]
+        f(-t) and f(t) - f(-t) for a pair, f itself for a solo ring.  The
+        mirrors are read in place, a run of rings at a time
+        (``_ring_runs``), so S and D are the only copies of f made."""
+        reps, start = self._reps, self._paired.start
+        # odd in the index's layout, even C-ordered, as when both were cut
+        # from one ring-order copy of f: the products that read them round
+        # the same
+        odd = f[self._order[:reps]]
+        even = odd.copy()
+        for table, ring in self._mirror_runs:
+            rows = slice(start + table.start, start + table.stop)
+            even[rows] += f[ring]
+            odd[rows] -= f[ring]
         return even, odd
 
     def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
@@ -741,6 +796,9 @@ class ProductTransform:
         # = 0 takes no sine part
         cs = np.empty((L + 1, k, 2))
         for m, (start, even, odd) in enumerate(self._legendre(L + 1, k)):
+            if start == self._reps:  # the order keeps no ring (a polar
+                rows[:, :, m] = 0.0  # ring group's high orders)
+                continue
             c = cs[m:]
             c[..., 0] = v[:, m:, L + m].T
             c[..., 1] = v[:, m:, L - m].T if m else 0.0
@@ -779,6 +837,38 @@ class ProductTransform:
         return totals[0] if terms.ndim == 1 else np.reshape(
             totals, terms.shape[:-1])
 
+    def _fourier_sums(self, w: np.ndarray) -> np.ndarray:
+        """f[field and ring, part, column]: the cos and sin sums of the
+        weighted values w, shape (fields n_t, n_phi), folded onto the
+        representative longitudes; a parity's orders m = p, p + turns, ...
+        take consecutive columns.
+
+        w is the pass's own array, so its views fold in place, and so do
+        the image sums: a parity's representative columns a(j) take
+        a(j) + a(-j) and its mirror columns a(j) - a(-j), field by field
+        through a one-field scratch, for the cosine product; then the
+        representative columns take the mirror columns for the sine
+        product (its column j = 0 and, for even period, j = period / 2
+        have no mirror and are the same in both)."""
+        trig, pairs = self._trig(), self._phi_pairs
+        ahead = _turn_sums([w[:, a] for a, _ in self._images])
+        behind = _turn_sums([w[:, b] for _, b in self._images])
+        f = np.empty((w.shape[0], 2, self.band_limit + 1))
+        start = 0
+        for p, cos, mirror in zip(self._parities, ahead, behind):
+            mid = cos[:, 1:pairs + 1]
+            for rows in range(0, w.shape[0], self.t.size):
+                field = slice(rows, rows + self.t.size)
+                diff = mid[field] - mirror[field]
+                mid[field] += mirror[field]
+                mirror[field] = diff
+            columns = slice(start, start + trig[0, p].shape[0])
+            np.matmul(cos, trig[0, p].T, out=f[:, 0, columns])
+            mid[...] = mirror
+            np.matmul(cos, trig[1, p].T, out=f[:, 1, columns])
+            start = columns.stop
+        return f
+
     def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
         """<values, Y_{l,m}> under this node set's quadrature weights:
         shape (..., L+1, 2L+1) for values of shape (..., n_t, n_phi), and
@@ -800,24 +890,11 @@ class ProductTransform:
             out[:, 0::2, 0] = (even @ s).T
             out[:, 1::2, 0] = (odd @ d).T
             return SHCoefficients(out.reshape(batch + (L + 1, 1)))
-        # f[field and ring, part, column]: the cos and sin sums, from the
-        # weighted values folded onto the representative longitudes (w is
-        # this pass's own array, so its views fold in place); a parity's
-        # orders m = p, p + turns, ... take consecutive columns
-        trig, pairs, turns = self._trig(), self._phi_pairs, len(self._images)
-        ahead = _turn_sums([w[:, a] for a, _ in self._images])
-        behind = _turn_sums([w[:, b] for _, b in self._images])
-        f = np.empty((k * n_t, 2, L + 1))
-        start = 0
-        for p, cos, mirror in zip(self._parities, ahead, behind):
-            sin = cos.copy()
-            sin[:, 1:pairs + 1] -= mirror
-            cos[:, 1:pairs + 1] += mirror
-            columns = slice(start, start + trig[0, p].shape[0])
-            np.matmul(cos, trig[0, p].T, out=f[:, 0, columns])
-            np.matmul(sin, trig[1, p].T, out=f[:, 1, columns])
-            start = columns.stop
+        f = self._fourier_sums(w)
+        del w  # folded into f: let it go before the fold
         s, d = self._fold(f.reshape(k, n_t, 2, L + 1).transpose(1, 3, 0, 2))
+        del f
+        turns = len(self._images)
         c = np.zeros((L + 1, L + 1, 2 * k))
         for m, (start, even, odd) in enumerate(self._legendre(L + 1, k)):
             col = m // turns + m % turns * (L // turns + 1)

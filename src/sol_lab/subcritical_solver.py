@@ -199,7 +199,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
     tol = config.tol_factor * params.rho
 
     dens = integ.density(a)
-    J = eval_J_coeffs(a, dens, params)
+    J = eval_J_coeffs(a, dens.log_integral, params)
     trace = []
     converged = False
     iterations = 0
@@ -231,7 +231,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
         for backtracks in range(BACKTRACK_MAX):
             cand = SHCoefficients(a.values + step * direction)
             cand_dens = integ.density(cand)
-            J_cand = eval_J_coeffs(cand, cand_dens, params)
+            J_cand = eval_J_coeffs(cand, cand_dens.log_integral, params)
             if J_cand <= J + 1.0e-12:
                 a, dens, J = cand, cand_dens, J_cand
                 accepted = True

@@ -213,8 +213,9 @@ class TestRun:
                 json.dumps(r2, sort_keys=True)
 
     def test_samples_share_transforms(self, monkeypatch, transform_counts):
-        """20 samples in stacks of K = 8 make ceil(20 / 8) = 3 syntheses
-        on the integrator's one transform instead of 20, none on the grid and no
+        """20 samples in stacks of K = 8 make ceil(20 / 8) = 3 stacks, each
+        synthesized once on each of the integrator's ring groups (9 at
+        L = 32) instead of 20 per-sample passes, none on the grid and no
         analysis (the draws are coefficients), and give the gaps of a
         per-sample troyanov_gap loop with each draw scaled to RMS 0.7 by
         its coefficients."""
@@ -226,9 +227,10 @@ class TestRun:
         orders = [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)]
         g = sphere_grid.build_grid(grid["n_theta"], grid["n_phi"])
         w = SingularWeight.from_orders(orders)
-        block = integrator_for(g, w).transform
+        integ = integrator_for(g, w)
+        assert len(integ._ring_groups) == 9
         # the budget holds the values of 8 fields on the rule's nodes
-        nodes = block.weights.size
+        nodes = integ.transform.weights.size
         monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 8 * 8 * nodes)
         assert sphere_grid.batch_size(nodes) == 8
         config, _ = validate(config_text(
@@ -237,7 +239,7 @@ class TestRun:
                                for p, a in orders]},
             grid=grid, seed=5))
         report = run(config)
-        assert transform_counts["synthesis"] == 3
+        assert transform_counts["synthesis"] == 3 * 9
         assert transform_counts["analysis"] == 0
         rng = np.random.default_rng(5)
         want = []
@@ -252,15 +254,15 @@ class TestRun:
 
     @staticmethod
     def evaluated_stacks(monkeypatch, points, samples, seed):
-        """(coefficients, density) of each stack an inequality-sample run
-        hands to eval_J_coeffs, and the run's report."""
+        """(coefficients, log int h e^u) of each stack an inequality-sample
+        run hands to eval_J_coeffs, and the run's report."""
         from sol_lab import mt_functional
 
         evaluated, J = [], mt_functional.eval_J_coeffs
 
-        def eval_J_coeffs(coeffs, dens, params):
-            evaluated.append((coeffs, dens))
-            return J(coeffs, dens, params)
+        def eval_J_coeffs(coeffs, log_integral, params):
+            evaluated.append((coeffs, log_integral))
+            return J(coeffs, log_integral, params)
 
         monkeypatch.setattr(mt_functional, "eval_J_coeffs", eval_J_coeffs)
         config, _ = validate(config_text(
@@ -272,9 +274,10 @@ class TestRun:
 
     def test_samples_scaled_by_their_coefficients(self, monkeypatch):
         """Two axis caps at L = 32, 7 samples in stacks of 3: each sample
-        has RMS 0.7 over the sphere by its coefficients, the density is
-        formed from those scaled coefficients, and each stack is
-        synthesized once on the block and never on the grid."""
+        has RMS 0.7 over the sphere by its coefficients, its log int h e^u
+        is formed from those scaled coefficients, and each stack of 3 is
+        synthesized once on each ring group of the block, the last sample
+        once on the block, and none on the grid."""
         from sol_lab import mt_functional, sphere_grid
         from sol_lab.sphere_grid import ProductTransform, SHCoefficients
 
@@ -301,14 +304,16 @@ class TestRun:
             monkeypatch, [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)], 7, 3)
         (grid,) = grids
         (integ,) = grid._integrator_cache.values()
-        assert [tr is integ.transform for tr in passes] == [True] * 3
+        groups = [tr for tr, _ in integ._ring_groups]
+        assert len(groups) > 1
+        assert passes == groups + groups + [integ.transform]
         assert [c.values.shape[0] for c, _ in evaluated] == [3, 3, 1]
-        for coeffs, dens in evaluated:
+        for coeffs, log_integral in evaluated:
             for i, c in enumerate(coeffs.values):
                 assert np.sqrt(np.sum(c * c) / (4.0 * np.pi)) == \
                     pytest.approx(0.7, rel=1e-14)
-                u = integ.transform.synthesis_values(SHCoefficients(c))
-                assert abs(dens.peak[i] - np.max(u)) <= 1e-14
+                one = integ.density(SHCoefficients(c)).log_integral
+                assert abs(log_integral[i] - one) <= 1e-14 * max(1, abs(one))
         assert len(report["records"]) == 7
 
     def test_samples_do_not_depend_on_the_rule(self, monkeypatch):
@@ -825,6 +830,21 @@ class TestMainEntry:
         rep = json.loads(out.read_text())
         assert rep["summary"]["closed_form"] == pytest.approx(
             4 * np.pi * (0.5 - np.log(2.0)))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the defaults' lambda = 2 member is under-resolved at L = 64: "
+               "on the default 65 x 130 grid |J(u_{2,3}) - J(u_{1,0})| reads "
+               "1.00013e-3 against invariance_tol 1e-3 (3.8e-14 at "
+               "lambda = 1, 2.6e-4 on 129 x 258)")
+    def test_verify_extremal_defaults(self, tmp_path):
+        """verify-extremal with every experiment key at its default passes
+        its own checks."""
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"weight": {"points": []},
+                                   "experiment": {"kind": "verify-extremal"}}))
+        assert main(["verify-extremal", "--config", str(cfg),
+                     "--out", str(out)]) == 0
 
     def test_verify_extremal_past_overflow(self, tmp_path):
         """c = 800 puts the raw peak of u_{lambda,c} past exp's overflow at

@@ -1,13 +1,14 @@
 """Functional evaluation, singular quadrature, residuals, inequality gaps."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sol_lab import mt_functional
+from sol_lab import mt_functional, sphere_grid
 from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
 from sol_lab.mt_functional import (
     CAP_RADIAL_NODES,
@@ -496,6 +497,93 @@ class TestDensityStack:
                                                          rel=1e-14)
             assert np.max(np.abs(dens.values[i] - one.values)) \
                 <= 1e-14 * np.max(one.values)
+
+
+class TestGroupedLogIntegral:
+    """``log_exp_integral`` of a stack of two or more full-width fields
+    synthesizes it one ring group at a time and sums the groups' shifted
+    integrals, so it never holds the stack's values at once."""
+
+    @staticmethod
+    def stack(grid, rng, k, scale=1.0):
+        L = grid.band_limit
+        return SHCoefficients(scale * rng.normal(size=(k, L + 1, 2 * L + 1))
+                              / (1.0 + np.arange(L + 1))[:, None] ** 2)
+
+    @pytest.mark.parametrize("points", [
+        [(NORTH, -0.5), (SOUTH, 0.3)],
+        [(NORTH, -0.4), (SOUTH, -0.4)],  # paired caps
+        [(NORTH, 0.6)],
+        [],  # the grid's own transform: two groups
+    ])
+    def test_groups_agree_with_the_density(self, grid64, rng, points):
+        """Within 4 ulp of max(1, |log I|) of the one-pass density, for
+        fields up to max |u| of about 10."""
+        integ = SingularIntegrator(grid64, SingularWeight.from_orders(points))
+        assert len(integ._ring_groups) > 1
+        for scale in (0.5, 5.0, 40.0):
+            c = self.stack(grid64, rng, 5, scale)
+            got = integ.log_exp_integral(c)
+            want = integ.density(c).log_integral
+            assert got.shape == (5,)
+            assert np.all(np.abs(got - want)
+                          <= 4 * np.spacing(np.maximum(1.0, np.abs(want))))
+
+    def test_one_group_is_the_density(self, rng):
+        """A rule whose values take no more bytes than the coefficients
+        (33 x 65 nodes at L = 32, odd n_phi) is one group, the transform
+        itself, and a stack's log integral is the density's bit for bit."""
+        grid = build_grid(33, 65)
+        integ = SingularIntegrator(grid, SingularWeight.from_orders([]))
+        assert integ.nodes == 33 * 65
+        ((group, _),) = integ._ring_groups
+        assert group is integ.transform
+        c = self.stack(grid, rng, 4, 5.0)
+        assert np.array_equal(integ.log_exp_integral(c),
+                              integ.density(c).log_integral)
+
+    def test_one_field_and_a_column_are_the_density(self, grid64, rng):
+        """On a rule of five groups, one field, a stack of one and a zonal
+        stack take the density, bit for bit."""
+        integ = SingularIntegrator(grid64, SingularWeight.from_orders(
+            [(NORTH, -0.5), (SOUTH, 0.3)]))
+        assert len(integ._ring_groups) == 5
+        c = self.stack(grid64, rng, 3, 5.0)
+        column = SHCoefficients(c.values[..., 64:65].copy())
+        for coeffs in (SHCoefficients(c.values[0]),
+                       SHCoefficients(c.values[:1]), column):
+            got = integ.log_exp_integral(coeffs)
+            assert np.array_equal(got, integ.density(coeffs).log_integral)
+        assert isinstance(integ.log_exp_integral(
+            SHCoefficients(c.values[0])), float)
+
+    def test_stack_holds_one_group(self, grid64, rng, monkeypatch):
+        """A stack of K = 8 fields on the L = 64 two-cap block (264 x 130
+        nodes, 2.2 MB of values) under a 512 KiB LEGENDRE_BYTES streams
+        each of its 5 ring groups (at most 64 rings, 54 here): the traced
+        peak of its log integral is at most its coefficients (0.54 MB), one
+        group's values (0.45 MB), LEGENDRE_BYTES and the two per-order even
+        and odd products, 2 * 8 * 2K * reps bytes, and below the stack's
+        values; the groups and the cos/sin table they share are kept from
+        the first stack, not this pass's memory."""
+        L, K, budget = 64, 8, 1 << 19
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
+        integ = SingularIntegrator(grid64, SingularWeight.from_orders(
+            [(NORTH, -0.5), (SOUTH, 0.3)]))
+        groups = [group for group, _ in integ._ring_groups]
+        assert max(g.t.size for g in groups) <= (L + 1) * (2 * L + 1) // 130
+        c = self.stack(grid64, rng, K)
+        most = max(8 * K * g.weights.size for g in groups)
+        tracemalloc.start()
+        try:
+            integ.log_exp_integral(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(g._plm == [] for g in groups)
+        assert peak <= (c.values.nbytes + most + budget
+                        + 2 * 8 * 2 * K * integ.transform._reps), peak
+        assert peak < 8 * K * integ.nodes, peak
 
 
 class TestIntegratorExactness:

@@ -1222,6 +1222,70 @@ class TestStreamedPass:
             peak
 
 
+    def test_stacked_analysis_memory(self, rng, monkeypatch):
+        """Analysis of a stack of K = 8 full-width fields on the L = 64
+        two-cap block (2.2 MB of values) under a 512 KiB budget traces a
+        peak of at most three times its values: the weighted copy, the
+        Fourier array, its turn totals and a product's output, and then
+        the fold's two copies."""
+        L, K = 64, 8
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 1 << 19)
+        tr = trim_cases()["two caps"]
+        values = rng.normal(size=(K, tr.t.size, tr.phi.size))
+        tr._trig()  # kept from the first pass; not this pass's memory
+        tracemalloc.start()
+        try:
+            coeffs = tr.analysis_coeffs(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert coeffs.values.shape == (K, L + 1, 2 * L + 1)
+        assert peak <= 3 * values.nbytes, peak
+
+
+class TestRingGroups:
+    """``ProductTransform.ring_groups``: the fewest mirror-closed groups
+    of a node set's rings under a ring bound."""
+
+    @staticmethod
+    def check(tr, most):
+        groups = tr.ring_groups(most)
+        rings = np.concatenate([r for r, _ in groups])
+        assert np.array_equal(np.sort(rings), np.arange(tr.t.size))
+        mirror = dict(zip(tr._order[tr._paired], tr._order[tr._reps:]))
+        for r, group in groups:
+            assert r.size <= max(most, 2)
+            assert set(mirror[i] for i in r if i in mirror) <= set(r)
+            assert np.array_equal(group.t, tr.t[r])
+            if len(groups) > 1:
+                assert group._table_reps == tr._reps
+                assert group._fourier is tr._fourier
+        return groups
+
+    def test_seed_block_takes_three(self):
+        """The L = 256 two-cap block, 643 rings of 514 longitudes, in
+        groups whose values take at most the bytes of the coefficients,
+        (L + 1)(2L + 1) / 514 = 256 rings: 3, of 214 or 215 rings."""
+        block = integrator_for(build_grid(257, 514), SingularWeight.from_orders(
+            [((0.0, 0.0, 1.0), -0.5), ((0.0, 0.0, -1.0), 0.7)])).transform
+        groups = self.check(block, 257 * 513 // 514)
+        assert [r.size for r, _ in groups] == [214, 214, 215]
+        assert block._fourier is not None and block._plm == []
+
+    @pytest.mark.parametrize("name", ["gauss", "two caps", "one cap",
+                                      "random", "polar"])
+    @pytest.mark.parametrize("most", [1, 2, 7, 64, 1000])
+    def test_groups_cover_the_rings(self, name, most):
+        """Every ring in one group, each paired ring with its mirror, no
+        group above the bound; one group is the transform itself."""
+        tr = trim_cases()[name]
+        groups = self.check(tr, most)
+        if most >= tr.t.size:
+            assert groups[0][1] is tr
+        else:
+            assert len(groups) >= -(-tr.t.size // max(most, 2))
+
+
 class TestLegendreUnderTracers:
     """Tracers and profilers hold references to a frame's locals (a
     sys.settrace hook, as coverage.py and pdb install, and cProfile);
