@@ -478,23 +478,18 @@ def _run_verify_extremal(config, report):
 def _run_inequality_sample(config, report):
     import numpy as np
     from .closed_forms import conformal_pullback
-    from .mt_functional import integrator_for, sample_gaps, troyanov_gap
-    from .sphere_grid import SHCoefficients, batch_size
+    from .mt_functional import sample_gaps, troyanov_gap
+    from .sphere_grid import SHCoefficients
 
     exp = config["experiment"]
     w = _build_weight(config)
     grid = _grid_for(config)
     n_samples = exp["samples"]
-    rng = np.random.default_rng(config["seed"])
-    worst = np.inf
-    integ, start = integrator_for(grid, w), 0
-    while start < n_samples:  # one stack alive at a time
-        count = min(batch_size(integ.nodes), n_samples - start)
-        gaps = sample_gaps(grid, rng, count, w, exp["constant"])
-        for i, gap in enumerate(gaps, start):
-            report["records"].append({"sample": i, "gap": float(gap)})
-            worst = min(worst, float(gap))
-        start += count
+    gaps = sample_gaps(grid, np.random.default_rng(config["seed"]),
+                       n_samples, w, exp["constant"])
+    report["records"] += [{"sample": i, "gap": float(gap)}
+                          for i, gap in enumerate(gaps)]
+    worst = float(gaps.min())
     report["summary"] = {"samples": n_samples, "worst_gap": worst}
     _check(report["checks"], "inequality gap floor", worst, exp["gap_floor"],
            worst >= exp["gap_floor"])

@@ -69,6 +69,12 @@ INTEGRATOR_CACHE_SIZE = 4
 # the density analysis is alias-free to the same order as the grid itself
 CAP_RADIUS = 0.1
 CAP_RADIAL_NODES = 32
+# Bytes that one stack of samples may hold while its log integral is formed
+# (``sample_gaps``): one Legendre group (``sphere_grid.LEGENDRE_BYTES``) and,
+# per field, twice its coefficients, for the coefficients and for its values
+# on one ring group, which ``SingularIntegrator._ring_groups`` keeps no
+# larger.  27 fields at L = 256 (1.01 MiB of coefficients a field).
+BATCH_BUDGET = 64 << 20  # 64 MiB
 
 
 class UnnormalizedBlowupError(RuntimeError):
@@ -129,7 +135,10 @@ def band_rule(band_limit: int):
     The rule is exact to degree 4.5 L + 3 in t, which takes in e^u of a
     degree-L field to about 1e-11: over 20 rough zonal fields at L = 128
     (coefficients N(0, 1) / (1 + l)) log int h e^u is off by 7e-13 in the
-    median and 1.6e-11 at worst (2 (L + 1) nodes: 8e-12 and 3e-10).  Every
+    median and 1.6e-11 at worst (2 (L + 1) nodes: 8e-12 and 3e-10).  That
+    holds for zonal fields: for others the grid's longitudes limit the rule
+    (20 rough fields at L = 256 move by up to 5.1e-9 from 514 to 2056
+    longitudes, by 8.9e-16 from 1028; the ``FOUND:`` on it).  Every
     axis rule has a cap at both poles, so the band is always symmetric,
     [-cos CAP_RADIUS, cos CAP_RADIUS], and its nodes pair with their mirrors.
     """
@@ -190,11 +199,6 @@ class SingularIntegrator:
         """``(transform,)``: perfbench's tracer sums its blocks'
         ``weights.size`` and counts them (``perfbench/tracer.py``)."""
         return (self.transform,)
-
-    @property
-    def nodes(self) -> int:
-        """Quadrature nodes: the values of one field that is not zonal."""
-        return self.transform.weights.size
 
     def _build(self, grid: SphereGrid, phi: np.ndarray):
         """The product rule and log h on its nodes, on the longitudes
@@ -316,7 +320,8 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
     keeps none: it streams the recurrence, 8 MiB a group of orders.  From
     its first stacked log integral it also holds its ring groups' transforms
     (``log_exp_integral``), which keep no Legendre table that the whole
-    transform would not and share its cos/sin table.
+    transform would not and share its cos/sin table; ``sample_gaps`` sizes
+    its stacks by what such a log integral holds (BATCH_BUDGET).
     """
     key = weight.cache_key()
     cache = grid._integrator_cache
@@ -421,9 +426,20 @@ def sample_gaps(grid: SphereGrid, rng, count: int, w: SingularWeight,
     coefficients to RMS 0.7 over the sphere, sqrt(sum a_lm^2 / 4 pi), before
     its density is formed: a sample depends on the seed alone, not on the
     quadrature rule.  Over 20 draws max |u| / RMS is about 2-4 at L = 32
-    to 256, so the samples reach about max |u| = 2."""
-    draws = sphere_grid.random_band_limited_batch(grid, rng, count)
-    v = draws.values
-    rms = np.sqrt(np.einsum("...lm,...lm->...", v, v) / FOUR_PI)
-    v *= (0.7 / rms)[..., None, None]  # batch axes first, then (l, m)
-    return troyanov_gap(draws, grid, w, C)
+    to 256, so the samples reach about max |u| = 2.  They are drawn,
+    scaled and evaluated in stacks of as many fields as BATCH_BUDGET holds,
+    one stack alive at a time; the draws are one stream, whatever the split.
+    """
+    L = grid.band_limit
+    size = max(1, (BATCH_BUDGET - sphere_grid.LEGENDRE_BYTES)
+               // (2 * 8 * (L + 1) * (2 * L + 1)))
+    gaps = np.empty(count)
+    for start in range(0, count, size):
+        draws = sphere_grid.random_band_limited_batch(
+            grid, rng, min(size, count - start))
+        v = draws.values
+        rms = np.sqrt(np.einsum("...lm,...lm->...", v, v) / FOUR_PI)
+        v *= (0.7 / rms)[..., None, None]  # batch axes first, then (l, m)
+        gaps[start:start + len(v)] = troyanov_gap(draws, grid, w, C)
+        del draws, v  # before the next stack is drawn
+    return gaps

@@ -58,14 +58,13 @@ one (2K x (L+1-m)/2) by ((L+1-m)/2 x kept rings) matrix product per
 order and parity of l - m, so the K fields share one pass over each Pbar
 block instead of reading it K times.  One field gives bit for bit the
 unbatched results.
-Stacks cost memory per field, so callers that batch independent samples
-take ``batch_size(nodes)`` fields at a time: as many as the byte budget
-``BATCH_BUDGET`` would hold of one field's values on the quadrature nodes
-of the stack's rule.  A caller that needs a reduction of the values
-alone need not hold them: ``ProductTransform.ring_groups`` splits the
-rings into mirror-closed groups, each a transform of its own, and a stack
-synthesized one group at a time holds one group's values
-(``mt_functional.SingularIntegrator.log_exp_integral``).
+A caller that needs a reduction of the values alone need not hold them:
+``ProductTransform.ring_groups`` splits the rings into mirror-closed
+groups, each a transform of its own, and a stack synthesized one group at
+a time holds one group's values
+(``mt_functional.SingularIntegrator.log_exp_integral``, whose stacks of
+independent samples ``mt_functional.sample_gaps`` sizes by what such a
+log integral holds).
 """
 
 from __future__ import annotations
@@ -192,7 +191,7 @@ def gauss_jacobi(n: int, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     pair: O(n^2), with no matrix.  For b != 0 they are the eigenvalues of
     the recurrence's Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
     one dense n x n array, polished once; only caps take it, but n is not
-    small: an integrator cap takes max(32, ceil(L R / 8)) nodes, 512 at
+    small: an integrator cap takes max(32, ceil(1.25 L R)) nodes, 512 at
     L = 4096, and ``cap_density_integral`` max(48, floor(R L) + 16) radii
     at its R = 10 t_eps, 3130 at L = 4096 and epsilon = 0.05 (the
     ``FOUND:`` on ``cap_density_integral`` in CHANGES.md).  On 80-bit
@@ -277,22 +276,6 @@ LEGENDRE_BYTES = 8 << 20  # 8 MiB
 # below double precision.
 LEGENDRE_FLOOR = 1e-20
 
-# Bytes of values that one stack of sampled fields would take on every
-# quadrature node of its rule (``batch_size``): 25 fields on the 643 x 514
-# two-cap block at L = 256 (2.64 MB a field), so 20 samples take one
-# stack.  The stack's log integral is synthesized one ring group at a time
-# (``ProductTransform.ring_groups``), so it holds one group's values, at
-# most the bytes of its coefficients (16.9 MiB of 20 fields' 50.4 MiB
-# there), and each group streams its Legendre blocks, 8 MiB a group of
-# orders, and builds no table (75 MB for the whole block).
-BATCH_BUDGET = 64 << 20  # 64 MiB
-
-
-def batch_size(nodes: int) -> int:
-    """Fields per stack whose values on ``nodes`` quadrature nodes (every
-    block a stack is synthesized on) fit BATCH_BUDGET; at least one."""
-    return max(1, BATCH_BUDGET // (8 * nodes))
-
 
 def _legendre_group(L: int, m0: int, t: np.ndarray, sq: np.ndarray,
                     pmm: np.ndarray, packed: np.ndarray) -> np.ndarray:
@@ -357,7 +340,8 @@ def _legendre_groups(L: int, t: np.ndarray, m_max: int | None, floor: float,
     strided view packed[m0 + i:, i], which the next group overwrites, so a
     caller uses a group before it asks for the next, or copies it.  A
     caller that holds ``work`` vectors a ring beside a group has them
-    counted in its budget.
+    counted in its budget.  Once an order keeps no ring, every later group
+    is empty blocks, shape (L + 1 - m, 0), and runs no recurrence.
     """
     t = np.asarray(t, dtype=float).ravel()
     sq = np.sqrt(np.maximum(1.0 - t * t, 0.0))
@@ -370,6 +354,9 @@ def _legendre_groups(L: int, t: np.ndarray, m_max: int | None, floor: float,
     start = 0
     for m0 in range(0, m_max + 1, group):
         k, lo = min(group, m_max + 1 - m0), start
+        if lo == n:
+            yield [(m, np.empty((L + 1 - m, 0))) for m in range(m0, m0 + k)]
+            continue
         packed = scratch[:(L + 1) * k * (n - lo)].reshape(L + 1, k, n - lo)
         pmm = _legendre_group(L, m0, t[lo:], sq[lo:],
                               pmm[pmm.size - (n - lo):], packed)
@@ -960,10 +947,10 @@ def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
 
     A field's coefficients ~ N(0, (1+l)^(-2 decay)) for degrees 1..l_max
     (default the grid's band limit) are one draw of (l_max + 1)^2 - 1
-    normals, in order of degree and then of m.  The fields are drawn one
-    after another, so the stream does not depend on how the samples are
-    split into batches.  Callers scale each field by its coefficients
-    (``mt_functional.sample_gaps``: to an RMS over the sphere).
+    standard normals, in order of degree and then of m.  The fields are
+    drawn one after another, in one call, so the stream does not depend on
+    how the samples are split into stacks.  Callers scale each field by its
+    coefficients (``mt_functional.sample_gaps``: to an RMS over the sphere).
     """
     G = grid.band_limit
     L = G if l_max is None else l_max
@@ -975,8 +962,8 @@ def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
     scale = np.repeat([(1.0 + d) ** decay for d in range(1, L + 1)],
                       2 * degrees + 1)
     coeffs = np.zeros((count, G + 1, 2 * G + 1))
-    for c in coeffs:
-        c[drawn] = rng.normal(size=scale.size) / scale
+    normals = rng.standard_normal((count, scale.size))
+    coeffs[:, drawn] = np.divide(normals, scale, out=normals)
     return SHCoefficients(coeffs)
 
 

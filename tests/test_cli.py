@@ -219,7 +219,7 @@ class TestRun:
         analysis (the draws are coefficients), and give the gaps of a
         per-sample troyanov_gap loop with each draw scaled to RMS 0.7 by
         its coefficients."""
-        from sol_lab import sphere_grid
+        from sol_lab import mt_functional, sphere_grid
         from sol_lab.mt_functional import integrator_for, troyanov_gap
         from sol_lab.singular_geometry import SingularWeight
 
@@ -229,10 +229,8 @@ class TestRun:
         w = SingularWeight.from_orders(orders)
         integ = integrator_for(g, w)
         assert len(integ._ring_groups) == 9
-        # the budget holds the values of 8 fields on the rule's nodes
-        nodes = integ.transform.weights.size
-        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 8 * 8 * nodes)
-        assert sphere_grid.batch_size(nodes) == 8
+        monkeypatch.setattr(mt_functional, "BATCH_BUDGET",
+                            self.budget(8, g.band_limit))
         config, _ = validate(config_text(
             experiment={"kind": "inequality-sample", "samples": 20},
             weight={"points": [{"position": p, "order": a}
@@ -251,6 +249,14 @@ class TestRun:
         got = [r["gap"] for r in report["records"]]
         assert [r["sample"] for r in report["records"]] == list(range(20))
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+    @staticmethod
+    def budget(fields, band_limit):
+        """A BATCH_BUDGET whose stacks take ``fields`` samples at band
+        limit L: one Legendre group and twice each field's coefficients."""
+        from sol_lab import sphere_grid
+        return sphere_grid.LEGENDRE_BYTES + fields * 2 * 8 * (
+            band_limit + 1) * (2 * band_limit + 1)
 
     @staticmethod
     def evaluated_stacks(monkeypatch, points, samples, seed):
@@ -281,11 +287,8 @@ class TestRun:
         from sol_lab import mt_functional, sphere_grid
         from sol_lab.sphere_grid import ProductTransform, SHCoefficients
 
-        from sol_lab.singular_geometry import SingularWeight
-        w = SingularWeight.from_orders([((0, 0, 1), -0.5), ((0, 0, -1), 0.3)])
-        nodes = mt_functional.integrator_for(
-            sphere_grid.build_grid(33, 66), w).nodes
-        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 3 * 8 * nodes + 7)
+        monkeypatch.setattr(mt_functional, "BATCH_BUDGET",
+                            self.budget(3, 32) + 7)
         grids, passes = [], []
         build, synthesis = sphere_grid.build_grid, ProductTransform.synthesis_values
 
@@ -356,7 +359,7 @@ class TestRun:
         stacks take 10 fields and stream the block's Legendre blocks, 31
         orders a group, so no table of every order is ever built, and the
         gaps do not depend on the stacks."""
-        from sol_lab import sphere_grid
+        from sol_lab import mt_functional, sphere_grid
         from sol_lab.mt_functional import integrator_for
         from sol_lab.singular_geometry import SingularWeight
 
@@ -368,7 +371,7 @@ class TestRun:
         # the default takes the block's every order in one group
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
                             31 * 8 * (64 + 4) * block._reps)
-        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 10 * 8 * integ.nodes)
+        monkeypatch.setattr(mt_functional, "BATCH_BUDGET", self.budget(10, 64))
         sizes, tables = [], []
         draw = sphere_grid.random_band_limited_batch
         table = sphere_grid.normalized_legendre
@@ -392,7 +395,7 @@ class TestRun:
         gaps = [r["gap"] for r in run(config)["records"]]
         assert sizes == [10, 10]
         assert set(tables) <= {0}
-        monkeypatch.setattr(sphere_grid, "BATCH_BUDGET", 20 * 8 * integ.nodes)
+        monkeypatch.setattr(mt_functional, "BATCH_BUDGET", self.budget(20, 64))
         sizes.clear()
         assert [r["gap"] for r in run(config)["records"]] == gaps
         assert sizes == [20]

@@ -23,6 +23,7 @@ from sol_lab.mt_functional import (
     hessian_product,
     integrator_for,
     residual_coeffs,
+    sample_gaps,
     troyanov_gap,
 )
 from sol_lab.singular_geometry import SingularWeight, axis_frame
@@ -465,6 +466,44 @@ class TestTroyanovGap:
         assert C == pytest.approx(-0.5 + np.log(2.0))
         assert abs(troyanov_gap(u, grid128, w, C)) < 1e-3
 
+    def test_sample_stacks_take_the_budget(self, grid64, monkeypatch):
+        """Under a BATCH_BUDGET of one Legendre group and four fields at
+        twice their coefficient bytes, sample_gaps evaluates 18 samples on
+        the L = 64 two-cap block in stacks of 4, 4, 4, 4 and 2, with the
+        gaps of one stack of 18 (the draws are one stream), and holds one
+        stack's coefficients at a time: with the integrator's tables kept
+        from a first run, its traced peak is within one field's
+        coefficients of a run of 4 samples, one stack (two stacks alive
+        would add four fields')."""
+        w = SingularWeight.from_orders([(NORTH, -0.5), (SOUTH, 0.3)])
+        field = 8 * 65 * 129
+        sizes, draw = [], sphere_grid.random_band_limited_batch
+
+        def recorded(grid, rng, count):
+            sizes.append(count)
+            return draw(grid, rng, count)
+
+        def traced(count):
+            tracemalloc.start()
+            try:
+                gaps = sample_gaps(grid64, np.random.default_rng(3), count,
+                                   w, 0.0)
+                return gaps, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(sphere_grid, "random_band_limited_batch", recorded)
+        one, _ = traced(18)
+        assert sizes == [18]
+        monkeypatch.setattr(mt_functional, "BATCH_BUDGET",
+                            sphere_grid.LEGENDRE_BYTES + 4 * 2 * field)
+        _, stack = traced(4)
+        sizes.clear()
+        gaps, peak = traced(18)
+        assert sizes == [4, 4, 4, 4, 2]
+        assert np.max(np.abs(gaps - one) / np.abs(one)) <= 1e-13
+        assert peak <= stack + field, (peak, stack)
+
     def test_matches_functional(self, grid64, rng):
         w = single_weight(-0.5)
         u = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
@@ -535,7 +574,7 @@ class TestGroupedLogIntegral:
         itself, and a stack's log integral is the density's bit for bit."""
         grid = build_grid(33, 65)
         integ = SingularIntegrator(grid, SingularWeight.from_orders([]))
-        assert integ.nodes == 33 * 65
+        assert integ.transform.weights.size == 33 * 65
         ((group, _),) = integ._ring_groups
         assert group is integ.transform
         c = self.stack(grid, rng, 4, 5.0)
@@ -583,7 +622,7 @@ class TestGroupedLogIntegral:
         assert all(g._plm == [] for g in groups)
         assert peak <= (c.values.nbytes + most + budget
                         + 2 * 8 * 2 * K * integ.transform._reps), peak
-        assert peak < 8 * K * integ.nodes, peak
+        assert peak < 8 * K * integ.transform.weights.size, peak
 
 
 class TestIntegratorExactness:

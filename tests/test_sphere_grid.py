@@ -946,7 +946,7 @@ class TestBatchAxis:
     def test_random_fields_are_one_draw_per_sample(self, grid16):
         """Each field's coefficients are one normal draw in the order of a
         per-degree loop, returned as drawn, so the stream does not depend on
-        the batching; random_band_limited scales its one draw to
+        the stacking; random_band_limited scales its one draw to
         max |u| = 2 on the grid."""
         g, L = grid16, grid16.band_limit
         rng = np.random.default_rng(11)
@@ -958,6 +958,16 @@ class TestBatchAxis:
             for l in range(1, L + 1):
                 c.values[l, L - l:L + l + 1] = \
                     ref.normal(size=2 * l + 1) / (1.0 + l) ** 2.0
+            assert np.array_equal(field, c.values)
+        assert rng.normal() == ref.normal()
+        # below the band limit and at another decay, against one per-field
+        # rng.normal draw, the fields drawn one after another
+        fields = random_band_limited_batch(g, rng, 4, L - 3, 1.5)
+        for field in fields.values:
+            z, c, i = ref.normal(size=(L - 2) ** 2 - 1), SHCoefficients.zeros(L), 0
+            for l in range(1, L - 2):
+                c.values[l, L - l:L + l + 1] = z[i:i + 2 * l + 1] / (1.0 + l) ** 1.5
+                i += 2 * l + 1
             assert np.array_equal(field, c.values)
         assert rng.normal() == ref.normal()
         one = random_band_limited(g, np.random.default_rng(11))
@@ -1132,14 +1142,49 @@ class TestPolarTrim:
         assert start > 0 and not values[dropped].any()
 
 
+    def test_no_recurrence_once_every_ring_is_dropped(self, monkeypatch):
+        """The polar ring group of the L = 64 two-cap block (its 52 cap
+        rings) keeps no ring from order 33 on.  Under a LEGENDRE_BYTES of 8
+        orders a group, its recurrence runs for the groups up to that order
+        alone (5 of 9), every later block is empty, and every block is bit
+        for bit the suffix of the untrimmed recurrence's."""
+        L = 64
+        w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5),
+                                        ((0.0, 0.0, -1.0), 0.3)])
+        (polar, _), *_ = integrator_for(build_grid(65, 130), w)._ring_groups
+        t = polar.t[polar._order[:polar._reps]]
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
+                            8 * 8 * (L + 4) * t.size)
+        calls, group = [], sphere_grid._legendre_group
+
+        def counted(L, m0, *args):
+            calls.append(m0)
+            return group(L, m0, *args)
+
+        monkeypatch.setattr(sphere_grid, "_legendre_group", counted)
+        trimmed = [b.copy() for blocks in
+                   _legendre_groups(L, t, L, LEGENDRE_FLOOR) for _, b in blocks]
+        first = next(m for m, b in enumerate(trimmed) if b.shape[1] == 0)
+        assert first == 33 and calls == [0, 8, 16, 24, 32]
+        assert all(b.shape == (L + 1 - m, 0)
+                   for m, b in enumerate(trimmed) if m >= first)
+        calls.clear()
+        full = [b.copy() for blocks in _legendre_groups(L, t, L, 0.0)
+                for _, b in blocks]
+        assert len(calls) == 9
+        for b, f in zip(trimmed, full):
+            assert np.array_equal(b, f[:, f.shape[1] - b.shape[1]:])
+
     @pytest.mark.parametrize("orders", [(-0.5, 0.3), (0.3, -0.5),
                                         (-0.22, 1.09)])
     def test_two_cap_table_and_stack_memory(self, grid128, orders, rng):
         """At L = 128 the two-cap table holds at most 0.82 of the entries
         of the untrimmed one, whichever cap is nearer its pole, and a
-        batch_size stack's values on the integrator's nodes fit
-        BATCH_BUDGET, with no room for one field more."""
-        from sol_lab import sphere_grid
+        stack of as many samples as BATCH_BUDGET holds at twice a field's
+        coefficient bytes beside one Legendre group (110 here), with no
+        room for one field more, fits BATCH_BUDGET while its log integral
+        is formed: its coefficients and the traced peak of the pass."""
+        from sol_lab import mt_functional, sphere_grid
         L = grid128.band_limit
         w = SingularWeight.from_orders([((0.0, 0.0, 1.0), orders[0]),
                                         ((0.0, 0.0, -1.0), orders[1])])
@@ -1147,11 +1192,19 @@ class TestPolarTrim:
         tr = integ.transform
         kept = sum(even.size + odd.size for _, even, odd in tr._legendre(L + 1))
         assert kept <= 0.82 * tr._reps * (L + 1) * (L + 2) // 2
-        k = sphere_grid.batch_size(integ.nodes)
-        assert integ.nodes == tr.weights.size
-        assert 8 * (k + 1) * integ.nodes > sphere_grid.BATCH_BUDGET
-        values = tr.synthesis_values(random_band_limited_batch(grid128, rng, k))
-        assert values.nbytes <= sphere_grid.BATCH_BUDGET
+        budget, legendre = mt_functional.BATCH_BUDGET, sphere_grid.LEGENDRE_BYTES
+        field = 8 * (L + 1) * (2 * L + 1)
+        k = (budget - legendre) // (2 * field)
+        assert legendre + 2 * (k + 1) * field > budget
+        c = random_band_limited_batch(grid128, rng, k)
+        tracemalloc.start()
+        try:
+            integ.log_exp_integral(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert c.values.nbytes + peak <= budget, peak
+
 
 class TestStreamedPass:
     """One keep rule: a transform keeps a table from its first need, except
