@@ -52,6 +52,7 @@ import numpy as np
 from . import sphere_grid
 from .sphere_grid import (
     FOUR_PI,
+    OrderRows,
     ProductTransform,
     SHCoefficients,
     SphereGrid,
@@ -69,11 +70,16 @@ INTEGRATOR_CACHE_SIZE = 4
 # the density analysis is alias-free to the same order as the grid itself
 CAP_RADIUS = 0.1
 CAP_RADIAL_NODES = 32
-# Bytes that one stack of samples may hold while its log integral is formed
+# Bytes that one stack of samples may hold from its draw to its gaps
 # (``sample_gaps``): one Legendre group (``sphere_grid.LEGENDRE_BYTES``) and,
-# per field, twice its coefficients, for the coefficients and for its values
-# on one ring group, which ``SingularIntegrator._ring_groups`` keeps no
-# larger.  27 fields at L = 256 (1.01 MiB of coefficients a field).
+# per field at band limit L, its coefficients, 8 (L + 1)(2L + 1) bytes, and
+# its order rows (``sphere_grid.OrderRows``), 8 (L + 1)(L + 2): 24 (L + 1)^2
+# bytes a field.  The gather holds the coefficients and the rows, the draw
+# the coefficients and its normals (fewer bytes than the rows), each with
+# the Legendre group's room to spare; each pass holds the rows, one ring
+# group's values, which ``SingularIntegrator._ring_groups`` keeps no larger
+# than the rows, and one Legendre group.  37 fields at L = 256; the 20 of
+# perfbench's ``evaluate`` stack trace a 30.3 MiB peak.
 BATCH_BUDGET = 64 << 20  # 64 MiB
 
 
@@ -246,31 +252,35 @@ class SingularIntegrator:
     def _ring_groups(self) -> list:
         """(transform, log h) per ring group of the rule
         (``ProductTransform.ring_groups``): the fewest whose values on a
-        stack take at most the bytes of its coefficients, at most
-        (L + 1)(2L + 1) / n_phi rings a group; 3 on the L = 256 two-cap
+        stack take at most the bytes of the order rows that every group
+        reads (``sphere_grid.OrderRows``), at most (L + 1)(L + 2) / n_phi
+        rings a group; 6 of at most 129 rings on the L = 256 two-cap
         block.  Built on the first stack and kept; not in ``blocks``."""
         tr, L = self.transform, self.transform.band_limit
         return [(group, self.log_h[rings]) for rings, group in
-                tr.ring_groups((L + 1) * (2 * L + 1) // tr.phi.size)]
+                tr.ring_groups((L + 1) * (L + 2) // tr.phi.size)]
 
-    def _group_terms(self, coeffs: SHCoefficients, transform, log_h):
+    def _group_terms(self, rows: OrderRows, transform, log_h):
         """(shift, integral) per field of the stack's h e^{u - shift} on
         one ring group, whose values die on return."""
-        u, shift = _shifted_exp(transform.synthesis_values(coeffs), log_h)
+        u, shift = _shifted_exp(transform.synthesis_values(rows), log_h)
         return shift, transform.integral(u)
 
-    def log_exp_integral(self, coeffs: SHCoefficients):
-        """log int h e^u of the field (of each field of a stack), as
-        ``density(coeffs).log_integral`` gives it, but without the values
-        of a stack: a stack of two or more full-width fields is
-        synthesized one ring group at a time (``_ring_groups``), each
-        reduced in place to a shift s_g and an integral T_g per field, and
-        log I = S + log sum_g T_g e^(s_g - S), S = max_g s_g.  So it holds
-        the coefficients, one group's values and one Legendre group; a rule
-        of one group gives the density's arithmetic, bit for bit.  One
+    def log_exp_integral(self, coeffs: SHCoefficients | OrderRows):
+        """log int h e^u of the field (of each field of a stack), from its
+        coefficients or their order rows, as ``density(coeffs).log_integral``
+        gives it, but without the values of a stack: a stack of two or more
+        full-width fields is gathered into its order rows once (or handed
+        in as rows) and synthesized from them one ring group at a time
+        (``_ring_groups``), each reduced in place to a shift s_g and an
+        integral T_g per field, and log I = S + log sum_g T_g e^(s_g - S),
+        S = max_g s_g.  So it holds the rows, one group's values and one
+        Legendre group, beside the coefficients if the caller keeps them; a
+        rule of one group gives the density's arithmetic, bit for bit.  One
         field and a zonal column take the density."""
-        v = coeffs.values
-        if v[..., 0, 0].size < 2 or v.shape[-1] == 1:
+        if isinstance(coeffs, SHCoefficients) and coeffs.values.shape[-1] > 1:
+            coeffs = OrderRows.gather(coeffs)
+        if not isinstance(coeffs, OrderRows) or coeffs.fields < 2:
             return self.density(coeffs).log_integral
         shifts, totals = zip(*(self._group_terms(coeffs, *group)
                                for group in self._ring_groups))
@@ -319,9 +329,12 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
     over every order on a table larger than ``sphere_grid.LEGENDRE_BYTES``
     keeps none: it streams the recurrence, 8 MiB a group of orders.  From
     its first stacked log integral it also holds its ring groups' transforms
-    (``log_exp_integral``), which keep no Legendre table that the whole
-    transform would not and share its cos/sin table; ``sample_gaps`` sizes
-    its stacks by what such a log integral holds (BATCH_BUDGET).
+    (``log_exp_integral``: 6 on the L = 256 two-cap block), which keep no
+    Legendre table that the whole transform would not and share its
+    cos/sin table; ``sample_gaps`` sizes its stacks by what a stack's draw,
+    the gather of its order rows and such a log integral hold
+    (BATCH_BUDGET), and splits its samples so that no stack of one field,
+    which takes the one-field pass, trails a full stack.
     """
     key = weight.cache_key()
     cache = grid._integrator_cache
@@ -343,16 +356,17 @@ def eval_J(coeffs: SHCoefficients, grid: SphereGrid,
     subtracts max(u + log h) before it exponentiates, so a raw peak of any
     size evaluates."""
     log_integral = integrator_for(grid, params.weight).log_exp_integral(coeffs)
-    return eval_J_coeffs(coeffs, log_integral, params)
+    return eval_J_coeffs(dirichlet_energy(coeffs), coeffs.mean, log_integral,
+                         params)
 
 
-def eval_J_coeffs(coeffs: SHCoefficients, log_integral,
-                  params: FunctionalParams) -> float:
-    """J_rho of the field with these coefficients and log int h e^u (of
-    each field of a stack): ``Density.log_integral`` or
-    ``SingularIntegrator.log_exp_integral``."""
-    return (0.5 * dirichlet_energy(coeffs)
-            + params.rho * coeffs.mean
+def eval_J_coeffs(energy, mean, log_integral, params: FunctionalParams):
+    """J_rho of a field from its coefficients' Dirichlet energy
+    (``dirichlet_energy``) and mean (``SHCoefficients.mean``) and from
+    log int h e^u (``Density.log_integral`` or
+    ``SingularIntegrator.log_exp_integral``); arrays over a stack's
+    fields give an array."""
+    return (0.5 * energy + params.rho * mean
             - params.rho * (log_integral - np.log(FOUR_PI)))
 
 
@@ -426,20 +440,38 @@ def sample_gaps(grid: SphereGrid, rng, count: int, w: SingularWeight,
     coefficients to RMS 0.7 over the sphere, sqrt(sum a_lm^2 / 4 pi), before
     its density is formed: a sample depends on the seed alone, not on the
     quadrature rule.  Over 20 draws max |u| / RMS is about 2-4 at L = 32
-    to 256, so the samples reach about max |u| = 2.  They are drawn,
-    scaled and evaluated in stacks of as many fields as BATCH_BUDGET holds,
-    one stack alive at a time; the draws are one stream, whatever the split.
+    to 256, so the samples reach about max |u| = 2.
+
+    The samples go in the fewest stacks of at most as many fields as
+    BATCH_BUDGET holds, their heights as equal as the count allows (40
+    samples at L = 256, at most 37 a stack, are two stacks of 20), so that
+    no stack of one field, which would take the density's pass and keep a
+    table of every order, trails a full one.  One stack is alive at a
+    time, and the draws are one stream, whatever the split.  A stack is
+    drawn and scaled, its Dirichlet energies and means are taken, and its
+    coefficients are gathered into their order rows
+    (``sphere_grid.OrderRows``) and let go before its log integral is
+    formed from the rows.
     """
     L = grid.band_limit
     size = max(1, (BATCH_BUDGET - sphere_grid.LEGENDRE_BYTES)
-               // (2 * 8 * (L + 1) * (2 * L + 1)))
-    gaps = np.empty(count)
-    for start in range(0, count, size):
-        draws = sphere_grid.random_band_limited_batch(
-            grid, rng, min(size, count - start))
+               // (24 * (L + 1) ** 2))
+    stacks = -(-count // size)
+    params = FunctionalParams(rho=w.rho_bar, weight=w)
+    integ = integrator_for(grid, w)
+    gaps, start = np.empty(count), 0
+    for i in range(stacks):
+        height = count // stacks + (i < count % stacks)
+        draws = sphere_grid.random_band_limited_batch(grid, rng, height)
         v = draws.values
         rms = np.sqrt(np.einsum("...lm,...lm->...", v, v) / FOUR_PI)
         v *= (0.7 / rms)[..., None, None]  # batch axes first, then (l, m)
-        gaps[start:start + len(v)] = troyanov_gap(draws, grid, w, C)
-        del draws, v  # before the next stack is drawn
+        energy, mean = dirichlet_energy(draws), draws.mean
+        rows = OrderRows.gather(draws)
+        del draws, v  # the dense stack goes before any pass
+        log_integral = integ.log_exp_integral(rows)
+        del rows  # before the next stack is drawn
+        J = eval_J_coeffs(energy, mean, log_integral, params)
+        gaps[start:start + height] = J / w.rho_bar + C  # as troyanov_gap
+        start += height
     return gaps

@@ -57,14 +57,16 @@ coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
 one (2K x (L+1-m)/2) by ((L+1-m)/2 x kept rings) matrix product per
 order and parity of l - m, so the K fields share one pass over each Pbar
 block instead of reading it K times.  One field gives bit for bit the
-unbatched results.
+unbatched results.  A synthesis reads full-width coefficients in their
+``OrderRows``, the rows of each order's product, which it gathers from
+the coefficients or is handed.
 A caller that needs a reduction of the values alone need not hold them:
 ``ProductTransform.ring_groups`` splits the rings into mirror-closed
 groups, each a transform of its own, and a stack synthesized one group at
-a time holds one group's values
+a time, from rows gathered once, holds one group's values
 (``mt_functional.SingularIntegrator.log_exp_integral``, whose stacks of
-independent samples ``mt_functional.sample_gaps`` sizes by what such a
-log integral holds).
+independent samples ``mt_functional.sample_gaps`` sizes by what the draw,
+the gather and such a log integral hold).
 """
 
 from __future__ import annotations
@@ -463,6 +465,48 @@ class SHCoefficients:
         return out
 
 
+@dataclass
+class OrderRows:
+    """Full-width coefficients of a stack of K fields (one field: K = 1)
+    gathered into the rows that a synthesis reads order by order
+    (Schaeffer, G^3 14, 2013): ``blocks[m]``, shape (L+1-m, 2K), holds in
+    row l - m the cos and sin coefficients of each field in turn, sqrt 2
+    a_{l,m} and sqrt 2 a_{l,-m} for m > 0, a_{l,0} and 0 for m = 0.  The
+    blocks are consecutive views of one array of K (L+1)(L+2) floats, about
+    half the bytes of the dense stack, whose rows l < |m| are zeros.
+    ``batch`` is the stack's batch shape."""
+
+    blocks: list
+    batch: tuple
+
+    @classmethod
+    def gather(cls, coeffs: SHCoefficients) -> "OrderRows":
+        """The order rows of full-width coefficients, shape (..., L+1,
+        2L+1)."""
+        v = coeffs.values
+        batch, L = v.shape[:-2], coeffs.band_limit
+        v = v.reshape((-1,) + v.shape[-2:])
+        k = v.shape[0]
+        data, blocks, end = np.empty(k * (L + 1) * (L + 2)), [], 0
+        for m in range(L + 1):
+            c = data[end:end + 2 * k * (L + 1 - m)].reshape(L + 1 - m, k, 2)
+            c[..., 0] = v[:, m:, L + m].T
+            c[..., 1] = v[:, m:, L - m].T if m else 0.0
+            if m:
+                c *= SQRT2
+            blocks.append(c.reshape(L + 1 - m, 2 * k))
+            end += c.size
+        return cls(blocks, batch)
+
+    @property
+    def band_limit(self) -> int:
+        return len(self.blocks) - 1
+
+    @property
+    def fields(self) -> int:
+        return self.blocks[0].shape[1] // 2
+
+
 def _degree_weights(band_limit: int) -> np.ndarray:
     l = np.arange(band_limit + 1, dtype=float)
     return l * (l + 1.0)
@@ -744,31 +788,39 @@ class ProductTransform:
             odd[rows] -= f[ring]
         return even, odd
 
-    def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
+    def synthesis_values(self, coeffs: SHCoefficients | OrderRows
+                         ) -> np.ndarray:
         """Values on the node set, shape (..., n_t, n_phi) for coefficients
-        of shape (..., L+1, 2L+1), and (..., n_t, 1) for a zonal column.
+        of shape (..., L+1, 2L+1) or their ``OrderRows``, and (..., n_t, 1)
+        for a zonal column.
 
-        Each order is one product per parity of the batch's cos and sin
-        coefficient rows with its Pbar rows, so each table entry is read
-        once per batch; the Fourier step runs field by field over the
-        representative longitudes.
+        Full-width coefficients are gathered into their order rows first,
+        so a caller that synthesizes one stack on several transforms (the
+        ring groups of ``mt_functional.SingularIntegrator``) gathers it once
+        and hands each the rows.  Each order is one product per parity of
+        its rows with its Pbar rows, so each table entry is read once per
+        batch; the Fourier step runs field by field over the representative
+        longitudes.
         """
         L = self.band_limit
         if coeffs.band_limit != L:
             raise BandLimitError(
                 f"coefficients have L={coeffs.band_limit}, transform expects {L}"
             )
-        v = coeffs.values
-        batch = v.shape[:-2]
-        v = v.reshape((-1,) + v.shape[-2:])
-        k, n_t, n_phi = v.shape[0], self.t.size, self.phi.size
-        if v.shape[-1] == 1:  # zonal: the m = 0 sums are the ring values
-            (_, even, odd), = self._legendre(1)[:1]
-            rows = np.empty((k, n_t))
-            self._unfold(v[:, 0::2, 0] @ even, v[:, 1::2, 0] @ odd, rows)
-            out = np.empty((k, n_t, 1))
-            out[:, self._order, 0] = rows
-            return out.reshape(batch + (n_t, 1))
+        n_t, n_phi = self.t.size, self.phi.size
+        if isinstance(coeffs, SHCoefficients):
+            v = coeffs.values
+            if v.shape[-1] == 1:  # zonal: the m = 0 sums are the ring values
+                batch = v.shape[:-2]
+                v = v.reshape(-1, L + 1, 1)
+                (_, even, odd), = self._legendre(1)[:1]
+                rows = np.empty((v.shape[0], n_t))
+                self._unfold(v[:, 0::2, 0] @ even, v[:, 1::2, 0] @ odd, rows)
+                out = np.empty((v.shape[0], n_t, 1))
+                out[:, self._order, 0] = rows
+                return out.reshape(batch + (n_t, 1))
+            coeffs = OrderRows.gather(coeffs)
+        batch, k = coeffs.batch, coeffs.fields
         out = np.empty((k, n_t, n_phi))
         # a field's cos and sin rows, in table order, fill the start of its
         # own output slot when they fit (2 (L + 1) <= n_phi); its Fourier
@@ -778,20 +830,11 @@ class ProductTransform:
         else:
             rows = np.empty((k, 2 * (L + 1) * n_t))
         rows = rows.reshape(k, 2, L + 1, n_t)
-        # c[l - m]: a_{l,m} and a_{l,-m} of each field for one order m, one
-        # row of 2K per degree with the sqrt 2 of m > 0 folded in; sin 0 phi
-        # = 0 takes no sine part
-        cs = np.empty((L + 1, k, 2))
-        for m, (start, even, odd) in enumerate(self._legendre(L + 1, k)):
+        for m, ((start, even, odd), c) in enumerate(
+                zip(self._legendre(L + 1, k), coeffs.blocks)):
             if start == self._reps:  # the order keeps no ring (a polar
                 rows[:, :, m] = 0.0  # ring group's high orders)
                 continue
-            c = cs[m:]
-            c[..., 0] = v[:, m:, L + m].T
-            c[..., 1] = v[:, m:, L - m].T if m else 0.0
-            if m:
-                c *= SQRT2
-            c = c.reshape(L + 1 - m, 2 * k)
             self._unfold(c[0::2].T @ even, c[1::2].T @ odd, rows[:, :, m],
                          start)
         # views of a streamed pass's last group: let its scratch go before
@@ -956,14 +999,11 @@ def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
     L = G if l_max is None else l_max
     if L > G:
         raise BandLimitError(f"l_max={L} exceeds the grid band limit {G}")
-    l = np.arange(G + 1)[:, None]
-    drawn = (np.abs(np.arange(-G, G + 1)) <= l) & (l >= 1) & (l <= L)
-    degrees = np.arange(1, L + 1)
-    scale = np.repeat([(1.0 + d) ** decay for d in range(1, L + 1)],
-                      2 * degrees + 1)
     coeffs = np.zeros((count, G + 1, 2 * G + 1))
-    normals = rng.standard_normal((count, scale.size))
-    coeffs[:, drawn] = np.divide(normals, scale, out=normals)
+    normals = rng.standard_normal((count, (L + 1) ** 2 - 1))
+    for l in range(1, L + 1):  # degree l's 2l + 1 normals, m = -l..l
+        np.divide(normals[:, l * l - 1:(l + 1) ** 2 - 1], (1.0 + l) ** decay,
+                  out=coeffs[:, l, G - l:G + l + 1])
     return SHCoefficients(coeffs)
 
 

@@ -214,7 +214,7 @@ class TestRun:
 
     def test_samples_share_transforms(self, monkeypatch, transform_counts):
         """20 samples in stacks of K = 8 make ceil(20 / 8) = 3 stacks, each
-        synthesized once on each of the integrator's ring groups (9 at
+        synthesized once on each of the integrator's ring groups (17 at
         L = 32) instead of 20 per-sample passes, none on the grid and no
         analysis (the draws are coefficients), and give the gaps of a
         per-sample troyanov_gap loop with each draw scaled to RMS 0.7 by
@@ -228,7 +228,7 @@ class TestRun:
         g = sphere_grid.build_grid(grid["n_theta"], grid["n_phi"])
         w = SingularWeight.from_orders(orders)
         integ = integrator_for(g, w)
-        assert len(integ._ring_groups) == 9
+        assert len(integ._ring_groups) == 17
         monkeypatch.setattr(mt_functional, "BATCH_BUDGET",
                             self.budget(8, g.band_limit))
         config, _ = validate(config_text(
@@ -237,7 +237,7 @@ class TestRun:
                                for p, a in orders]},
             grid=grid, seed=5))
         report = run(config)
-        assert transform_counts["synthesis"] == 3 * 9
+        assert transform_counts["synthesis"] == 3 * 17
         assert transform_counts["analysis"] == 0
         rng = np.random.default_rng(5)
         want = []
@@ -253,37 +253,48 @@ class TestRun:
     @staticmethod
     def budget(fields, band_limit):
         """A BATCH_BUDGET whose stacks take ``fields`` samples at band
-        limit L: one Legendre group and twice each field's coefficients."""
+        limit L: one Legendre group and, per field, its coefficients and
+        its order rows, 24 (L + 1)^2 bytes."""
         from sol_lab import sphere_grid
-        return sphere_grid.LEGENDRE_BYTES + fields * 2 * 8 * (
-            band_limit + 1) * (2 * band_limit + 1)
+        return sphere_grid.LEGENDRE_BYTES + fields * 24 * (band_limit + 1) ** 2
 
     @staticmethod
     def evaluated_stacks(monkeypatch, points, samples, seed):
-        """(coefficients, log int h e^u) of each stack an inequality-sample
-        run hands to eval_J_coeffs, and the run's report."""
-        from sol_lab import mt_functional
+        """(scaled coefficients, log int h e^u) of each stack of an
+        inequality-sample run, and the run's report: the coefficients are
+        each draw as sample_gaps scales it in place, the log integral what
+        log_exp_integral hands back for the stack."""
+        from sol_lab import mt_functional, sphere_grid
 
-        evaluated, J = [], mt_functional.eval_J_coeffs
+        draws, logs = [], []
+        draw = sphere_grid.random_band_limited_batch
+        log_exp = mt_functional.SingularIntegrator.log_exp_integral
 
-        def eval_J_coeffs(coeffs, log_integral, params):
-            evaluated.append((coeffs, log_integral))
-            return J(coeffs, log_integral, params)
+        def drawn(*args):
+            draws.append(draw(*args))
+            return draws[-1]
 
-        monkeypatch.setattr(mt_functional, "eval_J_coeffs", eval_J_coeffs)
+        def log_exp_integral(self, coeffs):
+            logs.append(log_exp(self, coeffs))
+            return logs[-1]
+
+        monkeypatch.setattr(sphere_grid, "random_band_limited_batch", drawn)
+        monkeypatch.setattr(mt_functional.SingularIntegrator,
+                            "log_exp_integral", log_exp_integral)
         config, _ = validate(config_text(
             experiment={"kind": "inequality-sample", "samples": samples},
             weight={"points": [{"position": p, "order": a}
                                for p, a in points]},
             grid={"n_theta": 33, "n_phi": 66}, seed=seed))
-        return evaluated, run(config)
+        report = run(config)
+        return list(zip(draws, logs, strict=True)), report
 
     def test_samples_scaled_by_their_coefficients(self, monkeypatch):
-        """Two axis caps at L = 32, 7 samples in stacks of 3: each sample
-        has RMS 0.7 over the sphere by its coefficients, its log int h e^u
-        is formed from those scaled coefficients, and each stack of 3 is
-        synthesized once on each ring group of the block, the last sample
-        once on the block, and none on the grid."""
+        """Two axis caps at L = 32, 7 samples in stacks of at most 3, of
+        3, 2 and 2: each sample has RMS 0.7 over the sphere by its
+        coefficients, its log int h e^u is formed from those scaled
+        coefficients, and each stack is synthesized once on each ring group
+        of the block, none on the block as a whole and none on the grid."""
         from sol_lab import mt_functional, sphere_grid
         from sol_lab.sphere_grid import ProductTransform, SHCoefficients
 
@@ -309,8 +320,8 @@ class TestRun:
         (integ,) = grid._integrator_cache.values()
         groups = [tr for tr, _ in integ._ring_groups]
         assert len(groups) > 1
-        assert passes == groups + groups + [integ.transform]
-        assert [c.values.shape[0] for c, _ in evaluated] == [3, 3, 1]
+        assert passes == groups + groups + groups
+        assert [c.values.shape[0] for c, _ in evaluated] == [3, 2, 2]
         for coeffs, log_integral in evaluated:
             for i, c in enumerate(coeffs.values):
                 assert np.sqrt(np.sum(c * c) / (4.0 * np.pi)) == \
@@ -322,7 +333,7 @@ class TestRun:
     def test_samples_do_not_depend_on_the_rule(self, monkeypatch):
         """One seed under two weights whose quadrature rules differ (an
         order -1/2 point alone, and the pair -1/2 / 0.3, whose south caps
-        have other nodes) hands eval_J_coeffs the same scaled draws.  Seed
+        have other nodes) gives the same scaled draws.  Seed
         6's second draw takes its largest |u| on either rule in the south
         cap, so a scale read off the rule's nodes would differ."""
         stacks = [np.concatenate([c.values for c, _ in self.evaluated_stacks(
@@ -1020,6 +1031,15 @@ def fresh_interpreter(script, **env):
                           check=True).stdout.splitlines()
 
 
+# (kind, points, experiment) of each benchmark kind but the sweep
+BENCHMARK_KINDS = [
+    ("kw-check", [([0, 0, 1], -0.25), ([0, 0, -1], -0.1)], {"epsilon": 0.3}),
+    ("inequality-sample", [([0, 0, 1], -0.5), ([0, 0, -1], 0.5)],
+     {"samples": 3}),
+    ("verify-extremal", [], {}),
+]
+
+
 def scipy_modules_after(kind, cfg):
     """The scipy modules loaded by one in-process ``kind`` run of ``cfg``
     (its exit code is not checked)."""
@@ -1060,13 +1080,8 @@ class TestThreads:
         report = json.loads((tmp_path / "r.json").read_text())
         assert np.isfinite(report["summary"]["extrapolated_J"])
 
-    @pytest.mark.parametrize("kind, points, experiment", [
-        ("kw-check", [([0, 0, 1], -0.25), ([0, 0, -1], -0.1)],
-         {"epsilon": 0.3}),
-        ("inequality-sample", [([0, 0, 1], -0.5), ([0, 0, -1], 0.5)],
-         {"samples": 3}),
-        ("verify-extremal", [], {}),
-    ], ids=["kw-check", "inequality-sample", "verify-extremal"])
+    @pytest.mark.parametrize("kind, points, experiment", BENCHMARK_KINDS,
+                             ids=[kind for kind, *_ in BENCHMARK_KINDS])
     def test_benchmark_kinds_leave_scipy_unloaded(self, tmp_path, kind,
                                                   points, experiment):
         """The benchmark's other kinds import no scipy module either:
@@ -1080,3 +1095,30 @@ class TestThreads:
             output={"report": str(tmp_path / "r.json")}))
         assert scipy_modules_after(kind, cfg) == "[]"
         assert json.loads((tmp_path / "r.json").read_text())["summary"]
+
+    def test_one_op_of_every_benchmark_kind_leaves_scipy_unloaded(
+            self, tmp_path):
+        """One kw-check, sweep, inequality-sample and verify-extremal op
+        on small configs, one after another in one interpreter, as a
+        benchmark process runs its ops, leave scipy out of sys.modules:
+        importing scipy.linalg alone takes 0.2-0.3 s, more than a seed-0
+        ``solve`` op, so a cold op that imported it would pay that.  (The
+        coarse sweep fails its blow-up check, exit code 1, but reports.)"""
+        kinds = [*BENCHMARK_KINDS, (
+            "sweep", [([0, 0, 1], -0.5)],
+            {"epsilons": [0.5, 0.3, 0.2, 0.1]})]
+        script = ["import sys", "import sol_lab.cli as cli"]
+        for kind, points, experiment in kinds:
+            cfg, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}.out"
+            cfg.write_text(config_text(
+                grid={"n_theta": 17, "n_phi": 34},
+                weight={"points": [{"position": p, "order": a}
+                                   for p, a in points]},
+                experiment={"kind": kind, **experiment},
+                output={"report": str(out)}))
+            script.append(f"cli.main([{kind!r}, '--config', {str(cfg)!r}])")
+        script.append("print('scipy' in sys.modules)")
+        assert fresh_interpreter("\n".join(script))[-1] == "False"
+        for kind, *_ in kinds:
+            assert json.loads((tmp_path / f"{kind}.out").read_text())[
+                "summary"]

@@ -30,6 +30,7 @@ from sol_lab.singular_geometry import SingularWeight, axis_frame
 from sol_lab.subcritical_solver import SolverConfig, minimize
 from sol_lab.sphere_grid import (
     FOUR_PI,
+    OrderRows,
     SHCoefficients,
     _degree_weights,
     build_grid,
@@ -466,15 +467,22 @@ class TestTroyanovGap:
         assert C == pytest.approx(-0.5 + np.log(2.0))
         assert abs(troyanov_gap(u, grid128, w, C)) < 1e-3
 
+    @staticmethod
+    def budget(fields, band_limit):
+        """A BATCH_BUDGET whose stacks take ``fields`` samples at band
+        limit L: one Legendre group and, per field, its coefficients and
+        its order rows, 24 (L + 1)^2 bytes."""
+        return sphere_grid.LEGENDRE_BYTES + fields * 24 * (band_limit + 1) ** 2
+
     def test_sample_stacks_take_the_budget(self, grid64, monkeypatch):
         """Under a BATCH_BUDGET of one Legendre group and four fields at
-        twice their coefficient bytes, sample_gaps evaluates 18 samples on
-        the L = 64 two-cap block in stacks of 4, 4, 4, 4 and 2, with the
+        their coefficient and order-row bytes, sample_gaps evaluates 18
+        samples on the L = 64 two-cap block in the fewest stacks of at most
+        4, of equal heights as far as they go (4, 4, 4, 3 and 3), with the
         gaps of one stack of 18 (the draws are one stream), and holds one
-        stack's coefficients at a time: with the integrator's tables kept
-        from a first run, its traced peak is within one field's
-        coefficients of a run of 4 samples, one stack (two stacks alive
-        would add four fields')."""
+        stack at a time: with the integrator's tables kept from a first
+        run, its traced peak is within one field's coefficients of a run
+        of 4 samples, one stack (two stacks alive would add four fields')."""
         w = SingularWeight.from_orders([(NORTH, -0.5), (SOUTH, 0.3)])
         field = 8 * 65 * 129
         sizes, draw = [], sphere_grid.random_band_limited_batch
@@ -495,14 +503,69 @@ class TestTroyanovGap:
         monkeypatch.setattr(sphere_grid, "random_band_limited_batch", recorded)
         one, _ = traced(18)
         assert sizes == [18]
-        monkeypatch.setattr(mt_functional, "BATCH_BUDGET",
-                            sphere_grid.LEGENDRE_BYTES + 4 * 2 * field)
+        monkeypatch.setattr(mt_functional, "BATCH_BUDGET", self.budget(4, 64))
         _, stack = traced(4)
         sizes.clear()
         gaps, peak = traced(18)
-        assert sizes == [4, 4, 4, 4, 2]
+        assert sizes == [4, 4, 4, 3, 3]
         assert np.max(np.abs(gaps - one) / np.abs(one)) <= 1e-13
         assert peak <= stack + field, (peak, stack)
+
+    def test_no_stack_of_one_trails(self, monkeypatch):
+        """One sample more than a stack holds splits into two stacks of 2,
+        not 3 and 1: on the L = 64 two-cap block under a 1 MiB
+        LEGENDRE_BYTES, below its table's bound, every stack streams its
+        Legendre blocks, so neither the block nor a ring group keeps a
+        table of more than the m = 0 block (a stack of one field would take
+        the density's one-field pass, which keeps the block's table of
+        every order), and the gaps are one stack's to 1e-13."""
+        grid = build_grid(65, 130)
+        w = SingularWeight.from_orders([(NORTH, -0.5), (SOUTH, 0.3)])
+        one = sample_gaps(grid, np.random.default_rng(4), 4, w, 0.0)
+        grid = build_grid(65, 130)
+        sizes, draw = [], sphere_grid.random_band_limited_batch
+
+        def recorded(grid, rng, count):
+            sizes.append(count)
+            return draw(grid, rng, count)
+
+        monkeypatch.setattr(sphere_grid, "random_band_limited_batch", recorded)
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 1 << 20)
+        # 3 fields and 97 % of a fourth
+        monkeypatch.setattr(mt_functional, "BATCH_BUDGET",
+                            self.budget(3, 64) + 98280)
+        gaps = sample_gaps(grid, np.random.default_rng(4), 4, w, 0.0)
+        assert sizes == [2, 2]
+        integ = integrator_for(grid, w)
+        for tr in [integ.transform] + [g for g, _ in integ._ring_groups]:
+            assert len(tr._plm) <= 1
+        assert np.max(np.abs(gaps - one) / np.abs(one)) <= 1e-13
+
+    def test_stack_drops_its_coefficients_before_its_passes(self):
+        """The 20 samples of perfbench's seed-0 evaluate config (L = 256,
+        orders -0.2245 north and 1.0947 south), one stack: with the
+        integrator kept from a first run, the traced peak of sample_gaps is
+        below the stack's dense coefficients (21.1 MB) plus the values of a
+        third of the block's rings, 215 of 643 (17.7 MB).  The dense stack
+        is let go once gathered into its order rows (10.6 MB), and each
+        ring group holds at most as many values as the rows: 30.3 MiB in
+        all, against 45.3 MiB when every group read the dense stack and
+        took a third of the rings."""
+        grid = build_grid(257, 514)
+        w = SingularWeight.from_orders([(NORTH, -0.22446251877996148),
+                                        (SOUTH, 1.0947037198878191)])
+        first = sample_gaps(grid, np.random.default_rng(1112038970), 20, w,
+                            1.3489026857384658)
+        tracemalloc.start()
+        try:
+            gaps = sample_gaps(grid, np.random.default_rng(1112038970), 20, w,
+                               1.3489026857384658)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(gaps, first)
+        dense, third = 20 * 8 * 257 * 513, 20 * 8 * 215 * 514
+        assert peak < dense + third, peak
 
     def test_matches_functional(self, grid64, rng):
         w = single_weight(-0.5)
@@ -565,16 +628,19 @@ class TestGroupedLogIntegral:
             got = integ.log_exp_integral(c)
             want = integ.density(c).log_integral
             assert got.shape == (5,)
+            assert np.array_equal(
+                integ.log_exp_integral(OrderRows.gather(c)), got)
             assert np.all(np.abs(got - want)
                           <= 4 * np.spacing(np.maximum(1.0, np.abs(want))))
 
     def test_one_group_is_the_density(self, rng):
-        """A rule whose values take no more bytes than the coefficients
-        (33 x 65 nodes at L = 32, odd n_phi) is one group, the transform
-        itself, and a stack's log integral is the density's bit for bit."""
-        grid = build_grid(33, 65)
+        """A rule of one ring pair (2 x 5 nodes at L = 1, odd n_phi),
+        which no group of two rings or more splits, is one group, the
+        transform itself, and a stack's log integral is the density's bit
+        for bit."""
+        grid = build_grid(2, 5)
         integ = SingularIntegrator(grid, SingularWeight.from_orders([]))
-        assert integ.transform.weights.size == 33 * 65
+        assert integ.transform.weights.size == 2 * 5
         ((group, _),) = integ._ring_groups
         assert group is integ.transform
         c = self.stack(grid, rng, 4, 5.0)
@@ -582,27 +648,33 @@ class TestGroupedLogIntegral:
                               integ.density(c).log_integral)
 
     def test_one_field_and_a_column_are_the_density(self, grid64, rng):
-        """On a rule of five groups, one field, a stack of one and a zonal
-        stack take the density, bit for bit."""
+        """On a rule of nine groups, one field, a stack of one and a zonal
+        stack take the density, bit for bit, and so do one field's order
+        rows."""
         integ = SingularIntegrator(grid64, SingularWeight.from_orders(
             [(NORTH, -0.5), (SOUTH, 0.3)]))
-        assert len(integ._ring_groups) == 5
+        assert len(integ._ring_groups) == 9
         c = self.stack(grid64, rng, 3, 5.0)
         column = SHCoefficients(c.values[..., 64:65].copy())
         for coeffs in (SHCoefficients(c.values[0]),
                        SHCoefficients(c.values[:1]), column):
             got = integ.log_exp_integral(coeffs)
             assert np.array_equal(got, integ.density(coeffs).log_integral)
+            if coeffs is not column:
+                assert np.array_equal(
+                    integ.log_exp_integral(OrderRows.gather(coeffs)), got)
         assert isinstance(integ.log_exp_integral(
             SHCoefficients(c.values[0])), float)
 
     def test_stack_holds_one_group(self, grid64, rng, monkeypatch):
         """A stack of K = 8 fields on the L = 64 two-cap block (264 x 130
         nodes, 2.2 MB of values) under a 512 KiB LEGENDRE_BYTES streams
-        each of its 5 ring groups (at most 64 rings, 54 here): the traced
-        peak of its log integral is at most its coefficients (0.54 MB), one
-        group's values (0.45 MB), LEGENDRE_BYTES and the two per-order even
-        and odd products, 2 * 8 * 2K * reps bytes, and below the stack's
+        each of its 9 ring groups (at most 33 rings, 30 here): the traced
+        peak of its log integral is at most the stack's coefficient bytes
+        (0.54 MB, room for the order rows it gathers once, 0.27 MB, and the
+        recurrence's coefficient arrays), one group's values (0.25 MB, no
+        more than the rows), LEGENDRE_BYTES and the two per-order even and
+        odd products, 2 * 8 * 2K * reps bytes, and below the stack's
         values; the groups and the cos/sin table they share are kept from
         the first stack, not this pass's memory."""
         L, K, budget = 64, 8, 1 << 19
@@ -610,9 +682,11 @@ class TestGroupedLogIntegral:
         integ = SingularIntegrator(grid64, SingularWeight.from_orders(
             [(NORTH, -0.5), (SOUTH, 0.3)]))
         groups = [group for group, _ in integ._ring_groups]
-        assert max(g.t.size for g in groups) <= (L + 1) * (2 * L + 1) // 130
+        assert max(g.t.size for g in groups) <= (L + 1) * (L + 2) // 130
         c = self.stack(grid64, rng, K)
+        rows = 8 * K * (L + 1) * (L + 2)
         most = max(8 * K * g.weights.size for g in groups)
+        assert most <= rows
         tracemalloc.start()
         try:
             integ.log_exp_integral(c)

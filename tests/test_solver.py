@@ -138,10 +138,11 @@ def zonal_and_full_J(grid, params, coeffs):
     to every order, on the full path."""
     integ = SingularIntegrator(grid, params.weight)
     assert coeffs.values.shape[-1] == 1
-    J_zonal = eval_J_coeffs(coeffs, integ.density(coeffs).log_integral,
-                            params)
+    J_zonal = eval_J_coeffs(dirichlet_energy(coeffs), coeffs.mean,
+                            integ.density(coeffs).log_integral, params)
     full = coeffs.widened()
-    J_full = eval_J_coeffs(full, integ.density(full).log_integral, params)
+    J_full = eval_J_coeffs(dirichlet_energy(full), full.mean,
+                           integ.density(full).log_integral, params)
     return J_zonal, J_full
 
 
@@ -258,7 +259,8 @@ class TestZonalPath:
         zonal = extremal_u(ExtremalParams(alpha=-0.5), grid)
         coeffs = zonal.widened()
         dens = SingularIntegrator(grid, w).density(coeffs)
-        J_full = eval_J_coeffs(coeffs, dens.log_integral, params)
+        J_full = eval_J_coeffs(dirichlet_energy(coeffs), coeffs.mean,
+                               dens.log_integral, params)
         assert eval_J(zonal, grid, params) == pytest.approx(J_full, rel=1e-12)
         assert troyanov_gap(zonal, grid, w, 0.0) == pytest.approx(
             J_full / w.rho_bar, rel=1e-12)
@@ -396,8 +398,8 @@ class TestMinimize:
 
     def test_descent_and_normalization(self, grid64, monkeypatch):
         """J decreases, and the state is normalized once, at the return:
-        every iterate and candidate keeps the start's a_00 (here that of
-        u = 3), each step's lambda is its record's normalized peak, and
+        every iterate keeps the start's a_00 and every candidate its mean
+        (here those of u = 3), each step's lambda is its record's normalized peak, and
         the returned state has int h e^u = 1."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
@@ -409,9 +411,9 @@ class TestMinimize:
             iterates.append((coeffs.order(0)[0], dens))
             return residual(coeffs, dens, *args)
 
-        def eval_J_coeffs(coeffs, *args):
-            candidates.append(coeffs.order(0)[0])
-            return J(coeffs, *args)
+        def eval_J_coeffs(energy, mean, *args):
+            candidates.append(mean)
+            return J(energy, mean, *args)
 
         monkeypatch.setattr(subcritical_solver, "density_residual",
                             density_residual)
@@ -424,7 +426,7 @@ class TestMinimize:
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
         a00 = start.order(0)[0]
         assert len(candidates) >= len(iterates) == len(state.trace) > 1
-        assert all(c == a00 for c in candidates)
+        assert all(mean == start.mean for mean in candidates)
         for rec, (c, dens) in zip(state.trace, iterates):
             assert c == a00
             assert rec["lambda"] == dens.peak - dens.log_integral

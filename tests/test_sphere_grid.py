@@ -15,7 +15,9 @@ from sol_lab import sphere_grid
 from sol_lab.sphere_grid import (
     FOUR_PI,
     LEGENDRE_FLOOR,
+    SQRT2,
     BandLimitError,
+    OrderRows,
     ProductTransform,
     SHCoefficients,
     axis_values,
@@ -910,6 +912,34 @@ class TestBatchAxis:
         assert np.array_equal(tr.analysis_coeffs(values[None]).values[0],
                               coeffs)
 
+    @pytest.mark.parametrize("name", ["grid", "block"])
+    def test_order_rows(self, grid64, rng, name):
+        """A stack's order rows are its coefficients order by order, sqrt 2
+        folded in for m > 0 and a zero sine column at m = 0, in consecutive
+        views of one array of K (L + 1)(L + 2) floats, and a synthesis from
+        them is the synthesis from the coefficients, bit for bit."""
+        tr, c = transform_cases(grid64, rng)[name]
+        L = tr.band_limit
+        rows = OrderRows.gather(SHCoefficients(c))
+        assert (rows.batch, rows.fields, rows.band_limit) == ((2, 3), 6, L)
+        flat = c.reshape(6, L + 1, 2 * L + 1)
+        base = rows.blocks[0].base
+        assert base.size == 6 * (L + 1) * (L + 2)
+        for m, block in enumerate(rows.blocks):
+            assert block.shape == (L + 1 - m, 12) and block.base is base
+            cos, sin = block[:, 0::2].T, block[:, 1::2].T
+            scale = SQRT2 if m else 1.0
+            assert np.array_equal(cos, scale * flat[:, m:, L + m])
+            assert np.array_equal(sin, scale * flat[:, m:, L - m]
+                                  if m else np.zeros_like(sin))
+        assert np.array_equal(tr.synthesis_values(rows),
+                              tr.synthesis_values(SHCoefficients(c)))
+        one = SHCoefficients(c[0, 0])
+        assert np.array_equal(tr.synthesis_values(OrderRows.gather(one)),
+                              tr.synthesis_values(one))
+        with pytest.raises(BandLimitError):
+            build_grid(17, 34).transform.synthesis_values(rows)
+
     def test_coefficient_properties_read_last_axes(self, grid16, rng):
         L = grid16.band_limit
         c = SHCoefficients(rng.normal(size=(L + 1, 1)))
@@ -1177,13 +1207,15 @@ class TestPolarTrim:
 
     @pytest.mark.parametrize("orders", [(-0.5, 0.3), (0.3, -0.5),
                                         (-0.22, 1.09)])
-    def test_two_cap_table_and_stack_memory(self, grid128, orders, rng):
+    def test_two_cap_table_and_stack_memory(self, grid128, orders, rng,
+                                            monkeypatch):
         """At L = 128 the two-cap table holds at most 0.82 of the entries
         of the untrimmed one, whichever cap is nearer its pole, and a
-        stack of as many samples as BATCH_BUDGET holds at twice a field's
-        coefficient bytes beside one Legendre group (110 here), with no
-        room for one field more, fits BATCH_BUDGET while its log integral
-        is formed: its coefficients and the traced peak of the pass."""
+        stack of as many samples as BATCH_BUDGET holds beside one Legendre
+        group at a field's coefficient and order-row bytes, 24 (L + 1)^2
+        (147 here), with no room for one field more, fits BATCH_BUDGET
+        from its draw to its gaps: the traced peak of ``sample_gaps`` on
+        that many samples, one stack, the ring groups built in it."""
         from sol_lab import mt_functional, sphere_grid
         L = grid128.band_limit
         w = SingularWeight.from_orders([((0.0, 0.0, 1.0), orders[0]),
@@ -1193,17 +1225,24 @@ class TestPolarTrim:
         kept = sum(even.size + odd.size for _, even, odd in tr._legendre(L + 1))
         assert kept <= 0.82 * tr._reps * (L + 1) * (L + 2) // 2
         budget, legendre = mt_functional.BATCH_BUDGET, sphere_grid.LEGENDRE_BYTES
-        field = 8 * (L + 1) * (2 * L + 1)
-        k = (budget - legendre) // (2 * field)
-        assert legendre + 2 * (k + 1) * field > budget
-        c = random_band_limited_batch(grid128, rng, k)
+        field = 24 * (L + 1) ** 2
+        k = (budget - legendre) // field
+        assert legendre + (k + 1) * field > budget
+        sizes, draw = [], sphere_grid.random_band_limited_batch
+
+        def recorded(grid, rng, count):
+            sizes.append(count)
+            return draw(grid, rng, count)
+
+        monkeypatch.setattr(sphere_grid, "random_band_limited_batch", recorded)
         tracemalloc.start()
         try:
-            integ.log_exp_integral(c)
+            mt_functional.sample_gaps(grid128, rng, k, w, 0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert c.values.nbytes + peak <= budget, peak
+        assert sizes == [k]
+        assert peak <= budget, peak
 
 
 class TestStreamedPass:
@@ -1253,7 +1292,8 @@ class TestStreamedPass:
     def test_streamed_stack_stays_within_budget(self, rng, monkeypatch):
         """A stack of K = 8 full-width fields on the L = 64 two-cap block
         (164 representative rings) under a 512 KiB budget streams 13 groups
-        of 5 orders, and its traced peak holds its values, LEGENDRE_BYTES
+        of 5 orders, and the traced peak of its pass from its order rows
+        (``OrderRows``, gathered before) holds its values, LEGENDRE_BYTES
         and the two per-order even and odd products, 2 * 8 * 2K * reps
         bytes: one group is alive at a time, and the last one is let go
         before the Fourier step, whose temporaries (about 0.37 MB a field
@@ -1262,7 +1302,8 @@ class TestStreamedPass:
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
         tr = trim_cases()["two caps"]
         assert budget // (8 * tr._reps) // (L + 4) == 5
-        c = SHCoefficients(rng.normal(size=(K, L + 1, 2 * L + 1)))
+        c = OrderRows.gather(
+            SHCoefficients(rng.normal(size=(K, L + 1, 2 * L + 1))))
         tr._trig()  # kept from the first pass; not this pass's memory
         tracemalloc.start()
         try:

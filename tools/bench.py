@@ -11,8 +11,9 @@ writes the workload's seed-0 configs, and runs its op through
 ``sol_lab.cli.main`` as perfbench's worker does: one cold op
 (``cold_op_s``), then ``--warm`` timed warm ops (``warm_op_s``, with their
 min and median), then one more warm op under ``tracemalloc``, whose peak
-of traced allocations is ``tracemalloc_peak_mib``.  ``correct`` is true
-when every op passes the workload's oracle.  The configs and reports go to
+of traced allocations is ``tracemalloc_peak_mib``; ``max_rss_mib`` is the
+process's peak resident set (``ru_maxrss``) after all of its ops, imports
+included.  ``correct`` is true when every op passes the workload's oracle.  The configs and reports go to
 a temporary directory; ``perfbench/`` is read, never written.
 """
 
@@ -39,6 +40,7 @@ def measure(workload: str, warm: int, workdir: str) -> dict:
     """One workload's numbers, in this process (started fresh)."""
     import importlib
     import io
+    import resource
     import tracemalloc
     from contextlib import redirect_stdout
 
@@ -77,6 +79,8 @@ def measure(workload: str, warm: int, workdir: str) -> dict:
             "warm_op_s_min": min(walls),
             "warm_op_s_median": statistics.median(walls),
             "tracemalloc_peak_mib": peak / 2 ** 20,
+            "max_rss_mib": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 2 ** 10,  # KiB on Linux
             "correct": not failures, "failures": failures}
 
 
