@@ -76,10 +76,11 @@ CAP_RADIAL_NODES = 32
 # its order rows (``sphere_grid.OrderRows``), 8 (L + 1)(L + 2): 24 (L + 1)^2
 # bytes a field.  The gather holds the coefficients and the rows, the draw
 # the coefficients and its normals (fewer bytes than the rows), each with
-# the Legendre group's room to spare; each pass holds the rows, one ring
-# group's values, which ``SingularIntegrator._ring_groups`` keeps no larger
-# than the rows, and one Legendre group.  37 fields at L = 256; the 20 of
-# perfbench's ``evaluate`` stack trace a 30.3 MiB peak.
+# the Legendre group's room to spare; each pass, which streams
+# (``ProductTransform._legendre``), holds the rows, one ring group's values,
+# which ``SingularIntegrator._ring_groups`` keeps no larger than the rows,
+# and one Legendre group.  37 fields at L = 256; the 20 of perfbench's
+# ``evaluate`` stack trace a 30.3 MiB peak.
 BATCH_BUDGET = 64 << 20  # 64 MiB
 
 
@@ -255,7 +256,7 @@ class SingularIntegrator:
         stack take at most the bytes of the order rows that every group
         reads (``sphere_grid.OrderRows``), at most (L + 1)(L + 2) / n_phi
         rings a group; 6 of at most 129 rings on the L = 256 two-cap
-        block.  Built on the first stack and kept; not in ``blocks``."""
+        block.  Built on the first order rows and kept; not in ``blocks``."""
         tr, L = self.transform, self.transform.band_limit
         return [(group, self.log_h[rings]) for rings, group in
                 tr.ring_groups((L + 1) * (L + 2) // tr.phi.size)]
@@ -269,19 +270,19 @@ class SingularIntegrator:
     def log_exp_integral(self, coeffs: SHCoefficients | OrderRows):
         """log int h e^u of the field (of each field of a stack), from its
         coefficients or their order rows, as ``density(coeffs).log_integral``
-        gives it, but without the values of a stack: a stack of two or more
-        full-width fields is gathered into its order rows once (or handed
-        in as rows) and synthesized from them one ring group at a time
+        gives it, but without the values of a stack: a full-width stack is
+        gathered into its order rows once (or handed in as rows, of any
+        height) and synthesized from them one ring group at a time
         (``_ring_groups``), each reduced in place to a shift s_g and an
         integral T_g per field, and log I = S + log sum_g T_g e^(s_g - S),
         S = max_g s_g.  So it holds the rows, one group's values and one
         Legendre group, beside the coefficients if the caller keeps them; a
         rule of one group gives the density's arithmetic, bit for bit.  One
-        field and a zonal column take the density."""
-        if isinstance(coeffs, SHCoefficients) and coeffs.values.shape[-1] > 1:
+        field's coefficients and a zonal column take the density."""
+        if isinstance(coeffs, SHCoefficients):
+            if coeffs.values.ndim == 2 or coeffs.values.shape[-1] == 1:
+                return self.density(coeffs).log_integral
             coeffs = OrderRows.gather(coeffs)
-        if not isinstance(coeffs, OrderRows) or coeffs.fields < 2:
-            return self.density(coeffs).log_integral
         shifts, totals = zip(*(self._group_terms(coeffs, *group)
                                for group in self._ring_groups))
         top = np.max(shifts, axis=0)
@@ -322,19 +323,13 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
     INTEGRATOR_CACHE_SIZE integrators.
 
     The key is the weight's data (``SingularWeight.cache_key``): positions,
-    orders and the coefficients of K.  Each integrator holds its
-    transform's Legendre tables (the m = 0 block until a one-field pass
-    over every order after the transform's first: ~75 MB for two caps at
-    L = 256, with each order's polar rings trimmed).  A stack's first pass
-    over every order on a table larger than ``sphere_grid.LEGENDRE_BYTES``
-    keeps none: it streams the recurrence, 8 MiB a group of orders.  From
-    its first stacked log integral it also holds its ring groups' transforms
-    (``log_exp_integral``: 6 on the L = 256 two-cap block), which keep no
-    Legendre table that the whole transform would not and share its
-    cos/sin table; ``sample_gaps`` sizes its stacks by what a stack's draw,
-    the gather of its order rows and such a log integral hold
-    (BATCH_BUDGET), and splits its samples so that no stack of one field,
-    which takes the one-field pass, trails a full stack.
+    orders and the coefficients of K.  Each integrator holds the Legendre
+    tables its transform keeps by the one rule of
+    ``ProductTransform._legendre``: from its first one-field pass over
+    every order, ~75 MB for two caps at L = 256, with each order's polar
+    rings trimmed.  From its first stacked log integral it also holds its
+    ring groups' transforms (``log_exp_integral``: 6 on the L = 256 two-cap
+    block), which keep no Legendre table and share its cos/sin table.
     """
     key = weight.cache_key()
     cache = grid._integrator_cache
@@ -444,14 +439,13 @@ def sample_gaps(grid: SphereGrid, rng, count: int, w: SingularWeight,
 
     The samples go in the fewest stacks of at most as many fields as
     BATCH_BUDGET holds, their heights as equal as the count allows (40
-    samples at L = 256, at most 37 a stack, are two stacks of 20), so that
-    no stack of one field, which would take the density's pass and keep a
-    table of every order, trails a full one.  One stack is alive at a
-    time, and the draws are one stream, whatever the split.  A stack is
-    drawn and scaled, its Dirichlet energies and means are taken, and its
-    coefficients are gathered into their order rows
+    samples at L = 256, at most 37 a stack, are two stacks of 20).  One
+    stack is alive at a time, and the draws are one stream, whatever the
+    split.  A stack is drawn and scaled, its Dirichlet energies and means
+    are taken, and its coefficients are gathered into their order rows
     (``sphere_grid.OrderRows``) and let go before its log integral is
-    formed from the rows.
+    formed from the rows, whose passes stream, for one field too
+    (``ProductTransform._legendre``).
     """
     L = grid.band_limit
     size = max(1, (BATCH_BUDGET - sphere_grid.LEGENDRE_BYTES)

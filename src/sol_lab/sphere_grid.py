@@ -43,14 +43,11 @@ Every consumer picks its path from the last axis; a column meets
 full-width coefficients only through ``SHCoefficients.widened``, never
 through broadcasting, which would add it to every order.  A zonal pass is
 one (L+1) x n_t matrix product, O(L n_t), against O(L^2 n_t + L n_t n_phi)
-over all orders and the Fourier step.  A transform builds and keeps each
-table on its first need: its cos/sin table and its Legendre table of every
-order on its first pass over every order, its m = 0 block on its first
-zonal pass.  One exception: a stack of two or more fields on a table
-whose bound exceeds LEGENDRE_BYTES streams its blocks from the recurrence,
-computed in place a small group of orders at a time (Schaeffer, G^3 14,
-2013 and Reinecke & Seljebotn, A&A 554, 2013 run the recurrence inside
-every pass), and keeps nothing.
+over all orders and the Fourier step.  A transform keeps its cos/sin
+table from its first pass over every order.  Whether a pass keeps a
+Legendre table or streams it from the recurrence is one rule, stated at
+``ProductTransform._legendre``: a pass over one field keeps, every other
+full-width pass streams.
 
 Coefficients and values may carry leading batch axes: a stack of K fields,
 coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
@@ -254,21 +251,23 @@ def _colatitude_weights(t_weights: np.ndarray) -> np.ndarray:
     return w
 
 
-# Bytes of Pbar rows in one group of orders of the Legendre recurrence
+# Bytes of one group of orders of the Legendre recurrence
 # (``_legendre_groups``), for tables, streamed passes and point syntheses
-# alike: a group over n rings takes max(1, LEGENDRE_BYTES // (8 (L + 4) n))
-# orders, counted at L + 4 rows an order (Schaeffer, G^3 14, 2013 sizes his
-# on-the-fly recurrence the same way): the L + 1 degree rows of its
-# in-place scratch and one work row, two rows to spare, so its work stays
-# within max(LEGENDRE_BYTES, one order); a point synthesis counts its
-# other work vectors too (``synthesis_at_angles``).  The L = 256 two-cap
-# block (354 representative rings) takes 11 orders, 8.0 MB.  Streaming the
-# recurrence over its rings, trimmed, in groups of 4, 8, 11, 16, 24, 34,
-# 48 and 64 orders took 82, 61, 61, 49, 53, 52, 52 and 56 ms at best of 11
-# (one BLAS thread, shared 2-core x86 VM): smaller groups pay more numpy
-# calls per degree, larger ones compute more of the dropped rings and hold
-# more memory (24.7 MB at 34 orders).  A full-width L = 4096 grid pass
-# takes one order (67 MB) a group.
+# alike: a group over n rings takes max(1, LEGENDRE_BYTES // (8 ((L + 4) n
+# + 5 (L + 1)))) orders, counted at L + 4 rows an order (Schaeffer, G^3 14,
+# 2013 sizes his on-the-fly recurrence the same way): the L + 1 degree rows
+# of its in-place scratch and one work row, two rows to spare, and 5 (L + 1)
+# floats more for the recurrence's coefficients (``_legendre_group``: a, b,
+# one temporary and two of numpy's broadcast buffers), so its work stays
+# within max(LEGENDRE_BYTES, one order); a point synthesis counts its other
+# work vectors too (``synthesis_at_angles``).  The L = 256 two-cap block (354
+# representative rings) takes 11 orders, 8.0 MB.  Streaming the recurrence
+# over its rings, trimmed, in groups of 4, 8, 11, 16, 24, 34, 48 and 64
+# orders took 82, 61, 61, 49, 53, 52, 52 and 56 ms at best of 11 (one BLAS
+# thread, shared 2-core x86 VM): smaller groups pay more numpy calls per
+# degree, larger ones compute more of the dropped rings and hold more
+# memory (24.7 MB at 34 orders).  A full-width L = 4096 grid pass takes
+# one order (67 MB) a group.
 LEGENDRE_BYTES = 8 << 20  # 8 MiB
 
 # Values of Pbar below which a ProductTransform drops a ring from an order's
@@ -297,12 +296,16 @@ def _legendre_group(L: int, m0: int, t: np.ndarray, sq: np.ndarray,
     k = packed.shape[1]
     # a[l, i], b[l, i] of Pbar_{l,m} = a t Pbar_{l-1,m} + b Pbar_{l-2,m}
     # for m = m0 + i, read where m <= l - 2: exact integer ratios, one
-    # rounded division and sqrt
-    ll, mm = np.arange(L + 1)[:, None], np.arange(m0, m0 + k)
+    # rounded division and sqrt; at most five (L + 1) x k arrays are alive
+    # at once, numpy's broadcast buffers among them (see LEGENDRE_BYTES)
+    ll, mm = np.arange(L + 1.0)[:, None], np.arange(m0, m0 + k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm * mm))
-        b = -np.sqrt((2.0 * ll + 1.0) * ((ll - 1.0) ** 2 - mm * mm)
-                     / ((2.0 * ll - 3.0) * (ll * ll - mm * mm)))
+        d = ll * ll - mm * mm
+        a = np.sqrt((4.0 * ll * ll - 1.0) / d)
+        b = (ll - 1.0) ** 2 - mm * mm
+        b *= 2.0 * ll + 1.0
+        d *= 2.0 * ll - 3.0
+        b = -np.sqrt(b / d)
     for i, m in enumerate(range(m0, m0 + k)):
         packed[m, i] = pmm
         if m < L:
@@ -335,12 +338,13 @@ def _legendre_groups(L: int, t: np.ndarray, m_max: int | None, floor: float,
     misses at most floor * sum_l |c_l| of each value.  Order 0 is never
     trimmed.
 
-    Over n rings a group of k = max(1, (LEGENDRE_BYTES // (8 n) - work) //
-    (L + 4)) orders is computed in place by ``_legendre_group`` on the
-    rings its previous order kept, degree-major into one (L + 1, k, n)
-    scratch array that every group reuses: order m0 + i's block is the
-    strided view packed[m0 + i:, i], which the next group overwrites, so a
-    caller uses a group before it asks for the next, or copies it.  A
+    Over n rings a group of k = max(1, (LEGENDRE_BYTES // 8 - work n) //
+    ((L + 4) n + 5 (L + 1))) orders (see LEGENDRE_BYTES) is computed in
+    place by ``_legendre_group`` on the rings its previous order kept,
+    degree-major into one (L + 1, k, n) scratch array that every group
+    reuses: order m0 + i's block is the strided view packed[m0 + i:, i],
+    which the next group overwrites, so a caller uses a group before it
+    asks for the next, or copies it.  A
     caller that holds ``work`` vectors a ring beside a group has them
     counted in its budget.  Once an order keeps no ring, every later group
     is empty blocks, shape (L + 1 - m, 0), and runs no recurrence.
@@ -350,8 +354,8 @@ def _legendre_groups(L: int, t: np.ndarray, m_max: int | None, floor: float,
     pmm = np.full_like(t, 1.0 / np.sqrt(FOUR_PI))
     n = t.size
     m_max = L if m_max is None else m_max
-    group = min(m_max + 1, max(
-        1, (LEGENDRE_BYTES // (8 * max(n, 1)) - work) // (L + 4)))
+    group = min(m_max + 1, max(1, (LEGENDRE_BYTES // 8 - work * n)
+                               // ((L + 4) * n + 5 * (L + 1))))
     scratch = np.empty((L + 1) * group * n)
     start = 0
     for m0 in range(0, m_max + 1, group):
@@ -633,9 +637,8 @@ class ProductTransform:
     One-column data is zonal (see the module docstring): coefficients of
     shape (..., L+1, 1) synthesize to values of shape (..., n_t, 1), and
     such values analyse, on the m = 0 block alone, to such coefficients.
-    The Legendre table holds the m = 0 block until the first pass over
-    every order, which keeps every order, unless that pass is a stack on
-    a table larger than LEGENDRE_BYTES, which streams (``_legendre``).
+    Which passes keep a Legendre table and which stream it is the one
+    rule of ``_legendre``.
     """
 
     def __init__(self, band_limit: int, t: np.ndarray, n_phi: int,
@@ -651,10 +654,6 @@ class ProductTransform:
         self._order, self._paired, self._reps = _ring_order(self.t)
         self._runs = _ring_runs(self._order)
         self._mirror_runs = _ring_runs(self._order[self._reps:])
-        # representative rings of the table whose bound decides whether a
-        # stack streams (``_legendre``): a ring group's counts its whole
-        # node set's (``ring_groups``)
-        self._table_reps = self._reps
         # longitude pairs: phi_{n-j} = -phi_j and, for even n, phi_{n/2+j}
         # = phi_j + pi, which splits the orders by the parity of m
         turns = 2 if n_phi % 2 == 0 else 1
@@ -671,29 +670,33 @@ class ProductTransform:
         self._plm: list = []
         self._fourier = None
 
-    def _legendre(self, orders: int, fields: int = 1):
+    def _legendre(self, orders: int, keep: bool = True):
         """(s, even, odd) per order 0..orders - 1: the first representative
         ring s the order keeps (0 for m = 0) and the rows of l - m even and
         odd of its Pbar block over the kept rings.
 
-        A table is kept from its first need, the m = 0 block and the
-        table of every order alike, with one exception: a stack of
-        ``fields`` >= 2 on a table whose bound, (L + 1)(L + 2) / 2 entries
-        per representative ring, exceeds LEGENDRE_BYTES (94 MB on the
-        L = 256 two-cap block, 14 MB on the L = 128 one-point block, whose
-        table a non-zonal sweep keeps from its solver's one-field passes)
-        streams its blocks from the recurrence, one group of
-        ``_legendre_groups`` at a time, and keeps nothing.  A streamed
-        block is a strided view of its group's degree-major scratch, and
-        so are its even and odd rows; BLAS reads them as they are.
+        The one keep rule.  A pass over one field (``keep``: its dense
+        coefficients or values, with no batch axis) builds the table on
+        its first need and keeps it: the m = 0 block for a zonal pass, the
+        table of every order for a full-width one, which the solver's many
+        one-field passes then read (one field on the two-cap block
+        streamed in 86 ms against 19 ms on the kept table at L = 256, 16
+        against 4.4 ms at L = 128; best of 7, one BLAS thread, shared
+        2-core x86 VM).  Every other full-width pass, a dense stack or order rows
+        (``OrderRows``) of any height, which is all that a ring group
+        reads, reads a kept table if there is one and otherwise streams
+        its blocks from the recurrence, one group of ``_legendre_groups``
+        at a time (Schaeffer, G^3 14, 2013 and Reinecke & Seljebotn, A&A
+        554, 2013 run the recurrence inside every pass), and keeps nothing.
+        A streamed block is a strided view of its group's degree-major
+        scratch, and so are its even and odd rows; BLAS reads them as they
+        are.
         """
         if len(self._plm) >= orders:
             return self._plm
         t = self.t[self._order[:self._reps]]
         L = self.band_limit
-        if (orders > 1 and fields > 1
-                and 8 * (L + 1) * (L + 2) // 2 * self._table_reps
-                > LEGENDRE_BYTES):
+        if not keep:
             return ((t.size - block.shape[1], block[0::2], block[1::2])
                     for group in _legendre_groups(L, t, L, LEGENDRE_FLOOR)
                     for _, block in group)
@@ -708,10 +711,9 @@ class ProductTransform:
         representative rings in table order (polar-first) with the mirrors
         of its paired rings, the runs as equal in rings as the pairs
         allow.  ``rings`` lists the group's ring indices ascending; its
-        transform, over those rings and their weights, streams a stack's
-        Legendre blocks whenever this one would, so a group keeps no table
-        that its node set would not, and reads this one's cos/sin table.
-        One group is this transform."""
+        transform, over those rings and their weights, reads this one's
+        cos/sin table and, handed order rows, streams its Legendre blocks
+        (``_legendre``).  One group is this transform."""
         reps, paired, order = self._reps, self._paired, self._order
         n, most = self.t.size, max(most, 2)
         ends = np.ones(reps + 1, dtype=int)
@@ -735,7 +737,7 @@ class ProductTransform:
             group = ProductTransform(
                 self.band_limit, self.t[rings], self.phi.size,
                 None if self.ring_weights is None else self.ring_weights[rings])
-            group._table_reps, group._fourier = self._table_reps, self._trig()
+            group._fourier = self._trig()
             groups.append((rings, group))
         return groups
 
@@ -808,6 +810,7 @@ class ProductTransform:
                 f"coefficients have L={coeffs.band_limit}, transform expects {L}"
             )
         n_t, n_phi = self.t.size, self.phi.size
+        keep = isinstance(coeffs, SHCoefficients) and coeffs.values.ndim == 2
         if isinstance(coeffs, SHCoefficients):
             v = coeffs.values
             if v.shape[-1] == 1:  # zonal: the m = 0 sums are the ring values
@@ -831,7 +834,7 @@ class ProductTransform:
             rows = np.empty((k, 2 * (L + 1) * n_t))
         rows = rows.reshape(k, 2, L + 1, n_t)
         for m, ((start, even, odd), c) in enumerate(
-                zip(self._legendre(L + 1, k), coeffs.blocks)):
+                zip(self._legendre(L + 1, keep), coeffs.blocks)):
             if start == self._reps:  # the order keeps no ring (a polar
                 rows[:, :, m] = 0.0  # ring group's high orders)
                 continue
@@ -926,7 +929,8 @@ class ProductTransform:
         del f
         turns = len(self._images)
         c = np.zeros((L + 1, L + 1, 2 * k))
-        for m, (start, even, odd) in enumerate(self._legendre(L + 1, k)):
+        for m, (start, even, odd) in enumerate(
+                self._legendre(L + 1, not batch)):
             col = m // turns + m % turns * (L // turns + 1)
             kept = (reps - start, 2 * k)
             c[m::2, m] = even @ s[start:, col].reshape(kept)

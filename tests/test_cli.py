@@ -1020,6 +1020,93 @@ class TestMainEntry:
             sphere_sharp_constant(-0.5, 0.5, antipodal=False)
 
 
+# config faults that exit 2 naming their JSON path: (kind, the config's
+# text, the error's start)
+CONTRACT = {
+    "n_theta-string": ("constants", config_text(
+        grid={"n_theta": "65", "n_phi": 66}),
+        "grid.n_theta: expected a number, got str"),
+    "n_theta-1": ("constants", config_text(grid={"n_theta": 1, "n_phi": 66}),
+                  "grid.n_theta: must be >= 2, got 1"),
+    "points-number": ("constants", config_text(weight={"points": 3}),
+                      "weight.points: expected a list"),
+    "grid-list": ("constants", config_text(grid=[]),
+                  "grid: expected an object"),
+    "position-2-vector": ("constants", config_text(**_point([0, 1])),
+                          "weight.points[0].position: expected a 3-vector"),
+    "position-zero": ("constants", config_text(**_point([0, 0, 0])),
+                      "weight.points[0].position: zero vector"),
+    "harmonic-m-above-l": ("constants", config_text(weight={
+        "points": [], "K": {"harmonics": [{"l": 1, "m": 2, "coeff": 0.1}]}}),
+        "weight.K.harmonics[0]: |m| must not exceed l"),
+    "top-level-list": ("constants", "[]", "top level: expected a JSON object"),
+    "schema-version-2": ("constants", config_text(schema_version=2),
+                         "schema_version: expected 1, got 2"),
+    "experiment-number": ("constants", config_text(experiment=3),
+                          "experiment: expected an object"),
+    "kw-check-no-point": ("kw-check", config_text(
+        weight={"points": []}, experiment={"kind": "kw-check"}),
+        "weight.points: kw-check: the axis identity needs"),
+}
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("kind, text, message", CONTRACT.values(),
+                             ids=CONTRACT.keys())
+    def test_exits_2_naming_the_path(self, kind, text, message, tmp_path,
+                                     capsys):
+        """Wrong types, out-of-range numbers, malformed vectors, a
+        harmonic with |m| > l, a wrong top level or schema version and a
+        kw-check with no singular point each exit 2 with a config error
+        that starts with its JSON path, and no traceback."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main([kind, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"config error: {message}" in err, err
+
+    def test_seed_flag_overrides_the_config(self, tmp_path):
+        """``--seed`` replaces the config's seed: the gaps of config seed 0
+        run with --seed 1 are those of config seed 1, run twice, and not
+        those of seed 0."""
+        def gaps(seed, flag=()):
+            cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+            cfg.write_text(config_text(
+                weight={"points": []}, grid={"n_theta": 17, "n_phi": 34},
+                experiment={"kind": "inequality-sample", "samples": 3},
+                seed=seed))
+            assert main(["inequality-sample", "--config", str(cfg),
+                         "--out", str(out), *flag]) == 0
+            return [r["gap"] for r in json.loads(out.read_text())["records"]
+                    if "sample" in r]
+
+        flagged = gaps(0, ("--seed", "1"))
+        assert len(flagged) == 3
+        assert flagged == gaps(1) == gaps(0, ("--seed", "1"))
+        assert flagged != gaps(0)
+
+    def test_constants_positive_antipodal_pair_has_no_closed_form(
+            self, tmp_path):
+        """An antipodal pair of positive orders has no sharp closed form:
+        the constants run passes and reports closed_form_C null, with the
+        RegimeError's message as its note and no consistency check."""
+        from sol_lab.identity_checks import RegimeError, sphere_sharp_constant
+        with pytest.raises(RegimeError) as exc:
+            sphere_sharp_constant(0.3, 0.5, antipodal=True)
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfg.write_text(config_text(weight={"points": [
+            {"position": [0, 0, 1], "order": 0.5},
+            {"position": [0, 0, -1], "order": 0.3}]}))
+        assert main(["constants", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["summary"]["closed_form_C"] is None
+        assert report["summary"]["notes"] == str(exc.value)
+        assert all(c["name"] != "closed-form consistency"
+                   for c in report["checks"])
+
+
 def fresh_interpreter(script, **env):
     """Stdout lines of ``script`` run in a new interpreter that imports
     sol_lab from this source tree, with ``env`` added to the environment."""

@@ -516,9 +516,8 @@ class TestTroyanovGap:
         not 3 and 1: on the L = 64 two-cap block under a 1 MiB
         LEGENDRE_BYTES, below its table's bound, every stack streams its
         Legendre blocks, so neither the block nor a ring group keeps a
-        table of more than the m = 0 block (a stack of one field would take
-        the density's one-field pass, which keeps the block's table of
-        every order), and the gaps are one stack's to 1e-13."""
+        table of more than the m = 0 block, and the gaps are one stack's
+        to 1e-13."""
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.5), (SOUTH, 0.3)])
         one = sample_gaps(grid, np.random.default_rng(4), 4, w, 0.0)
@@ -540,6 +539,30 @@ class TestTroyanovGap:
         for tr in [integ.transform] + [g for g, _ in integ._ring_groups]:
             assert len(tr._plm) <= 1
         assert np.max(np.abs(gaps - one) / np.abs(one)) <= 1e-13
+
+    def test_one_sample_holds_no_more_than_two(self):
+        """A stack of one sample streams as every stack does
+        (``ProductTransform._legendre``): on the L = 128 two-cap block,
+        whose table of every order takes 14 MB, the traced peak of
+        sample_gaps on one sample is no higher than on two, with the
+        integrator and its ring groups kept from a first run, and neither
+        the block nor a ring group keeps a table of more than the m = 0
+        block."""
+        grid = build_grid(129, 258)
+        w = SingularWeight.from_orders([(NORTH, -0.5), (SOUTH, 0.3)])
+        sample_gaps(grid, np.random.default_rng(5), 2, w, 0.0)
+        peaks = []
+        for count in (2, 1):
+            tracemalloc.start()
+            try:
+                sample_gaps(grid, np.random.default_rng(5), count, w, 0.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0], peaks
+        integ = integrator_for(grid, w)
+        for tr in [integ.transform] + [g for g, _ in integ._ring_groups]:
+            assert len(tr._plm) <= 1
 
     def test_stack_drops_its_coefficients_before_its_passes(self):
         """The 20 samples of perfbench's seed-0 evaluate config (L = 256,
@@ -602,9 +625,9 @@ class TestDensityStack:
 
 
 class TestGroupedLogIntegral:
-    """``log_exp_integral`` of a stack of two or more full-width fields
-    synthesizes it one ring group at a time and sums the groups' shifted
-    integrals, so it never holds the stack's values at once."""
+    """``log_exp_integral`` of a full-width stack, or of order rows of any
+    height, synthesizes it one ring group at a time and sums the groups'
+    shifted integrals, so it never holds the stack's values at once."""
 
     @staticmethod
     def stack(grid, rng, k, scale=1.0):
@@ -648,31 +671,67 @@ class TestGroupedLogIntegral:
                               integ.density(c).log_integral)
 
     def test_one_field_and_a_column_are_the_density(self, grid64, rng):
-        """On a rule of nine groups, one field, a stack of one and a zonal
-        stack take the density, bit for bit, and so do one field's order
-        rows."""
+        """On a rule of nine groups, one field and a zonal stack take the
+        density, bit for bit.  A stack of one and one field's order rows
+        take the ring groups, as every stack does, and agree with it
+        within 4 ulp of max(1, |log I|) (as in
+        ``test_groups_agree_with_the_density``), the stack bit for bit
+        with its order rows."""
         integ = SingularIntegrator(grid64, SingularWeight.from_orders(
             [(NORTH, -0.5), (SOUTH, 0.3)]))
         assert len(integ._ring_groups) == 9
         c = self.stack(grid64, rng, 3, 5.0)
         column = SHCoefficients(c.values[..., 64:65].copy())
-        for coeffs in (SHCoefficients(c.values[0]),
-                       SHCoefficients(c.values[:1]), column):
+        for coeffs in (SHCoefficients(c.values[0]), column):
             got = integ.log_exp_integral(coeffs)
             assert np.array_equal(got, integ.density(coeffs).log_integral)
-            if coeffs is not column:
-                assert np.array_equal(
-                    integ.log_exp_integral(OrderRows.gather(coeffs)), got)
         assert isinstance(integ.log_exp_integral(
             SHCoefficients(c.values[0])), float)
+        stack = SHCoefficients(c.values[:1])
+        assert np.array_equal(integ.log_exp_integral(stack),
+                              integ.log_exp_integral(OrderRows.gather(stack)))
+        for coeffs in (stack, SHCoefficients(c.values[0])):
+            got = integ.log_exp_integral(OrderRows.gather(coeffs))
+            want = integ.density(coeffs).log_integral
+            assert np.shape(got) == np.shape(want)
+            assert np.all(np.abs(got - want)
+                          <= 4 * np.spacing(np.maximum(1.0, np.abs(want))))
+
+    def test_rows_hold_one_group_and_the_budget(self, grid64, rng,
+                                                monkeypatch):
+        """The recurrence's coefficient arrays count in LEGENDRE_BYTES: the
+        order rows of K = 8 fields on the L = 64 two-cap block, gathered
+        and the ring groups built before, under a 512 KiB budget, trace a
+        log integral of at most one group's values, the budget and the two
+        per-order even and odd products, 2 * 8 * 2K * reps bytes (815,872
+        B; 962,026 B when a and b lay outside the budget), and give the
+        default budget's values bit for bit: an entry of the recurrence
+        does not depend on its group of orders."""
+        L, K, budget = 64, 8, 1 << 19
+        integ = SingularIntegrator(grid64, SingularWeight.from_orders(
+            [(NORTH, -0.5), (SOUTH, 0.3)]))
+        rows = OrderRows.gather(self.stack(grid64, rng, K))
+        most = max(8 * K * g.weights.size for g, _ in integ._ring_groups)
+        bound = most + budget + 2 * 8 * 2 * K * integ.transform._reps
+        assert bound == 815_872
+        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
+        tracemalloc.start()
+        try:
+            got = integ.log_exp_integral(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, peak
+        monkeypatch.undo()
+        assert np.array_equal(got, integ.log_exp_integral(rows))
 
     def test_stack_holds_one_group(self, grid64, rng, monkeypatch):
         """A stack of K = 8 fields on the L = 64 two-cap block (264 x 130
         nodes, 2.2 MB of values) under a 512 KiB LEGENDRE_BYTES streams
         each of its 9 ring groups (at most 33 rings, 30 here): the traced
         peak of its log integral is at most the stack's coefficient bytes
-        (0.54 MB, room for the order rows it gathers once, 0.27 MB, and the
-        recurrence's coefficient arrays), one group's values (0.25 MB, no
+        (0.54 MB, room for the order rows it gathers once, 0.27 MB), one
+        group's values (0.25 MB, no
         more than the rows), LEGENDRE_BYTES and the two per-order even and
         odd products, 2 * 8 * 2K * reps bytes, and below the stack's
         values; the groups and the cos/sin table they share are kept from

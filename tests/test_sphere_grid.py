@@ -435,15 +435,14 @@ class TestGroupedLegendre:
     @pytest.mark.parametrize("per_group", [1, 3, 33])
     def test_one_budget_sizes_every_group(self, per_group, monkeypatch, rng):
         """LEGENDRE_BYTES sizes every group of the recurrence, at L + 4
-        rows an order (its L + 1 degree rows and one work row).  At one
-        order, three and the whole L = 32 table a group, the grouped
-        recurrence, a table, the passes of a ProductTransform (a field's
-        keeps its table; a stack's streams at one and three orders a group,
-        whose budgets the table outgrows) and a point synthesis (whose
-        budget adds its 7 work vectors a point) give the values of the
-        default budget bit for bit, and a group's scratch holds its
-        orders' L + 1 degree rows, degree-major, alone (so within
-        max(budget, one order))."""
+        rows an order (its L + 1 degree rows and one work row) and 5 (L + 1)
+        floats of coefficients.  At one order, three and the whole L = 32
+        table a group, the grouped recurrence, a table, the passes of a
+        ProductTransform (a field's keeps its table; a stack's streams,
+        under every budget) and a point synthesis (whose budget adds its 7
+        work vectors a point) give the values of the default budget bit for
+        bit, and a group's scratch holds its orders' L + 1 degree rows,
+        degree-major, alone (so within max(budget, one order))."""
         L = 32
         g = build_grid(L + 1, 2 * L + 2)
         c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
@@ -452,8 +451,8 @@ class TestGroupedLegendre:
         def budget(n, work=0):
             """The budget of ``per_group`` orders over n rings, beside
             ``work`` vectors a ring."""
-            monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
-                                8 * (per_group * (L + 4) + work) * n)
+            monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 8 * (
+                per_group * ((L + 4) * n + 5 * (L + 1)) + work * n))
 
         def run(size):
             size(t.size)
@@ -462,16 +461,14 @@ class TestGroupedLegendre:
             table = normalized_legendre(L, t)
             size(t.size, 7)  # one group of points
             passes = [synthesis_at_angles(c, t, phi)]
-            streams = size is budget and per_group < 33
             for fields in (c, SHCoefficients(np.stack([c.values] * 2))):
                 synthesis, analysis = (ProductTransform(
                     L, g.t, g.n_phi, g.t_weights) for _ in range(2))
                 size(synthesis._reps)
                 passes.append(synthesis.synthesis_values(fields))
                 passes.append(analysis.analysis_coeffs(passes[-1]).values)
-                kept = fields is c or not streams
                 assert [len(tr._plm) for tr in (synthesis, analysis)] == \
-                    [(L + 1) * kept] * 2
+                    [(L + 1) * (fields is c)] * 2
             return blocks + table + passes
 
         want = run(lambda n, work=0: None)
@@ -608,11 +605,11 @@ class TestOrderLimit:
         """A zonal pass builds the m = 0 block alone.  The first full pass
         of one field builds and keeps the table of every order, over the
         representative rings alone and trimmed at LEGENDRE_FLOOR, under a
-        budget below the tables' bounds (11016 B and 7344 B) too; under
-        that budget a stack streams every order and keeps none, until a
-        one-field pass keeps them.  A table that fits LEGENDRE_BYTES is
-        kept by the first full pass, one field or a stack.  Each transform
-        builds its own cos/sin table, equal for equal (L, n_phi)."""
+        budget below the tables' bounds (11016 B and 7344 B) too.  A stack
+        streams every order and keeps none, until a one-field pass keeps
+        them, under that budget and under the default one, which the
+        tables fit.  Each transform builds its own cos/sin table, equal for
+        equal (L, n_phi)."""
         from sol_lab import sphere_grid
         orders, rings, floors = [], [], []
         table = sphere_grid.normalized_legendre
@@ -651,18 +648,17 @@ class TestOrderLimit:
         assert [tr._plm[0][0] for tr in (a, b)] == [0, 0]
         # stacks stream and build nothing, then read the kept table
         stack = SHCoefficients(np.stack([full.values] * 2))
-        c, d, e = (ProductTransform(L, grid16.t, n_phi,
-                                    np.ones(grid16.n_theta)) for _ in range(3))
-        for tr in (c, c, a):
-            tr.synthesis_values(stack)
-        assert orders == [0, L, L] and c._plm == []
-        c.synthesis_values(full)
-        assert orders == [0, L, L, L]
-        monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
-        d.synthesis_values(stack)
-        e.synthesis_values(full)
-        assert orders == [0, L, L, L, L, L]
-        assert [len(tr._plm) for tr in (d, e)] == [L + 1] * 2
+        for cut in (True, False):
+            if not cut:
+                monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
+            c = ProductTransform(L, grid16.t, n_phi, np.ones(grid16.n_theta))
+            for tr in (c, c, a):
+                tr.synthesis_values(stack)
+            c.analysis_coeffs(np.ones((2, grid16.n_theta, n_phi)))
+            assert orders == [0, L, L] + [L] * (not cut) and c._plm == []
+            c.synthesis_values(full)
+            assert orders == [0, L, L, L] + [L] * (not cut)
+            assert len(c._plm) == L + 1
         assert a._trig() is not b._trig()
         assert np.array_equal(a._trig(), b._trig())
 
@@ -1184,7 +1180,7 @@ class TestPolarTrim:
         (polar, _), *_ = integrator_for(build_grid(65, 130), w)._ring_groups
         t = polar.t[polar._order[:polar._reps]]
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES",
-                            8 * 8 * (L + 4) * t.size)
+                            8 * 8 * ((L + 4) * t.size + 5 * (L + 1)))
         calls, group = [], sphere_grid._legendre_group
 
         def counted(L, m0, *args):
@@ -1246,10 +1242,46 @@ class TestPolarTrim:
 
 
 class TestStreamedPass:
-    """One keep rule: a transform keeps a table from its first need, except
-    that a stack of two or more fields on a table whose bound exceeds
-    LEGENDRE_BYTES streams its blocks and keeps nothing; so a transform
-    that makes stacks alone never holds a large table."""
+    """One keep rule (``ProductTransform._legendre``): a pass over one
+    field's dense coefficients or values keeps the table of every order;
+    every other full-width pass, a dense stack or order rows of any
+    height, streams its blocks and keeps nothing, whatever the table's
+    size; so a transform that makes stacks alone never holds a table."""
+
+    @pytest.mark.parametrize("name", ["gauss", "one cap", "two caps"])
+    @pytest.mark.parametrize("budget", [None, 1 << 16])
+    def test_one_field_keeps_and_stacks_stream(self, name, budget, rng,
+                                               monkeypatch):
+        """On tables that fit the default LEGENDRE_BYTES (the L = 64 ones)
+        and on tables that outgrow it (under a 64 KiB budget), each on a
+        fresh transform: a dense stack of two, a dense stack of one and one
+        field's order rows keep nothing, synthesis and the stacks' analysis
+        alike, and neither do the ring groups (of at most 33 rings) that
+        one field's order rows pass through; one dense field's synthesis,
+        and its values' analysis, keep all L + 1 orders."""
+        if budget:
+            monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
+        L = 64
+        c = rng.normal(size=(2, L + 1, 2 * L + 1))
+        one = SHCoefficients(c[0])
+        rows = OrderRows.gather(one)
+        for data in (SHCoefficients(c), SHCoefficients(c[:1]), rows):
+            tr = trim_cases()[name]
+            values = tr.synthesis_values(data)
+            if values.ndim == 3:
+                tr.analysis_coeffs(values)
+            assert tr._plm == []
+        groups = tr.ring_groups(33)
+        assert len(groups) > 1
+        for _, group in groups:
+            group.synthesis_values(rows)
+            assert group._plm == []
+        tr = trim_cases()[name]
+        tr.synthesis_values(one)
+        assert len(tr._plm) == L + 1
+        tr = trim_cases()[name]
+        tr.analysis_coeffs(values)
+        assert len(tr._plm) == L + 1
 
     @pytest.mark.parametrize("name", ["gauss", "one cap", "two caps"])
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -1301,7 +1333,7 @@ class TestStreamedPass:
         L, K, budget = 64, 8, 1 << 19
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
         tr = trim_cases()["two caps"]
-        assert budget // (8 * tr._reps) // (L + 4) == 5
+        assert budget // 8 // ((L + 4) * tr._reps + 5 * (L + 1)) == 5
         c = OrderRows.gather(
             SHCoefficients(rng.normal(size=(K, L + 1, 2 * L + 1))))
         tr._trig()  # kept from the first pass; not this pass's memory
@@ -1343,6 +1375,11 @@ class TestRingGroups:
 
     @staticmethod
     def check(tr, most):
+        """The groups cover the rings, mirror-closed and within ``most``;
+        split, each reads the transform's cos/sin table, and one field's
+        order rows synthesize on it to the whole transform's values on its
+        rings (to 1e-14 relative: a group of one ring pair multiplies
+        vectors), streamed: no group keeps a table."""
         groups = tr.ring_groups(most)
         rings = np.concatenate([r for r, _ in groups])
         assert np.array_equal(np.sort(rings), np.arange(tr.t.size))
@@ -1351,9 +1388,16 @@ class TestRingGroups:
             assert r.size <= max(most, 2)
             assert set(mirror[i] for i in r if i in mirror) <= set(r)
             assert np.array_equal(group.t, tr.t[r])
-            if len(groups) > 1:
-                assert group._table_reps == tr._reps
+        if len(groups) > 1:
+            L = tr.band_limit
+            rows = OrderRows.gather(SHCoefficients(np.random.default_rng(
+                5).normal(size=(L + 1, 2 * L + 1))))
+            whole = tr.synthesis_values(rows)
+            for r, group in groups:
                 assert group._fourier is tr._fourier
+                assert max_rel(group.synthesis_values(rows), whole[r]) \
+                    <= 1e-14
+                assert group._plm == []
         return groups
 
     def test_seed_block_takes_three(self):
