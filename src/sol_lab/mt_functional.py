@@ -100,21 +100,34 @@ class FunctionalParams:
             raise ValueError("rho must be positive")
 
 
-def cap_radial_rule(alpha: float, radius: float, n: int):
-    """Nodes/weights for int_0^radius f(r) sin(r) dr with f ~ r^{2 alpha}.
+def radial_rule(edges, n: int, b: float = 0.0, jacobian=np.sin):
+    """Nodes r_k and weights w_k, sum_k w_k f(r_k) ~ int f(r) jacobian(r) dr
+    from edges[0] to edges[-1] (edges may descend), n nodes a panel.
 
-    The n-point Gauss-Jacobi rule in r on [0, radius] for the weight
-    r^{2 alpha + 1} (``gauss_jacobi`` with b = 2 alpha + 1); returns
-    (r_k, w_k) such that the integral is sum_k w_k f(r_k), with the sin(r)
-    jacobian and the weight's r^{-(2 alpha + 1)} folded in.  It is exact
-    when f(r) sin r is r^{2 alpha + 1} times a polynomial of degree < 2n in
-    r, so the point's factor (2 sin^2(r/2))^alpha sin r costs nothing and
-    the rule converges geometrically in the smooth rest at every alpha.  At
-    alpha = -1/2 it is Gauss-Legendre in r.
+    The first panel is Gauss-Jacobi for the weight |r - edges[0]|^b
+    (``gauss_jacobi``), folded into w_k, so an algebraic singularity there
+    costs nothing; the others are Gauss-Legendre, and graded geometrically
+    toward a point they converge geometrically at every scale.
     """
-    x, w = gauss_jacobi(n, 2.0 * alpha + 1.0)
-    r = 0.5 * radius * (1.0 + x)
-    return r, 0.5 * radius * w * np.sin(r) / (1.0 + x) ** (2.0 * alpha + 1.0)
+    x, w = gauss_jacobi(n, b)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        r = lo + half * (1.0 + x)
+        nodes.append(r)
+        weights.append(abs(half) * w * jacobian(r) / (1.0 + x) ** b)
+        (x, w), b = gauss_jacobi(n), 0.0  # Gauss-Legendre from here
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def cap_radial_rule(alpha: float, radius: float, n: int):
+    """Nodes/weights for int_0^radius f(r) sin(r) dr with f ~ r^{2 alpha}:
+    ``radial_rule`` on [0, radius] with b = 2 alpha + 1, exact when
+    f(r) sin r is r^{2 alpha + 1} times a polynomial of degree < 2n in r.
+    So the point's factor (2 sin^2(r/2))^alpha sin r costs nothing, and
+    the rule converges geometrically in the smooth rest at every alpha.
+    """
+    return radial_rule((0.0, radius), n, 2.0 * alpha + 1.0)
 
 
 def cap_radial_nodes(band_limit: int) -> int:

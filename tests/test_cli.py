@@ -996,6 +996,43 @@ class TestMainEntry:
         assert rep["summary"]["target"] == pytest.approx(
             -4.0 * np.pi * np.log(2.0), rel=1e-12)
 
+    def test_test_function_sweep_near_order_minus_one(self, tmp_path):
+        """At alpha = -0.9 the radial J is right at every default epsilon,
+        so all three checks pass (J read -5.7359, -5.5081 and -5.5723, not
+        decreasing, when an adaptive quad missed the bubble), and J(1e-4)
+        is a 25-digit oracle's -5.7755272319137 to 1e-6."""
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfg.write_text(config_text(
+            weight={"points": [{"position": [0, 0, 1], "order": -0.9}]},
+            experiment={"kind": "test-function-sweep"}))
+        assert main(["test-function-sweep", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert [c["passed"] for c in rep["checks"]] == [True] * 3
+        assert abs(rep["records"][-1]["J"] - -5.775527231913668) < 1e-6
+
+    def test_test_function_sweep_at_order_minus_0_99_reports(self, tmp_path):
+        """alpha = -0.99 puts the bubble at r ~ eps^50: the run reports,
+        whatever its checks read, with no traceback (an OverflowError
+        escaped an adaptive quad's Python-float integrand)."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text(
+            weight={"points": [{"position": [0, 0, 1], "order": -0.99}]},
+            experiment={"kind": "test-function-sweep"},
+            output={"report": str(tmp_path / "r.json")}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sol_lab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        run_ = subprocess.run(
+            [sys.executable, "-m", "sol_lab.cli", "test-function-sweep",
+             "--config", str(cfg)], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert run_.returncode in (0, 1)
+        assert "Traceback" not in run_.stderr
+        records = json.loads((tmp_path / "r.json").read_text())["records"]
+        assert all(np.isfinite(r["J"]) for r in records)
+
     def test_test_function_sweep_rejects_smooth_factor(self, tmp_path,
                                                        capsys):
         """The radial J of the test functions holds for K == 1 only, so a
@@ -1166,6 +1203,17 @@ class TestThreads:
         assert scipy_modules_after("sweep", cfg) == "[]"
         report = json.loads((tmp_path / "r.json").read_text())
         assert np.isfinite(report["summary"]["extrapolated_J"])
+
+    def test_test_function_sweep_leaves_scipy_unloaded(self, tmp_path):
+        """The radial J integrates on numpy Gauss-Jacobi panels
+        (``mt_functional.radial_rule``): a test-function sweep imports no
+        scipy module, where scipy.integrate took about 0.6 s cold."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text(
+            experiment={"kind": "test-function-sweep"},
+            output={"report": str(tmp_path / "r.json")}))
+        assert scipy_modules_after("test-function-sweep", cfg) == "[]"
+        assert json.loads((tmp_path / "r.json").read_text())["passed"]
 
     @pytest.mark.parametrize("kind, points, experiment", BENCHMARK_KINDS,
                              ids=[kind for kind, *_ in BENCHMARK_KINDS])

@@ -1,9 +1,11 @@
 """Stereographic chart, extremal family, bubble, test functions."""
 
+import ast
 import os
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -173,9 +175,9 @@ class TestPlanarBubble:
         assert np.all(np.diff(vals) < 0.0)
 
     @pytest.mark.parametrize("c_p,alpha", [
-        (2.0 * np.exp(-0.5), -0.5), (1.3, -0.25), (0.7, -0.75)])
+        (2.0 * np.exp(-0.5), -0.5), (1.3, -0.25), (0.7, -0.75), (0.9, -0.9)])
     def test_unit_mass(self, c_p, alpha):
-        assert abs(planar_bubble_mass(c_p, alpha) - 1.0) < 1e-8
+        assert abs(planar_bubble_mass(c_p, alpha) - 1.0) < 1e-12
 
     def test_total_liouville_mass_is_rho_bar(self):
         alpha = -0.5
@@ -273,8 +275,9 @@ def test_fine_integral_oracle():
 
 class TestLazyScipy:
     def test_solver_modules_load_no_scipy(self):
-        """scipy.integrate loads inside the quadratures that call it, so a
-        solve that never integrates radially does not pay its import."""
+        """Importing the package loads no scipy module: ``src/`` integrates
+        with numpy alone (``mt_functional.radial_rule``), and scipy is a
+        test dependency, the oracle of several tests."""
         script = ("import sys\n"
                   "import sol_lab.cli, sol_lab.closed_forms, "
                   "sol_lab.identity_checks, sol_lab.subcritical_solver\n"
@@ -288,3 +291,104 @@ class TestLazyScipy:
                              capture_output=True, text=True, timeout=120,
                              check=True).stdout.splitlines()
         assert out == ["[]"]
+
+    def test_no_module_imports_scipy(self):
+        """No import statement of any module of the package, at its top
+        level or inside a function, names scipy."""
+        package = os.path.dirname(os.path.abspath(sol_lab.__file__))
+        found = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                found += [f"{name}:{node.lineno} {m}" for m in modules
+                          if m.split(".")[0] == "scipy"]
+        assert found == []
+
+
+def mp_concentration_functional(alpha, eps, far=0.0, dps=25):
+    """J(phi_eps) and its terms for a point of order ``alpha`` at the north
+    pole (and one of order ``far`` at the south pole), by mpmath's
+    tanh-sinh quadrature in r at ``dps`` digits: an oracle written from the
+    definitions in ``closed_forms``' docstrings, independent of its code.
+    Breakpoints: 4-fold in u = r^{2(1+alpha)} inside the cap, where the
+    bubble has scale eps, and 4-fold in r outside it, with the cutoff's
+    ramp ending at 2 r_eps."""
+    with mp.workdps(dps):
+        a, eps, far = mp.mpf(alpha), mp.mpf(eps), mp.mpf(far)
+        p = 2 * (1 + a)
+        rho = 8 * mp.pi * (1 + a)
+        A = (2 * mp.log(2) - 1) / (4 * mp.pi)
+        r_eps = (-mp.log(eps) * eps) ** (1 / p)
+        c_eps = -2 * mp.log1p(-1 / mp.log(eps)) - rho * A
+
+        def log_factor(one_minus):
+            return mp.log(one_minus) + 1 - mp.log(2)
+
+        def green(r):
+            return -log_factor(2 * mp.sin(r / 2) ** 2) / (4 * mp.pi)
+
+        def sigma(r):
+            return green(r) + mp.log(r) / (2 * mp.pi) - A
+
+        def ramp(r):  # the cutoff eta and its slope
+            s = min(max(r / r_eps - 1, 0), 1)
+            return 1 - s * s * (3 - 2 * s), -6 * s * (1 - s) / r_eps
+
+        def phi(r):
+            if r < r_eps:
+                return mp.log(eps) - 2 * mp.log(eps + r ** p)
+            return (rho * (green(r) - ramp(r)[0] * sigma(r)) + c_eps
+                    + mp.log(eps))
+
+        def grad2(r):
+            if r < r_eps:
+                return (2 * p * r ** (p - 1) / (eps + r ** p)) ** 2
+            g1 = -mp.cot(r / 2) / (4 * mp.pi)
+            eta, eta1 = ramp(r)
+            return (rho * (g1 - eta1 * sigma(r)
+                           - eta * (g1 + 1 / (2 * mp.pi * r)))) ** 2
+
+        def dens(r):
+            return mp.exp(a * log_factor(2 * mp.sin(r / 2) ** 2)
+                          + far * log_factor(2 * mp.cos(r / 2) ** 2)
+                          + phi(r) + mp.log(eps))
+
+        cuts = sorted({r_eps * mp.mpf(4) ** (-k / p) for k in range(1, 12)}
+                      | {r_eps * mp.mpf(4) ** k for k in range(400)
+                         if r_eps * 4 ** k < mp.pi / 2} | {2 * r_eps})
+
+        def radial(f):
+            return 2 * mp.pi * mp.quad(lambda r: f(r) * mp.sin(r),
+                                       [0, *cuts, mp.pi / 2, mp.pi])
+
+        dirichlet = radial(grad2)
+        mean = radial(phi) / (4 * mp.pi)
+        log_exp = -mp.log(eps) + mp.log(radial(dens))
+        J = dirichlet / 2 + rho * mean - rho * (log_exp - mp.log(4 * mp.pi))
+        return {"J": float(J), "dirichlet": float(dirichlet),
+                "mean": float(mean), "log_exp_integral": float(log_exp)}
+
+
+class TestRadialOracle:
+    @pytest.mark.parametrize("alpha, far", [(-0.9, 0.0), (-0.5, 0.25)],
+                             ids=["north-0.9", "pair-0.5-0.25"])
+    def test_concentration_functional_matches_mpmath(self, alpha, far):
+        """The radial J at eps = 1e-4 against a 25-digit oracle: adaptive
+        quad read log int h e^phi = 3.70443 and J = -5.57235 at alpha =
+        -0.9, against 3.78527 and -5.77553."""
+        w = SingularWeight.from_orders(
+            [(tuple(NORTH), alpha)] + ([(tuple(SOUTH), far)] if far else []))
+        rec = concentration_functional(
+            ConcentrationParams(epsilon=1e-4, weight=w))
+        want = mp_concentration_functional(alpha, 1e-4, far)
+        for key, value in want.items():
+            assert rec[key] == pytest.approx(value, rel=1e-9, abs=0.0), key

@@ -1,12 +1,16 @@
-"""In-process op times and memory of perfbench's seed-0 workloads.
+"""In-process op times and memory of perfbench's seed-0 workloads and of
+one radial test-function sweep.
 
 Usage, from the root of a source checkout:
 
     python3 tools/bench.py --out BENCH_<n>.json [--warm 5]
 
-For each workload of ``perfbench/workloads.py`` (solve, sweep, evaluate) a
+For each workload of ``perfbench/workloads.py`` (solve, sweep, evaluate),
+and for ``test-function-sweep`` (the radial J of the test functions at
+order -1/2 on the north pole, default epsilons 1e-2, 1e-3 and 1e-4,
+checked against J(1e-4) of a 25-digit mpmath oracle), a
 fresh interpreter, with BLAS and OpenMP pinned to one thread before numpy
-loads, imports numpy, scipy and every ``sol_lab`` module (``import_s``),
+loads, imports numpy and every ``sol_lab`` module (``import_s``),
 writes the workload's seed-0 configs, and runs its op through
 ``sol_lab.cli.main`` as perfbench's worker does: one cold op
 (``cold_op_s``), then ``--warm`` timed warm ops (``warm_op_s``, with their
@@ -30,7 +34,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("solve", "sweep", "evaluate")
+WORKLOADS = ("solve", "sweep", "evaluate", "test-function-sweep")
+# J(phi_eps) at order -1/2, eps = 1e-4, by mpmath at 25 digits
+RADIAL_J = -8.653225552898961
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MODULES = ("cli", "closed_forms", "identity_checks", "mt_functional",
            "singular_geometry", "sphere_grid", "subcritical_solver")
@@ -46,14 +52,14 @@ def measure(workload: str, warm: int, workdir: str) -> dict:
 
     t = time.perf_counter()
     import numpy  # noqa: F401
-    import scipy  # noqa: F401
     for name in MODULES:
         importlib.import_module(f"sol_lab.{name}")
     import_s = time.perf_counter() - t
     cli = sys.modules["sol_lab.cli"]
     import workloads
 
-    _, runs, oracle = workloads.prepare(workload, 0, workdir)
+    runs, oracle = (radial_sweep(workdir) if workload == "test-function-sweep"
+                    else workloads.prepare(workload, 0, workdir)[1:])
     failures = []
 
     def op() -> float:
@@ -84,9 +90,29 @@ def measure(workload: str, warm: int, workdir: str) -> dict:
             "correct": not failures, "failures": failures}
 
 
+def radial_sweep(workdir: str):
+    """(runs, oracle) of the ``test-function-sweep`` workload, in the form
+    of ``workloads.prepare``: its one config and a check that the run
+    passes and its last J lies within 1e-9 of ``RADIAL_J``."""
+    config = os.path.join(workdir, "radial.config.json")
+    report = os.path.join(workdir, "radial.report.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({"weight": {"points": [{"position": [0, 0, 1],
+                                          "order": -0.5}]},
+                   "experiment": {"kind": "test-function-sweep"},
+                   "output": {"report": report}}, fh)
+
+    def oracle(reports):
+        rep = reports["test-function-sweep"]
+        err = abs(rep["records"][-1]["J"] - RADIAL_J) / abs(RADIAL_J)
+        return err, rep["passed"] and err < 1e-9
+
+    return [("test-function-sweep", config, report)], oracle
+
+
 def environment() -> dict:
     import numpy
-    import scipy
+    import scipy  # a test dependency, recorded, never imported by sol_lab
     return {"python": sys.version.split()[0], "numpy": numpy.__version__,
             "scipy": scipy.__version__, "nproc": os.cpu_count(),
             "loadavg": os.getloadavg(),
