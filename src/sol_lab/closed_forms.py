@@ -55,6 +55,7 @@ from .singular_geometry import (
 # Gauss nodes on each panel of a closed form's ``radial_rule``; its panels
 # grow at most 4-fold, so an analytic integrand converges to rounding
 _PANEL_NODES = 24
+R_EPS_MIN = float(np.sqrt(2.0 * np.finfo(float).tiny))  # least r_eps: 2.1e-154
 
 
 def _chart(dot):
@@ -237,7 +238,9 @@ class ConcentrationParams:
     """Concentration family at a minimal-order point p of the weight.
 
     gamma_eps = (-log eps)^{1/(2(1+alpha))} satisfies all the matching
-    conditions; r_eps = gamma_eps eps^{1/(2(1+alpha))} is the cap radius.
+    conditions; r_eps = gamma_eps eps^{1/(2(1+alpha))} is the cap radius,
+    below pi / 8 and at least R_EPS_MIN, where 2 sin^2(r/2) at its edge is
+    a normal double (at alpha = -0.99 J is inf at r_eps = 7.7e-157).
     """
 
     epsilon: float
@@ -253,6 +256,9 @@ class ConcentrationParams:
                 "test functions concentrate at a point of minimal order")
         if 2.0 * self.r_eps >= np.pi / 4.0:
             raise ValueError("epsilon too large: cap exceeds the safe scale")
+        if not self.r_eps >= R_EPS_MIN:
+            raise ValueError(f"epsilon too small: the cap radius r_eps = "
+                             f"{self.r_eps:.3g} lies below {R_EPS_MIN:.3g}")
         for sp in self.weight.points:
             if not same_point(self.p, sp.position) and \
                     geodesic_distance(self.p, sp.position) <= 2.0 * self.r_eps:

@@ -66,8 +66,8 @@ from .singular_geometry import SingularWeight
 DEFAULT_CEILING = 700.0
 INTEGRATOR_CACHE_SIZE = 4
 # the singular caps: geodesic radius and the least number of Gauss-Jacobi
-# nodes in r (see cap_radial_nodes); a cap takes the grid's longitudes, so
-# the density analysis is alias-free to the same order as the grid itself
+# nodes in r, a panel's (see cap_radial_nodes); a cap takes the grid's
+# longitudes, so the density analysis is alias-free to the grid's order
 CAP_RADIUS = 0.1
 CAP_RADIAL_NODES = 32
 # Bytes that one stack of samples may hold from its draw to its gaps
@@ -120,28 +120,21 @@ def radial_rule(edges, n: int, b: float = 0.0, jacobian=np.sin):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def cap_radial_rule(alpha: float, radius: float, n: int):
-    """Nodes/weights for int_0^radius f(r) sin(r) dr with f ~ r^{2 alpha}:
-    ``radial_rule`` on [0, radius] with b = 2 alpha + 1, exact when
-    f(r) sin r is r^{2 alpha + 1} times a polynomial of degree < 2n in r.
-    So the point's factor (2 sin^2(r/2))^alpha sin r costs nothing, and
-    the rule converges geometrically in the smooth rest at every alpha.
+def cap_radial_nodes(band_limit: int, radius: float) -> int:
+    """Radial nodes of a cap of radius R at band limit L, whatever its
+    order: max(CAP_RADIAL_NODES, ceil(1.25 L R)), the one resolution rule.
+
+    The cap holds about L R / pi oscillations of a degree-L harmonic,
+    which Gauss-Jacobi nodes in r resolve as Gauss-Legendre nodes do.  A
+    cap's ``radial_rule`` on [0, R] takes b = 2 alpha + 1, exact when f(r)
+    sin r is r^{2 alpha + 1} times a polynomial of degree < 2n in r: the
+    point's factor (2 sin^2(r/2))^alpha sin r costs nothing.  An integrator
+    cap (R = CAP_RADIUS) is one rule of this many nodes, 32 up to L = 256,
+    which agrees with twice as many to 1e-13 in log int h e^u (L = 256,
+    512, 1024; alpha = -0.9, -0.5, -0.25, 1.095); ``diagnose``'s cap mass
+    takes panels of CAP_RADIAL_NODES (``cap_density_integral``).
     """
-    return radial_rule((0.0, radius), n, 2.0 * alpha + 1.0)
-
-
-def cap_radial_nodes(band_limit: int) -> int:
-    """Radial nodes of a cap at band limit L, whatever its order:
-    max(CAP_RADIAL_NODES, ceil(1.25 L R)).
-
-    A cap of radius R holds about L R / pi oscillations of a degree-L
-    harmonic, which Gauss-Jacobi nodes in r resolve as Gauss-Legendre nodes
-    do: the order enters the rule's weight (``cap_radial_rule``), not the
-    node count.  The count agrees with twice as many nodes to within 1e-13
-    in log int h e^u (L = 256, 512 and 1024; alpha = -0.9, -0.5, -0.25 and
-    1.095); it is the floor of 32 up to L = 256.
-    """
-    return max(CAP_RADIAL_NODES, math.ceil(1.25 * band_limit * CAP_RADIUS))
+    return max(CAP_RADIAL_NODES, math.ceil(1.25 * band_limit * radius))
 
 
 def band_rule(band_limit: int):
@@ -228,11 +221,11 @@ class SingularIntegrator:
             return grid.transform, w.log_weight(ring_points(grid.t, phi))
         # (t, t weights, cap) per piece; an empty pole's cap has order 0
         at = {np.sign(sp.position[2]): i for i, sp in enumerate(w.points)}
-        n, caps = cap_radial_nodes(grid.band_limit), []
+        n, caps = cap_radial_nodes(grid.band_limit, CAP_RADIUS), []
         for pole in (1.0, -1.0):
             i = at.get(pole)
-            r, wr = cap_radial_rule(
-                0.0 if i is None else w.points[i].order, CAP_RADIUS, n)
+            order = 0.0 if i is None else w.points[i].order
+            r, wr = radial_rule((0.0, CAP_RADIUS), n, 2.0 * order + 1.0)
             caps.append((pole * np.cos(r), wr, (i, r[:, None])))
         ts, tws, caps = zip(caps[0], (*band_rule(grid.band_limit), None),
                             caps[1])

@@ -179,7 +179,7 @@ def gauss_jacobi(n: int, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Jacobi rule on [-1, 1] for the weight (1 + x)^b,
     b > -1: (nodes ascending, weights).  b = 0 is Gauss-Legendre, the rule
     of the grid, the band and the alpha = -1/2 caps; the caps take
-    b = 2 alpha + 1 (``mt_functional.cap_radial_rule``).
+    b = 2 alpha + 1 (``mt_functional.cap_radial_nodes``).
 
     ``_jacobi_polish`` polishes estimates of the nodes on the orthonormal
     recurrence off[k+1] p_{k+1} = (x - diag[k]) p_k - off[k] p_{k-1} and
@@ -189,11 +189,9 @@ def gauss_jacobi(n: int, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     them to the roots, and the nodes x >= 0 are mirrored, so mirror rings
     pair: O(n^2), with no matrix.  For b != 0 they are the eigenvalues of
     the recurrence's Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
-    one dense n x n array, polished once; only caps take it, but n is not
-    small: an integrator cap takes max(32, ceil(1.25 L R)) nodes, 512 at
-    L = 4096, and ``cap_density_integral`` max(48, floor(R L) + 16) radii
-    at its R = 10 t_eps, 3130 at L = 4096 and epsilon = 0.05 (the
-    ``FOUND:`` on ``cap_density_integral`` in CHANGES.md).  On 80-bit
+    one dense n x n array, polished once; only caps take it, the largest
+    an integrator cap's, 512 nodes at L = 4096 (``cap_density_integral``
+    takes panels of 32, only the first with b != 0).  On 80-bit
     longdouble (x86) the Gauss-Legendre weights lie within 1.3e-16 relative
     of a 30-digit reference at n = 32, 129 and 257 and within 5.8e-16 at
     n = 1025 (``leggauss``: 5.8e-14, 1.3e-11 and 1.5e-10 at the first
@@ -833,25 +831,26 @@ class ProductTransform:
         else:
             rows = np.empty((k, 2 * (L + 1) * n_t))
         rows = rows.reshape(k, 2, L + 1, n_t)
-        for m, ((start, even, odd), c) in enumerate(
-                zip(self._legendre(L + 1, keep), coeffs.blocks)):
-            if start == self._reps:  # the order keeps no ring (a polar
-                rows[:, :, m] = 0.0  # ring group's high orders)
-                continue
-            self._unfold(c[0::2].T @ even, c[1::2].T @ odd, rows[:, :, m],
-                         start)
+        orders = 0  # with a ring; no order starts sooner than the last
+        for (start, even, odd), c in zip(self._legendre(L + 1, keep),
+                                         coeffs.blocks):
+            if start == self._reps:  # no ring, nor at any later order (a
+                break                # polar ring group's high orders)
+            self._unfold(c[0::2].T @ even, c[1::2].T @ odd,
+                         rows[:, :, orders], start)
+            orders += 1
         # views of a streamed pass's last group: let its scratch go before
         # the Fourier step
         del even, odd
         for i in range(k):  # the Fourier step, field by field
-            self._longitudes(rows[i], out[i])
+            self._longitudes(rows[i, :, :orders], out[i])
         return out.reshape(batch + out.shape[1:])
 
     def _longitudes(self, rows: np.ndarray, out: np.ndarray):
-        """One field's values (n_t, n_phi) into ``out`` from its cos and sin
-        rows (2, L+1, n_t) in table order, which may lie in ``out``: every
-        product is formed before the first write."""
-        trig, pairs = self._trig(), self._phi_pairs
+        """One field's values (n_t, n_phi) into ``out`` from the cos and sin
+        rows (2, orders, n_t) of its live orders in table order, which may
+        lie in ``out``: every product is formed before the first write."""
+        trig, pairs = self._trig()[:, :rows.shape[1]], self._phi_pairs
         cos, sin = (_turn_sums([rows[part, p].T @ trig[part, p]
                                 for p in self._parities]) for part in (0, 1))
         for (ahead, behind), cj, sj in zip(self._images, cos, sin):

@@ -86,14 +86,16 @@ from .sphere_grid import (
 )
 from .singular_geometry import SingularWeight, green_radial
 from .mt_functional import (
+    CAP_RADIAL_NODES,
     DEFAULT_CEILING,
     FunctionalParams,
     UnnormalizedBlowupError,
-    cap_radial_rule,
+    cap_radial_nodes,
     density_residual,
     eval_J_coeffs,
     hessian_product,
     integrator_for,
+    radial_rule,
 )
 from .closed_forms import (ConcentrationParams, concentration_field,
                            planar_bubble)
@@ -265,16 +267,16 @@ def minimize(params: FunctionalParams, config: SolverConfig,
 
 def cap_density_integral(state: MinimizerState, center: np.ndarray,
                          radius: float) -> float:
-    """int_{B_radius(center)} h e^u by polar quadrature (u normalized), on
-    max(48, radius L + 16) radii and 32 bearings; a zonal state about a
-    centre on the axis is synthesized on one bearing."""
+    """int_{B_radius(center)} h e^u by polar quadrature (u normalized) on
+    32 bearings and ``cap_radial_nodes`` radii in equal panels of
+    CAP_RADIAL_NODES; a zonal state about an axis centre takes one bearing."""
     w = state.params.weight
-    grid = state.grid
     if radius >= np.pi - 0.2:
         raise ValueError("cap radius too large for the polar rule")
-    alpha_c = w.beta(center)
-    n_radial, n_angular = max(48, int(radius * grid.band_limit) + 16), 32
-    r, wr = cap_radial_rule(alpha_c, radius, n_radial)
+    panels, n_angular = -(-cap_radial_nodes(state.grid.band_limit, radius)
+                          // CAP_RADIAL_NODES), 32
+    r, wr = radial_rule(np.linspace(0.0, radius, panels + 1),
+                        CAP_RADIAL_NODES, 2.0 * w.beta(center) + 1.0)
     pts = cap_points(center, r, n_angular)
     log_h = w.log_weight(pts, cap=(w.index_at(center), r[:, None]))
     zonal = state.coeffs.values.shape[-1] == 1 and on_axis(center)

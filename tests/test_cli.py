@@ -617,6 +617,16 @@ BAD_BY_RULE = {
                         "epsilons": [0.5, 0.3]}},
         "experiment.epsilons[0]: epsilon too large: cap exceeds the safe "
         "scale"),
+    # r_eps is 1.1e-197 at 1e-5 (J read nan) and underflows to 0 at 1e-8
+    # (a traceback), below R_EPS_MIN
+    **{f"test-function-epsilon-{eps:g}": (
+        "test-function-sweep",
+        {**_point([0, 0, 1], order=-0.99),
+         "experiment": {"kind": "test-function-sweep",
+                        "epsilons": [1e-4, eps]}},
+        "experiment.epsilons[1]: epsilon too small: the cap radius r_eps = "
+        f"{r_eps} lies below 2.11e-154")
+       for eps, r_eps in ((1e-5, "1.15e-197"), (1e-8, "0"))},
 }
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sol_lab
+from sol_lab import closed_forms
 from sol_lab.closed_forms import (
     ExtremalParams,
     conformal_pullback,
@@ -25,6 +26,7 @@ from sol_lab.closed_forms import (
     planar_liouville_total_mass,
 )
 from sol_lab.closed_forms import (
+    R_EPS_MIN,
     ConcentrationParams,
     concentration_field,
     concentration_functional,
@@ -221,6 +223,27 @@ class TestTestFunctions:
                                           0.5)])
         with pytest.raises(ValueError):
             ConcentrationParams(epsilon=0.2, weight=w2)
+
+    def test_epsilon_floor(self):
+        """At order -0.99 an epsilon whose r_eps lies just above R_EPS_MIN
+        (2.4e-154) gives a J self-converged to 1e-15 under doubled panel
+        nodes, below J(1e-4); one just below it (1.9e-154), the
+        underflowed r_eps of 1e-8 and the 1.1e-197 of 1e-5 (J = nan) are
+        refused."""
+        w = SingularWeight.from_orders([(tuple(NORTH), -0.99)])
+        above = ConcentrationParams(epsilon=9.1e-5, weight=w)
+        assert R_EPS_MIN <= above.r_eps <= 1.2 * R_EPS_MIN
+        J = concentration_functional(above)["J"]
+        with pytest.MonkeyPatch.context() as mpatch:
+            mpatch.setattr(closed_forms, "_PANEL_NODES",
+                           2 * closed_forms._PANEL_NODES)
+            assert J == pytest.approx(
+                concentration_functional(above)["J"], rel=1e-15)
+        assert J < concentration_functional(
+            ConcentrationParams(epsilon=1e-4, weight=w))["J"]
+        for eps in (9.05e-5, 1e-5, 1e-8):
+            with pytest.raises(ValueError, match="epsilon too small"):
+                ConcentrationParams(epsilon=eps, weight=w)
 
     def test_concentration_point_must_be_minimal(self):
         w = SingularWeight.from_orders([(tuple(NORTH), -0.5),

@@ -7,12 +7,14 @@ import logging
 import numpy as np
 import pytest
 
-from sol_lab import subcritical_solver
+from sol_lab import mt_functional, sphere_grid, subcritical_solver
 from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
 from sol_lab.mt_functional import (
+    CAP_RADIAL_NODES,
     FunctionalParams,
     SingularIntegrator,
     UnnormalizedBlowupError,
+    cap_radial_nodes,
     eval_J,
     eval_J_coeffs,
     integrator_for,
@@ -762,6 +764,51 @@ class TestDiagnose:
                      / (1.0 + alpha))
             val = cap_density_integral(state, np.array(NORTH), r)
             assert val == pytest.approx(exact, rel=1e-12)
+
+    @staticmethod
+    def rough_zonal_state(band_limit, alpha):
+        """A seeded zonal column, coefficients N(0, 1) / (1 + l), under
+        one point of this order at the north pole."""
+        grid = build_grid(band_limit + 1, 2 * band_limit + 2)
+        l = np.arange(band_limit + 1)
+        rng = np.random.default_rng(band_limit)
+        coeffs = SHCoefficients((rng.normal(size=l.size) / (1.0 + l))[:, None])
+        return TestDiagnose.unsolved(
+            coeffs, grid, SingularWeight.from_orders([(NORTH, alpha)]))
+
+    def test_cap_mass_builds_no_large_jacobi_rule(self, monkeypatch):
+        """At L = 1024, order -1/4 and R = 0.76 the cap mass takes 31
+        panels of 32 radial nodes; it asks ``gauss_jacobi`` for no rule of
+        b != 0 above CAP_RADIAL_NODES nodes (one of 794 nodes, a dense
+        eigensolve, when it took max(48, floor(R L) + 16) radii)."""
+        state = self.rough_zonal_state(1024, -0.25)
+        calls = []
+
+        def spy(n, b=0.0):
+            calls.append((n, b))
+            return sphere_grid.gauss_jacobi(n, b)
+
+        monkeypatch.setattr(mt_functional, "gauss_jacobi", spy)
+        assert np.isfinite(cap_density_integral(state, np.array(NORTH), 0.76))
+        assert calls
+        assert all(n <= CAP_RADIAL_NODES for n, b in calls if b != 0.0)
+
+    @pytest.mark.parametrize("band_limit", [128, 1024])
+    @pytest.mark.parametrize("alpha", [-0.75, -0.25, 0.5])
+    def test_cap_mass_panels_converge(self, band_limit, alpha, monkeypatch):
+        """The cap mass of a rough zonal state agrees with 4 x its panels
+        to 1e-11 relative at R = 0.1, 0.5 and 1 (at most 1.3e-12 seen;
+        one Gauss-Jacobi rule of max(48, floor(R L) + 16) radii read up
+        to 7.5e-12 off)."""
+        state = self.rough_zonal_state(band_limit, alpha)
+        radii = (0.1, 0.5, 1.0)
+        mass = [cap_density_integral(state, np.array(NORTH), r)
+                for r in radii]
+        monkeypatch.setattr(subcritical_solver, "cap_radial_nodes",
+                            lambda L, R: 4 * cap_radial_nodes(L, R))
+        finer = [cap_density_integral(state, np.array(NORTH), r)
+                 for r in radii]
+        assert mass == pytest.approx(finer, rel=1e-11)
 
 
 class TestSweep:

@@ -1,24 +1,30 @@
-"""In-process op times and memory of perfbench's seed-0 workloads and of
-one radial test-function sweep.
+"""In-process op times and memory of perfbench's seed-0 workloads, of
+one radial test-function sweep and of one cap mass.
 
 Usage, from the root of a source checkout:
 
     python3 tools/bench.py --out BENCH_<n>.json [--warm 5]
 
-For each workload of ``perfbench/workloads.py`` (solve, sweep, evaluate),
-and for ``test-function-sweep`` (the radial J of the test functions at
-order -1/2 on the north pole, default epsilons 1e-2, 1e-3 and 1e-4,
-checked against J(1e-4) of a 25-digit mpmath oracle), a
-fresh interpreter, with BLAS and OpenMP pinned to one thread before numpy
-loads, imports numpy and every ``sol_lab`` module (``import_s``),
-writes the workload's seed-0 configs, and runs its op through
-``sol_lab.cli.main`` as perfbench's worker does: one cold op
-(``cold_op_s``), then ``--warm`` timed warm ops (``warm_op_s``, with their
-min and median), then one more warm op under ``tracemalloc``, whose peak
-of traced allocations is ``tracemalloc_peak_mib``; ``max_rss_mib`` is the
-process's peak resident set (``ru_maxrss``) after all of its ops, imports
-included.  ``correct`` is true when every op passes the workload's oracle.  The configs and reports go to
-a temporary directory; ``perfbench/`` is read, never written.
+Each workload runs in a fresh interpreter, with BLAS and OpenMP pinned
+to one thread before numpy loads, which imports numpy and every
+``sol_lab`` module (``import_s``).  The workloads of
+``perfbench/workloads.py`` (solve, sweep, evaluate) and
+``test-function-sweep`` (the radial J of the test functions at order -1/2
+on the north pole, default epsilons 1e-2, 1e-3 and 1e-4, checked against
+J(1e-4) of a 25-digit mpmath oracle) write their seed-0 configs and run
+their op through ``sol_lab.cli.main`` as perfbench's worker does.
+``cap-mass`` is ``diagnose``'s cap mass alone,
+``subcritical_solver.cap_density_integral`` of radius 1 about a point of
+order -1/4 at the north pole, on a seeded zonal state at L = 1024
+(coefficients N(0, 1) / (1 + l)) built before its ops, checked against
+the mass on 4 and on 8 times its radial panels.  Each workload runs one
+cold op (``cold_op_s``), then ``--warm`` timed warm ops (``warm_op_s``,
+with their min and median), then one more warm op under ``tracemalloc``,
+whose peak of traced allocations is ``tracemalloc_peak_mib``;
+``max_rss_mib`` is the process's peak resident set (``ru_maxrss``) after
+all of its ops, imports included.  ``correct`` is true when every op
+passes the workload's oracle.  The configs and reports go to a temporary
+directory; ``perfbench/`` is read, never written.
 """
 
 from __future__ import annotations
@@ -34,9 +40,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("solve", "sweep", "evaluate", "test-function-sweep")
+WORKLOADS = ("solve", "sweep", "evaluate", "test-function-sweep",
+             "cap-mass")
 # J(phi_eps) at order -1/2, eps = 1e-4, by mpmath at 25 digits
 RADIAL_J = -8.653225552898961
+# the cap-mass workload's mass on 4 and on 8 times its radial panels
+CAP_MASS = 4.69604939494023
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MODULES = ("cli", "closed_forms", "identity_checks", "mt_functional",
            "singular_geometry", "sphere_grid", "subcritical_solver")
@@ -45,30 +54,20 @@ MODULES = ("cli", "closed_forms", "identity_checks", "mt_functional",
 def measure(workload: str, warm: int, workdir: str) -> dict:
     """One workload's numbers, in this process (started fresh)."""
     import importlib
-    import io
     import resource
     import tracemalloc
-    from contextlib import redirect_stdout
 
     t = time.perf_counter()
     import numpy  # noqa: F401
     for name in MODULES:
         importlib.import_module(f"sol_lab.{name}")
     import_s = time.perf_counter() - t
-    cli = sys.modules["sol_lab.cli"]
-    import workloads
-
-    runs, oracle = (radial_sweep(workdir) if workload == "test-function-sweep"
-                    else workloads.prepare(workload, 0, workdir)[1:])
+    timed = cap_mass() if workload == "cap-mass" else cli_op(workload,
+                                                               workdir)
     failures = []
 
     def op() -> float:
-        t = time.perf_counter()
-        with redirect_stdout(io.StringIO()):
-            codes = [cli.main([kind, "--config", config])
-                     for kind, config, _ in runs]
-        wall = time.perf_counter() - t
-        _, reason = workloads.check_op(runs, codes, oracle)
+        wall, reason = timed()
         if reason:
             failures.append(reason)
         return wall
@@ -88,6 +87,59 @@ def measure(workload: str, warm: int, workdir: str) -> dict:
             "max_rss_mib": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 2 ** 10,  # KiB on Linux
             "correct": not failures, "failures": failures}
+
+
+def cli_op(workload: str, workdir: str):
+    """One op of the workload through ``sol_lab.cli.main``, as a callable
+    that returns (wall time, failure reason or None)."""
+    import io
+    from contextlib import redirect_stdout
+    import workloads
+
+    cli = sys.modules["sol_lab.cli"]
+    runs, oracle = (radial_sweep(workdir) if workload == "test-function-sweep"
+                    else workloads.prepare(workload, 0, workdir)[1:])
+
+    def op():
+        t = time.perf_counter()
+        with redirect_stdout(io.StringIO()):
+            codes = [cli.main([kind, "--config", config])
+                     for kind, config, _ in runs]
+        wall = time.perf_counter() - t
+        return wall, workloads.check_op(runs, codes, oracle)[1]
+
+    return op
+
+
+def cap_mass():
+    """The ``cap-mass`` op as a callable that returns (wall time, failure
+    reason or None): the mass must lie within 1e-11 of ``CAP_MASS``."""
+    import numpy as np
+    from sol_lab.mt_functional import FunctionalParams
+    from sol_lab.singular_geometry import SingularWeight
+    from sol_lab.sphere_grid import SHCoefficients, build_grid
+    from sol_lab.subcritical_solver import (MinimizerState,
+                                            cap_density_integral)
+
+    L, north = 1024, np.array([0.0, 0.0, 1.0])
+    l = np.arange(L + 1)
+    coeffs = np.random.default_rng(0).normal(size=l.size) / (1.0 + l)
+    w = SingularWeight.from_orders([(north, -0.25)])
+    state = MinimizerState(
+        coeffs=SHCoefficients(coeffs[:, None]),
+        grid=build_grid(L + 1, 2 * L + 2),
+        params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w), J=0.0,
+        residual_norm=0.0, iterations=0, converged=True)
+
+    def op():
+        t = time.perf_counter()
+        mass = cap_density_integral(state, north, 1.0)
+        wall = time.perf_counter() - t
+        err = abs(mass - CAP_MASS) / CAP_MASS
+        return wall, None if err <= 1e-11 else (
+            f"cap mass {mass!r} lies {err:.2g} from {CAP_MASS!r}")
+
+    return op
 
 
 def radial_sweep(workdir: str):
