@@ -23,14 +23,15 @@ composite rule used here splits the sphere into
 The singular points lie exactly on the grid axis, so every piece is a
 product rule in (t, phi) and the whole composite rule is one: one
 ``ProductTransform`` over the north cap, band and south cap colatitude
-nodes, an empty pole's cap having order 0.  A density then costs one
-synthesis and its spherical-harmonic analysis one analysis, O(L^3) like a
-grid transform.  One point or an antipodal pair anywhere is the axis case
-by rotation (``singular_geometry.axis_frame``); the integrator refuses a
-weight off the axis.
+nodes, an empty pole's cap having order 0 (``axis_integrator``).  A
+density then costs one synthesis and its spherical-harmonic analysis one
+analysis, O(L^3) like a grid transform.  One point or an antipodal pair
+anywhere is the axis case by rotation (``singular_geometry.axis_frame``);
+the composite rule refuses a weight off the axis.  ``diagnose``'s cap
+mass is a ``SingularIntegrator`` of one cap, on the same rings.
 
-``integrator_for`` is the one way library code gets an integrator, one per
-weight.  Zonality follows the data, by the one rule of ``sphere_grid``:
+``integrator_for`` is the one way library code gets a weight's composite
+rule.  Zonality follows the data, by the one rule of ``sphere_grid``:
 one-column data is zonal, and the weight's data says whether h is
 invariant about the grid axis (``SingularWeight.axis_invariant``).  Such
 a weight keeps log h as one column, so a zonal column of coefficients
@@ -125,14 +126,12 @@ def cap_radial_nodes(band_limit: int, radius: float) -> int:
     order: max(CAP_RADIAL_NODES, ceil(1.25 L R)), the one resolution rule.
 
     The cap holds about L R / pi oscillations of a degree-L harmonic,
-    which Gauss-Jacobi nodes in r resolve as Gauss-Legendre nodes do.  A
-    cap's ``radial_rule`` on [0, R] takes b = 2 alpha + 1, exact when f(r)
-    sin r is r^{2 alpha + 1} times a polynomial of degree < 2n in r: the
-    point's factor (2 sin^2(r/2))^alpha sin r costs nothing.  An integrator
-    cap (R = CAP_RADIUS) is one rule of this many nodes, 32 up to L = 256,
-    which agrees with twice as many to 1e-13 in log int h e^u (L = 256,
-    512, 1024; alpha = -0.9, -0.5, -0.25, 1.095); ``diagnose``'s cap mass
-    takes panels of CAP_RADIAL_NODES (``cap_density_integral``).
+    which Gauss-Jacobi nodes in r resolve as Gauss-Legendre nodes do; the
+    point's factor costs nothing (``cap_rings``).  An integrator cap (R =
+    CAP_RADIUS) is one rule of this many nodes, 32 up to L = 256, which
+    agrees with twice as many to 1e-13 in log int h e^u (L = 256, 512,
+    1024; alpha = -0.9, -0.5, -0.25, 1.095); ``diagnose``'s cap mass
+    splits the count into panels of CAP_RADIAL_NODES.
     """
     return max(CAP_RADIAL_NODES, math.ceil(1.25 * band_limit * radius))
 
@@ -183,58 +182,19 @@ class Density:
 
 
 class SingularIntegrator:
-    """Composite quadrature for densities h e^u and their SH analysis.
+    """int h e^u and the analysis of h e^u on one product rule, its
+    ``transform``, which holds no grid, with log h on its nodes,
+    ``log_h``: one column, on the first longitude, when h is constant
+    along every ring, so a zonal column's density is one column."""
 
-    ``transform`` is the one ``ProductTransform`` of the composite rule,
-    which holds no reference to the grid, which caches its integrators.
-    The weight's singular points must lie exactly on the grid axis
-    (``SingularWeight.is_axis_aligned``; see ``axis_frame``).
-
-    The build reads the weight's data once
-    (``SingularWeight.axis_invariant``) and evaluates log h on the rule's
-    nodes alone: an h invariant about the grid axis keeps log h as one
-    column, evaluated on one longitude.  For a zonal column of
-    coefficients J_rho, its gradient and the moments about the axis then
-    live in the m = 0 subspace, and the density computes them there
-    exactly, as one column.
-    """
-
-    def __init__(self, grid: SphereGrid, weight: SingularWeight):
-        self.weight = weight
-        if not weight.is_axis_aligned():
-            raise ValueError("singular points off the grid axis; rotate the "
-                             "weight onto it (axis_frame)")
-        self.transform, self.log_h = self._build(
-            grid, grid.phi[:1] if weight.axis_invariant else grid.phi)
+    def __init__(self, transform: ProductTransform, log_h: np.ndarray):
+        self.transform, self.log_h = transform, log_h
 
     @property
     def blocks(self) -> tuple:
         """``(transform,)``: perfbench's tracer sums its blocks'
         ``weights.size`` and counts them (``perfbench/tracer.py``)."""
         return (self.transform,)
-
-    def _build(self, grid: SphereGrid, phi: np.ndarray):
-        """The product rule and log h on its nodes, on the longitudes
-        ``phi``."""
-        w = self.weight
-        if not w.points:
-            return grid.transform, w.log_weight(ring_points(grid.t, phi))
-        # (t, t weights, cap) per piece; an empty pole's cap has order 0
-        at = {np.sign(sp.position[2]): i for i, sp in enumerate(w.points)}
-        n, caps = cap_radial_nodes(grid.band_limit, CAP_RADIUS), []
-        for pole in (1.0, -1.0):
-            i = at.get(pole)
-            order = 0.0 if i is None else w.points[i].order
-            r, wr = radial_rule((0.0, CAP_RADIUS), n, 2.0 * order + 1.0)
-            caps.append((pole * np.cos(r), wr, (i, r[:, None])))
-        ts, tws, caps = zip(caps[0], (*band_rule(grid.band_limit), None),
-                            caps[1])
-        transform = ProductTransform(grid.band_limit, np.concatenate(ts),
-                                     grid.n_phi,
-                                     np.concatenate(tws) * (2.0 * np.pi))
-        log_h = np.concatenate([w.log_weight(ring_points(t, phi), cap=cap)
-                                for t, cap in zip(ts, caps)])
-        return transform, log_h
 
     # -- density machinery --------------------------------------------------
 
@@ -324,9 +284,45 @@ def _shifted_exp(u: np.ndarray, log_h: np.ndarray):
     return u, shift
 
 
+def cap_rings(weight: SingularWeight, center, edges, n: int):
+    """(cos r, 2 pi w_r, cap) of a polar cap about ``center``: the rule
+    ``radial_rule(edges, n, 2 beta + 1)``, beta the weight's order there,
+    whose first panel folds in r^(2 beta + 1), the point's factor times
+    sin r to leading order, and ``cap = (i, r)`` for ``log_weight``."""
+    r, wr = radial_rule(edges, n, 2.0 * weight.beta(center) + 1.0)
+    return (np.cos(r), wr * (2.0 * np.pi),
+            (weight.index_at(center), r[:, None]))
+
+
+def axis_integrator(grid: SphereGrid, weight: SingularWeight
+                    ) -> SingularIntegrator:
+    """The composite rule of a weight on the grid axis, on the grid's
+    longitudes: a cap of ``cap_radial_nodes(L, CAP_RADIUS)`` radii at each
+    pole and the band between, or with no point the grid; log h is one
+    column when h is invariant about the axis (``axis_invariant``)."""
+    if not weight.is_axis_aligned():
+        raise ValueError("singular points off the grid axis; rotate the "
+                         "weight onto it (axis_frame)")
+    phi = grid.phi[:1] if weight.axis_invariant else grid.phi
+    if not weight.points:
+        return SingularIntegrator(
+            grid.transform, weight.log_weight(ring_points(grid.t, phi)))
+    n = cap_radial_nodes(grid.band_limit, CAP_RADIUS)
+    (tn, wn, north), (ts, ws, south) = (
+        cap_rings(weight, (0.0, 0.0, pole), (0.0, CAP_RADIUS), n)
+        for pole in (1.0, -1.0))
+    tb, wb = band_rule(grid.band_limit)
+    t = (tn, tb, -ts)
+    tr = ProductTransform(grid.band_limit, np.concatenate(t), grid.n_phi,
+                          np.concatenate((wn, wb * (2.0 * np.pi), ws)))
+    log_h = [weight.log_weight(ring_points(x, phi), cap=cap)
+             for x, cap in zip(t, (north, None, south))]
+    return SingularIntegrator(tr, np.concatenate(log_h))
+
+
 def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrator:
-    """The grid's integrator for ``weight``, from a per-grid LRU cache of
-    INTEGRATOR_CACHE_SIZE integrators.
+    """The grid's composite integrator for ``weight`` (``axis_integrator``),
+    from a per-grid LRU cache of INTEGRATOR_CACHE_SIZE integrators.
 
     The key is the weight's data (``SingularWeight.cache_key``): positions,
     orders and the coefficients of K.  Each integrator holds the Legendre
@@ -339,7 +335,7 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
     """
     key = weight.cache_key()
     cache = grid._integrator_cache
-    integ = cache.pop(key, None) or SingularIntegrator(grid, weight)
+    integ = cache.pop(key, None) or axis_integrator(grid, weight)
     cache[key] = integ  # the most recently used integrator is last
     if len(cache) > INTEGRATOR_CACHE_SIZE:
         cache.popitem(last=False)

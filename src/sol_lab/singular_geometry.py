@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .sphere_grid import (FOUR_PI, SHCoefficients, _orthonormal_frame,
-                          build_grid, normalized, on_axis, synthesis_at_points)
+                          normalized, on_axis, rotated, synthesis_at_points)
 
 # Regular part of the sphere Green's function, constant by symmetry.
 REGULAR_PART = (2.0 * np.log(2.0) - 1.0) / FOUR_PI
@@ -243,16 +243,15 @@ class SingularWeight:
 def axis_frame(w: SingularWeight) -> SingularWeight:
     """``w`` rotated onto the grid axis: h_R(R x) = h(x) for the rotation R
     with R p = e3, p the weight's one singular point or the first of an
-    antipodal pair (rows e1, e2, p, ``_orthonormal_frame``).
+    antipodal pair (``_orthonormal_frame``).
 
     The framed positions are exactly +-e3 (``on_axis``), the second point
     of a pair by the ``antipodal`` rule within 1.4e-7 rad.  K is resampled
-    exactly: a rotation keeps the degree, so K synthesized at the rotated
-    nodes of a Gauss grid at K's band limit and analysed there is the
-    rotated K, over every order (a constant K is kept as it is).  A weight
-    already on the axis (``is_axis_aligned``) is returned itself.  J, the
-    density's moments about the axis, cap masses and profiles are rotation
-    invariant; positions derived from the framed weight are in its frame.
+    exactly, over every order (``rotated``, the cap mass's rotation).  A
+    weight already on the axis (``is_axis_aligned``) is returned itself.
+    J, the density's moments about the axis, cap masses and profiles are
+    rotation invariant; positions derived from the framed weight are in
+    its frame.
 
     Raises ValueError when no rotation puts the points on the axis: two
     points that are not antipodal, or three or more.
@@ -264,10 +263,6 @@ def axis_frame(w: SingularWeight) -> SingularWeight:
         raise ValueError(f"no rotation puts these {len(p)} singular points "
                          "on the axis; the integrating kinds take one point "
                          "or an antipodal pair")
-    R, K = np.stack([*_orthonormal_frame(p[0]), p[0]]), w.K
-    if K is not None and K.band_limit > 0:
-        grid = build_grid(K.band_limit + 1, 2 * K.band_limit + 2)
-        K = grid.transform.analysis_coeffs(
-            synthesis_at_points(K, grid.nodes @ R))
+    K = None if w.K is None else rotated(w.K, _orthonormal_frame(p[0]))
     return SingularWeight([SingularPoint(np.array([0.0, 0.0, z]), sp.order)
                            for z, sp in zip((1.0, -1.0), w.points)], K)

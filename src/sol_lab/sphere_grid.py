@@ -101,26 +101,12 @@ def geodesic_distance(p, x):
     return float(d) if d.ndim == 0 else d
 
 
-def _orthonormal_frame(p: np.ndarray):
+def _orthonormal_frame(p: np.ndarray) -> np.ndarray:
+    """The rotation R with R p = e3: rows e1, e2, p, chosen from p."""
     helper = np.eye(3)[np.argmin(np.abs(p))]
     e1 = np.cross(helper, p)
     e1 /= np.linalg.norm(e1)
-    return e1, np.cross(p, e1)
-
-
-def cap_points(center, r: np.ndarray, n_angular: int) -> np.ndarray:
-    """Geodesic polar nodes around ``center``, shape (len(r), n_angular, 3).
-
-    Node (i, k) lies at distance r_i from the center along the bearing
-    psi_k = 2 pi k / n_angular: sin r (cos psi e1 + sin psi e2) + cos r p.
-    """
-    p = np.asarray(center, dtype=float)
-    e1, e2 = _orthonormal_frame(p)
-    psi = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    rr, pp = np.meshgrid(r, psi, indexing="ij")
-    return (np.sin(rr)[..., None] * (np.cos(pp)[..., None] * e1
-                                     + np.sin(pp)[..., None] * e2)
-            + np.cos(rr)[..., None] * p)
+    return np.stack([e1, np.cross(p, e1), p])
 
 
 def on_axis(p) -> bool:
@@ -178,8 +164,8 @@ def _jacobi_polish(n: int, a, b, diag, off, y):
 def gauss_jacobi(n: int, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Jacobi rule on [-1, 1] for the weight (1 + x)^b,
     b > -1: (nodes ascending, weights).  b = 0 is Gauss-Legendre, the rule
-    of the grid, the band and the alpha = -1/2 caps; the caps take
-    b = 2 alpha + 1 (``mt_functional.cap_radial_nodes``).
+    of the grid and the band; a cap of order alpha takes b = 2 alpha + 1
+    (``mt_functional.cap_rings``).
 
     ``_jacobi_polish`` polishes estimates of the nodes on the orthonormal
     recurrence off[k+1] p_{k+1} = (x - diag[k]) p_k - off[k] p_{k-1} and
@@ -189,15 +175,14 @@ def gauss_jacobi(n: int, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     them to the roots, and the nodes x >= 0 are mirrored, so mirror rings
     pair: O(n^2), with no matrix.  For b != 0 they are the eigenvalues of
     the recurrence's Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
-    one dense n x n array, polished once; only caps take it, the largest
-    an integrator cap's, 512 nodes at L = 4096 (``cap_density_integral``
-    takes panels of 32, only the first with b != 0).  On 80-bit
-    longdouble (x86) the Gauss-Legendre weights lie within 1.3e-16 relative
-    of a 30-digit reference at n = 32, 129 and 257 and within 5.8e-16 at
-    n = 1025 (``leggauss``: 5.8e-14, 1.3e-11 and 1.5e-10 at the first
-    three).  Every grid, band and cap of a given size reads the same
-    arrays, computed once per (n, b) (for the 64 used last), shared and
-    read-only.
+    one dense n x n array, polished once: at most an integrator cap's 512
+    nodes at L = 4096, as a cap mass takes it on its first panel of 32
+    alone.  On 80-bit longdouble (x86) the Gauss-Legendre weights lie
+    within 1.3e-16 relative of a 30-digit reference at n = 32, 129 and 257
+    and within 5.8e-16 at n = 1025 (``leggauss``: 5.8e-14, 1.3e-11 and
+    1.5e-10 at the first three).  Every grid, band and cap of a given size
+    reads the same arrays, computed once per (n, b) (for the 64 used
+    last), shared and read-only.
     """
     b = np.longdouble(b)
     k = np.arange(n + 1, dtype=np.longdouble)
@@ -1055,6 +1040,18 @@ def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
     t = np.clip(pts[..., 2], -1.0, 1.0)
     phi = np.arctan2(pts[..., 1], pts[..., 0])
     return synthesis_at_angles(c, t, phi)
+
+
+def rotated(c: SHCoefficients, frame: np.ndarray) -> SHCoefficients:
+    """u(x @ frame) over every order, u turned into p's frame for ``frame``
+    = ``_orthonormal_frame(p)``: exact, as a rotation keeps the degree, by
+    synthesis at the turned nodes of a Gauss grid at u's band limit and
+    analysis there.  A constant is returned as it is."""
+    if c.band_limit == 0:
+        return c
+    grid = build_grid(c.band_limit + 1, 2 * c.band_limit + 2)
+    return grid.transform.analysis_coeffs(
+        synthesis_at_points(c, grid.nodes @ frame))
 
 
 def axis_values(c: SHCoefficients):

@@ -42,7 +42,7 @@ returns them with the grid, and a caller that needs values synthesizes
 them.  Axis-symmetric problems are solved in the m = 0 subspace, by the
 one rule of ``sphere_grid``: one-column data is zonal.  From a zonal
 column of coefficients under a weight invariant about the axis
-(``SingularIntegrator``), J and its gradient commute with rotations about
+(``axis_integrator``), J and its gradient commute with rotations about
 the axis, so every residual, direction and iterate is that column, every
 density is one column and each transform is one (L+1) x n_t product,
 O(L n_t), against O(L^2 n_t + L n_t n_phi) for all orders.  The
@@ -71,31 +71,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sphere_grid import (
+    OrderRows,
+    ProductTransform,
     SHCoefficients,
     SphereGrid,
     _degree_weights,
+    _orthonormal_frame,
     axis_values,
-    cap_points,
     dirichlet_energy,
     geodesic_distance,
     gradient_at_angles,
     gradient_magnitude,
+    normalized,
     on_axis,
     ring_points,
-    synthesis_at_points,
+    rotated,
 )
 from .singular_geometry import SingularWeight, green_radial
 from .mt_functional import (
     CAP_RADIAL_NODES,
     DEFAULT_CEILING,
     FunctionalParams,
+    SingularIntegrator,
     UnnormalizedBlowupError,
     cap_radial_nodes,
+    cap_rings,
     density_residual,
     eval_J_coeffs,
     hessian_product,
     integrator_for,
-    radial_rule,
 )
 from .closed_forms import (ConcentrationParams, concentration_field,
                            planar_bubble)
@@ -267,22 +271,29 @@ def minimize(params: FunctionalParams, config: SolverConfig,
 
 def cap_density_integral(state: MinimizerState, center: np.ndarray,
                          radius: float) -> float:
-    """int_{B_radius(center)} h e^u by polar quadrature (u normalized) on
-    32 bearings and ``cap_radial_nodes`` radii in equal panels of
-    CAP_RADIAL_NODES; a zonal state about an axis centre takes one bearing."""
-    w = state.params.weight
+    """int_{B_radius(center)} h e^u (u normalized) on the integrator of
+    one cap (``cap_rings``), ``cap_radial_nodes`` radii in equal panels of
+    CAP_RADIAL_NODES times the grid's longitudes; about a centre off the
+    axis, of the state turned into its frame (``rotated``)."""
+    grid, w, coeffs = state.grid, state.params.weight, state.coeffs
     if radius >= np.pi - 0.2:
         raise ValueError("cap radius too large for the polar rule")
-    panels, n_angular = -(-cap_radial_nodes(state.grid.band_limit, radius)
-                          // CAP_RADIAL_NODES), 32
-    r, wr = radial_rule(np.linspace(0.0, radius, panels + 1),
-                        CAP_RADIAL_NODES, 2.0 * w.beta(center) + 1.0)
-    pts = cap_points(center, r, n_angular)
-    log_h = w.log_weight(pts, cap=(w.index_at(center), r[:, None]))
-    zonal = state.coeffs.values.shape[-1] == 1 and on_axis(center)
-    u_vals = synthesis_at_points(state.coeffs, pts[:, :1] if zonal else pts)
-    wgt = (wr * 2.0 * np.pi / n_angular)[:, None]
-    return float(np.sum(wgt * np.exp(log_h + u_vals)))
+    center = normalized(center)
+    axis = on_axis(center)
+    panels = -(-cap_radial_nodes(grid.band_limit, radius) // CAP_RADIAL_NODES)
+    t, wr, cap = cap_rings(w, center, np.linspace(0.0, radius, panels + 1),
+                           CAP_RADIAL_NODES)
+    tr = ProductTransform(grid.band_limit, center[2] * t if axis else t,
+                          grid.n_phi, wr)
+    nodes = ring_points(tr.t, tr.phi[:1] if axis and w.axis_invariant
+                        else tr.phi)
+    if not axis:
+        frame = _orthonormal_frame(center)
+        coeffs, nodes = rotated(coeffs, frame), nodes @ frame
+    if coeffs.values.shape[-1] > 1:  # streams its Legendre blocks
+        coeffs = OrderRows.gather(coeffs)
+    integ = SingularIntegrator(tr, w.log_weight(nodes, cap=cap))
+    return float(np.exp(integ.log_exp_integral(coeffs)))
 
 
 @dataclass
@@ -326,7 +337,7 @@ def diagnose(state: MinimizerState) -> BlowupDiagnostics:
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     lam = float(vals[idx])
     p_eps = nodes[idx]
-    # the integrator takes singular points on the axis alone, at +-e3
+    # the composite rule takes singular points on the axis alone, at +-e3
     poles = axis_values(state.coeffs)
     for sp in w.minimal_points():
         v = poles[0] if sp.position[2] > 0.0 else poles[1]
@@ -506,14 +517,17 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
 # ---------------------------------------------------------------------------
 
 def gradient_singularity_exponent(state: MinimizerState, p_i) -> dict:
-    """Least-squares slope of log |grad u| vs log d near a singular point.
+    """Least-squares slope of log |grad u| vs log d near a singular point,
+    which must lie on the axis, as a solved state's points do.
 
-    The fit annulus is [5 * grid spacing, 0.1], at 12 radii; raises when
-    the grid is too coarse for the annulus to exist.  The reported bound
-    is the gradient-growth exponent min(2 alpha_i + 1, 0).
+    The fit annulus is [5 * grid spacing, 0.1], at 12 radii of 8 bearings;
+    raises when the grid is too coarse for the annulus to exist.  The
+    reported bound is the gradient-growth exponent min(2 alpha_i + 1, 0).
     """
     grid = state.grid
-    p_i = np.asarray(p_i, dtype=float)
+    p_i = normalized(p_i)
+    if not on_axis(p_i):
+        raise ValueError("the exponent fit takes a point on the axis")
     alpha_i = state.params.weight.beta(p_i)
     if alpha_i >= 0.0:
         raise ValueError("the exponent fit targets negative-order points")
@@ -523,11 +537,9 @@ def gradient_singularity_exponent(state: MinimizerState, p_i) -> dict:
             f"fit annulus [{d_min:.3g}, {d_max:.3g}] is empty; "
             "increase the grid resolution")
     radii = np.geomspace(d_min, d_max, 12)
-    pts = cap_points(p_i, radii, 8)
-    t = np.clip(pts[..., 2], -1.0, 1.0).reshape(-1)
-    ph = np.arctan2(pts[..., 1], pts[..., 0]).reshape(-1)
-    gmag = gradient_at_angles(state.coeffs, t, ph).reshape(pts.shape[:-1])
-    avg = gmag.mean(axis=1)
+    t, phi = np.meshgrid(p_i[2] * np.cos(radii),  # 8 bearings a radius
+                         2.0 * np.pi * np.arange(8) / 8, indexing="ij")
+    avg = gradient_at_angles(state.coeffs, t, phi).mean(axis=1)
     slope, intercept = np.polyfit(np.log(radii), np.log(avg), 1)
     return {
         "slope": float(slope),

@@ -1,5 +1,8 @@
-"""Config validation, experiment dispatch, determinism, exit codes."""
+"""Config validation, experiment dispatch, determinism, exit codes, and
+the names perfbench's tracer wraps."""
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -1267,3 +1270,41 @@ class TestThreads:
         for kind, *_ in kinds:
             assert json.loads((tmp_path / f"{kind}.out").read_text())[
                 "summary"]
+
+
+def tracer_layers() -> dict:
+    """``LAYERS`` of ``perfbench/tracer.py``, read from its source: the
+    tracer is neither imported nor run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    value, = (node.value for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    return ast.literal_eval(value)
+
+
+class TestTracerNames:
+    def test_every_layer_resolves(self):
+        """Every (module, attribute path) that the tracer wraps is where it
+        looks it up, in its owner's ``__dict__``: a renamed layer fails
+        here, not only in the traced benchmark run."""
+        layers = tracer_layers()
+        assert "mt_functional.integrator_build" in layers
+        for targets in layers.values():
+            for module, path in targets:
+                owner = importlib.import_module(f"sol_lab.{module}")
+                *outer, attr = path.split(".")
+                for part in outer:
+                    owner = getattr(owner, part)
+                assert attr in vars(owner), f"{module}.{path}"
+
+    def test_integrator_blocks(self):
+        """The tracer counts composite nodes from an integrator's
+        ``blocks``: the one-transform tuple."""
+        from sol_lab.mt_functional import SingularIntegrator, integrator_for
+        from sol_lab.singular_geometry import SingularWeight
+        from sol_lab.sphere_grid import build_grid
+        assert isinstance(vars(SingularIntegrator)["blocks"], property)
+        integ = integrator_for(build_grid(17, 34), SingularWeight.from_orders(
+            [((0.0, 0.0, 1.0), -0.5)]))
+        assert integ.blocks == (integ.transform,)

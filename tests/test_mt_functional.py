@@ -15,7 +15,7 @@ from sol_lab.mt_functional import (
     CAP_RADIUS,
     INTEGRATOR_CACHE_SIZE,
     FunctionalParams,
-    SingularIntegrator,
+    axis_integrator,
     cap_radial_nodes,
     density_residual,
     eval_J,
@@ -170,10 +170,10 @@ class TestExpIntegral:
         l = np.arange(band_limit + 1)
         c = SHCoefficients((rng.normal(size=l.size) / (1.0 + l))[:, None])
         w = single_weight(alpha)
-        rule = SingularIntegrator(grid, w).log_exp_integral(c)
+        rule = axis_integrator(grid, w).log_exp_integral(c)
         monkeypatch.setattr(mt_functional, "cap_radial_nodes",
                             lambda L, R: 2 * cap_radial_nodes(L, R))
-        doubled = SingularIntegrator(grid, w).log_exp_integral(c)
+        doubled = axis_integrator(grid, w).log_exp_integral(c)
         assert abs(rule - doubled) <= 1e-13
 
     def test_cap_rule_floor(self):
@@ -196,7 +196,7 @@ class TestExpIntegral:
         int h e^u of a rough zonal field 2.3e-13 off at order -0.9 and
         L = 512, one 64-node rule 3.2e-14."""
         grid = build_grid(band_limit + 1, 2 * band_limit + 2)
-        block = SingularIntegrator(grid, single_weight(alpha)).transform
+        block = axis_integrator(grid, single_weight(alpha)).transform
         r, w = radial_rule((0.0, CAP_RADIUS), CAP_RADIAL_NODES,
                            2.0 * alpha + 1.0)
         assert np.array_equal(block.t[:CAP_RADIAL_NODES], np.cos(r))
@@ -424,7 +424,7 @@ class TestElResidual:
         full-width log h of an off-axis weight with a K, in its frame."""
         w = off_axis_weight() if case == "off-axis" else single_weight(-0.5)
         rho = w.rho_bar - 0.3
-        integ = SingularIntegrator(grid64, w)
+        integ = axis_integrator(grid64, w)
         # the blocks perfbench's tracer reads: the one transform
         assert integ.blocks == (integ.transform,)
         assert (integ.log_h.shape[-1] > 1) == (case == "off-axis")
@@ -663,7 +663,7 @@ class TestGroupedLogIntegral:
     def test_groups_agree_with_the_density(self, grid64, rng, points):
         """Within 4 ulp of max(1, |log I|) of the one-pass density, for
         fields up to max |u| of about 10."""
-        integ = SingularIntegrator(grid64, SingularWeight.from_orders(points))
+        integ = axis_integrator(grid64, SingularWeight.from_orders(points))
         assert len(integ._ring_groups) > 1
         for scale in (0.5, 5.0, 40.0):
             c = self.stack(grid64, rng, 5, scale)
@@ -681,7 +681,7 @@ class TestGroupedLogIntegral:
         transform itself, and a stack's log integral is the density's bit
         for bit."""
         grid = build_grid(2, 5)
-        integ = SingularIntegrator(grid, SingularWeight.from_orders([]))
+        integ = axis_integrator(grid, SingularWeight.from_orders([]))
         assert integ.transform.weights.size == 2 * 5
         ((group, _),) = integ._ring_groups
         assert group is integ.transform
@@ -696,7 +696,7 @@ class TestGroupedLogIntegral:
         within 4 ulp of max(1, |log I|) (as in
         ``test_groups_agree_with_the_density``), the stack bit for bit
         with its order rows."""
-        integ = SingularIntegrator(grid64, SingularWeight.from_orders(
+        integ = axis_integrator(grid64, SingularWeight.from_orders(
             [(NORTH, -0.5), (SOUTH, 0.3)]))
         assert len(integ._ring_groups) == 9
         c = self.stack(grid64, rng, 3, 5.0)
@@ -727,7 +727,7 @@ class TestGroupedLogIntegral:
         default budget's values bit for bit: an entry of the recurrence
         does not depend on its group of orders."""
         L, K, budget = 64, 8, 1 << 19
-        integ = SingularIntegrator(grid64, SingularWeight.from_orders(
+        integ = axis_integrator(grid64, SingularWeight.from_orders(
             [(NORTH, -0.5), (SOUTH, 0.3)]))
         rows = OrderRows.gather(self.stack(grid64, rng, K))
         most = max(8 * K * g.weights.size for g, _ in integ._ring_groups)
@@ -757,7 +757,7 @@ class TestGroupedLogIntegral:
         the first stack, not this pass's memory."""
         L, K, budget = 64, 8, 1 << 19
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
-        integ = SingularIntegrator(grid64, SingularWeight.from_orders(
+        integ = axis_integrator(grid64, SingularWeight.from_orders(
             [(NORTH, -0.5), (SOUTH, 0.3)]))
         groups = [group for group, _ in integ._ring_groups]
         assert max(g.t.size for g in groups) <= (L + 1) * (L + 2) // 130
@@ -806,7 +806,7 @@ class TestIntegratorExactness:
         assert block._reps == 2 * CAP_RADIAL_NODES + 100
 
     def test_smooth_integrand_through_caps(self, grid128):
-        integ = SingularIntegrator(grid128, single_weight(-0.5))
+        integ = axis_integrator(grid128, single_weight(-0.5))
         t = integ.transform
         val = np.sum(t.weights * t.t[:, None] ** 2)
         assert val == pytest.approx(FOUR_PI / 3.0, abs=1e-11)

@@ -18,8 +18,9 @@ from sol_lab.sphere_grid import (
     FOUR_PI,
     SHCoefficients,
     _orthonormal_frame,
-    cap_points,
+    build_grid,
     dirichlet_pairing,
+    rotated,
     synthesis_at_points,
 )
 
@@ -119,7 +120,8 @@ class TestRegularPart:
         poles: the regular part does not depend on the point (up to the
         roundoff of 1 - <p, x> ~ 5e-7, a few 1e-11 here)."""
         d = 1e-3
-        limits = [green(p, cap_points(p, np.array([d]), 1)[0, 0])
+        limits = [green(p, np.cos(d) * p
+                        + np.sin(d) * _orthonormal_frame(p)[0])
                   + np.log(d) / (2.0 * np.pi)
                   for p in (random_pole(rng), random_pole(rng))]
         assert limits[0] == pytest.approx(limits[1], abs=1e-9)
@@ -228,8 +230,7 @@ class TestAxisFrame:
         +-e3 in order, its K covers every order and stays positive."""
         w = SingularWeight.from_orders(points, K=skew_K())
         framed = axis_frame(w)
-        p = w.positions[0]
-        R = np.stack([*_orthonormal_frame(p), p])
+        R = _orthonormal_frame(w.positions[0])
         assert framed.positions.tolist() == [[0.0, 0.0, 1.0],
                                              [0.0, 0.0, -1.0]][:len(points)]
         assert np.array_equal(framed.orders, w.orders)
@@ -239,6 +240,28 @@ class TestAxisFrame:
         assert np.abs(framed.log_weight(x @ R.T)
                       - w.log_weight(x)).max() <= 1e-13
         assert framed.smooth_factor(grid64.nodes).min() > 0.0
+
+    def test_K_is_the_rotated_K(self):
+        """The framed K is, bit for bit, K synthesized at the turned nodes
+        of a Gauss grid at its band limit and analysed there."""
+        w = SingularWeight.from_orders([((0.3, 0.5, 0.81), -0.5)], K=skew_K())
+        R = _orthonormal_frame(w.positions[0])
+        grid = build_grid(3, 6)
+        want = grid.transform.analysis_coeffs(
+            synthesis_at_points(w.K, grid.nodes @ R))
+        assert np.array_equal(axis_frame(w).K.values, want.values)
+
+    def test_turned_and_back(self, grid64, rng):
+        """A band-limited field turned into a frame and back is itself to
+        1e-13; a zonal column comes back over every order."""
+        R = _orthonormal_frame(random_pole(rng))
+        c = grid64.transform.analysis_coeffs(
+            random_band_limited(grid64, rng))
+        back = rotated(rotated(c, R), R.T)
+        assert np.abs(back.values - c.values).max() <= 1e-13
+        column = SHCoefficients(c.order(0)[:, None].copy())
+        back = rotated(rotated(column, R), R.T)
+        assert np.abs(back.values - column.widened().values).max() <= 1e-13
 
     def test_K_one_stays_none(self):
         """K == 1 stays None; the second point of a pair antipodal within
