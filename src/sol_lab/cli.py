@@ -358,7 +358,7 @@ def _rule_errors(config) -> list:
 
 def _build_weight(config):
     """The config's weight; K is the coefficients of base + the harmonics
-    (base folded into a_00 as a shift), a zonal column when every harmonic
+    (base folded into a_00 as a shift), zonal when every harmonic
     has m = 0; in its ``axis_frame`` for a kind that integrates it."""
     import numpy as np
     from .singular_geometry import SingularWeight, axis_frame
@@ -370,9 +370,10 @@ def _build_weight(config):
         harmonics = section["K"]["harmonics"]
         L = max((t["l"] for t in harmonics), default=0)
         zonal = all(t["m"] == 0 for t in harmonics)
-        K = SHCoefficients(np.zeros((L + 1, 1 if zonal else 2 * L + 1)))
+        K = (SHCoefficients(np.zeros((L + 1, 1))) if zonal
+             else SHCoefficients.zeros(L))
         for t in harmonics:
-            K.order(t["m"])[t["l"]] = t["coeff"]
+            K.order(t["m"])[t["l"] - abs(t["m"])] = t["coeff"]
         K = K.shifted(section["K"]["base"])
     w = SingularWeight.from_orders(
         [(p["position"], p["order"]) for p in section["points"]], K)
@@ -521,7 +522,7 @@ def _solve_from_zero(exp, w, grid):
     from .subcritical_solver import NonConvergedError, minimize
 
     params = FunctionalParams(rho=w.rho_bar - exp["epsilon"], weight=w)
-    zero = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))  # zonal column
+    zero = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))  # zonal
     state = minimize(params, _solver_config(exp, [exp["epsilon"]]), zero,
                      grid)
     if not state.converged:

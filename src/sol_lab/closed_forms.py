@@ -103,7 +103,7 @@ def extremal_value(params: ExtremalParams, x) -> np.ndarray:
 
 def extremal_u(params: ExtremalParams, grid: SphereGrid) -> SHCoefficients:
     """Coefficients of u_{lambda,c} sampled on the grid's first longitude:
-    a zonal column."""
+    zonal."""
     return grid.transform.analysis_coeffs(
         extremal_value(params, ring_points(grid.t, grid.phi[:1])))
 
@@ -142,7 +142,7 @@ def conformal_pullback(coeffs: SHCoefficients, grid: SphereGrid, t: float,
 
     The dilation maps latitude circles to latitude circles, so the sampling
     is a product-grid synthesis at shifted colatitudes (spectrally exact for
-    band-limited u); a zonal column gives a zonal column.
+    band-limited u); zonal coefficients give zonal ones.
     """
     axis = normalized(np.asarray(axis, dtype=float))
     if not on_axis(axis):
@@ -329,7 +329,7 @@ def concentration_profile(params: ConcentrationParams):
 def concentration_field(params: ConcentrationParams,
                         grid: SphereGrid) -> SHCoefficients:
     """Coefficients of the two-branch concentration field sampled on the
-    grid: a zonal column when p is +-e3."""
+    grid: zonal when p is +-e3."""
     profile = concentration_profile(params)
     phi = grid.phi[:1] if on_axis(params.p) else grid.phi
     d = geodesic_distance(params.p, ring_points(grid.t, phi))

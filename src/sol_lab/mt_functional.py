@@ -32,11 +32,12 @@ mass is a ``SingularIntegrator`` of one cap, on the same rings.
 
 ``integrator_for`` is the one way library code gets a weight's composite
 rule.  Zonality follows the data, by the one rule of ``sphere_grid``:
-one-column data is zonal, and the weight's data says whether h is
-invariant about the grid axis (``SingularWeight.axis_invariant``).  Such
-a weight keeps log h as one column, so a zonal column of coefficients
-gives a ring-constant density, one column, and each of its transforms is
-an m = 0 pass, O(L n_t) instead of O(L^2 n_t + L n_t n_phi).
+one-column values and one-part coefficients are zonal, and the weight's
+data says whether h is invariant about the grid axis
+(``SingularWeight.axis_invariant``).  Such a weight keeps log h as one
+column, so zonal coefficients give a ring-constant density, one column,
+and each of its transforms is an m = 0 pass, O(L n_t) instead of
+O(L^2 n_t + L n_t n_phi).
 
 Everything is evaluated through log h + u, with a global shift before
 exponentiation, so strongly concentrated fields cannot overflow.
@@ -53,11 +54,9 @@ import numpy as np
 from . import sphere_grid
 from .sphere_grid import (
     FOUR_PI,
-    OrderRows,
     ProductTransform,
     SHCoefficients,
     SphereGrid,
-    _degree_weights,
     dirichlet_energy,
     gauss_jacobi,
     ring_points,
@@ -72,16 +71,13 @@ INTEGRATOR_CACHE_SIZE = 4
 CAP_RADIUS = 0.1
 CAP_RADIAL_NODES = 32
 # Bytes that one stack of samples may hold from its draw to its gaps
-# (``sample_gaps``): one Legendre group (``sphere_grid.LEGENDRE_BYTES``) and,
-# per field at band limit L, its coefficients, 8 (L + 1)(2L + 1) bytes, and
-# its order rows (``sphere_grid.OrderRows``), 8 (L + 1)(L + 2): 24 (L + 1)^2
-# bytes a field.  The gather holds the coefficients and the rows, the draw
-# the coefficients and its normals (fewer bytes than the rows), each with
-# the Legendre group's room to spare; each pass, which streams
-# (``ProductTransform._legendre``), holds the rows, one ring group's values,
-# which ``SingularIntegrator._ring_groups`` keeps no larger than the rows,
-# and one Legendre group.  37 fields at L = 256; the 20 of perfbench's
-# ``evaluate`` stack trace a 30.3 MiB peak.
+# (``sample_gaps``): one Legendre group (``sphere_grid.LEGENDRE_BYTES``) and
+# 24 (L + 1)^2 bytes a field at band limit L, three times its normals.  The
+# draw holds the normals and the coefficients, 8 (L + 1)(L + 2) bytes a
+# field; each pass, which streams (``ProductTransform._legendre``), holds
+# the coefficients, one ring group's values, which
+# ``SingularIntegrator._ring_groups`` keeps no larger than the
+# coefficients, and one Legendre group.  37 fields at L = 256.
 BATCH_BUDGET = 64 << 20  # 64 MiB
 
 
@@ -185,7 +181,7 @@ class SingularIntegrator:
     """int h e^u and the analysis of h e^u on one product rule, its
     ``transform``, which holds no grid, with log h on its nodes,
     ``log_h``: one column, on the first longitude, when h is constant
-    along every ring, so a zonal column's density is one column."""
+    along every ring, so zonal coefficients' density is one column."""
 
     def __init__(self, transform: ProductTransform, log_h: np.ndarray):
         self.transform, self.log_h = transform, log_h
@@ -219,36 +215,32 @@ class SingularIntegrator:
     def _ring_groups(self) -> list:
         """(transform, log h) per ring group of the rule
         (``ProductTransform.ring_groups``): the fewest whose values on a
-        stack take at most the bytes of the order rows that every group
-        reads (``sphere_grid.OrderRows``), at most (L + 1)(L + 2) / n_phi
-        rings a group; 6 of at most 129 rings on the L = 256 two-cap
-        block.  Built on the first order rows and kept; not in ``blocks``."""
+        stack take at most the bytes of the stack's coefficients, which
+        every group reads, at most (L + 1)(L + 2) / n_phi rings a group; 6
+        of at most 129 rings on the L = 256 two-cap block.  Built on the
+        first stack and kept; not in ``blocks``."""
         tr, L = self.transform, self.transform.band_limit
         return [(group, self.log_h[rings]) for rings, group in
                 tr.ring_groups((L + 1) * (L + 2) // tr.phi.size)]
 
-    def _group_terms(self, rows: OrderRows, transform, log_h):
+    def _group_terms(self, coeffs: SHCoefficients, transform, log_h):
         """(shift, integral) per field of the stack's h e^{u - shift} on
         one ring group, whose values die on return."""
-        u, shift = _shifted_exp(transform.synthesis_values(rows), log_h)
+        u, shift = _shifted_exp(transform.synthesis_values(coeffs), log_h)
         return shift, transform.integral(u)
 
-    def log_exp_integral(self, coeffs: SHCoefficients | OrderRows):
-        """log int h e^u of the field (of each field of a stack), from its
-        coefficients or their order rows, as ``density(coeffs).log_integral``
-        gives it, but without the values of a stack: a full-width stack is
-        gathered into its order rows once (or handed in as rows, of any
-        height) and synthesized from them one ring group at a time
-        (``_ring_groups``), each reduced in place to a shift s_g and an
-        integral T_g per field, and log I = S + log sum_g T_g e^(s_g - S),
-        S = max_g s_g.  So it holds the rows, one group's values and one
-        Legendre group, beside the coefficients if the caller keeps them; a
-        rule of one group gives the density's arithmetic, bit for bit.  One
-        field's coefficients and a zonal column take the density."""
-        if isinstance(coeffs, SHCoefficients):
-            if coeffs.values.ndim == 2 or coeffs.values.shape[-1] == 1:
-                return self.density(coeffs).log_integral
-            coeffs = OrderRows.gather(coeffs)
+    def log_exp_integral(self, coeffs: SHCoefficients):
+        """log int h e^u of the field (of each field of a stack), as
+        ``density(coeffs).log_integral`` gives it, but without the values
+        of a stack: a full-width stack, of any height, is synthesized one
+        ring group at a time (``_ring_groups``), each reduced in place to a
+        shift s_g and an integral T_g per field, and log I = S + log sum_g
+        T_g e^(s_g - S), S = max_g s_g.  So it holds one group's values and
+        one Legendre group beside the coefficients; a rule of one group
+        gives the density's arithmetic, bit for bit.  One field and zonal
+        coefficients take the density."""
+        if coeffs.values.ndim == 2 or coeffs.values.shape[-1] == 1:
+            return self.density(coeffs).log_integral
         shifts, totals = zip(*(self._group_terms(coeffs, *group)
                                for group in self._ring_groups))
         top = np.max(shifts, axis=0)
@@ -256,8 +248,8 @@ class SingularIntegrator:
                                 for shift, total in zip(shifts, totals)))
 
     def density_projection(self, dens: Density) -> SHCoefficients:
-        """Coefficients of h e^{u - shift}, one analysis, a zonal column
-        when the density is one column.
+        """Coefficients of h e^{u - shift}, one analysis, zonal when the
+        density is one column.
 
         Only the ratio to ``dens.total`` is meaningful to callers; the common
         scale e^{-shift} cancels in the Euler-Lagrange term.
@@ -374,13 +366,13 @@ def density_residual(coeffs: SHCoefficients, dens: Density,
     (``SingularIntegrator.density_projection``).
 
     ``dens`` may be the record of u + c for any constant c: e^c cancels.
-    The residual has the projection's width: a zonal column of u is
+    The residual has the projection's width: zonal coefficients of u are
     widened when h is not invariant about the axis.
     """
     if proj.values.shape[-1] != coeffs.values.shape[-1]:
         coeffs = coeffs.widened()
-    out = (_degree_weights(coeffs.band_limit)[:, None] * coeffs.values
-           - (rho / dens.total) * proj.values)
+    l, _ = coeffs.rows
+    out = l * (l + 1.0) * coeffs.values - (rho / dens.total) * proj.values
     out[0, :] = 0.0
     return SHCoefficients(out)
 
@@ -396,14 +388,15 @@ def hessian_product(v: np.ndarray, dens: Density, proj: SHCoefficients,
     rule (so P(h e^u v) costs one synthesis of v and one analysis),
     p = P(h e^u) the projection ``proj`` and E = int h e^u, all from the
     density record ``dens`` of u (its scale e^{-shift} cancels).  v and Hv
-    have the width of ``proj``: a zonal column when the density is one.
+    have the width of ``proj``: zonal when the density is one column.
     J is shift invariant: a constant v is in the kernel, and the l = 0 row
     of Hv is zero.
     """
     coeffs, t = SHCoefficients(v), integ.transform
     hv = t.analysis_coeffs(dens.values * t.synthesis_values(coeffs)).values
     scale = rho / dens.total
-    out = (_degree_weights(coeffs.band_limit)[:, None] * v
+    l, _ = coeffs.rows
+    out = (l * (l + 1.0) * v
            - scale * hv
            + (scale / dens.total * np.sum(proj.values * v)) * proj.values)
     out[0, :] = 0.0
@@ -444,10 +437,8 @@ def sample_gaps(grid: SphereGrid, rng, count: int, w: SingularWeight,
     samples at L = 256, at most 37 a stack, are two stacks of 20).  One
     stack is alive at a time, and the draws are one stream, whatever the
     split.  A stack is drawn and scaled, its Dirichlet energies and means
-    are taken, and its coefficients are gathered into their order rows
-    (``sphere_grid.OrderRows``) and let go before its log integral is
-    formed from the rows, whose passes stream, for one field too
-    (``ProductTransform._legendre``).
+    are taken, and its log integral is formed, whose passes stream, for a
+    stack of one too (``ProductTransform._legendre``).
     """
     L = grid.band_limit
     size = max(1, (BATCH_BUDGET - sphere_grid.LEGENDRE_BYTES)
@@ -460,13 +451,15 @@ def sample_gaps(grid: SphereGrid, rng, count: int, w: SingularWeight,
         height = count // stacks + (i < count % stacks)
         draws = sphere_grid.random_band_limited_batch(grid, rng, height)
         v = draws.values
-        rms = np.sqrt(np.einsum("...lm,...lm->...", v, v) / FOUR_PI)
-        v *= (0.7 / rms)[..., None, None]  # batch axes first, then (l, m)
+        # each field's sum of squares, pairwise (einsum's running sum is
+        # off by up to 1e-14 relative at L = 256)
+        rms = np.sqrt([np.square(v[:, i]).sum() / FOUR_PI
+                       for i in range(height)])
+        # each row's entries, field by field and part by part
+        v.reshape(v.shape[0], -1)[...] *= np.repeat(0.7 / rms, 2)
         energy, mean = dirichlet_energy(draws), draws.mean
-        rows = OrderRows.gather(draws)
-        del draws, v  # the dense stack goes before any pass
-        log_integral = integ.log_exp_integral(rows)
-        del rows  # before the next stack is drawn
+        log_integral = integ.log_exp_integral(draws)
+        del draws, v  # before the next stack is drawn
         J = eval_J_coeffs(energy, mean, log_integral, params)
         gaps[start:start + height] = J / w.rho_bar + C  # as troyanov_gap
         start += height

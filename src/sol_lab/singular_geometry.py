@@ -106,7 +106,7 @@ class SingularWeight:
     """Weight h = K prod_i exp(-4 pi alpha_i G_{p_i}) with its bookkeeping.
 
     ``K`` is an optional smooth positive factor, the band-limited function
-    with these coefficients (a zonal column when it is invariant about the
+    with these coefficients (zonal when it is invariant about the
     grid axis); the default is K == 1.
     """
 
@@ -174,7 +174,7 @@ class SingularWeight:
     def axis_invariant(self) -> bool:
         """True when h is invariant about the grid axis, read from the
         weight's data: every point exactly +-e3 (``on_axis``) and K == 1 or
-        a zonal column.  log h is then exactly constant along every ring."""
+        zonal.  log h is then exactly constant along every ring."""
         return self.is_axis_aligned() and (self.K is None
                                            or self.K.values.shape[-1] == 1)
 

@@ -7,7 +7,8 @@ sit on the poles, which is where singular weights will be placed later.
 
 A band-limited function -- a field, or the smooth factor K of a weight --
 is one ``SHCoefficients``: real spherical-harmonic coefficients a_{l,m},
-0 <= l <= L, -l <= m <= l.  Values on the (n_theta, n_phi) nodes, or one
+0 <= l <= L, -l <= m <= l, stored in the order rows that every pass reads
+(see ``SHCoefficients``).  Values on the (n_theta, n_phi) nodes, or one
 (n_theta, 1) column for a ring-constant field, are plain arrays that
 convert to and from coefficients through the grid's ``transform`` alone.
 
@@ -34,36 +35,34 @@ and for even n_phi the half turn phi_j -> phi_j + pi multiplies order m
 by (-1)^m, so the Fourier step runs over the longitudes j <= n_phi / 4
 alone, a quarter of its matrix work (see ``ProductTransform``).
 
-Zonal data is one column, for values and coefficients alike.  Values of
-shape (..., n_t, 1) are a ring-constant field: a ``ProductTransform``
+Zonal data is one column of values and one part of coefficients.  Values
+of shape (..., n_t, 1) are a ring-constant field: a ``ProductTransform``
 analyses them on the m = 0 Legendre block alone, one longitude carrying
-each ring's whole weight, into the m = 0 column of coefficients, shape
-(..., L+1, 1).  Such a column synthesizes back to one column of values.
-Every consumer picks its path from the last axis; a column meets
-full-width coefficients only through ``SHCoefficients.widened``, never
-through broadcasting, which would add it to every order.  A zonal pass is
-one (L+1) x n_t matrix product, O(L n_t), against O(L^2 n_t + L n_t n_phi)
-over all orders and the Fourier step.  A transform keeps its cos/sin
-table from its first pass over every order.  Whether a pass keeps a
-Legendre table or streams it from the recurrence is one rule, stated at
-``ProductTransform._legendre``: a pass over one field keeps, every other
-full-width pass streams.
+each ring's whole weight, into the m = 0 block's one part, coefficients
+of shape (L+1, ..., 1).  Such coefficients synthesize back to one column
+of values.  Every consumer picks its path from the last axis; a zonal
+field meets full-width coefficients only through
+``SHCoefficients.widened``, never through broadcasting, which would add
+it to every order.  A zonal pass is one (L+1) x n_t matrix product,
+O(L n_t), against O(L^2 n_t + L n_t n_phi) over all orders and the
+Fourier step.  A transform keeps its cos/sin table from its first pass
+over every order.  Whether a pass keeps a Legendre table or streams it
+from the recurrence is one rule, stated at ``ProductTransform._legendre``:
+a pass over one field keeps, a stack (of one field too) streams.
 
-Coefficients and values may carry leading batch axes: a stack of K fields,
-coefficients (K, L+1, 2L+1) and values (K, n_t, n_phi), is transformed with
-one (2K x (L+1-m)/2) by ((L+1-m)/2 x kept rings) matrix product per
-order and parity of l - m, so the K fields share one pass over each Pbar
-block instead of reading it K times.  One field gives bit for bit the
-unbatched results.  A synthesis reads full-width coefficients in their
-``OrderRows``, the rows of each order's product, which it gathers from
-the coefficients or is handed.
-A caller that needs a reduction of the values alone need not hold them:
+Coefficients carry a stack's batch axes between the rows and the parts,
+shape (rows, ..., parts), and values carry them first, (..., n_t, n_phi).
+A stack of K fields is transformed with one (2K x (L+1-m)/2) by
+((L+1-m)/2 x kept rings) matrix product per order and parity of l - m,
+each order's rows a free (L+1-m, 2K) view of the coefficients, so the K
+fields share one pass over each Pbar block instead of reading it K times;
+one field gives bit for bit the results of a stack of one.  A caller that needs a reduction of the values alone need not hold them:
 ``ProductTransform.ring_groups`` splits the rings into mirror-closed
 groups, each a transform of its own, and a stack synthesized one group at
-a time, from rows gathered once, holds one group's values
+a time holds one group's values
 (``mt_functional.SingularIntegrator.log_exp_integral``, whose stacks of
-independent samples ``mt_functional.sample_gaps`` sizes by what the draw,
-the gather and such a log integral hold).
+independent samples ``mt_functional.sample_gaps`` sizes by what the draw
+and such a log integral hold).
 """
 
 from __future__ import annotations
@@ -388,115 +387,103 @@ def normalized_legendre(band_limit: int, t: np.ndarray,
     return table
 
 
+def _block_start(band_limit: int, m: int) -> int:
+    """First row of order m's block: sum_{j < m} (L + 1 - j)."""
+    return m * (2 * band_limit + 3 - m) // 2
+
+
+@functools.lru_cache(maxsize=16)
+def _row_orders(band_limit: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """(l, m) of each row of coefficients with ``parts`` parts, read-only."""
+    L = band_limit
+    m = (np.zeros(L + 1, dtype=int) if parts == 1 else
+         np.repeat(np.arange(L + 1), np.arange(L + 1, 0, -1)))
+    l = np.arange(m.size) - _block_start(L, m) + m
+    for v in (l, m):
+        v.flags.writeable = False
+    return l, m
+
+
 @dataclass
 class SHCoefficients:
-    """Real spherical-harmonic coefficients a_{l,m}, a row per degree l.
+    """Real spherical-harmonic coefficients a_{l,m}, in the order rows that
+    every pass reads (Schaeffer, G^3 14, 2013).
 
-    ``values`` has shape (..., L+1, 2L+1), entry [l, L + m] for a_{l,m}, or
-    (..., L+1, 1) for zonal coefficients: the m = 0 column alone.  The shape
-    is the rule; a column is never scanned for zeros and never broadcast
-    against every order (``widened``).  Leading batch axes hold a stack of
-    fields that the transforms handle in one pass.  Callers outside this
-    module read and write a_{l,m} through ``order``.
+    ``values`` has shape (R, ..., 2), R = (L+1)(L+2)/2: block m, rows
+    ``_block_start(L, m)`` on, holds degrees l = m..L, with parts a_{l,m}
+    and a_{l,-m}; the sine part of m = 0 is zero.  Zonal coefficients are
+    the m = 0 block with one part, shape (L+1, ..., 1).  The shape is the
+    rule; one part is never scanned for zeros and never broadcast against
+    every order (``widened``).  Axes between the rows and the parts hold a
+    stack of fields that the transforms handle in one pass, so each block
+    is a free (L+1-m, 2K) view for K fields.  Callers outside this module
+    read and write a_{l,m} through ``order`` and each row's (l, m) through
+    ``rows``.
     """
 
     values: np.ndarray
 
-    @property
-    def band_limit(self) -> int:
-        return self.values.shape[-2] - 1
+    def __post_init__(self):
+        rows, parts = self.values.shape[0], self.values.shape[-1]
+        if parts not in (1, 2) or parts == 2 and rows != _block_start(
+                self.band_limit, self.band_limit + 1):
+            raise ValueError(f"coefficients of shape {self.values.shape} "
+                             "are not order rows (R, ..., 2) or (L+1, ..., 1)")
 
     @property
-    def _m0(self) -> int:
-        """Column of the m = 0 coefficients."""
-        return self.values.shape[-1] // 2
+    def band_limit(self) -> int:
+        rows = self.values.shape[0]
+        if self.values.shape[-1] == 1:
+            return rows - 1
+        return (math.isqrt(8 * rows + 1) - 3) // 2
+
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(l, m) of each row, integers of shape (R, 1, ..., 1) that
+        broadcast against ``values``."""
+        shape = (-1,) + (1,) * (self.values.ndim - 1)
+        return tuple(v.reshape(shape) for v in _row_orders(
+            self.band_limit, self.values.shape[-1]))
 
     def copy(self) -> "SHCoefficients":
         return SHCoefficients(self.values.copy())
 
     @classmethod
     def zeros(cls, band_limit: int) -> "SHCoefficients":
-        return cls(np.zeros((band_limit + 1, 2 * band_limit + 1)))
+        return cls(np.zeros((_block_start(band_limit, band_limit + 1), 2)))
 
     def order(self, m: int) -> np.ndarray:
-        """a_{l,m} for l = 0..L (zero for l < |m|), a writable view; a
-        zonal column has order 0 alone."""
-        if abs(m) > self._m0:
+        """a_{l,m} for l = |m|..L, a writable view of block |m|'s part;
+        zonal coefficients hold order 0 alone."""
+        L, v = self.band_limit, self.values
+        if abs(m) > (L if v.shape[-1] > 1 else 0):
             raise IndexError(f"order {m} is not held by coefficients of "
-                             f"width {self.values.shape[-1]}")
-        return self.values[..., self._m0 + m]
+                             f"{v.shape[-1]} part(s)")
+        start = _block_start(L, abs(m))
+        return v[start:start + L + 1 - abs(m), ..., int(m < 0)]
 
-    def widened(self, band_limit: int | None = None) -> "SHCoefficients":
-        """These coefficients over every order of band limit L (default
-        their own), shape (..., L+1, 2L+1), zero where they hold no entry:
-        a column meets full-width coefficients only through this.  Returns
-        self when it already has that shape."""
-        L = self.band_limit if band_limit is None else band_limit
-        Lc, half = self.band_limit, self._m0
-        if (L, half) == (Lc, Lc):
+    def widened(self) -> "SHCoefficients":
+        """These coefficients over every order, shape (R, ..., 2), zero
+        where zonal ones hold no entry: one part meets full-width
+        coefficients only through this.  Returns self when full-width."""
+        if self.values.shape[-1] == 2:
             return self
-        out = np.zeros(self.values.shape[:-2] + (L + 1, 2 * L + 1))
-        out[..., :Lc + 1, L - half:L + half + 1] = self.values
+        out = np.zeros((_block_start(self.band_limit, self.band_limit + 1),)
+                       + self.values.shape[1:-1] + (2,))
+        out[:self.values.shape[0], ..., :1] = self.values
         return SHCoefficients(out)
 
     @property
     def mean(self):
         """Mean of the synthesized field: a_{0,0} / sqrt(4 pi), a float (an
         array over the batch axes for a stack)."""
-        mean = self.values[..., 0, self._m0] / np.sqrt(FOUR_PI)
+        mean = self.values[0, ..., 0] / np.sqrt(FOUR_PI)
         return float(mean) if mean.ndim == 0 else mean
 
     def shifted(self, constant: float) -> "SHCoefficients":
         out = self.copy()
-        out.values[..., 0, self._m0] += constant * np.sqrt(FOUR_PI)
+        out.values[0, ..., 0] += constant * np.sqrt(FOUR_PI)
         return out
-
-
-@dataclass
-class OrderRows:
-    """Full-width coefficients of a stack of K fields (one field: K = 1)
-    gathered into the rows that a synthesis reads order by order
-    (Schaeffer, G^3 14, 2013): ``blocks[m]``, shape (L+1-m, 2K), holds in
-    row l - m the cos and sin coefficients of each field in turn, sqrt 2
-    a_{l,m} and sqrt 2 a_{l,-m} for m > 0, a_{l,0} and 0 for m = 0.  The
-    blocks are consecutive views of one array of K (L+1)(L+2) floats, about
-    half the bytes of the dense stack, whose rows l < |m| are zeros.
-    ``batch`` is the stack's batch shape."""
-
-    blocks: list
-    batch: tuple
-
-    @classmethod
-    def gather(cls, coeffs: SHCoefficients) -> "OrderRows":
-        """The order rows of full-width coefficients, shape (..., L+1,
-        2L+1)."""
-        v = coeffs.values
-        batch, L = v.shape[:-2], coeffs.band_limit
-        v = v.reshape((-1,) + v.shape[-2:])
-        k = v.shape[0]
-        data, blocks, end = np.empty(k * (L + 1) * (L + 2)), [], 0
-        for m in range(L + 1):
-            c = data[end:end + 2 * k * (L + 1 - m)].reshape(L + 1 - m, k, 2)
-            c[..., 0] = v[:, m:, L + m].T
-            c[..., 1] = v[:, m:, L - m].T if m else 0.0
-            if m:
-                c *= SQRT2
-            blocks.append(c.reshape(L + 1 - m, 2 * k))
-            end += c.size
-        return cls(blocks, batch)
-
-    @property
-    def band_limit(self) -> int:
-        return len(self.blocks) - 1
-
-    @property
-    def fields(self) -> int:
-        return self.blocks[0].shape[1] // 2
-
-
-def _degree_weights(band_limit: int) -> np.ndarray:
-    l = np.arange(band_limit + 1, dtype=float)
-    return l * (l + 1.0)
 
 
 def _ring_order(t: np.ndarray) -> tuple[np.ndarray, slice, int]:
@@ -617,9 +604,10 @@ class ProductTransform:
     per trig part and parity.  Each Fourier product is a quarter of the
     all-longitude one (half for odd n_phi).
 
-    One-column data is zonal (see the module docstring): coefficients of
-    shape (..., L+1, 1) synthesize to values of shape (..., n_t, 1), and
-    such values analyse, on the m = 0 block alone, to such coefficients.
+    One-part coefficients and one-column values are zonal (see the module
+    docstring): coefficients of shape (L+1, ..., 1) synthesize to values of
+    shape (..., n_t, 1), and such values analyse, on the m = 0 block alone,
+    to such coefficients.
     Which passes keep a Legendre table and which stream it is the one
     rule of ``_legendre``.
     """
@@ -658,19 +646,19 @@ class ProductTransform:
         ring s the order keeps (0 for m = 0) and the rows of l - m even and
         odd of its Pbar block over the kept rings.
 
-        The one keep rule.  A pass over one field (``keep``: its dense
-        coefficients or values, with no batch axis) builds the table on
-        its first need and keeps it: the m = 0 block for a zonal pass, the
-        table of every order for a full-width one, which the solver's many
-        one-field passes then read (one field on the two-cap block
-        streamed in 86 ms against 19 ms on the kept table at L = 256, 16
-        against 4.4 ms at L = 128; best of 7, one BLAS thread, shared
-        2-core x86 VM).  Every other full-width pass, a dense stack or order rows
-        (``OrderRows``) of any height, which is all that a ring group
-        reads, reads a kept table if there is one and otherwise streams
-        its blocks from the recurrence, one group of ``_legendre_groups``
-        at a time (Schaeffer, G^3 14, 2013 and Reinecke & Seljebotn, A&A
-        554, 2013 run the recurrence inside every pass), and keeps nothing.
+        The one keep rule.  A pass over one field (``keep``: coefficients
+        or values with no batch axis) builds the table on its first need
+        and keeps it: the m = 0 block for a zonal pass, the table of every
+        order for a full-width one, which the solver's many one-field
+        passes then read (one field on the two-cap block streamed in 86 ms
+        against 19 ms on the kept table at L = 256, 16 against 4.4 ms at
+        L = 128; best of 7, one BLAS thread, shared 2-core x86 VM).  Every
+        full-width pass over a stack, a stack of one too, which is all that
+        a ring group reads, reads a kept table if there is one and
+        otherwise streams its blocks from the recurrence, one group of
+        ``_legendre_groups`` at a time (Schaeffer, G^3 14, 2013 and
+        Reinecke & Seljebotn, A&A 554, 2013 run the recurrence inside
+        every pass), and keeps nothing.
         A streamed block is a strided view of its group's degree-major
         scratch, and so are its even and odd rows; BLAS reads them as they
         are.
@@ -695,7 +683,7 @@ class ProductTransform:
         of its paired rings, the runs as equal in rings as the pairs
         allow.  ``rings`` lists the group's ring indices ascending; its
         transform, over those rings and their weights, reads this one's
-        cos/sin table and, handed order rows, streams its Legendre blocks
+        cos/sin table and, handed a stack, streams its Legendre blocks
         (``_legendre``).  One group is this transform."""
         reps, paired, order = self._reps, self._paired, self._order
         n, most = self.t.size, max(most, 2)
@@ -725,17 +713,20 @@ class ProductTransform:
         return groups
 
     def _trig(self) -> np.ndarray:
-        """cos m phi and sin m phi for m = 0..L over the representative
-        longitudes, shape (2, L+1, period // 2 + 1).  The angle m phi_j is
-        reduced modulo 2 pi in integers, 2 pi ((m j) mod n) / n, so every
-        entry comes from an angle in [0, 2 pi) rounded once (the float
-        product m * phi_j is off by about m ulps of phi_j).  Built on the
-        first pass over every order and kept."""
+        """The longitude factors of the real harmonics, cos m phi and sin m
+        phi times sqrt 2 for m > 0, over the representative longitudes,
+        shape (2, L+1, period // 2 + 1): every pass applies the sqrt 2 of
+        the m > 0 harmonics here, to no stored coefficient.  The angle m
+        phi_j is reduced modulo 2 pi in integers, 2 pi ((m j) mod n) / n, so
+        every entry comes from an angle in [0, 2 pi) rounded once (the
+        float product m * phi_j is off by about m ulps of phi_j).  Built on
+        the first pass over every order and kept."""
         if self._fourier is None:
             n = self.phi.size
             m = np.arange(self.band_limit + 1)[:, None]
             angle = 2.0 * np.pi * (m * np.arange(self._phi_reps) % n) / n
             self._fourier = np.stack([np.cos(angle), np.sin(angle)])
+            self._fourier[:, 1:] *= SQRT2
         return self._fourier
 
     def _unfold(self, even: np.ndarray, odd: np.ndarray, out: np.ndarray,
@@ -773,19 +764,15 @@ class ProductTransform:
             odd[rows] -= f[ring]
         return even, odd
 
-    def synthesis_values(self, coeffs: SHCoefficients | OrderRows
-                         ) -> np.ndarray:
-        """Values on the node set, shape (..., n_t, n_phi) for coefficients
-        of shape (..., L+1, 2L+1) or their ``OrderRows``, and (..., n_t, 1)
-        for a zonal column.
+    def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
+        """Values on the node set, shape (..., n_t, n_phi) for full-width
+        coefficients of shape (R, ..., 2), and (..., n_t, 1) for zonal
+        ones, (L+1, ..., 1).
 
-        Full-width coefficients are gathered into their order rows first,
-        so a caller that synthesizes one stack on several transforms (the
-        ring groups of ``mt_functional.SingularIntegrator``) gathers it once
-        and hands each the rows.  Each order is one product per parity of
-        its rows with its Pbar rows, so each table entry is read once per
-        batch; the Fourier step runs field by field over the representative
-        longitudes.
+        Each order is one product per parity of its rows, a view of the
+        coefficients, with its Pbar rows, so each table entry is read once
+        per batch; the Fourier step runs field by field over the
+        representative longitudes.
         """
         L = self.band_limit
         if coeffs.band_limit != L:
@@ -793,20 +780,18 @@ class ProductTransform:
                 f"coefficients have L={coeffs.band_limit}, transform expects {L}"
             )
         n_t, n_phi = self.t.size, self.phi.size
-        keep = isinstance(coeffs, SHCoefficients) and coeffs.values.ndim == 2
-        if isinstance(coeffs, SHCoefficients):
-            v = coeffs.values
-            if v.shape[-1] == 1:  # zonal: the m = 0 sums are the ring values
-                batch = v.shape[:-2]
-                v = v.reshape(-1, L + 1, 1)
-                (_, even, odd), = self._legendre(1)[:1]
-                rows = np.empty((v.shape[0], n_t))
-                self._unfold(v[:, 0::2, 0] @ even, v[:, 1::2, 0] @ odd, rows)
-                out = np.empty((v.shape[0], n_t, 1))
-                out[:, self._order, 0] = rows
-                return out.reshape(batch + (n_t, 1))
-            coeffs = OrderRows.gather(coeffs)
-        batch, k = coeffs.batch, coeffs.fields
+        v = coeffs.values
+        batch = v.shape[1:-1]
+        if v.shape[-1] == 1:  # zonal: the m = 0 sums are the ring values
+            a = v.reshape(L + 1, -1).T  # field by field
+            (_, even, odd), = self._legendre(1)[:1]
+            rows = np.empty((a.shape[0], n_t))
+            self._unfold(a[:, 0::2] @ even, a[:, 1::2] @ odd, rows)
+            out = np.empty((a.shape[0], n_t, 1))
+            out[:, self._order, 0] = rows
+            return out.reshape(batch + (n_t, 1))
+        k = math.prod(batch)
+        coeffs = v.reshape(v.shape[0], 2 * k)
         out = np.empty((k, n_t, n_phi))
         # a field's cos and sin rows, in table order, fill the start of its
         # own output slot when they fit (2 (L + 1) <= n_phi); its Fourier
@@ -817,10 +802,10 @@ class ProductTransform:
             rows = np.empty((k, 2 * (L + 1) * n_t))
         rows = rows.reshape(k, 2, L + 1, n_t)
         orders = 0  # with a ring; no order starts sooner than the last
-        for (start, even, odd), c in zip(self._legendre(L + 1, keep),
-                                         coeffs.blocks):
+        for start, even, odd in self._legendre(L + 1, not batch):
             if start == self._reps:  # no ring, nor at any later order (a
                 break                # polar ring group's high orders)
+            c = coeffs[_block_start(L, orders):_block_start(L, orders + 1)]
             self._unfold(c[0::2].T @ even, c[1::2].T @ odd,
                          rows[:, :, orders], start)
             orders += 1
@@ -888,8 +873,9 @@ class ProductTransform:
 
     def analysis_coeffs(self, values: np.ndarray) -> SHCoefficients:
         """<values, Y_{l,m}> under this node set's quadrature weights:
-        shape (..., L+1, 2L+1) for values of shape (..., n_t, n_phi), and
-        the m = 0 column (..., L+1, 1) for ring-constant (..., n_t, 1)."""
+        shape (R, ..., 2) for values of shape (..., n_t, n_phi), and the
+        m = 0 block's one part (L+1, ..., 1) for ring-constant (..., n_t,
+        1)."""
         if self.ring_weights is None:
             raise ValueError("transform was built without quadrature weights")
         L, n_t, n_phi = self.band_limit, self.t.size, values.shape[-1]
@@ -903,28 +889,26 @@ class ProductTransform:
         if n_phi == 1:  # cos 0 phi = 1 on the one longitude
             (_, even, odd), = self._legendre(1)[:1]
             s, d = self._fold(w.reshape(k, n_t).T)
-            out = np.empty((k, L + 1, 1))
-            out[:, 0::2, 0] = (even @ s).T
-            out[:, 1::2, 0] = (odd @ d).T
-            return SHCoefficients(out.reshape(batch + (L + 1, 1)))
+            out = np.empty((L + 1, k))
+            out[0::2] = even @ s
+            out[1::2] = odd @ d
+            return SHCoefficients(out.reshape((L + 1,) + batch + (1,)))
         f = self._fourier_sums(w)
         del w  # folded into f: let it go before the fold
         s, d = self._fold(f.reshape(k, n_t, 2, L + 1).transpose(1, 3, 0, 2))
         del f
         turns = len(self._images)
-        c = np.zeros((L + 1, L + 1, 2 * k))
+        out = np.empty((_block_start(L, L + 1), 2 * k))
         for m, (start, even, odd) in enumerate(
                 self._legendre(L + 1, not batch)):
             col = m // turns + m % turns * (L // turns + 1)
             kept = (reps - start, 2 * k)
-            c[m::2, m] = even @ s[start:, col].reshape(kept)
-            c[m + 1::2, m] = odd @ d[start:, col].reshape(kept)
-        c = c.reshape(L + 1, L + 1, k, 2).transpose(2, 0, 1, 3)
-        c[:, :, 1:] *= SQRT2
-        out = np.empty((k, L + 1, 2 * L + 1))
-        out[..., L:] = c[..., 0]
-        out[..., :L] = c[:, :, :0:-1, 1]
-        return SHCoefficients(out.reshape(batch + out.shape[1:]))
+            c = out[_block_start(L, m):_block_start(L, m + 1)]
+            c[0::2] = even @ s[start:, col].reshape(kept)
+            c[1::2] = odd @ d[start:, col].reshape(kept)
+        out = out.reshape((out.shape[0],) + batch + (2,))
+        out[:L + 1, ..., 1] = 0.0  # m = 0 has no sine part
+        return SHCoefficients(out)
 
 
 class SphereGrid:
@@ -971,27 +955,45 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
     return SphereGrid(n_theta, n_phi)
 
 
+@functools.lru_cache(maxsize=8)
+def _draw_rows(band_limit: int, l_max: int, decay: float):
+    """(row, part, divisor) of each normal of a draw: degree l's 2l + 1
+    normals, m = -l..l, go to row (l, |m|) in the part of the sign of m,
+    divided by (1 + l)^decay; built once per (L, l_max, decay),
+    read-only."""
+    l = np.repeat(np.arange(1, l_max + 1), 2 * np.arange(1, l_max + 1) + 1)
+    m = np.arange(l.size) - l * (l + 1) + 1
+    scale = np.array([(1.0 + d) ** decay for d in range(l_max + 1)])
+    out = (_block_start(band_limit, abs(m)) + l - abs(m),
+           (m < 0).astype(np.intp), scale[l])
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
 def random_band_limited_batch(grid: SphereGrid, rng, count: int, l_max=None,
                               decay=2.0) -> SHCoefficients:
     """Coefficients of ``count`` seeded random fields, a stack of shape
-    (count, L+1, 2L+1) at the grid's band limit L, as drawn: unscaled.
+    (R, count, 2) at the grid's band limit L, as drawn: unscaled.
 
     A field's coefficients ~ N(0, (1+l)^(-2 decay)) for degrees 1..l_max
     (default the grid's band limit) are one draw of (l_max + 1)^2 - 1
     standard normals, in order of degree and then of m.  The fields are
     drawn one after another, in one call, so the stream does not depend on
-    how the samples are split into stacks.  Callers scale each field by its
-    coefficients (``mt_functional.sample_gaps``: to an RMS over the sphere).
+    how the samples are split into stacks.  The normals are scaled in
+    place and written straight into their rows (``_draw_rows``).  Callers
+    scale each field by its coefficients (``mt_functional.sample_gaps``:
+    to an RMS over the sphere).
     """
     G = grid.band_limit
     L = G if l_max is None else l_max
     if L > G:
         raise BandLimitError(f"l_max={L} exceeds the grid band limit {G}")
-    coeffs = np.zeros((count, G + 1, 2 * G + 1))
+    row, part, divisor = _draw_rows(G, L, decay)
     normals = rng.standard_normal((count, (L + 1) ** 2 - 1))
-    for l in range(1, L + 1):  # degree l's 2l + 1 normals, m = -l..l
-        np.divide(normals[:, l * l - 1:(l + 1) ** 2 - 1], (1.0 + l) ** decay,
-                  out=coeffs[:, l, G - l:G + l + 1])
+    normals /= divisor
+    coeffs = np.zeros((_block_start(G, G + 1), count, 2))
+    coeffs[row, :, part] = normals.T
     return SHCoefficients(coeffs)
 
 
@@ -999,28 +1001,21 @@ def dirichlet_energy(c: SHCoefficients):
     """int |grad u|^2 = sum_{l,m} l(l+1) a_{l,m}^2 for band-limited u (an
     array over the batch axes for a stack, summed field by field, so a stack
     takes the scratch of one field)."""
-    lw = _degree_weights(c.band_limit)[:, None]
-    fields = c.values.reshape(-1, *c.values.shape[-2:])
-    energy = np.reshape([(lw * f**2).sum() for f in fields],
-                        c.values.shape[:-2])
+    l = c.rows[0].ravel()
+    v = c.values
+    lw = np.repeat(l * (l + 1.0), v.shape[-1])  # a field's entries, flat
+    fields = v.reshape(v.shape[0], -1, v.shape[-1])
+    energy = np.reshape([(lw * np.square(fields[:, i]).ravel()).sum()
+                         for i in range(fields.shape[1])], v.shape[1:-1])
     return float(energy) if energy.ndim == 0 else energy
 
 
-def dirichlet_pairing(a: SHCoefficients, b: SHCoefficients) -> float:
-    """int grad u . grad v in spectral form."""
-    if a.band_limit != b.band_limit:
-        raise BandLimitError("band limits differ")
-    if a.values.shape[-1] != b.values.shape[-1]:  # a zonal column
-        a, b = a.widened(), b.widened()
-    lw = _degree_weights(a.band_limit)
-    return float(np.sum(lw[:, None] * a.values * b.values))
-
-
 def phi_derivative(c: SHCoefficients) -> SHCoefficients:
-    """Coefficients of du/dphi: a_{l,m} -> m a_{l,-m} (cos <-> sin columns
-    swap, scaled by m); zero for a zonal column."""
-    m = np.arange(c.values.shape[-1]) - c._m0
-    return SHCoefficients(m * c.values[..., ::-1])
+    """Coefficients of du/dphi: a_{l,m} -> m a_{l,-m} and a_{l,-m} -> -m
+    a_{l,m} (the parts swap, scaled by m); zero for zonal coefficients."""
+    _, m = c.rows
+    return SHCoefficients(c.values[..., ::-1] * np.where(
+        np.arange(c.values.shape[-1]) == 0, m, -m))
 
 
 # ---------------------------------------------------------------------------
@@ -1032,9 +1027,9 @@ def synthesis_at_points(c: SHCoefficients, points: np.ndarray) -> np.ndarray:
 
     Streams the Legendre recurrence in groups of orders over groups of
     points (``synthesis_at_angles``), so no table over all orders is
-    stored: a group's blocks take at most LEGENDRE_BYTES.  A zonal column
-    needs the m = 0 block alone.  Exact for band-limited fields.  Accepts
-    any leading shape (..., 3).
+    stored: a group's blocks take at most LEGENDRE_BYTES.  Zonal
+    coefficients need the m = 0 block alone.  Exact for band-limited
+    fields.  Accepts any leading shape (..., 3).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.clip(pts[..., 2], -1.0, 1.0)
@@ -1055,13 +1050,13 @@ def rotated(c: SHCoefficients, frame: np.ndarray) -> SHCoefficients:
 
 
 def axis_values(c: SHCoefficients):
-    """(u(+e3), u(-e3)) from the m = 0 column alone: every order m != 0
-    vanishes on the axis, and Pbar_{l,0}(+-1) = (+-1)^l sqrt((2l + 1) /
-    4 pi), so each pole is one weighted sum and no recurrence runs.  Floats
-    for one field, arrays over a stack's batch axes."""
+    """(u(+e3), u(-e3)) from the m = 0 coefficients alone: every order
+    m != 0 vanishes on the axis, and Pbar_{l,0}(+-1) = (+-1)^l sqrt((2l +
+    1) / 4 pi), so each pole is one weighted sum and no recurrence runs.
+    Floats for one field, arrays over a stack's batch axes."""
     l = np.arange(c.band_limit + 1)
     north = np.sqrt((2.0 * l + 1.0) / FOUR_PI)
-    a = c.order(0)
+    a = np.moveaxis(c.order(0), 0, -1)
     poles = a @ north, a @ np.where(l % 2, -north, north)
     return tuple(map(float, poles)) if a.ndim == 1 else poles
 
@@ -1078,24 +1073,29 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
     views of the group's degree-major scratch, multiplied as they are."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     flat, phi = t.ravel(), np.ravel(phi)
-    cv, m0 = c.values, c._m0  # a zonal column holds the m = 0 block alone
-    out = np.zeros(cv.shape[:-2] + (t.size,))
-    work = 4 + 3 * math.prod(cv.shape[:-2])
-    size = max(1, LEGENDRE_BYTES // (8 * (c.band_limit + 4 + work)))
+    L, batch = c.band_limit, c.values.shape[1:-1]
+    # field by field, (K, R, parts); zonal coefficients hold m = 0 alone
+    cv = np.moveaxis(c.values.reshape(c.values.shape[0], -1,
+                                      c.values.shape[-1]), 1, 0)
+    out = np.zeros((cv.shape[0], t.size))
+    work = 4 + 3 * cv.shape[0]
+    size = max(1, LEGENDRE_BYTES // (8 * (L + 4 + work)))
     for s in range(0, t.size, size):
-        o, ph = out[..., s:s + size], phi[s:s + size]
-        for group in _legendre_groups(c.band_limit, flat[s:s + size], m0, 0.0,
+        o, ph = out[:, s:s + size], phi[s:s + size]
+        for group in _legendre_groups(L, flat[s:s + size],
+                                      L if cv.shape[-1] > 1 else 0, 0.0,
                                       work):
             for m, block in group:
+                a = cv[:, _block_start(L, m):_block_start(L, m + 1)]
                 if m == 0:
-                    o += cv[..., m0] @ block
+                    o += a[..., 0] @ block
                 else:
                     o += np.sqrt(2.0) * (
-                        (cv[..., m:, m0 + m] @ block) * np.cos(m * ph)
-                        + (cv[..., m:, m0 - m] @ block) * np.sin(m * ph))
+                        (a[..., 0] @ block) * np.cos(m * ph)
+                        + (a[..., 1] @ block) * np.sin(m * ph))
         # views of this group of points' scratch: let it go before the next
         del group, block
-    return out.reshape(cv.shape[:-2] + t.shape)
+    return out.reshape(batch + t.shape)
 
 
 def gradient_magnitude(c: SHCoefficients, synthesis, t: np.ndarray,
@@ -1108,17 +1108,18 @@ def gradient_magnitude(c: SHCoefficients, synthesis, t: np.ndarray,
     l t Pbar_{l,m} - N_{l,m} Pbar_{l-1,m} with N_{l,m}^2 = (2l+1)(l^2-m^2)/(2l-1)
     gives sin theta du/dtheta = t S[l a_{l,m}] - S[N_{l+1,m} a_{l+1,m}].
     The three coefficient sets, after u's own, are synthesized as one
-    stack, in one pass; for a zonal column as m = 0 columns.
+    stack, in one pass; for zonal coefficients as zonal ones.
     """
-    l = np.arange(c.band_limit + 1, dtype=float)[:, None]
-    m = np.arange(c.values.shape[-1]) - c._m0
-    parts = np.zeros((3 + values,) + c.values.shape)
+    l, m = c.rows
+    lifted = l + 1.0  # a_{l+1,m} goes to row (l, m), of the same block
+    parts = np.zeros(c.values.shape[:1] + (3 + values,) + c.values.shape[1:])
     if values:
-        parts[0] = c.values
-    parts[-3] = l * c.values
-    parts[-2, :-1] = np.sqrt((2.0 * l[1:] + 1.0) / (2.0 * l[1:] - 1.0)
-                             * np.maximum(l[1:] ** 2 - m * m, 0.0)) * c.values[1:]
-    parts[-1] = phi_derivative(c).values
+        parts[:, 0] = c.values
+    parts[:, -3] = l * c.values
+    parts[:-1, -2] = (np.sqrt((2.0 * lifted + 1.0) / (2.0 * lifted - 1.0)
+                              * (lifted ** 2 - m * m))
+                      * (l < c.band_limit))[:-1] * c.values[1:]
+    parts[:, -1] = phi_derivative(c).values
     *u, by_degree, lowered, dphi = synthesis(SHCoefficients(parts))
     sin2 = np.maximum(1.0 - t * t, 1.0e-300)
     grad = np.sqrt(((t * by_degree - lowered) ** 2 + dphi**2) / sin2)

@@ -40,10 +40,10 @@ one info line per solve.
 The state is the coefficients: a solve starts from coefficients and
 returns them with the grid, and a caller that needs values synthesizes
 them.  Axis-symmetric problems are solved in the m = 0 subspace, by the
-one rule of ``sphere_grid``: one-column data is zonal.  From a zonal
-column of coefficients under a weight invariant about the axis
+one rule of ``sphere_grid``: one-part coefficients are zonal.  From
+zonal coefficients under a weight invariant about the axis
 (``axis_integrator``), J and its gradient commute with rotations about
-the axis, so every residual, direction and iterate is that column, every
+the axis, so every residual, direction and iterate is zonal, every
 density is one column and each transform is one (L+1) x n_t product,
 O(L n_t), against O(L^2 n_t + L n_t n_phi) for all orders.  The
 diagnostics read a state on the integrator's rule it was solved on, in
@@ -71,11 +71,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sphere_grid import (
-    OrderRows,
     ProductTransform,
     SHCoefficients,
     SphereGrid,
-    _degree_weights,
     _orthonormal_frame,
     axis_values,
     dirichlet_energy,
@@ -201,8 +199,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
             "out of scope")
     a = init
     integ = integrator_for(grid, params.weight)
-    precond = np.zeros((grid.band_limit + 1, 1))  # inverse Laplacian, l >= 1
-    precond[1:, 0] = 1.0 / _degree_weights(grid.band_limit)[1:]
+    precond = None
     tol = config.tol_factor * params.rho
 
     dens = integ.density(a)
@@ -220,7 +217,12 @@ def minimize(params: FunctionalParams, config: SolverConfig,
             raise UnnormalizedBlowupError(
                 f"max(u) = {lam:.3g} exceeded the ceiling during minimization")
         proj = integ.density_projection(dens)
-        resid = density_residual(a, dens, proj, params.rho).values
+        residual = density_residual(a, dens, proj, params.rho)
+        resid = residual.values
+        if precond is None:  # the inverse Laplacian on l >= 1, row by row
+            l, _ = residual.rows
+            precond = np.divide(1.0, l * (l + 1.0), out=np.zeros(l.shape),
+                                where=l > 0)
         rnorm = float(np.sqrt(np.sum(resid * resid)))
         record = {"iteration": it, "J": J, "residual": rnorm, "lambda": lam,
                   "step": 0.0, "backtracks": 0, "cg_iterations": 0}
@@ -290,10 +292,10 @@ def cap_density_integral(state: MinimizerState, center: np.ndarray,
     if not axis:
         frame = _orthonormal_frame(center)
         coeffs, nodes = rotated(coeffs, frame), nodes @ frame
-    if coeffs.values.shape[-1] > 1:  # streams its Legendre blocks
-        coeffs = OrderRows.gather(coeffs)
+    if coeffs.values.shape[-1] > 1:  # a stack of one streams its blocks
+        coeffs = SHCoefficients(coeffs.values[:, None])
     integ = SingularIntegrator(tr, w.log_weight(nodes, cap=cap))
-    return float(np.exp(integ.log_exp_integral(coeffs)))
+    return np.exp(integ.log_exp_integral(coeffs)).item()
 
 
 @dataclass

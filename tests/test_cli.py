@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -245,7 +246,7 @@ class TestRun:
         rng = np.random.default_rng(5)
         want = []
         for _ in range(20):
-            c = sphere_grid.random_band_limited_batch(g, rng, 1).values[0]
+            c = sphere_grid.random_band_limited_batch(g, rng, 1).values[:, 0]
             rms = np.sqrt(np.sum(c * c) / (4.0 * np.pi))
             want.append(troyanov_gap(sphere_grid.SHCoefficients(c * (0.7 / rms)),
                                      g, w, 0.0))
@@ -256,8 +257,7 @@ class TestRun:
     @staticmethod
     def budget(fields, band_limit):
         """A BATCH_BUDGET whose stacks take ``fields`` samples at band
-        limit L: one Legendre group and, per field, its coefficients and
-        its order rows, 24 (L + 1)^2 bytes."""
+        limit L: one Legendre group and 24 (L + 1)^2 bytes a field."""
         from sol_lab import sphere_grid
         return sphere_grid.LEGENDRE_BYTES + fields * 24 * (band_limit + 1) ** 2
 
@@ -324,9 +324,9 @@ class TestRun:
         groups = [tr for tr, _ in integ._ring_groups]
         assert len(groups) > 1
         assert passes == groups + groups + groups
-        assert [c.values.shape[0] for c, _ in evaluated] == [3, 2, 2]
+        assert [c.values.shape[1] for c, _ in evaluated] == [3, 2, 2]
         for coeffs, log_integral in evaluated:
-            for i, c in enumerate(coeffs.values):
+            for i, c in enumerate(np.moveaxis(coeffs.values, 1, 0)):
                 assert np.sqrt(np.sum(c * c) / (4.0 * np.pi)) == \
                     pytest.approx(0.7, rel=1e-14)
                 one = integ.density(SHCoefficients(c)).log_integral
@@ -340,10 +340,10 @@ class TestRun:
         6's second draw takes its largest |u| on either rule in the south
         cap, so a scale read off the rule's nodes would differ."""
         stacks = [np.concatenate([c.values for c, _ in self.evaluated_stacks(
-            monkeypatch, points, 3, 6)[0]])
+            monkeypatch, points, 3, 6)[0]], axis=1)
             for points in ([([0, 0, 1], -0.5)],
                            [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)])]
-        assert stacks[0].shape[0] == 3
+        assert stacks[0].shape[1] == 3
         assert np.array_equal(stacks[0], stacks[1])
 
     def test_onofri_family(self, tmp_path):
@@ -923,14 +923,15 @@ class TestMainEntry:
     @pytest.mark.parametrize("m, width", [(0, 1), (1, 5)])
     def test_smooth_factor_is_coefficients(self, m, width):
         """weight.K is the coefficients of base + harmonics, base in
-        a_00: a zonal column when every harmonic has m = 0."""
+        a_00: zonal when every harmonic has m = 0, else over every order
+        (the ``width`` orders -2..2 at l <= 2)."""
         from sol_lab.cli import _build_weight
         config, _ = validate(config_text(weight={
             "points": [{"position": [0, 0, 1], "order": -0.5}],
             "K": {"base": 1.5, "harmonics": [{"l": 2, "m": m,
                                               "coeff": 0.2}]}}))
         w = _build_weight(config)
-        assert w.K.values.shape == (3, width)
+        assert w.K.values.shape == ((3, 1) if width == 1 else (6, 2))
         assert w.axis_invariant == (m == 0)
         x = np.array([[0.6, 0.0, 0.8], [0.0, 0.0, -1.0]])
         y2m = {0: np.sqrt(5.0 / (16.0 * np.pi)) * (3.0 * x[:, 2] ** 2 - 1.0),
@@ -1270,6 +1271,107 @@ class TestThreads:
         for kind, *_ in kinds:
             assert json.loads((tmp_path / f"{kind}.out").read_text())[
                 "summary"]
+
+
+class TestChecksCanFail:
+    """The sweep checks fed, through their CLI runners, a stubbed
+    ``epsilon_sweep`` on which each must fail, and one on which each
+    passes: the rows and the extrapolated J are the runners' only input
+    besides the closed-form target."""
+
+    @staticmethod
+    def checks(monkeypatch, kind, rows, rel_J):
+        """{name: check} of a ``kind`` run (the default weight, order -1/2
+        at the north pole, on 33 x 66) whose sweep has these rows and an
+        extrapolated J at relative distance ``rel_J`` from the target."""
+        from sol_lab import subcritical_solver
+        from sol_lab.identity_checks import blowup_infimum
+        from sol_lab.singular_geometry import SingularWeight
+        from sol_lab.sphere_grid import build_grid
+
+        w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5)])
+        target = blowup_infimum(w, build_grid(33, 66)).inf_J
+
+        class Entry:  # a sweep entry as the runners read it, no profile
+            epsilon = 0.1
+            diagnostics = SimpleNamespace(
+                profile_radii=np.empty(0), profile=np.empty(0), t_eps=0.1,
+                center=np.array([0.0, 0.0, 1.0]))
+
+            def __init__(self, row):
+                self.values = row
+
+            def row(self):
+                return self.values
+
+        def epsilon_sweep(weight, grid, config):
+            return subcritical_solver.SweepReport(
+                [Entry(r) for r in rows], target * (1.0 + rel_J), 1.0)
+
+        monkeypatch.setattr(subcritical_solver, "epsilon_sweep",
+                            epsilon_sweep)
+        config, errors = validate(config_text(experiment={"kind": kind}))
+        assert not errors
+        report = run(config)
+        assert report["summary"]["blowup_target"] == target
+        return {c["name"]: c for c in report["checks"]}
+
+    @staticmethod
+    def rows(cap_mass_fraction, profile_errors):
+        rho_bar = 4.0 * np.pi
+        return [{"lambda": 1.0 + i, "mean_decay": 0.3 - 0.1 * i,
+                 "cap_mass_10t": rho_bar * (cap_mass_fraction if i == 2
+                                            else 1.0),
+                 "profile_error": e} for i, e in enumerate(profile_errors)]
+
+    def test_sweep_checks_fail_on_a_failing_sweep(self, monkeypatch):
+        """An extrapolated J 6 % off the blow-up value (tolerance 5 %) and
+        a last cap holding 80 % of rho_bar (tolerance 15 %) fail; 4.4 %
+        (the seed-0 sweep's distance) and the whole mass pass."""
+        passing = self.checks(monkeypatch, "sweep",
+                              self.rows(1.0, (0.3, 0.2, 0.1)), 0.044)
+        failing = self.checks(monkeypatch, "sweep",
+                              self.rows(0.8, (0.3, 0.2, 0.1)), 0.06)
+        for name in ("extrapolated J vs blow-up value",
+                     "cap mass fraction at 10 t_eps"):
+            assert passing[name]["passed"] and not failing[name]["passed"]
+        assert failing["extrapolated J vs blow-up value"]["value"] == \
+            pytest.approx(0.06, rel=1e-12)
+        assert failing["cap mass fraction at 10 t_eps"]["value"] == \
+            pytest.approx(0.2, rel=1e-12)
+
+    def test_profile_collapse_fails_on_a_growing_profile_error(
+            self, monkeypatch):
+        """A profile error that grows by 0.1 between entries (noise 0.02)
+        fails "profile collapse monotone"; one that falls passes."""
+        for errors, passed in (((0.3, 0.2, 0.1), True),
+                               ((0.1, 0.2, 0.3), False)):
+            check = self.checks(monkeypatch, "profile-collapse",
+                                self.rows(1.0, errors), 0.0)[
+                "profile collapse monotone"]
+            assert check["passed"] == passed
+            assert check["value"] == pytest.approx(-0.1 if passed else 0.1)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="FOUND: the sweep check 'cap mass fraction at 10 t_eps' "
+               "cannot fail when 10 t_eps >= pi - 0.2: every seed-0 sweep "
+               "entry has t_eps >= 0.49, so diagnose reports the "
+               "whole-sphere mass rho and the check reads eps / rho_bar")
+    def test_cap_mass_check_can_fail_on_the_seed0_sweep(self):
+        """perfbench's seed-0 sweep config (L = 128, order -1/2 at the
+        north pole, init_epsilon 0.011377687406100193) measures the cap
+        mass in a cap smaller than the sphere at some entry, so that a
+        state whose mass is not concentrated there fails the check."""
+        config, errors = validate(config_text(
+            grid={"n_theta": 129, "n_phi": 258},
+            experiment={"kind": "sweep", "epsilons": [0.5, 0.2, 0.1, 0.05],
+                        "init_epsilon": 0.011377687406100193}))
+        assert not errors
+        report = run(config)
+        assert report["passed"]
+        assert any(10.0 * r["t_eps"] < np.pi - 0.2
+                   for r in report["records"])
 
 
 def tracer_layers() -> dict:

@@ -30,13 +30,11 @@ from sol_lab.singular_geometry import SingularWeight, axis_frame
 from sol_lab.subcritical_solver import SolverConfig, minimize
 from sol_lab.sphere_grid import (
     FOUR_PI,
-    OrderRows,
     SHCoefficients,
-    _degree_weights,
     build_grid,
 )
 
-from conftest import affine_K, random_band_limited, zero
+from conftest import affine_K, random_band_limited, random_coeffs, zero
 
 NORTH = (0.0, 0.0, 1.0)
 SOUTH = (0.0, 0.0, -1.0)
@@ -68,7 +66,7 @@ def residual_field(coeffs, params, grid):
 def full_path_coeffs(grid):
     """Coefficients with an m = 1 term: their densities need every order."""
     c = SHCoefficients.zeros(grid.band_limit)
-    c.order(1)[1] = 1.0
+    c.order(1)[0] = 1.0  # a_{1,1}
     return c
 
 
@@ -454,8 +452,8 @@ class TestElResidual:
             fd = (plus.values - minus.values) / (2.0 * step)
             assert hv.shape == fd.shape == proj.values.shape
             # against the density terms alone: Lambda v is exact
-            density_part = hv - (_degree_weights(grid64.band_limit)[:, None]
-                                 * v.values)
+            l, _ = v.rows
+            density_part = hv - l * (l + 1.0) * v.values
             assert np.linalg.norm(hv - fd) <= \
                 1e-6 * np.linalg.norm(density_part)
 
@@ -587,12 +585,14 @@ class TestTroyanovGap:
         """The 20 samples of perfbench's seed-0 evaluate config (L = 256,
         orders -0.2245 north and 1.0947 south), one stack: with the
         integrator kept from a first run, the traced peak of sample_gaps is
-        below the stack's dense coefficients (21.1 MB) plus the values of a
-        third of the block's rings, 215 of 643 (17.7 MB).  The dense stack
-        is let go once gathered into its order rows (10.6 MB), and each
-        ring group holds at most as many values as the rows: 30.3 MiB in
-        all, against 45.3 MiB when every group read the dense stack and
-        took a third of the rings."""
+        below the stack's coefficients (10.6 MB) and normals (10.6 MB)
+        plus the values of a third of the block's rings, 215 of 643 (17.7
+        MB).  The draw writes its normals straight into the coefficients,
+        which no pass copies, and each ring group holds at most as many
+        values as the coefficients: 26.6 MiB in all, against 30.3 MiB when
+        a dense stack was drawn and gathered into its order rows, and 45.3
+        MiB when every group read the dense stack and took a third of the
+        rings."""
         grid = build_grid(257, 514)
         w = SingularWeight.from_orders([(NORTH, -0.22446251877996148),
                                         (SOUTH, 1.0947037198878191)])
@@ -606,8 +606,8 @@ class TestTroyanovGap:
         finally:
             tracemalloc.stop()
         assert np.array_equal(gaps, first)
-        dense, third = 20 * 8 * 257 * 513, 20 * 8 * 215 * 514
-        assert peak < dense + third, peak
+        coeffs, third = 20 * 8 * 257 * 258 // 2, 20 * 8 * 215 * 514
+        assert peak < 2 * coeffs + third, peak
 
     def test_matches_functional(self, grid64, rng):
         w = single_weight(-0.5)
@@ -630,11 +630,12 @@ class TestDensityStack:
              else off_axis_weight(points[0][0]))
         fields = [random_band_limited(grid64, rng) * s for s in (1.0, 6.0, 0.2)]
         stack = SHCoefficients(np.stack(
-            [grid64.transform.analysis_coeffs(f).values for f in fields]))
+            [grid64.transform.analysis_coeffs(f).values for f in fields],
+            axis=1))
         integ = integrator_for(grid64, w)
         dens = integ.density(stack)
         for i, f in enumerate(fields):
-            one = integ.density(SHCoefficients(stack.values[i]))
+            one = integ.density(SHCoefficients(stack.values[:, i]))
             assert dens.shift[i] == pytest.approx(one.shift, rel=1e-14)
             assert dens.peak[i] == pytest.approx(one.peak, rel=1e-14)
             assert dens.log_integral[i] == pytest.approx(one.log_integral,
@@ -644,15 +645,16 @@ class TestDensityStack:
 
 
 class TestGroupedLogIntegral:
-    """``log_exp_integral`` of a full-width stack, or of order rows of any
-    height, synthesizes it one ring group at a time and sums the groups'
-    shifted integrals, so it never holds the stack's values at once."""
+    """``log_exp_integral`` of a full-width stack of any height
+    synthesizes it one ring group at a time and sums the groups' shifted
+    integrals, so it never holds the stack's values at once."""
 
     @staticmethod
     def stack(grid, rng, k, scale=1.0):
-        L = grid.band_limit
-        return SHCoefficients(scale * rng.normal(size=(k, L + 1, 2 * L + 1))
-                              / (1.0 + np.arange(L + 1))[:, None] ** 2)
+        c = SHCoefficients(random_coeffs(rng, grid.band_limit, k))
+        l, _ = c.rows
+        c.values *= scale / (1.0 + l) ** 2
+        return c
 
     @pytest.mark.parametrize("points", [
         [(NORTH, -0.5), (SOUTH, 0.3)],
@@ -670,8 +672,6 @@ class TestGroupedLogIntegral:
             got = integ.log_exp_integral(c)
             want = integ.density(c).log_integral
             assert got.shape == (5,)
-            assert np.array_equal(
-                integ.log_exp_integral(OrderRows.gather(c)), got)
             assert np.all(np.abs(got - want)
                           <= 4 * np.spacing(np.maximum(1.0, np.abs(want))))
 
@@ -691,35 +691,30 @@ class TestGroupedLogIntegral:
 
     def test_one_field_and_a_column_are_the_density(self, grid64, rng):
         """On a rule of nine groups, one field and a zonal stack take the
-        density, bit for bit.  A stack of one and one field's order rows
-        take the ring groups, as every stack does, and agree with it
-        within 4 ulp of max(1, |log I|) (as in
-        ``test_groups_agree_with_the_density``), the stack bit for bit
-        with its order rows."""
+        density, bit for bit.  A stack of one takes the ring groups, as
+        every stack does, and agrees with its density within 4 ulp of
+        max(1, |log I|) (as in ``test_groups_agree_with_the_density``)."""
         integ = axis_integrator(grid64, SingularWeight.from_orders(
             [(NORTH, -0.5), (SOUTH, 0.3)]))
         assert len(integ._ring_groups) == 9
         c = self.stack(grid64, rng, 3, 5.0)
-        column = SHCoefficients(c.values[..., 64:65].copy())
-        for coeffs in (SHCoefficients(c.values[0]), column):
+        column = SHCoefficients(c.values[:65, :, :1].copy())
+        for coeffs in (SHCoefficients(c.values[:, 0]), column):
             got = integ.log_exp_integral(coeffs)
             assert np.array_equal(got, integ.density(coeffs).log_integral)
         assert isinstance(integ.log_exp_integral(
-            SHCoefficients(c.values[0])), float)
-        stack = SHCoefficients(c.values[:1])
-        assert np.array_equal(integ.log_exp_integral(stack),
-                              integ.log_exp_integral(OrderRows.gather(stack)))
-        for coeffs in (stack, SHCoefficients(c.values[0])):
-            got = integ.log_exp_integral(OrderRows.gather(coeffs))
-            want = integ.density(coeffs).log_integral
-            assert np.shape(got) == np.shape(want)
-            assert np.all(np.abs(got - want)
-                          <= 4 * np.spacing(np.maximum(1.0, np.abs(want))))
+            SHCoefficients(c.values[:, 0])), float)
+        stack = SHCoefficients(c.values[:, :1])
+        got = integ.log_exp_integral(stack)
+        want = integ.density(stack).log_integral
+        assert np.shape(got) == np.shape(want) == (1,)
+        assert np.all(np.abs(got - want)
+                      <= 4 * np.spacing(np.maximum(1.0, np.abs(want))))
 
     def test_rows_hold_one_group_and_the_budget(self, grid64, rng,
                                                 monkeypatch):
         """The recurrence's coefficient arrays count in LEGENDRE_BYTES: the
-        order rows of K = 8 fields on the L = 64 two-cap block, gathered
+        coefficient rows of K = 8 fields on the L = 64 two-cap block, drawn
         and the ring groups built before, under a 512 KiB budget, trace a
         log integral of at most one group's values, the budget and the two
         per-order even and odd products, 2 * 8 * 2K * reps bytes (815,872
@@ -729,7 +724,7 @@ class TestGroupedLogIntegral:
         L, K, budget = 64, 8, 1 << 19
         integ = axis_integrator(grid64, SingularWeight.from_orders(
             [(NORTH, -0.5), (SOUTH, 0.3)]))
-        rows = OrderRows.gather(self.stack(grid64, rng, K))
+        rows = self.stack(grid64, rng, K)
         most = max(8 * K * g.weights.size for g, _ in integ._ring_groups)
         bound = most + budget + 2 * 8 * 2 * K * integ.transform._reps
         assert bound == 815_872
@@ -748,13 +743,12 @@ class TestGroupedLogIntegral:
         """A stack of K = 8 fields on the L = 64 two-cap block (264 x 130
         nodes, 2.2 MB of values) under a 512 KiB LEGENDRE_BYTES streams
         each of its 9 ring groups (at most 33 rings, 30 here): the traced
-        peak of its log integral is at most the stack's coefficient bytes
-        (0.54 MB, room for the order rows it gathers once, 0.27 MB), one
-        group's values (0.25 MB, no
-        more than the rows), LEGENDRE_BYTES and the two per-order even and
-        odd products, 2 * 8 * 2K * reps bytes, and below the stack's
-        values; the groups and the cos/sin table they share are kept from
-        the first stack, not this pass's memory."""
+        peak of its log integral, which copies no coefficient, is at most
+        one group's values (0.25 MB, no more than the stack's coefficients,
+        0.27 MB), LEGENDRE_BYTES and the two per-order even and odd
+        products, 2 * 8 * 2K * reps bytes, and below the stack's values;
+        the groups and the cos/sin table they share are kept from the first
+        stack, not this pass's memory."""
         L, K, budget = 64, 8, 1 << 19
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
         integ = axis_integrator(grid64, SingularWeight.from_orders(
@@ -772,7 +766,8 @@ class TestGroupedLogIntegral:
         finally:
             tracemalloc.stop()
         assert all(g._plm == [] for g in groups)
-        assert peak <= (c.values.nbytes + most + budget
+        assert c.values.nbytes == rows
+        assert peak <= (most + budget
                         + 2 * 8 * 2 * K * integ.transform._reps), peak
         assert peak < 8 * K * integ.transform.weights.size, peak
 

@@ -19,7 +19,7 @@ from sol_lab.sphere_grid import (
     SHCoefficients,
     _orthonormal_frame,
     build_grid,
-    dirichlet_pairing,
+    dirichlet_energy,
     rotated,
     synthesis_at_points,
 )
@@ -99,13 +99,15 @@ class TestGreen:
         assert worst < 1e-8
 
     def test_distributional_identity(self, grid64, rng):
-        """<grad G_p, grad v> = v(p) - mean(v) for band-limited v."""
+        """<grad G_p, grad v> = v(p) - mean(v) for band-limited v, the
+        pairing taken from ``dirichlet_energy`` by polarization."""
         for _ in range(3):
             p = random_pole(rng)
             gp = grid64.transform.analysis_coeffs(green(p, grid64.nodes))
             v = grid64.transform.analysis_coeffs(
                 random_band_limited(grid64, rng, decay=3.0))
-            lhs = dirichlet_pairing(gp, v)
+            lhs = 0.25 * (dirichlet_energy(SHCoefficients(gp.values + v.values))
+                          - dirichlet_energy(SHCoefficients(gp.values - v.values)))
             rhs = synthesis_at_points(v, p[None, :])[0] - v.mean
             assert abs(lhs - rhs) < 1e-3
 
@@ -207,7 +209,7 @@ class TestSingularWeight:
 def skew_K():
     """K = 1 + 0.1 Y_{1,1} + 0.05 Y_{2,-1}, invariant about no axis."""
     K = SHCoefficients.zeros(2).shifted(1.0)
-    K.order(1)[1], K.order(-1)[2] = 0.1, 0.05
+    K.order(1)[0], K.order(-1)[1] = 0.1, 0.05  # rows l - |m|
     return K
 
 
@@ -234,7 +236,7 @@ class TestAxisFrame:
         assert framed.positions.tolist() == [[0.0, 0.0, 1.0],
                                              [0.0, 0.0, -1.0]][:len(points)]
         assert np.array_equal(framed.orders, w.orders)
-        assert framed.K.values.shape == (3, 5)
+        assert framed.K.values.shape == (6, 2)
         x = rng.normal(size=(500, 3))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         assert np.abs(framed.log_weight(x @ R.T)

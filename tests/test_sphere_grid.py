@@ -15,9 +15,7 @@ from sol_lab import sphere_grid
 from sol_lab.sphere_grid import (
     FOUR_PI,
     LEGENDRE_FLOOR,
-    SQRT2,
     BandLimitError,
-    OrderRows,
     ProductTransform,
     SHCoefficients,
     axis_values,
@@ -30,6 +28,7 @@ from sol_lab.sphere_grid import (
     normalized_legendre,
     synthesis_at_angles,
     synthesis_at_points,
+    _block_start,
     _legendre_groups,
     _ring_runs,
     random_band_limited_batch,
@@ -38,7 +37,7 @@ from sol_lab.sphere_grid import (
 from sol_lab.mt_functional import integrator_for
 from sol_lab.singular_geometry import SingularWeight
 
-from conftest import random_band_limited
+from conftest import dense, random_band_limited, random_coeffs
 
 
 class TestBuildGrid:
@@ -249,7 +248,7 @@ class TestIntegrate:
 class TestTransforms:
     def test_constant_from_a00(self, grid64):
         c = SHCoefficients.zeros(grid64.band_limit)
-        c.values[0, grid64.band_limit] = np.sqrt(FOUR_PI)
+        c.values[0, 0] = np.sqrt(FOUR_PI)
         f = grid64.transform.synthesis_values(c)
         assert np.abs(f - 1.0).max() < 1e-12
 
@@ -273,13 +272,6 @@ class TestTransforms:
         c = SHCoefficients.zeros(grid64.band_limit)
         with pytest.raises(BandLimitError):
             grid16.transform.synthesis_values(c)
-
-    def test_lower_band_limit_padded(self, grid64):
-        c = SHCoefficients.zeros(4)
-        c.values[1, 4] = 1.0
-        f = grid64.transform.synthesis_values(c.widened(grid64.band_limit))
-        expected = np.sqrt(3.0 / FOUR_PI) * grid64.nodes[..., 2]
-        assert np.abs(f - expected).max() < 1e-12
 
     def test_mean_is_a00(self, grid64, rng):
         f = random_band_limited(grid64, rng)
@@ -409,7 +401,7 @@ class TestGroupedLegendre:
         the peak holds that and the output alone."""
         L, n = 128, 50_000
         rng = np.random.default_rng(3)
-        c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
+        c = SHCoefficients(random_coeffs(rng, L))
         t = rng.uniform(-1.0, 1.0, n)
         phi = rng.uniform(0.0, 2.0 * np.pi, n)
         group_bytes = sphere_grid.LEGENDRE_BYTES
@@ -426,8 +418,8 @@ class TestGroupedLegendre:
         two, and the peak holds LEGENDRE_BYTES and the output alone."""
         L, n = 32, 27_346
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 4 << 20)
-        c = rng.normal(size=(4, L + 1, 2 * L + 1))
-        c = SHCoefficients(c[..., L:L + 1] if zonal else c)
+        c = random_coeffs(rng, L, 4)
+        c = SHCoefficients(c[:L + 1, :, :1].copy() if zonal else c)
         t, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 7.0, n)
         assert (4 << 20) // (8 * (L + 8 + 3 * 4)) == 10_082
         assert_within_budget(lambda: synthesis_at_angles(c, t, phi))
@@ -445,7 +437,7 @@ class TestGroupedLegendre:
         degree-major, alone (so within max(budget, one order))."""
         L = 32
         g = build_grid(L + 1, 2 * L + 2)
-        c = SHCoefficients(rng.normal(size=(L + 1, 2 * L + 1)))
+        c = SHCoefficients(random_coeffs(rng, L))
         t, phi = rng.uniform(-1.0, 1.0, 40), rng.uniform(0.0, 7.0, 40)
 
         def budget(n, work=0):
@@ -461,7 +453,8 @@ class TestGroupedLegendre:
             table = normalized_legendre(L, t)
             size(t.size, 7)  # one group of points
             passes = [synthesis_at_angles(c, t, phi)]
-            for fields in (c, SHCoefficients(np.stack([c.values] * 2))):
+            for fields in (c, SHCoefficients(np.stack([c.values] * 2,
+                                                      axis=1))):
                 synthesis, analysis = (ProductTransform(
                     L, g.t, g.n_phi, g.t_weights) for _ in range(2))
                 size(synthesis._reps)
@@ -489,9 +482,9 @@ class TestGroupedLegendre:
         points take five groups, and zonal and full-width stacks match one
         group to 1e-15 relative."""
         L, n = 32, 200
-        c = rng.normal(size=(3, L + 1, 2 * L + 1))
+        c = random_coeffs(rng, L, 3)
         t, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 7.0, n)
-        stacks = [SHCoefficients(c), SHCoefficients(c[..., L:L + 1])]
+        stacks = [SHCoefficients(c), SHCoefficients(c[:L + 1, :, :1])]
         want = [synthesis_at_angles(s, t, phi) for s in stacks]
         seen = []
 
@@ -510,7 +503,7 @@ class TestGroupedLegendre:
 
 
 class TestAxisValues:
-    """u(+e3) and u(-e3) read from the m = 0 column alone."""
+    """u(+e3) and u(-e3) read from the m = 0 coefficients alone."""
 
     @pytest.mark.parametrize("zonal", [False, True])
     @pytest.mark.parametrize("band_limit", [16, 128, 256])
@@ -521,14 +514,14 @@ class TestAxisValues:
         most 7.4e-15 seen at L = 256): a value near zero cancels its terms,
         and both sums round on that scale."""
         L = band_limit
-        c = rng.normal(size=(3, L + 1, 2 * L + 1)) / (1.0 + np.arange(
-            L + 1))[:, None]
-        c = c[..., L:L + 1] if zonal else c
+        c = SHCoefficients(random_coeffs(rng, L, 3))
+        c.values /= 1.0 + c.rows[0]
+        c = c.values[:L + 1, :, :1] if zonal else c.values
         poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         l = np.arange(L + 1)
-        for stack in (SHCoefficients(c), SHCoefficients(c[0])):
+        for stack in (SHCoefficients(c), SHCoefficients(c[:, 0])):
             want = synthesis_at_points(stack, poles)
-            scale = np.abs(stack.order(0)) @ np.sqrt((2 * l + 1.0) / FOUR_PI)
+            scale = np.sqrt((2 * l + 1.0) / FOUR_PI) @ np.abs(stack.order(0))
             got = axis_values(stack)
             for v, w in zip(got, np.moveaxis(want, -1, 0)):
                 assert np.shape(v) == np.shape(w)
@@ -538,9 +531,10 @@ class TestAxisValues:
 
 
 class TestOrderLimit:
-    """The orders a pass reads: one-column data is zonal.  Ring-constant
-    values (..., n_t, 1) analyse on the m = 0 block alone, and zonal
-    coefficients synthesize to such a column."""
+    """The orders a pass reads: one-column values and one-part
+    coefficients are zonal.  Ring-constant values (..., n_t, 1) analyse on
+    the m = 0 block alone, and zonal coefficients synthesize to such a
+    column."""
 
     @pytest.mark.parametrize("m_max", [0, 1, 16])
     def test_table_is_leading_orders(self, m_max):
@@ -553,25 +547,25 @@ class TestOrderLimit:
 
     @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
     def test_zonal_transform_matches_full(self, grid_name, request, rng):
-        """Alone and batched, zonal columns of coefficients synthesize to
-        (..., n_t, 1), equal to the full-order synthesis of the widened
-        coefficients on every longitude; a column of values analyses to a
-        column of coefficients that matches the full analysis of the field
-        repeated over the longitudes."""
+        """Alone and batched, zonal coefficients synthesize to (..., n_t,
+        1), equal to the full-order synthesis of the widened coefficients
+        on every longitude; a column of values analyses to zonal
+        coefficients that match the full analysis of the field repeated
+        over the longitudes."""
         g = request.getfixturevalue(grid_name)
         L = g.band_limit
-        c = (rng.normal(size=(2, 3, L + 1))
-             / (1.0 + np.arange(L + 1)))[..., None]
-        stacks = (SHCoefficients(c[0, 0]), SHCoefficients(c))
+        c = (rng.normal(size=(L + 1, 2, 3))
+             / (1.0 + np.arange(L + 1))[:, None, None])[..., None]
+        stacks = (SHCoefficients(c[:, 0, 0]), SHCoefficients(c))
         columns = [g.transform.synthesis_values(s) for s in stacks]
         values = rng.normal(size=(2, g.n_theta, 1))
         coeffs = g.transform.analysis_coeffs(values)
         for col, stack in zip(columns, stacks):
-            assert col.shape == stack.values.shape[:-2] + (g.n_theta, 1)
+            assert col.shape == stack.values.shape[1:-1] + (g.n_theta, 1)
             full = g.transform.synthesis_values(stack.widened())
             assert full.shape[-1] == g.n_phi
             assert np.max(np.abs(col - full)) <= 1e-14 * np.max(np.abs(full))
-        assert coeffs.values.shape == (2, L + 1, 1)
+        assert coeffs.values.shape == (L + 1, 2, 1)
         full = g.transform.analysis_coeffs(np.repeat(values, g.n_phi, axis=-1))
         assert np.max(np.abs(coeffs.widened().values - full.values)) <= \
             1e-14 * np.max(np.abs(full.values))
@@ -579,10 +573,10 @@ class TestOrderLimit:
     @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
     def test_grid_transforms_zonal_input_on_m0(self, grid_name, request,
                                                rng):
-        """The grid synthesis of a zonal column (one column of values),
-        the analysis of those values and synthesis_at_angles of a zonal column
-        match the full-order results; the analysis is a column, with no
-        m != 0 entries at all."""
+        """The grid synthesis of zonal coefficients (one column of
+        values), the analysis of those values and synthesis_at_angles of
+        the zonal coefficients match the full-order results; the analysis
+        is zonal, with no m != 0 entries at all."""
         g = request.getfixturevalue(grid_name)
         L = g.band_limit
         c = SHCoefficients((rng.normal(size=L + 1)
@@ -630,7 +624,7 @@ class TestOrderLimit:
         a.analysis_coeffs(np.ones((grid16.n_theta, 1)))
         assert orders == [0]
         full = zonal.widened()
-        full.order(2)[3] = 1.0
+        full.order(2)[1] = 1.0  # a_{3,2}
         budget = sphere_grid.LEGENDRE_BYTES
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", 7000)
         a.synthesis_values(full)
@@ -647,7 +641,7 @@ class TestOrderLimit:
         # the m = 0 block spans every representative ring
         assert [tr._plm[0][0] for tr in (a, b)] == [0, 0]
         # stacks stream and build nothing, then read the kept table
-        stack = SHCoefficients(np.stack([full.values] * 2))
+        stack = SHCoefficients(np.stack([full.values] * 2, axis=1))
         for cut in (True, False):
             if not cut:
                 monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
@@ -676,36 +670,40 @@ def reference_tables(tr):
 
 
 def reference_synthesis(tr, c):
-    """The unpaired transform: one matrix-vector product per order and trig
-    part over every ring."""
+    """The unpaired transform of one field's coefficients ``c`` (their
+    ``values``): one matrix-vector product per order and trig part over
+    every ring."""
     L = tr.band_limit
     plm, cos_m, sin_m = reference_tables(tr)
-    if c.shape[-1] == 1:  # one column: the m = 0 sums
-        return (c[:, 0] @ plm[0])[:, None]
+    c = SHCoefficients(c)
+    if c.values.shape[-1] == 1:  # one part: the m = 0 sums
+        return (c.order(0) @ plm[0])[:, None]
     cc = np.zeros((L + 1, tr.t.size))
     cs = np.zeros((L + 1, tr.t.size))
     for m in range(L + 1):
         amp = np.sqrt(2.0) if m > 0 else 1.0
-        cc[m] = amp * (c[m:, L + m] @ plm[m])
+        cc[m] = amp * (c.order(m) @ plm[m])
         if m > 0:
-            cs[m] = amp * (c[m:, L - m] @ plm[m])
+            cs[m] = amp * (c.order(-m) @ plm[m])
     return cc.T @ cos_m + cs.T @ sin_m
 
 
 def reference_analysis(tr, values):
+    """The unpaired analysis of one field's values: its coefficients'
+    ``values``."""
     L = tr.band_limit
     plm, cos_m, sin_m = reference_tables(tr)
     if values.shape[-1] == 1:  # one longitude carrying the ring weight
         return (plm[0] @ (tr.ring_weights * values)[:, 0])[:, None]
-    out = np.zeros((L + 1, 2 * L + 1))
+    out = SHCoefficients.zeros(L)
     w = tr.weights * values
     fc, fs = w @ cos_m.T, w @ sin_m.T
     for m in range(L + 1):
         amp = np.sqrt(2.0) if m > 0 else 1.0
-        out[m:, L + m] = amp * (plm[m] @ fc[:, m])
+        out.order(m)[:] = amp * (plm[m] @ fc[:, m])
         if m > 0:
-            out[m:, L - m] = amp * (plm[m] @ fs[:, m])
-    return out
+            out.order(-m)[:] = amp * (plm[m] @ fs[:, m])
+    return out.values
 
 
 def mirror_rings(t):
@@ -746,43 +744,46 @@ def mirror_longitudes(tr):
     phi_{n-j} = -phi_j and, for even n, phi_{n/2+j} = phi_j + pi, so the
     longitudes j < reps stand for every longitude as o + j and (for
     1 <= j <= pairs) o - j, o = 0 or n/2.  trig is the cos/sin table over
-    them, laid out (part, m, j) as the transform's."""
+    them, laid out (part, m, j) as the transform's, with the sqrt 2 of
+    the harmonics of order m > 0."""
     n = tr.phi.size
     turns = 2 if n % 2 == 0 else 1
     period = n // turns
     reps, pairs = period // 2 + 1, (period - 1) // 2
     trig = np.stack(reference_tables(tr)[1:])[:, :, :reps].copy()
+    trig[:, 1:] *= np.sqrt(2.0)
     return turns, period, reps, pairs, trig
 
 
 def paired_synthesis(tr, c):
-    """The paired transform of one field, order by order, on the table
-    trimmed at LEGENDRE_FLOOR: the cos and sin rows of each parity of
-    l - m in one product with the table's even or odd rows over the rings
-    the order keeps, E + O on a representative ring and E - O on its
-    mirror, exact zeros on the rings it drops.  Then the longitude step:
-    per parity of m one product with the table over the representative
-    longitudes j; the parities' sum and difference are the sums at j and
-    n/2 + j, cos plus sin there, cos minus sin at n - j and n/2 - j.
-    Operands have the transform's memory layouts, since BLAS rounds by
-    layout."""
+    """The paired transform of one field's coefficients ``c``, order by
+    order, on the table trimmed at LEGENDRE_FLOOR: the cos and sin rows of
+    each parity of l - m in one product with the table's even or odd rows
+    over the rings the order keeps, E + O on a representative ring and
+    E - O on its mirror, exact zeros on the rings it drops.  Then the
+    longitude step: per parity of m one product with the table (sqrt 2
+    folded in for m > 0) over the representative longitudes j; the
+    parities' sum and difference are the sums at j and n/2 + j, cos plus
+    sin there, cos minus sin at n - j and n/2 - j.  Operands have the
+    transform's memory layouts, since BLAS rounds by layout."""
     L, n = tr.band_limit, tr.phi.size
     table, paired, mirrors = table_rings(tr.t)
     plm = normalized_legendre(L, tr.t[table], floor=LEGENDRE_FLOOR)
-    # a[l, m]: the cos and sin coefficients of (l, m), sqrt 2 folded in
+    # blocks[m][l - m]: the cos and sin coefficients of (l, m)
     if c.shape[-1] == 1:
-        a = np.ascontiguousarray(c[:, :, None])
+        blocks = [c.reshape(L + 1, -1)]
     else:
-        a = np.stack([c[:, L:], np.pad(c[:, L - 1::-1], ((0, 0), (1, 0)))],
-                     axis=-1)
-        a[:, 1:] *= np.sqrt(2.0)
+        c = c.reshape(c.shape[0], -1)
+        blocks = [c[_block_start(L, m):_block_start(L, m + 1)]
+                  for m in range(L + 1)]
     k = len(table)
-    rows = np.zeros((a.shape[2], a.shape[1], tr.t.size))  # [part, m, ring]
-    for m in range(a.shape[1]):
+    parts = c.shape[-1]
+    rows = np.zeros((parts, len(blocks), tr.t.size))  # [part, m, ring]
+    for m, a in enumerate(blocks):
         start = k - plm[m].shape[1]
-        even = a[m::2, m].T @ plm[m][0::2]
-        odd = a[m + 1::2, m].T @ plm[m][1::2]
-        sums = np.zeros((2, a.shape[2], k))
+        even = a[0::2].T @ plm[m][0::2]
+        odd = a[1::2].T @ plm[m][1::2]
+        sums = np.zeros((2, parts, k))
         sums[0, :, start:] = even + odd
         sums[1, :, start:] = even - odd
         rows[:, m] = np.concatenate([sums[0], sums[1][:, paired]], axis=1)
@@ -845,29 +846,39 @@ def paired_analysis(tr, values):
     s[paired] += f[mirrors].transpose(0, 2, 1)
     d[paired] -= f[mirrors]
     orders = f.shape[2]
-    out = np.zeros((L + 1, 2 * orders - 1))
+    out = np.zeros((_block_start(L, orders), f.shape[1]))
     for m in range(orders):
         start = len(table) - plm[m].shape[1]
-        amp = np.sqrt(2.0) if m > 0 else 1.0
-        part = np.zeros((L + 1 - m, f.shape[1]))
-        part[0::2] = plm[m][0::2] @ s[start:, m]
-        part[1::2] = plm[m][1::2] @ d[start:, :, m]
-        out[m:, orders - 1 + m] = amp * part[:, 0]
-        if m > 0:
-            out[m:, orders - 1 - m] = amp * part[:, 1]
+        block = out[_block_start(L, m):_block_start(L, m + 1)]
+        block[0::2] = plm[m][0::2] @ s[start:, m]
+        block[1::2] = plm[m][1::2] @ d[start:, :, m]
+    if orders > 1:
+        out[:L + 1, 1] = 0.0  # m = 0 has no sine part
     return out
 
 
 def transform_cases(g, rng):
-    """(transform, coefficients): the grid transform on random coefficients
-    and on their m = 0 column (one-column values), and a product block on
-    custom colatitudes."""
+    """(transform, coefficients): the grid transform on a (2, 3) stack of
+    random coefficients and on their m = 0 cos part (one-column values),
+    and a product block on custom colatitudes."""
     L = g.band_limit
     t = np.random.default_rng(3).uniform(-1.0, 1.0, 45)
     block = ProductTransform(L, t, g.n_phi, np.full(t.size, 0.01 * g.n_phi))
-    c = rng.normal(size=(2, 3, L + 1, 2 * L + 1))
-    return {"grid": (g.transform, c), "zonal": (g.transform, c[..., L:L + 1]),
+    c = random_coeffs(rng, L, 2, 3)
+    return {"grid": (g.transform, c),
+            "zonal": (g.transform, c[:L + 1, ..., :1].copy()),
             "block": (block, c)}
+
+
+def by_field(stack):
+    """The fields of a (2, 3) stack of coefficients, [[c_00, c_01, c_02],
+    [c_10, ...]], each contiguous."""
+    return [[stack[:, i, j].copy() for j in range(3)] for i in range(2)]
+
+
+def stacked(fields):
+    """A (2, 3) stack of coefficients from ``by_field``'s nesting."""
+    return np.stack([np.stack(row, axis=1) for row in fields], axis=1)
 
 
 def max_rel(a, b):
@@ -883,13 +894,13 @@ class TestBatchAxis:
         tr, c = transform_cases(grid64, rng)[name]
         values = tr.synthesis_values(SHCoefficients(c))
         loop = np.array([[tr.synthesis_values(SHCoefficients(ci))
-                          for ci in row] for row in c])
+                          for ci in row] for row in by_field(c)])
         n_phi = 1 if name == "zonal" else tr.phi.size
         assert values.shape == (2, 3, tr.t.size, n_phi)
         assert max_rel(values, loop) <= 1e-14
         coeffs = tr.analysis_coeffs(values).values
-        loop = np.array([[tr.analysis_coeffs(v).values for v in row]
-                         for row in values])
+        loop = stacked([[tr.analysis_coeffs(v).values for v in row]
+                        for row in values])
         assert coeffs.shape == c.shape
         assert max_rel(coeffs, loop) <= 1e-14
 
@@ -898,76 +909,94 @@ class TestBatchAxis:
         """One field, alone or as a stack of one, gives bit for bit the
         paired arithmetic, order by order."""
         tr, c = transform_cases(grid64, rng)[name]
-        c = c[0, 0]
+        c = by_field(c)[0][0]
         values = tr.synthesis_values(SHCoefficients(c))
         assert np.array_equal(values, paired_synthesis(tr, c))
         assert np.array_equal(
-            tr.synthesis_values(SHCoefficients(c[None]))[0], values)
+            tr.synthesis_values(SHCoefficients(c[:, None]))[0], values)
         coeffs = tr.analysis_coeffs(values).values
         assert np.array_equal(coeffs, paired_analysis(tr, values))
-        assert np.array_equal(tr.analysis_coeffs(values[None]).values[0],
+        assert np.array_equal(tr.analysis_coeffs(values[None]).values[:, 0],
                               coeffs)
 
     @pytest.mark.parametrize("name", ["grid", "block"])
     def test_order_rows(self, grid64, rng, name):
-        """A stack's order rows are its coefficients order by order, sqrt 2
-        folded in for m > 0 and a zero sine column at m = 0, in consecutive
-        views of one array of K (L + 1)(L + 2) floats, and a synthesis from
-        them is the synthesis from the coefficients, bit for bit."""
+        """A stack's coefficients are the rows that a synthesis reads
+        order by order: block m, rows ``_block_start(L, m)`` on, is a free
+        (L + 1 - m, 2K) view of the K = 6 fields' (L + 1)(L + 2) / 2 rows,
+        holding a_{l,m} and a_{l,-m} of each field in turn, unscaled, for
+        l = m..L (``order`` and ``rows``), with a zero sine part at m = 0.
+        A stack built with np.stack(..., axis=1) synthesizes each field bit
+        for bit as that field alone does in a stack of one."""
         tr, c = transform_cases(grid64, rng)[name]
         L = tr.band_limit
-        rows = OrderRows.gather(SHCoefficients(c))
-        assert (rows.batch, rows.fields, rows.band_limit) == ((2, 3), 6, L)
-        flat = c.reshape(6, L + 1, 2 * L + 1)
-        base = rows.blocks[0].base
-        assert base.size == 6 * (L + 1) * (L + 2)
-        for m, block in enumerate(rows.blocks):
-            assert block.shape == (L + 1 - m, 12) and block.base is base
-            cos, sin = block[:, 0::2].T, block[:, 1::2].T
-            scale = SQRT2 if m else 1.0
-            assert np.array_equal(cos, scale * flat[:, m:, L + m])
-            assert np.array_equal(sin, scale * flat[:, m:, L - m]
-                                  if m else np.zeros_like(sin))
-        assert np.array_equal(tr.synthesis_values(rows),
-                              tr.synthesis_values(SHCoefficients(c)))
-        one = SHCoefficients(c[0, 0])
-        assert np.array_equal(tr.synthesis_values(OrderRows.gather(one)),
-                              tr.synthesis_values(one))
+        stack = SHCoefficients(c)
+        assert stack.values.shape == ((L + 1) * (L + 2) // 2, 2, 3, 2)
+        assert stack.band_limit == L
+        flat = stack.values.reshape(-1, 12)
+        l, m = (v.ravel() for v in stack.rows)
+        for order in range(L + 1):
+            block = flat[_block_start(L, order):_block_start(L, order + 1)]
+            assert block.shape == (L + 1 - order, 12)
+            assert block.base is stack.values
+            rows = slice(_block_start(L, order), _block_start(L, order + 1))
+            assert np.array_equal(l[rows], np.arange(order, L + 1))
+            assert np.all(m[rows] == order)
+            cos, sin = (stack.order(s * order).reshape(L + 1 - order, 6)
+                        for s in (1, -1))
+            assert np.array_equal(block[:, 0::2], cos)
+            assert np.array_equal(block[:, 1::2],
+                                  sin if order else np.zeros_like(cos))
+        fields = by_field(c)
+        rebuilt = SHCoefficients(stacked(fields))
+        assert np.array_equal(rebuilt.values, stack.values)
+        values = tr.synthesis_values(rebuilt)
+        for i, row in enumerate(fields):
+            for j, f in enumerate(row):
+                assert np.array_equal(values[i, j], tr.synthesis_values(
+                    SHCoefficients(f[:, None]))[0])
         with pytest.raises(BandLimitError):
-            build_grid(17, 34).transform.synthesis_values(rows)
+            build_grid(17, 34).transform.synthesis_values(stack)
 
     def test_coefficient_properties_read_last_axes(self, grid16, rng):
+        """The properties read the rows and the parts, the batch axes
+        between: a stack of two fields, zonal and widened."""
         L = grid16.band_limit
         c = SHCoefficients(rng.normal(size=(L + 1, 1)))
-        stack = SHCoefficients(np.stack([c.values, 2.0 * c.values]))
+        stack = SHCoefficients(np.stack([c.values, 2.0 * c.values], axis=1))
         assert stack.band_limit == L
-        assert np.array_equal(stack.order(0), [c.order(0), 2.0 * c.order(0)])
+        assert np.array_equal(stack.order(0).T,
+                              [c.order(0), 2.0 * c.order(0)])
         assert np.array_equal(stack.mean, [c.mean, 2.0 * c.mean])
         stack = stack.widened()
-        stack.order(-2)[1, 3] = 1.0
-        assert stack.values[1, 3, L - 2] == 1.0
+        assert stack.band_limit == L
+        stack.order(-2)[1, 1] = 1.0  # a_{3,-2} of the second field
+        assert stack.values[_block_start(L, 2) + 1, 1, 1] == 1.0
         assert np.array_equal(stack.mean, [c.mean, 2.0 * c.mean])
         assert dirichlet_energy(stack)[1] == pytest.approx(
-            dirichlet_energy(SHCoefficients(stack.values[1])), rel=1e-15)
+            dirichlet_energy(SHCoefficients(stack.values[:, 1])), rel=1e-15)
 
     def test_widened_column(self, rng):
-        """A column widens to every order with zeros off m = 0, at its own
-        or a higher band limit; full-width coefficients are returned as
-        they are, and a column holds no order but 0."""
-        c = SHCoefficients(rng.normal(size=(2, 5, 1)))
+        """Zonal coefficients widen to every order with zeros off the m = 0
+        cos part; full-width coefficients are returned as they are, and
+        zonal ones hold no order but 0."""
+        c = SHCoefficients(rng.normal(size=(5, 2, 1)))
         wide = c.widened()
-        assert wide.values.shape == (2, 5, 9)
+        assert wide.values.shape == (15, 2, 2)
+        assert wide.band_limit == c.band_limit == 4
         assert np.array_equal(wide.order(0), c.order(0))
-        assert not np.delete(wide.values, 4, axis=-1).any()
+        assert not wide.values[5:].any() and not wide.values[:5, :, 1].any()
         assert wide.widened() is wide
-        higher = wide.widened(7)
-        assert higher.values.shape == (2, 8, 15)
-        assert np.array_equal(higher.order(0)[:, :5], c.order(0))
-        assert np.array_equal(c.widened(7).values, higher.values)
-        assert not higher.values[:, 5:].any()
         for m in (1, -1):
             with pytest.raises(IndexError):
                 c.order(m)
+
+    @pytest.mark.parametrize("shape", [(5, 9), (5, 2), (14, 3, 2), (5, 3)])
+    def test_other_layouts_refused(self, shape):
+        """Arrays that are not order rows, a dense (L + 1) x (2L + 1)
+        array among them, are refused, not read as rows."""
+        with pytest.raises(ValueError, match="not order rows"):
+            SHCoefficients(np.zeros(shape))
 
     def test_random_fields_are_one_draw_per_sample(self, grid16):
         """Each field's coefficients are one normal draw in the order of a
@@ -977,31 +1006,84 @@ class TestBatchAxis:
         g, L = grid16, grid16.band_limit
         rng = np.random.default_rng(11)
         fields = random_band_limited_batch(g, rng, 3)
-        assert fields.values.shape == (3, L + 1, 2 * L + 1)
+        assert fields.values.shape == ((L + 1) * (L + 2) // 2, 3, 2)
         ref = np.random.default_rng(11)
-        for field in fields.values:
-            c = SHCoefficients.zeros(L)
+        for i in range(3):
+            c = np.zeros((L + 1, 2 * L + 1))
             for l in range(1, L + 1):
-                c.values[l, L - l:L + l + 1] = \
+                c[l, L - l:L + l + 1] = \
                     ref.normal(size=2 * l + 1) / (1.0 + l) ** 2.0
-            assert np.array_equal(field, c.values)
+            assert np.array_equal(dense(SHCoefficients(fields.values[:, i])),
+                                  c)
         assert rng.normal() == ref.normal()
         # below the band limit and at another decay, against one per-field
         # rng.normal draw, the fields drawn one after another
         fields = random_band_limited_batch(g, rng, 4, L - 3, 1.5)
-        for field in fields.values:
-            z, c, i = ref.normal(size=(L - 2) ** 2 - 1), SHCoefficients.zeros(L), 0
+        for k in range(4):
+            z, c, i = ref.normal(size=(L - 2) ** 2 - 1), np.zeros((L + 1, 2 * L + 1)), 0
             for l in range(1, L - 2):
-                c.values[l, L - l:L + l + 1] = z[i:i + 2 * l + 1] / (1.0 + l) ** 1.5
+                c[l, L - l:L + l + 1] = z[i:i + 2 * l + 1] / (1.0 + l) ** 1.5
                 i += 2 * l + 1
-            assert np.array_equal(field, c.values)
+            assert np.array_equal(dense(SHCoefficients(fields.values[:, k])),
+                                  c)
         assert rng.normal() == ref.normal()
         one = random_band_limited(g, np.random.default_rng(11))
         first = random_band_limited_batch(g, np.random.default_rng(11), 1)
-        want = g.transform.synthesis_values(SHCoefficients(first.values[0]))
+        want = g.transform.synthesis_values(SHCoefficients(first.values[:, 0]))
         want *= 2.0 / np.max(np.abs(want))
         assert np.array_equal(one, want)
         assert np.max(np.abs(one)) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("band_limit", [16, 64])
+    @pytest.mark.parametrize("below", [0, 5])
+    def test_draw_rows_match_a_dense_draw(self, seed, band_limit, below):
+        """The rows of a stack of 3 draws at l_max = L - below equal,
+        entry for entry, a dense (L + 1) x (2L + 1) reference draw built
+        from the same normals, a_{l,m} at [l, L + m]: block m, row l - m
+        holds a_{l,m} and a_{l,-m}, and every other entry (l > l_max, the
+        sine part of m = 0) is zero.  The stream is the one call of
+        (count, (l_max + 1)^2 - 1) normals."""
+        L = band_limit
+        l_max = L - below
+        g = build_grid(L + 1, 2 * L + 2)
+        fields = random_band_limited_batch(g, np.random.default_rng(seed), 3,
+                                           l_max)
+        normals = np.random.default_rng(seed).standard_normal(
+            (3, (l_max + 1) ** 2 - 1))
+        for k in range(3):
+            ref, i = np.zeros((L + 1, 2 * L + 1)), 0
+            for l in range(1, l_max + 1):
+                ref[l, L - l:L + l + 1] = normals[k, i:i + 2 * l + 1] \
+                    / (1.0 + l) ** 2.0
+                i += 2 * l + 1
+            field = SHCoefficients(fields.values[:, k])
+            for m in range(-L, L + 1):
+                assert np.array_equal(field.order(m), ref[abs(m):, L + m])
+            assert not field.values[:L + 1, 1].any()
+            assert np.array_equal(dense(field), ref)
+
+    @pytest.mark.parametrize("band_limit", [16, 64])
+    def test_energy_and_mean_match_dense_sums(self, band_limit):
+        """``dirichlet_energy`` and ``SHCoefficients.mean`` of a seeded
+        field, alone and in a stack, match the sums over the dense
+        (L + 1) x (2L + 1) array, sum l(l + 1) a_{l,m}^2 and a_{0,0} /
+        sqrt(4 pi), to 1e-15 relative."""
+        L = band_limit
+        g = build_grid(L + 1, 2 * L + 2)
+        stack = random_band_limited_batch(g, np.random.default_rng(7), 3)
+        stack = stack.shifted(0.3)
+        l = np.arange(L + 1.0)[:, None]
+        for k in range(3):
+            field = SHCoefficients(stack.values[:, k])
+            ref = dense(field)
+            want = np.sum(l * (l + 1.0) * ref ** 2)
+            for energy in (dirichlet_energy(field),
+                           dirichlet_energy(stack)[k]):
+                assert energy == pytest.approx(want, rel=1e-15)
+            for mean in (field.mean, stack.mean[k]):
+                assert mean == pytest.approx(ref[0, L] / np.sqrt(FOUR_PI),
+                                             rel=1e-15)
 
 
 def pairing_cases():
@@ -1057,14 +1139,16 @@ class TestRingPairs:
         relative."""
         tr = pairing_cases()[name]
         L = tr.band_limit
-        c = rng.normal(size=(4, L + 1, 2 * L + 1))
-        for coeffs in (c, c[..., L:L + 1]):
+        c = random_coeffs(rng, L, 4)
+        for coeffs in (c, c[:L + 1, :, :1]):
             values = tr.synthesis_values(SHCoefficients(coeffs))
-            want = np.array([reference_synthesis(tr, ci) for ci in coeffs])
+            want = np.array([reference_synthesis(tr, coeffs[:, i])
+                             for i in range(4)])
             assert values.shape == want.shape
             assert max_rel(values, want) <= 1e-14
             got = tr.analysis_coeffs(values).values
-            want = np.array([reference_analysis(tr, v) for v in values])
+            want = np.stack([reference_analysis(tr, v) for v in values],
+                            axis=1)
             assert got.shape == coeffs.shape
             assert max_rel(got, want) <= 1e-14
 
@@ -1147,20 +1231,22 @@ class TestPolarTrim:
         a field of one order vanishes there."""
         tr = trim_cases()[name]
         L = tr.band_limit
-        c = rng.normal(size=(4, L + 1, 2 * L + 1))
-        for coeffs in (c[0], c, c[..., L:L + 1]):
+        c = random_coeffs(rng, L, 4)
+        for coeffs in (c[:, 0], c, c[:L + 1, :, :1]):
             values = tr.synthesis_values(SHCoefficients(coeffs))
-            want = np.array([reference_synthesis(tr, ci)
-                             for ci in coeffs.reshape((-1,) + c.shape[1:2]
-                                                      + coeffs.shape[-1:])])
+            fields = coeffs.reshape(coeffs.shape[:1] + (-1,)
+                                    + coeffs.shape[-1:])
+            want = np.array([reference_synthesis(tr, fields[:, i])
+                             for i in range(fields.shape[1])])
             assert max_rel(values, want.reshape(values.shape)) <= 1e-14
             got = tr.analysis_coeffs(values).values
-            want = np.array([reference_analysis(tr, v) for v in
-                             values.reshape((-1,) + values.shape[-2:])])
+            want = np.stack([reference_analysis(tr, v) for v in
+                             values.reshape((-1,) + values.shape[-2:])],
+                            axis=1)
             assert max_rel(got, want.reshape(got.shape)) <= 1e-14
         start, _, _ = tr._legendre(L + 1)[L]
         one = SHCoefficients.zeros(L)
-        one.order(L)[L] = 1.0
+        one.order(L)[0] = 1.0  # a_{L,L}
         values = tr.synthesis_values(one)
         dropped = tr._order[:start]
         dropped = np.concatenate(
@@ -1254,30 +1340,27 @@ class TestStreamedPass:
                                                monkeypatch):
         """On tables that fit the default LEGENDRE_BYTES (the L = 64 ones)
         and on tables that outgrow it (under a 64 KiB budget), each on a
-        fresh transform: a dense stack of two, a dense stack of one and one
-        field's order rows keep nothing, synthesis and the stacks' analysis
-        alike, and neither do the ring groups (of at most 33 rings) that
-        one field's order rows pass through; one dense field's synthesis,
-        and its values' analysis, keep all L + 1 orders."""
+        fresh transform: a stack of two and a stack of one keep nothing,
+        synthesis and analysis alike, and neither do the ring groups (of at
+        most 33 rings) that a stack of one passes through; one field's
+        synthesis, and its values' analysis, keep all L + 1 orders."""
         if budget:
             monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
         L = 64
-        c = rng.normal(size=(2, L + 1, 2 * L + 1))
-        one = SHCoefficients(c[0])
-        rows = OrderRows.gather(one)
-        for data in (SHCoefficients(c), SHCoefficients(c[:1]), rows):
+        c = random_coeffs(rng, L, 2)
+        one = SHCoefficients(c[:, 0])
+        stack_of_one = SHCoefficients(c[:, :1])
+        for data in (SHCoefficients(c), stack_of_one):
             tr = trim_cases()[name]
-            values = tr.synthesis_values(data)
-            if values.ndim == 3:
-                tr.analysis_coeffs(values)
+            tr.analysis_coeffs(tr.synthesis_values(data))
             assert tr._plm == []
         groups = tr.ring_groups(33)
         assert len(groups) > 1
         for _, group in groups:
-            group.synthesis_values(rows)
+            group.synthesis_values(stack_of_one)
             assert group._plm == []
         tr = trim_cases()[name]
-        tr.synthesis_values(one)
+        values = tr.synthesis_values(one)
         assert len(tr._plm) == L + 1
         tr = trim_cases()[name]
         tr.analysis_coeffs(values)
@@ -1303,7 +1386,7 @@ class TestStreamedPass:
             assert [len(tr._plm) for tr in (synthesis, analysis)] == \
                 [0 if batch else L + 1] * 2
             if batch:  # one field keeps the tables
-                synthesis.synthesis_values(SHCoefficients(c.values[0]))
+                synthesis.synthesis_values(SHCoefficients(c.values[:, 0]))
                 analysis.analysis_coeffs(values[0])
                 assert np.array_equal(values, synthesis.synthesis_values(c))
                 assert np.array_equal(
@@ -1314,7 +1397,7 @@ class TestStreamedPass:
             return values, coeffs
 
         L, default = 64, sphere_grid.LEGENDRE_BYTES
-        c = SHCoefficients(rng.normal(size=batch + (L + 1, 2 * L + 1)))
+        c = SHCoefficients(random_coeffs(rng, L, *batch))
         cut = passes(1 << 16)
         if not batch:
             kept = passes(default)
@@ -1324,8 +1407,8 @@ class TestStreamedPass:
     def test_streamed_stack_stays_within_budget(self, rng, monkeypatch):
         """A stack of K = 8 full-width fields on the L = 64 two-cap block
         (164 representative rings) under a 512 KiB budget streams 13 groups
-        of 5 orders, and the traced peak of its pass from its order rows
-        (``OrderRows``, gathered before) holds its values, LEGENDRE_BYTES
+        of 5 orders, and the traced peak of its pass, which reads its
+        coefficients in place, holds its values, LEGENDRE_BYTES
         and the two per-order even and odd products, 2 * 8 * 2K * reps
         bytes: one group is alive at a time, and the last one is let go
         before the Fourier step, whose temporaries (about 0.37 MB a field
@@ -1334,8 +1417,7 @@ class TestStreamedPass:
         monkeypatch.setattr(sphere_grid, "LEGENDRE_BYTES", budget)
         tr = trim_cases()["two caps"]
         assert budget // 8 // ((L + 4) * tr._reps + 5 * (L + 1)) == 5
-        c = OrderRows.gather(
-            SHCoefficients(rng.normal(size=(K, L + 1, 2 * L + 1))))
+        c = SHCoefficients(random_coeffs(rng, L, K))
         tr._trig()  # kept from the first pass; not this pass's memory
         tracemalloc.start()
         try:
@@ -1365,7 +1447,7 @@ class TestStreamedPass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert coeffs.values.shape == (K, L + 1, 2 * L + 1)
+        assert coeffs.values.shape == ((L + 1) * (L + 2) // 2, K, 2)
         assert peak <= 3 * values.nbytes, peak
 
 
@@ -1376,8 +1458,8 @@ class TestRingGroups:
     @staticmethod
     def check(tr, most):
         """The groups cover the rings, mirror-closed and within ``most``;
-        split, each reads the transform's cos/sin table, and one field's
-        order rows synthesize on it to the whole transform's values on its
+        split, each reads the transform's cos/sin table, and a stack of one
+        field synthesizes on it to the whole transform's values on its
         rings (to 1e-14 relative: a group of one ring pair multiplies
         vectors), streamed: no group keeps a table."""
         groups = tr.ring_groups(most)
@@ -1390,20 +1472,20 @@ class TestRingGroups:
             assert np.array_equal(group.t, tr.t[r])
         if len(groups) > 1:
             L = tr.band_limit
-            rows = OrderRows.gather(SHCoefficients(np.random.default_rng(
-                5).normal(size=(L + 1, 2 * L + 1))))
-            whole = tr.synthesis_values(rows)
+            stack = SHCoefficients(random_coeffs(np.random.default_rng(5),
+                                                 L, 1))
+            whole = tr.synthesis_values(stack)
             for r, group in groups:
                 assert group._fourier is tr._fourier
-                assert max_rel(group.synthesis_values(rows), whole[r]) \
+                assert max_rel(group.synthesis_values(stack), whole[:, r]) \
                     <= 1e-14
                 assert group._plm == []
         return groups
 
     def test_seed_block_takes_three(self):
         """The L = 256 two-cap block, 643 rings of 514 longitudes, in
-        groups whose values take at most the bytes of the coefficients,
-        (L + 1)(2L + 1) / 514 = 256 rings: 3, of 214 or 215 rings."""
+        groups of at most (L + 1)(2L + 1) / 514 = 256 rings: 3, of 214 or
+        215 rings."""
         block = integrator_for(build_grid(257, 514), SingularWeight.from_orders(
             [((0.0, 0.0, 1.0), -0.5), ((0.0, 0.0, -1.0), 0.7)])).transform
         groups = self.check(block, 257 * 513 // 514)
@@ -1483,17 +1565,20 @@ class TestLongitudePairs:
         tr = ProductTransform(block.band_limit, block.t, n_phi,
                               block.ring_weights)
         L = tr.band_limit
-        c = rng.normal(size=(4, L + 1, 2 * L + 1))
+        c = random_coeffs(rng, L, 4)
+        fields = [c[:, i].copy() for i in range(4)]
         values = tr.synthesis_values(SHCoefficients(c))
-        want = np.array([reference_synthesis(tr, ci) for ci in c])
+        want = np.array([reference_synthesis(tr, ci) for ci in fields])
         assert values.shape == want.shape == (4, tr.t.size, n_phi)
         assert max_rel(values, want) <= 1e-14
-        loop = np.array([tr.synthesis_values(SHCoefficients(ci)) for ci in c])
+        loop = np.array([tr.synthesis_values(SHCoefficients(ci))
+                         for ci in fields])
         assert max_rel(values, loop) <= 1e-14
         got = tr.analysis_coeffs(values).values
-        want = np.array([reference_analysis(tr, v) for v in values])
+        want = np.stack([reference_analysis(tr, v) for v in values], axis=1)
         assert max_rel(got, want) <= 1e-14
-        loop = np.array([tr.analysis_coeffs(v).values for v in values])
+        loop = np.stack([tr.analysis_coeffs(v).values for v in values],
+                        axis=1)
         assert max_rel(got, loop) <= 1e-14
 
     @pytest.mark.parametrize("n_phi", [4, 34, 64, 129, 514])
@@ -1503,8 +1588,7 @@ class TestLongitudePairs:
         of two harmonics of degree <= L exactly."""
         g = build_grid(33, n_phi)
         L = g.band_limit
-        c = rng.normal(size=(3, L + 1, 2 * L + 1))
-        c[:, np.abs(np.arange(-L, L + 1)) > np.arange(L + 1)[:, None]] = 0.0
+        c = random_coeffs(rng, L, 3)
         values = g.transform.synthesis_values(SHCoefficients(c))
         assert max_rel(g.transform.analysis_coeffs(values).values, c) <= 1e-13
 
@@ -1604,7 +1688,8 @@ class TestGradient:
 
     def coeffs(self, grid):
         c = grid.transform.analysis_coeffs(self.field(grid.nodes))
-        c.values[6:] = 0.0  # exactly degree 5: drop the analysis roundoff
+        c.values[c.rows[0].ravel() > 5] = 0.0  # exactly degree 5: drop the
+        # analysis roundoff
         return c
 
     def test_grid(self, grid64):

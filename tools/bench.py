@@ -26,8 +26,10 @@ with their min and median), then one more warm op under ``tracemalloc``,
 whose peak of traced allocations is ``tracemalloc_peak_mib``;
 ``max_rss_mib`` is the process's peak resident set (``ru_maxrss``) after
 all of its ops, imports included.  ``correct`` is true when every op
-passes the workload's oracle.  The configs and reports go to a temporary
-directory; ``perfbench/`` is read, never written.
+passes the workload's oracle.  ``src_lines``, beside the workloads, is
+the line count of ``src/sol_lab/*.py`` (as ``wc -l`` totals it).  The
+configs and reports go to a temporary directory; ``perfbench/`` is read,
+never written.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def cap_mass(workload: str):
     grid = build_grid(L + 1, 2 * L + 2)
     if full:  # as mt_functional.sample_gaps draws and scales
         v = random_band_limited_batch(grid, np.random.default_rng(0),
-                                      1).values[0]
+                                      1).values[:, 0]
         coeffs = v * 0.7 / np.sqrt(np.sum(v * v) / (4.0 * np.pi))
     else:
         l = np.arange(L + 1)
@@ -212,7 +214,9 @@ def main() -> int:
         child(args.child, args.warm, args.result)
         return 0
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
-    report = {"warm_ops": args.warm, "workloads": {}}
+    src_lines = sum(path.read_bytes().count(b"\n") for path in
+                    (ROOT / "src" / "sol_lab").glob("*.py"))
+    report = {"warm_ops": args.warm, "src_lines": src_lines, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         for workload in WORKLOADS:
             result = os.path.join(tmp, f"{workload}.json")
