@@ -345,17 +345,16 @@ def eval_J(coeffs: SHCoefficients, grid: SphereGrid,
     subtracts max(u + log h) before it exponentiates, so a raw peak of any
     size evaluates."""
     log_integral = integrator_for(grid, params.weight).log_exp_integral(coeffs)
-    return eval_J_coeffs(dirichlet_energy(coeffs), coeffs.mean, log_integral,
-                         params)
+    return eval_J_coeffs(coeffs, log_integral, params)
 
 
-def eval_J_coeffs(energy, mean, log_integral, params: FunctionalParams):
-    """J_rho of a field from its coefficients' Dirichlet energy
-    (``dirichlet_energy``) and mean (``SHCoefficients.mean``) and from
-    log int h e^u (``Density.log_integral`` or
-    ``SingularIntegrator.log_exp_integral``); arrays over a stack's
-    fields give an array."""
-    return (0.5 * energy + params.rho * mean
+def eval_J_coeffs(coeffs: SHCoefficients, log_integral,
+                  params: FunctionalParams):
+    """J_rho of the field with these coefficients, from their Dirichlet
+    energy and mean and from log int h e^u (``Density.log_integral`` or
+    ``SingularIntegrator.log_exp_integral``); a stack gives an array over
+    its fields."""
+    return (0.5 * dirichlet_energy(coeffs) + params.rho * coeffs.mean
             - params.rho * (log_integral - np.log(FOUR_PI)))
 
 
@@ -436,16 +435,14 @@ def sample_gaps(grid: SphereGrid, rng, count: int, w: SingularWeight,
     BATCH_BUDGET holds, their heights as equal as the count allows (40
     samples at L = 256, at most 37 a stack, are two stacks of 20).  One
     stack is alive at a time, and the draws are one stream, whatever the
-    split.  A stack is drawn and scaled, its Dirichlet energies and means
-    are taken, and its log integral is formed, whose passes stream, for a
-    stack of one too (``ProductTransform._legendre``).
+    split.  A stack is drawn and scaled, and its ``troyanov_gap`` is taken,
+    whose log integral streams its passes, for a stack of one too
+    (``ProductTransform._legendre``).
     """
     L = grid.band_limit
     size = max(1, (BATCH_BUDGET - sphere_grid.LEGENDRE_BYTES)
                // (24 * (L + 1) ** 2))
     stacks = -(-count // size)
-    params = FunctionalParams(rho=w.rho_bar, weight=w)
-    integ = integrator_for(grid, w)
     gaps, start = np.empty(count), 0
     for i in range(stacks):
         height = count // stacks + (i < count % stacks)
@@ -457,10 +454,7 @@ def sample_gaps(grid: SphereGrid, rng, count: int, w: SingularWeight,
                        for i in range(height)])
         # each row's entries, field by field and part by part
         v.reshape(v.shape[0], -1)[...] *= np.repeat(0.7 / rms, 2)
-        energy, mean = dirichlet_energy(draws), draws.mean
-        log_integral = integ.log_exp_integral(draws)
+        gaps[start:start + height] = troyanov_gap(draws, grid, w, C)
         del draws, v  # before the next stack is drawn
-        J = eval_J_coeffs(energy, mean, log_integral, params)
-        gaps[start:start + height] = J / w.rho_bar + C  # as troyanov_gap
         start += height
     return gaps

@@ -35,11 +35,13 @@ and for even n_phi the half turn phi_j -> phi_j + pi multiplies order m
 by (-1)^m, so the Fourier step runs over the longitudes j <= n_phi / 4
 alone, a quarter of its matrix work (see ``ProductTransform``).
 
-Zonal data is one column of values and one part of coefficients.  Values
-of shape (..., n_t, 1) are a ring-constant field: a ``ProductTransform``
-analyses them on the m = 0 Legendre block alone, one longitude carrying
-each ring's whole weight, into the m = 0 block's one part, coefficients
-of shape (L+1, ..., 1).  Such coefficients synthesize back to one column
+Zonal data is one column of values and one part of coefficients, the
+first block of the order rows: the one order loop of each direction of a
+``ProductTransform`` reads it as its one-order, one-part case.  Values
+of shape (..., n_t, 1) are a ring-constant field, analysed on the m = 0
+Legendre block alone, one longitude carrying each ring's whole weight
+(so no Fourier step), into the m = 0 block's one part, coefficients of
+shape (L+1, ..., 1).  Such coefficients synthesize back to one column
 of values.  Every consumer picks its path from the last axis; a zonal
 field meets full-width coefficients only through
 ``SHCoefficients.widened``, never through broadcasting, which would add
@@ -48,7 +50,8 @@ O(L n_t), against O(L^2 n_t + L n_t n_phi) over all orders and the
 Fourier step.  A transform keeps its cos/sin table from its first pass
 over every order.  Whether a pass keeps a Legendre table or streams it
 from the recurrence is one rule, stated at ``ProductTransform._legendre``:
-a pass over one field keeps, a stack (of one field too) streams.
+a zonal pass and a full-width pass over one field keep, a full-width
+stack (of one field too) streams.
 
 Coefficients carry a stack's batch axes between the rows and the parts,
 shape (rows, ..., parts), and values carry them first, (..., n_t, n_phi).
@@ -605,11 +608,11 @@ class ProductTransform:
     all-longitude one (half for odd n_phi).
 
     One-part coefficients and one-column values are zonal (see the module
-    docstring): coefficients of shape (L+1, ..., 1) synthesize to values of
-    shape (..., n_t, 1), and such values analyse, on the m = 0 block alone,
-    to such coefficients.
-    Which passes keep a Legendre table and which stream it is the one
-    rule of ``_legendre``.
+    docstring): the one order loop of each direction runs over the m = 0
+    block alone, so coefficients of shape (L+1, ..., 1) synthesize to
+    values of shape (..., n_t, 1), and such values analyse to such
+    coefficients.  Which passes keep a Legendre table and which stream it
+    is the one rule of ``_legendre``.
     """
 
     def __init__(self, band_limit: int, t: np.ndarray, n_phi: int,
@@ -642,34 +645,38 @@ class ProductTransform:
         self._fourier = None
 
     def _legendre(self, orders: int, keep: bool = True):
-        """(s, even, odd) per order 0..orders - 1: the first representative
-        ring s the order keeps (0 for m = 0) and the rows of l - m even and
-        odd of its Pbar block over the kept rings.
+        """(s, even, odd) per order 0..orders - 1, exactly ``orders``
+        entries, kept or streamed: the first representative ring s the
+        order keeps (0 for m = 0) and the rows of l - m even and odd of its
+        Pbar block over the kept rings.  A zonal pass asks for the one
+        m = 0 block, the first block of every table, and a full-width pass
+        for all L + 1.
 
-        The one keep rule.  A pass over one field (``keep``: coefficients
-        or values with no batch axis) builds the table on its first need
-        and keeps it: the m = 0 block for a zonal pass, the table of every
-        order for a full-width one, which the solver's many one-field
-        passes then read (one field on the two-cap block streamed in 86 ms
-        against 19 ms on the kept table at L = 256, 16 against 4.4 ms at
-        L = 128; best of 7, one BLAS thread, shared 2-core x86 VM).  Every
-        full-width pass over a stack, a stack of one too, which is all that
-        a ring group reads, reads a kept table if there is one and
-        otherwise streams its blocks from the recurrence, one group of
-        ``_legendre_groups`` at a time (Schaeffer, G^3 14, 2013 and
-        Reinecke & Seljebotn, A&A 554, 2013 run the recurrence inside
-        every pass), and keeps nothing.
+        The one keep rule.  A zonal pass, and a full-width pass over one
+        field (coefficients or values with no batch axis), ``keep``: they
+        build the table on their first need and keep it, the m = 0 block
+        for a zonal pass, the table of every order for a full-width one,
+        which the solver's many one-field passes then read (one field on
+        the two-cap block streamed in 86 ms against 19 ms on the kept table
+        at L = 256, 16 against 4.4 ms at L = 128; best of 7, one BLAS
+        thread, shared 2-core x86 VM).  Every full-width pass over a stack,
+        a stack of one too, which is all that a ring group reads, reads a
+        kept table if there is one and otherwise streams its blocks from
+        the recurrence, one group of ``_legendre_groups`` at a time
+        (Schaeffer, G^3 14, 2013 and Reinecke & Seljebotn, A&A 554, 2013
+        run the recurrence inside every pass), and keeps nothing.
         A streamed block is a strided view of its group's degree-major
         scratch, and so are its even and odd rows; BLAS reads them as they
         are.
         """
         if len(self._plm) >= orders:
-            return self._plm
+            return self._plm[:orders]
         t = self.t[self._order[:self._reps]]
         L = self.band_limit
         if not keep:
             return ((t.size - block.shape[1], block[0::2], block[1::2])
-                    for group in _legendre_groups(L, t, L, LEGENDRE_FLOOR)
+                    for group in _legendre_groups(L, t, orders - 1,
+                                                  LEGENDRE_FLOOR)
                     for _, block in group)
         self._plm = [(t.size - block.shape[1], block[0::2], block[1::2])
                      for block in normalized_legendre(L, t, orders - 1,
@@ -771,8 +778,9 @@ class ProductTransform:
 
         Each order is one product per parity of its rows, a view of the
         coefficients, with its Pbar rows, so each table entry is read once
-        per batch; the Fourier step runs field by field over the
-        representative longitudes.
+        per batch; zonal coefficients are the one order m = 0 of one part.
+        The Fourier step runs field by field over the representative
+        longitudes; a zonal field's m = 0 sums are its ring values.
         """
         L = self.band_limit
         if coeffs.band_limit != L:
@@ -781,28 +789,22 @@ class ProductTransform:
             )
         n_t, n_phi = self.t.size, self.phi.size
         v = coeffs.values
-        batch = v.shape[1:-1]
-        if v.shape[-1] == 1:  # zonal: the m = 0 sums are the ring values
-            a = v.reshape(L + 1, -1).T  # field by field
-            (_, even, odd), = self._legendre(1)[:1]
-            rows = np.empty((a.shape[0], n_t))
-            self._unfold(a[:, 0::2] @ even, a[:, 1::2] @ odd, rows)
-            out = np.empty((a.shape[0], n_t, 1))
-            out[:, self._order, 0] = rows
-            return out.reshape(batch + (n_t, 1))
-        k = math.prod(batch)
-        coeffs = v.reshape(v.shape[0], 2 * k)
-        out = np.empty((k, n_t, n_phi))
+        batch, parts = v.shape[1:-1], v.shape[-1]
+        k, blocks = math.prod(batch), L + 1 if parts == 2 else 1
+        coeffs = v.reshape(v.shape[0], parts * k)
+        out = np.empty((k, n_t, n_phi if parts == 2 else 1))
         # a field's cos and sin rows, in table order, fill the start of its
         # own output slot when they fit (2 (L + 1) <= n_phi); its Fourier
-        # step overwrites them
-        if 2 * (L + 1) <= n_phi:
+        # step overwrites them.  Zonal rows take a buffer of their own, as
+        # the scatter into ring order reads them in another order
+        if parts == 2 and 2 * (L + 1) <= n_phi:
             rows = out.reshape(k, -1)[:, :2 * (L + 1) * n_t]
         else:
-            rows = np.empty((k, 2 * (L + 1) * n_t))
-        rows = rows.reshape(k, 2, L + 1, n_t)
+            rows = np.empty((k, parts * blocks * n_t))
+        rows = rows.reshape(k, parts, blocks, n_t)
         orders = 0  # with a ring; no order starts sooner than the last
-        for start, even, odd in self._legendre(L + 1, not batch):
+        for start, even, odd in self._legendre(blocks,
+                                               parts == 1 or not batch):
             if start == self._reps:  # no ring, nor at any later order (a
                 break                # polar ring group's high orders)
             c = coeffs[_block_start(L, orders):_block_start(L, orders + 1)]
@@ -812,8 +814,11 @@ class ProductTransform:
         # views of a streamed pass's last group: let its scratch go before
         # the Fourier step
         del even, odd
-        for i in range(k):  # the Fourier step, field by field
-            self._longitudes(rows[i, :, :orders], out[i])
+        if parts == 1:  # zonal: the m = 0 sums are the ring values
+            out[:, self._order, 0] = rows[:, 0, 0]
+        else:
+            for i in range(k):  # the Fourier step, field by field
+                self._longitudes(rows[i, :, :orders], out[i])
         return out.reshape(batch + out.shape[1:])
 
     def _longitudes(self, rows: np.ndarray, out: np.ndarray):
@@ -886,28 +891,24 @@ class ProductTransform:
         weights = self.ring_weights if n_phi == 1 else self.weights
         w = (weights * values).reshape(-1, n_phi)
         k, reps = w.shape[0] // n_t, self._reps
-        if n_phi == 1:  # cos 0 phi = 1 on the one longitude
-            (_, even, odd), = self._legendre(1)[:1]
-            s, d = self._fold(w.reshape(k, n_t).T)
-            out = np.empty((L + 1, k))
-            out[0::2] = even @ s
-            out[1::2] = odd @ d
-            return SHCoefficients(out.reshape((L + 1,) + batch + (1,)))
-        f = self._fourier_sums(w)
+        parts, orders = (1, 1) if n_phi == 1 else (2, L + 1)
+        # zonal: cos 0 phi = 1 on the one longitude, so w is its own sums
+        f = w.reshape(-1, 1, 1) if n_phi == 1 else self._fourier_sums(w)
         del w  # folded into f: let it go before the fold
-        s, d = self._fold(f.reshape(k, n_t, 2, L + 1).transpose(1, 3, 0, 2))
+        s, d = self._fold(
+            f.reshape(k, n_t, parts, orders).transpose(1, 3, 0, 2))
         del f
         turns = len(self._images)
-        out = np.empty((_block_start(L, L + 1), 2 * k))
+        out = np.empty((_block_start(L, orders), parts * k))
         for m, (start, even, odd) in enumerate(
-                self._legendre(L + 1, not batch)):
+                self._legendre(orders, parts == 1 or not batch)):
             col = m // turns + m % turns * (L // turns + 1)
-            kept = (reps - start, 2 * k)
+            kept = (reps - start, parts * k)
             c = out[_block_start(L, m):_block_start(L, m + 1)]
             c[0::2] = even @ s[start:, col].reshape(kept)
             c[1::2] = odd @ d[start:, col].reshape(kept)
-        out = out.reshape((out.shape[0],) + batch + (2,))
-        out[:L + 1, ..., 1] = 0.0  # m = 0 has no sine part
+        out = out.reshape((out.shape[0],) + batch + (parts,))
+        out[:L + 1, ..., 1:] = 0.0  # m = 0 has no sine part
         return SHCoefficients(out)
 
 

@@ -76,7 +76,6 @@ from .sphere_grid import (
     SphereGrid,
     _orthonormal_frame,
     axis_values,
-    dirichlet_energy,
     geodesic_distance,
     gradient_at_angles,
     gradient_magnitude,
@@ -203,8 +202,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
     tol = config.tol_factor * params.rho
 
     dens = integ.density(a)
-    J = eval_J_coeffs(dirichlet_energy(a), a.mean, dens.log_integral,
-                      params)
+    J = eval_J_coeffs(a, dens.log_integral, params)
     trace = []
     converged = False
     iterations = 0
@@ -241,8 +239,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
         for backtracks in range(BACKTRACK_MAX):
             cand = SHCoefficients(a.values + step * direction)
             cand_dens = integ.density(cand)
-            J_cand = eval_J_coeffs(dirichlet_energy(cand), cand.mean,
-                                   cand_dens.log_integral, params)
+            J_cand = eval_J_coeffs(cand, cand_dens.log_integral, params)
             if J_cand <= J + 1.0e-12:
                 a, dens, J = cand, cand_dens, J_cand
                 accepted = True

@@ -1274,10 +1274,11 @@ class TestThreads:
 
 
 class TestChecksCanFail:
-    """The sweep checks fed, through their CLI runners, a stubbed
-    ``epsilon_sweep`` on which each must fail, and one on which each
-    passes: the rows and the extrapolated J are the runners' only input
-    besides the closed-form target."""
+    """Checks fed, through their CLI runners, an input on which each must
+    fail and one on which each passes.  The sweep checks read a stubbed
+    ``epsilon_sweep``: the rows and the extrapolated J are the runners'
+    only input besides the closed-form target.  The test-function checks
+    read a stubbed ``concentration_sweep`` beside their closed forms."""
 
     @staticmethod
     def checks(monkeypatch, kind, rows, rel_J):
@@ -1351,6 +1352,99 @@ class TestChecksCanFail:
                 "profile collapse monotone"]
             assert check["passed"] == passed
             assert check["value"] == pytest.approx(-0.1 if passed else 0.1)
+
+    def test_sweep_monotonicity_checks_fail(self, monkeypatch):
+        """A lambda that falls between entries fails "lambda strictly
+        increasing", and a |mean_decay| that grows fails "t^2 mean
+        decreasing toward 0"; each passes the other's rows and both pass
+        rows that rise in lambda and fall in |mean_decay|."""
+        lam = "lambda strictly increasing"
+        decay = "t^2 mean decreasing toward 0"
+        rows = self.rows(1.0, (0.3, 0.2, 0.1))
+        falling = [dict(r, **{"lambda": 3.0 - i}) for i, r in enumerate(rows)]
+        growing = [dict(r, mean_decay=-0.1 - 0.1 * i)
+                   for i, r in enumerate(rows)]
+        passing = self.checks(monkeypatch, "sweep", rows, 0.0)
+        assert passing[lam]["passed"] and passing[decay]["passed"]
+        assert passing[lam]["value"] == 1.0
+        assert passing[decay]["value"] == pytest.approx(-0.1, rel=1e-12)
+        failing = self.checks(monkeypatch, "sweep", falling, 0.0)
+        assert not failing[lam]["passed"] and failing[decay]["passed"]
+        assert failing[lam]["value"] == -1.0
+        failing = self.checks(monkeypatch, "sweep", growing, 0.0)
+        assert failing[lam]["passed"] and not failing[decay]["passed"]
+        assert failing[decay]["value"] == pytest.approx(0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("gaps, exp_rel, fails", [
+        ((0.09, 0.07, 0.05), 0.01, None),
+        ((0.05, 0.07, 0.06), 0.01, "upper bound decreasing"),
+        ((0.09, 0.05, -0.01), 0.01, "upper bound above blow-up value"),
+        ((0.09, 0.07, 0.05), 0.1, "exponential integral limit"),
+    ])
+    def test_test_function_checks_fail(self, gaps, exp_rel, fails,
+                                       monkeypatch):
+        """A stubbed ``concentration_sweep`` whose J lies ``gaps`` (relative)
+        above the blow-up value at each epsilon and whose last exponential
+        integral lies ``exp_rel`` from its limit: a J that rises between
+        epsilons, a last J below the blow-up value and an integral 10 %
+        from its limit (tolerance 5 %) each fail their own check alone."""
+        from sol_lab import closed_forms
+        from sol_lab.identity_checks import blowup_infimum
+        from sol_lab.singular_geometry import SingularWeight
+
+        w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5)])
+        target = blowup_infimum(w).inf_J
+        limit = np.pi * w.bubble_constant(np.array([0.0, 0.0, 1.0])) / 0.5
+
+        def concentration_sweep(weight, epsilons, point):
+            return [{"epsilon": eps, "J": target + abs(target) * gap,
+                     "exp_integral": limit * (1.0 + exp_rel)}
+                    for eps, gap in zip(epsilons, gaps)]
+
+        monkeypatch.setattr(closed_forms, "concentration_sweep",
+                            concentration_sweep)
+        config, errors = validate(config_text(
+            experiment={"kind": "test-function-sweep"}))
+        assert not errors and len(config["experiment"]["epsilons"]) == 3
+        report = run(config)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert sorted(checks) == ["exponential integral limit",
+                                  "upper bound above blow-up value",
+                                  "upper bound decreasing"]
+        assert [name for name, c in checks.items() if not c["passed"]] == \
+            ([fails] if fails else [])
+        assert checks["upper bound decreasing"]["value"] == pytest.approx(
+            abs(target) * max(b - a for a, b in zip(gaps, gaps[1:])),
+            rel=1e-9)
+        assert checks["upper bound above blow-up value"]["value"] == \
+            pytest.approx(gaps[-1], rel=1e-9)
+        assert checks["exponential integral limit"]["value"] == \
+            pytest.approx(exp_rel, rel=1e-9)
+
+    def test_inequality_gap_floor_fails_below_the_sharp_constant(self):
+        """On 33 x 66, orders -1/2 north and 0.3 south, 3 seed-0 samples:
+        at the sharp constant (0.9931) the worst gap reads 2.5554 and the
+        check passes; at that constant less 3 it reads -0.4446 and fails."""
+        from sol_lab.identity_checks import sphere_sharp_constant
+
+        sharp = sphere_sharp_constant(-0.5, 0.3, antipodal=True).C
+        assert sharp == pytest.approx(0.9931471805599452, rel=1e-12)
+        weight = {"points": [{"position": [0, 0, 1], "order": -0.5},
+                             {"position": [0, 0, -1], "order": 0.3}]}
+        for constant, worst, passed in ((sharp, 2.555383279227758, True),
+                                        (sharp - 3.0, -0.444616720772242,
+                                         False)):
+            config, errors = validate(config_text(
+                weight=weight, experiment={"kind": "inequality-sample",
+                                           "samples": 3,
+                                           "constant": constant}))
+            assert not errors
+            report = run(config)
+            check, = report["checks"]
+            assert check["name"] == "inequality gap floor"
+            assert check["value"] == report["summary"]["worst_gap"]
+            assert check["value"] == pytest.approx(worst, abs=1e-9)
+            assert check["passed"] == passed == report["passed"]
 
     @pytest.mark.xfail(
         strict=True,

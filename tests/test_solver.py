@@ -149,11 +149,10 @@ def zonal_and_full_J(grid, params, coeffs):
     to every order, on the full path."""
     integ = axis_integrator(grid, params.weight)
     assert coeffs.values.shape[-1] == 1
-    J_zonal = eval_J_coeffs(dirichlet_energy(coeffs), coeffs.mean,
-                            integ.density(coeffs).log_integral, params)
+    J_zonal = eval_J_coeffs(coeffs, integ.density(coeffs).log_integral,
+                            params)
     full = coeffs.widened()
-    J_full = eval_J_coeffs(dirichlet_energy(full), full.mean,
-                           integ.density(full).log_integral, params)
+    J_full = eval_J_coeffs(full, integ.density(full).log_integral, params)
     return J_zonal, J_full
 
 
@@ -270,8 +269,7 @@ class TestZonalPath:
         zonal = extremal_u(ExtremalParams(alpha=-0.5), grid)
         coeffs = zonal.widened()
         dens = axis_integrator(grid, w).density(coeffs)
-        J_full = eval_J_coeffs(dirichlet_energy(coeffs), coeffs.mean,
-                               dens.log_integral, params)
+        J_full = eval_J_coeffs(coeffs, dens.log_integral, params)
         assert eval_J(zonal, grid, params) == pytest.approx(J_full, rel=1e-12)
         assert troyanov_gap(zonal, grid, w, 0.0) == pytest.approx(
             J_full / w.rho_bar, rel=1e-12)
@@ -422,9 +420,9 @@ class TestMinimize:
             iterates.append((coeffs.order(0)[0], dens))
             return residual(coeffs, dens, *args)
 
-        def eval_J_coeffs(energy, mean, *args):
-            candidates.append(mean)
-            return J(energy, mean, *args)
+        def eval_J_coeffs(coeffs, *args):
+            candidates.append(coeffs.mean)
+            return J(coeffs, *args)
 
         monkeypatch.setattr(subcritical_solver, "density_residual",
                             density_residual)

@@ -1329,10 +1329,43 @@ class TestPolarTrim:
 
 class TestStreamedPass:
     """One keep rule (``ProductTransform._legendre``): a pass over one
-    field's dense coefficients or values keeps the table of every order;
-    every other full-width pass, a dense stack or order rows of any
-    height, streams its blocks and keeps nothing, whatever the table's
-    size; so a transform that makes stacks alone never holds a table."""
+    field's coefficients or values keeps the table of every order, and a
+    zonal pass the m = 0 block; every other full-width pass, a stack of
+    any height, streams its blocks and keeps nothing, whatever the table's
+    size; so a transform that makes full-width stacks alone never holds a
+    table."""
+
+    @pytest.mark.parametrize("name", ["gauss", "two caps", "polar"])
+    def test_legendre_yields_the_orders_asked_for(self, name, rng):
+        """A full-width stack keeps nothing and a zonal stack the m = 0
+        block alone; after one field's full-width pass has kept the table,
+        ``_legendre(1)`` yields its one m = 0 triple, and ``_legendre(k,
+        False)`` yields exactly k triples, the first k of the table,
+        streamed on a transform that keeps none and read from the kept
+        one."""
+        L = 64
+        tr, fresh = (trim_cases()[name] for _ in range(2))
+        tr.analysis_coeffs(tr.synthesis_values(
+            SHCoefficients(random_coeffs(rng, L, 2))))
+        assert tr._plm == []
+        tr.analysis_coeffs(tr.synthesis_values(
+            SHCoefficients(rng.normal(size=(L + 1, 2, 1)))))
+        assert len(tr._plm) == 1
+        tr.synthesis_values(SHCoefficients(random_coeffs(rng, L)))
+        assert len(tr._plm) == L + 1
+        first, = tr._legendre(1)
+        assert first is tr._plm[0]
+        for k in (1, 2, L, L + 1):
+            for source in (fresh, tr):
+                count = 0
+                for (start, even, odd), kept in zip(source._legendre(k, False),
+                                                    tr._plm):
+                    assert start == kept[0]
+                    assert np.array_equal(even, kept[1])
+                    assert np.array_equal(odd, kept[2])
+                    count += 1
+                assert count == k
+        assert fresh._plm == []
 
     @pytest.mark.parametrize("name", ["gauss", "one cap", "two caps"])
     @pytest.mark.parametrize("budget", [None, 1 << 16])
