@@ -452,8 +452,8 @@ def _run_constants(config, report):
 
 
 def _run_verify_extremal(config, report):
-    import numpy as np
     from .closed_forms import ExtremalParams, extremal_u, extremal_weight
+    from .identity_checks import sphere_sharp_constant
     from .mt_functional import FunctionalParams, eval_J
 
     exp = config["experiment"]
@@ -465,7 +465,7 @@ def _run_verify_extremal(config, report):
                   for p in (ExtremalParams(alpha=alpha),
                             ExtremalParams(lam=exp["lambda"], c=exp["c"],
                                            alpha=alpha)))
-    exact = 8.0 * np.pi * (1.0 + alpha) * (np.log1p(alpha) - alpha)
+    exact = sphere_sharp_constant(alpha, alpha, antipodal=True).inf_J
     report["summary"] = {"alpha": alpha, "J_extremal": J_10,
                          "J_shifted": J_lc, "closed_form": exact}
     rel = abs(J_10 - exact) / abs(exact)
@@ -612,6 +612,7 @@ def _run_profile_collapse(config, report):
 
 
 def _run_kw_check(config, report):
+    from dataclasses import asdict
     from .closed_forms import ExtremalParams, extremal_u, extremal_weight
     from .identity_checks import kazdan_warner_residual
 
@@ -627,10 +628,8 @@ def _run_kw_check(config, report):
         coeffs, rho = state.coeffs, state.params.rho
     tol = exp["residual_tol"]
     rep = kazdan_warner_residual(coeffs, grid, rho, w)
-    report["summary"] = {
-        "moment": rep.moment, "poho_residual": rep.poho_residual,
-        "prefactor": rep.prefactor, "orders": list(rep.orders), "rho": rho,
-    }
+    report["summary"] = {**asdict(rep), "orders": list(rep.orders),
+                         "rho": rho}
     _check(report["checks"], "axis identity residual",
            abs(rep.poho_residual), tol, abs(rep.poho_residual) <= tol)
 

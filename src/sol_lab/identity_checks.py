@@ -27,7 +27,7 @@ probability density with |x3| < 1 almost everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,18 +57,9 @@ class SharpConstantReport:
         return -self.rho_bar * self.C
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "inputs": self.inputs,
-            "C": self.C,
-            "rho_bar": self.rho_bar,
-            "inf_J": self.inf_J,
-            "attained": self.attained,
-            "branch": self.branch,
-            "maximizer": None if self.maximizer is None
-            else [float(v) for v in self.maximizer],
-            "notes": self.notes,
-        }
+        return {**asdict(self), "inf_J": self.inf_J,
+                "maximizer": None if self.maximizer is None
+                else [float(v) for v in self.maximizer]}
 
 
 def _golden_section(f, a: float, b: float, tol: float = 1.0e-10) -> float:
@@ -133,10 +124,12 @@ def blowup_infimum(w: SingularWeight,
     phi0 = np.arctan2(best_p[1], best_p[0])
     span = 2.0 * grid.node_spacing()
 
+    def point(theta, phi):
+        return np.array([np.sin(theta) * np.cos(phi),
+                         np.sin(theta) * np.sin(phi), np.cos(theta)])
+
     def at(theta, phi):
-        pt = np.array([np.sin(theta) * np.cos(phi),
-                       np.sin(theta) * np.sin(phi), np.cos(theta)])
-        return float(maximand(pt[None, :])[0])
+        return float(maximand(point(theta, phi)[None, :])[0])
 
     for _ in range(2):
         theta0 = _golden_section(lambda th: at(th, phi0),
@@ -144,9 +137,7 @@ def blowup_infimum(w: SingularWeight,
                                  min(theta0 + span, np.pi - 1.0e-9))
         phi0 = _golden_section(lambda ph: at(theta0, ph),
                                phi0 - span, phi0 + span)
-    best = at(theta0, phi0)
-    best_p = np.array([np.sin(theta0) * np.cos(phi0),
-                       np.sin(theta0) * np.sin(phi0), np.cos(theta0)])
+    best, best_p = at(theta0, phi0), point(theta0, phi0)
     return SharpConstantReport(
         theorem="general", inputs={"orders": list(map(float, w.orders))},
         C=float(base + best), rho_bar=rho_bar, attained=None,
@@ -160,9 +151,10 @@ def sphere_sharp_constant(alpha1: float, alpha2: Optional[float] = None,
         if not (a > -1.0) or a == 0.0:
             raise RegimeError(f"orders must lie in (-1, inf) minus 0, got {a}")
 
+    # alpha1 is the minimal order of every report returned
+    rho_bar = 8.0 * np.pi * (1.0 + min(0.0, alpha1))
     if alpha2 is None:
         C = max(alpha1, -np.log1p(alpha1))
-        rho_bar = 8.0 * np.pi * (1.0 + min(0.0, alpha1))
         branch = "alpha1 < 0" if alpha1 < 0 else "alpha1 > 0"
         maximizer = np.array([0.0, 0.0, 1.0 if alpha1 < 0 else -1.0])
         return SharpConstantReport(
@@ -174,15 +166,14 @@ def sphere_sharp_constant(alpha1: float, alpha2: Optional[float] = None,
     if not antipodal:
         raise RegimeError("no sharp closed form in paper for a "
                           "non-antipodal singularity pair")
-    lo, hi = min(alpha1, alpha2), max(alpha1, alpha2)
-    if lo >= 0.0:
+    if min(alpha1, alpha2) >= 0.0:
         raise RegimeError("no sharp closed form in paper: the antipodal "
                           "pair needs a negative minimal order")
     if alpha1 == alpha2:
         C = alpha1 - np.log1p(alpha1)
         return SharpConstantReport(
             theorem="equal-antipodal", inputs={"alpha": alpha1},
-            C=float(C), rho_bar=8.0 * np.pi * (1.0 + alpha1), attained=True,
+            C=float(C), rho_bar=rho_bar, attained=True,
             branch="attained",
             notes="equality on the dilation family of the axis")
     if alpha1 > alpha2:
@@ -190,7 +181,7 @@ def sphere_sharp_constant(alpha1: float, alpha2: Optional[float] = None,
     C = alpha2 - np.log1p(alpha1)
     return SharpConstantReport(
         theorem="mixed-antipodal", inputs={"alpha1": alpha1, "alpha2": alpha2},
-        C=float(C), rho_bar=8.0 * np.pi * (1.0 + alpha1), attained=False,
+        C=float(C), rho_bar=rho_bar, attained=False,
         branch="alpha1 = min < 0", maximizer=np.array([0.0, 0.0, 1.0]),
         notes="strict inequality; no extremal exists")
 
@@ -231,14 +222,14 @@ def kazdan_warner_residual(coeffs: SHCoefficients, grid: SphereGrid,
     for the field u with coefficients ``coeffs`` on ``grid``.
 
     The moment is the ratio int h e^u x3 / int h e^u, so u need not be
-    normalized.  With x3 = sqrt(4 pi / 3) Y_{1,0}, int h e^u x3 is read from
-    the density's projection: one synthesis and one analysis.
+    normalized.  Both are sums on the integrator's rule, x3 = t on each of
+    its rings, so the density's one synthesis is the only transform: no
+    projection of h e^u is formed.
     """
     a1, a2 = _axis_orders(w)
     integ = integrator_for(grid, w)
-    dens = integ.density(coeffs)
-    proj = integ.density_projection(dens)
-    moment = float(np.sqrt(FOUR_PI / 3.0) * proj.order(0)[1] / dens.total)
+    dens, tr = integ.density(coeffs), integ.transform
+    moment = tr.integral(dens.values * tr.t[:, None]) / dens.total
     prefactor = 2.0 - rho / FOUR_PI + a1 + a2
     poho = (a2 - a1) - prefactor * moment
     return KazdanWarnerReport(moment=moment, poho_residual=float(poho),

@@ -209,10 +209,6 @@ class SingularWeight:
                 out = out + sp.order * log_factor(one_minus)
         return out
 
-    def weight(self, x):
-        """h(x) = K(x) prod_i (e/2)^{alpha_i} (1 - <p_i, x>)^{alpha_i}."""
-        return np.exp(self.log_weight(x))
-
     def bubble_constant(self, p) -> float:
         """Concentration density constant c(p) at a minimal-order point
         (at a regular point when alpha = 0, where it is h(p))."""

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import sol_lab
 from sol_lab.cli import KINDS, _experiment_schema, main, run, validate
+from sol_lab.subcritical_solver import NonConvergedError
 
 
 def config_text(**overrides):
@@ -1278,7 +1279,130 @@ class TestChecksCanFail:
     fail and one on which each passes.  The sweep checks read a stubbed
     ``epsilon_sweep``: the rows and the extrapolated J are the runners'
     only input besides the closed-form target.  The test-function checks
-    read a stubbed ``concentration_sweep`` beside their closed forms."""
+    read a stubbed ``concentration_sweep`` beside their closed forms; the
+    constants, extremal, conformal-family and axis-identity checks read a
+    stubbed ``blowup_infimum``, ``eval_J``, ``troyanov_gap`` and
+    ``kazdan_warner_residual``."""
+
+    @staticmethod
+    def run_checks(**overrides):
+        """{name: check} of a run of ``config_text(**overrides)``."""
+        config, errors = validate(config_text(**overrides))
+        assert not errors
+        return {c["name"]: c for c in run(config)["checks"]}
+
+    @pytest.mark.parametrize("points, name, tol", [
+        ([], "onofri constant", 1e-9),
+        ([{"position": [0, 0, 1], "order": -0.5}],
+         "closed-form consistency", 1e-12),
+    ])
+    def test_constants_checks_fail(self, points, name, tol, monkeypatch):
+        """A blow-up value whose C lies 10 tol from its closed form (0 for
+        the Onofri weight, log 2 at order -1/2) fails the constants run's
+        one check; the value itself passes."""
+        from sol_lab import identity_checks
+
+        real = identity_checks.blowup_infimum
+        for shift, passed in ((0.0, True), (10.0 * tol, False)):
+            def blowup_infimum(w, grid=None, _shift=shift):
+                rep = real(w, grid)
+                rep.C += _shift
+                return rep
+
+            monkeypatch.setattr(identity_checks, "blowup_infimum",
+                                blowup_infimum)
+            checks = self.run_checks(weight={"points": points})
+            assert list(checks) == [name]
+            assert checks[name]["passed"] == passed
+            assert checks[name]["value"] == pytest.approx(shift, abs=tol)
+
+    @pytest.mark.parametrize("rel, shift, fails", [
+        (0.0, 0.0, None),
+        (0.01, 0.0, "extremal value"),
+        (0.0, 2e-3, "lambda-c invariance"),
+    ])
+    def test_verify_extremal_checks_fail(self, rel, shift, fails,
+                                         monkeypatch):
+        """A stubbed ``eval_J`` that reads J(u_{1,0}) 1 % from the closed
+        form (tolerance 0.5 %) fails "extremal value" alone, and one that
+        reads J(u_{lambda,c}) 2e-3 from J(u_{1,0}) (tolerance 1e-3) fails
+        "lambda-c invariance" alone; the closed form twice passes both."""
+        from sol_lab import mt_functional
+        from sol_lab.identity_checks import sphere_sharp_constant
+
+        exact = sphere_sharp_constant(-0.5, -0.5, antipodal=True).inf_J
+        values = iter((exact * (1.0 + rel), exact * (1.0 + rel) + shift))
+        monkeypatch.setattr(mt_functional, "eval_J",
+                            lambda coeffs, grid, params: next(values))
+        checks = self.run_checks(weight={"points": []},
+                                 experiment={"kind": "verify-extremal"})
+        assert sorted(checks) == ["extremal value", "lambda-c invariance"]
+        assert [n for n, c in checks.items() if not c["passed"]] == \
+            ([fails] if fails else [])
+        assert checks["extremal value"]["value"] == pytest.approx(
+            rel, abs=1e-15)
+        assert checks["lambda-c invariance"]["value"] == pytest.approx(
+            shift, abs=1e-12)
+
+    def test_conformal_family_check_fails(self, monkeypatch):
+        """With no singular point, a ``troyanov_gap`` stubbed 1e-4 above
+        its own value (tolerance 1e-5) fails "conformal family equality"
+        and leaves "inequality gap floor" passing; the real gap passes
+        both."""
+        from sol_lab import mt_functional
+
+        real = mt_functional.troyanov_gap
+        for offset, passed in ((0.0, True), (1e-4, False)):
+            monkeypatch.setattr(
+                mt_functional, "troyanov_gap",
+                lambda c, grid, w, C, _o=offset: real(c, grid, w, C) + _o)
+            checks = self.run_checks(
+                weight={"points": []},
+                experiment={"kind": "inequality-sample", "samples": 2})
+            assert checks["inequality gap floor"]["passed"]
+            family = checks["conformal family equality"]
+            assert family["passed"] == passed
+            assert (family["value"] <= 1e-5) == passed
+
+    def test_axis_identity_check_fails(self, monkeypatch):
+        """A stubbed ``kazdan_warner_residual`` whose residual is 1e-5
+        (tolerance 1e-6 on the extremal field) fails "axis identity
+        residual", and one of 1e-7 passes; the summary is the report's
+        fields, its orders a list, and rho."""
+        from sol_lab import identity_checks
+
+        for residual, passed in ((1e-7, True), (-1e-5, False)):
+            rep = identity_checks.KazdanWarnerReport(
+                moment=0.25, poho_residual=residual, prefactor=0.5,
+                orders=(-0.5, -0.5))
+            monkeypatch.setattr(identity_checks, "kazdan_warner_residual",
+                                lambda coeffs, grid, rho, w, _r=rep: _r)
+            config, errors = validate(config_text(
+                experiment={"kind": "kw-check", "use_extremal": True}))
+            assert not errors
+            report = run(config)
+            check, = report["checks"]
+            assert check["name"] == "axis identity residual"
+            assert check["passed"] == passed
+            assert check["value"] == abs(residual)
+            assert report["summary"] == {
+                "moment": 0.25, "poho_residual": residual, "prefactor": 0.5,
+                "orders": [-0.5, -0.5], "rho": 4.0 * np.pi}
+
+    @pytest.mark.xfail(
+        strict=True, raises=NonConvergedError,
+        reason="FOUND: minimize's 'converged' check cannot fail: "
+               "_solve_from_zero raises NonConvergedError (exit 3) on a "
+               "state that has not converged, before the check is made")
+    def test_converged_check_can_fail(self):
+        """A solve cut at one iteration reports a failing "converged"
+        check; the default solve passes it."""
+        grid = {"n_theta": 33, "n_phi": 66}
+        assert self.run_checks(grid=grid, experiment={"kind": "minimize"})[
+            "converged"]["passed"]
+        checks = self.run_checks(grid=grid, experiment={
+            "kind": "minimize", "max_iterations": 1})
+        assert not checks["converged"]["passed"]
 
     @staticmethod
     def checks(monkeypatch, kind, rows, rel_J):

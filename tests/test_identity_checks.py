@@ -1,5 +1,7 @@
 """Sharp constants, pipeline consistency, the axis identity and its layout."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -13,7 +15,7 @@ from sol_lab.identity_checks import (
 )
 from sol_lab.mt_functional import FunctionalParams, eval_J, integrator_for
 from sol_lab.singular_geometry import REGULAR_PART, SingularWeight, axis_frame
-from sol_lab.sphere_grid import FOUR_PI, SHCoefficients
+from sol_lab.sphere_grid import FOUR_PI, SHCoefficients, build_grid
 
 from conftest import random_band_limited, zero
 
@@ -45,6 +47,34 @@ class TestSharpConstants:
         assert rep.attained
         assert rep.inf_J == pytest.approx(
             8.0 * np.pi * 0.5 * (np.log(0.5) + 0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("points, branch", [
+        ([(NORTH, -0.5)], "minimal-order points"),
+        ([(NORTH, -0.5), (SOUTH, 0.25)], "minimal-order points"),
+        ([], "grid maximization"),
+    ])
+    def test_report_dict_states_each_field_once(self, grid64, points,
+                                                branch):
+        """``to_dict`` of the one-point, antipodal-pair and alpha = 0
+        blow-up values has the record's fields and inf_J, its maximizer
+        as a list of floats (None with no maximizer), and goes through
+        JSON unchanged."""
+        rep = blowup_infimum(SingularWeight.from_orders(points), grid64)
+        assert rep.branch == branch
+        d = rep.to_dict()
+        assert sorted(d) == sorted(["theorem", "inputs", "C", "rho_bar",
+                                    "inf_J", "attained", "branch",
+                                    "maximizer", "notes"])
+        assert d["inf_J"] == rep.inf_J == -rep.rho_bar * rep.C
+        assert type(d["maximizer"]) is list and len(d["maximizer"]) == 3
+        assert all(type(v) is float for v in d["maximizer"])
+        assert d["maximizer"] == list(rep.maximizer)
+        assert json.loads(json.dumps(d)) == d
+        closed = sphere_sharp_constant(0.5).to_dict()
+        assert closed["maximizer"] == [0.0, 0.0, -1.0]
+        equal = sphere_sharp_constant(-0.5, -0.5, antipodal=True).to_dict()
+        assert equal["maximizer"] is None
+        assert json.loads(json.dumps(equal)) == equal
 
     def test_out_of_scope_rejected(self):
         with pytest.raises(RegimeError):
@@ -154,19 +184,38 @@ class TestKazdanWarner:
 
     def test_one_synthesis_per_block(self, grid64, rng, transform_counts):
         """One synthesis of the density on the integrator's one transform
-        and one analysis, of the density: the identity takes coefficients."""
+        and no analysis: the moment is a sum on the rule."""
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, 0.5)])
         coeffs = grid64.transform.analysis_coeffs(
             random_band_limited(grid64, rng, amplitude=1.0))
         before = dict(transform_counts)
         kazdan_warner_residual(coeffs, grid64, w.rho_bar - 0.3, w)
         assert transform_counts["synthesis"] - before["synthesis"] == 1
-        assert transform_counts["analysis"] - before["analysis"] == 1
+        assert transform_counts["analysis"] - before["analysis"] == 0
+
+    @pytest.mark.parametrize("band_limit", [32, 64, 128])
+    @pytest.mark.parametrize("a1, a2", [
+        (-0.25, 0.5), (-0.5, -0.5), (-0.9, 1.2), (0.7, None), (None, -0.3)])
+    def test_moment_at_zero_is_the_jacobi_mean(self, band_limit, a1, a2):
+        """At u = 0 with K = 1, orders a1 at +e3 and a2 at -e3 (None: no
+        point, order 0), h is (1 - x3)^a1 (1 + x3)^a2 up to a constant, so
+        int h x3 / int h is the mean of the Jacobi weight on [-1, 1],
+        (a2 - a1) / (a1 + a2 + 2): an oracle the code does not share."""
+        points = [(p, a) for p, a in ((NORTH, a1), (SOUTH, a2))
+                  if a is not None]
+        w = SingularWeight.from_orders(points)
+        a1, a2 = a1 or 0.0, a2 or 0.0
+        grid = build_grid(band_limit + 1, 2 * band_limit + 2)
+        rep = kazdan_warner_residual(zero(grid), grid, w.rho_bar - 0.3, w)
+        assert rep.orders == (a1, a2)
+        assert abs(rep.moment - (a2 - a1) / (a1 + a2 + 2.0)) <= 1e-15
 
     @pytest.mark.parametrize("zonal", [True, False])
     def test_moment_is_the_density_quadrature(self, grid64, rng, zonal):
-        """The moment read from the density projection equals the
-        composite quadrature of h e^u x3 over int h e^u."""
+        """The moment equals the composite quadrature of h e^u x3 over
+        int h e^u, summed here as numpy sums it: the code checked against
+        itself, as the moment is that sum on the rule (the Jacobi mean
+        above is the independent oracle)."""
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, 0.5)])
         u = grid64.transform.analysis_coeffs(
             0.7 * grid64.t[:, None] ** 3  # one column

@@ -20,7 +20,19 @@ order -1/4 at the north pole, on a seeded zonal state at L = 1024
 the mass on 4 and on 8 times its radial panels.  ``cap-mass-full`` is the
 same cap mass on a non-zonal state at L = 256, the seed-0 field of
 ``mt_functional.sample_gaps`` scaled to RMS 0.7, checked against its mass
-on 4 times the grid's longitudes.  Each workload runs one
+on 4 times the grid's longitudes.  The ``log-integral-*`` workloads are
+the stages of the ``evaluate`` workload's stacked log integral
+(``SingularIntegrator.log_exp_integral``) at L = 256, on its seed-0
+two-cap weight and its seed-0 stack of 20 fields, drawn and scaled as
+``mt_functional.sample_gaps`` does, the integrator and its ring groups
+built before the ops: ``-recurrence-groups`` streams the Legendre
+recurrence (``sphere_grid._legendre_groups``) over each ring group's
+representative rings, ``-recurrence-block`` over the whole block's,
+``-synthesis`` is each group's ``synthesis_values`` of the stack and
+``-group-terms`` each group's ``SingularIntegrator._group_terms``.  Their
+oracle, checked once before the ops, is that the stacked log integral
+agrees with the density's, formed two fields at a time, within 4 ulp of
+max(1, |log I|).  Each workload runs one
 cold op (``cold_op_s``), then ``--warm`` timed warm ops (``warm_op_s``,
 with their min and median), then one more warm op under ``tracemalloc``,
 whose peak of traced allocations is ``tracemalloc_peak_mib``;
@@ -45,8 +57,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+STAGES = ("log-integral-recurrence-groups", "log-integral-recurrence-block",
+          "log-integral-synthesis", "log-integral-group-terms")
 WORKLOADS = ("solve", "sweep", "evaluate", "test-function-sweep",
-             "cap-mass", "cap-mass-full")
+             "cap-mass", "cap-mass-full") + STAGES
 # J(phi_eps) at order -1/2, eps = 1e-4, by mpmath at 25 digits
 RADIAL_J = -8.653225552898961
 # the cap-mass workload's mass on 4 and on 8 times its radial panels, and
@@ -72,6 +86,7 @@ def measure(workload: str, warm: int, workdir: str) -> dict:
         importlib.import_module(f"sol_lab.{name}")
     import_s = time.perf_counter() - t
     timed = (cap_mass(workload) if workload in CAP_MASS
+             else log_integral_stage(workload, workdir) if workload in STAGES
              else cli_op(workload, workdir))
     failures = []
 
@@ -157,6 +172,57 @@ def cap_mass(workload: str):
         err = abs(mass - want) / want
         return wall, None if err <= tolerance else (
             f"cap mass {mass!r} lies {err:.2g} from {want!r}")
+
+    return op
+
+
+def log_integral_stage(workload: str, workdir: str):
+    """The op of a ``log-integral-*`` workload as a callable that returns
+    (wall time, failure reason or None), after the set-up and the oracle
+    described in the module docstring."""
+    import numpy as np
+    import workloads
+    from sol_lab.mt_functional import integrator_for
+    from sol_lab.singular_geometry import SingularWeight
+    from sol_lab.sphere_grid import (FOUR_PI, LEGENDRE_FLOOR, SHCoefficients,
+                                     _legendre_groups, build_grid,
+                                     random_band_limited_batch)
+
+    _, runs, _ = workloads.prepare("evaluate", 0, workdir)
+    with open(runs[0][1], encoding="utf-8") as fh:
+        config = json.load(fh)
+    grid = build_grid(config["grid"]["n_theta"], config["grid"]["n_phi"])
+    integ = integrator_for(grid, SingularWeight.from_orders(
+        [(p["position"], p["order"]) for p in config["weight"]["points"]]))
+    count = config["experiment"]["samples"]
+    stack = random_band_limited_batch(
+        grid, np.random.default_rng(config["seed"]), count)
+    v = stack.values  # scaled to RMS 0.7, as sample_gaps scales a stack
+    rms = np.sqrt([np.square(v[:, i]).sum() / FOUR_PI for i in range(count)])
+    v.reshape(v.shape[0], -1)[...] *= np.repeat(0.7 / rms, 2)
+    log_i = integ.log_exp_integral(stack)
+    want = np.concatenate([integ.density(SHCoefficients(v[:, i:i + 2]))
+                           .log_integral for i in range(0, count, 2)])
+    ulps = np.abs(log_i - want) / np.spacing(np.maximum(1.0, np.abs(want)))
+    failure = (None if ulps.max() <= 4 else
+               f"stacked log integral {ulps.max():.0f} ulp from the density's")
+    groups, L = integ._ring_groups, grid.band_limit
+
+    def op():
+        t = time.perf_counter()
+        if workload.endswith("-synthesis"):
+            for group, _ in groups:
+                group.synthesis_values(stack)
+        elif workload.endswith("-group-terms"):
+            for group in groups:
+                integ._group_terms(stack, *group)
+        else:
+            for tr in ((integ.transform,) if workload.endswith("-block")
+                       else [group for group, _ in groups]):
+                for _ in _legendre_groups(L, tr.t[tr._order[:tr._reps]], L,
+                                          LEGENDRE_FLOOR):
+                    pass
+        return time.perf_counter() - t, failure
 
     return op
 
