@@ -543,12 +543,10 @@ def _run_minimize(config, report):
     report["summary"] = {
         "epsilon": exp["epsilon"], "rho": state.params.rho, "J": state.J,
         "residual": state.residual_norm, "iterations": state.iterations,
-        "converged": state.converged, "lambda": diag.lambda_eps,
-        "t_eps": diag.t_eps, "compact_case": diag.compact_case,
+        "lambda": diag.lambda_eps, "t_eps": diag.t_eps,
+        "compact_case": diag.compact_case,
         "under_resolved": diag.under_resolved,
     }
-    _check(report["checks"], "converged", state.residual_norm,
-           exp["tol_factor"] * state.params.rho, state.converged)
 
 
 def _sweep_common(config, report):

@@ -136,26 +136,21 @@ def dilated_dot(t: float, dot_axis: np.ndarray) -> np.ndarray:
 
 
 def conformal_pullback(coeffs: SHCoefficients, grid: SphereGrid, t: float,
-                       alpha: float, axis=(0.0, 0.0, 1.0)) -> SHCoefficients:
+                       alpha: float) -> SHCoefficients:
     """Coefficients of u o phi_t + (1+alpha) log |det d phi_t| sampled on
-    the grid, for u with coefficients ``coeffs``.
+    the grid, for u with coefficients ``coeffs``, phi_t the dilation
+    about +e3 (the one about -e3 by t is this one by 1 / t).
 
     The dilation maps latitude circles to latitude circles, so the sampling
     is a product-grid synthesis at shifted colatitudes (spectrally exact for
     band-limited u); zonal coefficients give zonal ones.
     """
-    axis = normalized(np.asarray(axis, dtype=float))
-    if not on_axis(axis):
-        raise ValueError("conformal_pullback requires the grid axis")
     if t <= 0.0:
         raise ValueError("dilation parameter must be positive")
-    sign = np.sign(axis[2])
-    dot = sign * grid.t
-    new_dot = dilated_dot(t, dot)
-    tr = ProductTransform(grid.band_limit, sign * new_dot, grid.n_phi)
-    pulled = tr.synthesis_values(coeffs)
+    tr = ProductTransform(grid.band_limit, dilated_dot(t, grid.t), grid.n_phi)
     return grid.transform.analysis_coeffs(
-        pulled + (1.0 + alpha) * log_det_dilation(t, dot)[:, None])
+        tr.synthesis_values(coeffs)
+        + (1.0 + alpha) * log_det_dilation(t, grid.t)[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,8 @@ def _orthonormal_frame(p: np.ndarray) -> np.ndarray:
 def on_axis(p) -> bool:
     """True when the unit vector p is +-e3 exactly: a field radial about p
     is then one column of values, bit for bit.  The one axis rule: the
-    integrator, the axis identity and ``conformal_pullback`` take such
-    points alone (``singular_geometry.axis_frame`` rotates a weight there)."""
+    integrator and the axis identity take such points alone
+    (``singular_geometry.axis_frame`` rotates a weight there)."""
     return p[0] == 0.0 and p[1] == 0.0
 
 
@@ -493,27 +493,24 @@ def _ring_order(t: np.ndarray) -> tuple[np.ndarray, slice, int]:
     """Rings of a paired transform in table order: (order, paired, reps).
 
     ``order`` lists the ``reps`` representative rings the table spans,
-    then the mirror of each paired one in turn.  A pair is a t > 0 ring
-    and a ring at exactly -t (to the bit); a ring takes part in at most
-    one pair, and the rest are solo.  The representatives are polar-first,
-    so that the rings an order keeps (``normalized_legendre``) are a
-    suffix: one segment per cap, the solo rings of t > 0 and of t < 0, each
-    from its pole outward, the segment nearer its pole first; then the
-    t > 0 rings of the pairs, ``order[paired]``, from the pole to the
-    equator; then the solo rings at t = 0.  The caps are not interleaved,
-    so a pass writes few runs (``_ring_runs``); the price is that an order
-    whose cut falls in the first cap keeps all of the second.
+    then the mirror of each paired one in turn: the one map of every pass
+    between table order and ring order.  A pair is a t > 0 ring and the
+    ring at exactly -t (to the bit); the rest are solo.  The
+    representatives are polar-first, so that the rings an order keeps
+    (``normalized_legendre``) are a suffix: one segment per cap, the solo
+    rings of t > 0 and of t < 0, each from its pole outward, the segment
+    nearer its pole first; then the t > 0 rings of the pairs,
+    ``order[paired]``, from the pole to the equator; then the solo rings
+    at t = 0.  Interleaving the caps would trim more, but an analysis sums
+    the rings in table order, and results would move at rounding level.
     """
-    unmatched: dict = {}
-    for j in np.flatnonzero(t < 0.0):
-        unmatched.setdefault(-t[j], []).append(j)
-    # later t > 0 rings take the earlier mirrors, so that rings of equal t
-    # keep runs of the ring order
+    unmatched = {-t[j]: j for j in np.flatnonzero(t < 0.0)}
     reps, mirrors = [], []
-    for i in np.flatnonzero(t > 0.0)[::-1]:
-        if unmatched.get(t[i]):
+    for i in np.flatnonzero(t > 0.0):
+        j = unmatched.pop(t[i], None)
+        if j is not None:
             reps.append(i)
-            mirrors.append(unmatched[t[i]].pop(0))
+            mirrors.append(j)
     solo = np.ones(t.size, dtype=bool)
     solo[reps + mirrors] = False
     solo = np.flatnonzero(solo)
@@ -526,27 +523,6 @@ def _ring_order(t: np.ndarray) -> tuple[np.ndarray, slice, int]:
     order = np.concatenate([*caps, reps, solo[t[solo] == 0.0], mirrors])
     return (order.astype(np.intp), slice(first, first + reps.size),
             order.size - mirrors.size)
-
-
-def _ring_runs(order: np.ndarray) -> list:
-    """(table slice, ring slice) pairs that cover ``order`` by its maximal
-    runs of consecutive rings, ascending or descending, so that a pass
-    writes table-order rows to ring order one block per run (two on a
-    Gauss grid, four on a two-cap block)."""
-    runs, start = [], 0
-    for end in range(1, order.size + 1):
-        if end < order.size:
-            step = order[end] - order[end - 1]
-            if abs(step) == 1 and (end - start == 1
-                                   or step == order[start + 1] - order[start]):
-                continue
-        first, last = int(order[start]), int(order[end - 1])
-        step = -1 if last < first else 1
-        stop = last + step
-        runs.append((slice(start, end),
-                     slice(first, None if stop < 0 else stop, step)))
-        start = end
-    return runs
 
 
 def _turn_sums(parts: list) -> list:
@@ -601,8 +577,8 @@ class ProductTransform:
     per field, one product per trig part and parity of m over the
     representatives: the parities' sum is the cos (sin) sum at j, their
     difference at n/2 + j, and cos + sin is the value at o + j, cos - sin
-    at o - j.  The images are written straight into ring order by runs of
-    consecutive rings.  Analysis folds the weighted values onto the
+    at o - j.  The images are written straight into ring order
+    (``_order``).  Analysis folds the weighted values onto the
     representatives by the same images (the adjoint) before one product
     per trig part and parity.  Each Fourier product is a quarter of the
     all-longitude one (half for odd n_phi).
@@ -626,8 +602,6 @@ class ProductTransform:
             self.weights = np.broadcast_to(self.ring_weights / n_phi,
                                            (self.t.size, n_phi))
         self._order, self._paired, self._reps = _ring_order(self.t)
-        self._runs = _ring_runs(self._order)
-        self._mirror_runs = _ring_runs(self._order[self._reps:])
         # longitude pairs: phi_{n-j} = -phi_j and, for even n, phi_{n/2+j}
         # = phi_j + pi, which splits the orders by the parity of m
         turns = 2 if n_phi % 2 == 0 else 1
@@ -757,18 +731,17 @@ class ProductTransform:
     def _fold(self, f: np.ndarray):
         """(S, D) over the representative rings from ring-major f: f(t) +
         f(-t) and f(t) - f(-t) for a pair, f itself for a solo ring.  The
-        mirrors are read in place, a run of rings at a time
-        (``_ring_runs``), so S and D are the only copies of f made."""
-        reps, start = self._reps, self._paired.start
+        mirrors, gathered through ``_order``, are one more copy of f's
+        paired rows beside S and D."""
+        reps, paired = self._reps, self._paired
         # odd in the index's layout, even C-ordered, as when both were cut
         # from one ring-order copy of f: the products that read them round
         # the same
         odd = f[self._order[:reps]]
         even = odd.copy()
-        for table, ring in self._mirror_runs:
-            rows = slice(start + table.start, start + table.stop)
-            even[rows] += f[ring]
-            odd[rows] -= f[ring]
+        mirrors = f[self._order[reps:]]
+        even[paired] += mirrors
+        odd[paired] -= mirrors
         return even, odd
 
     def synthesis_values(self, coeffs: SHCoefficients) -> np.ndarray:
@@ -829,10 +802,8 @@ class ProductTransform:
         cos, sin = (_turn_sums([rows[part, p].T @ trig[part, p]
                                 for p in self._parities]) for part in (0, 1))
         for (ahead, behind), cj, sj in zip(self._images, cos, sin):
-            for table, ring in self._runs:
-                np.add(cj[table], sj[table], out=out[ring, ahead])
-                np.subtract(cj[table, 1:pairs + 1], sj[table, 1:pairs + 1],
-                            out=out[ring, behind])
+            out[self._order, ahead] = cj + sj
+            out[self._order, behind] = cj[:, 1:pairs + 1] - sj[:, 1:pairs + 1]
 
     def integral(self, values: np.ndarray):
         """The rule on values (..., n_t, n_phi) or ring-constant (..., n_t,

@@ -103,7 +103,8 @@ from .closed_forms import (ConcentrationParams, concentration_field,
 
 
 class NonConvergedError(RuntimeError):
-    """A sweep entry failed to converge; the whole sweep is flagged."""
+    """A solve stopped at ``max_iterations`` short of convergence (a
+    sweep entry fails its whole sweep); the CLI exits 3."""
 
 
 class InsufficientAnnulusError(ValueError):
@@ -186,10 +187,12 @@ def minimize(params: FunctionalParams, config: SolverConfig,
     Hessian, backtracking on J) from the coefficients ``init``; returns a
     normalized state, the iterate shifted once, at the end.
 
-    ``iterations`` counts outer (Newton) steps; each trace record holds
-    the step's J, residual and normalized peak lambda (max u - log int
-    h e^u) at its start, and the step length taken, its halvings and its
-    Hessian products (all zero on the converged record).
+    ``iterations`` counts the outer (Newton) steps taken, at most
+    ``max_iterations``; each trace record holds the step's J, residual and
+    normalized peak lambda (max u - log int h e^u) at its start, and the
+    step length taken, its halvings and its Hessian products (all zero
+    when converged or at the cap).  The last record, ``J`` and
+    ``residual_norm`` measure the returned state.
     """
     if params.rho > params.weight.rho_bar + 1.0e-12:
         raise ValueError(
@@ -204,11 +207,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
     dens = integ.density(a)
     J = eval_J_coeffs(a, dens.log_integral, params)
     trace = []
-    converged = False
-    iterations = 0
-    rnorm = np.inf
-
-    for it in range(config.max_iterations):
+    for it in range(config.max_iterations + 1):
         iterations = it
         lam = integ.field_peak(dens) - dens.log_integral  # normalized peak
         if lam > DEFAULT_CEILING:
@@ -225,9 +224,9 @@ def minimize(params: FunctionalParams, config: SolverConfig,
         record = {"iteration": it, "J": J, "residual": rnorm, "lambda": lam,
                   "step": 0.0, "backtracks": 0, "cg_iterations": 0}
         trace.append(record)
-        if rnorm <= tol:
-            converged = True
-            break
+        converged = rnorm <= tol
+        if converged or it == config.max_iterations:
+            break  # the returned state is measured, not stepped
 
         forcing = min(0.5, np.sqrt(rnorm / params.rho)) * rnorm
         direction, products = _truncated_cg(

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import sol_lab
 from sol_lab.cli import KINDS, _experiment_schema, main, run, validate
-from sol_lab.subcritical_solver import NonConvergedError
 
 
 def config_text(**overrides):
@@ -918,7 +917,7 @@ class TestMainEntry:
                      "--out", str(out)]) == 0
         summary = json.loads(out.read_text())["summary"]
         assert all(type(summary[k]) is bool for k in
-                   ("converged", "compact_case", "under_resolved"))
+                   ("compact_case", "under_resolved"))
         assert all(type(summary[k]) is float for k in ("lambda", "t_eps"))
 
     @pytest.mark.parametrize("m, width", [(0, 1), (1, 5)])
@@ -1389,20 +1388,32 @@ class TestChecksCanFail:
                 "moment": 0.25, "poho_residual": residual, "prefactor": 0.5,
                 "orders": [-0.5, -0.5], "rho": 4.0 * np.pi}
 
-    @pytest.mark.xfail(
-        strict=True, raises=NonConvergedError,
-        reason="FOUND: minimize's 'converged' check cannot fail: "
-               "_solve_from_zero raises NonConvergedError (exit 3) on a "
-               "state that has not converged, before the check is made")
-    def test_converged_check_can_fail(self):
-        """A solve cut at one iteration reports a failing "converged"
-        check; the default solve passes it."""
-        grid = {"n_theta": 33, "n_phi": 66}
-        assert self.run_checks(grid=grid, experiment={"kind": "minimize"})[
-            "converged"]["passed"]
-        checks = self.run_checks(grid=grid, experiment={
-            "kind": "minimize", "max_iterations": 1})
-        assert not checks["converged"]["passed"]
+    def test_solve_stopped_short_exits_3(self, tmp_path, capsys):
+        """A run's solves have converged or the run exits 3, so a report
+        carries no "converged" check: ``minimize``, ``kw-check`` and
+        ``sweep`` cut at one Newton step on 33 x 66 print one numerical
+        failure that names the step and write no report, and a
+        ``minimize`` capped at exactly the steps it takes exits 0."""
+        def main_on(experiment):
+            cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+            out.unlink(missing_ok=True)
+            cfg.write_text(config_text(experiment=experiment))
+            code = main([experiment["kind"], "--config", str(cfg),
+                         "--out", str(out)])
+            return code, capsys.readouterr().err, out
+
+        for kind in ("minimize", "kw-check", "sweep"):
+            code, err, out = main_on({"kind": kind, "max_iterations": 1})
+            assert code == 3, kind
+            assert err.startswith("numerical failure: ") and "after 1 " in err
+            assert "Traceback" not in err and not out.exists()
+        code, _, out = main_on({"kind": "minimize"})
+        summary = json.loads(out.read_text())["summary"]
+        assert code == 0 and "converged" not in summary
+        code, _, out = main_on({"kind": "minimize",
+                                "max_iterations": summary["iterations"]})
+        assert code == 0
+        assert json.loads(out.read_text())["summary"] == summary
 
     @staticmethod
     def checks(monkeypatch, kind, rows, rel_J):

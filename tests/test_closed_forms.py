@@ -134,7 +134,9 @@ class TestConformalPullback:
                                                 monkeypatch):
         """A zonal u is resampled by the m = 0 synthesis and analysed as
         one column, into a column; it matches the full-order synthesis of
-        its widened coefficients at the dilated colatitudes."""
+        its widened coefficients at the colatitudes dilated by t = 3 about
+        ``axis``, an oracle that the pullback meets about -e3 at 1 / t:
+        the dilation about -e3 by t is the one about +e3 by 1 / t."""
         from sol_lab import sphere_grid
         u = extremal_u(ExtremalParams(alpha=-0.4), grid64)
         assert u.values.shape[-1] == 1
@@ -146,10 +148,10 @@ class TestConformalPullback:
             return table(band_limit, t, m_max, floor)
 
         monkeypatch.setattr(sphere_grid, "normalized_legendre", recorded)
-        pulled = conformal_pullback(u, grid64, 3.0, -0.4, axis=axis)
+        sign = axis[2]
+        pulled = conformal_pullback(u, grid64, 3.0 ** sign, -0.4)
         assert orders == [0]
         assert pulled.values.shape[-1] == 1
-        sign = axis[2]
         dot = sign * grid64.t
         full = sphere_grid.ProductTransform(
             grid64.band_limit, sign * dilated_dot(3.0, dot), grid64.n_phi)

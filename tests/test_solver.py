@@ -463,7 +463,8 @@ class TestMinimize:
         """A Hessian of negative curvature stops CG at its first product,
         and the direction is the preconditioned descent direction
         -(-Delta)^{-1} r: on l >= 1 the iterate moves by the accepted step
-        length times it."""
+        length times it.  The cap's last record measures the returned
+        state and takes no product."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
         seen = []  # (coefficients, residual) at the start of each step
@@ -480,7 +481,7 @@ class TestMinimize:
                             lambda v, *args: -v)
         state = minimize(params, quick_config(0.2, max_iterations=3),
                          zero(grid64), grid64)
-        assert [rec["cg_iterations"] for rec in state.trace] == [1, 1, 1]
+        assert [rec["cg_iterations"] for rec in state.trace] == [1, 1, 1, 0]
         assert state.trace[-1]["J"] < state.trace[0]["J"]
         l = np.arange(grid64.band_limit + 1)[1:, None]
         for rec, (a0, r0), (a1, _) in zip(state.trace, seen, seen[1:]):
@@ -517,6 +518,42 @@ class TestMinimize:
                          grid64)
         assert not state.converged
         assert state.residual_norm > cfg.tol_factor * params.rho
+
+    @staticmethod
+    def capped(max_iterations):
+        """(params, grid, state) of a solve from zero at epsilon 0.1, order
+        -1/2 at the north pole, on 33 x 66 (6 Newton steps uncapped)."""
+        grid = build_grid(33, 66)
+        w = SingularWeight.from_orders([(NORTH, -0.5)])
+        params = FunctionalParams(rho=w.rho_bar - 0.1, weight=w)
+        return params, grid, minimize(params, quick_config(
+            0.1, max_iterations=max_iterations), zero(grid), grid)
+
+    def test_cap_at_the_step_count_converges(self):
+        """A solve that converges in N steps converges under a cap of N,
+        with the uncapped solve's state and trace."""
+        _, _, free = self.capped(3000)
+        _, _, state = self.capped(free.iterations)
+        assert free.converged and free.iterations == 6
+        assert state.converged and state.iterations == free.iterations
+        assert np.array_equal(state.coeffs.values, free.coeffs.values)
+        assert (state.J, state.residual_norm, state.trace) == \
+            (free.J, free.residual_norm, free.trace)
+
+    def test_capped_state_is_measured(self):
+        """A cap of 1 takes one step and measures the state it returns:
+        its residual norm is that of ``residual_coeffs`` there, and its J
+        and last trace row are that state's."""
+        params, grid, state = self.capped(1)
+        assert not state.converged and state.iterations == 1
+        r = mt_functional.residual_coeffs(state.coeffs, params, grid).values
+        assert state.residual_norm == pytest.approx(
+            np.sqrt(np.sum(r * r)), rel=1e-12)
+        assert state.J == pytest.approx(eval_J(state.coeffs, grid, params),
+                                        rel=1e-12)
+        last = state.trace[-1]
+        assert len(state.trace) == 2 and last["step"] == 0.0
+        assert (last["J"], last["residual"]) == (state.J, state.residual_norm)
 
     def test_supercritical_rejected(self, grid16):
         w = SingularWeight.from_orders([(NORTH, -0.5)])

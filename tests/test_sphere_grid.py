@@ -30,11 +30,11 @@ from sol_lab.sphere_grid import (
     synthesis_at_points,
     _block_start,
     _legendre_groups,
-    _ring_runs,
     random_band_limited_batch,
 )
 
-from sol_lab.mt_functional import integrator_for
+from sol_lab.closed_forms import dilated_dot
+from sol_lab.mt_functional import CAP_RADIAL_NODES, cap_rings, integrator_for
 from sol_lab.singular_geometry import SingularWeight
 
 from conftest import dense, random_band_limited, random_coeffs
@@ -708,15 +708,14 @@ def reference_analysis(tr, values):
 
 def mirror_rings(t):
     """(representatives, solo rings, mirrors), by a scan over all rings:
-    each t > 0 ring, from the last, pairs with the first unpaired ring at
-    exactly -t."""
+    each t > 0 ring pairs with the last ring at exactly -t, unless a ring
+    of the same t came first."""
     reps, mirrors = [], []
-    for i in reversed(range(t.size)):
-        for j in range(t.size):
-            if t[i] > 0.0 and t[j] == -t[i] and j not in mirrors:
-                reps.append(i)
-                mirrors.append(j)
-                break
+    for i in range(t.size):
+        below = [j for j in range(t.size) if t[j] == -t[i] < 0.0]
+        if below and t[i] not in t[reps]:
+            reps.append(i)
+            mirrors.append(below[-1])
     solo = [i for i in range(t.size) if i not in reps + mirrors]
     return reps, solo, mirrors
 
@@ -1162,21 +1161,47 @@ class TestRingPairs:
         assert np.array_equal(tr._order, table + mirrors)
         assert (tr._paired, tr._reps) == (paired, len(table))
 
-    def test_runs_cover_the_ring_order(self):
-        """A pass writes its table-order rows to ring order by runs of
-        consecutive rings; the runs cover the table order exactly, for the
-        grids and the block (2, 2 and 4 runs: the caps, the pairs and their
-        mirrors), random colatitudes sorted from the poles (37) and any
-        order."""
-        orders = [tr._order for tr in pairing_cases().values()]
-        assert [len(_ring_runs(order)) for order in orders] == [2, 2, 4, 37]
-        rng = np.random.default_rng(5)
-        orders += [rng.permutation(50), np.arange(9)[::-1], np.array([0])]
-        for order in orders:
-            rings = np.full(order.size, -1)
-            for table, ring in _ring_runs(order):
-                rings[table] = np.arange(order.size)[ring]
-            assert np.array_equal(rings, order)
+    def test_one_map_covers_every_ring(self):
+        """Table order meets ring order at ``_order`` alone.  On the
+        pairing cases, the ring groups of the L = 64 two-cap block, a
+        3-panel cap-mass cap, a pullback's dilated colatitudes and rings
+        of equal t (of which one pair forms), it is the scan's order
+        (``table_rings``), a permutation of the rings, each mirror lies at
+        exactly -t of its paired ring, and the full-width coefficients of
+        the constant 1, one field and a stack of two, synthesize to 1
+        within 1e-15 on every node: a ring the map skipped would hold
+        whatever its empty output held.  Analysed, 1 gives a_00 = (sum of
+        the ring weights) / sqrt(4 pi), so the fold reads every ring too."""
+        block = trim_cases()["two caps"]
+        L, n_phi = block.band_limit, block.phi.size
+        w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5)])
+        t, wr, _ = cap_rings(w, np.array([0.0, 0.0, 1.0]),
+                             np.linspace(0.0, 1.5, 4), CAP_RADIAL_NODES)
+        groups = block.ring_groups((L + 1) * (L + 2) // n_phi)
+        cases = [*pairing_cases().values(), *(g for _, g in groups),
+                 ProductTransform(L, t, n_phi, wr),
+                 ProductTransform(L, dilated_dot(3.0, build_grid(65, 130).t),
+                                  n_phi),
+                 ProductTransform(8, np.array([0.5, -0.5, 0.5, 0.0, -0.5]), 18,
+                                  np.full(5, 0.4))]
+        assert len(cases) > 8 and cases[-1]._paired == slice(2, 3)
+        for tr in cases:
+            order, paired, reps = tr._order, tr._paired, tr._reps
+            table, want, mirrors = table_rings(tr.t)
+            assert np.array_equal(order, table + mirrors)
+            assert (paired, reps) == (want, len(table))
+            assert np.array_equal(np.sort(order), np.arange(tr.t.size))
+            assert np.array_equal(tr.t[order[reps:]], -tr.t[order[paired]])
+            one = SHCoefficients.zeros(tr.band_limit)
+            one.values[0, 0] = np.sqrt(FOUR_PI)
+            for c in (one, SHCoefficients(np.stack([one.values] * 2, 1))):
+                values = tr.synthesis_values(c)
+                assert values.shape[-2:] == (tr.t.size, tr.phi.size)
+                assert np.abs(values - 1.0).max() <= 1e-15
+            if tr.ring_weights is not None:
+                a00 = tr.analysis_coeffs(np.ones_like(values[0])).order(0)[0]
+                assert a00 == pytest.approx(
+                    tr.ring_weights.sum() / np.sqrt(FOUR_PI), rel=1e-14)
 
 
 def trim_cases():
