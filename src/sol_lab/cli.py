@@ -561,7 +561,6 @@ def _sweep_common(config, report):
     report["records"] = [e.row() for e in sweep.entries]
     report["summary"] = {
         "extrapolated_J": sweep.extrapolated_J,
-        "extrapolation_exponent": sweep.extrapolation_exponent,
         "blowup_target": target,
     }
     return w, sweep, target

@@ -59,8 +59,8 @@ collapses onto the planar bubble, and the mass rho_eps h e^u concentrates
 at the minimal-order point while u - mean(u) approaches rho_bar G_p away
 from it.  ``diagnose`` measures all of this; ``epsilon_sweep`` drives a
 schedule, each entry (its epsilon, state and diagnosis) started from the
-previous one's coefficients, and Richardson-extrapolates the functional
-values.
+previous one's coefficients, and extrapolates the functional values to
+eps = 0 by the model J_inf + c eps log(1/eps) + d eps.
 """
 
 from __future__ import annotations
@@ -330,17 +330,14 @@ def diagnose(state: MinimizerState) -> BlowupDiagnostics:
     vals, grad = gradient_magnitude(state.coeffs, tr.synthesis_values,
                                     tr.t[:, None], values=True)
 
-    # peak over the rule's nodes and the singular points themselves
+    # peak over the rule's nodes and the poles, which no Gauss ring holds
     nodes = ring_points(tr.t, tr.phi[:vals.shape[-1]])
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     lam = float(vals[idx])
     p_eps = nodes[idx]
-    # the composite rule takes singular points on the axis alone, at +-e3
-    poles = axis_values(state.coeffs)
-    for sp in w.minimal_points():
-        v = poles[0] if sp.position[2] > 0.0 else poles[1]
+    for v, z in zip(axis_values(state.coeffs), (1.0, -1.0)):
         if v > lam:
-            lam, p_eps = v, sp.position
+            lam, p_eps = v, np.array([0.0, 0.0, z])
 
     # scaling center: nearest minimal-order singular point when alpha < 0
     center = p_eps if alpha >= 0.0 else min(
@@ -426,51 +423,21 @@ class SweepEntry:
 class SweepReport:
     entries: list
     extrapolated_J: float
-    extrapolation_exponent: float
 
     def column(self, key: str) -> list:
         return [e.row()[key] for e in self.entries]
 
 
-def _bracketed_root(f, lo: float, hi: float, xtol: float):
-    """Root of f in [lo, hi]: bisection down to a bracket of width xtol,
-    then the secant of that bracket; None when f(lo) and f(hi) have no
-    sign change."""
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0 or f_hi == 0.0:
-        return lo if f_lo == 0.0 else hi
-    if not f_lo * f_hi < 0.0:  # no sign change, or a nan
-        return None
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
-
-
-def richardson_extrapolate(eps: np.ndarray, J: np.ndarray):
-    """Fit J(eps) = J0 + c eps^p on the last three points and return (J0, p)."""
-    e1, e2, e3 = eps[-3], eps[-2], eps[-1]
-    j1, j2, j3 = J[-3], J[-2], J[-1]
-    denom = j2 - j3
-    if denom == 0.0:
-        return float(j3), np.nan
-
-    def mismatch(p):
-        return (j1 - j2) / denom - (e1**p - e2**p) / (e2**p - e3**p)
-
-    p = _bracketed_root(mismatch, 0.05, 4.0, xtol=1.0e-10)
-    if p is None:
-        # no sign change: fall back to linear extrapolation in eps
-        slope = (j2 - j3) / (e2 - e3)
-        return float(j3 - slope * e3), 1.0
-    c = (j2 - j3) / (e2**p - e3**p)
-    return float(j3 - c * e3**p), float(p)
+def extrapolate_blowup(eps, J) -> float:
+    """J_inf of J(eps) = J_inf + c eps log(1/eps) + d eps through the last
+    three points, by Cramer's rule: J_inf = J . n / (1 . n) with n the
+    cross product of the columns eps log(1/eps) and eps.  1, eps log eps
+    and eps are a Chebyshev system on (0, inf) (a combination has second
+    derivative b/eps, so at most two zeros), so 1 . n != 0 for distinct
+    epsilons."""
+    e = np.asarray(eps[-3:], dtype=float)
+    n = np.cross(-e * np.log(e), e)
+    return float(np.dot(J[-3:], n) / n.sum())
 
 
 def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
@@ -500,14 +467,10 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
                 f"{state.iterations} iterations)")
         entries.append(SweepEntry(eps, state, diagnose(state)))
         current = state.coeffs
-    eps_arr = np.array([e.epsilon for e in entries])
-    J_arr = np.array([e.state.J for e in entries])
-    if len(entries) >= 3:
-        J0, p = richardson_extrapolate(eps_arr, J_arr)
-    else:
-        J0, p = float(J_arr[-1]), np.nan
-    return SweepReport(entries=entries, extrapolated_J=J0,
-                       extrapolation_exponent=p)
+    J = [e.state.J for e in entries]
+    J0 = (extrapolate_blowup([e.epsilon for e in entries], J)
+          if len(entries) >= 3 else J[-1])
+    return SweepReport(entries=entries, extrapolated_J=J0)
 
 
 # ---------------------------------------------------------------------------

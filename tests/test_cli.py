@@ -1010,6 +1010,37 @@ class TestMainEntry:
         assert rep["summary"]["target"] == pytest.approx(
             -4.0 * np.pi * np.log(2.0), rel=1e-12)
 
+    def test_regular_case_sweep_passes(self, tmp_path, monkeypatch):
+        """No singular point, K = 1 + 0.3 Y_10, on 129 x 258: J(rho_bar -
+        eps) nears its blow-up value like eps log(1/eps), the sweep's model,
+        so all four checks pass.  u peaks at the north pole, between the
+        Gauss rings, and each entry's lambda is read there."""
+        from sol_lab import subcritical_solver
+        from sol_lab.sphere_grid import axis_values
+
+        sweep, sweeps = subcritical_solver.epsilon_sweep, []
+
+        def recorded(*args):
+            sweeps.append(sweep(*args))
+            return sweeps[-1]
+
+        monkeypatch.setattr(subcritical_solver, "epsilon_sweep", recorded)
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfg.write_text(config_text(
+            grid={"n_theta": 129, "n_phi": 258},
+            weight={"points": [], "K": {"base": 1, "harmonics": [
+                {"l": 1, "m": 0, "coeff": 0.3}]}},
+            experiment={"kind": "sweep", "epsilons": [2, 1, 0.5, 0.2, 0.1],
+                        "init": "zero"}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert len(rep["checks"]) == 4
+        assert all(c["passed"] for c in rep["checks"])
+        for e in sweeps[0].entries:
+            north = axis_values(e.state.coeffs)[0]
+            assert e.diagnostics.lambda_eps >= north
+            assert np.array_equal(e.diagnostics.p_eps, [0.0, 0.0, 1.0])
+
     def test_test_function_sweep_near_order_minus_one(self, tmp_path):
         """At alpha = -0.9 the radial J is right at every default epsilon,
         so all three checks pass (J read -5.7359, -5.5081 and -5.5723, not
@@ -1206,7 +1237,7 @@ class TestThreads:
         assert out[-1] == "0 3"
 
     def test_sweep_leaves_scipy_optimize_unloaded(self, tmp_path):
-        """A sweep run, Richardson extrapolation included, imports no scipy
+        """A sweep run, the blow-up fit included, imports no scipy
         module: scipy.optimize alone costs about 0.4 s cold.  (This coarse
         grid fails the blow-up check, exit code 1, but reports.)"""
         cfg = tmp_path / "c.json"
@@ -1442,7 +1473,7 @@ class TestChecksCanFail:
 
         def epsilon_sweep(weight, grid, config):
             return subcritical_solver.SweepReport(
-                [Entry(r) for r in rows], target * (1.0 + rel_J), 1.0)
+                [Entry(r) for r in rows], target * (1.0 + rel_J))
 
         monkeypatch.setattr(subcritical_solver, "epsilon_sweep",
                             epsilon_sweep)

@@ -44,9 +44,9 @@ from sol_lab.subcritical_solver import (
     cap_density_integral,
     diagnose,
     epsilon_sweep,
+    extrapolate_blowup,
     gradient_singularity_exponent,
     minimize,
-    richardson_extrapolate,
 )
 
 from conftest import affine_K, random_band_limited, zero
@@ -968,52 +968,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="init"):
             SolverConfig(init="test_function")
 
-    def test_richardson_recovers_power_law(self):
-        eps = np.array([0.5, 0.2, 0.1, 0.05])
-        J = -7.0 + 3.0 * eps**0.8
-        j0, p = richardson_extrapolate(eps, J)
-        assert j0 == pytest.approx(-7.0, abs=1e-9)
-        assert p == pytest.approx(0.8, abs=1e-6)
-
-    @staticmethod
-    def brentq_extrapolate(eps, J):
-        """The fit of ``richardson_extrapolate`` with scipy's brentq on the
-        same bracket and xtol, and the same linear fallback."""
-        from scipy.optimize import brentq
-        (e1, e2, e3), (j1, j2, j3) = eps[-3:], J[-3:]
-
-        def mismatch(p):
-            return (j1 - j2) / (j2 - j3) - (e1**p - e2**p) / (e2**p - e3**p)
-
-        try:
-            p = brentq(mismatch, 0.05, 4.0, xtol=1.0e-10)
-        except ValueError:
-            return j3 - (j2 - j3) / (e2 - e3) * e3, 1.0
-        return j3 - (j2 - j3) / (e2**p - e3**p) * e3**p, p
-
-    def test_richardson_root_matches_brentq(self):
-        """p and J0 agree with brentq: to rounding on the seed-0 benchmark
-        sweep, where brentq's last step lands on the root, and within its
-        xtol of 1e-10 on random triples, fallbacks included."""
-        eps = np.array([0.5, 0.2, 0.1, 0.05])
-        J = np.array([-6.9845727720295265, -7.734550042319945,
-                      -8.018415067584861, -8.166925237142511])
-        j0, p = richardson_extrapolate(eps, J)
-        want_j0, want_p = self.brentq_extrapolate(eps, J)
-        assert p == pytest.approx(want_p, abs=1e-13)
-        assert j0 == pytest.approx(want_j0, rel=1e-14)
-        rng = np.random.default_rng(5)
-        fallbacks = 0
-        for _ in range(200):
-            eps = np.sort(rng.uniform(0.01, 1.0, 3))[::-1]
-            J = (-8.0 + rng.uniform(0.1, 3.0) * eps ** rng.uniform(0.2, 3.0)
-                 + rng.normal(0.0, 1.0e-3, 3))
-            j0, p = richardson_extrapolate(eps, J)
-            want_j0, want_p = self.brentq_extrapolate(eps, J)
-            fallbacks += want_p == 1.0
-            assert p == pytest.approx(want_p, abs=1.5e-10)
-            assert j0 == pytest.approx(want_j0, rel=1e-9)
-        assert 0 < fallbacks < 200
+    @pytest.mark.parametrize("eps", [(0.5, 0.2, 0.1, 0.05),
+                                     (2.0, 1.0, 0.5, 0.2, 0.1)])
+    def test_blowup_fit_recovers_its_model(self, eps):
+        """Exact J_inf + c eps log(1/eps) + d eps data, which no J0 + c
+        eps^p matches, gives J_inf back to rounding, on a schedule with
+        eps >= 1 too; a constant J gives the constant."""
+        eps = np.array(eps)
+        J = -8.0 + 2.0 * eps * np.log(1.0 / eps) + 0.5 * eps
+        assert extrapolate_blowup(eps, J) == pytest.approx(-8.0, abs=1e-12)
+        assert extrapolate_blowup(eps, np.full(eps.size, -3.5)) == \
+            pytest.approx(-3.5, abs=1e-12)
 
 
 class TestGradientExponent:
