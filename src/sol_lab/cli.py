@@ -83,14 +83,17 @@ def _number(**bounds):
 
 
 def _any(errors, v, path):
-    """Any value: a file path, or a value checked by the caller."""
+    """Any value, checked by the caller."""
     return v
 
 
-def _flag(errors, v, path):
-    if isinstance(v, bool):
+def _output_path(errors, v, path):
+    """null, or a file path to write in a directory that exists."""
+    if v is None or (isinstance(v, str) and v and not os.path.isdir(v)
+                     and os.path.isdir(os.path.dirname(v) or ".")):
         return v
-    errors.append(f"{path}: expected true or false, got {v!r}")
+    errors.append(f"{path}: expected a file path in a directory that "
+                  f"exists, got {v!r}")
     return None
 
 
@@ -128,9 +131,8 @@ def _each(item, fewest=0, decreasing=False):
 def _section(schema, expected="an object"):
     """A JSON object with the keys of ``schema`` = {name: (default, check)}.
 
-    A key outside ``schema`` is an error; a missing key takes its default
-    (a callable default is computed from the keys checked before it), which
-    goes through the same check as a given value.
+    A key outside ``schema`` is an error; a missing key takes its default,
+    which goes through the same check as a given value.
     """
     def check(errors, obj, path):
         if not isinstance(obj, dict):
@@ -139,12 +141,8 @@ def _section(schema, expected="an object"):
         prefix = f"{path}." if path else ""
         errors.extend(f"{prefix}{k}: unknown key; expected one of "
                       f"{', '.join(schema)}" for k in obj if k not in schema)
-        out = {}
-        for name, (default, item) in schema.items():
-            if callable(default):
-                default = default(out)
-            out[name] = item(errors, obj.get(name, default), prefix + name)
-        return out
+        return {name: item(errors, obj.get(name, default), prefix + name)
+                for name, (default, item) in schema.items()}
     return check
 
 
@@ -199,8 +197,8 @@ _CONFIG = _section({
               None if v is None else _K(errors, v, path))})),
     "experiment": ({}, _any),
     "seed": (0, _number(integer=True)),
-    "output": ({}, _section({"report": (None, _any),
-                             "traces": (None, _any)})),
+    "output": ({}, _section({"report": (None, _output_path),
+                             "traces": (None, _output_path)})),
 })
 # the SolverConfig fields of the experiments that solve; a solve from
 # zero (minimize, kw-check) takes no start, a sweep its first entry's
@@ -222,11 +220,10 @@ def _experiment_schema(alpha: float) -> dict:
     tol = _number(lo=0.0)
     eps = {"gt": 0.0, "lt": 8.0 * math.pi * (1.0 + alpha)}
     epsilons = ([0.5, 0.2, 0.1, 0.05], _each(_number(**eps), 2, True))
-    extremal_alpha = (-0.5, _number(gt=-1.0, lt=0.0))
     return {
         "constants": {"consistency_tol": (1.0e-12 if alpha < 0.0 else 1.0e-3,
                                           tol)},
-        "verify-extremal": {"alpha": extremal_alpha,
+        "verify-extremal": {"alpha": (-0.5, _number(gt=-1.0, lt=0.0)),
                             "lambda": (2.0, _number(gt=0.0)),
                             "c": (3.0, _number()), "rel_tol": (0.005, tol),
                             "invariance_tol": (1.0e-3, tol)},
@@ -240,10 +237,8 @@ def _experiment_schema(alpha: float) -> dict:
         "sweep": {"epsilons": epsilons, **_SOLVER, **_START,
                   "cap_mass_rel_tol": (0.15, tol),
                   "extrapolation_rel_tol": (0.05, tol)},
-        "kw-check": {"use_extremal": (False, _flag), "alpha": extremal_alpha,
-                     "epsilon": (0.3, _number(**eps)), **_SOLVER,
-                     "residual_tol": (lambda exp: 1.0e-6 if exp["use_extremal"]
-                                      else 1.0e-3, tol)},
+        "kw-check": {"epsilon": (0.3, _number(**eps)), **_SOLVER,
+                     "residual_tol": (1.0e-3, tol)},
         "profile-collapse": {"epsilons": epsilons, **_SOLVER, **_START,
                              "noise": (0.02, _number(lo=0.0))},
         "test-function-sweep": {"epsilons": ([1.0e-2, 1.0e-3, 1.0e-4],
@@ -273,7 +268,7 @@ def validate(raw_text: str):
     config = _CONFIG(errors, data, "")
     if config["schema_version"] != SCHEMA_VERSION:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}, "
-                      f"got {config['schema_version']}")
+                      f"got {config['schema_version']!r}")
 
     points = [p for p in (config["weight"] or {}).get("points") or ()
               if p and None not in p.values()]
@@ -328,7 +323,7 @@ def _rule_errors(config) -> list:
                (build_grid(n, 2 * n).nodes, poles)) <= 0.0:
             errors.append("weight.K: the smooth factor must be positive on "
                           "the sphere")
-    if exp["kind"] == "kw-check" and not exp["use_extremal"]:
+    if exp["kind"] == "kw-check":
         try:
             _axis_orders(w)
         except RegimeError as exc:
@@ -379,7 +374,7 @@ def _build_weight(config):
         [(p["position"], p["order"]) for p in section["points"]], K)
     exp = config["experiment"]
     keep = exp["kind"] in ("constants", "verify-extremal", "test-function-sweep")
-    return w if keep or exp.get("use_extremal") else axis_frame(w)
+    return w if keep else axis_frame(w)
 
 
 def _test_function_point(w):
@@ -610,21 +605,16 @@ def _run_profile_collapse(config, report):
 
 def _run_kw_check(config, report):
     from dataclasses import asdict
-    from .closed_forms import ExtremalParams, extremal_u, extremal_weight
     from .identity_checks import kazdan_warner_residual
 
     exp = config["experiment"]
     w = _build_weight(config)
     grid = _grid_for(config)
-    if exp["use_extremal"]:
-        w = extremal_weight(exp["alpha"])
-        coeffs = extremal_u(ExtremalParams(alpha=exp["alpha"]), grid)
-        rho = w.rho_bar
-    else:
-        state = _solve_from_zero(exp, w, grid)
-        coeffs, rho = state.coeffs, state.params.rho
+    state = _solve_from_zero(exp, w, grid)
+    rho = state.params.rho
     tol = exp["residual_tol"]
-    rep = kazdan_warner_residual(coeffs, grid, rho, w)
+    rep = kazdan_warner_residual(state.coeffs, grid, rho, w)
+    report["records"] = [dict(r) for r in state.trace]
     report["summary"] = {**asdict(rep), "orders": list(rep.orders),
                          "rho": rho}
     _check(report["checks"], "axis identity residual",
@@ -719,9 +709,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="report JSON path "
                        "(overrides output.report)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_thread_count, default=1)
         p.add_argument("--seed", type=int, default=None)
     return parser
+
+
+def _thread_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def main(argv=None) -> int:
@@ -745,6 +742,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     config, errors = validate(raw)
+    if args.out is not None:
+        _output_path(errors, args.out, "--out")
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)

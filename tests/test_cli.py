@@ -137,8 +137,7 @@ class TestValidate:
         schema = _experiment_schema(-0.5)[kind]
         assert list(exp) == ["kind", *schema]
         for name, (default, _) in schema.items():
-            assert exp[name] == (default(exp) if callable(default)
-                                 else default), name
+            assert exp[name] == default, name
 
     def test_readme_example_validates(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -164,12 +163,13 @@ class TestRun:
         report = run(validate(config_text())[0])
         assert report["config"]["experiment"] == {"kind": "constants",
                                                   "consistency_tol": 1e-12}
-        pair = {"points": [{"position": [0, 0, 1], "order": -0.5},
-                           {"position": [0, 0, -1], "order": -0.5}]}
-        for use_extremal, tol in ((False, 1e-3), (True, 1e-6)):
-            config, _ = validate(config_text(weight=pair, experiment={
-                "kind": "kw-check", "use_extremal": use_extremal}))
-            assert config["experiment"]["residual_tol"] == tol
+        pair = {"points": [{"position": [0, 0, 1], "order": -0.25},
+                           {"position": [0, 0, -1], "order": -0.1}]}
+        report = run(validate(config_text(weight=pair, experiment={
+            "kind": "kw-check"}))[0])
+        assert report["config"]["experiment"] == {
+            "kind": "kw-check", "epsilon": 0.3, "max_iterations": 4000,
+            "tol_factor": 1e-6, "residual_tol": 1e-3}
 
     def test_profile_collapse_samples_around_the_center(self):
         """The profile records sample u at the rule's rings within 5 t_eps
@@ -529,6 +529,12 @@ BAD_NUMBERS = {
                         "experiment.damping: unknown key"),
     "tol_factr-unknown": ("minimize", {"tol_factr": 1e-12},
                           "experiment.tol_factr: unknown key"),
+    # kw-check always solves below rho_bar: it reads no extremal flag or
+    # order
+    "use_extremal-kw-check-unknown": ("kw-check", {"use_extremal": True},
+                                      "experiment.use_extremal: unknown key"),
+    "alpha-kw-check-unknown": ("kw-check", {"alpha": -0.5},
+                               "experiment.alpha: unknown key"),
 }
 
 # schedules compare consecutive entries: fewer than two must exit 2
@@ -549,16 +555,13 @@ BAD_NUMBERS.update({
     for kind in ("minimize", "kw-check")})
 
 
-# strings and flags the runners read, out of their sets; each must exit 2
+# strings the runners read, out of their sets; each must exit 2
 BAD_CHOICES = {
     f"init-{kind}": (kind, {"init": "test_function"},
                      "experiment.init: expected one of zero, test-function; "
                      "got 'test_function'")
     for kind in ("sweep", "profile-collapse")
 }
-BAD_CHOICES["use_extremal-string"] = (
-    "kw-check", {"use_extremal": "no"},
-    "experiment.use_extremal: expected true or false, got 'no'")
 
 
 _POINT = {"position": [0, 0, 1], "order": -0.5}
@@ -892,15 +895,24 @@ class TestMainEntry:
         assert [ch["value"] for ch in reports[1]["checks"]] == pytest.approx(
             [ch["value"] for ch in reports[0]["checks"]], rel=1e-6)
 
-    def test_kw_check_extremal_kind(self, tmp_path):
-        cfg = tmp_path / "c.json"
+    def test_kw_check_traces_its_solve(self, tmp_path):
+        """kw-check solves from zero on the config's weight and passes its
+        check (2.2e-4 on 65 x 130); its records are the solve's steps, one
+        CSV row each in output.traces."""
+        cfg, out, traces = (tmp_path / f for f in ("c.json", "r.json",
+                                                   "t.csv"))
         cfg.write_text(config_text(
             grid={"n_theta": 65, "n_phi": 130},
-            weight={"points": [{"position": [0, 0, 1], "order": -0.5},
-                               {"position": [0, 0, -1], "order": -0.5}]},
-            experiment={"kind": "kw-check", "use_extremal": True,
-                        "alpha": -0.5}))
+            weight={"points": [{"position": [0, 0, 1], "order": -0.25},
+                               {"position": [0, 0, -1], "order": -0.1}]},
+            experiment={"kind": "kw-check"},
+            output={"report": str(out), "traces": str(traces)}))
         assert main(["kw-check", "--config", str(cfg)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [r["iteration"] for r in records] == list(range(len(records)))
+        rows = traces.read_text().splitlines()
+        assert rows[0] == ",".join(sorted(records[0]))
+        assert len(rows) == len(records) + 1 > 2
 
     def test_negative_point_on_a_grid_node(self, tmp_path):
         """An off-axis negative-order point on a grid node, (1, 0, 0) on
@@ -1124,6 +1136,19 @@ CONTRACT = {
     "top-level-list": ("constants", "[]", "top level: expected a JSON object"),
     "schema-version-2": ("constants", config_text(schema_version=2),
                          "schema_version: expected 1, got 2"),
+    "schema-version-string": ("constants", config_text(schema_version="1"),
+                              "schema_version: expected 1, got '1'"),
+    # output paths are strings: a list raised a TypeError after the run,
+    # and a number was taken for a file descriptor and written into
+    "report-list": ("constants", config_text(output={"report": ["r.json"]}),
+                    "output.report: expected a file path in a directory "
+                    "that exists, got ['r.json']"),
+    "report-number": ("constants", config_text(output={"report": 2}),
+                      "output.report: expected a file path in a directory "
+                      "that exists, got 2"),
+    "traces-number": ("constants", config_text(output={"traces": 1}),
+                      "output.traces: expected a file path in a directory "
+                      "that exists, got 1"),
     "experiment-number": ("constants", config_text(experiment=3),
                           "experiment: expected an object"),
     "kw-check-no-point": ("kw-check", config_text(
@@ -1147,6 +1172,25 @@ class TestConfigContract:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"config error: {message}" in err, err
+
+    @pytest.mark.parametrize("key", ["report", "traces", "--out"])
+    def test_output_in_a_missing_directory_exits_2_before_the_run(
+            self, key, tmp_path, capsys, monkeypatch):
+        """An output path (output.report, output.traces or --out) in a
+        directory that does not exist is a config error, found before the
+        run: it raised FileNotFoundError after the whole run, exit 1."""
+        import sol_lab.cli as cli
+
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran"))
+        cfg, missing = tmp_path / "c.json", str(tmp_path / "no" / "r.json")
+        flag = ["--out", missing] if key == "--out" else []
+        cfg.write_text(config_text(output={} if flag else {key: missing}))
+        assert main(["constants", "--config", str(cfg), *flag]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == (f"config error: {'' if flag else 'output.'}{key}: "
+                       "expected a file path in a directory that exists, "
+                       f"got {missing!r}\n")
 
     def test_seed_flag_overrides_the_config(self, tmp_path):
         """``--seed`` replaces the config's seed: the gaps of config seed 0
@@ -1235,6 +1279,18 @@ class TestThreads:
             OPENBLAS_NUM_THREADS="1")
         assert out[0] == "False"
         assert out[-1] == "0 3"
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, threads, tmp_path, capsys):
+        """--threads counts BLAS threads: below 1 is argparse's usage
+        error (exit 2), where it ran and exported the count."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text())
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--config", str(cfg), "--threads", threads])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --threads: must be >= 1, got {threads}" in err
 
     def test_sweep_leaves_scipy_optimize_unloaded(self, tmp_path):
         """A sweep run, the blow-up fit included, imports no scipy
@@ -1395,20 +1451,22 @@ class TestChecksCanFail:
             assert (family["value"] <= 1e-5) == passed
 
     def test_axis_identity_check_fails(self, monkeypatch):
-        """A stubbed ``kazdan_warner_residual`` whose residual is 1e-5
-        (tolerance 1e-6 on the extremal field) fails "axis identity
-        residual", and one of 1e-7 passes; the summary is the report's
-        fields, its orders a list, and rho."""
+        """A stubbed ``kazdan_warner_residual`` whose residual is 1e-2
+        (tolerance 1e-3) on a small solve fails "axis identity residual",
+        and one of 1e-4 passes; the summary is the report's fields, its
+        orders a list, and the solve's rho."""
         from sol_lab import identity_checks
 
-        for residual, passed in ((1e-7, True), (-1e-5, False)):
+        for residual, passed in ((1e-4, True), (-1e-2, False)):
             rep = identity_checks.KazdanWarnerReport(
                 moment=0.25, poho_residual=residual, prefactor=0.5,
-                orders=(-0.5, -0.5))
+                orders=(-0.25, -0.1))
             monkeypatch.setattr(identity_checks, "kazdan_warner_residual",
                                 lambda coeffs, grid, rho, w, _r=rep: _r)
             config, errors = validate(config_text(
-                experiment={"kind": "kw-check", "use_extremal": True}))
+                weight={"points": [{"position": [0, 0, 1], "order": -0.25},
+                                   {"position": [0, 0, -1], "order": -0.1}]},
+                experiment={"kind": "kw-check"}))
             assert not errors
             report = run(config)
             check, = report["checks"]
@@ -1417,7 +1475,35 @@ class TestChecksCanFail:
             assert check["value"] == abs(residual)
             assert report["summary"] == {
                 "moment": 0.25, "poho_residual": residual, "prefactor": 0.5,
-                "orders": [-0.5, -0.5], "rho": 4.0 * np.pi}
+                "orders": [-0.25, -0.1],
+                "rho": pytest.approx(6.0 * np.pi - 0.3, abs=1e-12)}
+
+    def test_axis_identity_check_fails_on_a_real_field(self):
+        """With no stub: the mixed pair (-1/4, -1/10) at rho_bar - 0.3 on
+        129 x 258 passes the kw-check run's residual_tol (2.7e-5 on the
+        converged solve), and the same identity on u = 0 reads 0.134 and
+        would fail it."""
+        from sol_lab.identity_checks import kazdan_warner_residual
+        from sol_lab.singular_geometry import SingularWeight
+        from sol_lab.sphere_grid import SHCoefficients, build_grid
+
+        config, errors = validate(config_text(
+            grid={"n_theta": 129, "n_phi": 258},
+            weight={"points": [{"position": [0, 0, 1], "order": -0.25},
+                               {"position": [0, 0, -1], "order": -0.1}]},
+            experiment={"kind": "kw-check"}))
+        assert not errors
+        report = run(config)
+        check, = report["checks"]
+        tol = config["experiment"]["residual_tol"]
+        assert check["passed"] and check["value"] < 1e-4
+        grid = build_grid(129, 258)
+        w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.25),
+                                        ((0.0, 0.0, -1.0), -0.1)])
+        rep = kazdan_warner_residual(SHCoefficients(np.zeros((129, 1))),
+                                     grid, report["summary"]["rho"], w)
+        assert abs(rep.poho_residual) == pytest.approx(0.134, abs=1e-3)
+        assert abs(rep.poho_residual) > tol
 
     def test_solve_stopped_short_exits_3(self, tmp_path, capsys):
         """A run's solves have converged or the run exits 3, so a report
