@@ -172,31 +172,33 @@ class TestRun:
             "tol_factor": 1e-6, "residual_tol": 1e-3}
 
     def test_profile_collapse_samples_around_the_center(self):
-        """The profile records sample u at the rule's rings within 5 t_eps
-        of the concentration point, each at a distance r <= pi, so a
-        south-pole run records what its mirror image at the north pole
-        records."""
+        """A sweep entry's profile samples u at the rule's rings within
+        5 t_eps of the concentration point, each at a distance r <= pi, so
+        a south-pole sweep has the profile of its mirror image at the north
+        pole."""
         from sol_lab.mt_functional import integrator_for
         from sol_lab.singular_geometry import SingularWeight
         from sol_lab.sphere_grid import build_grid
+        from sol_lab.subcritical_solver import SolverConfig, epsilon_sweep
 
-        records, t_eps = {}, {}
+        grid = build_grid(65, 130)
+        config = SolverConfig(epsilon_schedule=(0.5, 0.2, 0.1))
+        profiles, t_eps = {}, {}
         for z in (1, -1):
-            config, _ = validate(config_text(
-                grid={"n_theta": 65, "n_phi": 130},
-                weight={"points": [{"position": [0, 0, z], "order": -0.5}]},
-                experiment={"kind": "profile-collapse",
-                            "epsilons": [0.5, 0.2, 0.1]}))
-            rep = run(config)["records"]
-            records[z] = [(r["r"], r["u_minus_lambda"], r["bubble"])
-                          for r in rep if "u_minus_lambda" in r]
-            t_eps[z] = [r["t_eps"] for r in rep if "t_eps" in r]
+            w = SingularWeight.from_orders([((0.0, 0.0, z), -0.5)])
+            diags = [e.diagnostics
+                     for e in epsilon_sweep(w, grid, config).entries]
+            profiles[z] = np.concatenate(
+                [np.stack([d.profile_radii, d.profile], axis=1)
+                 for d in diags])
+            t_eps[z] = [d.t_eps for d in diags]
         w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5)])
-        rings = np.arccos(integrator_for(build_grid(65, 130), w).transform.t)
-        assert len(records[1]) == sum(np.count_nonzero(rings <= 5.0 * t)
-                                      for t in t_eps[1])
-        assert all(r <= np.pi for r, _, _ in records[1] + records[-1])
-        np.testing.assert_allclose(records[-1], records[1], rtol=0,
+        rings = np.arccos(integrator_for(grid, w).transform.t)
+        assert len(profiles[1]) == sum(np.count_nonzero(rings <= 5.0 * t)
+                                       for t in t_eps[1])
+        assert np.all(np.concatenate([profiles[1], profiles[-1]])[:, 0]
+                      <= np.pi)
+        np.testing.assert_allclose(profiles[-1], profiles[1], rtol=0,
                                    atol=1e-12)
 
     def test_determinism(self):
@@ -542,7 +544,7 @@ BAD_NUMBERS.update({
     f"epsilons-{n}-{kind}": (kind, {"epsilons": [0.1][:n]},
                              f"experiment.epsilons: expected at least 2 "
                              f"values, got {n}")
-    for kind in ("sweep", "profile-collapse", "test-function-sweep")
+    for kind in ("sweep", "test-function-sweep")
     for n in (0, 1)})
 
 
@@ -557,10 +559,9 @@ BAD_NUMBERS.update({
 
 # strings the runners read, out of their sets; each must exit 2
 BAD_CHOICES = {
-    f"init-{kind}": (kind, {"init": "test_function"},
-                     "experiment.init: expected one of zero, test-function; "
-                     "got 'test_function'")
-    for kind in ("sweep", "profile-collapse")
+    "init-sweep": ("sweep", {"init": "test_function"},
+                   "experiment.init: expected one of zero, test-function; "
+                   "got 'test_function'"),
 }
 
 
@@ -665,7 +666,7 @@ POINT_RULES = {
         None if kind == "constants" else
         "weight.points: no rotation puts these 3 singular points on the axis")
        for kind in ("constants", "minimize", "sweep", "kw-check",
-                    "profile-collapse", "inequality-sample")},
+                    "inequality-sample")},
 }
 
 
@@ -861,20 +862,31 @@ class TestMainEntry:
         assert rep["summary"]["closed_form"] == pytest.approx(
             4 * np.pi * (0.5 - np.log(2.0)))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the defaults' lambda = 2 member is under-resolved at L = 64: "
-               "on the default 65 x 130 grid |J(u_{2,3}) - J(u_{1,0})| reads "
-               "1.00013e-3 against invariance_tol 1e-3 (3.8e-14 at "
-               "lambda = 1, 2.6e-4 on 129 x 258)")
     def test_verify_extremal_defaults(self, tmp_path):
         """verify-extremal with every experiment key at its default passes
-        its own checks."""
+        its own checks: on the default 65 x 130 grid |J(u_{1.5,3}) -
+        J(u_{1,0})| reads 3.11e-4 against invariance_tol 1e-3."""
         cfg, out = tmp_path / "c.json", tmp_path / "r.json"
         cfg.write_text(json.dumps({"weight": {"points": []},
                                    "experiment": {"kind": "verify-extremal"}}))
         assert main(["verify-extremal", "--config", str(cfg),
                      "--out", str(out)]) == 0
+        check = json.loads(out.read_text())["checks"][1]
+        assert check["name"] == "lambda-c invariance"
+        assert check["value"] == pytest.approx(3.11e-4, rel=0.01)
+
+    def test_verify_extremal_under_resolved_member_fails(self, tmp_path):
+        """The lambda = 2 member is under-resolved at L = 64: on 65 x 130
+        |J(u_{2,3}) - J(u_{1,0})| reads 1.00013e-3 against 1e-3, so the
+        invariance check fails and the run exits 1."""
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"weight": {"points": []}, "experiment": {
+            "kind": "verify-extremal", "lambda": 2.0}}))
+        assert main(["verify-extremal", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        extremal, invariance = json.loads(out.read_text())["checks"]
+        assert extremal["passed"] and not invariance["passed"]
+        assert invariance["value"] == pytest.approx(1.00013e-3, rel=1e-5)
 
     def test_verify_extremal_past_overflow(self, tmp_path):
         """c = 800 puts the raw peak of u_{lambda,c} past exp's overflow at
@@ -1025,7 +1037,7 @@ class TestMainEntry:
     def test_regular_case_sweep_passes(self, tmp_path, monkeypatch):
         """No singular point, K = 1 + 0.3 Y_10, on 129 x 258: J(rho_bar -
         eps) nears its blow-up value like eps log(1/eps), the sweep's model,
-        so all four checks pass.  u peaks at the north pole, between the
+        so all five checks pass.  u peaks at the north pole, between the
         Gauss rings, and each entry's lambda is read there."""
         from sol_lab import subcritical_solver
         from sol_lab.sphere_grid import axis_values
@@ -1046,8 +1058,12 @@ class TestMainEntry:
                         "init": "zero"}))
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
-        assert len(rep["checks"]) == 4
+        assert len(rep["checks"]) == 5
         assert all(c["passed"] for c in rep["checks"])
+        # the three compact entries have no profile; the last two fall
+        # from 0.693 to 0.269
+        assert rep["checks"][-1]["value"] == pytest.approx(-0.42467,
+                                                           abs=1e-5)
         for e in sweeps[0].entries:
             north = axis_values(e.state.coeffs)[0]
             assert e.diagnostics.lambda_eps >= north
@@ -1138,6 +1154,11 @@ CONTRACT = {
                          "schema_version: expected 1, got 2"),
     "schema-version-string": ("constants", config_text(schema_version="1"),
                               "schema_version: expected 1, got '1'"),
+    # True and 1.0 equal 1 in Python, but neither is the integer 1
+    "schema-version-true": ("constants", config_text(schema_version=True),
+                            "schema_version: expected 1, got True"),
+    "schema-version-float": ("constants", config_text(schema_version=1.0),
+                             "schema_version: expected 1, got 1.0"),
     # output paths are strings: a list raised a TypeError after the run,
     # and a number was taken for a file descriptor and written into
     "report-list": ("constants", config_text(output={"report": ["r.json"]}),
@@ -1151,6 +1172,11 @@ CONTRACT = {
                       "that exists, got 1"),
     "experiment-number": ("constants", config_text(experiment=3),
                           "experiment: expected an object"),
+    # profile collapse is a check of the sweep, not a kind of its own
+    "profile-collapse-kind": ("sweep", config_text(
+        experiment={"kind": "profile-collapse"}),
+        f"experiment.kind: expected one of {', '.join(KINDS)}; "
+        "got 'profile-collapse'"),
     "kw-check-no-point": ("kw-check", config_text(
         weight={"points": []}, experiment={"kind": "kw-check"}),
         "weight.points: kw-check: the axis identity needs"),
@@ -1163,7 +1189,7 @@ class TestConfigContract:
     def test_exits_2_naming_the_path(self, kind, text, message, tmp_path,
                                      capsys):
         """Wrong types, out-of-range numbers, malformed vectors, a
-        harmonic with |m| > l, a wrong top level or schema version and a
+        harmonic with |m| > l, a wrong top level, schema version or kind and a
         kw-check with no singular point each exit 2 with a config error
         that starts with its JSON path, and no traceback."""
         cfg = tmp_path / "c.json"
@@ -1545,21 +1571,10 @@ class TestChecksCanFail:
         w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5)])
         target = blowup_infimum(w, build_grid(33, 66)).inf_J
 
-        class Entry:  # a sweep entry as the runners read it, no profile
-            epsilon = 0.1
-            diagnostics = SimpleNamespace(
-                profile_radii=np.empty(0), profile=np.empty(0), t_eps=0.1,
-                center=np.array([0.0, 0.0, 1.0]))
-
-            def __init__(self, row):
-                self.values = row
-
-            def row(self):
-                return self.values
-
-        def epsilon_sweep(weight, grid, config):
+        def epsilon_sweep(weight, grid, config):  # entries as read: rows
             return subcritical_solver.SweepReport(
-                [Entry(r) for r in rows], target * (1.0 + rel_J))
+                [SimpleNamespace(row=lambda r=r: r) for r in rows],
+                target * (1.0 + rel_J))
 
         monkeypatch.setattr(subcritical_solver, "epsilon_sweep",
                             epsilon_sweep)
@@ -1595,15 +1610,23 @@ class TestChecksCanFail:
 
     def test_profile_collapse_fails_on_a_growing_profile_error(
             self, monkeypatch):
-        """A profile error that grows by 0.1 between entries (noise 0.02)
-        fails "profile collapse monotone"; one that falls passes."""
-        for errors, passed in (((0.3, 0.2, 0.1), True),
-                               ((0.1, 0.2, 0.3), False)):
-            check = self.checks(monkeypatch, "profile-collapse",
-                                self.rows(1.0, errors), 0.0)[
-                "profile collapse monotone"]
-            assert check["passed"] == passed
-            assert check["value"] == pytest.approx(-0.1 if passed else 0.1)
+        """A profile error that grows by 0.1 between entries (allowance
+        0.02) fails the sweep's "profile collapse monotone"; one that falls
+        passes.  Compact entries have no profile (NaN) and are skipped, so
+        a NaN before two falling errors passes, and with fewer than two
+        errors left there is no check."""
+        name = "profile collapse monotone"
+        for errors, value in (((0.3, 0.2, 0.1), -0.1),
+                              ((0.1, 0.2, 0.3), 0.1),
+                              ((np.nan, 0.69, 0.27), -0.42)):
+            check = self.checks(monkeypatch, "sweep",
+                                self.rows(1.0, errors), 0.0)[name]
+            assert check["passed"] == (value < 0.0)
+            assert check["tolerance"] == 0.02
+            assert check["value"] == pytest.approx(value)
+        checks = self.checks(monkeypatch, "sweep",
+                             self.rows(1.0, (np.nan, np.nan, 0.1)), 0.0)
+        assert len(checks) == 4 and name not in checks
 
     def test_sweep_monotonicity_checks_fail(self, monkeypatch):
         """A lambda that falls between entries fails "lambda strictly
