@@ -201,8 +201,7 @@ _CONFIG = _section({
 })
 # the SolverConfig fields of the experiments that solve; a solve from
 # zero (minimize, kw-check) takes no start, a sweep its first entry's
-_SOLVER = {"max_iterations": (4000, _number(lo=1, integer=True)),
-           "tol_factor": (1.0e-6, _number(gt=0.0))}
+_SOLVER = {"max_iterations": (4000, _number(lo=1, integer=True))}
 _START = {"init": ("test-function", _choice("zero", "test-function")),
           "init_epsilon": (0.01, _number(gt=0.0, lt=1.0))}
 
@@ -216,33 +215,19 @@ def _experiment_schema(alpha: float) -> dict:
     strictly and needs two values, since its checks compare consecutive
     entries.
     """
-    tol = _number(lo=0.0)
     eps = {"gt": 0.0, "lt": 8.0 * math.pi * (1.0 + alpha)}
     epsilons = ([0.5, 0.2, 0.1, 0.05], _each(_number(**eps), 2, True))
     return {
-        "constants": {"consistency_tol": (1.0e-12 if alpha < 0.0 else 1.0e-3,
-                                          tol)},
-        "verify-extremal": {"alpha": (-0.5, _number(gt=-1.0, lt=0.0)),
-                            "lambda": (1.5, _number(gt=0.0)),
-                            "c": (3.0, _number()), "rel_tol": (0.005, tol),
-                            "invariance_tol": (1.0e-3, tol)},
+        "constants": {},
+        "verify-extremal": {"alpha": (-0.5, _number(gt=-1.0, lt=0.0))},
         "inequality-sample": {"samples": (20, _number(lo=1, integer=True)),
-                              "constant": (0.0, _number()),
-                              "gap_floor": (-1.0e-6, _number()),
-                              "family_dilations": ([1.0, 2.0, 4.0],
-                                                   _each(_number(gt=0.0))),
-                              "family_tol": (1.0e-5, tol)},
+                              "constant": (0.0, _number())},
         "minimize": {"epsilon": (0.1, _number(**eps)), **_SOLVER},
-        "sweep": {"epsilons": epsilons, **_SOLVER, **_START,
-                  "cap_mass_rel_tol": (0.15, tol),
-                  "extrapolation_rel_tol": (0.05, tol)},
-        "kw-check": {"epsilon": (0.3, _number(**eps)), **_SOLVER,
-                     "residual_tol": (1.0e-3, tol)},
+        "sweep": {"epsilons": epsilons, **_SOLVER, **_START},
+        "kw-check": {"epsilon": (0.3, _number(**eps)), **_SOLVER},
         "test-function-sweep": {"epsilons": ([1.0e-2, 1.0e-3, 1.0e-4],
                                              _each(_number(gt=0.0, lt=1.0),
-                                                   2, True)),
-                                "upper_gap_tol": (0.10, tol),
-                                "exp_tol": (0.05, tol)},
+                                                   2, True))},
     }
 
 
@@ -383,7 +368,9 @@ def _test_function_point(w):
             else np.array([0.0, 0.0, 1.0]))
 
 
-def _check(checks, name, value, tolerance, ok):
+def _check(checks, name, value, tolerance, ok=None):
+    """Record the check; it passes if ``ok``, by default value <= tolerance."""
+    ok = value <= tolerance if ok is None else ok
     checks.append({"name": name, "value": value, "tolerance": tolerance,
                    "passed": bool(ok)})
     log.info("check %-42s %-6s (value=%.6g tol=%.6g)",
@@ -414,6 +401,11 @@ def _grid_for(config):
     return build_grid(config["grid"]["n_theta"], config["grid"]["n_phi"])
 
 
+ONOFRI_TOL = 1.0e-9  # |C| with no point and no K
+CONSISTENCY_TOL = 1.0e-12  # |C - closed form| with a negative order
+GRID_CONSISTENCY_TOL = 1.0e-3  # the same with C read on the grid
+
+
 def _run_constants(config, report):
     from .identity_checks import (RegimeError, blowup_infimum,
                                   sphere_sharp_constant)
@@ -426,7 +418,8 @@ def _run_constants(config, report):
     checks = report["checks"]
     orders = [p["order"] for p in config["weight"]["points"]]
     if config["weight"]["K"] is None and len(orders) == 0:
-        _check(checks, "onofri constant", rep.C, 1.0e-9, abs(rep.C) <= 1.0e-9)
+        _check(checks, "onofri constant", rep.C, ONOFRI_TOL,
+               abs(rep.C) <= ONOFRI_TOL)
     elif config["weight"]["K"] is None and (
             len(orders) == 1
             or len(orders) == 2 and antipodal(*w.positions)):
@@ -436,12 +429,17 @@ def _run_constants(config, report):
                 antipodal=len(orders) == 2)
             report["summary"]["closed_form_C"] = closed.C
             report["summary"]["closed_form_theorem"] = closed.theorem
-            tol = config["experiment"]["consistency_tol"]
             _check(checks, "closed-form consistency", abs(rep.C - closed.C),
-                   tol, abs(rep.C - closed.C) <= tol)
+                   CONSISTENCY_TOL if w.alpha < 0.0 else GRID_CONSISTENCY_TOL)
         except RegimeError as exc:
             report["summary"]["closed_form_C"] = None
             report["summary"]["notes"] = str(exc)
+
+
+EXTREMAL_LAMBDA = 1.5  # u_{lambda,c}: 65 x 130 resolves 1.5, not 2
+EXTREMAL_C = 3.0
+EXTREMAL_REL_TOL = 0.005  # J(u_{1,0}) against the closed form, relative
+INVARIANCE_TOL = 1.0e-3  # |J(u_{lambda,c}) - J(u_{1,0})|
 
 
 def _run_verify_extremal(config, report):
@@ -449,24 +447,26 @@ def _run_verify_extremal(config, report):
     from .identity_checks import sphere_sharp_constant
     from .mt_functional import FunctionalParams, eval_J
 
-    exp = config["experiment"]
-    alpha = exp["alpha"]
+    alpha = config["experiment"]["alpha"]
     grid = _grid_for(config)
     w = extremal_weight(alpha)
     params = FunctionalParams(rho=w.rho_bar, weight=w)
     J_10, J_lc = (eval_J(extremal_u(p, grid), grid, params)
                   for p in (ExtremalParams(alpha=alpha),
-                            ExtremalParams(lam=exp["lambda"], c=exp["c"],
+                            ExtremalParams(lam=EXTREMAL_LAMBDA, c=EXTREMAL_C,
                                            alpha=alpha)))
     exact = sphere_sharp_constant(alpha, alpha, antipodal=True).inf_J
     report["summary"] = {"alpha": alpha, "J_extremal": J_10,
                          "J_shifted": J_lc, "closed_form": exact}
     rel = abs(J_10 - exact) / abs(exact)
-    rel_tol = exp["rel_tol"]
-    inv_tol = exp["invariance_tol"]
-    _check(report["checks"], "extremal value", rel, rel_tol, rel <= rel_tol)
-    _check(report["checks"], "lambda-c invariance", abs(J_lc - J_10), inv_tol,
-           abs(J_lc - J_10) <= inv_tol)
+    _check(report["checks"], "extremal value", rel, EXTREMAL_REL_TOL)
+    _check(report["checks"], "lambda-c invariance", abs(J_lc - J_10),
+           INVARIANCE_TOL)
+
+
+GAP_FLOOR = -1.0e-6  # the least gap a sample may show
+FAMILY_DILATIONS = (1.0, 2.0, 4.0)  # of u_t, with no point and no K
+FAMILY_TOL = 1.0e-5  # |gap| of u_t
 
 
 def _run_inequality_sample(config, report):
@@ -485,19 +485,19 @@ def _run_inequality_sample(config, report):
                           for i, gap in enumerate(gaps)]
     worst = float(gaps.min())
     report["summary"] = {"samples": n_samples, "worst_gap": worst}
-    _check(report["checks"], "inequality gap floor", worst, exp["gap_floor"],
-           worst >= exp["gap_floor"])
+    _check(report["checks"], "inequality gap floor", worst, GAP_FLOOR,
+           worst >= GAP_FLOOR)
     if not w.points and w.K is None:
         worst_fam = 0.0
         zero = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
-        for t in exp["family_dilations"]:
+        for t in FAMILY_DILATIONS:
             u = conformal_pullback(zero, grid, t, 0.0)
             gap = float(troyanov_gap(u, grid, w, exp["constant"]))
             report["records"].append({"dilation": t, "gap": gap})
             worst_fam = max(worst_fam, abs(gap))
         report["summary"]["worst_family_gap"] = worst_fam
         _check(report["checks"], "conformal family equality", worst_fam,
-               exp["family_tol"], worst_fam <= exp["family_tol"])
+               FAMILY_TOL)
 
 
 def _solver_config(exp, schedule):
@@ -542,8 +542,9 @@ def _run_minimize(config, report):
     }
 
 
-# how far a profile error may rise from one sweep entry to the next
-PROFILE_NOISE = 0.02
+CAP_MASS_REL_TOL = 0.15  # last cap mass at 10 t_eps against rho_bar
+EXTRAPOLATION_REL_TOL = 0.05  # extrapolated J against the blow-up value
+PROFILE_NOISE = 0.02  # a profile error's rise from one entry to the next
 
 
 def _run_sweep(config, report):
@@ -570,19 +571,20 @@ def _run_sweep(config, report):
         b - a for a, b in zip(decay, decay[1:])), 0.0,
         all(b < a for a, b in zip(decay, decay[1:])))
     mass_frac = sweep.column("cap_mass_10t")[-1] / w.rho_bar
-    mass_tol = exp["cap_mass_rel_tol"]
     _check(checks, "cap mass fraction at 10 t_eps", abs(mass_frac - 1.0),
-           mass_tol, abs(mass_frac - 1.0) <= mass_tol)
+           CAP_MASS_REL_TOL)
     rel = abs(sweep.extrapolated_J - target) / abs(target)
-    rel_tol = exp["extrapolation_rel_tol"]
-    _check(checks, "extrapolated J vs blow-up value", rel, rel_tol,
-           rel <= rel_tol)
+    _check(checks, "extrapolated J vs blow-up value", rel,
+           EXTRAPOLATION_REL_TOL)
     # a compact entry has no profile (its error is NaN)
     errs = [e for e in sweep.column("profile_error") if math.isfinite(e)]
     if len(errs) >= 2:
         _check(checks, "profile collapse monotone", max(
             b - a for a, b in zip(errs, errs[1:])), PROFILE_NOISE,
             all(b < a + PROFILE_NOISE for a, b in zip(errs, errs[1:])))
+
+
+RESIDUAL_TOL = 1.0e-3  # |axis identity residual| at the solve
 
 
 def _run_kw_check(config, report):
@@ -594,13 +596,16 @@ def _run_kw_check(config, report):
     grid = _grid_for(config)
     state = _solve_from_zero(exp, w, grid)
     rho = state.params.rho
-    tol = exp["residual_tol"]
     rep = kazdan_warner_residual(state.coeffs, grid, rho, w)
     report["records"] = [dict(r) for r in state.trace]
     report["summary"] = {**asdict(rep), "orders": list(rep.orders),
                          "rho": rho}
     _check(report["checks"], "axis identity residual",
-           abs(rep.poho_residual), tol, abs(rep.poho_residual) <= tol)
+           abs(rep.poho_residual), RESIDUAL_TOL)
+
+
+UPPER_GAP_TOL = 0.10  # last upper bound above the blow-up value, relative
+EXP_TOL = 0.05  # last exponential integral from its limit, relative
 
 
 def _run_test_function_sweep(config, report):
@@ -608,10 +613,9 @@ def _run_test_function_sweep(config, report):
     from .closed_forms import concentration_sweep
     from .identity_checks import blowup_infimum
 
-    exp = config["experiment"]
     w = _build_weight(config)
     p0 = _test_function_point(w)
-    records = concentration_sweep(w, exp["epsilons"], p0)
+    records = concentration_sweep(w, config["experiment"]["epsilons"], p0)
     target = blowup_infimum(w).inf_J if w.alpha < 0.0 else None
     for rec in records:
         report["records"].append(
@@ -623,17 +627,14 @@ def _run_test_function_sweep(config, report):
         all(b < a for a, b in zip(Js, Js[1:])))
     if target is not None:
         gap = (Js[-1] - target) / abs(target)
-        gap_tol = exp["upper_gap_tol"]
-        _check(checks, "upper bound above blow-up value", gap, gap_tol,
-               0.0 <= gap <= gap_tol)
+        _check(checks, "upper bound above blow-up value", gap, UPPER_GAP_TOL,
+               0.0 <= gap <= UPPER_GAP_TOL)
         # limit of the exponential integral at the smallest epsilon
         limit = np.pi * w.bubble_constant(p0) / (1.0 + w.alpha)
         rel = abs(records[-1]["exp_integral"] - limit) / limit
-        exp_tol = exp["exp_tol"]
         report["summary"] = {"target": target, "exp_limit": limit,
                              "final_J": Js[-1]}
-        _check(checks, "exponential integral limit", rel, exp_tol,
-               rel <= exp_tol)
+        _check(checks, "exponential integral limit", rel, EXP_TOL)
 
 
 _RUNNERS = {
@@ -681,17 +682,16 @@ def _csv_cell(v) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="sol-lab",
+        prog="sol-lab", usage="%(prog)s <kind> [-h] --config CONFIG "
+        "[--out OUT] [--threads THREADS] [--seed SEED]",
         description="verification experiments for the singular "
                     "Moser-Trudinger functional on the sphere")
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="report JSON path "
-                       "(overrides output.report)")
-        p.add_argument("--threads", type=_thread_count, default=1)
-        p.add_argument("--seed", type=int, default=None)
+    parser.add_argument("kind", choices=KINDS)
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", default=None, help="report JSON path "
+                        "(overrides output.report)")
+    parser.add_argument("--threads", type=_thread_count, default=1)
+    parser.add_argument("--seed", type=int, default=None)
     return parser
 
 

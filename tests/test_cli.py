@@ -161,15 +161,58 @@ class TestRun:
     def test_report_echoes_defaults(self):
         """config.experiment records the values the run used."""
         report = run(validate(config_text())[0])
-        assert report["config"]["experiment"] == {"kind": "constants",
-                                                  "consistency_tol": 1e-12}
+        assert report["config"]["experiment"] == {"kind": "constants"}
         pair = {"points": [{"position": [0, 0, 1], "order": -0.25},
                            {"position": [0, 0, -1], "order": -0.1}]}
         report = run(validate(config_text(weight=pair, experiment={
             "kind": "kw-check"}))[0])
         assert report["config"]["experiment"] == {
-            "kind": "kw-check", "epsilon": 0.3, "max_iterations": 4000,
-            "tol_factor": 1e-6, "residual_tol": 1e-3}
+            "kind": "kw-check", "epsilon": 0.3, "max_iterations": 4000}
+
+    @pytest.mark.parametrize("experiment, orders, tolerances", [
+        ({"kind": "constants"}, [], {"onofri constant": "ONOFRI_TOL"}),
+        ({"kind": "constants"}, [-0.5],
+         {"closed-form consistency": "CONSISTENCY_TOL"}),
+        ({"kind": "constants"}, [0.5],
+         {"closed-form consistency": "GRID_CONSISTENCY_TOL"}),
+        ({"kind": "verify-extremal"}, [],
+         {"extremal value": "EXTREMAL_REL_TOL",
+          "lambda-c invariance": "INVARIANCE_TOL"}),
+        ({"kind": "inequality-sample", "samples": 2}, [],
+         {"inequality gap floor": "GAP_FLOOR",
+          "conformal family equality": "FAMILY_TOL"}),
+        ({"kind": "minimize", "epsilon": 0.5}, [-0.5], {}),
+        ({"kind": "sweep"}, [-0.5],
+         {"lambda strictly increasing": None,
+          "t^2 mean decreasing toward 0": None,
+          "cap mass fraction at 10 t_eps": "CAP_MASS_REL_TOL",
+          "extrapolated J vs blow-up value": "EXTRAPOLATION_REL_TOL",
+          "profile collapse monotone": "PROFILE_NOISE"}),
+        ({"kind": "kw-check"}, [-0.25, -0.1],
+         {"axis identity residual": "RESIDUAL_TOL"}),
+        ({"kind": "test-function-sweep"}, [-0.5],
+         {"upper bound decreasing": None,
+          "upper bound above blow-up value": "UPPER_GAP_TOL",
+          "exponential integral limit": "EXP_TOL"}),
+    ], ids=["constants-onofri", "constants-negative-order",
+            "constants-positive-order", "verify-extremal",
+            "inequality-sample", "minimize", "sweep", "kw-check",
+            "test-function-sweep"])
+    def test_check_tolerances_are_the_constants(self, experiment, orders,
+                                                tolerances):
+        """A check's threshold is no config key: each check of a small
+        run of each kind records its runner's constant as ``tolerance``
+        (0 for a check of a strict order, which has no constant)."""
+        from sol_lab import cli
+
+        points = [{"position": [0, 0, z], "order": a}
+                  for z, a in zip((1, -1), orders)]
+        config, errors = validate(config_text(weight={"points": points},
+                                              experiment=experiment))
+        assert not errors
+        checks = {c["name"]: c["tolerance"] for c in run(config)["checks"]}
+        assert checks == {name: getattr(cli, const) if const else 0.0
+                          for name, const in tolerances.items()}
 
     def test_profile_collapse_samples_around_the_center(self):
         """A sweep entry's profile samples u at the rule's rings within
@@ -348,16 +391,18 @@ class TestRun:
         assert stacks[0].shape[1] == 3
         assert np.array_equal(stacks[0], stacks[1])
 
-    def test_onofri_family(self, tmp_path):
+    def test_onofri_family(self, tmp_path, monkeypatch):
         """With no singular point the samples are followed by the
         conformal family u_t: one dilation record per t, whose gaps vanish
         to rounding (8.8e-14 at t = 4 on 33 x 66), and a family tolerance
         of 0 fails the check, exit 1."""
+        from sol_lab import cli
+
         cfg, out = tmp_path / "c.json", tmp_path / "r.json"
-        for tol, code in ((1.0e-5, 0), (0.0, 1)):  # the default, and 0
-            cfg.write_text(config_text(weight={"points": []}, experiment={
-                "kind": "inequality-sample", "samples": 3,
-                "family_tol": tol}))
+        cfg.write_text(config_text(weight={"points": []}, experiment={
+            "kind": "inequality-sample", "samples": 3}))
+        for tol, code in ((1.0e-5, 0), (0.0, 1)):  # FAMILY_TOL, and 0
+            monkeypatch.setattr(cli, "FAMILY_TOL", tol)
             assert main(["inequality-sample", "--config", str(cfg),
                          "--out", str(out)]) == code
             report = json.loads(out.read_text())
@@ -510,8 +555,6 @@ BAD_NUMBERS = {
                     "experiment.samples: expected a finite number"),
     "constant-nan": ("inequality-sample", {"samples": 2, "constant": NAN},
                      "experiment.constant: expected a finite number"),
-    "gap_floor-nan": ("inequality-sample", {"samples": 2, "gap_floor": NAN},
-                      "experiment.gap_floor: expected a finite number"),
     "max_iterations-fraction": ("minimize", {"max_iterations": 2.5},
                                 "experiment.max_iterations: expected an "
                                 "integer"),
@@ -519,10 +562,6 @@ BAD_NUMBERS = {
                               "experiment.epsilon: must be < 12.5664"),
     "epsilons-zero": ("sweep", {"epsilons": [0.5, 0.0]},
                       "experiment.epsilons[1]: must be > 0.0"),
-    "residual_tol-nan": ("kw-check", {"epsilon": 0.5, "residual_tol": NAN},
-                         "experiment.residual_tol: expected a finite number"),
-    "lambda-negative": ("verify-extremal", {"lambda": -1.0},
-                        "experiment.lambda: must be > 0.0"),
     "test-function-epsilons": ("test-function-sweep",
                                {"epsilons": [1e-2, 2.0]},
                                "experiment.epsilons[1]: must be < 1"),
@@ -538,6 +577,29 @@ BAD_NUMBERS = {
     "alpha-kw-check-unknown": ("kw-check", {"alpha": -0.5},
                                "experiment.alpha: unknown key"),
 }
+
+# a check's threshold is a constant of its runner, not a key: a config
+# that sets one exits 2, its value at the default or not
+BAD_NUMBERS.update({
+    f"{key}-{kind}-unknown": (kind, {key: value},
+                              f"experiment.{key}: unknown key")
+    for kind, key, value in (
+        ("constants", "consistency_tol", 1e-12),
+        ("verify-extremal", "lambda", 1.5),
+        ("verify-extremal", "c", 3.0),
+        ("verify-extremal", "rel_tol", 0.005),
+        ("verify-extremal", "invariance_tol", 1e-3),
+        ("inequality-sample", "gap_floor", -1e-6),
+        ("inequality-sample", "family_dilations", [1.0, 2.0, 4.0]),
+        ("inequality-sample", "family_tol", 1e-5),
+        ("minimize", "tol_factor", 1e-6),
+        ("sweep", "tol_factor", 1e-6),
+        ("kw-check", "tol_factor", 1e-6),
+        ("sweep", "cap_mass_rel_tol", 0.15),
+        ("sweep", "extrapolation_rel_tol", 0.05),
+        ("kw-check", "residual_tol", 1e-3),
+        ("test-function-sweep", "upper_gap_tol", 0.10),
+        ("test-function-sweep", "exp_tol", 0.05))})
 
 # schedules compare consecutive entries: fewer than two must exit 2
 BAD_NUMBERS.update({
@@ -801,10 +863,12 @@ class TestMainEntry:
         assert report["passed"]
         assert "PASS" in capsys.readouterr().out
 
-    def test_tolerance_failure_exit_code(self, tmp_path):
+    def test_tolerance_failure_exit_code(self, tmp_path, monkeypatch):
+        from sol_lab import cli
+
+        monkeypatch.setattr(cli, "CONSISTENCY_TOL", 1e-30)
         cfg = tmp_path / "c.json"
-        cfg.write_text(config_text(
-            experiment={"kind": "constants", "consistency_tol": 1e-30}))
+        cfg.write_text(config_text())
         assert main(["constants", "--config", str(cfg)]) == 1
 
     def test_numerical_failure_exit_code(self, tmp_path):
@@ -848,14 +912,17 @@ class TestMainEntry:
         assert len(j_field.replace("-", "").replace(".", "")
                    .replace("e", "").lstrip("0")) >= 15
 
-    def test_verify_extremal_kind(self, tmp_path):
+    def test_verify_extremal_kind(self, tmp_path, monkeypatch):
+        from sol_lab import cli
+
+        monkeypatch.setattr(cli, "EXTREMAL_REL_TOL", 0.01)
+        monkeypatch.setattr(cli, "INVARIANCE_TOL", 5e-3)
         cfg = tmp_path / "c.json"
         out = tmp_path / "r.json"
         cfg.write_text(config_text(
             grid={"n_theta": 97, "n_phi": 194},
             weight={"points": []},
-            experiment={"kind": "verify-extremal", "alpha": -0.5,
-                        "rel_tol": 0.01, "invariance_tol": 5e-3}))
+            experiment={"kind": "verify-extremal", "alpha": -0.5}))
         assert main(["verify-extremal", "--config", str(cfg),
                      "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
@@ -865,7 +932,7 @@ class TestMainEntry:
     def test_verify_extremal_defaults(self, tmp_path):
         """verify-extremal with every experiment key at its default passes
         its own checks: on the default 65 x 130 grid |J(u_{1.5,3}) -
-        J(u_{1,0})| reads 3.11e-4 against invariance_tol 1e-3."""
+        J(u_{1,0})| reads 3.11e-4 against INVARIANCE_TOL 1e-3."""
         cfg, out = tmp_path / "c.json", tmp_path / "r.json"
         cfg.write_text(json.dumps({"weight": {"points": []},
                                    "experiment": {"kind": "verify-extremal"}}))
@@ -875,30 +942,37 @@ class TestMainEntry:
         assert check["name"] == "lambda-c invariance"
         assert check["value"] == pytest.approx(3.11e-4, rel=0.01)
 
-    def test_verify_extremal_under_resolved_member_fails(self, tmp_path):
+    def test_verify_extremal_under_resolved_member_fails(self, tmp_path,
+                                                         monkeypatch):
         """The lambda = 2 member is under-resolved at L = 64: on 65 x 130
         |J(u_{2,3}) - J(u_{1,0})| reads 1.00013e-3 against 1e-3, so the
         invariance check fails and the run exits 1."""
+        from sol_lab import cli
+
+        monkeypatch.setattr(cli, "EXTREMAL_LAMBDA", 2.0)
         cfg, out = tmp_path / "c.json", tmp_path / "r.json"
         cfg.write_text(json.dumps({"weight": {"points": []}, "experiment": {
-            "kind": "verify-extremal", "lambda": 2.0}}))
+            "kind": "verify-extremal"}}))
         assert main(["verify-extremal", "--config", str(cfg),
                      "--out", str(out)]) == 1
         extremal, invariance = json.loads(out.read_text())["checks"]
         assert extremal["passed"] and not invariance["passed"]
         assert invariance["value"] == pytest.approx(1.00013e-3, rel=1e-5)
 
-    def test_verify_extremal_past_overflow(self, tmp_path):
+    def test_verify_extremal_past_overflow(self, tmp_path, monkeypatch):
         """c = 800 puts the raw peak of u_{lambda,c} past exp's overflow at
         709.8.  J is shift invariant and the density is formed shifted, so
         the run passes with c = 3's J to 1e-9 (1.9e-11 seen) and the same
         check values."""
+        from sol_lab import cli
+
         reports = []
         for c in (3.0, 800.0):
+            monkeypatch.setattr(cli, "EXTREMAL_C", c)
             cfg, out = tmp_path / f"c{c}.json", tmp_path / f"r{c}.json"
             cfg.write_text(config_text(
                 grid={"n_theta": 129, "n_phi": 258}, weight={"points": []},
-                experiment={"kind": "verify-extremal", "c": c}))
+                experiment={"kind": "verify-extremal"}))
             assert main(["verify-extremal", "--config", str(cfg),
                          "--out", str(out)]) == 0
             reports.append(json.loads(out.read_text()))
@@ -1506,9 +1580,10 @@ class TestChecksCanFail:
 
     def test_axis_identity_check_fails_on_a_real_field(self):
         """With no stub: the mixed pair (-1/4, -1/10) at rho_bar - 0.3 on
-        129 x 258 passes the kw-check run's residual_tol (2.7e-5 on the
+        129 x 258 passes the kw-check run's RESIDUAL_TOL (2.7e-5 on the
         converged solve), and the same identity on u = 0 reads 0.134 and
         would fail it."""
+        from sol_lab.cli import RESIDUAL_TOL
         from sol_lab.identity_checks import kazdan_warner_residual
         from sol_lab.singular_geometry import SingularWeight
         from sol_lab.sphere_grid import SHCoefficients, build_grid
@@ -1521,7 +1596,6 @@ class TestChecksCanFail:
         assert not errors
         report = run(config)
         check, = report["checks"]
-        tol = config["experiment"]["residual_tol"]
         assert check["passed"] and check["value"] < 1e-4
         grid = build_grid(129, 258)
         w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.25),
@@ -1529,7 +1603,7 @@ class TestChecksCanFail:
         rep = kazdan_warner_residual(SHCoefficients(np.zeros((129, 1))),
                                      grid, report["summary"]["rho"], w)
         assert abs(rep.poho_residual) == pytest.approx(0.134, abs=1e-3)
-        assert abs(rep.poho_residual) > tol
+        assert abs(rep.poho_residual) > RESIDUAL_TOL == check["tolerance"]
 
     def test_solve_stopped_short_exits_3(self, tmp_path, capsys):
         """A run's solves have converged or the run exits 3, so a report
