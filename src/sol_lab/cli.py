@@ -199,8 +199,8 @@ _CONFIG = _section({
     "output": ({}, _section({"report": (None, _output_path),
                              "traces": (None, _output_path)})),
 })
-# the SolverConfig fields of the experiments that solve; a solve from
-# zero (minimize, kw-check) takes no start, a sweep its first entry's
+# the solver's settings in the experiments that solve; a solve from zero
+# (minimize, kw-check) takes no start, a sweep its first entry's
 _SOLVER = {"max_iterations": (4000, _number(lo=1, integer=True))}
 _START = {"init": ("test-function", _choice("zero", "test-function")),
           "init_epsilon": (0.01, _number(gt=0.0, lt=1.0))}
@@ -213,10 +213,10 @@ def _experiment_schema(alpha: float) -> dict:
     ``alpha`` is min(0, orders): an ``epsilon`` keeps rho = 8 pi (1 +
     alpha) - epsilon positive, and a schedule of ``epsilons`` decreases
     strictly and needs two values, since its checks compare consecutive
-    entries.
+    entries; a sweep's needs three, the unknowns of its limit model.
     """
     eps = {"gt": 0.0, "lt": 8.0 * math.pi * (1.0 + alpha)}
-    epsilons = ([0.5, 0.2, 0.1, 0.05], _each(_number(**eps), 2, True))
+    epsilons = ([0.5, 0.2, 0.1, 0.05], _each(_number(**eps), 3, True))
     return {
         "constants": {},
         "verify-extremal": {"alpha": (-0.5, _number(gt=-1.0, lt=0.0))},
@@ -500,13 +500,6 @@ def _run_inequality_sample(config, report):
                FAMILY_TOL)
 
 
-def _solver_config(exp, schedule):
-    from .subcritical_solver import SolverConfig
-    return SolverConfig(epsilon_schedule=tuple(schedule),
-                        **{name: exp[name] for name in {**_SOLVER, **_START}
-                           if name in exp})
-
-
 def _solve_from_zero(exp, w, grid):
     """Minimize J at rho_bar - epsilon from u = 0; raises unless converged."""
     import numpy as np
@@ -516,8 +509,7 @@ def _solve_from_zero(exp, w, grid):
 
     params = FunctionalParams(rho=w.rho_bar - exp["epsilon"], weight=w)
     zero = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))  # zonal
-    state = minimize(params, _solver_config(exp, [exp["epsilon"]]), zero,
-                     grid)
+    state = minimize(params, zero, grid, max_iterations=exp["max_iterations"])
     if not state.converged:
         raise NonConvergedError(
             f"residual {state.residual_norm:.3e} after "
@@ -554,13 +546,13 @@ def _run_sweep(config, report):
     exp = config["experiment"]
     w = _build_weight(config)
     grid = _grid_for(config)
-    sweep = epsilon_sweep(w, grid, _solver_config(exp, exp["epsilons"]))
-    target = blowup_infimum(w, grid).inf_J
+    sweep = epsilon_sweep(
+        w, grid, exp["epsilons"], max_iterations=exp["max_iterations"],
+        init_epsilon=exp["init_epsilon"] if exp["init"] == "test-function"
+        else None)
+    target, J0 = blowup_infimum(w, grid).inf_J, sweep.extrapolated_J
     report["records"] = [e.row() for e in sweep.entries]
-    report["summary"] = {
-        "extrapolated_J": sweep.extrapolated_J,
-        "blowup_target": target,
-    }
+    report["summary"] = {"extrapolated_J": J0, "blowup_target": target}
     checks = report["checks"]
     lams = sweep.column("lambda")
     incr = all(b > a for a, b in zip(lams, lams[1:]))
@@ -573,7 +565,7 @@ def _run_sweep(config, report):
     mass_frac = sweep.column("cap_mass_10t")[-1] / w.rho_bar
     _check(checks, "cap mass fraction at 10 t_eps", abs(mass_frac - 1.0),
            CAP_MASS_REL_TOL)
-    rel = abs(sweep.extrapolated_J - target) / abs(target)
+    rel = abs(J0 - target) / abs(target)
     _check(checks, "extrapolated J vs blow-up value", rel,
            EXTRAPOLATION_REL_TOL)
     # a compact entry has no profile (its error is NaN)

@@ -18,7 +18,7 @@ descent direction, and a negative curvature met on the first iteration
 returns that direction itself, so every step is a descent step.  The
 forcing term tightens as the residual falls, which makes the outer
 convergence superlinear: a handful of steps reach the stopping test
-||r|| <= tol_factor rho, and the last one usually passes it by orders of
+||r|| <= TOL_FACTOR rho, and the last one usually passes it by orders of
 magnitude.
 
 Each Hessian product synthesizes its vector once and analyses the product
@@ -59,8 +59,8 @@ collapses onto the planar bubble, and the mass rho_eps h e^u concentrates
 at the minimal-order point while u - mean(u) approaches rho_bar G_p away
 from it.  ``diagnose`` measures all of this; ``epsilon_sweep`` drives a
 schedule, each entry (its epsilon, state and diagnosis) started from the
-previous one's coefficients, and extrapolates the functional values to
-eps = 0 by the model J_inf + c eps log(1/eps) + d eps.
+previous one's coefficients, and its report extrapolates the functional
+values to eps = 0 by the model J_inf + c eps log(1/eps) + d eps.
 """
 
 from __future__ import annotations
@@ -113,28 +113,9 @@ class InsufficientAnnulusError(ValueError):
 
 BACKTRACK_MAX = 40  # step halvings per line search before the solve stalls
 CG_MAX = 20  # Hessian products per Newton step (the solves here take <= 5)
+TOL_FACTOR = 1.0e-6  # convergence at ||residual|| <= TOL_FACTOR rho
 
 log = logging.getLogger("sol_lab.solver")
-
-
-@dataclass
-class SolverConfig:
-    epsilon_schedule: tuple = (0.5, 0.2, 0.1, 0.05)
-    max_iterations: int = 4000
-    tol_factor: float = 1.0e-6     # convergence at ||residual|| <= tol_factor*rho
-    init: str = "test-function"    # first sweep entry: "zero" | "test-function"
-    init_epsilon: float = 0.01     # epsilon of the seeding test function
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilon_schedule)
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilon schedule must be strictly decreasing")
-        if any(e <= 0.0 for e in eps):
-            raise ValueError("epsilon schedule must be positive")
-        if self.init not in ("zero", "test-function"):
-            raise ValueError("init must be 'zero' or 'test-function', "
-                             f"got {self.init!r}")
-        self.epsilon_schedule = eps
 
 
 @dataclass
@@ -181,8 +162,8 @@ def _truncated_cg(resid: np.ndarray, hess, precond: np.ndarray,
     return s, k
 
 
-def minimize(params: FunctionalParams, config: SolverConfig,
-             init: SHCoefficients, grid: SphereGrid) -> MinimizerState:
+def minimize(params: FunctionalParams, init: SHCoefficients,
+             grid: SphereGrid, *, max_iterations: int) -> MinimizerState:
     """Minimize J_rho by inexact Newton (truncated PCG on the exact discrete
     Hessian, backtracking on J) from the coefficients ``init``; returns a
     normalized state, the iterate shifted once, at the end.
@@ -202,12 +183,12 @@ def minimize(params: FunctionalParams, config: SolverConfig,
     a = init
     integ = integrator_for(grid, params.weight)
     precond = None
-    tol = config.tol_factor * params.rho
+    tol = TOL_FACTOR * params.rho
 
     dens = integ.density(a)
     J = eval_J_coeffs(a, dens.log_integral, params)
     trace = []
-    for it in range(config.max_iterations + 1):
+    for it in range(max_iterations + 1):
         iterations = it
         lam = integ.field_peak(dens) - dens.log_integral  # normalized peak
         if lam > DEFAULT_CEILING:
@@ -225,7 +206,7 @@ def minimize(params: FunctionalParams, config: SolverConfig,
                   "step": 0.0, "backtracks": 0, "cg_iterations": 0}
         trace.append(record)
         converged = rnorm <= tol
-        if converged or it == config.max_iterations:
+        if converged or it == max_iterations:
             break  # the returned state is measured, not stepped
 
         forcing = min(0.5, np.sqrt(rnorm / params.rho)) * rnorm
@@ -422,10 +403,13 @@ class SweepEntry:
 @dataclass
 class SweepReport:
     entries: list
-    extrapolated_J: float
 
     def column(self, key: str) -> list:
         return [e.row()[key] for e in self.entries]
+
+    @property
+    def extrapolated_J(self) -> float:
+        return extrapolate_blowup(self.column("epsilon"), self.column("J"))
 
 
 def extrapolate_blowup(eps, J) -> float:
@@ -435,31 +419,38 @@ def extrapolate_blowup(eps, J) -> float:
     and eps are a Chebyshev system on (0, inf) (a combination has second
     derivative b/eps, so at most two zeros), so 1 . n != 0 for distinct
     epsilons."""
+    if len(eps) < 3:
+        raise ValueError(f"the limit model has three unknowns; got "
+                         f"{len(eps)} points")
     e = np.asarray(eps[-3:], dtype=float)
     n = np.cross(-e * np.log(e), e)
     return float(np.dot(J[-3:], n) / n.sum())
 
 
-def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
-                  config: SolverConfig) -> SweepReport:
-    """Minimization along the epsilon schedule, each entry warm-started
-    from the previous state's coefficients."""
+def epsilon_sweep(weight: SingularWeight, grid: SphereGrid, epsilons, *,
+                  max_iterations: int,
+                  init_epsilon: float | None) -> SweepReport:
+    """Minimization at rho_bar - eps for each of ``epsilons``, each entry
+    warm-started from the previous state's coefficients; the first from
+    the test function of scale ``init_epsilon`` at a minimal point of
+    negative order, else (or if ``init_epsilon`` is None) from zero."""
     rho_bar = weight.rho_bar
     entries = []
     current: SHCoefficients | None = None
-    for eps in config.epsilon_schedule:
+    for eps in epsilons:
         if eps >= rho_bar:
             raise ValueError(f"epsilon {eps} is not below rho_bar {rho_bar}")
         params = FunctionalParams(rho=rho_bar - eps, weight=weight)
         if current is None:
-            if config.init == "test-function" and weight.alpha < 0.0:
+            if init_epsilon is not None and weight.alpha < 0.0:
                 p0 = weight.minimal_points()[0].position
-                tf = ConcentrationParams(epsilon=config.init_epsilon,
+                tf = ConcentrationParams(epsilon=init_epsilon,
                                          weight=weight, p=p0)
                 current = concentration_field(tf, grid)
             else:
                 current = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
-        state = minimize(params, config, current, grid)
+        state = minimize(params, current, grid,
+                         max_iterations=max_iterations)
         if not state.converged:
             raise NonConvergedError(
                 f"entry at epsilon = {eps} did not converge "
@@ -467,10 +458,7 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid,
                 f"{state.iterations} iterations)")
         entries.append(SweepEntry(eps, state, diagnose(state)))
         current = state.coeffs
-    J = [e.state.J for e in entries]
-    J0 = (extrapolate_blowup([e.epsilon for e in entries], J)
-          if len(entries) >= 3 else J[-1])
-    return SweepReport(entries=entries, extrapolated_J=J0)
+    return SweepReport(entries)
 
 
 # ---------------------------------------------------------------------------

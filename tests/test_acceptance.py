@@ -39,7 +39,7 @@ from sol_lab.sphere_grid import (
     build_grid,
     normalized_legendre,
 )
-from sol_lab.subcritical_solver import SolverConfig, epsilon_sweep, minimize
+from sol_lab.subcritical_solver import epsilon_sweep, minimize
 
 from conftest import random_band_limited, zero
 
@@ -56,10 +56,9 @@ def report(number: int, ok: bool, detail: str):
 def blowup_sweep(grid128):
     """Single negative-order blow-up sweep shared by criteria 4 and 5."""
     w = SingularWeight.from_orders([(NORTH, -0.5)])
-    cfg = SolverConfig(epsilon_schedule=(0.5, 0.2, 0.1, 0.05),
-                       max_iterations=4000)
     t0 = time.monotonic()
-    rep = epsilon_sweep(w, grid128, cfg)
+    rep = epsilon_sweep(w, grid128, (0.5, 0.2, 0.1, 0.05),
+                        max_iterations=4000, init_epsilon=0.01)
     return w, rep, time.monotonic() - t0
 
 
@@ -170,10 +169,8 @@ def test_criterion_6_kazdan_warner(grid128):
     results = []
     # one-singularity regime, negative order
     w2 = SingularWeight.from_orders([(NORTH, -0.25)])
-    cfg = SolverConfig(epsilon_schedule=(0.3,), max_iterations=4000,
-                       init="zero")
     params = FunctionalParams(rho=w2.rho_bar - 0.3, weight=w2)
-    st = minimize(params, cfg, zero(grid128), grid128)
+    st = minimize(params, zero(grid128), grid128, max_iterations=4000)
     assert st.converged
     r2 = abs(kazdan_warner_residual(st.coeffs, grid128, params.rho,
                                     w2).poho_residual)
@@ -181,7 +178,7 @@ def test_criterion_6_kazdan_warner(grid128):
     # mixed antipodal regime: distinct orders, negative minimum
     w3 = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
     params3 = FunctionalParams(rho=w3.rho_bar - 0.3, weight=w3)
-    st3 = minimize(params3, cfg, zero(grid128), grid128)
+    st3 = minimize(params3, zero(grid128), grid128, max_iterations=4000)
     assert st3.converged
     r3 = abs(kazdan_warner_residual(st3.coeffs, grid128, params3.rho,
                                     w3).poho_residual)

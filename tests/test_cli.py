@@ -113,7 +113,7 @@ class TestValidate:
 
     def test_epsilons_must_decrease(self):
         text = config_text(experiment={"kind": "sweep",
-                                       "epsilons": [0.1, 0.2]})
+                                       "epsilons": [0.1, 0.2, 0.05]})
         _, errors = validate(text)
         assert any("decreasing" in e for e in errors)
 
@@ -222,15 +222,15 @@ class TestRun:
         from sol_lab.mt_functional import integrator_for
         from sol_lab.singular_geometry import SingularWeight
         from sol_lab.sphere_grid import build_grid
-        from sol_lab.subcritical_solver import SolverConfig, epsilon_sweep
+        from sol_lab.subcritical_solver import epsilon_sweep
 
         grid = build_grid(65, 130)
-        config = SolverConfig(epsilon_schedule=(0.5, 0.2, 0.1))
         profiles, t_eps = {}, {}
         for z in (1, -1):
             w = SingularWeight.from_orders([((0.0, 0.0, z), -0.5)])
-            diags = [e.diagnostics
-                     for e in epsilon_sweep(w, grid, config).entries]
+            diags = [e.diagnostics for e in epsilon_sweep(
+                w, grid, (0.5, 0.2, 0.1), max_iterations=4000,
+                init_epsilon=0.01).entries]
             profiles[z] = np.concatenate(
                 [np.stack([d.profile_radii, d.profile], axis=1)
                  for d in diags])
@@ -560,8 +560,8 @@ BAD_NUMBERS = {
                                 "integer"),
     "epsilon-above-rho_bar": ("minimize", {"epsilon": 20.0},
                               "experiment.epsilon: must be < 12.5664"),
-    "epsilons-zero": ("sweep", {"epsilons": [0.5, 0.0]},
-                      "experiment.epsilons[1]: must be > 0.0"),
+    "epsilons-zero": ("sweep", {"epsilons": [0.5, 0.2, 0.0]},
+                      "experiment.epsilons[2]: must be > 0.0"),
     "test-function-epsilons": ("test-function-sweep",
                                {"epsilons": [1e-2, 2.0]},
                                "experiment.epsilons[1]: must be < 1"),
@@ -601,13 +601,15 @@ BAD_NUMBERS.update({
         ("test-function-sweep", "upper_gap_tol", 0.10),
         ("test-function-sweep", "exp_tol", 0.05))})
 
-# schedules compare consecutive entries: fewer than two must exit 2
+# schedules compare consecutive entries: fewer than two must exit 2; a
+# sweep's limit model J_inf + c eps log(1/eps) + d eps has three unknowns,
+# so fewer than three must (two once reported their last J as the limit)
 BAD_NUMBERS.update({
-    f"epsilons-{n}-{kind}": (kind, {"epsilons": [0.1][:n]},
-                             f"experiment.epsilons: expected at least 2 "
-                             f"values, got {n}")
-    for kind in ("sweep", "test-function-sweep")
-    for n in (0, 1)})
+    f"epsilons-{n}-{kind}": (kind, {"epsilons": [0.5, 0.2][:n]},
+                             f"experiment.epsilons: expected at least "
+                             f"{fewest} values, got {n}")
+    for kind, fewest in (("sweep", 3), ("test-function-sweep", 2))
+    for n in range(fewest)})
 
 
 # a solve from zero (minimize, kw-check) reads no start: its init keys are
@@ -1118,8 +1120,8 @@ class TestMainEntry:
 
         sweep, sweeps = subcritical_solver.epsilon_sweep, []
 
-        def recorded(*args):
-            sweeps.append(sweep(*args))
+        def recorded(*args, **kwargs):
+            sweeps.append(sweep(*args, **kwargs))
             return sweeps[-1]
 
         monkeypatch.setattr(subcritical_solver, "epsilon_sweep", recorded)
@@ -1463,12 +1465,12 @@ class TestThreads:
 class TestChecksCanFail:
     """Checks fed, through their CLI runners, an input on which each must
     fail and one on which each passes.  The sweep checks read a stubbed
-    ``epsilon_sweep``: the rows and the extrapolated J are the runners'
-    only input besides the closed-form target.  The test-function checks
-    read a stubbed ``concentration_sweep`` beside their closed forms; the
-    constants, extremal, conformal-family and axis-identity checks read a
-    stubbed ``blowup_infimum``, ``eval_J``, ``troyanov_gap`` and
-    ``kazdan_warner_residual``."""
+    ``epsilon_sweep``: its rows, whose J the report extrapolates, are the
+    runners' only input besides the closed-form target.  The test-function
+    checks read a stubbed ``concentration_sweep`` beside their closed
+    forms; the constants, extremal, conformal-family and axis-identity
+    checks read a stubbed ``blowup_infimum``, ``eval_J``, ``troyanov_gap``
+    and ``kazdan_warner_residual``."""
 
     @staticmethod
     def run_checks(**overrides):
@@ -1645,10 +1647,14 @@ class TestChecksCanFail:
         w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.5)])
         target = blowup_infimum(w, build_grid(33, 66)).inf_J
 
-        def epsilon_sweep(weight, grid, config):  # entries as read: rows
+        # entries as read: rows, whose constant J the limit model
+        # extrapolates to itself
+        J = target * (1.0 + rel_J)
+
+        def epsilon_sweep(*args, **kwargs):
             return subcritical_solver.SweepReport(
-                [SimpleNamespace(row=lambda r=r: r) for r in rows],
-                target * (1.0 + rel_J))
+                [SimpleNamespace(row=lambda r=dict(r, epsilon=0.5**i, J=J): r)
+                 for i, r in enumerate(rows)])
 
         monkeypatch.setattr(subcritical_solver, "epsilon_sweep",
                             epsilon_sweep)

@@ -236,13 +236,12 @@ class TestKazdanWarner:
 
     def test_converged_solution_mild_order(self, grid128):
         """Subcritical solution at alpha = -1/4: the identity holds to 1e-3."""
-        from sol_lab.subcritical_solver import SolverConfig, minimize
+        from sol_lab.subcritical_solver import minimize
         w = SingularWeight.from_orders([(NORTH, -0.25)])
         eps = 0.3
         params = FunctionalParams(rho=w.rho_bar - eps, weight=w)
-        cfg = SolverConfig(epsilon_schedule=(eps,), max_iterations=3000,
-                           init="zero")
-        state = minimize(params, cfg, zero(grid128), grid128)
+        state = minimize(params, zero(grid128), grid128,
+                         max_iterations=3000)
         assert state.converged
         rep = kazdan_warner_residual(state.coeffs, grid128, params.rho, w)
         assert abs(rep.poho_residual) < 1e-3
@@ -254,13 +253,12 @@ class TestKazdanWarner:
                "decays only ~L^-0.7 (2.4e-2 @ L=64, 1.1e-2 @ L=192), so 1e-3 "
                "needs L ~ 5000; milder orders reach it (see the -1/4 test)")
     def test_converged_solution_half_order(self, grid128):
-        from sol_lab.subcritical_solver import SolverConfig, minimize
+        from sol_lab.subcritical_solver import minimize
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         eps = 0.1
         params = FunctionalParams(rho=w.rho_bar - eps, weight=w)
-        cfg = SolverConfig(epsilon_schedule=(eps,), max_iterations=3000,
-                           init="zero")
-        state = minimize(params, cfg, zero(grid128), grid128)
+        state = minimize(params, zero(grid128), grid128,
+                         max_iterations=3000)
         assert state.converged
         rep = kazdan_warner_residual(state.coeffs, grid128, params.rho, w)
         assert abs(rep.poho_residual) < 1e-3

@@ -27,7 +27,7 @@ from sol_lab.mt_functional import (
     troyanov_gap,
 )
 from sol_lab.singular_geometry import SingularWeight, axis_frame
-from sol_lab.subcritical_solver import SolverConfig, minimize
+from sol_lab.subcritical_solver import minimize
 from sol_lab.sphere_grid import (
     FOUR_PI,
     SHCoefficients,
@@ -290,7 +290,7 @@ class TestCapOracle:
         points = [(NORTH, north)] + ([(SOUTH, south)] if south else [])
         w = SingularWeight.from_orders(points)
         params = FunctionalParams(rho=w.rho_bar - epsilon, weight=w)
-        state = minimize(params, SolverConfig(), zero(grid128), grid128)
+        state = minimize(params, zero(grid128), grid128, max_iterations=4000)
         assert state.converged
         got = integrator_for(grid128, w).log_exp_integral(state.coeffs)
         assert abs(got - log_exp_reference(state.coeffs, north, south)) \

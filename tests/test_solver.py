@@ -40,7 +40,6 @@ from sol_lab.sphere_grid import (
 from sol_lab.subcritical_solver import (
     InsufficientAnnulusError,
     NonConvergedError,
-    SolverConfig,
     cap_density_integral,
     diagnose,
     epsilon_sweep,
@@ -55,10 +54,7 @@ NORTH = (0.0, 0.0, 1.0)
 SOUTH = (0.0, 0.0, -1.0)
 
 
-def quick_config(*eps, **kw):
-    defaults = dict(max_iterations=3000, init="zero")
-    defaults.update(kw)
-    return SolverConfig(epsilon_schedule=eps or (0.1,), **defaults)
+QUICK = {"max_iterations": 3000}  # the solver's settings for a quick solve
 
 
 def on_zonal_path(grid):
@@ -125,8 +121,7 @@ class TestTransformWork:
         monkeypatch.setattr(subcritical_solver, "eval_J_coeffs", eval_J_coeffs)
         monkeypatch.setattr(subcritical_solver, "hessian_product",
                             hessian_product)
-        state = minimize(params, quick_config(0.3, max_iterations=12),
-                         init, grid)
+        state = minimize(params, init, grid, max_iterations=12)
         assert on_zonal_path(grid) == zonal
         assert state.converged and len(marks) == state.iterations + 1
         steps = [(nxt[0] - cur[0], nxt[1] - cur[1], cur[2], cur[3])
@@ -176,7 +171,7 @@ class TestZonalPath:
         grid = build_grid(L + 1, 2 * L + 2)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        state = minimize(params, quick_config(0.3), zero(grid), grid)
+        state = minimize(params, zero(grid), grid, **QUICK)
         assert state.converged and on_zonal_path(grid)
         assert state.iterations <= 15
         J_zonal, J_full = zonal_and_full_J(grid, params, state.coeffs)
@@ -189,8 +184,8 @@ class TestZonalPath:
         starts down to eps = 0.05): every solve and diagnosis is zonal."""
         grid = build_grid(L + 1, 2 * L + 2)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        cfg = SolverConfig(epsilon_schedule=(0.5, 0.2, 0.1, 0.05))
-        report = epsilon_sweep(w, grid, cfg)
+        report = epsilon_sweep(w, grid, (0.5, 0.2, 0.1, 0.05),
+                               max_iterations=4000, init_epsilon=0.01)
         assert on_zonal_path(grid)
         for state in [e.state for e in report.entries]:
             assert state.iterations <= 15
@@ -205,9 +200,9 @@ class TestZonalPath:
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        zonal = minimize(params, quick_config(0.3), zero(grid), grid)
+        zonal = minimize(params, zero(grid), grid, **QUICK)
         assert on_zonal_path(grid)
-        full = minimize(params, quick_config(0.3), zero(grid).widened(), grid)
+        full = minimize(params, zero(grid).widened(), grid, **QUICK)
         assert not on_zonal_path(grid)
         assert full.coeffs.values.shape[-1] == 2
         assert zonal.iterations == full.iterations
@@ -223,8 +218,7 @@ class TestZonalPath:
         for pole in ((0.3, 0.5, 0.81), NORTH):
             w = axis_frame(SingularWeight.from_orders([(pole, -0.5)]))
             params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-            states.append(minimize(params, quick_config(0.5), zero(grid128),
-                                   grid128))
+            states.append(minimize(params, zero(grid128), grid128, **QUICK))
         framed, twin = states
         assert framed.coeffs.values.shape[-1] == 1
         assert framed.iterations == twin.iterations == 7
@@ -243,8 +237,7 @@ class TestZonalPath:
         grid = build_grid(17, 34)
         start = zero(grid) if init is None else \
             grid.transform.analysis_coeffs(init(grid.nodes))
-        state = minimize(params, quick_config(0.3, max_iterations=3), start,
-                         grid)
+        state = minimize(params, start, grid, max_iterations=3)
         assert on_zonal_path(grid) == zonal
         assert column_densities(grid, w, state.coeffs) == zonal
         grid = build_grid(17, 34)
@@ -287,7 +280,7 @@ class TestZonalPath:
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
         params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        state = minimize(params, quick_config(0.3), zero(grid), grid)
+        state = minimize(params, zero(grid), grid, **QUICK)
         kazdan_warner_residual(state.coeffs, grid, params.rho, w)
         diagnose(state)
         assert on_zonal_path(grid)
@@ -325,7 +318,7 @@ class TestMemory:
             integrator_for(grid, w)
             build = tracemalloc.get_traced_memory()[1] - entry
             tracemalloc.stop()  # the solve itself runs untraced
-            state = minimize(params, quick_config(0.05), zero(grid), grid)
+            state = minimize(params, zero(grid), grid, **QUICK)
             assert state.converged
             tracemalloc.start()
             entry = tracemalloc.get_traced_memory()[0]
@@ -388,7 +381,7 @@ class TestMinimize:
         """m = 0: constants solve the equation, J = 0, immediate stop."""
         params = FunctionalParams(rho=8.0 * np.pi - 1.0,
                                   weight=SingularWeight())
-        state = minimize(params, quick_config(1.0), zero(grid64), grid64)
+        state = minimize(params, zero(grid64), grid64, **QUICK)
         assert state.converged
         assert abs(state.J) < 1e-8
         assert np.abs(state.coeffs.values[1:]).max() < 1e-8
@@ -398,8 +391,7 @@ class TestMinimize:
         alpha = -0.5
         w = extremal_weight(alpha)
         params = FunctionalParams(rho=w.rho_bar - 0.1, weight=w)
-        state = minimize(params, quick_config(0.1),
-                         zero(grid64), grid64)
+        state = minimize(params, zero(grid64), grid64, **QUICK)
         assert state.converged
         competitor = eval_J(extremal_u(ExtremalParams(alpha=alpha), grid64),
                             grid64, params)
@@ -429,7 +421,7 @@ class TestMinimize:
         monkeypatch.setattr(subcritical_solver, "eval_J_coeffs",
                             eval_J_coeffs)
         start = zero(grid64).shifted(3.0)
-        state = minimize(params, quick_config(0.2), start, grid64)
+        state = minimize(params, start, grid64, **QUICK)
         assert state.converged
         js = [rec["J"] for rec in state.trace]
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
@@ -446,8 +438,7 @@ class TestMinimize:
         """J(u + s v) >= J(u) - 1e-6 for small H^1-normalized probes."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
-        state = minimize(params, quick_config(0.2),
-                         zero(grid64), grid64)
+        state = minimize(params, zero(grid64), grid64, **QUICK)
         a = state.coeffs.widened().values
         for _ in range(5):
             c = grid64.transform.analysis_coeffs(
@@ -479,8 +470,7 @@ class TestMinimize:
                             density_residual)
         monkeypatch.setattr(subcritical_solver, "hessian_product",
                             lambda v, *args: -v)
-        state = minimize(params, quick_config(0.2, max_iterations=3),
-                         zero(grid64), grid64)
+        state = minimize(params, zero(grid64), grid64, max_iterations=3)
         assert [rec["cg_iterations"] for rec in state.trace] == [1, 1, 1, 0]
         assert state.trace[-1]["J"] < state.trace[0]["J"]
         l = np.arange(grid64.band_limit + 1)[1:, None]
@@ -495,8 +485,7 @@ class TestMinimize:
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
         with caplog.at_level(logging.DEBUG, logger="sol_lab.solver"):
-            state = minimize(params, quick_config(0.2),
-                             zero(grid64), grid64)
+            state = minimize(params, zero(grid64), grid64, **QUICK)
         lines = [r for r in caplog.records if r.name == "sol_lab.solver"]
         debug = [r.getMessage() for r in lines if r.levelno == logging.DEBUG]
         info = [r.getMessage() for r in lines if r.levelno == logging.INFO]
@@ -513,11 +502,9 @@ class TestMinimize:
     def test_nonconverged_flagged(self, grid64):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
-        cfg = quick_config(0.2, max_iterations=3)
-        state = minimize(params, cfg, zero(grid64),
-                         grid64)
+        state = minimize(params, zero(grid64), grid64, max_iterations=3)
         assert not state.converged
-        assert state.residual_norm > cfg.tol_factor * params.rho
+        assert state.residual_norm > subcritical_solver.TOL_FACTOR * params.rho
 
     @staticmethod
     def capped(max_iterations):
@@ -526,8 +513,8 @@ class TestMinimize:
         grid = build_grid(33, 66)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.1, weight=w)
-        return params, grid, minimize(params, quick_config(
-            0.1, max_iterations=max_iterations), zero(grid), grid)
+        return params, grid, minimize(params, zero(grid), grid,
+                                      max_iterations=max_iterations)
 
     def test_cap_at_the_step_count_converges(self):
         """A solve that converges in N steps converges under a cap of N,
@@ -559,8 +546,7 @@ class TestMinimize:
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar + 1.0, weight=w)
         with pytest.raises(ValueError):
-            minimize(params, quick_config(0.1),
-                     zero(grid16), grid16)
+            minimize(params, zero(grid16), grid16, **QUICK)
 
     def test_overflow_signalled(self, grid16, monkeypatch):
         # the normalized peak of 12 x3 is ~0.65; a ceiling below it trips
@@ -568,9 +554,9 @@ class TestMinimize:
         params = FunctionalParams(rho=8.0 * np.pi - 1.0, weight=w)
         monkeypatch.setattr(subcritical_solver, "DEFAULT_CEILING", 0.5)
         with pytest.raises(UnnormalizedBlowupError):
-            minimize(params, quick_config(1.0),  # 12 x3, one column
+            minimize(params,  # 12 x3, one column
                      grid16.transform.analysis_coeffs(
-                         12.0 * grid16.t[:, None]), grid16)
+                         12.0 * grid16.t[:, None]), grid16, **QUICK)
 
 
 class TestDiagnose:
@@ -587,8 +573,7 @@ class TestDiagnose:
         """m = 0 run: bounded, flagged compact, cap mass = area fraction."""
         params = FunctionalParams(rho=8.0 * np.pi - 1.0,
                                   weight=SingularWeight())
-        state = minimize(params, quick_config(1.0),
-                         zero(grid64), grid64)
+        state = minimize(params, zero(grid64), grid64, **QUICK)
         diag = diagnose(state)
         assert diag.compact_case
         expected = (1.0 - np.cos(0.5)) / 2.0
@@ -616,7 +601,7 @@ class TestDiagnose:
         resolved on any grid."""
         flat = SingularWeight()
         state = minimize(FunctionalParams(rho=8.0 * np.pi - 1.0, weight=flat),
-                         quick_config(1.0), zero(grid16), grid16)
+                         zero(grid16), grid16, **QUICK)
         diag = diagnose(state)  # u = -log 4 pi, t_eps = sqrt(4 pi)
         assert diag.lambda_eps == pytest.approx(-np.log(4.0 * np.pi))
         assert not diag.under_resolved
@@ -775,7 +760,8 @@ class TestDiagnose:
             return groups(L, t, m_max, floor, work)
 
         monkeypatch.setattr(sphere_grid, "_legendre_groups", recorded)
-        report = epsilon_sweep(w, grid, quick_config(0.5, 0.3, 0.2))
+        report = epsilon_sweep(w, grid, (0.5, 0.3, 0.2), **QUICK,
+                               init_epsilon=None)
         assert len(report.entries) == 3
         assert all(e.state.coeffs.values.shape[-1] > 1
                    for e in report.entries)
@@ -785,8 +771,7 @@ class TestDiagnose:
         """Against the closed form for h = 1, u = const."""
         params = FunctionalParams(rho=8.0 * np.pi - 1.0,
                                   weight=SingularWeight())
-        state = minimize(params, quick_config(1.0),
-                         zero(grid64), grid64)
+        state = minimize(params, zero(grid64), grid64, **QUICK)
         center = np.array([0.0, 0.3, np.sqrt(1.0 - 0.09)])
         for r in (0.3, 1.0):
             val = cap_density_integral(state, center, r)
@@ -925,8 +910,8 @@ class TestSweep:
     def test_blowup_trends(self, grid64):
         """Single negative-order mini sweep: amplitude grows, mean decay shrinks."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        cfg = SolverConfig(epsilon_schedule=(0.4, 0.2), max_iterations=3000)
-        report = epsilon_sweep(w, grid64, cfg)
+        report = epsilon_sweep(w, grid64, (0.4, 0.2), **QUICK,
+                               init_epsilon=0.01)
         lams = report.column("lambda")
         assert lams[1] > lams[0]
         decay = [abs(v) for v in report.column("mean_decay")]
@@ -940,8 +925,8 @@ class TestSweep:
         """Each sweep row holds the far-field error that diagnose computes
         for its state."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        report = epsilon_sweep(w, grid64, SolverConfig(
-            epsilon_schedule=(0.4, 0.2), max_iterations=3000))
+        report = epsilon_sweep(w, grid64, (0.4, 0.2), **QUICK,
+                               init_epsilon=0.01)
         rows = report.column("farfield_error")
         assert rows == [diagnose(e.state).farfield_error
                         for e in report.entries]
@@ -950,23 +935,22 @@ class TestSweep:
     def test_regular_sweep_stays_bounded(self, grid64):
         """m = 0: constants minimize at every epsilon and J stays 0."""
         w = SingularWeight()
-        cfg = SolverConfig(epsilon_schedule=(1.0, 0.5), max_iterations=500,
-                           init="zero")
-        report = epsilon_sweep(w, grid64, cfg)
+        report = epsilon_sweep(w, grid64, (1.0, 0.5), max_iterations=500,
+                               init_epsilon=None)
         assert max(abs(v) for v in report.column("J")) < 1e-8
         assert max(report.column("lambda")) < 1.0
 
     def test_nonconvergence_flags_sweep(self, grid64):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        cfg = SolverConfig(epsilon_schedule=(0.4,), max_iterations=2,
-                           init="zero")
         with pytest.raises(NonConvergedError):
-            epsilon_sweep(w, grid64, cfg)
+            epsilon_sweep(w, grid64, (0.4,), max_iterations=2,
+                          init_epsilon=None)
 
-    def test_unknown_init_rejected(self):
-        """A misspelt start is an error, not a silent start from zero."""
-        with pytest.raises(ValueError, match="init"):
-            SolverConfig(init="test_function")
+    def test_blowup_fit_needs_three_points(self):
+        """The limit model has three unknowns: two entries are refused, not
+        reported as their last J."""
+        with pytest.raises(ValueError, match="three unknowns; got 2"):
+            extrapolate_blowup([0.5, 0.2], [-7.6, -7.39])
 
     @pytest.mark.parametrize("eps", [(0.5, 0.2, 0.1, 0.05),
                                      (2.0, 1.0, 0.5, 0.2, 0.1)])
@@ -985,8 +969,7 @@ class TestGradientExponent:
     def test_annulus_guard(self, grid64):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-        state = minimize(params, quick_config(0.5),
-                         zero(grid64), grid64)
+        state = minimize(params, zero(grid64), grid64, **QUICK)
         with pytest.raises(InsufficientAnnulusError):
             gradient_singularity_exponent(state, NORTH)
 
@@ -999,23 +982,23 @@ class TestGradientExponent:
         with pytest.raises(ValueError, match="on the axis"):
             gradient_singularity_exponent(state, p)
 
-    def test_positive_order_rejected(self, grid192):
+    def test_positive_order_rejected(self, grid192, monkeypatch):
         w = SingularWeight.from_orders([(NORTH, 0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-        cfg = quick_config(0.5, tol_factor=1e-4, max_iterations=1500)
-        state = minimize(params, cfg, zero(grid192),
-                         grid192)
+        monkeypatch.setattr(subcritical_solver, "TOL_FACTOR", 1e-4)
+        state = minimize(params, zero(grid192), grid192,
+                         max_iterations=1500)
         with pytest.raises(ValueError):
             gradient_singularity_exponent(state, NORTH)
 
-    def test_mild_order_bounded_gradient(self, grid192):
+    def test_mild_order_bounded_gradient(self, grid192, monkeypatch):
         """alpha = -1/4: 2 alpha + 1 > 0, the gradient stays bounded and the
         fitted slope is far from the singular range."""
         w = SingularWeight.from_orders([(NORTH, -0.25)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-        cfg = quick_config(0.5, tol_factor=1e-5, max_iterations=2000)
-        state = minimize(params, cfg, zero(grid192),
-                         grid192)
+        monkeypatch.setattr(subcritical_solver, "TOL_FACTOR", 1e-5)
+        state = minimize(params, zero(grid192), grid192,
+                         max_iterations=2000)
         fit = gradient_singularity_exponent(state, NORTH)
         assert fit["slope"] >= -0.05
         assert fit["bound"] == 0.0
@@ -1026,23 +1009,23 @@ class TestGradientExponent:
                "gradient-growth exponent: measured -1.42 @ L=192, -0.88 @ "
                "L=256, -0.82 @ L=320, -0.80 @ L=384 against the [-0.7, 0] "
                "window; the window is unreachable at desk-scale band limits")
-    def test_strong_order_window(self, grid192):
+    def test_strong_order_window(self, grid192, monkeypatch):
         w = SingularWeight.from_orders([(NORTH, -0.75)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-        cfg = quick_config(0.5, tol_factor=1e-5, max_iterations=2000)
-        state = minimize(params, cfg, zero(grid192),
-                         grid192)
+        monkeypatch.setattr(subcritical_solver, "TOL_FACTOR", 1e-5)
+        state = minimize(params, zero(grid192), grid192,
+                         max_iterations=2000)
         fit = gradient_singularity_exponent(state, NORTH)
         assert fit["bound"] == pytest.approx(-0.5)
         assert fit["bound"] - 0.2 <= fit["slope"] <= 0.0
 
-    def test_log_order_reported(self, grid192):
+    def test_log_order_reported(self, grid192, monkeypatch):
         """alpha = -1/2 carries a log factor; record the fit, no assertion."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-        cfg = quick_config(0.5, tol_factor=1e-5, max_iterations=2000)
-        state = minimize(params, cfg, zero(grid192),
-                         grid192)
+        monkeypatch.setattr(subcritical_solver, "TOL_FACTOR", 1e-5)
+        state = minimize(params, zero(grid192), grid192,
+                         max_iterations=2000)
         fit = gradient_singularity_exponent(state, NORTH)
         assert np.isfinite(fit["slope"])
         assert fit["bound"] == 0.0
