@@ -2,10 +2,10 @@
 
 Usage:
     sol-lab <kind> --config experiment.json [--out report.json]
-                   [--threads N] [--seed S]
+                   [--threads N]
 
 The experiment kind must match the "experiment.kind" field of the config.
-Reports are deterministic for a fixed (config, seed, threads=1): JSON keys
+Reports are deterministic for a fixed (config, threads=1): JSON keys
 are sorted and floats use full repr; the only nondeterministic field is
 "wall_clock_s".  CSV traces use 17 significant digits.
 
@@ -378,7 +378,9 @@ def _check(checks, name, value, tolerance, ok=None):
 
 
 def run(config: dict) -> dict:
-    """Dispatch a validated config and return the report dictionary."""
+    """Run a validated config on its weight and grid; return the report."""
+    from .sphere_grid import build_grid
+
     t_start = time.time()
     kind = config["experiment"]["kind"]
     runner = _RUNNERS[kind]
@@ -390,15 +392,12 @@ def run(config: dict) -> dict:
         "summary": {},
         "checks": [],
     }
-    runner(config, report)
+    w = _build_weight(config)
+    grid = build_grid(config["grid"]["n_theta"], config["grid"]["n_phi"])
+    runner(config, w, grid, report)
     report["passed"] = all(c["passed"] for c in report["checks"])
     report["wall_clock_s"] = time.time() - t_start
     return report
-
-
-def _grid_for(config):
-    from .sphere_grid import build_grid
-    return build_grid(config["grid"]["n_theta"], config["grid"]["n_phi"])
 
 
 ONOFRI_TOL = 1.0e-9  # |C| with no point and no K
@@ -406,13 +405,11 @@ CONSISTENCY_TOL = 1.0e-12  # |C - closed form| with a negative order
 GRID_CONSISTENCY_TOL = 1.0e-3  # the same with C read on the grid
 
 
-def _run_constants(config, report):
+def _run_constants(config, w, grid, report):
     from .identity_checks import (RegimeError, blowup_infimum,
                                   sphere_sharp_constant)
     from .singular_geometry import antipodal
 
-    w = _build_weight(config)
-    grid = _grid_for(config) if w.alpha == 0.0 else None
     rep = blowup_infimum(w, grid)
     report["summary"] = rep.to_dict()
     checks = report["checks"]
@@ -442,13 +439,12 @@ EXTREMAL_REL_TOL = 0.005  # J(u_{1,0}) against the closed form, relative
 INVARIANCE_TOL = 1.0e-3  # |J(u_{lambda,c}) - J(u_{1,0})|
 
 
-def _run_verify_extremal(config, report):
+def _run_verify_extremal(config, _w, grid, report):
     from .closed_forms import ExtremalParams, extremal_u, extremal_weight
     from .identity_checks import sphere_sharp_constant
     from .mt_functional import FunctionalParams, eval_J
 
     alpha = config["experiment"]["alpha"]
-    grid = _grid_for(config)
     w = extremal_weight(alpha)
     params = FunctionalParams(rho=w.rho_bar, weight=w)
     J_10, J_lc = (eval_J(extremal_u(p, grid), grid, params)
@@ -469,15 +465,13 @@ FAMILY_DILATIONS = (1.0, 2.0, 4.0)  # of u_t, with no point and no K
 FAMILY_TOL = 1.0e-5  # |gap| of u_t
 
 
-def _run_inequality_sample(config, report):
+def _run_inequality_sample(config, w, grid, report):
     import numpy as np
     from .closed_forms import conformal_pullback
     from .mt_functional import sample_gaps, troyanov_gap
     from .sphere_grid import SHCoefficients
 
     exp = config["experiment"]
-    w = _build_weight(config)
-    grid = _grid_for(config)
     n_samples = exp["samples"]
     gaps = sample_gaps(grid, np.random.default_rng(config["seed"]),
                        n_samples, w, exp["constant"])
@@ -517,12 +511,11 @@ def _solve_from_zero(exp, w, grid):
     return state
 
 
-def _run_minimize(config, report):
+def _run_minimize(config, w, grid, report):
     from .subcritical_solver import diagnose
 
     exp = config["experiment"]
-    w = _build_weight(config)
-    state = _solve_from_zero(exp, w, _grid_for(config))
+    state = _solve_from_zero(exp, w, grid)
     diag = diagnose(state)
     report["records"] = [dict(r) for r in state.trace]
     report["summary"] = {
@@ -539,13 +532,11 @@ EXTRAPOLATION_REL_TOL = 0.05  # extrapolated J against the blow-up value
 PROFILE_NOISE = 0.02  # a profile error's rise from one entry to the next
 
 
-def _run_sweep(config, report):
+def _run_sweep(config, w, grid, report):
     from .identity_checks import blowup_infimum
     from .subcritical_solver import epsilon_sweep
 
     exp = config["experiment"]
-    w = _build_weight(config)
-    grid = _grid_for(config)
     sweep = epsilon_sweep(
         w, grid, exp["epsilons"], max_iterations=exp["max_iterations"],
         init_epsilon=exp["init_epsilon"] if exp["init"] == "test-function"
@@ -579,14 +570,11 @@ def _run_sweep(config, report):
 RESIDUAL_TOL = 1.0e-3  # |axis identity residual| at the solve
 
 
-def _run_kw_check(config, report):
+def _run_kw_check(config, w, grid, report):
     from dataclasses import asdict
     from .identity_checks import kazdan_warner_residual
 
-    exp = config["experiment"]
-    w = _build_weight(config)
-    grid = _grid_for(config)
-    state = _solve_from_zero(exp, w, grid)
+    state = _solve_from_zero(config["experiment"], w, grid)
     rho = state.params.rho
     rep = kazdan_warner_residual(state.coeffs, grid, rho, w)
     report["records"] = [dict(r) for r in state.trace]
@@ -600,12 +588,11 @@ UPPER_GAP_TOL = 0.10  # last upper bound above the blow-up value, relative
 EXP_TOL = 0.05  # last exponential integral from its limit, relative
 
 
-def _run_test_function_sweep(config, report):
+def _run_test_function_sweep(config, w, grid, report):
     import numpy as np
     from .closed_forms import concentration_sweep
     from .identity_checks import blowup_infimum
 
-    w = _build_weight(config)
     p0 = _test_function_point(w)
     records = concentration_sweep(w, config["experiment"]["epsilons"], p0)
     target = blowup_infimum(w).inf_J if w.alpha < 0.0 else None
@@ -675,7 +662,7 @@ def _csv_cell(v) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sol-lab", usage="%(prog)s <kind> [-h] --config CONFIG "
-        "[--out OUT] [--threads THREADS] [--seed SEED]",
+        "[--out OUT] [--threads THREADS]",
         description="verification experiments for the singular "
                     "Moser-Trudinger functional on the sphere")
     parser.add_argument("kind", choices=KINDS)
@@ -683,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="report JSON path "
                         "(overrides output.report)")
     parser.add_argument("--threads", type=_thread_count, default=1)
-    parser.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -726,8 +712,6 @@ def main(argv=None) -> int:
               f"{config['experiment']['kind']!r} but the subcommand is "
               f"{args.kind!r}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config["seed"] = args.seed
 
     from .mt_functional import UnnormalizedBlowupError
     from .subcritical_solver import NonConvergedError

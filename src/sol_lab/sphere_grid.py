@@ -45,13 +45,13 @@ shape (L+1, ..., 1).  Such coefficients synthesize back to one column
 of values.  Every consumer picks its path from the last axis; a zonal
 field meets full-width coefficients only through
 ``SHCoefficients.widened``, never through broadcasting, which would add
-it to every order.  A zonal pass is one (L+1) x n_t matrix product,
-O(L n_t), against O(L^2 n_t + L n_t n_phi) over all orders and the
-Fourier step.  A transform keeps its cos/sin table from its first pass
-over every order.  Whether a pass keeps a Legendre table or streams it
-from the recurrence is one rule, stated at ``ProductTransform._legendre``:
-a zonal pass and a full-width pass over one field keep, a full-width
-stack (of one field too) streams.
+it to every order.  A zonal pass is one matrix product per parity of
+l - m over the representative rings, O(L n_t), against O(L^2 n_t + L n_t
+n_phi) over all orders and the Fourier step.  A transform keeps its
+cos/sin table from its first pass over every order.  Whether a pass
+keeps a Legendre table or streams it from the recurrence is one rule,
+stated at ``ProductTransform._legendre``: a zonal pass and a full-width
+pass over one field keep, a full-width stack (of one field too) streams.
 
 Coefficients carry a stack's batch axes between the rows and the parts,
 shape (rows, ..., parts), and values carry them first, (..., n_t, n_phi).

@@ -40,17 +40,17 @@ one info line per solve.
 The state is the coefficients: a solve starts from coefficients and
 returns them with the grid, and a caller that needs values synthesizes
 them.  Axis-symmetric problems are solved in the m = 0 subspace, by the
-one rule of ``sphere_grid``: one-part coefficients are zonal.  From
-zonal coefficients under a weight invariant about the axis
-(``axis_integrator``), J and its gradient commute with rotations about
-the axis, so every residual, direction and iterate is zonal, every
-density is one column and each transform is one (L+1) x n_t product,
-O(L n_t), against O(L^2 n_t + L n_t n_phi) for all orders.  The
-diagnostics read a state on the integrator's rule it was solved on, in
-one pass, a zonal state on one longitude: its peak, profile, far field,
-gradients and whole-sphere mass are one column of values.  A zonal start
-under a weight that is not invariant is widened to every order at its
-first step; any other input takes the full path, unchanged.
+one rule of ``sphere_grid``: one-part coefficients are zonal.  From zonal
+coefficients under a weight invariant about the axis
+(``axis_integrator``), J and its gradient commute with rotations about the
+axis, so every residual, direction and iterate is zonal, every density is
+one column and each transform is one product per parity of l - m over the
+representative rings, O(L n_t), against O(L^2 n_t + L n_t n_phi) for all
+orders.  The diagnostics read a state on the integrator's rule it was
+solved on, in one pass, a zonal state on one longitude: its peak, profile,
+far field, gradients and whole-sphere mass are one column of values.  A
+zonal start under a weight that is not invariant is widened to every order
+at its first step; any other input takes the full path, unchanged.
 
 As eps decreases with a singular weight of negative minimal order, the
 minimizers concentrate: lambda_eps = max u grows, the concentration scale

@@ -886,7 +886,7 @@ class TestMainEntry:
         with one line, not a traceback."""
         from sol_lab import cli
 
-        def runner(config, report):
+        def runner(config, w, grid, report):
             raise MemoryError("Unable to allocate 2.1 GiB")
 
         monkeypatch.setitem(cli._RUNNERS, "constants", runner)
@@ -1294,25 +1294,33 @@ class TestConfigContract:
                        "expected a file path in a directory that exists, "
                        f"got {missing!r}\n")
 
-    def test_seed_flag_overrides_the_config(self, tmp_path):
-        """``--seed`` replaces the config's seed: the gaps of config seed 0
-        run with --seed 1 are those of config seed 1, run twice, and not
-        those of seed 0."""
-        def gaps(seed, flag=()):
-            cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+    def test_config_seed_decides_the_draws(self, tmp_path, capsys):
+        """The config's ``seed`` is the one seed: seed 1 run twice gives one
+        set of gaps and seed 0 another; the CLI has no ``--seed``, so the
+        flag is argparse's usage error (exit 2), with no traceback."""
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+
+        def gaps(seed):
             cfg.write_text(config_text(
                 weight={"points": []}, grid={"n_theta": 17, "n_phi": 34},
                 experiment={"kind": "inequality-sample", "samples": 3},
                 seed=seed))
             assert main(["inequality-sample", "--config", str(cfg),
-                         "--out", str(out), *flag]) == 0
+                         "--out", str(out)]) == 0
             return [r["gap"] for r in json.loads(out.read_text())["records"]
                     if "sample" in r]
 
-        flagged = gaps(0, ("--seed", "1"))
-        assert len(flagged) == 3
-        assert flagged == gaps(1) == gaps(0, ("--seed", "1"))
-        assert flagged != gaps(0)
+        seeded = gaps(1)
+        assert len(seeded) == 3
+        assert seeded == gaps(1)
+        assert seeded != gaps(0)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["inequality-sample", "--config", str(cfg), "--seed", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --seed 1" in err
+        assert "Traceback" not in err
 
     def test_constants_positive_antipodal_pair_has_no_closed_form(
             self, tmp_path):
