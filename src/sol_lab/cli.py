@@ -273,7 +273,8 @@ def validate(raw_text: str):
 
 def _rule_errors(config) -> list:
     """What the run would refuse of a valid config, by each rule's own
-    check, each error naming its key: coincident points, a weight that no
+    check, each error naming its key: any weight of a verify-extremal,
+    which runs on its own pair, coincident points, a weight that no
     rotation puts on the axis for a kind that integrates it, a K not
     positive where sampled (a sampling rule, not a proof), a kw-check
     layout off the axis identity's, and for the kinds that build test
@@ -286,6 +287,10 @@ def _rule_errors(config) -> list:
     from .sphere_grid import build_grid, normalized
 
     exp = config["experiment"]
+    if exp["kind"] == "verify-extremal":
+        return [f"weight.{key}: verify-extremal uses the equal pair of order "
+                "experiment.alpha at +-e3 and no other weight"
+                for key in ("points", "K") if config["weight"][key]]
     positions = [normalized(p["position"]) for p in config["weight"]["points"]]
     errors = [f"weight.points[{j}]: coincides with weight.points[{i}]; "
               "singular points must be pairwise distinct"
@@ -356,7 +361,7 @@ def _build_weight(config):
     w = SingularWeight.from_orders(
         [(p["position"], p["order"]) for p in section["points"]], K)
     exp = config["experiment"]
-    keep = exp["kind"] in ("constants", "verify-extremal", "test-function-sweep")
+    keep = exp["kind"] in ("constants", "test-function-sweep")
     return w if keep else axis_frame(w)
 
 
@@ -499,15 +504,13 @@ def _solve_from_zero(exp, w, grid):
     import numpy as np
     from .mt_functional import FunctionalParams
     from .sphere_grid import SHCoefficients
-    from .subcritical_solver import NonConvergedError, minimize
+    from .subcritical_solver import NonConvergedError, _shortfall, minimize
 
     params = FunctionalParams(rho=w.rho_bar - exp["epsilon"], weight=w)
     zero = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))  # zonal
     state = minimize(params, zero, grid, max_iterations=exp["max_iterations"])
     if not state.converged:
-        raise NonConvergedError(
-            f"residual {state.residual_norm:.3e} after "
-            f"{state.iterations} iterations")
+        raise NonConvergedError(_shortfall(state))
     return state
 
 

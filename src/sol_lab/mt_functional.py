@@ -64,7 +64,6 @@ from .sphere_grid import (
 from .singular_geometry import SingularWeight
 
 DEFAULT_CEILING = 700.0
-INTEGRATOR_CACHE_SIZE = 4
 # the singular caps: geodesic radius and the least number of Gauss-Jacobi
 # nodes in r, a panel's (see cap_radial_nodes); a cap takes the grid's
 # longitudes, so the density analysis is alias-free to the grid's order
@@ -313,25 +312,24 @@ def axis_integrator(grid: SphereGrid, weight: SingularWeight
 
 
 def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrator:
-    """The grid's composite integrator for ``weight`` (``axis_integrator``),
-    from a per-grid LRU cache of INTEGRATOR_CACHE_SIZE integrators.
+    """The grid's composite integrator for ``weight`` (``axis_integrator``):
+    the one the grid holds when its key is the weight's data
+    (``SingularWeight.cache_key``: positions, orders and the coefficients
+    of K), else a new one that takes its place, so a grid holds one
+    integrator's tables.
 
-    The key is the weight's data (``SingularWeight.cache_key``): positions,
-    orders and the coefficients of K.  Each integrator holds the Legendre
-    tables its transform keeps by the one rule of
-    ``ProductTransform._legendre``: from its first one-field pass over
-    every order, ~75 MB for two caps at L = 256, with each order's polar
-    rings trimmed.  From its first stacked log integral it also holds its
-    ring groups' transforms (``log_exp_integral``: 6 on the L = 256 two-cap
-    block), which keep no Legendre table and share its cos/sin table.
+    Each integrator holds the Legendre tables its transform keeps by the
+    one rule of ``ProductTransform._legendre``: from its first one-field
+    pass over every order, ~75 MB for two caps at L = 256, with each
+    order's polar rings trimmed.  From its first stacked log integral it
+    also holds its ring groups' transforms (``log_exp_integral``: 6 on the
+    L = 256 two-cap block), which keep no Legendre table and share its
+    cos/sin table.
     """
     key = weight.cache_key()
-    cache = grid._integrator_cache
-    integ = cache.pop(key, None) or axis_integrator(grid, weight)
-    cache[key] = integ  # the most recently used integrator is last
-    if len(cache) > INTEGRATOR_CACHE_SIZE:
-        cache.popitem(last=False)
-    return integ
+    if grid._integrator is None or grid._integrator[0] != key:
+        grid._integrator = (key, axis_integrator(grid, weight))
+    return grid._integrator[1]
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -901,7 +900,7 @@ class SphereGrid:
         self.transform = ProductTransform(self.band_limit, t, self.n_phi,
                                           self.t_weights)
         self.phi = self.transform.phi
-        self._integrator_cache: OrderedDict = OrderedDict()  # see integrator_for
+        self._integrator = None  # (weight key, integrator); see integrator_for
 
     # -- geometry -----------------------------------------------------------
 

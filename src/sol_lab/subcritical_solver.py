@@ -103,8 +103,9 @@ from .closed_forms import (ConcentrationParams, concentration_field,
 
 
 class NonConvergedError(RuntimeError):
-    """A solve stopped at ``max_iterations`` short of convergence (a
-    sweep entry fails its whole sweep); the CLI exits 3."""
+    """A solve stopped short of convergence, at ``max_iterations`` or on a
+    stalled line search (a sweep entry fails its whole sweep); the CLI
+    exits 3."""
 
 
 class InsufficientAnnulusError(ValueError):
@@ -242,6 +243,17 @@ def minimize(params: FunctionalParams, init: SHCoefficients,
                           params=params, J=J, residual_norm=rnorm,
                           iterations=iterations, converged=converged,
                           trace=trace)
+
+
+def _shortfall(state: MinimizerState) -> str:
+    """The residual and steps of an unconverged solve, and the stall when
+    its last line search ran out of halvings (BACKTRACK_MAX)."""
+    text = (f"residual {state.residual_norm:.3e} after {state.iterations} "
+            "iterations")
+    if state.trace[-1]["backtracks"] == BACKTRACK_MAX:
+        text += (f"; the line search stalled: {BACKTRACK_MAX} step halvings "
+                 "did not lower J")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +464,8 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid, epsilons, *,
         state = minimize(params, current, grid,
                          max_iterations=max_iterations)
         if not state.converged:
-            raise NonConvergedError(
-                f"entry at epsilon = {eps} did not converge "
-                f"(residual {state.residual_norm:.3e} after "
-                f"{state.iterations} iterations)")
+            raise NonConvergedError(f"entry at epsilon = {eps} did not "
+                                    f"converge ({_shortfall(state)})")
         entries.append(SweepEntry(eps, state, diagnose(state)))
         current = state.coeffs
     return SweepReport(entries)

@@ -127,10 +127,11 @@ class TestValidate:
     @pytest.mark.parametrize("kind", KINDS)
     def test_defaults_filled(self, kind):
         """The validated experiment holds every schema key, a missing one
-        at its default."""
+        at its default (verify-extremal takes no weight)."""
+        pair = [{"position": [0, 0, 1], "order": -0.5},
+                {"position": [0, 0, -1], "order": -0.5}]
         config, errors = validate(config_text(
-            weight={"points": [{"position": [0, 0, 1], "order": -0.5},
-                               {"position": [0, 0, -1], "order": -0.5}]},
+            weight={"points": [] if kind == "verify-extremal" else pair},
             experiment={"kind": kind}))
         assert not errors
         exp = config["experiment"]
@@ -365,7 +366,7 @@ class TestRun:
         evaluated, report = self.evaluated_stacks(
             monkeypatch, [([0, 0, 1], -0.5), ([0, 0, -1], 0.3)], 7, 3)
         (grid,) = grids
-        (integ,) = grid._integrator_cache.values()
+        _, integ = grid._integrator
         groups = [tr for tr, _ in integ._ring_groups]
         assert len(groups) > 1
         assert passes == groups + groups + groups
@@ -698,6 +699,18 @@ BAD_BY_RULE = {
         "experiment.epsilons[1]: epsilon too small: the cap radius r_eps = "
         f"{r_eps} lies below 2.11e-154")
        for eps, r_eps in ((1e-5, "1.15e-197"), (1e-8, "0"))},
+    # verify-extremal runs on its own weight, so a config's weight would
+    # go unused (the report echoed it, with the no-weight summary, exit 1)
+    "verify-extremal-points": (
+        "verify-extremal", {**_point([1, 0, 0], order=0.7),
+                            "experiment": {"kind": "verify-extremal"}},
+        "weight.points: verify-extremal uses the equal pair of order "
+        "experiment.alpha at +-e3"),
+    "verify-extremal-K": (
+        "verify-extremal", {"weight": {"points": [], "K": {"base": 2}},
+                            "experiment": {"kind": "verify-extremal"}},
+        "weight.K: verify-extremal uses the equal pair of order "
+        "experiment.alpha at +-e3"),
 }
 
 
@@ -913,6 +926,24 @@ class TestMainEntry:
         j_field = first.split(",")[header.split(",").index("J")]
         assert len(j_field.replace("-", "").replace(".", "")
                    .replace("e", "").lstrip("0")) >= 15
+
+    def test_boolean_trace_cell(self, tmp_path):
+        """A sweep's ``under_resolved`` column is a bool, written 0 or 1."""
+        cfg, trace = tmp_path / "c.json", tmp_path / "trace.csv"
+        cfg.write_text(config_text(experiment={"kind": "sweep"},
+                                   output={"traces": str(trace)}))
+        assert main(["sweep", "--config", str(cfg)]) in (0, 1)
+        header, *rows = trace.read_text().splitlines()
+        col = header.split(",").index("under_resolved")
+        assert len(rows) == 4
+        assert {r.split(",")[col] for r in rows} <= {"0", "1"}
+
+    def test_no_records_no_trace_file(self, tmp_path):
+        """A run with no records (constants) writes no trace file."""
+        cfg, trace = tmp_path / "c.json", tmp_path / "trace.csv"
+        cfg.write_text(config_text(output={"traces": str(trace)}))
+        assert main(["constants", "--config", str(cfg)]) == 0
+        assert not trace.exists()
 
     def test_verify_extremal_kind(self, tmp_path, monkeypatch):
         from sol_lab import cli
@@ -1390,6 +1421,16 @@ class TestThreads:
         assert out[0] == "False"
         assert out[-1] == "0 3"
 
+    def test_threads_sets_the_blas_variables(self, tmp_path, monkeypatch):
+        """--threads 2 exports 2 to each BLAS variable, in process."""
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names:  # monkeypatch restores each after the test
+            monkeypatch.setenv(name, "1")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_text())
+        assert main(["constants", "--config", str(cfg), "--threads", "2"]) == 0
+        assert [os.environ[name] for name in names] == ["2", "2", "2"]
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_exit_2(self, threads, tmp_path, capsys):
         """--threads counts BLAS threads: below 1 is argparse's usage
@@ -1641,6 +1682,34 @@ class TestChecksCanFail:
                                 "max_iterations": summary["iterations"]})
         assert code == 0
         assert json.loads(out.read_text())["summary"] == summary
+
+    @pytest.mark.parametrize("kind", ["minimize", "sweep"])
+    def test_stalled_solve_says_it_stalled(self, kind, tmp_path, capsys,
+                                           monkeypatch):
+        """Every candidate J stubbed to inf: the first line search uses up
+        its BACKTRACK_MAX halvings, and the run exits 3 with a numerical
+        failure that names the stall, not the iteration cap, and writes no
+        report."""
+        from sol_lab import subcritical_solver
+
+        real, calls = subcritical_solver.eval_J_coeffs, []
+
+        def eval_J_coeffs(*args):  # the start's J, then no candidate's
+            calls.append(args)
+            return real(*args) if len(calls) == 1 else np.inf
+
+        monkeypatch.setattr(subcritical_solver, "eval_J_coeffs",
+                            eval_J_coeffs)
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfg.write_text(config_text(experiment={"kind": kind}))
+        code = main([kind, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3 and not out.exists()
+        assert len(calls) == 1 + subcritical_solver.BACKTRACK_MAX
+        assert err.startswith("numerical failure: ")
+        assert "after 0 iterations" in err
+        assert "the line search stalled: 40 step halvings did not lower J" \
+            in err
 
     @staticmethod
     def checks(monkeypatch, kind, rows, rel_J):

@@ -9,11 +9,19 @@ import pytest
 from scipy.integrate import quad
 
 from sol_lab import mt_functional, sphere_grid
-from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
+from sol_lab.closed_forms import (
+    ConcentrationParams,
+    ExtremalParams,
+    concentration_functional,
+    conformal_pullback,
+    extremal_u,
+    extremal_weight,
+    planar_bubble,
+)
+from sol_lab.identity_checks import blowup_infimum
 from sol_lab.mt_functional import (
     CAP_RADIAL_NODES,
     CAP_RADIUS,
-    INTEGRATOR_CACHE_SIZE,
     FunctionalParams,
     axis_integrator,
     cap_radial_nodes,
@@ -27,11 +35,18 @@ from sol_lab.mt_functional import (
     troyanov_gap,
 )
 from sol_lab.singular_geometry import SingularWeight, axis_frame
-from sol_lab.subcritical_solver import minimize
+from sol_lab.subcritical_solver import (
+    cap_density_integral,
+    epsilon_sweep,
+    minimize,
+)
 from sol_lab.sphere_grid import (
     FOUR_PI,
+    ProductTransform,
     SHCoefficients,
     build_grid,
+    normalized,
+    rotated,
 )
 
 from conftest import affine_K, random_band_limited, random_coeffs, zero
@@ -884,17 +899,79 @@ class TestIntegratorCache:
             assert integrator_for(grid, SingularWeight.from_orders(
                 [(NORTH, -0.5)], K=K)) is not first
 
-    def test_cache_is_lru(self):
-        """k + 1 distinct weights keep k entries; a hit becomes most recent."""
+    def test_grid_holds_one_integrator(self):
+        """Equal weight data is served the held integrator; another weight's
+        takes its place, so five weights asked in turn leave one."""
         grid = build_grid(17, 34)
-        k = INTEGRATOR_CACHE_SIZE
         weights = [SingularWeight.from_orders([(NORTH, -0.05 * (i + 1))])
-                   for i in range(k + 1)]
-        first = [integrator_for(grid, w) for w in weights[:k]]
-        assert integrator_for(grid, weights[0]) is first[0]
-        integrator_for(grid, weights[k])
-        assert len(grid._integrator_cache) == k
-        assert integrator_for(grid, weights[0]) is first[0]
-        assert all(integrator_for(grid, w) is f
-                   for w, f in zip(weights[2:k], first[2:]))
-        assert integrator_for(grid, weights[1]) is not first[1]
+                   for i in range(5)]
+        first = integrator_for(grid, weights[0])
+        assert integrator_for(grid, SingularWeight.from_orders(
+            [(NORTH, -0.05)])) is first
+        second = integrator_for(grid, weights[1])
+        assert second is not first
+        assert grid._integrator == (weights[1].cache_key(), second)
+        for w in weights:
+            integ = integrator_for(grid, w)
+            assert integrator_for(grid, w) is integ
+            assert grid._integrator == (w.cache_key(), integ)
+        assert integrator_for(grid, weights[0]) is not first
+
+
+def _refusal_cases():
+    """id -> (call, what it must do): a string is the message of the
+    ValueError it raises; ``rotated`` of a constant returns its argument."""
+    grid = build_grid(17, 34)
+    w = SingularWeight.from_orders([(NORTH, -0.5)])
+    constant = SHCoefficients(np.ones((1, 1)))
+
+    def solved():
+        params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
+        return minimize(params, zero(grid), grid, max_iterations=0)
+
+    return {
+        "normalized-zero": (lambda: normalized([0.0, 0.0, 0.0]),
+                            "cannot normalize the zero vector"),
+        "analysis-without-weights": (
+            lambda: ProductTransform(4, grid.t, grid.n_phi).analysis_coeffs(
+                np.zeros((grid.n_theta, grid.n_phi))),
+            "built without quadrature weights"),
+        "rotated-constant": (lambda: rotated(constant, np.eye(3)) is constant,
+                             True),
+        "pullback-t-0": (lambda: conformal_pullback(zero(grid), grid, 0.0,
+                                                    0.0),
+                         "dilation parameter must be positive"),
+        "bubble-c-0": (lambda: planar_bubble(0.1, 0.0, -0.5),
+                       "bubble constant must be positive"),
+        "radial-K": (lambda: concentration_functional(ConcentrationParams(
+            epsilon=0.01, weight=SingularWeight.from_orders(
+                [(NORTH, -0.5)], K=affine_K(0)), p=np.array(NORTH))),
+            "K: radial evaluation supports K == 1 only"),
+        "blowup-alpha-0-no-grid": (
+            lambda: blowup_infimum(SingularWeight.from_orders([])),
+            "the alpha = 0 branch needs a grid"),
+        "rho-0": (lambda: FunctionalParams(rho=0.0, weight=w),
+                  "rho must be positive"),
+        "cap-radius-pi": (lambda: cap_density_integral(
+            solved(), np.array(NORTH), np.pi - 0.2),
+            "cap radius too large for the polar rule"),
+        "sweep-epsilon-rho-bar": (lambda: epsilon_sweep(
+            w, grid, [w.rho_bar], max_iterations=1, init_epsilon=None),
+            "is not below rho_bar"),
+    }
+
+
+REFUSALS = _refusal_cases()
+
+
+@pytest.mark.parametrize("call, outcome", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_library_refusals(call, outcome):
+    """Each library function refuses the input it cannot serve with a
+    ValueError that says why (``rotated`` of a constant has nothing to
+    turn and returns it)."""
+    if outcome is True:
+        assert call() is True
+    else:
+        with pytest.raises(ValueError, match=outcome):
+            call()

@@ -58,12 +58,13 @@ QUICK = {"max_iterations": 3000}  # the solver's settings for a quick solve
 
 
 def on_zonal_path(grid):
-    """True when the grid has cached one integrator and neither it nor the
-    grid transform has built more than the m = 0 Legendre block: only
+    """True when the grid holds an integrator and neither it nor the grid
+    transform has built more than the m = 0 Legendre block: only
     one-column passes have run."""
-    integs = list(grid._integrator_cache.values())
-    transforms = [grid.transform] + [integ.transform for integ in integs]
-    return len(integs) == 1 and all(len(tr._plm) <= 1 for tr in transforms)
+    if grid._integrator is None:
+        return False
+    _, integ = grid._integrator
+    return all(len(tr._plm) <= 1 for tr in (grid.transform, integ.transform))
 
 
 def column_densities(grid, w, coeffs):
