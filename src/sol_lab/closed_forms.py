@@ -270,7 +270,10 @@ class ConcentrationParams:
 
     @property
     def r_eps(self) -> float:
-        return self.gamma_eps * self.epsilon ** (1.0 / (2.0 * (1.0 + self.alpha)))
+        # eps^{1/(2(1+alpha))} is 0 wherever gamma_eps overflows (order
+        # -0.999 at eps = 1e-2), and so is r_eps
+        scale = self.epsilon ** (1.0 / (2.0 * (1.0 + self.alpha)))
+        return self.gamma_eps * scale if scale else 0.0
 
     @property
     def C_eps(self) -> float:

@@ -217,7 +217,7 @@ class KazdanWarnerReport:
 
 
 def kazdan_warner_residual(coeffs: SHCoefficients, grid: SphereGrid,
-                           rho: float, w: SingularWeight) -> KazdanWarnerReport:
+                           w: SingularWeight, rho: float) -> KazdanWarnerReport:
     """Residual of alpha2 - alpha1 = (2 - rho/4pi + a1 + a2) int h e^u x3
     for the field u with coefficients ``coeffs`` on ``grid``.
 

@@ -86,16 +86,6 @@ class UnnormalizedBlowupError(RuntimeError):
     solver follows."""
 
 
-@dataclass
-class FunctionalParams:
-    rho: float
-    weight: SingularWeight
-
-    def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
-
-
 def radial_rule(edges, n: int, b: float = 0.0, jacobian=np.sin):
     """Nodes r_k and weights w_k, sum_k w_k f(r_k) ~ int f(r) jacobian(r) dr
     from edges[0] to edges[-1] (edges may descend), n nodes a panel.
@@ -336,24 +326,23 @@ def integrator_for(grid: SphereGrid, weight: SingularWeight) -> SingularIntegrat
 # operations
 # ---------------------------------------------------------------------------
 
-def eval_J(coeffs: SHCoefficients, grid: SphereGrid,
-           params: FunctionalParams):
+def eval_J(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
+           rho: float):
     """J_rho of the field with these coefficients (of each field of a
-    stack), invariant under u -> u + const: ``log_exp_integral``
-    subtracts max(u + log h) before it exponentiates, so a raw peak of any
-    size evaluates."""
-    log_integral = integrator_for(grid, params.weight).log_exp_integral(coeffs)
-    return eval_J_coeffs(coeffs, log_integral, params)
+    stack) on the weight ``w``, invariant under u -> u + const:
+    ``log_exp_integral`` subtracts max(u + log h) before it exponentiates,
+    so a raw peak of any size evaluates."""
+    log_integral = integrator_for(grid, w).log_exp_integral(coeffs)
+    return eval_J_coeffs(coeffs, log_integral, rho)
 
 
-def eval_J_coeffs(coeffs: SHCoefficients, log_integral,
-                  params: FunctionalParams):
+def eval_J_coeffs(coeffs: SHCoefficients, log_integral, rho: float):
     """J_rho of the field with these coefficients, from their Dirichlet
     energy and mean and from log int h e^u (``Density.log_integral`` or
     ``SingularIntegrator.log_exp_integral``); a stack gives an array over
     its fields."""
-    return (0.5 * dirichlet_energy(coeffs) + params.rho * coeffs.mean
-            - params.rho * (log_integral - np.log(FOUR_PI)))
+    return (0.5 * dirichlet_energy(coeffs) + rho * coeffs.mean
+            - rho * (log_integral - np.log(FOUR_PI)))
 
 
 def density_residual(coeffs: SHCoefficients, dens: Density,
@@ -400,14 +389,13 @@ def hessian_product(v: np.ndarray, dens: Density, proj: SHCoefficients,
     return out
 
 
-def residual_coeffs(coeffs: SHCoefficients, params: FunctionalParams,
-                    grid: SphereGrid) -> SHCoefficients:
+def residual_coeffs(coeffs: SHCoefficients, grid: SphereGrid,
+                    w: SingularWeight, rho: float) -> SHCoefficients:
     """Euler-Lagrange residual of u, projected with the composite rule
     that defines int h e^u: the exact gradient of the discrete J."""
-    integ = integrator_for(grid, params.weight)
+    integ = integrator_for(grid, w)
     dens = integ.density(coeffs)
-    return density_residual(coeffs, dens, integ.density_projection(dens),
-                            params.rho)
+    return density_residual(coeffs, dens, integ.density_projection(dens), rho)
 
 
 def troyanov_gap(coeffs: SHCoefficients, grid: SphereGrid,
@@ -416,8 +404,7 @@ def troyanov_gap(coeffs: SHCoefficients, grid: SphereGrid,
     the field with these coefficients (of each field of a stack): equals
     J_{rho_bar}(u)/rho_bar + C, nonnegative iff the inequality holds at u.
     """
-    params = FunctionalParams(rho=w.rho_bar, weight=w)
-    return eval_J(coeffs, grid, params) / w.rho_bar + C
+    return eval_J(coeffs, grid, w, w.rho_bar) / w.rho_bar + C
 
 
 def sample_gaps(grid: SphereGrid, rng, count: int, w: SingularWeight,

@@ -38,7 +38,7 @@ The logger ``sol_lab.solver`` writes one debug line per outer step and
 one info line per solve.
 
 The state is the coefficients: a solve starts from coefficients and
-returns them with the grid, and a caller that needs values synthesizes
+returns them, not its inputs, and a caller that needs values synthesizes
 them.  Axis-symmetric problems are solved in the m = 0 subspace, by the
 one rule of ``sphere_grid``: one-part coefficients are zonal.  From zonal
 coefficients under a weight invariant about the axis
@@ -88,7 +88,6 @@ from .singular_geometry import SingularWeight, green_radial
 from .mt_functional import (
     CAP_RADIAL_NODES,
     DEFAULT_CEILING,
-    FunctionalParams,
     SingularIntegrator,
     UnnormalizedBlowupError,
     cap_radial_nodes,
@@ -122,8 +121,6 @@ log = logging.getLogger("sol_lab.solver")
 @dataclass
 class MinimizerState:
     coeffs: SHCoefficients
-    grid: SphereGrid
-    params: FunctionalParams
     J: float
     residual_norm: float
     iterations: int
@@ -163,11 +160,12 @@ def _truncated_cg(resid: np.ndarray, hess, precond: np.ndarray,
     return s, k
 
 
-def minimize(params: FunctionalParams, init: SHCoefficients,
-             grid: SphereGrid, *, max_iterations: int) -> MinimizerState:
-    """Minimize J_rho by inexact Newton (truncated PCG on the exact discrete
-    Hessian, backtracking on J) from the coefficients ``init``; returns a
-    normalized state, the iterate shifted once, at the end.
+def minimize(init: SHCoefficients, grid: SphereGrid, w: SingularWeight,
+             rho: float, *, max_iterations: int) -> MinimizerState:
+    """Minimize J_rho of the weight ``w``, 0 < rho <= rho_bar, by inexact
+    Newton (truncated PCG on the exact discrete Hessian, backtracking on J)
+    from the coefficients ``init``; returns a normalized state, the iterate
+    shifted once, at the end.
 
     ``iterations`` counts the outer (Newton) steps taken, at most
     ``max_iterations``; each trace record holds the step's J, residual and
@@ -176,18 +174,19 @@ def minimize(params: FunctionalParams, init: SHCoefficients,
     when converged or at the cap).  The last record, ``J`` and
     ``residual_norm`` measure the returned state.
     """
-    if params.rho > params.weight.rho_bar + 1.0e-12:
+    if rho <= 0.0:
+        raise ValueError("rho must be positive")
+    if rho > w.rho_bar + 1.0e-12:
         raise ValueError(
-            f"rho = {params.rho:.6g} exceeds the critical value "
-            f"{params.weight.rho_bar:.6g}; supercritical minimization is "
-            "out of scope")
+            f"rho = {rho:.6g} exceeds the critical value {w.rho_bar:.6g}; "
+            "supercritical minimization is out of scope")
     a = init
-    integ = integrator_for(grid, params.weight)
+    integ = integrator_for(grid, w)
     precond = None
-    tol = TOL_FACTOR * params.rho
+    tol = TOL_FACTOR * rho
 
     dens = integ.density(a)
-    J = eval_J_coeffs(a, dens.log_integral, params)
+    J = eval_J_coeffs(a, dens.log_integral, rho)
     trace = []
     for it in range(max_iterations + 1):
         iterations = it
@@ -196,7 +195,7 @@ def minimize(params: FunctionalParams, init: SHCoefficients,
             raise UnnormalizedBlowupError(
                 f"max(u) = {lam:.3g} exceeded the ceiling during minimization")
         proj = integ.density_projection(dens)
-        residual = density_residual(a, dens, proj, params.rho)
+        residual = density_residual(a, dens, proj, rho)
         resid = residual.values
         if precond is None:  # the inverse Laplacian on l >= 1, row by row
             l, _ = residual.rows
@@ -210,9 +209,9 @@ def minimize(params: FunctionalParams, init: SHCoefficients,
         if converged or it == max_iterations:
             break  # the returned state is measured, not stepped
 
-        forcing = min(0.5, np.sqrt(rnorm / params.rho)) * rnorm
+        forcing = min(0.5, np.sqrt(rnorm / rho)) * rnorm
         direction, products = _truncated_cg(
-            resid, lambda v: hessian_product(v, dens, proj, integ, params.rho),
+            resid, lambda v: hessian_product(v, dens, proj, integ, rho),
             precond, forcing)
         if a.values.shape != direction.shape:  # zonal start, h not invariant
             a = a.widened()
@@ -220,7 +219,7 @@ def minimize(params: FunctionalParams, init: SHCoefficients,
         for backtracks in range(BACKTRACK_MAX):
             cand = SHCoefficients(a.values + step * direction)
             cand_dens = integ.density(cand)
-            J_cand = eval_J_coeffs(cand, cand_dens.log_integral, params)
+            J_cand = eval_J_coeffs(cand, cand_dens.log_integral, rho)
             if J_cand <= J + 1.0e-12:
                 a, dens, J = cand, cand_dens, J_cand
                 accepted = True
@@ -236,13 +235,12 @@ def minimize(params: FunctionalParams, init: SHCoefficients,
             break  # stalled: J can no longer decrease along the direction
 
     log.info("minimize rho=%.6g: %s after %d steps (%d Hessian products), "
-             "J=%.15g |r|=%.3e", params.rho,
+             "J=%.15g |r|=%.3e", rho,
              "converged" if converged else "not converged", iterations,
              sum(rec["cg_iterations"] for rec in trace), J, rnorm)
-    return MinimizerState(coeffs=a.shifted(-dens.log_integral), grid=grid,
-                          params=params, J=J, residual_norm=rnorm,
-                          iterations=iterations, converged=converged,
-                          trace=trace)
+    return MinimizerState(coeffs=a.shifted(-dens.log_integral), J=J,
+                          residual_norm=rnorm, iterations=iterations,
+                          converged=converged, trace=trace)
 
 
 def _shortfall(state: MinimizerState) -> str:
@@ -260,13 +258,13 @@ def _shortfall(state: MinimizerState) -> str:
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def cap_density_integral(state: MinimizerState, center: np.ndarray,
+def cap_density_integral(coeffs: SHCoefficients, grid: SphereGrid,
+                         w: SingularWeight, center: np.ndarray,
                          radius: float) -> float:
-    """int_{B_radius(center)} h e^u (u normalized) on the integrator of
-    one cap (``cap_rings``), ``cap_radial_nodes`` radii in equal panels of
-    CAP_RADIAL_NODES times the grid's longitudes; about a centre off the
-    axis, of the state turned into its frame (``rotated``)."""
-    grid, w, coeffs = state.grid, state.params.weight, state.coeffs
+    """int_{B_radius(center)} h e^u of the field with these coefficients
+    on the integrator of one cap (``cap_rings``), ``cap_radial_nodes`` radii
+    in equal panels of CAP_RADIAL_NODES times the grid's longitudes; about a
+    centre off the axis, of the field turned into its frame (``rotated``)."""
     if radius >= np.pi - 0.2:
         raise ValueError("cap radius too large for the polar rule")
     center = normalized(center)
@@ -306,21 +304,22 @@ class BlowupDiagnostics:
     profile: np.ndarray
 
 
-def diagnose(state: MinimizerState) -> BlowupDiagnostics:
-    """Populate the concentration diagnostics of a converged state, from
-    its values and gradient on the rule it was solved on (the integrator's
-    transform; one column, on the first longitude, when zonal) and its own
-    weight.  Both radial models are compared at the rule's nodes by their
-    distance d from the centre: the bubble at d <= 5 t_eps, the Green's
-    function at d >= 1.  The cap mass at 10 t_eps is a polar quadrature,
-    or the same nodes' integral when the cap covers the sphere."""
-    grid, w = state.grid, state.params.weight
+def diagnose(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
+             rho: float) -> BlowupDiagnostics:
+    """Populate the concentration diagnostics of the field with these
+    coefficients, a converged state's at rho, from its values and gradient
+    on the rule it was solved on (the integrator's transform of ``w``; one
+    column, on the first longitude, when zonal).  Both radial models are
+    compared at the rule's nodes by their distance d from the centre: the
+    bubble at d <= 5 t_eps, the Green's function at d >= 1.  The cap mass
+    at 10 t_eps is a polar quadrature, or the same nodes' integral when the
+    cap covers the sphere."""
     alpha = w.alpha
     integ = integrator_for(grid, w)
     tr = integ.transform
 
     # u and the three coefficient sets of |grad u| in one pass on the rule
-    vals, grad = gradient_magnitude(state.coeffs, tr.synthesis_values,
+    vals, grad = gradient_magnitude(coeffs, tr.synthesis_values,
                                     tr.t[:, None], values=True)
 
     # peak over the rule's nodes and the poles, which no Gauss ring holds
@@ -328,7 +327,7 @@ def diagnose(state: MinimizerState) -> BlowupDiagnostics:
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     lam = float(vals[idx])
     p_eps = nodes[idx]
-    for v, z in zip(axis_values(state.coeffs), (1.0, -1.0)):
+    for v, z in zip(axis_values(coeffs), (1.0, -1.0)):
         if v > lam:
             lam, p_eps = v, np.array([0.0, 0.0, z])
 
@@ -342,10 +341,11 @@ def diagnose(state: MinimizerState) -> BlowupDiagnostics:
     under_resolved = t_eps < 4.0 * np.pi / grid.band_limit
 
     if 10.0 * t_eps < np.pi - 0.2:
-        cap_mass = cap_density_integral(state, center, 10.0 * t_eps)
+        cap_mass = cap_density_integral(coeffs, grid, w, center,
+                                        10.0 * t_eps)
     else:  # the "cap" covers the sphere: int h e^u on the rule's nodes
         cap_mass = float(np.exp(integ.density_of(vals.copy()).log_integral))
-    cap_mass *= state.params.rho
+    cap_mass *= rho
 
     # distance of each node from the centre; about a centre off the axis,
     # a zonal state needs every longitude
@@ -368,7 +368,7 @@ def diagnose(state: MinimizerState) -> BlowupDiagnostics:
 
     # far field against the Green's function of the concentration point
     far = d >= 1.0
-    ubar = state.coeffs.mean
+    ubar = coeffs.mean
     farfield = float(np.max(np.abs(vals[far] - ubar
                                    - w.rho_bar * green_radial(d[far]))))
 
@@ -390,6 +390,7 @@ def diagnose(state: MinimizerState) -> BlowupDiagnostics:
 @dataclass
 class SweepEntry:
     epsilon: float  # the schedule's, not rho_bar - rho re-rounded
+    rho: float
     state: MinimizerState
     diagnostics: BlowupDiagnostics
 
@@ -397,7 +398,7 @@ class SweepEntry:
         s, d = self.state, self.diagnostics
         return {
             "epsilon": self.epsilon,
-            "rho": s.params.rho,
+            "rho": self.rho,
             "J": s.J,
             "residual": s.residual_norm,
             "iterations": s.iterations,
@@ -452,7 +453,7 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid, epsilons, *,
     for eps in epsilons:
         if eps >= rho_bar:
             raise ValueError(f"epsilon {eps} is not below rho_bar {rho_bar}")
-        params = FunctionalParams(rho=rho_bar - eps, weight=weight)
+        rho = rho_bar - eps
         if current is None:
             if init_epsilon is not None and weight.alpha < 0.0:
                 p0 = weight.minimal_points()[0].position
@@ -461,12 +462,13 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid, epsilons, *,
                 current = concentration_field(tf, grid)
             else:
                 current = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
-        state = minimize(params, current, grid,
+        state = minimize(current, grid, weight, rho,
                          max_iterations=max_iterations)
         if not state.converged:
             raise NonConvergedError(f"entry at epsilon = {eps} did not "
                                     f"converge ({_shortfall(state)})")
-        entries.append(SweepEntry(eps, state, diagnose(state)))
+        entries.append(SweepEntry(eps, rho, state,
+                                  diagnose(state.coeffs, grid, weight, rho)))
         current = state.coeffs
     return SweepReport(entries)
 
@@ -475,19 +477,19 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid, epsilons, *,
 # gradient exponent near a singular point
 # ---------------------------------------------------------------------------
 
-def gradient_singularity_exponent(state: MinimizerState, p_i) -> dict:
-    """Least-squares slope of log |grad u| vs log d near a singular point,
-    which must lie on the axis, as a solved state's points do.
+def gradient_singularity_exponent(coeffs: SHCoefficients, grid: SphereGrid,
+                                  w: SingularWeight, p_i) -> dict:
+    """Least-squares slope of log |grad u| vs log d near a singular point
+    of ``w``, which must lie on the axis, as a solved state's points do.
 
     The fit annulus is [5 * grid spacing, 0.1], at 12 radii of 8 bearings;
     raises when the grid is too coarse for the annulus to exist.  The
     reported bound is the gradient-growth exponent min(2 alpha_i + 1, 0).
     """
-    grid = state.grid
     p_i = normalized(p_i)
     if not on_axis(p_i):
         raise ValueError("the exponent fit takes a point on the axis")
-    alpha_i = state.params.weight.beta(p_i)
+    alpha_i = w.beta(p_i)
     if alpha_i >= 0.0:
         raise ValueError("the exponent fit targets negative-order points")
     d_min, d_max = 5.0 * grid.node_spacing(), 0.1
@@ -498,7 +500,7 @@ def gradient_singularity_exponent(state: MinimizerState, p_i) -> dict:
     radii = np.geomspace(d_min, d_max, 12)
     t, phi = np.meshgrid(p_i[2] * np.cos(radii),  # 8 bearings a radius
                          2.0 * np.pi * np.arange(8) / 8, indexing="ij")
-    avg = gradient_at_angles(state.coeffs, t, phi).mean(axis=1)
+    avg = gradient_at_angles(coeffs, t, phi).mean(axis=1)
     slope, intercept = np.polyfit(np.log(radii), np.log(avg), 1)
     return {
         "slope": float(slope),

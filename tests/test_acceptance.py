@@ -28,7 +28,6 @@ from sol_lab.identity_checks import (
     sphere_sharp_constant,
 )
 from sol_lab.mt_functional import (
-    FunctionalParams,
     eval_J,
     residual_coeffs,
     troyanov_gap,
@@ -88,10 +87,10 @@ def test_criterion_2_attained_minimum(grid128):
     ok = True
     for alpha in (-0.25, -0.5):
         w = extremal_weight(alpha)
-        params = FunctionalParams(rho=w.rho_bar, weight=w)
         exact = 8.0 * np.pi * (1 + alpha) * (np.log1p(alpha) - alpha)
         def J_of(extremal):
-            return eval_J(extremal_u(extremal, grid128), grid128, params)
+            return eval_J(extremal_u(extremal, grid128), grid128, w,
+                          w.rho_bar)
 
         J10 = J_of(ExtremalParams(alpha=alpha))
         rel = abs(J10 - exact) / abs(exact)
@@ -169,19 +168,19 @@ def test_criterion_6_kazdan_warner(grid128):
     results = []
     # one-singularity regime, negative order
     w2 = SingularWeight.from_orders([(NORTH, -0.25)])
-    params = FunctionalParams(rho=w2.rho_bar - 0.3, weight=w2)
-    st = minimize(params, zero(grid128), grid128, max_iterations=4000)
+    rho = w2.rho_bar - 0.3
+    st = minimize(zero(grid128), grid128, w2, rho, max_iterations=4000)
     assert st.converged
-    r2 = abs(kazdan_warner_residual(st.coeffs, grid128, params.rho,
-                                    w2).poho_residual)
+    r2 = abs(kazdan_warner_residual(st.coeffs, grid128, w2,
+                                    rho).poho_residual)
     results.append(("one-singularity", r2, 1e-3))
     # mixed antipodal regime: distinct orders, negative minimum
     w3 = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
-    params3 = FunctionalParams(rho=w3.rho_bar - 0.3, weight=w3)
-    st3 = minimize(params3, zero(grid128), grid128, max_iterations=4000)
+    rho3 = w3.rho_bar - 0.3
+    st3 = minimize(zero(grid128), grid128, w3, rho3, max_iterations=4000)
     assert st3.converged
-    r3 = abs(kazdan_warner_residual(st3.coeffs, grid128, params3.rho,
-                                    w3).poho_residual)
+    r3 = abs(kazdan_warner_residual(st3.coeffs, grid128, w3,
+                                    rho3).poho_residual)
     results.append(("mixed-antipodal", r3, 1e-3))
     ok = all(v < tol for _, v, tol in results)
     report(6, ok, "axis identity: " + ", ".join(
@@ -224,17 +223,17 @@ def test_criterion_8_upper_bound():
 def test_criterion_9_numerical_hygiene(grid64):
     rng = np.random.default_rng(21)
     # gradient versus central differences
-    params = FunctionalParams(rho=8.0 * np.pi - 2.0, weight=SingularWeight())
+    w, rho = SingularWeight(), 8.0 * np.pi - 2.0
     u = random_band_limited(grid64, rng)
     worst_grad = 0.0
     for _ in range(5):
         v = random_band_limited(grid64, rng, amplitude=1.0)
         step = 1e-5
         analysis = grid64.transform.analysis_coeffs
-        fd = (eval_J(analysis(u + v * step), grid64, params)
-              - eval_J(analysis(u - v * step), grid64, params)) / (2 * step)
+        fd = (eval_J(analysis(u + v * step), grid64, w, rho)
+              - eval_J(analysis(u - v * step), grid64, w, rho)) / (2 * step)
         pairing = float(np.sum(
-            residual_coeffs(analysis(u), params, grid64).values
+            residual_coeffs(analysis(u), grid64, w, rho).values
             * analysis(v).values))
         worst_grad = max(worst_grad, abs(fd - pairing) / abs(pairing))
     # transform round trip

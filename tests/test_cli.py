@@ -1290,6 +1290,63 @@ CONTRACT = {
 }
 
 
+# the weights every kind runs on at 17 x 34 in ``test_no_exception_escapes``:
+# no point (Onofri's sphere), a constant K, an order whose blow-up value
+# is 0 and one near -1, a positive order on the axis and off it, and the
+# two antipodal pairs; verify-extremal runs on its own pair, with no weight
+ESCAPE_WEIGHTS = {
+    "no-point": {"points": []},
+    "K-1": {"points": [], "K": {"base": 1}},
+    "K-2": {"points": [], "K": {"base": 2}},
+    "order-1e-300": _point([0, 0, 1], order=-1e-300)["weight"],
+    "order-0.999": _point([0, 0, 1], order=-0.999)["weight"],
+    "positive-on-axis": _point([0, 0, 1], order=0.5)["weight"],
+    "positive-off-axis": _point([0.3, 0.5, 0.81], order=0.5)["weight"],
+    "equal-pair": {"points": [{"position": [0, 0, 1], "order": -0.5},
+                              {"position": [0, 0, -1], "order": -0.5}]},
+    "mixed-pair": {"points": [{"position": [0, 0, 1], "order": -0.5},
+                              {"position": [0, 0, -1], "order": 0.3}]},
+}
+ESCAPE_CASES = {
+    f"{kind}-{name}": (kind, weight) for kind in KINDS
+    for name, weight in (ESCAPE_WEIGHTS.items() if kind != "verify-extremal"
+                         else [("no-weight", {"points": []})])}
+
+
+@pytest.mark.parametrize("kind, weight", ESCAPE_CASES.values(),
+                         ids=ESCAPE_CASES.keys())
+def test_no_exception_escapes(kind, weight, tmp_path, capsys):
+    """Every kind on every weight of ESCAPE_WEIGHTS returns an exit code
+    of ``main`` and raises nothing (no floating-point warning either), and
+    a run that reaches its checks (exit 0 or 1) writes its report."""
+    cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+    cfg.write_text(config_text(grid={"n_theta": 17, "n_phi": 34},
+                               weight=weight, experiment={"kind": kind}))
+    code = main([kind, "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 1, 2, 3)
+    assert out.exists() == (code in (0, 1))
+
+
+@pytest.mark.parametrize("weight", ["no-point", "order-1e-300"])
+def test_sweep_without_blowup_fails_its_checks(weight, tmp_path, capsys):
+    """With no point, or one of order -1e-300, the blow-up value is 0
+    (inf J_8pi = 0 on the plain sphere, attained by the constants): the
+    sweep's "extrapolated J vs blow-up value" reads inf and fails, and the
+    run writes its report and exits 1 (a ZeroDivisionError traceback
+    once)."""
+    cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+    cfg.write_text(config_text(grid={"n_theta": 17, "n_phi": 34},
+                               weight=ESCAPE_WEIGHTS[weight],
+                               experiment={"kind": "sweep"}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["summary"]["blowup_target"] == 0.0
+    check, = (c for c in report["checks"]
+              if c["name"] == "extrapolated J vs blow-up value")
+    assert check["value"] == math.inf and not check["passed"]
+
+
 class TestConfigContract:
     @pytest.mark.parametrize("kind, text, message", CONTRACT.values(),
                              ids=CONTRACT.keys())
@@ -1570,7 +1627,7 @@ class TestChecksCanFail:
         exact = sphere_sharp_constant(-0.5, -0.5, antipodal=True).inf_J
         values = iter((exact * (1.0 + rel), exact * (1.0 + rel) + shift))
         monkeypatch.setattr(mt_functional, "eval_J",
-                            lambda coeffs, grid, params: next(values))
+                            lambda coeffs, grid, w, rho: next(values))
         checks = self.run_checks(weight={"points": []},
                                  experiment={"kind": "verify-extremal"})
         assert sorted(checks) == ["extremal value", "lambda-c invariance"]
@@ -1652,7 +1709,7 @@ class TestChecksCanFail:
         w = SingularWeight.from_orders([((0.0, 0.0, 1.0), -0.25),
                                         ((0.0, 0.0, -1.0), -0.1)])
         rep = kazdan_warner_residual(SHCoefficients(np.zeros((129, 1))),
-                                     grid, report["summary"]["rho"], w)
+                                     grid, w, report["summary"]["rho"])
         assert abs(rep.poho_residual) == pytest.approx(0.134, abs=1e-3)
         assert abs(rep.poho_residual) > RESIDUAL_TOL == check["tolerance"]
 

@@ -33,7 +33,7 @@ from sol_lab.closed_forms import (
     concentration_profile,
     concentration_sweep,
 )
-from sol_lab.mt_functional import FunctionalParams, eval_J
+from sol_lab.mt_functional import eval_J
 from sol_lab.singular_geometry import REGULAR_PART, SingularWeight
 from sol_lab.sphere_grid import FOUR_PI
 
@@ -85,9 +85,8 @@ class TestExtremalFamily:
     def test_functional_invariance(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)
-        params = FunctionalParams(rho=w.rho_bar, weight=w)
         J_10, J_23 = (
-            eval_J(extremal_u(p, grid128), grid128, params)
+            eval_J(extremal_u(p, grid128), grid128, w, w.rho_bar)
             for p in (ExtremalParams(alpha=alpha),
                       ExtremalParams(lam=2.0, c=3.0, alpha=alpha)))
         assert abs(J_23 - J_10) < 1e-3
@@ -123,11 +122,10 @@ class TestConformalPullback:
     def test_onofri_equality_family(self, grid64):
         """u = log |det d phi_t| gives J_{8 pi} = 0 (smooth equality case)."""
         w = SingularWeight()
-        params = FunctionalParams(rho=8.0 * np.pi, weight=w)
         from conftest import zero
         for t in (2.0, 4.0):
             u = conformal_pullback(zero(grid64), grid64, t, 0.0)
-            assert abs(eval_J(u, grid64, params)) < 1e-5
+            assert abs(eval_J(u, grid64, w, 8.0 * np.pi)) < 1e-5
 
     @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
     def test_zonal_field_matches_full_synthesis(self, grid64, axis,
@@ -164,10 +162,9 @@ class TestConformalPullback:
     def test_extremal_invariance(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)
-        params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         pulled = conformal_pullback(u, grid128, 2.0, alpha)
-        J_pulled, J_u = (eval_J(f, grid128, params) for f in (pulled, u))
+        J_pulled, J_u = (eval_J(f, grid128, w, w.rho_bar) for f in (pulled, u))
         assert abs(J_pulled - J_u) < 1e-3
 
 

@@ -13,7 +13,7 @@ from sol_lab.identity_checks import (
     blowup_infimum,
     sphere_sharp_constant,
 )
-from sol_lab.mt_functional import FunctionalParams, eval_J, integrator_for
+from sol_lab.mt_functional import eval_J, integrator_for
 from sol_lab.singular_geometry import REGULAR_PART, SingularWeight, axis_frame
 from sol_lab.sphere_grid import FOUR_PI, SHCoefficients, build_grid
 
@@ -147,8 +147,7 @@ class TestBlowupInfimumPipeline:
         w = extremal_weight(alpha)
         rep = sphere_sharp_constant(alpha, alpha, antipodal=True)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
-        params = FunctionalParams(rho=w.rho_bar, weight=w)
-        assert abs(eval_J(u, grid128, params) - rep.inf_J) < 1e-3
+        assert abs(eval_J(u, grid128, w, w.rho_bar) - rep.inf_J) < 1e-3
 
     def test_smooth_factor_enters(self, grid64):
         """K with a maximum at the minimal-order point shifts C by log K."""
@@ -173,7 +172,7 @@ class TestKazdanWarner:
         w = extremal_weight(-0.5)
         u = grid64.transform.analysis_coeffs(np.polynomial.polynomial.polyval(
             grid64.t, rng.normal(size=6))[:, None])
-        rep = kazdan_warner_residual(u, grid64, w.rho_bar, w)
+        rep = kazdan_warner_residual(u, grid64, w, w.rho_bar)
         assert abs(rep.moment) > 0.1
         assert rep.prefactor == pytest.approx(0.0, abs=1e-14)
         assert rep.poho_residual == pytest.approx(0.0, abs=1e-14)
@@ -183,7 +182,7 @@ class TestKazdanWarner:
         w = SingularWeight.from_orders([(NORTH, -0.25)])
         u = random_band_limited(grid64, rng, amplitude=1.0)
         r1, r2 = (kazdan_warner_residual(grid64.transform.analysis_coeffs(v),
-                                         grid64, w.rho_bar - 0.3, w)
+                                         grid64, w, w.rho_bar - 0.3)
                   for v in (u, u + 5.0))
         assert r1.poho_residual == pytest.approx(r2.poho_residual, abs=1e-12)
 
@@ -194,7 +193,7 @@ class TestKazdanWarner:
         coeffs = grid64.transform.analysis_coeffs(
             random_band_limited(grid64, rng, amplitude=1.0))
         before = dict(transform_counts)
-        kazdan_warner_residual(coeffs, grid64, w.rho_bar - 0.3, w)
+        kazdan_warner_residual(coeffs, grid64, w, w.rho_bar - 0.3)
         assert transform_counts["synthesis"] - before["synthesis"] == 1
         assert transform_counts["analysis"] - before["analysis"] == 0
 
@@ -211,7 +210,7 @@ class TestKazdanWarner:
         w = SingularWeight.from_orders(points)
         a1, a2 = a1 or 0.0, a2 or 0.0
         grid = build_grid(band_limit + 1, 2 * band_limit + 2)
-        rep = kazdan_warner_residual(zero(grid), grid, w.rho_bar - 0.3, w)
+        rep = kazdan_warner_residual(zero(grid), grid, w, w.rho_bar - 0.3)
         assert rep.orders == (a1, a2)
         assert abs(rep.moment - (a2 - a1) / (a1 + a2 + 2.0)) <= 1e-15
 
@@ -231,7 +230,7 @@ class TestKazdanWarner:
         assert (d.shape[-1] == 1) == zonal
         x3 = block.t[:, None]
         want = np.sum(block.weights * d * x3) / dens.total
-        rep = kazdan_warner_residual(u, grid64, w.rho_bar - 0.3, w)
+        rep = kazdan_warner_residual(u, grid64, w, w.rho_bar - 0.3)
         assert rep.moment == pytest.approx(want, rel=1e-14)
 
     def test_converged_solution_mild_order(self, grid128):
@@ -239,11 +238,10 @@ class TestKazdanWarner:
         from sol_lab.subcritical_solver import minimize
         w = SingularWeight.from_orders([(NORTH, -0.25)])
         eps = 0.3
-        params = FunctionalParams(rho=w.rho_bar - eps, weight=w)
-        state = minimize(params, zero(grid128), grid128,
-                         max_iterations=3000)
+        rho = w.rho_bar - eps
+        state = minimize(zero(grid128), grid128, w, rho, max_iterations=3000)
         assert state.converged
-        rep = kazdan_warner_residual(state.coeffs, grid128, params.rho, w)
+        rep = kazdan_warner_residual(state.coeffs, grid128, w, rho)
         assert abs(rep.poho_residual) < 1e-3
 
     @pytest.mark.xfail(
@@ -256,17 +254,16 @@ class TestKazdanWarner:
         from sol_lab.subcritical_solver import minimize
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         eps = 0.1
-        params = FunctionalParams(rho=w.rho_bar - eps, weight=w)
-        state = minimize(params, zero(grid128), grid128,
-                         max_iterations=3000)
+        rho = w.rho_bar - eps
+        state = minimize(zero(grid128), grid128, w, rho, max_iterations=3000)
         assert state.converged
-        rep = kazdan_warner_residual(state.coeffs, grid128, params.rho, w)
+        rep = kazdan_warner_residual(state.coeffs, grid128, w, rho)
         assert abs(rep.poho_residual) < 1e-3
 
     def test_non_antipodal_rejected(self, grid64):
         w = SingularWeight.from_orders([((1.0, 0.0, 0.0), -0.5)])
         with pytest.raises(RegimeError):
-            kazdan_warner_residual(zero(grid64), grid64, w.rho_bar, w)
+            kazdan_warner_residual(zero(grid64), grid64, w, w.rho_bar)
 
 
 class TestAxisLayout:
@@ -282,9 +279,9 @@ class TestAxisLayout:
         with pytest.raises(ValueError, match="off the grid axis"):
             integrator_for(grid64, w)
         with pytest.raises(RegimeError):
-            kazdan_warner_residual(zero(grid64), grid64, w.rho_bar, w)
+            kazdan_warner_residual(zero(grid64), grid64, w, w.rho_bar)
         u = grid64.transform.analysis_coeffs(0.5 * grid64.t[:, None] ** 2)
-        framed, twin = (kazdan_warner_residual(u, grid64, w.rho_bar - 0.3, v)
-                        for v in (axis_frame(w),
-                                  SingularWeight.from_orders([(NORTH, -0.25)])))
+        framed, twin = (kazdan_warner_residual(u, grid64, v, w.rho_bar - 0.3)
+                        for v in (axis_frame(w), SingularWeight.from_orders(
+                            [(NORTH, -0.25)])))
         assert framed == twin

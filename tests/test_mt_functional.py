@@ -22,7 +22,6 @@ from sol_lab.identity_checks import blowup_infimum
 from sol_lab.mt_functional import (
     CAP_RADIAL_NODES,
     CAP_RADIUS,
-    FunctionalParams,
     axis_integrator,
     cap_radial_nodes,
     density_residual,
@@ -71,11 +70,11 @@ def exp_integral(coeffs, grid, w):
     return float(np.exp(integrator_for(grid, w).log_exp_integral(coeffs)))
 
 
-def residual_field(coeffs, params, grid):
+def residual_field(coeffs, grid, w, rho):
     """The Euler-Lagrange residual of the field with these coefficients,
     synthesized on the grid."""
-    return grid.transform.synthesis_values(residual_coeffs(coeffs, params,
-                                                           grid))
+    return grid.transform.synthesis_values(residual_coeffs(coeffs, grid, w,
+                                                           rho))
 
 
 def full_path_coeffs(grid):
@@ -146,10 +145,10 @@ class TestExpIntegral:
         max(u + log h) before it exponentiates, so u +- 800, past exp's
         overflow at 709.8, evaluates to J(u) within 1e-10."""
         c = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
-        params = FunctionalParams(rho=3.0 * np.pi, weight=single_weight(-0.5))
-        J = eval_J(c, grid64, params)
+        w, rho = single_weight(-0.5), 3.0 * np.pi
+        J = eval_J(c, grid64, w, rho)
         for shift in (800.0, -800.0):
-            assert abs(eval_J(c.shifted(shift), grid64, params) - J) <= 1e-10
+            assert abs(eval_J(c.shifted(shift), grid64, w, rho) - J) <= 1e-10
 
     def test_cap_rule_convergence(self):
         """The radial cap rule against the closed form
@@ -304,8 +303,8 @@ class TestCapOracle:
         rule in s = r^(2(1+alpha)))."""
         points = [(NORTH, north)] + ([(SOUTH, south)] if south else [])
         w = SingularWeight.from_orders(points)
-        params = FunctionalParams(rho=w.rho_bar - epsilon, weight=w)
-        state = minimize(params, zero(grid128), grid128, max_iterations=4000)
+        state = minimize(zero(grid128), grid128, w, w.rho_bar - epsilon,
+                         max_iterations=4000)
         assert state.converged
         got = integrator_for(grid128, w).log_exp_integral(state.coeffs)
         assert abs(got - log_exp_reference(state.coeffs, north, south)) \
@@ -332,43 +331,42 @@ class TestCapOracle:
 
 class TestEvalJ:
     def test_zero_at_zero(self, grid64):
-        params = FunctionalParams(rho=8.0 * np.pi, weight=SingularWeight())
-        assert abs(eval_J(zero(grid64), grid64, params)) < 1e-12
+        assert abs(eval_J(zero(grid64), grid64, SingularWeight(),
+                          8.0 * np.pi)) < 1e-12
 
     def test_constant_invariance(self, grid64, rng):
         w = SingularWeight.from_orders([(NORTH, -0.5), (SOUTH, 0.25)])
-        params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = random_band_limited(grid64, rng)
-        base = eval_J(grid64.transform.analysis_coeffs(u), grid64, params)
+        base = eval_J(grid64.transform.analysis_coeffs(u), grid64, w,
+                      w.rho_bar)
         for c in (-10.0, -1.0, 0.3, 10.0):
-            J = eval_J(grid64.transform.analysis_coeffs(u + c), grid64, params)
+            J = eval_J(grid64.transform.analysis_coeffs(u + c), grid64, w,
+                       w.rho_bar)
             assert abs(J - base) < 1e-9
 
     def test_extremal_value(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)
-        params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
         exact = 8.0 * np.pi * (1 + alpha) * (np.log1p(alpha) - alpha)
-        assert eval_J(u, grid128, params) == pytest.approx(exact, rel=5e-3)
+        assert eval_J(u, grid128, w, w.rho_bar) == pytest.approx(exact,
+                                                                 rel=5e-3)
         assert exact == pytest.approx(4.0 * np.pi * (0.5 - np.log(2.0)))
 
 
 class TestElResidual:
     def test_constants_solve_regular_equation(self, grid16, grid64):
-        params = FunctionalParams(rho=8.0 * np.pi - 1.0,
-                                  weight=SingularWeight())
-        r = residual_field(zero(grid16).shifted(0.4), params, grid16)
+        w, rho = SingularWeight(), 8.0 * np.pi - 1.0
+        r = residual_field(zero(grid16).shifted(0.4), grid16, w, rho)
         assert np.abs(r).max() < 1e-10
         # roundoff grows ~ L^3 through the l(l+1) factor; stays tiny at L = 64
-        r64 = residual_field(zero(grid64).shifted(0.4), params, grid64)
+        r64 = residual_field(zero(grid64).shifted(0.4), grid64, w, rho)
         assert np.abs(r64).max() < 1e-9
 
     def test_zero_mean(self, grid64, rng):
         w = single_weight(-0.5)
-        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         u = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
-        r = residual_field(u, params, grid64)
+        r = residual_field(u, grid64, w, w.rho_bar - 0.3)
         assert abs(grid64.transform.integral(r) / FOUR_PI) < 1e-8
 
     @pytest.mark.xfail(
@@ -382,18 +380,17 @@ class TestElResidual:
     def test_extremal_residual_small(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)
-        params = FunctionalParams(rho=w.rho_bar, weight=w)
         u = extremal_u(ExtremalParams(alpha=alpha), grid128)
-        r = residual_coeffs(u, params, grid128)
+        r = residual_coeffs(u, grid128, w, w.rho_bar)
         assert np.sqrt(np.sum(r.values**2)) < 0.05
 
     def test_reported_norm_matches_field(self, grid64, rng):
         w = single_weight(-0.5)
-        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
+        rho = w.rho_bar - 0.3
         a = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
-        r = residual_field(a, params, grid64)
+        r = residual_field(a, grid64, w, rho)
         by_quadrature = np.sqrt(grid64.transform.integral(r**2))
-        norm = np.sqrt(np.sum(residual_coeffs(a, params, grid64).values**2))
+        norm = np.sqrt(np.sum(residual_coeffs(a, grid64, w, rho).values**2))
         assert norm == pytest.approx(by_quadrature, rel=1e-9)
 
     @pytest.mark.parametrize("case", ["smooth", "axis", "off-axis",
@@ -408,24 +405,23 @@ class TestElResidual:
         widened, not broadcast against each order of v.
         """
         if case == "smooth":
-            params = FunctionalParams(rho=8.0 * np.pi - 2.0,
-                                      weight=SingularWeight())
+            w, rho = SingularWeight(), 8.0 * np.pi - 2.0
         else:
             w = off_axis_weight() if case == "off-axis" else single_weight(-0.5)
-            params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
+            rho = w.rho_bar - 0.3
         u = random_band_limited(grid64, rng)
         if case == "zonal-u":  # the ring means: the m = 0 part of u
             u = u.mean(axis=1, keepdims=True)
         c = grid64.transform.analysis_coeffs(u)
         assert (c.values.shape[-1] == 1) == (case == "zonal-u")
         a = c.widened().values
-        r = residual_coeffs(c, params, grid64).widened()
+        r = residual_coeffs(c, grid64, w, rho).widened()
         step = 1e-5
         for _ in range(5):
             v = grid64.transform.analysis_coeffs(
                 random_band_limited(grid64, rng, amplitude=1.0))
-            fd = (eval_J(SHCoefficients(a + step * v.values), grid64, params)
-                  - eval_J(SHCoefficients(a - step * v.values), grid64, params)
+            fd = (eval_J(SHCoefficients(a + step * v.values), grid64, w, rho)
+                  - eval_J(SHCoefficients(a - step * v.values), grid64, w, rho)
                   ) / (2.0 * step)
             pairing = np.sum(r.values * v.values)
             assert fd == pytest.approx(pairing, rel=1e-5)
@@ -627,9 +623,8 @@ class TestTroyanovGap:
     def test_matches_functional(self, grid64, rng):
         w = single_weight(-0.5)
         u = grid64.transform.analysis_coeffs(random_band_limited(grid64, rng))
-        params = FunctionalParams(rho=w.rho_bar, weight=w)
         gap = troyanov_gap(u, grid64, w, 0.7)
-        J = eval_J(u, grid64, params)
+        J = eval_J(u, grid64, w, w.rho_bar)
         assert gap == pytest.approx(J / w.rho_bar + 0.7, rel=1e-10)
 
 
@@ -924,11 +919,6 @@ def _refusal_cases():
     grid = build_grid(17, 34)
     w = SingularWeight.from_orders([(NORTH, -0.5)])
     constant = SHCoefficients(np.ones((1, 1)))
-
-    def solved():
-        params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-        return minimize(params, zero(grid), grid, max_iterations=0)
-
     return {
         "normalized-zero": (lambda: normalized([0.0, 0.0, 0.0]),
                             "cannot normalize the zero vector"),
@@ -950,10 +940,14 @@ def _refusal_cases():
         "blowup-alpha-0-no-grid": (
             lambda: blowup_infimum(SingularWeight.from_orders([])),
             "the alpha = 0 branch needs a grid"),
-        "rho-0": (lambda: FunctionalParams(rho=0.0, weight=w),
+        "rho-0": (lambda: minimize(zero(grid), grid, w, 0.0,
+                                   max_iterations=1),
                   "rho must be positive"),
+        "rho-negative": (lambda: minimize(zero(grid), grid, w, -1.0,
+                                          max_iterations=1),
+                         "rho must be positive"),
         "cap-radius-pi": (lambda: cap_density_integral(
-            solved(), np.array(NORTH), np.pi - 0.2),
+            zero(grid), grid, w, np.array(NORTH), np.pi - 0.2),
             "cap radius too large for the polar rule"),
         "sweep-epsilon-rho-bar": (lambda: epsilon_sweep(
             w, grid, [w.rho_bar], max_iterations=1, init_epsilon=None),

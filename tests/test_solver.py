@@ -1,6 +1,5 @@
 """Subcritical minimization, diagnostics, sweeps, gradient exponents."""
 
-import dataclasses
 import itertools
 import logging
 
@@ -11,7 +10,6 @@ from sol_lab import mt_functional, sphere_grid, subcritical_solver
 from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
 from sol_lab.mt_functional import (
     CAP_RADIAL_NODES,
-    FunctionalParams,
     SingularIntegrator,
     UnnormalizedBlowupError,
     axis_integrator,
@@ -93,7 +91,6 @@ class TestTransformWork:
     @staticmethod
     def check_step_work(grid, init, zonal, transform_counts, monkeypatch):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
         # per outer step: [syntheses, analyses, trials, Hessian products]
         marks = []
         peak = SingularIntegrator.field_peak
@@ -122,7 +119,7 @@ class TestTransformWork:
         monkeypatch.setattr(subcritical_solver, "eval_J_coeffs", eval_J_coeffs)
         monkeypatch.setattr(subcritical_solver, "hessian_product",
                             hessian_product)
-        state = minimize(params, init, grid, max_iterations=12)
+        state = minimize(init, grid, w, w.rho_bar - 0.3, max_iterations=12)
         assert on_zonal_path(grid) == zonal
         assert state.converged and len(marks) == state.iterations + 1
         steps = [(nxt[0] - cur[0], nxt[1] - cur[1], cur[2], cur[3])
@@ -140,15 +137,14 @@ class TestTransformWork:
             (0.0, 0, 0)
 
 
-def zonal_and_full_J(grid, params, coeffs):
-    """J of a zonal column of coefficients on the zonal path and, widened
-    to every order, on the full path."""
-    integ = axis_integrator(grid, params.weight)
+def zonal_and_full_J(grid, w, rho, coeffs):
+    """J_rho of a zonal column of coefficients on the zonal path and,
+    widened to every order, on the full path."""
+    integ = axis_integrator(grid, w)
     assert coeffs.values.shape[-1] == 1
-    J_zonal = eval_J_coeffs(coeffs, integ.density(coeffs).log_integral,
-                            params)
+    J_zonal = eval_J_coeffs(coeffs, integ.density(coeffs).log_integral, rho)
     full = coeffs.widened()
-    J_full = eval_J_coeffs(full, integ.density(full).log_integral, params)
+    J_full = eval_J_coeffs(full, integ.density(full).log_integral, rho)
     return J_zonal, J_full
 
 
@@ -171,11 +167,11 @@ class TestZonalPath:
         takes the zonal path, and its J is the full integrator's J."""
         grid = build_grid(L + 1, 2 * L + 2)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
-        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        state = minimize(params, zero(grid), grid, **QUICK)
+        rho = w.rho_bar - 0.3
+        state = minimize(zero(grid), grid, w, rho, **QUICK)
         assert state.converged and on_zonal_path(grid)
         assert state.iterations <= 15
-        J_zonal, J_full = zonal_and_full_J(grid, params, state.coeffs)
+        J_zonal, J_full = zonal_and_full_J(grid, w, rho, state.coeffs)
         assert J_zonal == pytest.approx(J_full, rel=1e-12)
         assert state.J == pytest.approx(J_full, rel=1e-12)
 
@@ -188,10 +184,9 @@ class TestZonalPath:
         report = epsilon_sweep(w, grid, (0.5, 0.2, 0.1, 0.05),
                                max_iterations=4000, init_epsilon=0.01)
         assert on_zonal_path(grid)
-        for state in [e.state for e in report.entries]:
+        for rho, state in [(e.rho, e.state) for e in report.entries]:
             assert state.iterations <= 15
-            J_zonal, J_full = zonal_and_full_J(grid, state.params,
-                                               state.coeffs)
+            J_zonal, J_full = zonal_and_full_J(grid, w, rho, state.coeffs)
             assert J_zonal == pytest.approx(J_full, rel=1e-12)
             assert state.J == pytest.approx(J_full, rel=1e-12)
 
@@ -200,10 +195,10 @@ class TestZonalPath:
         the solve config takes the same steps."""
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
-        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        zonal = minimize(params, zero(grid), grid, **QUICK)
+        rho = w.rho_bar - 0.3
+        zonal = minimize(zero(grid), grid, w, rho, **QUICK)
         assert on_zonal_path(grid)
-        full = minimize(params, zero(grid).widened(), grid, **QUICK)
+        full = minimize(zero(grid).widened(), grid, w, rho, **QUICK)
         assert not on_zonal_path(grid)
         assert full.coeffs.values.shape[-1] == 2
         assert zonal.iterations == full.iterations
@@ -218,8 +213,8 @@ class TestZonalPath:
         states = []
         for pole in ((0.3, 0.5, 0.81), NORTH):
             w = axis_frame(SingularWeight.from_orders([(pole, -0.5)]))
-            params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-            states.append(minimize(params, zero(grid128), grid128, **QUICK))
+            states.append(minimize(zero(grid128), grid128, w, w.rho_bar - 0.5,
+                                   **QUICK))
         framed, twin = states
         assert framed.coeffs.values.shape[-1] == 1
         assert framed.iterations == twin.iterations == 7
@@ -234,11 +229,11 @@ class TestZonalPath:
         axis."""
         w = axis_frame(SingularWeight([SingularPoint(np.asarray(pole), -0.5)],
                                       K))
-        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
+        rho = w.rho_bar - 0.3
         grid = build_grid(17, 34)
         start = zero(grid) if init is None else \
             grid.transform.analysis_coeffs(init(grid.nodes))
-        state = minimize(params, start, grid, max_iterations=3)
+        state = minimize(start, grid, w, rho, max_iterations=3)
         assert on_zonal_path(grid) == zonal
         assert column_densities(grid, w, state.coeffs) == zonal
         grid = build_grid(17, 34)
@@ -247,9 +242,9 @@ class TestZonalPath:
         else:
             u = init(grid.nodes) + 0.5 * grid.nodes[..., 2] ** 2
         coeffs = grid.transform.analysis_coeffs(u)
-        rep = kazdan_warner_residual(coeffs, grid, params.rho, w)
+        rep = kazdan_warner_residual(coeffs, grid, w, rho)
         assert column_densities(grid, w, coeffs) == zonal
-        full = kazdan_warner_residual(coeffs.widened(), grid, params.rho, w)
+        full = kazdan_warner_residual(coeffs.widened(), grid, w, rho)
         assert not on_zonal_path(grid)
         assert rep.moment == pytest.approx(full.moment, rel=1e-12)
 
@@ -259,12 +254,12 @@ class TestZonalPath:
         on the extremal field and agree with the full path."""
         grid = build_grid(L + 1, 2 * L + 2)
         w = extremal_weight(-0.5)
-        params = FunctionalParams(rho=w.rho_bar, weight=w)
         zonal = extremal_u(ExtremalParams(alpha=-0.5), grid)
         coeffs = zonal.widened()
         dens = axis_integrator(grid, w).density(coeffs)
-        J_full = eval_J_coeffs(coeffs, dens.log_integral, params)
-        assert eval_J(zonal, grid, params) == pytest.approx(J_full, rel=1e-12)
+        J_full = eval_J_coeffs(coeffs, dens.log_integral, w.rho_bar)
+        assert eval_J(zonal, grid, w, w.rho_bar) == pytest.approx(J_full,
+                                                                  rel=1e-12)
         assert troyanov_gap(zonal, grid, w, 0.0) == pytest.approx(
             J_full / w.rho_bar, rel=1e-12)
         assert integrator_for(grid, w).log_exp_integral(zonal) == \
@@ -280,18 +275,18 @@ class TestZonalPath:
         table of every order, which fits LEGENDRE_BYTES at L = 64."""
         grid = build_grid(65, 130)
         w = SingularWeight.from_orders([(NORTH, -0.25), (SOUTH, -0.1)])
-        params = FunctionalParams(rho=w.rho_bar - 0.3, weight=w)
-        state = minimize(params, zero(grid), grid, **QUICK)
-        kazdan_warner_residual(state.coeffs, grid, params.rho, w)
-        diagnose(state)
+        rho = w.rho_bar - 0.3
+        state = minimize(zero(grid), grid, w, rho, **QUICK)
+        kazdan_warner_residual(state.coeffs, grid, w, rho)
+        diagnose(state.coeffs, grid, w, rho)
         assert on_zonal_path(grid)
         assert grid.transform._plm == []
         # a cap about an axis point reads the zonal state on one bearing
-        full = dataclasses.replace(state, coeffs=state.coeffs.widened())
         for centre, r in itertools.product((NORTH, SOUTH), (0.05, 0.5)):
-            one_bearing = cap_density_integral(state, np.array(centre), r)
-            assert one_bearing == pytest.approx(
-                cap_density_integral(full, np.array(centre), r), rel=1e-14)
+            one_bearing, full = (
+                cap_density_integral(c, grid, w, np.array(centre), r)
+                for c in (state.coeffs, state.coeffs.widened()))
+            assert one_bearing == pytest.approx(full, rel=1e-14)
         integ = integrator_for(grid, w)
         c = state.coeffs.widened()
         c.order(1)[0] = 1.0e-3
@@ -312,18 +307,18 @@ class TestMemory:
 
         grid = build_grid(513, 1026)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.05, weight=w)
+        rho = w.rho_bar - 0.05
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             integrator_for(grid, w)
             build = tracemalloc.get_traced_memory()[1] - entry
             tracemalloc.stop()  # the solve itself runs untraced
-            state = minimize(params, zero(grid), grid, **QUICK)
+            state = minimize(zero(grid), grid, w, rho, **QUICK)
             assert state.converged
             tracemalloc.start()
             entry = tracemalloc.get_traced_memory()[0]
-            diagnose(state)
+            diagnose(state.coeffs, grid, w, rho)
             diagnosis = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
@@ -380,9 +375,8 @@ class TestTruncatedCG:
 class TestMinimize:
     def test_regular_case_constants(self, grid64):
         """m = 0: constants solve the equation, J = 0, immediate stop."""
-        params = FunctionalParams(rho=8.0 * np.pi - 1.0,
-                                  weight=SingularWeight())
-        state = minimize(params, zero(grid64), grid64, **QUICK)
+        state = minimize(zero(grid64), grid64, SingularWeight(),
+                         8.0 * np.pi - 1.0, **QUICK)
         assert state.converged
         assert abs(state.J) < 1e-8
         assert np.abs(state.coeffs.values[1:]).max() < 1e-8
@@ -391,11 +385,11 @@ class TestMinimize:
         """The attained minimum beats the critical family at rho < rho_bar."""
         alpha = -0.5
         w = extremal_weight(alpha)
-        params = FunctionalParams(rho=w.rho_bar - 0.1, weight=w)
-        state = minimize(params, zero(grid64), grid64, **QUICK)
+        rho = w.rho_bar - 0.1
+        state = minimize(zero(grid64), grid64, w, rho, **QUICK)
         assert state.converged
         competitor = eval_J(extremal_u(ExtremalParams(alpha=alpha), grid64),
-                            grid64, params)
+                            grid64, w, rho)
         assert state.J <= competitor + 1e-6
 
     def test_descent_and_normalization(self, grid64, monkeypatch):
@@ -404,7 +398,6 @@ class TestMinimize:
         (here those of u = 3), each step's lambda is its record's normalized peak, and
         the returned state has int h e^u = 1."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
         iterates, candidates = [], []
         residual = subcritical_solver.density_residual
         J = subcritical_solver.eval_J_coeffs
@@ -422,7 +415,7 @@ class TestMinimize:
         monkeypatch.setattr(subcritical_solver, "eval_J_coeffs",
                             eval_J_coeffs)
         start = zero(grid64).shifted(3.0)
-        state = minimize(params, start, grid64, **QUICK)
+        state = minimize(start, grid64, w, w.rho_bar - 0.2, **QUICK)
         assert state.converged
         js = [rec["J"] for rec in state.trace]
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
@@ -438,8 +431,8 @@ class TestMinimize:
     def test_second_order_optimality(self, grid64, rng):
         """J(u + s v) >= J(u) - 1e-6 for small H^1-normalized probes."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
-        state = minimize(params, zero(grid64), grid64, **QUICK)
+        rho = w.rho_bar - 0.2
+        state = minimize(zero(grid64), grid64, w, rho, **QUICK)
         a = state.coeffs.widened().values
         for _ in range(5):
             c = grid64.transform.analysis_coeffs(
@@ -448,7 +441,7 @@ class TestMinimize:
             v = c.values * (1.0 / h1)
             for s in (1e-3, -1e-3):
                 probe = SHCoefficients(a + v * s)
-                assert eval_J(probe, grid64, params) >= state.J - 1e-6
+                assert eval_J(probe, grid64, w, rho) >= state.J - 1e-6
 
     def test_negative_curvature_falls_back_to_descent(self, grid64,
                                                       monkeypatch):
@@ -458,7 +451,6 @@ class TestMinimize:
         length times it.  The cap's last record measures the returned
         state and takes no product."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
         seen = []  # (coefficients, residual) at the start of each step
         residual = subcritical_solver.density_residual
 
@@ -471,7 +463,8 @@ class TestMinimize:
                             density_residual)
         monkeypatch.setattr(subcritical_solver, "hessian_product",
                             lambda v, *args: -v)
-        state = minimize(params, zero(grid64), grid64, max_iterations=3)
+        state = minimize(zero(grid64), grid64, w, w.rho_bar - 0.2,
+                         max_iterations=3)
         assert [rec["cg_iterations"] for rec in state.trace] == [1, 1, 1, 0]
         assert state.trace[-1]["J"] < state.trace[0]["J"]
         l = np.arange(grid64.band_limit + 1)[1:, None]
@@ -484,9 +477,9 @@ class TestMinimize:
         """The sol_lab.solver logger writes one debug line per outer step,
         matching its trace record, and one info line per solve."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
         with caplog.at_level(logging.DEBUG, logger="sol_lab.solver"):
-            state = minimize(params, zero(grid64), grid64, **QUICK)
+            state = minimize(zero(grid64), grid64, w, w.rho_bar - 0.2,
+                             **QUICK)
         lines = [r for r in caplog.records if r.name == "sol_lab.solver"]
         debug = [r.getMessage() for r in lines if r.levelno == logging.DEBUG]
         info = [r.getMessage() for r in lines if r.levelno == logging.INFO]
@@ -502,26 +495,27 @@ class TestMinimize:
 
     def test_nonconverged_flagged(self, grid64):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.2, weight=w)
-        state = minimize(params, zero(grid64), grid64, max_iterations=3)
+        rho = w.rho_bar - 0.2
+        state = minimize(zero(grid64), grid64, w, rho, max_iterations=3)
         assert not state.converged
-        assert state.residual_norm > subcritical_solver.TOL_FACTOR * params.rho
+        assert state.residual_norm > subcritical_solver.TOL_FACTOR * rho
 
     @staticmethod
     def capped(max_iterations):
-        """(params, grid, state) of a solve from zero at epsilon 0.1, order
-        -1/2 at the north pole, on 33 x 66 (6 Newton steps uncapped)."""
+        """(grid, weight, rho, state) of a solve from zero at epsilon 0.1,
+        order -1/2 at the north pole, on 33 x 66 (6 Newton steps
+        uncapped)."""
         grid = build_grid(33, 66)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.1, weight=w)
-        return params, grid, minimize(params, zero(grid), grid,
+        rho = w.rho_bar - 0.1
+        return grid, w, rho, minimize(zero(grid), grid, w, rho,
                                       max_iterations=max_iterations)
 
     def test_cap_at_the_step_count_converges(self):
         """A solve that converges in N steps converges under a cap of N,
         with the uncapped solve's state and trace."""
-        _, _, free = self.capped(3000)
-        _, _, state = self.capped(free.iterations)
+        *_, free = self.capped(3000)
+        *_, state = self.capped(free.iterations)
         assert free.converged and free.iterations == 6
         assert state.converged and state.iterations == free.iterations
         assert np.array_equal(state.coeffs.values, free.coeffs.values)
@@ -532,12 +526,12 @@ class TestMinimize:
         """A cap of 1 takes one step and measures the state it returns:
         its residual norm is that of ``residual_coeffs`` there, and its J
         and last trace row are that state's."""
-        params, grid, state = self.capped(1)
+        grid, w, rho, state = self.capped(1)
         assert not state.converged and state.iterations == 1
-        r = mt_functional.residual_coeffs(state.coeffs, params, grid).values
+        r = mt_functional.residual_coeffs(state.coeffs, grid, w, rho).values
         assert state.residual_norm == pytest.approx(
             np.sqrt(np.sum(r * r)), rel=1e-12)
-        assert state.J == pytest.approx(eval_J(state.coeffs, grid, params),
+        assert state.J == pytest.approx(eval_J(state.coeffs, grid, w, rho),
                                         rel=1e-12)
         last = state.trace[-1]
         assert len(state.trace) == 2 and last["step"] == 0.0
@@ -545,54 +539,42 @@ class TestMinimize:
 
     def test_supercritical_rejected(self, grid16):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar + 1.0, weight=w)
         with pytest.raises(ValueError):
-            minimize(params, zero(grid16), grid16, **QUICK)
+            minimize(zero(grid16), grid16, w, w.rho_bar + 1.0, **QUICK)
 
     def test_overflow_signalled(self, grid16, monkeypatch):
         # the normalized peak of 12 x3 is ~0.65; a ceiling below it trips
-        w = SingularWeight()
-        params = FunctionalParams(rho=8.0 * np.pi - 1.0, weight=w)
         monkeypatch.setattr(subcritical_solver, "DEFAULT_CEILING", 0.5)
         with pytest.raises(UnnormalizedBlowupError):
-            minimize(params,  # 12 x3, one column
-                     grid16.transform.analysis_coeffs(
-                         12.0 * grid16.t[:, None]), grid16, **QUICK)
+            minimize(grid16.transform.analysis_coeffs(  # 12 x3, one column
+                12.0 * grid16.t[:, None]), grid16, SingularWeight(),
+                8.0 * np.pi - 1.0, **QUICK)
 
 
 class TestDiagnose:
     @staticmethod
-    def unsolved(coeffs, grid, w):
-        """A state of these coefficients at rho = rho_bar - 0.5."""
-        from sol_lab.subcritical_solver import MinimizerState
-        return MinimizerState(
-            coeffs=coeffs, grid=grid,
-            params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w),
-            J=0.0, residual_norm=0.0, iterations=0, converged=True)
+    def diagnosed(coeffs, grid, w):
+        """``diagnose`` of these coefficients at rho = rho_bar - 0.5."""
+        return diagnose(coeffs, grid, w, w.rho_bar - 0.5)
 
     def test_compact_case(self, grid64):
         """m = 0 run: bounded, flagged compact, cap mass = area fraction."""
-        params = FunctionalParams(rho=8.0 * np.pi - 1.0,
-                                  weight=SingularWeight())
-        state = minimize(params, zero(grid64), grid64, **QUICK)
-        diag = diagnose(state)
+        w, rho = SingularWeight(), 8.0 * np.pi - 1.0
+        state = minimize(zero(grid64), grid64, w, rho, **QUICK)
+        diag = diagnose(state.coeffs, grid64, w, rho)
         assert diag.compact_case
         expected = (1.0 - np.cos(0.5)) / 2.0
-        assert cap_density_integral(state, diag.center, 0.5) == \
-            pytest.approx(expected, rel=1e-6)
+        assert cap_density_integral(state.coeffs, grid64, w, diag.center,
+                                    0.5) == pytest.approx(expected, rel=1e-6)
 
     def test_peak_position_owns_its_data(self, grid16):
         """A peak on a node is a copy, not a view that keeps the whole
         node array of the rule alive: with no point, and with one of
         positive order, where the centre is the peak itself."""
-        from sol_lab.subcritical_solver import MinimizerState
+        coeffs = grid16.transform.analysis_coeffs(grid16.nodes[..., 0])
         for w in (SingularWeight(),
                   SingularWeight.from_orders([(NORTH, 0.5)])):
-            state = MinimizerState(
-                coeffs=grid16.transform.analysis_coeffs(grid16.nodes[..., 0]),
-                grid=grid16, params=FunctionalParams(rho=1.0, weight=w),
-                J=0.0, residual_norm=0.0, iterations=0, converged=True)
-            diag = diagnose(state)
+            diag = diagnose(coeffs, grid16, w, 1.0)
             assert diag.p_eps[0] > 0.9  # on a node, near +e1
             assert diag.p_eps.base is None and diag.center.base is None
 
@@ -600,16 +582,16 @@ class TestDiagnose:
         """A bubble scale below 4 pi/L must raise the resolution flag; the
         constant minimizer of the problem without singular points is
         resolved on any grid."""
-        flat = SingularWeight()
-        state = minimize(FunctionalParams(rho=8.0 * np.pi - 1.0, weight=flat),
-                         zero(grid16), grid16, **QUICK)
-        diag = diagnose(state)  # u = -log 4 pi, t_eps = sqrt(4 pi)
+        flat, rho = SingularWeight(), 8.0 * np.pi - 1.0
+        state = minimize(zero(grid16), grid16, flat, rho, **QUICK)
+        # u = -log 4 pi, t_eps = sqrt(4 pi)
+        diag = diagnose(state.coeffs, grid16, flat, rho)
         assert diag.lambda_eps == pytest.approx(-np.log(4.0 * np.pi))
         assert not diag.under_resolved
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         spiky = grid16.transform.analysis_coeffs(  # 6 x3 - 3, one column
             6.0 * grid16.t[:, None] - 3.0)
-        diag = diagnose(self.unsolved(spiky, grid16, w))  # t_eps = e^{-3}
+        diag = self.diagnosed(spiky, grid16, w)  # t_eps = e^{-3}
         assert diag.t_eps < 4.0 * np.pi / grid16.band_limit
         assert diag.under_resolved
 
@@ -629,8 +611,8 @@ class TestDiagnose:
                                          random_band_limited_batch)
         grid = build_grid(33, 66)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        coeffs = random_band_limited_batch(grid, np.random.default_rng(4), 1)
-        state = self.unsolved(SHCoefficients(coeffs.values[:, 0]), grid, w)
+        coeffs = SHCoefficients(random_band_limited_batch(
+            grid, np.random.default_rng(4), 1).values[:, 0])
         tr = integrator_for(grid, w).transform
         passes = []
         synthesis = sphere_grid.ProductTransform.synthesis_values
@@ -641,19 +623,19 @@ class TestDiagnose:
 
         monkeypatch.setattr(sphere_grid.ProductTransform, "synthesis_values",
                             recorded)
-        diag = diagnose(state)
+        diag = self.diagnosed(coeffs, grid, w)
         monkeypatch.undo()
         assert 10.0 * diag.t_eps >= np.pi - 0.2
-        rows, parts = state.coeffs.values.shape
+        rows, parts = coeffs.values.shape
         assert passes == [(tr, (rows, 4, parts))]
         assert len(tr._plm) <= 1
         assert grid.transform._plm == []
-        vals, grad = gradient_magnitude(state.coeffs, tr.synthesis_values,
+        vals, grad = gradient_magnitude(coeffs, tr.synthesis_values,
                                         tr.t[:, None], values=True)
-        assert np.array_equal(vals, tr.synthesis_values(state.coeffs))
+        assert np.array_equal(vals, tr.synthesis_values(coeffs))
         assert len(tr._plm) == grid.band_limit + 1
         assert np.array_equal(grad, gradient_magnitude(
-            state.coeffs, tr.synthesis_values, tr.t[:, None]))
+            coeffs, tr.synthesis_values, tr.t[:, None]))
         assert diag.lambda_eps >= np.max(vals)
 
     def test_wide_profile_stays_on_the_sphere(self):
@@ -665,8 +647,7 @@ class TestDiagnose:
         grid = build_grid(33, 66)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         wide = random_band_limited_batch(grid, np.random.default_rng(4), 1)
-        diag = diagnose(self.unsolved(SHCoefficients(wide.values[:, 0]), grid,
-                                      w))
+        diag = self.diagnosed(SHCoefficients(wide.values[:, 0]), grid, w)
         assert 5.0 * diag.t_eps > np.pi
         r = diag.profile_radii
         assert r.size > 0 and np.all(np.diff(r) >= 0.0)
@@ -684,8 +665,7 @@ class TestDiagnose:
         grid = build_grid(33, 66)
         spiky = grid.transform.analysis_coeffs(  # 6 x2 + 2 x3
             6.0 * grid.nodes[..., 1] + 2.0 * grid.nodes[..., 2])
-        diag = diagnose(self.unsolved(spiky, grid,
-                                      SingularWeight.from_orders(orders)))
+        diag = self.diagnosed(spiky, grid, SingularWeight.from_orders(orders))
         assert not diag.compact_case and diag.center[1] > 0.9
         r = diag.profile_radii
         assert r.size > 1 and np.all(np.diff(r) >= 0.0)
@@ -701,13 +681,12 @@ class TestDiagnose:
         from sol_lab.sphere_grid import ring_points
         grid = build_grid(33, 66)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        state = self.unsolved(grid.transform.analysis_coeffs(
-            6.0 * grid.t[:, None] - 3.0), grid, w)
-        diag = diagnose(state)
+        coeffs = grid.transform.analysis_coeffs(6.0 * grid.t[:, None] - 3.0)
+        diag = self.diagnosed(coeffs, grid, w)
         assert diag.t_eps == pytest.approx(np.exp(-3.0))
         tr = integrator_for(grid, w).transform
         nodes = ring_points(tr.t, tr.phi)
-        u = np.broadcast_to(tr.synthesis_values(state.coeffs),
+        u = np.broadcast_to(tr.synthesis_values(coeffs),
                             nodes.shape[:-1])
         d = np.arccos(np.clip(nodes @ diag.center, -1.0, 1.0))
         near = d <= 5.0 * diag.t_eps
@@ -736,7 +715,7 @@ class TestDiagnose:
         for coeffs in (zero(grid),
                        grid.transform.analysis_coeffs(6.0 * grid.t[:, None]
                                                       - 3.0)):
-            diag = diagnose(self.unsolved(coeffs, grid, w))
+            diag = self.diagnosed(coeffs, grid, w)
             assert calls == []
         assert 10.0 * diag.t_eps < np.pi - 0.2  # the spiky state has a cap
 
@@ -770,12 +749,11 @@ class TestDiagnose:
 
     def test_cap_density_integral_constant(self, grid64):
         """Against the closed form for h = 1, u = const."""
-        params = FunctionalParams(rho=8.0 * np.pi - 1.0,
-                                  weight=SingularWeight())
-        state = minimize(params, zero(grid64), grid64, **QUICK)
+        w = SingularWeight()
+        state = minimize(zero(grid64), grid64, w, 8.0 * np.pi - 1.0, **QUICK)
         center = np.array([0.0, 0.3, np.sqrt(1.0 - 0.09)])
         for r in (0.3, 1.0):
-            val = cap_density_integral(state, center, r)
+            val = cap_density_integral(state.coeffs, grid64, w, center, r)
             # u = -log(4 pi): the density is 1/(4 pi), mass = cap area frac
             assert val == pytest.approx((1.0 - np.cos(r)) / 2.0, rel=1e-6)
 
@@ -787,32 +765,31 @@ class TestDiagnose:
         1 - <p, x> rounds to 0 unless it is taken as 2 sin^2(r/2).
         """
         w = SingularWeight.from_orders([(NORTH, alpha)])
-        state = self.unsolved(SHCoefficients.zeros(grid16.band_limit),
-                              grid16, w)
+        coeffs = SHCoefficients.zeros(grid16.band_limit)
         for r in (1e-3, 0.3, 1.0):
             exact = (2.0 * np.pi * (np.e / 2.0) ** alpha
                      * (2.0 * np.sin(0.5 * r) ** 2) ** (1.0 + alpha)
                      / (1.0 + alpha))
-            val = cap_density_integral(state, np.array(NORTH), r)
+            val = cap_density_integral(coeffs, grid16, w, np.array(NORTH), r)
             assert val == pytest.approx(exact, rel=1e-12)
 
     @staticmethod
-    def rough_zonal_state(band_limit, alpha):
-        """A seeded zonal column, coefficients N(0, 1) / (1 + l), under
-        one point of this order at the north pole."""
+    def rough_zonal_field(band_limit, alpha):
+        """(coefficients, grid, weight): a seeded zonal column,
+        coefficients N(0, 1) / (1 + l), under one point of this order at
+        the north pole."""
         grid = build_grid(band_limit + 1, 2 * band_limit + 2)
         l = np.arange(band_limit + 1)
         rng = np.random.default_rng(band_limit)
         coeffs = SHCoefficients((rng.normal(size=l.size) / (1.0 + l))[:, None])
-        return TestDiagnose.unsolved(
-            coeffs, grid, SingularWeight.from_orders([(NORTH, alpha)]))
+        return coeffs, grid, SingularWeight.from_orders([(NORTH, alpha)])
 
     def test_cap_mass_builds_no_large_jacobi_rule(self, monkeypatch):
         """At L = 1024, order -1/4 and R = 0.76 the cap mass takes 31
         panels of 32 radial nodes; it asks ``gauss_jacobi`` for no rule of
         b != 0 above CAP_RADIAL_NODES nodes (one of 794 nodes, a dense
         eigensolve, when it took max(48, floor(R L) + 16) radii)."""
-        state = self.rough_zonal_state(1024, -0.25)
+        field = self.rough_zonal_field(1024, -0.25)
         calls = []
 
         def spy(n, b=0.0):
@@ -820,7 +797,7 @@ class TestDiagnose:
             return sphere_grid.gauss_jacobi(n, b)
 
         monkeypatch.setattr(mt_functional, "gauss_jacobi", spy)
-        assert np.isfinite(cap_density_integral(state, np.array(NORTH), 0.76))
+        assert np.isfinite(cap_density_integral(*field, np.array(NORTH), 0.76))
         assert calls
         assert all(n <= CAP_RADIAL_NODES for n, b in calls if b != 0.0)
 
@@ -831,48 +808,48 @@ class TestDiagnose:
         to 1e-11 relative at R = 0.1, 0.5 and 1 (at most 1.3e-12 seen;
         one Gauss-Jacobi rule of max(48, floor(R L) + 16) radii read up
         to 7.5e-12 off)."""
-        state = self.rough_zonal_state(band_limit, alpha)
+        field = self.rough_zonal_field(band_limit, alpha)
         radii = (0.1, 0.5, 1.0)
-        mass = [cap_density_integral(state, np.array(NORTH), r)
+        mass = [cap_density_integral(*field, np.array(NORTH), r)
                 for r in radii]
         monkeypatch.setattr(subcritical_solver, "cap_radial_nodes",
                             lambda L, R: 4 * cap_radial_nodes(L, R))
-        finer = [cap_density_integral(state, np.array(NORTH), r)
+        finer = [cap_density_integral(*field, np.array(NORTH), r)
                  for r in radii]
         assert mass == pytest.approx(finer, rel=1e-11)
 
     @staticmethod
-    def rms_state(band_limit, w):
-        """The seed-0 field of ``sample_gaps``, scaled to RMS 0.7, under w."""
+    def rms_field(band_limit, w):
+        """(coefficients, grid, weight): the seed-0 field of
+        ``sample_gaps``, scaled to RMS 0.7, under w."""
         grid = build_grid(band_limit + 1, 2 * band_limit + 2)
         v = random_band_limited_batch(grid, np.random.default_rng(0),
                                       1).values[:, 0]
         v *= 0.7 / np.sqrt(np.sum(v * v) / (4.0 * np.pi))
-        return TestDiagnose.unsolved(SHCoefficients(v), grid, w)
+        return SHCoefficients(v), grid, w
 
     @staticmethod
-    def polar_rule(state, center, radius, bearings):
+    def polar_rule(coeffs, grid, w, center, radius, bearings):
         """The cap mass on ``cap_density_integral``'s radii and
         ``bearings`` bearings about ``center``: u on the rings of one
         product transform about an axis point, else synthesized at each
         node."""
-        w = state.params.weight
-        panels = -(-cap_radial_nodes(state.grid.band_limit, radius)
+        panels = -(-cap_radial_nodes(grid.band_limit, radius)
                    // CAP_RADIAL_NODES)
         r, wr = radial_rule(np.linspace(0.0, radius, panels + 1),
                             CAP_RADIAL_NODES, 2.0 * w.beta(center) + 1.0)
         if on_axis(center):
-            rings = ProductTransform(state.grid.band_limit,
+            rings = ProductTransform(grid.band_limit,
                                      center[2] * np.cos(r), bearings)
             x = ring_points(rings.t, rings.phi)
-            u = rings.synthesis_values(state.coeffs.widened())
+            u = rings.synthesis_values(coeffs.widened())
         else:
             e1, e2, p = _orthonormal_frame(center)
             psi = 2.0 * np.pi * np.arange(bearings) / bearings
             x = (np.sin(r)[:, None, None] * (np.cos(psi)[:, None] * e1
                                              + np.sin(psi)[:, None] * e2)
                  + np.cos(r)[:, None, None] * p)
-            u = synthesis_at_points(state.coeffs, x)
+            u = synthesis_at_points(coeffs, x)
         log_h = w.log_weight(x, cap=(w.index_at(center), r[:, None]))
         return np.sum((wr * 2.0 * np.pi / bearings)[:, None]
                       * np.exp(log_h + u))
@@ -883,12 +860,12 @@ class TestDiagnose:
         agrees with its radial rule on 4 x the grid's longitudes to 1e-9
         relative (1.7e-15 at R = 0.5 and 8.2e-10 at R = 1 seen; 32
         bearings read 6.4e-4 and 5.3e-3 off)."""
-        state = self.rms_state(128, SingularWeight.from_orders(
+        coeffs, grid, w = self.rms_field(128, SingularWeight.from_orders(
             [(NORTH, -0.25)]))
         north = np.array(NORTH)
-        assert cap_density_integral(state, north, radius) == pytest.approx(
-            self.polar_rule(state, north, radius, 4 * state.grid.n_phi),
-            rel=1e-9)
+        assert cap_density_integral(coeffs, grid, w, north, radius) == \
+            pytest.approx(self.polar_rule(coeffs, grid, w, north, radius,
+                                          4 * grid.n_phi), rel=1e-9)
 
     @pytest.mark.parametrize("zonal", [True, False])
     def test_off_axis_cap_mass(self, zonal):
@@ -897,14 +874,13 @@ class TestDiagnose:
         and of a non-zonal state agree with a point rule of 8 x the grid's
         bearings to 1e-11 relative (3.4e-12 and 3.3e-14 seen)."""
         w = SingularWeight.from_orders([(SOUTH, -0.25)])
-        state = self.rms_state(64, w)
+        coeffs, grid, _ = self.rms_field(64, w)
         if zonal:
-            state = dataclasses.replace(
-                state, coeffs=self.rough_zonal_state(64, -0.25).coeffs)
+            coeffs = self.rough_zonal_field(64, -0.25)[0]
         center = normalized([0.3, 0.2, 0.9])
-        assert cap_density_integral(state, center, 0.5) == pytest.approx(
-            self.polar_rule(state, center, 0.5, 8 * state.grid.n_phi),
-            rel=1e-11)
+        assert cap_density_integral(coeffs, grid, w, center, 0.5) == \
+            pytest.approx(self.polar_rule(coeffs, grid, w, center, 0.5,
+                                          8 * grid.n_phi), rel=1e-11)
 
 
 class TestSweep:
@@ -929,8 +905,8 @@ class TestSweep:
         report = epsilon_sweep(w, grid64, (0.4, 0.2), **QUICK,
                                init_epsilon=0.01)
         rows = report.column("farfield_error")
-        assert rows == [diagnose(e.state).farfield_error
-                        for e in report.entries]
+        assert rows == [diagnose(e.state.coeffs, grid64, w, e.rho)
+                        .farfield_error for e in report.entries]
         assert all(np.isfinite(rows))
 
     def test_regular_sweep_stays_bounded(self, grid64):
@@ -969,38 +945,34 @@ class TestSweep:
 class TestGradientExponent:
     def test_annulus_guard(self, grid64):
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
-        state = minimize(params, zero(grid64), grid64, **QUICK)
+        state = minimize(zero(grid64), grid64, w, w.rho_bar - 0.5, **QUICK)
         with pytest.raises(InsufficientAnnulusError):
-            gradient_singularity_exponent(state, NORTH)
+            gradient_singularity_exponent(state.coeffs, grid64, w, NORTH)
 
     def test_off_axis_point_refused(self, grid192):
         """The annulus is built about +-e3: a point off the axis, where no
         solved state's weight has one, is refused."""
         p = (np.sin(0.3), 0.0, np.cos(0.3))
-        state = TestDiagnose.unsolved(zero(grid192), grid192,
-                                      SingularWeight.from_orders([(p, -0.5)]))
+        w = SingularWeight.from_orders([(p, -0.5)])
         with pytest.raises(ValueError, match="on the axis"):
-            gradient_singularity_exponent(state, p)
+            gradient_singularity_exponent(zero(grid192), grid192, w, p)
 
     def test_positive_order_rejected(self, grid192, monkeypatch):
         w = SingularWeight.from_orders([(NORTH, 0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         monkeypatch.setattr(subcritical_solver, "TOL_FACTOR", 1e-4)
-        state = minimize(params, zero(grid192), grid192,
+        state = minimize(zero(grid192), grid192, w, w.rho_bar - 0.5,
                          max_iterations=1500)
         with pytest.raises(ValueError):
-            gradient_singularity_exponent(state, NORTH)
+            gradient_singularity_exponent(state.coeffs, grid192, w, NORTH)
 
     def test_mild_order_bounded_gradient(self, grid192, monkeypatch):
         """alpha = -1/4: 2 alpha + 1 > 0, the gradient stays bounded and the
         fitted slope is far from the singular range."""
         w = SingularWeight.from_orders([(NORTH, -0.25)])
-        params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         monkeypatch.setattr(subcritical_solver, "TOL_FACTOR", 1e-5)
-        state = minimize(params, zero(grid192), grid192,
+        state = minimize(zero(grid192), grid192, w, w.rho_bar - 0.5,
                          max_iterations=2000)
-        fit = gradient_singularity_exponent(state, NORTH)
+        fit = gradient_singularity_exponent(state.coeffs, grid192, w, NORTH)
         assert fit["slope"] >= -0.05
         assert fit["bound"] == 0.0
 
@@ -1012,21 +984,19 @@ class TestGradientExponent:
                "window; the window is unreachable at desk-scale band limits")
     def test_strong_order_window(self, grid192, monkeypatch):
         w = SingularWeight.from_orders([(NORTH, -0.75)])
-        params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         monkeypatch.setattr(subcritical_solver, "TOL_FACTOR", 1e-5)
-        state = minimize(params, zero(grid192), grid192,
+        state = minimize(zero(grid192), grid192, w, w.rho_bar - 0.5,
                          max_iterations=2000)
-        fit = gradient_singularity_exponent(state, NORTH)
+        fit = gradient_singularity_exponent(state.coeffs, grid192, w, NORTH)
         assert fit["bound"] == pytest.approx(-0.5)
         assert fit["bound"] - 0.2 <= fit["slope"] <= 0.0
 
     def test_log_order_reported(self, grid192, monkeypatch):
         """alpha = -1/2 carries a log factor; record the fit, no assertion."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
-        params = FunctionalParams(rho=w.rho_bar - 0.5, weight=w)
         monkeypatch.setattr(subcritical_solver, "TOL_FACTOR", 1e-5)
-        state = minimize(params, zero(grid192), grid192,
+        state = minimize(zero(grid192), grid192, w, w.rho_bar - 0.5,
                          max_iterations=2000)
-        fit = gradient_singularity_exponent(state, NORTH)
+        fit = gradient_singularity_exponent(state.coeffs, grid192, w, NORTH)
         assert np.isfinite(fit["slope"])
         assert fit["bound"] == 0.0

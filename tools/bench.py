@@ -15,10 +15,10 @@ J(1e-4) of a 25-digit mpmath oracle) write their seed-0 configs and run
 their op through ``sol_lab.cli.main`` as perfbench's worker does.
 ``cap-mass`` is ``diagnose``'s cap mass alone,
 ``subcritical_solver.cap_density_integral`` of radius 1 about a point of
-order -1/4 at the north pole, on a seeded zonal state at L = 1024
+order -1/4 at the north pole, on a seeded zonal field at L = 1024
 (coefficients N(0, 1) / (1 + l)) built before its ops, checked against
 the mass on 4 and on 8 times its radial panels.  ``cap-mass-full`` is the
-same cap mass on a non-zonal state at L = 256, the seed-0 field of
+same cap mass on a non-zonal field at L = 256, the seed-0 field of
 ``mt_functional.sample_gaps`` scaled to RMS 0.7, checked against its mass
 on 4 times the grid's longitudes.  The ``log-integral-*`` workloads are
 the stages of the ``evaluate`` workload's stacked log integral
@@ -140,12 +140,10 @@ def cap_mass(workload: str):
     time, failure reason or None): the mass must lie within its relative
     error of its value in ``CAP_MASS``."""
     import numpy as np
-    from sol_lab.mt_functional import FunctionalParams
     from sol_lab.singular_geometry import SingularWeight
     from sol_lab.sphere_grid import (SHCoefficients, build_grid,
                                      random_band_limited_batch)
-    from sol_lab.subcritical_solver import (MinimizerState,
-                                            cap_density_integral)
+    from sol_lab.subcritical_solver import cap_density_integral
 
     want, tolerance = CAP_MASS[workload]
     full = workload == "cap-mass-full"
@@ -159,15 +157,12 @@ def cap_mass(workload: str):
         l = np.arange(L + 1)
         coeffs = (np.random.default_rng(0).normal(size=l.size)
                   / (1.0 + l))[:, None]
+    coeffs = SHCoefficients(coeffs)
     w = SingularWeight.from_orders([(north, -0.25)])
-    state = MinimizerState(
-        coeffs=SHCoefficients(coeffs), grid=grid,
-        params=FunctionalParams(rho=w.rho_bar - 0.5, weight=w), J=0.0,
-        residual_norm=0.0, iterations=0, converged=True)
 
     def op():
         t = time.perf_counter()
-        mass = cap_density_integral(state, north, 1.0)
+        mass = cap_density_integral(coeffs, grid, w, north, 1.0)
         wall = time.perf_counter() - t
         err = abs(mass - want) / want
         return wall, None if err <= tolerance else (
