@@ -281,7 +281,7 @@ def _rule_errors(config) -> list:
     functions a weight the radial J cannot evaluate, a singular
     test-function point or an epsilon too large for its point."""
     import numpy as np
-    from .closed_forms import ConcentrationParams, radial_faults
+    from .closed_forms import concentration_scales, radial_faults
     from .identity_checks import RegimeError, _axis_orders
     from .singular_geometry import coincident_points
     from .sphere_grid import build_grid, normalized
@@ -329,7 +329,7 @@ def _rule_errors(config) -> list:
                          "positive; it must not be a singular point"]
     for path, epsilon in seeds:
         try:
-            ConcentrationParams(epsilon=epsilon, weight=w, p=p)
+            concentration_scales(w, epsilon, p)
         except ValueError as exc:
             errors.append(f"{path}: {exc}")
     return errors
@@ -445,16 +445,14 @@ INVARIANCE_TOL = 1.0e-3  # |J(u_{lambda,c}) - J(u_{1,0})|
 
 
 def _run_verify_extremal(config, _w, grid, report):
-    from .closed_forms import ExtremalParams, extremal_u, extremal_weight
+    from .closed_forms import extremal_u, extremal_weight
     from .identity_checks import sphere_sharp_constant
     from .mt_functional import eval_J
 
     alpha = config["experiment"]["alpha"]
     w = extremal_weight(alpha)
-    J_10, J_lc = (eval_J(extremal_u(p, grid), grid, w, w.rho_bar)
-                  for p in (ExtremalParams(alpha=alpha),
-                            ExtremalParams(lam=EXTREMAL_LAMBDA, c=EXTREMAL_C,
-                                           alpha=alpha)))
+    J_10, J_lc = (eval_J(extremal_u(grid, alpha, *lc), grid, w, w.rho_bar)
+                  for lc in ((), (EXTREMAL_LAMBDA, EXTREMAL_C)))
     exact = sphere_sharp_constant(alpha, alpha, antipodal=True).inf_J
     report["summary"] = {"alpha": alpha, "J_extremal": J_10,
                          "J_shifted": J_lc, "closed_form": exact}

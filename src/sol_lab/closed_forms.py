@@ -9,7 +9,7 @@ here is zonal, so the chart enters only through |y|^2 (``_chart``).
 
 With two antipodal singularities of equal order alpha < 0 on the axis of
 projection, the critical points of the functional at the critical parameter
-are the two-parameter family
+are the two-parameter family (``extremal_value(x, alpha, lam, c)``)
 
     u_{lambda,c}(pi^{-1}(y)) = 2 log( (1+|y|^2)^{1+alpha}
                                       / (1 + lambda |y|^{2(1+alpha)}) ) + c.
@@ -20,15 +20,15 @@ with unit weighted mass.
 
 The test functions used for upper bounds glue a truncated bubble profile
 inside a shrinking cap of radius r_eps onto the Green's-function far field;
-the matching constant makes the two branches agree exactly at r_eps.  For
+the matching constant makes the two branches agree exactly at r_eps.  Each
+is a function of (weight, epsilon, p), the concentration point p of minimal
+order; ``concentration_scales`` refuses what the family cannot take.  For
 axisymmetric weights every functional term reduces to 1-d radial integrals,
 which is how the sweep evaluates J on them (the profiles are far below any
 practical grid resolution).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,43 +69,33 @@ def _chart(dot):
 # extremal family
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExtremalParams:
-    """Parameters of the critical family for the equal pair at +-e3."""
-
-    lam: float = 1.0
-    c: float = 0.0
-    alpha: float = -0.5
-
-    def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("lambda must be positive")
-        if not (-1.0 < self.alpha < 0.0):
-            raise ValueError("alpha must lie in (-1, 0)")
-
-
-def extremal_value(params: ExtremalParams, x) -> np.ndarray:
-    """Pointwise u_{lambda,c}; finite at both poles +-e3."""
+def extremal_value(x, alpha: float, lam: float = 1.0,
+                   c: float = 0.0) -> np.ndarray:
+    """Pointwise u_{lambda,c} of the equal pair of order alpha at +-e3;
+    finite at both poles."""
+    if lam <= 0.0:
+        raise ValueError("lambda must be positive")
+    if not (-1.0 < alpha < 0.0):
+        raise ValueError("alpha must lie in (-1, 0)")
     dot = np.asarray(x, dtype=float)[..., 2]
-    a = params.alpha
     at_pole = dot > 1.0 - 1.0e-15
     safe = np.where(at_pole, 0.0, dot)
     with np.errstate(divide="ignore"):
         # log1p(-1) = -inf at the antipode flows to the right limit
         log_y2, log_1py2 = _chart(safe)
-    val = (2.0 * (1.0 + a) * log_1py2
-           - 2.0 * np.logaddexp(0.0, np.log(params.lam) + (1.0 + a) * log_y2)
-           + params.c)
-    limit = params.c - 2.0 * np.log(params.lam)
-    out = np.where(at_pole, limit, val)
+    val = (2.0 * (1.0 + alpha) * log_1py2
+           - 2.0 * np.logaddexp(0.0, np.log(lam) + (1.0 + alpha) * log_y2)
+           + c)
+    out = np.where(at_pole, c - 2.0 * np.log(lam), val)
     return float(out) if out.ndim == 0 else out
 
 
-def extremal_u(params: ExtremalParams, grid: SphereGrid) -> SHCoefficients:
+def extremal_u(grid: SphereGrid, alpha: float, lam: float = 1.0,
+               c: float = 0.0) -> SHCoefficients:
     """Coefficients of u_{lambda,c} sampled on the grid's first longitude:
     zonal."""
-    return grid.transform.analysis_coeffs(
-        extremal_value(params, ring_points(grid.t, grid.phi[:1])))
+    return grid.transform.analysis_coeffs(extremal_value(
+        ring_points(grid.t, grid.phi[:1]), alpha, lam, c))
 
 
 def extremal_weight(alpha: float) -> SingularWeight:
@@ -228,58 +218,41 @@ def log_one_plus_s_integral() -> float:
 # concentrating test functions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConcentrationParams:
-    """Concentration family at a minimal-order point p of the weight.
+def concentration_scales(weight: SingularWeight, epsilon: float, p):
+    """(gamma_eps, r_eps, C_eps) of the concentration family at a
+    minimal-order point p of the weight.
 
     gamma_eps = (-log eps)^{1/(2(1+alpha))} satisfies all the matching
     conditions; r_eps = gamma_eps eps^{1/(2(1+alpha))} is the cap radius,
     below pi / 8 and at least R_EPS_MIN, where 2 sin^2(r/2) at its edge is
     a normal double (at alpha = -0.99 J is inf at r_eps = 7.7e-157).
     """
-
-    epsilon: float
-    weight: SingularWeight
-    p: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
-        self.p = normalized(self.p)
-        if self.weight.beta(self.p) != self.weight.alpha:
-            raise ValueError(
-                "test functions concentrate at a point of minimal order")
-        if 2.0 * self.r_eps >= np.pi / 4.0:
-            raise ValueError("epsilon too large: cap exceeds the safe scale")
-        if not self.r_eps >= R_EPS_MIN:
-            raise ValueError(f"epsilon too small: the cap radius r_eps = "
-                             f"{self.r_eps:.3g} lies below {R_EPS_MIN:.3g}")
-        for sp in self.weight.points:
-            if not same_point(self.p, sp.position) and \
-                    geodesic_distance(self.p, sp.position) <= 2.0 * self.r_eps:
-                raise ValueError("epsilon too large: cap reaches another "
-                                 "singular point")
-
-    @property
-    def alpha(self) -> float:
-        return self.weight.alpha
-
-    @property
-    def gamma_eps(self) -> float:
-        return (-np.log(self.epsilon)) ** (1.0 / (2.0 * (1.0 + self.alpha)))
-
-    @property
-    def r_eps(self) -> float:
-        # eps^{1/(2(1+alpha))} is 0 wherever gamma_eps overflows (order
-        # -0.999 at eps = 1e-2), and so is r_eps
-        scale = self.epsilon ** (1.0 / (2.0 * (1.0 + self.alpha)))
-        return self.gamma_eps * scale if scale else 0.0
-
-    @property
-    def C_eps(self) -> float:
-        g2 = self.gamma_eps ** (2.0 * (1.0 + self.alpha))
-        rho_bar = self.weight.rho_bar
-        return -2.0 * np.log1p(1.0 / g2) - rho_bar * REGULAR_PART
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie in (0, 1)")
+    p = normalized(p)
+    alpha = weight.alpha
+    if weight.beta(p) != alpha:
+        raise ValueError(
+            "test functions concentrate at a point of minimal order")
+    k = 1.0 / (2.0 * (1.0 + alpha))
+    scale = epsilon ** k
+    # eps^k is 0 wherever gamma_eps = (-log eps)^k overflows (order -0.999
+    # at eps = 1e-2), and so is r_eps
+    gamma_eps = (-np.log(epsilon)) ** k if scale else np.inf
+    r_eps = gamma_eps * scale if scale else 0.0
+    if 2.0 * r_eps >= np.pi / 4.0:
+        raise ValueError("epsilon too large: cap exceeds the safe scale")
+    if not r_eps >= R_EPS_MIN:
+        raise ValueError(f"epsilon too small: the cap radius r_eps = "
+                         f"{r_eps:.3g} lies below {R_EPS_MIN:.3g}")
+    for sp in weight.points:
+        if not same_point(p, sp.position) and \
+                geodesic_distance(p, sp.position) <= 2.0 * r_eps:
+            raise ValueError("epsilon too large: cap reaches another "
+                             "singular point")
+    g2 = gamma_eps ** (2.0 * (1.0 + alpha))
+    C_eps = -2.0 * np.log1p(1.0 / g2) - weight.rho_bar * REGULAR_PART
+    return gamma_eps, r_eps, C_eps
 
 
 def _cutoff_eta(r: np.ndarray, r_eps: float) -> np.ndarray:
@@ -303,13 +276,10 @@ def _bubble(u, eps):
     return -2.0 * np.log(eps + u) + np.log(eps)
 
 
-def concentration_profile(params: ConcentrationParams):
+def concentration_profile(weight: SingularWeight, epsilon: float, p):
     """Radial profile phi_eps(r) (r = distance to the concentration point)."""
-    a = params.alpha
-    eps = params.epsilon
-    r_eps = params.r_eps
-    rho_bar = params.weight.rho_bar
-    c_eps = params.C_eps
+    a, eps, rho_bar = weight.alpha, epsilon, weight.rho_bar
+    _, r_eps, c_eps = concentration_scales(weight, epsilon, p)
 
     def profile(r):
         r = np.asarray(r, dtype=float)
@@ -324,13 +294,14 @@ def concentration_profile(params: ConcentrationParams):
     return profile
 
 
-def concentration_field(params: ConcentrationParams,
-                        grid: SphereGrid) -> SHCoefficients:
+def concentration_field(grid: SphereGrid, weight: SingularWeight,
+                        epsilon: float, p) -> SHCoefficients:
     """Coefficients of the two-branch concentration field sampled on the
     grid: zonal when p is +-e3."""
-    profile = concentration_profile(params)
-    phi = grid.phi[:1] if on_axis(params.p) else grid.phi
-    d = geodesic_distance(params.p, ring_points(grid.t, phi))
+    profile = concentration_profile(weight, epsilon, p)
+    p = normalized(p)
+    phi = grid.phi[:1] if on_axis(p) else grid.phi
+    d = geodesic_distance(p, ring_points(grid.t, phi))
     return grid.transform.analysis_coeffs(profile(d))
 
 
@@ -348,7 +319,8 @@ def radial_faults(w: SingularWeight, p) -> list[tuple[str, str]]:
         if not (same_point(p, sp.position) or antipodal(p, sp.position))]
 
 
-def concentration_functional(params: ConcentrationParams) -> dict:
+def concentration_functional(weight: SingularWeight, epsilon: float,
+                             p) -> dict:
     """J_{rho_bar}(phi_eps) by 1-d radial quadrature (axisymmetric weights,
     ``radial_faults``) on ``mt_functional.radial_rule`` panels, far beyond
     grid resolution.  The cap is integrated in u = r^{2(1+alpha)}, where
@@ -358,18 +330,15 @@ def concentration_functional(params: ConcentrationParams) -> dict:
     oracle to 1e-14 relative (alpha = -0.9, -1/2 and -1/4 at eps = 1e-2,
     1e-4 and 1e-6; antipodal pairs).
     """
-    w = params.weight
-    a = params.alpha
-    eps = params.epsilon
-    r_eps = params.r_eps
-    rho_bar = w.rho_bar
-    p = params.p
-    faults = radial_faults(w, p)
+    a, eps, rho_bar = weight.alpha, epsilon, weight.rho_bar
+    gamma_eps, r_eps, c_eps = concentration_scales(weight, eps, p)
+    p = normalized(p)
+    faults = radial_faults(weight, p)
     if faults:
         raise ValueError("; ".join(f"{key}: {why}" for key, why in faults))
 
-    profile = concentration_profile(params)
-    far_order = sum(sp.order for sp in w.points
+    profile = concentration_profile(weight, eps, p)
+    far_order = sum(sp.order for sp in weight.points
                     if not same_point(p, sp.position))
     p2a = 2.0 * (1.0 + a)
     shift = -np.log(eps)  # phi_eps(0) = -log eps is the peak scale
@@ -406,9 +375,11 @@ def concentration_functional(params: ConcentrationParams) -> dict:
     def sinc(r):
         return np.sinc(r / np.pi)
 
-    # in the cap sin r dr = sinc(r) r^2 du / (p2a u), with r^{p2a} = u
+    # in the cap sin r dr = sinc(r) r^2 du / (p2a u), with r^{p2a} = u;
+    # dividing by eps + u twice, since its square underflows below about
+    # eps = 1.5e-154 (order -1e-3 admits eps = 1e-300)
     dirichlet = radial(
-        lambda u, r: 4.0 * p2a * u * sinc(r) / (eps + u) ** 2, 0.0,
+        lambda u, r: 4.0 * p2a * sinc(r) * (u / (eps + u)) / (eps + u), 0.0,
         lambda r: grad_outer(r) ** 2)
     mean = radial(
         lambda u, r: _bubble(u, eps) * sinc(r) * u ** (2.0 / p2a - 1.0) / p2a,
@@ -429,19 +400,16 @@ def concentration_functional(params: ConcentrationParams) -> dict:
         "exp_integral": np.exp(log_exp),
         "log_exp_integral": log_exp,
         "r_eps": r_eps,
-        "gamma_eps": params.gamma_eps,
-        "C_eps": params.C_eps,
+        "gamma_eps": gamma_eps,
+        "C_eps": c_eps,
     }
 
 
-def concentration_sweep(weight: SingularWeight, epsilons,
-                        p=(0.0, 0.0, 1.0)) -> list[dict]:
+def concentration_sweep(weight: SingularWeight, epsilons, p) -> list[dict]:
     """J(phi_eps) along a decreasing epsilon schedule (radial evaluation)."""
     out = []
     for eps in epsilons:
-        params = ConcentrationParams(epsilon=float(eps), weight=weight,
-                                     p=np.asarray(p, dtype=float))
-        rec = concentration_functional(params)
+        rec = concentration_functional(weight, float(eps), p)
         rec["epsilon"] = float(eps)
         out.append(rec)
     return out

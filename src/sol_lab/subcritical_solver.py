@@ -97,8 +97,7 @@ from .mt_functional import (
     hessian_product,
     integrator_for,
 )
-from .closed_forms import (ConcentrationParams, concentration_field,
-                           planar_bubble)
+from .closed_forms import concentration_field, planar_bubble
 
 
 class NonConvergedError(RuntimeError):
@@ -336,7 +335,13 @@ def diagnose(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
         w.minimal_points(),
         key=lambda sp: geodesic_distance(p_eps, sp.position)).position
 
-    t_eps = float(np.exp(-lam / (2.0 * (1.0 + alpha))))
+    # in float64 t_eps and t_eps^2 ubar read inf where they overflow, on
+    # compact states near order -1 (t_eps = 3.3e241 rad at order -0.99)
+    ubar = coeffs.mean
+    with np.errstate(over="ignore"):
+        t_eps = np.exp(-lam / (2.0 * (1.0 + alpha)))
+        mean_decay = float(t_eps**2 * ubar)
+    t_eps = float(t_eps)
     compact = lam < 1.0
     under_resolved = t_eps < 4.0 * np.pi / grid.band_limit
 
@@ -368,7 +373,6 @@ def diagnose(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
 
     # far field against the Green's function of the concentration point
     far = d >= 1.0
-    ubar = coeffs.mean
     farfield = float(np.max(np.abs(vals[far] - ubar
                                    - w.rho_bar * green_radial(d[far]))))
 
@@ -378,7 +382,7 @@ def diagnose(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
     return BlowupDiagnostics(
         lambda_eps=lam, p_eps=np.array(p_eps), center=np.array(center),
         t_eps=t_eps, cap_mass=cap_mass, profile_error=profile_err,
-        farfield_error=farfield, mean_decay=t_eps**2 * ubar,
+        farfield_error=farfield, mean_decay=mean_decay,
         grad_l15=grad_l15, compact_case=compact,
         under_resolved=under_resolved, profile_radii=radii, profile=profile)
 
@@ -457,9 +461,7 @@ def epsilon_sweep(weight: SingularWeight, grid: SphereGrid, epsilons, *,
         if current is None:
             if init_epsilon is not None and weight.alpha < 0.0:
                 p0 = weight.minimal_points()[0].position
-                tf = ConcentrationParams(epsilon=init_epsilon,
-                                         weight=weight, p=p0)
-                current = concentration_field(tf, grid)
+                current = concentration_field(grid, weight, init_epsilon, p0)
             else:
                 current = SHCoefficients(np.zeros((grid.band_limit + 1, 1)))
         state = minimize(current, grid, weight, rho,

@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from sol_lab.closed_forms import (
-    ConcentrationParams,
-    ExtremalParams,
     concentration_sweep,
     conformal_pullback,
     extremal_u,
@@ -88,13 +86,13 @@ def test_criterion_2_attained_minimum(grid128):
     for alpha in (-0.25, -0.5):
         w = extremal_weight(alpha)
         exact = 8.0 * np.pi * (1 + alpha) * (np.log1p(alpha) - alpha)
-        def J_of(extremal):
-            return eval_J(extremal_u(extremal, grid128), grid128, w,
+        def J_of(lam=1.0, c=0.0):
+            return eval_J(extremal_u(grid128, alpha, lam, c), grid128, w,
                           w.rho_bar)
 
-        J10 = J_of(ExtremalParams(alpha=alpha))
+        J10 = J_of()
         rel = abs(J10 - exact) / abs(exact)
-        inv = max(abs(J_of(ExtremalParams(lam=lam, c=c, alpha=alpha)) - J10)
+        inv = max(abs(J_of(lam, c) - J10)
                   for lam, c in ((2.0, 3.0), (0.5, -1.0)))
         ok = ok and rel < 0.005 and inv < 1e-3
         lines.append(f"alpha={alpha}: rel {rel:.2e} < 0.5%, "
@@ -206,7 +204,7 @@ def test_criterion_7_planar_bubble():
 
 def test_criterion_8_upper_bound():
     w = SingularWeight.from_orders([(NORTH, -0.5)])
-    records = concentration_sweep(w, [1e-2, 1e-3, 1e-4])
+    records = concentration_sweep(w, [1e-2, 1e-3, 1e-4], NORTH)
     Js = [r["J"] for r in records]
     target = blowup_infimum(w).inf_J
     decreasing = Js[0] > Js[1] > Js[2]

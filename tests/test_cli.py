@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import sol_lab
 from sol_lab.cli import KINDS, _experiment_schema, main, run, validate
+from sol_lab.singular_geometry import SingularWeight
 
 
 def config_text(**overrides):
@@ -221,7 +222,6 @@ class TestRun:
         a south-pole sweep has the profile of its mirror image at the north
         pole."""
         from sol_lab.mt_functional import integrator_for
-        from sol_lab.singular_geometry import SingularWeight
         from sol_lab.sphere_grid import build_grid
         from sol_lab.subcritical_solver import epsilon_sweep
 
@@ -663,7 +663,7 @@ BAD_CONFIGS = {
 # valid configs whose run a rule of the program refuses: a weight no
 # rotation puts on the axis, for a kind that integrates it (axis_frame),
 # and a test function's epsilon too large for its point
-# (ConcentrationParams); (kind, config fields, expected error)
+# (closed_forms.concentration_scales); (kind, config fields, expected error)
 NO_AXIS_FRAME = ("weight.points: no rotation puts these 2 singular points "
                  "on the axis")
 BAD_BY_RULE = {
@@ -1292,8 +1292,9 @@ CONTRACT = {
 
 # the weights every kind runs on at 17 x 34 in ``test_no_exception_escapes``:
 # no point (Onofri's sphere), a constant K, an order whose blow-up value
-# is 0 and one near -1, a positive order on the axis and off it, and the
-# two antipodal pairs; verify-extremal runs on its own pair, with no weight
+# is 0 and one near -1, a positive order on the axis and off it, the two
+# antipodal pairs and a pair whose compact states have t_eps = 3.3e241 rad;
+# verify-extremal runs on its own pair, with no weight
 ESCAPE_WEIGHTS = {
     "no-point": {"points": []},
     "K-1": {"points": [], "K": {"base": 1}},
@@ -1306,22 +1307,46 @@ ESCAPE_WEIGHTS = {
                               {"position": [0, 0, -1], "order": -0.5}]},
     "mixed-pair": {"points": [{"position": [0, 0, 1], "order": -0.5},
                               {"position": [0, 0, -1], "order": 0.3}]},
+    "pair-0.99-5": {"points": [{"position": [0, 0, 1], "order": -0.99},
+                               {"position": [0, 0, -1], "order": 5}]},
 }
+
+
+def _scaled_experiments(weight):
+    """The solving kinds at epsilons scaled to the weight's rho_bar, which
+    the defaults exceed near order -1: minimize and kw-check at rho_bar / 3,
+    sweep at rho_bar (1/2, 1/4, 1/8) from zero."""
+    rho_bar = SingularWeight.from_orders(
+        [(p["position"], p["order"]) for p in weight["points"]]).rho_bar
+    return {
+        "minimize": {"kind": "minimize", "epsilon": rho_bar / 3.0},
+        "kw-check": {"kind": "kw-check", "epsilon": rho_bar / 3.0},
+        "sweep": {"kind": "sweep", "init": "zero",
+                  "epsilons": [rho_bar / 2.0, rho_bar / 4.0, rho_bar / 8.0]},
+    }
+
+
 ESCAPE_CASES = {
-    f"{kind}-{name}": (kind, weight) for kind in KINDS
-    for name, weight in (ESCAPE_WEIGHTS.items() if kind != "verify-extremal"
-                         else [("no-weight", {"points": []})])}
+    **{f"{kind}-{name}": (kind, weight, {"kind": kind}) for kind in KINDS
+       for name, weight in (ESCAPE_WEIGHTS.items()
+                            if kind != "verify-extremal"
+                            else [("no-weight", {"points": []})])},
+    **{f"{kind}-rho_bar-scaled-{name}": (kind, weight, experiment)
+       for name, weight in ESCAPE_WEIGHTS.items()
+       for kind, experiment in _scaled_experiments(weight).items()}}
 
 
-@pytest.mark.parametrize("kind, weight", ESCAPE_CASES.values(),
+@pytest.mark.parametrize("kind, weight, experiment", ESCAPE_CASES.values(),
                          ids=ESCAPE_CASES.keys())
-def test_no_exception_escapes(kind, weight, tmp_path, capsys):
-    """Every kind on every weight of ESCAPE_WEIGHTS returns an exit code
-    of ``main`` and raises nothing (no floating-point warning either), and
-    a run that reaches its checks (exit 0 or 1) writes its report."""
+def test_no_exception_escapes(kind, weight, experiment, tmp_path, capsys):
+    """Every kind on every weight of ESCAPE_WEIGHTS, with its default
+    experiment and, for the solving kinds, at epsilons scaled to rho_bar,
+    returns an exit code of ``main`` and raises nothing (no floating-point
+    warning either), and a run that reaches its checks (exit 0 or 1)
+    writes its report."""
     cfg, out = tmp_path / "c.json", tmp_path / "r.json"
     cfg.write_text(config_text(grid={"n_theta": 17, "n_phi": 34},
-                               weight=weight, experiment={"kind": kind}))
+                               weight=weight, experiment=experiment))
     code = main([kind, "--config", str(cfg), "--out", str(out)])
     assert code in (0, 1, 2, 3)
     assert out.exists() == (code in (0, 1))

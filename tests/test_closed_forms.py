@@ -12,7 +12,6 @@ import pytest
 import sol_lab
 from sol_lab import closed_forms
 from sol_lab.closed_forms import (
-    ExtremalParams,
     conformal_pullback,
     dilated_dot,
     extremal_u,
@@ -27,10 +26,10 @@ from sol_lab.closed_forms import (
 )
 from sol_lab.closed_forms import (
     R_EPS_MIN,
-    ConcentrationParams,
     concentration_field,
     concentration_functional,
     concentration_profile,
+    concentration_scales,
     concentration_sweep,
 )
 from sol_lab.mt_functional import eval_J
@@ -39,6 +38,15 @@ from sol_lab.sphere_grid import FOUR_PI
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
+
+
+def family_calls(grid):
+    """Each function of the concentration family as f(weight, epsilon, p):
+    all of them refuse through ``concentration_scales``."""
+    return (concentration_scales, concentration_profile,
+            lambda w, eps, p: concentration_field(grid, w, eps, p),
+            concentration_functional,
+            lambda w, eps, p: concentration_sweep(w, [eps], p))
 
 
 class TestStereographic:
@@ -56,39 +64,42 @@ class TestStereographic:
 
 class TestExtremalFamily:
     def test_value_at_projection_pole(self):
-        assert extremal_value(ExtremalParams(alpha=-0.5), NORTH) == 0.0
+        assert extremal_value(NORTH, -0.5) == 0.0
 
     def test_value_at_equator(self):
-        val = extremal_value(ExtremalParams(alpha=-0.5),
-                             np.array([1.0, 0.0, 0.0]))
+        val = extremal_value(np.array([1.0, 0.0, 0.0]), -0.5)
         assert val == pytest.approx(-np.log(2.0), rel=1e-12)
 
     def test_finite_at_antipode(self):
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val = extremal_value(ExtremalParams(lam=3.0, c=0.7, alpha=-0.5),
-                                 np.array([0.0, 0.0, -1.0]))
+            val = extremal_value(SOUTH, -0.5, lam=3.0, c=0.7)
         assert val == pytest.approx(0.7, rel=1e-12)  # u_{lam,c}(-axis) = c
 
     def test_lambda_c_shift_at_pole(self):
-        p = ExtremalParams(lam=3.0, c=1.2, alpha=-0.5)
-        assert extremal_value(p, NORTH) == pytest.approx(
+        assert extremal_value(NORTH, -0.5, lam=3.0, c=1.2) == pytest.approx(
             1.2 - 2.0 * np.log(3.0), rel=1e-12)
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ExtremalParams(lam=-1.0)
-        with pytest.raises(ValueError):
-            ExtremalParams(alpha=0.5)
+    def test_parameter_validation(self, grid16):
+        """extremal_value refuses lambda <= 0 and alpha outside (-1, 0),
+        and so does extremal_u, which samples it."""
+        for alpha, lam, message in (
+                (-0.5, -1.0, "^lambda must be positive$"),
+                (-0.5, 0.0, "^lambda must be positive$"),
+                (0.5, 1.0, r"^alpha must lie in \(-1, 0\)$")):
+            with pytest.raises(ValueError, match=message):
+                extremal_value(NORTH, alpha, lam)
+            with pytest.raises(ValueError, match=message):
+                extremal_u(grid16, alpha, lam)
 
     def test_functional_invariance(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)
         J_10, J_23 = (
-            eval_J(extremal_u(p, grid128), grid128, w, w.rho_bar)
-            for p in (ExtremalParams(alpha=alpha),
-                      ExtremalParams(lam=2.0, c=3.0, alpha=alpha)))
+            eval_J(u, grid128, w, w.rho_bar)
+            for u in (extremal_u(grid128, alpha),
+                      extremal_u(grid128, alpha, lam=2.0, c=3.0)))
         assert abs(J_23 - J_10) < 1e-3
 
     def test_closure_under_dilation(self, grid64, rng):
@@ -99,7 +110,7 @@ class TestExtremalFamily:
         xs = rng.normal(size=(50, 3))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         dot = xs[:, 2]
-        lhs = extremal_value(ExtremalParams(lam=lam, c=c, alpha=alpha), xs)
+        lhs = extremal_value(xs, alpha, lam, c)
         new_dot = dilated_dot(t, dot)
         moved = np.stack([
             np.sqrt(np.maximum(1 - new_dot**2, 0)) * xs[:, 0]
@@ -107,7 +118,7 @@ class TestExtremalFamily:
             np.sqrt(np.maximum(1 - new_dot**2, 0)) * xs[:, 1]
             / np.maximum(np.sqrt(1 - dot**2), 1e-300),
             new_dot], axis=-1)
-        rhs = (extremal_value(ExtremalParams(alpha=alpha), moved)
+        rhs = (extremal_value(moved, alpha)
                + (1 + alpha) * log_det_dilation(t, dot) + c - np.log(lam))
         assert np.abs(lhs - rhs).max() < 1e-8
 
@@ -136,7 +147,7 @@ class TestConformalPullback:
         ``axis``, an oracle that the pullback meets about -e3 at 1 / t:
         the dilation about -e3 by t is the one about +e3 by 1 / t."""
         from sol_lab import sphere_grid
-        u = extremal_u(ExtremalParams(alpha=-0.4), grid64)
+        u = extremal_u(grid64, -0.4)
         assert u.values.shape[-1] == 1
         orders = []
         table = sphere_grid.normalized_legendre
@@ -162,7 +173,7 @@ class TestConformalPullback:
     def test_extremal_invariance(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)
-        u = extremal_u(ExtremalParams(alpha=alpha), grid128)
+        u = extremal_u(grid128, alpha)
         pulled = conformal_pullback(u, grid128, 2.0, alpha)
         J_pulled, J_u = (eval_J(f, grid128, w, w.rho_bar) for f in (pulled, u))
         assert abs(J_pulled - J_u) < 1e-3
@@ -198,64 +209,72 @@ class TestPlanarBubble:
 class TestTestFunctions:
     def test_peak_value(self):
         w = SingularWeight.from_orders([(tuple(NORTH), -0.5)])
-        params = ConcentrationParams(epsilon=1e-3, weight=w)
-        profile = concentration_profile(params)
+        profile = concentration_profile(w, 1e-3, NORTH)
         assert profile(0.0) == pytest.approx(-np.log(1e-3), rel=1e-12)
 
     def test_branches_match_at_r_eps(self):
         w = SingularWeight.from_orders([(tuple(NORTH), -0.5)])
         for eps in (1e-2, 1e-3, 1e-4):
-            params = ConcentrationParams(epsilon=eps, weight=w)
-            profile = concentration_profile(params)
-            r = params.r_eps
+            profile = concentration_profile(w, eps, NORTH)
+            r = concentration_scales(w, eps, NORTH)[1]
             jump = profile(r * (1 - 1e-12)) - profile(r * (1 + 1e-12))
             assert abs(jump) < 1e-9
             # the matching error allowance stays far below the 0.05 budget
             assert abs(jump) < 0.05
 
-    def test_epsilon_guards(self):
+    def test_epsilon_guards(self, grid16):
+        """An epsilon outside (0, 1), a cap beyond the safe scale and one
+        that reaches another singular point are refused by every function
+        of the family."""
         w = SingularWeight.from_orders([(tuple(NORTH), -0.5)])
-        with pytest.raises(ValueError):
-            ConcentrationParams(epsilon=1.5, weight=w)
         w2 = SingularWeight.from_orders([(tuple(NORTH), -0.5),
                                          ((0.0, np.sin(0.25), np.cos(0.25)),
                                           0.5)])
-        with pytest.raises(ValueError):
-            ConcentrationParams(epsilon=0.2, weight=w2)
+        shallow = SingularWeight.from_orders([(tuple(NORTH), -0.1)])
+        for weight, eps, message in (
+                (w, 1.5, r"^epsilon must lie in \(0, 1\)$"),
+                (shallow, 0.3,
+                 "^epsilon too large: cap exceeds the safe scale$"),
+                (w2, 0.2, "^epsilon too large: cap reaches another "
+                 "singular point$")):
+            for call in family_calls(grid16):
+                with pytest.raises(ValueError, match=message):
+                    call(weight, eps, NORTH)
 
-    def test_epsilon_floor(self):
+    def test_epsilon_floor(self, grid16):
         """At order -0.99 an epsilon whose r_eps lies just above R_EPS_MIN
         (2.4e-154) gives a J self-converged to 1e-15 under doubled panel
         nodes, below J(1e-4); one just below it (1.9e-154), the
         underflowed r_eps of 1e-8 and the 1.1e-197 of 1e-5 (J = nan) are
         refused."""
         w = SingularWeight.from_orders([(tuple(NORTH), -0.99)])
-        above = ConcentrationParams(epsilon=9.1e-5, weight=w)
-        assert R_EPS_MIN <= above.r_eps <= 1.2 * R_EPS_MIN
-        J = concentration_functional(above)["J"]
+        r_eps = concentration_scales(w, 9.1e-5, NORTH)[1]
+        assert R_EPS_MIN <= r_eps <= 1.2 * R_EPS_MIN
+        J = concentration_functional(w, 9.1e-5, NORTH)["J"]
         with pytest.MonkeyPatch.context() as mpatch:
             mpatch.setattr(closed_forms, "_PANEL_NODES",
                            2 * closed_forms._PANEL_NODES)
             assert J == pytest.approx(
-                concentration_functional(above)["J"], rel=1e-15)
-        assert J < concentration_functional(
-            ConcentrationParams(epsilon=1e-4, weight=w))["J"]
+                concentration_functional(w, 9.1e-5, NORTH)["J"], rel=1e-15)
+        assert J < concentration_functional(w, 1e-4, NORTH)["J"]
         for eps in (9.05e-5, 1e-5, 1e-8):
-            with pytest.raises(ValueError, match="epsilon too small"):
-                ConcentrationParams(epsilon=eps, weight=w)
+            for call in family_calls(grid16):
+                with pytest.raises(ValueError, match="epsilon too small"):
+                    call(w, eps, NORTH)
 
-    def test_concentration_point_must_be_minimal(self):
+    def test_concentration_point_must_be_minimal(self, grid16):
         w = SingularWeight.from_orders([(tuple(NORTH), -0.5),
                                         (tuple(SOUTH), 0.25)])
-        with pytest.raises(ValueError):
-            ConcentrationParams(epsilon=1e-3, weight=w, p=SOUTH)
+        for call in family_calls(grid16):
+            with pytest.raises(ValueError, match="^test functions "
+                               "concentrate at a point of minimal order$"):
+                call(w, 1e-3, SOUTH)
 
     def test_sampled_field_matches_profile(self, grid64):
         w = SingularWeight.from_orders([(tuple(NORTH), -0.5)])
-        params = ConcentrationParams(epsilon=1e-2, weight=w)
-        field = concentration_field(params, grid64)
+        field = concentration_field(grid64, w, 1e-2, NORTH)
         assert field.values.shape[-1] == 1  # p on the axis: a zonal column
-        profile = concentration_profile(params)
+        profile = concentration_profile(w, 1e-2, NORTH)
         d = np.arccos(np.clip(grid64.nodes @ NORTH, -1, 1))
         want = grid64.transform.analysis_coeffs(profile(d)).values
         assert np.abs(field.widened().values - want).max() < 1e-12
@@ -263,7 +282,7 @@ class TestTestFunctions:
     def test_upper_bound_sweep(self):
         """J(phi_eps) decreases toward the blow-up value from above."""
         w = SingularWeight.from_orders([(tuple(NORTH), -0.5)])
-        records = concentration_sweep(w, [1e-2, 1e-3, 1e-4])
+        records = concentration_sweep(w, [1e-2, 1e-3, 1e-4], NORTH)
         Js = [rec["J"] for rec in records]
         assert Js[0] > Js[1] > Js[2]
         target = -w.rho_bar * np.log(2.0)
@@ -274,8 +293,7 @@ class TestTestFunctions:
         """int h e^{phi_eps} approaches pi e^{-4 pi a A}/(1+a)."""
         alpha = -0.5
         w = SingularWeight.from_orders([(tuple(NORTH), alpha)])
-        rec = concentration_functional(
-            ConcentrationParams(epsilon=1e-4, weight=w))
+        rec = concentration_functional(w, 1e-4, NORTH)
         limit = np.pi * np.exp(-FOUR_PI * alpha * REGULAR_PART) / (1 + alpha)
         assert rec["exp_integral"] == pytest.approx(limit, rel=0.05)
 
@@ -283,7 +301,7 @@ class TestTestFunctions:
         """Mixed antipodal pair: the sweep approaches the mixed constant."""
         a1, a2 = -0.5, 0.25
         w = SingularWeight.from_orders([(tuple(NORTH), a1), (tuple(SOUTH), a2)])
-        records = concentration_sweep(w, [1e-2, 1e-3, 1e-4])
+        records = concentration_sweep(w, [1e-2, 1e-3, 1e-4], NORTH)
         Js = [rec["J"] for rec in records]
         target = -w.rho_bar * (a2 - np.log1p(a1))
         assert Js[0] > Js[1] > Js[2] > target
@@ -409,8 +427,21 @@ class TestRadialOracle:
         -0.9, against 3.78527 and -5.77553."""
         w = SingularWeight.from_orders(
             [(tuple(NORTH), alpha)] + ([(tuple(SOUTH), far)] if far else []))
-        rec = concentration_functional(
-            ConcentrationParams(epsilon=1e-4, weight=w))
+        rec = concentration_functional(w, 1e-4, NORTH)
         want = mp_concentration_functional(alpha, 1e-4, far)
         for key, value in want.items():
             assert rec[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
+
+    def test_least_epsilon_near_order_zero(self):
+        """At order -1e-3, eps = 1e-300 gives r_eps = 1.9e-149, above
+        R_EPS_MIN, where (eps + u)^2 underflows: the Dirichlet term read
+        inf.  Against the 30-digit oracle (6 s, so recorded here), the
+        Dirichlet term agrees to 2.1e-16 and J to 2.1e-8, relative, the
+        gap J already shows at eps = 1e-100."""
+        w = SingularWeight.from_orders([(tuple(NORTH), -1e-3)])
+        rec = concentration_functional(w, 1e-300, NORTH)
+        # mp_concentration_functional(-1e-3, 1e-300, dps=30)
+        assert rec["dirichlet"] == pytest.approx(34656.751485038505,
+                                                 rel=1e-14, abs=0.0)
+        assert rec["J"] == pytest.approx(-0.025093963625886916, rel=1e-7,
+                                         abs=0.0)

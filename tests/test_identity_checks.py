@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
+from sol_lab.closed_forms import extremal_u, extremal_weight
 from sol_lab.identity_checks import (
     RegimeError,
     kazdan_warner_residual,
@@ -146,7 +146,7 @@ class TestBlowupInfimumPipeline:
         alpha = -0.5
         w = extremal_weight(alpha)
         rep = sphere_sharp_constant(alpha, alpha, antipodal=True)
-        u = extremal_u(ExtremalParams(alpha=alpha), grid128)
+        u = extremal_u(grid128, alpha)
         assert abs(eval_J(u, grid128, w, w.rho_bar) - rep.inf_J) < 1e-3
 
     def test_smooth_factor_enters(self, grid64):

@@ -10,8 +10,6 @@ from scipy.integrate import quad
 
 from sol_lab import mt_functional, sphere_grid
 from sol_lab.closed_forms import (
-    ConcentrationParams,
-    ExtremalParams,
     concentration_functional,
     conformal_pullback,
     extremal_u,
@@ -106,7 +104,7 @@ class TestExpIntegral:
         # int h e^{u_{1,0}} = 4 e^{2a} pi / (1+a)
         alpha = -0.5
         w = extremal_weight(alpha)
-        u = extremal_u(ExtremalParams(alpha=alpha), grid128)
+        u = extremal_u(grid128, alpha)
         exact = 4.0 * np.exp(2 * alpha) * np.pi / (1.0 + alpha)
         assert exp_integral(u, grid128, w) == pytest.approx(exact, rel=1e-3)
 
@@ -347,7 +345,7 @@ class TestEvalJ:
     def test_extremal_value(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)
-        u = extremal_u(ExtremalParams(alpha=alpha), grid128)
+        u = extremal_u(grid128, alpha)
         exact = 8.0 * np.pi * (1 + alpha) * (np.log1p(alpha) - alpha)
         assert eval_J(u, grid128, w, w.rho_bar) == pytest.approx(exact,
                                                                  rel=5e-3)
@@ -380,7 +378,7 @@ class TestElResidual:
     def test_extremal_residual_small(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)
-        u = extremal_u(ExtremalParams(alpha=alpha), grid128)
+        u = extremal_u(grid128, alpha)
         r = residual_coeffs(u, grid128, w, w.rho_bar)
         assert np.sqrt(np.sum(r.values**2)) < 0.05
 
@@ -490,7 +488,7 @@ class TestTroyanovGap:
     def test_attained_constant_antipodal(self, grid128):
         alpha = -0.5
         w = extremal_weight(alpha)
-        u = extremal_u(ExtremalParams(alpha=alpha), grid128)
+        u = extremal_u(grid128, alpha)
         C = alpha - np.log1p(alpha)
         assert C == pytest.approx(-0.5 + np.log(2.0))
         assert abs(troyanov_gap(u, grid128, w, C)) < 1e-3
@@ -933,9 +931,9 @@ def _refusal_cases():
                          "dilation parameter must be positive"),
         "bubble-c-0": (lambda: planar_bubble(0.1, 0.0, -0.5),
                        "bubble constant must be positive"),
-        "radial-K": (lambda: concentration_functional(ConcentrationParams(
-            epsilon=0.01, weight=SingularWeight.from_orders(
-                [(NORTH, -0.5)], K=affine_K(0)), p=np.array(NORTH))),
+        "radial-K": (lambda: concentration_functional(
+            SingularWeight.from_orders([(NORTH, -0.5)], K=affine_K(0)), 0.01,
+            NORTH),
             "K: radial evaluation supports K == 1 only"),
         "blowup-alpha-0-no-grid": (
             lambda: blowup_infimum(SingularWeight.from_orders([])),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sol_lab import mt_functional, sphere_grid, subcritical_solver
-from sol_lab.closed_forms import ExtremalParams, extremal_u, extremal_weight
+from sol_lab.closed_forms import extremal_u, extremal_weight
 from sol_lab.mt_functional import (
     CAP_RADIAL_NODES,
     SingularIntegrator,
@@ -254,7 +254,7 @@ class TestZonalPath:
         on the extremal field and agree with the full path."""
         grid = build_grid(L + 1, 2 * L + 2)
         w = extremal_weight(-0.5)
-        zonal = extremal_u(ExtremalParams(alpha=-0.5), grid)
+        zonal = extremal_u(grid, -0.5)
         coeffs = zonal.widened()
         dens = axis_integrator(grid, w).density(coeffs)
         J_full = eval_J_coeffs(coeffs, dens.log_integral, w.rho_bar)
@@ -388,8 +388,7 @@ class TestMinimize:
         rho = w.rho_bar - 0.1
         state = minimize(zero(grid64), grid64, w, rho, **QUICK)
         assert state.converged
-        competitor = eval_J(extremal_u(ExtremalParams(alpha=alpha), grid64),
-                            grid64, w, rho)
+        competitor = eval_J(extremal_u(grid64, alpha), grid64, w, rho)
         assert state.J <= competitor + 1e-6
 
     def test_descent_and_normalization(self, grid64, monkeypatch):
