@@ -1069,39 +1069,31 @@ def synthesis_at_angles(c: SHCoefficients, t: np.ndarray,
     return out.reshape(batch + t.shape)
 
 
-def gradient_magnitude(c: SHCoefficients, synthesis, t: np.ndarray,
-                       values: bool = False):
-    """|grad u| at nodes with cos theta = t, from their synthesizer S,
-    which takes a stack of coefficients (batch axis first); with
-    ``values``, (u, |grad u|) from the same pass.
+def gradient_at_angles(c: SHCoefficients, t: np.ndarray,
+                       phi: np.ndarray) -> np.ndarray:
+    """|grad u| at arbitrary points (t = cos colatitude, longitude phi).
 
     Exact: d/dphi is spectral, and sin theta dPbar_{l,m}/dtheta =
     l t Pbar_{l,m} - N_{l,m} Pbar_{l-1,m} with N_{l,m}^2 = (2l+1)(l^2-m^2)/(2l-1)
     gives sin theta du/dtheta = t S[l a_{l,m}] - S[N_{l+1,m} a_{l+1,m}].
-    The three coefficient sets, after u's own, are synthesized as one
-    stack, in one pass; for zonal coefficients as zonal ones.
+    The three coefficient sets are synthesized as one stack, in one pass;
+    for zonal coefficients as zonal ones.  The formula divides by
+    sin^2 theta = 1 - t^2: a pole, the coordinate singularity of (theta,
+    phi), raises ValueError, and every other float t gives at least 2^-52.
     """
-    l, m = c.rows
-    lifted = l + 1.0  # a_{l+1,m} goes to row (l, m), of the same block
-    parts = np.zeros(c.values.shape[:1] + (3 + values,) + c.values.shape[1:])
-    if values:
-        parts[:, 0] = c.values
-    parts[:, -3] = l * c.values
-    parts[:-1, -2] = (np.sqrt((2.0 * lifted + 1.0) / (2.0 * lifted - 1.0)
-                              * (lifted ** 2 - m * m))
-                      * (l < c.band_limit))[:-1] * c.values[1:]
-    parts[:, -1] = phi_derivative(c).values
-    *u, by_degree, lowered, dphi = synthesis(SHCoefficients(parts))
-    sin2 = np.maximum(1.0 - t * t, 1.0e-300)
-    grad = np.sqrt(((t * by_degree - lowered) ** 2 + dphi**2) / sin2)
-    # u copied out of the stack, which then dies with the three sets
-    return (u[0].copy(), grad) if values else grad
-
-
-def gradient_at_angles(c: SHCoefficients, t: np.ndarray,
-                       phi: np.ndarray) -> np.ndarray:
-    """|grad u| at arbitrary points (t = cos colatitude, longitude phi)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    return gradient_magnitude(
-        c, lambda x: synthesis_at_angles(x, t, phi), t)
+    if np.any(np.abs(t) >= 1.0):
+        raise ValueError("gradient_at_angles takes |t| < 1: a pole is the "
+                         "coordinate singularity of its formula")
+    l, m = c.rows
+    lifted = l + 1.0  # a_{l+1,m} goes to row (l, m), of the same block
+    parts = np.zeros(c.values.shape[:1] + (3,) + c.values.shape[1:])
+    parts[:, 0] = l * c.values
+    parts[:-1, 1] = (np.sqrt((2.0 * lifted + 1.0) / (2.0 * lifted - 1.0)
+                             * (lifted ** 2 - m * m))
+                     * (l < c.band_limit))[:-1] * c.values[1:]
+    parts[:, 2] = phi_derivative(c).values
+    by_degree, lowered, dphi = synthesis_at_angles(SHCoefficients(parts),
+                                                   t, phi)
+    return np.sqrt(((t * by_degree - lowered) ** 2 + dphi**2) / (1.0 - t * t))

@@ -48,9 +48,9 @@ one column and each transform is one product per parity of l - m over the
 representative rings, O(L n_t), against O(L^2 n_t + L n_t n_phi) for all
 orders.  The diagnostics read a state on the integrator's rule it was
 solved on, in one pass, a zonal state on one longitude: its peak, profile,
-far field, gradients and whole-sphere mass are one column of values.  A
-zonal start under a weight that is not invariant is widened to every order
-at its first step; any other input takes the full path, unchanged.
+far field and whole-sphere mass are one column of values.  A zonal start
+under a weight that is not invariant is widened to every order at its
+first step; any other input takes the full path, unchanged.
 
 As eps decreases with a singular weight of negative minimal order, the
 minimizers concentrate: lambda_eps = max u grows, the concentration scale
@@ -78,7 +78,6 @@ from .sphere_grid import (
     axis_values,
     geodesic_distance,
     gradient_at_angles,
-    gradient_magnitude,
     normalized,
     on_axis,
     ring_points,
@@ -294,7 +293,6 @@ class BlowupDiagnostics:
     profile_error: float
     farfield_error: float
     mean_decay: float
-    grad_l15: float
     compact_case: bool
     under_resolved: bool
     # u - lambda_eps at the rule's nodes within 5 t_eps of the centre on
@@ -306,9 +304,9 @@ class BlowupDiagnostics:
 def diagnose(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
              rho: float) -> BlowupDiagnostics:
     """Populate the concentration diagnostics of the field with these
-    coefficients, a converged state's at rho, from its values and gradient
-    on the rule it was solved on (the integrator's transform of ``w``; one
-    column, on the first longitude, when zonal).  Both radial models are
+    coefficients, a converged state's at rho, from its values on the rule
+    it was solved on (the integrator's transform of ``w``; one column, on
+    the first longitude, when zonal).  Both radial models are
     compared at the rule's nodes by their distance d from the centre: the
     bubble at d <= 5 t_eps, the Green's function at d >= 1.  The cap mass
     at 10 t_eps is a polar quadrature, or the same nodes' integral when the
@@ -317,9 +315,7 @@ def diagnose(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
     integ = integrator_for(grid, w)
     tr = integ.transform
 
-    # u and the three coefficient sets of |grad u| in one pass on the rule
-    vals, grad = gradient_magnitude(coeffs, tr.synthesis_values,
-                                    tr.t[:, None], values=True)
+    vals = tr.synthesis_values(coeffs)
 
     # peak over the rule's nodes and the poles, which no Gauss ring holds
     nodes = ring_points(tr.t, tr.phi[:vals.shape[-1]])
@@ -376,14 +372,11 @@ def diagnose(coeffs: SHCoefficients, grid: SphereGrid, w: SingularWeight,
     farfield = float(np.max(np.abs(vals[far] - ubar
                                    - w.rho_bar * green_radial(d[far]))))
 
-    grad_l15 = tr.integral(grad**1.5) ** (1.0 / 1.5)
-
     # copies: a node is a view of the whole node array
     return BlowupDiagnostics(
         lambda_eps=lam, p_eps=np.array(p_eps), center=np.array(center),
         t_eps=t_eps, cap_mass=cap_mass, profile_error=profile_err,
-        farfield_error=farfield, mean_decay=mean_decay,
-        grad_l15=grad_l15, compact_case=compact,
+        farfield_error=farfield, mean_decay=mean_decay, compact_case=compact,
         under_resolved=under_resolved, profile_radii=radii, profile=profile)
 
 
@@ -412,7 +405,6 @@ class SweepEntry:
             "cap_mass_10t": d.cap_mass,
             "profile_error": d.profile_error,
             "farfield_error": d.farfield_error,
-            "grad_l15": d.grad_l15,
             "under_resolved": d.under_resolved,
         }
 

@@ -33,6 +33,7 @@ from sol_lab.sphere_grid import (
     on_axis,
     random_band_limited_batch,
     ring_points,
+    rotated,
     synthesis_at_points,
 )
 from sol_lab.subcritical_solver import (
@@ -550,6 +551,82 @@ class TestMinimize:
                 8.0 * np.pi - 1.0, **QUICK)
 
 
+class TestManufacturedSolution:
+    """A known answer for the full-width solve, with no singular point: for
+    a band-limited u* and K* = (1/4 pi - Delta u*/rho) e^(-u*), int K* e^u*
+    = 1 (Delta u* integrates to 0), so u* solves -Delta u = rho (K e^u -
+    1/4 pi) at rho, normalized.  u* is the seed-0 field of degree <= 6,
+    scaled to max |Delta u*| = rho/8 pi over the L = 32 nodes, at rho =
+    4 pi, where the Hessian at u = 0 is l(l + 1) - 1 >= 1 on l >= 1; K* is
+    analysed at L_K = 32 and not invariant about the axis, so the zonal
+    start is widened at its first step."""
+
+    RHO = 4.0 * np.pi
+    FRAME = _orthonormal_frame(normalized((0.3, 0.5, 0.81)))
+
+    @classmethod
+    def problem(cls, L):
+        """(u* at band limit L, K*), K* = (1/4 pi - Delta u*/rho) e^(-u*)
+        analysed at L_K = 32."""
+        grid_K = build_grid(33, 66)
+        nodes = grid_K.nodes
+        u = random_band_limited_batch(build_grid(L + 1, 2 * L + 2),
+                                      np.random.default_rng(0), 1, l_max=6)
+        u = SHCoefficients(u.values[:, 0])
+        lap = synthesis_at_points(
+            SHCoefficients(-u.rows[0] * (u.rows[0] + 1.0) * u.values), nodes)
+        scale = cls.RHO / (8.0 * np.pi) / np.max(np.abs(lap))
+        K = grid_K.transform.analysis_coeffs(
+            (1.0 / (4.0 * np.pi) - scale * lap / cls.RHO)
+            * np.exp(-scale * synthesis_at_points(u, nodes)))
+        return SHCoefficients(scale * u.values), K
+
+    def solve(self, L, u, K):
+        """(state, coefficient error, |J - J(u)|) of the solve from zero
+        at band limit L with smooth factor K, against u."""
+        grid, w = build_grid(L + 1, 2 * L + 2), SingularWeight(K=K)
+        state = minimize(zero(grid), grid, w, self.RHO, max_iterations=50)
+        assert state.converged
+        return (state, np.max(np.abs(state.coeffs.values - u.values)),
+                abs(state.J - eval_J(u, grid, w, self.RHO)))
+
+    @pytest.mark.parametrize("turned", [False, True], ids=["axis", "turned"])
+    @pytest.mark.parametrize("L", [32, 64])
+    def test_recovers_u_star(self, L, turned, monkeypatch):
+        """At a tight stopping tolerance the solve reaches u* to rounding:
+        every coefficient within 1e-13 and J within 1e-13 relative of
+        J(u*) (measured in 5 steps: at most 2.9e-16, and J(u*) to the
+        last bit).  u* and K* turned by one frame (``rotated``) are the
+        same problem in other coordinates, solved as closely (measured:
+        at most 2.7e-16)."""
+        monkeypatch.setattr(subcritical_solver, "TOL_FACTOR", 1e-13)
+        u, K = self.problem(L)
+        if turned:
+            u, K = rotated(u, self.FRAME), rotated(K, self.FRAME)
+        state, err, dJ = self.solve(L, u, K)
+        assert err <= 1e-13 and dJ <= 1e-13 * abs(state.J)
+
+    def test_perturbed_K_fails_the_gate(self, monkeypatch):
+        """K* with its a_{1,0} scaled by 1 + 1e-6 is another problem: its
+        solution is not u*, and the gate sees it (measured: 3.1e-9 in the
+        coefficients)."""
+        monkeypatch.setattr(subcritical_solver, "TOL_FACTOR", 1e-13)
+        u, K = self.problem(32)
+        K.values[1, 0] *= 1.0 + 1e-6  # row 1 of block m = 0: a_{1,0}
+        state, err, dJ = self.solve(32, u, K)
+        assert not (err <= 1e-13 and dJ <= 1e-13 * abs(state.J))
+
+    def test_default_tolerance(self):
+        """At the default TOL_FACTOR the stopping rule ||r|| <= TOL_FACTOR
+        rho sets the error: with the Hessian >= 1 on l >= 1 near u = 0,
+        the coefficients lie within about ||r|| of u* and J within its
+        square (measured: 3 steps, 4.2e-9 in the coefficients and 1.1e-16
+        relative in J)."""
+        bound = subcritical_solver.TOL_FACTOR * self.RHO
+        _, err, dJ = self.solve(32, *self.problem(32))
+        assert err <= bound and dJ <= bound**2
+
+
 class TestDiagnose:
     @staticmethod
     def diagnosed(coeffs, grid, w):
@@ -596,46 +673,42 @@ class TestDiagnose:
 
     def test_non_zonal_diagnosis_is_one_pass_on_the_rule(self,
                                                          monkeypatch):
-        """A non-zonal state's values and the three coefficient sets of
-        its gradient are synthesized as one stack on the integrator's
-        transform, which streams its table and keeps none of every order
-        (``ProductTransform._legendre``: a stack keeps nothing, however
-        small the table), and that stack is the only pass: the grid's
+        """A non-zonal state's values are one field's synthesis on the
+        integrator's transform, and that is the only pass: the grid's
         transform makes none, and the whole-sphere mass (t_eps = 0.68, so
-        10 t_eps covers the sphere) reads the stack's values.  The values
-        and gradient are bit for bit those of separate passes, which keep
-        the table."""
-        from sol_lab import sphere_grid
-        from sol_lab.sphere_grid import (gradient_magnitude,
-                                         random_band_limited_batch)
+        10 t_eps covers the sphere) reads its values.  A one-field pass
+        keeps the table of every order (``ProductTransform._legendre``),
+        as the solver's passes on the same transform do."""
+        from sol_lab.sphere_grid import random_band_limited_batch
         grid = build_grid(33, 66)
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         coeffs = SHCoefficients(random_band_limited_batch(
             grid, np.random.default_rng(4), 1).values[:, 0])
-        tr = integrator_for(grid, w).transform
-        passes = []
+        integ = integrator_for(grid, w)
+        tr = integ.transform
+        passes, synthesized = [], []
         synthesis = sphere_grid.ProductTransform.synthesis_values
 
         def recorded(self, c):
             passes.append((self, c.values.shape))
-            return synthesis(self, c)
+            synthesized.append(synthesis(self, c))
+            return synthesized[-1].copy()
 
         monkeypatch.setattr(sphere_grid.ProductTransform, "synthesis_values",
                             recorded)
-        diag = self.diagnosed(coeffs, grid, w)
+        rho = w.rho_bar - 0.5
+        diag = diagnose(coeffs, grid, w, rho)
         monkeypatch.undo()
         assert 10.0 * diag.t_eps >= np.pi - 0.2
         rows, parts = coeffs.values.shape
-        assert passes == [(tr, (rows, 4, parts))]
-        assert len(tr._plm) <= 1
-        assert grid.transform._plm == []
-        vals, grad = gradient_magnitude(coeffs, tr.synthesis_values,
-                                        tr.t[:, None], values=True)
-        assert np.array_equal(vals, tr.synthesis_values(coeffs))
+        assert passes == [(tr, (rows, parts))]
         assert len(tr._plm) == grid.band_limit + 1
-        assert np.array_equal(grad, gradient_magnitude(
-            coeffs, tr.synthesis_values, tr.t[:, None]))
+        assert grid.transform._plm == []
+        vals = tr.synthesis_values(coeffs)
+        assert np.array_equal(synthesized[0], vals)
         assert diag.lambda_eps >= np.max(vals)
+        assert diag.cap_mass == rho * float(
+            np.exp(integ.density_of(vals.copy()).log_integral))
 
     def test_wide_profile_stays_on_the_sphere(self):
         """The profile is u - lambda at the rule's nodes on a meridian
@@ -898,11 +971,16 @@ class TestSweep:
         assert fracs[1] > fracs[0] - 0.02  # mass quantization trend
 
     def test_rows_report_the_farfield_error(self, grid64):
-        """Each sweep row holds the far-field error that diagnose computes
-        for its state."""
+        """Each sweep row holds exactly its 12 keys, among them the
+        far-field error that diagnose computes for its state."""
         w = SingularWeight.from_orders([(NORTH, -0.5)])
         report = epsilon_sweep(w, grid64, (0.4, 0.2), **QUICK,
                                init_epsilon=0.01)
+        for e in report.entries:
+            assert list(e.row()) == [
+                "epsilon", "rho", "J", "residual", "iterations", "lambda",
+                "t_eps", "mean_decay", "cap_mass_10t", "profile_error",
+                "farfield_error", "under_resolved"]
         rows = report.column("farfield_error")
         assert rows == [diagnose(e.state.coeffs, grid64, w, e.rho)
                         .farfield_error for e in report.entries]

@@ -24,7 +24,6 @@ from sol_lab.sphere_grid import (
     gauss_jacobi,
     geodesic_distance,
     gradient_at_angles,
-    gradient_magnitude,
     normalized_legendre,
     synthesis_at_angles,
     synthesis_at_points,
@@ -1752,9 +1751,8 @@ class TestGradient:
 
     def test_grid(self, grid64):
         exact = self.exact_gradient(grid64.nodes)
-        grad = gradient_magnitude(self.coeffs(grid64),
-                                  grid64.transform.synthesis_values,
-                                  grid64.t[:, None])
+        t, phi = np.meshgrid(grid64.t, grid64.phi, indexing="ij")
+        grad = gradient_at_angles(self.coeffs(grid64), t, phi)
         assert np.max(np.abs(grad - exact)) <= 1e-12 * np.max(exact)
 
     def test_angles(self, grid64, rng):
@@ -1765,6 +1763,36 @@ class TestGradient:
         exact = self.exact_gradient(pts)
         grad = gradient_at_angles(self.coeffs(grid64), t, phi)
         assert np.max(np.abs(grad - exact)) <= 1e-12 * np.max(exact)
+
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_near_pole(self, grid64, pole):
+        """A millirad from either pole the formula holds: its rounding,
+        the two degree sums that cancel to sin theta du/dtheta, grows like
+        1/sin theta, so the grid test's bound at the grid's polar ring
+        carries over scaled by sin(theta_1)/sin(1e-3) = 36 (measured:
+        1.0e-12 of max |grad u|)."""
+        t = np.full(8, pole * np.cos(1e-3))
+        phi = 2.0 * np.pi * np.arange(8) / 8
+        st_ = np.sqrt(1.0 - t * t)
+        pts = np.stack([st_ * np.cos(phi), st_ * np.sin(phi), t], axis=-1)
+        exact = self.exact_gradient(pts)
+        grad = gradient_at_angles(self.coeffs(grid64), t, phi)
+        scale = np.sqrt(1.0 - grid64.t[0] ** 2) / st_[0]
+        assert np.max(np.abs(grad - exact)) <= 1e-12 * scale * np.max(exact)
+
+    @pytest.mark.parametrize("zonal", [True, False], ids=["zonal", "full"])
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_pole_refused(self, zonal, pole):
+        """At a pole the formula's 1/sin theta is a coordinate singularity:
+        the gradient there is refused, not read as 0, on zonal and
+        full-width coefficients alike, also among points off the pole."""
+        c = SHCoefficients(np.zeros((9, 1)))
+        c.values[2] = 0.5  # a_{2,0}
+        if not zonal:
+            c = c.widened()
+            c.order(1)[0] = 1.0  # a_{1,1}
+        with pytest.raises(ValueError, match="pole"):
+            gradient_at_angles(c, [0.3, pole], [0.0, 0.0])
 
 
 def test_random_fields_above_the_band_limit(grid16):
