@@ -199,11 +199,8 @@ _CONFIG = _section({
     "output": ({}, _section({"report": (None, _output_path),
                              "traces": (None, _output_path)})),
 })
-# the solver's settings in the experiments that solve; a solve from zero
-# (minimize, kw-check) takes no start, a sweep its first entry's
+# the solver's settings in the experiments that solve
 _SOLVER = {"max_iterations": (4000, _number(lo=1, integer=True))}
-_START = {"init": ("test-function", _choice("zero", "test-function")),
-          "init_epsilon": (0.01, _number(gt=0.0, lt=1.0))}
 
 
 def _experiment_schema(alpha: float) -> dict:
@@ -223,7 +220,11 @@ def _experiment_schema(alpha: float) -> dict:
         "inequality-sample": {"samples": (20, _number(lo=1, integer=True)),
                               "constant": (0.0, _number())},
         "minimize": {"epsilon": (0.1, _number(**eps)), **_SOLVER},
-        "sweep": {"epsilons": epsilons, **_SOLVER, **_START},
+        # a sweep's first entry starts from the test function of scale
+        # init_epsilon, or at null from zero, as minimize and kw-check start
+        "sweep": {"epsilons": epsilons, **_SOLVER, "init_epsilon": (
+            0.01, lambda errors, v, path: None if v is None else
+            _check_number(errors, v, path, gt=0.0, lt=1.0))},
         "kw-check": {"epsilon": (0.3, _number(**eps)), **_SOLVER},
         "test-function-sweep": {"epsilons": ([1.0e-2, 1.0e-3, 1.0e-4],
                                              _each(_number(gt=0.0, lt=1.0),
@@ -277,9 +278,10 @@ def _rule_errors(config) -> list:
     which runs on its own pair, coincident points, a weight that no
     rotation puts on the axis for a kind that integrates it, a K not
     positive where sampled (a sampling rule, not a proof), a kw-check
-    layout off the axis identity's, and for the kinds that build test
-    functions a weight the radial J cannot evaluate, a singular
-    test-function point or an epsilon too large for its point."""
+    weight off the axis identity's (any K, or a layout off the axis), and
+    for the kinds that build test functions a weight the radial J cannot
+    evaluate, a singular test-function point or an epsilon too large for
+    its point."""
     import numpy as np
     from .closed_forms import concentration_scales, radial_faults
     from .identity_checks import RegimeError, _axis_orders
@@ -315,13 +317,14 @@ def _rule_errors(config) -> list:
         try:
             _axis_orders(w)
         except RegimeError as exc:
-            errors.append(f"weight.points: kw-check: {exc}")
+            key = "points" if w.K is None else "K"
+            errors.append(f"weight.{key}: kw-check: {exc}")
     p, seeds = _test_function_point(w), []
     if exp["kind"] == "test-function-sweep":
         errors += [f"weight.{key}: {why}" for key, why in radial_faults(w, p)]
         seeds = [(f"experiment.epsilons[{i}]", e)
                  for i, e in enumerate(exp["epsilons"])]
-    elif exp.get("init") == "test-function" and w.alpha < 0.0:
+    elif exp.get("init_epsilon") is not None and w.alpha < 0.0:
         seeds = [("experiment.init_epsilon", exp["init_epsilon"])]
     if seeds and w.beta(p) != w.alpha:  # every order positive, one at p
         return errors + [f"weight.points[{w.index_at(p)}]: test functions "
@@ -538,8 +541,7 @@ def _run_sweep(config, w, grid, report):
     exp = config["experiment"]
     sweep = epsilon_sweep(
         w, grid, exp["epsilons"], max_iterations=exp["max_iterations"],
-        init_epsilon=exp["init_epsilon"] if exp["init"] == "test-function"
-        else None)
+        init_epsilon=exp["init_epsilon"])
     target, J0 = blowup_infimum(w, grid).inf_J, sweep.extrapolated_J
     report["records"] = [e.row() for e in sweep.entries]
     report["summary"] = {"extrapolated_J": J0, "blowup_target": target}

@@ -17,7 +17,8 @@ to K == 1 and at most two antipodal singularities gives
     alpha_1 < 0:                C = alpha_2 - log(1 + alpha_1),
     antipodal, equal alpha < 0: C = alpha - log(1 + alpha)   (attained).
 
-Non-existence in the first two regimes follows from the axis identity
+Non-existence in the first two regimes follows from the axis identity,
+which holds for K == 1 (a non-constant K adds a term in grad K . grad x3),
 
     alpha_2 - alpha_1 = (2 - rho/4pi + alpha_1 + alpha_2) int h e^u x3,
 
@@ -191,9 +192,12 @@ def sphere_sharp_constant(alpha1: float, alpha2: Optional[float] = None,
 # ---------------------------------------------------------------------------
 
 def _axis_orders(w: SingularWeight) -> tuple[float, float]:
-    """(order at +e3, order at -e3); requires one singular point, or one on
-    each pole, exactly on the grid axis (``SingularWeight.is_axis_aligned``;
-    ``axis_frame`` puts one point or an antipodal pair there)."""
+    """(order at +e3, order at -e3); requires K == 1, and one singular
+    point, or one on each pole, exactly on the grid axis
+    (``SingularWeight.is_axis_aligned``; ``axis_frame`` puts one point or an
+    antipodal pair there)."""
+    if w.K is not None:
+        raise RegimeError("the axis identity holds for K == 1 only")
     poles = {sp.position[2] > 0.0 for sp in w.points}
     if not (w.is_axis_aligned() and 0 < len(w.points) == len(poles)):
         raise RegimeError(

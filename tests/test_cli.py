@@ -614,20 +614,14 @@ BAD_NUMBERS.update({
 
 
 # a solve from zero (minimize, kw-check) reads no start: its init keys are
-# unknown, not defaulted and recorded
+# unknown, not defaulted and recorded; a sweep's start is init_epsilon alone
 BAD_NUMBERS.update({
     f"{key}-{kind}-unknown": (kind, {key: value},
                               f"experiment.{key}: unknown key")
     for key, value in (("init", "zero"), ("init_epsilon", 0.01))
     for kind in ("minimize", "kw-check")})
-
-
-# strings the runners read, out of their sets; each must exit 2
-BAD_CHOICES = {
-    "init-sweep": ("sweep", {"init": "test_function"},
-                   "experiment.init: expected one of zero, test-function; "
-                   "got 'test_function'"),
-}
+BAD_NUMBERS["init-sweep-unknown"] = ("sweep", {"init": "zero"},
+                                     "experiment.init: unknown key")
 
 
 _POINT = {"position": [0, 0, 1], "order": -0.5}
@@ -676,6 +670,15 @@ BAD_BY_RULE = {
                   "experiment": {"kind": "sweep", "init_epsilon": 0.3}},
         "experiment.init_epsilon: epsilon too large: cap exceeds the safe "
         "scale"),
+    # the axis identity holds for K == 1: K = 1 + 0.3 Y_10 read a residual
+    # of 1.2e-2 at 65 x 130 and on finer grids, against 2.2e-4 without K
+    "kw-check-K": (
+        "kw-check", {"weight": {"points": [
+            {"position": [0, 0, 1], "order": -0.25},
+            {"position": [0, 0, -1], "order": -0.1}],
+            "K": {"base": 1, "harmonics": [{"l": 1, "m": 0, "coeff": 0.3}]}},
+            "experiment": {"kind": "kw-check"}},
+        "weight.K: kw-check: the axis identity holds for K == 1 only"),
     "init_epsilon-reaches-point": (
         "sweep", {"weight": {"points": [
             {"position": [0, 0, 1], "order": -0.5},
@@ -806,32 +809,24 @@ class TestExperimentNumbers:
 
     def test_rules_apply_to_the_kinds_that_use_them(self):
         """A pair that no rotation puts on the axis is no error for the
-        closed-form constants, and an init_epsilon no error for a sweep
-        that starts from zero."""
+        closed-form constants, a point too mild for a test function of
+        scale 0.3 no error for a sweep that starts from zero
+        (``init_epsilon`` null), and a K no error for a minimize."""
         overlap = BAD_BY_RULE["caps-overlap"][1]
         assert not validate(config_text(**{
             **overlap, "experiment": {"kind": "constants"}}))[1]
         scale = BAD_BY_RULE["init_epsilon-safe-scale"][1]
         assert not validate(config_text(**{**scale, "experiment": {
-            **scale["experiment"], "init": "zero"}}))[1]
+            **scale["experiment"], "init_epsilon": None}}))[1]
+        kw = BAD_BY_RULE["kw-check-K"][1]
+        assert not validate(config_text(**{
+            **kw, "experiment": {"kind": "minimize"}}))[1]
 
     @pytest.mark.parametrize("kind, fields, message", BAD_NUMBERS.values(),
                              ids=BAD_NUMBERS.keys())
     def test_main_exits_2(self, kind, fields, message, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(config_text(experiment={"kind": kind, **fields}))
-        assert main([kind, "--config", str(cfg)]) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("kind, fields, message", BAD_CHOICES.values(),
-                             ids=BAD_CHOICES.keys())
-    def test_bad_choice_exits_2(self, kind, fields, message, tmp_path,
-                                capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(config_text(
-            weight={"points": [{"position": [0, 0, 1], "order": -0.5},
-                               {"position": [0, 0, -1], "order": -0.5}]},
-            experiment={"kind": kind, **fields}))
         assert main([kind, "--config", str(cfg)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
@@ -1162,7 +1157,7 @@ class TestMainEntry:
             weight={"points": [], "K": {"base": 1, "harmonics": [
                 {"l": 1, "m": 0, "coeff": 0.3}]}},
             experiment={"kind": "sweep", "epsilons": [2, 1, 0.5, 0.2, 0.1],
-                        "init": "zero"}))
+                        "init_epsilon": None}))
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert len(rep["checks"]) == 5
@@ -1321,7 +1316,7 @@ def _scaled_experiments(weight):
     return {
         "minimize": {"kind": "minimize", "epsilon": rho_bar / 3.0},
         "kw-check": {"kind": "kw-check", "epsilon": rho_bar / 3.0},
-        "sweep": {"kind": "sweep", "init": "zero",
+        "sweep": {"kind": "sweep", "init_epsilon": None,
                   "epsilons": [rho_bar / 2.0, rho_bar / 4.0, rho_bar / 8.0]},
     }
 
@@ -1350,6 +1345,17 @@ def test_no_exception_escapes(kind, weight, experiment, tmp_path, capsys):
     code = main([kind, "--config", str(cfg), "--out", str(out)])
     assert code in (0, 1, 2, 3)
     assert out.exists() == (code in (0, 1))
+
+
+@pytest.mark.parametrize("name", ESCAPE_WEIGHTS)
+def test_scaled_sweeps_are_valid(name):
+    """Each sweep of ``_scaled_experiments``, which starts from zero
+    (``init_epsilon`` null), is a valid config, so that
+    ``test_no_exception_escapes`` runs it to its checks, not to exit 2."""
+    weight = ESCAPE_WEIGHTS[name]
+    assert validate(config_text(
+        grid={"n_theta": 17, "n_phi": 34}, weight=weight,
+        experiment=_scaled_experiments(weight)["sweep"]))[1] == []
 
 
 @pytest.mark.parametrize("weight", ["no-point", "order-1e-300"])
@@ -1682,6 +1688,24 @@ class TestChecksCanFail:
             family = checks["conformal family equality"]
             assert family["passed"] == passed
             assert (family["value"] <= 1e-5) == passed
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="FOUND: a sweep's verdict depends on the overall scale of K. "
+               "Under K -> cK, J_rho only shifts by -rho log c and the "
+               "minimizers are the same, yet at 33 x 66, order -1/2, K = 1 "
+               "fails 'extrapolated J vs blow-up value' (10.0 %) and K = 1e3 "
+               "passes it (0.91 %): the check divides by |target|, and "
+               "lambda_eps, t_eps and the 10 t_eps cap move with log c")
+    def test_sweep_verdict_ignores_the_scale_of_K(self):
+        """A sweep on K = 1 and on K = 1e3, the default schedule at order
+        -1/2 on the north pole, passes and fails the same checks: J_inf -
+        target reads 0.87387 on both."""
+        verdicts = [[(name, c["passed"]) for name, c in self.run_checks(
+            weight={"points": [{"position": [0, 0, 1], "order": -0.5}],
+                    "K": {"base": base, "harmonics": []}},
+            experiment={"kind": "sweep"}).items()] for base in (1.0, 1e3)]
+        assert verdicts[0] == verdicts[1]
 
     def test_axis_identity_check_fails(self, monkeypatch):
         """A stubbed ``kazdan_warner_residual`` whose residual is 1e-2
@@ -2018,3 +2042,32 @@ class TestTracerNames:
         integ = integrator_for(build_grid(17, 34), SingularWeight.from_orders(
             [((0.0, 0.0, 1.0), -0.5)]))
         assert integ.blocks == (integ.transform,)
+
+
+class TestBenchTool:
+    def test_reads_no_private_name(self):
+        """``tools/bench.py`` imports no ``_``-prefixed name of ``sol_lab``
+        and reads no ``_``-prefixed attribute (dunders aside), so that it
+        times one tree's ``src/`` as well as another's."""
+        path = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def private(name):
+            return name.startswith("_") and not (
+                name.startswith("__") and name.endswith("__"))
+
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module or "").split(".")[0] == "sol_lab":
+                names = node.module.split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for a in node.names
+                         if a.name.split(".")[0] == "sol_lab"
+                         for part in a.name.split(".")]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{node.lineno} {n}" for n in names if private(n)]
+        assert found == []

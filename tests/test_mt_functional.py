@@ -16,7 +16,7 @@ from sol_lab.closed_forms import (
     extremal_weight,
     planar_bubble,
 )
-from sol_lab.identity_checks import blowup_infimum
+from sol_lab.identity_checks import blowup_infimum, kazdan_warner_residual
 from sol_lab.mt_functional import (
     CAP_RADIAL_NODES,
     CAP_RADIUS,
@@ -683,6 +683,29 @@ class TestGroupedLogIntegral:
             assert np.all(np.abs(got - want)
                           <= 4 * np.spacing(np.maximum(1.0, np.abs(want))))
 
+    def test_evaluate_stack_agrees_with_the_density(self):
+        """perfbench's seed-0 ``evaluate`` stack at L = 256: its two-cap
+        weight and its 20 fields from its seed, drawn and scaled to RMS 0.7
+        as ``sample_gaps`` does.  The stacked log integral lies within 4
+        ulp of max(1, |log I|) of the density's, taken two fields at a
+        time."""
+        grid = build_grid(257, 514)
+        integ = integrator_for(grid, SingularWeight.from_orders(
+            [(NORTH, -0.22446251877996148), (SOUTH, 1.0947037198878191)]))
+        count = 20
+        stack = sphere_grid.random_band_limited_batch(
+            grid, np.random.default_rng(1112038970), count)
+        v = stack.values
+        rms = np.sqrt([np.square(v[:, i]).sum() / FOUR_PI
+                       for i in range(count)])
+        v.reshape(v.shape[0], -1)[...] *= np.repeat(0.7 / rms, 2)
+        got = integ.log_exp_integral(stack)
+        want = np.concatenate([integ.density(SHCoefficients(v[:, i:i + 2]))
+                               .log_integral for i in range(0, count, 2)])
+        assert got.shape == (count,)
+        assert np.all(np.abs(got - want)
+                      <= 4 * np.spacing(np.maximum(1.0, np.abs(want))))
+
     def test_one_group_is_the_density(self, rng):
         """A rule of one ring pair (2 x 5 nodes at L = 1, odd n_phi),
         which no group of two rings or more splits, is one group, the
@@ -935,6 +958,10 @@ def _refusal_cases():
             SingularWeight.from_orders([(NORTH, -0.5)], K=affine_K(0)), 0.01,
             NORTH),
             "K: radial evaluation supports K == 1 only"),
+        "kw-K": (lambda: kazdan_warner_residual(
+            zero(grid), grid, SingularWeight.from_orders(
+                [(NORTH, -0.25), (SOUTH, -0.1)], K=affine_K(0)), 1.0),
+            "the axis identity holds for K == 1 only"),
         "blowup-alpha-0-no-grid": (
             lambda: blowup_infimum(SingularWeight.from_orders([])),
             "the alpha = 0 branch needs a grid"),
