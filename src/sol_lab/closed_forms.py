@@ -48,12 +48,11 @@ from .singular_geometry import (
     SingularWeight,
     antipodal,
     green_radial,
-    log_factor,
     same_point,
 )
 
-# Gauss nodes on each panel of a closed form's ``radial_rule``; its panels
-# grow at most 4-fold, so an analytic integrand converges to rounding
+# Gauss nodes on each ``radial_rule`` panel of a closed form; a panel is at
+# most a 4-fold step in scale, so an analytic integrand converges to rounding
 _PANEL_NODES = 24
 R_EPS_MIN = float(np.sqrt(2.0 * np.finfo(float).tiny))  # least r_eps: 2.1e-154
 
@@ -255,15 +254,11 @@ def concentration_scales(weight: SingularWeight, epsilon: float, p):
     return gamma_eps, r_eps, C_eps
 
 
-def _cutoff_eta(r: np.ndarray, r_eps: float) -> np.ndarray:
-    """Cubic ramp: 1 at r <= r_eps, 0 at r >= 2 r_eps, |eta'| = O(1/r_eps)."""
+def _cutoff(r: np.ndarray, r_eps: float):
+    """The cubic ramp eta and eta': 1 at r <= r_eps, 0 at r >= 2 r_eps,
+    |eta'| = O(1/r_eps)."""
     s = np.clip((r - r_eps) / r_eps, 0.0, 1.0)
-    return 1.0 - s * s * (3.0 - 2.0 * s)
-
-
-def _cutoff_eta_prime(r: np.ndarray, r_eps: float) -> np.ndarray:
-    s = np.clip((r - r_eps) / r_eps, 0.0, 1.0)
-    return -6.0 * s * (1.0 - s) / r_eps
+    return 1.0 - s * s * (3.0 - 2.0 * s), -6.0 * s * (1.0 - s) / r_eps
 
 
 def _sigma(r):
@@ -286,7 +281,8 @@ def concentration_profile(weight: SingularWeight, epsilon: float, p):
         inner = _bubble(r ** (2.0 * (1.0 + a)), eps)
         rr = np.maximum(r, 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
-            outer = (rho_bar * (green_radial(rr) - _cutoff_eta(r, r_eps) * _sigma(rr))
+            outer = (rho_bar * (green_radial(rr)
+                                - _cutoff(r, r_eps)[0] * _sigma(rr))
                      + c_eps + np.log(eps))
         out = np.where(r < r_eps, inner, outer)
         return float(out) if out.ndim == 0 else out
@@ -322,13 +318,20 @@ def radial_faults(w: SingularWeight, p) -> list[tuple[str, str]]:
 def concentration_functional(weight: SingularWeight, epsilon: float,
                              p) -> dict:
     """J_{rho_bar}(phi_eps) by 1-d radial quadrature (axisymmetric weights,
-    ``radial_faults``) on ``mt_functional.radial_rule`` panels, far beyond
-    grid resolution.  The cap is integrated in u = r^{2(1+alpha)}, where
-    the bubble is rational with scale eps and h sin r dr a smooth multiple
-    of du; the rest in r, with (pi - r)^{2 alpha_far + 1} at an antipodal
-    point.  J, its terms and log int h e^phi agree with a 25-digit mpmath
-    oracle to 1e-14 relative (alpha = -0.9, -1/2 and -1/4 at eps = 1e-2,
-    1e-4 and 1e-6; antipodal pairs).
+    ``radial_faults``), far beyond grid resolution, on one
+    ``mt_functional.radial_rule`` in the Mercator coordinate x = log tan(r/2).
+
+    There sin r dr = sech^2 x dx and 1 -+ <p, .> = 1 +- tanh x, a dilation
+    is a translation, and the endpoint singularities at +-p are exponential
+    tails, on which plain Gauss panels converge geometrically (Trefethen &
+    Weideman, SIAM Rev. 56, 2014).  Edges sit at x(r_eps), the glue's kink,
+    and x(2 r_eps), the end of the cutoff's ramp.  Panels are 4-fold steps
+    in u = r^{2(1+alpha)} in the cap and in r outside, doubling in x past
+    x = log 4; the tails end where e^{(2 + 2 alpha) x} toward p, from the
+    bubble or the cap edge, and e^{-2x} and e^{-(2 + 2 alpha_far) x} toward
+    -p have fallen below 2^-60.  J, its terms and log int h e^phi agree with
+    a 35-digit mpmath oracle to 1e-13 relative (``TestRadialOracle``: five
+    weights of orders -0.9 to -1/4, three with antipodal points).
     """
     a, eps, rho_bar = weight.alpha, epsilon, weight.rho_bar
     gamma_eps, r_eps, c_eps = concentration_scales(weight, eps, p)
@@ -340,56 +343,43 @@ def concentration_functional(weight: SingularWeight, epsilon: float,
     profile = concentration_profile(weight, eps, p)
     far_order = sum(sp.order for sp in weight.points
                     if not same_point(p, sp.position))
-    p2a = 2.0 * (1.0 + a)
+    p2a, step = 2.0 * (1.0 + a), np.log(4.0)
     shift = -np.log(eps)  # phi_eps(0) = -log eps is the peak scale
+    x_eps, x_ramp = np.log(np.tan(0.5 * r_eps)), np.log(np.tan(r_eps))
+    # each tail runs 30 steps of its decay by 4, to 2^-60
+    n_in = np.ceil((x_eps - min(x_eps, np.log(eps) / p2a)) * p2a / step) + 30
+    n_far = np.ceil(np.log2(30.0 / (2.0 + 2.0 * min(far_order, 0.0))))
+    x, wx = radial_rule(np.concatenate((
+        x_eps + step / p2a * np.arange(-n_in, 1),
+        np.linspace(x_ramp, step, int(np.ceil(1.0 - x_ramp / step)) + 1),
+        step * 2.0 ** np.arange(1, n_far + 1))), _PANEL_NODES,
+        jacobian=np.ones_like)
 
-    def log_h(near, r):
-        # ``near`` is 2 sin^2(r/2), or 2 sin^2(r/2) / r^2 in the cap, where
-        # the point's r^{2 alpha} goes into du; the far point lies at pi - r
-        return (a * log_factor(near)
-                + far_order * log_factor(2.0 * np.cos(0.5 * r) ** 2))
+    log_sech = np.log(2.0) - np.logaddexp(x, -x)  # sin r = sech x
+    cap = x < x_eps  # the leading nodes, as the edges ascend
+    # log r, not r = 2 arctan e^x, which underflows far below the bubble
+    # at orders near -1; the clip moves log r by e^{2x} / 3 < 1e-26
+    x_in = np.maximum(x[cap], -30.0)
+    log_r = x[cap] + np.log(2.0 * np.arctan(np.exp(x_in)) / np.exp(x_in))
+    u = np.exp(p2a * log_r)
+    tanh, sech = np.tanh(x[~cap]), np.exp(log_sech[~cap])
+    r = np.arctan2(sech, -tanh)
+    eta, eta_prime = _cutoff(r, r_eps)
+    phi = np.concatenate((_bubble(u, eps), profile(r)))
+    # phi_x = phi_r sin r, with G_r sin r = -(1 - tanh x) / 4 pi outside;
+    # in the cap divided by eps + u once, since (eps + u)^2 underflows
+    # below eps = 1.5e-154 (order -1e-3 admits eps = 1e-300)
+    phi_x = np.concatenate((
+        -2.0 * p2a * u / (eps + u) * np.exp(log_sech[cap] - log_r),
+        rho_bar * ((eta - 1.0) * (1.0 - tanh) / FOUR_PI - sech * (
+            eta_prime * _sigma(r) + eta / (2.0 * np.pi * r)))))
+    log_h = (a * (1.0 - np.logaddexp(0.0, -2.0 * x))
+             + far_order * (1.0 - np.logaddexp(0.0, 2.0 * x)))
 
-    def grad_outer(r):
-        g_prime = -np.sin(r) / (FOUR_PI * 2.0 * np.sin(0.5 * r) ** 2)
-        sigma_prime = g_prime + 1.0 / (2.0 * np.pi * r)
-        eta = _cutoff_eta(r, r_eps)
-        eta_prime = _cutoff_eta_prime(r, r_eps)
-        return rho_bar * (g_prime - eta_prime * _sigma(r) - eta * sigma_prime)
-
-    u_edges = np.append(0.0, np.geomspace(r_eps ** p2a / 4.0 ** 7,
-                                          r_eps ** p2a, 8))
-    panels = np.ceil(np.log(np.pi / (4.0 * r_eps)) / np.log(4.0))
-    r_edges = np.append(r_eps, np.geomspace(2.0 * r_eps, 0.5 * np.pi,
-                                            int(panels) + 1))
-
-    def radial(f_in, b_in, f_out, b_far=1.0):
-        """2 pi int_0^pi f sin r dr: inside the cap the whole integrand in
-        u, f_in(u, r), whose first panel takes the weight u^b_in; outside
-        f_out(r), whose panel at pi takes the weight (pi - r)^b_far."""
-        u, wu = radial_rule(u_edges, _PANEL_NODES, b_in, np.ones_like)
-        r, wr = map(np.concatenate, zip(
-            radial_rule(r_edges, _PANEL_NODES),
-            radial_rule((np.pi, 0.5 * np.pi), _PANEL_NODES, b_far)))
-        return 2.0 * np.pi * (wu @ f_in(u, u ** (1.0 / p2a)) + wr @ f_out(r))
-
-    def sinc(r):
-        return np.sinc(r / np.pi)
-
-    # in the cap sin r dr = sinc(r) r^2 du / (p2a u), with r^{p2a} = u;
-    # dividing by eps + u twice, since its square underflows below about
-    # eps = 1.5e-154 (order -1e-3 admits eps = 1e-300)
-    dirichlet = radial(
-        lambda u, r: 4.0 * p2a * sinc(r) * (u / (eps + u)) / (eps + u), 0.0,
-        lambda r: grad_outer(r) ** 2)
-    mean = radial(
-        lambda u, r: _bubble(u, eps) * sinc(r) * u ** (2.0 / p2a - 1.0) / p2a,
-        2.0 / p2a - 1.0, profile) / FOUR_PI
-    log_exp = shift + np.log(radial(
-        lambda u, r: np.exp(log_h(0.5 * sinc(0.5 * r) ** 2, r)
-                            + _bubble(u, eps) - shift) * sinc(r) / p2a, 0.0,
-        lambda r: np.exp(log_h(2.0 * np.sin(0.5 * r) ** 2, r)
-                         + profile(r) - shift),
-        2.0 * far_order + 1.0))
+    dirichlet = 2.0 * np.pi * (wx @ phi_x**2)
+    mean = 0.5 * (wx @ (phi * np.exp(2.0 * log_sech)))
+    log_exp = shift + np.log(2.0 * np.pi * (
+        wx @ np.exp(log_h + phi - shift + 2.0 * log_sech)))
 
     J = (0.5 * dirichlet + rho_bar * mean
          - rho_bar * (log_exp - np.log(FOUR_PI)))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sol_lab
-from sol_lab import closed_forms
+from sol_lab import closed_forms, mt_functional
 from sol_lab.closed_forms import (
     conformal_pullback,
     dilated_dot,
@@ -354,7 +354,7 @@ class TestLazyScipy:
         assert found == []
 
 
-def mp_concentration_functional(alpha, eps, far=0.0, dps=25):
+def mp_concentration_functional(alpha, eps, far=0.0, dps=35):
     """J(phi_eps) and its terms for a point of order ``alpha`` at the north
     pole (and one of order ``far`` at the south pole), by mpmath's
     tanh-sinh quadrature in r at ``dps`` digits: an oracle written from the
@@ -419,18 +419,38 @@ def mp_concentration_functional(alpha, eps, far=0.0, dps=25):
 
 
 class TestRadialOracle:
-    @pytest.mark.parametrize("alpha, far", [(-0.9, 0.0), (-0.5, 0.25)],
-                             ids=["north-0.9", "pair-0.5-0.25"])
-    def test_concentration_functional_matches_mpmath(self, alpha, far):
-        """The radial J at eps = 1e-4 against a 25-digit oracle: adaptive
-        quad read log int h e^phi = 3.70443 and J = -5.57235 at alpha =
-        -0.9, against 3.78527 and -5.77553."""
+    @pytest.mark.parametrize("alpha, far, eps", [
+        (-0.9, 0.0, 1e-4), (-0.5, 0.25, 1e-4), (-0.25, 0.0, 1e-6),
+        (-0.75, 0.5, 1e-4), (-0.5, -0.5, 1e-4)],
+        ids=["north-0.9", "pair-0.5-0.25", "north-0.25-eps-1e-6",
+             "pair-0.75-0.5", "pair-0.5-0.5"])
+    def test_concentration_functional_matches_mpmath(self, alpha, far, eps):
+        """The radial J against a 35-digit oracle to 1e-13 relative in J,
+        each term and log int h e^phi (at 25 digits the oracle itself was
+        off by 7.5e-13 in J at alpha = -0.9, eps = 1e-2): adaptive quad
+        read log int h e^phi = 3.70443 and J = -5.57235 at alpha = -0.9,
+        eps = 1e-4, against 3.78527 and -5.77553."""
         w = SingularWeight.from_orders(
             [(tuple(NORTH), alpha)] + ([(tuple(SOUTH), far)] if far else []))
-        rec = concentration_functional(w, 1e-4, NORTH)
-        want = mp_concentration_functional(alpha, 1e-4, far)
+        rec = concentration_functional(w, eps, NORTH)
+        want = mp_concentration_functional(alpha, eps, far)
         for key, value in want.items():
-            assert rec[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
+            assert rec[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+
+    def test_one_rule_per_call(self, monkeypatch):
+        """The three terms share one ``radial_rule`` in x = log tan(r/2)
+        (a u-cap, an r and an antipodal Jacobi rule for each term built
+        nine)."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return mt_functional.radial_rule(*args, **kwargs)
+
+        monkeypatch.setattr(closed_forms, "radial_rule", spy)
+        w = SingularWeight.from_orders([(tuple(NORTH), -0.5)])
+        concentration_functional(w, 1e-4, NORTH)
+        assert len(calls) == 1
 
     def test_least_epsilon_near_order_zero(self):
         """At order -1e-3, eps = 1e-300 gives r_eps = 1.9e-149, above
